@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (Section 7), one benchmark per artifact, plus ablations of
-// the design choices DESIGN.md calls out. cmd/benchrunner prints the
-// same series as human-readable tables.
+// the design choices the README's architecture section calls out.
+// cmd/benchrunner prints the same series as human-readable tables.
 package repro
 
 import (

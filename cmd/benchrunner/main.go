@@ -2,7 +2,7 @@
 // paper's evaluation (Section 7) and prints the rows/series the paper
 // reports. Absolute numbers differ from the paper's Oracle testbed; the
 // shapes (who wins, by what factor, where the curves sit) are the
-// reproduction target. See EXPERIMENTS.md.
+// reproduction target.
 //
 // Usage:
 //

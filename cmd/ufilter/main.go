@@ -257,13 +257,14 @@ func loadUpdate(dataset, name, file, text string) (string, error) {
 	}
 }
 
-// printPlan renders a compiled UpdatePlan: the schema verdict, the
-// literal slots the execute-many path binds, and per-op STAR verdicts,
-// parameterized probe templates and shared-part checks. Nothing is
-// executed — this is the compile half of compile-once/execute-many.
+// printPlan renders a compiled UpdatePlan: the exemplar's schema
+// verdict, the literal and content slots the execute-many path binds,
+// and per-op STAR verdicts, parameterized probe templates and
+// shared-part checks. Nothing is executed — this is the compile half of
+// compile-once/execute-many.
 func printPlan(p *repro.UpdatePlan) {
 	fmt.Printf("mode:      prepared (compile only, nothing executed)\n")
-	fmt.Printf("template:  %d ops, %d literal slots, sensitive=%v\n", len(p.Ops), len(p.Slots), p.Sensitive)
+	fmt.Printf("template:  %d ops, %d literal slots, %d content slots\n", len(p.Ops), len(p.Slots), len(p.ContentSlots))
 	if p.Verdict != nil {
 		fmt.Printf("accepted:  %v\n", p.Verdict.Accepted)
 		fmt.Printf("outcome:   %s\n", p.Verdict.Outcome)
@@ -277,6 +278,16 @@ func printPlan(p *repro.UpdatePlan) {
 	for i, s := range p.Slots {
 		fmt.Printf("slot ?%d:   %s %s <literal>\n", i+1, s.Leaf.RelAttr(), s.Op)
 	}
+	for i, s := range p.ContentSlots {
+		fmt.Printf("content %d: op %d <%s> -> %s %s", i+1, s.Op, s.Leaf.Parent.Name, s.Leaf.RelAttr(), s.Leaf.Type)
+		if s.Leaf.NotNull {
+			fmt.Print(" NOT NULL")
+		}
+		for _, chk := range s.Leaf.Checks {
+			fmt.Printf(" CHECK(%s)", chk)
+		}
+		fmt.Println()
+	}
 	for i := range p.Ops {
 		po := &p.Ops[i]
 		for _, v := range po.Verdicts {
@@ -286,7 +297,7 @@ func printPlan(p *repro.UpdatePlan) {
 			fmt.Printf("op %d probe: %s\n", i, po.Probe.String())
 		}
 		for _, chk := range po.SharedChecks {
-			fmt.Printf("op %d shared: %s must already hold key %v\n", i, chk.Rel, chk.KeyVals)
+			fmt.Printf("op %d shared: %s must already hold the key %v the content supplies\n", i, chk.Rel, chk.KeyCols)
 		}
 	}
 }

@@ -33,10 +33,12 @@
 //
 // A Filter is safe for concurrent Check calls and routes everything
 // through an internal plan cache (internal/plan): each update template
+// (the update with its predicate literals and content values stripped)
 // is compiled once into an immutable UpdatePlan — resolution, Steps
 // 1+2, parameterized probe SQL — and every structurally-equal update
-// afterwards binds its literal tuple into the plan (the verdict of
-// Steps 1+2 depends only on the view and schema, never on base data).
+// afterwards binds its literals and content values into the plan (the
+// verdict of Steps 1+2 depends only on the view, the schema and those
+// values, never on base data).
 // CheckBatch fans a slice of updates across a worker pool; Prepare/
 // Execute expose the compile-once/execute-many fast path; ApplyBatch
 // and ExecuteBatch group-commit N updates under one transaction and
@@ -150,7 +152,7 @@ type Result = ufilter.Result
 // verdict or per-update error.
 type BatchResult = ufilter.BatchResult
 
-// CacheStats snapshots the decision cache's hit/miss counters; see
+// CacheStats snapshots the plan cache's hit/miss counters; see
 // Filter.CacheStats.
 type CacheStats = ufilter.CacheStats
 

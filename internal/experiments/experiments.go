@@ -1,8 +1,7 @@
 // Package experiments implements the harness that regenerates every
 // table and figure of the paper's evaluation (Section 7). Each function
 // produces the rows/series of one artifact; cmd/benchrunner prints them
-// and bench_test.go wraps them in testing.B benchmarks. See DESIGN.md §5
-// for the experiment index and EXPERIMENTS.md for paper-vs-measured.
+// and bench_test.go wraps them in testing.B benchmarks.
 package experiments
 
 import (

@@ -38,7 +38,7 @@ func (e *Executor) BlindApply(updateText string) (*BlindResult, error) {
 		return nil, err
 	}
 
-	ac := &applyCtx{txn: e.Exec.DB.BeginTxn(), preds: r.UserPreds}
+	ac := &applyCtx{txn: e.Exec.DB.BeginTxn(), bound: bound{preds: r.UserPreds}}
 	txn := ac.txn
 	// The engine reads through the transaction: the before image sees
 	// the snapshot pinned at Begin, the after image additionally sees
@@ -56,7 +56,7 @@ func (e *Executor) BlindApply(updateText string) (*BlindResult, error) {
 	touched := 0
 	for i := range r.Ops {
 		ro := &r.Ops[i]
-		probe, tempName, reject, err := e.contextCheck(ac, ro, r.UserPreds, nil, nil, dummy)
+		probe, tempName, reject, err := e.contextCheck(ac, ro, nil, nil, dummy)
 		if err != nil {
 			txn.Rollback()
 			return nil, err
@@ -149,7 +149,7 @@ func (e *Executor) blindTranslate(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.R
 	case xqparse.OpInsert:
 		return e.translateInsert(ro, probe)
 	default:
-		return e.translateReplace(ac, ro, probe)
+		return e.translateReplace(ac, ro, probe, nil, nil)
 	}
 }
 

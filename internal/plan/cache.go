@@ -1,46 +1,48 @@
 package plan
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/xqparse"
 )
 
-// The plan cache memoizes compiled UpdatePlans per update template,
-// with the schema-level verdicts of Steps 1+2 as its verdict tier (the
-// decision cache of earlier revisions, absorbed). The paper's
-// "lightweight" claim rests on those steps being pure schema-level
-// work: the verdict for an update template never changes after the
-// view is compiled (it reads only the STAR marks, never base data), so
-// under production traffic each template is compiled once and every
-// structurally-equal update afterwards is served from memory — and,
-// on the Apply path, executed off the compiled plan's prepared probe
-// statements and precompiled translation artifacts. Step 3 — the
-// data-driven check — is never cached: it must see the current
-// database.
+// The plan cache holds one compiled UpdatePlan per update template —
+// the update with its predicate literals and content values stripped.
+// The paper's "lightweight" claim rests on Steps 1+2 being schema-level
+// work: what they decide for a template never changes after the view is
+// compiled (it reads only the ASG and the STAR marks, never base data),
+// so under production traffic each template is compiled once and every
+// structurally-equal update afterwards is answered off the resident
+// plan — its verdict derived by binding the update's values, and, on
+// the Apply path, executed through the plan's prepared probe statements
+// and translation artifacts. Nothing value-dependent is stored per
+// template, so the template tier holds as many entries as the traffic
+// has templates. Step 3 — the data-driven check — is never cached: it
+// must see the current database.
 //
 // Two tiers:
 //
-//   - a text tier keyed by the raw update string, which also skips
-//     parsing for byte-identical resubmissions (the common retry /
-//     hot-update shape), and
-//   - a template tier keyed by the literal-stripped fingerprint, which
-//     holds the compiled UpdatePlan and hits across updates that
-//     differ only in literal values.
-//
-// Templates whose verdict provably cannot depend on literal values
-// (see fingerprint.go) store one verdict for the whole template;
-// literal-sensitive templates store one verdict per literal tuple —
-// derived cheaply off the compiled plan — so they still hit on
-// repeated values and never serve a wrong answer.
+//   - a template tier keyed by the value-stripped fingerprint (see
+//     fingerprint.go), holding the compiled UpdatePlan, and
+//   - a text tier keyed by the raw update string, which remembers the
+//     parse and the verdict of byte-identical resubmissions (the common
+//     retry / hot-update shape). A text is admitted on its second
+//     sighting, so traffic whose every text is fresh cannot fill it.
 
-// cacheMaxEntries bounds each tier — the text tier by map size, the
-// template tier by total stored verdicts across all templates and
-// their per-literal maps. A full tier is reset wholesale (the
-// workloads are template-skewed, so a full tier means adversarial or
-// unbounded-distinct traffic where caching cannot help).
-const cacheMaxEntries = 1 << 14
+const (
+	// maxTexts and maxPlans bound the tiers. A full tier is reset
+	// wholesale: real workloads are template-skewed, so a full tier
+	// means adversarial or unbounded-distinct traffic where caching
+	// cannot help. A plan is far heavier than a text entry, hence the
+	// smaller bound.
+	maxTexts = 1 << 14
+	maxPlans = 1 << 10
+	// doorSlots sizes the text tier's doorkeeper: the hashes of recently
+	// seen, not yet admitted texts, one per slot.
+	doorSlots = 1 << 12
+)
 
 // textEntry is one text-tier slot: the parse result plus the verdict.
 type textEntry struct {
@@ -48,28 +50,20 @@ type textEntry struct {
 	res    *Result
 }
 
-// templateEntry is one template-tier slot: the compiled plan plus the
-// verdict tier. Exactly one of res/byLits is used, according to
-// sensitive.
-type templateEntry struct {
-	plan      *UpdatePlan
-	sensitive bool
-	res       *Result            // template-wide verdict (literal-independent)
-	byLits    map[string]*Result // per-literal-tuple verdicts
-}
-
-// Cache is the concurrency-safe two-tier plan/verdict memo table.
+// Cache is the concurrency-safe two-tier plan memo table.
 type Cache struct {
-	mu         sync.RWMutex
-	byText     map[string]textEntry
-	byTemplate map[string]*templateEntry
-	// templateResults counts every verdict stored in the template tier
-	// (template-wide and per-literal alike) so the tier's total size is
-	// bounded even when many literal-sensitive templates each grow
-	// their own byLits map.
-	templateResults int
-	// planCount tracks how many entries currently hold a compiled plan.
-	planCount int
+	mu     sync.RWMutex
+	byText map[string]textEntry
+	plans  map[string]*UpdatePlan
+
+	// compileMu serializes first compiles (see Executor.compileOnce).
+	compileMu sync.Mutex
+
+	// door is the text tier's doorkeeper: slot hash%doorSlots holds the
+	// hash of the last unadmitted text that landed there. A text whose
+	// hash is already in its slot is on its second sighting.
+	seed maphash.Seed
+	door [doorSlots]atomic.Uint64
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -80,30 +74,35 @@ type Cache struct {
 // NewCache returns an empty plan cache.
 func NewCache() *Cache {
 	return &Cache{
-		byText:     make(map[string]textEntry),
-		byTemplate: make(map[string]*templateEntry),
+		byText: make(map[string]textEntry),
+		plans:  make(map[string]*UpdatePlan),
+		seed:   maphash.MakeSeed(),
 	}
 }
 
 // CacheStats is a point-in-time snapshot of the plan cache's
 // effectiveness counters.
 type CacheStats struct {
-	// Hits counts Check/CheckParsed calls answered from either tier.
+	// Hits counts checks and applies answered off a resident plan: a
+	// text-tier verdict, or a verdict derived by binding the update's
+	// values against its template's plan.
 	Hits int64 `json:"hits"`
-	// Misses counts calls that ran the full schema-level pipeline (or,
-	// for a known template with a new literal tuple, a plan-bound
-	// re-validation).
+	// Misses counts template compilations and nothing else. Once the
+	// traffic's templates are resident the hit rate reads ~1 whatever
+	// the values are; Plans and the compile histogram's count are the
+	// numbers that show how many templates the traffic has.
 	Misses int64 `json:"misses"`
 	// TextHits counts the subset of Hits that also skipped parsing.
 	TextHits int64 `json:"text_hits"`
 	// TextEntries and TemplateEntries are the current tier sizes.
 	TextEntries     int `json:"text_entries"`
 	TemplateEntries int `json:"template_entries"`
-	// Plans counts the compiled UpdatePlans currently cached.
+	// Plans counts the compiled UpdatePlans currently cached — one per
+	// template entry.
 	Plans int `json:"plans"`
 	// PlanApplies counts applies executed off a cached compiled plan
-	// (prepared probes + precompiled translation artifacts) instead of
-	// a fresh resolution.
+	// (prepared probes + translation artifacts) instead of a fresh
+	// resolution.
 	PlanApplies int64 `json:"plan_applies"`
 }
 
@@ -119,15 +118,15 @@ func (s CacheStats) HitRate() float64 {
 // Stats snapshots the cache counters; safe under concurrent traffic.
 func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
-	nt, ntpl, nplans := len(c.byText), len(c.byTemplate), c.planCount
+	nt, np := len(c.byText), len(c.plans)
 	c.mu.RUnlock()
 	return CacheStats{
 		Hits:            c.hits.Load(),
 		Misses:          c.misses.Load(),
 		TextHits:        c.textHits.Load(),
 		TextEntries:     nt,
-		TemplateEntries: ntpl,
-		Plans:           nplans,
+		TemplateEntries: np,
+		Plans:           np,
 		PlanApplies:     c.planApplies.Load(),
 	}
 }
@@ -145,113 +144,44 @@ func (c *Cache) lookupText(text string) (*Result, bool) {
 	return e.res.cloneShallow(e.parsed), true
 }
 
-// lookupTemplate serves a structurally-equal update. tkey/lkey come from
-// fingerprint/literalKey over the parsed update.
-func (c *Cache) lookupTemplate(tkey, lkey string, u *xqparse.UpdateQuery) (*Result, bool) {
-	c.mu.RLock()
-	e, ok := c.byTemplate[tkey]
-	var res *Result
-	if ok {
-		if e.sensitive {
-			res = e.byLits[lkey]
-		} else {
-			res = e.res
-		}
-	}
-	c.mu.RUnlock()
-	if res == nil {
-		return nil, false
-	}
-	c.hits.Add(1)
-	return res.cloneShallow(u), true
-}
-
-// plan returns the compiled UpdatePlan of a template, nil when the
-// template has not been compiled (or the tier was reset).
-func (c *Cache) plan(tkey string) *UpdatePlan {
-	c.mu.RLock()
-	e, ok := c.byTemplate[tkey]
-	var p *UpdatePlan
-	if ok {
-		p = e.plan
-	}
-	c.mu.RUnlock()
-	return p
-}
-
-// store records a freshly computed verdict (and, when non-nil, the
-// compiled plan) in both tiers. sensitive reports whether the verdict
-// may depend on the predicate literal values; sensitive verdicts are
-// stored per literal tuple. A template already marked sensitive stays
-// sensitive (a template-wide verdict is only trusted when every store
-// agreed it is literal-independent).
-func (c *Cache) store(text, tkey, lkey string, u *xqparse.UpdateQuery, p *UpdatePlan, res *Result, sensitive bool) {
-	c.misses.Add(1)
-	stored := res.cloneShallow(u)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if text != "" {
-		if len(c.byText) >= cacheMaxEntries {
-			c.byText = make(map[string]textEntry)
-		}
-		c.byText[text] = textEntry{parsed: u, res: stored}
-	}
-	if c.templateResults >= cacheMaxEntries {
-		c.byTemplate = make(map[string]*templateEntry)
-		c.templateResults = 0
-		c.planCount = 0
-	}
-	e := c.byTemplate[tkey]
-	if e == nil {
-		e = &templateEntry{sensitive: sensitive}
-		c.byTemplate[tkey] = e
-	}
-	if p != nil && (e.plan == nil || (e.plan.Resolved == nil && p.Resolved != nil)) {
-		// First compilation, or an upgrade: a literal-sensitive
-		// template whose exemplar failed resolution compiles into a
-		// verdict-only plan; a later instance that resolves replaces it
-		// with the full plan.
-		if e.plan == nil {
-			c.planCount++
-		}
-		e.plan = p
-	}
-	if sensitive && !e.sensitive && e.res != nil {
-		// A later, better-informed store demoted the template (e.g. the
-		// first instance failed resolution before leaf types were known).
-		// Drop the template-wide verdict rather than guess which literal
-		// tuple it was computed for.
-		e.res = nil
-		e.sensitive = true
-		c.templateResults--
-	}
-	if e.sensitive || sensitive {
-		e.sensitive = true
-		if e.byLits == nil {
-			e.byLits = make(map[string]*Result)
-		}
-		if _, exists := e.byLits[lkey]; !exists {
-			c.templateResults++
-		}
-		e.byLits[lkey] = stored
+// admitText records text's parse and verdict in the text tier if this is
+// at least its second sighting; a first sighting only leaves its hash
+// with the doorkeeper.
+func (c *Cache) admitText(text string, u *xqparse.UpdateQuery, res *Result) {
+	h := maphash.String(c.seed, text)
+	if c.door[h%doorSlots].Swap(h) != h {
 		return
 	}
-	if e.res == nil {
-		c.templateResults++
-	}
-	e.res = stored
-}
-
-// storeText records a parse-skipping alias for text, used when a
-// template-tier hit arrived through Check with a text the text tier had
-// not seen yet.
-func (c *Cache) storeText(text string, u *xqparse.UpdateQuery, res *Result) {
 	stored := res.cloneShallow(u)
 	c.mu.Lock()
-	if len(c.byText) >= cacheMaxEntries {
+	if len(c.byText) >= maxTexts {
 		c.byText = make(map[string]textEntry)
 	}
 	c.byText[text] = textEntry{parsed: u, res: stored}
+	c.mu.Unlock()
+}
+
+// plan returns the resident UpdatePlan of a template and counts the
+// hit; nil when the template has not been compiled (or the tier was
+// reset).
+func (c *Cache) plan(key string) *UpdatePlan {
+	c.mu.RLock()
+	p := c.plans[key]
+	c.mu.RUnlock()
+	if p != nil {
+		c.hits.Add(1)
+	}
+	return p
+}
+
+// storePlan records a freshly compiled plan and counts the miss.
+func (c *Cache) storePlan(p *UpdatePlan) {
+	c.misses.Add(1)
+	c.mu.Lock()
+	if len(c.plans) >= maxPlans {
+		c.plans = make(map[string]*UpdatePlan)
+	}
+	c.plans[p.Key] = p
 	c.mu.Unlock()
 }
 

@@ -51,65 +51,40 @@ func (e *Executor) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, e
 	return e.checkDataParsed(rd, u)
 }
 
-// checkDataParsed layers the read-only probes over the (cached) schema
-// verdict. The returned Result is the caller's copy: probe SQL is
-// appended to Probes and a failed probe downgrades Accepted with
-// RejectedAt = StepData, without touching the cached schema verdict.
+// checkDataParsed layers the read-only probes over the schema verdict.
+// The returned Result is the caller's copy: probe SQL is appended to
+// Probes and a failed probe downgrades Accepted with RejectedAt =
+// StepData.
 func (e *Executor) checkDataParsed(rd sqlexec.Reader, u *xqparse.UpdateQuery) (*Result, error) {
-	res, err := e.CheckParsed(u)
+	res, p, b, err := e.checkCached(u, "", nil)
 	if err != nil || !res.Accepted {
 		return res, err
 	}
-	// Reuse the cached plan's resolution and prepared probe statements
-	// when the template has one; resolve freshly otherwise (cache
-	// disabled, or the plan was stored without artifacts).
-	var (
-		r       *ResolvedUpdate
-		planned []PlannedOp
-		preds   []UserPred
-	)
-	if !e.DisableCache && e.cache != nil {
-		if p := e.cache.plan(fingerprint(u)); p != nil && p.Resolved != nil {
-			if bp, inv := p.bindParsed(u); inv == nil {
-				r, planned, preds = p.Resolved, p.Ops, bp
-			}
+	if p == nil {
+		// Cache disabled: compile a plan privately — compilation is
+		// read-only and concurrency-safe — so this path still carries
+		// the per-op artifacts, in particular the shared-part checks an
+		// insert's verdict depends on. Without them CheckData would
+		// accept inserts that Apply then rejects at StepData.
+		if p, err = e.compile(u, true); err != nil {
+			return nil, err
+		}
+		if _, b, err = e.bindParsed(p, u); err != nil {
+			return nil, err
 		}
 	}
-	if r == nil {
-		// No cached plan (cache disabled, or evicted): compile one
-		// privately — compilation is read-only and concurrency-safe —
-		// so this path still carries the per-op artifacts, in
-		// particular the shared-part checks an insert's verdict
-		// depends on. Without them CheckData would accept inserts that
-		// Apply then rejects at StepData.
-		p, err := e.compile(u, true)
+	args := probeArgs(p.Ops, b.preds)
+	for i := range p.Resolved.Ops {
+		ro, po := &p.Resolved.Ops[i], &p.Ops[i]
+		reject, err := e.probeContextOn(rd, ro, b.preds, po, args, res)
 		if err != nil {
 			return nil, err
 		}
-		if p.Resolved == nil {
-			return nil, fmt.Errorf("plan: data check compile lost resolution for an accepted update")
-		}
-		r, planned, preds = p.Resolved, p.Ops, p.Resolved.UserPreds
-	}
-	var args []relational.Value
-	if planned != nil {
-		args = make([]relational.Value, len(preds))
-		for i := range preds {
-			args[i] = preds[i].Lit
-		}
-	}
-	for i := range r.Ops {
-		ro := &r.Ops[i]
-		var po *PlannedOp
-		if planned != nil && i < len(planned) {
-			po = &planned[i]
-		}
-		reject, err := e.probeContextOn(rd, ro, preds, po, args, res)
-		if err != nil {
-			return nil, err
-		}
-		if reject == "" && po != nil {
-			reject, err = e.runSharedChecksOn(rd, po.SharedChecks, res)
+		// A fragment without the key of a shared relation is what Apply
+		// rejects at translation; here it only means the shared part
+		// cannot be probed.
+		if reject == "" && po.insert != nil && po.insert.checkSharedKeys(b.content) == nil {
+			reject, err = e.runSharedChecksOn(rd, po.SharedChecks, b.content, res)
 			if err != nil {
 				return nil, err
 			}
@@ -129,12 +104,12 @@ func (e *Executor) checkDataParsed(rd sqlexec.Reader, u *xqparse.UpdateQuery) (*
 // the plan's prepared statement when available, without materializing
 // the result as a temporary table.
 func (e *Executor) probeContextOn(rd sqlexec.Reader, ro *ResolvedOp, preds []UserPred, po *PlannedOp, args []relational.Value, res *Result) (string, error) {
-	if po != nil && po.NoProbe {
+	if po.NoProbe {
 		return "", nil
 	}
 	var rs *sqlexec.ResultSet
 	var probeSQL string
-	if po != nil && po.Probe != nil {
+	if po.Probe != nil {
 		var err error
 		rs, err = po.Probe.ExecSelectOn(rd, args...)
 		if err != nil {

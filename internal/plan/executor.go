@@ -136,9 +136,8 @@ type Executor struct {
 	// uninstrumented benchmarking. Nil-safe at every recording site.
 	Obs *ObsHists
 
-	// cache memoizes compiled UpdatePlans and schema-level verdicts per
-	// update template; see cache.go. Never nil for executors built by
-	// NewExecutor.
+	// cache holds one compiled UpdatePlan per update template; see
+	// cache.go. Never nil for executors built by NewExecutor.
 	cache *Cache
 
 	// gc coalesces concurrent commits into shared WAL flushes.
@@ -156,14 +155,15 @@ type Executor struct {
 // applyCtx is the per-apply execution state threaded through the
 // mutating pipeline: the apply's own transaction (all probe reads and
 // translated statements go through it, so the update observes a stable
-// snapshot plus its own writes) and the update's bound predicates
-// (consumed by the internal strategy's wide probe and
-// translateDelete's fallback). One applyCtx never crosses goroutines;
-// making it explicit — instead of fields on the shared Executor — is
-// what lets applies run concurrently at all.
+// snapshot plus its own writes) and the update's bound values — its
+// predicates (consumed by the probes) and, when it runs off a compiled
+// plan, the content values the plan's insert/replace artifacts index.
+// One applyCtx never crosses goroutines; making it explicit — instead
+// of fields on the shared Executor — is what lets applies run
+// concurrently at all.
 type applyCtx struct {
-	txn   relational.WriteTxn
-	preds []UserPred
+	txn relational.WriteTxn
+	bound
 	// trace is the request's span recorder (nil when untraced); runOps
 	// and the group committer record stage timings into it.
 	trace *obs.Trace
@@ -265,10 +265,9 @@ func (e *Executor) CacheStats() CacheStats {
 // The verdict is served from the plan cache when an identical or
 // structurally-equal update was checked before: a byte-identical
 // resubmission skips even parsing, and an update that differs only in
-// predicate literal values is answered off the template's compiled
-// UpdatePlan (a stored verdict when the template's verdict provably
-// cannot depend on the literals, a cheap re-validation of the bound
-// literals otherwise).
+// predicate literals or content values is answered off the template's
+// compiled UpdatePlan by binding its values (the value-dependent half
+// of Step 1 is re-derived per instance, never stored).
 func (e *Executor) Check(updateText string) (*Result, error) {
 	return e.CheckContext(context.Background(), updateText)
 }
@@ -293,58 +292,74 @@ func (e *Executor) CheckContext(ctx context.Context, updateText string) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return e.checkCached(u, updateText, tr)
+	res, _, _, err := e.checkCached(u, updateText, tr)
+	return res, err
 }
 
 // CheckParsed is Check over a pre-parsed update.
 func (e *Executor) CheckParsed(u *xqparse.UpdateQuery) (*Result, error) {
-	return e.checkCached(u, "", nil)
+	res, _, _, err := e.checkCached(u, "", nil)
+	return res, err
 }
 
-// checkCached consults the template tier of the plan cache before
-// compiling, and stores fresh plans/verdicts with their
-// literal-sensitivity classification. text, when non-empty, also feeds
-// the parse-skipping text tier.
-func (e *Executor) checkCached(u *xqparse.UpdateQuery, text string, tr *obs.Trace) (*Result, error) {
+// checkCached answers a parsed update off its template's resident plan,
+// compiling the template on its first sighting. Beside the verdict it
+// hands back the plan and, for an accepted update, the bound values, so
+// the apply and data-check paths execute with exactly what the verdict
+// was derived from; the plan is nil when the cache is disabled. text,
+// when non-empty, also feeds the parse-skipping text tier.
+func (e *Executor) checkCached(u *xqparse.UpdateQuery, text string, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
 	if e.cache == nil || e.DisableCache {
 		endCompile := tr.StartSpan("compile")
 		p, err := e.compile(u, false)
 		endCompile()
 		if err != nil {
-			return nil, err
+			return nil, nil, bound{}, err
 		}
-		return p.Verdict, nil
+		return p.Verdict, nil, bound{}, nil
 	}
 	endLookup := tr.StartSpan("cache_lookup")
-	tkey := fingerprint(u)
-	lkey := literalKey(u)
-	res, ok := e.cache.lookupTemplate(tkey, lkey, u)
+	key := fingerprint(u)
+	p := e.cache.plan(key)
 	endLookup()
-	if ok {
-		if text != "" {
-			e.cache.storeText(text, u, res)
+	if p == nil {
+		endCompile := tr.StartSpan("compile")
+		var err error
+		p, err = e.compileOnce(key, u)
+		endCompile()
+		if err != nil {
+			return nil, nil, bound{}, err
 		}
-		return res, nil
 	}
-	// A verdict miss with a compiled plan present means a
-	// literal-sensitive template saw a new literal tuple: derive the
-	// verdict by binding the literals against the plan instead of
-	// re-running resolution and STAR.
-	if p := e.cache.plan(tkey); p != nil && p.Resolved != nil {
-		endBind := tr.StartSpan("bind")
-		res := p.verdictParsed(u)
-		endBind()
-		e.cache.store(text, tkey, lkey, u, nil, res, true)
-		return res.cloneShallow(u), nil
+	endBind := tr.StartSpan("bind")
+	res, b, err := e.bindParsed(p, u)
+	endBind()
+	if err != nil {
+		return nil, nil, bound{}, err
 	}
-	endCompile := tr.StartSpan("compile")
+	if text != "" {
+		e.cache.admitText(text, u, res)
+	}
+	return res, p, b, nil
+}
+
+// compileOnce compiles the plan of a template the cache does not hold
+// and stores it. First compiles are serialized, so concurrent first
+// sightings of one template compile it once and the rest find it
+// resident.
+func (e *Executor) compileOnce(key string, u *xqparse.UpdateQuery) (*UpdatePlan, error) {
+	c := e.cache
+	c.compileMu.Lock()
+	defer c.compileMu.Unlock()
+	if p := c.plan(key); p != nil {
+		return p, nil
+	}
 	p, err := e.compile(u, true)
-	endCompile()
 	if err != nil {
 		return nil, err
 	}
-	e.cache.store(text, tkey, lkey, u, p, p.Verdict, p.Sensitive)
-	return p.Verdict.cloneShallow(u), nil
+	c.storePlan(p)
+	return p, nil
 }
 
 // starVerdicts applies the STAR checking procedure to one resolved op.
@@ -442,9 +457,9 @@ func (e *Executor) ApplyContext(ctx context.Context, updateText string) (*Result
 // commits share write-ahead-log flushes through the group-commit
 // scheduler.
 //
-// When the update's template has a compiled UpdatePlan in the cache,
-// execution reuses the plan's resolution, prepared probe statements and
-// precompiled insert artifacts instead of re-deriving them.
+// Execution runs off the template's compiled UpdatePlan — its
+// resolution, prepared probe statements and insert/replace artifacts —
+// bound to this update's literals and content values.
 func (e *Executor) ApplyParsed(u *xqparse.UpdateQuery) (*Result, error) {
 	return e.applyParsedTraced(u, nil)
 }
@@ -459,28 +474,23 @@ func (e *Executor) applyParsedTraced(u *xqparse.UpdateQuery, tr *obs.Trace) (*Re
 		if err != nil {
 			return nil, err
 		}
-		return e.applyResolved(r, nil, r.UserPreds, res, tr)
+		return e.applyResolved(r, nil, bound{preds: r.UserPreds}, res, tr)
 	}
-	res, err := e.checkCached(u, "", tr)
+	res, p, b, err := e.checkCached(u, "", tr)
 	if err != nil || !res.Accepted {
 		return res, err
 	}
-	if !e.DisableCache && e.cache != nil {
-		if p := e.cache.plan(fingerprint(u)); p != nil && p.Resolved != nil {
-			endBind := tr.StartSpan("bind")
-			preds, inv := p.bindParsed(u)
-			endBind()
-			if inv == nil {
-				e.cache.planApplies.Add(1)
-				return e.applyResolved(p.Resolved, p.Ops, preds, res, tr)
-			}
-		}
+	if p != nil {
+		e.cache.planApplies.Add(1)
+		return e.applyResolved(p.Resolved, p.Ops, b, res, tr)
 	}
+	// Cache disabled: the reference path, re-deriving everything from
+	// the update itself.
 	r, err := Resolve(u, e.View)
 	if err != nil {
-		return nil, err // cannot happen: CheckParsed resolved already
+		return nil, err // cannot happen: the check resolved already
 	}
-	return e.applyResolved(r, nil, r.UserPreds, res, tr)
+	return e.applyResolved(r, nil, bound{preds: r.UserPreds}, res, tr)
 }
 
 // resultMark checkpoints the mutable fields of a Result so a
@@ -526,14 +536,14 @@ func (m resultMark) restore(res *Result) {
 // fresh probes) with capped backoff when a write-write conflict is
 // detected — the paper's pipeline means most concurrent updates touch
 // disjoint rows, so retries are the rare case, not the common one.
-// planned is non-nil when a compiled UpdatePlan's per-op artifacts
-// (prepared probes, insert plans) are available; preds are the
-// update's bound user predicates.
-func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, preds []UserPred, res *Result, tr *obs.Trace) (*Result, error) {
+// planned is non-nil when the update runs off a compiled UpdatePlan's
+// per-op artifacts (prepared probes, insert plans); b holds the
+// update's bound values.
+func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, b bound, res *Result, tr *obs.Trace) (*Result, error) {
 	mark := markResult(res)
 	conflicted := false
 	for attempt := 0; ; attempt++ {
-		out, err := e.applyOnce(r, planned, preds, res, tr)
+		out, err := e.applyOnce(r, planned, b, res, tr)
 		if err == nil || !errors.Is(err, relational.ErrWriteConflict) {
 			if conflicted {
 				e.conflictApplies.Add(1)
@@ -564,9 +574,9 @@ func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, preds [
 // it, group-commit on success. A rejected update (or an error,
 // including a write conflict) rolls the transaction back and leaves
 // the database untouched.
-func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, preds []UserPred, res *Result, tr *obs.Trace) (*Result, error) {
+func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, b bound, res *Result, tr *obs.Trace) (*Result, error) {
 	res.Accepted = false
-	ac := &applyCtx{txn: e.Exec.DB.BeginTxn(), preds: preds, trace: tr}
+	ac := &applyCtx{txn: e.Exec.DB.BeginTxn(), bound: b, trace: tr}
 	committed := false
 	defer func() {
 		if !committed {
@@ -574,7 +584,7 @@ func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, preds []Use
 		}
 	}()
 
-	rejected, err := e.runOps(ac, r, planned, preds, res)
+	rejected, err := e.runOps(ac, r, planned, res)
 	if err != nil {
 		return nil, err
 	}
@@ -594,22 +604,16 @@ func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, preds []Use
 // and the translated statements under the configured strategy. It
 // reports rejected=true (with res.RejectedAt/Reason set) when Step 1
 // or Step 3 rejects the update mid-flight.
-func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, preds []UserPred, res *Result) (rejected bool, err error) {
-	var args []relational.Value
-	if planned != nil {
-		args = make([]relational.Value, len(preds))
-		for i := range preds {
-			args[i] = preds[i].Lit
-		}
-	}
+func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, res *Result) (rejected bool, err error) {
+	args := probeArgs(planned, ac.preds)
 	for i := range r.Ops {
 		ro := &r.Ops[i]
 		var po *PlannedOp
-		if planned != nil && i < len(planned) {
+		if planned != nil {
 			po = &planned[i]
 		}
 		endCtx := ac.trace.StartSpan("context_check")
-		probe, tempName, reject, err := e.contextCheck(ac, ro, preds, po, args, res)
+		probe, tempName, reject, err := e.contextCheck(ac, ro, po, args, res)
 		endCtx()
 		if err != nil {
 			return false, err
@@ -629,13 +633,13 @@ func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, 
 		case xqparse.OpDelete:
 			tr, err = e.translateDelete(ac, ro, probe, tempName, res)
 		case xqparse.OpInsert:
-			if po != nil && po.insert != nil {
-				tr = po.insert.translate(probe)
+			if po != nil {
+				tr, err = po.insert.translate(ac.content, probe)
 			} else {
 				tr, err = e.translateInsert(ro, probe)
 			}
 		case xqparse.OpReplace:
-			tr, err = e.translateReplacePlanned(ac, ro, probe, po, res)
+			tr, err = e.translateReplace(ac, ro, probe, po, res)
 		}
 		endTranslate()
 		if err != nil {
@@ -649,7 +653,7 @@ func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, 
 			return false, err
 		}
 		endExec := ac.trace.StartSpan("execute")
-		if reject, err := e.runSharedChecksOn(ac.txn, tr.SharedChecks, res); err != nil {
+		if reject, err := e.runSharedChecksOn(ac.txn, tr.SharedChecks, tr.content, res); err != nil {
 			endExec()
 			return false, err
 		} else if reject != "" {
@@ -672,39 +676,17 @@ func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, 
 	return false, nil
 }
 
-// translateReplacePlanned is translateReplace with the plan's
-// precompiled artifacts (coerced replacement value, insert plan)
-// substituted when available.
-func (e *Executor) translateReplacePlanned(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, po *PlannedOp, res *Result) (*opTranslation, error) {
-	if po == nil {
-		return e.translateReplace(ac, ro, probe)
+// probeArgs lists the bound predicate literals as the parameters of a
+// plan's prepared probe statements; nil without a plan.
+func probeArgs(planned []PlannedOp, preds []UserPred) []relational.Value {
+	if planned == nil {
+		return nil
 	}
-	t := ro.Target
-	switch t.Kind {
-	case asg.KindLeaf, asg.KindTag:
-		if po.replaceVal == nil {
-			return e.translateReplace(ac, ro, probe)
-		}
-		return translateLeafReplace(replaceLeafOf(t), *po.replaceVal, probe)
-	default:
-		del, err := e.translateDelete(ac, ro, probe, "", res)
-		if err != nil {
-			return nil, err
-		}
-		var ins *opTranslation
-		if po.insert != nil {
-			ins = po.insert.translate(probe)
-		} else {
-			ins, err = e.translateInsert(replaceInsertOp(ro), probe)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &opTranslation{
-			Statements:   append(del.Statements, ins.Statements...),
-			SharedChecks: ins.SharedChecks,
-		}, nil
+	args := make([]relational.Value, len(preds))
+	for i := range preds {
+		args[i] = preds[i].Lit
 	}
+	return args
 }
 
 // contextCheck runs the data-driven update context check (Section 6.1):
@@ -718,7 +700,7 @@ func (e *Executor) translateReplacePlanned(ac *applyCtx, ro *ResolvedOp, probe *
 // skip the materialization; runOps drops the temp once its op
 // finishes, keeping the executor's temp namespace bounded under
 // sustained traffic.
-func (e *Executor) contextCheck(ac *applyCtx, ro *ResolvedOp, userPreds []UserPred, po *PlannedOp, args []relational.Value, res *Result) (*sqlexec.ResultSet, string, string, error) {
+func (e *Executor) contextCheck(ac *applyCtx, ro *ResolvedOp, po *PlannedOp, args []relational.Value, res *Result) (*sqlexec.ResultSet, string, string, error) {
 	c := ro.Context
 	var rs *sqlexec.ResultSet
 	var probeSQL string
@@ -736,7 +718,7 @@ func (e *Executor) contextCheck(ac *applyCtx, ro *ResolvedOp, userPreds []UserPr
 		// Dynamic path: no plan, or the plan's probe artifact could not
 		// be prepared — rebuild the probe so the context check still
 		// runs.
-		sel := e.buildContextProbe(c, userPreds, relsNeededByOp(ro))
+		sel := e.buildContextProbe(c, ac.preds, relsNeededByOp(ro))
 		if sel == nil {
 			return nil, "", "", nil
 		}
@@ -768,12 +750,15 @@ func (e *Executor) contextCheck(ac *applyCtx, ro *ResolvedOp, userPreds []UserPr
 // point-in-time state as the context probes: each shared relation's
 // row must already exist (otherwise the insert would surface a new
 // instance of another view node — a side effect) and must agree with
-// the fragment's values (duplication consistency).
-func (e *Executor) runSharedChecksOn(rd sqlexec.Reader, checks []SharedCheck, res *Result) (string, error) {
+// the fragment's values (duplication consistency). content holds the
+// fragment's bound values, which the checks' slots index.
+func (e *Executor) runSharedChecksOn(rd sqlexec.Reader, checks []SharedCheck, content []relational.Value, res *Result) (string, error) {
 	for _, chk := range checks {
 		sel := &sqlexec.SelectStmt{From: []string{chk.Rel}}
+		keyVals := make([]relational.Value, len(chk.KeyCols))
 		for i, c := range chk.KeyCols {
-			sel.Where = append(sel.Where, sqlexec.Eq(chk.Rel, c, chk.KeyVals[i]))
+			keyVals[i] = content[chk.keySlots[i]]
+			sel.Where = append(sel.Where, sqlexec.Eq(chk.Rel, c, keyVals[i]))
 		}
 		rs, err := e.Exec.ExecSelectOn(rd, sel)
 		if err != nil {
@@ -782,14 +767,14 @@ func (e *Executor) runSharedChecksOn(rd sqlexec.Reader, checks []SharedCheck, re
 		res.Probes = append(res.Probes, sel.String())
 		if rs.Empty() {
 			return fmt.Sprintf("inserting would create a new %s row, causing another view element to appear (shared part %v missing)",
-				chk.Rel, chk.KeyVals), nil
+				chk.Rel, keyVals), nil
 		}
-		for col, want := range chk.AllCols {
+		for col, slot := range chk.cols {
 			ci, ok := rs.ColumnIndex(sqlexec.ColRef{Table: chk.Rel, Column: col})
 			if !ok {
 				continue
 			}
-			got := rs.Rows[0][ci]
+			got, want := rs.Rows[0][ci], content[slot]
 			if !want.IsNull() && !got.Equal(want) {
 				return fmt.Sprintf("duplication consistency violated: %s.%s is %s in the base but %s in the inserted element",
 					chk.Rel, col, got, want), nil

@@ -8,27 +8,27 @@ import (
 	"repro/internal/xqparse"
 )
 
-// Fingerprinting for the decision cache. The schema-level verdict of
-// Check (Steps 1+2) is a function of the update's *template*: the same
-// operation kinds against the same view paths with the same predicate
-// shapes always classify identically, because STAR reasons over the ASG
-// marks alone. The one exception is predicate literals: a literal's
-// concrete value can flip the verdict when the predicate's leaf carries
-// CHECK annotations (the Step 1 overlap test, update u5) or when
-// coercing the literal into the leaf's domain can fail for some values
-// but not others ("12" is a valid INTEGER, "witty" is not). The
-// fingerprint therefore strips literal values but records their kinds,
-// and a separate literal key re-attaches the values for templates the
-// cache has learned are literal-sensitive.
+// Fingerprinting for the plan cache. Everything the schema-level steps
+// decide from the view alone is a function of the update's *template*:
+// the same operation kinds against the same view paths with the same
+// predicate shapes and the same fragment element structure resolve,
+// classify under STAR and translate identically. What varies between
+// instances of a template is values only — predicate literals and
+// content values (the leaf text of an inserted or replacing fragment) —
+// and every value-dependent decision (literal and content coercion, the
+// Step 1 overlap test, NOT NULL and CHECK annotations, shared-part keys)
+// is derived at bind time off the resident plan. The fingerprint
+// therefore has predicate literals and content values stripped: literals
+// collapse to their kind, fragments to their element structure.
 
 // fingerprint canonically encodes the template of a parsed update:
-// bindings, predicate shapes (literal values stripped, kinds kept),
-// the update target, and each operation with its path and — for
-// content-bearing operations — the full inserted fragment, whose
-// structure and leaf values both feed Step 1's hierarchy and domain
-// checks.
+// bindings, predicate shapes (literal values stripped, kinds kept), the
+// update target, and each operation with its path and — for
+// content-bearing operations — the fragment's element structure (text
+// stripped).
 func fingerprint(u *xqparse.UpdateQuery) string {
 	var b strings.Builder
+	b.Grow(256) // most keys fit: one allocation per request
 	for _, bd := range u.Bindings {
 		b.WriteString("b:$")
 		b.WriteString(bd.Var)
@@ -64,7 +64,7 @@ func fingerprint(u *xqparse.UpdateQuery) string {
 		}
 		if op.Content != nil {
 			b.WriteByte(' ')
-			writeFragment(&b, op.Content)
+			writeFragmentShape(&b, op.Content)
 		}
 		b.WriteByte('\n')
 	}
@@ -103,96 +103,18 @@ func kindTag(k relational.ValueKind) string {
 	}
 }
 
-// writeFragment serializes an insert/replace fragment — element names
-// and text — in document order.
-func writeFragment(b *strings.Builder, n *xmltree.Node) {
+// writeFragmentShape serializes the element structure of an
+// insert/replace fragment in document order. Text nodes are content
+// values and stay out of the key.
+func writeFragmentShape(b *strings.Builder, n *xmltree.Node) {
 	if !n.IsElement() {
-		b.WriteByte('"')
-		b.WriteString(n.Text)
-		b.WriteByte('"')
 		return
 	}
 	b.WriteByte('<')
 	b.WriteString(n.Name)
 	b.WriteByte('>')
 	for _, c := range n.Children {
-		writeFragment(b, c)
+		writeFragmentShape(b, c)
 	}
 	b.WriteString("</>")
-}
-
-// literalKey canonically encodes the predicate literal values of an
-// update, in predicate order. Together with the fingerprint it uniquely
-// determines the schema-level verdict even for literal-sensitive
-// templates.
-func literalKey(u *xqparse.UpdateQuery) string {
-	var b strings.Builder
-	for _, p := range u.Preds {
-		for _, o := range [2]xqparse.PredOperand{p.Left, p.Right} {
-			if o.IsLiteral {
-				b.WriteString(o.Lit.EncodeKey())
-				b.WriteByte('\n')
-			}
-		}
-	}
-	return b.String()
-}
-
-// valueDependentCoercion reports whether coercing a literal of kind k
-// into leaf type t can fail for some values but succeed for others —
-// the cases where the *value*, not just the kind, decides Step 1's
-// verdict. Mirrors relational.Value.CoerceTo.
-func valueDependentCoercion(k relational.ValueKind, t relational.Type) bool {
-	if k == relational.KindNull {
-		return false
-	}
-	switch t {
-	case relational.TypeString:
-		return false
-	case relational.TypeInt, relational.TypeDate:
-		return k != relational.KindInt
-	case relational.TypeFloat:
-		return k != relational.KindInt && k != relational.KindFloat
-	default:
-		return true
-	}
-}
-
-// literalSensitiveResolved decides, for an update whose resolution
-// succeeded, whether the verdict may depend on predicate literal values:
-// a predicate leaf carrying CHECK annotations feeds the satisfiability
-// test, and a value-dependent coercion can reject some literals of the
-// template's kind. UserPreds align 1:1 with u.Preds (compilePred keeps
-// order), so the parsed literal kinds pair with the resolved leaves.
-func literalSensitiveResolved(u *xqparse.UpdateQuery, r *ResolvedUpdate) bool {
-	for i, up := range r.UserPreds {
-		if len(up.Leaf.Checks) > 0 {
-			return true
-		}
-		if i < len(u.Preds) {
-			lit := u.Preds[i].Left
-			if !lit.IsLiteral {
-				lit = u.Preds[i].Right
-			}
-			if lit.IsLiteral && valueDependentCoercion(lit.Lit.Kind, up.Leaf.Type) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// literalSensitiveSyntactic is the conservative fallback for updates
-// whose resolution failed (no leaf types available): only string and
-// float literals have value-dependent coercions anywhere in the type
-// system, so templates without them fail or pass uniformly.
-func literalSensitiveSyntactic(u *xqparse.UpdateQuery) bool {
-	for _, p := range u.Preds {
-		for _, o := range [2]xqparse.PredOperand{p.Left, p.Right} {
-			if o.IsLiteral && (o.Lit.Kind == relational.KindString || o.Lit.Kind == relational.KindFloat) {
-				return true
-			}
-		}
-	}
-	return false
 }

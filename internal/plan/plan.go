@@ -4,14 +4,17 @@
 // validation, Step 2 STAR reasoning, and the structure of the probe
 // queries and translated SQL — from what must see base data. An
 // UpdatePlan captures the schema-level work for one update *template*
-// (the update with its predicate literal values stripped): resolved
-// operations, per-op STAR verdicts, the shared-part check list, and
-// parameterized probe statement templates prepared through
-// internal/sqlexec. The Executor then binds a concrete literal tuple
-// into a plan and runs the data-driven checks and the translation
-// against the database, so structurally-repeated updates — the
-// production traffic shape — pay parsing, resolution and STAR
-// classification once per template instead of once per request.
+// (the update with its predicate literals and content values stripped):
+// resolved operations, per-op STAR verdicts, the shared-part check
+// list, the column each content slot feeds, and parameterized probe
+// statement templates prepared through internal/sqlexec. The Executor
+// then binds an instance's values — its predicate literals and the leaf
+// text of its inserted or replacing fragments — into a plan, derives
+// the value-dependent half of Step 1 from them, and runs the
+// data-driven checks and the translation against the database, so
+// structurally-repeated updates — the production traffic shape — pay
+// resolution, STAR classification and probe preparation once per
+// template instead of once per request.
 //
 // Layering: xqparse → asg/viewengine → plan → sqlexec → relational.
 // Package ufilter remains the public facade: its Filter embeds an
@@ -58,8 +61,8 @@ type PlannedOp struct {
 	// Step 3 must run for inserts (CondSharedPartsExist).
 	SharedChecks []SharedCheck
 
-	insert     *insertPlan
-	replaceVal *relational.Value
+	insert  *insertPlan // inserts and internal-node replaces
+	replace int         // leaf/tag replaces: the content slot of the new value
 }
 
 // UpdatePlan is the immutable compile-once artifact for one update
@@ -67,35 +70,50 @@ type PlannedOp struct {
 // plus the prepared statement templates the execution reuses. Plans
 // are safe for concurrent use; binding never mutates them.
 type UpdatePlan struct {
-	// Key is the literal-stripped template fingerprint (see
+	// Key is the value-stripped template fingerprint (see
 	// fingerprint.go) — the plan cache's template-tier key.
 	Key string
 	// Template is the exemplar update the plan was compiled from.
 	Template *xqparse.UpdateQuery
 	// Resolved is the template's resolution against the view ASG; nil
-	// when resolution failed (the plan then only carries the verdict).
+	// when the template names something outside the view schema (the
+	// plan then only records that no instance resolves).
 	Resolved *ResolvedUpdate
-	// Sensitive reports whether the schema verdict may depend on the
-	// predicate literal values (see fingerprint.go); insensitive
-	// templates share one verdict across all literal tuples.
-	Sensitive bool
-	// Verdict is the schema-level verdict computed for the exemplar's
-	// literals. For insensitive templates it is the verdict of every
-	// instance of the template.
+	// Verdict is the schema-level verdict of the exemplar.
 	Verdict *Result
 	// Slots are the template's literal slots in predicate order.
 	Slots []Slot
+	// ContentSlots are the template's content slots: the leaf elements
+	// of its INSERT/REPLACE fragments, in validation order. When Step 1
+	// rejects the template itself they stop at the rejection.
+	ContentSlots []ContentSlot
 	// Ops holds one entry per resolved operation.
 	Ops []PlannedOp
 
 	// star is the STAR fold over all ops — the verdict assuming Step 1
-	// passes. Shared by every literal tuple of the template.
+	// passes. Shared by every instance of the template.
 	star *Result
-	// opInvalid is the template-level Step 1 rejection from per-op
-	// validation (fragment hierarchy/domain checks, which read only the
-	// template); nil when the ops validate. Computed once so bound
-	// verdicts only re-run the literal-dependent overlap test.
+	// opInvalid is the template-level Step 1 rejection (target,
+	// cardinality and fragment-structure checks, which read only the
+	// template); nil when the ops validate. Step 1 reaches it after the
+	// content slots collected before it, so an instance is rejected by
+	// the first of those it violates, else by opInvalid.
 	opInvalid *Result
+	// exemplar holds the Template's own content texts, in ContentSlots
+	// order: what Verdict/Execute bind beside a literal tuple.
+	exemplar []string
+}
+
+// bound is one instance of a template bound to its plan: the predicate
+// literals and content values, coerced into their leaves' domains. It is
+// what the data-driven steps execute with.
+type bound struct {
+	preds   []UserPred
+	content []relational.Value
+}
+
+func invalidResult(u *xqparse.UpdateQuery, reason string) *Result {
+	return &Result{Update: u, RejectedAt: StepValidation, Outcome: OutcomeInvalid, Reason: reason}
 }
 
 // Compile runs the schema-level pipeline once for an update over the
@@ -126,23 +144,19 @@ func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdateP
 		defer func() { h.Compile.RecordDuration(time.Since(start)) }()
 	}
 	p := &UpdatePlan{Key: fingerprint(u), Template: u}
-	r, err := Resolve(u, e.View)
+	r, litErr, err := resolve(u, e.View)
 	if err != nil {
+		if litErr != nil {
+			err = litErr
+		}
 		var re *resolveError
 		if errors.As(err, &re) {
-			p.Sensitive = literalSensitiveSyntactic(u)
-			p.Verdict = &Result{
-				Update:     u,
-				RejectedAt: StepValidation,
-				Outcome:    OutcomeInvalid,
-				Reason:     re.msg,
-			}
+			p.Verdict = invalidResult(u, re.msg)
 			return p, nil
 		}
 		return nil, err
 	}
 	p.Resolved = r
-	p.Sensitive = literalSensitiveResolved(u, r)
 	p.Slots = make([]Slot, len(r.UserPreds))
 	for i, up := range r.UserPreds {
 		p.Slots[i] = Slot{Leaf: up.Leaf, Op: up.Op}
@@ -150,7 +164,7 @@ func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdateP
 
 	// Step 2 fold: per-op STAR verdicts, most pessimistic outcome wins,
 	// first untranslatable op rejects the template. The fold is
-	// literal-independent, so it is computed once here and cloned into
+	// value-independent, so it is computed once here and cloned into
 	// every instance's verdict.
 	star := &Result{Update: u, Outcome: OutcomeUnconditional}
 	rejected := false
@@ -189,26 +203,26 @@ func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdateP
 	star.Accepted = !rejected
 	p.star = star
 
-	// Template-level half of Step 1: the per-op checks never read the
-	// predicate literals, so their verdict is computed once here.
-	if err := validateOps(r); err != nil {
+	// Template-level half of Step 1: the per-op checks read neither the
+	// predicate literals nor the content values, so their verdict is
+	// computed once here, with the content slots laid out on the way.
+	p.ContentSlots, err = templateOps(r)
+	if err != nil {
 		var ve *validationError
 		if !errors.As(err, &ve) {
 			return nil, err
 		}
-		p.opInvalid = &Result{
-			Update:     u,
-			RejectedAt: StepValidation,
-			Outcome:    OutcomeInvalid,
-			Reason:     ve.msg,
-		}
+		p.opInvalid = invalidResult(u, ve.msg)
+	}
+	p.exemplar = p.contentOf(u)
+
+	// Exemplar verdict: the plan bound to its own values.
+	p.Verdict, _, err = p.derive(p.BindArgs(u), p.exemplar, u)
+	if err != nil {
+		return nil, err
 	}
 
-	// Exemplar verdict: Step 1 over the exemplar's own literals, then
-	// the STAR fold.
-	p.Verdict = p.verdictFor(r.UserPreds, u)
-
-	if withArtifacts && !rejected {
+	if withArtifacts && !rejected && p.opInvalid == nil {
 		e.compileArtifacts(p)
 	}
 	return p, nil
@@ -216,12 +230,11 @@ func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdateP
 
 // compileArtifacts prepares the per-op execution artifacts: the
 // parameterized context-probe statements and the template-level
-// insert/replace translations. Artifact compilation is best-effort —
-// an op whose artifacts cannot be precompiled (e.g. a replace whose
-// value fails coercion, which Step 1 rejects anyway) simply falls back
-// to the dynamic translation path at execution time.
+// insert/replace translations. A probe that cannot be prepared falls
+// back to the dynamic probe builder at execution time.
 func (e *Executor) compileArtifacts(p *UpdatePlan) {
 	r := p.Resolved
+	next := 0 // first content slot of the op
 	for i := range r.Ops {
 		ro := &r.Ops[i]
 		po := &p.Ops[i]
@@ -233,24 +246,16 @@ func (e *Executor) compileArtifacts(p *UpdatePlan) {
 		} else {
 			po.NoProbe = true
 		}
-		switch ro.Op.Kind {
-		case xqparse.OpInsert:
-			if ip, err := e.compileInsert(ro); err == nil {
-				po.insert = ip
-				po.SharedChecks = ip.sharedChecks
-			}
-		case xqparse.OpReplace:
-			switch ro.Target.Kind {
-			case asg.KindLeaf, asg.KindTag:
-				if v, err := e.compileReplaceValue(ro); err == nil {
-					po.replaceVal = &v
-				}
-			default:
-				if ip, err := e.compileInsert(replaceInsertOp(ro)); err == nil {
-					po.insert = ip
-					po.SharedChecks = ip.sharedChecks
-				}
-			}
+		lo := next
+		for next < len(p.ContentSlots) && p.ContentSlots[next].Op == i {
+			next++
+		}
+		switch {
+		case ro.Op.Kind == xqparse.OpInsert, ro.Op.Kind == xqparse.OpReplace && ro.Target.Kind == asg.KindInternal:
+			po.insert = e.compileInsert(ro.Target, p.ContentSlots[lo:next], lo)
+			po.SharedChecks = po.insert.sharedChecks
+		case ro.Op.Kind == xqparse.OpReplace:
+			po.replace = lo
 		}
 	}
 }
@@ -317,56 +322,17 @@ func narrowProbeProjection(sel *sqlexec.SelectStmt, ro *ResolvedOp) {
 	sel.Project = kept
 }
 
-// verdictFor assembles the schema verdict for one bound literal tuple:
-// the literal-dependent overlap test over the bound predicates, the
-// precomputed per-op validation verdict, then the precomputed STAR
-// fold — exactly Validate's order, with the template-level halves paid
-// once at compile time. u tags the returned Result.
-func (p *UpdatePlan) verdictFor(preds []UserPred, u *xqparse.UpdateQuery) *Result {
-	if err := validatePreds(preds); err != nil {
-		return &Result{
-			Update:     u,
-			RejectedAt: StepValidation,
-			Outcome:    OutcomeInvalid,
-			Reason:     err.Error(),
-		}
+// contentOf extracts the content texts of a parsed instance of this
+// template, in ContentSlots order.
+func (p *UpdatePlan) contentOf(u *xqparse.UpdateQuery) []string {
+	if len(p.ContentSlots) == 0 {
+		return nil
 	}
-	if p.opInvalid != nil {
-		return p.opInvalid.cloneShallow(u)
+	raw := make([]string, len(p.ContentSlots))
+	for i, s := range p.ContentSlots {
+		raw[i] = s.text(u.Ops[s.Op].Content)
 	}
-	return p.star.cloneShallow(u)
-}
-
-// bindParsed extracts and compiles the predicate literals of a parsed
-// instance of this template. It returns the bound predicates, or an
-// invalid Result when a literal does not fit its leaf's domain (the
-// same rejection resolution would produce).
-func (p *UpdatePlan) bindParsed(u *xqparse.UpdateQuery) ([]UserPred, *Result) {
-	rb := &ResolvedUpdate{Query: u, VarNodes: p.Resolved.VarNodes}
-	for _, pr := range u.Preds {
-		up, err := rb.compilePred(pr)
-		if err != nil {
-			return nil, &Result{
-				Update:     u,
-				RejectedAt: StepValidation,
-				Outcome:    OutcomeInvalid,
-				Reason:     err.Error(),
-			}
-		}
-		rb.UserPreds = append(rb.UserPreds, up)
-	}
-	return rb.UserPreds, nil
-}
-
-// verdictParsed derives the schema verdict of a parsed instance off
-// the compiled plan — no parsing of the view, no resolution, no STAR
-// walk; just literal binding plus Step 1 over the bound predicates.
-func (p *UpdatePlan) verdictParsed(u *xqparse.UpdateQuery) *Result {
-	preds, inv := p.bindParsed(u)
-	if inv != nil {
-		return inv
-	}
-	return p.verdictFor(preds, u)
+	return raw
 }
 
 // BindArgs extracts the literal tuple of a parsed instance of this
@@ -384,73 +350,102 @@ func (p *UpdatePlan) BindArgs(u *xqparse.UpdateQuery) []relational.Value {
 	return args
 }
 
-// bindArgs coerces a raw argument tuple into bound user predicates, or
-// returns an invalid Result when a value does not fit its slot's
-// domain.
-func (p *UpdatePlan) bindArgs(args []relational.Value) ([]UserPred, *Result) {
-	preds := make([]UserPred, len(p.Slots))
-	for i, s := range p.Slots {
-		v, err := args[i].CoerceTo(s.Leaf.Type)
-		if err != nil {
-			return nil, &Result{
-				Update:     p.Template,
-				RejectedAt: StepValidation,
-				Outcome:    OutcomeInvalid,
-				Reason:     resolveErrf("predicate literal %s does not match the type of %s: %v", args[i], s.Leaf.RelAttr(), err).Error(),
-			}
-		}
-		preds[i] = UserPred{Leaf: s.Leaf, Op: s.Op, Lit: v}
+// derive computes the schema verdict of one instance of the template —
+// predicate literals args, content texts raw — without touching base
+// data, in the order the uncompiled pipeline reaches its checks: literal
+// coercion (resolution), the overlap test and the content values' leaf
+// annotations (Step 1), then the STAR fold (Step 2), with the
+// template-level halves paid once at compile time. An accepted verdict
+// comes with the bound values. u tags the returned Result.
+func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.UpdateQuery) (*Result, bound, error) {
+	if len(args) != len(p.Slots) {
+		return nil, bound{}, fmt.Errorf("plan: template expects %d bind arguments, got %d", len(p.Slots), len(args))
 	}
-	return preds, nil
+	b := bound{preds: make([]UserPred, len(p.Slots))}
+	for i, s := range p.Slots {
+		b.preds[i] = UserPred{Leaf: s.Leaf, Op: s.Op, Lit: args[i]}
+		if err := b.preds[i].coerce(); err != nil {
+			return invalidResult(u, err.Error()), bound{}, nil
+		}
+	}
+	if err := validatePreds(b.preds); err != nil {
+		return invalidResult(u, err.Error()), bound{}, nil
+	}
+	if len(raw) > 0 {
+		b.content = make([]relational.Value, len(raw))
+	}
+	for i, s := range p.ContentSlots {
+		v, err := leafValue(raw[i], s.Leaf)
+		if err != nil {
+			return invalidResult(u, err.Error()), bound{}, nil
+		}
+		b.content[i] = v
+	}
+	if p.opInvalid != nil {
+		return p.opInvalid.cloneShallow(u), bound{}, nil
+	}
+	res := p.star.cloneShallow(u)
+	if !res.Accepted {
+		return res, bound{}, nil
+	}
+	return res, b, nil
+}
+
+// bindParsed derives the schema verdict of a parsed instance of p's
+// template off the resident plan — no resolution, no STAR walk, no probe
+// construction — and binds its values. A template that names something
+// outside the view schema has nothing to bind against: its instances are
+// re-resolved, which is cheap (resolution stops at the first failure)
+// and reports the failure a literal of this instance may cause before
+// the structural one.
+func (e *Executor) bindParsed(p *UpdatePlan, u *xqparse.UpdateQuery) (*Result, bound, error) {
+	if p.Resolved != nil {
+		return p.derive(p.BindArgs(u), p.contentOf(u), u)
+	}
+	_, err := Resolve(u, e.View)
+	var re *resolveError
+	if !errors.As(err, &re) {
+		return nil, bound{}, fmt.Errorf("plan: instance of an unresolvable template resolved to %v", err)
+	}
+	return invalidResult(u, re.msg), bound{}, nil
 }
 
 // Verdict computes the schema-level verdict of the plan's template
-// bound to a literal tuple, without touching base data — the
-// compiled-plan equivalent of Check.
+// bound to a literal tuple (and the exemplar's content), without
+// touching base data — the compiled-plan equivalent of Check.
 func (e *Executor) Verdict(p *UpdatePlan, args []relational.Value) (*Result, error) {
 	res, _, err := p.verdictArgs(args)
 	return res, err
 }
 
-// verdictArgs binds a literal tuple and returns the schema verdict
-// plus the bound predicates (nil when the verdict is a rejection).
-func (p *UpdatePlan) verdictArgs(args []relational.Value) (*Result, []UserPred, error) {
+// verdictArgs binds a literal tuple beside the exemplar's content and
+// returns the schema verdict plus the bound values.
+func (p *UpdatePlan) verdictArgs(args []relational.Value) (*Result, bound, error) {
 	if p.Resolved == nil {
-		// Resolution-failed template: the stored verdict is all we
-		// have (and for insensitive templates, all there is).
-		return p.Verdict.cloneShallow(p.Template), nil, nil
+		// Unresolvable template: the exemplar's verdict is all there is.
+		return p.Verdict.cloneShallow(p.Template), bound{}, nil
 	}
-	if len(args) != len(p.Slots) {
-		return nil, nil, fmt.Errorf("plan: template expects %d bind arguments, got %d", len(p.Slots), len(args))
-	}
-	preds, inv := p.bindArgs(args)
-	if inv != nil {
-		return inv, nil, nil
-	}
-	res := p.verdictFor(preds, p.Template)
-	if !res.Accepted {
-		return res, nil, nil
-	}
-	return res, preds, nil
+	return p.derive(args, p.exemplar, p.Template)
 }
 
 // Execute binds a literal tuple into a compiled plan and runs the full
 // pipeline against the database: the bound schema verdict, then Step
 // 3's probes (through the plan's prepared statements), the translation
-// and the statement execution under the configured strategy, inside
-// its own transaction (conflicts retry with capped backoff, commits
-// share flushes through the group-commit scheduler). This is the
-// execute-many half of compile-once/execute-many: no parsing, no
-// resolution, no STAR walk, no probe construction.
+// of the exemplar's content and the statement execution under the
+// configured strategy, inside its own transaction (conflicts retry with
+// capped backoff, commits share flushes through the group-commit
+// scheduler). This is the execute-many half of
+// compile-once/execute-many: no parsing, no resolution, no STAR walk, no
+// probe construction.
 func (e *Executor) Execute(p *UpdatePlan, args []relational.Value) (*Result, error) {
-	res, preds, err := p.verdictArgs(args)
+	res, b, err := p.verdictArgs(args)
 	if err != nil {
 		return nil, err
 	}
 	if !res.Accepted {
 		return res, nil
 	}
-	return e.applyResolved(p.Resolved, p.Ops, preds, res, nil)
+	return e.applyResolved(p.Resolved, p.Ops, b, res, nil)
 }
 
 // groupItem is one update of a group-commit batch, carried through
@@ -459,7 +454,7 @@ type groupItem struct {
 	res     *Result
 	r       *ResolvedUpdate
 	planned []PlannedOp
-	preds   []UserPred
+	b       bound
 	err     error
 	skip    bool // verdict already rejected; never enters the txn
 	mark    resultMark
@@ -513,8 +508,8 @@ func (e *Executor) applyGroup(items []*groupItem) {
 		}
 		mark := txn.Savepoint()
 		it.res.Accepted = false
-		ac := &applyCtx{txn: txn, preds: it.preds}
-		rejected, err := e.runOps(ac, it.r, it.planned, it.preds, it.res)
+		ac := &applyCtx{txn: txn, bound: it.b}
+		rejected, err := e.runOps(ac, it.r, it.planned, it.res)
 		switch {
 		case err != nil:
 			if rbErr := txn.RollbackTo(mark); rbErr != nil {
@@ -618,7 +613,7 @@ func (e *Executor) ApplyBatch(updates []string) []BatchResult {
 			out[i].Err = err
 			continue
 		}
-		res, err := e.CheckParsed(u)
+		res, p, b, err := e.checkCached(u, "", nil)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -629,22 +624,17 @@ func (e *Executor) ApplyBatch(updates []string) []BatchResult {
 			it.skip = true
 			continue
 		}
-		if !e.DisableCache && e.cache != nil {
-			if p := e.cache.plan(fingerprint(u)); p != nil && p.Resolved != nil {
-				if preds, inv := p.bindParsed(u); inv == nil {
-					e.cache.planApplies.Add(1)
-					it.r, it.planned, it.preds = p.Resolved, p.Ops, preds
-				}
-			}
+		if p != nil {
+			e.cache.planApplies.Add(1)
+			it.r, it.planned, it.b = p.Resolved, p.Ops, b
+			continue
 		}
-		if it.r == nil {
-			r, err := Resolve(u, e.View)
-			if err != nil {
-				it.err = err
-				continue
-			}
-			it.r, it.preds = r, r.UserPreds
+		r, err := Resolve(u, e.View)
+		if err != nil {
+			it.err = err
+			continue
 		}
+		it.r, it.b = r, bound{preds: r.UserPreds}
 	}
 	e.applyGroupWithRetry(items)
 	for i, it := range items {
@@ -672,7 +662,7 @@ func (e *Executor) ExecuteBatch(p *UpdatePlan, argsList [][]relational.Value) []
 	items := make([]*groupItem, len(argsList))
 	for i, args := range argsList {
 		out[i].Index = i
-		res, preds, err := p.verdictArgs(args)
+		res, b, err := p.verdictArgs(args)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -683,7 +673,7 @@ func (e *Executor) ExecuteBatch(p *UpdatePlan, argsList [][]relational.Value) []
 			it.skip = true
 			continue
 		}
-		it.r, it.planned, it.preds = p.Resolved, p.Ops, preds
+		it.r, it.planned, it.b = p.Resolved, p.Ops, b
 	}
 	e.applyGroupWithRetry(items)
 	for i, it := range items {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/asg"
 	"repro/internal/relational"
-	"repro/internal/xmltree"
 	"repro/internal/xqparse"
 )
 
@@ -56,7 +55,22 @@ func resolveErrf(format string, args ...interface{}) error {
 // Resolve binds an update query's variables, predicates and operations
 // to nodes of the view ASG.
 func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error) {
-	r := &ResolvedUpdate{Query: u, VarNodes: map[string]*asg.Node{}}
+	r, litErr, err := resolve(u, view)
+	if litErr != nil {
+		return nil, litErr
+	}
+	return r, err
+}
+
+// resolve is Resolve with the two kinds of failure told apart. err is
+// structural: the template names something outside the view schema, so
+// no instance of it resolves. litErr is the first predicate literal that
+// does not fit its leaf's domain, met before any structural failure: it
+// rejects this instance only, so resolution carries on past it (the
+// predicate keeps its literal uncoerced) and a template compiled from
+// such an exemplar still serves the instances whose literals fit.
+func resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (r *ResolvedUpdate, litErr, err error) {
+	r = &ResolvedUpdate{Query: u, VarNodes: map[string]*asg.Node{}}
 	for _, b := range u.Bindings {
 		var base *asg.Node
 		var steps []string
@@ -66,14 +80,14 @@ func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error)
 		} else {
 			parent, ok := r.VarNodes[b.Source.Var]
 			if !ok {
-				return nil, resolveErrf("unbound variable $%s in binding of $%s", b.Source.Var, b.Var)
+				return nil, nil, resolveErrf("unbound variable $%s in binding of $%s", b.Source.Var, b.Var)
 			}
 			base = parent
 			steps = b.Source.Steps
 		}
 		node := base.ResolvePath(steps)
 		if node == nil {
-			return nil, resolveErrf("binding $%s: path /%s does not exist in the view schema",
+			return nil, nil, resolveErrf("binding $%s: path /%s does not exist in the view schema",
 				b.Var, strings.Join(steps, "/"))
 		}
 		r.VarNodes[b.Var] = node
@@ -82,14 +96,17 @@ func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error)
 	for _, p := range u.Preds {
 		up, err := r.compilePred(p)
 		if err != nil {
-			return nil, err
+			return nil, litErr, err
+		}
+		if err := up.coerce(); err != nil && litErr == nil {
+			litErr = err
 		}
 		r.UserPreds = append(r.UserPreds, up)
 	}
 
 	target, ok := r.VarNodes[u.TargetVar]
 	if !ok {
-		return nil, resolveErrf("update target $%s is not bound", u.TargetVar)
+		return nil, litErr, resolveErrf("update target $%s is not bound", u.TargetVar)
 	}
 	for _, op := range u.Ops {
 		ro := ResolvedOp{Op: op}
@@ -97,18 +114,18 @@ func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error)
 		case xqparse.OpDelete, xqparse.OpReplace:
 			ctx, ok := r.VarNodes[op.PathVar]
 			if !ok {
-				return nil, resolveErrf("%s references unbound variable $%s", op.Kind, op.PathVar)
+				return nil, litErr, resolveErrf("%s references unbound variable $%s", op.Kind, op.PathVar)
 			}
 			ro.Context = ctx
 			t := ctx.ResolvePath(op.Path)
 			if t == nil {
-				return nil, resolveErrf("%s $%s/%s: no such element in the view schema",
+				return nil, litErr, resolveErrf("%s $%s/%s: no such element in the view schema",
 					op.Kind, op.PathVar, strings.Join(op.Path, "/"))
 			}
 			if op.TextOnly {
 				leaf := t.LeafUnder()
 				if leaf == nil {
-					return nil, resolveErrf("%s $%s/%s/text(): element has no text node",
+					return nil, litErr, resolveErrf("%s $%s/%s/text(): element has no text node",
 						op.Kind, op.PathVar, strings.Join(op.Path, "/"))
 				}
 				t = leaf
@@ -118,19 +135,20 @@ func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error)
 			ro.Context = target
 			child := target.FindChild(op.Content.Name)
 			if child == nil {
-				return nil, resolveErrf("INSERT <%s>: element <%s> cannot occur under <%s> in the view schema",
+				return nil, litErr, resolveErrf("INSERT <%s>: element <%s> cannot occur under <%s> in the view schema",
 					op.Content.Name, op.Content.Name, target.Name)
 			}
 			ro.Target = child
 		}
 		r.Ops = append(r.Ops, ro)
 	}
-	return r, nil
+	return r, litErr, nil
 }
 
-// compilePred binds one user predicate to a view leaf. The literal may
-// be on either side; correlation predicates in user updates are not
-// supported (the paper's update corpus has none).
+// compilePred binds one user predicate to a view leaf, leaving its
+// literal as written (see coerce). The literal may be on either side;
+// correlation predicates in user updates are not supported (the paper's
+// update corpus has none).
 func (r *ResolvedUpdate) compilePred(p xqparse.Pred) (UserPred, error) {
 	path, lit, op := p.Left, p.Right, p.Op
 	if path.IsLiteral {
@@ -158,48 +176,15 @@ func (r *ResolvedUpdate) compilePred(p xqparse.Pred) (UserPred, error) {
 	if leaf == nil || leaf.Kind != asg.KindLeaf {
 		return UserPred{}, resolveErrf("predicate path $%s/%s does not reach an atomic value", path.Var, path.Field)
 	}
-	coerced, err := lit.Lit.CoerceTo(leaf.Type)
+	return UserPred{Leaf: leaf, Op: op, Lit: lit.Lit}, nil
+}
+
+// coerce maps the predicate's literal into its leaf's domain.
+func (p *UserPred) coerce() error {
+	v, err := p.Lit.CoerceTo(p.Leaf.Type)
 	if err != nil {
-		return UserPred{}, resolveErrf("predicate literal %s does not match the type of %s: %v", lit.Lit, leaf.RelAttr(), err)
+		return resolveErrf("predicate literal %s does not match the type of %s: %v", p.Lit, p.Leaf.RelAttr(), err)
 	}
-	return UserPred{Leaf: leaf, Op: op, Lit: coerced}, nil
-}
-
-// fragmentLeafValues extracts (schema leaf, value) pairs from an insert
-// fragment, matching fragment elements to schema nodes under target.
-// Unknown elements and schema violations surface as resolve errors.
-func fragmentLeafValues(frag *xmltree.Node, target *asg.Node) ([]leafValue, error) {
-	var out []leafValue
-	var walk func(el *xmltree.Node, node *asg.Node) error
-	walk = func(el *xmltree.Node, node *asg.Node) error {
-		for _, c := range el.ElementChildren() {
-			child := node.FindChild(c.Name)
-			if child == nil {
-				return resolveErrf("element <%s> cannot occur under <%s> in the view schema", c.Name, node.Name)
-			}
-			switch child.Kind {
-			case asg.KindTag:
-				leaf := child.LeafUnder()
-				if leaf == nil {
-					return resolveErrf("element <%s> has no value in the view schema", c.Name)
-				}
-				out = append(out, leafValue{Leaf: leaf, Raw: c.TextContent()})
-			case asg.KindInternal:
-				if err := walk(c, child); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(frag, target); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// leafValue pairs a schema leaf with the raw text supplied for it.
-type leafValue struct {
-	Leaf *asg.Node
-	Raw  string
+	p.Lit = v
+	return nil
 }

@@ -259,20 +259,26 @@ type opTranslation struct {
 	// Statements are the translated single-table DML statements.
 	Statements []sqlexec.Statement
 	// SharedChecks are existence/consistency probes the data-driven
-	// step must run before the inserts (CondSharedPartsExist).
+	// step must run before the inserts (CondSharedPartsExist), over the
+	// content values their slots index.
 	SharedChecks []SharedCheck
+	content      []relational.Value
 }
 
 // SharedCheck verifies that a shared fragment part already exists in
 // the base (CondSharedPartsExist) and agrees with the inserted values
-// (duplication consistency). It is template-level: the fragment's leaf
-// values are fixed per update template, so an UpdatePlan carries the
-// checks precomputed.
+// (duplication consistency). It is template-level: which columns the
+// fragment supplies is fixed per update template, and the values come
+// from the bound instance's content slots.
 type SharedCheck struct {
 	Rel     string
 	KeyCols []string
-	KeyVals []relational.Value
-	AllCols map[string]relational.Value // for duplication consistency
+	// keySlots holds the content slot of each key column, -1 when the
+	// fragment does not supply it.
+	keySlots []int
+	// cols maps every column the fragment supplies to its content slot,
+	// for duplication consistency.
+	cols map[string]int
 }
 
 // translateDelete generates the statements for a delete of target T
@@ -396,42 +402,32 @@ func (e *Executor) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.
 	return nil, fmt.Errorf("ufilter: cannot delete node kind %s", t.Kind)
 }
 
-// insertPlan is the template-level half of an insert translation: the
-// fragment's coerced values per relation, the shared-part checks and
-// the FK-ordered insert list are all fixed per update template, so an
-// UpdatePlan computes them once. Only the per-probe-row context wiring
-// is left for execution time.
+// insertPlan is the template-level half of an insert translation: which
+// content slot feeds which column of which relation, the shared-part
+// checks and the FK-ordered insert list are all fixed per update
+// template, so an UpdatePlan computes them once. The content values and
+// the per-probe-row context wiring are left for execution time.
 type insertPlan struct {
 	node         *asg.Node
-	relVals      map[string]map[string]relational.Value
+	relCols      map[string]map[string]int // relation -> column -> content slot
 	sharedChecks []SharedCheck
 	insertRels   []string
 }
 
 // compileInsert builds the template-level insert artifacts for an
-// insert of a fragment as a new instance of node ro.Target.
-func (e *Executor) compileInsert(ro *ResolvedOp) (*insertPlan, error) {
-	n := ro.Target
-	leafVals, err := fragmentLeafValues(ro.Op.Content, n)
-	if err != nil {
-		return nil, err
+// insert of a fragment as a new instance of node n. slots are the
+// fragment's content slots, base the index of the first one in the
+// content tuple the plan will be bound to.
+func (e *Executor) compileInsert(n *asg.Node, slots []ContentSlot, base int) *insertPlan {
+	relCols := map[string]map[string]int{}
+	set := func(rel, col string, slot int) {
+		if relCols[rel] == nil {
+			relCols[rel] = map[string]int{}
+		}
+		relCols[rel][col] = slot
 	}
-	// Values per relation.
-	relVals := map[string]map[string]relational.Value{}
-	for _, lv := range leafVals {
-		if relVals[lv.Leaf.RelName] == nil {
-			relVals[lv.Leaf.RelName] = map[string]relational.Value{}
-		}
-		raw := strings.TrimSpace(lv.Raw)
-		if raw == "" {
-			relVals[lv.Leaf.RelName][lv.Leaf.ColName] = relational.Null()
-			continue
-		}
-		v, err := relational.String_(raw).CoerceTo(lv.Leaf.Type)
-		if err != nil {
-			return nil, invalidf("value %q is not in the domain of %s", raw, lv.Leaf.RelAttr())
-		}
-		relVals[lv.Leaf.RelName][lv.Leaf.ColName] = v
+	for i, s := range slots {
+		set(s.Leaf.RelName, s.Leaf.ColName, base+i)
 	}
 	cr := n.CR()
 	shared := e.Marks.SharedRels[n]
@@ -440,46 +436,35 @@ func (e *Executor) compileInsert(ro *ResolvedOp) (*insertPlan, error) {
 	// the fragment copy values across (book.pubid := publisher.pubid).
 	for _, jc := range n.EdgeConds {
 		if cr.Has(jc.LeftRel) && cr.Has(jc.RightRel) {
-			if v, ok := relVals[jc.RightRel][jc.RightCol]; ok {
-				if relVals[jc.LeftRel] == nil {
-					relVals[jc.LeftRel] = map[string]relational.Value{}
-				}
-				if _, present := relVals[jc.LeftRel][jc.LeftCol]; !present {
-					relVals[jc.LeftRel][jc.LeftCol] = v
+			if slot, ok := relCols[jc.RightRel][jc.RightCol]; ok {
+				if _, present := relCols[jc.LeftRel][jc.LeftCol]; !present {
+					set(jc.LeftRel, jc.LeftCol, slot)
 				}
 			}
-			if v, ok := relVals[jc.LeftRel][jc.LeftCol]; ok {
-				if relVals[jc.RightRel] == nil {
-					relVals[jc.RightRel] = map[string]relational.Value{}
-				}
-				if _, present := relVals[jc.RightRel][jc.RightCol]; !present {
-					relVals[jc.RightRel][jc.RightCol] = v
+			if slot, ok := relCols[jc.LeftRel][jc.LeftCol]; ok {
+				if _, present := relCols[jc.RightRel][jc.RightCol]; !present {
+					set(jc.RightRel, jc.RightCol, slot)
 				}
 			}
 		}
 	}
 
-	ip := &insertPlan{node: n, relVals: relVals}
+	ip := &insertPlan{node: n, relCols: relCols}
 	// Shared parts (Rule 3): verified, not inserted.
 	for _, rel := range shared.Names() {
-		vals := relVals[rel]
 		def, ok := e.View.Schema.Table(rel)
 		if !ok || len(def.PrimaryKey) == 0 {
 			continue
 		}
-		chk := SharedCheck{Rel: rel, AllCols: vals}
-		complete := true
+		chk := SharedCheck{Rel: rel, cols: relCols[rel]}
 		for _, pk := range def.PrimaryKey {
-			v, ok := vals[strings.ToLower(pk)]
-			if !ok || v.IsNull() {
-				complete = false
-				break
+			pk = strings.ToLower(pk)
+			slot, ok := relCols[rel][pk]
+			if !ok {
+				slot = -1
 			}
-			chk.KeyCols = append(chk.KeyCols, strings.ToLower(pk))
-			chk.KeyVals = append(chk.KeyVals, v)
-		}
-		if !complete {
-			return nil, invalidf("insert of <%s> must supply the key of shared relation %s", n.Name, rel)
+			chk.KeyCols = append(chk.KeyCols, pk)
+			chk.keySlots = append(chk.keySlots, slot)
 		}
 		ip.sharedChecks = append(ip.sharedChecks, chk)
 	}
@@ -491,21 +476,37 @@ func (e *Executor) compileInsert(ro *ResolvedOp) (*insertPlan, error) {
 		}
 	}
 	ip.insertRels = e.fkOrder(ip.insertRels)
-	return ip, nil
+	return ip
+}
+
+// checkSharedKeys rejects an instance that does not supply the key of a
+// shared relation: without it the shared part cannot be verified.
+func (ip *insertPlan) checkSharedKeys(content []relational.Value) error {
+	for _, chk := range ip.sharedChecks {
+		for _, slot := range chk.keySlots {
+			if slot < 0 || content[slot].IsNull() {
+				return invalidf("insert of <%s> must supply the key of shared relation %s", ip.node.Name, chk.Rel)
+			}
+		}
+	}
+	return nil
 }
 
 // translate is the execution-time half: one set of inserts per probe
-// row (per qualifying context instance), with the context side of each
-// edge condition wired into the new tuples; when the context is the
-// root a single set is produced.
-func (ip *insertPlan) translate(probe *sqlexec.ResultSet) *opTranslation {
+// row (per qualifying context instance) carrying the bound content
+// values, with the context side of each edge condition wired into the
+// new tuples; when the context is the root a single set is produced.
+func (ip *insertPlan) translate(content []relational.Value, probe *sqlexec.ResultSet) (*opTranslation, error) {
+	if err := ip.checkSharedKeys(content); err != nil {
+		return nil, err
+	}
 	n, cr := ip.node, ip.node.CR()
-	out := &opTranslation{SharedChecks: ip.sharedChecks}
+	out := &opTranslation{SharedChecks: ip.sharedChecks, content: content}
 	emit := func(wire map[string]relational.Value) {
 		for _, rel := range ip.insertRels {
 			vals := map[string]relational.Value{}
-			for c, v := range ip.relVals[rel] {
-				vals[c] = v
+			for c, slot := range ip.relCols[rel] {
+				vals[c] = content[slot]
 			}
 			for qualified, v := range wire {
 				parts := strings.SplitN(qualified, ".", 2)
@@ -521,7 +522,7 @@ func (ip *insertPlan) translate(probe *sqlexec.ResultSet) *opTranslation {
 
 	if probe == nil {
 		emit(nil)
-		return out
+		return out, nil
 	}
 	// Context wiring: per probe row, copy the context side of each edge
 	// condition into the new tuples (review.bookid := book.bookid).
@@ -543,44 +544,63 @@ func (ip *insertPlan) translate(probe *sqlexec.ResultSet) *opTranslation {
 		}
 		emit(wire)
 	}
-	return out
+	return out, nil
 }
 
 // translateInsert generates the statements for inserting a fragment as
-// a new instance of node N under context C — the uncached path:
-// compile the template artifacts, then wire them to the probe.
+// a new instance of node N under context C without a compiled plan — the
+// reference path of the blind baseline and of DisableCache: lay out the
+// fragment's content slots, coerce its own values into them, then wire
+// the result to the probe.
 func (e *Executor) translateInsert(ro *ResolvedOp, probe *sqlexec.ResultSet) (*opTranslation, error) {
-	ip, err := e.compileInsert(ro)
-	if err != nil {
+	var w slotWalk
+	if err := w.fragment(ro.Op.Content, ro.Target, nil); err != nil {
 		return nil, err
 	}
-	return ip.translate(probe), nil
+	content := make([]relational.Value, len(w.slots))
+	for i, s := range w.slots {
+		v, err := coerceLeaf(s.text(ro.Op.Content), s.Leaf)
+		if err != nil {
+			return nil, err
+		}
+		content[i] = v
+	}
+	return e.compileInsert(ro.Target, w.slots, 0).translate(content, probe)
 }
 
 // translateReplace translates a replace: for tag/leaf targets it is a
 // single-column UPDATE; internal targets decompose into delete+insert.
-func (e *Executor) translateReplace(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet) (*opTranslation, error) {
+// po carries the compiled plan's artifacts for the op, bound to the
+// apply's content values; nil translates the op's own fragment.
+func (e *Executor) translateReplace(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, po *PlannedOp, res *Result) (*opTranslation, error) {
 	t := ro.Target
 	switch t.Kind {
 	case asg.KindLeaf, asg.KindTag:
-		v, err := e.compileReplaceValue(ro)
+		leaf := replaceLeafOf(t)
+		if po != nil {
+			return translateLeafReplace(leaf, ac.content[po.replace], probe)
+		}
+		v, err := coerceLeaf(ro.Op.Content.TextContent(), leaf)
 		if err != nil {
 			return nil, err
 		}
-		return translateLeafReplace(replaceLeafOf(t), v, probe)
+		return translateLeafReplace(leaf, v, probe)
 	default:
-		del, err := e.translateDelete(ac, ro, probe, "", nil)
+		del, err := e.translateDelete(ac, ro, probe, "", res)
 		if err != nil {
 			return nil, err
 		}
-		ins, err := e.translateInsert(replaceInsertOp(ro), probe)
+		var ins *opTranslation
+		if po != nil {
+			ins, err = po.insert.translate(ac.content, probe)
+		} else {
+			ins, err = e.translateInsert(replaceInsertOp(ro), probe)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return &opTranslation{
-			Statements:   append(del.Statements, ins.Statements...),
-			SharedChecks: ins.SharedChecks,
-		}, nil
+		ins.Statements = append(del.Statements, ins.Statements...)
+		return ins, nil
 	}
 }
 
@@ -600,22 +620,6 @@ func replaceInsertOp(ro *ResolvedOp) *ResolvedOp {
 		Context: ro.Context,
 		Target:  ro.Target,
 	}
-}
-
-// compileReplaceValue coerces a leaf/tag replace's new content into the
-// leaf's domain — template-level, since the content is part of the
-// update template.
-func (e *Executor) compileReplaceValue(ro *ResolvedOp) (relational.Value, error) {
-	leaf := replaceLeafOf(ro.Target)
-	raw := strings.TrimSpace(ro.Op.Content.TextContent())
-	if raw == "" {
-		return relational.Null(), nil
-	}
-	v, err := relational.String_(raw).CoerceTo(leaf.Type)
-	if err != nil {
-		return relational.Value{}, invalidf("replacement value %q is not in the domain of %s", raw, leaf.RelAttr())
-	}
-	return v, nil
 }
 
 // translateLeafReplace emits one single-column UPDATE per probed target

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/asg"
 	"repro/internal/bookdb"
 	"repro/internal/relational"
 	"repro/internal/xqparse"
@@ -12,22 +11,13 @@ import (
 
 // newBookExec compiles the BookView executor the way ufilter.New does,
 // without importing the facade (which would cycle).
-func newBookExec(t *testing.T) *Executor {
+func newBookExec(t testing.TB) *Executor {
 	t.Helper()
 	db, err := bookdb.NewDatabase(relational.DeleteCascade)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := xqparse.ParseViewQuery(bookdb.ViewQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := asg.BuildViewASG(q, db.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := asg.BuildBaseASG(view, db.Schema())
-	return NewExecutor(view, base, MarkViewASG(view, base), db)
+	return newExec(t, db, bookdb.ViewQuery)
 }
 
 // TestReplaceInternalNode: replacing an internal element is

@@ -19,20 +19,47 @@ func invalidf(format string, args ...interface{}) error {
 	return &validationError{msg: fmt.Sprintf(format, args...)}
 }
 
-// Validate runs Step 1, update validation (Section 4): the update must
-// agree with every local constraint captured in the view ASG. It returns
-// nil for valid updates and a *validationError describing the first
-// violation otherwise.
-//
-// The two halves have different caching granularity — the overlap test
-// depends on the predicate literal values, the per-op checks only on
-// the template — so an UpdatePlan runs validatePreds per bound tuple
-// and validateOps once at compile time.
-func Validate(r *ResolvedUpdate) error {
-	if err := validatePreds(r.UserPreds); err != nil {
-		return err
+// Step 1, update validation (Section 4): the update must agree with
+// every local constraint captured in the view ASG. Its checks split by
+// what they read. The overlap test (validatePreds) reads the predicate
+// literals and the leaf annotations (leafValue) read the content values,
+// so both run per bound instance; everything else reads the template
+// only — targets, cardinalities, the fragment's element structure — and
+// runs once at compile time (templateOps), which also lays out the
+// template's content slots in the order validation visits them.
+
+// ContentSlot describes one content slot of an update template: a leaf
+// element of an INSERT/REPLACE fragment. Its text is the value an
+// instance supplies, checked against the leaf's annotations (type, NOT
+// NULL, CHECKs) when the instance is bound. Slots are ordered as Step 1
+// visits them: by operation, then in document order.
+type ContentSlot struct {
+	// Leaf is the view leaf the value lands in.
+	Leaf *asg.Node
+	// Op indexes the content-bearing operation.
+	Op int
+	// path locates the slot's element inside the op's fragment, as
+	// element-child ordinals from the fragment root (empty: the root).
+	path []int
+}
+
+// text reads the slot's value out of its operation's fragment in an
+// instance of the template. The fingerprint keeps the fragment's element
+// structure in the key, so the path exists in every instance.
+func (s ContentSlot) text(frag *xmltree.Node) string {
+	for _, k := range s.path {
+		for _, c := range frag.Children {
+			if !c.IsElement() {
+				continue
+			}
+			if k == 0 {
+				frag = c
+				break
+			}
+			k--
+		}
 	}
-	return validateOps(r)
+	return frag.TextContent()
 }
 
 // validatePreds is the overlap check (delete check (i), but applied to
@@ -51,27 +78,40 @@ func validatePreds(preds []UserPred) error {
 	return nil
 }
 
-// validateOps runs the per-operation checks, which read only the
-// update template (targets, cardinalities, fragment values).
-func validateOps(r *ResolvedUpdate) error {
+// slotWalk runs the template-level checks of content-bearing operations
+// and collects the content slots they pass on the way.
+type slotWalk struct {
+	op    int
+	slots []ContentSlot
+}
+
+func (w *slotWalk) emit(leaf *asg.Node, path []int) {
+	w.slots = append(w.slots, ContentSlot{Leaf: leaf, Op: w.op, path: append([]int(nil), path...)})
+}
+
+// templateOps runs the per-operation checks that read only the update
+// template and returns the template's content slots. On a rejection the
+// slots are those Step 1 visits before it: an instance is checked
+// against them first, so the first failure in validation order wins.
+func templateOps(r *ResolvedUpdate) ([]ContentSlot, error) {
+	var w slotWalk
 	for i := range r.Ops {
 		ro := &r.Ops[i]
+		w.op = i
+		var err error
 		switch ro.Op.Kind {
 		case xqparse.OpDelete:
-			if err := validateDelete(ro); err != nil {
-				return err
-			}
+			err = validateDelete(ro)
 		case xqparse.OpInsert:
-			if err := validateInsert(ro); err != nil {
-				return err
-			}
+			err = w.insert(ro)
 		case xqparse.OpReplace:
-			if err := validateReplace(ro); err != nil {
-				return err
-			}
+			err = w.replace(ro)
+		}
+		if err != nil {
+			return w.slots, err
 		}
 	}
-	return nil
+	return w.slots, nil
 }
 
 func renderChecks(checks []relational.CheckPredicate) string {
@@ -103,25 +143,26 @@ func validateDelete(ro *ResolvedOp) error {
 	return nil
 }
 
-// validateInsert implements the insert checks of Section 4: hierarchy
-// conformance (u7's missing mandatory publisher), and leaf-value
-// conformance — domain/type, check annotations and NOT NULL (u1's empty
-// title and non-positive price).
-func validateInsert(ro *ResolvedOp) error {
+// insert implements the template half of the insert checks of Section
+// 4: hierarchy conformance (u7's missing mandatory publisher). The value
+// half — domain/type, check annotations and NOT NULL (u1's empty title
+// and non-positive price) — is leafValue over the slots collected here.
+func (w *slotWalk) insert(ro *ResolvedOp) error {
 	if ro.Target.EdgeCard == asg.CardOne {
 		return invalidf("cannot insert another <%s> under <%s>: edge cardinality is 1 (exactly one)",
 			ro.Target.Name, ro.Context.Name)
 	}
-	return validateFragment(ro.Op.Content, ro.Target)
+	return w.fragment(ro.Op.Content, ro.Target, nil)
 }
 
-// validateFragment recursively checks an inserted element against its
-// schema node.
-func validateFragment(frag *xmltree.Node, node *asg.Node) error {
+// fragment recursively checks an inserted element's structure against
+// its schema node; path is the element's own path from the fragment
+// root.
+func (w *slotWalk) fragment(frag *xmltree.Node, node *asg.Node, path []int) error {
 	// Hierarchy: every element present must be known, and elements with
 	// a mandatory edge must be present exactly once.
 	counts := map[string]int{}
-	for _, c := range frag.ElementChildren() {
+	for k, c := range frag.ElementChildren() {
 		child := node.FindChild(c.Name)
 		if child == nil {
 			return invalidf("element <%s> cannot occur under <%s> in the view schema", c.Name, node.Name)
@@ -129,16 +170,12 @@ func validateFragment(frag *xmltree.Node, node *asg.Node) error {
 		counts[strings.ToLower(c.Name)]++
 		switch child.Kind {
 		case asg.KindInternal:
-			if err := validateFragment(c, child); err != nil {
+			if err := w.fragment(c, child, append(path, k)); err != nil {
 				return err
 			}
 		case asg.KindTag:
-			leaf := child.LeafUnder()
-			if leaf == nil {
-				continue
-			}
-			if err := validateLeafValue(c.TextContent(), leaf); err != nil {
-				return err
+			if leaf := child.LeafUnder(); leaf != nil {
+				w.emit(leaf, append(path, k))
 			}
 		}
 	}
@@ -168,54 +205,54 @@ func validateFragment(frag *xmltree.Node, node *asg.Node) error {
 	return nil
 }
 
-// validateLeafValue enforces the leaf annotations: NOT NULL (empty text
-// counts as NULL, Oracle-style), domain/type, and check predicates.
-func validateLeafValue(raw string, leaf *asg.Node) error {
-	trimmed := strings.TrimSpace(raw)
-	if trimmed == "" {
-		if leaf.NotNull {
-			return invalidf("value of <%s> cannot be empty: %s is NOT NULL", leaf.Parent.Name, leaf.RelAttr())
-		}
-		return nil
+// coerceLeaf maps a content value into its leaf's domain; empty text is
+// NULL, Oracle-style.
+func coerceLeaf(raw string, leaf *asg.Node) (relational.Value, error) {
+	if raw == "" {
+		return relational.Null(), nil
 	}
-	v, err := relational.String_(trimmed).CoerceTo(leaf.Type)
+	v, err := relational.String_(raw).CoerceTo(leaf.Type)
 	if err != nil {
-		return invalidf("value %q of <%s> is not in the domain of %s (%s)",
-			trimmed, leaf.Parent.Name, leaf.RelAttr(), leaf.Type)
+		return v, invalidf("value %q of <%s> is not in the domain of %s (%s)",
+			raw, leaf.Parent.Name, leaf.RelAttr(), leaf.Type)
+	}
+	return v, nil
+}
+
+// leafValue enforces the leaf annotations on one content value — NOT
+// NULL, domain/type, and check predicates — and returns it coerced.
+func leafValue(raw string, leaf *asg.Node) (relational.Value, error) {
+	if raw == "" && leaf.NotNull {
+		return relational.Null(), invalidf("value of <%s> cannot be empty: %s is NOT NULL", leaf.Parent.Name, leaf.RelAttr())
+	}
+	v, err := coerceLeaf(raw, leaf)
+	if err != nil || v.IsNull() {
+		return v, err
 	}
 	for _, chk := range leaf.Checks {
 		if !chk.Holds(v) {
-			return invalidf("value %q of <%s> violates the check constraint on %s (%s)",
-				trimmed, leaf.Parent.Name, leaf.RelAttr(), chk)
+			return v, invalidf("value %q of <%s> violates the check constraint on %s (%s)",
+				raw, leaf.Parent.Name, leaf.RelAttr(), chk)
 		}
 	}
-	return nil
+	return v, nil
 }
 
-// validateReplace treats replace as delete-then-insert of the same
-// element (footnote 4): the new content must carry the target's tag and
-// satisfy its leaf constraints; mandatory elements may be replaced (the
-// value changes, the element stays).
-func validateReplace(ro *ResolvedOp) error {
+// replace treats replace as delete-then-insert of the same element
+// (footnote 4): the new content must carry the target's tag and fit its
+// structure; mandatory elements may be replaced (the value changes, the
+// element stays).
+func (w *slotWalk) replace(ro *ResolvedOp) error {
 	t := ro.Target
 	content := ro.Op.Content
-	switch t.Kind {
-	case asg.KindLeaf:
-		return validateLeafValue(content.TextContent(), t)
-	case asg.KindTag:
-		if !strings.EqualFold(content.Name, t.Name) {
-			return invalidf("REPLACE of <%s> must supply a <%s> element, got <%s>", t.Name, t.Name, content.Name)
-		}
-		leaf := t.LeafUnder()
-		if leaf == nil {
-			return nil
-		}
-		return validateLeafValue(content.TextContent(), leaf)
-	case asg.KindInternal:
-		if !strings.EqualFold(content.Name, t.Name) {
-			return invalidf("REPLACE of <%s> must supply a <%s> element, got <%s>", t.Name, t.Name, content.Name)
-		}
-		return validateFragment(content, t)
+	if t.Kind != asg.KindLeaf && !strings.EqualFold(content.Name, t.Name) {
+		return invalidf("REPLACE of <%s> must supply a <%s> element, got <%s>", t.Name, t.Name, content.Name)
+	}
+	if t.Kind == asg.KindInternal {
+		return w.fragment(content, t, nil)
+	}
+	if leaf := replaceLeafOf(t); leaf != nil {
+		w.emit(leaf, nil)
 	}
 	return nil
 }

@@ -5,9 +5,9 @@
 // inside each protein that references it), and (ii) foreign keys use
 // the SET NULL delete policy rather than CASCADE.
 //
-// Substitution note (DESIGN.md §6): the real PIR dataset is not
-// available offline; the synthetic schema reproduces the structural
-// properties the paper's argument depends on, not the biology.
+// Substitution note: the real PIR dataset is not available offline; the
+// synthetic schema reproduces the structural properties the paper's
+// argument depends on, not the biology.
 package psd
 
 import (

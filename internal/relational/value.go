@@ -23,7 +23,7 @@
 // shadow model.
 //
 // The engine substitutes for the Oracle 10g instance used in the paper's
-// evaluation; see DESIGN.md §2 for the substitution argument.
+// evaluation.
 package relational
 
 import (

@@ -37,10 +37,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ufilterd_txns_started_total", "Transactions ever begun (including autocommit statements).", "counter", map[string]float64{}},
 		{"ufilterd_group_commits_total", "Commit groups published (one WAL flush each).", "counter", map[string]float64{}},
 		{"ufilterd_grouped_txns_total", "Transactions committed through commit groups.", "counter", map[string]float64{}},
-		{"ufilterd_cache_hits_total", "Plan cache verdict hits.", "counter", map[string]float64{}},
-		{"ufilterd_cache_misses_total", "Plan cache verdict misses.", "counter", map[string]float64{}},
-		{"ufilterd_cache_hit_rate", "Plan cache verdict hit rate.", "gauge", map[string]float64{}},
-		{"ufilterd_plan_cache_plans", "Compiled update plans currently cached.", "gauge", map[string]float64{}},
+		{"ufilterd_cache_hits_total", "Checks and applies answered off a resident plan (stored text verdict or bind-time derivation).", "counter", map[string]float64{}},
+		{"ufilterd_cache_misses_total", "Template compilations (the plan cache's only kind of miss).", "counter", map[string]float64{}},
+		{"ufilterd_cache_hit_rate", "hits/(hits+misses); ~1 once the traffic's templates are resident, whatever the values.", "gauge", map[string]float64{}},
+		{"ufilterd_plan_cache_plans", "Compiled update plans currently cached: one per update template.", "gauge", map[string]float64{}},
 		{"ufilterd_plan_applies_total", "Applies executed off a cached compiled plan.", "counter", map[string]float64{}},
 		{"ufilterd_rows_scanned_total", "Rows visited by table scans.", "counter", map[string]float64{}},
 		{"ufilterd_index_probes_total", "Index lookups issued.", "counter", map[string]float64{}},
@@ -239,7 +239,7 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 	}{
 		{"ufilterd_apply_latency_seconds", "End-to-end single-apply latency (the Retry-After p90 source).",
 			func(v *View) obs.Snapshot { return v.applyHist.Snapshot() }},
-		{"ufilterd_plan_compile_seconds", "Full plan compilation time (cache misses: resolve + STAR + artifacts).",
+		{"ufilterd_plan_compile_seconds", "Full plan compilation time (one per template: resolve + STAR + artifacts).",
 			func(v *View) obs.Snapshot { return planHist(v).Compile.Snapshot() }},
 		{"ufilterd_txn_retries_per_apply", "Conflict-retry attempts per finished apply (bucket 0 = conflict-free).",
 			func(v *View) obs.Snapshot { return planHist(v).Retries.Snapshot() }},

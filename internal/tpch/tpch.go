@@ -5,11 +5,11 @@
 // size" knob, and the four experiment views — Vsuccess, Vfail, Vlinear
 // and Vbush.
 //
-// Substitution note (DESIGN.md §6): the official dbgen tool and its data
-// distributions are not required by any experiment; only the FK chain,
-// the relative cardinalities and the indexed keys matter, all of which
-// the generator reproduces. The paper's "DBsize (Mb)" axis maps to a
-// row-count scale (see Rows).
+// Substitution note: the official dbgen tool and its data distributions
+// are not required by any experiment; only the FK chain, the relative
+// cardinalities and the indexed keys matter, all of which the generator
+// reproduces. The paper's "DBsize (Mb)" axis maps to a row-count scale
+// (see Rows).
 package tpch
 
 import (

@@ -10,8 +10,7 @@ import (
 )
 
 // deleteReviewsByTitle builds a U12-shaped update: a string literal on
-// the title leaf, which carries no CHECK annotations — the verdict is
-// literal-independent, so all titles share one template-tier entry.
+// the title leaf, which carries no CHECK annotations.
 func deleteReviewsByTitle(title string) string {
 	return fmt.Sprintf(`
 FOR $book IN document("BookView.xml")/book
@@ -21,8 +20,7 @@ UPDATE $book { DELETE $book/review }`, title)
 
 // deleteBooksOverPrice builds a U9-shaped update: a float literal on
 // the price leaf, which carries CHECK annotations (the view publishes
-// books under $50 only) — the verdict depends on the literal, so the
-// template is literal-sensitive.
+// books under $50 only) — the verdict depends on the literal.
 func deleteBooksOverPrice(price string) string {
 	return fmt.Sprintf(`
 FOR $root IN document("BookView.xml"),
@@ -31,24 +29,26 @@ WHERE $book/price > %s
 UPDATE $root { DELETE $book }`, price)
 }
 
-// TestCacheTextTier: a byte-identical resubmission is a text-tier hit
-// with the same verdict.
+// TestCacheTextTier: the text tier admits a text on its second
+// sighting, after which a byte-identical resubmission is a text-tier
+// hit (no parse) with the same verdict.
 func TestCacheTextTier(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	r1, err := f.Check(deleteReviewsByTitle("Data on the Web"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := f.Check(deleteReviewsByTitle("Data on the Web"))
-	if err != nil {
-		t.Fatal(err)
+	var rs [3]*Result
+	for i := range rs {
+		var err error
+		if rs[i], err = f.Check(deleteReviewsByTitle("Data on the Web")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := f.CacheStats()
-	if st.TextHits != 1 || st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 text hit / 1 hit / 1 miss", st)
+	if st.TextHits != 1 || st.Hits != 2 || st.Misses != 1 || st.TextEntries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, then a template hit that admits the text, then a text hit", st)
 	}
-	if r1.Accepted != r2.Accepted || r1.Outcome != r2.Outcome || r1.Reason != r2.Reason {
-		t.Errorf("cached verdict differs: %+v vs %+v", r1, r2)
+	for _, r := range rs[1:] {
+		if r.Accepted != rs[0].Accepted || r.Outcome != rs[0].Outcome || r.Reason != rs[0].Reason {
+			t.Errorf("cached verdict differs: %+v vs %+v", r, rs[0])
+		}
 	}
 }
 
@@ -79,10 +79,11 @@ func TestCacheTemplateTier(t *testing.T) {
 	}
 }
 
-// TestCacheLiteralSensitive: the price template's verdict flips with
-// the literal (overlap test against the view's CHECK), so the cache
-// must key those verdicts by literal value — and still serve repeats.
-func TestCacheLiteralSensitive(t *testing.T) {
+// TestCacheLiteralDerived: the price template's verdict flips with the
+// literal (overlap test against the view's CHECK); each instance's
+// verdict is derived off the one resident plan, never stored per
+// literal.
+func TestCacheLiteralDerived(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	ok1, err := f.Check(deleteBooksOverPrice("40.00"))
 	if err != nil {
@@ -103,11 +104,11 @@ func TestCacheLiteralSensitive(t *testing.T) {
 		t.Errorf("price>50 should be invalid (no overlap with the view), got %+v", bad)
 	}
 	if ok2.Accepted != ok1.Accepted || ok2.Outcome != ok1.Outcome || ok2.Reason != ok1.Reason {
-		t.Errorf("cached literal-sensitive verdict diverged: %+v vs %+v", ok2, ok1)
+		t.Errorf("re-derived verdict diverged: %+v vs %+v", ok2, ok1)
 	}
 	st := f.CacheStats()
-	if st.Misses != 2 || st.Hits != 1 {
-		t.Errorf("stats = %+v, want 2 misses (distinct literals) / 1 hit (repeat)", st)
+	if st.Misses != 1 || st.Hits != 2 || st.TemplateEntries != 1 {
+		t.Errorf("stats = %+v, want 1 miss (the compile) / 2 hits off 1 template entry", st)
 	}
 }
 

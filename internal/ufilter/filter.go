@@ -128,8 +128,9 @@ func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error)
 // checks (Snapshot, CheckData, CheckDataAt, CheckBatchData). The
 // concurrency contract is the executor's: checks fan out freely and
 // never wait on an in-flight apply (data checks pin an MVCC snapshot,
-// so each sees a single point-in-time view); mutating calls are
-// serialized internally on the narrow writer lock.
+// so each sees a single point-in-time view); mutating calls each run in
+// their own transaction, in parallel, with write-write conflicts
+// retried.
 type Filter struct {
 	*plan.Executor
 }

@@ -75,6 +75,9 @@ func (n *Node) ElementChildren() []*Node {
 
 // TextContent concatenates all descendant text, trimmed.
 func (n *Node) TextContent() string {
+	if len(n.Children) == 1 && !n.Children[0].IsElement() {
+		return strings.TrimSpace(n.Children[0].Text) // the common leaf shape, copy-free
+	}
 	var b strings.Builder
 	var walk func(*Node)
 	walk = func(m *Node) {
