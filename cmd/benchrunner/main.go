@@ -288,12 +288,12 @@ func printWriteBench(iters int, outPath string) {
 	}
 }
 
-// printWALBench runs the durable-WAL benchmark — apply throughput with
-// the in-memory redo buffer vs a real fsync-per-group write-ahead log,
+// printWALBench runs the durable-WAL benchmark — apply throughput in
+// memory (no log) vs with a real fsync-per-group write-ahead log,
 // plus fsync coalescing and cold recovery time — and records the series
 // as JSON so CI tracks the durability tax across commits.
 func printWALBench(iters int, outPath string) {
-	header("WAL — durable fsync-per-group log vs in-memory redo buffer")
+	header("WAL — durable fsync-per-group log vs in-memory (no log)")
 	wb, err := experiments.RunWALBench(iters, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fatal(err)
@@ -381,22 +381,19 @@ func printShardBench(iters int, outPath string) {
 }
 
 // printCommitBench runs the stall-free-durability benchmark — durable
-// commit throughput with the pipelined writer stage vs the synchronous
-// latch-across-fsync path at 1/8/32 writers, checkpoint pause at 1x vs
-// 10x database size with a fixed dirty set, and cold recovery over a
-// base image vs a delta chain — and records the table as JSON so CI
-// gates the pipeline speedup and the O(dirty) pause.
+// commit throughput and fsyncs paid at 1/8/32 writers, checkpoint pause
+// at 1x vs 10x database size with a fixed dirty set, and cold recovery
+// over a base image vs a delta chain — and records the table as JSON so
+// CI gates fsync coalescing and the O(dirty) pause.
 func printCommitBench(iters int, outPath string) {
-	header("Commit — pipelined group commit + incremental checkpoints")
+	header("Commit — the WAL writer stage's group commit + incremental checkpoints")
 	cb, err := experiments.RunCommitBench(iters, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%-8s %14s %14s %10s %12s %12s\n",
-		"Writers", "sync ops/s", "pipe ops/s", "speedup", "sync fsyncs", "pipe fsyncs")
+	fmt.Printf("%-8s %8s %14s %12s %10s\n", "Writers", "ops", "ops/s", "ns/op", "fsyncs")
 	for _, p := range cb.Points {
-		fmt.Printf("%-8d %14.0f %14.0f %9.2fx %12d %12d\n",
-			p.Writers, p.SyncOpsPerSec, p.PipeOpsPerSec, p.Speedup, p.SyncFsyncs, p.PipeFsyncs)
+		fmt.Printf("%-8d %8d %14.0f %12d %10d\n", p.Writers, p.Ops, p.OpsPerSec, p.NsOp, p.Fsyncs)
 	}
 	for _, p := range cb.Pauses {
 		fmt.Printf("checkpoint pause: %6d rows, %d dirty -> %v\n",

@@ -42,14 +42,14 @@
 // CheckBatch fans a slice of updates across a worker pool; Prepare/
 // Execute expose the compile-once/execute-many fast path; ApplyBatch
 // and ExecuteBatch group-commit N updates under one transaction and
-// one redo flush:
+// one log flush:
 //
 // Write-concurrency contract. Applies run in parallel: every
 // Apply/Execute/ApplyBatch opens its own transaction against the MVCC
 // engine, independent updates commit concurrently with their
-// write-ahead-log flushes coalesced by a group-commit scheduler (and
-// pipelined — one group stamps while the previous group's fsync is in
-// flight), and
+// write-ahead-log flushes coalesced by the engine's WAL writer stage
+// (commits that queue behind one fsync share the next, and one group
+// stamps while the previous group's fsync is in flight), and
 // two updates that write the same rows resolve by first-updater-wins
 // — the loser retries automatically with capped backoff and surfaces
 // relational.ErrWriteConflict only when retries are exhausted (the
@@ -85,7 +85,7 @@
 // cascades stay shard-local; uniqueness the partitioning cannot
 // localize is enforced by scatter probes. Reads see a consistent
 // vector of shard snapshots pinned atomically, applies confined to one
-// shard commit through that shard's own group-commit+WAL pipeline
+// shard commit through that shard's own commit pipeline
 // (fsyncs of different shards overlap), and applies spanning shards
 // commit via an ordered two-phase claim/publish through a coordinator
 // log whose single fsync is the decide point — crash recovery replays

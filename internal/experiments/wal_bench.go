@@ -11,11 +11,11 @@ import (
 )
 
 // WALBench records the durability-cost measurement the repo's CI tracks
-// (BENCH_wal.json): full-pipeline apply throughput with the in-memory
-// redo buffer vs a real fsync-per-group write-ahead log, at 1 and 8
-// writers on the conflict-free keyspace. The single-writer point shows
-// the worst case (every commit pays a solo fsync); the 8-writer point
-// shows group commit amortizing the fsync across concurrent
+// (BENCH_wal.json): full-pipeline apply throughput in memory (no log)
+// vs with a real fsync-per-group write-ahead log, at 1 and 8 writers on
+// the conflict-free keyspace. The single-writer point shows the worst
+// case (every commit pays a solo fsync); the 8-writer point shows the
+// WAL writer stage amortizing the fsync across concurrent
 // transactions — TxnsPerFsync is the coalescing factor, and the
 // durable/in-memory ratio should recover toward 1 as it grows. A final
 // pass closes the log and times a cold recovery of everything written.
@@ -95,7 +95,7 @@ func RunWALBench(iters int, maxProcs int) (*WALBench, error) {
 		pt := WALPoint{Writers: writers}
 		ops := iters - iters%writers // divide evenly
 
-		// Baseline: the in-memory redo buffer (no durable log).
+		// Baseline: in-memory, no log.
 		f, _, err := newWALBenchFilter("")
 		if err != nil {
 			return nil, err
@@ -133,10 +133,9 @@ func RunWALBench(iters int, maxProcs int) (*WALBench, error) {
 			pt.DurabilityOverhead = pt.MemOpsPerSec / pt.WALOpsPerSec
 		}
 		st := db.Stats()
-		ws := f.WriteStats()
 		pt.Fsyncs = st.Fsyncs - before.Fsyncs
-		pt.GroupCommits = ws.GroupCommits
-		pt.GroupedTxns = ws.GroupedTxns
+		pt.GroupCommits = st.GroupCommits - before.GroupCommits
+		pt.GroupedTxns = st.GroupedTxns - before.GroupedTxns
 		if pt.Fsyncs > 0 {
 			pt.TxnsPerFsync = float64(pt.GroupedTxns) / float64(pt.Fsyncs)
 		}

@@ -53,9 +53,10 @@ type WritePoint struct {
 	// high-conflict run.
 	Conflicts int64 `json:"conflicts"`
 	Retries   int64 `json:"retries"`
-	// GroupCommits/GroupedTxns report flush coalescing for the
-	// conflict-free run (GroupedTxns/GroupCommits > 1 means concurrent
-	// commits actually shared flushes).
+	// GroupCommits/GroupedTxns are the engine's commit-group counters
+	// over the conflict-free run. The run is in-memory, where every
+	// commit is its own group, so the two are equal; flush sharing only
+	// exists with a WAL (see BENCH_wal.json / BENCH_commit.json).
 	GroupCommits int64 `json:"group_commits"`
 	GroupedTxns  int64 `json:"grouped_txns"`
 }
@@ -148,6 +149,7 @@ UPDATE $book { INSERT <review><reviewid>warm-%d</reviewid><comment>bench</commen
 		}); err != nil {
 			return nil, err
 		}
+		before := f.Stats().Database
 		elapsed, accepted, conflicted, err := runWriters(f, writers, ops,
 			func(w, i int) string { return writeBenchInsert(w, i) })
 		if err != nil {
@@ -161,9 +163,9 @@ UPDATE $book { INSERT <review><reviewid>warm-%d</reviewid><comment>bench</commen
 		}
 		pt.ConflictFreeNsOp = elapsed.Nanoseconds() / int64(ops)
 		pt.ConflictFreeOpsPerSec = float64(ops) / elapsed.Seconds()
-		ws := f.WriteStats()
-		pt.GroupCommits = ws.GroupCommits
-		pt.GroupedTxns = ws.GroupedTxns
+		after := f.Stats().Database
+		pt.GroupCommits = after.GroupCommits - before.GroupCommits
+		pt.GroupedTxns = after.GroupedTxns - before.GroupedTxns
 
 		// High-conflict: every apply rewrites the same row.
 		f, err = newWriteBenchFilter()

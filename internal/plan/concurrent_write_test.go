@@ -97,8 +97,8 @@ func TestConcurrentDisjointAppliesAllCommit(t *testing.T) {
 	if ws.Exhausted != 0 {
 		t.Fatalf("conflict-free workload exhausted retries %d times", ws.Exhausted)
 	}
-	if ws.GroupedTxns < int64(writers*perWriter) {
-		t.Fatalf("grouped txns = %d, want >= %d", ws.GroupedTxns, writers*perWriter)
+	if got := e.Exec.DB.Stats().GroupedTxns; got < int64(writers*perWriter) {
+		t.Fatalf("grouped txns = %d, want >= %d", got, writers*perWriter)
 	}
 }
 

@@ -131,17 +131,14 @@ type Executor struct {
 	MaxWriteRetries int
 
 	// Obs receives the engine-internal latency/size distributions
-	// (compile time, retries per apply, commit wait, group size); see
-	// obs.go. Attached by NewExecutor; DetachObs removes it for
+	// (compile time, retries per apply, commit wait); see obs.go.
+	// Attached by NewExecutor; DetachObs removes it for
 	// uninstrumented benchmarking. Nil-safe at every recording site.
 	Obs *ObsHists
 
 	// cache holds one compiled UpdatePlan per update template; see
 	// cache.go. Never nil for executors built by NewExecutor.
 	cache *Cache
-
-	// gc coalesces concurrent commits into shared WAL flushes.
-	gc *groupCommitter
 
 	// tempSeq allocates names in the shared temporary-table namespace;
 	// atomic because concurrent applies materialize temps in parallel.
@@ -165,7 +162,7 @@ type applyCtx struct {
 	txn relational.WriteTxn
 	bound
 	// trace is the request's span recorder (nil when untraced); runOps
-	// and the group committer record stage timings into it.
+	// and commit record stage timings into it.
 	trace *obs.Trace
 	// blindAnchor is BlindApply's naive delete anchor for ops whose
 	// target has none (the unsafe deletes the checked pipeline
@@ -177,15 +174,13 @@ type applyCtx struct {
 
 // NewExecutor builds the runtime for a marked view over a database.
 func NewExecutor(view *asg.ViewASG, base *asg.BaseASG, marks *Marks, db relational.Engine) *Executor {
-	hists := newObsHists()
 	return &Executor{
 		View:  view,
 		Base:  base,
 		Marks: marks,
 		Exec:  sqlexec.NewExecutor(db),
-		Obs:   hists,
+		Obs:   newObsHists(),
 		cache: NewCache(),
-		gc:    newGroupCommitter(db, hists),
 	}
 }
 
@@ -218,8 +213,8 @@ func conflictBackoff(n int) {
 }
 
 // WriteStats reports the parallel write path's health: how often
-// applies conflicted, retried and gave up, and how well the group-
-// commit scheduler coalesced flushes.
+// applies conflicted, retried and gave up. (How well commits shared
+// flushes is the engine's to report: DBStats.GroupCommits/GroupedTxns.)
 type WriteStats struct {
 	// Retries counts apply attempts re-run after a write-write
 	// conflict.
@@ -229,11 +224,6 @@ type WriteStats struct {
 	// Exhausted counts applies that ran out of retries and surfaced
 	// ErrWriteConflict to the caller (ufilterd answers 409).
 	Exhausted int64 `json:"exhausted"`
-	// GroupCommits counts commit groups published by the scheduler.
-	GroupCommits int64 `json:"group_commits"`
-	// GroupedTxns counts transactions committed through the scheduler;
-	// GroupedTxns/GroupCommits is the mean flush-coalescing factor.
-	GroupedTxns int64 `json:"grouped_txns"`
 }
 
 // WriteStats snapshots the write-path counters; safe under traffic.
@@ -242,8 +232,6 @@ func (e *Executor) WriteStats() WriteStats {
 		Retries:           e.txnRetries.Load(),
 		ConflictedApplies: e.conflictApplies.Load(),
 		Exhausted:         e.conflictErrors.Load(),
-		GroupCommits:      e.gc.groups.Load(),
-		GroupedTxns:       e.gc.txns.Load(),
 	}
 }
 
@@ -571,7 +559,7 @@ func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, b bound
 }
 
 // applyOnce is one attempt: open a transaction, run the ops through
-// it, group-commit on success. A rejected update (or an error,
+// it, commit on success. A rejected update (or an error,
 // including a write conflict) rolls the transaction back and leaves
 // the database untouched.
 func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, b bound, res *Result, tr *obs.Trace) (*Result, error) {
@@ -591,12 +579,43 @@ func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, b bound, re
 	if rejected {
 		return res, nil
 	}
-	if err := e.gc.commit(ac.txn, ac.trace); err != nil {
+	if err := e.commit(ac.txn, ac.trace); err != nil {
 		return nil, err
 	}
 	committed = true
 	res.Accepted = true
 	return res, nil
+}
+
+// commit commits the apply's transaction. Concurrent applies share WAL
+// flushes with no help from this layer: the engine's writer stage
+// fsyncs whatever queued behind the previous flush as one batch. The
+// commit-wait histogram records the full call; tr, when non-nil,
+// receives "commit_publish" (wait minus fsync) and "wal_fsync" spans —
+// the last fsync the engine recorded covers this commit, because Commit
+// returns only after its record is durable.
+func (e *Executor) commit(txn relational.WriteTxn, tr *obs.Trace) error {
+	h := e.Obs
+	if h == nil && tr == nil {
+		return txn.Commit()
+	}
+	start := time.Now()
+	err := txn.Commit()
+	wait := time.Since(start).Nanoseconds()
+	if h != nil {
+		h.CommitWait.Record(wait)
+	}
+	if tr != nil {
+		var fsyncNs int64
+		if err == nil {
+			fsyncNs = e.Exec.DB.LastFsyncNanos()
+		}
+		tr.Add("commit_publish", time.Duration(max(wait-fsyncNs, 0)))
+		if fsyncNs > 0 {
+			tr.Add("wal_fsync", time.Duration(fsyncNs))
+		}
+	}
+	return err
 }
 
 // runOps executes every operation of a resolved update against the
@@ -809,7 +828,7 @@ func (e *Executor) executeHybrid(ac *applyCtx, stmts []sqlexec.Statement, res *R
 		res.SQL = append(res.SQL, sql)
 		switch s := st.(type) {
 		case *sqlexec.InsertStmt:
-			if _, err := e.Exec.ExecInsertRendered(ac.txn, s, sql); err != nil {
+			if _, err := e.Exec.ExecInsert(ac.txn, s); err != nil {
 				if relational.IsConstraintViolation(err) {
 					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
 				}
@@ -817,7 +836,7 @@ func (e *Executor) executeHybrid(ac *applyCtx, stmts []sqlexec.Statement, res *R
 			}
 			res.RowsAffected++
 		case *sqlexec.DeleteStmt:
-			n, err := e.Exec.ExecDeleteRendered(ac.txn, s, sql)
+			n, err := e.Exec.ExecDelete(ac.txn, s)
 			if err != nil {
 				if relational.IsConstraintViolation(err) {
 					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
@@ -829,7 +848,7 @@ func (e *Executor) executeHybrid(ac *applyCtx, stmts []sqlexec.Statement, res *R
 			}
 			res.RowsAffected += n
 		case *sqlexec.UpdateStmt:
-			n, err := e.Exec.ExecUpdateRendered(ac.txn, s, sql)
+			n, err := e.Exec.ExecUpdate(ac.txn, s)
 			if err != nil {
 				if relational.IsConstraintViolation(err) {
 					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil

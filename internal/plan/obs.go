@@ -6,8 +6,7 @@ import (
 
 // ObsHists bundles the engine-internal distributions an Executor
 // records when observability is attached (the default): plan compile
-// latency, conflict retries per apply, commit wait and group-commit
-// batch size. The per-request end-to-end latency histograms live one
+// latency, conflict retries per apply and commit wait. The per-request end-to-end latency histograms live one
 // layer up, in the server, which owns the request boundary.
 //
 // A nil *ObsHists (after DetachObs) records nothing and skips even the
@@ -21,12 +20,9 @@ type ObsHists struct {
 	// Retries records, per finished apply, how many times it was re-run
 	// after a write-write conflict (bucket 0 = conflict-free).
 	Retries *obs.Histogram
-	// CommitWait records each committed transaction's wait from
-	// group-commit enqueue to published acknowledgment, fsync included.
+	// CommitWait records each transaction's wait inside Commit, from the
+	// call to the published acknowledgment, fsync included.
 	CommitWait *obs.Histogram
-	// GroupSize records transactions per published commit group — the
-	// fsync-coalescing factor as a distribution rather than a mean.
-	GroupSize *obs.Histogram
 }
 
 // newObsHists builds the standard attached set.
@@ -35,7 +31,6 @@ func newObsHists() *ObsHists {
 		Compile:    obs.NewDurationHistogram(),
 		Retries:    obs.NewCountHistogram(),
 		CommitWait: obs.NewDurationHistogram(),
-		GroupSize:  obs.NewCountHistogram(),
 	}
 }
 
@@ -44,9 +39,6 @@ func newObsHists() *ObsHists {
 // RunObsBench baseline); set-up time only, not safe under traffic.
 func (e *Executor) DetachObs() {
 	e.Obs = nil
-	if e.gc != nil {
-		e.gc.hists = nil
-	}
 }
 
 // AttachObs installs a fresh engine-internal histogram set after a
@@ -55,8 +47,5 @@ func (e *Executor) DetachObs() {
 func (e *Executor) AttachObs() {
 	if e.Obs == nil {
 		e.Obs = newObsHists()
-	}
-	if e.gc != nil {
-		e.gc.hists = e.Obs
 	}
 }

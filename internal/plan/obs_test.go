@@ -28,9 +28,6 @@ func TestExecutorObsHistograms(t *testing.T) {
 	if got := e.Obs.Retries.Snapshot().Count; got != 1 {
 		t.Errorf("retries histogram count = %d, want 1 (one finished apply)", got)
 	}
-	if got := e.Obs.GroupSize.Snapshot().Count; got != 1 {
-		t.Errorf("group-size histogram count = %d, want 1", got)
-	}
 	if got := e.Obs.CommitWait.Snapshot().Count; got != 1 {
 		t.Errorf("commit-wait histogram count = %d, want 1", got)
 	}

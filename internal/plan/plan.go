@@ -537,7 +537,7 @@ func (e *Executor) applyGroup(items []*groupItem) {
 		// transaction is free.
 		return
 	}
-	if err := e.gc.commit(txn, nil); err != nil {
+	if err := e.commit(txn, nil); err != nil {
 		failAll(err)
 		return
 	}

@@ -79,13 +79,13 @@ UPDATE $book { INSERT <review><reviewid>%d</reviewid><comment>batch</comment></r
 }
 
 // TestApplyBatchGroupCommit: a batch commits all accepted updates under
-// ONE transaction and ONE redo flush, rejected updates roll back to
+// ONE transaction and ONE commit group, rejected updates roll back to
 // their own savepoints without disturbing siblings, and per-update
 // errors (parse failures) are reported in place.
 func TestApplyBatchGroupCommit(t *testing.T) {
 	e := newBookExec(t)
 	reviewsBefore := e.Exec.DB.RowCount("review")
-	flushesBefore := e.Exec.DB.RedoFlushes()
+	groupsBefore := e.Exec.DB.Stats().GroupCommits
 
 	batch := []string{
 		insertReview(801),
@@ -120,8 +120,8 @@ UPDATE $book { REPLACE $book/title WITH <title> </title> }`,
 	if got := e.Exec.DB.RowCount("review"); got != reviewsBefore+2 {
 		t.Errorf("review rows = %d, want %d (two accepted inserts)", got, reviewsBefore+2)
 	}
-	if flushes := e.Exec.DB.RedoFlushes() - flushesBefore; flushes != 1 {
-		t.Errorf("redo flushes = %d, want 1 (group commit)", flushes)
+	if groups := e.Exec.DB.Stats().GroupCommits - groupsBefore; groups != 1 {
+		t.Errorf("commit groups = %d, want 1 (one flush for the batch)", groups)
 	}
 	// The rejected duplicate's partial work must not survive.
 	ids, _ := e.Exec.DB.LookupEqual("review", []string{"reviewid"}, []relational.Value{relational.String_("801")})
@@ -142,7 +142,7 @@ func TestExecuteBatchGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushesBefore := e.Exec.DB.RedoFlushes()
+	groupsBefore := e.Exec.DB.Stats().GroupCommits
 	reviewsBefore := e.Exec.DB.RowCount("review")
 	// The insert template has one literal slot (the title predicate);
 	// the fragment is part of the template, so every tuple inserts the
@@ -165,8 +165,8 @@ func TestExecuteBatchGroupCommit(t *testing.T) {
 	if got := e.Exec.DB.RowCount("review"); got != reviewsBefore+1 {
 		t.Errorf("review rows = %d, want %d", got, reviewsBefore+1)
 	}
-	if flushes := e.Exec.DB.RedoFlushes() - flushesBefore; flushes != 1 {
-		t.Errorf("redo flushes = %d, want 1", flushes)
+	if groups := e.Exec.DB.Stats().GroupCommits - groupsBefore; groups != 1 {
+		t.Errorf("commit groups = %d, want 1", groups)
 	}
 }
 

@@ -153,9 +153,9 @@ func (td *tableData) markDirtyRow(id RowID) {
 // ErrWriteConflict (no waiting, hence no deadlocks), and commits
 // publish under a separate short commit latch — so independent
 // transactions execute their probes, checks and row operations in
-// parallel and serialize only for the microseconds of stamping and the
-// shared write-ahead-log flush (which CommitGroup amortizes over
-// concurrently committing transactions).
+// parallel and serialize only for the microseconds of stamping; the
+// write-ahead-log flush happens off the latch, in the WAL writer stage,
+// which amortizes one fsync over every commit that queued meanwhile.
 //
 // The structural latch (mu) protects the row maps, order slices and
 // index buckets. Writers hold it for one row operation; readers hold
@@ -189,10 +189,12 @@ type Database struct {
 	// statement or transaction.
 	mu sync.RWMutex
 
-	// commitMu serializes the publish phase of commits: assigning
-	// commit sequences, replacing claim stamps and flushing the
-	// write-ahead log. It is never held during a transaction's reads,
-	// probes or row operations — only for the stamping walk itself.
+	// commitMu serializes the stamping phase of commits: assigning commit
+	// sequences, replacing claim stamps and enqueueing the group's record
+	// to the WAL writer stage (so queue order is sequence order). It is
+	// never held during a transaction's reads, probes or row operations,
+	// nor across a plain commit's fsync; only a 2PC prepare holds it until
+	// Publish/Abort.
 	commitMu sync.Mutex
 
 	// commitSeq is the last committed sequence number; snapshots and
@@ -202,8 +204,8 @@ type Database struct {
 	commitSeq atomic.Uint64
 
 	// stampSeq is the last commit sequence ASSIGNED, always >= commitSeq.
-	// Under the pipelined commit path a group's sequences are assigned
-	// and its claim stamps replaced under commitMu (advancing stampSeq),
+	// A group's sequences are assigned and its claim stamps replaced
+	// under commitMu (advancing stampSeq),
 	// while commitSeq — the visibility gate — advances only after the
 	// group's WAL record is fsynced, in strict group order. Between the
 	// two, the group's versions exist but are invisible (their begins
@@ -246,27 +248,12 @@ type Database struct {
 	// goroutines may be mutating the database.
 	StatementsExecuted int64
 
-	// redo is the write-ahead log buffer. Every DML statement appends a
-	// statement record and every touched row appends a row image, as a
-	// disk-backed engine would; reads never log. This asymmetry between
-	// DML and probe queries is what the outside strategy exploits
-	// (Fig. 17: a suppressed zero-row DELETE also skips its logging).
-	// The buffer has its own latch (redoMu) because appenders hold the
-	// structural latch while committers flush under the commit latch —
-	// without its own guard the two would race. redoOps and redoBytes
-	// are the cumulative record/byte counters, maintained atomically so
-	// statistics reads never block.
-	redoMu      sync.Mutex
-	redo        []byte
-	redoOps     atomic.Int64
-	redoBytes   atomic.Int64
-	redoFlushes atomic.Int64
-
 	// wal is the durable write-ahead log, attached by OpenWAL; nil keeps
-	// the engine fully in-memory (the redo buffer above then only models
-	// flush cost). When set, CommitGroup appends one fsynced record per
-	// group before publishing, and walRecoveredTxns remembers how many
-	// committed transactions the attach-time recovery replayed.
+	// the engine fully in-memory (commits then publish inline under the
+	// commit latch). When set, every commit group's record is written and
+	// fsynced by the WAL writer stage before the group publishes, and
+	// walRecoveredTxns remembers how many committed transactions the
+	// attach-time recovery replayed.
 	wal              *WAL
 	walRecoveredTxns atomic.Int64
 }
@@ -309,47 +296,6 @@ func (db *Database) StatementsExecutedTotal() int64 {
 	return atomic.LoadInt64(&db.StatementsExecuted)
 }
 
-// RedoBytes atomically reads the cumulative number of bytes appended to
-// the write-ahead log since creation (flush truncations do not reset
-// it).
-func (db *Database) RedoBytes() int64 { return db.redoBytes.Load() }
-
-// RedoRecords atomically reads the number of log records appended.
-func (db *Database) RedoRecords() int64 { return db.redoOps.Load() }
-
-// RedoFlushes atomically reads the number of write-ahead-log flushes:
-// one per commit group (the cost group commit amortizes over
-// concurrently committing transactions) plus buffer-overflow flushes.
-func (db *Database) RedoFlushes() int64 { return db.redoFlushes.Load() }
-
-// flushRedo models a log flush: the buffer is forced out (truncated
-// here) and the flush counter advances. Called once per commit group
-// and when the buffer overflows.
-func (db *Database) flushRedo() {
-	db.redoMu.Lock()
-	db.flushRedoLocked()
-	db.redoMu.Unlock()
-}
-
-// flushRedoLocked is flushRedo for callers already holding redoMu.
-func (db *Database) flushRedoLocked() {
-	db.redoFlushes.Add(1)
-	db.redo = db.redo[:0]
-}
-
-// flushWAL makes a commit group durable: the model redo buffer flushes
-// (preserving the cost accounting the benchmarks read) and, when a
-// durable WAL is attached, the group's record is appended and fsynced.
-// Called under commitMu before any of the group's stamps publish; an
-// error here means NONE of the group's transactions may commit.
-func (db *Database) flushWAL(xid uint64, live []*Txn) error {
-	db.flushRedo()
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.appendGroup(xid, live)
-}
-
 // DBStats is a point-in-time snapshot of the database's statistics
 // counters. Every field is read atomically (or under its own short
 // mutex), so a snapshot may be taken while other goroutines are
@@ -357,12 +303,6 @@ func (db *Database) flushWAL(xid uint64, live []*Txn) error {
 type DBStats struct {
 	// StatementsExecuted counts DML statements since creation.
 	StatementsExecuted int64 `json:"statements_executed"`
-	// RedoRecords counts write-ahead log records appended.
-	RedoRecords int64 `json:"redo_records"`
-	// RedoBytes counts cumulative write-ahead log bytes appended.
-	RedoBytes int64 `json:"redo_bytes"`
-	// RedoFlushes counts write-ahead log flushes (one per commit group).
-	RedoFlushes int64 `json:"redo_flushes"`
 	// SnapshotsActive is the number of currently pinned snapshots.
 	SnapshotsActive int64 `json:"snapshots_active"`
 	// SnapshotsOpened counts snapshots ever pinned.
@@ -381,8 +321,10 @@ type DBStats struct {
 	// Conflicts counts write-write conflicts detected
 	// (first-updater-wins losers).
 	Conflicts int64 `json:"conflicts"`
-	// GroupCommits counts commit groups published (each paying one
-	// write-ahead-log flush).
+	// GroupCommits counts commit groups published, each paying one
+	// flush: with a WAL, one per writer-stage batch that was fsynced
+	// (every commit that queued behind the previous fsync shares it);
+	// without one, one per CommitGroup call.
 	GroupCommits int64 `json:"group_commits"`
 	// GroupedTxns counts transactions committed through those groups;
 	// GroupedTxns/GroupCommits is the mean commit-coalescing factor.
@@ -406,8 +348,8 @@ type DBStats struct {
 	// recycle free list instead of fresh file creation.
 	WALRecycledSegments int64 `json:"wal_recycled_segments"`
 	// WALPipelineDepth is the number of commit groups currently queued or
-	// in flight in the WAL writer stage (always 0 when the pipeline is
-	// disabled or no WAL is attached).
+	// in flight in the WAL writer stage (always 0 when no WAL is
+	// attached).
 	WALPipelineDepth int64 `json:"wal_pipeline_depth"`
 	// CheckpointDeltaChainLen is the number of incremental checkpoint
 	// (delta) files currently layered on the base image.
@@ -435,9 +377,6 @@ func (db *Database) Stats() DBStats {
 	db.snapMu.Unlock()
 	st := DBStats{
 		StatementsExecuted: db.StatementsExecutedTotal(),
-		RedoRecords:        db.redoOps.Load(),
-		RedoBytes:          db.redoBytes.Load(),
-		RedoFlushes:        db.redoFlushes.Load(),
 		SnapshotsActive:    active,
 		SnapshotsOpened:    db.snapshotsOpened.Load(),
 		VersionsReclaimed:  db.versionsReclaimed.Load(),
@@ -470,47 +409,6 @@ func (db *Database) Stats() DBStats {
 		}
 	}
 	return st
-}
-
-// appendRedo logs one record. The buffer is truncated periodically so
-// long benchmark runs do not grow memory without bound; the append cost
-// (the part a real engine pays per statement) is preserved.
-func (db *Database) appendRedo(kind byte, table string, id RowID, values []Value) {
-	db.redoOps.Add(1)
-	db.redoMu.Lock()
-	n := len(db.redo)
-	db.redo = append(db.redo, kind)
-	db.redo = append(db.redo, table...)
-	var buf [8]byte
-	v := uint64(id)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	db.redo = append(db.redo, buf[:]...)
-	for _, val := range values {
-		db.redo = append(db.redo, val.EncodeKey()...)
-	}
-	db.redoBytes.Add(int64(len(db.redo) - n))
-	if len(db.redo) > 1<<20 {
-		db.flushRedoLocked() // buffer overflow forces a flush
-	}
-	db.redoMu.Unlock()
-}
-
-// LogStatement appends a statement-level WAL record, the bookkeeping a
-// disk-backed engine pays for every DML statement it executes — even
-// one that ends up matching zero rows. Probe queries never log; this is
-// the cost the outside strategy saves by suppressing empty deletes.
-func (db *Database) LogStatement(sql string) {
-	db.redoOps.Add(1)
-	db.redoBytes.Add(int64(1 + len(sql)))
-	db.redoMu.Lock()
-	db.redo = append(db.redo, 'S')
-	db.redo = append(db.redo, sql...)
-	if len(db.redo) > 1<<20 {
-		db.flushRedoLocked()
-	}
-	db.redoMu.Unlock()
 }
 
 // NewDatabase creates an empty database for the schema, building hash
@@ -1125,7 +1023,6 @@ func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (Ro
 	for _, ix := range td.indexes {
 		ix.insert(id, row)
 	}
-	db.appendRedo('I', table, id, row)
 	t.recordInsert(table, id, v)
 	return id, nil
 }
@@ -1237,7 +1134,6 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 	td.live--
 	db.versionsSinceReclaim.Add(1)
 	deleted++
-	db.appendRedo('D', table, id, v.row.Values)
 	t.recordDelete(table, id, v)
 	return deleted, nil
 }
@@ -1307,7 +1203,6 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 	for _, ix := range td.indexes {
 		ix.insert(id, newVals) // buckets are id-sets: unchanged keys dedupe
 	}
-	db.appendRedo('U', table, id, newVals)
 	t.recordUpdate(table, id, nv)
 	return nil
 }

@@ -71,21 +71,17 @@ type Engine interface {
 	BeginTxn() WriteTxn
 	// OpenSnapshot pins a consistent point-in-time read view.
 	OpenSnapshot() Snap
-	// CommitShared publishes a batch of transactions that arrived at the
-	// group-commit scheduler together, coalescing log flushes where the
-	// engine can. It returns one error slot per member (nil = committed);
-	// members may succeed and fail independently when they land on
-	// different shards.
+	// CommitShared commits a batch of transactions, returning one error
+	// slot per member (nil = committed); members may succeed and fail
+	// independently when they land on different shards. The apply path
+	// does not use it — it calls WriteTxn.Commit and lets the WAL writer
+	// stage share flushes; it remains for callers holding several
+	// finished transactions at once.
 	CommitShared(txns []WriteTxn) []error
-	// LogStatement appends a statement-level redo record.
-	LogStatement(sql string)
 	// Statistics and maintenance.
 	Stats() DBStats
 	VersionStats() VersionStats
 	StatementsExecutedTotal() int64
-	RedoRecords() int64
-	RedoBytes() int64
-	RedoFlushes() int64
 	LastFsyncNanos() int64
 	FsyncHistogram() obs.Snapshot
 	CheckpointPauseHistogram() obs.Snapshot
@@ -106,9 +102,9 @@ func (db *Database) BeginTxn() WriteTxn { return db.Begin() }
 // OpenSnapshot pins a snapshot, typed as the Snap interface.
 func (db *Database) OpenSnapshot() Snap { return db.Snapshot() }
 
-// CommitShared publishes the batch under one commit latch acquisition
-// and one WAL flush (CommitGroup); every member shares the group's
-// fate, so the single error is broadcast to all slots.
+// CommitShared publishes the batch as one commit group (CommitGroup);
+// every member shares the group's fate, so the single error is
+// broadcast to all slots.
 func (db *Database) CommitShared(txns []WriteTxn) []error {
 	live := make([]*Txn, len(txns))
 	for i, t := range txns {

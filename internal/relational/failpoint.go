@@ -116,12 +116,12 @@ type failpointState struct {
 var fpArmed atomic.Int32
 
 var failpoints = map[string]*failpointState{
-	FpWALAppendBefore:    {},
-	FpWALAppendPartial:   {},
-	FpWALFsyncBefore:     {},
-	FpWALFsyncAfter:      {},
-	FpWALRotateSeal:      {},
-	FpWALRotateOpen:      {},
+	FpWALAppendBefore:       {},
+	FpWALAppendPartial:      {},
+	FpWALFsyncBefore:        {},
+	FpWALFsyncAfter:         {},
+	FpWALRotateSeal:         {},
+	FpWALRotateOpen:         {},
 	FpCheckpointWrite:       {},
 	FpCheckpointRename:      {},
 	FpCheckpointTruncate:    {},

@@ -73,12 +73,13 @@ func TestSavepointRollbackTo(t *testing.T) {
 	}
 }
 
-// TestRedoFlushPerCommit: every commit flushes the write-ahead log
-// exactly once, so one transaction covering N statements pays one
-// flush — the group-commit accounting Stats exposes.
-func TestRedoFlushPerCommit(t *testing.T) {
+// TestOneGroupPerCommit: without a WAL every CommitGroup call is one
+// commit group, so one transaction covering N statements counts once —
+// the group-commit accounting Stats exposes.
+func TestOneGroupPerCommit(t *testing.T) {
 	db := savepointTestDB(t)
-	base := db.RedoFlushes()
+	groups := func() int64 { return db.Stats().GroupCommits }
+	base := groups()
 
 	txn := db.Begin()
 	for i := 20; i < 25; i++ {
@@ -89,10 +90,10 @@ func TestRedoFlushPerCommit(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.RedoFlushes() - base; got != 1 {
-		t.Errorf("flushes after one commit = %d, want 1", got)
+	if got := groups() - base; got != 1 {
+		t.Errorf("groups after one commit = %d, want 1", got)
 	}
-	// Five single-statement transactions: five flushes.
+	// Five single-statement transactions: five groups.
 	for i := 30; i < 35; i++ {
 		txn := db.Begin()
 		if _, err := txn.Insert("item", map[string]Value{"id": Int_(int64(i)), "name": String_("y")}); err != nil {
@@ -102,13 +103,10 @@ func TestRedoFlushPerCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db.RedoFlushes() - base; got != 6 {
-		t.Errorf("flushes = %d, want 6", got)
+	if got := groups() - base; got != 6 {
+		t.Errorf("groups = %d, want 6", got)
 	}
-	if db.Stats().RedoFlushes != db.RedoFlushes() {
-		t.Error("Stats().RedoFlushes disagrees with RedoFlushes()")
-	}
-	// A commit group publishing N transactions still flushes once.
+	// A commit group publishing N transactions still counts once.
 	t1, t2, t3 := db.Begin(), db.Begin(), db.Begin()
 	for i, tx := range []*Txn{t1, t2, t3} {
 		if _, err := tx.Insert("item", map[string]Value{"id": Int_(int64(40 + i)), "name": String_("g")}); err != nil {
@@ -118,10 +116,10 @@ func TestRedoFlushPerCommit(t *testing.T) {
 	if err := db.CommitGroup(t1, t2, t3); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.RedoFlushes() - base; got != 7 {
-		t.Errorf("flushes after a 3-txn commit group = %d, want 7", got)
+	if got := groups() - base; got != 7 {
+		t.Errorf("groups after a 3-txn commit group = %d, want 7", got)
 	}
-	// Rollback does not flush.
+	// Rollback publishes nothing.
 	txn = db.Begin()
 	if _, err := txn.Insert("item", map[string]Value{"id": Int_(99), "name": String_("z")}); err != nil {
 		t.Fatal(err)
@@ -129,7 +127,7 @@ func TestRedoFlushPerCommit(t *testing.T) {
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.RedoFlushes() - base; got != 7 {
-		t.Errorf("rollback flushed: %d, want 7", got)
+	if got := groups() - base; got != 7 {
+		t.Errorf("rollback counted a group: %d, want 7", got)
 	}
 }

@@ -36,18 +36,16 @@ type undoEntry struct {
 // at its read sequence overlaid with its own uncommitted writes, so
 // probes inside the transaction observe a stable snapshot plus their
 // own effects. A Txn must not be shared by concurrent goroutines
-// (hand-off between goroutines — as the group-commit scheduler does —
-// is fine when synchronized).
+// (a synchronized hand-off between goroutines is fine).
 //
 // Commit is two-phase: the validation happened eagerly at every write
 // (the claim checks), so commit only publishes — under the database's
 // commit latch it replaces every claim stamp with the next commit
-// sequence, flushes the write-ahead log, and advances the commit
-// sequence, making the transaction's effects visible to snapshot
+// sequence; once the commit record is durable the commit sequence
+// advances, making the transaction's effects visible to snapshot
 // readers atomically, or never (Rollback pops the uncommitted versions
-// off their chains). CommitGroup publishes many transactions under one
-// latch acquisition and ONE log flush — the group-commit primitive the
-// plan layer's scheduler drives.
+// off their chains). Flush sharing is the WAL writer stage's job (see
+// walpipeline.go): committers just call Commit.
 type Txn struct {
 	db      *Database
 	id      uint64 // stamps claims; txnMark(id) in begin/end fields
@@ -136,61 +134,65 @@ func errTxnFinished() error {
 }
 
 // Commit finishes the transaction: the undo log becomes the publish
-// list, the write-ahead log flushes once, and the commit sequence
+// list, the commit record becomes durable, and the commit sequence
 // advances, making every version the transaction created visible to
-// subsequent snapshots atomically. Equivalent to
-// db.CommitGroup(t) — use CommitGroup directly to share the flush
-// across concurrently committing transactions.
+// subsequent snapshots atomically. Equivalent to db.CommitGroup(t).
+// Concurrent committers share fsyncs without cooperating: the WAL writer
+// stage flushes whatever queued behind the previous fsync as one batch.
 func (t *Txn) Commit() error {
 	return t.db.CommitGroup(t)
 }
 
 // CommitGroup publishes any number of transactions under one commit
-// latch acquisition and ONE write-ahead log flush — the group-commit
-// primitive: N concurrently arriving committers pay one flush, not N.
-// Each transaction's effects still become visible atomically (the
-// commit sequence advances once per transaction, after all stamps of
-// the group are placed), and each transaction is all-or-nothing.
-// A transaction that already finished contributes an error without
-// disturbing its group siblings.
+// latch acquisition and one log record. Each transaction's effects
+// still become visible atomically (the commit sequence advances once,
+// after all stamps of the group are placed), and each transaction is
+// all-or-nothing. A transaction that already finished contributes an
+// error without disturbing its group siblings.
 //
-// With a durable WAL attached the group's record is appended and
-// fsynced BEFORE any stamp publishes — write-ahead discipline: nothing
-// becomes visible (let alone acknowledged) until it would survive a
-// crash. If the append or fsync fails, the entire group rolls back and
-// every member receives an error wrapping ErrWALFailed: a follower's
-// fate is the leader's flush, so the leader's I/O failure must reach
-// every follower rather than being swallowed.
+// With a durable WAL attached the commit latch covers only sequence
+// assignment and stamping: the encoded record is handed to the WAL
+// writer stage and the latch releases, so the next group validates and
+// stamps while this group's fsync is in flight. Nothing becomes visible
+// (let alone acknowledged) until it would survive a crash — the writer
+// advances commitSeq strictly in group order, only after each group's
+// record is durable. If the append or fsync fails, the entire group
+// rolls back and every member receives an error wrapping ErrWALFailed.
 //
-// When the WAL's pipelined writer stage is running (the default), the
-// commit latch covers only sequence assignment and stamping: the
-// encoded record is handed to the writer stage and the latch releases,
-// so the next group validates and stamps while this group's fsync is in
-// flight. Visibility still waits for the fsync — the writer advances
-// commitSeq strictly in group order, only after each group's record is
-// durable — so every contract above holds unchanged.
+// Without a WAL there is nothing to wait for: the group publishes
+// inline under the latch.
 func (db *Database) CommitGroup(txns ...*Txn) error {
-	if w := db.wal; w != nil && w.pipe != nil {
-		return db.commitPipelined(w, txns)
-	}
-	pg, err := db.PrepareGroup(0, txns)
+	pg, req, err := db.stampGroup(0, txns, false)
 	if err != nil {
 		return err
 	}
-	n := len(pg.live)
-	err = pg.Publish()
-	if n > 0 {
-		db.commitMaintenance()
+	if req == nil {
+		err = pg.Publish()
+	} else {
+		db.commitMu.Unlock()
+		if err := <-req.done; err != nil {
+			return err // already wraps ErrWALFailed; the writer rolled us back
+		}
+		err = pg.firstErr
 	}
+	db.commitMaintenance()
 	return err
 }
 
-// commitPipelined is CommitGroup through the WAL writer stage: encode
-// off-latch, stamp under the latch, enqueue, release the latch, then
-// wait for the writer's in-order durable publish (or rollback).
-func (db *Database) commitPipelined(w *WAL, txns []*Txn) error {
-	var firstErr error
-	live := make([]*Txn, 0, len(txns))
+// stampGroup is the one filter-and-stamp routine under CommitGroup and
+// PrepareGroup: it drops nil and already-finished members, assigns the
+// group's commit sequences under commitMu, replaces every claim stamp
+// and marks the written rows dirty. The stamps stay invisible until
+// commitSeq advances past them. With a WAL attached the group's record
+// — row images encoded before the latch, only the sequences spliced in
+// after — is enqueued to the writer stage and returned as req; the
+// caller decides whether to wait for req.done with the latch held (a
+// prepare) or released (a commit). Without a WAL req is nil.
+//
+// On success commitMu is HELD. On error the group has been undone, the
+// latch released, and the error wraps ErrWALFailed.
+func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*PreparedGroup, *walReq, error) {
+	pg := &PreparedGroup{db: db, live: make([]*Txn, 0, len(txns)), xid: xid}
 	for _, t := range txns {
 		if t == nil {
 			continue
@@ -198,30 +200,25 @@ func (db *Database) commitPipelined(w *WAL, txns []*Txn) error {
 		if t.done {
 			// Only the owning goroutine finishes a Txn, so this check
 			// needs no latch (the same reason Commit/Rollback don't).
-			if firstErr == nil {
-				firstErr = errTxnFinished()
+			if pg.firstErr == nil {
+				pg.firstErr = errTxnFinished()
 			}
 			continue
 		}
-		live = append(live, t)
+		pg.live = append(pg.live, t)
 	}
-	if len(live) == 0 {
-		return firstErr
-	}
-	// The expensive part of the record — every row image — is encoded
-	// before the latch; only the stamped sequences are spliced in later.
-	bodies := make([][]byte, len(live))
-	for i, t := range live {
-		bodies[i] = appendTxnOpsBody(nil, t)
-	}
-	req := &walReq{live: live, bodies: bodies, done: make(chan error, 1)}
-
-	db.commitMu.Lock()
-	if w.closed {
-		for _, t := range live {
-			t.done = true
+	live := pg.live
+	w := db.wal
+	var req *walReq
+	if w != nil && len(live) > 0 {
+		req = &walReq{xid: xid, live: live, bodies: make([][]byte, len(live)), prepare: prepare, done: make(chan error, 1)}
+		for i, t := range live {
+			req.bodies[i] = appendTxnOpsBody(nil, t)
 		}
-		return db.failPreparedLocked(live, ErrWALClosed)
+	}
+	db.commitMu.Lock()
+	if len(live) == 0 {
+		return pg, nil, nil
 	}
 	seq := db.stampSeq.Load()
 	for _, t := range live {
@@ -231,21 +228,22 @@ func (db *Database) commitPipelined(w *WAL, txns []*Txn) error {
 		t.publish(t.seq)
 	}
 	db.stampSeq.Store(seq)
+	pg.seq = seq
 	db.markDirtyGroupLocked(live)
-	if err := evalFailpoint(FpPipelineStampAfter); err != nil {
-		return db.failPreparedLocked(live, err)
+	if req == nil {
+		return pg, nil, nil
 	}
-	db.flushRedo()
+	if err := evalFailpoint(FpPipelineStampAfter); err != nil {
+		return nil, nil, db.failPreparedLocked(live, err)
+	}
+	if w.closed {
+		return nil, nil, db.failPreparedLocked(live, ErrWALClosed)
+	}
+	// Enqueued under commitMu, so queue order IS sequence order.
 	req.seq = seq
 	w.pipeDepth.Add(1)
 	w.pipe <- req
-	db.commitMu.Unlock()
-
-	if err := <-req.done; err != nil {
-		return err // already wraps ErrWALFailed; the writer rolled us back
-	}
-	db.commitMaintenance()
-	return firstErr
+	return pg, req, nil
 }
 
 // failPreparedLocked undoes a stamped-but-not-durable group under the
@@ -310,74 +308,23 @@ type PreparedGroup struct {
 // latch and returns an error wrapping ErrWALFailed, exactly like a
 // CommitGroup flush failure.
 func (db *Database) PrepareGroup(xid uint64, txns []*Txn) (*PreparedGroup, error) {
-	var firstErr error
-	live := make([]*Txn, 0, len(txns))
-	for _, t := range txns {
-		if t == nil {
-			continue
-		}
-		if t.done {
-			if firstErr == nil {
-				firstErr = errTxnFinished()
-			}
-			continue
-		}
-		live = append(live, t)
+	pg, req, err := db.stampGroup(xid, txns, true)
+	if err != nil {
+		return nil, err
 	}
-	w := db.wal
-	pipelined := w != nil && w.pipe != nil && len(live) > 0
-	var bodies [][]byte
-	if pipelined {
-		bodies = make([][]byte, len(live))
-		for i, t := range live {
-			bodies[i] = appendTxnOpsBody(nil, t)
+	if req != nil {
+		// Wait with the latch HELD: the ack means this group's record is
+		// durable and every earlier group has published, so Publish/Abort
+		// runs against a caught-up commit sequence and nothing else can
+		// stamp in between. commitMu is held throughout, which keeps a
+		// failed group atomic against concurrent committers; taking db.mu
+		// inside commitMu is safe because no path acquires them in the
+		// opposite order.
+		if err := <-req.done; err != nil {
+			return nil, db.failPreparedLocked(pg.live, err)
 		}
 	}
-	db.commitMu.Lock()
-	seq := db.stampSeq.Load()
-	for _, t := range live {
-		t.done = true
-		seq++
-		t.seq = seq
-		// Stamps are placed at prepare: they stay invisible until Publish
-		// advances commitSeq past them, and Abort (or a flush failure)
-		// undoes them before anything could observe the sequences.
-		t.publish(t.seq)
-	}
-	if len(live) > 0 {
-		db.stampSeq.Store(seq)
-		db.markDirtyGroupLocked(live)
-		if pipelined {
-			if err := evalFailpoint(FpPipelineStampAfter); err != nil {
-				return nil, db.failPreparedLocked(live, err)
-			}
-			if w.closed {
-				return nil, db.failPreparedLocked(live, ErrWALClosed)
-			}
-			db.flushRedo()
-			req := &walReq{xid: xid, live: live, bodies: bodies, seq: seq, prepare: true, done: make(chan error, 1)}
-			w.pipeDepth.Add(1)
-			w.pipe <- req
-			// Wait with the latch HELD: the ack means this group's record
-			// is durable and every earlier group has published, so
-			// Publish/Abort runs against a caught-up commit sequence and
-			// nothing else can stamp in between.
-			if err := <-req.done; err != nil {
-				return nil, db.failPreparedLocked(live, err)
-			}
-		} else {
-			if err := db.flushWAL(xid, live); err != nil {
-				// Nothing published yet: every version still carries only
-				// its pre-publish stamp, so the whole group can be undone
-				// exactly like a rollback. commitMu is held throughout,
-				// which keeps the failed group atomic against concurrent
-				// committers; taking db.mu inside commitMu is safe because
-				// no path acquires them in the opposite order.
-				return nil, db.failPreparedLocked(live, err)
-			}
-		}
-	}
-	return &PreparedGroup{db: db, live: live, seq: seq, xid: xid, firstErr: firstErr}, nil
+	return pg, nil
 }
 
 // Publish advances the commit sequence past the prepared group's
@@ -401,7 +348,10 @@ func (pg *PreparedGroup) Publish() error {
 		// group's versions (their begins exceed its sequence), one pinned
 		// after sees every committed transaction whole.
 		db.commitSeq.Store(pg.seq)
-		db.groupCommits.Add(1)
+		if db.wal == nil {
+			// With a WAL the writer stage counted the flush this group rode.
+			db.groupCommits.Add(1)
+		}
 		db.groupedTxns.Add(int64(len(pg.live)))
 	}
 	db.commitMu.Unlock()

@@ -18,11 +18,11 @@ import (
 	"repro/internal/pagestore"
 )
 
-// The write-ahead log turns the engine's in-memory redo model into real
-// durability: commit groups are encoded into length+CRC32-framed
-// records, appended to an append-only segment file and fsynced ONCE per
-// group (the cost group commit exists to amortize) before any of the
-// group's version stamps become visible. A process that dies at any
+// The write-ahead log makes commits durable: commit groups are encoded
+// into length+CRC32-framed records, appended to an append-only segment
+// file by the writer stage (walpipeline.go) and fsynced ONCE per drained
+// batch — the one place commits share a flush — before any of the
+// batch's version stamps become visible. A process that dies at any
 // instant — mid-write, between write and fsync, during rotation or
 // checkpointing — recovers at Open to exactly the set of transactions
 // whose commit record was durable: no lost acknowledged commits, no
@@ -77,7 +77,7 @@ const (
 	walTagXidGroup = 'X' // commit group tagged with a cross-shard xid
 )
 
-// Row-operation tags inside a group record, matching the redo model's.
+// Row-operation tags inside a group record.
 const (
 	walOpInsert = 'I'
 	walOpUpdate = 'U'
@@ -103,13 +103,6 @@ type WALOptions struct {
 	// single-shard commit — always replay. When nil, xid-tagged records
 	// replay unconditionally.
 	XidCommitted func(xid uint64) bool
-	// DisablePipeline forces the synchronous commit path: the committing
-	// goroutine holds the commit latch across write+fsync, exactly the
-	// pre-pipeline behavior. The default (false) runs a dedicated WAL
-	// writer stage so group N+1 validates and stamps while group N's
-	// fsync is in flight; the pre/post comparison in BENCH_commit.json
-	// flips this bit.
-	DisablePipeline bool
 	// CheckpointDeltaLimit bounds the page-directory log chain: each
 	// incremental checkpoint appends one directory record (dirty pages
 	// only) until this many accumulate, then the store folds the chain
@@ -192,15 +185,15 @@ type sealedSegment struct {
 	path  string
 }
 
-// WAL is the durable log attached to a Database by OpenWAL. Appends are
-// serialized by the database's commit latch (one group record per
-// CommitGroup); the small internal mutex only guards the sealed-segment
-// list, which checkpoints mutate outside that latch.
+// WAL is the durable log attached to a Database by OpenWAL. Group
+// records are enqueued under the database's commit latch and appended
+// by the single writer goroutine; the small internal mutex only guards
+// the sealed-segment list, which checkpoints mutate outside that latch.
 type WAL struct {
 	dir  string
 	opts WALOptions
 
-	f        *os.File // active segment; owned by the writer stage when the pipeline runs
+	f        *os.File // active segment; owned by the writer stage
 	segIndex uint64   // active segment's index
 	segBytes int64    // bytes appended to the active segment
 	closed   bool     // set by Close; guarded by commitMu like f
@@ -212,8 +205,7 @@ type WAL struct {
 	// pipe is the WAL writer stage's queue: commit groups are enqueued
 	// under commitMu (so queue order IS sequence order) and the writer
 	// goroutine writes, fsyncs and publishes them strictly in that
-	// order. nil when the pipeline is disabled (or no pipeline: the
-	// committing goroutine then appends synchronously under commitMu).
+	// order.
 	pipe       chan *walReq
 	writerDone chan struct{}
 	pipeDepth  atomic.Int64
@@ -239,8 +231,8 @@ type WAL struct {
 	chainLen     atomic.Int64 // published delta-chain length gauge
 
 	// fsyncHist records each commit-path fsync's duration; lastFsyncNs
-	// holds the most recent one so the group-commit leader can split a
-	// waiter's commit wait into publish time vs fsync time. ckptPauseHist
+	// holds the most recent one so a traced apply can split its commit
+	// wait into publish time vs fsync time. ckptPauseHist
 	// records each checkpoint pass's full duration — the stall the
 	// caller that triggered it (usually a commit piggybacking
 	// maybeCheckpoint) observes.
@@ -362,82 +354,15 @@ type walTxn struct {
 	ops []walOp
 }
 
-// walTxnsOf views a commit group's live transactions as walTxns. Each
-// transaction contributes its undo log — which doubles as its write
-// set: the created version (insert/update) carries the after-image, a
-// delete needs only the row address — in execution order, so replay
-// reproduces intra-transaction sequencing (insert→update→delete of the
-// same row) exactly. The value slices alias the versions' rows (no
-// copies); encoding happens before anything can mutate them.
-func walTxnsOf(live []*Txn) []walTxn {
-	out := make([]walTxn, 0, len(live))
-	for _, t := range live {
-		wt := walTxn{seq: t.seq, ops: make([]walOp, 0, len(t.log))}
-		for i := range t.log {
-			en := &t.log[i]
-			op := walOp{table: en.table, id: en.id}
-			switch en.kind {
-			case undoInsert:
-				op.kind = walOpInsert
-			case undoUpdate:
-				op.kind = walOpUpdate
-			case undoDelete:
-				op.kind = walOpDelete
-			}
-			if en.kind != undoDelete {
-				op.values = en.v.row.Values
-			}
-			wt.ops = append(wt.ops, op)
-		}
-		out = append(out, wt)
-	}
-	return out
-}
-
-// encodeGroupPayload serializes one commit group record. xid 0 keeps
-// the original 'G' format byte-for-byte; a cross-shard xid switches the
-// tag to 'X' and prefixes the xid, so logs written before sharding
-// existed still decode.
-func encodeGroupPayload(xid uint64, txns []walTxn) []byte {
-	return appendGroupPayload(make([]byte, 0, 256), xid, txns)
-}
-
-// appendGroupPayload is encodeGroupPayload into a caller-owned buffer —
-// the commit path hands it a pooled one so steady-state appends stop
-// allocating.
-func appendGroupPayload(b []byte, xid uint64, txns []walTxn) []byte {
-	if xid == 0 {
-		b = append(b, walTagGroup)
-	} else {
-		b = append(b, walTagXidGroup)
-		b = binary.AppendUvarint(b, xid)
-	}
-	b = binary.AppendUvarint(b, uint64(len(txns)))
-	for _, t := range txns {
-		b = binary.AppendUvarint(b, t.seq)
-		b = binary.AppendUvarint(b, uint64(len(t.ops)))
-		for _, op := range t.ops {
-			b = append(b, op.kind)
-			b = binary.AppendUvarint(b, uint64(len(op.table)))
-			b = append(b, op.table...)
-			b = binary.AppendUvarint(b, uint64(op.id))
-			if op.kind == walOpDelete {
-				continue
-			}
-			b = binary.AppendUvarint(b, uint64(len(op.values)))
-			for _, v := range op.values {
-				b = appendWALValue(b, v)
-			}
-		}
-	}
-	return b
-}
-
 // appendTxnOpsBody encodes one transaction's operations — everything in
 // the per-txn wire format EXCEPT the leading commit sequence, which is
-// not assigned yet. The pipelined commit path calls this BEFORE taking
-// the commit latch so the latch covers only validation and stamping;
-// assembleGroupPayload splices the sequences in afterwards.
+// not assigned yet. The undo log doubles as the write set: a created
+// version (insert/update) carries the after-image, a delete needs only
+// the row address, and execution order is kept so replay reproduces
+// intra-transaction sequencing (insert→update→delete of the same row)
+// exactly. stampGroup calls this BEFORE taking the commit latch so the
+// latch covers only validation and stamping; assembleGroupPayload
+// splices the sequences in afterwards.
 func appendTxnOpsBody(b []byte, t *Txn) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t.log)))
 	for i := range t.log {
@@ -466,8 +391,10 @@ func appendTxnOpsBody(b []byte, t *Txn) []byte {
 
 // assembleGroupPayload builds a commit-group record from pre-encoded
 // per-txn bodies plus the sequences stamped under the latch, appended
-// into a caller-owned (pooled) buffer. The output is byte-identical to
-// encodeGroupPayload on the same group.
+// into a caller-owned (pooled) buffer. xid 0 writes the original 'G'
+// format; a cross-shard xid switches the tag to 'X' and prefixes the
+// xid, so logs written before sharding existed still decode. The output
+// is byte-identical to the tests' reference encoder on the same group.
 func assembleGroupPayload(out []byte, xid uint64, live []*Txn, bodies [][]byte) []byte {
 	if xid == 0 {
 		out = append(out, walTagGroup)
@@ -568,15 +495,6 @@ func decodeGroupPayload(b []byte) ([]walTxn, error) {
 	return txns, nil
 }
 
-// frameRecord wraps a payload in the [len][crc][payload] frame.
-func frameRecord(payload []byte) []byte {
-	out := make([]byte, walFrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[walFrameHeaderSize:], payload)
-	return out
-}
-
 // walFramePool recycles the commit path's frame-encode buffers: one
 // Get/Put per group append instead of two fresh allocations (payload +
 // frame copy) per fsynced group. Buffers grow to the largest group seen
@@ -598,13 +516,13 @@ func finishFrame(frame []byte) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
-// appendGroupFrame encodes one framed group record into buf (which must
-// be empty): reserved header, payload appended in place, header
+// frameGroup encodes one framed group record into buf (which must be
+// empty): reserved header, payload assembled in place, header
 // backfilled — one buffer, no copies.
-func appendGroupFrame(buf []byte, xid uint64, txns []walTxn) []byte {
-	buf = appendGroupPayload(beginFrame(buf), xid, txns)
-	finishFrame(buf)
-	return buf
+func frameGroup(buf []byte, xid uint64, live []*Txn, bodies [][]byte) []byte {
+	frame := assembleGroupPayload(beginFrame(buf), xid, live, bodies)
+	finishFrame(frame)
+	return frame
 }
 
 // scanFrames walks a segment's bytes and returns the decoded group
@@ -640,81 +558,6 @@ func scanFrames(data []byte) (txns []walTxn, validOffset int64) {
 
 // ---- append path ------------------------------------------------------
 
-// appendGroup makes one commit group durable: rotate if the active
-// segment is full, write the framed record, fsync. Called with the
-// database's commit latch held; any error leaves the active segment
-// truncated back to its pre-append length so a failed group cannot
-// leave bytes a later recovery would misread as committed.
-func (w *WAL) appendGroup(xid uint64, live []*Txn) error {
-	if w.closed {
-		return ErrWALClosed
-	}
-	if w.segBytes >= w.opts.SegmentBytes {
-		if err := w.rotate(); err != nil {
-			return err
-		}
-	}
-	if err := evalFailpoint(FpWALAppendBefore); err != nil {
-		return err
-	}
-	bufp := walFramePool.Get().(*[]byte)
-	frame := appendGroupFrame((*bufp)[:0], xid, walTxnsOf(live))
-	defer func() {
-		*bufp = frame[:0]
-		walFramePool.Put(bufp)
-	}()
-	rest := frame
-	wrote := 0
-	if failpointFires(FpWALAppendPartial) {
-		// A torn write: half the frame reaches the file, then the fault
-		// fires (crash mode dies here, leaving the torn tail on disk for
-		// recovery to discard; error mode falls through to the truncate
-		// below).
-		n, werr := w.f.Write(rest[:len(rest)/2])
-		wrote += n
-		if err := fireFailpoint(FpWALAppendPartial); err != nil {
-			w.truncateActive(wrote)
-			return err
-		}
-		if werr != nil {
-			w.truncateActive(wrote)
-			return werr
-		}
-		rest = rest[len(rest)/2:]
-	}
-	n, err := w.f.Write(rest)
-	wrote += n
-	if err != nil {
-		w.truncateActive(wrote)
-		return err
-	}
-	if ferr := evalFailpoint(FpWALFsyncBefore); ferr != nil {
-		w.truncateActive(wrote)
-		return ferr
-	}
-	syncStart := time.Now()
-	if err := w.f.Sync(); err != nil {
-		w.truncateActive(wrote)
-		return err
-	}
-	fsyncNs := time.Since(syncStart).Nanoseconds()
-	w.fsyncHist.Record(fsyncNs)
-	w.lastFsyncNs.Store(fsyncNs)
-	w.fsyncs.Add(1)
-	if err := evalFailpoint(FpWALFsyncAfter); err != nil {
-		// The group IS durable at this point; error mode still fails the
-		// commit, so the harness can prove recovery replays a durable-
-		// but-unacknowledged group without the in-memory state ever
-		// having published it. Crash mode never returns.
-		w.truncateActive(wrote)
-		return err
-	}
-	w.segBytes += int64(wrote)
-	w.appends.Add(1)
-	w.bytes.Add(int64(wrote))
-	return nil
-}
-
 // truncateActive drops the bytes a failed append wrote. Best-effort: if
 // the truncate itself fails the next recovery's CRC scan still stops at
 // the torn frame.
@@ -726,8 +569,9 @@ func (w *WAL) truncateActive(wrote int) {
 	_, _ = w.f.Seek(w.segBytes, 0)
 }
 
-// rotate seals the active segment and opens the next. Called with the
-// commit latch held (from appendGroup or Checkpoint).
+// rotate seals the active segment and opens the next. Called by the
+// writer stage, or by Checkpoint while the writer is parked at its
+// barrier.
 func (w *WAL) rotate() error {
 	if err := evalFailpoint(FpWALRotateSeal); err != nil {
 		return err
@@ -885,8 +729,8 @@ func (w *WAL) Segments() int64 {
 // segments in order, and a torn tail (incomplete or CRC-failing final
 // record) is discarded. Otherwise the database's current contents
 // (e.g. a freshly seeded dataset) are checkpointed as the initial
-// durable image. Either way, every subsequent CommitGroup appends one
-// fsynced record before its transactions become visible.
+// durable image. Either way, every subsequent commit's record is
+// appended and fsynced before its transactions become visible.
 func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) {
 	if db.wal != nil {
 		return nil, fmt.Errorf("relational: database already has a WAL (dir %s)", db.wal.dir)
@@ -966,22 +810,15 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 		return nil, err
 	}
 	db.walRecoveredTxns.Store(info.ReplayedTxns)
-	if !w.opts.DisablePipeline {
-		w.pipe = make(chan *walReq, 128)
-		w.writerDone = make(chan struct{})
-		go w.writerLoop(db)
-	}
+	w.pipe = make(chan *walReq, 128)
+	w.writerDone = make(chan struct{})
+	go w.writerLoop(db)
 	if fresh {
 		// Fresh directory: the current (possibly pre-seeded) contents
 		// become the initial checkpoint, so recovery never needs to
 		// re-run dataset seeding.
 		if err := db.Checkpoint(); err != nil {
-			if w.pipe != nil {
-				req := &walReq{stop: true, done: make(chan error, 1)}
-				w.pipe <- req
-				<-req.done
-				<-w.writerDone
-			}
+			w.stopWriter()
 			db.wal = nil
 			w.f.Close()
 			store.Close()
@@ -1206,24 +1043,18 @@ func (db *Database) Checkpoint() error {
 		db.commitMu.Unlock()
 		return ErrWALClosed
 	}
-	var resume chan struct{}
-	if w.pipe != nil {
-		// Drain the writer stage: once the barrier reports ready, every
-		// enqueued group is durable and published (commitSeq has caught
-		// up to stampSeq) and the writer is parked until resume closes,
-		// so rotating the active segment cannot race its file handle.
-		b := &walBarrier{ready: make(chan struct{}), resume: make(chan struct{})}
-		w.pipe <- &walReq{barrier: b}
-		<-b.ready
-		resume = b.resume
-	}
+	// Drain the writer stage: once the barrier reports ready, every
+	// enqueued group is durable and published (commitSeq has caught up
+	// to stampSeq) and the writer is parked until resume closes, so
+	// rotating the active segment cannot race its file handle.
+	b := &walBarrier{ready: make(chan struct{}), resume: make(chan struct{})}
+	w.pipe <- &walReq{barrier: b}
+	<-b.ready
 	seq := db.commitSeq.Load()
 	snap := db.Snapshot()
 	dirty := db.swapDirtyRowsLocked()
 	err := w.rotate() // sealed segments now all precede seq
-	if resume != nil {
-		close(resume)
-	}
+	close(b.resume)
 	db.commitMu.Unlock()
 
 	fail := func(e error) error {
@@ -1302,7 +1133,7 @@ func (w *WAL) finishCheckpoint(seq uint64, supersede []sealedSegment) error {
 }
 
 // maybeCheckpoint runs a checkpoint when enough segments have sealed
-// since the last one (CommitGroup piggybacks it, like Reclaim).
+// since the last one (commits piggyback it, like Reclaim).
 func (db *Database) maybeCheckpoint() {
 	w := db.wal
 	if w == nil || w.opts.CheckpointEverySegments <= 0 {
@@ -1362,16 +1193,7 @@ func (db *Database) CloseWAL() error {
 		return nil
 	}
 	w.closed = true
-	if w.pipe != nil {
-		// Drain and stop the writer stage: every already-enqueued group
-		// is written, fsynced and published (or rolled back) before the
-		// stop request — necessarily last in the queue, since enqueues
-		// happen under the commitMu this function holds — acknowledges.
-		req := &walReq{stop: true, done: make(chan error, 1)}
-		w.pipe <- req
-		<-req.done
-		<-w.writerDone
-	}
+	w.stopWriter()
 	err := w.f.Sync()
 	if err == nil {
 		w.fsyncs.Add(1)
@@ -1409,9 +1231,9 @@ func (db *Database) FsyncHistogram() obs.Snapshot {
 }
 
 // LastFsyncNanos returns the duration of the most recent commit-path
-// WAL fsync, or 0 without a WAL. The group-commit leader reads it right
-// after CommitGroup returns to attribute fsync time within the commit
-// wait it observed.
+// WAL fsync, or 0 without a WAL. A traced apply reads it right after
+// its Commit returns to attribute fsync time within the commit wait it
+// observed.
 func (db *Database) LastFsyncNanos() int64 {
 	if db.wal == nil {
 		return 0

@@ -366,10 +366,9 @@ func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
 	}
 	defer DisableAllFailpoints()
 
-	// Two transactions committed as one group: the leader's fsync
-	// failure must fail BOTH (the regression this guards: the old
-	// flushRedo path had no error to surface, so followers could be
-	// acknowledged without durability).
+	// Two transactions committed as one group: the fsync failure must
+	// fail BOTH (the regression this guards: a flush with no error to
+	// surface, so a member could be acknowledged without durability).
 	t1 := db.Begin()
 	if _, err := t1.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("g1")}); err != nil {
 		t.Fatal(err)

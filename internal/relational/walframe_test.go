@@ -2,19 +2,53 @@ package relational
 
 import "testing"
 
+// stampedGroup builds a two-transaction group over the WAL test schema
+// — an insert, an update, a cascading delete — and assigns sequences
+// the way stampGroup would, without committing anything.
+func stampedGroup(t testing.TB) []*Txn {
+	t.Helper()
+	db := NewDatabase(walSchema(t))
+	mustInsertParent(t, db, 1, "base")
+	if _, err := db.Insert("child", map[string]Value{"id": Int_(9), "parent_id": Int_(1), "val": String_("c")}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := db.Begin(), db.Begin()
+	id, err := a.Insert("parent", map[string]Value{"id": Int_(7), "name": String_("alloc-check")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.UpdateRow("parent", id, map[string]Value{"name": String_("alloc-check-2")}); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := b.LookupEqual("parent", []string{"id"}, []Value{Int_(1)})
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("lookup parent 1: %v %v", ids, err)
+	}
+	if _, err := b.Delete("parent", ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	a.seq, b.seq = 42, 43
+	t.Cleanup(func() { _ = a.Rollback(); _ = b.Rollback() })
+	return []*Txn{a, b}
+}
+
+func txnBodies(live []*Txn) [][]byte {
+	bodies := make([][]byte, len(live))
+	for i, t := range live {
+		bodies[i] = appendTxnOpsBody(nil, t)
+	}
+	return bodies
+}
+
 // TestGroupFrameEncodeAllocs pins the commit path's framing cost: with
-// the pooled buffer warmed, encoding a framed group record allocates
-// nothing per append — the payload is built in place over the reserved
-// header instead of being encoded and then copied into a fresh frame.
+// the pooled buffer warmed, framing a group record allocates nothing
+// per append — the payload is built in place over the reserved header.
 func TestGroupFrameEncodeAllocs(t *testing.T) {
-	txns := []walTxn{{seq: 42, ops: []walOp{
-		{kind: walOpInsert, table: "parent", id: 7, values: []Value{Int_(7), String_("alloc-check")}},
-		{kind: walOpUpdate, table: "parent", id: 7, values: []Value{Int_(7), String_("alloc-check-2")}},
-		{kind: walOpDelete, table: "child", id: 9},
-	}}}
+	live := stampedGroup(t)
+	bodies := txnBodies(live)
 	encode := func() {
 		bufp := walFramePool.Get().(*[]byte)
-		b := appendGroupFrame((*bufp)[:0], 0, txns)
+		b := frameGroup((*bufp)[:0], 0, live, bodies)
 		*bufp = b[:0]
 		walFramePool.Put(bufp)
 	}
@@ -25,16 +59,16 @@ func TestGroupFrameEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestGroupFrameMatchesFrameRecord proves the in-place framing is
-// byte-identical to the original two-step encode+frame path that the
-// recovery scanner was built against.
-func TestGroupFrameMatchesFrameRecord(t *testing.T) {
-	txns := []walTxn{{seq: 3, ops: []walOp{
-		{kind: walOpInsert, table: "ledger", id: 1, values: []Value{Int_(10)}},
-	}}}
-	want := string(frameRecord(encodeGroupPayload(7, txns)))
-	got := string(appendGroupFrame(nil, 7, txns))
-	if got != want {
-		t.Fatalf("in-place frame diverges from frameRecord:\n got %q\nwant %q", got, want)
+// TestGroupFrameMatchesReference proves the commit path's split
+// encoding is byte-identical to the reference encode+frame path the
+// recovery scanner was built against, for plain and xid-tagged groups.
+func TestGroupFrameMatchesReference(t *testing.T) {
+	live := stampedGroup(t)
+	for _, xid := range []uint64{0, 7} {
+		want := string(frameRecord(encodeGroupPayload(xid, walTxnsOf(live))))
+		got := string(frameGroup(nil, xid, live, txnBodies(live)))
+		if got != want {
+			t.Fatalf("xid %d: commit-path frame diverges from the reference:\n got %q\nwant %q", xid, got, want)
+		}
 	}
 }

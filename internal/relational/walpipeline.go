@@ -6,8 +6,11 @@ import (
 	"time"
 )
 
-// The WAL writer stage decouples commit durability from the commit
-// latch. The committing goroutine encodes its group's record off-latch,
+// The WAL writer stage is the one place commits are batched, and it
+// decouples commit durability from the commit latch. There is no
+// scheduler above it: every committer calls Commit, and whatever queued
+// while the previous fsync ran is the next batch. The committing
+// goroutine encodes its group's record off-latch,
 // then under commitMu only validates, assigns sequences and replaces
 // claim stamps before handing the record to this stage and releasing
 // the latch — so group N+1 validates and stamps while group N's fsync
@@ -89,22 +92,28 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 	// point if the sync fails.
 	var unsynced []*walReq
 	durable := w.segBytes
+	flush := func() {
+		if len(unsynced) == 0 {
+			return
+		}
+		if err := w.syncActive(); err != nil {
+			w.truncateTo(durable)
+			for _, r := range unsynced {
+				r.err = err
+			}
+		} else {
+			durable = w.segBytes
+			// One commit group: every record this fsync made durable.
+			db.groupCommits.Add(1)
+		}
+		unsynced = unsynced[:0]
+	}
 	for _, req := range batch {
 		if req.barrier != nil || req.stop {
 			continue // barrier/stop are enqueued under commitMu, hence last
 		}
 		if w.segBytes >= w.opts.SegmentBytes {
-			if len(unsynced) > 0 {
-				if err := w.syncActive(); err != nil {
-					w.truncateTo(durable)
-					for _, r := range unsynced {
-						r.err = err
-					}
-				} else {
-					durable = w.segBytes
-				}
-				unsynced = unsynced[:0]
-			}
+			flush()
 			if err := w.rotate(); err != nil {
 				req.err = err
 				continue
@@ -117,14 +126,7 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 		}
 		unsynced = append(unsynced, req)
 	}
-	if len(unsynced) > 0 {
-		if err := w.syncActive(); err != nil {
-			w.truncateTo(durable)
-			for _, r := range unsynced {
-				r.err = err
-			}
-		}
-	}
+	flush()
 
 	// Phase B: resolve each request strictly in sequence order.
 	for i, req := range batch {
@@ -153,7 +155,6 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 				continue
 			}
 			db.commitSeq.Store(req.seq)
-			db.groupCommits.Add(1)
 			db.groupedTxns.Add(int64(len(req.live)))
 			for _, t := range req.live {
 				t.log = nil
@@ -168,6 +169,17 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 	return false
 }
 
+// stopWriter drains and stops the writer stage: every already-enqueued
+// group is written, fsynced and published (or rolled back) before the
+// stop request acknowledges. Callers hold commitMu or otherwise exclude
+// committers, so the stop request is necessarily last in the queue.
+func (w *WAL) stopWriter() {
+	req := &walReq{stop: true, done: make(chan error, 1)}
+	w.pipe <- req
+	<-req.done
+	<-w.writerDone
+}
+
 // writeFrame appends one group's framed record to the active segment
 // without syncing. On error the partial bytes are truncated away and
 // segBytes stays put, so the failure cannot corrupt later records.
@@ -176,8 +188,7 @@ func (w *WAL) writeFrame(req *walReq) error {
 		return err
 	}
 	bufp := walFramePool.Get().(*[]byte)
-	frame := assembleGroupPayload(beginFrame((*bufp)[:0]), req.xid, req.live, req.bodies)
-	finishFrame(frame)
+	frame := frameGroup((*bufp)[:0], req.xid, req.live, req.bodies)
 	defer func() {
 		*bufp = frame[:0]
 		walFramePool.Put(bufp)

@@ -20,12 +20,12 @@ UPDATE $book { INSERT <review><reviewid>%d</reviewid><comment>batch</comment></r
 
 // TestApplyBatchEndpoint: POST /views/{name}/apply-batch runs the
 // group-commit path, returns per-update verdicts in order, and the
-// view's stats report the batch plus one redo flush for its accepted
+// view's stats report the batch plus one commit group for its accepted
 // updates.
 func TestApplyBatchEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	v, _ := s.Registry.Get("book")
-	flushesBefore := v.Filter.Stats().Database.RedoFlushes
+	groupsBefore := v.Filter.Stats().Database.GroupCommits
 
 	resp, body := postJSON(t, ts.URL+"/views/book/apply-batch", map[string]any{
 		"updates": []string{
@@ -66,8 +66,8 @@ func TestApplyBatchEndpoint(t *testing.T) {
 	if st.Applies.Total != 4 || st.Applies.Accepted != 2 {
 		t.Errorf("applies = %+v", st.Applies)
 	}
-	if got := st.Filter.Database.RedoFlushes - flushesBefore; got != 1 {
-		t.Errorf("redo flushes = %d, want 1 (group commit)", got)
+	if got := st.Filter.Database.GroupCommits - groupsBefore; got != 1 {
+		t.Errorf("commit groups = %d, want 1 (one flush for the batch)", got)
 	}
 
 	// The stats JSON carries the live queue depth field.
@@ -80,7 +80,7 @@ func TestApplyBatchEndpoint(t *testing.T) {
 		t.Errorf("stats JSON missing queue_depth: %v", raw)
 	}
 
-	// Metrics expose the batch and flush counters.
+	// Metrics expose the batch and commit-group counters.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestApplyBatchEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		`ufilterd_apply_batches_total{view="book"} 1`,
-		`ufilterd_redo_flushes_total{view="book"}`,
+		`ufilterd_group_commits_total{view="book"}`,
 		`ufilterd_plan_cache_plans{view="book"}`,
 	} {
 		if !strings.Contains(mbody.String(), want) {

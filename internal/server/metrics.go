@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -11,144 +10,134 @@ import (
 	"repro/internal/ufilter"
 )
 
+// viewMetrics is the per-view part of /metrics, one row per family: the
+// name, help and kind it is exported under and how its sample is read
+// off a view's stats. Name and value live in the same row, so adding or
+// dropping a metric cannot shift another's value onto the wrong name.
+var viewMetrics = []struct {
+	name, help, kind string
+	sample           func(ViewStats) float64
+}{
+	{"ufilterd_checks_total", "Schema-level checks served.", "counter",
+		func(st ViewStats) float64 { return float64(st.Checks) }},
+	{"ufilterd_check_errors_total", "Checks that failed to parse or errored.", "counter",
+		func(st ViewStats) float64 { return float64(st.CheckErrors) }},
+	{"ufilterd_applies_total", "Full-pipeline applies executed.", "counter",
+		func(st ViewStats) float64 { return float64(st.Applies.Total) }},
+	{"ufilterd_applies_accepted_total", "Applies accepted and committed.", "counter",
+		func(st ViewStats) float64 { return float64(st.Applies.Accepted) }},
+	{"ufilterd_applies_rejected_total", "Applies rejected by the pipeline.", "counter",
+		func(st ViewStats) float64 { return float64(st.Applies.Rejected) }},
+	{"ufilterd_apply_batches_total", "Group-commit apply-batch calls.", "counter",
+		func(st ViewStats) float64 { return float64(st.Applies.Batches) }},
+	{"ufilterd_apply_queue_shed_total", "Applies shed with 429 by the concurrency limiter.", "counter",
+		func(st ViewStats) float64 { return float64(st.Queue.Shed) }},
+	{"ufilterd_apply_queue_depth", "Apply concurrency limiter capacity.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Queue.Depth) }},
+	{"ufilterd_apply_queue_in_flight", "Apply slots currently held.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Queue.InFlight) }},
+	{"ufilterd_apply_conflict_409_total", "Applies answered 409 after exhausting conflict retries.", "counter",
+		func(st ViewStats) float64 { return float64(st.Applies.Conflicted) }},
+	{"ufilterd_txn_conflicts_total", "Write-write conflicts detected by the engine (first-updater-wins losers).", "counter",
+		func(st ViewStats) float64 { return float64(st.TxnConflictsTotal) }},
+	{"ufilterd_txn_retries_total", "Apply attempts re-run after a write-write conflict.", "counter",
+		func(st ViewStats) float64 { return float64(st.TxnRetriesTotal) }},
+	{"ufilterd_txns_active", "Transactions currently open.", "gauge",
+		func(st ViewStats) float64 { return float64(st.TxnsActive) }},
+	{"ufilterd_txns_started_total", "Transactions ever begun (including autocommit statements).", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.TxnsStarted) }},
+	{"ufilterd_group_commits_total", "Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch).", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.GroupCommits) }},
+	{"ufilterd_grouped_txns_total", "Transactions committed through commit groups.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.GroupedTxns) }},
+	{"ufilterd_cache_hits_total", "Checks and applies answered off a resident plan (stored text verdict or bind-time derivation).", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Cache.Hits) }},
+	{"ufilterd_cache_misses_total", "Template compilations (the plan cache's only kind of miss).", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Cache.Misses) }},
+	{"ufilterd_cache_hit_rate", "hits/(hits+misses); ~1 once the traffic's templates are resident, whatever the values.", "gauge",
+		func(st ViewStats) float64 { return st.CacheHitRate }},
+	{"ufilterd_plan_cache_plans", "Compiled update plans currently cached: one per update template.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Cache.Plans) }},
+	{"ufilterd_plan_applies_total", "Applies executed off a cached compiled plan.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Cache.PlanApplies) }},
+	{"ufilterd_rows_scanned_total", "Rows visited by table scans.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Executor.RowsScanned) }},
+	{"ufilterd_index_probes_total", "Index lookups issued.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Executor.IndexProbes) }},
+	{"ufilterd_statements_executed_total", "DML statements executed.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.StatementsExecuted) }},
+	{"ufilterd_wal_segments", "Durable WAL segment files currently live (0 without -data-dir).", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.WALSegments) }},
+	{"ufilterd_wal_bytes_total", "Bytes appended to durable WAL segments.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.WALBytes) }},
+	{"ufilterd_wal_fsyncs_total", "fsync calls issued by the durable WAL (commit batches, segment seals, checkpoint installs).", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.Fsyncs) }},
+	{"ufilterd_wal_checkpoints_total", "Durable WAL checkpoints installed.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.Checkpoints) }},
+	{"ufilterd_wal_recovery_replayed_txns", "Committed transactions replayed from the WAL at startup.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.RecoveryReplayedTxns) }},
+	{"ufilterd_wal_recycled_segments_total", "Active-segment opens served from the preallocated recycle pool.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.WALRecycledSegments) }},
+	{"ufilterd_wal_pipeline_depth", "Commit groups queued or in flight in the WAL writer stage.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.WALPipelineDepth) }},
+	{"ufilterd_checkpoint_delta_chain_len", "Incremental checkpoint deltas layered on the base image (worst shard).", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.CheckpointDeltaChainLen) }},
+	{"ufilterd_checkpoint_last_pause_seconds", "Duration of the most recent checkpoint pass (worst shard).", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.CheckpointLastPauseNs) / 1e9 }},
+	{"ufilterd_pagecache_hits_total", "Buffer-pool page reads served from memory.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.PagecacheHits) }},
+	{"ufilterd_pagecache_misses_total", "Buffer-pool page reads that faulted from disk.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.PagecacheMisses) }},
+	{"ufilterd_pagecache_evictions_total", "Buffer-pool frames evicted to stay within the budget.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.PagecacheEvictions) }},
+	{"ufilterd_pages_total", "Live pages in the checkpoint page store.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.PagesTotal) }},
+	{"ufilterd_compaction_pages_written_total", "Pages written by checkpoint passes and directory folds.", "counter",
+		func(st ViewStats) float64 { return float64(st.Filter.Database.CompactionPagesWritten) }},
+	{"ufilterd_snapshots_active", "MVCC snapshots currently pinned.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Versions.SnapshotsActive) }},
+	{"ufilterd_snapshots_opened_total", "MVCC snapshots ever pinned.", "counter",
+		func(st ViewStats) float64 { return float64(st.Versions.SnapshotsOpened) }},
+	{"ufilterd_versions_reclaimed_total", "Row versions freed by the MVCC reclaimer.", "counter",
+		func(st ViewStats) float64 { return float64(st.Versions.VersionsReclaimed) }},
+	{"ufilterd_version_reclaims_total", "MVCC reclaim passes (inline and background).", "counter",
+		func(st ViewStats) float64 { return float64(st.Versions.Reclaims) }},
+	{"ufilterd_row_versions", "Row versions currently stored, including history.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Versions.Versions) }},
+	{"ufilterd_version_chain_depth_max", "Longest row version chain (1 = no history).", "gauge",
+		func(st ViewStats) float64 { return float64(st.Versions.MaxChainDepth) }},
+	{"ufilterd_rows_total", "Rows visible through a snapshot pinned for this scrape.", "gauge",
+		func(st ViewStats) float64 { return float64(st.RowsTotal) }},
+	{"ufilterd_commit_seq", "Last committed MVCC sequence number.", "gauge",
+		func(st ViewStats) float64 { return float64(st.Versions.CommitSeq) }},
+	{"ufilterd_shards", "Storage shards backing the view (1 = unsharded).", "gauge",
+		func(st ViewStats) float64 { return float64(st.Shards) }},
+}
+
 // handleMetrics renders every view's counters as Prometheus-style
 // text (gauge/counter lines with a view label), hand-rolled so the
 // daemon stays dependency-free.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
-	type metric struct {
-		name, help, kind string
-		values           map[string]float64 // label value -> sample
-	}
-	metrics := []metric{
-		{"ufilterd_checks_total", "Schema-level checks served.", "counter", map[string]float64{}},
-		{"ufilterd_check_errors_total", "Checks that failed to parse or errored.", "counter", map[string]float64{}},
-		{"ufilterd_applies_total", "Full-pipeline applies executed.", "counter", map[string]float64{}},
-		{"ufilterd_applies_accepted_total", "Applies accepted and committed.", "counter", map[string]float64{}},
-		{"ufilterd_applies_rejected_total", "Applies rejected by the pipeline.", "counter", map[string]float64{}},
-		{"ufilterd_apply_batches_total", "Group-commit apply-batch calls.", "counter", map[string]float64{}},
-		{"ufilterd_apply_queue_shed_total", "Applies shed with 429 by the concurrency limiter.", "counter", map[string]float64{}},
-		{"ufilterd_apply_queue_depth", "Apply concurrency limiter capacity.", "gauge", map[string]float64{}},
-		{"ufilterd_apply_queue_in_flight", "Apply slots currently held.", "gauge", map[string]float64{}},
-		{"ufilterd_apply_conflict_409_total", "Applies answered 409 after exhausting conflict retries.", "counter", map[string]float64{}},
-		{"ufilterd_txn_conflicts_total", "Write-write conflicts detected by the engine (first-updater-wins losers).", "counter", map[string]float64{}},
-		{"ufilterd_txn_retries_total", "Apply attempts re-run after a write-write conflict.", "counter", map[string]float64{}},
-		{"ufilterd_txns_active", "Transactions currently open.", "gauge", map[string]float64{}},
-		{"ufilterd_txns_started_total", "Transactions ever begun (including autocommit statements).", "counter", map[string]float64{}},
-		{"ufilterd_group_commits_total", "Commit groups published (one WAL flush each).", "counter", map[string]float64{}},
-		{"ufilterd_grouped_txns_total", "Transactions committed through commit groups.", "counter", map[string]float64{}},
-		{"ufilterd_cache_hits_total", "Checks and applies answered off a resident plan (stored text verdict or bind-time derivation).", "counter", map[string]float64{}},
-		{"ufilterd_cache_misses_total", "Template compilations (the plan cache's only kind of miss).", "counter", map[string]float64{}},
-		{"ufilterd_cache_hit_rate", "hits/(hits+misses); ~1 once the traffic's templates are resident, whatever the values.", "gauge", map[string]float64{}},
-		{"ufilterd_plan_cache_plans", "Compiled update plans currently cached: one per update template.", "gauge", map[string]float64{}},
-		{"ufilterd_plan_applies_total", "Applies executed off a cached compiled plan.", "counter", map[string]float64{}},
-		{"ufilterd_rows_scanned_total", "Rows visited by table scans.", "counter", map[string]float64{}},
-		{"ufilterd_index_probes_total", "Index lookups issued.", "counter", map[string]float64{}},
-		{"ufilterd_statements_executed_total", "DML statements executed.", "counter", map[string]float64{}},
-		{"ufilterd_redo_records_total", "Write-ahead log records appended.", "counter", map[string]float64{}},
-		{"ufilterd_redo_bytes_total", "Write-ahead log bytes appended.", "counter", map[string]float64{}},
-		{"ufilterd_redo_flushes_total", "Write-ahead log flushes (group commit amortizes these).", "counter", map[string]float64{}},
-		{"ufilterd_wal_segments", "Durable WAL segment files currently live (0 without -data-dir).", "gauge", map[string]float64{}},
-		{"ufilterd_wal_bytes_total", "Bytes appended to durable WAL segments.", "counter", map[string]float64{}},
-		{"ufilterd_wal_fsyncs_total", "fsync calls issued by the durable WAL (one per commit group).", "counter", map[string]float64{}},
-		{"ufilterd_wal_checkpoints_total", "Durable WAL checkpoints installed.", "counter", map[string]float64{}},
-		{"ufilterd_wal_recovery_replayed_txns", "Committed transactions replayed from the WAL at startup.", "gauge", map[string]float64{}},
-		{"ufilterd_wal_recycled_segments_total", "Active-segment opens served from the preallocated recycle pool.", "counter", map[string]float64{}},
-		{"ufilterd_wal_pipeline_depth", "Commit groups queued or in flight in the WAL writer stage.", "gauge", map[string]float64{}},
-		{"ufilterd_checkpoint_delta_chain_len", "Incremental checkpoint deltas layered on the base image (worst shard).", "gauge", map[string]float64{}},
-		{"ufilterd_checkpoint_last_pause_seconds", "Duration of the most recent checkpoint pass (worst shard).", "gauge", map[string]float64{}},
-		{"ufilterd_pagecache_hits_total", "Buffer-pool page reads served from memory.", "counter", map[string]float64{}},
-		{"ufilterd_pagecache_misses_total", "Buffer-pool page reads that faulted from disk.", "counter", map[string]float64{}},
-		{"ufilterd_pagecache_evictions_total", "Buffer-pool frames evicted to stay within the budget.", "counter", map[string]float64{}},
-		{"ufilterd_pages_total", "Live pages in the checkpoint page store.", "gauge", map[string]float64{}},
-		{"ufilterd_compaction_pages_written_total", "Pages written by checkpoint passes and directory folds.", "counter", map[string]float64{}},
-		{"ufilterd_snapshots_active", "MVCC snapshots currently pinned.", "gauge", map[string]float64{}},
-		{"ufilterd_snapshots_opened_total", "MVCC snapshots ever pinned.", "counter", map[string]float64{}},
-		{"ufilterd_versions_reclaimed_total", "Row versions freed by the MVCC reclaimer.", "counter", map[string]float64{}},
-		{"ufilterd_version_reclaims_total", "MVCC reclaim passes (inline and background).", "counter", map[string]float64{}},
-		{"ufilterd_row_versions", "Row versions currently stored, including history.", "gauge", map[string]float64{}},
-		{"ufilterd_version_chain_depth_max", "Longest row version chain (1 = no history).", "gauge", map[string]float64{}},
-		{"ufilterd_rows_total", "Rows visible through a snapshot pinned for this scrape.", "gauge", map[string]float64{}},
-		{"ufilterd_commit_seq", "Last committed MVCC sequence number.", "gauge", map[string]float64{}},
-		{"ufilterd_shards", "Storage shards backing the view (1 = unsharded).", "gauge", map[string]float64{}},
-	}
+	views := s.Registry.Views() // sorted by name
+	stats := make([]ViewStats, len(views))
 	var shardStats []struct {
 		view  string
 		stats []relational.ShardStat
 	}
-	for _, v := range s.Registry.Views() {
-		st := v.Stats()
-		samples := []float64{
-			float64(st.Checks),
-			float64(st.CheckErrors),
-			float64(st.Applies.Total),
-			float64(st.Applies.Accepted),
-			float64(st.Applies.Rejected),
-			float64(st.Applies.Batches),
-			float64(st.Queue.Shed),
-			float64(st.Queue.Depth),
-			float64(st.Queue.InFlight),
-			float64(st.Applies.Conflicted),
-			float64(st.TxnConflictsTotal),
-			float64(st.TxnRetriesTotal),
-			float64(st.TxnsActive),
-			float64(st.Filter.Database.TxnsStarted),
-			float64(st.Filter.Write.GroupCommits),
-			float64(st.Filter.Write.GroupedTxns),
-			float64(st.Filter.Cache.Hits),
-			float64(st.Filter.Cache.Misses),
-			st.CacheHitRate,
-			float64(st.Filter.Cache.Plans),
-			float64(st.Filter.Cache.PlanApplies),
-			float64(st.Filter.Executor.RowsScanned),
-			float64(st.Filter.Executor.IndexProbes),
-			float64(st.Filter.Database.StatementsExecuted),
-			float64(st.Filter.Database.RedoRecords),
-			float64(st.Filter.Database.RedoBytes),
-			float64(st.Filter.Database.RedoFlushes),
-			float64(st.Filter.Database.WALSegments),
-			float64(st.Filter.Database.WALBytes),
-			float64(st.Filter.Database.Fsyncs),
-			float64(st.Filter.Database.Checkpoints),
-			float64(st.Filter.Database.RecoveryReplayedTxns),
-			float64(st.Filter.Database.WALRecycledSegments),
-			float64(st.Filter.Database.WALPipelineDepth),
-			float64(st.Filter.Database.CheckpointDeltaChainLen),
-			float64(st.Filter.Database.CheckpointLastPauseNs) / 1e9,
-			float64(st.Filter.Database.PagecacheHits),
-			float64(st.Filter.Database.PagecacheMisses),
-			float64(st.Filter.Database.PagecacheEvictions),
-			float64(st.Filter.Database.PagesTotal),
-			float64(st.Filter.Database.CompactionPagesWritten),
-			float64(st.Versions.SnapshotsActive),
-			float64(st.Versions.SnapshotsOpened),
-			float64(st.Versions.VersionsReclaimed),
-			float64(st.Versions.Reclaims),
-			float64(st.Versions.Versions),
-			float64(st.Versions.MaxChainDepth),
-			float64(st.RowsTotal),
-			float64(st.Versions.CommitSeq),
-			float64(st.Shards),
-		}
-		for i := range metrics {
-			metrics[i].values[v.Name] = samples[i]
-		}
-		if len(st.ShardStats) > 0 {
+	for i, v := range views {
+		stats[i] = v.Stats()
+		if len(stats[i].ShardStats) > 0 {
 			shardStats = append(shardStats, struct {
 				view  string
 				stats []relational.ShardStat
-			}{v.Name, st.ShardStats})
+			}{v.Name, stats[i].ShardStats})
 		}
 	}
-	for _, m := range metrics {
+	for _, m := range viewMetrics {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
-		labels := make([]string, 0, len(m.values))
-		for l := range m.values {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			fmt.Fprintf(&b, "%s{view=%q} %g\n", m.name, l, m.values[l])
+		for i, v := range views {
+			fmt.Fprintf(&b, "%s{view=%q} %g\n", m.name, v.Name, m.sample(stats[i]))
 		}
 	}
 	writeShardMetrics(&b, shardStats)
@@ -159,8 +148,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // writeShardMetrics renders the per-shard series for sharded views as
-// its own block ({view,shard}-labelled), decoupled from the
-// order-sensitive samples array of the main table.
+// its own block ({view,shard}-labelled).
 func writeShardMetrics(b *strings.Builder, perView []struct {
 	view  string
 	stats []relational.ShardStat
@@ -243,10 +231,8 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 			func(v *View) obs.Snapshot { return planHist(v).Compile.Snapshot() }},
 		{"ufilterd_txn_retries_per_apply", "Conflict-retry attempts per finished apply (bucket 0 = conflict-free).",
 			func(v *View) obs.Snapshot { return planHist(v).Retries.Snapshot() }},
-		{"ufilterd_commit_wait_seconds", "Wait from group-commit enqueue to published acknowledgment, fsync included.",
+		{"ufilterd_commit_wait_seconds", "Wait inside an apply's Commit, from the call to the published acknowledgment, fsync included.",
 			func(v *View) obs.Snapshot { return planHist(v).CommitWait.Snapshot() }},
-		{"ufilterd_group_commit_txns", "Transactions coalesced per published commit group.",
-			func(v *View) obs.Snapshot { return planHist(v).GroupSize.Snapshot() }},
 		{"ufilterd_wal_fsync_seconds", "Durable WAL fsync duration per commit group (empty without -data-dir).",
 			func(v *View) obs.Snapshot { return v.Filter.Exec.DB.FsyncHistogram() }},
 		{"ufilterd_checkpoint_pause_seconds", "Checkpoint pass duration — O(dirty) under incremental checkpoints (empty without -data-dir).",

@@ -239,7 +239,6 @@ func TestMetricsHistogramFamilies(t *testing.T) {
 		"ufilterd_plan_compile_seconds",
 		"ufilterd_txn_retries_per_apply",
 		"ufilterd_commit_wait_seconds",
-		"ufilterd_group_commit_txns",
 		"ufilterd_wal_fsync_seconds",
 	} {
 		if !families[want] {
@@ -278,7 +277,7 @@ func TestMetricsHistogramFamilies(t *testing.T) {
 	for _, mustHave := range []string{
 		fmt.Sprintf(`ufilterd_request_duration_seconds|endpoint="apply",view="book"`),
 		fmt.Sprintf(`ufilterd_plan_compile_seconds|view="book"`),
-		fmt.Sprintf(`ufilterd_group_commit_txns|view="book"`),
+		fmt.Sprintf(`ufilterd_commit_wait_seconds|view="book"`),
 	} {
 		s := byKey[mustHave]
 		if s == nil || s.count == nil || *s.count == 0 {

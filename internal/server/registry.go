@@ -358,7 +358,7 @@ func (v *View) Apply(ctx context.Context, update string) (res *ufilter.Result, r
 
 // ApplyBatch admits a whole batch under ONE concurrency slot — the
 // batch is one transaction-sized unit of work — and runs it through
-// the filter's group-commit path (one shared transaction, one redo
+// the filter's group-commit path (one shared transaction, one log
 // flush for all accepted updates; conflicted items retry in follow-up
 // rounds). ok is false when the limiter is saturated. The per-update
 // wall time feeds the same drain-rate estimate single applies use.
@@ -437,7 +437,7 @@ type ApplyStats struct {
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
 	// Batches counts group-commit apply-batch calls (each covering
-	// many updates under one transaction and one redo flush).
+	// many updates under one transaction and one log flush).
 	Batches int64 `json:"batches"`
 	// Conflicted counts applies answered 409 Conflict (write-write
 	// conflict retries exhausted).

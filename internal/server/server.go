@@ -15,7 +15,7 @@
 // makes the read path lock-free). Full-pipeline applies
 // (POST /views/{name}/apply) run CONCURRENTLY, each in its own MVCC
 // transaction: independent updates commit in parallel with their
-// write-ahead-log flushes coalesced by the group-commit scheduler,
+// write-ahead-log flushes coalesced by the engine's WAL writer stage,
 // and two updates contending for the same rows resolve by
 // first-updater-wins with automatic retries — a request that exhausts
 // its retries is answered 409 Conflict. The server fronts each view
@@ -35,7 +35,7 @@
 //	POST /views/{name}/check-batch   worker-pool batch check
 //	POST /views/{name}/apply         full pipeline + execution
 //	POST /views/{name}/apply-batch   group-commit batch apply (one txn,
-//	                                 one redo flush for the whole batch)
+//	                                 one log flush for the whole batch)
 //	GET  /views/{name}/stats         ViewStats JSON
 //	GET  /views/{name}/slow          slowest recent request traces
 //	GET  /metrics                    Prometheus-style text, all views
@@ -370,7 +370,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 }
 
 // handleApplyBatch runs a batch of updates through the group-commit
-// apply path: one admission slot, one transaction, one redo flush for
+// apply path: one admission slot, one transaction, one log flush for
 // every accepted update in the batch. Per-update verdicts come back in
 // input order.
 func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request, v *View) {

@@ -12,109 +12,34 @@ import (
 	"repro/internal/relational"
 )
 
-// CommitShared publishes a batch of transactions that arrived at a
-// group-commit scheduler together. Members are partitioned by the set
-// of shards they dirtied:
-//
-//   - Single-shard members are bucketed per shard and each bucket
-//     commits through its shard's ordinary CommitGroup — one commit
-//     latch, one WAL flush — with the per-shard groups running in
-//     parallel goroutines, so the fsyncs of independent shards overlap.
-//     This is the tentpole's throughput path: disjoint writers pay one
-//     N-way-parallel flush instead of queueing on a global latch.
-//   - Cross-shard members commit one at a time through the ordered
-//     two-phase protocol below.
-//
-// The error slice has one slot per member; members on different shards
-// succeed and fail independently.
+// CommitShared commits each member through commitOne, in order, and
+// returns one error slot per member: members succeed and fail
+// independently, a nil member is skipped, and a transaction this group
+// did not begin is refused without disturbing its neighbours.
 func (db *DB) CommitShared(txns []relational.WriteTxn) []error {
 	if db.n == 1 {
 		return db.shards[0].CommitShared(txns)
 	}
 	errs := make([]error, len(txns))
-	perShard := make([][]int, db.n)
-	var cross []int
 	for i, wt := range txns {
-		if wt == nil {
-			continue
-		}
-		t, ok := wt.(*Txn)
-		if !ok {
-			errs[i] = fmt.Errorf("shard: CommitShared: foreign transaction type %T", wt)
-			continue
-		}
-		switch ds := t.dirtyShards(); len(ds) {
-		case 0:
-			// Read-only: commit the (empty) shard-0 sub for the normal
-			// lifecycle accounting, roll back the rest.
-			perShard[0] = append(perShard[0], i)
-		case 1:
-			perShard[ds[0]] = append(perShard[ds[0]], i)
+		switch t := wt.(type) {
+		case nil:
+		case *Txn:
+			errs[i] = db.commitOne(t)
 		default:
-			cross = append(cross, i)
+			errs[i] = fmt.Errorf("shard: CommitShared: foreign transaction type %T", wt)
 		}
-	}
-	commitBucket := func(s int, members []int) {
-		subs := make([]relational.WriteTxn, len(members))
-		for k, i := range members {
-			subs[k] = txns[i].(*Txn).subs[s]
-		}
-		subErrs := db.shards[s].CommitShared(subs)
-		for k, i := range members {
-			errs[i] = subErrs[k]
-			txns[i].(*Txn).finishExceptShard(s)
-		}
-	}
-	// Run the last non-empty bucket on the caller's goroutine: the
-	// overwhelmingly common shape — one transaction dirtying one shard
-	// — then commits with zero spawns and no handoff latency, and
-	// multi-bucket batches still overlap all but one flush.
-	var wg sync.WaitGroup
-	last := -1
-	for s := 0; s < db.n; s++ {
-		if len(perShard[s]) > 0 {
-			last = s
-		}
-	}
-	for s := 0; s < db.n; s++ {
-		members := perShard[s]
-		if len(members) == 0 || s == last {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, members []int) {
-			defer wg.Done()
-			commitBucket(s, members)
-		}(s, members)
-	}
-	if last >= 0 {
-		commitBucket(last, perShard[last])
-	}
-	wg.Wait()
-	// Cross-shard members run concurrently: prepares take shard latches
-	// in ascending order (deadlock-free), and their decide-point fsyncs
-	// batch through the coordinator log's group commit.
-	if n := len(cross); n > 0 {
-		var cwg sync.WaitGroup
-		for _, i := range cross[:n-1] {
-			cwg.Add(1)
-			go func(i int) {
-				defer cwg.Done()
-				errs[i] = db.commitCross(txns[i].(*Txn))
-			}(i)
-		}
-		errs[cross[n-1]] = db.commitCross(txns[cross[n-1]].(*Txn))
-		cwg.Wait()
 	}
 	return errs
 }
 
-// commitOne is Txn.Commit's synchronous path: CommitShared's
-// partitioning specialized to a single member, with no slice, map or
-// goroutine between the caller and the shard's commit latch — on one
-// core the per-commit CPU this saves comes straight out of the gap
-// between consecutive fsyncs, which is what bounds how deep the
-// per-shard flush streams actually overlap.
+// commitOne is Txn.Commit: it routes the transaction by the shards it
+// dirtied, with no slice, map or goroutine between the caller and the
+// shard's commit latch — on one core the per-commit CPU this saves
+// comes straight out of the gap between consecutive fsyncs, which is
+// what bounds how deep the per-shard flush streams actually overlap.
+// Disjoint writers overlap because each shard's WAL writer stage runs
+// its own fsync stream.
 func (db *DB) commitOne(t *Txn) error {
 	dirty, count := -1, 0
 	for i, sub := range t.subs {
@@ -126,7 +51,7 @@ func (db *DB) commitOne(t *Txn) error {
 	switch count {
 	case 0:
 		// Read-only: commit one acquired sub for the normal lifecycle
-		// accounting (matching the bucket path), roll back the rest.
+		// accounting, roll back the rest.
 		for i, sub := range t.subs {
 			if sub != nil {
 				err := db.shards[i].CommitGroup(sub)

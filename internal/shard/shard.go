@@ -634,10 +634,6 @@ func (db *DB) OpenSnapshot() relational.Snap {
 	return v
 }
 
-// LogStatement routes statement-level redo to shard 0 (statements are
-// group-level annotations, not row state; one copy suffices).
-func (db *DB) LogStatement(sql string) { db.shards[0].LogStatement(sql) }
-
 // Stats aggregates the per-shard rollups: counters sum; CommitSeq is
 // the sum of per-shard sequences — the same monotone logical clock
 // SnapVec.Seq reports.
@@ -646,9 +642,6 @@ func (db *DB) Stats() relational.DBStats {
 	for _, s := range db.shards {
 		st := s.Stats()
 		agg.StatementsExecuted += st.StatementsExecuted
-		agg.RedoRecords += st.RedoRecords
-		agg.RedoBytes += st.RedoBytes
-		agg.RedoFlushes += st.RedoFlushes
 		agg.SnapshotsActive += st.SnapshotsActive
 		agg.SnapshotsOpened += st.SnapshotsOpened
 		agg.VersionsReclaimed += st.VersionsReclaimed
@@ -706,30 +699,6 @@ func (db *DB) StatementsExecutedTotal() int64 {
 	var n int64
 	for _, s := range db.shards {
 		n += s.StatementsExecutedTotal()
-	}
-	return n
-}
-
-func (db *DB) RedoRecords() int64 {
-	var n int64
-	for _, s := range db.shards {
-		n += s.RedoRecords()
-	}
-	return n
-}
-
-func (db *DB) RedoBytes() int64 {
-	var n int64
-	for _, s := range db.shards {
-		n += s.RedoBytes()
-	}
-	return n
-}
-
-func (db *DB) RedoFlushes() int64 {
-	var n int64
-	for _, s := range db.shards {
-		n += s.RedoFlushes()
 	}
 	return n
 }

@@ -516,6 +516,80 @@ func TestConcurrentCrossShardCommits(t *testing.T) {
 	}
 }
 
+// TestCommitSharedMixedBatch: CommitShared commits each member on its
+// own — single-shard, cross-shard, read-only — skips a nil slot, refuses
+// a transaction the group did not begin and reports an already-finished
+// one, all without disturbing the neighbours, and leaves no
+// sub-transaction open behind it.
+func TestCommitSharedMixedBatch(t *testing.T) {
+	db, _ := newGroup(t, 4, Options{})
+	pubs := func(rd relational.Reader, id string) int {
+		ids, err := rd.LookupEqual("publisher", []string{"pubid"}, []relational.Value{relational.String_(id)})
+		if err != nil {
+			t.Fatalf("lookup %s: %v", id, err)
+		}
+		return len(ids)
+	}
+
+	single := db.BeginTxn()
+	onlyA := pubOnShard(db, 0, "MS-")
+	insertPub(t, single, onlyA, "Mixed single")
+
+	cross := db.BeginTxn()
+	crossA, crossB := pubOnShard(db, 1, "MXA-"), pubOnShard(db, 2, "MXB-")
+	insertPub(t, cross, crossA, "Mixed cross A")
+	insertPub(t, cross, crossB, "Mixed cross B")
+
+	readOnly := db.BeginTxn()
+	if n := pubs(readOnly, onlyA); n != 0 {
+		t.Fatalf("read-only txn sees %d uncommitted rows", n)
+	}
+
+	finished := db.BeginTxn()
+	insertPub(t, finished, pubOnShard(db, 3, "MF-"), "Mixed finished")
+	if err := finished.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	other, err := bookdb.NewDatabase(relational.DeleteCascade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := other.BeginTxn()
+	defer foreign.Rollback()
+
+	crossBefore := db.CrossCommits()
+	errs := db.CommitShared([]relational.WriteTxn{single, nil, cross, foreign, readOnly, finished})
+	if len(errs) != 6 {
+		t.Fatalf("got %d error slots, want 6", len(errs))
+	}
+	for i, name := range map[int]string{0: "single-shard", 1: "nil", 2: "cross-shard", 4: "read-only"} {
+		if errs[i] != nil {
+			t.Errorf("%s member: %v", name, errs[i])
+		}
+	}
+	if errs[3] == nil {
+		t.Error("foreign transaction type was accepted")
+	}
+	if errs[5] == nil {
+		t.Error("already-finished member committed twice")
+	}
+	for _, id := range []string{onlyA, crossA, crossB} {
+		if n := pubs(db, id); n != 1 {
+			t.Errorf("publisher %s visible %d times, want 1", id, n)
+		}
+	}
+	if got := db.CrossCommits() - crossBefore; got != 1 {
+		t.Errorf("cross-shard commits = %d, want 1", got)
+	}
+	if open := db.Stats().TxnsActive; open != 0 {
+		t.Errorf("%d sub-transactions left open", open)
+	}
+	if open := other.Stats().TxnsActive; open != 1 {
+		t.Errorf("foreign transaction was touched: %d open on its own database, want 1", open)
+	}
+}
+
 // TestParallelRecoveryAndPagedRollups reopens a 4-shard group and
 // checks the new paged-storage plumbing at the group level: every
 // shard reports its own recovery wall time (the group recovers shards

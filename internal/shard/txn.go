@@ -31,10 +31,10 @@ import (
 // mark time, so its implied mark is zero (the engine's marks are
 // operation counts).
 //
-// Commit routes through DB.CommitShared: a transaction that dirtied one
-// shard commits through that shard's ordinary group-commit path (one
-// latch, one fsync, parallel with other shards); one that dirtied
-// several commits through the ordered two-phase protocol in commit.go.
+// Commit routes by the shards the transaction dirtied: one shard commits
+// through that shard's ordinary commit pipeline (one latch, its WAL
+// writer stage's fsync, parallel with other shards); several commit
+// through the ordered two-phase protocol in commit.go.
 type Txn struct {
 	db   *DB
 	subs []*relational.Txn   // nil until the shard is first touched
@@ -206,8 +206,8 @@ func (t *Txn) Rollback() error {
 	return first
 }
 
-// Commit publishes through the group's shared-commit path (single-shard
-// fast path or cross-shard 2PC, chosen by which shards are dirty).
+// Commit publishes through the single-shard fast path or cross-shard
+// 2PC, chosen by which shards are dirty.
 func (t *Txn) Commit() error {
 	return t.db.commitOne(t)
 }

@@ -798,14 +798,6 @@ func (e *Executor) writeDML(t relational.WriteTxn) writer {
 // strategy's conflict signal) and relational.ErrWriteConflict when the
 // write loses a first-updater-wins race.
 func (e *Executor) ExecInsert(t relational.WriteTxn, s *InsertStmt) (relational.RowID, error) {
-	return e.ExecInsertRendered(t, s, s.String())
-}
-
-// ExecInsertRendered is ExecInsert with the statement's SQL text
-// already rendered — callers that also report the text (Result.SQL)
-// stringify once.
-func (e *Executor) ExecInsertRendered(t relational.WriteTxn, s *InsertStmt, sql string) (relational.RowID, error) {
-	e.DB.LogStatement(sql)
 	return e.writeDML(t).Insert(s.Table, s.Values)
 }
 
@@ -814,12 +806,6 @@ func (e *Executor) ExecInsertRendered(t relational.WriteTxn, s *InsertStmt, sql 
 // engine's "zero tuples deleted" warning, not an error — exactly the
 // hybrid-strategy signal for statement U3).
 func (e *Executor) ExecDelete(t relational.WriteTxn, s *DeleteStmt) (int, error) {
-	return e.ExecDeleteRendered(t, s, s.String())
-}
-
-// ExecDeleteRendered is ExecDelete with the SQL text pre-rendered.
-func (e *Executor) ExecDeleteRendered(t relational.WriteTxn, s *DeleteStmt, sql string) (int, error) {
-	e.DB.LogStatement(sql)
 	ids, err := e.matchRows(e.writeReader(t), s.Table, s.Where)
 	if err != nil {
 		return 0, err
@@ -839,12 +825,6 @@ func (e *Executor) ExecDeleteRendered(t relational.WriteTxn, s *DeleteStmt, sql 
 // ExecUpdate executes a single-table update through transaction t (nil
 // autocommits), returning the number of rows modified.
 func (e *Executor) ExecUpdate(t relational.WriteTxn, s *UpdateStmt) (int, error) {
-	return e.ExecUpdateRendered(t, s, s.String())
-}
-
-// ExecUpdateRendered is ExecUpdate with the SQL text pre-rendered.
-func (e *Executor) ExecUpdateRendered(t relational.WriteTxn, s *UpdateStmt, sql string) (int, error) {
-	e.DB.LogStatement(sql)
 	ids, err := e.matchRows(e.writeReader(t), s.Table, s.Where)
 	if err != nil {
 		return 0, err

@@ -175,9 +175,8 @@ UPDATE $book {
 
 // TestStatsDuringApplyRace is the race-detector regression for the
 // "statistics reads never race a writer" contract: Check traffic and
-// Stats snapshots (which read the redo-log and executor counters) run
-// while Apply is appending redo records. Before redoOps/redoBytes
-// became atomics this raced on the write-ahead-log counters.
+// Stats snapshots (which read the engine's commit and executor
+// counters) run while Apply is committing transactions.
 func TestStatsDuringApplyRace(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	var readers, writers sync.WaitGroup
@@ -198,7 +197,7 @@ func TestStatsDuringApplyRace(t *testing.T) {
 					return
 				}
 				st := f.Stats()
-				if st.Database.RedoBytes < 0 || st.Database.RedoRecords < 0 {
+				if st.Database.GroupCommits < 0 || st.Database.GroupedTxns < 0 {
 					t.Errorf("implausible snapshot: %+v", st.Database)
 					return
 				}
@@ -236,8 +235,8 @@ UPDATE $book {
 	readers.Wait()
 
 	st := f.Stats()
-	if st.Database.RedoRecords == 0 || st.Database.RedoBytes == 0 {
-		t.Errorf("applies should have appended redo records, got %+v", st.Database)
+	if st.Database.GroupCommits == 0 || st.Database.GroupedTxns == 0 {
+		t.Errorf("applies should have published commit groups, got %+v", st.Database)
 	}
 	if st.Database.StatementsExecuted == 0 {
 		t.Errorf("applies should have executed statements, got %+v", st.Database)

@@ -138,15 +138,18 @@ func TestEmptyElementSerialization(t *testing.T) {
 // generated leaf text.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(text string) bool {
-		// xml.EscapeText rejects invalid runes; restrict to printable subset.
+		// Keep XML's Char production only — the serializer replaces
+		// anything outside it (U+FFFE/U+FFFF included) with U+FFFD —
+		// minus CR, which parsers normalize to LF, and U+FFFD itself.
 		clean := strings.Map(func(r rune) rune {
-			if r < 0x20 && r != '\t' && r != '\n' {
-				return -1
+			switch {
+			case r == '\t', r == '\n',
+				r >= 0x20 && r <= 0xD7FF,
+				r >= 0xE000 && r < 0xFFFD,
+				r >= 0x10000 && r <= 0x10FFFF:
+				return r
 			}
-			if r == 0xFFFD || !strings.ContainsRune("", r) && r > 0xD7FF && r < 0xE000 {
-				return -1
-			}
-			return r
+			return -1
 		}, text)
 		n := Elem("root", ElemText("leaf", clean))
 		parsed, err := Parse(n.String())
