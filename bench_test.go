@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (Section 7), one benchmark per artifact, plus ablations of
 // the design choices the README's architecture section calls out.
-// cmd/benchrunner prints the same series as human-readable tables.
+// cmd/benchrunner prints the paper's series as markdown tables.
 package repro
 
 import (
@@ -525,8 +525,7 @@ func BenchmarkViewMaterialization(b *testing.B) {
 // everything per call (cache disabled — the pre-plan pipeline), (b) N×
 // Filter.Apply through the plan cache, (c) plan.Compile once + N×
 // Executor.Execute with bound literal tuples, and (d) the group-commit
-// ExecuteBatch path. The prepared paths must beat (a) by ≥2x; CI's
-// BENCH_plan.json records the same series via cmd/benchrunner.
+// ExecuteBatch path. The prepared paths must beat (a) by ≥2x.
 func BenchmarkPlanExecuteMany(b *testing.B) {
 	texts := [2]string{
 		planBenchUpdate("98001", "TCP/IP Illustrated"),
@@ -618,8 +617,7 @@ UPDATE $book { REPLACE $book/price WITH <price>42.50</price> }`, bookid, title)
 // schema checks and snapshot-pinned data checks while a writer loops
 // group-commit ApplyBatch calls back to back. Under MVCC a check never
 // waits on the apply, so per-op time must stay in the same regime as
-// an idle system's (cmd/benchrunner -only mvcc records the p50/p99
-// series as BENCH_mvcc.json for CI).
+// an idle system's.
 func BenchmarkCheckDuringApply(b *testing.B) {
 	db, err := bookdb.NewDatabase(relational.DeleteCascade)
 	if err != nil {
@@ -688,9 +686,7 @@ UPDATE $book { INSERT <review><reviewid>%d</reviewid><comment> bench </comment><
 // 1/2/4/8 writer goroutines. Before the parallel write path, every
 // apply queued behind one writer mutex and this series was flat;
 // under MVCC with first-updater-wins conflicts and group commit the
-// ops/sec should scale with available cores. benchrunner -only write
-// records the same series (plus the high-conflict counterpart) as
-// BENCH_write.json.
+// ops/sec should scale with available cores.
 func BenchmarkApplyConcurrent(b *testing.B) {
 	for _, writers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {

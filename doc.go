@@ -22,7 +22,8 @@
 //   - internal/shard      — intra-view sharding: hash-partitioned row
 //     storage across N engine shards with scatter-gather probes
 //   - internal/experiments — the harness regenerating every table and
-//     figure of the paper's evaluation
+//     figure of the paper's evaluation (cmd/benchrunner writes them to
+//     EXPERIMENTS.md; how fast the system is, is bench/'s question)
 //
 // Quick start:
 //
@@ -131,9 +132,8 @@
 // Check/Apply paths skip even the clock reads. The daemon records
 // latency histograms for every request but samples span traces
 // (1-in-64 checks, 1-in-8 applies; batches and the X-UFilter-Trace
-// header always), keeping the measured overhead on a mixed workload
-// within a few percent of uninstrumented throughput (the obs benchmark
-// in internal/experiments gates this in CI).
+// header always); the benchmark in bench/ reports what tracing costs
+// as obs.trace_overhead_fraction.
 package repro
 
 import (

@@ -198,12 +198,17 @@ func STARMarking(mb int) (MarkingTimes, error) {
 // E5 — Fig. 15: internal vs external strategy for inserting a lineitem
 // into Vlinear, over database sizes.
 
-// Fig15Row is one x-position of Fig. 15.
+// Fig15Row is one x-position of Fig. 15. The probe counts are the
+// index probes each strategy issued over its timed inserts: the
+// internal strategy's wide view-tuple probe shows up there
+// deterministically, where the timings only show it on a quiet machine.
 type Fig15Row struct {
-	MB       int
-	Internal time.Duration
-	External time.Duration
-	Rows     int // database rows, for the report
+	MB             int
+	Internal       time.Duration
+	External       time.Duration
+	InternalProbes int64
+	ExternalProbes int64
+	Rows           int // database rows, for the report
 }
 
 // Fig15 measures repeated lineitem inserts under both strategies. The
@@ -236,6 +241,7 @@ func Fig15(sizes []int, itersPerSize int) ([]Fig15Row, error) {
 		if _, err := external.Apply(tpch.InsertLineitemUpdate(key(0), 501)); err != nil {
 			return nil, err
 		}
+		probes := internal.Exec.IndexProbesTotal()
 		start := time.Now()
 		for i := 0; i < itersPerSize; i++ {
 			res, err := internal.Apply(tpch.InsertLineitemUpdate(key(i), int64(1000+i)))
@@ -247,6 +253,8 @@ func Fig15(sizes []int, itersPerSize int) ([]Fig15Row, error) {
 			}
 		}
 		row.Internal = time.Since(start) / time.Duration(itersPerSize)
+		row.InternalProbes = internal.Exec.IndexProbesTotal() - probes
+		probes = external.Exec.IndexProbesTotal()
 		start = time.Now()
 		for i := 0; i < itersPerSize; i++ {
 			res, err := external.Apply(tpch.InsertLineitemUpdate(key(i), int64(5000+i)))
@@ -258,6 +266,7 @@ func Fig15(sizes []int, itersPerSize int) ([]Fig15Row, error) {
 			}
 		}
 		row.External = time.Since(start) / time.Duration(itersPerSize)
+		row.ExternalProbes = external.Exec.IndexProbesTotal() - probes
 		out = append(out, row)
 	}
 	return out, nil

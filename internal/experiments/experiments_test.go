@@ -83,11 +83,13 @@ func TestFig15Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	// The internal strategy's wide probe + view-tuple insert must cost
-	// more than the external single-table path.
-	if r.Internal <= r.External {
-		t.Errorf("internal %v should exceed external %v", r.Internal, r.External)
+	// The internal strategy's wide probe + view-tuple insert must do
+	// more work than the external single-table path. Counted, not
+	// timed: the wall-clock ordering flips on a loaded machine.
+	if r.ExternalProbes <= 0 || r.InternalProbes <= r.ExternalProbes {
+		t.Errorf("internal index probes %d should exceed external %d (> 0)", r.InternalProbes, r.ExternalProbes)
 	}
+	t.Logf("internal %v/op, %d probes; external %v/op, %d probes", r.Internal, r.InternalProbes, r.External, r.ExternalProbes)
 }
 
 func TestFig16Shape(t *testing.T) {
@@ -110,60 +112,5 @@ func TestFig17Shape(t *testing.T) {
 	r := rows[0]
 	if r.HybridFail1 <= 0 || r.OutsideFail1 <= 0 || r.HybridFail2 <= 0 || r.OutsideFail2 <= 0 {
 		t.Fatalf("non-positive timings: %+v", r)
-	}
-}
-
-func TestWriteBenchShape(t *testing.T) {
-	wb, err := RunWriteBench(64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wb.Points) != 4 {
-		t.Fatalf("points = %d, want 4 (1/2/4/8 writers)", len(wb.Points))
-	}
-	for _, p := range wb.Points {
-		if p.ConflictFreeOpsPerSec <= 0 || p.HighConflictOpsPerSec <= 0 {
-			t.Fatalf("writer point %d has zero throughput: %+v", p.Writers, p)
-		}
-		// Correctness invariant: every high-conflict apply either
-		// committed or surfaced a conflict; nothing was lost.
-		ops := int64(64 - 64%p.Writers)
-		if p.Accepted+p.Conflict409 != ops {
-			t.Fatalf("writers=%d: accepted %d + 409 %d != %d", p.Writers, p.Accepted, p.Conflict409, ops)
-		}
-	}
-	if wb.ConflictFreeSpeedup8x <= 0 {
-		t.Fatalf("speedup not recorded: %+v", wb)
-	}
-}
-
-func TestPageBenchShape(t *testing.T) {
-	pb, err := RunPageBench(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pb.Pauses) != 2 || pb.Pauses[0].PauseNs <= 0 || pb.Pauses[1].PauseNs <= 0 {
-		t.Fatalf("pause points malformed: %+v", pb.Pauses)
-	}
-	if pb.PauseRatio <= 0 {
-		t.Fatalf("pause ratio not recorded: %+v", pb)
-	}
-	if pb.Recovery.LazyOpenNs <= 0 || pb.Recovery.FirstScanNs <= 0 {
-		t.Fatalf("recovery timings malformed: %+v", pb.Recovery)
-	}
-	if pb.Recovery.PagesTotal <= 0 || pb.Recovery.FaultedPages <= 0 {
-		t.Fatalf("recovery faulted nothing — not lazy: %+v", pb.Recovery)
-	}
-	if len(pb.Pool) != 3 {
-		t.Fatalf("pool points = %d, want 3 (100/50/10%%)", len(pb.Pool))
-	}
-	for _, p := range pb.Pool {
-		if p.ReadsPerSec <= 0 || p.BudgetBytes <= 0 {
-			t.Fatalf("pool point %d%% has no throughput: %+v", p.BudgetPct, p)
-		}
-	}
-	// The 10% pool must be evicting — that's the beyond-RAM regime.
-	if pb.Pool[2].Evictions == 0 {
-		t.Fatalf("10%% budget evicted nothing: %+v", pb.Pool[2])
 	}
 }

@@ -1,5 +1,6 @@
 // Package pagestore implements a copy-on-write slotted-page heap file
-// with an append-only page directory and a byte-budgeted buffer pool.
+// with a page directory kept as an append-only log, and a byte-budgeted
+// buffer pool.
 //
 // Pages are written once and never patched in place: a checkpoint packs
 // row images into fresh pages, installs them with a single directory

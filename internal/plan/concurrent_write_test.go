@@ -188,6 +188,51 @@ func TestConflictRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestContendedAppliesCommitOrConflict: eight writers rewrite ONE row
+// with a retry cap low enough that some lose. Every apply must end as
+// an accepted commit or as ErrWriteConflict — nothing else, nothing
+// lost — and the engine must have committed exactly the accepted ones.
+func TestContendedAppliesCommitOrConflict(t *testing.T) {
+	e := newBookExec(t)
+	e.MaxWriteRetries = 2
+	const writers, perWriter = 8, 16
+	before := e.Exec.DB.Stats().GroupedTxns
+
+	var wg sync.WaitGroup
+	var accepted, conflicted atomic.Int64
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				res, err := e.Apply(replacePriceDataOnTheWeb(10 + (w*perWriter+i)%39))
+				switch {
+				case errors.Is(err, relational.ErrWriteConflict):
+					conflicted.Add(1)
+				case err != nil:
+					t.Errorf("writer %d apply %d: %v", w, i, err)
+				case !res.Accepted:
+					t.Errorf("writer %d apply %d rejected: %s", w, i, res.Reason)
+				default:
+					accepted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := accepted.Load() + conflicted.Load(); got != writers*perWriter {
+		t.Fatalf("accepted %d + conflicted %d = %d, want %d submitted", accepted.Load(), conflicted.Load(), got, writers*perWriter)
+	}
+	if got := e.Exec.DB.Stats().GroupedTxns - before; got != accepted.Load() {
+		t.Fatalf("engine committed %d txns, want the %d accepted applies", got, accepted.Load())
+	}
+	if got := e.WriteStats().Exhausted; got != conflicted.Load() {
+		t.Fatalf("Exhausted = %d, want the %d surfaced conflicts", got, conflicted.Load())
+	}
+	t.Logf("%d accepted, %d conflicted, %d retries", accepted.Load(), conflicted.Load(), e.WriteStats().Retries)
+}
+
 // TestConflictingBatchAtomicity: a group-commit batch whose second
 // item conflicts with an external transaction commits its disjoint
 // sibling in the first round and retries only the conflicted item,

@@ -132,8 +132,7 @@ type Executor struct {
 
 	// Obs receives the engine-internal latency/size distributions
 	// (compile time, retries per apply, commit wait); see obs.go.
-	// Attached by NewExecutor; DetachObs removes it for
-	// uninstrumented benchmarking. Nil-safe at every recording site.
+	// Set by NewExecutor, never nil.
 	Obs *ObsHists
 
 	// cache holds one compiled UpdatePlan per update template; see
@@ -536,18 +535,14 @@ func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, b bound
 			if conflicted {
 				e.conflictApplies.Add(1)
 			}
-			if h := e.Obs; h != nil {
-				h.Retries.Record(int64(attempt))
-			}
+			e.Obs.Retries.Record(int64(attempt))
 			return out, err
 		}
 		conflicted = true
 		if attempt+1 >= e.maxWriteRetries() {
 			e.conflictApplies.Add(1)
 			e.conflictErrors.Add(1)
-			if h := e.Obs; h != nil {
-				h.Retries.Record(int64(attempt))
-			}
+			e.Obs.Retries.Record(int64(attempt))
 			return nil, fmt.Errorf("plan: apply lost %d write-conflict races: %w", attempt+1, err)
 		}
 		e.txnRetries.Add(1)
@@ -595,16 +590,10 @@ func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, b bound, re
 // the last fsync the engine recorded covers this commit, because Commit
 // returns only after its record is durable.
 func (e *Executor) commit(txn relational.WriteTxn, tr *obs.Trace) error {
-	h := e.Obs
-	if h == nil && tr == nil {
-		return txn.Commit()
-	}
 	start := time.Now()
 	err := txn.Commit()
 	wait := time.Since(start).Nanoseconds()
-	if h != nil {
-		h.CommitWait.Record(wait)
-	}
+	e.Obs.CommitWait.Record(wait)
 	if tr != nil {
 		var fsyncNs int64
 		if err == nil {

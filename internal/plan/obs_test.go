@@ -8,8 +8,8 @@ import (
 )
 
 // TestExecutorObsHistograms: an executor built by NewExecutor records
-// compile time on cache misses, retry counts per apply and group-size/
-// commit-wait samples per commit, and DetachObs stops all of it.
+// compile time on cache misses, retry counts per apply and commit-wait
+// samples per commit.
 func TestExecutorObsHistograms(t *testing.T) {
 	e := newBookExec(t)
 	if _, err := e.Check(delReviewsDataOnTheWeb); err != nil {
@@ -30,15 +30,6 @@ func TestExecutorObsHistograms(t *testing.T) {
 	}
 	if got := e.Obs.CommitWait.Snapshot().Count; got != 1 {
 		t.Errorf("commit-wait histogram count = %d, want 1", got)
-	}
-
-	e2 := newBookExec(t)
-	e2.DetachObs()
-	if _, err := e2.Apply(insertReviewDataOnTheWeb(2)); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Obs != nil {
-		t.Error("Obs still attached after DetachObs")
 	}
 }
 

@@ -139,10 +139,8 @@ func (e *Executor) CompileText(updateText string) (*UpdatePlan, error) {
 // compile is Compile with the expensive execution artifacts (prepared
 // probes, insert plans) optional: the check-only path skips them.
 func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdatePlan, error) {
-	if h := e.Obs; h != nil {
-		start := time.Now()
-		defer func() { h.Compile.RecordDuration(time.Since(start)) }()
-	}
+	start := time.Now()
+	defer func() { e.Obs.Compile.RecordDuration(time.Since(start)) }()
 	p := &UpdatePlan{Key: fingerprint(u), Template: u}
 	r, litErr, err := resolve(u, e.View)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPipelinePublishOrderInvariant hammers the commit pipeline with
@@ -115,6 +116,67 @@ func TestPipelinePublishOrderInvariant(t *testing.T) {
 	}
 	if got := after.CommitSeq - before.CommitSeq; got != writers*perWriter {
 		t.Errorf("commit_seq advanced by %d, want %d", got, writers*perWriter)
+	}
+}
+
+// TestWriterStageCoalescesQueuedCommits pins the group commit itself,
+// without depending on storage speed: the writer is parked on a barrier
+// (enqueued under commitMu, as Checkpoint does), eight commits on
+// disjoint rows queue behind it, and releasing the writer must make all
+// eight durable with ONE fsync, as ONE group.
+func TestWriterStageCoalescesQueuedCommits(t *testing.T) {
+	const commits = 8
+	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	b := &walBarrier{ready: make(chan struct{}), resume: make(chan struct{})}
+	var release sync.Once
+	resume := func() { release.Do(func() { close(b.resume) }) }
+	defer resume() // a parked writer would hang the CloseWAL cleanup
+	db.commitMu.Lock()
+	db.wal.pipe <- &walReq{barrier: b}
+	db.commitMu.Unlock()
+	<-b.ready
+	before := db.Stats()
+
+	errs := make(chan error, commits)
+	for i := int64(1); i <= commits; i++ {
+		go func(id int64) {
+			txn := db.Begin()
+			_, err := txn.Insert("parent", map[string]Value{"id": Int_(id), "name": String_(fmt.Sprintf("queued-%d", id))})
+			if err == nil {
+				err = txn.Commit()
+			}
+			errs <- err
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Stats().WALPipelineDepth != commits {
+		if time.Now().After(deadline) {
+			t.Fatalf("pipeline depth = %d, want %d queued commits", db.Stats().WALPipelineDepth, commits)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Depth is bumped just before the send, both under commitMu: taking
+	// the latch once more means the last request is in the queue.
+	db.commitMu.Lock()
+	db.commitMu.Unlock()
+	resume()
+	for i := 0; i < commits; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued commit: %v", err)
+		}
+	}
+	after := db.Stats()
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Errorf("fsyncs_total advanced by %d, want 1 for %d queued commits", got, commits)
+	}
+	if got := after.GroupCommits - before.GroupCommits; got != 1 {
+		t.Errorf("group_commits advanced by %d, want 1", got)
+	}
+	if got := after.GroupedTxns - before.GroupedTxns; got != commits {
+		t.Errorf("grouped_txns advanced by %d, want %d", got, commits)
+	}
+	if n := db.RowCount("parent"); n != commits {
+		t.Errorf("rows = %d, want %d", n, commits)
 	}
 }
 

@@ -107,9 +107,7 @@ type WALOptions struct {
 	// incremental checkpoint appends one directory record (dirty pages
 	// only) until this many accumulate, then the store folds the chain
 	// into a fresh compact base asynchronously. Zero means the default
-	// (8); negative disables incremental passes entirely (every
-	// checkpoint rewrites all rows, for tests and benchmarks that need
-	// the full-pass baseline).
+	// (8).
 	CheckpointDeltaLimit int
 	// PageCacheBytes caps the buffer pool holding decoded checkpoint
 	// pages: cold committed rows drop their in-memory values and fault
@@ -128,7 +126,7 @@ func (o WALOptions) withDefaults() WALOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.CheckpointDeltaLimit == 0 {
+	if o.CheckpointDeltaLimit <= 0 {
 		o.CheckpointDeltaLimit = 8
 	}
 	if o.PageCacheBytes <= 0 {
@@ -769,12 +767,8 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 
 	// The page store recovers its directory unconditionally; a fresh
 	// directory just yields an empty Recovered.
-	dirLimit := w.opts.CheckpointDeltaLimit
-	if dirLimit < 0 {
-		dirLimit = 8 // full row passes, but let the store fold its log normally
-	}
 	store, rec, err := pagestore.Open(dir, pagestore.Options{
-		DirLogLimit: dirLimit,
+		DirLogLimit: w.opts.CheckpointDeltaLimit,
 		Failpoint:   evalFailpoint,
 	})
 	if err != nil {
@@ -1070,11 +1064,10 @@ func (db *Database) Checkpoint() error {
 	copy(supersede, w.sealed)
 	w.mu.Unlock()
 
-	// A full pass rewrites every row (first pass on a fresh store, or
-	// incremental passes disabled); otherwise only the dirty set and its
-	// page-mates move. The store folds its own directory chain.
-	full := w.opts.CheckpointDeltaLimit < 0 || !w.haveBase
-	plan, err := db.buildPageInstalls(snap, dirty, full)
+	// The first pass on a fresh store rewrites every row; after that
+	// only the dirty set and its page-mates move. The store folds its
+	// own directory chain.
+	plan, err := db.buildPageInstalls(snap, dirty, !w.haveBase)
 	if err != nil {
 		return fail(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/relational"
-	"repro/internal/ufilter"
 )
 
 // viewMetrics is the per-view part of /metrics, one row per family: the
@@ -228,11 +227,11 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 		{"ufilterd_apply_latency_seconds", "End-to-end single-apply latency (the Retry-After p90 source).",
 			func(v *View) obs.Snapshot { return v.applyHist.Snapshot() }},
 		{"ufilterd_plan_compile_seconds", "Full plan compilation time (one per template: resolve + STAR + artifacts).",
-			func(v *View) obs.Snapshot { return planHist(v).Compile.Snapshot() }},
+			func(v *View) obs.Snapshot { return v.Filter.Obs.Compile.Snapshot() }},
 		{"ufilterd_txn_retries_per_apply", "Conflict-retry attempts per finished apply (bucket 0 = conflict-free).",
-			func(v *View) obs.Snapshot { return planHist(v).Retries.Snapshot() }},
+			func(v *View) obs.Snapshot { return v.Filter.Obs.Retries.Snapshot() }},
 		{"ufilterd_commit_wait_seconds", "Wait inside an apply's Commit, from the call to the published acknowledgment, fsync included.",
-			func(v *View) obs.Snapshot { return planHist(v).CommitWait.Snapshot() }},
+			func(v *View) obs.Snapshot { return v.Filter.Obs.CommitWait.Snapshot() }},
 		{"ufilterd_wal_fsync_seconds", "Durable WAL fsync duration per commit group (empty without -data-dir).",
 			func(v *View) obs.Snapshot { return v.Filter.Exec.DB.FsyncHistogram() }},
 		{"ufilterd_checkpoint_pause_seconds", "Checkpoint pass duration — O(dirty) under incremental checkpoints (empty without -data-dir).",
@@ -244,14 +243,4 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 			obs.WriteProm(b, h.name, fmt.Sprintf("view=%q", v.Name), h.snap(v))
 		}
 	}
-}
-
-// planHist fetches the view executor's engine-internal histogram set,
-// substituting an empty one if observability was detached (the nil
-// histograms inside snapshot to valid empty snapshots).
-func planHist(v *View) *ufilter.ObsHists {
-	if h := v.Filter.Obs; h != nil {
-		return h
-	}
-	return &ufilter.ObsHists{}
 }

@@ -231,33 +231,37 @@ func itoa(i int) string                 { return fmt.Sprintf("%d", i) }
 // inserting in ascending global row-id order so parents are present
 // before the children that reference them.
 func (db *DB) seedFrom(seed *relational.Database) error {
+	// The sort holds one reference per row (committed rows are
+	// immutable); the column map an insert takes is built one row at a
+	// time in a single reused map, so seeding a large dataset does not
+	// keep a second, map-shaped copy of it alive.
 	type seedRow struct {
-		id     relational.RowID
-		table  string
-		values map[string]relational.Value
+		td  *relational.TableDef
+		row *relational.Row
 	}
 	var rows []seedRow
 	for _, name := range db.schema.TableNames() {
 		td, _ := db.schema.Table(name)
 		err := seed.Scan(name, func(r *relational.Row) bool {
-			vals := make(map[string]relational.Value, len(td.Columns))
-			for i, c := range td.Columns {
-				if i < len(r.Values) {
-					vals[c.Name] = r.Values[i]
-				}
-			}
-			rows = append(rows, seedRow{id: r.ID, table: name, values: vals})
+			rows = append(rows, seedRow{td: td, row: r})
 			return true
 		})
 		if err != nil {
 			return err
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].row.ID < rows[j].row.ID })
+	vals := make(map[string]relational.Value)
 	for _, r := range rows {
-		s := db.routeInsert(func() []relational.Reader { return db.rds }, r.table, r.values)
-		if _, err := db.shards[s].Insert(r.table, r.values); err != nil {
-			return fmt.Errorf("shard %d: seeding %s row %d: %w", s, r.table, r.id, err)
+		clear(vals)
+		for i, c := range r.td.Columns {
+			if i < len(r.row.Values) {
+				vals[c.Name] = r.row.Values[i]
+			}
+		}
+		s := db.routeInsert(func() []relational.Reader { return db.rds }, r.td.Name, vals)
+		if _, err := db.shards[s].Insert(r.td.Name, vals); err != nil {
+			return fmt.Errorf("shard %d: seeding %s row %d: %w", s, r.td.Name, r.row.ID, err)
 		}
 	}
 	return nil
@@ -716,38 +720,23 @@ func (db *DB) LastFsyncNanos() int64 {
 	return max
 }
 
-// FsyncHistogram merges the per-shard fsync distributions bucket-wise
-// (all shards share one histogram geometry).
+// FsyncHistogram merges the per-shard fsync distributions.
 func (db *DB) FsyncHistogram() obs.Snapshot {
-	var agg obs.Snapshot
-	for _, s := range db.shards {
-		sn := s.FsyncHistogram()
-		if len(sn.Counts) == 0 {
-			continue
-		}
-		if len(agg.Counts) == 0 {
-			counts := make([]uint64, len(sn.Counts))
-			copy(counts, sn.Counts)
-			agg = obs.Snapshot{MinExp: sn.MinExp, Unit: sn.Unit, Counts: counts, Sum: sn.Sum, Count: sn.Count}
-			continue
-		}
-		for i := range sn.Counts {
-			if i < len(agg.Counts) {
-				agg.Counts[i] += sn.Counts[i]
-			}
-		}
-		agg.Sum += sn.Sum
-		agg.Count += sn.Count
-	}
-	return agg
+	return db.mergeHistograms((*relational.Database).FsyncHistogram)
 }
 
 // CheckpointPauseHistogram merges the per-shard checkpoint-pause
-// distributions bucket-wise (all shards share one histogram geometry).
+// distributions.
 func (db *DB) CheckpointPauseHistogram() obs.Snapshot {
+	return db.mergeHistograms((*relational.Database).CheckpointPauseHistogram)
+}
+
+// mergeHistograms sums one per-shard distribution bucket-wise (all
+// shards share one histogram geometry).
+func (db *DB) mergeHistograms(of func(*relational.Database) obs.Snapshot) obs.Snapshot {
 	var agg obs.Snapshot
 	for _, s := range db.shards {
-		sn := s.CheckpointPauseHistogram()
+		sn := of(s)
 		if len(sn.Counts) == 0 {
 			continue
 		}

@@ -68,9 +68,6 @@ type (
 	// UpdatePlan is the immutable compile-once artifact for one update
 	// template; see Filter.Prepare.
 	UpdatePlan = plan.UpdatePlan
-	// ObsHists bundles the executor's engine-internal latency/size
-	// histograms (compile time, retries, commit wait, group size).
-	ObsHists = plan.ObsHists
 )
 
 // Update-point strategies (Section 6.2).
