@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"unsafe"
 )
 
 const (
@@ -53,6 +54,9 @@ type PageRow struct {
 	ID      int64
 	Payload []byte
 }
+
+// pageRowBytes is what one PageRow header (id + slice header) occupies.
+const pageRowBytes = int64(unsafe.Sizeof(PageRow{}))
 
 // encodePage builds the frame (header + payload) for one page holding
 // rows of a single table. seq is the checkpoint sequence that wrote it.

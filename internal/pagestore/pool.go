@@ -5,14 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a byte-budgeted buffer pool of decoded pages keyed by heap
-// slot, with CLOCK (second-chance) eviction and pin/unpin refcounts.
-// The cached value is opaque to the pool; the loader supplies it along
-// with its resident byte size. Values handed out by Get remain valid
-// after eviction (the pool never mutates or recycles them), so callers
-// may hold them without keeping the pin.
+// Pool is a byte-budgeted buffer pool of page images keyed by heap slot,
+// with CLOCK (second-chance) eviction and pin/unpin refcounts. A frame
+// is a page as read: its table name and row payloads, all aliasing the
+// one CRC-verified buffer. Nothing is decoded here — the caller decodes
+// the row it wants on each access. Frames are immutable and never
+// recycled, so what Get hands out stays valid after eviction.
 type Pool struct {
 	budget int64
+	load   func(slot uint32) (table string, rows []PageRow, size int64, err error)
 
 	mu     sync.Mutex
 	frames map[uint32]*poolFrame
@@ -26,21 +27,27 @@ type Pool struct {
 }
 
 type poolFrame struct {
-	val    any
-	size   int64
-	pins   int
-	ref    bool // CLOCK reference bit
-	loaded bool
-	gone   bool // invalidated while loading
-	err    error
-	ready  chan struct{}
+	table   string
+	rows    []PageRow
+	size    int64
+	release func() // unpins; built once per frame so a hit allocates nothing
+	pins    int
+	ref     bool // CLOCK reference bit
+	loaded  bool
+	gone    bool // invalidated while loading
+	err     error
+	ready   chan struct{}
 }
 
-// NewPool builds a pool with the given byte budget. A budget <= 0 means
-// a single-frame pool (every miss evicts the previous page): the
-// smallest configuration that still serves faults.
-func NewPool(budget int64) *Pool {
-	return &Pool{budget: budget, frames: make(map[uint32]*poolFrame)}
+// NewPool builds a pool over store's pages with the given byte budget.
+// A budget <= 0 means a single-frame pool (every miss evicts the
+// previous page): the smallest configuration that still serves faults.
+func NewPool(store *Store, budget int64) *Pool {
+	return newPool(budget, store.readFrame)
+}
+
+func newPool(budget int64, load func(uint32) (string, []PageRow, int64, error)) *Pool {
+	return &Pool{budget: budget, load: load, frames: make(map[uint32]*poolFrame)}
 }
 
 // PoolStats is a point-in-time snapshot of pool counters.
@@ -66,20 +73,26 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Get returns the cached value for slot, loading it via load on a miss.
-// Concurrent misses on the same slot are coalesced: one caller loads,
-// the rest wait. The returned release func unpins the frame; it must be
-// called exactly once (the value itself stays usable afterwards).
-func (p *Pool) Get(slot uint32, load func() (any, int64, error)) (any, func(), error) {
+// Get returns the page image at slot, reading it from the store on a
+// miss. Concurrent misses on the same slot are coalesced: one caller
+// loads, the rest wait. The returned release func unpins the frame; it
+// must be called exactly once (the rows stay usable afterwards).
+func (p *Pool) Get(slot uint32) (table string, rows []PageRow, release func(), err error) {
 	for {
 		p.mu.Lock()
 		f := p.frames[slot]
 		if f == nil {
 			f = &poolFrame{pins: 1, ready: make(chan struct{})}
+			f.release = func() {
+				p.mu.Lock()
+				f.pins--
+				p.evictLocked()
+				p.mu.Unlock()
+			}
 			p.frames[slot] = f
 			p.mu.Unlock()
 
-			val, size, err := load()
+			table, rows, size, err := p.load(slot)
 
 			p.mu.Lock()
 			if err != nil {
@@ -89,24 +102,19 @@ func (p *Pool) Get(slot uint32, load func() (any, int64, error)) (any, func(), e
 				}
 				close(f.ready)
 				p.mu.Unlock()
-				return nil, nil, err
+				return "", nil, nil, err
 			}
-			f.val, f.size, f.loaded = val, size, true
+			f.table, f.rows, f.size, f.loaded = table, rows, size, true
 			p.misses.Add(1)
-			if f.gone {
-				// Invalidated mid-load: hand the value to this caller but
-				// do not cache it.
-				close(f.ready)
-				p.mu.Unlock()
-				return val, func() {}, nil
+			if !f.gone { // else invalidated mid-load: serve this caller, cache nothing
+				p.size += size
+				p.ring = append(p.ring, slot)
+				f.ref = true
 			}
-			p.size += size
-			p.ring = append(p.ring, slot)
-			f.ref = true
 			close(f.ready)
 			p.evictLocked()
 			p.mu.Unlock()
-			return val, p.releaseFunc(slot, f), nil
+			return table, rows, f.release, nil
 		}
 		if !f.loaded && f.err == nil {
 			ready := f.ready
@@ -122,19 +130,7 @@ func (p *Pool) Get(slot uint32, load func() (any, int64, error)) (any, func(), e
 		f.ref = true
 		p.hits.Add(1)
 		p.mu.Unlock()
-		return f.val, p.releaseFunc(slot, f), nil
-	}
-}
-
-func (p *Pool) releaseFunc(slot uint32, f *poolFrame) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.mu.Lock()
-			f.pins--
-			p.evictLocked()
-			p.mu.Unlock()
-		})
+		return f.table, f.rows, f.release, nil
 	}
 }
 

@@ -910,28 +910,50 @@ func (s *Store) compactBase(snap []PageInfo, watermark, seq uint64, maxSegIndex 
 	s.mu.Unlock()
 }
 
-// ReadPage reads and decodes the page at slot from the heap. Safe for
-// concurrent use; the caller validates table/row membership against its
-// authoritative mapping.
+// ReadPage reads the page at slot from the heap, verifies its CRC and
+// splits it into rows whose payloads alias the one read buffer. Safe
+// for concurrent use; the caller validates table/row membership against
+// its authoritative mapping.
 func (s *Store) ReadPage(slot uint32) (table string, seq uint64, rows []PageRow, err error) {
+	buf, err := s.readExtent(slot)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	return decodePageFrame(buf)
+}
+
+// readFrame is the pool's loader: ReadPage plus the bytes the frame
+// retains — the extent's slots (the buffer every payload aliases), one
+// PageRow header per row and the table name.
+func (s *Store) readFrame(slot uint32) (table string, rows []PageRow, size int64, err error) {
+	buf, err := s.readExtent(slot)
+	if err != nil {
+		return "", nil, 0, err
+	}
+	table, _, rows, err = decodePageFrame(buf)
+	return table, rows, int64(frameSlots(len(buf)))*PageSize + int64(len(rows))*pageRowBytes + int64(len(table)), err
+}
+
+// readExtent reads the whole frame that starts at slot: one slot, or
+// the multi-slot extent its header announces.
+func (s *Store) readExtent(slot uint32) ([]byte, error) {
 	buf := make([]byte, PageSize)
 	if _, err := s.heap.ReadAt(buf, int64(slot)*PageSize); err != nil {
-		return "", 0, nil, err
+		return nil, err
 	}
 	plen := binary.LittleEndian.Uint32(buf[0:4])
 	if plen > maxPagePayload {
-		return "", 0, nil, fmt.Errorf("%w: bad frame length %d at slot %d", ErrCorruptPage, plen, slot)
+		return nil, fmt.Errorf("%w: bad frame length %d at slot %d", ErrCorruptPage, plen, slot)
 	}
-	total := int(plen) + pageFrameHeader
-	if total > PageSize {
+	if total := int(plen) + pageFrameHeader; total > PageSize {
 		big := make([]byte, total)
 		copy(big, buf)
 		if _, err := s.heap.ReadAt(big[PageSize:], int64(slot)*PageSize+PageSize); err != nil {
-			return "", 0, nil, err
+			return nil, err
 		}
 		buf = big
 	}
-	return decodePageFrame(buf)
+	return buf, nil
 }
 
 func syncDir(dir string) error {

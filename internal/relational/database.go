@@ -556,9 +556,12 @@ func (db *Database) Get(table string, id RowID) (*Row, error) {
 		// Resolve values before dropping the latch: an unregistered
 		// reader's page fault must run under db.mu so it cannot race a
 		// quarantined slot release (pager.go contract).
-		r := Row{ID: v.row.ID, Values: db.versionValues(td, v)}
+		r := v.row.clone()
+		if v.row.Values == nil {
+			r.Values = db.versionValues(td, v) // faulted: a fresh slice, ours
+		}
 		db.mu.RUnlock()
-		return r.clone(), nil
+		return r, nil
 	}
 	db.mu.RUnlock()
 	return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
@@ -709,9 +712,8 @@ func (db *Database) lookupEqualVisLocked(table string, columns []string, values 
 		return true
 	}
 	if ix := td.findIndex(cols); ix != nil {
-		ordered := reorderForIndex(ix, cols, values)
 		var out []RowID
-		for _, id := range ix.lookup(ordered) {
+		for _, id := range ix.lookup(cols, values) {
 			if head, ok := td.rows[id]; ok && matches(head) {
 				out = append(out, id)
 			}
@@ -756,19 +758,6 @@ func (td *tableData) findIndex(cols []int) *hashIndex {
 		}
 	}
 	return nil
-}
-
-func reorderForIndex(ix *hashIndex, cols []int, values []Value) []Value {
-	ordered := make([]Value, len(ix.columns))
-	for i, ic := range ix.columns {
-		for j, qc := range cols {
-			if qc == ic {
-				ordered[i] = values[j]
-				break
-			}
-		}
-	}
-	return ordered
 }
 
 // coerceRow converts a named-value map to positional values, applying
@@ -898,7 +887,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			}
 			return true
 		}
-		for id := range ix.entries[key] {
+		for _, id := range ix.entries[key] {
 			if id == exclude {
 				continue
 			}

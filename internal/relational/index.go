@@ -1,7 +1,7 @@
 package relational
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -12,11 +12,17 @@ type RowID int64
 
 // hashIndex is an equality index over one or more columns. Keys are the
 // composite encoding of the indexed column values; each key maps to the
-// set of row ids carrying those values.
+// ascending ids of the rows carrying those values (one pointer-free
+// slice per key; a unique key's bucket is a single id).
+//
+// Contract: buckets are read and written only under db.mu. lookup hands
+// out the stored bucket itself, so a caller iterates it before dropping
+// the latch and never retains it; removal copies, so a caller holding
+// the write latch may remove while it ranges over a bucket.
 type hashIndex struct {
 	name    string
 	columns []int // positional column indexes
-	entries map[string]map[RowID]struct{}
+	entries map[string][]RowID
 	unique  bool
 }
 
@@ -24,7 +30,7 @@ func newHashIndex(name string, columns []int, unique bool) *hashIndex {
 	return &hashIndex{
 		name:    name,
 		columns: columns,
-		entries: make(map[string]map[RowID]struct{}),
+		entries: make(map[string][]RowID),
 		unique:  unique,
 	}
 }
@@ -33,80 +39,73 @@ func newHashIndex(name string, columns []int, unique bool) *hashIndex {
 // when any indexed column is NULL (NULLs are not indexed, matching SQL
 // unique-constraint semantics).
 func (ix *hashIndex) keyFor(values []Value) (string, bool) {
-	parts := make([]Value, len(ix.columns))
-	for i, c := range ix.columns {
+	var buf [64]byte
+	b := buf[:0]
+	for _, c := range ix.columns {
 		if values[c].IsNull() {
 			return "", false
 		}
-		parts[i] = values[c]
+		b = append(values[c].appendKey(b), 0x01)
 	}
-	return EncodeCompositeKey(parts), true
+	return string(b), true
 }
 
 func (ix *hashIndex) insert(id RowID, values []Value) {
-	key, ok := ix.keyFor(values)
-	if !ok {
-		return
+	if key, ok := ix.keyFor(values); ok {
+		ix.insertKey(key, id)
 	}
-	set := ix.entries[key]
-	if set == nil {
-		set = make(map[RowID]struct{})
-		ix.entries[key] = set
-	}
-	set[id] = struct{}{}
 }
 
-// insertKey adds one id under a precomputed key. Recovery uses it to
-// rebuild entries from the page directory's persisted row metadata
-// without reading any page.
+// insertKey adds one id under a precomputed key; an id already present
+// is left alone. Ids are allocated monotonically, so the append is the
+// common case; recovery rebuilds entries in page order from the
+// directory's persisted row metadata and takes the sorted insert.
 func (ix *hashIndex) insertKey(key string, id RowID) {
-	set := ix.entries[key]
-	if set == nil {
-		set = make(map[RowID]struct{})
-		ix.entries[key] = set
+	b := ix.entries[key]
+	i := len(b)
+	if i > 0 && b[i-1] >= id {
+		var found bool
+		if i, found = slices.BinarySearch(b, id); found {
+			return
+		}
 	}
-	set[id] = struct{}{}
+	ix.entries[key] = slices.Insert(b, i, id)
 }
 
 func (ix *hashIndex) remove(id RowID, values []Value) {
-	key, ok := ix.keyFor(values)
-	if !ok {
-		return
+	if key, ok := ix.keyFor(values); ok {
+		ix.removeKey(key, id)
 	}
-	ix.removeKey(key, id)
 }
 
 // removeKey drops one id from a bucket addressed by its encoded key;
 // the MVCC reclaimer uses it to clear entries of versions whose values
-// it has already re-encoded.
+// it has already re-encoded. The shrunk bucket is a fresh slice.
 func (ix *hashIndex) removeKey(key string, id RowID) {
-	if set := ix.entries[key]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(ix.entries, key)
-		}
+	b := ix.entries[key]
+	if i, found := slices.BinarySearch(b, id); !found {
+		return
+	} else if len(b) == 1 {
+		delete(ix.entries, key)
+	} else {
+		ix.entries[key] = slices.Concat(b[:i], b[i+1:])
 	}
 }
 
-// lookup returns the row ids matching the given key values, sorted for
-// determinism.
-func (ix *hashIndex) lookup(vals []Value) []RowID {
-	for _, v := range vals {
+// lookup returns the bucket, ascending, of the rows whose column cols[i]
+// holds values[i]; cols is any order the index matchesColumns. Read the
+// bucket under db.mu only (see the type's contract).
+func (ix *hashIndex) lookup(cols []int, values []Value) []RowID {
+	var buf [64]byte
+	b := buf[:0]
+	for _, c := range ix.columns {
+		v := values[slices.Index(cols, c)]
 		if v.IsNull() {
 			return nil
 		}
+		b = append(v.appendKey(b), 0x01)
 	}
-	key := EncodeCompositeKey(vals)
-	set := ix.entries[key]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]RowID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ix.entries[string(b)]
 }
 
 // matchesColumns reports whether the index covers exactly the given
@@ -115,12 +114,8 @@ func (ix *hashIndex) matchesColumns(cols []int) bool {
 	if len(cols) != len(ix.columns) {
 		return false
 	}
-	want := make(map[int]bool, len(cols))
-	for _, c := range cols {
-		want[c] = true
-	}
 	for _, c := range ix.columns {
-		if !want[c] {
+		if !slices.Contains(cols, c) {
 			return false
 		}
 	}

@@ -12,12 +12,14 @@ import (
 
 // The pager glues the MVCC engine to the paged checkpoint store. The
 // page store holds the durable base image as slotted 4KiB heap pages;
-// the buffer pool bounds how much of that image is resident. In-memory
-// version chains are a write-back cache over it: a committed, clean row
-// may be DEMOTED to a value-less stub version (Values == nil) that
-// carries only its MVCC stamps and the heap slot of its page, and is
-// re-materialized through the pool on first read. That is what lets the
-// dataset exceed RAM under a hard PageCacheBytes budget.
+// the buffer pool bounds how much of that image is resident, as page
+// BYTES (CRC-verified once per load, never decoded as a whole).
+// In-memory version chains are a write-back cache over it: a committed,
+// clean row may be DEMOTED to a value-less stub version (Values == nil)
+// that carries only its MVCC stamps and the heap slot of its page; each
+// read of a stub decodes that one row's payload out of the pooled page
+// (faultRow), so a fault costs the row it touches, not the page. That
+// is what lets the dataset exceed RAM under a hard PageCacheBytes budget.
 //
 // Concurrency contract (load-bearing — see faultRow):
 //
@@ -57,70 +59,51 @@ type quarBatch struct {
 func newPager(store *pagestore.Store, cacheBytes int64) *pager {
 	return &pager{
 		store:   store,
-		pool:    pagestore.NewPool(cacheBytes),
+		pool:    pagestore.NewPool(store, cacheBytes),
 		rowSlot: make(map[string]map[RowID]uint32),
 	}
 }
 
-// decodedPage is one heap page decoded into per-row values, cached in
-// the buffer pool. Immutable after construction; the value slices are
-// handed out to readers and must never be mutated in place.
-type decodedPage struct {
-	table string
-	rows  map[RowID][]Value
-}
-
-func (p *pager) loadPage(slot uint32) (any, int64, error) {
-	table, _, rows, err := p.store.ReadPage(slot)
-	if err != nil {
-		return nil, 0, err
-	}
-	m := make(map[RowID][]Value, len(rows))
-	size := int64(96)
-	for _, r := range rows {
-		vals, err := decodeRowPayload(r.Payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("page slot %d row %d: %w", slot, r.ID, err)
-		}
-		m[RowID(r.ID)] = vals
-		size += int64(len(r.Payload)) + 48
-	}
-	return &decodedPage{table: table, rows: m}, size, nil
-}
-
-// faultRow returns one row's committed values from its page, loading
-// the page through the buffer pool. slotPlus1 is the version's pageSlot
-// stamp (slot+1; 0 means "no page", which is an invariant violation for
-// a stub). Panics on I/O error, corruption, or a missing row: the slot
+// faultRow returns one row's committed values from its page: the page
+// image comes through the buffer pool (CRC-verified bytes, cached as
+// read) and only the wanted row's payload is decoded, into a fresh
+// slice the caller owns. slotPlus1 is the version's pageSlot stamp
+// (slot+1; 0 means "no page", which is an invariant violation for a
+// stub). Panics on I/O error, corruption, or a missing row: the slot
 // came from the page directory and the quarantine keeps referenced
 // slots from being rewritten, so these are unrecoverable invariant
-// breaks, not ordinary errors. The returned slice is shared with the
-// pool frame — callers must clone before exposing it to mutation.
+// breaks, not ordinary errors.
 func (p *pager) faultRow(table string, slotPlus1 uint32, id RowID) []Value {
 	if slotPlus1 == 0 {
 		panic(fmt.Sprintf("relational: paged row %s/%d has no page slot", table, id))
 	}
 	slot := slotPlus1 - 1
-	v, release, err := p.pool.Get(slot, func() (any, int64, error) { return p.loadPage(slot) })
+	pageTable, rows, release, err := p.pool.Get(slot)
 	if err != nil {
 		panic(fmt.Sprintf("relational: fault page %d for row %s/%d: %v", slot, table, id, err))
 	}
 	defer release()
-	dp := v.(*decodedPage)
-	if dp.table != table {
-		panic(fmt.Sprintf("relational: page %d holds table %q, want %q (row %d)", slot, dp.table, table, id))
+	if pageTable != table {
+		panic(fmt.Sprintf("relational: page %d holds table %q, want %q (row %d)", slot, pageTable, table, id))
 	}
-	vals, ok := dp.rows[id]
-	if !ok {
-		panic(fmt.Sprintf("relational: row %s/%d missing from page %d", table, id, slot))
+	for i := range rows {
+		if RowID(rows[i].ID) != id {
+			continue
+		}
+		vals, err := decodeRowPayload(rows[i].Payload)
+		if err != nil {
+			panic(fmt.Sprintf("relational: page slot %d row %s/%d: %v", slot, table, id, err))
+		}
+		return vals
 	}
-	return vals
+	panic(fmt.Sprintf("relational: row %s/%d missing from page %d", table, id, slot))
 }
 
 // versionValues resolves a version's values, faulting its page in when
 // the version is a demoted stub. The caller must satisfy the pager's
-// concurrency contract (hold db.mu, or be a registered reader). The
-// returned slice must not be mutated.
+// concurrency contract (hold db.mu, or be a registered reader). A
+// resident version's slice must not be mutated; a faulted one is the
+// caller's own.
 func (db *Database) versionValues(td *tableData, v *rowVersion) []Value {
 	if vals := v.row.Values; vals != nil {
 		return vals
@@ -137,8 +120,7 @@ func (db *Database) materializeLocked(td *tableData, id RowID) {
 	if v == nil || v.row.Values != nil {
 		return
 	}
-	vals := db.versionValues(td, v)
-	nv := &rowVersion{row: Row{ID: id, Values: append(make([]Value, 0, len(vals)), vals...)}}
+	nv := &rowVersion{row: Row{ID: id, Values: db.versionValues(td, v)}}
 	nv.begin.Store(v.begin.Load())
 	nv.end.Store(v.end.Load())
 	nv.pageSlot.Store(v.pageSlot.Load())

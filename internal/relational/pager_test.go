@@ -1,10 +1,14 @@
 package relational
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/pagestore"
 )
 
 // TestPagedDemotionAndFault is the paged-storage round trip: checkpoint
@@ -175,4 +179,116 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// pagerOverOnePage installs n two-column rows of table "t" (ids 1..n)
+// into a fresh page store and returns a pager over it plus the page's
+// stamp (slot+1). Payloads may be overridden per row id.
+func pagerOverOnePage(t *testing.T, n int, override map[RowID][]byte) (*pager, uint32) {
+	t.Helper()
+	store, _, err := pagestore.Open(t.TempDir(), pagestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	rows := make([]pagestore.InstallRow, n)
+	for i := range rows {
+		id := RowID(i + 1)
+		payload, ok := override[id]
+		if !ok {
+			payload = encodeRowPayload(nil, []Value{Int_(int64(id)), String_(fmt.Sprintf("name-%04d-%s", id, strings.Repeat("p", 28)))})
+		}
+		rows[i] = pagestore.InstallRow{ID: int64(id), Payload: payload}
+	}
+	placed, err := store.Install(1, []pagestore.Install{{Table: "t", Rows: rows}}, nil)
+	if err != nil || len(placed) != 1 {
+		t.Fatalf("install: %v placements=%d (want the rows on one page)", err, len(placed))
+	}
+	return newPager(store, 1<<20), placed[0].Slot + 1
+}
+
+// TestFaultRowAllocsAreOneRow pins what a fault pays for, by allocation
+// counts: from a resident page, exactly the row it returns (the value
+// slice and the one string in it) whatever else the page holds; on a
+// miss, a constant on top of that — the frame, the page buffer, the row
+// directory — independent of rows per page. Decoding the page's other
+// rows, on a hit or a miss, fails it.
+func TestFaultRowAllocsAreOneRow(t *testing.T) {
+	small, smallStamp := pagerOverOnePage(t, 6, nil)
+	big, bigStamp := pagerOverOnePage(t, 60, nil)
+	hit := func(p *pager, stamp uint32, id RowID) float64 {
+		p.faultRow("t", stamp, id) // make the page resident
+		return testing.AllocsPerRun(200, func() { p.faultRow("t", stamp, id) })
+	}
+	miss := func(p *pager, stamp uint32, id RowID) float64 {
+		slots := []uint32{stamp - 1}
+		return testing.AllocsPerRun(200, func() {
+			p.pool.Invalidate(slots)
+			p.faultRow("t", stamp, id)
+		})
+	}
+	const rowAllocs = 2 // []Value + the string column
+	for _, id := range []RowID{1, 30, 60} {
+		if got := hit(big, bigStamp, id); got != rowAllocs {
+			t.Errorf("row %d from a resident 60-row page: %v allocs, want %d", id, got, rowAllocs)
+		}
+	}
+	if got := hit(small, smallStamp, 3); got != rowAllocs {
+		t.Errorf("row from a resident 6-row page: %v allocs, want %d", got, rowAllocs)
+	}
+	missSmall, missBig := miss(small, smallStamp, 3), miss(big, bigStamp, 30)
+	if missSmall != missBig || missBig > 16 {
+		t.Errorf("miss allocs: %v on a 6-row page, %v on a 60-row page; want equal and small", missSmall, missBig)
+	}
+	if st := big.pool.Stats(); st.Misses != 1+201 || st.Hits != 2+3*201 { // AllocsPerRun(200) calls 201 times
+		t.Errorf("pool counters moved off the fault path: %+v", st)
+	}
+	if vals := big.faultRow("t", bigStamp, 30); vals[0].Int != 30 || !strings.HasPrefix(vals[1].Str, "name-0030-") {
+		t.Fatalf("faulted the wrong row: %v", vals)
+	}
+}
+
+// TestFaultRowCorruptPayloadPanics: the page CRC covers the frame, not
+// the meaning of a payload, so a row that does not decode is found at
+// the fault of THAT row — and must name the slot and the row — while
+// its page neighbours keep reading.
+func TestFaultRowCorruptPayloadPanics(t *testing.T) {
+	p, stamp := pagerOverOnePage(t, 10, map[RowID][]byte{7: {0x05, walValInt}})
+	if vals := p.faultRow("t", stamp, 6); vals[0].Int != 6 {
+		t.Fatalf("neighbour of the corrupt row: %v", vals)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{fmt.Sprintf("slot %d", stamp-1), "row t/7"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	p.faultRow("t", stamp, 7)
+	t.Fatal("corrupt payload did not panic")
+}
+
+// FuzzRowPayloadDecode: a page row payload is arbitrary bytes behind a
+// valid page CRC. Decoding never panics, and what decodes re-encodes to
+// a canonical form that decodes to the same bytes again.
+func FuzzRowPayloadDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x05, walValInt})
+	f.Add(encodeRowPayload(nil, nil))
+	f.Add(encodeRowPayload(nil, []Value{Int_(-7), String_("a\x00b"), Null(), Float_(2.5)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals, err := decodeRowPayload(data)
+		if err != nil {
+			return
+		}
+		re := encodeRowPayload(nil, vals)
+		again, err := decodeRowPayload(re)
+		if err != nil {
+			t.Fatalf("re-encoded payload failed to decode: %v", err)
+		}
+		if len(again) != len(vals) || !bytes.Equal(encodeRowPayload(nil, again), re) {
+			t.Fatalf("round-trip drift: %v then %v", vals, again)
+		}
+	})
 }

@@ -68,10 +68,10 @@ func (s *Snapshot) Get(table string, id RowID) (*Row, error) {
 	s.db.mu.RUnlock()
 	if v := head.visibleAt(s.seq); v != nil {
 		if v.row.Values == nil {
-			// Demoted stub: fault the page in. Safe without the latch —
-			// the snapshot's registration keeps the slot quarantined.
-			r := Row{ID: v.row.ID, Values: s.db.versionValues(td, v)}
-			return r.clone(), nil
+			// Demoted stub: fault the row in (a fresh slice, no clone
+			// needed). Safe without the latch — the snapshot's
+			// registration keeps the slot quarantined.
+			return &Row{ID: v.row.ID, Values: s.db.versionValues(td, v)}, nil
 		}
 		return v.row.clone(), nil
 	}
@@ -178,8 +178,9 @@ func (s *Snapshot) LookupEqual(table string, columns []string, values []Value) (
 	}
 	var candidates []*rowVersion
 	if ix := td.findIndex(cols); ix != nil {
-		ordered := reorderForIndex(ix, cols, values)
-		for _, id := range ix.lookup(ordered) {
+		bucket := ix.lookup(cols, values)
+		candidates = make([]*rowVersion, 0, len(bucket))
+		for _, id := range bucket {
 			if head, ok := td.rows[id]; ok {
 				candidates = append(candidates, head)
 			}

@@ -559,10 +559,10 @@ func (t *Txn) Get(table string, id RowID) (*Row, error) {
 	t.db.mu.RUnlock()
 	if v := t.resolve(head); v != nil {
 		if v.row.Values == nil {
-			// Demoted stub: fault the page in. Safe without the latch —
-			// the open transaction's readSeq keeps the slot quarantined.
-			r := Row{ID: v.row.ID, Values: t.db.versionValues(td, v)}
-			return r.clone(), nil
+			// Demoted stub: fault the row in (a fresh slice, no clone
+			// needed). Safe without the latch — the open transaction's
+			// readSeq keeps the slot quarantined.
+			return &Row{ID: v.row.ID, Values: t.db.versionValues(td, v)}, nil
 		}
 		return v.row.clone(), nil
 	}

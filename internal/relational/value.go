@@ -124,31 +124,28 @@ func (v Value) String() string {
 // string "1" encode differently. Integral floats encode like ints so that
 // cross-kind numeric equality (1 == 1.0) holds for index probes.
 func (v Value) EncodeKey() string {
-	switch v.Kind {
-	case KindNull:
-		return "\x00N"
-	case KindString:
-		return "\x00S" + v.Str
-	case KindInt:
-		return "\x00#" + strconv.FormatInt(v.Int, 10)
-	case KindFloat:
-		if v.Float == float64(int64(v.Float)) {
-			return "\x00#" + strconv.FormatInt(int64(v.Float), 10)
-		}
-		return "\x00#" + strconv.FormatFloat(v.Float, 'g', -1, 64)
-	default:
-		return "\x00?"
-	}
+	var buf [32]byte
+	return string(v.appendKey(buf[:0]))
 }
 
-// EncodeCompositeKey renders a tuple of values into a single index key.
-func EncodeCompositeKey(vals []Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		b.WriteString(v.EncodeKey())
-		b.WriteByte(0x01)
+// appendKey appends v's EncodeKey form to b. A composite index key is
+// each component's form followed by a 0x01 terminator.
+func (v Value) appendKey(b []byte) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(b, "\x00N"...)
+	case KindString:
+		return append(append(b, "\x00S"...), v.Str...)
+	case KindInt:
+		return strconv.AppendInt(append(b, "\x00#"...), v.Int, 10)
+	case KindFloat:
+		if v.Float == float64(int64(v.Float)) {
+			return strconv.AppendInt(append(b, "\x00#"...), int64(v.Float), 10)
+		}
+		return strconv.AppendFloat(append(b, "\x00#"...), v.Float, 'g', -1, 64)
+	default:
+		return append(b, "\x00?"...)
 	}
-	return b.String()
 }
 
 // numeric returns the value as float64 when it is numeric.
