@@ -21,10 +21,13 @@
 // Additional views can be registered at runtime via POST /views.
 //
 // With -data-dir (or "data_dir" in the config file) every view keeps a
-// durable write-ahead log under <dir>/<view-name>: commits fsync before
-// acknowledging, a background checkpointer bounds the log, and a
-// restart over the same directory replays every acknowledged
-// transaction. Without it the daemon runs purely in memory, as before.
+// durable write-ahead log under <dir>/<view-name>: the first boot
+// streams the dataset into pages (log line "seeded"), commits fsync
+// before acknowledging, a background checkpointer bounds the log, and a
+// restart over the same directory maps the page directory and replays
+// every acknowledged transaction without running the generator (log
+// line "recovered, seed skipped"). Without it the daemon runs purely in
+// memory, as before.
 //
 // With -shards N (or "shards" in the config) each view hash-partitions
 // its base tables across N independent storage shards: commit latches
@@ -207,20 +210,28 @@ func runServer(cfg *server.Config, addr string, log *slog.Logger) error {
 	defer stopReclaimers()
 	if cfg.DataDir != "" {
 		for _, v := range srv.Registry.Views() {
-			if r := v.Recovery; r != nil && (r.ReplayedTxns > 0 || r.CheckpointRows > 0) {
-				log.Info("wal recovery complete", "view", v.Name,
-					"replayed_txns", r.ReplayedTxns,
-					"checkpoint_rows", r.CheckpointRows, "dir", cfg.DataDir)
+			if sd := v.Seed; sd != nil {
+				log.Info("seeded", "view", v.Name, "rows", sd.Rows,
+					"seed_duration", sd.Duration.Round(time.Millisecond),
+					"checkpoint_passes", sd.Checkpoints, "dir", cfg.DataDir)
+				continue
 			}
-			if sr := v.ShardRecovery; sr != nil {
-				var replayed int64
-				for _, ri := range sr.Shards {
-					replayed += ri.ReplayedTxns
-				}
-				log.Info("sharded wal recovery complete", "view", v.Name,
-					"shards", len(sr.Shards), "replayed_txns", replayed,
-					"filtered_txns", sr.FilteredTxns, "dir", cfg.DataDir)
+			recovered := []relational.RecoveryInfo{}
+			if v.Recovery != nil {
+				recovered = append(recovered, *v.Recovery)
+			} else if v.ShardRecovery != nil {
+				recovered = v.ShardRecovery.Shards
 			}
+			var replayed, filtered int64
+			var rows int
+			for _, ri := range recovered {
+				replayed += ri.ReplayedTxns
+				filtered += ri.FilteredTxns
+				rows += ri.CheckpointRows
+			}
+			log.Info("recovered, seed skipped", "view", v.Name, "shards", len(recovered),
+				"replayed_txns", replayed, "filtered_txns", filtered,
+				"checkpoint_rows", rows, "dir", cfg.DataDir)
 		}
 		stopCheckpointers := srv.Registry.StartCheckpointers(5 * time.Second)
 		defer stopCheckpointers()

@@ -56,15 +56,21 @@ func NewDatabase(policy relational.DeletePolicy) (*relational.Database, error) {
 		return nil, err
 	}
 	db := relational.NewDatabase(schema)
+	_, err = db.Load(Populate)
+	return db, err
+}
+
+// Populate emits the Fig. 1 sample rows into the sink, parents first.
+func Populate(sink relational.Inserter) error {
 	for _, p := range [][2]string{
 		{"A01", "McGraw-Hill Inc."},
 		{"B01", "Prentice-Hall Inc."},
 		{"A02", "Simon & Schuster Inc."},
 	} {
-		if _, err := db.Insert("publisher", map[string]relational.Value{
+		if _, err := sink.Insert("publisher", map[string]relational.Value{
 			"pubid": relational.String_(p[0]), "pubname": relational.String_(p[1]),
 		}); err != nil {
-			return nil, fmt.Errorf("bookdb: load publisher: %w", err)
+			return fmt.Errorf("bookdb: load publisher: %w", err)
 		}
 	}
 	books := []struct {
@@ -77,26 +83,26 @@ func NewDatabase(policy relational.DeletePolicy) (*relational.Database, error) {
 		{"98003", "Data on the Web", "A01", 48.00, 2004},
 	}
 	for _, b := range books {
-		if _, err := db.Insert("book", map[string]relational.Value{
+		if _, err := sink.Insert("book", map[string]relational.Value{
 			"bookid": relational.String_(b.id), "title": relational.String_(b.title),
 			"pubid": relational.String_(b.pub), "price": relational.Float_(b.price),
 			"year": relational.Int_(b.year),
 		}); err != nil {
-			return nil, fmt.Errorf("bookdb: load book: %w", err)
+			return fmt.Errorf("bookdb: load book: %w", err)
 		}
 	}
 	for _, r := range [][4]string{
 		{"98001", "001", "A good book on network.", "William"},
 		{"98001", "002", "Useful for advanced user.", "John"},
 	} {
-		if _, err := db.Insert("review", map[string]relational.Value{
+		if _, err := sink.Insert("review", map[string]relational.Value{
 			"bookid": relational.String_(r[0]), "reviewid": relational.String_(r[1]),
 			"comment": relational.String_(r[2]), "reviewer": relational.String_(r[3]),
 		}); err != nil {
-			return nil, fmt.Errorf("bookdb: load review: %w", err)
+			return fmt.Errorf("bookdb: load review: %w", err)
 		}
 	}
-	return db, nil
+	return nil
 }
 
 // ViewQuery is the BookView definition of Fig. 3(a).

@@ -58,16 +58,15 @@ type PageRow struct {
 // pageRowBytes is what one PageRow header (id + slice header) occupies.
 const pageRowBytes = int64(unsafe.Sizeof(PageRow{}))
 
-// encodePage builds the frame (header + payload) for one page holding
-// rows of a single table. seq is the checkpoint sequence that wrote it.
-// The page self-describes (table name + row ids) so a stale read of a
-// reused slot is detectable by the caller.
-func encodePage(table string, seq uint64, rows []PageRow) []byte {
-	n := pageFrameHeader + binary.MaxVarintLen64*3 + len(table)
-	for _, r := range rows {
-		n += 2*binary.MaxVarintLen64 + len(r.Payload)
-	}
-	buf := make([]byte, pageFrameHeader, n)
+// encodePage builds one page's on-disk image in dst's storage (grown
+// when too small): the frame (header + payload) for rows of a single
+// table, zero-padded to a whole number of heap slots so it is written as
+// it is returned. seq is the checkpoint sequence that wrote it. The page
+// self-describes (table name + row ids) so a stale read of a reused slot
+// is detectable by the caller.
+func encodePage(dst []byte, table string, seq uint64, rows []PageRow) []byte {
+	var hdr [pageFrameHeader]byte
+	buf := append(dst[:0], hdr[:]...)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	buf = append(buf, table...)
 	buf = binary.AppendUvarint(buf, seq)
@@ -80,8 +79,11 @@ func encodePage(table string, seq uint64, rows []PageRow) []byte {
 	payload := buf[pageFrameHeader:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, pageCRC))
-	return buf
+	return append(buf, zeroPage[:int(frameSlots(len(buf)))*PageSize-len(buf)]...)
 }
+
+// zeroPage pads a frame to its slot boundary (always less than a slot).
+var zeroPage [PageSize]byte
 
 // frameSlots reports how many heap slots a frame of len(frame) bytes
 // occupies.

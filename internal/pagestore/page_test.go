@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestPageRoundTrip(t *testing.T) {
 		{ID: 7, Payload: nil},
 		{ID: 1 << 40, Payload: bytes.Repeat([]byte{0xab}, 900)},
 	}
-	frame := encodePage("users", 42, rows)
+	frame := encodePage(nil, "users", 42, rows)
 	table, seq, got, err := decodePageFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -31,7 +32,13 @@ func TestPageRoundTrip(t *testing.T) {
 }
 
 func TestPageDecodeRejectsCorruption(t *testing.T) {
-	frame := encodePage("t", 1, []PageRow{{ID: 5, Payload: []byte("x")}})
+	frame := encodePage(nil, "t", 1, []PageRow{{ID: 5, Payload: []byte("x")}})
+	if len(frame) != PageSize {
+		t.Fatalf("frame is %d bytes, want one padded slot (%d)", len(frame), PageSize)
+	}
+	// The zero padding up to the slot boundary is outside the frame (and
+	// its CRC): only header + payload bytes are flipped.
+	frame = frame[:pageFrameHeader+int(binary.LittleEndian.Uint32(frame[0:4]))]
 	for i := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
@@ -57,13 +64,13 @@ func TestFrameSlots(t *testing.T) {
 
 func FuzzPageDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodePage("t", 3, []PageRow{{ID: 1, Payload: []byte("abc")}}))
-	f.Add(encodePage("", 0, nil))
+	f.Add(encodePage(nil, "t", 3, []PageRow{{ID: 1, Payload: []byte("abc")}}))
+	f.Add(encodePage(nil, "", 0, nil))
 	big := make([]PageRow, 50)
 	for i := range big {
 		big[i] = PageRow{ID: int64(i), Payload: []byte(fmt.Sprintf("row-%d", i))}
 	}
-	f.Add(encodePage("many", 9, big))
+	f.Add(encodePage(nil, "many", 9, big))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes must never panic.
 		table, seq, rows, err := decodePageFrame(data)
@@ -72,7 +79,7 @@ func FuzzPageDecode(f *testing.F) {
 		}
 		// A successfully decoded frame must re-encode to an equivalent
 		// decodable frame (round-trip stability).
-		frame2 := encodePage(table, seq, rows)
+		frame2 := encodePage(nil, table, seq, rows)
 		t2, s2, rows2, err := decodePageFrame(frame2)
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)

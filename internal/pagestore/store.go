@@ -92,13 +92,6 @@ type Install struct {
 	Rows  []InstallRow
 }
 
-// Placement reports where Install put rows: one entry per page written.
-type Placement struct {
-	Table string
-	Slot  uint32
-	IDs   []int64
-}
-
 type pageEntry struct {
 	slots uint32
 	seq   uint64
@@ -516,15 +509,16 @@ func (s *Store) pageInfosLocked() []PageInfo {
 	return infos
 }
 
-// PageRows returns the directory row refs of a live page.
-func (s *Store) PageRows(slot uint32) ([]RowRef, bool) {
+// PageRows returns the directory row refs and extent length of a live
+// page.
+func (s *Store) PageRows(slot uint32) (refs []RowRef, slots uint32, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pe, ok := s.pages[slot]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	return pe.rows, true
+	return pe.rows, pe.slots, true
 }
 
 // Stats returns store counters.
@@ -577,156 +571,116 @@ func (s *Store) Close() error {
 // fsynced. Freed slots are NOT immediately reusable — the caller calls
 // Release once no reader can hold a reference to their old content.
 //
+// Each page is written as soon as it is packed, from one reused
+// slot-aligned buffer: a pass holds no more of the image than that.
+//
 // Durability order: heap writes + heap fsync happen strictly before the
 // directory append + fsync, so a crash between the two only orphans
 // fresh slots (recovered as free).
-func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]Placement, error) {
+func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, os.ErrClosed
 	}
 
-	// Pack rows into pages and allocate slots.
-	type pendingPage struct {
-		slot  uint32
-		frame []byte
-		entry *pageEntry
-		ids   []int64
-	}
-	var pending []pendingPage
-	var placements []Placement
-	// Track allocations so a failed install leaks nothing logically: the
-	// directory never references them, and the slots return to the free
-	// list (single pages) or stay orphaned until next recovery (extents).
-	allocSingle := func() uint32 {
-		if n := len(s.free); n > 0 {
-			slot := s.free[n-1]
+	var (
+		infos []PageInfo // the pages written, in write order
+		frame []byte     // the page being written; reused across pages
+	)
+	// writePage packs rows (refs alongside) into one page or extent,
+	// allocates its slots and writes it to the heap.
+	writePage := func(table string, rows []PageRow, refs []RowRef) error {
+		frame = encodePage(frame, table, seq, rows)
+		nslots := uint32(len(frame) / PageSize)
+		var slot uint32
+		if n := len(s.free); nslots == 1 && n > 0 {
+			slot = s.free[n-1]
 			s.free = s.free[:n-1]
-			return slot
+		} else {
+			// Fresh slots, and every extent, go at the heap end.
+			slot = s.heapSlots
+			s.heapSlots += nslots
 		}
-		slot := s.heapSlots
-		s.heapSlots++
-		return slot
-	}
-	undoAlloc := func() {
-		for _, pp := range pending {
-			if frameSlots(len(pp.frame)) == 1 {
-				s.free = append(s.free, pp.slot)
-			}
-		}
-	}
-
-	const capacity = PageSize - pageFrameHeader
-	for _, ins := range installs {
-		var cur []PageRow
-		curBytes := 0
-		overhead := 3*binary.MaxVarintLen64 + len(ins.Table)
-		var curRefs []RowRef
-		flush := func() {
-			if len(cur) == 0 {
-				return
-			}
-			frame := encodePage(ins.Table, seq, cur)
-			nslots := frameSlots(len(frame))
-			var slot uint32
-			if nslots == 1 {
-				slot = allocSingle()
-			} else {
-				// Extents are always appended at the heap end.
-				slot = s.heapSlots
-				s.heapSlots += nslots
-			}
-			ids := make([]int64, len(cur))
-			for i, r := range cur {
-				ids[i] = r.ID
-			}
-			pending = append(pending, pendingPage{
-				slot:  slot,
-				frame: frame,
-				entry: &pageEntry{slots: nslots, seq: seq, table: ins.Table, rows: curRefs},
-				ids:   ids,
-			})
-			placements = append(placements, Placement{Table: ins.Table, Slot: slot, IDs: ids})
-			cur, curBytes, curRefs = nil, 0, nil
-		}
-		for _, r := range ins.Rows {
-			rowBytes := 2*binary.MaxVarintLen64 + len(r.Payload)
-			if curBytes > 0 && overhead+curBytes+rowBytes > capacity {
-				flush()
-			}
-			cur = append(cur, PageRow{ID: r.ID, Payload: r.Payload})
-			curRefs = append(curRefs, RowRef{ID: r.ID, Meta: r.Meta})
-			curBytes += rowBytes
-			if overhead+curBytes > capacity {
-				// Oversized single row: its own extent.
-				flush()
-			}
-		}
-		flush()
-	}
-
-	// Pad every frame to its slot boundary so the heap stays slot-aligned
-	// and reads never cross into a short tail.
-	for i := range pending {
-		want := int(frameSlots(len(pending[i].frame))) * PageSize
-		if len(pending[i].frame) < want {
-			padded := make([]byte, want)
-			copy(padded, pending[i].frame)
-			pending[i].frame = padded
-		}
-	}
-
-	// Phase 1: heap writes, then one heap fsync.
-	for _, pp := range pending {
+		infos = append(infos, PageInfo{Slot: slot, Slots: nslots, Seq: seq, Table: table, Rows: refs})
 		if err := s.fp(fpWrite); err != nil {
-			undoAlloc()
-			return nil, err
+			return err
 		}
-		if _, err := s.heap.WriteAt(pp.frame, int64(pp.slot)*PageSize); err != nil {
-			undoAlloc()
-			return nil, err
+		_, err := s.heap.WriteAt(frame, int64(slot)*PageSize)
+		return err
+	}
+	// Phase 1: pack and write heap pages, then one heap fsync.
+	writeAll := func() error {
+		const capacity = PageSize - pageFrameHeader
+		for _, ins := range installs {
+			var cur []PageRow
+			var curRefs []RowRef
+			curBytes := 0
+			overhead := 3*binary.MaxVarintLen64 + len(ins.Table)
+			for _, r := range ins.Rows {
+				rowBytes := 2*binary.MaxVarintLen64 + len(r.Payload)
+				if curBytes > 0 && overhead+curBytes+rowBytes > capacity {
+					if err := writePage(ins.Table, cur, curRefs); err != nil {
+						return err
+					}
+					cur, curRefs, curBytes = cur[:0], nil, 0
+				}
+				cur = append(cur, PageRow{ID: r.ID, Payload: r.Payload})
+				curRefs = append(curRefs, RowRef{ID: r.ID, Meta: r.Meta})
+				curBytes += rowBytes
+			}
+			// The tail, or an oversized single row in its own extent.
+			if len(cur) > 0 {
+				if err := writePage(ins.Table, cur, curRefs); err != nil {
+					return err
+				}
+			}
+		}
+		if len(infos) == 0 {
+			return nil
+		}
+		return s.heap.Sync()
+	}
+	// A failed install leaks nothing logically: the directory never
+	// references the slots it allocated, and they return to the free list
+	// (single pages) or stay orphaned until next recovery (extents).
+	undoAlloc := func() {
+		for _, pi := range infos {
+			if pi.Slots == 1 {
+				s.free = append(s.free, pi.Slot)
+			}
 		}
 	}
-	if len(pending) > 0 {
-		if err := s.heap.Sync(); err != nil {
-			undoAlloc()
-			return nil, err
-		}
+	if err := writeAll(); err != nil {
+		undoAlloc()
+		return nil, err
 	}
 
 	// Phase 2: one durable directory record.
-	infos := make([]PageInfo, 0, len(pending))
-	for _, pp := range pending {
-		infos = append(infos, PageInfo{
-			Slot: pp.slot, Slots: pp.entry.slots, Seq: pp.entry.seq,
-			Table: pp.entry.table, Rows: pp.entry.rows,
-		})
-	}
 	s.recID++
-	recPayload := encodeInstallRecord(s.recID, seq, infos, freed)
+	rec := encodeInstallRecord(s.recID, seq, infos, freed)
 	if err := s.fp(fpDirectory); err != nil {
 		undoAlloc()
 		s.recID--
 		return nil, err
 	}
-	if err := s.appendDirRecord(recPayload); err != nil {
+	if err := s.appendDirRecord(rec); err != nil {
 		undoAlloc()
 		s.recID--
 		return nil, err
 	}
 
 	// Phase 3: apply in memory.
-	for _, pp := range pending {
-		s.pages[pp.slot] = pp.entry
+	for _, pi := range infos {
+		s.pages[pi.Slot] = &pageEntry{slots: pi.Slots, seq: pi.Seq, table: pi.Table, rows: pi.Rows}
 	}
 	for _, slot := range freed {
 		delete(s.pages, slot)
 	}
-	s.pagesEver.Add(uint64(len(pending)))
+	s.pagesEver.Add(uint64(len(infos)))
 	s.recsSince++
 	s.maybeCompactLocked()
-	return placements, nil
+	return infos, nil
 }
 
 // Release returns logically-freed slots to the reuse free list. Call
@@ -747,31 +701,32 @@ func (s *Store) Release(slots []uint32, slotCounts []uint32) {
 	}
 }
 
-// PageSlots returns the extent length of a live page.
-func (s *Store) PageSlots(slot uint32) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pe, ok := s.pages[slot]; ok {
-		return pe.slots
-	}
-	return 1
-}
-
-// appendDirRecord frames and durably appends one record to the active
-// log segment.
-func (s *Store) appendDirRecord(payload []byte) error {
-	frame := make([]byte, pageFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, pageCRC))
-	copy(frame[pageFrameHeader:], payload)
+// appendDirRecord durably appends one framed record to the active log
+// segment.
+func (s *Store) appendDirRecord(frame []byte) error {
 	if _, err := s.logF.Write(frame); err != nil {
 		return err
 	}
 	return s.logF.Sync()
 }
 
+// beginDirRecord starts a directory record of the given kind with its
+// frame header reserved; finishDirRecord backfills the header once the
+// payload has been appended in place, so a record is built in one buffer.
+func beginDirRecord(kind byte) []byte {
+	return append(make([]byte, pageFrameHeader, 4096), kind)
+}
+
+func finishDirRecord(frame []byte) []byte {
+	payload := frame[pageFrameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, pageCRC))
+	return frame
+}
+
+// encodeInstallRecord builds one framed install record.
 func encodeInstallRecord(recID, seq uint64, pages []PageInfo, freed []uint32) []byte {
-	buf := []byte{dirRecInstall}
+	buf := beginDirRecord(dirRecInstall)
 	buf = binary.AppendUvarint(buf, recID)
 	buf = binary.AppendUvarint(buf, seq)
 	buf = appendPageList(buf, pages)
@@ -779,7 +734,7 @@ func encodeInstallRecord(recID, seq uint64, pages []PageInfo, freed []uint32) []
 	for _, slot := range freed {
 		buf = binary.AppendUvarint(buf, uint64(slot))
 	}
-	return buf
+	return finishDirRecord(buf)
 }
 
 func appendPageList(buf []byte, pages []PageInfo) []byte {
@@ -850,10 +805,10 @@ func (s *Store) compactBase(snap []PageInfo, watermark, seq uint64, maxSegIndex 
 		fail(err)
 		return
 	}
-	buf := []byte{dirRecBase}
+	buf := beginDirRecord(dirRecBase)
 	buf = binary.AppendUvarint(buf, watermark)
 	buf = binary.AppendUvarint(buf, seq)
-	buf = appendPageList(buf, snap)
+	frame := finishDirRecord(appendPageList(buf, snap))
 
 	tmpPath := filepath.Join(s.dir, dirTmpName)
 	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -861,10 +816,6 @@ func (s *Store) compactBase(snap []PageInfo, watermark, seq uint64, maxSegIndex 
 		fail(err)
 		return
 	}
-	frame := make([]byte, pageFrameHeader+len(buf))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(buf)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(buf, pageCRC))
-	copy(frame[pageFrameHeader:], buf)
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		fail(err)

@@ -51,11 +51,11 @@ func TestStoreInstallReadRecover(t *testing.T) {
 		if table != "tbl" || seq != 5 {
 			t.Fatalf("page self-description wrong: %q/%d", table, seq)
 		}
-		if len(rows) != len(p.IDs) {
-			t.Fatalf("page rows %d != placement ids %d", len(rows), len(p.IDs))
+		if len(rows) != len(p.Rows) {
+			t.Fatalf("page rows %d != placement ids %d", len(rows), len(p.Rows))
 		}
 		for i, r := range rows {
-			if r.ID != p.IDs[i] {
+			if r.ID != p.Rows[i].ID {
 				t.Fatalf("id order mismatch")
 			}
 			want := fmt.Sprintf("payload-%d", r.ID)
@@ -107,7 +107,7 @@ func TestStoreFreeAndReuse(t *testing.T) {
 	if _, err := s.Install(2, []Install{{Table: "t", Rows: rowsOf(10, 0)}}, []uint32{oldSlot}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.PageRows(oldSlot); ok {
+	if _, _, ok := s.PageRows(oldSlot); ok {
 		t.Fatalf("freed slot %d still in directory", oldSlot)
 	}
 	st := s.Stats()
@@ -201,7 +201,7 @@ func TestStoreTornDirectoryTail(t *testing.T) {
 func TestStoreBaseCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{DirLogLimit: 2})
-	var last []Placement
+	var last []PageInfo
 	var freed []uint32
 	for i := 1; i <= 8; i++ {
 		var err error

@@ -64,40 +64,47 @@ func NewDatabase(proteins int) (*relational.Database, error) {
 		return nil, err
 	}
 	db := relational.NewDatabase(schema)
+	_, err = db.Load(func(sink relational.Inserter) error { return Populate(sink, proteins) })
+	return db, err
+}
+
+// Populate emits the dataset deterministically into the sink: the
+// organisms, then each protein followed by its citations.
+func Populate(sink relational.Inserter, proteins int) error {
 	rng := rand.New(rand.NewSource(int64(proteins) + 17))
 	organisms := []struct{ oid, species string }{
 		{"O1", "Homo sapiens"}, {"O2", "Mus musculus"}, {"O3", "Caenorhabditis elegans"},
 		{"O4", "Saccharomyces cerevisiae"}, {"O5", "Drosophila melanogaster"},
 	}
 	for _, o := range organisms {
-		if _, err := db.Insert("organism", map[string]relational.Value{
+		if _, err := sink.Insert("organism", map[string]relational.Value{
 			"oid": relational.String_(o.oid), "species": relational.String_(o.species),
 			"lineage": relational.String_("Eukaryota"),
 		}); err != nil {
-			return nil, fmt.Errorf("psd: organism: %w", err)
+			return fmt.Errorf("psd: organism: %w", err)
 		}
 	}
 	for i := 0; i < proteins; i++ {
 		pid := fmt.Sprintf("P%05d", i)
-		if _, err := db.Insert("protein", map[string]relational.Value{
+		if _, err := sink.Insert("protein", map[string]relational.Value{
 			"pid":    relational.String_(pid),
 			"name":   relational.String_(fmt.Sprintf("protein kinase %d", i)),
 			"oid":    relational.String_(organisms[i%len(organisms)].oid),
 			"length": relational.Int_(int64(50 + rng.Intn(2000))),
 		}); err != nil {
-			return nil, fmt.Errorf("psd: protein: %w", err)
+			return fmt.Errorf("psd: protein: %w", err)
 		}
 		for c := 0; c < 1+i%3; c++ {
-			if _, err := db.Insert("citation", map[string]relational.Value{
+			if _, err := sink.Insert("citation", map[string]relational.Value{
 				"pid": relational.String_(pid), "cid": relational.String_(fmt.Sprintf("C%d", c)),
 				"title":   relational.String_(fmt.Sprintf("Characterization of protein %d, part %d", i, c)),
 				"journal": relational.String_("J. Mol. Biol."),
 			}); err != nil {
-				return nil, fmt.Errorf("psd: citation: %w", err)
+				return fmt.Errorf("psd: citation: %w", err)
 			}
 		}
 	}
-	return db, nil
+	return nil
 }
 
 // ViewQuery is the non-well-nested curation view: organisms (the FK

@@ -567,20 +567,6 @@ func (db *Database) Get(table string, id RowID) (*Row, error) {
 	return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
 }
 
-// ScanIDs returns the committed-visible row ids of a table in insertion
-// order.
-func (db *Database) ScanIDs(table string) []RowID {
-	vs, err := db.collectVisible(table)
-	if err != nil {
-		return nil
-	}
-	out := make([]RowID, 0, len(vs))
-	for _, r := range vs {
-		out = append(out, r.ID)
-	}
-	return out
-}
-
 // compactLocked drops reclaimed ids from the order slice. Called by the
 // reclaimer (a writer) only; readers filter invisible ids instead.
 func (td *tableData) compactLocked() {

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,6 +19,14 @@ import (
 // read of a stub decodes that one row's payload out of the pooled page
 // (faultRow), so a fault costs the row it touches, not the page. That
 // is what lets the dataset exceed RAM under a hard PageCacheBytes budget.
+//
+// There is one kind of checkpoint pass, the incremental one: it pages
+// the rows dirtied since the previous pass and demotes them on the spot.
+// A dataset therefore never has to exist in memory to reach the pages —
+// Load (load.go) streams it in as ordinary transactions with a pass per
+// window, leaving behind a first boot what a restart leaves: stubs,
+// index entries, rowSlot, the store's directory and the pool. OpenWAL on
+// a populated database marks every row dirty once and runs that pass.
 //
 // Concurrency contract (load-bearing — see faultRow):
 //
@@ -176,6 +183,11 @@ func pageRowMeta(td *tableData, vals []Value) []string {
 	return meta
 }
 
+// installRow is one row's page image and directory metadata.
+func installRow(td *tableData, id RowID, vals []Value) pagestore.InstallRow {
+	return pagestore.InstallRow{ID: int64(id), Payload: encodeRowPayload(nil, vals), Meta: pageRowMeta(td, vals)}
+}
+
 // pagePlan is the outcome of checkpoint planning: the installs to hand
 // to the store plus the bookkeeping the in-memory apply needs.
 type pagePlan struct {
@@ -189,48 +201,21 @@ type pagePlan struct {
 // committed image at the snapshot is packed into fresh copy-on-write
 // pages, clean SURVIVOR rows sharing the superseded pages ride along so
 // those slots can be freed whole, and rows deleted at the snapshot
-// become directory-only tombstones. A full pass treats every row as
-// dirty. Runs outside the latches: the snapshot pins visibility, ckptMu
-// serializes rowSlot access, and only a brief shared latch is taken to
-// list the dirty ids.
-func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID]struct{}, full bool) (*pagePlan, error) {
+// become directory-only tombstones. Runs outside the latches: the
+// snapshot pins visibility, ckptMu serializes rowSlot access, and the
+// swapped-out dirty sets belong to this pass alone. Images are encoded
+// straight from the versions' own value slices (Snapshot.values), never
+// from a copy.
+func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID]struct{}) (*pagePlan, error) {
 	p := db.wal.pager
 
-	// Phase A (shared latch): per-table dirty id sets.
-	dirtyIDs := make(map[string]map[RowID]struct{})
-	db.mu.RLock()
-	if full {
-		for name, td := range db.tables {
-			set := make(map[RowID]struct{}, len(td.rows)+len(p.rowSlot[name]))
-			for id := range td.rows {
-				set[id] = struct{}{}
-			}
-			for id := range p.rowSlot[name] {
-				set[id] = struct{}{}
-			}
-			if len(set) > 0 {
-				dirtyIDs[name] = set
-			}
-		}
-	} else {
-		for name, ids := range dirty {
-			set := make(map[RowID]struct{}, len(ids))
-			for id := range ids {
-				set[id] = struct{}{}
-			}
-			dirtyIDs[name] = set
-		}
-	}
-	db.mu.RUnlock()
-
-	names := make([]string, 0, len(dirtyIDs))
-	for name := range dirtyIDs {
+	names := make([]string, 0, len(dirty))
+	for name := range dirty {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	// Phase B (no latch): resolve images at the snapshot and collect the
-	// superseded slots.
+	// Resolve images at the snapshot and collect the superseded slots.
 	plan := &pagePlan{gone: make(map[string][]RowID)}
 	affectedTable := make(map[uint32]string)
 	for _, name := range names {
@@ -238,7 +223,7 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 		if err != nil {
 			return nil, err
 		}
-		set := dirtyIDs[name]
+		set := dirty[name]
 		ids := make([]RowID, 0, len(set))
 		for id := range set {
 			ids = append(ids, id)
@@ -248,21 +233,14 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-		var rows []pagestore.InstallRow
+		rows := make([]pagestore.InstallRow, 0, len(ids))
 		for _, id := range ids {
-			r, err := snap.Get(name, id)
-			switch {
-			case err == nil:
-				rows = append(rows, pagestore.InstallRow{
-					ID:      int64(id),
-					Payload: encodeRowPayload(nil, r.Values),
-					Meta:    pageRowMeta(td, r.Values),
-				})
-			case errors.Is(err, ErrNoSuchRow):
+			vals, ok := snap.values(td, id)
+			if !ok {
 				plan.gone[name] = append(plan.gone[name], id)
-			default:
-				return nil, err
+				continue
 			}
+			rows = append(rows, installRow(td, id, vals))
 		}
 		if len(rows) > 0 {
 			plan.installs = append(plan.installs, pagestore.Install{Table: name, Rows: rows})
@@ -279,14 +257,17 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 	}
 	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
 
+	plan.freedSlots = affected
+	plan.freedCounts = make([]uint32, len(affected)) // extent lengths; 0 releases as 1
 	surv := make(map[string][]pagestore.InstallRow)
-	for _, slot := range affected {
+	for i, slot := range affected {
 		name := affectedTable[slot]
 		td, err := db.tableData(name)
 		if err != nil {
 			return nil, err
 		}
-		refs, ok := p.store.PageRows(slot)
+		refs, nslots, ok := p.store.PageRows(slot)
+		plan.freedCounts[i] = nslots
 		if !ok {
 			continue
 		}
@@ -295,40 +276,23 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 			if p.rowSlot[name][id] != slot {
 				continue // row since moved to a newer page
 			}
-			if _, isDirty := dirtyIDs[name][id]; isDirty {
+			if _, isDirty := dirty[name][id]; isDirty {
 				continue
 			}
-			r, err := snap.Get(name, id)
-			if errors.Is(err, ErrNoSuchRow) {
+			vals, ok := snap.values(td, id)
+			if !ok {
 				// Unreachable in the protocol (a deletion marks the row
 				// dirty), but drop the mapping rather than resurrecting.
 				plan.gone[name] = append(plan.gone[name], id)
 				continue
 			}
-			if err != nil {
-				return nil, err
-			}
-			surv[name] = append(surv[name], pagestore.InstallRow{
-				ID:      int64(id),
-				Payload: encodeRowPayload(nil, r.Values),
-				Meta:    pageRowMeta(td, r.Values),
-			})
+			surv[name] = append(surv[name], installRow(td, id, vals))
 		}
 	}
-	for _, name := range names {
+	for _, name := range names { // a page holds one table's rows, so survivors belong to dirty tables
 		if rows := surv[name]; len(rows) > 0 {
 			plan.installs = append(plan.installs, pagestore.Install{Table: name, Rows: rows})
-			delete(surv, name)
 		}
-	}
-	for name, rows := range surv { // survivors of tables with no dirty rows this pass
-		plan.installs = append(plan.installs, pagestore.Install{Table: name, Rows: rows})
-	}
-
-	plan.freedSlots = affected
-	plan.freedCounts = make([]uint32, len(affected))
-	for i, s := range affected {
-		plan.freedCounts[i] = p.store.PageSlots(s)
 	}
 	return plan, nil
 }
@@ -339,7 +303,7 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 // their whole chain is a single committed version — demoted to stubs,
 // vanished rows drop their mapping, and the superseded slots enter
 // quarantine until no reader can still fault their old content.
-func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.Placement, plan *pagePlan) {
+func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.PageInfo, plan *pagePlan) {
 	p := db.wal.pager
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -361,8 +325,8 @@ func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.P
 			p.rowSlot[pl.Table] = slots
 		}
 		td := db.tables[pl.Table]
-		for _, id64 := range pl.IDs {
-			id := RowID(id64)
+		for _, ref := range pl.Rows {
+			id := RowID(ref.ID)
 			slots[id] = pl.Slot
 			if td == nil {
 				continue

@@ -78,6 +78,20 @@ func (s *Snapshot) Get(table string, id RowID) (*Row, error) {
 	return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
 }
 
+// values returns the visible row's values without copying them (faulted
+// in for a stub), for read-only callers such as checkpoint planning; ok
+// is false when the snapshot sees no such row.
+func (s *Snapshot) values(td *tableData, id RowID) (vals []Value, ok bool) {
+	s.db.mu.RLock()
+	head := td.rows[id]
+	s.db.mu.RUnlock()
+	v := head.visibleAt(s.seq)
+	if v == nil {
+		return nil, false
+	}
+	return s.db.versionValues(td, v), true
+}
+
 // RowCount returns the number of rows visible at the snapshot. Unlike
 // the live Database's O(1) counter this walks the table's chains.
 func (s *Snapshot) RowCount(table string) int {
@@ -365,6 +379,9 @@ type VersionStats struct {
 	VisibleRows int `json:"visible_rows"`
 	// Versions counts stored row versions, including history.
 	Versions int `json:"versions"`
+	// ResidentRows counts rows whose newest version holds its values in
+	// memory (all of them without a WAL); the rest are paged stubs.
+	ResidentRows int `json:"resident_rows"`
 	// MaxChainDepth is the longest version chain (1 = no history).
 	MaxChainDepth int `json:"max_chain_depth"`
 	// SnapshotsActive is the number of currently pinned snapshots.
@@ -417,6 +434,9 @@ func (db *Database) versionStatsAt(seq uint64) VersionStats {
 		vs.Versions += depth
 		if depth > vs.MaxChainDepth {
 			vs.MaxChainDepth = depth
+		}
+		if head.row.Values != nil {
+			vs.ResidentRows++
 		}
 		if head.visibleAt(seq) != nil {
 			vs.VisibleRows++

@@ -211,10 +211,6 @@ type WAL struct {
 	ckptMu        sync.Mutex // serializes Checkpoint runs
 	checkpointSeq atomic.Uint64
 
-	// haveBase (guarded by ckptMu) records that the page store holds an
-	// installed base image; the first pass on a fresh store is full.
-	haveBase bool
-
 	// pager owns the paged checkpoint store and its buffer pool; set
 	// once by OpenWAL before the database serves traffic.
 	pager *pager
@@ -259,9 +255,9 @@ func parseSegmentIndex(name string) (uint64, bool) {
 	return idx, len(mid) > 0
 }
 
-// syncDir fsyncs a directory so entry creations/renames/removals are
+// SyncDir fsyncs a directory so entry creations/renames/removals are
 // durable, the half of crash safety rename alone does not give.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -622,7 +618,7 @@ func (w *WAL) openSegment(index uint64) error {
 		}
 		w.fsyncs.Add(1)
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := SyncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -671,7 +667,7 @@ func (w *WAL) takeRecycled(path string) (*os.File, bool, error) {
 		f.Close()
 		return nil, false, err
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := SyncDir(w.dir); err != nil {
 		f.Close()
 		return nil, false, err
 	}
@@ -722,13 +718,16 @@ func (w *WAL) Segments() int64 {
 // called before the database serves traffic.
 //
 // If dir holds an earlier checkpoint or segments, the database's
-// in-memory contents are REPLACED by the recovered state: checkpoint
-// rows load first, then committed transactions replay from the
-// segments in order, and a torn tail (incomplete or CRC-failing final
-// record) is discarded. Otherwise the database's current contents
-// (e.g. a freshly seeded dataset) are checkpointed as the initial
-// durable image. Either way, every subsequent commit's record is
-// appended and fsynced before its transactions become visible.
+// in-memory contents are REPLACED by the recovered state: the page
+// directory maps into value-less row stubs, then committed transactions
+// replay from the segments in order, and a torn tail (incomplete or
+// CRC-failing final record) is discarded. Otherwise the database's
+// current contents are checkpointed as the initial durable image: every
+// row is marked dirty once and the ordinary incremental pass writes
+// them. Either way, every subsequent commit's record is appended and
+// fsynced before its transactions become visible.
+// (A large dataset is better streamed in with Load afterwards; a zero
+// RecoveryInfo.CommitSeq says nothing was ever committed here.)
 func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) {
 	if db.wal != nil {
 		return nil, fmt.Errorf("relational: database already has a WAL (dir %s)", db.wal.dir)
@@ -808,9 +807,14 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 	w.writerDone = make(chan struct{})
 	go w.writerLoop(db)
 	if fresh {
-		// Fresh directory: the current (possibly pre-seeded) contents
-		// become the initial checkpoint, so recovery never needs to
-		// re-run dataset seeding.
+		// Fresh directory: what the database already holds was committed
+		// with no log to mark it dirty in, so mark every row once and let
+		// the ordinary pass write the initial image (possibly empty).
+		for _, td := range db.tables {
+			for id := range td.rows {
+				td.markDirtyRow(id)
+			}
+		}
 		if err := db.Checkpoint(); err != nil {
 			w.stopWriter()
 			db.wal = nil
@@ -836,7 +840,6 @@ func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestor
 			return fmt.Errorf("relational: checkpoint: %w", err)
 		}
 		w.checkpointSeq.Store(rec.Seq)
-		w.haveBase = true
 		info.CheckpointSeq = rec.Seq
 		info.CheckpointRows = rows
 		info.CheckpointDeltas = rec.Records
@@ -908,7 +911,7 @@ func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestor
 		}
 	}
 	if info.TornTail || trimmed {
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			return err
 		}
 	}
@@ -1064,10 +1067,9 @@ func (db *Database) Checkpoint() error {
 	copy(supersede, w.sealed)
 	w.mu.Unlock()
 
-	// The first pass on a fresh store rewrites every row; after that
-	// only the dirty set and its page-mates move. The store folds its
-	// own directory chain.
-	plan, err := db.buildPageInstalls(snap, dirty, !w.haveBase)
+	// Only the dirty set and its page-mates move; the store folds its own
+	// directory chain.
+	plan, err := db.buildPageInstalls(snap, dirty)
 	if err != nil {
 		return fail(err)
 	}
@@ -1086,7 +1088,6 @@ func (db *Database) Checkpoint() error {
 	// page mappings are cleared.
 	db.applyPagePlacements(seq, placements, plan)
 	snap.Close()
-	w.haveBase = true
 	w.chainLen.Store(int64(w.pager.store.Stats().DirChainLen))
 	return w.finishCheckpoint(seq, supersede)
 }
@@ -1106,7 +1107,7 @@ func (w *WAL) finishCheckpoint(seq uint64, supersede []sealedSegment) error {
 			return err
 		}
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := SyncDir(w.dir); err != nil {
 		return err
 	}
 	w.mu.Lock()

@@ -114,6 +114,10 @@ type View struct {
 	// view; nil otherwise.
 	ShardRecovery *shard.Recovery
 
+	// Seed reports the dataset load Add ran; nil when a durable view
+	// recovered an existing directory and the generator never ran.
+	Seed *SeedInfo
+
 	// durable is true when the view's engine logs to disk (DataDir set),
 	// sharded or not.
 	durable bool
@@ -163,6 +167,12 @@ type View struct {
 	// applyBatchFn runs the group-commit batch pipeline; defaults to
 	// Filter.ApplyBatch.
 	applyBatchFn func([]string) []ufilter.BatchResult
+}
+
+// SeedInfo describes one streamed dataset load and its wall time.
+type SeedInfo struct {
+	relational.LoadStats
+	Duration time.Duration
 }
 
 // QueueCapacity returns the apply admission bound (the number of
@@ -523,9 +533,10 @@ type Registry struct {
 
 	// DataDir, when non-empty, gives every added view a durable
 	// write-ahead log under DataDir/<view-name>: Add recovers whatever a
-	// previous process left there (seeding the dataset only on first
-	// boot) and subsequent applies survive kill -9. Set it before the
-	// first Add (read without synchronization).
+	// previous process left there (streaming the dataset in only on
+	// first boot, or again after a boot that died mid-seed) and
+	// subsequent applies survive kill -9. Set it before the first Add
+	// (read without synchronization).
 	DataDir string
 
 	// DefaultShards is the shard count for views whose config does not
@@ -549,7 +560,7 @@ func NewRegistry() *Registry {
 // validViewName reports whether a name can round-trip through the
 // /views/{name}/... route patterns (one path segment, no escaping).
 func validViewName(name string) bool {
-	if name == "" {
+	if name == "" || name == "." || name == ".." { // the name is also a directory under DataDir
 		return false
 	}
 	for _, r := range name {
@@ -564,7 +575,10 @@ func validViewName(name string) bool {
 }
 
 // Add compiles and registers a view from its configuration. The name
-// must be a single path segment ([A-Za-z0-9._-]+) and unused.
+// must be a single path segment ([A-Za-z0-9._-]+) and unused. The
+// dataset streams into a schema-only engine whose storage is already
+// attached (openStorage), so boot memory does not grow with it; a
+// DataDir directory holding committed state is recovered instead.
 func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	name := strings.TrimSpace(vc.Name)
 	if !validViewName(name) {
@@ -582,7 +596,7 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, builtinQuery, err := BuildDataset(vc)
+	schema, fill, builtinQuery, err := datasetFor(vc)
 	if err != nil {
 		return nil, err
 	}
@@ -590,40 +604,28 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	if shards <= 0 {
 		shards = r.DefaultShards
 	}
-	if shards <= 1 {
-		shards = 1
+	depth := vc.QueueDepth
+	if depth <= 0 {
+		depth = r.DefaultQueueDepth
 	}
-	var (
-		eng           relational.Engine = db
-		recovery      *relational.RecoveryInfo
-		shardRecovery *shard.Recovery
-	)
-	switch {
-	case shards > 1:
-		// Sharded view: the base tables hash-partition across
-		// independent storage shards; in durable mode each shard logs
-		// under DataDir/<view-name>/shard-<i> plus a coordinator log for
-		// cross-shard commits.
-		opts := shard.Options{WAL: r.WALOptions}
-		if r.DataDir != "" {
-			opts.Dir = filepath.Join(r.DataDir, name)
-		}
-		sdb, srec, err := shard.New(db, shards, opts)
-		if err != nil {
-			return nil, fmt.Errorf("view %s: %w", name, err)
-		}
-		eng = sdb
-		if r.DataDir != "" {
-			shardRecovery = srec
-		}
-	case r.DataDir != "":
-		// Durable mode: recovery replaces the freshly seeded dataset with
-		// whatever previous runs committed (first boot checkpoints the
-		// seed, so later boots replay on top of it, not instead of it).
-		recovery, err = db.OpenWAL(filepath.Join(r.DataDir, name), r.WALOptions)
-		if err != nil {
-			return nil, fmt.Errorf("view %s: %w", name, err)
-		}
+	if depth <= 0 {
+		depth = DefaultApplyQueueDepth
+	}
+	v := &View{
+		Name:           name,
+		Dataset:        strings.ToLower(vc.Dataset),
+		Strategy:       strategy,
+		durable:        r.DataDir != "",
+		queue:          make(chan struct{}, depth),
+		checkHist:      obs.NewDurationHistogram(),
+		checkBatchHist: obs.NewDurationHistogram(),
+		applyHist:      obs.NewDurationHistogram(),
+		applyBatchHist: obs.NewDurationHistogram(),
+		slow:           obs.NewSlowRing(slowRingDepth),
+	}
+	eng, err := r.openStorage(v, schema, fill, shards)
+	if err != nil {
+		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
 	query := vc.Query
 	if strings.TrimSpace(query) == "" {
@@ -634,28 +636,7 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
 	f.Strategy = strategy
-	depth := vc.QueueDepth
-	if depth <= 0 {
-		depth = r.DefaultQueueDepth
-	}
-	if depth <= 0 {
-		depth = DefaultApplyQueueDepth
-	}
-	v := &View{
-		Name:           name,
-		Filter:         f,
-		Dataset:        strings.ToLower(vc.Dataset),
-		Strategy:       strategy,
-		Recovery:       recovery,
-		ShardRecovery:  shardRecovery,
-		durable:        r.DataDir != "",
-		queue:          make(chan struct{}, depth),
-		checkHist:      obs.NewDurationHistogram(),
-		checkBatchHist: obs.NewDurationHistogram(),
-		applyHist:      obs.NewDurationHistogram(),
-		applyBatchHist: obs.NewDurationHistogram(),
-		slow:           obs.NewSlowRing(slowRingDepth),
-	}
+	v.Filter = f
 	v.applyFn = f.ApplyContext
 	v.applyBatchFn = f.ApplyBatch
 
@@ -666,6 +647,91 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	}
 	r.views[name] = v
 	return v, nil
+}
+
+// seedMarker exists in a durable view's directory exactly while its
+// seed is in progress: created (directory fsynced) before the first
+// batch, removed (fsynced again) after the final checkpoint. Present at
+// Add, the directory holds part of a seed and nothing else, and is
+// wiped; absent, a directory is never condemned, only recovered.
+const seedMarker = "seed.inprogress"
+
+// openStorage builds the view's engine (a shard group when shards > 1;
+// durable under DataDir/<view-name> when DataDir is set) and streams the
+// dataset in unless recovery found committed state. It records the
+// recovery and seed reports on v.
+func (r *Registry) openStorage(v *View, schema *relational.Schema, fill func(relational.Inserter) error, shards int) (relational.Engine, error) {
+	dir, marker := "", ""
+	if r.DataDir != "" {
+		dir = filepath.Join(r.DataDir, v.Name)
+		marker = filepath.Join(dir, seedMarker)
+		_, err := os.Stat(marker)
+		if err == nil {
+			err = os.RemoveAll(dir) // an interrupted seed: redo it from scratch
+		} else if errors.Is(err, os.ErrNotExist) {
+			err = nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	var (
+		eng  relational.Engine
+		load func(func(relational.Inserter) error) (relational.LoadStats, error)
+		// committed is the recovered commit clock: zero means nothing was
+		// ever committed here, so the dataset is still to be seeded.
+		committed uint64
+	)
+	if shards > 1 {
+		// Each shard logs under <dir>/shard-<i>, beside a coordinator log
+		// for cross-shard commits.
+		sdb, srec, err := shard.New(schema, shards, shard.Options{Dir: dir, WAL: r.WALOptions})
+		if err != nil {
+			return nil, err
+		}
+		eng, load = sdb, sdb.Load
+		if dir != "" {
+			v.ShardRecovery = srec
+			for _, ri := range srec.Shards {
+				committed += ri.CommitSeq
+			}
+		}
+	} else {
+		db := relational.NewDatabase(schema)
+		eng, load = db, db.Load
+		if dir != "" {
+			rec, err := db.OpenWAL(dir, r.WALOptions)
+			if err != nil {
+				return nil, err
+			}
+			v.Recovery, committed = rec, rec.CommitSeq
+		}
+	}
+	if committed > 0 {
+		return eng, nil
+	}
+	start := time.Now()
+	var err error
+	if dir != "" {
+		if err = os.WriteFile(marker, nil, 0o644); err == nil {
+			err = relational.SyncDir(dir)
+		}
+	}
+	var stats relational.LoadStats
+	if err == nil {
+		stats, err = load(fill)
+	}
+	if err == nil && dir != "" {
+		if err = os.Remove(marker); err == nil {
+			err = relational.SyncDir(dir)
+		}
+	}
+	if err != nil {
+		_ = eng.CloseWAL()
+		return nil, fmt.Errorf("seed: %w", err)
+	}
+	v.Seed = &SeedInfo{LoadStats: stats, Duration: time.Since(start)}
+	return eng, nil
 }
 
 // Get fetches a view by name.
@@ -746,46 +812,57 @@ func (r *Registry) Views() []*View {
 	return out
 }
 
-// BuildDataset instantiates the built-in dataset a view ranges over,
-// returning the database and the dataset's default view query. It is
-// the one implementation of dataset/variant dispatch, shared by the
-// registry and the ufilter CLI.
+// BuildDataset instantiates the built-in dataset a view ranges over in
+// memory, returning the database and its default view query (the
+// ufilter CLI's entry point).
 func BuildDataset(vc ViewConfig) (*relational.Database, string, error) {
+	schema, fill, query, err := datasetFor(vc)
+	if err != nil {
+		return nil, "", err
+	}
+	db := relational.NewDatabase(schema)
+	_, err = db.Load(fill)
+	return db, query, err
+}
+
+// datasetFor is the one implementation of dataset/variant dispatch: a
+// built-in dataset's schema, the generator that emits its rows and its
+// default view query.
+func datasetFor(vc ViewConfig) (schema *relational.Schema, fill func(relational.Inserter) error, query string, err error) {
 	switch strings.ToLower(vc.Dataset) {
 	case "book", "":
-		db, err := bookdb.NewDatabase(relational.DeleteCascade)
-		return db, bookdb.ViewQuery, err
+		schema, err = bookdb.Schema(relational.DeleteCascade)
+		return schema, bookdb.Populate, bookdb.ViewQuery, err
 	case "psd":
 		proteins := vc.Proteins
 		if proteins <= 0 {
 			proteins = 100
 		}
-		db, err := psd.NewDatabase(proteins)
-		return db, psd.ViewQuery, err
+		schema, err = psd.Schema()
+		fill = func(sink relational.Inserter) error { return psd.Populate(sink, proteins) }
+		return schema, fill, psd.ViewQuery, err
 	case "tpch":
 		mb := vc.MB
 		if mb <= 0 {
 			mb = 1
 		}
-		db, err := tpch.NewDatabaseMB(mb)
-		if err != nil {
-			return nil, "", err
-		}
-		q := tpch.VsuccessQuery
+		query = tpch.VsuccessQuery
 		viewName := vc.TPCHView
 		switch {
 		case viewName == "" || strings.EqualFold(viewName, "vsuccess"):
 		case strings.EqualFold(viewName, "vlinear"):
-			q = tpch.VlinearQuery
+			query = tpch.VlinearQuery
 		case strings.EqualFold(viewName, "vbush"):
-			q = tpch.VbushQuery
+			query = tpch.VbushQuery
 		case strings.HasPrefix(strings.ToLower(viewName), "vfail:"):
-			q = tpch.VfailQuery(strings.ToLower(viewName[len("vfail:"):]))
+			query = tpch.VfailQuery(strings.ToLower(viewName[len("vfail:"):]))
 		default:
-			return nil, "", fmt.Errorf("unknown tpch view %q", viewName)
+			return nil, nil, "", fmt.Errorf("unknown tpch view %q", viewName)
 		}
-		return db, q, nil
+		schema, err = tpch.Schema()
+		fill = func(sink relational.Inserter) error { return tpch.Generate(sink, tpch.RowsForMB(mb)) }
+		return schema, fill, query, err
 	default:
-		return nil, "", fmt.Errorf("unknown dataset %q (want book, tpch or psd)", vc.Dataset)
+		return nil, nil, "", fmt.Errorf("unknown dataset %q (want book, tpch or psd)", vc.Dataset)
 	}
 }

@@ -120,23 +120,20 @@ type tableRoute struct {
 	uniques [][]string
 }
 
-// New builds a shard group over the seed database's schema and rows.
-// Rows are copied shard-by-shard in ascending row-id order (parents
-// precede children, since the engine's FK check forces parent ids below
-// child ids), then the per-shard WALs and the coordinator log are
-// opened: an empty Dir checkpoints the seeded contents, a non-empty one
-// discards the seed copy and recovers the logged state instead, exactly
-// like relational.OpenWAL does for a single database. n < 1 is clamped
+// New builds an empty shard group over the schema and, with a Dir, opens
+// the per-shard WALs and the coordinator log, recovering whatever they
+// hold exactly like relational.OpenWAL does for a single database (a
+// group nothing was ever committed to recovers with every shard's
+// CommitSeq at zero; stream its dataset in with Load). n < 1 is clamped
 // to 1; a group of 1 delegates everything to its only shard and is
 // byte-for-byte equivalent to an unsharded database.
-func New(seed *relational.Database, n int, opts Options) (*DB, *Recovery, error) {
+func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error) {
 	if n < 1 {
 		n = 1
 	}
 	if opts.WAL.XidCommitted != nil {
 		return nil, nil, fmt.Errorf("shard: Options.WAL.XidCommitted is owned by the group")
 	}
-	schema := seed.Schema()
 	db := &DB{
 		schema: schema,
 		shards: make([]*relational.Database, n),
@@ -150,9 +147,6 @@ func New(seed *relational.Database, n int, opts Options) (*DB, *Recovery, error)
 		s.SetRowIDAlloc(relational.RowID(i+1), relational.RowID(n))
 		db.shards[i] = s
 		db.rds[i] = s
-	}
-	if err := db.seedFrom(seed); err != nil {
-		return nil, nil, err
 	}
 	rec := &Recovery{Shards: make([]relational.RecoveryInfo, n)}
 	var maxXid uint64
@@ -227,43 +221,58 @@ func shardDir(dir string, i int) string { return dir + "/shard-" + itoa(i) }
 func xlogPath(dir string) string        { return dir + "/xlog" }
 func itoa(i int) string                 { return fmt.Sprintf("%d", i) }
 
-// seedFrom copies the seed's rows into the group, routing each row and
-// inserting in ascending global row-id order so parents are present
-// before the children that reference them.
-func (db *DB) seedFrom(seed *relational.Database) error {
-	// The sort holds one reference per row (committed rows are
-	// immutable); the column map an insert takes is built one row at a
-	// time in a single reused map, so seeding a large dataset does not
-	// keep a second, map-shaped copy of it alive.
-	type seedRow struct {
-		td  *relational.TableDef
-		row *relational.Row
+// Load streams a dataset into the group: each row fill emits is routed
+// like a transactional insert (routeInsert, then the home shard) through
+// per-shard batched transactions — see seedTxn — with a checkpoint pass
+// over every shard between windows (relational.Load owns the sizes).
+// Rows arrive in generator order, so parents precede the children
+// routed after them and every shard allocates its ids in that order.
+func (db *DB) Load(fill func(relational.Inserter) error) (relational.LoadStats, error) {
+	if db.n == 1 {
+		return db.shards[0].Load(fill)
 	}
-	var rows []seedRow
-	for _, name := range db.schema.TableNames() {
-		td, _ := db.schema.Table(name)
-		err := seed.Scan(name, func(r *relational.Row) bool {
-			rows = append(rows, seedRow{td: td, row: r})
-			return true
-		})
+	begin := func() relational.WriteTxn {
+		return seedTxn{&Txn{db: db, subs: make([]*relational.Txn, db.n), rds: make([]relational.Reader, db.n)}}
+	}
+	return relational.Load(begin, db.Checkpoint, fill)
+}
+
+// Checkpoint runs one checkpoint pass on every shard, overlapping their
+// fsyncs (a no-op in memory); the lowest-index error wins.
+func (db *DB) Checkpoint() error {
+	errs := make([]error, db.n)
+	fanOut(db.n, func(i int) { errs[i] = db.shards[i].Checkpoint() })
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].row.ID < rows[j].row.ID })
-	vals := make(map[string]relational.Value)
-	for _, r := range rows {
-		clear(vals)
-		for i, c := range r.td.Columns {
-			if i < len(r.row.Values) {
-				vals[c.Name] = r.row.Values[i]
-			}
+	return nil
+}
+
+// seedTxn is one batch of a Load: a Txn whose inserts skip the
+// cross-shard uniqueness probes (a generator's keys are distinct;
+// routing still reads the batch's own sub-transactions, so a child
+// finds the parent inserted before it) and whose Commit publishes each
+// shard's sub-transaction on its own, with no coordinator record — an
+// interrupted load is redone, never recovered.
+type seedTxn struct{ *Txn }
+
+func (t seedTxn) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
+	return t.sub(t.db.routeInsert(t.readers, table, values)).Insert(table, values)
+}
+
+func (t seedTxn) Commit() error {
+	for i, sub := range t.subs {
+		if sub == nil || sub.OpCount() == 0 {
+			continue // an untouched sub is rolled back below
 		}
-		s := db.routeInsert(func() []relational.Reader { return db.rds }, r.td.Name, vals)
-		if _, err := db.shards[s].Insert(r.td.Name, vals); err != nil {
-			return fmt.Errorf("shard %d: seeding %s row %d: %w", s, r.td.Name, r.row.ID, err)
+		if err := sub.Commit(); err != nil {
+			_ = t.Rollback()
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
+	_ = t.Rollback() // releases the read-only subs; a no-op on committed ones
 	return nil
 }
 
@@ -683,18 +692,7 @@ func (db *DB) Stats() relational.DBStats {
 func (db *DB) VersionStats() relational.VersionStats {
 	var agg relational.VersionStats
 	for _, s := range db.shards {
-		vs := s.VersionStats()
-		agg.LiveRows += vs.LiveRows
-		agg.VisibleRows += vs.VisibleRows
-		agg.Versions += vs.Versions
-		if vs.MaxChainDepth > agg.MaxChainDepth {
-			agg.MaxChainDepth = vs.MaxChainDepth
-		}
-		agg.SnapshotsActive += vs.SnapshotsActive
-		agg.SnapshotsOpened += vs.SnapshotsOpened
-		agg.VersionsReclaimed += vs.VersionsReclaimed
-		agg.Reclaims += vs.Reclaims
-		agg.CommitSeq += vs.CommitSeq
+		addVersionStats(&agg, s.VersionStats())
 	}
 	return agg
 }

@@ -14,15 +14,27 @@ import (
 	"repro/internal/relational"
 )
 
+// newGroup opens a bookstore group and streams the sample rows in when
+// the directory (if any) holds no committed state yet — the way the
+// registry boots a view.
 func newGroup(t *testing.T, n int, opts Options) (*DB, *Recovery) {
 	t.Helper()
-	seed, err := bookdb.NewDatabase(relational.DeleteCascade)
+	schema, err := bookdb.Schema(relational.DeleteCascade)
 	if err != nil {
-		t.Fatalf("seed: %v", err)
+		t.Fatalf("schema: %v", err)
 	}
-	db, rec, err := New(seed, n, opts)
+	db, rec, err := New(schema, n, opts)
 	if err != nil {
 		t.Fatalf("New(n=%d): %v", n, err)
+	}
+	var committed uint64
+	for _, ri := range rec.Shards {
+		committed += ri.CommitSeq
+	}
+	if committed == 0 {
+		if _, err := db.Load(bookdb.Populate); err != nil {
+			t.Fatalf("seed: %v", err)
+		}
 	}
 	return db, rec
 }
@@ -389,15 +401,7 @@ func TestTwoPhaseRecovery(t *testing.T) {
 
 func newGroupDir(t *testing.T, n int, dir string) (*DB, *Recovery) {
 	t.Helper()
-	seed, err := bookdb.NewDatabase(relational.DeleteCascade)
-	if err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	db, rec, err := New(seed, n, Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return db, rec
+	return newGroup(t, n, Options{Dir: dir})
 }
 
 // TestCrashRestartParity commits a mix of single- and cross-shard
@@ -613,14 +617,7 @@ func TestParallelRecoveryAndPagedRollups(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	seed, err := bookdb.NewDatabase(relational.DeleteCascade)
-	if err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	db2, rec, err := New(seed, 4, opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	db2, rec := newGroup(t, 4, opts)
 	defer db2.CloseWAL()
 	for i, info := range rec.Shards {
 		if info.RecoveryNanos <= 0 {

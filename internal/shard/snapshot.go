@@ -38,20 +38,27 @@ func (v *SnapVec) Seq() uint64 {
 func (v *SnapVec) VersionStats() relational.VersionStats {
 	var agg relational.VersionStats
 	for _, s := range v.subs {
-		vs := s.VersionStats()
-		agg.LiveRows += vs.LiveRows
-		agg.VisibleRows += vs.VisibleRows
-		agg.Versions += vs.Versions
-		if vs.MaxChainDepth > agg.MaxChainDepth {
-			agg.MaxChainDepth = vs.MaxChainDepth
-		}
-		agg.SnapshotsActive += vs.SnapshotsActive
-		agg.SnapshotsOpened += vs.SnapshotsOpened
-		agg.VersionsReclaimed += vs.VersionsReclaimed
-		agg.Reclaims += vs.Reclaims
-		agg.CommitSeq += vs.CommitSeq
+		addVersionStats(&agg, s.VersionStats())
 	}
 	return agg
+}
+
+// addVersionStats folds one shard's version-store shape into the
+// group's: counts sum (CommitSeq too, the group's logical clock), the
+// deepest chain wins.
+func addVersionStats(agg *relational.VersionStats, vs relational.VersionStats) {
+	agg.LiveRows += vs.LiveRows
+	agg.VisibleRows += vs.VisibleRows
+	agg.Versions += vs.Versions
+	agg.ResidentRows += vs.ResidentRows
+	if vs.MaxChainDepth > agg.MaxChainDepth {
+		agg.MaxChainDepth = vs.MaxChainDepth
+	}
+	agg.SnapshotsActive += vs.SnapshotsActive
+	agg.SnapshotsOpened += vs.SnapshotsOpened
+	agg.VersionsReclaimed += vs.VersionsReclaimed
+	agg.Reclaims += vs.Reclaims
+	agg.CommitSeq += vs.CommitSeq
 }
 
 // ---- Reader at the pinned vector. Point reads route by id residue;

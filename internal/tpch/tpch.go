@@ -117,9 +117,10 @@ func RowsForMB(mb int) Rows {
 	}
 }
 
-// Generate fills a database deterministically (seeded by the nominal
-// size) with the given row counts. Every FK is valid by construction.
-func Generate(db *relational.Database, rows Rows) error {
+// Generate emits the dataset deterministically (seeded by the nominal
+// size) into the sink, relation by relation in FK order, so every row's
+// parent precedes it and every FK is valid by construction.
+func Generate(sink relational.Inserter, rows Rows) error {
 	rng := rand.New(rand.NewSource(int64(rows.Customers)*31 + 7))
 	regionNames := []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 	for i := 0; i < rows.Regions; i++ {
@@ -127,7 +128,7 @@ func Generate(db *relational.Database, rows Rows) error {
 		if i < len(regionNames) {
 			name = regionNames[i]
 		}
-		if _, err := db.Insert("region", map[string]relational.Value{
+		if _, err := sink.Insert("region", map[string]relational.Value{
 			"r_regionkey": relational.Int_(int64(i)),
 			"r_name":      relational.String_(name),
 			"r_comment":   relational.String_(comment(rng)),
@@ -136,7 +137,7 @@ func Generate(db *relational.Database, rows Rows) error {
 		}
 	}
 	for i := 0; i < rows.Nations; i++ {
-		if _, err := db.Insert("nation", map[string]relational.Value{
+		if _, err := sink.Insert("nation", map[string]relational.Value{
 			"n_nationkey": relational.Int_(int64(i)),
 			"n_name":      relational.String_(fmt.Sprintf("NATION-%02d", i)),
 			"n_regionkey": relational.Int_(int64(i % rows.Regions)),
@@ -146,7 +147,7 @@ func Generate(db *relational.Database, rows Rows) error {
 		}
 	}
 	for i := 0; i < rows.Customers; i++ {
-		if _, err := db.Insert("customer", map[string]relational.Value{
+		if _, err := sink.Insert("customer", map[string]relational.Value{
 			"c_custkey":   relational.Int_(int64(i)),
 			"c_name":      relational.String_(fmt.Sprintf("Customer#%09d", i)),
 			"c_nationkey": relational.Int_(int64(i % rows.Nations)),
@@ -157,7 +158,7 @@ func Generate(db *relational.Database, rows Rows) error {
 		}
 	}
 	for i := 0; i < rows.Orders; i++ {
-		if _, err := db.Insert("orders", map[string]relational.Value{
+		if _, err := sink.Insert("orders", map[string]relational.Value{
 			"o_orderkey":   relational.Int_(int64(i)),
 			"o_custkey":    relational.Int_(int64(i % rows.Customers)),
 			"o_totalprice": relational.Float_(float64(1+rng.Intn(5000000)) / 100),
@@ -173,7 +174,7 @@ func Generate(db *relational.Database, rows Rows) error {
 	}
 	for o := 0; o < rows.Orders; o++ {
 		for l := 0; l < perOrder; l++ {
-			if _, err := db.Insert("lineitem", map[string]relational.Value{
+			if _, err := sink.Insert("lineitem", map[string]relational.Value{
 				"l_orderkey":      relational.Int_(int64(o)),
 				"l_linenumber":    relational.Int_(int64(l + 1)),
 				"l_partkey":       relational.Int_(int64(rng.Intn(200000))),
@@ -196,10 +197,8 @@ func NewDatabaseMB(mb int) (*relational.Database, error) {
 		return nil, err
 	}
 	db := relational.NewDatabase(schema)
-	if err := Generate(db, RowsForMB(mb)); err != nil {
-		return nil, err
-	}
-	return db, nil
+	_, err = db.Load(func(sink relational.Inserter) error { return Generate(sink, RowsForMB(mb)) })
+	return db, err
 }
 
 var commentWords = []string{
