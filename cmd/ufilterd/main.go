@@ -222,15 +222,16 @@ func runServer(cfg *server.Config, addr string, log *slog.Logger) error {
 			} else if v.ShardRecovery != nil {
 				recovered = v.ShardRecovery.Shards
 			}
-			var replayed, filtered int64
+			var replayed, filtered, repaired int64
 			var rows int
 			for _, ri := range recovered {
 				replayed += ri.ReplayedTxns
 				filtered += ri.FilteredTxns
+				repaired += ri.RepairedTxns
 				rows += ri.CheckpointRows
 			}
 			log.Info("recovered, seed skipped", "view", v.Name, "shards", len(recovered),
-				"replayed_txns", replayed, "filtered_txns", filtered,
+				"replayed_txns", replayed, "filtered_txns", filtered, "repaired_txns", repaired,
 				"checkpoint_rows", rows, "dir", cfg.DataDir)
 		}
 		stopCheckpointers := srv.Registry.StartCheckpointers(5 * time.Second)

@@ -162,15 +162,15 @@ func (t *Txn) Commit() error {
 // Without a WAL there is nothing to wait for: the group publishes
 // inline under the latch.
 func (db *Database) CommitGroup(txns ...*Txn) error {
-	pg, req, err := db.stampGroup(0, txns, false)
+	pg, err := db.stampGroup(0, txns, false)
 	if err != nil {
 		return err
 	}
-	if req == nil {
+	if pg.req == nil {
 		err = pg.Publish()
 	} else {
 		db.commitMu.Unlock()
-		if err := <-req.done; err != nil {
+		if err := <-pg.req.done; err != nil {
 			return err // already wraps ErrWALFailed; the writer rolled us back
 		}
 		err = pg.firstErr
@@ -185,13 +185,14 @@ func (db *Database) CommitGroup(txns ...*Txn) error {
 // and marks the written rows dirty. The stamps stay invisible until
 // commitSeq advances past them. With a WAL attached the group's record
 // — row images encoded before the latch, only the sequences spliced in
-// after — is enqueued to the writer stage and returned as req; the
-// caller decides whether to wait for req.done with the latch held (a
-// prepare) or released (a commit). Without a WAL req is nil.
+// after — is enqueued to the writer stage as pg.req; the caller waits for
+// its done with the latch held (a prepare, whose record is framed here so
+// the coordinator can carry the same bytes) or released (a commit).
+// Without a WAL pg.req is nil.
 //
 // On success commitMu is HELD. On error the group has been undone, the
 // latch released, and the error wraps ErrWALFailed.
-func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*PreparedGroup, *walReq, error) {
+func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*PreparedGroup, error) {
 	pg := &PreparedGroup{db: db, live: make([]*Txn, 0, len(txns)), xid: xid}
 	for _, t := range txns {
 		if t == nil {
@@ -211,14 +212,14 @@ func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*Prepared
 	w := db.wal
 	var req *walReq
 	if w != nil && len(live) > 0 {
-		req = &walReq{xid: xid, live: live, bodies: make([][]byte, len(live)), prepare: prepare, done: make(chan error, 1)}
+		req = &walReq{xid: xid, live: live, bodies: make([][]byte, len(live)), done: make(chan error, 1)}
 		for i, t := range live {
 			req.bodies[i] = appendTxnOpsBody(nil, t)
 		}
 	}
 	db.commitMu.Lock()
 	if len(live) == 0 {
-		return pg, nil, nil
+		return pg, nil
 	}
 	seq := db.stampSeq.Load()
 	for _, t := range live {
@@ -231,19 +232,23 @@ func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*Prepared
 	pg.seq = seq
 	db.markDirtyGroupLocked(live)
 	if req == nil {
-		return pg, nil, nil
+		return pg, nil
 	}
 	if err := evalFailpoint(FpPipelineStampAfter); err != nil {
-		return nil, nil, db.failPreparedLocked(live, err)
+		return nil, db.failPreparedLocked(live, err)
 	}
 	if w.closed {
-		return nil, nil, db.failPreparedLocked(live, ErrWALClosed)
+		return nil, db.failPreparedLocked(live, ErrWALClosed)
 	}
 	// Enqueued under commitMu, so queue order IS sequence order.
 	req.seq = seq
+	if prepare {
+		req.frame = frameGroup(nil, xid, live, req.bodies)
+	}
+	pg.req = req
 	w.pipeDepth.Add(1)
 	w.pipe <- req
-	return pg, req, nil
+	return pg, nil
 }
 
 // failPreparedLocked undoes a stamped-but-not-durable group under the
@@ -281,50 +286,55 @@ func (db *Database) commitMaintenance() {
 // a checkpoint must acquire.
 func (db *Database) MaybeMaintain() { db.commitMaintenance() }
 
-// PreparedGroup is a commit group whose write-ahead-log record is
-// durable but whose stamps have not published: the database's commit
-// latch is HELD between PrepareGroup and Publish/Abort, so nothing else
-// can commit (or observe a half-committed sequence) in between. It is
-// the per-shard half of a cross-shard two-phase commit: the coordinator
-// prepares every touched shard, records the transaction id durably,
-// then publishes everywhere (see internal/shard).
+// PreparedGroup is a commit group whose stamps are placed but not
+// published: the database's commit latch is HELD from PrepareGroup to
+// Publish/Abort, so nothing else can commit (or observe a half-committed
+// sequence) in between. It is the per-shard half of a cross-shard commit:
+// the coordinator prepares every touched shard, makes ONE record holding
+// every shard's Frame durable, then publishes everywhere (internal/shard).
 type PreparedGroup struct {
 	db       *Database
 	live     []*Txn
-	seq      uint64 // last sequence assigned to the group
+	req      *walReq // the writer-stage request; nil without a WAL
+	seq      uint64  // last sequence assigned to the group
 	xid      uint64
 	firstErr error // already-finished members, surfaced at Publish
 	done     bool
 }
 
-// PrepareGroup assigns commit sequences to the group and makes its WAL
-// record durable under the commit latch, WITHOUT publishing: on success
-// the latch stays held until Publish or Abort. The xid tags the record
-// for cross-shard atomicity — recovery replays an xid-tagged group only
-// when the coordinator's log marks the xid committed; xid 0 means a
-// plain single-shard group, always replayed (CommitGroup's path).
-//
-// A WAL append or fsync failure undoes the whole group, releases the
-// latch and returns an error wrapping ErrWALFailed, exactly like a
-// CommitGroup flush failure.
-func (db *Database) PrepareGroup(xid uint64, txns []*Txn) (*PreparedGroup, error) {
-	pg, req, err := db.stampGroup(xid, txns, true)
-	if err != nil {
-		return nil, err
+// PrepareGroup assigns commit sequences to the group under the commit
+// latch and hands its xid-tagged record to the WAL writer stage, WITHOUT
+// publishing and without waiting: on success the latch stays held until
+// Publish or Abort, and Frame collects the writer's acknowledgement. The
+// record is appended to the shard log and never flushed for: what
+// recovery makes of it is WALOptions.Coordinator's business. A failure
+// before the enqueue undoes the whole group, releases the latch and
+// returns an error wrapping ErrWALFailed.
+func (db *Database) PrepareGroup(xid uint64, txns ...*Txn) (*PreparedGroup, error) {
+	return db.stampGroup(xid, txns, true)
+}
+
+// Seq is the last commit sequence the group was stamped with.
+func (pg *PreparedGroup) Seq() uint64 { return pg.seq }
+
+// Frame waits — with the latch HELD — for the writer stage to append the
+// group's record and returns it CRC-framed, byte for byte as the shard
+// log holds it (nil without a WAL). The acknowledgement means every
+// earlier group has published, so Publish/Abort runs against a caught-up
+// commit sequence. Call it exactly once, before Publish or Abort. If the
+// append failed — or the flush of a commit group sharing its batch — the
+// group has been undone and the latch released, and the error wraps
+// ErrWALFailed (db.mu inside commitMu is safe: no path takes them in the
+// opposite order).
+func (pg *PreparedGroup) Frame() ([]byte, error) {
+	if pg.req == nil {
+		return nil, nil
 	}
-	if req != nil {
-		// Wait with the latch HELD: the ack means this group's record is
-		// durable and every earlier group has published, so Publish/Abort
-		// runs against a caught-up commit sequence and nothing else can
-		// stamp in between. commitMu is held throughout, which keeps a
-		// failed group atomic against concurrent committers; taking db.mu
-		// inside commitMu is safe because no path acquires them in the
-		// opposite order.
-		if err := <-req.done; err != nil {
-			return nil, db.failPreparedLocked(pg.live, err)
-		}
+	if err := <-pg.req.done; err != nil {
+		pg.done = true
+		return nil, pg.db.failPreparedLocked(pg.live, err)
 	}
-	return pg, nil
+	return pg.req.frame, nil
 }
 
 // Publish advances the commit sequence past the prepared group's
@@ -349,7 +359,8 @@ func (pg *PreparedGroup) Publish() error {
 		// after sees every committed transaction whole.
 		db.commitSeq.Store(pg.seq)
 		if db.wal == nil {
-			// With a WAL the writer stage counted the flush this group rode.
+			// With a WAL the flush a group rides is counted where it
+			// happens: the writer stage, or the coordinator's log.
 			db.groupCommits.Add(1)
 		}
 		db.groupedTxns.Add(int64(len(pg.live)))
@@ -365,12 +376,11 @@ func (pg *PreparedGroup) Publish() error {
 // Abort undoes a prepared group — its stamps were placed at prepare but
 // never published, so popping the versions is invisible to every
 // reader — and releases the commit latch. The group's WAL record stays
-// on disk, but its xid never reaches the coordinator's log, so recovery
-// discards it — which is why Abort is only valid for xid-tagged groups
-// (a plain xid-0 record would be replayed). The commit sequence never
-// reaches the aborted stamps' sequences and they are not reissued
-// (stampSeq has moved past them): the gap is permanent and harmless,
-// recovery's replay filter keeps the aborted record from claiming it.
+// in the shard log, but its xid never reaches the coordinator's log, so
+// recovery discards it — which is why Abort is only valid for xid-tagged
+// groups (a plain xid-0 record would be replayed). The aborted stamps'
+// sequences are never reissued (stampSeq has moved past them, recovery
+// resumes past every record on disk): a permanent, harmless gap.
 func (pg *PreparedGroup) Abort() error {
 	if pg.done {
 		return errTxnFinished()

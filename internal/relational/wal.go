@@ -96,13 +96,10 @@ type WALOptions struct {
 	// last checkpoint. Zero leaves checkpointing to explicit Checkpoint
 	// calls and the StartCheckpointer ticker.
 	CheckpointEverySegments int
-	// XidCommitted, when set, filters xid-tagged group records during
-	// recovery: a record prepared under a cross-shard transaction id is
-	// replayed only if this reports the xid committed (i.e. the
-	// coordinator's log holds it). Records with xid 0 — every
-	// single-shard commit — always replay. When nil, xid-tagged records
-	// replay unconditionally.
-	XidCommitted func(xid uint64) bool
+	// Coordinator is the cross-shard coordinator log as this shard's
+	// recovery sees it, set by the shard group that owns it; without one,
+	// xid-tagged records replay unconditionally.
+	Coordinator Coordinator
 	// CheckpointDeltaLimit bounds the page-directory log chain: each
 	// incremental checkpoint appends one directory record (dirty pages
 	// only) until this many accumulate, then the store folds the chain
@@ -120,6 +117,19 @@ type WALOptions struct {
 	// trailing run of zero bytes as preallocation slack, not a torn
 	// record.
 	PreallocateSegments bool
+}
+
+// Coordinator is what one shard's recovery asks the cross-shard
+// coordinator log, whose record — the only thing a cross-shard commit
+// flushes — carries the xid-tagged record each shard log merely appended.
+type Coordinator interface {
+	// Committed reports whether the log holds the xid: a scanned
+	// xid-tagged record replays only then (xid 0 always replays).
+	Committed(xid uint64) bool
+	// FramesAfter returns, concatenated in log order (this shard's
+	// sequence order), the framed group records the log holds for this
+	// shard whose last sequence exceeds seq, for recoverFrom to replay.
+	FramesAfter(seq uint64) []byte
 }
 
 func (o WALOptions) withDefaults() WALOptions {
@@ -164,9 +174,12 @@ type RecoveryInfo struct {
 	// scanned group record, replayed or filtered; a shard-group
 	// coordinator resumes xid allocation above it.
 	MaxXid uint64 `json:"max_xid,omitempty"`
-	// FilteredTxns counts xid-tagged transactions the XidCommitted
-	// filter discarded (prepared but never committed cross-shard).
+	// FilteredTxns counts xid-tagged transactions the Coordinator does
+	// not hold (prepared but never committed cross-shard), discarded.
 	FilteredTxns int64 `json:"filtered_txns,omitempty"`
+	// RepairedTxns counts, within ReplayedTxns, committed cross-shard
+	// transactions replayed from the Coordinator's copy, their own lost.
+	RepairedTxns int64 `json:"repaired_txns,omitempty"`
 	// RecoveryNanos is the wall time OpenWAL spent recovering (directory
 	// mapping plus segment replay, or the initial checkpoint when the
 	// directory was fresh). Shard groups open WALs in parallel, so the
@@ -519,35 +532,39 @@ func frameGroup(buf []byte, xid uint64, live []*Txn, bodies [][]byte) []byte {
 	return frame
 }
 
-// scanFrames walks a segment's bytes and returns the decoded group
-// records of every intact frame plus the offset where the valid prefix
-// ends. Any malformed frame — short header, oversized length, short
-// payload, CRC mismatch, undecodable payload — ends the scan there:
-// write-ahead discipline means nothing after the first bad frame was
-// ever acknowledged as committed.
-func scanFrames(data []byte) (txns []walTxn, validOffset int64) {
-	off := int64(0)
+// ScanFrames walks [len uint32][crc32 uint32][payload] frames (segment
+// files and the shard group's coordinator log), calling visit with each
+// payload whose length and CRC hold; it returns the accepted prefix length.
+func ScanFrames(data []byte, visit func(payload []byte) bool) (valid int64) {
 	for {
-		rest := data[off:]
+		rest := data[valid:]
 		if len(rest) < walFrameHeaderSize {
-			return txns, off
+			return valid
 		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if n > walMaxRecordSize || int64(n) > int64(len(rest)-walFrameHeaderSize) {
-			return txns, off
+		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
+		if n > walMaxRecordSize || n > int64(len(rest)-walFrameHeaderSize) {
+			return valid
 		}
-		payload := rest[walFrameHeaderSize : walFrameHeaderSize+int64(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return txns, off
+		payload := rest[walFrameHeaderSize : walFrameHeaderSize+n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) || !visit(payload) {
+			return valid
 		}
-		decoded, err := decodeGroupPayload(payload)
-		if err != nil {
-			return txns, off
-		}
-		txns = append(txns, decoded...)
-		off += walFrameHeaderSize + int64(n)
+		valid += walFrameHeaderSize + n
 	}
+}
+
+// scanFrames returns the decoded group records of a segment's intact
+// frames plus the offset where the valid prefix ends. Any malformed frame
+// — short header, oversized length, short payload, CRC mismatch,
+// undecodable payload — ends the scan: write-ahead discipline means
+// nothing after the first bad frame was ever acknowledged as committed.
+func scanFrames(data []byte) (txns []walTxn, validOffset int64) {
+	validOffset = ScanFrames(data, func(payload []byte) bool {
+		decoded, err := decodeGroupPayload(payload)
+		txns = append(txns, decoded...)
+		return err == nil
+	})
+	return txns, validOffset
 }
 
 // ---- append path ------------------------------------------------------
@@ -784,8 +801,9 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 		nextIndex = segs[len(segs)-1] + 1
 	}
 	fresh := len(segs) == 0 && rec.Seq == 0 && rec.Records == 0
+	var repair []byte
 	if !fresh {
-		if err := db.recoverFrom(w, dir, segs, &rec, info); err != nil {
+		if repair, err = db.recoverFrom(w, dir, segs, &rec, info); err != nil {
 			db.wal = nil
 			store.Close()
 			return nil, err
@@ -797,11 +815,26 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 		}
 		w.sealedSinceC.Store(int64(len(segs)))
 	}
-	if err := w.openSegment(nextIndex); err != nil {
+	err = w.openSegment(nextIndex)
+	if err == nil && len(repair) > 0 {
+		// Before the log serves traffic, so that no later commit can land
+		// behind a gap; a crash before this fsync just repeats the repair.
+		if _, err = w.f.Write(repair); err == nil {
+			err = w.f.Sync()
+		}
+		w.segBytes = int64(len(repair))
+		w.bytes.Add(w.segBytes)
+		w.fsyncs.Add(1)
+	}
+	if err != nil {
+		if w.f != nil {
+			w.f.Close()
+		}
 		db.wal = nil
 		store.Close()
 		return nil, err
 	}
+	w.opts.Coordinator = nil // recovery-only: let the coordinator's frames go
 	db.walRecoveredTxns.Store(info.ReplayedTxns)
 	w.pipe = make(chan *walReq, 128)
 	w.writerDone = make(chan struct{})
@@ -831,13 +864,21 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 // recoverFrom rebuilds the database from the recovered page directory
 // and the segment chain: wipe, map the directory into lazy row stubs
 // (no page reads), replay newer committed transactions, discard the
-// torn tail.
-func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestore.Recovered, info *RecoveryInfo) error {
+// torn tail, then replay — and return, for OpenWAL to re-append — what
+// the Coordinator holds past the last sequence the segments do. That is
+// exactly the lost committed records: a shard's commit latch is held from
+// a prepare's stamp to its publish, so append order is sequence order and
+// a crash loses a suffix; no acknowledged single-shard commit is in it
+// (its fsync covered all before it, and a prepare stamped behind it was
+// not written until that fsync returned), only prepares and commits
+// nobody was told about. The commit sequence resumes past every record on
+// disk, filtered ones included, so none it has seen is reissued.
+func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestore.Recovered, info *RecoveryInfo) (repair []byte, err error) {
 	db.resetStorage()
 	if rec.Seq > 0 || rec.Records > 0 {
 		rows, err := db.restoreFromPages(w, rec)
 		if err != nil {
-			return fmt.Errorf("relational: checkpoint: %w", err)
+			return nil, fmt.Errorf("relational: checkpoint: %w", err)
 		}
 		w.checkpointSeq.Store(rec.Seq)
 		info.CheckpointSeq = rec.Seq
@@ -848,45 +889,52 @@ func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestor
 	w.chainLen.Store(int64(w.pager.store.Stats().DirChainLen))
 
 	ckptSeq := info.CheckpointSeq
+	last := ckptSeq // highest sequence the log still holds
+	replay := func(t walTxn, where string) error {
+		if err := db.replayTxn(t); err != nil {
+			return fmt.Errorf("relational: replay %s: %w", where, err)
+		}
+		info.ReplayedTxns++
+		info.ReplayedOps += int64(len(t.ops))
+		return nil
+	}
 	stopped := false
 	trimmed := false
-	for i, idx := range segs {
+	for _, idx := range segs {
 		path := segmentPath(dir, idx)
 		if stopped {
 			// Past the first bad record nothing was ever acknowledged;
 			// remove later segments so a future recovery cannot replay
 			// beyond the same stopping point.
 			if err := os.Remove(path); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		txns, valid := scanFrames(data)
 		for _, t := range txns {
 			if t.xid > info.MaxXid {
 				info.MaxXid = t.xid
 			}
+			if t.seq > last {
+				last = t.seq
+			}
 			if t.seq <= ckptSeq {
 				continue // already inside the checkpoint image
 			}
-			if t.xid != 0 && w.opts.XidCommitted != nil && !w.opts.XidCommitted(t.xid) {
+			if c := w.opts.Coordinator; t.xid != 0 && c != nil && !c.Committed(t.xid) {
 				// Prepared under a cross-shard transaction the coordinator
 				// never recorded as committed: every shard discards it, so
 				// no shard exposes a torn half of the transaction.
 				info.FilteredTxns++
 				continue
 			}
-			if err := db.replayTxn(t); err != nil {
-				return fmt.Errorf("relational: replay segment %d: %w", idx, err)
-			}
-			info.ReplayedTxns++
-			info.ReplayedOps += int64(len(t.ops))
-			if t.seq > db.commitSeq.Load() {
-				db.commitSeq.Store(t.seq)
+			if err := replay(t, fmt.Sprintf("segment %d", idx)); err != nil {
+				return nil, err
 			}
 		}
 		if valid < int64(len(data)) {
@@ -895,7 +943,7 @@ func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestor
 				// and the zeros were never overwritten by records. Trim the
 				// slack quietly and keep scanning — nothing was torn.
 				if err := os.Truncate(path, valid); err != nil {
-					return err
+					return nil, err
 				}
 				trimmed = true
 				continue
@@ -903,20 +951,33 @@ func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestor
 			info.TornTail = true
 			info.TruncatedBytes += int64(len(data)) - valid
 			if err := os.Truncate(path, valid); err != nil {
-				return err
+				return nil, err
 			}
 			stopped = true
-		} else if i < len(segs)-1 {
-			continue
 		}
 	}
 	if info.TornTail || trimmed {
 		if err := SyncDir(dir); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	db.stampSeq.Store(db.commitSeq.Load())
-	return nil
+	if c := w.opts.Coordinator; c != nil {
+		repair = c.FramesAfter(last)
+		txns, valid := scanFrames(repair)
+		if valid != int64(len(repair)) {
+			return nil, fmt.Errorf("relational: coordinator frames past sequence %d: %w", last, errWALCorrupt)
+		}
+		for _, t := range txns {
+			if err := replay(t, "coordinator frame"); err != nil {
+				return nil, err
+			}
+			info.RepairedTxns++
+			last = t.seq
+		}
+	}
+	db.commitSeq.Store(last)
+	db.stampSeq.Store(last)
+	return repair, nil
 }
 
 // allZero reports whether every byte is zero — the signature of
@@ -1213,6 +1274,15 @@ func (db *Database) WALDir() string {
 		return ""
 	}
 	return db.wal.dir
+}
+
+// CheckpointSeq returns the last DURABLE checkpoint's commit sequence (0
+// without a WAL): recovery skips every record at or below it.
+func (db *Database) CheckpointSeq() uint64 {
+	if db.wal == nil {
+		return 0
+	}
+	return db.wal.checkpointSeq.Load()
 }
 
 // FsyncHistogram snapshots the WAL fsync duration distribution (empty

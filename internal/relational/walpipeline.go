@@ -22,19 +22,29 @@ import (
 // record is durable — so no snapshot can ever observe group N+1 without
 // group N, and an fsync failure rolls back exactly the affected groups
 // with every follower notified.
+//
+// A 2PC prepare rides the same queue, so its acknowledgement still means
+// "every earlier group has published", but the stage only APPENDS its
+// record: the coordinator's record, which carries the same bytes, is what
+// makes a cross-shard commit durable (Coordinator in wal.go). A batch
+// holding only a prepare issues no fsync; one also holding a commit group
+// flushes once, and a failed flush fails both. The preparer holds commitMu
+// until it publishes or aborts, so a prepare is the last of its batch.
 
 // walReq is one unit of work for the writer stage: a commit group to
-// make durable and publish, a 2PC prepare (durable, NOT published — the
-// preparer publishes or aborts under the latch it still holds), a
-// checkpoint barrier, or a stop request.
+// make durable and publish, a 2PC prepare (appended, NOT flushed for and
+// NOT published — the preparer publishes or aborts under the latch it
+// still holds), a checkpoint barrier, or a stop request.
 type walReq struct {
 	xid    uint64
 	live   []*Txn
 	bodies [][]byte // pre-encoded per-txn op bodies, parallel to live
 	seq    uint64   // last sequence stamped into the group
 
-	prepare bool  // durable-only: ack without publishing
-	err     error // set by the write phase; routes to rollback
+	// frame is a prepare's record, framed by the preparer because the
+	// coordinator's record needs the same bytes; nil for a commit group.
+	frame []byte
+	err   error // set by the write phase; routes to rollback
 
 	// Where the record landed, for truncating failed batch tails.
 	segIndex uint64
@@ -86,16 +96,20 @@ func (w *WAL) writerLoop(db *Database) {
 // publishing is a single atomic store, and rollback needs only db.mu.
 func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 	// Phase A: write all records, fsyncing at rotation boundaries and
-	// once at the end. unsynced tracks written-but-not-yet-durable reqs
-	// (always within the active segment: a sync precedes every rotate);
-	// durable is the active segment's durable length, the truncation
-	// point if the sync fails.
+	// once at the end. unsynced tracks the reqs written since the last
+	// sync (always within the active segment: rotate syncs what it
+	// seals); mustSync says one of them is a commit group. durable is
+	// where a failed sync truncates back to: the length the batch found —
+	// which keeps every prepare an earlier batch appended and acknowledged
+	// without a flush — or the end of its own last good sync.
 	var unsynced []*walReq
+	mustSync := false
 	durable := w.segBytes
 	flush := func() {
-		if len(unsynced) == 0 {
+		if !mustSync {
 			return
 		}
+		mustSync = false
 		if err := w.syncActive(); err != nil {
 			w.truncateTo(durable)
 			for _, r := range unsynced {
@@ -125,6 +139,7 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 			continue
 		}
 		unsynced = append(unsynced, req)
+		mustSync = mustSync || req.frame == nil
 	}
 	flush()
 
@@ -137,8 +152,8 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 		case req.barrier != nil:
 			close(req.barrier.ready)
 			<-req.barrier.resume
-		case req.prepare:
-			// Durable (or failed) — but publishing is the preparer's call;
+		case req.frame != nil:
+			// Appended (or failed) — but publishing is the preparer's call;
 			// it still holds commitMu and rolls back on error itself.
 			w.pipeDepth.Add(-1)
 			req.done <- req.err
@@ -187,12 +202,15 @@ func (w *WAL) writeFrame(req *walReq) error {
 	if err := evalFailpoint(FpWALAppendBefore); err != nil {
 		return err
 	}
-	bufp := walFramePool.Get().(*[]byte)
-	frame := frameGroup((*bufp)[:0], req.xid, req.live, req.bodies)
-	defer func() {
-		*bufp = frame[:0]
-		walFramePool.Put(bufp)
-	}()
+	frame := req.frame
+	if frame == nil {
+		bufp := walFramePool.Get().(*[]byte)
+		frame = frameGroup((*bufp)[:0], req.xid, req.live, req.bodies)
+		defer func() {
+			*bufp = frame[:0]
+			walFramePool.Put(bufp)
+		}()
+	}
 	req.segIndex = w.segIndex
 	req.off = w.segBytes
 	rest := frame

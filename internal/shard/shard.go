@@ -37,8 +37,9 @@
 // under the write side, so a reader pins a vector of per-shard views in
 // which every cross-shard transaction is visible on all its shards or
 // none. Durability for cross-shard commits is an ordered two-phase
-// protocol over the per-shard WALs plus a tiny coordinator log; see
-// commit.go.
+// protocol in which the per-shard WALs append without flushing and one
+// coordinator-log record carrying every shard's redo is the commit point;
+// see commit.go and xlog.go.
 package shard
 
 import (
@@ -58,12 +59,12 @@ import (
 // Options configures a shard group.
 type Options struct {
 	// Dir is the group's root directory: shard i logs under
-	// Dir/shard-<i> and the cross-shard coordinator log is Dir/xlog.
+	// Dir/shard-<i> and the cross-shard coordinator log is Dir/xlog[-<n>].
 	// Empty runs the whole group in memory (no WALs, no recovery).
 	Dir string
-	// WAL configures each shard's write-ahead log. The XidCommitted
-	// field is owned by the group (it points at the coordinator log's
-	// committed-xid set) and must be left nil by callers.
+	// WAL configures each shard's write-ahead log. The Coordinator field
+	// is owned by the group (each shard gets its view of the coordinator
+	// log) and must be left nil by callers.
 	WAL relational.WALOptions
 }
 
@@ -84,15 +85,18 @@ type DB struct {
 
 	// xmu orders cross-shard commits against vector pins: BeginTxn and
 	// OpenSnapshot hold the read side while pinning all N shards,
-	// commitCross holds the write side from prepare through publish, so
-	// no reader ever observes a cross-shard transaction on a strict
-	// subset of its shards.
+	// commitCross holds the write side while it publishes, so no reader
+	// ever observes a cross-shard transaction on a strict subset of its
+	// shards.
 	xmu sync.RWMutex
 
 	nextXid      atomic.Uint64
 	xlog         *xlog
 	crossCommits atomic.Int64
 	crossAborts  atomic.Int64
+	// crossExtraTxns counts durable cross-shard commits' participants
+	// beyond the first: what Stats takes back out of the GroupedTxns sum.
+	crossExtraTxns atomic.Int64
 }
 
 // Recovery aggregates what opening the group's logs found.
@@ -105,6 +109,9 @@ type Recovery struct {
 	// FilteredTxns sums the per-shard prepared-but-uncommitted records
 	// recovery discarded.
 	FilteredTxns int64 `json:"filtered_txns"`
+	// RepairedTxns sums the committed records recovery restored to shard
+	// logs from the coordinator log's copies.
+	RepairedTxns int64 `json:"repaired_txns"`
 }
 
 // tableRoute is the per-table routing metadata derived from the schema.
@@ -131,8 +138,8 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 	if n < 1 {
 		n = 1
 	}
-	if opts.WAL.XidCommitted != nil {
-		return nil, nil, fmt.Errorf("shard: Options.WAL.XidCommitted is owned by the group")
+	if opts.WAL.Coordinator != nil {
+		return nil, nil, fmt.Errorf("shard: Options.WAL.Coordinator is owned by the group")
 	}
 	db := &DB{
 		schema: schema,
@@ -154,15 +161,14 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("shard: %w", err)
 		}
-		x, committed, xmax, err := openXlog(xlogPath(opts.Dir))
+		x, xrec, xmax, err := openXlog(opts.Dir, n, func(s int) uint64 { return db.shards[s].CheckpointSeq() })
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard: coordinator log: %w", err)
 		}
 		db.xlog = x
-		rec.CommittedXids = len(committed)
+		rec.CommittedXids = len(xrec[0].committed)
 		maxXid = xmax
 		walOpts := opts.WAL
-		walOpts.XidCommitted = func(xid uint64) bool { return committed[xid] }
 		if walOpts.PageCacheBytes > 0 && n > 1 {
 			// The configured budget bounds the GROUP's page cache: each
 			// shard's pool gets an equal slice (rounded up) so the sum
@@ -181,6 +187,8 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 			wg.Add(1)
 			go func(i int, s *relational.Database) {
 				defer wg.Done()
+				walOpts := walOpts
+				walOpts.Coordinator = &xrec[i]
 				info, err := s.OpenWAL(shardDir(opts.Dir, i), walOpts)
 				if err != nil {
 					errs[i] = fmt.Errorf("shard %d: %w", i, err)
@@ -208,18 +216,18 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 		for i := range db.shards {
 			info := &rec.Shards[i]
 			rec.FilteredTxns += info.FilteredTxns
+			rec.RepairedTxns += info.RepairedTxns
 			if info.MaxXid > maxXid {
 				maxXid = info.MaxXid
 			}
 		}
+		x.retire() // the shards know their checkpoint horizons now
 	}
 	db.nextXid.Store(maxXid)
 	return db, rec, nil
 }
 
-func shardDir(dir string, i int) string { return dir + "/shard-" + itoa(i) }
-func xlogPath(dir string) string        { return dir + "/xlog" }
-func itoa(i int) string                 { return fmt.Sprintf("%d", i) }
+func shardDir(dir string, i int) string { return fmt.Sprintf("%s/shard-%d", dir, i) }
 
 // Load streams a dataset into the group: each row fill emits is routed
 // like a transactional insert (routeInsert, then the home shard) through
@@ -649,9 +657,18 @@ func (db *DB) OpenSnapshot() relational.Snap {
 
 // Stats aggregates the per-shard rollups: counters sum; CommitSeq is
 // the sum of per-shard sequences — the same monotone logical clock
-// SnapVec.Seq reports.
+// SnapVec.Seq reports. The coordinator log's flushes and bytes are in
+// Fsyncs and WALBytes, each of its flushes is one commit group (the flush
+// a cross-shard commit rides; no shard flushes for it), and a cross-shard
+// transaction counts once in GroupedTxns however many shards published it.
 func (db *DB) Stats() relational.DBStats {
 	var agg relational.DBStats
+	if x := db.xlog; x != nil {
+		agg.Fsyncs = x.fsyncs.Load()
+		agg.WALBytes = x.bytes.Load()
+		agg.GroupCommits = agg.Fsyncs
+		agg.GroupedTxns = -db.crossExtraTxns.Load()
+	}
 	for _, s := range db.shards {
 		st := s.Stats()
 		agg.StatementsExecuted += st.StatementsExecuted
@@ -820,16 +837,8 @@ func (db *DB) CrossCommits() int64 { return db.crossCommits.Load() }
 // CrossAborts counts cross-shard transactions aborted during 2PC.
 func (db *DB) CrossAborts() int64 { return db.crossAborts.Load() }
 
-// XlogAppends counts xids made durable in the coordinator log;
-// XlogFsyncs counts the Sync calls that covered them. Fsyncs < appends
-// means decide points batched through the log's group commit.
-func (db *DB) XlogAppends() int64 {
-	if db.xlog == nil {
-		return 0
-	}
-	return db.xlog.appends.Load()
-}
-
+// XlogFsyncs counts the coordinator log's Sync calls: one per durable
+// cross-shard commit.
 func (db *DB) XlogFsyncs() int64 {
 	if db.xlog == nil {
 		return 0

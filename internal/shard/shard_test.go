@@ -335,9 +335,10 @@ func TestSnapshotVectorConsistency(t *testing.T) {
 }
 
 // TestTwoPhaseRecovery exercises the decide point: a cross-shard commit
-// whose xid reached the coordinator log recovers on every shard; one
-// whose xid is missing (the log is truncated, as after a crash between
+// whose record reached the coordinator log recovers on every shard; one
+// whose record is missing (the log is truncated, as after a crash between
 // prepare and decide) is filtered on every shard — never a torn prefix.
+// (TestPowerLossCutPoints enumerates the states in between.)
 func TestTwoPhaseRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*DB, *Recovery) {
@@ -442,11 +443,10 @@ func TestCrashRestartParity(t *testing.T) {
 }
 
 // TestConcurrentCrossShardCommits drives many cross-shard transactions
-// from parallel goroutines through the latch-free prepare path, with
-// snapshot readers checking vector atomicity throughout, and verifies
-// the coordinator log group-committed: every xid durable, strictly
-// fewer fsyncs than appends is likely (not asserted — timing), never
-// more. Run with -race.
+// from parallel goroutines (latches taken in ascending shard order, no
+// vector latch until publish), with snapshot readers checking vector
+// atomicity throughout, and verifies the coordinator log: every xid
+// durable, never more fsyncs than commits. Run with -race.
 func TestConcurrentCrossShardCommits(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := newGroupDir(t, 4, dir)
@@ -498,8 +498,8 @@ func TestConcurrentCrossShardCommits(t *testing.T) {
 	if got := db.CrossCommits(); got != n {
 		t.Fatalf("cross-shard commits: got %d, want %d", got, n)
 	}
-	if ap, fs := db.XlogAppends(), db.XlogFsyncs(); ap != n || fs < 1 || fs > ap {
-		t.Fatalf("xlog group commit: appends=%d (want %d), fsyncs=%d (want 1..appends)", ap, n, fs)
+	if fs := db.XlogFsyncs(); fs < 1 || fs > n {
+		t.Fatalf("xlog group commit: %d fsyncs for %d commits (want 1..commits)", fs, n)
 	}
 	want := dump(t, db)
 	if err := db.CloseWAL(); err != nil {

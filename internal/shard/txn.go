@@ -223,34 +223,15 @@ func (t *Txn) OpCount() int {
 	return n
 }
 
-// dirtyShards lists the shards this transaction has written.
-func (t *Txn) dirtyShards() []int {
-	var ds []int
+// finishExcept rolls back every acquired sub-transaction a commit did not
+// consume — parts, ascending by shard, names the ones it did (finished by
+// commit, abort or prepare failure) — releasing their version pins.
+func (t *Txn) finishExcept(parts []prepared) {
 	for i, s := range t.subs {
-		if s != nil && s.OpCount() > 0 {
-			ds = append(ds, i)
-		}
-	}
-	return ds
-}
-
-// finishExcept rolls back every acquired sub-transaction not in
-// consumed (the ones a commit path already finished via commit, abort
-// or prepare failure), releasing their version pins.
-func (t *Txn) finishExcept(consumed map[int]bool) {
-	for i, s := range t.subs {
-		if s != nil && !consumed[i] {
-			_ = s.Rollback()
-		}
-	}
-}
-
-// finishExceptShard is finishExcept for the single-consumed-shard case,
-// allocation-free for the synchronous commit hot path.
-func (t *Txn) finishExceptShard(s int) {
-	for i, sub := range t.subs {
-		if sub != nil && i != s {
-			_ = sub.Rollback()
+		if len(parts) > 0 && parts[0].shard == i {
+			parts = parts[1:]
+		} else if s != nil {
+			_ = s.Rollback() // read-only or untouched by the failed commit
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/relational"
+	"repro/internal/shard"
 )
 
 // TestMain re-execs the test binary as the crash child when
@@ -31,7 +32,25 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// childMain is the crash child: open the WAL directory, arm failpoints
+// openEngine opens the directory as a plain database, or as a shard
+// group when shards > 1 — recovering whatever it holds.
+func openEngine(dir string, shards int, opts relational.WALOptions) (relational.Engine, error) {
+	schema, err := Schema()
+	if err != nil {
+		return nil, err
+	}
+	if shards > 1 {
+		g, _, err := shard.New(schema, shards, shard.Options{Dir: dir, WAL: opts})
+		return g, err
+	}
+	db := relational.NewDatabase(schema)
+	_, err = db.OpenWAL(dir, opts)
+	return db, err
+}
+
+// childMain is the crash child: open the WAL directory (a shard group
+// when WALCRASH_SHARDS says so: most workload transactions then commit
+// across shards), arm failpoints
 // from the environment, run the deterministic workload, and acknowledge
 // every committed transaction on stdout ("ACK <k>"). A crash-mode
 // failpoint SIGKILLs the process somewhere in the middle; reaching the
@@ -53,12 +72,8 @@ func childMain() {
 	}
 	segBytes, _ := strconv.ParseInt(os.Getenv("WALCRASH_SEGBYTES"), 10, 64)
 	ckptSegs, _ := strconv.Atoi(os.Getenv("WALCRASH_CKPT_SEGS"))
+	shards, _ := strconv.Atoi(os.Getenv("WALCRASH_SHARDS"))
 
-	schema, err := Schema()
-	if err != nil {
-		die(err)
-	}
-	db := relational.NewDatabase(schema)
 	// Arm before OpenWAL so the initial-checkpoint and rotation paths
 	// are crashable too, not just steady-state commits.
 	if err := relational.EnableFailpointsFromEnv(); err != nil {
@@ -69,12 +84,13 @@ func childMain() {
 	// live frames, which recovery must trim without declaring a torn
 	// tail. The parent reopens with plain options — recovery reads
 	// whatever base+delta+segment files are on disk regardless.
-	if _, err := db.OpenWAL(dir, relational.WALOptions{
+	db, err := openEngine(dir, shards, relational.WALOptions{
 		SegmentBytes:            segBytes,
 		CheckpointEverySegments: ckptSegs,
 		CheckpointDeltaLimit:    childDeltaLimit,
 		PreallocateSegments:     true,
-	}); err != nil {
+	})
+	if err != nil {
 		die(err)
 	}
 	model := NewModel()
@@ -102,21 +118,29 @@ const (
 	childDeltaLimit = 2
 )
 
-// runCrashChild launches the child against dir with the given failpoint
-// spec and returns the last transaction it acknowledged plus how it
-// exited.
-func runCrashChild(t *testing.T, dir string, seed int64, failpoints string) (lastAck int64, exitedClean bool) {
-	t.Helper()
+// childCmd builds the crash child's command line: txns transactions of
+// the seeded workload against dir, opened with that many shards.
+func childCmd(dir string, seed int64, txns, shards int, failpoints string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
 		"WALCRASH_CHILD=1",
 		"WALCRASH_DIR="+dir,
 		"WALCRASH_SEED="+strconv.FormatInt(seed, 10),
-		"WALCRASH_TXNS="+strconv.Itoa(childTxns),
+		"WALCRASH_TXNS="+strconv.Itoa(txns),
 		"WALCRASH_SEGBYTES="+strconv.Itoa(childSegBytes),
 		"WALCRASH_CKPT_SEGS="+strconv.Itoa(childCkptSegs),
+		"WALCRASH_SHARDS="+strconv.Itoa(shards),
 		"RELATIONAL_FAILPOINTS="+failpoints,
 	)
+	return cmd
+}
+
+// runCrashChild launches the child against dir with the given failpoint
+// spec and returns the last transaction it acknowledged plus how it
+// exited.
+func runCrashChild(t *testing.T, dir string, seed int64, shards int, failpoints string) (lastAck int64, exitedClean bool) {
+	t.Helper()
+	cmd := childCmd(dir, seed, childTxns, shards, failpoints)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
@@ -157,15 +181,13 @@ func runCrashChild(t *testing.T, dir string, seed int64, failpoints string) (las
 // lastAck <= N <= lastAck+1 (no acknowledged commit lost; at most the
 // one in-flight commit surfaces unacknowledged), the full state equals
 // the shadow model replayed to N, integrity invariants hold, and the
-// recovered database accepts new commits.
-func verifyRecovery(t *testing.T, dir string, seed, lastAck int64) {
+// recovered database accepts new commits. On a shard group the model
+// comparison is also the cross-shard atomicity check: a transaction
+// recovered on one shard and not the other leaves a ledger row without
+// its rows, or rows without their ledger row.
+func verifyRecovery(t *testing.T, dir string, seed, lastAck int64, shards int) {
 	t.Helper()
-	schema, err := Schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := relational.NewDatabase(schema)
-	info, err := db.OpenWAL(dir, relational.WALOptions{SegmentBytes: childSegBytes})
+	db, err := openEngine(dir, shards, relational.WALOptions{SegmentBytes: childSegBytes})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -189,7 +211,7 @@ func verifyRecovery(t *testing.T, dir string, seed, lastAck int64) {
 	}
 	want := ReplayModel(seed, n).Dump()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered state != shadow model at %d txns (info %+v):\n got %v\nwant %v", n, info, got, want)
+		t.Fatalf("recovered state != shadow model at %d txns:\n got %v\nwant %v", n, got, want)
 	}
 	// Referential integrity: every child points at a live parent.
 	parents := map[int64]bool{}
@@ -257,18 +279,55 @@ func failpointHits(fp string, reduced bool) []int {
 func TestCrashAtEveryFailpoint(t *testing.T) {
 	reduced := raceEnabled || testing.Short()
 	for i, fp := range relational.FailpointNames() {
+		if strings.HasPrefix(fp, "xlog.") {
+			continue // only a shard group reaches these: TestCrashCrossShard
+		}
 		for _, hit := range failpointHits(fp, reduced) {
 			name := fmt.Sprintf("%s@%d", fp, hit)
 			seed := int64(7919*int64(i+1) + int64(hit))
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
-				lastAck, clean := runCrashChild(t, dir, seed,
+				lastAck, clean := runCrashChild(t, dir, seed, 1,
 					fmt.Sprintf("%s=crash@%d", fp, hit))
 				if clean {
 					t.Fatalf("failpoint %s never fired: child finished all %d txns", name, childTxns)
 				}
-				verifyRecovery(t, dir, seed, lastAck)
+				verifyRecovery(t, dir, seed, lastAck, 1)
+			})
+		}
+	}
+}
+
+// TestCrashCrossShard is the same harness over a 2-shard group, where
+// most workload transactions commit across shards: the child dies with
+// the participants' records appended to their shard logs and the
+// coordinator's record not yet written, with the coordinator's record
+// flushed and no shard published, and at the per-shard log failpoints a
+// cross-shard commit now reaches differently (its append is not followed
+// by an fsync). The parent asserts the committed prefix against the
+// shadow model, which no torn cross-shard transaction can satisfy.
+func TestCrashCrossShard(t *testing.T) {
+	reduced := raceEnabled || testing.Short()
+	fps := []string{
+		relational.FpXlogFlushBefore, relational.FpXlogFlushAfter,
+		relational.FpWALAppendBefore, relational.FpWALAppendPartial,
+		relational.FpWALFsyncBefore, relational.FpWALFsyncAfter, relational.FpPipelinePublishBefore,
+		relational.FpWALRotateSeal, relational.FpCheckpointTruncate,
+	}
+	for i, fp := range fps {
+		for _, hit := range failpointHits(fp, reduced) {
+			name := fmt.Sprintf("%s@%d", fp, hit)
+			seed := int64(104729*int64(i+1) + int64(hit))
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				lastAck, clean := runCrashChild(t, dir, seed, 2,
+					fmt.Sprintf("%s=crash@%d", fp, hit))
+				if clean {
+					t.Fatalf("failpoint %s never fired: child finished all %d txns", name, childTxns)
+				}
+				verifyRecovery(t, dir, seed, lastAck, 2)
 			})
 		}
 	}
@@ -278,17 +337,16 @@ func TestCrashAtEveryFailpoint(t *testing.T) {
 // failpoint, the PARENT kills the child -9 at an arbitrary moment under
 // load.
 func TestCrashExternalKill(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { externalKill(t, shards) })
+	}
+}
+
+func externalKill(t *testing.T, shards int) {
 	dir := t.TempDir()
 	seed := int64(424243)
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(),
-		"WALCRASH_CHILD=1",
-		"WALCRASH_DIR="+dir,
-		"WALCRASH_SEED="+strconv.FormatInt(seed, 10),
-		"WALCRASH_TXNS=1000000", // far more than it will live to commit
-		"WALCRASH_SEGBYTES="+strconv.Itoa(childSegBytes),
-		"WALCRASH_CKPT_SEGS="+strconv.Itoa(childCkptSegs),
-	)
+	// Far more transactions than it will live to commit.
+	cmd := childCmd(dir, seed, 1000000, shards, "")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +372,7 @@ func TestCrashExternalKill(t *testing.T) {
 	if !killed {
 		t.Fatal("child exited before the kill point")
 	}
-	verifyRecovery(t, dir, seed, lastAck)
+	verifyRecovery(t, dir, seed, lastAck, shards)
 }
 
 // TestRecoveryPropertyRandomSeeds is the crash-free half of the
@@ -322,7 +380,7 @@ func TestCrashExternalKill(t *testing.T) {
 // aggressive rotation+checkpointing, close, reopen, and require the
 // recovered state to equal the shadow model exactly.
 func TestRecoveryPropertyRandomSeeds(t *testing.T) {
-	seeds := []int64{1, 1337, 15204, 94810, 3044, time.Now().UnixNano() % 100000} // one varying seed keeps the space explored
+	seeds := []int64{1, 1337, 15204, 94810, 3044, 38755, time.Now().UnixNano() % 100000} // one varying seed keeps the space explored
 	if raceEnabled || testing.Short() {
 		seeds = seeds[:1]
 	}

@@ -165,11 +165,12 @@ func (m *Model) pickChild(rng *rand.Rand) int64 {
 // ParentName is the deterministic UNIQUE name for a parent id.
 func ParentName(id int64) string { return fmt.Sprintf("p%d", id) }
 
-// ApplyTxn runs transaction k's ops against the engine inside one
-// transaction, committing at the end. ops come from TxnOps, so logical
-// keys are resolved to row ids through the transaction's own reads.
-func ApplyTxn(db *relational.Database, ops []Op, k int64) error {
-	t := db.Begin()
+// ApplyTxn runs transaction k's ops against the engine — a database or a
+// shard group — inside one transaction, committing at the end. ops come
+// from TxnOps, so logical keys are resolved to row ids through the
+// transaction's own reads.
+func ApplyTxn(db relational.Engine, ops []Op, k int64) error {
+	t := db.BeginTxn()
 	abort := func(err error) error {
 		_ = t.Rollback()
 		return err
@@ -221,7 +222,7 @@ func ApplyTxn(db *relational.Database, ops []Op, k int64) error {
 
 // lookupOne resolves a logical primary key to the single row id holding
 // it, as seen by the transaction.
-func lookupOne(t *relational.Txn, table string, id int64) (relational.RowID, error) {
+func lookupOne(t relational.Reader, table string, id int64) (relational.RowID, error) {
 	ids, err := t.LookupEqual(table, []string{"id"}, []relational.Value{relational.Int_(id)})
 	if err != nil {
 		return 0, err
@@ -247,7 +248,7 @@ func ReplayModel(seed int64, n int64) *Model {
 // per table, the representation compared against Model.Dump. Engine row
 // ids are deliberately absent: replay may assign them differently than
 // the original run's interleaving with rolled-back allocations did.
-func Dump(db *relational.Database) (map[string]map[int64]string, error) {
+func Dump(db relational.Reader) (map[string]map[int64]string, error) {
 	out := map[string]map[int64]string{
 		"parent": {},
 		"child":  {},
