@@ -32,7 +32,9 @@ func BenchmarkFig12UseCaseCoverage(b *testing.B) {
 }
 
 // BenchmarkFig13TranslatableUpdate measures one element delete per
-// Vsuccess relation level, with and without the STAR check (Fig. 13).
+// Vsuccess relation level, with and without the STAR check (Fig. 13):
+// "update" executes a plan prepared outside the timer, "update+star"
+// runs the whole Apply.
 func BenchmarkFig13TranslatableUpdate(b *testing.B) {
 	for _, rel := range tpch.Relations {
 		for _, withSTAR := range []bool{false, true} {
@@ -52,9 +54,20 @@ func BenchmarkFig13TranslatableUpdate(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					f.SkipSchemaChecks = !withSTAR
+					apply := func() (*ufilter.Result, error) { return f.Apply(upd) }
+					if !withSTAR {
+						u, err := xqparse.ParseUpdate(upd)
+						if err != nil {
+							b.Fatal(err)
+						}
+						p, err := f.Compile(u)
+						if err != nil {
+							b.Fatal(err)
+						}
+						apply = func() (*ufilter.Result, error) { return f.Execute(p, p.BindArgs(u)) }
+					}
 					b.StartTimer()
-					res, err := f.Apply(upd)
+					res, err := apply()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -69,7 +82,9 @@ func BenchmarkFig13TranslatableUpdate(b *testing.B) {
 
 // BenchmarkFig14UntranslatableUpdate compares the blind
 // translate-execute-diff-rollback baseline against STAR's static
-// rejection on the failure views (Fig. 14).
+// rejection on the failure views (Fig. 14). The STAR side compiles the
+// update on every call, so it measures the schema-level pipeline rather
+// than a plan-cache hit.
 func BenchmarkFig14UntranslatableUpdate(b *testing.B) {
 	for _, rel := range tpch.Relations {
 		upd := tpch.DeleteElementUpdate(rel, 1)
@@ -81,8 +96,6 @@ func BenchmarkFig14UntranslatableUpdate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Measure the schema-level pipeline, not a decision-cache hit.
-		f.DisableCache = true
 		b.Run(rel+"/blind", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := f.BlindApply(upd)
@@ -96,11 +109,11 @@ func BenchmarkFig14UntranslatableUpdate(b *testing.B) {
 		})
 		b.Run(rel+"/star", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := f.Check(upd)
+				p, err := f.CompileText(upd)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Accepted {
+				if p.Verdict.Accepted {
 					b.Fatal("expected rejection")
 				}
 			}
@@ -250,11 +263,11 @@ func BenchmarkFig17FailedCases(b *testing.B) {
 }
 
 // BenchmarkDecisionCache measures the schema-level Check on the
-// bookstore workload with the decision cache off and on: "uncached"
-// pays parse+resolve+STAR every call, "cached" is the production steady
-// state (text-tier hits), and "cached-templates" rotates literal values
-// so every hit comes from the template tier. The cache-hit rate is
-// reported as hits/op.
+// bookstore workload: "uncached" compiles a plan per call (parse,
+// resolve, Step 1, STAR and the plan's artifacts), "cached" is the
+// production steady state (text-tier hits), and "cached-templates"
+// rotates literal values so every hit comes from the template tier. The
+// cache-hit rate is reported as hits/op.
 func BenchmarkDecisionCache(b *testing.B) {
 	corpus := func() []string {
 		var out []string
@@ -273,7 +286,7 @@ UPDATE $book { DELETE $book/review }`, i))
 		}
 		return out
 	}()
-	run := func(b *testing.B, texts []string, disable bool) {
+	run := func(b *testing.B, texts []string, uncached bool) {
 		db, err := bookdb.NewDatabase(relational.DeleteCascade)
 		if err != nil {
 			b.Fatal(err)
@@ -282,17 +295,20 @@ UPDATE $book { DELETE $book/review }`, i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.DisableCache = disable
+		check := func(text string) error { _, err := f.Check(text); return err }
+		if uncached {
+			check = func(text string) error { _, err := f.CompileText(text); return err }
+		}
 		// Warm the cache so the timed loop measures the steady state.
 		for _, text := range texts {
-			if _, err := f.Check(text); err != nil {
+			if err := check(text); err != nil {
 				b.Fatal(err)
 			}
 		}
 		start := f.CacheStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.Check(texts[i%len(texts)]); err != nil {
+			if err := check(texts[i%len(texts)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,20 +405,19 @@ func BenchmarkSchemaChecksOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Isolate the real Steps 1+2, not a decision-cache hit (that path
-	// is BenchmarkDecisionCache/cached).
-	f.DisableCache = true
+	// Isolate the real Steps 1+2 by compiling every call, not a
+	// plan-cache hit (that path is BenchmarkDecisionCache/cached).
 	u, err := xqparse.ParseUpdate(bookdb.U9)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := f.CheckParsed(u)
+		p, err := f.Compile(u)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Accepted {
+		if !p.Verdict.Accepted {
 			b.Fatal("u9 should pass schema checks")
 		}
 	}
@@ -521,11 +536,11 @@ func BenchmarkViewMaterialization(b *testing.B) {
 
 // BenchmarkPlanExecuteMany is the compile-once/execute-many acceptance
 // benchmark: one bound-literal update template (a leaf replace keyed by
-// two predicates), executed as (a) N× Filter.Apply re-deriving
-// everything per call (cache disabled — the pre-plan pipeline), (b) N×
-// Filter.Apply through the plan cache, (c) plan.Compile once + N×
-// Executor.Execute with bound literal tuples, and (d) the group-commit
-// ExecuteBatch path. The prepared paths must beat (a) by ≥2x.
+// two predicates), executed as (a) N× Prepare+Execute, compiling a plan
+// per call, (b) N× Filter.Apply through the plan cache, (c)
+// plan.Compile once + N× Executor.Execute with bound literal tuples,
+// and (d) the group-commit ExecuteBatch path. The prepared paths must
+// beat (a) by ≥2x.
 func BenchmarkPlanExecuteMany(b *testing.B) {
 	texts := [2]string{
 		planBenchUpdate("98001", "TCP/IP Illustrated"),
@@ -535,7 +550,7 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 		{relational.String_("98001"), relational.String_("TCP/IP Illustrated")},
 		{relational.String_("98003"), relational.String_("Data on the Web")},
 	}
-	newBookFilter := func(b *testing.B, disableCache bool) *ufilter.Filter {
+	newBookFilter := func(b *testing.B) *ufilter.Filter {
 		db, err := bookdb.NewDatabase(relational.DeleteCascade)
 		if err != nil {
 			b.Fatal(err)
@@ -544,7 +559,6 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.DisableCache = disableCache
 		return f
 	}
 	requireAccepted := func(b *testing.B, res *ufilter.Result, err error) {
@@ -557,15 +571,19 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 		}
 	}
 	b.Run("filter-apply-uncached", func(b *testing.B) {
-		f := newBookFilter(b, true)
+		f := newBookFilter(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := f.Apply(texts[i%2])
+			p, err := f.Prepare(texts[i%2])
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := f.Execute(p, args[i%2])
 			requireAccepted(b, res, err)
 		}
 	})
 	b.Run("filter-apply-cached", func(b *testing.B) {
-		f := newBookFilter(b, false)
+		f := newBookFilter(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res, err := f.Apply(texts[i%2])
@@ -573,7 +591,7 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 		}
 	})
 	b.Run("plan-execute", func(b *testing.B) {
-		f := newBookFilter(b, false)
+		f := newBookFilter(b)
 		p, err := f.Prepare(texts[0])
 		if err != nil {
 			b.Fatal(err)
@@ -585,7 +603,7 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 		}
 	})
 	b.Run("plan-execute-batch", func(b *testing.B) {
-		f := newBookFilter(b, false)
+		f := newBookFilter(b)
 		p, err := f.Prepare(texts[0])
 		if err != nil {
 			b.Fatal(err)

@@ -238,6 +238,11 @@ type Node struct {
 	Type    relational.Type
 	NotNull bool
 	Checks  []relational.CheckPredicate
+	// Selected marks a leaf that a view selection predicate reads (its
+	// check annotations include one, like price < 50.00): a schema CHECK
+	// passes NULL, a view predicate does not, so NULLing the leaf drops
+	// its element from the view.
+	Selected bool
 
 	// Internal/root annotations.
 	UCBinding RelSet
@@ -574,6 +579,7 @@ func (g *ViewASG) buildProjection(pr *xqparse.Projection, sc scope, parent *Node
 			op = op.Flip()
 		}
 		leaf.Checks = append(leaf.Checks, relational.CheckPredicate{Op: op, Operand: lit.Lit})
+		leaf.Selected = true
 	}
 	return nil
 }

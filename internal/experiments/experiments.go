@@ -12,6 +12,7 @@ import (
 	"repro/internal/tpch"
 	"repro/internal/ufilter"
 	"repro/internal/w3cusecases"
+	"repro/internal/xqparse"
 )
 
 // ---------------------------------------------------------------------
@@ -30,15 +31,17 @@ func Fig12() []Fig12Row { return w3cusecases.CoverageTable() }
 // Fig13Row is one bar pair of Fig. 13.
 type Fig13Row struct {
 	Relation    string
-	Update      time.Duration // translate + execute only
-	WithSTAR    time.Duration // STAR check + translate + execute
+	Update      time.Duration // execute a plan compiled beforehand: translate + execute only
+	WithSTAR    time.Duration // parse + Steps 1-3 + translate + execute
 	RowsDeleted int
 }
 
 // Fig13 deletes one element per relation level of Vsuccess and measures
-// the update with and without the STAR checking step. Each measurement
-// runs on a fresh database so the cascade sizes are comparable; the
-// minimum of `reps` runs is reported to suppress scheduler noise.
+// the update with and without the schema-level steps: the "update" bar
+// executes a plan prepared outside the timer, the "with STAR" bar runs
+// the whole Apply. Each measurement runs on a fresh database so the
+// cascade sizes are comparable; the minimum of `reps` runs is reported
+// to suppress scheduler noise.
 func Fig13(mb, reps int) ([]Fig13Row, error) {
 	if reps < 1 {
 		reps = 1
@@ -48,17 +51,21 @@ func Fig13(mb, reps int) ([]Fig13Row, error) {
 		upd := tpch.DeleteElementUpdate(rel, 1)
 		row := Fig13Row{Relation: rel}
 		for rep := 0; rep < reps; rep++ {
-			db, err := tpch.NewDatabaseMB(mb)
+			f, err := newVsuccessFilter(mb)
 			if err != nil {
 				return nil, err
 			}
-			f, err := ufilter.New(tpch.VsuccessQuery, db)
+			u, err := xqparse.ParseUpdate(upd)
 			if err != nil {
 				return nil, err
 			}
-			f.SkipSchemaChecks = true
+			p, err := f.Compile(u)
+			if err != nil {
+				return nil, err
+			}
+			args := p.BindArgs(u)
 			start := time.Now()
-			res, err := f.Apply(upd)
+			res, err := f.Execute(p, args)
 			if err != nil {
 				return nil, fmt.Errorf("fig13 %s: %w", rel, err)
 			}
@@ -68,11 +75,7 @@ func Fig13(mb, reps int) ([]Fig13Row, error) {
 			}
 			row.RowsDeleted = res.RowsAffected
 
-			db2, err := tpch.NewDatabaseMB(mb)
-			if err != nil {
-				return nil, err
-			}
-			f2, err := ufilter.New(tpch.VsuccessQuery, db2)
+			f2, err := newVsuccessFilter(mb)
 			if err != nil {
 				return nil, err
 			}
@@ -95,6 +98,15 @@ func Fig13(mb, reps int) ([]Fig13Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// newVsuccessFilter builds a fresh Vsuccess filter over a fresh database.
+func newVsuccessFilter(mb int) (*ufilter.Filter, error) {
+	db, err := tpch.NewDatabaseMB(mb)
+	if err != nil {
+		return nil, err
+	}
+	return ufilter.New(tpch.VsuccessQuery, db)
 }
 
 // ---------------------------------------------------------------------
@@ -127,10 +139,6 @@ func Fig14(mb, reps int) ([]Fig14Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// This experiment measures the schema-level pipeline itself; the
-		// decision cache would turn every rep after the first into a map
-		// lookup and corrupt the reported STAR cost.
-		f.DisableCache = true
 		row := Fig14Row{Relation: rel}
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
@@ -144,13 +152,15 @@ func Fig14(mb, reps int) ([]Fig14Row, error) {
 			}
 			row.RowsTouched = blindRes.RowsTouched
 
+			// Compile, not Check: the plan cache would turn every rep
+			// after the first into a map lookup and hide the STAR cost.
 			start = time.Now()
-			checkRes, err := f.Check(upd)
+			p, err := f.CompileText(upd)
 			if err != nil {
 				return nil, err
 			}
 			star := time.Since(start)
-			if checkRes.Accepted {
+			if p.Verdict.Accepted {
 				return nil, fmt.Errorf("fig14 %s: STAR should reject", rel)
 			}
 			if row.Blind == 0 || blind < row.Blind {

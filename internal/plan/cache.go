@@ -100,9 +100,8 @@ type CacheStats struct {
 	// Plans counts the compiled UpdatePlans currently cached — one per
 	// template entry.
 	Plans int `json:"plans"`
-	// PlanApplies counts applies executed off a cached compiled plan
-	// (prepared probes + translation artifacts) instead of a fresh
-	// resolution.
+	// PlanApplies counts text applies (Apply, ApplyBatch) executed off
+	// a cached compiled plan.
 	PlanApplies int64 `json:"plan_applies"`
 }
 

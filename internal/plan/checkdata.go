@@ -1,10 +1,6 @@
 package plan
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
 	"repro/internal/relational"
 	"repro/internal/sqlexec"
 	"repro/internal/xqparse"
@@ -48,35 +44,22 @@ func (e *Executor) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return e.checkDataParsed(rd, u)
-}
-
-// checkDataParsed layers the read-only probes over the schema verdict.
-// The returned Result is the caller's copy: probe SQL is appended to
-// Probes and a failed probe downgrades Accepted with RejectedAt =
-// StepData.
-func (e *Executor) checkDataParsed(rd sqlexec.Reader, u *xqparse.UpdateQuery) (*Result, error) {
 	res, p, b, err := e.checkCached(u, "", nil)
 	if err != nil || !res.Accepted {
 		return res, err
 	}
-	if p == nil {
-		// Cache disabled: compile a plan privately — compilation is
-		// read-only and concurrency-safe — so this path still carries
-		// the per-op artifacts, in particular the shared-part checks an
-		// insert's verdict depends on. Without them CheckData would
-		// accept inserts that Apply then rejects at StepData.
-		if p, err = e.compile(u, true); err != nil {
-			return nil, err
-		}
-		if _, b, err = e.bindParsed(p, u); err != nil {
-			return nil, err
-		}
-	}
-	args := probeArgs(p.Ops, b.preds)
+	return e.probeData(rd, p, b, res)
+}
+
+// probeData runs an accepted instance's read-only Step 3 probes off its
+// plan: each op's context probe, then an insert's shared-part checks.
+// res is the caller's copy: probe SQL is appended to Probes and a failed
+// probe downgrades Accepted with RejectedAt = StepData.
+func (e *Executor) probeData(rd sqlexec.Reader, p *UpdatePlan, b bound, res *Result) (*Result, error) {
+	args := probeArgs(b.preds)
 	for i := range p.Resolved.Ops {
 		ro, po := &p.Resolved.Ops[i], &p.Ops[i]
-		reject, err := e.probeContextOn(rd, ro, b.preds, po, args, res)
+		_, reject, err := e.probeContext(rd, ro, po, args, res)
 		if err != nil {
 			return nil, err
 		}
@@ -99,43 +82,6 @@ func (e *Executor) checkDataParsed(rd sqlexec.Reader, u *xqparse.UpdateQuery) (*
 	return res, nil
 }
 
-// probeContextOn is the read-only core of contextCheck: it probes
-// whether the view element the operation anchors at exists, through
-// the plan's prepared statement when available, without materializing
-// the result as a temporary table.
-func (e *Executor) probeContextOn(rd sqlexec.Reader, ro *ResolvedOp, preds []UserPred, po *PlannedOp, args []relational.Value, res *Result) (string, error) {
-	if po.NoProbe {
-		return "", nil
-	}
-	var rs *sqlexec.ResultSet
-	var probeSQL string
-	if po.Probe != nil {
-		var err error
-		rs, err = po.Probe.ExecSelectOn(rd, args...)
-		if err != nil {
-			return "", err
-		}
-		probeSQL = po.Probe.SQL(args...)
-	} else {
-		sel := e.buildContextProbe(ro.Context, preds, relsNeededByOp(ro))
-		if sel == nil {
-			return "", nil
-		}
-		var err error
-		rs, err = e.Exec.ExecSelectOn(rd, sel)
-		if err != nil {
-			return "", err
-		}
-		probeSQL = sel.String()
-	}
-	res.Probes = append(res.Probes, probeSQL)
-	if rs.Empty() {
-		return fmt.Sprintf("update context <%s> does not exist in the view (probe %q returned no rows)",
-			ro.Context.Name, probeSQL), nil
-	}
-	return "", nil
-}
-
 // CheckBatchData pins ONE snapshot for the whole batch and fans the
 // updates across a worker pool running the snapshot-pinned data check:
 // every verdict in the batch is evaluated against the same
@@ -149,32 +95,5 @@ func (e *Executor) CheckBatchData(updates []string, workers int) []BatchResult {
 
 // CheckBatchDataAt is CheckBatchData against a caller-pinned Reader.
 func (e *Executor) CheckBatchDataAt(rd sqlexec.Reader, updates []string, workers int) []BatchResult {
-	out := make([]BatchResult, len(updates))
-	if len(updates) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(updates) {
-		workers = len(updates)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := e.CheckDataAt(rd, updates[i])
-				out[i] = BatchResult{Index: i, Result: res, Err: err}
-			}
-		}()
-	}
-	for i := range updates {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
+	return checkPool(updates, workers, func(text string) (*Result, error) { return e.CheckDataAt(rd, text) })
 }

@@ -102,28 +102,23 @@ type Result struct {
 // ApplyBatch, Execute, ExecuteBatch and BlindApply each open their OWN
 // transaction against the MVCC engine: independent updates run their
 // probes, checks and translated statements fully concurrently, commits
-// coalesce into shared write-ahead-log flushes through the group-
-// commit scheduler, and two updates that touch the same rows resolve
-// by first-updater-wins — the loser retries automatically with capped
-// backoff and surfaces relational.ErrWriteConflict only when the
-// retries are exhausted (the ufilterd gateway maps that to 409). The
-// configuration fields (Strategy, SkipSchemaChecks, DisableCache) must
-// be set before the executor is shared across goroutines.
+// share write-ahead-log flushes in the engine's writer stage, and two
+// updates that touch the same rows resolve by first-updater-wins — the
+// loser retries automatically with capped backoff and surfaces
+// relational.ErrWriteConflict only when the retries are exhausted (the
+// ufilterd gateway maps that to 409). The configuration fields
+// (Strategy, MaxWriteRetries) must be set before the executor is shared
+// across goroutines.
+//
+// Every check and apply runs off a compiled UpdatePlan; tests take a
+// throwaway plan per update as their reference, and the view-diff
+// oracle (oracle_test.go) checks the verdicts themselves.
 type Executor struct {
 	View     *asg.ViewASG
 	Base     *asg.BaseASG
 	Marks    *Marks
 	Exec     *sqlexec.Executor
 	Strategy Strategy
-
-	// SkipSchemaChecks makes Apply execute the translation without
-	// Steps 1 and 2. Benchmark use only (the Fig. 13 baseline).
-	SkipSchemaChecks bool
-
-	// DisableCache turns the plan cache off, forcing every Check
-	// through the full parse/resolve/STAR pipeline and every Apply
-	// through a fresh resolution. Benchmark and debugging use only.
-	DisableCache bool
 
 	// MaxWriteRetries caps how many times a conflicted apply is retried
 	// before ErrWriteConflict escapes to the caller; 0 selects
@@ -136,7 +131,7 @@ type Executor struct {
 	Obs *ObsHists
 
 	// cache holds one compiled UpdatePlan per update template; see
-	// cache.go. Never nil for executors built by NewExecutor.
+	// cache.go. Set by NewExecutor, never nil.
 	cache *Cache
 
 	// tempSeq allocates names in the shared temporary-table namespace;
@@ -152,23 +147,16 @@ type Executor struct {
 // mutating pipeline: the apply's own transaction (all probe reads and
 // translated statements go through it, so the update observes a stable
 // snapshot plus its own writes) and the update's bound values — its
-// predicates (consumed by the probes) and, when it runs off a compiled
-// plan, the content values the plan's insert/replace artifacts index.
-// One applyCtx never crosses goroutines; making it explicit — instead
-// of fields on the shared Executor — is what lets applies run
-// concurrently at all.
+// predicates (consumed by the probes) and the content values the plan's
+// insert/replace artifacts index. One applyCtx never crosses goroutines;
+// making it explicit — instead of fields on the shared Executor — is
+// what lets applies run concurrently at all.
 type applyCtx struct {
 	txn relational.WriteTxn
 	bound
 	// trace is the request's span recorder (nil when untraced); runOps
 	// and commit record stage timings into it.
 	trace *obs.Trace
-	// blindAnchor is BlindApply's naive delete anchor for ops whose
-	// target has none (the unsafe deletes the checked pipeline
-	// rejects). It rides here instead of being written into the shared
-	// view ASG, which concurrent applies and plan compilations read
-	// lock-free. Empty outside the blind path.
-	blindAnchor string
 }
 
 // NewExecutor builds the runtime for a marked view over a database.
@@ -235,12 +223,8 @@ func (e *Executor) WriteStats() WriteStats {
 }
 
 // CacheStats snapshots the plan cache's hit/miss counters. All zeros
-// when the cache is disabled or the executor has not checked any
-// update yet.
+// until the executor has checked an update.
 func (e *Executor) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
 	return e.cache.Stats()
 }
 
@@ -265,13 +249,11 @@ func (e *Executor) Check(updateText string) (*Result, error) {
 // plumbing is a nil no-op.
 func (e *Executor) CheckContext(ctx context.Context, updateText string) (*Result, error) {
 	tr := obs.FromContext(ctx)
-	if e.cache != nil && !e.DisableCache {
-		end := tr.StartSpan("cache_lookup")
-		res, ok := e.cache.lookupText(updateText)
-		end()
-		if ok {
-			return res, nil
-		}
+	end := tr.StartSpan("cache_lookup")
+	res, ok := e.cache.lookupText(updateText)
+	end()
+	if ok {
+		return res, nil
 	}
 	endParse := tr.StartSpan("parse")
 	u, err := xqparse.ParseUpdate(updateText)
@@ -279,7 +261,7 @@ func (e *Executor) CheckContext(ctx context.Context, updateText string) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res, _, _, err := e.checkCached(u, updateText, tr)
+	res, _, _, err = e.checkCached(u, updateText, tr)
 	return res, err
 }
 
@@ -293,18 +275,9 @@ func (e *Executor) CheckParsed(u *xqparse.UpdateQuery) (*Result, error) {
 // compiling the template on its first sighting. Beside the verdict it
 // hands back the plan and, for an accepted update, the bound values, so
 // the apply and data-check paths execute with exactly what the verdict
-// was derived from; the plan is nil when the cache is disabled. text,
-// when non-empty, also feeds the parse-skipping text tier.
+// was derived from. text, when non-empty, also feeds the parse-skipping
+// text tier.
 func (e *Executor) checkCached(u *xqparse.UpdateQuery, text string, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
-	if e.cache == nil || e.DisableCache {
-		endCompile := tr.StartSpan("compile")
-		p, err := e.compile(u, false)
-		endCompile()
-		if err != nil {
-			return nil, nil, bound{}, err
-		}
-		return p.Verdict, nil, bound{}, nil
-	}
 	endLookup := tr.StartSpan("cache_lookup")
 	key := fingerprint(u)
 	p := e.cache.plan(key)
@@ -341,7 +314,7 @@ func (e *Executor) compileOnce(key string, u *xqparse.UpdateQuery) (*UpdatePlan,
 	if p := c.plan(key); p != nil {
 		return p, nil
 	}
-	p, err := e.compile(u, true)
+	p, err := e.Compile(u)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +324,7 @@ func (e *Executor) compileOnce(key string, u *xqparse.UpdateQuery) (*UpdatePlan,
 
 // starVerdicts applies the STAR checking procedure to one resolved op.
 // Replace is delete-then-insert (footnote 4), but leaf/tag replaces are
-// value updates and always translatable once valid.
+// value updates, judged like leaf deletes.
 func (e *Executor) starVerdicts(ro *ResolvedOp) []StarVerdict {
 	switch ro.Op.Kind {
 	case xqparse.OpDelete:
@@ -362,7 +335,7 @@ func (e *Executor) starVerdicts(ro *ResolvedOp) []StarVerdict {
 		if ro.Target.Kind == asg.KindInternal {
 			return []StarVerdict{e.Marks.CheckDelete(ro.Target), e.Marks.CheckInsert(ro.Target)}
 		}
-		return []StarVerdict{{Outcome: OutcomeUnconditional, Reason: "leaf replace translates to an UPDATE"}}
+		return []StarVerdict{e.Marks.CheckLeaf(replaceLeafOf(ro.Target))}
 	}
 	return nil
 }
@@ -385,16 +358,18 @@ type BatchResult struct {
 // claim targets — are answered mostly from memory. workers <= 0 selects
 // GOMAXPROCS; a batch smaller than the pool uses one worker per update.
 func (e *Executor) CheckBatch(updates []string, workers int) []BatchResult {
+	return checkPool(updates, workers, e.Check)
+}
+
+// checkPool runs check over every update on a pool of workers (<= 0
+// selects GOMAXPROCS, never more than one per update) and returns the
+// results in input order.
+func checkPool(updates []string, workers int, check func(string) (*Result, error)) []BatchResult {
 	out := make([]BatchResult, len(updates))
-	if len(updates) == 0 {
-		return out
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(updates) {
-		workers = len(updates)
-	}
+	workers = min(workers, len(updates))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -402,7 +377,7 @@ func (e *Executor) CheckBatch(updates []string, workers int) []BatchResult {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				res, err := e.Check(updates[i])
+				res, err := check(updates[i])
 				out[i] = BatchResult{Index: i, Result: res, Err: err}
 			}
 		}()
@@ -441,8 +416,7 @@ func (e *Executor) ApplyContext(ctx context.Context, updateText string) (*Result
 // concurrently with each other (and with Execute/ApplyBatch): each
 // opens its own transaction, conflicting writes resolve by
 // first-updater-wins with automatic capped-backoff retries, and
-// commits share write-ahead-log flushes through the group-commit
-// scheduler.
+// commits share write-ahead-log flushes in the engine's writer stage.
 //
 // Execution runs off the template's compiled UpdatePlan — its
 // resolution, prepared probe statements and insert/replace artifacts —
@@ -452,32 +426,12 @@ func (e *Executor) ApplyParsed(u *xqparse.UpdateQuery) (*Result, error) {
 }
 
 func (e *Executor) applyParsedTraced(u *xqparse.UpdateQuery, tr *obs.Trace) (*Result, error) {
-	if e.SkipSchemaChecks {
-		// Benchmark mode (Fig. 13's "Update" bar): execute the
-		// translation without the schema-level steps. Only safe for
-		// updates known to be translatable.
-		res := &Result{Update: u, Outcome: OutcomeUnconditional}
-		r, err := Resolve(u, e.View)
-		if err != nil {
-			return nil, err
-		}
-		return e.applyResolved(r, nil, bound{preds: r.UserPreds}, res, tr)
-	}
 	res, p, b, err := e.checkCached(u, "", tr)
 	if err != nil || !res.Accepted {
 		return res, err
 	}
-	if p != nil {
-		e.cache.planApplies.Add(1)
-		return e.applyResolved(p.Resolved, p.Ops, b, res, tr)
-	}
-	// Cache disabled: the reference path, re-deriving everything from
-	// the update itself.
-	r, err := Resolve(u, e.View)
-	if err != nil {
-		return nil, err // cannot happen: the check resolved already
-	}
-	return e.applyResolved(r, nil, bound{preds: r.UserPreds}, res, tr)
+	e.cache.planApplies.Add(1)
+	return e.applyPlan(p, b, res, tr)
 }
 
 // resultMark checkpoints the mutable fields of a Result so a
@@ -518,19 +472,18 @@ func (m resultMark) restore(res *Result) {
 	res.RowsAffected = m.rows
 }
 
-// applyResolved runs the data-driven pipeline for one update inside its
+// applyPlan runs the data-driven pipeline for one update inside its
 // own transaction, retrying the whole attempt (fresh transaction,
 // fresh probes) with capped backoff when a write-write conflict is
 // detected — the paper's pipeline means most concurrent updates touch
 // disjoint rows, so retries are the rare case, not the common one.
-// planned is non-nil when the update runs off a compiled UpdatePlan's
-// per-op artifacts (prepared probes, insert plans); b holds the
-// update's bound values.
-func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, b bound, res *Result, tr *obs.Trace) (*Result, error) {
+// The update runs off the plan's per-op artifacts (prepared probes,
+// insert plans); b holds its bound values.
+func (e *Executor) applyPlan(p *UpdatePlan, b bound, res *Result, tr *obs.Trace) (*Result, error) {
 	mark := markResult(res)
 	conflicted := false
 	for attempt := 0; ; attempt++ {
-		out, err := e.applyOnce(r, planned, b, res, tr)
+		out, err := e.applyOnce(p, b, res, tr)
 		if err == nil || !errors.Is(err, relational.ErrWriteConflict) {
 			if conflicted {
 				e.conflictApplies.Add(1)
@@ -557,7 +510,7 @@ func (e *Executor) applyResolved(r *ResolvedUpdate, planned []PlannedOp, b bound
 // it, commit on success. A rejected update (or an error,
 // including a write conflict) rolls the transaction back and leaves
 // the database untouched.
-func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, b bound, res *Result, tr *obs.Trace) (*Result, error) {
+func (e *Executor) applyOnce(p *UpdatePlan, b bound, res *Result, tr *obs.Trace) (*Result, error) {
 	res.Accepted = false
 	ac := &applyCtx{txn: e.Exec.DB.BeginTxn(), bound: b, trace: tr}
 	committed := false
@@ -567,7 +520,7 @@ func (e *Executor) applyOnce(r *ResolvedUpdate, planned []PlannedOp, b bound, re
 		}
 	}()
 
-	rejected, err := e.runOps(ac, r, planned, res)
+	rejected, err := e.runOps(ac, p, res)
 	if err != nil {
 		return nil, err
 	}
@@ -612,14 +565,10 @@ func (e *Executor) commit(txn relational.WriteTxn, tr *obs.Trace) error {
 // and the translated statements under the configured strategy. It
 // reports rejected=true (with res.RejectedAt/Reason set) when Step 1
 // or Step 3 rejects the update mid-flight.
-func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, res *Result) (rejected bool, err error) {
-	args := probeArgs(planned, ac.preds)
-	for i := range r.Ops {
-		ro := &r.Ops[i]
-		var po *PlannedOp
-		if planned != nil {
-			po = &planned[i]
-		}
+func (e *Executor) runOps(ac *applyCtx, p *UpdatePlan, res *Result) (rejected bool, err error) {
+	args := probeArgs(ac.preds)
+	for i := range p.Resolved.Ops {
+		ro, po := &p.Resolved.Ops[i], &p.Ops[i]
 		endCtx := ac.trace.StartSpan("context_check")
 		probe, tempName, reject, err := e.contextCheck(ac, ro, po, args, res)
 		endCtx()
@@ -635,20 +584,8 @@ func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, 
 			res.Reason = reject
 			return true, nil
 		}
-		var tr *opTranslation
 		endTranslate := ac.trace.StartSpan("translate")
-		switch ro.Op.Kind {
-		case xqparse.OpDelete:
-			tr, err = e.translateDelete(ac, ro, probe, tempName, res)
-		case xqparse.OpInsert:
-			if po != nil {
-				tr, err = po.insert.translate(ac.content, probe)
-			} else {
-				tr, err = e.translateInsert(ro, probe)
-			}
-		case xqparse.OpReplace:
-			tr, err = e.translateReplace(ac, ro, probe, po, res)
-		}
+		tr, err := e.translateOp(ac, ro, po, probe, tempName, res)
 		endTranslate()
 		if err != nil {
 			var ve *validationError
@@ -685,11 +622,8 @@ func (e *Executor) runOps(ac *applyCtx, r *ResolvedUpdate, planned []PlannedOp, 
 }
 
 // probeArgs lists the bound predicate literals as the parameters of a
-// plan's prepared probe statements; nil without a plan.
-func probeArgs(planned []PlannedOp, preds []UserPred) []relational.Value {
-	if planned == nil {
-		return nil
-	}
+// plan's prepared probe statements.
+func probeArgs(preds []UserPred) []relational.Value {
 	args := make([]relational.Value, len(preds))
 	for i := range preds {
 		args[i] = preds[i].Lit
@@ -698,10 +632,10 @@ func probeArgs(planned []PlannedOp, preds []UserPred) []relational.Value {
 }
 
 // contextCheck runs the data-driven update context check (Section 6.1):
-// it probes whether the view element the update anchors at exists, and
-// materializes the probe result for reuse by the translation. With a
-// planned op, the probe comes from the plan's prepared statement bound
-// to the update's literal tuple instead of being rebuilt.
+// it probes whether the view element the update anchors at exists,
+// through the plan's prepared statement bound to the update's literal
+// tuple, and materializes the probe result for reuse by the
+// translation. An op anchored at the view root has no probe.
 //
 // The materialized temporary table is consumed only by the IN-temp
 // shape of internal-node deletes (the paper's U3), so other op kinds
@@ -709,47 +643,40 @@ func probeArgs(planned []PlannedOp, preds []UserPred) []relational.Value {
 // finishes, keeping the executor's temp namespace bounded under
 // sustained traffic.
 func (e *Executor) contextCheck(ac *applyCtx, ro *ResolvedOp, po *PlannedOp, args []relational.Value, res *Result) (*sqlexec.ResultSet, string, string, error) {
-	c := ro.Context
-	var rs *sqlexec.ResultSet
-	var probeSQL string
-	if po != nil && po.NoProbe {
-		return nil, "", "", nil
-	}
-	if po != nil && po.Probe != nil {
-		var err error
-		rs, err = po.Probe.ExecSelectOn(ac.txn, args...)
-		if err != nil {
-			return nil, "", "", err
-		}
-		probeSQL = po.Probe.SQL(args...)
-	} else {
-		// Dynamic path: no plan, or the plan's probe artifact could not
-		// be prepared — rebuild the probe so the context check still
-		// runs.
-		sel := e.buildContextProbe(c, ac.preds, relsNeededByOp(ro))
-		if sel == nil {
-			return nil, "", "", nil
-		}
-		var err error
-		rs, err = e.Exec.ExecSelectOn(ac.txn, sel)
-		if err != nil {
-			return nil, "", "", err
-		}
-		probeSQL = sel.String()
-	}
-	res.Probes = append(res.Probes, probeSQL)
-	if rs.Empty() {
-		return nil, "", fmt.Sprintf("update context <%s> does not exist in the view (probe %q returned no rows)",
-			c.Name, probeSQL), nil
+	rs, reject, err := e.probeContext(ac.txn, ro, po, args, res)
+	if rs == nil || reject != "" || err != nil {
+		return nil, "", reject, err
 	}
 	if ro.Op.Kind != xqparse.OpDelete || ro.Target.Kind != asg.KindInternal {
 		// Inserts, replaces and leaf deletes read the probe result
 		// directly; no translated statement references the temp.
 		return rs, "", "", nil
 	}
-	tempName := fmt.Sprintf("TAB_%s_%d", strings.ToLower(c.Name), e.tempSeq.Add(1))
+	tempName := fmt.Sprintf("TAB_%s_%d", strings.ToLower(ro.Context.Name), e.tempSeq.Add(1))
 	e.Exec.Materialize(tempName, rs)
 	return rs, tempName, "", nil
+}
+
+// probeContext runs an op's prepared context probe through a Reader —
+// the apply's transaction or the data-check path's snapshot — and
+// records it in res. It returns the probe's rows, or a rejection when
+// the context does not exist; no rows and no rejection when the op has
+// no probe.
+func (e *Executor) probeContext(rd sqlexec.Reader, ro *ResolvedOp, po *PlannedOp, args []relational.Value, res *Result) (*sqlexec.ResultSet, string, error) {
+	if po.Probe == nil {
+		return nil, "", nil
+	}
+	rs, err := po.Probe.ExecSelectOn(rd, args...)
+	if err != nil {
+		return nil, "", err
+	}
+	probeSQL := po.Probe.SQL(args...)
+	res.Probes = append(res.Probes, probeSQL)
+	if rs.Empty() {
+		return nil, fmt.Sprintf("update context <%s> does not exist in the view (probe %q returned no rows)",
+			ro.Context.Name, probeSQL), nil
+	}
+	return rs, "", nil
 }
 
 // runSharedChecksOn verifies the CondSharedPartsExist probes through a
@@ -813,40 +740,36 @@ func (e *Executor) executeStatements(ac *applyCtx, ro *ResolvedOp, stmts []sqlex
 // retry loop re-runs the whole attempt against fresh state.
 func (e *Executor) executeHybrid(ac *applyCtx, stmts []sqlexec.Statement, res *Result) (string, error) {
 	for _, st := range stmts {
-		sql := st.String()
-		res.SQL = append(res.SQL, sql)
-		switch s := st.(type) {
-		case *sqlexec.InsertStmt:
-			if _, err := e.Exec.ExecInsert(ac.txn, s); err != nil {
-				if relational.IsConstraintViolation(err) {
-					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
-				}
-				return "", err
-			}
-			res.RowsAffected++
-		case *sqlexec.DeleteStmt:
-			n, err := e.Exec.ExecDelete(ac.txn, s)
-			if err != nil {
-				if relational.IsConstraintViolation(err) {
-					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
-				}
-				return "", err
-			}
-			if n == 0 {
-				res.Warnings = append(res.Warnings, fmt.Sprintf("zero tuples deleted by %q", sql))
-			}
-			res.RowsAffected += n
-		case *sqlexec.UpdateStmt:
-			n, err := e.Exec.ExecUpdate(ac.txn, s)
-			if err != nil {
-				if relational.IsConstraintViolation(err) {
-					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
-				}
-				return "", err
-			}
-			res.RowsAffected += n
+		if reject, err := e.execStatement(ac, st, res); reject != "" || err != nil {
+			return reject, err
 		}
 	}
+	return "", nil
+}
+
+// execStatement runs one translated statement, recording its SQL and the
+// rows it touched; an engine constraint violation is a data conflict.
+func (e *Executor) execStatement(ac *applyCtx, st sqlexec.Statement, res *Result) (string, error) {
+	sql := st.String()
+	res.SQL = append(res.SQL, sql)
+	n, err := 1, error(nil)
+	switch s := st.(type) {
+	case *sqlexec.InsertStmt:
+		_, err = e.Exec.ExecInsert(ac.txn, s)
+	case *sqlexec.DeleteStmt:
+		if n, err = e.Exec.ExecDelete(ac.txn, s); err == nil && n == 0 {
+			res.Warnings = append(res.Warnings, fmt.Sprintf("zero tuples deleted by %q", sql))
+		}
+	case *sqlexec.UpdateStmt:
+		n, err = e.Exec.ExecUpdate(ac.txn, s)
+	}
+	if err != nil {
+		if relational.IsConstraintViolation(err) {
+			return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
+		}
+		return "", err
+	}
+	res.RowsAffected += n
 	return "", nil
 }
 
@@ -856,86 +779,64 @@ func (e *Executor) executeHybrid(ac *applyCtx, stmts []sqlexec.Statement, res *R
 // when nothing matches (early failure detection).
 func (e *Executor) executeOutside(ac *applyCtx, stmts []sqlexec.Statement, res *Result) (string, error) {
 	for _, st := range stmts {
+		var probe *sqlexec.SelectStmt
 		switch s := st.(type) {
 		case *sqlexec.InsertStmt:
-			def, ok := e.Exec.DB.Schema().Table(s.Table)
-			if ok && len(def.PrimaryKey) > 0 {
-				probe := &sqlexec.SelectStmt{
-					Project: []sqlexec.ColRef{{Table: s.Table, Column: "rowid"}},
-					From:    []string{s.Table},
-					NoIndex: true,
-				}
-				complete := true
-				for _, pk := range def.PrimaryKey {
-					v, present := s.Values[strings.ToLower(pk)]
-					if !present {
-						v, present = s.Values[pk]
-					}
-					if !present || v.IsNull() {
-						complete = false
-						break
-					}
-					probe.Where = append(probe.Where, sqlexec.Eq(s.Table, pk, v))
-				}
-				if complete {
-					rs, err := e.Exec.ExecSelectOn(ac.txn, probe)
-					if err != nil {
-						return "", err
-					}
-					res.Probes = append(res.Probes, probe.String())
-					if !rs.Empty() {
-						return fmt.Sprintf("data conflict detected by probe: a %s row with the same key already exists", s.Table), nil
-					}
-				}
-			}
-			res.SQL = append(res.SQL, s.String())
-			if _, err := e.Exec.ExecInsert(ac.txn, s); err != nil {
-				if relational.IsConstraintViolation(err) {
-					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
-				}
-				return "", err
-			}
-			res.RowsAffected++
+			probe = e.keyProbe(s)
 		case *sqlexec.DeleteStmt:
-			probe := &sqlexec.SelectStmt{
+			probe = &sqlexec.SelectStmt{
 				Project: []sqlexec.ColRef{{Table: s.Table, Column: "rowid"}},
 				From:    []string{s.Table},
 				Where:   s.Where,
 				NoIndex: true,
 			}
+		}
+		if probe != nil {
 			rs, err := e.Exec.ExecSelectOn(ac.txn, probe)
 			if err != nil {
 				return "", err
 			}
 			res.Probes = append(res.Probes, probe.String())
-			if rs.Empty() {
+			_, insert := st.(*sqlexec.InsertStmt)
+			switch {
+			case insert && !rs.Empty():
+				return fmt.Sprintf("data conflict detected by probe: a %s row with the same key already exists", probe.From[0]), nil
+			case !insert && rs.Empty():
 				res.Warnings = append(res.Warnings,
-					fmt.Sprintf("probe found no tuples to delete; %q not issued", s.String()))
+					fmt.Sprintf("probe found no tuples to delete; %q not issued", st.String()))
 				continue
 			}
-			// The probe confirmed matching rows exist; issue the
-			// translated statement (the outside strategy probes, then
-			// feeds the same update sequence to the engine).
-			res.SQL = append(res.SQL, s.String())
-			n, err := e.Exec.ExecDelete(ac.txn, s)
-			if err != nil {
-				if relational.IsConstraintViolation(err) {
-					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
-				}
-				return "", err
-			}
-			res.RowsAffected += n
-		case *sqlexec.UpdateStmt:
-			res.SQL = append(res.SQL, s.String())
-			n, err := e.Exec.ExecUpdate(ac.txn, s)
-			if err != nil {
-				if relational.IsConstraintViolation(err) {
-					return fmt.Sprintf("data conflict reported by the engine: %v", err), nil
-				}
-				return "", err
-			}
-			res.RowsAffected += n
+		}
+		// The probe found no conflict (or the matching rows exist): issue
+		// the translated statement as the hybrid strategy would.
+		if reject, err := e.execStatement(ac, st, res); reject != "" || err != nil {
+			return reject, err
 		}
 	}
 	return "", nil
+}
+
+// keyProbe selects the row holding an insert's primary key; nil when the
+// table has no key or the insert does not supply all of it.
+func (e *Executor) keyProbe(s *sqlexec.InsertStmt) *sqlexec.SelectStmt {
+	def, ok := e.Exec.DB.Schema().Table(s.Table)
+	if !ok || len(def.PrimaryKey) == 0 {
+		return nil
+	}
+	probe := &sqlexec.SelectStmt{
+		Project: []sqlexec.ColRef{{Table: s.Table, Column: "rowid"}},
+		From:    []string{s.Table},
+		NoIndex: true,
+	}
+	for _, pk := range def.PrimaryKey {
+		v, present := s.Values[strings.ToLower(pk)]
+		if !present {
+			v, present = s.Values[pk]
+		}
+		if !present || v.IsNull() {
+			return nil
+		}
+		probe.Where = append(probe.Where, sqlexec.Eq(s.Table, pk, v))
+	}
+	return probe
 }

@@ -49,14 +49,8 @@ type PlannedOp struct {
 	Verdicts []StarVerdict
 	// Probe is the prepared context-probe statement with the
 	// template's literal slots as parameters; nil when the op anchors
-	// at the view root (no probe needed — see NoProbe) or when the
-	// artifact could not be prepared (execution then rebuilds the
-	// probe dynamically).
+	// at the view root (no probe needed).
 	Probe *sqlexec.Stmt
-	// NoProbe records that the op genuinely needs no context probe
-	// (root-anchored); it distinguishes that case from a missing
-	// prepared artifact.
-	NoProbe bool
 	// SharedChecks lists the shared-part existence/consistency checks
 	// Step 3 must run for inserts (CondSharedPartsExist).
 	SharedChecks []SharedCheck
@@ -123,22 +117,9 @@ func invalidResult(u *xqparse.UpdateQuery, reason string) *Result {
 // Updates that fail resolution still yield a plan (carrying the
 // invalid verdict), so callers can distinguish "update is bad" from
 // "the pipeline broke"; only internal errors return a non-nil error.
+// The execution artifacts are built for every template that passes
+// the template-level half of Step 1 and STAR.
 func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
-	return e.compile(u, true)
-}
-
-// CompileText parses an update and compiles it.
-func (e *Executor) CompileText(updateText string) (*UpdatePlan, error) {
-	u, err := xqparse.ParseUpdate(updateText)
-	if err != nil {
-		return nil, err
-	}
-	return e.Compile(u)
-}
-
-// compile is Compile with the expensive execution artifacts (prepared
-// probes, insert plans) optional: the check-only path skips them.
-func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdatePlan, error) {
 	start := time.Now()
 	defer func() { e.Obs.Compile.RecordDuration(time.Since(start)) }()
 	p := &UpdatePlan{Key: fingerprint(u), Template: u}
@@ -219,18 +200,29 @@ func (e *Executor) compile(u *xqparse.UpdateQuery, withArtifacts bool) (*UpdateP
 	if err != nil {
 		return nil, err
 	}
-
-	if withArtifacts && !rejected && p.opInvalid == nil {
-		e.compileArtifacts(p)
+	if !rejected && p.opInvalid == nil {
+		if err := e.compileArtifacts(p); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }
 
+// CompileText parses an update and compiles it.
+func (e *Executor) CompileText(updateText string) (*UpdatePlan, error) {
+	u, err := xqparse.ParseUpdate(updateText)
+	if err != nil {
+		return nil, err
+	}
+	return e.Compile(u)
+}
+
 // compileArtifacts prepares the per-op execution artifacts: the
 // parameterized context-probe statements and the template-level
-// insert/replace translations. A probe that cannot be prepared falls
-// back to the dynamic probe builder at execution time.
-func (e *Executor) compileArtifacts(p *UpdatePlan) {
+// insert/replace translations. A probe that cannot be prepared names a
+// table or column the database does not have, which no execution could
+// get past either.
+func (e *Executor) compileArtifacts(p *UpdatePlan) error {
 	r := p.Resolved
 	next := 0 // first content slot of the op
 	for i := range r.Ops {
@@ -238,11 +230,11 @@ func (e *Executor) compileArtifacts(p *UpdatePlan) {
 		po := &p.Ops[i]
 		if sel := e.buildContextProbeTemplate(ro.Context, p.Slots, relsNeededByOp(ro)); sel != nil {
 			narrowProbeProjection(sel, ro)
-			if stmt, err := e.Exec.Prepare(sel); err == nil {
-				po.Probe = stmt
+			stmt, err := e.Exec.Prepare(sel)
+			if err != nil {
+				return fmt.Errorf("plan: context probe of <%s>: %w", ro.Context.Name, err)
 			}
-		} else {
-			po.NoProbe = true
+			po.Probe = stmt
 		}
 		lo := next
 		for next < len(p.ContentSlots) && p.ContentSlots[next].Op == i {
@@ -256,55 +248,29 @@ func (e *Executor) compileArtifacts(p *UpdatePlan) {
 			po.replace = lo
 		}
 	}
+	return nil
 }
 
 // narrowProbeProjection trims a prepared probe template's projection to
 // the columns the op's translation actually reads — the compile-time
 // equivalent of the paper's "only retrieves the L_ORDERKEY"
-// observation. The dynamic (uncached) path keeps the full projection
-// because its materialized result may be consulted ad hoc; a compiled
-// plan knows the op's consumers exactly: rowids of the written
-// relation plus the context side of the target's edge conditions. Row
-// multiplicity is untouched (projection never dedupes), so per-row
-// insert fan-out is preserved.
+// observation: rowids of the written relation plus the context side of
+// the target's edge conditions. Row multiplicity is untouched
+// (projection never dedupes), so per-row insert fan-out is preserved.
 func narrowProbeProjection(sel *sqlexec.SelectStmt, ro *ResolvedOp) {
 	needed := map[string]bool{}
 	addCol := func(rel, col string) { needed[strings.ToLower(rel)+"."+strings.ToLower(col)] = true }
-	addEdgeCtxCols := func(t *asg.Node) {
-		cr := t.CR()
-		for _, jc := range t.EdgeConds {
-			if !cr.Has(jc.LeftRel) {
-				addCol(jc.LeftRel, jc.LeftCol)
-			}
-			if !cr.Has(jc.RightRel) {
-				addCol(jc.RightRel, jc.RightCol)
-			}
-		}
-	}
 	t := ro.Target
-	switch ro.Op.Kind {
-	case xqparse.OpDelete:
-		if t.Kind == asg.KindInternal {
-			if t.DeleteAnchor != "" {
-				addCol(t.DeleteAnchor, "rowid")
-			}
-			addEdgeCtxCols(t)
-		} else {
-			addCol(replaceLeafOf(t).RelName, "rowid")
+	switch {
+	case t.Kind != asg.KindInternal:
+		addCol(replaceLeafOf(t).RelName, "rowid")
+	case ro.Anchor != "":
+		addCol(ro.Anchor, "rowid")
+	}
+	if t.Kind == asg.KindInternal {
+		for _, ref := range edgeContextCols(t) {
+			addCol(ref.Rel, ref.Col)
 		}
-	case xqparse.OpInsert:
-		addEdgeCtxCols(t)
-	case xqparse.OpReplace:
-		if t.Kind == asg.KindInternal {
-			if t.DeleteAnchor != "" {
-				addCol(t.DeleteAnchor, "rowid")
-			}
-			addEdgeCtxCols(t)
-		} else {
-			addCol(replaceLeafOf(t).RelName, "rowid")
-		}
-	default:
-		return
 	}
 	kept := sel.Project[:0:0]
 	for _, c := range sel.Project {
@@ -350,11 +316,13 @@ func (p *UpdatePlan) BindArgs(u *xqparse.UpdateQuery) []relational.Value {
 
 // derive computes the schema verdict of one instance of the template —
 // predicate literals args, content texts raw — without touching base
-// data, in the order the uncompiled pipeline reaches its checks: literal
-// coercion (resolution), the overlap test and the content values' leaf
+// data, in the order the pipeline reaches its checks: literal coercion
+// (resolution), the overlap test and the content values' leaf
 // annotations (Step 1), then the STAR fold (Step 2), with the
-// template-level halves paid once at compile time. An accepted verdict
-// comes with the bound values. u tags the returned Result.
+// template-level halves paid once at compile time. The bound values come
+// back whenever the instance's own values pass, even when the template
+// is rejected (BlindApply translates regardless). u tags the returned
+// Result.
 func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.UpdateQuery) (*Result, bound, error) {
 	if len(args) != len(p.Slots) {
 		return nil, bound{}, fmt.Errorf("plan: template expects %d bind arguments, got %d", len(p.Slots), len(args))
@@ -379,14 +347,11 @@ func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.Up
 		}
 		b.content[i] = v
 	}
+	res := p.star
 	if p.opInvalid != nil {
-		return p.opInvalid.cloneShallow(u), bound{}, nil
+		res = p.opInvalid
 	}
-	res := p.star.cloneShallow(u)
-	if !res.Accepted {
-		return res, bound{}, nil
-	}
-	return res, b, nil
+	return res.cloneShallow(u), b, nil
 }
 
 // bindParsed derives the schema verdict of a parsed instance of p's
@@ -431,8 +396,8 @@ func (p *UpdatePlan) verdictArgs(args []relational.Value) (*Result, bound, error
 // 3's probes (through the plan's prepared statements), the translation
 // of the exemplar's content and the statement execution under the
 // configured strategy, inside its own transaction (conflicts retry with
-// capped backoff, commits share flushes through the group-commit
-// scheduler). This is the execute-many half of
+// capped backoff, commits share flushes in the engine's writer stage).
+// This is the execute-many half of
 // compile-once/execute-many: no parsing, no resolution, no STAR walk, no
 // probe construction.
 func (e *Executor) Execute(p *UpdatePlan, args []relational.Value) (*Result, error) {
@@ -443,15 +408,14 @@ func (e *Executor) Execute(p *UpdatePlan, args []relational.Value) (*Result, err
 	if !res.Accepted {
 		return res, nil
 	}
-	return e.applyResolved(p.Resolved, p.Ops, b, res, nil)
+	return e.applyPlan(p, b, res, nil)
 }
 
 // groupItem is one update of a group-commit batch, carried through
 // applyGroup.
 type groupItem struct {
 	res     *Result
-	r       *ResolvedUpdate
-	planned []PlannedOp
+	p       *UpdatePlan
 	b       bound
 	err     error
 	skip    bool // verdict already rejected; never enters the txn
@@ -507,7 +471,7 @@ func (e *Executor) applyGroup(items []*groupItem) {
 		mark := txn.Savepoint()
 		it.res.Accepted = false
 		ac := &applyCtx{txn: txn, bound: it.b}
-		rejected, err := e.runOps(ac, it.r, it.planned, it.res)
+		rejected, err := e.runOps(ac, it.p, it.res)
 		switch {
 		case err != nil:
 			if rbErr := txn.RollbackTo(mark); rbErr != nil {
@@ -622,17 +586,8 @@ func (e *Executor) ApplyBatch(updates []string) []BatchResult {
 			it.skip = true
 			continue
 		}
-		if p != nil {
-			e.cache.planApplies.Add(1)
-			it.r, it.planned, it.b = p.Resolved, p.Ops, b
-			continue
-		}
-		r, err := Resolve(u, e.View)
-		if err != nil {
-			it.err = err
-			continue
-		}
-		it.r, it.b = r, bound{preds: r.UserPreds}
+		e.cache.planApplies.Add(1)
+		it.p, it.b = p, b
 	}
 	e.applyGroupWithRetry(items)
 	for i, it := range items {
@@ -671,7 +626,7 @@ func (e *Executor) ExecuteBatch(p *UpdatePlan, argsList [][]relational.Value) []
 			it.skip = true
 			continue
 		}
-		it.r, it.planned, it.b = p.Resolved, p.Ops, b
+		it.p, it.b = p, b
 	}
 	e.applyGroupWithRetry(items)
 	for i, it := range items {

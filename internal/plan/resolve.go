@@ -32,6 +32,11 @@ type ResolvedOp struct {
 	// Target is the node being deleted/replaced, or the schema node an
 	// inserted fragment instantiates.
 	Target *asg.Node
+	// Anchor is the relation whose rows a delete (or a replace's delete
+	// half) of an internal Target removes: STAR's Target.DeleteAnchor,
+	// or in BlindApply's private plan the naive pick for a target STAR
+	// found none for. Empty for an unsafe delete.
+	Anchor string
 }
 
 // ResolvedUpdate is a parsed update bound to the view's ASG.
@@ -130,7 +135,7 @@ func resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (r *ResolvedUpdate, litE
 				}
 				t = leaf
 			}
-			ro.Target = t
+			ro.Target, ro.Anchor = t, t.DeleteAnchor
 		case xqparse.OpInsert:
 			ro.Context = target
 			child := target.FindChild(op.Content.Name)

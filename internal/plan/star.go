@@ -26,6 +26,10 @@ const (
 	CauseRule2
 	// CauseRule3 marks an insert that may surface another node.
 	CauseRule3
+	// CauseHidden marks an insert whose new rows no value can make
+	// satisfy a view selection predicate over a column the node does not
+	// publish: its instances would never appear.
+	CauseHidden
 )
 
 // Marks carries the STAR marking of one view: per-node (UPoint|UContext)
@@ -40,6 +44,20 @@ type Marks struct {
 	// pre-existence the data-driven step must verify (the CR of the
 	// threatened unsafe-delete nodes).
 	SharedRels map[*asg.Node]asg.RelSet
+	// Hidden lists, per internal node, the values a new instance's rows
+	// take in columns a view selection predicate reads but the node does
+	// not publish (BookView's book.year > 1990): without them an inserted
+	// element would fail the predicate and never appear.
+	Hidden map[*asg.Node][]HiddenValue
+	// joinCols holds every relation.column a view join predicate reads.
+	joinCols map[string]bool
+}
+
+// HiddenValue is one column value the translator supplies for a new
+// instance; see Marks.Hidden.
+type HiddenValue struct {
+	Rel, Col string
+	Value    relational.Value
 }
 
 // MarkViewASG runs the STAR marking procedure (Algorithm 1): Rules 1–3
@@ -53,8 +71,18 @@ func MarkViewASG(view *asg.ViewASG, base *asg.BaseASG) *Marks {
 		DeleteCause: map[*asg.Node]UnsafeCause{},
 		InsertCause: map[*asg.Node]UnsafeCause{},
 		SharedRels:  map[*asg.Node]asg.RelSet{},
+		Hidden:      map[*asg.Node][]HiddenValue{},
+		joinCols:    map[string]bool{},
 	}
 	internals := view.InternalNodes()
+	for _, n := range view.Nodes {
+		for _, sp := range n.ScopePreds {
+			if sp.IsCorrelation() {
+				m.joinCols[sp.Left.Rel+"."+sp.Left.Col] = true
+				m.joinCols[sp.Right.Rel+"."+sp.Right.Col] = true
+			}
+		}
+	}
 
 	// Rule 1: '*' edges under an iterating parent require a proper join;
 	// otherwise the whole subtree is unsafe for delete and insert.
@@ -114,6 +142,16 @@ func MarkViewASG(view *asg.ViewASG, base *asg.BaseASG) *Marks {
 		}
 	}
 
+	// Hidden selections: pick the values new instances need, or mark
+	// the node unsafe-insert when none satisfies the predicates.
+	for _, vc := range internals {
+		hidden, ok := hiddenValues(vc)
+		m.Hidden[vc] = hidden
+		if !ok && m.InsertCause[vc] == CauseNone {
+			m.InsertCause[vc] = CauseHidden
+		}
+	}
+
 	// Fold causes into the (UPoint|UContext) node marks and compute the
 	// update point type.
 	for _, vc := range internals {
@@ -127,6 +165,69 @@ func MarkViewASG(view *asg.ViewASG, base *asg.BaseASG) *Marks {
 		vc.Clean = cv.Equivalent(cd)
 	}
 	return m
+}
+
+// hiddenValues picks, for every column of vc's own relations that a
+// view selection predicate reads but vc's single-valued subtree does not
+// publish, a value satisfying those predicates; ok is false when one has
+// none.
+func hiddenValues(vc *asg.Node) (out []HiddenValue, ok bool) {
+	published := map[asg.Ref]bool{}
+	var walk func(*asg.Node)
+	walk = func(x *asg.Node) {
+		for _, c := range x.Children {
+			if c.Kind == asg.KindTag {
+				published[asg.Ref{Rel: c.RelName, Col: c.ColName}] = true
+			} else if c.Kind == asg.KindInternal && !c.EdgeCard.Repeating() {
+				walk(c)
+			}
+		}
+	}
+	walk(vc)
+	conds := map[asg.Ref][]relational.CheckPredicate{}
+	for _, sp := range vc.ScopePreds {
+		attr, lit, op := sp.Left, sp.Right, sp.Op
+		if attr.IsLit {
+			attr, lit, op = sp.Right, sp.Left, op.Flip()
+		}
+		if !sp.IsCorrelation() && vc.CR().Has(attr.Rel) && !published[attr] {
+			conds[attr] = append(conds[attr], relational.CheckPredicate{Op: op, Operand: lit.Lit})
+		}
+	}
+	for attr, preds := range conds {
+		v, ok := witness(preds)
+		if !ok {
+			return nil, false
+		}
+		out = append(out, HiddenValue{Rel: attr.Rel, Col: attr.Col, Value: v})
+	}
+	return out, true
+}
+
+// witness finds a value satisfying every predicate: one of their
+// operands, or a numeric operand moved by one.
+func witness(preds []relational.CheckPredicate) (relational.Value, bool) {
+	for _, p := range preds {
+		for _, d := range []int64{0, 1, -1} {
+			v := p.Operand
+			switch {
+			case v.Kind == relational.KindInt:
+				v = relational.Int_(v.Int + d)
+			case v.Kind == relational.KindFloat:
+				v = relational.Float_(v.Float + float64(d))
+			case d != 0:
+				continue
+			}
+			holds := true
+			for _, q := range preds {
+				holds = holds && q.Holds(v)
+			}
+			if holds {
+				return v, true
+			}
+		}
+	}
+	return relational.Value{}, false
 }
 
 // properJoin implements the proper-Join test of Rule 1 for the incoming
@@ -325,10 +426,12 @@ func (m *Marks) CheckDelete(v *asg.Node) StarVerdict {
 	case asg.KindRoot:
 		// Deleting the root is always translatable (Section 5).
 		return StarVerdict{Outcome: OutcomeUnconditional, Reason: "root deletion is always translatable"}
-	case asg.KindLeaf, asg.KindTag:
-		// Valid leaf/tag deletes are translatable (the value is set to
-		// NULL); validity (NOT NULL) was checked in Step 1.
-		return StarVerdict{Outcome: OutcomeUnconditional, Reason: "leaf deletion translates to SET NULL"}
+	case asg.KindLeaf:
+		// A leaf delete sets the value to NULL; NOT NULL and the view's
+		// selection predicates were checked in Step 1.
+		return m.CheckLeaf(v)
+	case asg.KindTag:
+		return m.CheckLeaf(v.LeafUnder())
 	}
 	if m.DeleteCause[v] != CauseNone {
 		return StarVerdict{
@@ -349,6 +452,32 @@ func (m *Marks) CheckDelete(v *asg.Node) StarVerdict {
 	}
 }
 
+// CheckLeaf applies the checking procedure to an update of a leaf's
+// value — a delete (SET NULL) or a replace (UPDATE). The translation
+// writes the leaf's column in the rows behind its element's instances,
+// so it is side-effect free only when no view join predicate reads the
+// column (a new value would move elements between parents) and those
+// rows are the element's own: the leaf's relation is the delete anchor
+// of its element and the element is safe-delete, so Rule 2 vouches that
+// no other element is built from them.
+func (m *Marks) CheckLeaf(l *asg.Node) StarVerdict {
+	v := l.Parent.Parent
+	switch {
+	case m.joinCols[l.RelAttr()]:
+		return StarVerdict{Outcome: OutcomeUntranslatable,
+			Reason: fmt.Sprintf("leaf %s is read by a view join predicate: a new value moves elements between parents", l.RelAttr())}
+	case m.DeleteCause[v] != CauseNone:
+		return StarVerdict{Outcome: OutcomeUntranslatable,
+			Reason: fmt.Sprintf("node %s <%s> is unsafe-delete (rule %d): other view elements share the rows behind its leaf %s",
+				v.Label(), v.Name, m.DeleteCause[v], l.RelAttr())}
+	case v.Kind != asg.KindInternal || v.DeleteAnchor != l.RelName:
+		return StarVerdict{Outcome: OutcomeUntranslatable,
+			Reason: fmt.Sprintf("leaf %s is not drawn from the rows node %s <%s> owns (rule 2 anchors it at %q): other instances share them",
+				l.RelAttr(), v.Label(), v.Name, v.DeleteAnchor)}
+	}
+	return StarVerdict{Outcome: OutcomeUnconditional, Reason: "leaf update translates to an UPDATE of the element's own rows"}
+}
+
 // CheckInsert applies Observation 2 to an insert of a new instance of
 // node v. Rule-3 unsafety is reported as conditional with
 // CondSharedPartsExist so the data-driven step can verify it against the
@@ -364,7 +493,20 @@ func (m *Marks) CheckInsert(v *asg.Node) StarVerdict {
 			Reason: fmt.Sprintf("node %s <%s> is unsafe-insert (rule 1 duplication)",
 				v.Label(), v.Name),
 		}
+	case CauseHidden:
+		return StarVerdict{
+			Outcome: OutcomeUntranslatable,
+			Reason: fmt.Sprintf("node %s <%s> is unsafe-insert: no value satisfies the view's selection on a column it does not publish",
+				v.Label(), v.Name),
+		}
 	case CauseRule3:
+		if len(v.CR().Minus(m.SharedRels[v])) == 0 {
+			return StarVerdict{
+				Outcome: OutcomeUntranslatable,
+				Reason: fmt.Sprintf("node %s <%s> is unsafe-insert (rule 3) and every relation it binds is shared: an insert adds no row of its own",
+					v.Label(), v.Name),
+			}
+		}
 		conds := []Condition{CondSharedPartsExist}
 		if !v.Clean {
 			conds = append(conds, CondDupConsistency)

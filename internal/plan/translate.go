@@ -216,41 +216,36 @@ func compileScopePred(sp asg.CompiledPred, keep asg.RelSet) (sqlexec.Predicate, 
 func relsNeededByOp(ro *ResolvedOp) asg.RelSet {
 	need := asg.RelSet{}
 	t := ro.Target
-	switch ro.Op.Kind {
-	case xqparse.OpDelete:
-		if t.Kind == asg.KindInternal {
-			if t == ro.Context {
-				if t.DeleteAnchor != "" {
-					need.Add(t.DeleteAnchor)
-				}
-			} else {
-				for _, jc := range t.EdgeConds {
-					// The side not introduced by the target is read
-					// from the context probe.
-					if !t.CR().Has(jc.LeftRel) {
-						need.Add(jc.LeftRel)
-					}
-					if !t.CR().Has(jc.RightRel) {
-						need.Add(jc.RightRel)
-					}
-				}
-			}
-		} else {
-			need.Add(t.RelName)
-		}
-	case xqparse.OpReplace:
+	if t.Kind != asg.KindInternal {
 		need.Add(t.RelName)
-	case xqparse.OpInsert:
-		for _, jc := range t.EdgeConds {
-			if !t.CR().Has(jc.LeftRel) {
-				need.Add(jc.LeftRel)
-			}
-			if !t.CR().Has(jc.RightRel) {
-				need.Add(jc.RightRel)
-			}
+		return need
+	}
+	if ro.Anchor != "" {
+		need.Add(ro.Anchor)
+	}
+	if t != ro.Context {
+		for _, ref := range edgeContextCols(t) {
+			need.Add(ref.Rel)
 		}
 	}
 	return need
+}
+
+// edgeContextCols lists the context side of t's edge conditions: the
+// columns a translation wiring t's new rows to its context (or deleting
+// them by join) reads from the context probe.
+func edgeContextCols(t *asg.Node) []asg.Ref {
+	var out []asg.Ref
+	cr := t.CR()
+	for _, jc := range t.EdgeConds {
+		if !cr.Has(jc.LeftRel) {
+			out = append(out, asg.Ref{Rel: jc.LeftRel, Col: jc.LeftCol})
+		}
+		if !cr.Has(jc.RightRel) {
+			out = append(out, asg.Ref{Rel: jc.RightRel, Col: jc.RightCol})
+		}
+	}
+	return out
 }
 
 // opTranslation is the generated SQL for one operation, possibly
@@ -287,95 +282,32 @@ type SharedCheck struct {
 // res records any probe issued.
 func (e *Executor) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, tempName string, res *Result) (*opTranslation, error) {
 	t := ro.Target
-	out := &opTranslation{}
 	switch t.Kind {
 	case asg.KindLeaf, asg.KindTag:
-		leaf := t
-		if t.Kind == asg.KindTag {
-			leaf = t.LeafUnder()
-		}
-		ids, err := probeRowIDs(probe, leaf.RelName)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			out.Statements = append(out.Statements, &sqlexec.UpdateStmt{
-				Table: leaf.RelName,
-				Set:   map[string]relational.Value{leaf.ColName: relational.Null()},
-				Where: []sqlexec.Predicate{sqlexec.Eq(leaf.RelName, "rowid", relational.Int_(int64(id)))},
-			})
-		}
-		return out, nil
+		return translateLeafUpdate(replaceLeafOf(t), relational.Null(), probe)
 	case asg.KindInternal:
-		anchor := t.DeleteAnchor
-		if anchor == "" {
-			anchor = ac.blindAnchor // only the blind baseline supplies one
-		}
+		anchor := ro.Anchor
 		if anchor == "" {
 			return nil, fmt.Errorf("ufilter: node %s has no delete anchor (unsafe-delete should have been rejected)", t.Label())
 		}
-		if t == ro.Context || probe == nil {
-			ids, err := probeRowIDs(probe, anchor)
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range ids {
-				out.Statements = append(out.Statements, &sqlexec.DeleteStmt{
-					Table: anchor,
-					Where: []sqlexec.Predicate{sqlexec.Eq(anchor, "rowid", relational.Int_(int64(id)))},
-				})
-			}
-			return out, nil
+		// The target is the context, or a card-1 child constructed from
+		// the context's own bindings (no edge conditions): the anchor rows
+		// are those the context probe matched — the paper's direct
+		// translation "delete from publisher where rowid = t1".
+		if probe != nil && (t == ro.Context || len(t.EdgeConds) == 0) {
+			return deleteRows(probe, anchor)
 		}
-		// A card-1 child constructed from the context's own bindings
-		// (no edge conditions): the anchor rows are those the context
-		// probe matched — the paper's direct translation
-		// "delete from publisher where rowid = t1".
-		if len(t.EdgeConds) == 0 {
-			ids, err := probeRowIDs(probe, anchor)
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range ids {
-				out.Statements = append(out.Statements, &sqlexec.DeleteStmt{
-					Table: anchor,
-					Where: []sqlexec.Predicate{sqlexec.Eq(anchor, "rowid", relational.Int_(int64(id)))},
-				})
-			}
-			return out, nil
+		// Child of the context: when the edge conditions link the anchor
+		// to relations present in the materialized context, use the
+		// paper's U3 shape (DELETE ... WHERE col IN (SELECT ... FROM
+		// TAB_<ctx>)).
+		if where := inTempWhere(t, anchor, probe, tempName); len(where) > 0 {
+			return &opTranslation{Statements: []sqlexec.Statement{&sqlexec.DeleteStmt{Table: anchor, Where: where}}}, nil
 		}
-		// Child of the context: when a single edge condition links the
-		// anchor to a relation present in the materialized context, use
-		// the paper's U3 shape (DELETE ... WHERE col IN (SELECT ... FROM
-		// TAB_<ctx>)). Otherwise — e.g. bushy views whose target spans
-		// several new relations, or the delete half of a replace, which
-		// carries no materialized temp — probe the target instances
-		// directly and delete by rowid.
-		var where []sqlexec.Predicate
-		usable := probe != nil && tempName != ""
-		for _, jc := range t.EdgeConds {
-			aRel, aCol, cRel, cCol := jc.LeftRel, jc.LeftCol, jc.RightRel, jc.RightCol
-			if !t.CR().Has(aRel) {
-				aRel, aCol, cRel, cCol = jc.RightRel, jc.RightCol, jc.LeftRel, jc.LeftCol
-			}
-			if !strings.EqualFold(aRel, anchor) {
-				continue
-			}
-			if _, ok := probe.ColumnIndex(sqlexec.ColRef{Table: cRel, Column: cCol}); !ok {
-				usable = false
-				break
-			}
-			where = append(where, sqlexec.Predicate{
-				Left:         sqlexec.ColOperand(anchor, aCol),
-				InTemp:       tempName,
-				InTempColumn: cRel + "." + cCol,
-			})
-		}
-		if usable && len(where) > 0 {
-			out.Statements = append(out.Statements, &sqlexec.DeleteStmt{Table: anchor, Where: where})
-			return out, nil
-		}
-		// Fallback: probe the target node's own instances.
+		// Otherwise — e.g. bushy views whose target spans several new
+		// relations, the delete half of a replace, which carries no
+		// materialized temp, or a child of the root, which has no context
+		// probe — probe the target instances directly and delete by rowid.
 		sel := e.buildContextProbe(t, ac.preds, asg.NewRelSet(anchor))
 		if sel == nil {
 			return nil, fmt.Errorf("ufilter: no probe derivable for delete of <%s>", t.Name)
@@ -384,22 +316,54 @@ func (e *Executor) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.
 		if err != nil {
 			return nil, err
 		}
-		if res != nil {
-			res.Probes = append(res.Probes, sel.String())
-		}
-		ids, err := probeRowIDs(rs, anchor)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			out.Statements = append(out.Statements, &sqlexec.DeleteStmt{
-				Table: anchor,
-				Where: []sqlexec.Predicate{sqlexec.Eq(anchor, "rowid", relational.Int_(int64(id)))},
-			})
-		}
-		return out, nil
+		res.Probes = append(res.Probes, sel.String())
+		return deleteRows(rs, anchor)
 	}
 	return nil, fmt.Errorf("ufilter: cannot delete node kind %s", t.Kind)
+}
+
+// deleteRows deletes, by rowid, the anchor rows a probe result carries.
+func deleteRows(rs *sqlexec.ResultSet, anchor string) (*opTranslation, error) {
+	ids, err := probeRowIDs(rs, anchor)
+	if err != nil {
+		return nil, err
+	}
+	out := &opTranslation{}
+	for _, id := range ids {
+		out.Statements = append(out.Statements, &sqlexec.DeleteStmt{
+			Table: anchor,
+			Where: []sqlexec.Predicate{sqlexec.Eq(anchor, "rowid", relational.Int_(int64(id)))},
+		})
+	}
+	return out, nil
+}
+
+// inTempWhere builds the U3 shape's WHERE clause — the anchor's side of
+// each of t's edge conditions IN the materialized context temp — or nil
+// when the temp does not carry a context column it needs.
+func inTempWhere(t *asg.Node, anchor string, probe *sqlexec.ResultSet, tempName string) []sqlexec.Predicate {
+	if probe == nil || tempName == "" {
+		return nil
+	}
+	var where []sqlexec.Predicate
+	for _, jc := range t.EdgeConds {
+		aRel, aCol, cRel, cCol := jc.LeftRel, jc.LeftCol, jc.RightRel, jc.RightCol
+		if !t.CR().Has(aRel) {
+			aRel, aCol, cRel, cCol = jc.RightRel, jc.RightCol, jc.LeftRel, jc.LeftCol
+		}
+		if !strings.EqualFold(aRel, anchor) {
+			continue
+		}
+		if _, ok := probe.ColumnIndex(sqlexec.ColRef{Table: cRel, Column: cCol}); !ok {
+			return nil
+		}
+		where = append(where, sqlexec.Predicate{
+			Left:         sqlexec.ColOperand(anchor, aCol),
+			InTemp:       tempName,
+			InTempColumn: cRel + "." + cCol,
+		})
+	}
+	return where
 }
 
 // insertPlan is the template-level half of an insert translation: which
@@ -410,6 +374,7 @@ func (e *Executor) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.
 type insertPlan struct {
 	node         *asg.Node
 	relCols      map[string]map[string]int // relation -> column -> content slot
+	hidden       []HiddenValue             // values for unpublished columns the view selects on
 	sharedChecks []SharedCheck
 	insertRels   []string
 }
@@ -449,7 +414,7 @@ func (e *Executor) compileInsert(n *asg.Node, slots []ContentSlot, base int) *in
 		}
 	}
 
-	ip := &insertPlan{node: n, relCols: relCols}
+	ip := &insertPlan{node: n, relCols: relCols, hidden: e.Marks.Hidden[n]}
 	// Shared parts (Rule 3): verified, not inserted.
 	for _, rel := range shared.Names() {
 		def, ok := e.View.Schema.Table(rel)
@@ -508,6 +473,11 @@ func (ip *insertPlan) translate(content []relational.Value, probe *sqlexec.Resul
 			for c, slot := range ip.relCols[rel] {
 				vals[c] = content[slot]
 			}
+			for _, h := range ip.hidden {
+				if h.Rel == rel {
+					vals[h.Col] = h.Value
+				}
+			}
 			for qualified, v := range wire {
 				parts := strings.SplitN(qualified, ".", 2)
 				if len(parts) == 2 && strings.EqualFold(parts[0], rel) {
@@ -547,61 +517,37 @@ func (ip *insertPlan) translate(content []relational.Value, probe *sqlexec.Resul
 	return out, nil
 }
 
-// translateInsert generates the statements for inserting a fragment as
-// a new instance of node N under context C without a compiled plan — the
-// reference path of the blind baseline and of DisableCache: lay out the
-// fragment's content slots, coerce its own values into them, then wire
-// the result to the probe.
-func (e *Executor) translateInsert(ro *ResolvedOp, probe *sqlexec.ResultSet) (*opTranslation, error) {
-	var w slotWalk
-	if err := w.fragment(ro.Op.Content, ro.Target, nil); err != nil {
-		return nil, err
+// translateOp generates the statements of one op from its plan's
+// artifacts, bound to the apply's values; probe and tempName are its
+// context check's result.
+func (e *Executor) translateOp(ac *applyCtx, ro *ResolvedOp, po *PlannedOp, probe *sqlexec.ResultSet, tempName string, res *Result) (*opTranslation, error) {
+	switch ro.Op.Kind {
+	case xqparse.OpDelete:
+		return e.translateDelete(ac, ro, probe, tempName, res)
+	case xqparse.OpInsert:
+		return po.insert.translate(ac.content, probe)
 	}
-	content := make([]relational.Value, len(w.slots))
-	for i, s := range w.slots {
-		v, err := coerceLeaf(s.text(ro.Op.Content), s.Leaf)
-		if err != nil {
-			return nil, err
-		}
-		content[i] = v
-	}
-	return e.compileInsert(ro.Target, w.slots, 0).translate(content, probe)
+	return e.translateReplace(ac, ro, probe, po, res)
 }
 
 // translateReplace translates a replace: for tag/leaf targets it is a
 // single-column UPDATE; internal targets decompose into delete+insert.
 // po carries the compiled plan's artifacts for the op, bound to the
-// apply's content values; nil translates the op's own fragment.
+// apply's content values.
 func (e *Executor) translateReplace(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, po *PlannedOp, res *Result) (*opTranslation, error) {
-	t := ro.Target
-	switch t.Kind {
-	case asg.KindLeaf, asg.KindTag:
-		leaf := replaceLeafOf(t)
-		if po != nil {
-			return translateLeafReplace(leaf, ac.content[po.replace], probe)
-		}
-		v, err := coerceLeaf(ro.Op.Content.TextContent(), leaf)
-		if err != nil {
-			return nil, err
-		}
-		return translateLeafReplace(leaf, v, probe)
-	default:
-		del, err := e.translateDelete(ac, ro, probe, "", res)
-		if err != nil {
-			return nil, err
-		}
-		var ins *opTranslation
-		if po != nil {
-			ins, err = po.insert.translate(ac.content, probe)
-		} else {
-			ins, err = e.translateInsert(replaceInsertOp(ro), probe)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ins.Statements = append(del.Statements, ins.Statements...)
-		return ins, nil
+	if po.insert == nil {
+		return translateLeafUpdate(replaceLeafOf(ro.Target), ac.content[po.replace], probe)
 	}
+	del, err := e.translateDelete(ac, ro, probe, "", res)
+	if err != nil {
+		return nil, err
+	}
+	ins, err := po.insert.translate(ac.content, probe)
+	if err != nil {
+		return nil, err
+	}
+	ins.Statements = append(del.Statements, ins.Statements...)
+	return ins, nil
 }
 
 // replaceLeafOf resolves the leaf a tag/leaf replace writes to.
@@ -612,19 +558,9 @@ func replaceLeafOf(t *asg.Node) *asg.Node {
 	return t
 }
 
-// replaceInsertOp derives the insert half of an internal-node replace
-// (footnote 4: replace is delete-then-insert of the same element).
-func replaceInsertOp(ro *ResolvedOp) *ResolvedOp {
-	return &ResolvedOp{
-		Op:      xqparse.UpdateOp{Kind: xqparse.OpInsert, Content: ro.Op.Content},
-		Context: ro.Context,
-		Target:  ro.Target,
-	}
-}
-
-// translateLeafReplace emits one single-column UPDATE per probed target
-// row.
-func translateLeafReplace(leaf *asg.Node, v relational.Value, probe *sqlexec.ResultSet) (*opTranslation, error) {
+// translateLeafUpdate emits one single-column UPDATE per probed target
+// row: a leaf replace, or a leaf delete's SET NULL.
+func translateLeafUpdate(leaf *asg.Node, v relational.Value, probe *sqlexec.ResultSet) (*opTranslation, error) {
 	ids, err := probeRowIDs(probe, leaf.RelName)
 	if err != nil {
 		return nil, err
@@ -651,7 +587,6 @@ func (e *Executor) fkOrder(rels []string) []string {
 
 // fkDepth counts the longest FK chain from the relation to a root table.
 func (e *Executor) fkDepth(rel string) int {
-	depth := 0
 	seen := map[string]bool{}
 	var walk func(r string) int
 	walk = func(r string) int {
@@ -671,8 +606,7 @@ func (e *Executor) fkDepth(rel string) int {
 		}
 		return best
 	}
-	depth = walk(strings.ToLower(rel))
-	return depth
+	return walk(strings.ToLower(rel))
 }
 
 // probeRowIDs extracts the rowid column of a relation from a probe

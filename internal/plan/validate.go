@@ -123,24 +123,34 @@ func renderChecks(checks []relational.CheckPredicate) string {
 }
 
 // validateDelete implements delete check (ii): a leaf or tag node whose
-// incoming edge is "1" (NOT NULL attribute) cannot be deleted (u6).
-// Internal-node deletes pass Step 1 and are judged by STAR.
+// incoming edge is "1" (NOT NULL attribute) cannot be deleted (u6), nor
+// can one a view selection predicate reads — the NULL a leaf delete
+// translates to fails the predicate and takes the whole element out of
+// the view. Internal-node deletes pass Step 1 and are judged by STAR.
 func validateDelete(ro *ResolvedOp) error {
 	t := ro.Target
+	var leaf *asg.Node
+	var what string
 	switch t.Kind {
-	case asg.KindLeaf:
-		if t.NotNull || t.EdgeCard == asg.CardOne {
-			return invalidf("cannot delete text of <%s>: %s is NOT NULL (incoming edge cardinality 1)",
-				t.Parent.Name, t.RelAttr())
-		}
 	case asg.KindTag:
-		leaf := t.LeafUnder()
-		if leaf != nil && (leaf.NotNull || leaf.EdgeCard == asg.CardOne) {
-			return invalidf("cannot delete <%s>: %s is NOT NULL (incoming edge cardinality 1)",
-				t.Name, leaf.RelAttr())
-		}
+		leaf, what = t.LeafUnder(), "<"+t.Name+">"
+	case asg.KindLeaf:
+		leaf, what = t, "text of <"+t.Parent.Name+">"
+	}
+	switch {
+	case leaf == nil:
+		return nil
+	case leaf.NotNull || leaf.EdgeCard == asg.CardOne:
+		return invalidf("cannot delete %s: %s is NOT NULL (incoming edge cardinality 1)", what, leaf.RelAttr())
+	case leaf.Selected:
+		return invalidf("cannot delete %s: %s", what, selectsOn(leaf))
 	}
 	return nil
+}
+
+// selectsOn names the view selection predicate a NULL leaf fails.
+func selectsOn(leaf *asg.Node) string {
+	return fmt.Sprintf("the view selects on %s (%s), which NULL fails", leaf.RelAttr(), renderChecks(leaf.Checks))
 }
 
 // insert implements the template half of the insert checks of Section
@@ -166,6 +176,9 @@ func (w *slotWalk) fragment(frag *xmltree.Node, node *asg.Node, path []int) erro
 		child := node.FindChild(c.Name)
 		if child == nil {
 			return invalidf("element <%s> cannot occur under <%s> in the view schema", c.Name, node.Name)
+		}
+		if child.Kind == asg.KindInternal && child.EdgeCard.Repeating() {
+			return invalidf("element <%s> cannot be inserted inside a new <%s>: repeated elements are inserted on their own", c.Name, node.Name)
 		}
 		counts[strings.ToLower(c.Name)]++
 		switch child.Kind {
@@ -195,6 +208,9 @@ func (w *slotWalk) fragment(frag *xmltree.Node, node *asg.Node, path []int) erro
 			if n > 1 {
 				return invalidf("element <%s> must occur at most once under <%s>, found %d", child.Name, node.Name, n)
 			}
+			if n == 0 && leaf != nil && leaf.Selected {
+				return invalidf("element <%s> requires a <%s> child: %s", node.Name, child.Name, selectsOn(leaf))
+			}
 		default:
 			continue
 		}
@@ -220,14 +236,20 @@ func coerceLeaf(raw string, leaf *asg.Node) (relational.Value, error) {
 }
 
 // leafValue enforces the leaf annotations on one content value — NOT
-// NULL, domain/type, and check predicates — and returns it coerced.
+// NULL (and non-empty where a view selection predicate reads the leaf),
+// domain/type, and check predicates — and returns it coerced.
 func leafValue(raw string, leaf *asg.Node) (relational.Value, error) {
 	if raw == "" && leaf.NotNull {
 		return relational.Null(), invalidf("value of <%s> cannot be empty: %s is NOT NULL", leaf.Parent.Name, leaf.RelAttr())
 	}
 	v, err := coerceLeaf(raw, leaf)
-	if err != nil || v.IsNull() {
+	switch {
+	case err != nil:
 		return v, err
+	case v.IsNull() && leaf.Selected:
+		return v, invalidf("value of <%s> cannot be empty: %s", leaf.Parent.Name, selectsOn(leaf))
+	case v.IsNull():
+		return v, nil
 	}
 	for _, chk := range leaf.Checks {
 		if !chk.Holds(v) {

@@ -27,9 +27,9 @@ func TestConcurrentCheckRace(t *testing.T) {
 		texts = append(texts, deleteBooksOverPrice(fmt.Sprintf("%d.00", 41+i)))
 	}
 
-	// Single-threaded oracle on an identical, cache-free filter.
+	// Single-threaded reference: each text compiled into its own plan
+	// on an identical filter, outside the plan cache.
 	oracle := newFilter(t, StrategyHybrid)
-	oracle.DisableCache = true
 	type verdict struct {
 		accepted bool
 		outcome  Outcome
@@ -37,7 +37,7 @@ func TestConcurrentCheckRace(t *testing.T) {
 	}
 	want := make(map[string]verdict, len(texts))
 	for _, text := range texts {
-		res, err := oracle.Check(text)
+		res, err := compiledVerdict(oracle, text)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}

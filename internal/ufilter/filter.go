@@ -165,14 +165,6 @@ func checkConjunctionSatisfiable(preds []relational.CheckPredicate) bool {
 	return plan.ConjunctionSatisfiable(preds)
 }
 
-func removeMatchingInstances(doc *xmltree.Node, target *asg.Node, preds []UserPred) {
-	plan.RemoveMatchingInstances(doc, target, preds)
-}
-
-func matchesPreds(inst *xmltree.Node, node *asg.Node, preds []UserPred) bool {
-	return plan.MatchesPreds(inst, node, preds)
-}
-
-func instancesOf(doc *xmltree.Node, n *asg.Node) []*xmltree.Node {
-	return plan.InstancesOf(doc, n)
+func expectedView(before *xmltree.Node, r *ResolvedUpdate) *xmltree.Node {
+	return plan.ExpectedView(before, r)
 }

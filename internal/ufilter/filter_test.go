@@ -361,6 +361,29 @@ func TestBlindApplyCleanUpdateCommits(t *testing.T) {
 	if got := f.Exec.DB.RowCount("review"); got != 0 {
 		t.Errorf("review count = %d", got)
 	}
+
+	// Leaf replaces change one value in place; the view diff must
+	// expect the new value, not flag it.
+	for _, leaf := range []struct{ name, text, col, want string }{
+		{"price", `<price>21.00</price>`, "price", "21"},
+		{"title", `<title>TCP/IP Illustrated, Vol. 1</title>`, "title", "TCP/IP Illustrated, Vol. 1"},
+	} {
+		res, err := f.BlindApply(`
+FOR $book IN document("BookView.xml")/book
+WHERE $book/bookid/text() = "98001"
+UPDATE $book { REPLACE $book/` + leaf.name + ` WITH ` + leaf.text + ` }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SideEffect || res.RolledBack || res.RowsTouched != 1 {
+			t.Fatalf("blind %s replace: sideEffect=%v rolledBack=%v rows=%d", leaf.name, res.SideEffect, res.RolledBack, res.RowsTouched)
+		}
+		ids, _ := f.Exec.DB.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_("98001")})
+		vals, _ := f.Exec.DB.ValuesByName("book", ids[0])
+		if got := vals[leaf.col].String(); got != leaf.want {
+			t.Errorf("%s = %q after the blind replace, want %q", leaf.col, got, leaf.want)
+		}
+	}
 }
 
 // TestReplaceTitle: a leaf replace translates to an UPDATE.
@@ -399,24 +422,38 @@ UPDATE $book { REPLACE $book/price WITH <price>99.00</price> }`)
 	}
 }
 
-// TestDeleteNullableLeaf: deleting the price text is valid (nullable)
-// and translates to SET NULL.
+// TestDeleteNullableLeaf: deleting the text of a nullable leaf no view
+// predicate reads (a review's comment) is valid and translates to SET
+// NULL. The price leaf is nullable too, but the view selects books by
+// price < 50.00, which NULL fails: deleting it would take the book out
+// of the view, so Step 1 rejects it.
 func TestDeleteNullableLeaf(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	res, err := f.Apply(`
-FOR $book IN document("BookView.xml")/book
-WHERE $book/bookid/text() = "98001"
-UPDATE $book { DELETE $book/price/text() }`)
+FOR $review IN document("BookView.xml")/book/review
+WHERE $review/reviewid/text() = "001"
+UPDATE $review { DELETE $review/comment/text() }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Accepted {
 		t.Fatalf("rejected: %q", res.Reason)
 	}
-	ids, _ := f.Exec.DB.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_("98001")})
-	vals, _ := f.Exec.DB.ValuesByName("book", ids[0])
-	if !vals["price"].IsNull() {
-		t.Errorf("price = %v, want NULL", vals["price"])
+	ids, _ := f.Exec.DB.LookupEqual("review", []string{"reviewid"}, []relational.Value{relational.String_("001")})
+	vals, _ := f.Exec.DB.ValuesByName("review", ids[0])
+	if !vals["comment"].IsNull() {
+		t.Errorf("comment = %v, want NULL", vals["comment"])
+	}
+
+	res, err = f.Apply(`
+FOR $book IN document("BookView.xml")/book
+WHERE $book/bookid/text() = "98001"
+UPDATE $book { DELETE $book/price/text() }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted || res.RejectedAt != StepValidation || !strings.Contains(res.Reason, "the view selects on book.price") {
+		t.Fatalf("price delete: accepted=%v at=%v reason=%q", res.Accepted, res.RejectedAt, res.Reason)
 	}
 }
 

@@ -3,7 +3,6 @@ package ufilter
 import (
 	"testing"
 
-	"repro/internal/asg"
 	"repro/internal/bookdb"
 	"repro/internal/psd"
 	"repro/internal/relational"
@@ -25,43 +24,7 @@ func applyUpdateToXML(t *testing.T, f *Filter, updateText string, doc *xmltree.N
 	if err != nil {
 		t.Fatal(err)
 	}
-	expected := doc.Clone()
-	for i := range r.Ops {
-		ro := &r.Ops[i]
-		switch ro.Op.Kind {
-		case xqparse.OpDelete:
-			target := ro.Target
-			if target.Kind == asg.KindLeaf {
-				target = target.Parent
-			}
-			removeMatchingInstances(expected, target, r.UserPreds)
-		case xqparse.OpInsert:
-			for _, ctx := range instancesOf(expected, ro.Context) {
-				if matchesPreds(ctx, ro.Context, r.UserPreds) {
-					ctx.Append(normalizeFragment(ro.Op.Content))
-				}
-			}
-		}
-	}
-	return expected
-}
-
-// normalizeFragment renders values the way the view engine would
-// (numbers through the relational value formatter).
-func normalizeFragment(n *xmltree.Node) *xmltree.Node {
-	out := n.Clone()
-	var walk func(*xmltree.Node)
-	walk = func(m *xmltree.Node) {
-		if !m.IsElement() {
-			m.Text = relational.ParseLiteral(m.Text).String()
-			return
-		}
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(out)
-	return out
+	return expectedView(doc, r)
 }
 
 // TestRectangleRuleBookDeletes verifies u(DEF_V(D)) == DEF_V(U(D)) for
