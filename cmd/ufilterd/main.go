@@ -30,11 +30,12 @@
 // memory, as before.
 //
 // With -shards N (or "shards" in the config) each view hash-partitions
-// its base tables across N independent storage shards: commit latches
-// and WAL fsyncs parallelize per shard, cross-shard transactions commit
-// through an ordered two-phase protocol, and in durable mode each shard
-// logs under <dir>/<view-name>/shard-<i>. /stats and /metrics report
-// per-shard rollups.
+// its base tables across N storage shards, each with its own rows,
+// indexes and commit latch. In durable mode the shards share the view's
+// one write-ahead log under <dir>/<view-name> (a cross-shard transaction
+// is one record and one fsync) and keep their pages under
+// <dir>/<view-name>/shard-<i>. /stats and /metrics report per-shard
+// rollups.
 //
 // Endpoints: GET /healthz, GET/POST /views, POST /views/{name}/check,
 // /check-batch, /apply, GET /views/{name}/stats, /views/{name}/slow,
@@ -65,7 +66,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof-addr
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,17 +119,6 @@ func main() {
 	}
 	if *pageCacheBytes > 0 {
 		cfg.PageCacheBytes = *pageCacheBytes
-	}
-	if cfg.Shards > 1 && runtime.GOMAXPROCS(0) <= cfg.Shards {
-		// Per-shard WAL flushes only overlap if every in-flight fsync's
-		// goroutine can re-acquire a scheduler slot the moment its
-		// syscall returns; with fewer Ps than shards the wakeups
-		// serialize behind the scheduler and the shards flush at
-		// single-WAL speed even though the device could overlap them.
-		// One extra slot keeps the serving goroutines off the flush
-		// streams' backs.
-		runtime.GOMAXPROCS(cfg.Shards + 1)
-		log.Info("raised GOMAXPROCS for shard fsync overlap", "procs", cfg.Shards+1, "shards", cfg.Shards)
 	}
 	// Fault drills: RELATIONAL_FAILPOINTS='wal.fsync.before=crash@3'
 	// arms engine failpoints for crash-recovery rehearsals (no-op when
@@ -222,20 +211,17 @@ func runServer(cfg *server.Config, addr string, log *slog.Logger) error {
 			} else if v.ShardRecovery != nil {
 				recovered = v.ShardRecovery.Shards
 			}
-			var replayed, filtered, repaired int64
+			var replayed int64
 			var paged, rows int
 			for _, ri := range recovered {
 				replayed += ri.ReplayedTxns
-				filtered += ri.FilteredTxns
-				repaired += ri.RepairedTxns
 				paged += ri.CheckpointRows
 			}
 			for _, ss := range v.Filter.Exec.DB.ShardStats() {
 				rows += ss.Rows
 			}
 			log.Info("recovered, seed skipped", "view", v.Name, "shards", len(recovered), "rows", rows,
-				"replayed_txns", replayed, "filtered_txns", filtered, "repaired_txns", repaired,
-				"checkpoint_rows", paged, "dir", cfg.DataDir)
+				"replayed_txns", replayed, "checkpoint_rows", paged, "dir", cfg.DataDir)
 		}
 		stopCheckpointers := srv.Registry.StartCheckpointers(5 * time.Second)
 		defer stopCheckpointers()

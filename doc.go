@@ -85,12 +85,12 @@
 // rows co-locate with their FK parents, so FK checks and delete
 // cascades stay shard-local; uniqueness the partitioning cannot
 // localize is enforced by scatter probes. Reads see a consistent
-// vector of shard snapshots pinned atomically, applies confined to one
-// shard commit through that shard's own commit pipeline
-// (fsyncs of different shards overlap), and applies spanning shards
-// commit via an ordered two-phase claim/publish through a coordinator
-// log whose single fsync is the decide point — crash recovery replays
-// a cross-shard transaction on every shard or on none.
+// vector of shard snapshots pinned atomically, and a durable view keeps
+// ONE write-ahead log its shards share: an apply confined to one shard
+// commits under that shard's latch, an apply spanning shards under each
+// of theirs as one record carrying every shard's redo — one fsync,
+// shared with whatever else queued, and crash recovery replays it on
+// every shard or on none.
 //
 // Durability contract. With a WAL directory open
 // (relational.Database.OpenWAL; ufilterd -data-dir), an acknowledged

@@ -193,8 +193,8 @@ type Database struct {
 	// sequences, replacing claim stamps and enqueueing the group's record
 	// to the WAL writer stage (so queue order is sequence order). It is
 	// never held during a transaction's reads, probes or row operations,
-	// nor across a plain commit's fsync; only a 2PC prepare holds it until
-	// Publish/Abort.
+	// nor across a commit's fsync. A commit across the members of one log
+	// takes theirs in member order.
 	commitMu sync.Mutex
 
 	// commitSeq is the last committed sequence number; snapshots and
@@ -210,8 +210,7 @@ type Database struct {
 	// group's WAL record is fsynced, in strict group order. Between the
 	// two, the group's versions exist but are invisible (their begins
 	// exceed every reader's pinned sequence). Sequences of groups that
-	// fail or abort after stamping are never reissued; recovery's replay
-	// filter makes the gaps harmless.
+	// fail after stamping are never reissued in-process: a harmless gap.
 	stampSeq atomic.Uint64
 
 	// nextTxnID allocates transaction ids (claims embed them).
@@ -248,14 +247,21 @@ type Database struct {
 	// goroutines may be mutating the database.
 	StatementsExecuted int64
 
-	// wal is the durable write-ahead log, attached by OpenWAL; nil keeps
-	// the engine fully in-memory (commits then publish inline under the
-	// commit latch). When set, every commit group's record is written and
-	// fsynced by the WAL writer stage before the group publishes, and
+	// wal is the durable write-ahead log, attached by OpenWAL or OpenLog
+	// (possibly shared with other members, this one's sub-records tagged
+	// member); nil keeps the engine fully in-memory (commits then publish
+	// inline under the commit latch). When set, every commit group's
+	// record is written and fsynced by the WAL writer stage before the
+	// group publishes, pager holds the database's own page store, and
 	// walRecoveredTxns remembers how many committed transactions the
 	// attach-time recovery replayed.
 	wal              *WAL
+	member           int
+	pager            *pager
 	walRecoveredTxns atomic.Int64
+	checkpointSeq    atomic.Uint64 // the last durable page install's sequence
+	checkpoints      atomic.Int64
+	chainLen         atomic.Int64 // published directory-chain length gauge
 }
 
 // Reader is the read-only surface shared by a live *Database, a pinned
@@ -299,7 +305,10 @@ func (db *Database) StatementsExecutedTotal() int64 {
 // DBStats is a point-in-time snapshot of the database's statistics
 // counters. Every field is read atomically (or under its own short
 // mutex), so a snapshot may be taken while other goroutines are
-// mutating the database.
+// mutating the database. A member of a log shared with other databases
+// reports zero for the log's own counters (WAL segments, bytes, fsyncs,
+// durable commit groups and their transactions, recycled segments,
+// pipeline depth): WAL.Stats carries those once.
 type DBStats struct {
 	// StatementsExecuted counts DML statements since creation.
 	StatementsExecuted int64 `json:"statements_executed"`
@@ -326,7 +335,8 @@ type DBStats struct {
 	// (every commit that queued behind the previous fsync shares it);
 	// without one, one per CommitGroup call.
 	GroupCommits int64 `json:"group_commits"`
-	// GroupedTxns counts transactions committed through those groups;
+	// GroupedTxns counts transactions committed through those groups (a
+	// durable transaction across members counts once);
 	// GroupedTxns/GroupCommits is the mean commit-coalescing factor.
 	GroupedTxns int64 `json:"grouped_txns"`
 	// WALSegments is the number of live write-ahead log segment files
@@ -389,24 +399,23 @@ func (db *Database) Stats() DBStats {
 		GroupedTxns:        db.groupedTxns.Load(),
 	}
 	if w := db.wal; w != nil {
-		st.WALSegments = w.Segments()
-		st.WALBytes = w.bytes.Load()
-		st.Fsyncs = w.fsyncs.Load()
-		st.Checkpoints = w.checkpoints.Load()
-		st.RecoveryReplayedTxns = db.walRecoveredTxns.Load()
-		st.WALRecycledSegments = w.recycled.Load()
-		st.WALPipelineDepth = w.pipeDepth.Load()
-		st.CheckpointDeltaChainLen = w.chainLen.Load()
-		st.CheckpointLastPauseNs = w.lastCkptPauseNs.Load()
-		if p := w.pager; p != nil {
-			ps := p.pool.Stats()
-			st.PagecacheHits = int64(ps.Hits)
-			st.PagecacheMisses = int64(ps.Misses)
-			st.PagecacheEvictions = int64(ps.Evictions)
-			ss := p.store.Stats()
-			st.PagesTotal = int64(ss.PagesTotal)
-			st.CompactionPagesWritten = int64(ss.PagesWritten)
+		if len(w.members) == 1 {
+			ls := w.Stats()
+			st.WALSegments, st.WALBytes, st.Fsyncs = ls.WALSegments, ls.WALBytes, ls.Fsyncs
+			st.GroupCommits, st.GroupedTxns = ls.GroupCommits, ls.GroupedTxns
+			st.WALRecycledSegments, st.WALPipelineDepth = ls.WALRecycledSegments, ls.WALPipelineDepth
 		}
+		st.Checkpoints = db.checkpoints.Load()
+		st.RecoveryReplayedTxns = db.walRecoveredTxns.Load()
+		st.CheckpointDeltaChainLen = db.chainLen.Load()
+		st.CheckpointLastPauseNs = w.lastCkptPauseNs.Load()
+		ps := db.pager.pool.Stats()
+		st.PagecacheHits = int64(ps.Hits)
+		st.PagecacheMisses = int64(ps.Misses)
+		st.PagecacheEvictions = int64(ps.Evictions)
+		ss := db.pager.store.Stats()
+		st.PagesTotal = int64(ss.PagesTotal)
+		st.CompactionPagesWritten = int64(ss.PagesWritten)
 	}
 	return st
 }

@@ -92,14 +92,6 @@ const (
 	// FpCompactPage fires at the start of the page store's asynchronous
 	// directory base compaction, before the temp base is written.
 	FpCompactPage = "compact.page"
-	// FpXlogFlushBefore fires in a cross-shard commit once every shard
-	// log holds its (unflushed) record, before the coordinator's record is
-	// written: recovery must discard the transaction on every shard.
-	FpXlogFlushBefore = "xlog.flush.before"
-	// FpXlogFlushAfter fires after the coordinator's record is fsynced —
-	// the commit point — before any shard publishes: recovery must commit
-	// the transaction on every shard (error mode cuts the record back off).
-	FpXlogFlushAfter = "xlog.flush.after"
 )
 
 // ErrInjectedFault is the error an error-mode failpoint returns. The
@@ -139,8 +131,6 @@ var failpoints = map[string]*failpointState{
 	FpPagestoreWrite:        {},
 	FpPagestoreDirectory:    {},
 	FpCompactPage:           {},
-	FpXlogFlushBefore:       {},
-	FpXlogFlushAfter:        {},
 }
 
 // FailpointNames returns every registered failpoint name, sorted. The
@@ -230,9 +220,6 @@ func EnableFailpointsFromEnv() error {
 	}
 	return nil
 }
-
-// Failpoint is evalFailpoint for the shard group's coordinator log.
-func Failpoint(name string) error { return evalFailpoint(name) }
 
 // evalFailpoint is the hook the WAL paths call. It returns nil when the
 // failpoint is disabled or its hit count has not been reached,

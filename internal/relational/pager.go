@@ -119,7 +119,7 @@ func (db *Database) versionValues(td *tableData, v *rowVersion) []Value {
 	if vals := v.row.Values; vals != nil {
 		return vals
 	}
-	return db.wal.pager.faultRow(strings.ToLower(td.def.Name), v.pageSlot.Load(), v.row.ID)
+	return db.pager.faultRow(strings.ToLower(td.def.Name), v.pageSlot.Load(), v.row.ID)
 }
 
 // materializeLocked replaces a demoted stub head with a materialized
@@ -211,7 +211,7 @@ type pagePlan struct {
 // from the versions' own value slices (Snapshot.values), never from a
 // copy; survivors are never decoded at all.
 func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID]struct{}) (*pagePlan, error) {
-	p := db.wal.pager
+	p := db.pager
 
 	names := make([]string, 0, len(dirty))
 	for name := range dirty {
@@ -310,7 +310,7 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 // vanished rows drop their mapping, and the superseded slots enter
 // quarantine until no reader can still fault their old content.
 func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.PageInfo, plan *pagePlan) {
-	p := db.wal.pager
+	p := db.pager
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
@@ -374,11 +374,10 @@ func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.P
 // page faults run under, so a released slot can never be concurrently
 // faulted through a stale mapping.
 func (db *Database) drainPageQuarantineLocked() {
-	w := db.wal
-	if w == nil || w.pager == nil || len(w.pager.quar) == 0 {
+	p := db.pager
+	if p == nil || len(p.quar) == 0 {
 		return
 	}
-	p := w.pager
 	oldest := db.oldestVisibleSeq()
 	keep := p.quar[:0]
 	for _, b := range p.quar {
@@ -424,8 +423,8 @@ func demoteCleanLocked(td *tableData, id RowID, v *rowVersion) bool {
 // each row only the columns its table's indexes read. Scan order is
 // restored as ascending row id, which equals insertion order because ids
 // are allocated monotonically. Single-threaded, before serving traffic.
-func (db *Database) restoreFromPages(w *WAL, rec *pagestore.Recovered) (rows int, err error) {
-	p := w.pager
+func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err error) {
+	p := db.pager
 	type restoring struct {
 		want  []bool  // the columns some index reads, up to the last one
 		vals  []Value // decode scratch, reused row to row

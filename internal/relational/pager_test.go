@@ -417,7 +417,7 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		p := db.wal.pager
+		p := db.pager
 		named := map[uint32]map[RowID]bool{}
 		tableOf := map[uint32]string{}
 		for table, m := range p.rowSlot {

@@ -180,6 +180,45 @@ func TestWriterStageCoalescesQueuedCommits(t *testing.T) {
 	}
 }
 
+// TestWriterStageCoalescesAcrossMembers is the same count on a log two
+// databases share: single-member commits on each, queued behind the
+// parked writer, become durable with ONE fsync as ONE group, and each
+// member's commit sequence advances by its own commits.
+func TestWriterStageCoalescesAcrossMembers(t *testing.T) {
+	const perMember = 4
+	dbs, w, _ := openLogDBs(t, t.TempDir(), 2)
+	resume := parkWriter(t, w)
+	before := w.Stats()
+	errs := make(chan error, 2*perMember)
+	for i, db := range dbs {
+		for k := range perMember {
+			go func() {
+				_, err := db.Insert("parent", map[string]Value{"id": Int_(int64(k)), "name": String_(fmt.Sprintf("member %d row %d", i, k))})
+				errs <- err
+			}()
+		}
+	}
+	awaitQueued(t, w, 2*perMember)
+	resume()
+	for range 2 * perMember {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued commit: %v", err)
+		}
+	}
+	after := w.Stats()
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Errorf("fsyncs_total advanced by %d, want 1 for %d queued commits on two members", got, 2*perMember)
+	}
+	if g, x := after.GroupCommits-before.GroupCommits, after.GroupedTxns-before.GroupedTxns; g != 1 || x != 2*perMember {
+		t.Errorf("group_commits +%d grouped_txns +%d, want +1 and +%d", g, x, 2*perMember)
+	}
+	for i, db := range dbs {
+		if got := db.Stats().CommitSeq; got != perMember {
+			t.Errorf("member %d commit_seq = %d, want %d", i, got, perMember)
+		}
+	}
+}
+
 // TestPipelineFsyncErrorUnderConcurrency injects a one-shot fsync
 // failure while concurrent commits stream through the pipeline: the
 // groups sharing the failed flush roll back with ErrWALFailed, every

@@ -1,248 +1,220 @@
 package relational
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
-// stubCoordinator is a test Coordinator: a committed-xid set plus the
-// frames (with their last sequences) a coordinator log would hold.
-type stubCoordinator struct {
-	committed map[uint64]bool
-	seqs      []uint64
-	frames    [][]byte
-}
-
-func (c *stubCoordinator) Committed(xid uint64) bool { return c.committed[xid] }
-
-func (c *stubCoordinator) FramesAfter(seq uint64) []byte {
-	var out []byte
-	for i, s := range c.seqs {
-		if s > seq {
-			out = append(out, c.frames[i]...)
-		}
-	}
-	return out
-}
-
-func (c *stubCoordinator) add(t testing.TB, xid uint64, pg *PreparedGroup, frame []byte) {
+// openLogDBs opens n databases over the WAL test schema as the members
+// of one log under dir, member i's pages under dir/member-<i>.
+func openLogDBs(t testing.TB, dir string, n int) ([]*Database, *WAL, []RecoveryInfo) {
 	t.Helper()
-	c.committed[xid] = true
-	c.seqs = append(c.seqs, pg.Seq())
-	c.frames = append(c.frames, append([]byte(nil), frame...))
+	dbs := make([]*Database, n)
+	pageDirs := make([]string, n)
+	for i := range dbs {
+		dbs[i] = NewDatabase(walSchema(t))
+		pageDirs[i] = filepath.Join(dir, fmt.Sprintf("member-%d", i))
+	}
+	w, infos, err := OpenLog(dir, WALOptions{}, dbs, pageDirs)
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	t.Cleanup(func() { _ = w.Close() })
+	return dbs, w, infos
 }
 
-// prepareParent prepares (not publishes) an insert of one parent row
-// under xid and returns the group with its acknowledged frame.
-func prepareParent(t testing.TB, db *Database, xid uint64, id int64, name string) (*PreparedGroup, []byte) {
+// parentTxn begins a transaction on db inserting one parent row.
+func parentTxn(t testing.TB, db *Database, id int64, name string) *Txn {
 	t.Helper()
 	txn := db.Begin()
 	if _, err := txn.Insert("parent", map[string]Value{"id": Int_(id), "name": String_(name)}); err != nil {
 		t.Fatal(err)
 	}
-	pg, err := db.PrepareGroup(xid, txn)
-	if err != nil {
-		t.Fatalf("PrepareGroup: %v", err)
-	}
-	frame, err := pg.Frame()
-	if err != nil {
-		t.Fatalf("Frame: %v", err)
-	}
-	return pg, frame
+	return txn
 }
 
-// TestPrepareAppendsWithoutFlush pins the prepare contract: the record
-// reaches the shard log byte for byte as Frame returns it, no fsync is
-// issued for it, and an fsync failure in a LATER batch never truncates
-// it — the acknowledged cross-shard commit it belongs to survives a
-// restart from the shard log alone (no repair needed).
-func TestPrepareAppendsWithoutFlush(t *testing.T) {
-	dir := t.TempDir()
-	coord := &stubCoordinator{committed: map[uint64]bool{}}
-	db, _ := openWALDB(t, dir, WALOptions{})
-	mustInsertParent(t, db, 1, "base")
-
-	before := db.Stats()
-	pg, frame := prepareParent(t, db, 7, 2, "prepared")
-	if got := db.Stats().Fsyncs - before.Fsyncs; got != 0 {
-		t.Fatalf("a prepare issued %d fsyncs, want 0", got)
-	}
-	seg, err := os.ReadFile(lastSegment(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(seg, frame) {
-		t.Fatalf("the shard log does not end with the prepared frame (%d bytes)", len(frame))
-	}
-	coord.add(t, 7, pg, frame)
-	if err := pg.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().GroupCommits - before.GroupCommits; got != 0 {
-		t.Fatalf("a durable prepare counted %d commit groups on the shard, want 0 (the coordinator's flush is the group)", got)
-	}
-
-	if err := EnableFailpoint(FpWALFsyncBefore, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableAllFailpoints()
-	if _, err := db.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("doomed")}); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("insert under a failing fsync: %v, want ErrWALFailed", err)
-	}
-	DisableAllFailpoints()
-	after, err := os.ReadFile(lastSegment(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, seg) {
-		t.Fatalf("the failed batch left %d log bytes, want the %d it found (prepared record kept, its own record cut)", len(after), len(seg))
-	}
-	want := dumpDB(t, db)
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	db2, info := openWALDB(t, dir, WALOptions{Coordinator: coord})
-	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
-	}
-	if info.RepairedTxns != 0 || info.FilteredTxns != 0 {
-		t.Fatalf("recovery repaired %d and filtered %d txns, want 0 and 0", info.RepairedTxns, info.FilteredTxns)
-	}
-}
-
-// TestPrepareSharesBatchFate parks the writer, queues a commit group and
-// then a prepare behind it, and fails the one fsync their batch issues:
-// the prepare fails with its neighbour, both are undone, the latch is
-// free again and nothing of either survives a restart.
-func TestPrepareSharesBatchFate(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{})
-	mustInsertParent(t, db, 1, "base")
+// parkWriter enqueues a barrier under every member's latch, as a
+// checkpoint does, and returns once the writer is parked on it; the
+// returned resume (idempotent) lets it go.
+func parkWriter(t testing.TB, w *WAL) (resume func()) {
+	t.Helper()
 	b := &walBarrier{ready: make(chan struct{}), resume: make(chan struct{})}
 	var release sync.Once
-	resume := func() { release.Do(func() { close(b.resume) }) }
-	defer resume()
-	db.commitMu.Lock()
-	db.wal.pipe <- &walReq{barrier: b}
-	db.commitMu.Unlock()
+	resume = func() { release.Do(func() { close(b.resume) }) }
+	t.Cleanup(resume) // a parked writer would hang the Close cleanup
+	unlock := w.lockMembers()
+	w.pipe <- &walReq{barrier: b}
+	unlock()
 	<-b.ready
+	return resume
+}
 
-	groupErr := make(chan error, 1)
-	go func() {
-		_, err := db.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("group")})
-		groupErr <- err
-	}()
+// awaitQueued waits until depth records queue behind a parked writer.
+// Depth is bumped just before the send, both under the latches: taking
+// them once more means the last request is in the queue.
+func awaitQueued(t testing.TB, w *WAL, depth int64) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for db.Stats().WALPipelineDepth != 1 {
+	for w.pipeDepth.Load() != depth {
 		if time.Now().After(deadline) {
-			t.Fatal("the commit group never queued")
+			t.Fatalf("pipeline depth = %d, want %d queued records", w.pipeDepth.Load(), depth)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	txn := db.Begin()
-	if _, err := txn.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("prepared")}); err != nil {
+	w.lockMembers()()
+}
+
+// TestPrepareAppendsWithoutFlush pins what a commit across members
+// costs on one log: a 4-member transaction appends ONE record — its four
+// sub-records, member by member — and issues ONE fsync, counts as one
+// commit group and one transaction, advances every member's commit
+// sequence once, and recovers whole on every member.
+func TestPrepareAppendsWithoutFlush(t *testing.T) {
+	dir := t.TempDir()
+	dbs, w, _ := openLogDBs(t, dir, 4)
+	for i, db := range dbs {
+		mustInsertParent(t, db, int64(i+1), fmt.Sprintf("base %d", i))
+	}
+	before := w.Stats()
+	seqs := make([]uint64, len(dbs))
+	parts := make([]*Txn, len(dbs))
+	for i, db := range dbs {
+		seqs[i] = db.commitSeq.Load()
+		parts[i] = parentTxn(t, db, int64(10+i), fmt.Sprintf("across %d", i))
+	}
+	var vec sync.Mutex
+	if err := CommitAcross(&vec, parts); err != nil {
+		t.Fatalf("CommitAcross: %v", err)
+	}
+	after := w.Stats()
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Errorf("fsyncs advanced by %d, want 1", got)
+	}
+	if got := w.appends.Load(); got != int64(len(dbs)+1) {
+		t.Errorf("the log holds %d records, want %d: one per base row, one for the transaction", got, len(dbs)+1)
+	}
+	if g, x := after.GroupCommits-before.GroupCommits, after.GroupedTxns-before.GroupedTxns; g != 1 || x != 1 {
+		t.Errorf("group_commits +%d grouped_txns +%d, want +1 each", g, x)
+	}
+	for i, db := range dbs {
+		if got := db.commitSeq.Load() - seqs[i]; got != 1 {
+			t.Errorf("member %d commit_seq advanced by %d, want 1", i, got)
+		}
+		if st := db.Stats(); st.Fsyncs != 0 || st.GroupCommits != 0 {
+			t.Errorf("member %d reports the log's counters: %+v", i, st)
+		}
+	}
+	data, err := os.ReadFile(lastSegment(t, dir))
+	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := db.PrepareGroup(9, txn) // queues behind the group: the latch orders them
-	if err != nil {
-		t.Fatalf("PrepareGroup: %v", err)
+	var last []byte
+	ScanFrames(data, func(payload []byte) bool { last = payload; return true })
+	subs, err := decodeRecord(last, nil)
+	if err != nil || len(subs) != len(dbs) {
+		t.Fatalf("last record: %d sub-records (%v), want %d", len(subs), err, len(dbs))
 	}
+	for i, s := range subs {
+		if s.member != i || len(s.txns) != 1 || s.txns[0].seq != seqs[i]+1 {
+			t.Fatalf("sub-record %d: member %d, %d txns, want member %d at sequence %d", i, s.member, len(s.txns), i, seqs[i]+1)
+		}
+	}
+	want := make([]map[string]map[RowID]string, len(dbs))
+	for i, db := range dbs {
+		want[i] = dumpDB(t, db)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dbs2, _, infos := openLogDBs(t, dir, len(dbs))
+	for i, db := range dbs2 {
+		if got := dumpDB(t, db); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("member %d recovered:\n got %v\nwant %v", i, got, want[i])
+		}
+		if infos[i].ReplayedTxns != 2 {
+			t.Fatalf("member %d replayed %d txns, want its base row and its part", i, infos[i].ReplayedTxns)
+		}
+	}
+}
+
+// TestPrepareSharesBatchFate queues single-member commits on two
+// members and a transaction across both behind a parked writer: the
+// batch shares ONE fsync. Queued again with that fsync failing, all
+// three fail together — every part undone on every member, the latches
+// free — and nothing of them survives a restart.
+func TestPrepareSharesBatchFate(t *testing.T) {
+	dir := t.TempDir()
+	dbs, w, _ := openLogDBs(t, dir, 2)
+	var vec sync.Mutex
+	round := func(k int64) []error {
+		resume := parkWriter(t, w)
+		errs := make(chan error, 3)
+		for i, db := range dbs {
+			go func() {
+				_, err := db.Insert("parent", map[string]Value{"id": Int_(k + int64(i)), "name": String_(fmt.Sprint("single ", k+int64(i)))})
+				errs <- err
+			}()
+		}
+		awaitQueued(t, w, 2)
+		parts := []*Txn{parentTxn(t, dbs[0], k+10, fmt.Sprint("across ", k)), parentTxn(t, dbs[1], k+10, fmt.Sprint("across ", k))}
+		go func() { errs <- CommitAcross(&vec, parts) }()
+		awaitQueued(t, w, 3)
+		resume()
+		return []error{<-errs, <-errs, <-errs}
+	}
+
+	before := w.Stats()
+	for _, err := range round(100) {
+		if err != nil {
+			t.Fatalf("queued commit: %v", err)
+		}
+	}
+	after := w.Stats()
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Errorf("fsyncs advanced by %d for three queued records, want 1", got)
+	}
+	if g, x := after.GroupCommits-before.GroupCommits, after.GroupedTxns-before.GroupedTxns; g != 1 || x != 3 {
+		t.Errorf("group_commits +%d grouped_txns +%d, want +1 and +3", g, x)
+	}
+
 	if err := EnableFailpoint(FpWALFsyncBefore, "error"); err != nil {
 		t.Fatal(err)
 	}
 	defer DisableAllFailpoints()
-	before := db.Stats().Fsyncs
-	resume()
-	if _, err := pg.Frame(); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("Frame after the batch's fsync failed: %v, want ErrWALFailed", err)
-	}
-	if err := <-groupErr; !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("the commit group sharing the batch: %v, want ErrWALFailed", err)
+	before = w.Stats()
+	for _, err := range round(200) {
+		if !errors.Is(err, ErrWALFailed) {
+			t.Fatalf("a record sharing the failed fsync: %v, want ErrWALFailed", err)
+		}
 	}
 	DisableAllFailpoints()
-	if got := db.Stats().Fsyncs - before; got != 0 {
+	if got := w.Stats().Fsyncs - before.Fsyncs; got != 0 {
 		t.Fatalf("fsyncs advanced by %d under a failing fsync", got)
 	}
-	if st := db.Stats(); st.TxnsActive != 0 {
-		t.Fatalf("txns_active = %d after both failed", st.TxnsActive)
+	want := make([]map[string]map[RowID]string, len(dbs))
+	for i, db := range dbs {
+		if st := db.Stats(); st.TxnsActive != 0 {
+			t.Fatalf("member %d: txns_active = %d after the failed batch", i, st.TxnsActive)
+		}
+		if n := len(dumpDB(t, db)["parent"]); n != 2 {
+			t.Fatalf("member %d holds %d parents, want the first round's two", i, n)
+		}
+		mustInsertParent(t, db, 300, "after") // the latches were released
+		want[i] = dumpDB(t, db)
 	}
-	mustInsertParent(t, db, 4, "after") // the latch was released
-	want := dumpDB(t, db)
-	if len(want["parent"]) != 2 {
-		t.Fatalf("parent rows = %v, want base and after only", want["parent"])
-	}
-	if err := db.CloseWAL(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, _ := openWALDB(t, dir, WALOptions{Coordinator: &stubCoordinator{committed: map[uint64]bool{9: true}}})
-	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestRecoveryRepairsLostPreparedTail loses the unflushed tail of the
-// shard log (two committed prepares and the aborted one between them)
-// and recovers: the Coordinator's frames come back in order and are
-// re-appended, so a second recovery finds them in the shard log itself,
-// behind the single commit made in between.
-func TestRecoveryRepairsLostPreparedTail(t *testing.T) {
-	dir := t.TempDir()
-	coord := &stubCoordinator{committed: map[uint64]bool{}}
-	db, _ := openWALDB(t, dir, WALOptions{})
-	mustInsertParent(t, db, 1, "base")
-	seg := lastSegment(t, dir)
-	st, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flushed := st.Size()
-
-	pg, frame := prepareParent(t, db, 11, 2, "first")
-	coord.add(t, 11, pg, frame)
-	if err := pg.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	pg, _ = prepareParent(t, db, 12, 3, "aborted")
-	if err := pg.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	pg, frame = prepareParent(t, db, 13, 4, "second")
-	coord.add(t, 13, pg, frame)
-	if err := pg.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	want := dumpDB(t, db)
-	// Power loss: nothing past the last flush reached the disk. (Closing
-	// first only stops the writer; the truncate undoes its final sync.)
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, flushed); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, info := openWALDB(t, dir, WALOptions{Coordinator: coord})
-	if info.RepairedTxns != 2 {
-		t.Fatalf("repaired %d txns, want 2 (info %+v)", info.RepairedTxns, info)
-	}
-	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("repaired state:\n got %v\nwant %v", got, want)
-	}
-	mustInsertParent(t, db2, 5, "after repair")
-	want = dumpDB(t, db2)
-	if err := db2.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	db3, info := openWALDB(t, dir, WALOptions{Coordinator: coord})
-	if info.RepairedTxns != 0 {
-		t.Fatalf("second recovery repaired %d txns, want 0: the first re-appended them", info.RepairedTxns)
-	}
-	if got := dumpDB(t, db3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("second recovery:\n got %v\nwant %v", got, want)
+	dbs2, _, _ := openLogDBs(t, dir, len(dbs))
+	for i, db := range dbs2 {
+		if got := dumpDB(t, db); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("member %d recovered:\n got %v\nwant %v", i, got, want[i])
+		}
 	}
 }

@@ -282,10 +282,7 @@ func (db *Database) Reclaim() int {
 func (db *Database) reclaimLocked() int {
 	minSeq := db.oldestVisibleSeq()
 	freed := 0
-	var pg *pager
-	if w := db.wal; w != nil {
-		pg = w.pager
-	}
+	pg := db.pager
 	for _, td := range db.tables {
 		removed := false
 		for id, head := range td.rows {

@@ -1,6 +1,9 @@
 package relational
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // undoKind discriminates undo-log entries.
 type undoKind int
@@ -162,38 +165,8 @@ func (t *Txn) Commit() error {
 // Without a WAL there is nothing to wait for: the group publishes
 // inline under the latch.
 func (db *Database) CommitGroup(txns ...*Txn) error {
-	pg, err := db.stampGroup(0, txns, false)
-	if err != nil {
-		return err
-	}
-	if pg.req == nil {
-		err = pg.Publish()
-	} else {
-		db.commitMu.Unlock()
-		if err := <-pg.req.done; err != nil {
-			return err // already wraps ErrWALFailed; the writer rolled us back
-		}
-		err = pg.firstErr
-	}
-	db.commitMaintenance()
-	return err
-}
-
-// stampGroup is the one filter-and-stamp routine under CommitGroup and
-// PrepareGroup: it drops nil and already-finished members, assigns the
-// group's commit sequences under commitMu, replaces every claim stamp
-// and marks the written rows dirty. The stamps stay invisible until
-// commitSeq advances past them. With a WAL attached the group's record
-// — row images encoded before the latch, only the sequences spliced in
-// after — is enqueued to the writer stage as pg.req; the caller waits for
-// its done with the latch held (a prepare, whose record is framed here so
-// the coordinator can carry the same bytes) or released (a commit).
-// Without a WAL pg.req is nil.
-//
-// On success commitMu is HELD. On error the group has been undone, the
-// latch released, and the error wraps ErrWALFailed.
-func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*PreparedGroup, error) {
-	pg := &PreparedGroup{db: db, live: make([]*Txn, 0, len(txns)), xid: xid}
+	var firstErr error
+	live := make([]*Txn, 0, len(txns))
 	for _, t := range txns {
 		if t == nil {
 			continue
@@ -201,73 +174,158 @@ func (db *Database) stampGroup(xid uint64, txns []*Txn, prepare bool) (*Prepared
 		if t.done {
 			// Only the owning goroutine finishes a Txn, so this check
 			// needs no latch (the same reason Commit/Rollback don't).
-			if pg.firstErr == nil {
-				pg.firstErr = errTxnFinished()
+			if firstErr == nil {
+				firstErr = errTxnFinished()
 			}
 			continue
 		}
-		pg.live = append(pg.live, t)
+		live = append(live, t)
 	}
-	live := pg.live
-	w := db.wal
-	var req *walReq
-	if w != nil && len(live) > 0 {
-		req = &walReq{xid: xid, live: live, bodies: make([][]byte, len(live)), done: make(chan error, 1)}
-		for i, t := range live {
-			req.bodies[i] = appendTxnOpsBody(nil, t)
+	if len(live) == 0 {
+		return firstErr
+	}
+	req := &walReq{}
+	req.one[0] = walPart{db: db, live: live}
+	req.parts = req.one[:]
+	if err := req.commit(); err != nil {
+		return err
+	}
+	db.commitMaintenance()
+	return firstErr
+}
+
+// CommitAcross commits ONE transaction made of parts on distinct
+// databases — the members of one log, or databases without one — in
+// ascending member order, which is the order their commit latches are
+// taken in. Every part is stamped under its latch and, with a log, the
+// whole transaction becomes one record enqueued while every latch is
+// held, so each member's queue order stays its sequence order; the
+// writer stage publishes the parts under vec once the record's fsync
+// returns, or undoes every part if the append or fsync fails. In memory
+// the parts publish under vec before the latches drop. Either way a
+// reader that pins its per-member views under vec's read side sees the
+// transaction on all its members or on none.
+func CommitAcross(vec sync.Locker, parts []*Txn) error {
+	for _, t := range parts {
+		if t.done {
+			return errTxnFinished()
 		}
 	}
-	db.commitMu.Lock()
-	if len(live) == 0 {
-		return pg, nil
+	req := &walReq{parts: make([]walPart, len(parts)), vec: vec}
+	for i, t := range parts {
+		req.parts[i] = walPart{db: t.db, live: parts[i : i+1]}
 	}
+	if err := req.commit(); err != nil {
+		return err
+	}
+	for _, t := range parts {
+		t.db.commitMaintenance()
+	}
+	return nil
+}
+
+// commit stamps every part under its member's commit latch, taken in
+// part order, and then — still under every latch — publishes the parts
+// inline (no log) or hands the record to the writer stage, releases the
+// latches and waits for its outcome. Row images are encoded before the
+// latches, only the sequences spliced in by the writer. On error the
+// record has been undone and the error wraps ErrWALFailed.
+func (req *walReq) commit() error {
+	w := req.parts[0].db.wal
+	if w != nil {
+		for i := range req.parts {
+			p := &req.parts[i]
+			p.bodies = make([][]byte, len(p.live))
+			for j, t := range p.live {
+				p.bodies[j] = appendTxnOpsBody(nil, t)
+			}
+		}
+	}
+	for i := range req.parts {
+		p := &req.parts[i]
+		p.db.commitMu.Lock()
+		p.seq = p.db.stampLocked(p.live)
+	}
+	unlock := func() {
+		for i := range req.parts {
+			req.parts[i].db.commitMu.Unlock()
+		}
+	}
+	if w == nil {
+		// All stamps were placed BEFORE these sequence advances, which is
+		// what makes each transaction atomic to snapshot readers: a
+		// snapshot pinned before a store sees none of the part's versions
+		// (their begins exceed its sequence), one pinned after sees every
+		// committed transaction whole.
+		req.publish()
+		for i := range req.parts {
+			p := &req.parts[i]
+			p.db.groupCommits.Add(1)
+			p.db.groupedTxns.Add(int64(len(p.live)))
+		}
+		unlock()
+		req.finish()
+		return nil
+	}
+	err := evalFailpoint(FpPipelineStampAfter)
+	if err == nil && w.closed {
+		err = ErrWALClosed
+	}
+	if err != nil {
+		// The stamps never published, so the undo is invisible to every
+		// reader; the consumed sequences are simply never reissued.
+		req.undo()
+		unlock()
+		return fmt.Errorf("%w: %v", ErrWALFailed, err)
+	}
+	req.done = make(chan error, 1)
+	w.pipeDepth.Add(1)
+	w.pipe <- req
+	unlock()
+	return <-req.done
+}
+
+// stampLocked assigns the group's commit sequences, replaces every
+// claim stamp and marks the written rows dirty, returning the last
+// sequence. The stamps stay invisible until commitSeq advances past
+// them. Caller holds commitMu.
+func (db *Database) stampLocked(live []*Txn) uint64 {
 	seq := db.stampSeq.Load()
 	for _, t := range live {
 		t.done = true
 		seq++
 		t.seq = seq
-		t.publish(t.seq)
+		t.publish(seq)
 	}
 	db.stampSeq.Store(seq)
-	pg.seq = seq
 	db.markDirtyGroupLocked(live)
-	if req == nil {
-		return pg, nil
-	}
-	if err := evalFailpoint(FpPipelineStampAfter); err != nil {
-		return nil, db.failPreparedLocked(live, err)
-	}
-	if w.closed {
-		return nil, db.failPreparedLocked(live, ErrWALClosed)
-	}
-	// Enqueued under commitMu, so queue order IS sequence order.
-	req.seq = seq
-	if prepare {
-		req.frame = frameGroup(nil, xid, live, req.bodies)
-	}
-	pg.req = req
-	w.pipeDepth.Add(1)
-	w.pipe <- req
-	return pg, nil
+	return seq
 }
 
-// failPreparedLocked undoes a stamped-but-not-durable group under the
-// held commit latch, releases the latch, and returns the wrapped cause.
-// The stamps never published (commitSeq never reached their sequences),
-// so the undo is invisible to every reader; the consumed sequences are
-// simply never reissued.
-func (db *Database) failPreparedLocked(live []*Txn, cause error) error {
-	db.mu.Lock()
-	for _, t := range live {
-		_ = t.undoFromLocked(0)
-		t.log = nil
+// finish releases every published part's transactions.
+func (req *walReq) finish() {
+	for i := range req.parts {
+		p := &req.parts[i]
+		for _, t := range p.live {
+			t.log = nil
+			p.db.forget(t)
+		}
 	}
-	db.mu.Unlock()
-	db.commitMu.Unlock()
-	for _, t := range live {
-		db.forget(t)
+}
+
+// undo pops every part's stamped-but-unpublished versions under its
+// member's db.mu (taken inside commitMu is safe: no path takes them in
+// the opposite order) and releases the transactions.
+func (req *walReq) undo() {
+	for i := range req.parts {
+		p := &req.parts[i]
+		p.db.mu.Lock()
+		for _, t := range p.live {
+			_ = t.undoFromLocked(0)
+		}
+		p.db.mu.Unlock()
 	}
-	return fmt.Errorf("%w: %v", ErrWALFailed, cause)
+	req.finish()
 }
 
 // commitMaintenance runs the work commits piggyback after publishing,
@@ -278,129 +336,6 @@ func (db *Database) commitMaintenance() {
 		db.Reclaim()
 	}
 	db.maybeCheckpoint()
-}
-
-// MaybeMaintain exposes the post-commit maintenance pass for callers
-// that publish prepared groups directly (the cross-shard coordinator):
-// Publish itself cannot run it, because such callers still hold latches
-// a checkpoint must acquire.
-func (db *Database) MaybeMaintain() { db.commitMaintenance() }
-
-// PreparedGroup is a commit group whose stamps are placed but not
-// published: the database's commit latch is HELD from PrepareGroup to
-// Publish/Abort, so nothing else can commit (or observe a half-committed
-// sequence) in between. It is the per-shard half of a cross-shard commit:
-// the coordinator prepares every touched shard, makes ONE record holding
-// every shard's Frame durable, then publishes everywhere (internal/shard).
-type PreparedGroup struct {
-	db       *Database
-	live     []*Txn
-	req      *walReq // the writer-stage request; nil without a WAL
-	seq      uint64  // last sequence assigned to the group
-	xid      uint64
-	firstErr error // already-finished members, surfaced at Publish
-	done     bool
-}
-
-// PrepareGroup assigns commit sequences to the group under the commit
-// latch and hands its xid-tagged record to the WAL writer stage, WITHOUT
-// publishing and without waiting: on success the latch stays held until
-// Publish or Abort, and Frame collects the writer's acknowledgement. The
-// record is appended to the shard log and never flushed for: what
-// recovery makes of it is WALOptions.Coordinator's business. A failure
-// before the enqueue undoes the whole group, releases the latch and
-// returns an error wrapping ErrWALFailed.
-func (db *Database) PrepareGroup(xid uint64, txns ...*Txn) (*PreparedGroup, error) {
-	return db.stampGroup(xid, txns, true)
-}
-
-// Seq is the last commit sequence the group was stamped with.
-func (pg *PreparedGroup) Seq() uint64 { return pg.seq }
-
-// Frame waits — with the latch HELD — for the writer stage to append the
-// group's record and returns it CRC-framed, byte for byte as the shard
-// log holds it (nil without a WAL). The acknowledgement means every
-// earlier group has published, so Publish/Abort runs against a caught-up
-// commit sequence. Call it exactly once, before Publish or Abort. If the
-// append failed — or the flush of a commit group sharing its batch — the
-// group has been undone and the latch released, and the error wraps
-// ErrWALFailed (db.mu inside commitMu is safe: no path takes them in the
-// opposite order).
-func (pg *PreparedGroup) Frame() ([]byte, error) {
-	if pg.req == nil {
-		return nil, nil
-	}
-	if err := <-pg.req.done; err != nil {
-		pg.done = true
-		return nil, pg.db.failPreparedLocked(pg.live, err)
-	}
-	return pg.req.frame, nil
-}
-
-// Publish advances the commit sequence past the prepared group's
-// stamps — placed at prepare, invisible until this single store — making
-// the group visible atomically, then releases the commit latch.
-//
-// Publish runs no piggybacked maintenance: cross-shard callers invoke
-// it while holding coordination latches a checkpoint would need; they
-// call MaybeMaintain after releasing them (CommitGroup does the same on
-// the single-shard path).
-func (pg *PreparedGroup) Publish() error {
-	if pg.done {
-		return errTxnFinished()
-	}
-	pg.done = true
-	db := pg.db
-	if len(pg.live) > 0 {
-		// All stamps were placed BEFORE this single sequence advance,
-		// which is what makes each transaction atomic to snapshot
-		// readers: a snapshot pinned before the store sees none of the
-		// group's versions (their begins exceed its sequence), one pinned
-		// after sees every committed transaction whole.
-		db.commitSeq.Store(pg.seq)
-		if db.wal == nil {
-			// With a WAL the flush a group rides is counted where it
-			// happens: the writer stage, or the coordinator's log.
-			db.groupCommits.Add(1)
-		}
-		db.groupedTxns.Add(int64(len(pg.live)))
-	}
-	db.commitMu.Unlock()
-	for _, t := range pg.live {
-		t.log = nil
-		db.forget(t)
-	}
-	return pg.firstErr
-}
-
-// Abort undoes a prepared group — its stamps were placed at prepare but
-// never published, so popping the versions is invisible to every
-// reader — and releases the commit latch. The group's WAL record stays
-// in the shard log, but its xid never reaches the coordinator's log, so
-// recovery discards it — which is why Abort is only valid for xid-tagged
-// groups (a plain xid-0 record would be replayed). The aborted stamps'
-// sequences are never reissued (stampSeq has moved past them, recovery
-// resumes past every record on disk): a permanent, harmless gap.
-func (pg *PreparedGroup) Abort() error {
-	if pg.done {
-		return errTxnFinished()
-	}
-	if pg.xid == 0 {
-		return fmt.Errorf("relational: cannot abort a prepared group without a transaction id (its record would replay)")
-	}
-	pg.done = true
-	db := pg.db
-	db.mu.Lock()
-	for _, t := range pg.live {
-		_ = t.undoFromLocked(0)
-		t.log = nil
-	}
-	db.mu.Unlock()
-	db.commitMu.Unlock()
-	for _, t := range pg.live {
-		db.forget(t)
-	}
-	return nil
 }
 
 // publish replaces every claim stamp the transaction placed with the

@@ -24,11 +24,20 @@ import (
 // batch — the one place commits share a flush — before any of the
 // batch's version stamps become visible. A process that dies at any
 // instant — mid-write, between write and fsync, during rotation or
-// checkpointing — recovers at Open to exactly the set of transactions
+// checkpointing — recovers at open to exactly the set of transactions
 // whose commit record was durable: no lost acknowledged commits, no
 // torn partial applies, torn tails discarded.
 //
-// On-disk layout of a WAL directory:
+// One log serves one or more MEMBER databases (OpenLog): the shards of
+// a view keep their own rows, page stores, commit sequences and commit
+// latches, and share the segment chain and its writer stage. A record
+// of a one-member log is a 'G' group payload; a record of a wider log
+// carries one (member, group payload) sub-record per database it
+// commits on, so a transaction across members is one record, one fsync,
+// atomic by its single CRC.
+//
+// On-disk layout of a WAL directory (a member's page store lives in its
+// own directory; a one-member log usually shares the log's):
 //
 //	wal-0000000001.seg        sealed segment (immutable once rotated away)
 //	wal-0000000002.seg        active segment (append-only)
@@ -50,10 +59,11 @@ import (
 // survivors sharing their pages) into fresh pages and appends one
 // directory record, keeping the pause O(dirty-pages), not O(database);
 // the directory log folds into a compact base asynchronously inside the
-// store. Segments whose records all precede the last checkpoint are
-// recycled or deleted, and recovery maps the page directory (pages
-// fault in lazily through the buffer pool on first read) and then
-// replays only records with newer sequences.
+// store. A sealed segment is retired once every member's checkpoint has
+// passed the highest sequence it holds for that member, and recovery
+// maps each member's pages (values fault in lazily through the buffer
+// pool on first read) and then replays only records with newer
+// sequences.
 
 // walSegmentPrefix/walSegmentSuffix name segment files; the embedded
 // index is monotonic and never reused.
@@ -73,8 +83,8 @@ const (
 
 // Record payload type tags.
 const (
-	walTagGroup    = 'G' // one commit group: N transactions' redo
-	walTagXidGroup = 'X' // commit group tagged with a cross-shard xid
+	walTagGroup  = 'G' // one commit group: N transactions' redo, member 0
+	walTagMember = 'S' // one (member, 'G' payload) sub-record per member
 )
 
 // Row-operation tags inside a group record.
@@ -96,20 +106,16 @@ type WALOptions struct {
 	// last checkpoint. Zero leaves checkpointing to explicit Checkpoint
 	// calls and the StartCheckpointer ticker.
 	CheckpointEverySegments int
-	// Coordinator is the cross-shard coordinator log as this shard's
-	// recovery sees it, set by the shard group that owns it; without one,
-	// xid-tagged records replay unconditionally.
-	Coordinator Coordinator
 	// CheckpointDeltaLimit bounds the page-directory log chain: each
 	// incremental checkpoint appends one directory record (dirty pages
 	// only) until this many accumulate, then the store folds the chain
 	// into a fresh compact base asynchronously. Zero means the default
 	// (8).
 	CheckpointDeltaLimit int
-	// PageCacheBytes caps the buffer pool holding decoded checkpoint
-	// pages: cold committed rows drop their in-memory values and fault
-	// back in through this pool, so the dataset may exceed RAM. Zero
-	// means the default (256 MiB).
+	// PageCacheBytes caps each member's buffer pool holding decoded
+	// checkpoint pages: cold committed rows drop their in-memory values
+	// and fault back in through this pool, so the dataset may exceed RAM.
+	// Zero means the default (256 MiB).
 	PageCacheBytes int64
 	// PreallocateSegments extends each new active segment to
 	// SegmentBytes at creation, so appends never grow the file and the
@@ -117,19 +123,6 @@ type WALOptions struct {
 	// trailing run of zero bytes as preallocation slack, not a torn
 	// record.
 	PreallocateSegments bool
-}
-
-// Coordinator is what one shard's recovery asks the cross-shard
-// coordinator log, whose record — the only thing a cross-shard commit
-// flushes — carries the xid-tagged record each shard log merely appended.
-type Coordinator interface {
-	// Committed reports whether the log holds the xid: a scanned
-	// xid-tagged record replays only then (xid 0 always replays).
-	Committed(xid uint64) bool
-	// FramesAfter returns, concatenated in log order (this shard's
-	// sequence order), the framed group records the log holds for this
-	// shard whose last sequence exceeds seq, for recoverFrom to replay.
-	FramesAfter(seq uint64) []byte
 }
 
 func (o WALOptions) withDefaults() WALOptions {
@@ -145,7 +138,8 @@ func (o WALOptions) withDefaults() WALOptions {
 	return o
 }
 
-// RecoveryInfo reports what Open's replay found and restored.
+// RecoveryInfo reports what opening a log found and restored for one
+// member.
 type RecoveryInfo struct {
 	// CheckpointSeq is the commit sequence of the recovered page
 	// directory (zero when the directory had no checkpoint state).
@@ -171,79 +165,67 @@ type RecoveryInfo struct {
 	TruncatedBytes int64 `json:"truncated_bytes"`
 	// CommitSeq is the commit sequence after recovery.
 	CommitSeq uint64 `json:"commit_seq"`
-	// MaxXid is the largest cross-shard transaction id seen in any
-	// scanned group record, replayed or filtered; a shard-group
-	// coordinator resumes xid allocation above it.
-	MaxXid uint64 `json:"max_xid,omitempty"`
-	// FilteredTxns counts xid-tagged transactions the Coordinator does
-	// not hold (prepared but never committed cross-shard), discarded.
-	FilteredTxns int64 `json:"filtered_txns,omitempty"`
-	// RepairedTxns counts, within ReplayedTxns, committed cross-shard
-	// transactions replayed from the Coordinator's copy, their own lost.
-	RepairedTxns int64 `json:"repaired_txns,omitempty"`
-	// RecoveryNanos is the wall time OpenWAL spent recovering (directory
-	// mapping plus segment replay, or the initial checkpoint when the
-	// directory was fresh). Shard groups open WALs in parallel, so the
-	// group's recovery time is the max of these, not the sum.
+	// RecoveryNanos is the wall time opening the log took (page mapping
+	// and segment replay, members in parallel, or the initial checkpoint
+	// when the directory was fresh).
 	RecoveryNanos int64 `json:"recovery_nanos,omitempty"`
 }
 
 // ErrWALClosed reports an append against a closed WAL (post-shutdown).
 var ErrWALClosed = errors.New("relational: write-ahead log is closed")
 
-// sealedSegment is a rotated-away segment awaiting checkpoint deletion.
+// sealedSegment is a rotated-away segment awaiting checkpoint retirement.
 type sealedSegment struct {
-	index uint64
-	path  string
+	index  uint64
+	path   string
+	maxSeq []uint64 // per member: the highest sequence the segment holds
 }
 
-// WAL is the durable log attached to a Database by OpenWAL. Group
-// records are enqueued under the database's commit latch and appended
-// by the single writer goroutine; the small internal mutex only guards
-// the sealed-segment list, which checkpoints mutate outside that latch.
+// WAL is the durable log attached to its member databases by OpenLog
+// (OpenWAL for one). Records are enqueued under the members' commit
+// latches and appended by the single writer goroutine; the small
+// internal mutex only guards the sealed-segment and free lists, which
+// checkpoints mutate outside those latches.
 type WAL struct {
-	dir  string
-	opts WALOptions
+	dir     string
+	opts    WALOptions
+	members []*Database // member i's sub-records carry index i
 
-	f        *os.File // active segment; owned by the writer stage
-	segIndex uint64   // active segment's index
-	segBytes int64    // bytes appended to the active segment
-	closed   bool     // set by Close; guarded by commitMu like f
+	f         *os.File // active segment; owned by the writer stage
+	segIndex  uint64   // active segment's index
+	segBytes  int64    // bytes appended to the active segment
+	activeMax []uint64 // per member: highest sequence in the active segment
+	closed    bool     // set by Close under every member's commitMu
 
 	mu     sync.Mutex
 	sealed []sealedSegment
 	free   []string // recycled segment files awaiting reuse (guarded by mu)
 
-	// pipe is the WAL writer stage's queue: commit groups are enqueued
-	// under commitMu (so queue order IS sequence order) and the writer
-	// goroutine writes, fsyncs and publishes them strictly in that
-	// order.
+	// pipe is the WAL writer stage's queue: records are enqueued under
+	// their members' commit latches (so each member's queue order IS its
+	// sequence order) and the writer goroutine writes, fsyncs and
+	// publishes them strictly in that order.
 	pipe       chan *walReq
 	writerDone chan struct{}
 	pipeDepth  atomic.Int64
 
-	ckptMu        sync.Mutex // serializes Checkpoint runs
-	checkpointSeq atomic.Uint64
-
-	// pager owns the paged checkpoint store and its buffer pool; set
-	// once by OpenWAL before the database serves traffic.
-	pager *pager
+	ckptMu sync.Mutex // serializes Checkpoint runs
 
 	appends      atomic.Int64
 	bytes        atomic.Int64
 	fsyncs       atomic.Int64
-	rotations    atomic.Int64
-	checkpoints  atomic.Int64
+	groupCommits atomic.Int64 // fsynced writer batches
+	groupedTxns  atomic.Int64 // transactions they published
+	acrossFsyncs atomic.Int64 // of those batches, ones carrying a multi-member record
 	sealedSinceC atomic.Int64 // sealed segments since the last checkpoint
 	recycled     atomic.Int64 // segments reused from the free list
-	chainLen     atomic.Int64 // published delta-chain length gauge
 
 	// fsyncHist records each commit-path fsync's duration; lastFsyncNs
 	// holds the most recent one so a traced apply can split its commit
-	// wait into publish time vs fsync time. ckptPauseHist
-	// records each checkpoint pass's full duration — the stall the
-	// caller that triggered it (usually a commit piggybacking
-	// maybeCheckpoint) observes.
+	// wait into publish time vs fsync time. ckptPauseHist records each
+	// checkpoint pass's full duration — the stall the caller that
+	// triggered it (usually a commit piggybacking maybeCheckpoint)
+	// observes.
 	fsyncHist       *obs.Histogram
 	lastFsyncNs     atomic.Int64
 	ckptPauseHist   *obs.Histogram
@@ -369,12 +351,16 @@ type walOp struct {
 	values []Value // nil for deletes
 }
 
-// walTxn is one decoded committed transaction. xid is non-zero only for
-// groups prepared under a cross-shard two-phase commit.
+// walTxn is one decoded committed transaction.
 type walTxn struct {
 	seq uint64
-	xid uint64
 	ops []walOp
+}
+
+// walSub is one member's part of a decoded record.
+type walSub struct {
+	member int
+	txns   []walTxn
 }
 
 // appendTxnOpsBody encodes one transaction's operations — everything in
@@ -383,7 +369,7 @@ type walTxn struct {
 // version (insert/update) carries the after-image, a delete needs only
 // the row address, and execution order is kept so replay reproduces
 // intra-transaction sequencing (insert→update→delete of the same row)
-// exactly. stampGroup calls this BEFORE taking the commit latch so the
+// exactly. Commits call this BEFORE taking the commit latch so the
 // latch covers only validation and stamping; assembleGroupPayload
 // splices the sequences in afterwards.
 func appendTxnOpsBody(b []byte, t *Txn) []byte {
@@ -412,19 +398,12 @@ func appendTxnOpsBody(b []byte, t *Txn) []byte {
 	return b
 }
 
-// assembleGroupPayload builds a commit-group record from pre-encoded
-// per-txn bodies plus the sequences stamped under the latch, appended
-// into a caller-owned (pooled) buffer. xid 0 writes the original 'G'
-// format; a cross-shard xid switches the tag to 'X' and prefixes the
-// xid, so logs written before sharding existed still decode. The output
-// is byte-identical to the tests' reference encoder on the same group.
-func assembleGroupPayload(out []byte, xid uint64, live []*Txn, bodies [][]byte) []byte {
-	if xid == 0 {
-		out = append(out, walTagGroup)
-	} else {
-		out = append(out, walTagXidGroup)
-		out = binary.AppendUvarint(out, xid)
-	}
+// assembleGroupPayload appends a 'G' group payload built from
+// pre-encoded per-txn bodies plus the sequences stamped under the latch.
+// The output is byte-identical to the tests' reference encoder on the
+// same group.
+func assembleGroupPayload(out []byte, live []*Txn, bodies [][]byte) []byte {
+	out = append(out, walTagGroup)
 	out = binary.AppendUvarint(out, uint64(len(live)))
 	for i, t := range live {
 		out = binary.AppendUvarint(out, t.seq)
@@ -433,24 +412,89 @@ func assembleGroupPayload(out []byte, xid uint64, live []*Txn, bodies [][]byte) 
 	return out
 }
 
-// decodeGroupPayload parses one group record payload. It is total:
-// arbitrary byte soup returns errWALCorrupt, never panics — the fuzzer
-// holds it to that.
-func decodeGroupPayload(b []byte) ([]walTxn, error) {
-	if len(b) < 1 || (b[0] != walTagGroup && b[0] != walTagXidGroup) {
-		return nil, errWALCorrupt
+// uvarintLen is the encoded length of v.
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
+}
+
+// encodeRecord frames req's record into buf (which must be empty): a
+// 'G' payload on a one-member log, otherwise
+//
+//	'S', uvarint parts, parts × (uvarint member, uvarint len, 'G' payload)
+//
+// — reserved header, payload assembled in place, header backfilled.
+func (w *WAL) encodeRecord(buf []byte, req *walReq) []byte {
+	frame := beginFrame(buf)
+	if len(w.members) == 1 {
+		p := &req.parts[0]
+		frame = assembleGroupPayload(frame, p.live, p.bodies)
+	} else {
+		frame = append(frame, walTagMember)
+		frame = binary.AppendUvarint(frame, uint64(len(req.parts)))
+		for i := range req.parts {
+			p := &req.parts[i]
+			n := 1 + uvarintLen(uint64(len(p.live)))
+			for j, t := range p.live {
+				n += uvarintLen(t.seq) + len(p.bodies[j])
+			}
+			frame = binary.AppendUvarint(frame, uint64(p.db.member))
+			frame = binary.AppendUvarint(frame, uint64(n))
+			frame = assembleGroupPayload(frame, p.live, p.bodies)
+		}
 	}
-	tag := b[0]
+	finishFrame(frame)
+	return frame
+}
+
+// decodeRecord parses one record payload into its members' parts,
+// appended to subs. It is total: arbitrary byte soup returns
+// errWALCorrupt, never panics, and sizes nothing by a length the bytes
+// merely claim — the fuzzer holds it to that.
+func decodeRecord(b []byte, subs []walSub) ([]walSub, error) {
+	if len(b) > 0 && b[0] == walTagGroup {
+		txns, err := decodeGroupPayload(b)
+		return append(subs, walSub{txns: txns}), err
+	}
+	if len(b) == 0 || b[0] != walTagMember {
+		return subs, errWALCorrupt
+	}
 	b = b[1:]
-	xid := uint64(0)
-	if tag == walTagXidGroup {
-		var sz int
-		xid, sz = binary.Uvarint(b)
-		if sz <= 0 || xid == 0 {
-			return nil, errWALCorrupt
+	parts, sz := binary.Uvarint(b)
+	if sz <= 0 || parts > uint64(len(b)) {
+		return subs, errWALCorrupt
+	}
+	b = b[sz:]
+	for range parts {
+		member, sz := binary.Uvarint(b)
+		if sz <= 0 || member > math.MaxInt32 {
+			return subs, errWALCorrupt
 		}
 		b = b[sz:]
+		n, sz := binary.Uvarint(b)
+		if sz <= 0 || n > uint64(len(b)-sz) {
+			return subs, errWALCorrupt
+		}
+		txns, err := decodeGroupPayload(b[sz : sz+int(n)])
+		if err != nil {
+			return subs, err
+		}
+		subs = append(subs, walSub{member: int(member), txns: txns})
+		b = b[sz+int(n):]
 	}
+	if len(b) != 0 {
+		return subs, errWALCorrupt
+	}
+	return subs, nil
+}
+
+// decodeGroupPayload parses one 'G' group payload. It is total, like
+// decodeRecord.
+func decodeGroupPayload(b []byte) ([]walTxn, error) {
+	if len(b) < 1 || b[0] != walTagGroup {
+		return nil, errWALCorrupt
+	}
+	b = b[1:]
 	ntxns, sz := binary.Uvarint(b)
 	if sz <= 0 || ntxns > uint64(len(b)) {
 		return nil, errWALCorrupt
@@ -468,7 +512,7 @@ func decodeGroupPayload(b []byte) ([]walTxn, error) {
 			return nil, errWALCorrupt
 		}
 		b = b[sz:]
-		t := walTxn{seq: seq, xid: xid, ops: make([]walOp, 0, nops)}
+		t := walTxn{seq: seq, ops: make([]walOp, 0, nops)}
 		for range nops {
 			if len(b) < 1 {
 				return nil, errWALCorrupt
@@ -519,9 +563,9 @@ func decodeGroupPayload(b []byte) ([]walTxn, error) {
 }
 
 // walFramePool recycles the commit path's frame-encode buffers: one
-// Get/Put per group append instead of two fresh allocations (payload +
-// frame copy) per fsynced group. Buffers grow to the largest group seen
-// and stay that size.
+// Get/Put per record append instead of two fresh allocations (payload +
+// frame copy) per fsynced group. Buffers grow to the largest record
+// seen and stay that size.
 var walFramePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
@@ -539,18 +583,9 @@ func finishFrame(frame []byte) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
-// frameGroup encodes one framed group record into buf (which must be
-// empty): reserved header, payload assembled in place, header
-// backfilled — one buffer, no copies.
-func frameGroup(buf []byte, xid uint64, live []*Txn, bodies [][]byte) []byte {
-	frame := assembleGroupPayload(beginFrame(buf), xid, live, bodies)
-	finishFrame(frame)
-	return frame
-}
-
-// ScanFrames walks [len uint32][crc32 uint32][payload] frames (segment
-// files and the shard group's coordinator log), calling visit with each
-// payload whose length and CRC hold; it returns the accepted prefix length.
+// ScanFrames walks [len uint32][crc32 uint32][payload] frames, calling
+// visit with each payload whose length and CRC hold; it returns the
+// accepted prefix length.
 func ScanFrames(data []byte, visit func(payload []byte) bool) (valid int64) {
 	for {
 		rest := data[valid:]
@@ -567,20 +602,6 @@ func ScanFrames(data []byte, visit func(payload []byte) bool) (valid int64) {
 		}
 		valid += walFrameHeaderSize + n
 	}
-}
-
-// scanFrames returns the decoded group records of a segment's intact
-// frames plus the offset where the valid prefix ends. Any malformed frame
-// — short header, oversized length, short payload, CRC mismatch,
-// undecodable payload — ends the scan: write-ahead discipline means
-// nothing after the first bad frame was ever acknowledged as committed.
-func scanFrames(data []byte) (txns []walTxn, validOffset int64) {
-	validOffset = ScanFrames(data, func(payload []byte) bool {
-		decoded, err := decodeGroupPayload(payload)
-		txns = append(txns, decoded...)
-		return err == nil
-	})
-	return txns, validOffset
 }
 
 // ---- append path ------------------------------------------------------
@@ -611,13 +632,13 @@ func (w *WAL) rotate() error {
 		return err
 	}
 	w.mu.Lock()
-	w.sealed = append(w.sealed, sealedSegment{index: w.segIndex, path: segmentPath(w.dir, w.segIndex)})
+	w.sealed = append(w.sealed, sealedSegment{index: w.segIndex, path: segmentPath(w.dir, w.segIndex), maxSeq: w.activeMax})
 	w.mu.Unlock()
+	w.activeMax = make([]uint64, len(w.members))
 	w.sealedSinceC.Add(1)
 	if err := w.openSegment(w.segIndex + 1); err != nil {
 		return err
 	}
-	w.rotations.Add(1)
 	return evalFailpoint(FpWALRotateOpen)
 }
 
@@ -732,268 +753,275 @@ func (w *WAL) retireSegment(s sealedSegment) error {
 	return nil
 }
 
-// Segments returns the number of segment files currently live (sealed
-// but not yet checkpoint-truncated, plus the active one).
-func (w *WAL) Segments() int64 {
-	w.mu.Lock()
-	n := int64(len(w.sealed))
-	w.mu.Unlock()
-	if !w.closed {
-		n++
-	}
-	return n
-}
-
-// ---- Database integration --------------------------------------------
+// ---- opening and recovery ---------------------------------------------
 
 // OpenWAL attaches a durable write-ahead log under dir to the database,
-// first recovering whatever a previous process left there. It must be
-// called before the database serves traffic.
-//
-// If dir holds an earlier checkpoint or segments, the database's
-// in-memory contents are REPLACED by the recovered state: the live pages
-// are read into value-less row stubs, then committed transactions
-// replay from the segments in order, and a torn tail (incomplete or
-// CRC-failing final record) is discarded. Otherwise the database's
-// current contents are checkpointed as the initial durable image: every
-// row is marked dirty once and the ordinary incremental pass writes
-// them. Either way, every subsequent commit's record is appended and
-// fsynced before its transactions become visible.
-// (A large dataset is better streamed in with Load afterwards; a zero
-// RecoveryInfo.CommitSeq says nothing was ever committed here.)
+// its only member, with its page store in the same directory, first
+// recovering whatever a previous process left there. See OpenLog.
 func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) {
-	if db.wal != nil {
-		return nil, fmt.Errorf("relational: database already has a WAL (dir %s)", db.wal.dir)
+	_, infos, err := OpenLog(dir, opts, []*Database{db}, []string{dir})
+	if err != nil {
+		return nil, err
+	}
+	return &infos[0], nil
+}
+
+// OpenLog attaches ONE durable write-ahead log under dir to every
+// member: member i keeps its page store under pageDirs[i], its commit
+// sequence and its commit latch, and its records carry index i. It must
+// be called before the members serve traffic.
+//
+// A member with earlier state in its page directory or the log has its
+// in-memory contents REPLACED: its live pages are read into value-less
+// row stubs (members in parallel), the log is read once and each
+// record's sub-records replay on their members (in parallel again) past
+// each member's checkpoint, and a torn tail is discarded. A fresh
+// member's current contents become its initial durable image: every
+// row is marked dirty once for the ordinary incremental pass. (A large
+// dataset is better streamed in with Load afterwards; a zero
+// RecoveryInfo.CommitSeq says nothing was ever committed.)
+func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string) (*WAL, []RecoveryInfo, error) {
+	for _, db := range members {
+		if db.wal != nil {
+			return nil, nil, fmt.Errorf("relational: database already has a WAL (dir %s)", db.wal.dir)
+		}
 	}
 	openStart := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w := &WAL{
 		dir:           dir,
 		opts:          opts.withDefaults(),
+		members:       members,
+		activeMax:     make([]uint64, len(members)),
 		fsyncHist:     obs.NewDurationHistogram(),
 		ckptPauseHist: obs.NewDurationHistogram(),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var segs []uint64
-	var recycleFiles []string
 	for _, e := range entries {
 		name := e.Name()
 		if idx, ok := parseSegmentIndex(name); ok {
 			segs = append(segs, idx)
 		}
 		if strings.HasPrefix(name, walRecyclePrefix) && strings.HasSuffix(name, walRecycleSuffix) {
-			recycleFiles = append(recycleFiles, filepath.Join(dir, name))
+			// Reusable as-is: takeRecycled scrubs a file before it
+			// re-enters service, and recovery never scans them.
+			w.free = append(w.free, filepath.Join(dir, name))
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Strings(recycleFiles)
-	// Recycled files left by a previous process are reusable as-is:
-	// takeRecycled scrubs them before they re-enter service, and
-	// recovery never scans them.
-	w.free = recycleFiles
+	sort.Strings(w.free)
 
-	// The page store recovers its directory unconditionally; a fresh
-	// directory just yields an empty Recovered.
-	store, rec, err := pagestore.Open(dir, pagestore.Options{
-		DirLogLimit: w.opts.CheckpointDeltaLimit,
-		Failpoint:   evalFailpoint,
+	infos := make([]RecoveryInfo, len(members))
+	var fresh atomic.Bool
+	detach := func() {
+		for _, db := range members {
+			if db.pager != nil {
+				db.pager.store.Close()
+			}
+			db.wal, db.pager = nil, nil
+		}
+	}
+	// Every member's page store recovers its directory (a fresh one just
+	// yields an empty Recovered); the live pages are read in parallel.
+	err = parallel(len(members), func(i int) error {
+		db := members[i]
+		if err := os.MkdirAll(pageDirs[i], 0o755); err != nil {
+			return err
+		}
+		store, rec, err := pagestore.Open(pageDirs[i], pagestore.Options{
+			DirLogLimit: w.opts.CheckpointDeltaLimit,
+			Failpoint:   evalFailpoint,
+		})
+		if err != nil {
+			return fmt.Errorf("relational: page store: %w", err)
+		}
+		db.wal, db.member, db.pager = w, i, newPager(store, w.opts.PageCacheBytes)
+		if len(segs) == 0 && rec.Seq == 0 && rec.Records == 0 {
+			// What the database holds was committed with no log to mark
+			// it dirty in: mark every row once for the initial pass.
+			fresh.Store(true)
+			for _, td := range db.tables {
+				for id := range td.rows {
+					td.markDirtyRow(id)
+				}
+			}
+			return nil
+		}
+		db.resetStorage()
+		if rec.Seq > 0 || rec.Records > 0 {
+			rows, err := db.restoreFromPages(&rec)
+			if err != nil {
+				return fmt.Errorf("relational: checkpoint: %w", err)
+			}
+			infos[i].CheckpointSeq, infos[i].CheckpointRows, infos[i].CheckpointDeltas = rec.Seq, rows, rec.Records
+			db.checkpointSeq.Store(rec.Seq)
+			db.commitSeq.Store(rec.Seq)
+			db.stampSeq.Store(rec.Seq)
+		}
+		db.chainLen.Store(int64(db.pager.store.Stats().DirChainLen))
+		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("relational: page store: %w", err)
-	}
-	w.pager = newPager(store, w.opts.PageCacheBytes)
-	// Attach before recovery: segment replay materializes paged stubs
-	// through db.wal.pager. Detached again on every error path below.
-	db.wal = w
-
-	info := &RecoveryInfo{Segments: len(segs)}
-	nextIndex := uint64(1)
+	next := uint64(1)
 	if len(segs) > 0 {
-		nextIndex = segs[len(segs)-1] + 1
+		next = segs[len(segs)-1] + 1
+		if err == nil {
+			err = w.recover(segs, infos)
+		}
 	}
-	fresh := len(segs) == 0 && rec.Seq == 0 && rec.Records == 0
-	var repair []byte
-	if !fresh {
-		if repair, err = db.recoverFrom(w, dir, segs, &rec, info); err != nil {
-			db.wal = nil
-			store.Close()
-			return nil, err
-		}
-		// Recovered segments stay on disk until the next checkpoint
-		// supersedes them; register them for that truncation.
-		for _, idx := range segs {
-			w.sealed = append(w.sealed, sealedSegment{index: idx, path: segmentPath(dir, idx)})
-		}
-		w.sealedSinceC.Store(int64(len(segs)))
-	}
-	err = w.openSegment(nextIndex)
-	if err == nil && len(repair) > 0 {
-		// Before the log serves traffic, so that no later commit can land
-		// behind a gap; a crash before this fsync just repeats the repair.
-		if _, err = w.f.Write(repair); err == nil {
-			err = w.f.Sync()
-		}
-		w.segBytes = int64(len(repair))
-		w.bytes.Add(w.segBytes)
-		w.fsyncs.Add(1)
+	if err == nil {
+		err = w.openSegment(next)
 	}
 	if err != nil {
-		if w.f != nil {
-			w.f.Close()
-		}
-		db.wal = nil
-		store.Close()
-		return nil, err
+		detach()
+		return nil, nil, err
 	}
-	w.opts.Coordinator = nil // recovery-only: let the coordinator's frames go
-	db.walRecoveredTxns.Store(info.ReplayedTxns)
 	w.pipe = make(chan *walReq, 128)
 	w.writerDone = make(chan struct{})
-	go w.writerLoop(db)
-	if fresh {
-		// Fresh directory: what the database already holds was committed
-		// with no log to mark it dirty in, so mark every row once and let
-		// the ordinary pass write the initial image (possibly empty).
-		for _, td := range db.tables {
-			for id := range td.rows {
-				td.markDirtyRow(id)
-			}
-		}
-		if err := db.Checkpoint(); err != nil {
+	go w.writerLoop()
+	if fresh.Load() {
+		if err := w.Checkpoint(); err != nil {
 			w.stopWriter()
-			db.wal = nil
 			w.f.Close()
-			store.Close()
-			return nil, err
+			detach()
+			return nil, nil, err
 		}
 	}
-	info.CommitSeq = db.commitSeq.Load()
-	info.RecoveryNanos = time.Since(openStart).Nanoseconds()
-	return info, nil
+	for i, db := range members {
+		db.walRecoveredTxns.Store(infos[i].ReplayedTxns)
+		infos[i].CommitSeq = db.commitSeq.Load()
+		infos[i].RecoveryNanos = time.Since(openStart).Nanoseconds()
+	}
+	return w, infos, nil
 }
 
-// recoverFrom rebuilds the database from the recovered page directory
-// and the segment chain: wipe, read the live pages into value-less row
-// stubs and index entries, replay newer committed transactions, discard the
-// torn tail, then replay — and return, for OpenWAL to re-append — what
-// the Coordinator holds past the last sequence the segments do. That is
-// exactly the lost committed records: a shard's commit latch is held from
-// a prepare's stamp to its publish, so append order is sequence order and
-// a crash loses a suffix; no acknowledged single-shard commit is in it
-// (its fsync covered all before it, and a prepare stamped behind it was
-// not written until that fsync returned), only prepares and commits
-// nobody was told about. The commit sequence resumes past every record on
-// disk, filtered ones included, so none it has seen is reissued.
-func (db *Database) recoverFrom(w *WAL, dir string, segs []uint64, rec *pagestore.Recovered, info *RecoveryInfo) (repair []byte, err error) {
-	db.resetStorage()
-	if rec.Seq > 0 || rec.Records > 0 {
-		rows, err := db.restoreFromPages(w, rec)
-		if err != nil {
-			return nil, fmt.Errorf("relational: checkpoint: %w", err)
-		}
-		w.checkpointSeq.Store(rec.Seq)
-		info.CheckpointSeq = rec.Seq
-		info.CheckpointRows = rows
-		info.CheckpointDeltas = rec.Records
-		db.commitSeq.Store(rec.Seq)
-	}
-	w.chainLen.Store(int64(w.pager.store.Stats().DirChainLen))
-
-	ckptSeq := info.CheckpointSeq
-	last := ckptSeq // highest sequence the log still holds
-	replay := func(t walTxn, where string) error {
-		if err := db.replayTxn(t); err != nil {
-			return fmt.Errorf("relational: replay %s: %w", where, err)
-		}
-		info.ReplayedTxns++
-		info.ReplayedOps += int64(len(t.ops))
-		return nil
-	}
-	stopped := false
-	trimmed := false
+// recover reads the segment chain once, fans each record's sub-records
+// out to their members, discards the torn tail, then replays every
+// member's newer transactions, members in parallel. Each member's
+// records appear in its sequence order (they were enqueued under its
+// commit latch), and its commit sequence resumes past every record of
+// it on disk, so none is reissued.
+func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
+	n := len(w.members)
+	perMember := make([][]walTxn, n)
+	stopped, trimmed, torn := false, false, int64(0)
+	var subs []walSub
 	for _, idx := range segs {
-		path := segmentPath(dir, idx)
+		path := segmentPath(w.dir, idx)
 		if stopped {
 			// Past the first bad record nothing was ever acknowledged;
 			// remove later segments so a future recovery cannot replay
 			// beyond the same stopping point.
 			if err := os.Remove(path); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		txns, valid := scanFrames(data)
-		for _, t := range txns {
-			if t.xid > info.MaxXid {
-				info.MaxXid = t.xid
+		maxSeq := make([]uint64, n)
+		var bad error
+		valid := ScanFrames(data, func(payload []byte) bool {
+			subs, err = decodeRecord(payload, subs[:0])
+			if err != nil {
+				return false
 			}
-			if t.seq > last {
-				last = t.seq
+			for _, s := range subs {
+				if s.member >= n {
+					bad = fmt.Errorf("relational: segment %d names member %d of %d", idx, s.member, n)
+					return false
+				}
+				perMember[s.member] = append(perMember[s.member], s.txns...)
+				if k := len(s.txns); k > 0 {
+					maxSeq[s.member] = max(maxSeq[s.member], s.txns[k-1].seq)
+				}
 			}
-			if t.seq <= ckptSeq {
-				continue // already inside the checkpoint image
-			}
-			if c := w.opts.Coordinator; t.xid != 0 && c != nil && !c.Committed(t.xid) {
-				// Prepared under a cross-shard transaction the coordinator
-				// never recorded as committed: every shard discards it, so
-				// no shard exposes a torn half of the transaction.
-				info.FilteredTxns++
-				continue
-			}
-			if err := replay(t, fmt.Sprintf("segment %d", idx)); err != nil {
-				return nil, err
-			}
+			return true
+		})
+		if bad != nil {
+			return bad
 		}
+		// Recovered segments stay on disk until a checkpoint supersedes
+		// them; register them for that retirement.
+		w.sealed = append(w.sealed, sealedSegment{index: idx, path: path, maxSeq: maxSeq})
 		if valid < int64(len(data)) {
+			if err := os.Truncate(path, valid); err != nil {
+				return err
+			}
 			if allZero(data[valid:]) {
 				// Preallocation slack: the segment was extended at creation
 				// and the zeros were never overwritten by records. Trim the
 				// slack quietly and keep scanning — nothing was torn.
-				if err := os.Truncate(path, valid); err != nil {
-					return nil, err
-				}
 				trimmed = true
 				continue
 			}
-			info.TornTail = true
-			info.TruncatedBytes += int64(len(data)) - valid
-			if err := os.Truncate(path, valid); err != nil {
-				return nil, err
-			}
+			torn += int64(len(data)) - valid
 			stopped = true
 		}
 	}
-	if info.TornTail || trimmed {
-		if err := SyncDir(dir); err != nil {
-			return nil, err
+	if stopped || trimmed {
+		if err := SyncDir(w.dir); err != nil {
+			return err
 		}
 	}
-	if c := w.opts.Coordinator; c != nil {
-		repair = c.FramesAfter(last)
-		txns, valid := scanFrames(repair)
-		if valid != int64(len(repair)) {
-			return nil, fmt.Errorf("relational: coordinator frames past sequence %d: %w", last, errWALCorrupt)
+	w.sealedSinceC.Store(int64(len(w.sealed)))
+	return parallel(n, func(i int) error {
+		db, info := w.members[i], &infos[i]
+		info.Segments, info.TornTail, info.TruncatedBytes = len(segs), stopped, torn
+		if err := db.replay(perMember[i], info); err != nil {
+			return fmt.Errorf("relational: replay member %d: %w", i, err)
 		}
-		for _, t := range txns {
-			if err := replay(t, "coordinator frame"); err != nil {
-				return nil, err
-			}
-			info.RepairedTxns++
-			last = t.seq
+		return nil
+	})
+}
+
+// replay reapplies, in order, the transactions past the database's
+// checkpoint and moves its commit sequence past every one it is given,
+// so no sequence on disk is reissued.
+func (db *Database) replay(txns []walTxn, info *RecoveryInfo) error {
+	for _, t := range txns {
+		if t.seq > db.commitSeq.Load() {
+			db.commitSeq.Store(t.seq)
+			db.stampSeq.Store(t.seq)
+		}
+		if t.seq <= db.CheckpointSeq() {
+			continue // already inside the checkpoint image
+		}
+		if err := db.replayTxn(t); err != nil {
+			return err
+		}
+		info.ReplayedTxns++
+		info.ReplayedOps += int64(len(t.ops))
+	}
+	return nil
+}
+
+// parallel runs fn(i) for every i in [0, n) concurrently and returns the
+// lowest-index error.
+func parallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	db.commitSeq.Store(last)
-	db.stampSeq.Store(last)
-	return repair, nil
+	return nil
 }
 
 // allZero reports whether every byte is zero — the signature of
@@ -1015,9 +1043,24 @@ func (db *Database) resetStorage() {
 	db.nextRowID = 1
 	db.commitSeq.Store(0)
 	db.stampSeq.Store(0)
-	if w := db.wal; w != nil && w.pager != nil {
-		w.pager.rowSlot = make(map[string]map[RowID]uint32)
+	if db.pager != nil {
+		db.pager.rowSlot = make(map[string]map[RowID]uint32)
 	}
+}
+
+// ReplayGroup replays one 'G' group payload from a log this one
+// replaced — a shard group's one-time migration of its old per-shard
+// logs — as recovery replays its own records, counting into info. Only
+// before the database serves traffic.
+func (db *Database) ReplayGroup(payload []byte, info *RecoveryInfo) error {
+	txns, err := decodeGroupPayload(payload)
+	if err != nil {
+		return err
+	}
+	before := info.ReplayedTxns
+	err = db.replay(txns, info)
+	db.walRecoveredTxns.Add(info.ReplayedTxns - before)
+	return err
 }
 
 // replayTxn reapplies one committed transaction's row operations. The
@@ -1076,32 +1119,40 @@ func (db *Database) replayTxn(t walTxn) error {
 	return nil
 }
 
-// Checkpoint persists the committed state durably and truncates the
-// segments it supersedes. Most passes are INCREMENTAL: only the rows
-// dirtied since the previous checkpoint (plus the clean survivors
-// sharing their superseded pages) are packed into fresh copy-on-write
-// heap pages and installed with one page-directory record, so the
-// pause costs O(dirty-pages), not O(database); the store folds its
-// directory log into a compact base asynchronously, off the pause
-// path. Commits are blocked only for the writer-stage drain, sequence
-// pin, dirty-set swap and segment rotation; page packing runs against
-// the pinned MVCC snapshot while traffic proceeds. Crash-safe at every
-// step: fresh pages are written and fsynced strictly before the
-// directory record that references them, and only after that record is
-// durable are superseded segments retired — recovery handles a death
-// between any two of those steps (orphaned pages freed, prior
-// directory+segments replayed, or new state mapped with
-// already-covered records skipped by sequence).
-//
-// After the install is durable, freshly checkpointed clean rows are
-// stamped with their page slot and — when eligible — demoted to
-// value-less stubs, which is what lets the reclaimer shed cold rows
-// from memory.
+// ---- checkpoints ------------------------------------------------------
+
+// Checkpoint runs one checkpoint pass over every member of the
+// database's log (a no-op without one); see WAL.Checkpoint.
 func (db *Database) Checkpoint() error {
-	w := db.wal
-	if w == nil {
+	if db.wal == nil {
 		return nil
 	}
+	return db.wal.Checkpoint()
+}
+
+// ckptPass is one member's share of a checkpoint: the sequence pinned at
+// the barrier, a snapshot at it and the dirty set swapped out with it.
+type ckptPass struct {
+	seq   uint64
+	snap  *Snapshot
+	dirty map[string]map[RowID]struct{}
+}
+
+// Checkpoint persists every member's committed state durably and
+// retires the segments it supersedes. The log is quiesced ONCE: under
+// every member's commit latch (in member order) the writer stage drains
+// to a barrier, each member pins its sequence, a snapshot and its dirty
+// set, and the active segment rotates, so every sealed segment precedes
+// every pinned sequence. Then the latches drop and the members' page
+// installs run in parallel while traffic proceeds: only the rows
+// dirtied since the previous pass (plus the clean survivors sharing
+// their superseded pages) go into fresh copy-on-write pages under one
+// directory record, so the pause is O(dirty-pages), and freshly paged
+// clean rows may be demoted to value-less stubs. Crash-safe at every
+// step: pages are fsynced before the directory record naming them, and
+// a sealed segment is retired only once every member's durable
+// checkpoint has passed the highest sequence it holds for that member.
+func (w *WAL) Checkpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 
@@ -1112,95 +1163,112 @@ func (db *Database) Checkpoint() error {
 		w.lastCkptPauseNs.Store(ns)
 	}()
 
-	db.commitMu.Lock()
+	unlock := w.lockMembers()
 	if w.closed {
-		db.commitMu.Unlock()
+		unlock()
 		return ErrWALClosed
 	}
-	// Drain the writer stage: once the barrier reports ready, every
-	// enqueued group is durable and published (commitSeq has caught up
-	// to stampSeq) and the writer is parked until resume closes, so
-	// rotating the active segment cannot race its file handle.
 	b := &walBarrier{ready: make(chan struct{}), resume: make(chan struct{})}
 	w.pipe <- &walReq{barrier: b}
 	<-b.ready
-	seq := db.commitSeq.Load()
-	snap := db.Snapshot()
-	dirty := db.swapDirtyRowsLocked()
-	err := w.rotate() // sealed segments now all precede seq
+	passes := make([]ckptPass, len(w.members))
+	for i, db := range w.members {
+		passes[i] = ckptPass{seq: db.commitSeq.Load(), snap: db.Snapshot(), dirty: db.swapDirtyRowsLocked()}
+	}
+	err := w.rotate() // sealed segments now all precede every pinned seq
 	close(b.resume)
-	db.commitMu.Unlock()
+	unlock()
 
-	fail := func(e error) error {
-		snap.Close()
-		db.mergeDirtyRows(dirty)
-		return e
-	}
 	if err != nil {
-		return fail(fmt.Errorf("relational: checkpoint rotate: %w", err))
+		for i, db := range w.members {
+			passes[i].snap.Close()
+			db.mergeDirtyRows(passes[i].dirty)
+		}
+		return fmt.Errorf("relational: checkpoint rotate: %w", err)
 	}
-	w.mu.Lock()
-	supersede := make([]sealedSegment, len(w.sealed))
-	copy(supersede, w.sealed)
-	w.mu.Unlock()
+	err = parallel(len(w.members), func(i int) error { return w.members[i].installPages(passes[i]) })
+	if err == nil {
+		w.sealedSinceC.Store(0)
+	}
+	if ferr := evalFailpoint(FpCheckpointTruncate); ferr != nil {
+		return ferr
+	}
+	// Even when an install failed, the others may have freed segments.
+	if rerr := w.retire(); err == nil {
+		err = rerr
+	}
+	return err
+}
 
-	// Only the dirty set and its page-mates move; the store folds its own
-	// directory chain.
-	plan, err := db.buildPageInstalls(snap, dirty)
-	if err != nil {
-		return fail(err)
+// lockMembers takes every member's commit latch in member order and
+// returns the release.
+func (w *WAL) lockMembers() (unlock func()) {
+	for _, db := range w.members {
+		db.commitMu.Lock()
 	}
-	if err := evalFailpoint(FpCheckpointWrite); err != nil {
-		return fail(err)
+	return func() {
+		for _, db := range w.members {
+			db.commitMu.Unlock()
+		}
 	}
-	// Install even when the plan is empty: the directory record durably
-	// advances the checkpoint sequence, which is what lets the segments
-	// rotated away above be retired.
-	placements, err := w.pager.store.Install(seq, plan.installs, plan.freedSlots)
+}
+
+// installPages writes one member's share of a checkpoint pass: the dirty
+// set and its page-mates, packed into fresh pages and installed at the
+// pinned sequence. On failure the dirty set goes back to the tables.
+func (db *Database) installPages(p ckptPass) error {
+	plan, err := db.buildPageInstalls(p.snap, p.dirty)
+	if err == nil {
+		err = evalFailpoint(FpCheckpointWrite)
+	}
+	var placements []pagestore.PageInfo
+	if err == nil {
+		// Install even when the plan is empty: the directory record
+		// durably advances the checkpoint sequence, which is what lets the
+		// segments rotated away be retired.
+		placements, err = db.pager.store.Install(p.seq, plan.installs, plan.freedSlots)
+	}
 	if err != nil {
-		return fail(err)
+		p.snap.Close()
+		db.mergeDirtyRows(p.dirty)
+		return err
 	}
 	// Publish with the snapshot still open: its registration blocks the
 	// reclaimer from dropping rows deleted after the pin before their
 	// page mappings are cleared.
-	db.applyPagePlacements(seq, placements, plan)
-	snap.Close()
-	w.chainLen.Store(int64(w.pager.store.Stats().DirChainLen))
-	return w.finishCheckpoint(seq, supersede)
+	db.applyPagePlacements(p.seq, placements, plan)
+	p.snap.Close()
+	db.chainLen.Store(int64(db.pager.store.Stats().DirChainLen))
+	db.checkpointSeq.Store(p.seq)
+	db.checkpoints.Add(1)
+	return nil
 }
 
-// finishCheckpoint publishes the new checkpoint sequence and retires
-// what it supersedes: sealed segments go to the recycle list (or are
-// deleted past its cap).
-func (w *WAL) finishCheckpoint(seq uint64, supersede []sealedSegment) error {
-	w.checkpointSeq.Store(seq)
-	w.checkpoints.Add(1)
-	w.sealedSinceC.Store(0)
-	if err := evalFailpoint(FpCheckpointTruncate); err != nil {
-		return err
+// retire disposes of every sealed segment all of whose records every
+// member's durable checkpoint covers (to the recycle list, or deleted
+// past its cap).
+func (w *WAL) retire() error {
+	w.mu.Lock()
+	var done, kept []sealedSegment
+	for _, s := range w.sealed {
+		covered := true
+		for i, seq := range s.maxSeq {
+			covered = covered && seq <= w.members[i].checkpointSeq.Load()
+		}
+		if covered {
+			done = append(done, s)
+		} else {
+			kept = append(kept, s)
+		}
 	}
-	for _, s := range supersede {
+	w.sealed = kept
+	w.mu.Unlock()
+	for _, s := range done {
 		if err := w.retireSegment(s); err != nil {
 			return err
 		}
 	}
-	if err := SyncDir(w.dir); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	remaining := w.sealed[:0]
-	superseded := make(map[uint64]bool, len(supersede))
-	for _, s := range supersede {
-		superseded[s.index] = true
-	}
-	for _, s := range w.sealed {
-		if !superseded[s.index] {
-			remaining = append(remaining, s)
-		}
-	}
-	w.sealed = remaining
-	w.mu.Unlock()
-	return nil
+	return SyncDir(w.dir)
 }
 
 // maybeCheckpoint runs a checkpoint when enough segments have sealed
@@ -1211,16 +1279,16 @@ func (db *Database) maybeCheckpoint() {
 		return
 	}
 	if w.sealedSinceC.Load() >= int64(w.opts.CheckpointEverySegments) {
-		_ = db.Checkpoint()
+		_ = w.Checkpoint()
 	}
 }
 
-// StartCheckpointer checkpoints on the given interval in a background
-// goroutine until the returned stop function is called (idempotent).
-// Intervals with no commits skip the pass, so an idle database costs
-// nothing. Long-running hosts (the ufilterd daemon) use it to bound
-// recovery replay time; CheckpointEverySegments bounds it by volume
-// instead.
+// StartCheckpointer checkpoints the database's log on the given interval
+// in a background goroutine until the returned stop function is called
+// (idempotent). Intervals with no appends skip the pass, so an idle log
+// costs nothing. Long-running hosts (the ufilterd daemon) use it to
+// bound recovery replay time; CheckpointEverySegments bounds it by
+// volume instead. One ticker serves every member of a log.
 func (db *Database) StartCheckpointer(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = 30 * time.Second
@@ -1241,7 +1309,7 @@ func (db *Database) StartCheckpointer(interval time.Duration) (stop func()) {
 				}
 				if n := w.appends.Load(); n != lastAppends {
 					lastAppends = n
-					_ = db.Checkpoint()
+					_ = w.Checkpoint()
 				}
 			}
 		}
@@ -1250,16 +1318,20 @@ func (db *Database) StartCheckpointer(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// CloseWAL seals the write-ahead log for shutdown: final fsync, close.
-// Further commits fail with ErrWALFailed (wrapping ErrWALClosed); reads
-// keep working. Idempotent.
+// CloseWAL closes the database's log — for every member; see WAL.Close.
 func (db *Database) CloseWAL() error {
-	w := db.wal
-	if w == nil {
+	if db.wal == nil {
 		return nil
 	}
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
+	return db.wal.Close()
+}
+
+// Close seals the write-ahead log for shutdown: final fsync, close, and
+// every member's page store closed. Further commits fail with
+// ErrWALFailed (wrapping ErrWALClosed); reads of resident rows keep
+// working. Idempotent.
+func (w *WAL) Close() error {
+	defer w.lockMembers()()
 	if w.closed {
 		return nil
 	}
@@ -1272,17 +1344,44 @@ func (db *Database) CloseWAL() error {
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	// Closing the page store waits out any in-flight base compaction.
-	// Rows still materialized in memory stay readable; a read that
-	// would fault a page from the closed store panics, so callers stop
-	// traffic before shutdown (the server does).
-	if p := w.pager; p != nil {
-		if serr := p.store.Close(); err == nil {
+	// Closing a page store waits out any in-flight base compaction. Rows
+	// still materialized in memory stay readable; a read that would fault
+	// a page from a closed store panics, so callers stop traffic before
+	// shutdown (the server does).
+	for _, db := range w.members {
+		if serr := db.pager.store.Close(); err == nil {
 			err = serr
 		}
 	}
 	return err
 }
+
+// Stats reports the log's own counters — segments, bytes, fsyncs, the
+// commit groups and transactions its writer stage published, the
+// recycle and pipeline gauges; every other field is zero. A one-member
+// database folds them into its own Stats; a shard group adds them to
+// its members' sum once.
+func (w *WAL) Stats() DBStats {
+	w.mu.Lock()
+	live := int64(len(w.sealed)) // sealed but not yet retired ...
+	w.mu.Unlock()
+	if !w.closed {
+		live++ // ... plus the active one
+	}
+	return DBStats{
+		WALSegments:         live,
+		WALBytes:            w.bytes.Load(),
+		Fsyncs:              w.fsyncs.Load(),
+		GroupCommits:        w.groupCommits.Load(),
+		GroupedTxns:         w.groupedTxns.Load(),
+		WALRecycledSegments: w.recycled.Load(),
+		WALPipelineDepth:    w.pipeDepth.Load(),
+	}
+}
+
+// AcrossFsyncs counts the commit-path fsyncs that made a record across
+// members durable.
+func (w *WAL) AcrossFsyncs() int64 { return w.acrossFsyncs.Load() }
 
 // WALDir returns the attached log's directory ("" without a WAL).
 func (db *Database) WALDir() string {
@@ -1292,16 +1391,12 @@ func (db *Database) WALDir() string {
 	return db.wal.dir
 }
 
-// CheckpointSeq returns the last DURABLE checkpoint's commit sequence (0
-// without a WAL): recovery skips every record at or below it.
-func (db *Database) CheckpointSeq() uint64 {
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.checkpointSeq.Load()
-}
+// CheckpointSeq returns the database's last DURABLE checkpoint's commit
+// sequence (0 without a WAL): recovery skips every record at or below
+// it.
+func (db *Database) CheckpointSeq() uint64 { return db.checkpointSeq.Load() }
 
-// FsyncHistogram snapshots the WAL fsync duration distribution (empty
+// FsyncHistogram snapshots the log's fsync duration distribution (empty
 // when no WAL is attached).
 func (db *Database) FsyncHistogram() obs.Snapshot {
 	if db.wal == nil {
@@ -1310,10 +1405,10 @@ func (db *Database) FsyncHistogram() obs.Snapshot {
 	return db.wal.fsyncHist.Snapshot()
 }
 
-// LastFsyncNanos returns the duration of the most recent commit-path
-// WAL fsync, or 0 without a WAL. A traced apply reads it right after
-// its Commit returns to attribute fsync time within the commit wait it
-// observed.
+// LastFsyncNanos returns the duration of the log's most recent
+// commit-path fsync, or 0 without a WAL. A traced apply reads it right
+// after its Commit returns to attribute fsync time within the commit
+// wait it observed.
 func (db *Database) LastFsyncNanos() int64 {
 	if db.wal == nil {
 		return 0
@@ -1321,9 +1416,9 @@ func (db *Database) LastFsyncNanos() int64 {
 	return db.wal.lastFsyncNs.Load()
 }
 
-// CheckpointPauseHistogram snapshots the distribution of checkpoint
-// pass durations — the stall observed by whichever caller triggered the
-// pass (empty when no WAL is attached).
+// CheckpointPauseHistogram snapshots the distribution of the log's
+// checkpoint pass durations — the stall observed by whichever caller
+// triggered the pass (empty when no WAL is attached).
 func (db *Database) CheckpointPauseHistogram() obs.Snapshot {
 	if db.wal == nil {
 		return obs.Snapshot{}

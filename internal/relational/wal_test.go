@@ -485,7 +485,7 @@ func TestWALGroupPayloadRoundTrip(t *testing.T) {
 		}},
 		{seq: 9, ops: nil},
 	}
-	got, err := decodeGroupPayload(encodeGroupPayload(0, txns))
+	got, err := decodeGroupPayload(encodeGroupPayload(txns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,40 +513,38 @@ func TestWALGroupPayloadRoundTrip(t *testing.T) {
 // FuzzWALRecordDecode holds the record decoder to its contract: never
 // panic on arbitrary bytes, and when a payload does decode, re-encoding
 // the decoded form must reproduce an equivalent record (the corpus
-// seeds it with real encodings). Equivalence is byte equality of the
-// re-encodings: a NaN float decodes unequal to itself but keeps its bits
-// (testdata/fuzz/FuzzWALRecordDecode/nan-float-value).
+// seeds it with real encodings, one-member 'G' payloads and records of
+// several members' sub-records alike). Equivalence is byte equality of
+// the re-encodings: a NaN float decodes unequal to itself but keeps its
+// bits (testdata/fuzz/FuzzWALRecordDecode/nan-float-value), and a lone
+// member-0 sub-record re-encodes as the 'G' payload it is equivalent to.
 func FuzzWALRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{walTagGroup})
-	f.Add([]byte{walTagXidGroup})
-	f.Add(encodeGroupPayload(0, nil))
-	f.Add(encodeGroupPayload(0, []walTxn{{seq: 1, ops: []walOp{
+	f.Add([]byte{walTagMember})
+	f.Add(encodeGroupPayload(nil))
+	f.Add(encodeGroupPayload([]walTxn{{seq: 1, ops: []walOp{
 		{kind: walOpInsert, table: "parent", id: 1, values: []Value{Int_(1), String_("a")}},
 		{kind: walOpDelete, table: "parent", id: 1},
 	}}}))
-	f.Add(encodeGroupPayload(0, []walTxn{{seq: 1 << 40, ops: []walOp{
+	f.Add(encodeGroupPayload([]walTxn{{seq: 1 << 40, ops: []walOp{
 		{kind: walOpUpdate, table: "x", id: 1 << 33, values: []Value{Float_(-1.5), Null()}},
 	}}}))
-	f.Add(encodeGroupPayload(42, []walTxn{{seq: 5, xid: 42, ops: []walOp{
+	f.Add(encodeRecordPayload([]walSub{{member: 1, txns: []walTxn{{seq: 5, ops: []walOp{
 		{kind: walOpInsert, table: "parent", id: 2, values: []Value{Int_(2), Null()}},
-	}}}))
+	}}}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		txns, err := decodeGroupPayload(data)
+		subs, err := decodeRecord(data, nil)
 		if err != nil {
 			return
 		}
-		xid := uint64(0)
-		if len(txns) > 0 {
-			xid = txns[0].xid
-		}
-		re := encodeGroupPayload(xid, txns)
-		again, err := decodeGroupPayload(re)
+		re := encodeRecordPayload(subs)
+		again, err := decodeRecord(re, nil)
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
 		}
-		if !bytes.Equal(encodeGroupPayload(xid, again), re) {
-			t.Fatalf("round-trip drift:\nfirst  %+v\nsecond %+v", txns, again)
+		if !bytes.Equal(encodeRecordPayload(again), re) {
+			t.Fatalf("round-trip drift:\nfirst  %+v\nsecond %+v", subs, again)
 		}
 	})
 }

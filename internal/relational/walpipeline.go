@@ -3,48 +3,46 @@ package relational
 import (
 	"fmt"
 	"os"
+	"sync"
 	"time"
 )
 
 // The WAL writer stage is the one place commits are batched, and it
-// decouples commit durability from the commit latch. There is no
+// decouples commit durability from the commit latches. There is no
 // scheduler above it: every committer calls Commit, and whatever queued
-// while the previous fsync ran is the next batch. The committing
-// goroutine encodes its group's record off-latch,
-// then under commitMu only validates, assigns sequences and replaces
-// claim stamps before handing the record to this stage and releasing
-// the latch — so group N+1 validates and stamps while group N's fsync
-// is in flight. The stage is a single goroutine draining a channel
-// whose enqueue order IS sequence order (enqueues happen under
-// commitMu), which makes it a sequence barrier for free: it writes and
-// fsyncs each drained batch with ONE fsync, then publishes the batch's
-// groups strictly in order — advancing commitSeq only after the group's
+// while the previous fsync ran is the next batch — single-member groups
+// of any members and transactions across members alike. The committing
+// goroutine encodes its record's bodies off-latch, then under its
+// members' commit latches only validates, assigns sequences and
+// replaces claim stamps before handing the record to this stage and
+// releasing the latches — so group N+1 validates and stamps while group
+// N's fsync is in flight. The stage is a single goroutine draining a
+// channel whose enqueue order IS each member's sequence order (a record
+// is enqueued under the latches of every member it commits on), which
+// makes it a sequence barrier for free: it writes and fsyncs each
+// drained batch with ONE fsync, then publishes the batch's records
+// strictly in order — advancing each member's commitSeq only after the
 // record is durable — so no snapshot can ever observe group N+1 without
-// group N, and an fsync failure rolls back exactly the affected groups
-// with every follower notified.
-//
-// A 2PC prepare rides the same queue, so its acknowledgement still means
-// "every earlier group has published", but the stage only APPENDS its
-// record: the coordinator's record, which carries the same bytes, is what
-// makes a cross-shard commit durable (Coordinator in wal.go). A batch
-// holding only a prepare issues no fsync; one also holding a commit group
-// flushes once, and a failed flush fails both. The preparer holds commitMu
-// until it publishes or aborts, so a prepare is the last of its batch.
+// group N, and an fsync failure rolls back exactly the affected records
+// on every member they touch, with every waiter notified.
 
-// walReq is one unit of work for the writer stage: a commit group to
-// make durable and publish, a 2PC prepare (appended, NOT flushed for and
-// NOT published — the preparer publishes or aborts under the latch it
-// still holds), a checkpoint barrier, or a stop request.
-type walReq struct {
-	xid    uint64
+// walPart is one member's share of a record: its stamped transactions,
+// their pre-encoded op bodies and the last sequence stamped.
+type walPart struct {
+	db     *Database
 	live   []*Txn
-	bodies [][]byte // pre-encoded per-txn op bodies, parallel to live
-	seq    uint64   // last sequence stamped into the group
+	bodies [][]byte // parallel to live
+	seq    uint64
+}
 
-	// frame is a prepare's record, framed by the preparer because the
-	// coordinator's record needs the same bytes; nil for a commit group.
-	frame []byte
-	err   error // set by the write phase; routes to rollback
+// walReq is one unit of work for the writer stage: a record to make
+// durable and publish (a part per member it commits on, ascending by
+// member), a checkpoint barrier, or a stop request.
+type walReq struct {
+	parts []walPart
+	one   [1]walPart  // parts' backing store for a single-member record
+	vec   sync.Locker // held across a multi-part publish; may be nil
+	err   error       // set by the write phase; routes to rollback
 
 	// Where the record landed, for truncating failed batch tails.
 	segIndex uint64
@@ -53,13 +51,13 @@ type walReq struct {
 
 	barrier *walBarrier
 	stop    bool
-	done    chan error // buffered(1); receives the group's commit outcome
+	done    chan error // buffered(1); receives the record's commit outcome
 }
 
 // walBarrier quiesces the writer for a checkpoint: when ready closes,
-// every earlier group is durable and published and the writer parks
+// every earlier record is durable and published and the writer parks
 // until resume closes — so the checkpoint can rotate the active segment
-// (the writer's file handle) under commitMu without racing it.
+// (the writer's file handle) under the commit latches without racing it.
 type walBarrier struct {
 	ready  chan struct{}
 	resume chan struct{}
@@ -67,7 +65,7 @@ type walBarrier struct {
 
 // writerLoop is the writer stage: drain whatever has queued, process it
 // as one batch (one fsync), repeat. Runs until a stop request.
-func (w *WAL) writerLoop(db *Database) {
+func (w *WAL) writerLoop() {
 	defer close(w.writerDone)
 	for {
 		req, ok := <-w.pipe
@@ -84,32 +82,29 @@ func (w *WAL) writerLoop(db *Database) {
 				break drain
 			}
 		}
-		if w.runBatch(db, batch) {
+		if w.runBatch(batch) {
 			return
 		}
 	}
 }
 
-// runBatch writes every group record in the batch, fsyncs once, then
-// publishes (or rolls back) each group in order. Returns true on a stop
-// request. The writer NEVER takes commitMu: stamping already happened,
-// publishing is a single atomic store, and rollback needs only db.mu.
-func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
+// runBatch writes every record in the batch, fsyncs once, then publishes
+// (or rolls back) each in order. Returns true on a stop request. The
+// writer NEVER takes a commit latch: stamping already happened,
+// publishing is a store per member, and rollback needs only each
+// member's db.mu.
+func (w *WAL) runBatch(batch []*walReq) (stopped bool) {
 	// Phase A: write all records, fsyncing at rotation boundaries and
 	// once at the end. unsynced tracks the reqs written since the last
 	// sync (always within the active segment: rotate syncs what it
-	// seals); mustSync says one of them is a commit group. durable is
-	// where a failed sync truncates back to: the length the batch found —
-	// which keeps every prepare an earlier batch appended and acknowledged
-	// without a flush — or the end of its own last good sync.
+	// seals); durable is where a failed sync truncates back to: the
+	// length the batch found, or the end of its own last good sync.
 	var unsynced []*walReq
-	mustSync := false
 	durable := w.segBytes
 	flush := func() {
-		if !mustSync {
+		if len(unsynced) == 0 {
 			return
 		}
-		mustSync = false
 		if err := w.syncActive(); err != nil {
 			w.truncateTo(durable)
 			for _, r := range unsynced {
@@ -118,13 +113,19 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 		} else {
 			durable = w.segBytes
 			// One commit group: every record this fsync made durable.
-			db.groupCommits.Add(1)
+			w.groupCommits.Add(1)
+			for _, r := range unsynced {
+				if len(r.parts) > 1 {
+					w.acrossFsyncs.Add(1)
+					break
+				}
+			}
 		}
 		unsynced = unsynced[:0]
 	}
 	for _, req := range batch {
 		if req.barrier != nil || req.stop {
-			continue // barrier/stop are enqueued under commitMu, hence last
+			continue // barrier/stop are enqueued under every latch, hence last
 		}
 		if w.segBytes >= w.opts.SegmentBytes {
 			flush()
@@ -139,7 +140,6 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 			continue
 		}
 		unsynced = append(unsynced, req)
-		mustSync = mustSync || req.frame == nil
 	}
 	flush()
 
@@ -152,42 +152,64 @@ func (w *WAL) runBatch(db *Database, batch []*walReq) (stopped bool) {
 		case req.barrier != nil:
 			close(req.barrier.ready)
 			<-req.barrier.resume
-		case req.frame != nil:
-			// Appended (or failed) — but publishing is the preparer's call;
-			// it still holds commitMu and rolls back on error itself.
-			w.pipeDepth.Add(-1)
-			req.done <- req.err
 		case req.err != nil:
-			w.failGroup(db, req)
+			w.failRecord(req)
 		default:
 			if err := evalFailpoint(FpPipelinePublishBefore); err != nil {
-				// The record IS durable; failing the group means it must
-				// not survive on disk either, or recovery would replay a
-				// rolled-back group. Truncate this record and everything
+				// The record IS durable; failing it means it must not
+				// survive on disk either, or recovery would replay a
+				// rolled-back commit. Truncate this record and everything
 				// after it (all of which is failing too).
 				w.truncateBatchTail(batch, i, err)
-				w.failGroup(db, req)
+				w.failRecord(req)
 				continue
 			}
-			db.commitSeq.Store(req.seq)
-			db.groupedTxns.Add(int64(len(req.live)))
-			for _, t := range req.live {
-				t.log = nil
-			}
-			for _, t := range req.live {
-				db.forget(t)
-			}
-			w.pipeDepth.Add(-1)
-			req.done <- nil
+			w.publishRecord(req)
 		}
 	}
 	return false
 }
 
+// publish advances each part's commit sequence past its stamps — under
+// vec, if any, so a vector reader sees all the parts or none.
+func (req *walReq) publish() {
+	if req.vec != nil {
+		req.vec.Lock()
+		defer req.vec.Unlock()
+	}
+	for i := range req.parts {
+		req.parts[i].db.commitSeq.Store(req.parts[i].seq)
+	}
+}
+
+// publishRecord makes a durable record visible and acknowledges it.
+func (w *WAL) publishRecord(req *walReq) {
+	req.publish()
+	txns := int64(1) // a record across members is one transaction
+	if len(req.parts) == 1 {
+		txns = int64(len(req.parts[0].live))
+	}
+	w.groupedTxns.Add(txns)
+	req.finish()
+	w.pipeDepth.Add(-1)
+	req.done <- nil
+}
+
+// failRecord rolls back every part of a stamped record whose bytes never
+// became (or were not allowed to remain) durable. Its stamps never
+// published — no commitSeq reached them — so popping the versions under
+// each member's db.mu is invisible to every reader, exactly like a
+// rollback.
+func (w *WAL) failRecord(req *walReq) {
+	req.undo()
+	w.pipeDepth.Add(-1)
+	req.done <- fmt.Errorf("%w: %v", ErrWALFailed, req.err)
+}
+
 // stopWriter drains and stops the writer stage: every already-enqueued
-// group is written, fsynced and published (or rolled back) before the
-// stop request acknowledges. Callers hold commitMu or otherwise exclude
-// committers, so the stop request is necessarily last in the queue.
+// record is written, fsynced and published (or rolled back) before the
+// stop request acknowledges. Callers hold every member's commitMu, so
+// the stop request is necessarily last in the queue.
 func (w *WAL) stopWriter() {
 	req := &walReq{stop: true, done: make(chan error, 1)}
 	w.pipe <- req
@@ -195,22 +217,19 @@ func (w *WAL) stopWriter() {
 	<-w.writerDone
 }
 
-// writeFrame appends one group's framed record to the active segment
-// without syncing. On error the partial bytes are truncated away and
-// segBytes stays put, so the failure cannot corrupt later records.
+// writeFrame appends one record's frame to the active segment without
+// syncing. On error the partial bytes are truncated away and segBytes
+// stays put, so the failure cannot corrupt later records.
 func (w *WAL) writeFrame(req *walReq) error {
 	if err := evalFailpoint(FpWALAppendBefore); err != nil {
 		return err
 	}
-	frame := req.frame
-	if frame == nil {
-		bufp := walFramePool.Get().(*[]byte)
-		frame = frameGroup((*bufp)[:0], req.xid, req.live, req.bodies)
-		defer func() {
-			*bufp = frame[:0]
-			walFramePool.Put(bufp)
-		}()
-	}
+	bufp := walFramePool.Get().(*[]byte)
+	frame := w.encodeRecord((*bufp)[:0], req)
+	defer func() {
+		*bufp = frame[:0]
+		walFramePool.Put(bufp)
+	}()
 	req.segIndex = w.segIndex
 	req.off = w.segBytes
 	rest := frame
@@ -239,6 +258,10 @@ func (w *WAL) writeFrame(req *walReq) error {
 	}
 	w.segBytes += int64(wrote)
 	req.wrote = int64(wrote)
+	for i := range req.parts {
+		p := &req.parts[i]
+		w.activeMax[p.db.member] = max(w.activeMax[p.db.member], p.seq)
+	}
 	w.appends.Add(1)
 	w.bytes.Add(int64(wrote))
 	return nil
@@ -247,7 +270,7 @@ func (w *WAL) writeFrame(req *walReq) error {
 // syncActive fsyncs the active segment, recording the fsync duration.
 // An error (including the injected post-fsync fault, which fails the
 // commit even though the bytes are durable) tells the caller to
-// truncate back to the durable length and fail the unsynced groups.
+// truncate back to the durable length and fail the unsynced records.
 func (w *WAL) syncActive() error {
 	if err := evalFailpoint(FpWALFsyncBefore); err != nil {
 		return err
@@ -274,7 +297,7 @@ func (w *WAL) truncateTo(off int64) {
 
 // truncateBatchTail fails every request from index from onward and
 // removes their already-durable records from disk, so a recovery cannot
-// replay groups whose commits were rolled back. Requests may span a
+// replay records whose commits were rolled back. Requests may span a
 // rotation: sealed segments are truncated by path, the active one
 // through the writer's handle.
 func (w *WAL) truncateBatchTail(batch []*walReq, from int, cause error) {
@@ -299,22 +322,4 @@ func (w *WAL) truncateBatchTail(batch []*walReq, from int, cause error) {
 			_ = os.Truncate(segmentPath(w.dir, seg), off)
 		}
 	}
-}
-
-// failGroup rolls back one stamped group whose record never became (or
-// was not allowed to remain) durable. Its stamps never published —
-// commitSeq never reached them — so popping the versions under db.mu is
-// invisible to every reader, exactly like a rollback.
-func (w *WAL) failGroup(db *Database, req *walReq) {
-	db.mu.Lock()
-	for _, t := range req.live {
-		_ = t.undoFromLocked(0)
-		t.log = nil
-	}
-	db.mu.Unlock()
-	for _, t := range req.live {
-		db.forget(t)
-	}
-	w.pipeDepth.Add(-1)
-	req.done <- fmt.Errorf("%w: %v", ErrWALFailed, req.err)
 }

@@ -44,22 +44,31 @@ func walTxnsOf(live []*Txn) []walTxn {
 	return out
 }
 
-// encodeGroupPayload serializes one commit group record. xid 0 keeps
-// the original 'G' format byte-for-byte; a cross-shard xid switches the
-// tag to 'X' and prefixes the xid, so logs written before sharding
-// existed still decode.
-func encodeGroupPayload(xid uint64, txns []walTxn) []byte {
-	return appendGroupPayload(make([]byte, 0, 256), xid, txns)
+// encodeGroupPayload serializes one 'G' commit group payload.
+func encodeGroupPayload(txns []walTxn) []byte {
+	return appendGroupPayload(make([]byte, 0, 256), txns)
+}
+
+// encodeRecordPayload serializes a record of sub-records: a lone
+// member-0 sub-record as the 'G' payload a one-member log writes,
+// anything else as an 'S' record.
+func encodeRecordPayload(subs []walSub) []byte {
+	if len(subs) == 1 && subs[0].member == 0 {
+		return encodeGroupPayload(subs[0].txns)
+	}
+	b := binary.AppendUvarint([]byte{walTagMember}, uint64(len(subs)))
+	for _, s := range subs {
+		g := encodeGroupPayload(s.txns)
+		b = binary.AppendUvarint(b, uint64(s.member))
+		b = binary.AppendUvarint(b, uint64(len(g)))
+		b = append(b, g...)
+	}
+	return b
 }
 
 // appendGroupPayload is encodeGroupPayload into a caller-owned buffer.
-func appendGroupPayload(b []byte, xid uint64, txns []walTxn) []byte {
-	if xid == 0 {
-		b = append(b, walTagGroup)
-	} else {
-		b = append(b, walTagXidGroup)
-		b = binary.AppendUvarint(b, xid)
-	}
+func appendGroupPayload(b []byte, txns []walTxn) []byte {
+	b = append(b, walTagGroup)
 	b = binary.AppendUvarint(b, uint64(len(txns)))
 	for _, t := range txns {
 		b = binary.AppendUvarint(b, t.seq)

@@ -173,3 +173,49 @@ func TestConcurrentConflictingAppliesNo5xx(t *testing.T) {
 		t.Fatal("no conflicts recorded by the contended workload")
 	}
 }
+
+// TestApplyWALFailureAnswers503: an apply whose commit the write-ahead
+// log cannot make durable is the server's failure, not the update's: it
+// is answered 503 with a Retry-After, never 422, and leaves nothing
+// behind; once the log recovers the same apply commits.
+func TestApplyWALFailureAnswers503(t *testing.T) {
+	reg := NewRegistry()
+	reg.DataDir = t.TempDir()
+	v, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.CloseWALs()
+	srv := httptest.NewServer(New(reg).Handler())
+	defer srv.Close()
+	const insertReview = `{"update":"FOR $book IN document(\"BookView.xml\")/book WHERE $book/title/text() = \"Data on the Web\" UPDATE $book { INSERT <review><reviewid>991</reviewid><comment> durable </comment></review> }"}`
+	rows := v.Stats().RowsTotal
+
+	if err := relational.EnableFailpoint(relational.FpWALFsyncBefore, "error"); err != nil {
+		t.Fatal(err)
+	}
+	defer relational.DisableAllFailpoints()
+	resp, err := http.Post(srv.URL+"/views/book/apply", "application/json", strings.NewReader(insertReview))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("apply under a failing fsync: status %d, Retry-After %q; want 503 with one", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	relational.DisableFailpoint(relational.FpWALFsyncBefore)
+	if got := v.Stats().RowsTotal; got != rows {
+		t.Fatalf("rows_total %d after the failed apply, want %d", got, rows)
+	}
+	resp, err = http.Post(srv.URL+"/views/book/apply", "application/json", strings.NewReader(insertReview))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("apply after the fault cleared: status %d, want 200", resp.StatusCode)
+	}
+	if got := v.Stats().RowsTotal; got != rows+1 {
+		t.Fatalf("rows_total %d after the successful apply, want %d", got, rows+1)
+	}
+}

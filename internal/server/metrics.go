@@ -45,7 +45,7 @@ var viewMetrics = []struct {
 		func(st ViewStats) float64 { return float64(st.TxnsActive) }},
 	{"ufilterd_txns_started_total", "Transactions ever begun (including autocommit statements).", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.TxnsStarted) }},
-	{"ufilterd_group_commits_total", "Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, plus one per coordinator-log flush — the flush cross-shard commits ride).", "counter",
+	{"ufilterd_group_commits_total", "Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on).", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.GroupCommits) }},
 	{"ufilterd_grouped_txns_total", "Transactions committed through commit groups (a cross-shard transaction counts once).", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.GroupedTxns) }},
@@ -67,9 +67,9 @@ var viewMetrics = []struct {
 		func(st ViewStats) float64 { return float64(st.Filter.Database.StatementsExecuted) }},
 	{"ufilterd_wal_segments", "Durable WAL segment files currently live (0 without -data-dir).", "gauge",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.WALSegments) }},
-	{"ufilterd_wal_bytes_total", "Bytes appended to durable WAL segments and, on a sharded view, to the cross-shard coordinator log.", "counter",
+	{"ufilterd_wal_bytes_total", "Bytes appended to the view's durable WAL segments.", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.WALBytes) }},
-	{"ufilterd_wal_fsyncs_total", "fsync calls issued by the durable WAL (commit batches, segment seals, checkpoint installs) and, on a sharded view, by the cross-shard coordinator log (one per cross-shard commit batch; the shard logs do not flush for those).", "counter",
+	{"ufilterd_wal_fsyncs_total", "fsync calls issued by the view's durable WAL (commit batches, segment seals, checkpoint installs).", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.Fsyncs) }},
 	{"ufilterd_wal_checkpoints_total", "Durable WAL checkpoints installed.", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Database.Checkpoints) }},
@@ -163,16 +163,8 @@ func writeShardMetrics(b *strings.Builder, perView []struct {
 			func(s relational.ShardStat) float64 { return float64(s.Rows) }},
 		{"ufilterd_shard_txn_conflicts_total", "Write-write conflicts detected on the shard.", "counter",
 			func(s relational.ShardStat) float64 { return float64(s.Conflicts) }},
-		{"ufilterd_shard_wal_fsyncs_total", "WAL fsyncs issued by the shard (parallel across shards; none for a cross-shard commit, which flushes the coordinator log only).", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.Fsyncs) }},
-		{"ufilterd_shard_group_commits_total", "Commit groups flushed by the shard's own log (cross-shard commits are the coordinator log's groups).", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.GroupCommits) }},
 		{"ufilterd_shard_commit_seq", "Shard-local committed sequence number.", "gauge",
 			func(s relational.ShardStat) float64 { return float64(s.CommitSeq) }},
-		{"ufilterd_shard_wal_recycled_segments_total", "Active-segment opens served from the shard's recycle pool.", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.WALRecycledSegments) }},
-		{"ufilterd_shard_wal_pipeline_depth", "Commit groups queued or in flight in the shard's WAL writer stage.", "gauge",
-			func(s relational.ShardStat) float64 { return float64(s.WALPipelineDepth) }},
 		{"ufilterd_shard_checkpoint_delta_chain_len", "Incremental checkpoint deltas layered on the shard's base image.", "gauge",
 			func(s relational.ShardStat) float64 { return float64(s.CheckpointDeltaChainLen) }},
 		{"ufilterd_shard_checkpoint_last_pause_seconds", "Duration of the shard's most recent checkpoint pass.", "gauge",

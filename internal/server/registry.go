@@ -683,8 +683,8 @@ func (r *Registry) openStorage(v *View, schema *relational.Schema, fill func(rel
 		committed uint64
 	)
 	if shards > 1 {
-		// Each shard logs under <dir>/shard-<i>, beside a coordinator log
-		// for cross-shard commits.
+		// The shards share one log under <dir>; each keeps its pages
+		// under <dir>/shard-<i>.
 		sdb, srec, err := shard.New(schema, shards, shard.Options{Dir: dir, WAL: r.WALOptions})
 		if err != nil {
 			return nil, err

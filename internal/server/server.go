@@ -349,17 +349,13 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 	}
 	v.OfferSlow(tr.Summary()) // nil trace → zero summary → ignored
 	if err != nil {
-		if errors.Is(err, relational.ErrWriteConflict) {
-			// The apply exhausted its first-updater-wins retries against
-			// concurrent writers; the client should re-submit.
-			s.logger().Warn("apply conflicted", "view", v.Name, "err", err,
-				"latency_ms", float64(time.Since(reqStart))/float64(time.Millisecond))
-			writeError(w, http.StatusConflict,
-				"write-write conflict on view %q: %v", v.Name, err)
-			return
+		status := applyStatus(err)
+		s.logger().Warn("apply failed", "view", v.Name, "status", status, "err", err,
+			"latency_ms", float64(time.Since(reqStart))/float64(time.Millisecond))
+		if status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", "1")
 		}
-		s.logger().Warn("apply failed", "view", v.Name, "err", err)
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		writeError(w, status, "apply on view %q: %v", v.Name, err)
 		return
 	}
 	if wantTrace {
@@ -367,6 +363,22 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// applyStatus maps an apply's error to its HTTP status: a commit the
+// write-ahead log could not make durable is the server's trouble (503,
+// retry later: the update itself may be fine), a write-write conflict
+// that exhausted its retries is 409 (re-submit), and anything else is
+// the update's own fault (422).
+func applyStatus(err error) int {
+	switch {
+	case errors.Is(err, relational.ErrWALFailed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, relational.ErrWriteConflict):
+		return http.StatusConflict
+	default:
+		return http.StatusUnprocessableEntity
+	}
 }
 
 // handleApplyBatch runs a batch of updates through the group-commit

@@ -66,7 +66,7 @@ UPDATE $book {
 		`ufilterd_shards{view="book4"} 4`,
 		`ufilterd_shard_rows_total{view="book4",shard="0"}`,
 		`ufilterd_shard_rows_total{view="book4",shard="3"}`,
-		`ufilterd_shard_wal_fsyncs_total{view="book4",shard="0"}`,
+		`ufilterd_shard_commit_seq{view="book4",shard="0"}`,
 		`ufilterd_shard_txn_conflicts_total{view="book4",shard="0"}`,
 	} {
 		if !strings.Contains(text, want) {

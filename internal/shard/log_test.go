@@ -1,0 +1,474 @@
+package shard
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/relational"
+)
+
+// segments returns the group log's segment files under dir, oldest
+// first.
+func segments(t testing.TB, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// activeSegment returns the log's highest-indexed segment under dir.
+func activeSegment(t testing.TB, dir string) string {
+	t.Helper()
+	names := segments(t, dir)
+	if len(names) == 0 {
+		t.Fatalf("no segments under %s", dir)
+	}
+	return names[len(names)-1]
+}
+
+func fileSize(t testing.TB, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// frameEnds returns the end offset of every [len][crc][payload] frame in
+// data.
+func frameEnds(data []byte) []int64 {
+	var ends []int64
+	off := int64(0)
+	relational.ScanFrames(data, func(payload []byte) bool {
+		off += 8 + int64(len(payload))
+		ends = append(ends, off)
+		return true
+	})
+	return ends
+}
+
+func copyTree(t testing.TB, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pubRowID resolves a publisher's row id through w.
+func pubRowID(t testing.TB, w relational.Reader, pubid string) relational.RowID {
+	t.Helper()
+	ids, err := w.LookupEqual("publisher", []string{"pubid"}, []relational.Value{relational.String_(pubid)})
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("publisher %s: ids=%v err=%v", pubid, ids, err)
+	}
+	return ids[0]
+}
+
+// TestPowerLossCutPoints is the crash-atomicity proof for the one log. A
+// seeded mix of single- and cross-shard commits runs on 2 shards while
+// the test records, after every commit, how long the log is. Then the
+// log is cut at every frame boundary and once inside every frame — every
+// state a power loss can leave, before, inside and after each commit,
+// whatever it struck — and recovery must yield exactly the transactions
+// whose records the cut keeps whole: the acknowledged prefix plus at
+// most the commit in flight, a cross-shard transaction on all its shards
+// or none. Two consecutive recoveries must agree, and commits made after
+// the first must survive the second.
+func TestPowerLossCutPoints(t *testing.T) {
+	const commits = 12
+	base := t.TempDir()
+	db, _ := newGroupDir(t, 2, base)
+	seg := activeSegment(t, base)
+
+	// lens[k] is the log's length once commit k is acknowledged, want[k]
+	// the dump then.
+	lens, want := []int64{fileSize(t, seg)}, [][]string{dump(t, db)}
+	rng := rand.New(rand.NewSource(20240607))
+	var pubs [2][]string // publishers this test inserted, by shard
+	for k := 1; k <= commits; k++ {
+		cross := rng.Intn(10) < 6
+		single := rng.Intn(2)
+		txn := db.BeginTxn()
+		for s := 0; s < 2; s++ {
+			if !cross && s != single {
+				continue
+			}
+			if len(pubs[s]) > 0 && rng.Intn(3) == 0 {
+				// Rewrite an earlier row, so a replayed record must apply
+				// on top of exactly the state that preceded it.
+				pub := pubs[s][rng.Intn(len(pubs[s]))]
+				err := txn.UpdateRow("publisher", pubRowID(t, txn, pub), map[string]relational.Value{
+					"pubname": relational.String_(fmt.Sprintf("%s renamed by %d", pub, k))})
+				if err != nil {
+					t.Fatalf("commit %d: update %s: %v", k, pub, err)
+				}
+				continue
+			}
+			pub := pubOnShard(db, s, fmt.Sprintf("K%02d-", k))
+			insertPub(t, txn, pub, fmt.Sprintf("commit %d on %d", k, s))
+			pubs[s] = append(pubs[s], pub)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", k, err)
+		}
+		lens, want = append(lens, fileSize(t, seg)), append(want, dump(t, db))
+		if lens[k] <= lens[k-1] {
+			t.Fatalf("commit %d appended nothing to the log", k)
+		}
+	}
+	if db.CrossCommits() < 3 || db.CrossCommits() == commits {
+		t.Fatalf("workload has %d cross-shard commits of %d: not a mix", db.CrossCommits(), commits)
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []int64
+	for _, e := range frameEnds(data) {
+		cuts = append(cuts, e-1, e) // inside the frame, and right after it
+	}
+
+	cases := 0
+	for _, cut := range cuts {
+		k := sort.Search(len(lens), func(i int) bool { return lens[i] > cut }) - 1
+		if k < 0 {
+			continue // inside the seed's records: not this test's subject
+		}
+		cases++
+		name := fmt.Sprintf("log cut at %d (commit %d whole)", cut, k)
+		dir := t.TempDir()
+		copyTree(t, base, dir)
+		if err := os.Truncate(activeSegment(t, dir), cut); err != nil {
+			t.Fatal(err)
+		}
+		db1, _ := newGroupDir(t, 2, dir)
+		if got := dump(t, db1); !reflect.DeepEqual(got, want[k]) {
+			db1.CloseWAL()
+			t.Fatalf("%s: recovery is not the prefix:\n got %v\nwant %v", name, got, want[k])
+		}
+		// Life goes on: a single-shard commit, then a cross-shard one.
+		if _, err := db1.Insert("publisher", map[string]relational.Value{
+			"pubid": relational.String_(pubOnShard(db1, cases%2, "Z1-")), "pubname": relational.String_("alone after the crash")}); err != nil {
+			t.Fatalf("%s: commit after recovery: %v", name, err)
+		}
+		txn := db1.BeginTxn()
+		insertPub(t, txn, pubOnShard(db1, 0, "Z2-"), "after the crash 0")
+		insertPub(t, txn, pubOnShard(db1, 1, "Z2-"), "after the crash 1")
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("%s: cross-shard commit after recovery: %v", name, err)
+		}
+		after := dump(t, db1)
+		if err := db1.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		db2, _ := newGroupDir(t, 2, dir)
+		if got := dump(t, db2); !reflect.DeepEqual(got, after) {
+			db2.CloseWAL()
+			t.Fatalf("%s: second recovery differs from the first plus its commits:\n got %v\nwant %v", name, got, after)
+		}
+		db2.CloseWAL()
+	}
+	t.Logf("%d crash states recovered twice each", cases)
+}
+
+// TestCoordinatorFlushFailureAborts fails the one fsync a cross-shard
+// commit waits for, before and after the bytes are durable: every part
+// aborts on every shard, nothing of the transaction is visible or
+// recoverable (a failure reported after the fsync cuts the record back
+// off), the latches are free and the next commit succeeds.
+func TestCoordinatorFlushFailureAborts(t *testing.T) {
+	for _, fp := range []string{relational.FpWALFsyncBefore, relational.FpWALFsyncAfter} {
+		t.Run(fp, func(t *testing.T) {
+			dir := t.TempDir()
+			db, _ := newGroupDir(t, 2, dir)
+			want := dump(t, db)
+			if err := relational.EnableFailpoint(fp, "error"); err != nil {
+				t.Fatal(err)
+			}
+			defer relational.DisableAllFailpoints()
+			txn := db.BeginTxn()
+			insertPub(t, txn, pubOnShard(db, 0, "F"), "doomed 0")
+			insertPub(t, txn, pubOnShard(db, 1, "F"), "doomed 1")
+			if err := txn.Commit(); !errors.Is(err, relational.ErrWALFailed) {
+				t.Fatalf("commit under a failing fsync: %v, want ErrWALFailed", err)
+			}
+			relational.DisableAllFailpoints()
+			if got := dump(t, db); !reflect.DeepEqual(got, want) {
+				t.Fatalf("aborted transaction left a trace:\n got %v\nwant %v", got, want)
+			}
+			if db.CrossAborts() != 1 || db.CrossCommits() != 0 {
+				t.Fatalf("aborts=%d commits=%d, want 1 and 0", db.CrossAborts(), db.CrossCommits())
+			}
+			if st := db.Stats(); st.TxnsActive != 0 {
+				t.Fatalf("txns_active = %d after the abort", st.TxnsActive)
+			}
+			txn = db.BeginTxn()
+			insertPub(t, txn, pubOnShard(db, 0, "G"), "next 0")
+			insertPub(t, txn, pubOnShard(db, 1, "G"), "next 1")
+			if err := txn.Commit(); err != nil {
+				t.Fatalf("commit after the fault cleared: %v", err)
+			}
+			want = dump(t, db)
+			if err := db.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			db2, _ := newGroupDir(t, 2, dir)
+			defer db2.CloseWAL()
+			if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// TestFsyncFailureKeepsUnflushedPrepare: single-shard commits on both
+// shards whose fsync fails truncate their own records away — and must
+// not take the acknowledged cross-shard record before them with them.
+// The next commit succeeds, and the restart finds exactly the
+// acknowledged state.
+func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := newGroupDir(t, 2, dir)
+	txn := db.BeginTxn()
+	insertPub(t, txn, pubOnShard(db, 0, "H"), "acknowledged 0")
+	insertPub(t, txn, pubOnShard(db, 1, "H"), "acknowledged 1")
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	logLen := fileSize(t, activeSegment(t, dir))
+	if err := relational.EnableFailpoint(relational.FpWALFsyncBefore, "error"); err != nil {
+		t.Fatal(err)
+	}
+	defer relational.DisableAllFailpoints()
+	for s := 0; s < 2; s++ {
+		_, err := db.Insert("publisher", map[string]relational.Value{
+			"pubid": relational.String_(pubOnShard(db, s, "I")), "pubname": relational.String_(fmt.Sprintf("doomed %d", s))})
+		if !errors.Is(err, relational.ErrWALFailed) {
+			t.Fatalf("single-shard commit under a failing fsync: %v, want ErrWALFailed", err)
+		}
+	}
+	relational.DisableAllFailpoints()
+	if got := fileSize(t, activeSegment(t, dir)); got != logLen {
+		t.Fatalf("the failed commits left the log at %d bytes, want the %d the acknowledged ones did", got, logLen)
+	}
+	if _, err := db.Insert("publisher", map[string]relational.Value{
+		"pubid": relational.String_(pubOnShard(db, 1, "J")), "pubname": relational.String_("after the fault")}); err != nil {
+		t.Fatalf("commit after the fault cleared: %v", err)
+	}
+	want := dump(t, db)
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := newGroupDir(t, 2, dir)
+	defer db2.CloseWAL()
+	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestCoordinatorLogSealsAndRetires holds segment retirement to its
+// rule: a sealed segment goes only once EVERY shard's durable checkpoint
+// has passed the highest sequence it holds for that shard. Shard 0's
+// records fill some segments and shard 1's others; a checkpoint whose
+// page writes fail — which only shard 0 has to do: shard 1's records are
+// rows inserted and deleted again, leaving it nothing to page — must
+// keep shard 0's segments and retire shard 1's. The next good checkpoint
+// retires the rest, and recovery reproduces the exact dump throughout.
+func TestCoordinatorLogSealsAndRetires(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, WAL: relational.WALOptions{SegmentBytes: 2 << 10}}
+	db, _ := newGroup(t, 2, opts)
+	big := strings.Repeat("x", 700)
+	i := 0
+	// fill commits on one shard until segs more segments seal and returns
+	// the sealed ones it opened: they hold that shard's records only.
+	fill := func(shard int, churn bool) []string {
+		t.Helper()
+		start := len(segments(t, dir))
+		for len(segments(t, dir)) < start+4 {
+			if i++; i > 200 {
+				t.Fatal("the log never sealed")
+			}
+			txn := db.BeginTxn()
+			pub := pubOnShard(db, shard, fmt.Sprintf("S%03d-", i))
+			insertPub(t, txn, pub, fmt.Sprintf("%d %s", i, big))
+			if churn {
+				if _, err := txn.Delete("publisher", pubRowID(t, txn, pub)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		names := segments(t, dir)
+		return names[start : len(names)-1]
+	}
+	if err := db.Checkpoint(); err != nil { // the seed's segments go
+		t.Fatal(err)
+	}
+	shard0, shard1 := fill(0, false), fill(1, true)
+	if err := relational.EnableFailpoint(relational.FpPagestoreWrite, "error"); err != nil {
+		t.Fatal(err)
+	}
+	defer relational.DisableAllFailpoints()
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("the checkpoint survived shard 0's failing page writes")
+	}
+	relational.DisableAllFailpoints()
+	if a, b := db.shards[0].CheckpointSeq(), db.shards[1].CheckpointSeq(); a >= db.shards[0].Stats().CommitSeq || b != db.shards[1].Stats().CommitSeq {
+		t.Fatalf("checkpoints at %d and %d: want shard 0 behind, shard 1 caught up", a, b)
+	}
+	left := strings.Join(segments(t, dir), " ")
+	for _, s := range shard0 {
+		if !strings.Contains(left, s) {
+			t.Fatalf("%s, holding shard 0's uncheckpointed records, was retired", s)
+		}
+	}
+	for _, s := range shard1 {
+		if strings.Contains(left, s) {
+			t.Fatalf("%s survived checkpoints of both shards past everything it holds (left: %s)", s, left)
+		}
+	}
+	want := dump(t, db)
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db, _ = newGroup(t, 2, opts)
+	if got := dump(t, db); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery with shard 0's segments kept diverged")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(segments(t, dir)); n != 1 {
+		t.Fatalf("%d segments after a checkpoint of both shards, want only the active one", n)
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := newGroup(t, 2, opts)
+	defer db2.CloseWAL()
+	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery after retiring every sealed segment diverged")
+	}
+}
+
+// TestCrossCommitCounters holds the group's Stats rollup to what the
+// device did: one cross-shard commit is one fsync of the group's log (no
+// shard reports one), one commit group and ONE transaction, its record's
+// bytes are in WALBytes, every participating shard's commit sequence
+// advances once, and XlogFsyncs/CrossCommits count it.
+func TestCrossCommitCounters(t *testing.T) {
+	db, _ := newGroupDir(t, 2, t.TempDir())
+	defer db.CloseWAL()
+	before, shardsBefore := db.Stats(), db.ShardStats()
+	txn := db.BeginTxn()
+	insertPub(t, txn, pubOnShard(db, 0, "N"), "counted 0")
+	insertPub(t, txn, pubOnShard(db, 1, "N"), "counted 1")
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Stats()
+	for i, ss := range db.ShardStats() {
+		if ss.Fsyncs != 0 || ss.WALBytes != 0 || ss.GroupCommits != 0 {
+			t.Errorf("shard %d reports log counters of its own: %+v", i, ss.DBStats)
+		}
+		if got := ss.CommitSeq - shardsBefore[i].CommitSeq; got != 1 {
+			t.Errorf("shard %d commit_seq advanced by %d, want 1", i, got)
+		}
+	}
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Errorf("fsyncs advanced by %d, want 1", got)
+	}
+	if got := after.GroupCommits - before.GroupCommits; got != 1 {
+		t.Errorf("group_commits advanced by %d, want 1", got)
+	}
+	if got := after.GroupedTxns - before.GroupedTxns; got != 1 {
+		t.Errorf("grouped_txns advanced by %d, want 1: one transaction, however many shards", got)
+	}
+	if got := after.WALBytes - before.WALBytes; got <= 0 {
+		t.Errorf("wal_bytes advanced by %d", got)
+	}
+	if db.XlogFsyncs() != 1 || db.CrossCommits() != 1 {
+		t.Errorf("cross-shard fsyncs=%d cross commits=%d, want 1 each", db.XlogFsyncs(), db.CrossCommits())
+	}
+}
+
+// TestCommitCrossAllocs pins what a cross-shard commit allocates on an
+// in-memory 4-shard group: the commit's request, its part slice and its
+// participant array — nothing per participant, no consumed map.
+func TestCommitCrossAllocs(t *testing.T) {
+	db, _ := newGroup(t, 4, Options{})
+	// Two publishers on different shards; each run renames both in one
+	// transaction, so every run dirties exactly two shards.
+	pubs := [2]string{pubOnShard(db, 1, "A"), pubOnShard(db, 3, "A")}
+	txn := db.BeginTxn()
+	for _, pub := range pubs {
+		insertPub(t, txn, pub, "v0 "+pub)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ids := [2]relational.RowID{pubRowID(t, db, pubs[0]), pubRowID(t, db, pubs[1])}
+	changes := [2]map[string]relational.Value{
+		{"pubname": relational.String_("v1 " + pubs[0])},
+		{"pubname": relational.String_("v1 " + pubs[1])},
+	}
+	// AllocsPerRun cannot exclude the set-up of each run, so measure the
+	// whole cycle and the cycle minus the commit, and pin the difference.
+	cycle := func(commit bool) float64 {
+		return testing.AllocsPerRun(200, func() {
+			txn := db.BeginTxn().(*Txn)
+			for i, id := range ids {
+				if err := txn.sub(db.shardOf(id)).UpdateRow("publisher", id, changes[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if commit {
+				if err := db.commitOne(txn); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := txn.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	with, without := cycle(true), cycle(false)
+	// Rollback itself allocates nothing, so the difference is the commit's.
+	if got := with - without; got > 3 {
+		t.Fatalf("a 2-shard in-memory cross-shard commit allocates %.0f objects more than a rollback, want at most 3", got)
+	}
+	if db.CrossCommits() < 200 {
+		t.Fatalf("only %d cross-shard commits ran", db.CrossCommits())
+	}
+}

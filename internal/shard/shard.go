@@ -1,7 +1,7 @@
 // Package shard hash-partitions one view's base-table rows across N
-// independent relational databases so that the per-shard commit
-// latches, redo pipelines and WAL fsyncs run in parallel while the
-// executor stack above keeps seeing a single relational.Engine.
+// relational databases so that the per-shard row stores, indexes,
+// commit latches and page stores partition memory and contention while
+// the executor stack above keeps seeing a single relational.Engine.
 //
 // The partitioning is row-level and FK-closure-aware:
 //
@@ -36,16 +36,15 @@
 // and snapshots begin under the read side, cross-shard commits publish
 // under the write side, so a reader pins a vector of per-shard views in
 // which every cross-shard transaction is visible on all its shards or
-// none. Durability for cross-shard commits is an ordered two-phase
-// protocol in which the per-shard WALs append without flushing and one
-// coordinator-log record carrying every shard's redo is the commit point;
-// see commit.go and xlog.go.
+// none. Durability does not partition: the shards are the members of ONE
+// write-ahead log (relational.OpenLog), so a cross-shard commit is one
+// record carrying every shard's redo — one fsync, atomic by its CRC —
+// and commits on different shards share the log's flushes (commit.go).
 package shard
 
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -58,13 +57,11 @@ import (
 
 // Options configures a shard group.
 type Options struct {
-	// Dir is the group's root directory: shard i logs under
-	// Dir/shard-<i> and the cross-shard coordinator log is Dir/xlog[-<n>].
-	// Empty runs the whole group in memory (no WALs, no recovery).
+	// Dir is the group's root directory: the group's one log lives there
+	// and shard i keeps its pages under Dir/shard-<i>. Empty runs the
+	// whole group in memory (no log, no recovery).
 	Dir string
-	// WAL configures each shard's write-ahead log. The Coordinator field
-	// is owned by the group (each shard gets its view of the coordinator
-	// log) and must be left nil by callers.
+	// WAL configures the log; PageCacheBytes is split across the shards.
 	WAL relational.WALOptions
 }
 
@@ -84,34 +81,22 @@ type DB struct {
 	pkMoved atomic.Bool
 
 	// xmu orders cross-shard commits against vector pins: BeginTxn and
-	// OpenSnapshot hold the read side while pinning all N shards,
-	// commitCross holds the write side while it publishes, so no reader
+	// OpenSnapshot hold the read side while pinning all N shards, the
+	// log's writer stage (or, in memory, the committer) holds the write
+	// side while it publishes a cross-shard commit's parts, so no reader
 	// ever observes a cross-shard transaction on a strict subset of its
 	// shards.
 	xmu sync.RWMutex
 
-	nextXid      atomic.Uint64
-	xlog         *xlog
+	log          *relational.WAL // nil in memory
 	crossCommits atomic.Int64
 	crossAborts  atomic.Int64
-	// crossExtraTxns counts durable cross-shard commits' participants
-	// beyond the first: what Stats takes back out of the GroupedTxns sum.
-	crossExtraTxns atomic.Int64
 }
 
-// Recovery aggregates what opening the group's logs found.
+// Recovery aggregates what opening the group's log found.
 type Recovery struct {
-	// Shards holds each shard's WAL recovery report, indexed by shard.
+	// Shards holds each shard's recovery report, indexed by shard.
 	Shards []relational.RecoveryInfo `json:"shards"`
-	// CommittedXids counts cross-shard transaction ids the coordinator
-	// log held (prepared records missing from it were filtered).
-	CommittedXids int `json:"committed_xids"`
-	// FilteredTxns sums the per-shard prepared-but-uncommitted records
-	// recovery discarded.
-	FilteredTxns int64 `json:"filtered_txns"`
-	// RepairedTxns sums the committed records recovery restored to shard
-	// logs from the coordinator log's copies.
-	RepairedTxns int64 `json:"repaired_txns"`
 }
 
 // tableRoute is the per-table routing metadata derived from the schema.
@@ -128,19 +113,15 @@ type tableRoute struct {
 }
 
 // New builds an empty shard group over the schema and, with a Dir, opens
-// the per-shard WALs and the coordinator log, recovering whatever they
-// hold exactly like relational.OpenWAL does for a single database (a
-// group nothing was ever committed to recovers with every shard's
-// CommitSeq at zero; stream its dataset in with Load). n < 1 is clamped
-// to 1; a group of 1 delegates everything to its only shard and is
-// byte-for-byte equivalent to an unsharded database.
+// the group's log, recovering whatever it holds exactly like
+// relational.OpenWAL does for a single database (a group nothing was
+// ever committed to recovers with every shard's CommitSeq at zero;
+// stream its dataset in with Load) — and, once, the per-shard logs of a
+// directory in the earlier layout (legacy.go). n < 1 is clamped to 1; a
+// group of 1 delegates everything to its only shard and is byte-for-byte
+// equivalent to an unsharded database.
 func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error) {
-	if n < 1 {
-		n = 1
-	}
-	if opts.WAL.Coordinator != nil {
-		return nil, nil, fmt.Errorf("shard: Options.WAL.Coordinator is owned by the group")
-	}
+	n = max(n, 1)
 	db := &DB{
 		schema: schema,
 		shards: make([]*relational.Database, n),
@@ -149,81 +130,46 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 		dir:    opts.Dir,
 		routes: buildRoutes(schema),
 	}
+	dirs := make([]string, n)
 	for i := range db.shards {
 		s := relational.NewDatabase(schema)
 		s.SetRowIDAlloc(relational.RowID(i+1), relational.RowID(n))
-		db.shards[i] = s
-		db.rds[i] = s
+		db.shards[i], db.rds[i], dirs[i] = s, s, shardDir(opts.Dir, i)
 	}
 	rec := &Recovery{Shards: make([]relational.RecoveryInfo, n)}
-	var maxXid uint64
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("shard: %w", err)
-		}
-		x, xrec, xmax, err := openXlog(opts.Dir, n, func(s int) uint64 { return db.shards[s].CheckpointSeq() })
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard: coordinator log: %w", err)
-		}
-		db.xlog = x
-		rec.CommittedXids = len(xrec[0].committed)
-		maxXid = xmax
-		walOpts := opts.WAL
-		if walOpts.PageCacheBytes > 0 && n > 1 {
-			// The configured budget bounds the GROUP's page cache: each
-			// shard's pool gets an equal slice (rounded up) so the sum
-			// stays within one slice of the configured total.
-			walOpts.PageCacheBytes = (walOpts.PageCacheBytes + int64(n) - 1) / int64(n)
-		}
-		// Shards recover in parallel: each shard owns its directory, WAL
-		// segments and page store outright, so replay is embarrassingly
-		// parallel and the group's recovery wall time is the slowest
-		// shard's, not the sum (rec.Shards[i].RecoveryNanos keeps the
-		// per-shard times). On failure the lowest-index error wins and
-		// every shard that did open is closed again.
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i, s := range db.shards {
-			wg.Add(1)
-			go func(i int, s *relational.Database) {
-				defer wg.Done()
-				walOpts := walOpts
-				walOpts.Coordinator = &xrec[i]
-				info, err := s.OpenWAL(shardDir(opts.Dir, i), walOpts)
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-					return
-				}
-				rec.Shards[i] = *info
-				// Recovery replays whatever ids the log held; realign the
-				// allocator so fresh ids resume on this shard's stripe.
-				s.SetRowIDAlloc(relational.RowID(i+1), relational.RowID(n))
-			}(i, s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			for j, s := range db.shards {
-				if errs[j] == nil {
-					_ = s.CloseWAL()
-				}
-			}
-			_ = db.xlog.close()
-			return nil, nil, err
-		}
-		for i := range db.shards {
-			info := &rec.Shards[i]
-			rec.FilteredTxns += info.FilteredTxns
-			rec.RepairedTxns += info.RepairedTxns
-			if info.MaxXid > maxXid {
-				maxXid = info.MaxXid
-			}
-		}
-		x.retire() // the shards know their checkpoint horizons now
+	if opts.Dir == "" {
+		return db, rec, nil
 	}
-	db.nextXid.Store(maxXid)
+	walOpts := opts.WAL
+	if walOpts.PageCacheBytes > 0 && n > 1 {
+		// The configured budget bounds the GROUP's page cache: each
+		// shard's pool gets an equal slice (rounded up) so the sum stays
+		// within one slice of the configured total.
+		walOpts.PageCacheBytes = (walOpts.PageCacheBytes + int64(n) - 1) / int64(n)
+	}
+	old, err := findLegacy(opts.Dir, n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard: %w", err)
+	}
+	// The shards' pages are read and their records replayed in parallel,
+	// so the group's recovery wall time is the slowest shard's.
+	log, infos, err := relational.OpenLog(opts.Dir, walOpts, db.shards, dirs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard: %w", err)
+	}
+	db.log = log
+	copy(rec.Shards, infos)
+	if old != nil {
+		if err := old.migrate(db, rec); err != nil {
+			_ = log.Close()
+			return nil, nil, fmt.Errorf("shard: migrating per-shard logs: %w", err)
+		}
+	}
+	for i, s := range db.shards {
+		// Recovery replays whatever ids the log held; realign the
+		// allocator so fresh ids resume on this shard's stripe.
+		s.SetRowIDAlloc(relational.RowID(i+1), relational.RowID(n))
+	}
 	return db, rec, nil
 }
 
@@ -245,25 +191,17 @@ func (db *DB) Load(fill func(relational.Inserter) error) (relational.LoadStats, 
 	return relational.Load(begin, db.Checkpoint, fill)
 }
 
-// Checkpoint runs one checkpoint pass on every shard, overlapping their
-// fsyncs (a no-op in memory); the lowest-index error wins.
-func (db *DB) Checkpoint() error {
-	errs := make([]error, db.n)
-	fanOut(db.n, func(i int) { errs[i] = db.shards[i].Checkpoint() })
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
+// Checkpoint runs one checkpoint pass over the group's log: one
+// barrier and rotation, then every shard's page install in parallel (a
+// no-op in memory).
+func (db *DB) Checkpoint() error { return db.shards[0].Checkpoint() }
 
 // seedTxn is one batch of a Load: a Txn whose inserts skip the
 // cross-shard uniqueness probes (a generator's keys are distinct;
 // routing still reads the batch's own sub-transactions, so a child
 // finds the parent inserted before it) and whose Commit publishes each
-// shard's sub-transaction on its own, with no coordinator record — an
-// interrupted load is redone, never recovered.
+// shard's sub-transaction on its own — an interrupted load is redone,
+// never recovered, so the batch need not be atomic across shards.
 type seedTxn struct{ *Txn }
 
 func (t seedTxn) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
@@ -657,17 +595,16 @@ func (db *DB) OpenSnapshot() relational.Snap {
 
 // Stats aggregates the per-shard rollups: counters sum; CommitSeq is
 // the sum of per-shard sequences — the same monotone logical clock
-// SnapVec.Seq reports. The coordinator log's flushes and bytes are in
-// Fsyncs and WALBytes, each of its flushes is one commit group (the flush
-// a cross-shard commit rides; no shard flushes for it), and a cross-shard
-// transaction counts once in GroupedTxns however many shards published it.
+// SnapVec.Seq reports. The log's own counters (segments, bytes, fsyncs,
+// the commit groups its writer stage flushed and the transactions they
+// carried, a cross-shard one once) come from the log, once.
 func (db *DB) Stats() relational.DBStats {
+	if db.n == 1 {
+		return db.shards[0].Stats()
+	}
 	var agg relational.DBStats
-	if x := db.xlog; x != nil {
-		agg.Fsyncs = x.fsyncs.Load()
-		agg.WALBytes = x.bytes.Load()
-		agg.GroupCommits = agg.Fsyncs
-		agg.GroupedTxns = -db.crossExtraTxns.Load()
+	if db.log != nil {
+		agg = db.log.Stats()
 	}
 	for _, s := range db.shards {
 		st := s.Stats()
@@ -680,15 +617,10 @@ func (db *DB) Stats() relational.DBStats {
 		agg.TxnsActive += st.TxnsActive
 		agg.TxnsStarted += st.TxnsStarted
 		agg.Conflicts += st.Conflicts
-		agg.GroupCommits += st.GroupCommits
+		agg.GroupCommits += st.GroupCommits // in memory: each shard's publishes
 		agg.GroupedTxns += st.GroupedTxns
-		agg.WALSegments += st.WALSegments
-		agg.WALBytes += st.WALBytes
-		agg.Fsyncs += st.Fsyncs
 		agg.Checkpoints += st.Checkpoints
 		agg.RecoveryReplayedTxns += st.RecoveryReplayedTxns
-		agg.WALRecycledSegments += st.WALRecycledSegments
-		agg.WALPipelineDepth += st.WALPipelineDepth
 		agg.PagecacheHits += st.PagecacheHits
 		agg.PagecacheMisses += st.PagecacheMisses
 		agg.PagecacheEvictions += st.PagecacheEvictions
@@ -696,12 +628,8 @@ func (db *DB) Stats() relational.DBStats {
 		agg.CompactionPagesWritten += st.CompactionPagesWritten
 		// Chain length and pause are per-shard maxima, not sums: the
 		// worst shard bounds recovery time and the observable pause.
-		if st.CheckpointDeltaChainLen > agg.CheckpointDeltaChainLen {
-			agg.CheckpointDeltaChainLen = st.CheckpointDeltaChainLen
-		}
-		if st.CheckpointLastPauseNs > agg.CheckpointLastPauseNs {
-			agg.CheckpointLastPauseNs = st.CheckpointLastPauseNs
-		}
+		agg.CheckpointDeltaChainLen = max(agg.CheckpointDeltaChainLen, st.CheckpointDeltaChainLen)
+		agg.CheckpointLastPauseNs = max(agg.CheckpointLastPauseNs, st.CheckpointLastPauseNs)
 	}
 	return agg
 }
@@ -722,54 +650,14 @@ func (db *DB) StatementsExecutedTotal() int64 {
 	return n
 }
 
-// LastFsyncNanos reports the slowest of the shards' last fsyncs: for a
-// batch fanned out across shards, the max is the flush latency the
-// group's committers actually waited on.
-func (db *DB) LastFsyncNanos() int64 {
-	var max int64
-	for _, s := range db.shards {
-		if v := s.LastFsyncNanos(); v > max {
-			max = v
-		}
-	}
-	return max
-}
+// LastFsyncNanos, FsyncHistogram and CheckpointPauseHistogram are the
+// group's one log's (every shard reports the same).
+func (db *DB) LastFsyncNanos() int64 { return db.shards[0].LastFsyncNanos() }
 
-// FsyncHistogram merges the per-shard fsync distributions.
-func (db *DB) FsyncHistogram() obs.Snapshot {
-	return db.mergeHistograms((*relational.Database).FsyncHistogram)
-}
+func (db *DB) FsyncHistogram() obs.Snapshot { return db.shards[0].FsyncHistogram() }
 
-// CheckpointPauseHistogram merges the per-shard checkpoint-pause
-// distributions.
 func (db *DB) CheckpointPauseHistogram() obs.Snapshot {
-	return db.mergeHistograms((*relational.Database).CheckpointPauseHistogram)
-}
-
-// mergeHistograms sums one per-shard distribution bucket-wise (all
-// shards share one histogram geometry).
-func (db *DB) mergeHistograms(of func(*relational.Database) obs.Snapshot) obs.Snapshot {
-	var agg obs.Snapshot
-	for _, s := range db.shards {
-		sn := of(s)
-		if len(sn.Counts) == 0 {
-			continue
-		}
-		if len(agg.Counts) == 0 {
-			counts := make([]uint64, len(sn.Counts))
-			copy(counts, sn.Counts)
-			agg = obs.Snapshot{MinExp: sn.MinExp, Unit: sn.Unit, Counts: counts, Sum: sn.Sum, Count: sn.Count}
-			continue
-		}
-		for i := range sn.Counts {
-			if i < len(agg.Counts) {
-				agg.Counts[i] += sn.Counts[i]
-			}
-		}
-		agg.Sum += sn.Sum
-		agg.Count += sn.Count
-	}
-	return agg
+	return db.shards[0].CheckpointPauseHistogram()
 }
 
 func (db *DB) Reclaim() int {
@@ -781,17 +669,9 @@ func (db *DB) Reclaim() int {
 }
 
 func (db *DB) StartReclaimer(interval time.Duration) (stop func()) {
-	return db.startAll(interval, (*relational.Database).StartReclaimer)
-}
-
-func (db *DB) StartCheckpointer(interval time.Duration) (stop func()) {
-	return db.startAll(interval, (*relational.Database).StartCheckpointer)
-}
-
-func (db *DB) startAll(interval time.Duration, start func(*relational.Database, time.Duration) func()) func() {
 	stops := make([]func(), len(db.shards))
 	for i, s := range db.shards {
-		stops[i] = start(s, interval)
+		stops[i] = s.StartReclaimer(interval)
 	}
 	return func() {
 		for _, stop := range stops {
@@ -800,21 +680,13 @@ func (db *DB) startAll(interval time.Duration, start func(*relational.Database, 
 	}
 }
 
-// CloseWAL closes every shard's WAL and the coordinator log.
-func (db *DB) CloseWAL() error {
-	var first error
-	for _, s := range db.shards {
-		if err := s.CloseWAL(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if db.xlog != nil {
-		if err := db.xlog.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+// StartCheckpointer runs one checkpointer for the group's log.
+func (db *DB) StartCheckpointer(interval time.Duration) (stop func()) {
+	return db.shards[0].StartCheckpointer(interval)
 }
+
+// CloseWAL closes the group's log.
+func (db *DB) CloseWAL() error { return db.shards[0].CloseWAL() }
 
 // WALDir returns the group's root directory (empty in memory).
 func (db *DB) WALDir() string { return db.dir }
@@ -834,16 +706,16 @@ func (db *DB) ShardStats() []relational.ShardStat {
 // CrossCommits counts published cross-shard transactions.
 func (db *DB) CrossCommits() int64 { return db.crossCommits.Load() }
 
-// CrossAborts counts cross-shard transactions aborted during 2PC.
+// CrossAborts counts cross-shard commits that failed, every part undone.
 func (db *DB) CrossAborts() int64 { return db.crossAborts.Load() }
 
-// XlogFsyncs counts the coordinator log's Sync calls: one per durable
-// cross-shard commit.
+// XlogFsyncs counts the log's commit-path fsyncs that made a
+// cross-shard record durable.
 func (db *DB) XlogFsyncs() int64 {
-	if db.xlog == nil {
+	if db.log == nil {
 		return 0
 	}
-	return db.xlog.fsyncs.Load()
+	return db.log.AcrossFsyncs()
 }
 
 var _ relational.Engine = (*DB)(nil)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -334,11 +333,12 @@ func TestSnapshotVectorConsistency(t *testing.T) {
 	}
 }
 
-// TestTwoPhaseRecovery exercises the decide point: a cross-shard commit
-// whose record reached the coordinator log recovers on every shard; one
-// whose record is missing (the log is truncated, as after a crash between
-// prepare and decide) is filtered on every shard — never a torn prefix.
-// (TestPowerLossCutPoints enumerates the states in between.)
+// TestTwoPhaseRecovery exercises the commit point of a cross-shard
+// commit, its one record: a record that reached the log recovers on
+// every shard; one cut short (as a crash mid-append leaves it) is
+// discarded on every shard — never a torn prefix — and the group goes on
+// committing across shards. (TestPowerLossCutPoints enumerates every
+// cut.)
 func TestTwoPhaseRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*DB, *Recovery) {
@@ -346,6 +346,8 @@ func TestTwoPhaseRecovery(t *testing.T) {
 	}
 	db, _ := open()
 	p0, p1 := pubOnShard(db, 0, "R"), pubOnShard(db, 1, "R")
+	seg := activeSegment(t, dir)
+	before := fileSize(t, seg)
 	txn := db.BeginTxn()
 	insertPub(t, txn, p0, "Recovered A")
 	insertPub(t, txn, p1, "Recovered B")
@@ -355,43 +357,38 @@ func TestTwoPhaseRecovery(t *testing.T) {
 	if err := db.CloseWAL(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Committed xid present in the coordinator log: both halves recover.
-	db2, rec := open()
-	for _, pub := range []string{p0, p1} {
-		ids, err := db2.LookupEqual("publisher", []string{"pubid"}, []relational.Value{relational.String_(pub)})
-		if err != nil || len(ids) != 1 {
-			t.Fatalf("committed pair lost after recovery: %s ids=%v err=%v", pub, ids, err)
+	visible := func(db *DB, want int) {
+		t.Helper()
+		for _, pub := range []string{p0, p1} {
+			ids, err := db.LookupEqual("publisher", []string{"pubid"}, []relational.Value{relational.String_(pub)})
+			if err != nil || len(ids) != want {
+				t.Fatalf("publisher %s: ids=%v err=%v, want %d", pub, ids, err, want)
+			}
 		}
 	}
-	if rec.CommittedXids != 1 {
-		t.Fatalf("coordinator log xids: got %d, want 1", rec.CommittedXids)
+	// The record is in the log: both halves recover.
+	db2, rec := open()
+	visible(db2, 1)
+	for i, ri := range rec.Shards {
+		if ri.ReplayedTxns != 1 {
+			t.Fatalf("shard %d replayed %d txns, want its half of the record", i, ri.ReplayedTxns)
+		}
 	}
 	if err := db2.CloseWAL(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Crash between prepare and decide: the shards hold xid-tagged
-	// records but the coordinator log lost the xid. Truncating the log
-	// simulates exactly that state; recovery must filter both halves.
-	if err := os.Truncate(filepath.Join(dir, "xlog"), 0); err != nil {
-		t.Fatalf("truncate xlog: %v", err)
+	// A crash mid-append: the record's last byte never reached the disk.
+	// Recovery must discard both halves.
+	after := fileSize(t, seg)
+	if err := os.Truncate(seg, after-1); err != nil {
+		t.Fatal(err)
 	}
 	db3, rec3 := open()
 	defer db3.CloseWAL()
-	for _, pub := range []string{p0, p1} {
-		ids, err := db3.LookupEqual("publisher", []string{"pubid"}, []relational.Value{relational.String_(pub)})
-		if err != nil || len(ids) != 0 {
-			t.Fatalf("undecided pair half-recovered: %s ids=%v err=%v", pub, ids, err)
-		}
+	visible(db3, 0)
+	if !rec3.Shards[0].TornTail || rec3.Shards[0].TruncatedBytes != after-1-before {
+		t.Fatalf("recovery report %+v: want the torn record's %d bytes cut", rec3.Shards[0], after-1-before)
 	}
-	if rec3.FilteredTxns != 2 {
-		t.Fatalf("filtered prepared records: got %d, want 2 (one per shard)", rec3.FilteredTxns)
-	}
-	// The filtered xid must not be reissued: MaxXid from the shard WALs
-	// keeps the allocator above it.
-	if got := db3.nextXid.Load(); got < 1 {
-		t.Fatalf("xid allocator fell back below filtered xid: %d", got)
-	}
-	// And the group still accepts new cross-shard commits afterwards.
 	txn = db3.BeginTxn()
 	insertPub(t, txn, pubOnShard(db3, 0, "S"), "Post A")
 	insertPub(t, txn, pubOnShard(db3, 1, "S"), "Post B")
@@ -445,8 +442,8 @@ func TestCrashRestartParity(t *testing.T) {
 // TestConcurrentCrossShardCommits drives many cross-shard transactions
 // from parallel goroutines (latches taken in ascending shard order, no
 // vector latch until publish), with snapshot readers checking vector
-// atomicity throughout, and verifies the coordinator log: every xid
-// durable, never more fsyncs than commits. Run with -race.
+// atomicity throughout, and verifies the log: every transaction durable,
+// never more fsyncs carrying them than commits. Run with -race.
 func TestConcurrentCrossShardCommits(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := newGroupDir(t, 4, dir)
@@ -499,17 +496,14 @@ func TestConcurrentCrossShardCommits(t *testing.T) {
 		t.Fatalf("cross-shard commits: got %d, want %d", got, n)
 	}
 	if fs := db.XlogFsyncs(); fs < 1 || fs > n {
-		t.Fatalf("xlog group commit: %d fsyncs for %d commits (want 1..commits)", fs, n)
+		t.Fatalf("group commit: %d fsyncs for %d cross-shard commits (want 1..commits)", fs, n)
 	}
 	want := dump(t, db)
 	if err := db.CloseWAL(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	db2, rec := newGroupDir(t, 4, dir)
+	db2, _ := newGroupDir(t, 4, dir)
 	defer db2.CloseWAL()
-	if rec.CommittedXids != n {
-		t.Fatalf("coordinator log xids: got %d, want %d", rec.CommittedXids, n)
-	}
 	// Concurrent commits make scan order (not content) legitimately
 	// differ between the live run and replay: compare as sorted sets.
 	got := dump(t, db2)

@@ -32,9 +32,9 @@ import (
 // operation counts).
 //
 // Commit routes by the shards the transaction dirtied: one shard commits
-// through that shard's ordinary commit pipeline (one latch, its WAL
-// writer stage's fsync, parallel with other shards); several commit
-// through the ordered two-phase protocol in commit.go.
+// through that shard's ordinary commit path (one latch); several commit
+// as one record under every dirty shard's latch (commit.go). Both land in
+// the group's one log and share its writer stage's fsyncs.
 type Txn struct {
 	db   *DB
 	subs []*relational.Txn   // nil until the shard is first touched
@@ -206,8 +206,8 @@ func (t *Txn) Rollback() error {
 	return first
 }
 
-// Commit publishes through the single-shard fast path or cross-shard
-// 2PC, chosen by which shards are dirty.
+// Commit publishes through the single-shard fast path or as one record
+// across the dirty shards, chosen by which shards are dirty.
 func (t *Txn) Commit() error {
 	return t.db.commitOne(t)
 }
@@ -224,12 +224,12 @@ func (t *Txn) OpCount() int {
 }
 
 // finishExcept rolls back every acquired sub-transaction a commit did not
-// consume — parts, ascending by shard, names the ones it did (finished by
-// commit, abort or prepare failure) — releasing their version pins.
-func (t *Txn) finishExcept(parts []prepared) {
+// consume — consumed, ascending, names the shards whose subs it finished
+// (committed or undone) — releasing their version pins.
+func (t *Txn) finishExcept(consumed []int) {
 	for i, s := range t.subs {
-		if len(parts) > 0 && parts[0].shard == i {
-			parts = parts[1:]
+		if len(consumed) > 0 && consumed[0] == i {
+			consumed = consumed[1:]
 		} else if s != nil {
 			_ = s.Rollback() // read-only or untouched by the failed commit
 		}
