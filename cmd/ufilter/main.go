@@ -200,15 +200,18 @@ func printTiming(ts obs.TraceSummary, jsonOut bool) {
 // (a forgotten snapshot pins history and chains keep growing), the
 // reclaim counters show whether the reclaimer is keeping up.
 func printSnapshotStats(f *repro.Filter, jsonOut bool) {
-	vs := f.Exec.DB.VersionStats()
+	st := f.Exec.DB.Stats()
+	snap := f.Exec.DB.OpenSnapshot()
+	vs := snap.VersionStats()
+	snap.Close()
 	if jsonOut {
-		printJSON(map[string]any{"versions": vs})
+		printJSON(map[string]any{"versions": vs, "database": st})
 		return
 	}
 	fmt.Printf("mvcc: live-rows=%d versions=%d max-chain-depth=%d commit-seq=%d\n",
-		vs.LiveRows, vs.Versions, vs.MaxChainDepth, vs.CommitSeq)
+		vs.LiveRows, vs.Versions, vs.MaxChainDepth, st.CommitSeq)
 	fmt.Printf("mvcc: snapshots active=%d opened=%d; reclaimed=%d versions in %d passes\n",
-		vs.SnapshotsActive, vs.SnapshotsOpened, vs.VersionsReclaimed, vs.Reclaims)
+		st.SnapshotsActive, st.SnapshotsOpened, st.VersionsReclaimed, st.Reclaims)
 }
 
 // printJSON emits one value in the shared wire encoding (the same the

@@ -1,8 +1,8 @@
 // Command ufilterd runs the U-Filter update gateway: a long-running
 // HTTP/JSON daemon hosting a registry of named views, each a compiled
-// ufilter.Filter over its own in-memory database, with bounded
-// admission control in front of the serialized apply pipeline and live
-// statistics endpoints.
+// ufilter.Filter over its own database (in memory, or durable with
+// -data-dir), with a bounded concurrency limiter in front of the
+// concurrent apply pipeline and live statistics endpoints.
 //
 // Usage:
 //

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Row is one stored tuple. Values are positional, aligned with the
@@ -241,11 +243,9 @@ type Database struct {
 	// last reclaim; commits piggyback a reclaim pass when it overflows.
 	versionsSinceReclaim atomic.Int64
 
-	// StatementsExecuted counts DML statements since creation; the
-	// benchmark harness reads it to report probe/update counts. Updated
-	// atomically; read it with StatementsExecutedTotal when other
-	// goroutines may be mutating the database.
-	StatementsExecuted int64
+	// statements counts DML statements since creation
+	// (DBStats.StatementsExecuted).
+	statements atomic.Int64
 
 	// wal is the durable write-ahead log, attached by OpenWAL or OpenLog
 	// (possibly shared with other members, this one's sub-records tagged
@@ -260,8 +260,6 @@ type Database struct {
 	pager            *pager
 	walRecoveredTxns atomic.Int64
 	checkpointSeq    atomic.Uint64 // the last durable page install's sequence
-	checkpoints      atomic.Int64
-	chainLen         atomic.Int64 // published directory-chain length gauge
 }
 
 // Reader is the read-only surface shared by a live *Database, a pinned
@@ -297,96 +295,60 @@ var (
 	_ Reader = (*Snapshot)(nil)
 )
 
-// StatementsExecutedTotal atomically reads the DML statement counter.
-func (db *Database) StatementsExecutedTotal() int64 {
-	return atomic.LoadInt64(&db.StatementsExecuted)
-}
-
-// DBStats is a point-in-time snapshot of the database's statistics
-// counters. Every field is read atomically (or under its own short
-// mutex), so a snapshot may be taken while other goroutines are
-// mutating the database. A member of a log shared with other databases
-// reports zero for the log's own counters (WAL segments, bytes, fsyncs,
-// durable commit groups and their transactions, recycled segments,
-// pipeline depth): WAL.Stats carries those once.
+// DBStats is a point-in-time snapshot of the database's statistics.
+// Each field is declared once: its stat tag names its /metrics family,
+// kind and fold (see FoldStats) and its help tag describes it. Every
+// field is read atomically (or under its own short mutex), so a snapshot
+// may be taken while other goroutines are mutating the database. The
+// log's own counters (segments, bytes, fsyncs, durable commit groups and
+// their transactions, checkpoint passes, recycled segments, pipeline
+// depth, the fsync and pause histograms) come from WAL.Stats: a member
+// of a log shared with other databases reports zero for them.
 type DBStats struct {
-	// StatementsExecuted counts DML statements since creation.
-	StatementsExecuted int64 `json:"statements_executed"`
-	// SnapshotsActive is the number of currently pinned snapshots.
-	SnapshotsActive int64 `json:"snapshots_active"`
-	// SnapshotsOpened counts snapshots ever pinned.
-	SnapshotsOpened int64 `json:"snapshots_opened"`
-	// VersionsReclaimed counts row versions freed by the reclaimer.
-	VersionsReclaimed int64 `json:"versions_reclaimed"`
-	// Reclaims counts reclaim passes (inline and background).
-	Reclaims int64 `json:"reclaims"`
-	// CommitSeq is the last committed sequence number.
-	CommitSeq uint64 `json:"commit_seq"`
-	// TxnsActive is the number of transactions currently open.
-	TxnsActive int64 `json:"txns_active"`
-	// TxnsStarted counts transactions ever begun (including the
-	// implicit single-statement transactions of autocommit DML).
-	TxnsStarted int64 `json:"txns_started"`
-	// Conflicts counts write-write conflicts detected
-	// (first-updater-wins losers).
-	Conflicts int64 `json:"conflicts"`
-	// GroupCommits counts commit groups published, each paying one
-	// flush: with a WAL, one per writer-stage batch that was fsynced
-	// (every commit that queued behind the previous fsync shares it);
-	// without one, one per CommitGroup call.
-	GroupCommits int64 `json:"group_commits"`
-	// GroupedTxns counts transactions committed through those groups (a
-	// durable transaction across members counts once);
-	// GroupedTxns/GroupCommits is the mean commit-coalescing factor.
-	GroupedTxns int64 `json:"grouped_txns"`
-	// WALSegments is the number of live write-ahead log segment files
-	// (sealed-but-not-checkpointed plus the active one); zero without a
-	// durable WAL attached.
-	WALSegments int64 `json:"wal_segments"`
-	// WALBytes counts bytes appended to WAL segment files.
-	WALBytes int64 `json:"wal_bytes"`
-	// Fsyncs counts fsync calls the WAL issued (commit-group record
-	// syncs, segment seals and checkpoint installs). Fsyncs per
-	// GroupCommits under load shows group commit's coalescing.
-	Fsyncs int64 `json:"fsyncs_total"`
-	// Checkpoints counts durable checkpoints installed.
-	Checkpoints int64 `json:"checkpoints_total"`
-	// RecoveryReplayedTxns is how many committed transactions the last
-	// OpenWAL recovery replayed from segments (excluding checkpoint rows).
-	RecoveryReplayedTxns int64 `json:"recovery_replayed_txns"`
-	// WALRecycledSegments counts active-segment opens served from the
-	// recycle free list instead of fresh file creation.
-	WALRecycledSegments int64 `json:"wal_recycled_segments"`
-	// WALPipelineDepth is the number of commit groups currently queued or
-	// in flight in the WAL writer stage (always 0 when no WAL is
-	// attached).
-	WALPipelineDepth int64 `json:"wal_pipeline_depth"`
-	// CheckpointDeltaChainLen is the number of incremental checkpoint
-	// (delta) files currently layered on the base image.
-	CheckpointDeltaChainLen int64 `json:"checkpoint_delta_chain_len"`
-	// CheckpointLastPauseNs is the duration of the most recent checkpoint
-	// pass in nanoseconds (the stall its triggering caller observed).
-	CheckpointLastPauseNs int64 `json:"checkpoint_last_pause_ns"`
-	// PagecacheHits counts buffer-pool page reads served from memory.
-	PagecacheHits int64 `json:"pagecache_hits"`
-	// PagecacheMisses counts buffer-pool page reads that loaded from disk.
-	PagecacheMisses int64 `json:"pagecache_misses"`
-	// PagecacheEvictions counts frames evicted to stay within the budget.
-	PagecacheEvictions int64 `json:"pagecache_evictions"`
-	// PagesTotal is the number of live pages in the checkpoint page store.
-	PagesTotal int64 `json:"pages_total"`
-	// CompactionPagesWritten counts pages written by checkpoint passes
-	// (dirty rows plus survivors) — the O(dirty-pages) compaction work.
-	CompactionPagesWritten int64 `json:"compaction_pages_written"`
+	StatementsExecuted int64 `json:"statements_executed" stat:"statements_executed_total,counter,sum" help:"DML statements executed."`
+	SnapshotsActive    int64 `json:"snapshots_active" stat:"snapshots_active,gauge,sum" help:"MVCC snapshots currently pinned."`
+	SnapshotsOpened    int64 `json:"snapshots_opened" stat:"snapshots_opened_total,counter,sum" help:"MVCC snapshots ever pinned."`
+	VersionsReclaimed  int64 `json:"versions_reclaimed" stat:"versions_reclaimed_total,counter,sum" help:"Row versions freed by the MVCC reclaimer."`
+	Reclaims           int64 `json:"reclaims" stat:"version_reclaims_total,counter,sum" help:"MVCC reclaim passes (inline and background)."`
+	// CommitSeq of a shard group is the sum of its shards', the logical
+	// clock SnapVec.Seq reports.
+	CommitSeq   uint64 `json:"commit_seq" stat:"commit_seq,gauge,sum,shard" help:"Last committed MVCC sequence number."`
+	TxnsActive  int64  `json:"txns_active" stat:"txns_active,gauge,sum" help:"Transactions currently open."`
+	TxnsStarted int64  `json:"txns_started" stat:"txns_started_total,counter,sum" help:"Transactions ever begun (including autocommit statements)."`
+	Conflicts   int64  `json:"conflicts" stat:"txn_conflicts_total,counter,sum,shard" help:"Write-write conflicts detected by the engine (first-updater-wins losers)."`
+	// GroupCommits: with a WAL, one per writer-stage batch that was
+	// fsynced (every commit that queued behind the previous fsync shares
+	// it); without one, one per CommitGroup call. GroupedTxns/GroupCommits
+	// is the mean commit-coalescing factor.
+	GroupCommits            int64 `json:"group_commits" stat:"group_commits_total,counter,sum" help:"Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on)."`
+	GroupedTxns             int64 `json:"grouped_txns" stat:"grouped_txns_total,counter,sum" help:"Transactions committed through commit groups (a cross-shard transaction counts once)."`
+	WALSegments             int64 `json:"wal_segments" stat:"wal_segments,gauge,sum" help:"Durable WAL segment files currently live (0 without -data-dir)."`
+	WALBytes                int64 `json:"wal_bytes" stat:"wal_bytes_total,counter,sum" help:"Bytes appended to the view's durable WAL segments."`
+	Fsyncs                  int64 `json:"fsyncs_total" stat:"wal_fsyncs_total,counter,sum" help:"fsync calls issued by the view's durable WAL (commit batches, segment seals, checkpoint installs)."`
+	Checkpoints             int64 `json:"checkpoints_total" stat:"wal_checkpoints_total,counter,sum" help:"Checkpoint passes of the view's log."`
+	RecoveryReplayedTxns    int64 `json:"recovery_replayed_txns" stat:"wal_recovery_replayed_txns,gauge,sum" help:"Committed transactions replayed from the WAL at startup."`
+	WALRecycledSegments     int64 `json:"wal_recycled_segments" stat:"wal_recycled_segments_total,counter,sum" help:"Active-segment opens served from the preallocated recycle pool."`
+	WALPipelineDepth        int64 `json:"wal_pipeline_depth" stat:"wal_pipeline_depth,gauge,sum" help:"Commit groups queued or in flight in the WAL writer stage."`
+	CheckpointDeltaChainLen int64 `json:"checkpoint_delta_chain_len" stat:"checkpoint_delta_chain_len,gauge,max,shard" help:"Page-directory install records since the last base fold (worst shard)."`
+	// CheckpointLastPauseNs is the log's, reported by every member.
+	CheckpointLastPauseNs  int64        `json:"checkpoint_last_pause_ns" stat:"checkpoint_last_pause_seconds,gauge,max,shard" help:"Duration of the most recent checkpoint pass (worst shard)."`
+	PagecacheHits          int64        `json:"pagecache_hits" stat:"pagecache_hits_total,counter,sum,shard" help:"Buffer-pool page reads served from memory."`
+	PagecacheMisses        int64        `json:"pagecache_misses" stat:"pagecache_misses_total,counter,sum,shard" help:"Buffer-pool page reads that faulted from disk."`
+	PagecacheEvictions     int64        `json:"pagecache_evictions" stat:"pagecache_evictions_total,counter,sum,shard" help:"Buffer-pool frames evicted to stay within the budget."`
+	PagesTotal             int64        `json:"pages_total" stat:"pages_total,gauge,sum,shard" help:"Live pages in the checkpoint page store."`
+	CompactionPagesWritten int64        `json:"compaction_pages_written" stat:"compaction_pages_written_total,counter,sum" help:"Pages written by checkpoint passes and directory folds."`
+	FsyncHist              obs.Snapshot `json:"-" stat:"wal_fsync_seconds,histogram,sum" help:"Durable WAL fsync duration per commit group (empty without -data-dir)."`
+	CheckpointPauseHist    obs.Snapshot `json:"-" stat:"checkpoint_pause_seconds,histogram,sum" help:"Checkpoint pass duration — O(dirty) under incremental checkpoints (empty without -data-dir)."`
 }
 
-// Stats snapshots the statistics counters atomically.
+// Stats snapshots the statistics counters atomically; a database that
+// is its log's only member folds in the log's.
 func (db *Database) Stats() DBStats {
 	db.snapMu.Lock()
 	active := int64(len(db.snaps))
 	db.snapMu.Unlock()
 	st := DBStats{
-		StatementsExecuted: db.StatementsExecutedTotal(),
+		StatementsExecuted: db.statements.Load(),
 		SnapshotsActive:    active,
 		SnapshotsOpened:    db.snapshotsOpened.Load(),
 		VersionsReclaimed:  db.versionsReclaimed.Load(),
@@ -398,24 +360,18 @@ func (db *Database) Stats() DBStats {
 		GroupCommits:       db.groupCommits.Load(),
 		GroupedTxns:        db.groupedTxns.Load(),
 	}
-	if w := db.wal; w != nil {
-		if len(w.members) == 1 {
-			ls := w.Stats()
-			st.WALSegments, st.WALBytes, st.Fsyncs = ls.WALSegments, ls.WALBytes, ls.Fsyncs
-			st.GroupCommits, st.GroupedTxns = ls.GroupCommits, ls.GroupedTxns
-			st.WALRecycledSegments, st.WALPipelineDepth = ls.WALRecycledSegments, ls.WALPipelineDepth
-		}
-		st.Checkpoints = db.checkpoints.Load()
-		st.RecoveryReplayedTxns = db.walRecoveredTxns.Load()
-		st.CheckpointDeltaChainLen = db.chainLen.Load()
-		st.CheckpointLastPauseNs = w.lastCkptPauseNs.Load()
-		ps := db.pager.pool.Stats()
-		st.PagecacheHits = int64(ps.Hits)
-		st.PagecacheMisses = int64(ps.Misses)
-		st.PagecacheEvictions = int64(ps.Evictions)
-		ss := db.pager.store.Stats()
-		st.PagesTotal = int64(ss.PagesTotal)
-		st.CompactionPagesWritten = int64(ss.PagesWritten)
+	w := db.wal
+	if w == nil {
+		return st
+	}
+	ps, ss := db.pager.pool.Stats(), db.pager.store.Stats()
+	st.RecoveryReplayedTxns = db.walRecoveredTxns.Load()
+	st.CheckpointDeltaChainLen = int64(ss.DirChainLen)
+	st.CheckpointLastPauseNs = w.lastCkptPauseNs.Load()
+	st.PagecacheHits, st.PagecacheMisses, st.PagecacheEvictions = int64(ps.Hits), int64(ps.Misses), int64(ps.Evictions)
+	st.PagesTotal, st.CompactionPagesWritten = int64(ss.PagesTotal), int64(ss.PagesWritten)
+	if len(w.members) == 1 {
+		return FoldStats(st, w.Stats())
 	}
 	return st
 }
@@ -983,7 +939,7 @@ func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (Ro
 	if err != nil {
 		return 0, err
 	}
-	atomic.AddInt64(&db.StatementsExecuted, 1)
+	db.statements.Add(1)
 	row, err := td.coerceRow(values)
 	if err != nil {
 		return 0, err
@@ -1033,7 +989,7 @@ func (db *Database) Delete(table string, id RowID) (int, error) {
 func (db *Database) txnDelete(t *Txn, table string, id RowID) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	atomic.AddInt64(&db.StatementsExecuted, 1)
+	db.statements.Add(1)
 	return db.deleteRowLocked(t, table, id)
 }
 
@@ -1148,7 +1104,7 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 	if err != nil {
 		return err
 	}
-	atomic.AddInt64(&db.StatementsExecuted, 1)
+	db.statements.Add(1)
 	db.materializeLocked(td, id) // see deleteRowLocked
 	v, err := db.writeTarget(t, table, id, td.rows[id])
 	if err != nil {

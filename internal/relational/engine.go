@@ -1,10 +1,6 @@
 package relational
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "time"
 
 // WriteTxn is the transactional write surface the upper layers (sqlexec
 // DML, the plan layer's apply pipeline) drive. *Txn implements it for a
@@ -48,11 +44,11 @@ type Snap interface {
 // ShardStat is one shard's statistics rollup. An unsharded Database
 // reports itself as shard 0 of 1.
 type ShardStat struct {
-	// Shard is the shard index (0-based).
-	Shard int `json:"shard"`
+	// Shard is the shard index (0-based), the label of its series.
+	Shard int `json:"shard" stat:"shard,label"`
 	DBStats
 	// Rows counts the shard's visible rows across all tables.
-	Rows int `json:"rows_total"`
+	Rows int `json:"rows_total" stat:"rows_total,gauge,sum,shard" help:"Visible rows stored on the shard."`
 }
 
 // Engine is the storage surface the executor stack is written against:
@@ -78,22 +74,18 @@ type Engine interface {
 	// stage share flushes; it remains for callers holding several
 	// finished transactions at once.
 	CommitShared(txns []WriteTxn) []error
-	// Statistics and maintenance.
+	// Stats folds every statistic (see FoldStats); ShardStats reports
+	// one rollup per storage shard (one for a plain Database).
 	Stats() DBStats
-	VersionStats() VersionStats
-	StatementsExecutedTotal() int64
+	ShardStats() []ShardStat
+	// LastFsyncNanos is the log's most recent commit-path fsync, read by
+	// a traced apply right after its Commit (a full Stats would take
+	// every statistics lock on the hot path).
 	LastFsyncNanos() int64
-	FsyncHistogram() obs.Snapshot
-	CheckpointPauseHistogram() obs.Snapshot
-	Reclaim() int
+	// Maintenance.
 	StartReclaimer(interval time.Duration) (stop func())
 	StartCheckpointer(interval time.Duration) (stop func())
 	CloseWAL() error
-	WALDir() string
-	// ShardCount reports the number of independent storage shards (1 for
-	// a plain Database); ShardStats returns one rollup per shard.
-	ShardCount() int
-	ShardStats() []ShardStat
 }
 
 // BeginTxn starts a transaction, typed as the WriteTxn interface.
@@ -119,9 +111,6 @@ func (db *Database) CommitShared(txns []WriteTxn) []error {
 	}
 	return out
 }
-
-// ShardCount reports 1: a plain Database is its own single shard.
-func (db *Database) ShardCount() int { return 1 }
 
 // ShardStats reports the database as shard 0 of 1.
 func (db *Database) ShardStats() []ShardStat {

@@ -369,40 +369,19 @@ func (db *Database) StartReclaimer(interval time.Duration) (stop func()) {
 }
 
 // VersionStats describes the version store's shape: how much history
-// the chains hold and how retention/reclaim are behaving. Computing it
-// walks every chain under the read latch — debugging/metrics cost, not
-// a hot-path one.
+// the chains hold (the snapshot, reclaim and commit-sequence counters
+// are DBStats'). Computing it walks every chain — debugging/metrics
+// cost, not a hot-path one.
 type VersionStats struct {
-	// LiveRows counts rows visible to a latest read.
-	LiveRows int `json:"live_rows"`
-	// VisibleRows counts rows visible at the sequence the stats were
-	// taken at: the pinned sequence for Snapshot.VersionStats, the
-	// commit sequence for Database.VersionStats (so uncommitted
-	// writer state is excluded, unlike LiveRows).
-	VisibleRows int `json:"visible_rows"`
-	// Versions counts stored row versions, including history.
-	Versions int `json:"versions"`
-	// ResidentRows counts rows whose newest version holds its values in
-	// memory (all of them without a WAL); the rest are paged stubs.
-	ResidentRows int `json:"resident_rows"`
-	// MaxChainDepth is the longest version chain (1 = no history).
-	MaxChainDepth int `json:"max_chain_depth"`
-	// SnapshotsActive is the number of currently pinned snapshots.
-	SnapshotsActive int64 `json:"snapshots_active"`
-	// SnapshotsOpened counts snapshots ever pinned.
-	SnapshotsOpened int64 `json:"snapshots_opened"`
-	// VersionsReclaimed counts versions freed by the reclaimer.
-	VersionsReclaimed int64 `json:"versions_reclaimed"`
-	// Reclaims counts reclaim passes.
-	Reclaims int64 `json:"reclaims"`
-	// CommitSeq is the last committed sequence number.
-	CommitSeq uint64 `json:"commit_seq"`
-}
-
-// VersionStats walks the version store and reports its shape;
-// VisibleRows is counted at the current commit sequence.
-func (db *Database) VersionStats() VersionStats {
-	return db.versionStatsAt(db.commitSeq.Load())
+	// LiveRows counts rows visible to a latest read; VisibleRows those
+	// visible at the snapshot's pinned sequence (uncommitted writer state
+	// excluded); ResidentRows those whose newest version holds its values
+	// in memory (all of them without a WAL; the rest are paged stubs).
+	LiveRows      int `json:"live_rows" stat:",gauge,sum"`
+	VisibleRows   int `json:"visible_rows" stat:",gauge,sum"`
+	Versions      int `json:"versions" stat:"row_versions,gauge,sum" help:"Row versions currently stored, including history."`
+	ResidentRows  int `json:"resident_rows" stat:",gauge,sum"`
+	MaxChainDepth int `json:"max_chain_depth" stat:"version_chain_depth_max,gauge,max" help:"Longest row version chain (1 = no history)."`
 }
 
 // VersionStats reports the store's shape with VisibleRows counted at
@@ -445,12 +424,5 @@ func (db *Database) versionStatsAt(seq uint64) VersionStats {
 			vs.VisibleRows++
 		}
 	}
-	db.snapMu.Lock()
-	vs.SnapshotsActive = int64(len(db.snaps))
-	db.snapMu.Unlock()
-	vs.SnapshotsOpened = db.snapshotsOpened.Load()
-	vs.VersionsReclaimed = db.versionsReclaimed.Load()
-	vs.Reclaims = db.reclaims.Load()
-	vs.CommitSeq = db.commitSeq.Load()
 	return vs
 }

@@ -213,6 +213,10 @@ func TestUniquenessIgnoresDeadVersions(t *testing.T) {
 	}
 }
 
+// versionStats reads the version store's shape at the latest commit
+// without pinning a snapshot of its own.
+func versionStats(db *Database) VersionStats { return db.versionStatsAt(db.commitSeq.Load()) }
+
 func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 	db, ids := newAcctDB(t, 1)
 	snap := db.Snapshot()
@@ -222,7 +226,7 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs := db.VersionStats()
+	vs := versionStats(db)
 	if vs.MaxChainDepth != 11 {
 		t.Fatalf("chain depth = %d, want 11", vs.MaxChainDepth)
 	}
@@ -233,7 +237,7 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 	if freed := db.Reclaim(); freed != 0 {
 		t.Fatalf("reclaim freed %d versions past a pinned snapshot", freed)
 	}
-	if got := db.VersionStats().MaxChainDepth; got != 11 {
+	if got := versionStats(db).MaxChainDepth; got != 11 {
 		t.Fatalf("chain depth with pinned snapshot = %d, want 11", got)
 	}
 	r, err := snap.Get("acct", ids[0])
@@ -247,7 +251,7 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 	if freed == 0 {
 		t.Fatal("reclaim after snapshot close freed nothing")
 	}
-	if got := db.VersionStats().MaxChainDepth; got != 1 {
+	if got := versionStats(db).MaxChainDepth; got != 1 {
 		t.Fatalf("chain depth after close+reclaim = %d, want 1", got)
 	}
 
@@ -256,7 +260,7 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Reclaim()
-	vs = db.VersionStats()
+	vs = versionStats(db)
 	if vs.Versions != 0 || vs.LiveRows != 0 {
 		t.Fatalf("after delete+reclaim: %+v, want empty store", vs)
 	}
@@ -488,7 +492,7 @@ func TestReclaimerVsReaderStress(t *testing.T) {
 
 	// Once quiesced and unpinned, reclaim collapses every chain.
 	db.Reclaim()
-	vs := db.VersionStats()
+	vs := versionStats(db)
 	if vs.MaxChainDepth != 1 {
 		t.Fatalf("chain depth after quiesce = %d, want 1 (%+v)", vs.MaxChainDepth, vs)
 	}

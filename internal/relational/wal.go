@@ -219,6 +219,7 @@ type WAL struct {
 	acrossFsyncs atomic.Int64 // of those batches, ones carrying a multi-member record
 	sealedSinceC atomic.Int64 // sealed segments since the last checkpoint
 	recycled     atomic.Int64 // segments reused from the free list
+	checkpoints  atomic.Int64 // passes that installed every member's pages
 
 	// fsyncHist records each commit-path fsync's duration; lastFsyncNs
 	// holds the most recent one so a traced apply can split its commit
@@ -864,7 +865,6 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 			db.commitSeq.Store(rec.Seq)
 			db.stampSeq.Store(rec.Seq)
 		}
-		db.chainLen.Store(int64(db.pager.store.Stats().DirChainLen))
 		return nil
 	})
 	next := uint64(1)
@@ -1189,6 +1189,7 @@ func (w *WAL) Checkpoint() error {
 	err = parallel(len(w.members), func(i int) error { return w.members[i].installPages(passes[i]) })
 	if err == nil {
 		w.sealedSinceC.Store(0)
+		w.checkpoints.Add(1)
 	}
 	if ferr := evalFailpoint(FpCheckpointTruncate); ferr != nil {
 		return ferr
@@ -1238,9 +1239,7 @@ func (db *Database) installPages(p ckptPass) error {
 	// page mappings are cleared.
 	db.applyPagePlacements(p.seq, placements, plan)
 	p.snap.Close()
-	db.chainLen.Store(int64(db.pager.store.Stats().DirChainLen))
 	db.checkpointSeq.Store(p.seq)
-	db.checkpoints.Add(1)
 	return nil
 }
 
@@ -1357,10 +1356,10 @@ func (w *WAL) Close() error {
 }
 
 // Stats reports the log's own counters — segments, bytes, fsyncs, the
-// commit groups and transactions its writer stage published, the
-// recycle and pipeline gauges; every other field is zero. A one-member
-// database folds them into its own Stats; a shard group adds them to
-// its members' sum once.
+// commit groups and transactions its writer stage published, checkpoint
+// passes, the recycle and pipeline gauges and the fsync and pause
+// histograms; every other field is zero. It is one more part of its
+// members' FoldStats.
 func (w *WAL) Stats() DBStats {
 	w.mu.Lock()
 	live := int64(len(w.sealed)) // sealed but not yet retired ...
@@ -1374,8 +1373,11 @@ func (w *WAL) Stats() DBStats {
 		Fsyncs:              w.fsyncs.Load(),
 		GroupCommits:        w.groupCommits.Load(),
 		GroupedTxns:         w.groupedTxns.Load(),
+		Checkpoints:         w.checkpoints.Load(),
 		WALRecycledSegments: w.recycled.Load(),
 		WALPipelineDepth:    w.pipeDepth.Load(),
+		FsyncHist:           w.fsyncHist.Snapshot(),
+		CheckpointPauseHist: w.ckptPauseHist.Snapshot(),
 	}
 }
 
@@ -1383,27 +1385,10 @@ func (w *WAL) Stats() DBStats {
 // members durable.
 func (w *WAL) AcrossFsyncs() int64 { return w.acrossFsyncs.Load() }
 
-// WALDir returns the attached log's directory ("" without a WAL).
-func (db *Database) WALDir() string {
-	if db.wal == nil {
-		return ""
-	}
-	return db.wal.dir
-}
-
 // CheckpointSeq returns the database's last DURABLE checkpoint's commit
 // sequence (0 without a WAL): recovery skips every record at or below
 // it.
 func (db *Database) CheckpointSeq() uint64 { return db.checkpointSeq.Load() }
-
-// FsyncHistogram snapshots the log's fsync duration distribution (empty
-// when no WAL is attached).
-func (db *Database) FsyncHistogram() obs.Snapshot {
-	if db.wal == nil {
-		return obs.Snapshot{}
-	}
-	return db.wal.fsyncHist.Snapshot()
-}
 
 // LastFsyncNanos returns the duration of the log's most recent
 // commit-path fsync, or 0 without a WAL. A traced apply reads it right
@@ -1414,14 +1399,4 @@ func (db *Database) LastFsyncNanos() int64 {
 		return 0
 	}
 	return db.wal.lastFsyncNs.Load()
-}
-
-// CheckpointPauseHistogram snapshots the distribution of the log's
-// checkpoint pass durations — the stall observed by whichever caller
-// triggered the pass (empty when no WAL is attached).
-func (db *Database) CheckpointPauseHistogram() obs.Snapshot {
-	if db.wal == nil {
-		return obs.Snapshot{}
-	}
-	return db.wal.ckptPauseHist.Snapshot()
 }

@@ -9,10 +9,11 @@ import (
 	"repro/internal/relational"
 )
 
-// viewMetrics is the per-view part of /metrics, one row per family: the
-// name, help and kind it is exported under and how its sample is read
-// off a view's stats. Name and value live in the same row, so adding or
-// dropping a metric cannot shift another's value onto the wrong name.
+// viewMetrics is the server's and the plan layer's part of /metrics,
+// one row per family: the name, help and kind it is exported under and
+// how its sample is read off a view's stats. The engine's families are
+// declared on the relational statistics structs' fields and rendered by
+// relational.WriteStats under the same "ufilterd_" prefix.
 var viewMetrics = []struct {
 	name, help, kind string
 	sample           func(ViewStats) float64
@@ -37,18 +38,8 @@ var viewMetrics = []struct {
 		func(st ViewStats) float64 { return float64(st.Queue.InFlight) }},
 	{"ufilterd_apply_conflict_409_total", "Applies answered 409 after exhausting conflict retries.", "counter",
 		func(st ViewStats) float64 { return float64(st.Applies.Conflicted) }},
-	{"ufilterd_txn_conflicts_total", "Write-write conflicts detected by the engine (first-updater-wins losers).", "counter",
-		func(st ViewStats) float64 { return float64(st.TxnConflictsTotal) }},
 	{"ufilterd_txn_retries_total", "Apply attempts re-run after a write-write conflict.", "counter",
 		func(st ViewStats) float64 { return float64(st.TxnRetriesTotal) }},
-	{"ufilterd_txns_active", "Transactions currently open.", "gauge",
-		func(st ViewStats) float64 { return float64(st.TxnsActive) }},
-	{"ufilterd_txns_started_total", "Transactions ever begun (including autocommit statements).", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.TxnsStarted) }},
-	{"ufilterd_group_commits_total", "Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on).", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.GroupCommits) }},
-	{"ufilterd_grouped_txns_total", "Transactions committed through commit groups (a cross-shard transaction counts once).", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.GroupedTxns) }},
 	{"ufilterd_cache_hits_total", "Checks and applies answered off a resident plan (stored text verdict or bind-time derivation).", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Cache.Hits) }},
 	{"ufilterd_cache_misses_total", "Template compilations (the plan cache's only kind of miss).", "counter",
@@ -63,74 +54,31 @@ var viewMetrics = []struct {
 		func(st ViewStats) float64 { return float64(st.Filter.Executor.RowsScanned) }},
 	{"ufilterd_index_probes_total", "Index lookups issued.", "counter",
 		func(st ViewStats) float64 { return float64(st.Filter.Executor.IndexProbes) }},
-	{"ufilterd_statements_executed_total", "DML statements executed.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.StatementsExecuted) }},
-	{"ufilterd_wal_segments", "Durable WAL segment files currently live (0 without -data-dir).", "gauge",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.WALSegments) }},
-	{"ufilterd_wal_bytes_total", "Bytes appended to the view's durable WAL segments.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.WALBytes) }},
-	{"ufilterd_wal_fsyncs_total", "fsync calls issued by the view's durable WAL (commit batches, segment seals, checkpoint installs).", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.Fsyncs) }},
-	{"ufilterd_wal_checkpoints_total", "Durable WAL checkpoints installed.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.Checkpoints) }},
-	{"ufilterd_wal_recovery_replayed_txns", "Committed transactions replayed from the WAL at startup.", "gauge",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.RecoveryReplayedTxns) }},
-	{"ufilterd_wal_recycled_segments_total", "Active-segment opens served from the preallocated recycle pool.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.WALRecycledSegments) }},
-	{"ufilterd_wal_pipeline_depth", "Commit groups queued or in flight in the WAL writer stage.", "gauge",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.WALPipelineDepth) }},
-	{"ufilterd_checkpoint_delta_chain_len", "Incremental checkpoint deltas layered on the base image (worst shard).", "gauge",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.CheckpointDeltaChainLen) }},
-	{"ufilterd_checkpoint_last_pause_seconds", "Duration of the most recent checkpoint pass (worst shard).", "gauge",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.CheckpointLastPauseNs) / 1e9 }},
-	{"ufilterd_pagecache_hits_total", "Buffer-pool page reads served from memory.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.PagecacheHits) }},
-	{"ufilterd_pagecache_misses_total", "Buffer-pool page reads that faulted from disk.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.PagecacheMisses) }},
-	{"ufilterd_pagecache_evictions_total", "Buffer-pool frames evicted to stay within the budget.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.PagecacheEvictions) }},
-	{"ufilterd_pages_total", "Live pages in the checkpoint page store.", "gauge",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.PagesTotal) }},
-	{"ufilterd_compaction_pages_written_total", "Pages written by checkpoint passes and directory folds.", "counter",
-		func(st ViewStats) float64 { return float64(st.Filter.Database.CompactionPagesWritten) }},
-	{"ufilterd_snapshots_active", "MVCC snapshots currently pinned.", "gauge",
-		func(st ViewStats) float64 { return float64(st.Versions.SnapshotsActive) }},
-	{"ufilterd_snapshots_opened_total", "MVCC snapshots ever pinned.", "counter",
-		func(st ViewStats) float64 { return float64(st.Versions.SnapshotsOpened) }},
-	{"ufilterd_versions_reclaimed_total", "Row versions freed by the MVCC reclaimer.", "counter",
-		func(st ViewStats) float64 { return float64(st.Versions.VersionsReclaimed) }},
-	{"ufilterd_version_reclaims_total", "MVCC reclaim passes (inline and background).", "counter",
-		func(st ViewStats) float64 { return float64(st.Versions.Reclaims) }},
-	{"ufilterd_row_versions", "Row versions currently stored, including history.", "gauge",
-		func(st ViewStats) float64 { return float64(st.Versions.Versions) }},
-	{"ufilterd_version_chain_depth_max", "Longest row version chain (1 = no history).", "gauge",
-		func(st ViewStats) float64 { return float64(st.Versions.MaxChainDepth) }},
 	{"ufilterd_rows_total", "Rows visible through a snapshot pinned for this scrape.", "gauge",
 		func(st ViewStats) float64 { return float64(st.RowsTotal) }},
-	{"ufilterd_commit_seq", "Last committed MVCC sequence number.", "gauge",
-		func(st ViewStats) float64 { return float64(st.Versions.CommitSeq) }},
 	{"ufilterd_shards", "Storage shards backing the view (1 = unsharded).", "gauge",
 		func(st ViewStats) float64 { return float64(st.Shards) }},
 }
 
 // handleMetrics renders every view's counters as Prometheus-style
-// text (gauge/counter lines with a view label), hand-rolled so the
-// daemon stays dependency-free.
+// text (gauge/counter lines with a view label, per-shard series for
+// sharded views), hand-rolled so the daemon stays dependency-free.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 	views := s.Registry.Views() // sorted by name
 	stats := make([]ViewStats, len(views))
-	var shardStats []struct {
-		view  string
-		stats []relational.ShardStat
-	}
+	var (
+		db       []relational.StatSeries[relational.DBStats]
+		versions []relational.StatSeries[relational.VersionStats]
+		shards   []relational.StatSeries[relational.ShardStat]
+	)
 	for i, v := range views {
 		stats[i] = v.Stats()
-		if len(stats[i].ShardStats) > 0 {
-			shardStats = append(shardStats, struct {
-				view  string
-				stats []relational.ShardStat
-			}{v.Name, stats[i].ShardStats})
+		label := fmt.Sprintf("view=%q", v.Name)
+		db = append(db, relational.StatSeries[relational.DBStats]{Labels: label, Stats: stats[i].Filter.Database})
+		versions = append(versions, relational.StatSeries[relational.VersionStats]{Labels: label, Stats: stats[i].Versions})
+		for _, sh := range stats[i].ShardStats {
+			shards = append(shards, relational.StatSeries[relational.ShardStat]{Labels: label, Stats: sh})
 		}
 	}
 	for _, m := range viewMetrics {
@@ -139,59 +87,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(&b, "%s{view=%q} %g\n", m.name, v.Name, m.sample(stats[i]))
 		}
 	}
-	writeShardMetrics(&b, shardStats)
+	relational.WriteStats(&b, "ufilterd_", false, db)
+	relational.WriteStats(&b, "ufilterd_", false, versions)
+	relational.WriteStats(&b, "ufilterd_shard_", true, shards)
 	s.writeHistograms(&b)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// writeShardMetrics renders the per-shard series for sharded views as
-// its own block ({view,shard}-labelled).
-func writeShardMetrics(b *strings.Builder, perView []struct {
-	view  string
-	stats []relational.ShardStat
-}) {
-	if len(perView) == 0 {
-		return
-	}
-	families := []struct {
-		name, help, kind string
-		sample           func(relational.ShardStat) float64
-	}{
-		{"ufilterd_shard_rows_total", "Visible rows stored on the shard.", "gauge",
-			func(s relational.ShardStat) float64 { return float64(s.Rows) }},
-		{"ufilterd_shard_txn_conflicts_total", "Write-write conflicts detected on the shard.", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.Conflicts) }},
-		{"ufilterd_shard_commit_seq", "Shard-local committed sequence number.", "gauge",
-			func(s relational.ShardStat) float64 { return float64(s.CommitSeq) }},
-		{"ufilterd_shard_checkpoint_delta_chain_len", "Incremental checkpoint deltas layered on the shard's base image.", "gauge",
-			func(s relational.ShardStat) float64 { return float64(s.CheckpointDeltaChainLen) }},
-		{"ufilterd_shard_checkpoint_last_pause_seconds", "Duration of the shard's most recent checkpoint pass.", "gauge",
-			func(s relational.ShardStat) float64 { return float64(s.CheckpointLastPauseNs) / 1e9 }},
-		{"ufilterd_shard_pagecache_hits_total", "Buffer-pool page reads served from the shard's pool.", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.PagecacheHits) }},
-		{"ufilterd_shard_pagecache_misses_total", "Buffer-pool page reads the shard faulted from disk.", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.PagecacheMisses) }},
-		{"ufilterd_shard_pagecache_evictions_total", "Frames evicted from the shard's buffer pool.", "counter",
-			func(s relational.ShardStat) float64 { return float64(s.PagecacheEvictions) }},
-		{"ufilterd_shard_pages_total", "Live pages in the shard's checkpoint page store.", "gauge",
-			func(s relational.ShardStat) float64 { return float64(s.PagesTotal) }},
-	}
-	for _, f := range families {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for _, pv := range perView {
-			for _, ss := range pv.stats {
-				fmt.Fprintf(b, "%s{view=%q,shard=\"%d\"} %g\n", f.name, pv.view, ss.Shard, f.sample(ss))
-			}
-		}
-	}
-}
-
-// writeHistograms renders the latency/size histogram families in the
-// Prometheus histogram exposition format (cumulative _bucket lines,
-// _sum, _count). Request latency carries a per-endpoint label; the
-// engine-internal families are per view only.
+// writeHistograms renders the server's and the plan layer's histogram
+// families in the Prometheus histogram exposition format (cumulative
+// _bucket lines, _sum, _count). Request latency carries a per-endpoint
+// label; the others are per view only. (The log's fsync and checkpoint
+// pause histograms are DBStats fields.)
 func (s *Server) writeHistograms(b *strings.Builder) {
 	views := s.Registry.Views()
 
@@ -212,7 +121,7 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 		}
 	}
 
-	engine := []struct {
+	perView := []struct {
 		name, help string
 		snap       func(v *View) obs.Snapshot
 	}{
@@ -224,12 +133,8 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 			func(v *View) obs.Snapshot { return v.Filter.Obs.Retries.Snapshot() }},
 		{"ufilterd_commit_wait_seconds", "Wait inside an apply's Commit, from the call to the published acknowledgment, fsync included.",
 			func(v *View) obs.Snapshot { return v.Filter.Obs.CommitWait.Snapshot() }},
-		{"ufilterd_wal_fsync_seconds", "Durable WAL fsync duration per commit group (empty without -data-dir).",
-			func(v *View) obs.Snapshot { return v.Filter.Exec.DB.FsyncHistogram() }},
-		{"ufilterd_checkpoint_pause_seconds", "Checkpoint pass duration — O(dirty) under incremental checkpoints (empty without -data-dir).",
-			func(v *View) obs.Snapshot { return v.Filter.Exec.DB.CheckpointPauseHistogram() }},
 	}
-	for _, h := range engine {
+	for _, h := range perView {
 		obs.WritePromHeader(b, h.name, h.help)
 		for _, v := range views {
 			obs.WriteProm(b, h.name, fmt.Sprintf("view=%q", v.Name), h.snap(v))

@@ -251,18 +251,17 @@ func (v *View) retryAfter() time.Duration {
 // Retry-After estimate — 1x when conflict-free, +1x per 10 conflicts/s,
 // capped at 4x. Shed responses under conflict churn thus quote longer
 // waits than sheds under clean overload, without a feedback loop: the
-// factor reads one atomic counter, it never touches the apply path.
+// engine's statistics are read only when a sample is due, never per
+// shed, and never on the apply path.
 func (v *View) conflictFactor() float64 {
-	cur := v.Filter.Exec.DB.Stats().Conflicts
 	now := time.Now()
 	v.confMu.Lock()
 	defer v.confMu.Unlock()
-	if v.confAt.IsZero() {
-		v.confAt, v.confLast = now, cur
-		return 1
-	}
-	if dt := now.Sub(v.confAt); dt >= conflictRateSampleMin {
-		v.confRate = float64(cur-v.confLast) / dt.Seconds()
+	if first := v.confAt.IsZero(); first || now.Sub(v.confAt) >= conflictRateSampleMin {
+		cur := v.Filter.Exec.DB.Stats().Conflicts
+		if !first {
+			v.confRate = float64(cur-v.confLast) / now.Sub(v.confAt).Seconds()
+		}
 		v.confAt, v.confLast = now, cur
 	}
 	f := 1 + v.confRate/10
@@ -436,8 +435,9 @@ type ViewStats struct {
 	// ShardStats carries the per-shard statistics rollups for sharded
 	// views (omitted when Shards is 1).
 	ShardStats []relational.ShardStat `json:"shard_stats,omitempty"`
-	// Versions describes the MVCC version store: chain depths, pinned
-	// snapshots and reclaim progress.
+	// Versions describes the MVCC version store's shape: row and version
+	// counts and chain depth (snapshot and reclaim counters are under
+	// filter.database).
 	Versions relational.VersionStats `json:"versions"`
 }
 
@@ -487,9 +487,10 @@ func (v *View) Stats() ViewStats {
 	snap := eng.OpenSnapshot()
 	versions := snap.VersionStats() // one walk: shape + pinned row count
 	snap.Close()
-	var shardStats []relational.ShardStat
-	if eng.ShardCount() > 1 {
-		shardStats = eng.ShardStats()
+	shardStats := eng.ShardStats()
+	shards := len(shardStats)
+	if shards == 1 {
+		shardStats = nil // an unsharded view omits the per-shard block
 	}
 	return ViewStats{
 		View:        v.Name,
@@ -518,7 +519,7 @@ func (v *View) Stats() ViewStats {
 		CheckLatency: latencyStats(v.checkHist.Snapshot()),
 		ApplyLatency: latencyStats(v.applyHist.Snapshot()),
 		RowsTotal:    versions.VisibleRows,
-		Shards:       eng.ShardCount(),
+		Shards:       shards,
 		ShardStats:   shardStats,
 		Versions:     versions,
 	}

@@ -1,7 +1,8 @@
 // Package server is the ufilterd subsystem: a long-running HTTP/JSON
 // gateway that hosts a registry of named U-Filter views (each a
-// compiled ufilter.Filter over its own in-memory database) and exposes
-// the paper's three-step update check over the wire.
+// compiled ufilter.Filter over its own database — in memory, or durable
+// under a data directory, optionally hash-partitioned across shards)
+// and exposes the paper's three-step update check over the wire.
 //
 // The serving model mirrors the library's concurrency contract.
 // Schema-level checks (POST /views/{name}/check and /check-batch) read
@@ -46,7 +47,8 @@
 // land in the per-view ring behind /slow, and a request carrying
 // "X-UFilter-Trace: 1" gets its own stage breakdown back in the JSON
 // response. /metrics adds per-endpoint latency histogram families to
-// the counters.
+// the counters; the engine's families are declared once, on the
+// relational statistics structs' fields, and rendered from them.
 package server
 
 import (
@@ -226,8 +228,7 @@ func (s *Server) handleListViews(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 	var vc ViewConfig
-	if err := decodeBody(r, &vc); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &vc) {
 		return
 	}
 	v, err := s.Registry.Add(vc)
@@ -257,19 +258,30 @@ type batchRequest struct {
 	Data bool `json:"data,omitempty"`
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 4<<20))
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes the JSON request body into v and reports whether it
+// did; otherwise it has answered the request: 413 for a body over
+// maxBodyBytes, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, v *View) {
 	var req checkRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	wantTrace := r.Header.Get(traceHeader) == "1"
@@ -296,8 +308,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, v *View) {
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request, v *View) {
 	var req batchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -322,8 +333,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request, v *Vie
 
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 	var req checkRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	reqStart := time.Now()
@@ -387,8 +397,7 @@ func applyStatus(err error) int {
 // input order.
 func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request, v *View) {
 	var req batchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Updates) == 0 {

@@ -11,11 +11,13 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bookdb"
 	"repro/internal/psd"
+	"repro/internal/relational"
 	"repro/internal/ufilter"
 )
 
@@ -148,6 +150,22 @@ func TestCheckErrors(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/views/nope/check", map[string]string{"update": bookdb.U12})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown view: HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyIs413: a body over the 4 MiB bound is answered 413
+// Content Too Large on a single and a batch endpoint, not 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t)
+	huge := strings.Repeat("x", maxBodyBytes)
+	for path, body := range map[string]any{
+		"/views/book/check":       map[string]string{"update": huge},
+		"/views/book/apply-batch": map[string][]string{"updates": {huge}},
+	} {
+		resp, out := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: HTTP %d (%.80s), want 413", path, len(huge), resp.StatusCode, out)
+		}
 	}
 }
 
@@ -285,7 +303,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if got := v.Filter.Exec.Stats(); st.Filter.Executor != got {
 		t.Errorf("executor stats = %+v, want %+v", st.Filter.Executor, got)
 	}
-	if st.Filter.Database.StatementsExecuted != v.Filter.Exec.DB.StatementsExecutedTotal() {
+	if st.Filter.Database.StatementsExecuted != v.Filter.Exec.DB.Stats().StatementsExecuted {
 		t.Errorf("db stats = %+v", st.Filter.Database)
 	}
 	if st.Checks != 5 || st.Applies.Total != 1 {
@@ -375,6 +393,45 @@ func TestApplyBackpressure(t *testing.T) {
 	st := v.Stats()
 	if st.Queue.Shed != 1 || st.Applies.Total != 2 || st.Queue.InFlight != 0 {
 		t.Errorf("final stats: %+v", st)
+	}
+}
+
+// statsCounter counts the Stats calls made through an engine.
+type statsCounter struct {
+	relational.Engine
+	calls atomic.Int64
+}
+
+func (e *statsCounter) Stats() relational.DBStats {
+	e.calls.Add(1)
+	return e.Engine.Stats()
+}
+
+// TestShedReadsStatsOnlyWhenSampleDue: shedding an apply must not take an
+// engine statistics snapshot (every statistics lock, on every shard)
+// per request; the conflict rate is sampled at most once per
+// conflictRateSampleMin.
+func TestShedReadsStatsOnlyWhenSampleDue(t *testing.T) {
+	reg := NewRegistry()
+	v, err := reg.Add(ViewConfig{Name: "book", Dataset: "book", QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &statsCounter{Engine: v.Filter.Exec.DB}
+	v.Filter.Exec.DB = eng
+	if !v.tryAcquire() {
+		t.Fatal("slot not acquired")
+	}
+	defer v.release()
+	start := time.Now()
+	for i := 0; i < 1000; i++ {
+		if _, _, ok, _ := v.Apply(context.Background(), bookdb.U12); ok {
+			t.Fatal("apply admitted past a full limiter")
+		}
+	}
+	windows := int64(time.Since(start)/conflictRateSampleMin) + 1
+	if got := eng.calls.Load(); got > windows+1 {
+		t.Fatalf("1000 sheds in %d sample window(s) took %d engine Stats snapshots, want at most %d", windows, got, windows+1)
 	}
 }
 

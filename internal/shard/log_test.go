@@ -424,6 +424,86 @@ func TestCrossCommitCounters(t *testing.T) {
 	}
 }
 
+// TestCheckpointCountsOncePerPass: checkpoints_total counts passes of the
+// view's log, so one Checkpoint raises it by one on a 4-shard group as on
+// an unsharded database, however many shards install pages in the pass.
+func TestCheckpointCountsOncePerPass(t *testing.T) {
+	group, _ := newGroupDir(t, 4, t.TempDir())
+	defer group.CloseWAL()
+	single := relational.NewDatabase(group.schema)
+	if _, err := single.OpenWAL(t.TempDir(), relational.WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer single.CloseWAL()
+	for name, eng := range map[string]interface {
+		relational.Engine
+		Checkpoint() error
+	}{"4 shards": group, "unsharded": single} {
+		for pass := 0; pass < 3; pass++ {
+			txn := eng.BeginTxn()
+			for s := 0; s < 4; s++ {
+				pub := pubOnShard(group, s, fmt.Sprintf("K%d", pass))
+				insertPub(t, txn, pub, "counted "+pub)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			before := eng.Stats().Checkpoints
+			if err := eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Stats().Checkpoints - before; got != 1 {
+				t.Errorf("%s: pass %d raised checkpoints_total by %d, want 1", name, pass, got)
+			}
+		}
+	}
+}
+
+// TestStatsFoldShardsAndLog: a durable group's Stats is, field by field,
+// the FoldStats of its shards' rollups and its log's own part — sums,
+// the worst shard's chain length and pause, the log's histograms once.
+func TestStatsFoldShardsAndLog(t *testing.T) {
+	db, _ := newGroupDir(t, 4, t.TempDir())
+	defer db.CloseWAL()
+	for round := 0; round < 2; round++ {
+		txn := db.BeginTxn()
+		for s := 0; s < 4; s++ {
+			pub := pubOnShard(db, s, fmt.Sprintf("F%d", round))
+			insertPub(t, txn, pub, "folded "+pub)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var parts []relational.DBStats
+	for _, ss := range db.ShardStats() {
+		parts = append(parts, ss.DBStats)
+	}
+	logPart := db.log.Stats()
+	want := relational.FoldStats(append(parts, logPart)...)
+	got := db.Stats()
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("%s: Stats %v, fold %v", gv.Type().Field(i).Name, gv.Field(i), wv.Field(i))
+		}
+	}
+	var seqs uint64
+	for _, p := range parts {
+		seqs += p.CommitSeq
+	}
+	if got.CommitSeq != seqs || got.Checkpoints != logPart.Checkpoints || got.FsyncHist.Count != logPart.FsyncHist.Count {
+		t.Errorf("fold: commit_seq %d (shards sum %d), checkpoints %d (log %d), fsync samples %d (log %d)",
+			got.CommitSeq, seqs, got.Checkpoints, logPart.Checkpoints, got.FsyncHist.Count, logPart.FsyncHist.Count)
+	}
+	if got.FsyncHist.Count == 0 || got.CheckpointPauseHist.Count == 0 {
+		t.Errorf("the log's histograms did not reach the group: %d fsyncs, %d pauses", got.FsyncHist.Count, got.CheckpointPauseHist.Count)
+	}
+}
+
 // TestCommitCrossAllocs pins what a cross-shard commit allocates on an
 // in-memory 4-shard group: the commit's request, its part slice and its
 // participant array — nothing per participant, no consumed map.

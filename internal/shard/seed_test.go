@@ -115,9 +115,11 @@ func TestStreamedSeedMatchesParentFixture(t *testing.T) {
 			if stats.Rows != want.Unsharded.Rows || stats.Checkpoints < 3 {
 				t.Fatalf("load stats %+v: want %d rows over several passes", stats, want.Unsharded.Rows)
 			}
-			if vs := db.VersionStats(); vs.ResidentRows != 0 {
+			snap := db.OpenSnapshot()
+			if vs := snap.VersionStats(); vs.ResidentRows != 0 {
 				t.Fatalf("%d rows still hold values after the final pass", vs.ResidentRows)
 			}
+			snap.Close()
 			check(t, db, n == 1)
 			if err := db.CloseWAL(); err != nil {
 				t.Fatal(err)

@@ -51,7 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/relational"
 )
 
@@ -593,80 +592,24 @@ func (db *DB) OpenSnapshot() relational.Snap {
 	return v
 }
 
-// Stats aggregates the per-shard rollups: counters sum; CommitSeq is
-// the sum of per-shard sequences — the same monotone logical clock
-// SnapVec.Seq reports. The log's own counters (segments, bytes, fsyncs,
-// the commit groups its writer stage flushed and the transactions they
-// carried, a cross-shard one once) come from the log, once.
+// Stats folds the shards' statistics and, once, the log's own
+// (relational.FoldStats): a group of one is its only shard.
 func (db *DB) Stats() relational.DBStats {
 	if db.n == 1 {
 		return db.shards[0].Stats()
 	}
-	var agg relational.DBStats
+	parts := make([]relational.DBStats, 0, db.n+1)
+	for _, s := range db.shards {
+		parts = append(parts, s.Stats())
+	}
 	if db.log != nil {
-		agg = db.log.Stats()
+		parts = append(parts, db.log.Stats())
 	}
-	for _, s := range db.shards {
-		st := s.Stats()
-		agg.StatementsExecuted += st.StatementsExecuted
-		agg.SnapshotsActive += st.SnapshotsActive
-		agg.SnapshotsOpened += st.SnapshotsOpened
-		agg.VersionsReclaimed += st.VersionsReclaimed
-		agg.Reclaims += st.Reclaims
-		agg.CommitSeq += st.CommitSeq
-		agg.TxnsActive += st.TxnsActive
-		agg.TxnsStarted += st.TxnsStarted
-		agg.Conflicts += st.Conflicts
-		agg.GroupCommits += st.GroupCommits // in memory: each shard's publishes
-		agg.GroupedTxns += st.GroupedTxns
-		agg.Checkpoints += st.Checkpoints
-		agg.RecoveryReplayedTxns += st.RecoveryReplayedTxns
-		agg.PagecacheHits += st.PagecacheHits
-		agg.PagecacheMisses += st.PagecacheMisses
-		agg.PagecacheEvictions += st.PagecacheEvictions
-		agg.PagesTotal += st.PagesTotal
-		agg.CompactionPagesWritten += st.CompactionPagesWritten
-		// Chain length and pause are per-shard maxima, not sums: the
-		// worst shard bounds recovery time and the observable pause.
-		agg.CheckpointDeltaChainLen = max(agg.CheckpointDeltaChainLen, st.CheckpointDeltaChainLen)
-		agg.CheckpointLastPauseNs = max(agg.CheckpointLastPauseNs, st.CheckpointLastPauseNs)
-	}
-	return agg
+	return relational.FoldStats(parts...)
 }
 
-func (db *DB) VersionStats() relational.VersionStats {
-	var agg relational.VersionStats
-	for _, s := range db.shards {
-		addVersionStats(&agg, s.VersionStats())
-	}
-	return agg
-}
-
-func (db *DB) StatementsExecutedTotal() int64 {
-	var n int64
-	for _, s := range db.shards {
-		n += s.StatementsExecutedTotal()
-	}
-	return n
-}
-
-// LastFsyncNanos, FsyncHistogram and CheckpointPauseHistogram are the
-// group's one log's (every shard reports the same).
+// LastFsyncNanos is the group's one log's (every shard reports it).
 func (db *DB) LastFsyncNanos() int64 { return db.shards[0].LastFsyncNanos() }
-
-func (db *DB) FsyncHistogram() obs.Snapshot { return db.shards[0].FsyncHistogram() }
-
-func (db *DB) CheckpointPauseHistogram() obs.Snapshot {
-	return db.shards[0].CheckpointPauseHistogram()
-}
-
-func (db *DB) Reclaim() int {
-	n := 0
-	for _, s := range db.shards {
-		n += s.Reclaim()
-	}
-	return n
-}
 
 func (db *DB) StartReclaimer(interval time.Duration) (stop func()) {
 	stops := make([]func(), len(db.shards))
@@ -687,12 +630,6 @@ func (db *DB) StartCheckpointer(interval time.Duration) (stop func()) {
 
 // CloseWAL closes the group's log.
 func (db *DB) CloseWAL() error { return db.shards[0].CloseWAL() }
-
-// WALDir returns the group's root directory (empty in memory).
-func (db *DB) WALDir() string { return db.dir }
-
-// ShardCount reports the group's width.
-func (db *DB) ShardCount() int { return db.n }
 
 // ShardStats returns one statistics rollup per shard.
 func (db *DB) ShardStats() []relational.ShardStat {

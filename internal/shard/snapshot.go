@@ -33,32 +33,14 @@ func (v *SnapVec) Seq() uint64 {
 	return n
 }
 
-// VersionStats aggregates the per-shard version-store shapes at the
-// pinned sequences.
+// VersionStats folds the per-shard version-store shapes at the pinned
+// sequences.
 func (v *SnapVec) VersionStats() relational.VersionStats {
-	var agg relational.VersionStats
-	for _, s := range v.subs {
-		addVersionStats(&agg, s.VersionStats())
+	parts := make([]relational.VersionStats, len(v.subs))
+	for i, s := range v.subs {
+		parts[i] = s.VersionStats()
 	}
-	return agg
-}
-
-// addVersionStats folds one shard's version-store shape into the
-// group's: counts sum (CommitSeq too, the group's logical clock), the
-// deepest chain wins.
-func addVersionStats(agg *relational.VersionStats, vs relational.VersionStats) {
-	agg.LiveRows += vs.LiveRows
-	agg.VisibleRows += vs.VisibleRows
-	agg.Versions += vs.Versions
-	agg.ResidentRows += vs.ResidentRows
-	if vs.MaxChainDepth > agg.MaxChainDepth {
-		agg.MaxChainDepth = vs.MaxChainDepth
-	}
-	agg.SnapshotsActive += vs.SnapshotsActive
-	agg.SnapshotsOpened += vs.SnapshotsOpened
-	agg.VersionsReclaimed += vs.VersionsReclaimed
-	agg.Reclaims += vs.Reclaims
-	agg.CommitSeq += vs.CommitSeq
+	return relational.FoldStats(parts...)
 }
 
 // ---- Reader at the pinned vector. Point reads route by id residue;

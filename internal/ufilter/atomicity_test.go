@@ -87,7 +87,7 @@ UPDATE $book {
 func TestCheckDoesNotTouchData(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	scanned, probes := f.Exec.RowsScanned, f.Exec.IndexProbes
-	stmts := f.Exec.DB.StatementsExecutedTotal()
+	stmts := f.Exec.DB.Stats().StatementsExecuted
 	for _, u := range bookdb.AllUpdates() {
 		if _, err := f.Check(u.Text); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestCheckDoesNotTouchData(t *testing.T) {
 	if f.Exec.RowsScanned != scanned || f.Exec.IndexProbes != probes {
 		t.Error("schema-level Check accessed base data")
 	}
-	if f.Exec.DB.StatementsExecutedTotal() != stmts {
+	if f.Exec.DB.Stats().StatementsExecuted != stmts {
 		t.Error("schema-level Check executed statements")
 	}
 }
