@@ -35,20 +35,6 @@ const (
 	StrategyInternal
 )
 
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyHybrid:
-		return "hybrid"
-	case StrategyOutside:
-		return "outside"
-	case StrategyInternal:
-		return "internal"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Step identifies the U-Filter step that produced a rejection.
 type Step int
 
@@ -363,29 +349,27 @@ func (e *Executor) CheckBatch(updates []string, workers int) []BatchResult {
 
 // checkPool runs check over every update on a pool of workers (<= 0
 // selects GOMAXPROCS, never more than one per update) and returns the
-// results in input order.
+// results in input order. Workers claim indices from a shared counter
+// and the caller is one of them, so a one-worker batch starts no
+// goroutine.
 func checkPool(updates []string, workers int, check func(string) (*Result, error)) []BatchResult {
 	out := make([]BatchResult, len(updates))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(updates))
-	next := make(chan int)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(updates); i = int(next.Add(1) - 1) {
+			res, err := check(updates[i])
+			out[i] = BatchResult{Index: i, Result: res, Err: err}
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := check(updates[i])
-				out[i] = BatchResult{Index: i, Result: res, Err: err}
-			}
-		}()
+	for w := 1; w < min(workers, len(updates)); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
 	}
-	for i := range updates {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return out
 }

@@ -361,22 +361,6 @@ const (
 	OutcomeUnconditional
 )
 
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeInvalid:
-		return "invalid"
-	case OutcomeUntranslatable:
-		return "untranslatable"
-	case OutcomeConditional:
-		return "conditionally translatable"
-	case OutcomeUnconditional:
-		return "unconditionally translatable"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
-
 // Condition is the side condition attached to a conditionally
 // translatable update (Observations 1 and 2).
 type Condition int
@@ -397,27 +381,11 @@ const (
 	CondSharedPartsExist
 )
 
-// String names the condition.
-func (c Condition) String() string {
-	switch c {
-	case CondNone:
-		return "none"
-	case CondMinimization:
-		return "translation minimization"
-	case CondDupConsistency:
-		return "duplication consistency"
-	case CondSharedPartsExist:
-		return "shared parts must pre-exist"
-	default:
-		return fmt.Sprintf("Condition(%d)", int(c))
-	}
-}
-
 // StarVerdict is the STAR checking procedure's answer for one operation.
 type StarVerdict struct {
-	Outcome    Outcome
-	Conditions []Condition
-	Reason     string
+	Outcome    Outcome     `json:"outcome"`
+	Conditions []Condition `json:"conditions,omitempty"`
+	Reason     string      `json:"reason,omitempty"`
 }
 
 // CheckDelete applies Observation 1 to a delete on node v.

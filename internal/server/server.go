@@ -261,9 +261,10 @@ type batchRequest struct {
 // maxBodyBytes bounds a request body.
 const maxBodyBytes = 4 << 20
 
-// decodeBody decodes the JSON request body into v and reports whether it
-// did; otherwise it has answered the request: 413 for a body over
-// maxBodyBytes, 400 for a malformed one.
+// decodeBody decodes a POST /views body (a ViewConfig) into v and
+// reports whether it did; otherwise it has answered the request: 413 for
+// a body over maxBodyBytes, 400 for a malformed one. The hot endpoints
+// decode through readRequest instead (wire.go).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -280,8 +281,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, v *View) {
+	wb := getWireBuf()
+	defer wb.release()
 	var req checkRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, wb, req.decode) {
 		return
 	}
 	wantTrace := r.Header.Get(traceHeader) == "1"
@@ -299,16 +302,15 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, v *View) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	if wantTrace {
-		writeJSON(w, http.StatusOK, map[string]any{"result": res, "trace": tr.Summary()})
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	wb.b = appendVerdict(wb.b[:0], res, tr, wantTrace)
+	writeWire(w, wb.b)
 }
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request, v *View) {
+	wb := getWireBuf()
+	defer wb.release()
 	var req batchRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, wb, req.decode) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -324,16 +326,15 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request, v *Vie
 	}
 	tr.Finish()
 	v.OfferSlow(tr.Summary())
-	body := map[string]any{"results": results}
-	if wantTrace {
-		body["trace"] = tr.Summary()
-	}
-	writeJSON(w, http.StatusOK, body)
+	wb.b = appendBatchTail(append(wb.b[:0], '{'), results, tr, wantTrace)
+	writeWire(w, wb.b)
 }
 
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
+	wb := getWireBuf()
+	defer wb.release()
 	var req checkRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, wb, req.decode) {
 		return
 	}
 	reqStart := time.Now()
@@ -368,11 +369,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 		writeError(w, status, "apply on view %q: %v", v.Name, err)
 		return
 	}
-	if wantTrace {
-		writeJSON(w, http.StatusOK, map[string]any{"result": res, "trace": tr.Summary()})
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	wb.b = appendVerdict(wb.b[:0], res, tr, wantTrace)
+	writeWire(w, wb.b)
 }
 
 // applyStatus maps an apply's error to its HTTP status: a commit the
@@ -396,8 +394,10 @@ func applyStatus(err error) int {
 // every accepted update in the batch. Per-update verdicts come back in
 // input order.
 func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request, v *View) {
+	wb := getWireBuf()
+	defer wb.release()
 	var req batchRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, wb, req.decode) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -425,15 +425,10 @@ func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request, v *Vie
 			accepted++
 		}
 	}
-	body := map[string]any{
-		"results":  results,
-		"accepted": accepted,
-		"rejected": len(results) - accepted,
-	}
-	if wantTrace {
-		body["trace"] = tr.Summary()
-	}
-	writeJSON(w, http.StatusOK, body)
+	out := strconv.AppendInt(append(wb.b[:0], `{"accepted":`...), int64(accepted), 10)
+	out = strconv.AppendInt(append(out, `,"rejected":`...), int64(len(results)-accepted), 10)
+	wb.b = appendBatchTail(append(out, ','), results, tr, wantTrace)
+	writeWire(w, wb.b)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, v *View) {

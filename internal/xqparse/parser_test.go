@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bookdb"
 	"repro/internal/relational"
 )
 
@@ -304,5 +305,19 @@ UPDATE $b { INSERT <title/> }`)
 	}
 	if u.Ops[0].Content.Name != "title" || len(u.Ops[0].Content.Children) != 0 {
 		t.Errorf("fragment = %+v", u.Ops[0].Content)
+	}
+}
+
+// TestParseUpdateAllocs bounds the allocations of parsing the paper's
+// u12. The lexer keeps its one-token lookahead by value: a heap copy of
+// every peeked token made the same parse cost 16 allocations.
+func TestParseUpdateAllocs(t *testing.T) {
+	parse := func() {
+		if _, err := ParseUpdate(bookdb.U12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, parse); n > 6 {
+		t.Errorf("ParseUpdate(u12) allocates %.0f times, want <= 6", n)
 	}
 }

@@ -111,9 +111,10 @@ type token struct {
 // the input (see rawXMLFragment), which requires tracking token start
 // offsets.
 type lexer struct {
-	input  string
-	pos    int
-	peeked *token
+	input   string
+	pos     int
+	peeked  token
+	hasPeek bool
 }
 
 func newLexer(input string) *lexer { return &lexer{input: input} }
@@ -145,23 +146,22 @@ func (lx *lexer) skipSpace() {
 
 // peek returns the next token without consuming it.
 func (lx *lexer) peek() (token, error) {
-	if lx.peeked != nil {
-		return *lx.peeked, nil
+	if lx.hasPeek {
+		return lx.peeked, nil
 	}
 	t, err := lx.scan()
 	if err != nil {
 		return token{}, err
 	}
-	lx.peeked = &t
+	lx.peeked, lx.hasPeek = t, true
 	return t, nil
 }
 
 // next consumes and returns the next token.
 func (lx *lexer) next() (token, error) {
-	if lx.peeked != nil {
-		t := *lx.peeked
-		lx.peeked = nil
-		return t, nil
+	if lx.hasPeek {
+		lx.hasPeek = false
+		return lx.peeked, nil
 	}
 	return lx.scan()
 }
@@ -204,7 +204,7 @@ func (lx *lexer) peekKeyword(kw string) bool {
 // lookahead. Used to hand raw fragment text to the XML parser.
 func (lx *lexer) resetTo(pos int) {
 	lx.pos = pos
-	lx.peeked = nil
+	lx.hasPeek = false
 }
 
 func isIdentStart(r rune) bool {
@@ -345,7 +345,7 @@ func (lx *lexer) scan() (token, error) {
 // content (the paper writes <bookid>"98004"</bookid>) are preserved;
 // callers strip them after parsing.
 func (lx *lexer) rawXMLFragment() (string, error) {
-	if lx.peeked != nil {
+	if lx.hasPeek {
 		lx.resetTo(lx.peeked.pos)
 	}
 	lx.skipSpace()
