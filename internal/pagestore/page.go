@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"unsafe"
 )
 
 const (
@@ -56,9 +55,6 @@ type PageRow struct {
 	ID      int64
 	Payload []byte
 }
-
-// pageRowBytes is what one PageRow header (id + slice header) occupies.
-const pageRowBytes = int64(unsafe.Sizeof(PageRow{}))
 
 // encodePage builds one page's on-disk image in dst's storage (grown
 // when too small): the frame (header + payload) for rows of a single
@@ -94,58 +90,111 @@ func frameSlots(frameLen int) uint32 {
 	return uint32((frameLen + PageSize - 1) / PageSize)
 }
 
-// decodePage parses a page payload (the bytes after the frame header,
-// CRC already verified). It never panics on arbitrary input.
-func decodePage(payload []byte) (table string, seq uint64, rows []PageRow, err error) {
+// pageHeader parses the header of a page payload: the table name
+// (aliasing payload), the sequence, the row count, and the row section
+// that follows. It never panics on arbitrary input.
+func pageHeader(payload []byte) (table []byte, seq, nrows uint64, rows []byte, err error) {
 	rd := payload
 	tl, n := binary.Uvarint(rd)
 	if n <= 0 || tl > uint64(len(rd)-n) {
-		return "", 0, nil, fmt.Errorf("%w: bad table length", ErrCorruptPage)
+		return nil, 0, 0, nil, fmt.Errorf("%w: bad table length", ErrCorruptPage)
 	}
 	rd = rd[n:]
-	table = string(rd[:tl])
-	rd = rd[tl:]
+	table, rd = rd[:tl], rd[tl:]
 	seq, n = binary.Uvarint(rd)
 	if n <= 0 {
-		return "", 0, nil, fmt.Errorf("%w: bad seq", ErrCorruptPage)
+		return nil, 0, 0, nil, fmt.Errorf("%w: bad seq", ErrCorruptPage)
 	}
 	rd = rd[n:]
-	nrows, n := binary.Uvarint(rd)
+	nrows, n = binary.Uvarint(rd)
 	if n <= 0 || nrows > uint64(len(rd)) {
-		return "", 0, nil, fmt.Errorf("%w: bad row count", ErrCorruptPage)
+		return nil, 0, 0, nil, fmt.Errorf("%w: bad row count", ErrCorruptPage)
 	}
-	rd = rd[n:]
-	rows = make([]PageRow, 0, nrows)
-	for i := uint64(0); i < nrows; i++ {
-		id, n := binary.Uvarint(rd)
-		if n <= 0 {
-			return "", 0, nil, fmt.Errorf("%w: bad row id", ErrCorruptPage)
-		}
-		rd = rd[n:]
-		pl, n := binary.Uvarint(rd)
-		if n <= 0 || pl > uint64(len(rd)-n) {
-			return "", 0, nil, fmt.Errorf("%w: bad row payload length", ErrCorruptPage)
-		}
-		rd = rd[n:]
-		rows = append(rows, PageRow{ID: int64(id), Payload: rd[:pl:pl]})
-		rd = rd[pl:]
-	}
-	return table, seq, rows, nil
+	return table, seq, nrows, rd[n:], nil
 }
 
-// decodePageFrame verifies the frame header + CRC of buf (which must
-// start at a slot boundary and contain the whole frame) and decodes it.
-func decodePageFrame(buf []byte) (table string, seq uint64, rows []PageRow, err error) {
+// nextRow splits the first row off a page's row section: its id, its
+// payload (aliasing rd) and the rest of the section.
+func nextRow(rd []byte) (id uint64, payload, rest []byte, err error) {
+	id, n := binary.Uvarint(rd)
+	if n <= 0 {
+		return 0, nil, nil, fmt.Errorf("%w: bad row id", ErrCorruptPage)
+	}
+	rd = rd[n:]
+	pl, n := binary.Uvarint(rd)
+	if n <= 0 || pl > uint64(len(rd)-n) {
+		return 0, nil, nil, fmt.Errorf("%w: bad row payload length", ErrCorruptPage)
+	}
+	rd = rd[n:]
+	return id, rd[:pl:pl], rd[pl:], nil
+}
+
+// decodePage parses a page payload (the bytes after the frame header,
+// CRC already verified) into its rows. It never panics on arbitrary
+// input.
+func decodePage(payload []byte) (table string, seq uint64, rows []PageRow, err error) {
+	name, seq, nrows, rd, err := pageHeader(payload)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	rows = make([]PageRow, 0, nrows)
+	for ; nrows > 0; nrows-- {
+		id, pl, rest, err := nextRow(rd)
+		if err != nil {
+			return "", 0, nil, err
+		}
+		rows = append(rows, PageRow{ID: int64(id), Payload: pl})
+		rd = rest
+	}
+	return string(name), seq, rows, nil
+}
+
+// FindRow walks a page payload — the CRC-verified bytes Pool.Get
+// returns — to the row with the given id and returns that row's payload,
+// aliasing page (so valid only as long as page is). No other row is
+// decoded. ok is false when the page holds no such row or is malformed
+// before reaching it; FindRow never panics on arbitrary input.
+func FindRow(page []byte, id int64) (payload []byte, ok bool) {
+	_, _, nrows, rd, err := pageHeader(page)
+	if err != nil {
+		return nil, false
+	}
+	for ; nrows > 0; nrows-- {
+		rid, pl, rest, err := nextRow(rd)
+		if err != nil {
+			return nil, false
+		}
+		if int64(rid) == id {
+			return pl, true
+		}
+		rd = rest
+	}
+	return nil, false
+}
+
+// verifyFrame checks the frame header + CRC of buf (which must start at
+// a slot boundary and contain the whole frame) and returns its payload,
+// aliasing buf.
+func verifyFrame(buf []byte) ([]byte, error) {
 	if len(buf) < pageFrameHeader {
-		return "", 0, nil, fmt.Errorf("%w: short frame", ErrCorruptPage)
+		return nil, fmt.Errorf("%w: short frame", ErrCorruptPage)
 	}
 	plen := binary.LittleEndian.Uint32(buf[0:4])
 	if plen > maxPagePayload || int(plen) > len(buf)-pageFrameHeader {
-		return "", 0, nil, fmt.Errorf("%w: bad frame length %d", ErrCorruptPage, plen)
+		return nil, fmt.Errorf("%w: bad frame length %d", ErrCorruptPage, plen)
 	}
 	payload := buf[pageFrameHeader : pageFrameHeader+int(plen)]
 	if crc32.Checksum(payload, pageCRC) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return "", 0, nil, fmt.Errorf("%w: crc mismatch", ErrCorruptPage)
+		return nil, fmt.Errorf("%w: crc mismatch", ErrCorruptPage)
+	}
+	return payload, nil
+}
+
+// decodePageFrame verifies a frame (verifyFrame) and decodes its rows.
+func decodePageFrame(buf []byte) (table string, seq uint64, rows []PageRow, err error) {
+	payload, err := verifyFrame(buf)
+	if err != nil {
+		return "", 0, nil, err
 	}
 	return decodePage(payload)
 }

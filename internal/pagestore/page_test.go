@@ -72,10 +72,42 @@ func FuzzPageDecode(f *testing.F) {
 	}
 	f.Add(encodePage(nil, "many", 9, big))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes must never panic.
+		// Arbitrary bytes must never panic, through either the decoder or
+		// the row walk (as a frame payload, and past a frame header).
 		table, seq, rows, err := decodePageFrame(data)
+		for _, id := range []int64{0, 1, int64(len(data))} {
+			FindRow(data, id)
+			if len(data) > pageFrameHeader {
+				FindRow(data[pageFrameHeader:], id)
+			}
+		}
 		if err != nil {
 			return
+		}
+		// On a decoded frame the walk finds each row's payload by id —
+		// the first row carrying it, as decodePage lists them — and
+		// misses every id the page does not hold.
+		payload, err := verifyFrame(data)
+		if err != nil {
+			t.Fatalf("decoded frame fails verification: %v", err)
+		}
+		first := map[int64][]byte{}
+		for _, r := range rows {
+			if _, dup := first[r.ID]; !dup {
+				first[r.ID] = r.Payload
+			}
+		}
+		for id, want := range first {
+			if got, ok := FindRow(payload, id); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("row %d: walk found %q (ok=%v), decode %q", id, got, ok, want)
+			}
+			for _, miss := range []int64{id + 1, id - 1, -id - 1} {
+				if _, held := first[miss]; !held {
+					if _, ok := FindRow(payload, miss); ok {
+						t.Fatalf("walk found row %d, which the page does not hold", miss)
+					}
+				}
+			}
 		}
 		// A successfully decoded frame must re-encode to an equivalent
 		// decodable frame (round-trip stability).

@@ -5,21 +5,28 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a byte-budgeted buffer pool of page images keyed by heap slot,
-// with CLOCK (second-chance) eviction and pin/unpin refcounts. A frame
-// is a page as read: its table name and row payloads, all aliasing the
-// one CRC-verified buffer. Nothing is decoded here — the caller decodes
-// the row it wants on each access. Frames are immutable and never
-// recycled, so what Get hands out stays valid after eviction.
+// Pool is a byte-budgeted buffer pool of pages keyed by heap slot, with
+// CLOCK (second-chance) eviction and pin/unpin refcounts. A frame is a
+// page's CRC-verified bytes plus its table name; nothing is decoded
+// here — the caller walks to the row it wants (FindRow) on each access.
+// A frame is charged for what it retains: its whole slots and the name.
+//
+// A frame's bytes are valid only while it is pinned. When a frame is
+// evicted, or an invalidated frame loses its last pin, its one-slot
+// buffer joins a free list that the next miss reads into (multi-slot
+// extents are left to the collector). Callers therefore copy out what
+// they need before they release. Free buffers count against the budget:
+// resident plus free bytes stay within the budget plus one frame.
 type Pool struct {
 	budget int64
-	load   func(slot uint32) (table string, rows []PageRow, size int64, err error)
+	load   func(slot uint32, buf []byte) (table string, page, extent []byte, err error)
 
 	mu     sync.Mutex
 	frames map[uint32]*poolFrame
 	ring   []uint32 // CLOCK ring of resident slots
 	hand   int
-	size   int64
+	size   int64    // bytes charged to resident frames
+	free   [][]byte // one-slot buffers of evicted frames, for the next miss
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -28,13 +35,14 @@ type Pool struct {
 
 type poolFrame struct {
 	table   string
-	rows    []PageRow
+	page    []byte // the CRC-verified payload, aliasing extent
+	extent  []byte // the buffer as read: whole slots
 	size    int64
 	release func() // unpins; built once per frame so a hit allocates nothing
 	pins    int
 	ref     bool // CLOCK reference bit
 	loaded  bool
-	gone    bool // invalidated while loading
+	gone    bool // invalidated: no longer in the map, recycled at its last unpin
 	err     error
 	ready   chan struct{}
 }
@@ -46,7 +54,7 @@ func NewPool(store *Store, budget int64) *Pool {
 	return newPool(budget, store.readFrame)
 }
 
-func newPool(budget int64, load func(uint32) (string, []PageRow, int64, error)) *Pool {
+func newPool(budget int64, load func(uint32, []byte) (string, []byte, []byte, error)) *Pool {
 	return &Pool{budget: budget, load: load, frames: make(map[uint32]*poolFrame)}
 }
 
@@ -55,14 +63,15 @@ type PoolStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Resident  int64 // bytes currently cached
+	Resident  int64 // bytes charged to cached frames
 	Frames    int   // pages currently cached
+	Free      int64 // bytes held by free buffers awaiting the next miss
 }
 
 // Stats returns the pool counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
-	resident, frames := p.size, len(p.frames)
+	resident, frames, free := p.size, len(p.frames), p.freeBytesLocked()
 	p.mu.Unlock()
 	return PoolStats{
 		Hits:      p.hits.Load(),
@@ -70,29 +79,33 @@ func (p *Pool) Stats() PoolStats {
 		Evictions: p.evictions.Load(),
 		Resident:  resident,
 		Frames:    frames,
+		Free:      free,
 	}
 }
 
-// Get returns the page image at slot, reading it from the store on a
-// miss. Concurrent misses on the same slot are coalesced: one caller
-// loads, the rest wait. The returned release func unpins the frame; it
-// must be called exactly once (the rows stay usable afterwards).
-func (p *Pool) Get(slot uint32) (table string, rows []PageRow, release func(), err error) {
+// Get returns the table name and CRC-verified payload of the page at
+// slot, reading it from the store on a miss (into a free buffer when
+// there is one). Concurrent misses on the same slot are coalesced: one
+// caller loads, the rest wait. The page bytes are valid only until the
+// returned release func unpins the frame; it must be called exactly once
+// — a second call panics, since the buffer may already serve another
+// page.
+func (p *Pool) Get(slot uint32) (table string, page []byte, release func(), err error) {
 	for {
 		p.mu.Lock()
 		f := p.frames[slot]
 		if f == nil {
 			f = &poolFrame{pins: 1, ready: make(chan struct{})}
-			f.release = func() {
-				p.mu.Lock()
-				f.pins--
-				p.evictLocked()
-				p.mu.Unlock()
-			}
+			f.release = func() { p.unpin(f) }
 			p.frames[slot] = f
+			var buf []byte
+			if n := len(p.free); n > 0 {
+				buf, p.free[n-1] = p.free[n-1], nil
+				p.free = p.free[:n-1]
+			}
 			p.mu.Unlock()
 
-			table, rows, size, err := p.load(slot)
+			table, page, extent, err := p.load(slot, buf)
 
 			p.mu.Lock()
 			if err != nil {
@@ -104,17 +117,18 @@ func (p *Pool) Get(slot uint32) (table string, rows []PageRow, release func(), e
 				p.mu.Unlock()
 				return "", nil, nil, err
 			}
-			f.table, f.rows, f.size, f.loaded = table, rows, size, true
+			f.table, f.page, f.extent, f.loaded = table, page, extent, true
+			f.size = int64(frameSlots(len(extent)))*PageSize + int64(len(table))
 			p.misses.Add(1)
 			if !f.gone { // else invalidated mid-load: serve this caller, cache nothing
-				p.size += size
+				p.size += f.size
 				p.ring = append(p.ring, slot)
 				f.ref = true
 			}
 			close(f.ready)
 			p.evictLocked()
 			p.mu.Unlock()
-			return table, rows, f.release, nil
+			return table, page, f.release, nil
 		}
 		if !f.loaded && f.err == nil {
 			ready := f.ready
@@ -130,14 +144,28 @@ func (p *Pool) Get(slot uint32) (table string, rows []PageRow, release func(), e
 		f.ref = true
 		p.hits.Add(1)
 		p.mu.Unlock()
-		return f.table, f.rows, f.release, nil
+		return f.table, f.page, f.release, nil
 	}
+}
+
+// unpin is a frame's release: the last unpin of an invalidated frame
+// recycles its buffer.
+func (p *Pool) unpin(f *poolFrame) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f.pins--; f.pins < 0 {
+		panic("pagestore: pool frame released more times than it was pinned")
+	}
+	if f.pins == 0 && f.gone {
+		p.recycleLocked(f)
+	}
+	p.evictLocked()
 }
 
 // Invalidate drops the given slots from the pool (used when a checkpoint
 // frees the pages they cache). Pinned frames are dropped from the map —
-// current holders keep their values — and their size is released when
-// unpinned via the frame's gone flag.
+// current holders keep their bytes until they release — and their
+// buffers are recycled at the last unpin.
 func (p *Pool) Invalidate(slots []uint32) {
 	if len(slots) == 0 {
 		return
@@ -153,23 +181,35 @@ func (p *Pool) Invalidate(slots []uint32) {
 			p.size -= f.size
 		}
 		f.gone = true
+		if f.loaded && f.pins == 0 {
+			p.recycleLocked(f)
+		}
 	}
 	p.compactRingLocked()
+	p.evictLocked()
 	p.mu.Unlock()
 }
 
-// evictLocked advances the CLOCK hand until the pool is within budget,
-// skipping pinned frames. Requires p.mu held.
-func (p *Pool) evictLocked() {
-	if p.size <= p.budget || len(p.ring) == 0 {
-		return
+// recycleLocked moves an unpinned frame's buffer to the free list when it
+// is one slot; the frame keeps no reference to it. Requires p.mu held.
+func (p *Pool) recycleLocked(f *poolFrame) {
+	buf := f.extent
+	f.page, f.extent = nil, nil
+	if len(buf) == PageSize {
+		p.free = append(p.free, buf)
 	}
+}
+
+func (p *Pool) freeBytesLocked() int64 { return int64(len(p.free)) * PageSize }
+
+// evictLocked advances the CLOCK hand until the resident frames are
+// within budget, skipping pinned frames and recycling the victims'
+// buffers, then trims the free list so resident plus free bytes stay
+// within the budget plus one slot. Requires p.mu held.
+func (p *Pool) evictLocked() {
 	// Bound the sweep: with every frame pinned or referenced we make at
 	// most two full revolutions before giving up (over budget but safe).
-	for spins := 0; p.size > p.budget && spins < 2*len(p.ring); spins++ {
-		if len(p.ring) == 0 {
-			return
-		}
+	for spins := 0; p.size > p.budget && len(p.ring) > 0 && spins < 2*len(p.ring); spins++ {
 		if p.hand >= len(p.ring) {
 			p.hand = 0
 		}
@@ -192,9 +232,14 @@ func (p *Pool) evictLocked() {
 		}
 		delete(p.frames, slot)
 		p.size -= f.size
+		p.recycleLocked(f)
 		p.evictions.Add(1)
 		p.ring[p.hand] = p.ring[len(p.ring)-1]
 		p.ring = p.ring[:len(p.ring)-1]
+	}
+	for n := len(p.free); n > 0 && p.size+p.freeBytesLocked() > p.budget+PageSize; n-- {
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 	}
 }
 

@@ -801,29 +801,39 @@ func (s *Store) compactBase(snap []PageInfo, watermark, seq uint64, maxSegIndex 
 // for concurrent use; the caller validates table/row membership against
 // its authoritative mapping.
 func (s *Store) ReadPage(slot uint32) (table string, seq uint64, rows []PageRow, err error) {
-	buf, err := s.readExtent(slot)
+	buf, err := s.readExtent(slot, nil)
 	if err != nil {
 		return "", 0, nil, err
 	}
 	return decodePageFrame(buf)
 }
 
-// readFrame is the pool's loader: ReadPage plus the bytes the frame
-// retains — the extent's slots (the buffer every payload aliases), one
-// PageRow header per row and the table name.
-func (s *Store) readFrame(slot uint32) (table string, rows []PageRow, size int64, err error) {
-	buf, err := s.readExtent(slot)
-	if err != nil {
-		return "", nil, 0, err
+// readFrame is the pool's loader: it reads the frame at slot into buf (a
+// recycled one-slot buffer, or nil), verifies its CRC and names its
+// table. page is the verified payload, aliasing extent — buf itself for
+// a one-slot frame, a fresh buffer for a multi-slot extent.
+func (s *Store) readFrame(slot uint32, buf []byte) (table string, page, extent []byte, err error) {
+	if extent, err = s.readExtent(slot, buf); err != nil {
+		return "", nil, nil, err
 	}
-	table, _, rows, err = decodePageFrame(buf)
-	return table, rows, int64(frameSlots(len(buf)))*PageSize + int64(len(rows))*pageRowBytes + int64(len(table)), err
+	if page, err = verifyFrame(extent); err != nil {
+		return "", nil, nil, err
+	}
+	name, _, _, _, err := pageHeader(page)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	return string(name), page, extent, nil
 }
 
-// readExtent reads the whole frame that starts at slot: one slot, or
-// the multi-slot extent its header announces.
-func (s *Store) readExtent(slot uint32) ([]byte, error) {
-	buf := make([]byte, PageSize)
+// readExtent reads the whole frame that starts at slot — one slot, or
+// the multi-slot extent its header announces — into buf when it holds a
+// slot, a fresh buffer otherwise.
+func (s *Store) readExtent(slot uint32, buf []byte) ([]byte, error) {
+	if cap(buf) < PageSize {
+		buf = make([]byte, PageSize)
+	}
+	buf = buf[:PageSize]
 	if _, err := s.heap.ReadAt(buf, int64(slot)*PageSize); err != nil {
 		return nil, err
 	}

@@ -279,6 +279,12 @@ type Reader interface {
 	// LookupEqual returns the ids of visible rows whose named columns
 	// equal the given values.
 	LookupEqual(table string, columns []string, values []Value) ([]RowID, error)
+	// LookupRows is LookupEqual returning each match with the values the
+	// lookup resolved (faulting a paged row in once) to verify its key.
+	// The values are immutable and must not be mutated by the caller: a
+	// resident version's slice is aliased (writers copy on write), a
+	// faulted row's slice is fresh.
+	LookupRows(table string, columns []string, values []Value) ([]Row, error)
 	// ValuesByName returns a visible row's values keyed by column name.
 	ValuesByName(table string, id RowID) (map[string]Value, error)
 	// HasIndexOn reports whether an index covers exactly the named
@@ -622,63 +628,128 @@ func (db *Database) Scan(table string, fn func(*Row) bool) error {
 // the columns and falling back to a scan otherwise. The returned ids
 // are deterministic.
 func (db *Database) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
+	return RowIDs(db.LookupRows(table, columns, values))
+}
+
+// LookupRows is LookupEqual returning each match with the values that
+// verified it (see Reader). Resolution and faults run under the read
+// latch: an unregistered reader must not race the reclaimer or a
+// quarantined slot's release (pager.go).
+func (db *Database) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	seq := db.commitSeq.Load() // under the latch: reclaim cannot outrun it
-	return db.lookupEqualVisLocked(table, columns, values, func(head *rowVersion) *rowVersion {
+	return db.lookupLocked(table, columns, values, func(head *rowVersion) *rowVersion {
 		return head.visibleAt(seq)
 	})
 }
 
-// lookupEqualVisLocked is the shared lookup core: candidates come from
-// a covering index (or the order slice), each candidate's head is
-// resolved through the caller's visibility function, and the resolved
-// version's values are re-verified against the probe (index buckets may
-// hold entries for versions the caller cannot see). Callers hold at
-// least the read latch.
-func (db *Database) lookupEqualVisLocked(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]RowID, error) {
+// RowIDs keeps the ids of a lookup's rows: LookupEqual's answer from
+// LookupRows'.
+func RowIDs(rows []Row, err error) ([]RowID, error) {
+	if err != nil || len(rows) == 0 {
+		return nil, err
+	}
+	ids := make([]RowID, len(rows))
+	for i := range rows {
+		ids[i] = rows[i].ID
+	}
+	return ids, nil
+}
+
+// lookupCandidatesLocked begins the lookup core every reader of the
+// database shares: it resolves the columns and returns the candidate
+// ids — the covering index's bucket, else every id in scan order — as
+// the store's own slice, readable only under db.mu (held by the caller
+// in either mode). Each candidate then resolves through the reader's
+// visibility function, and the resolved version's values, faulted in
+// once for a stub, are re-verified against the probe (buckets keep ids
+// of versions this reader may not see) and returned with the id
+// (appendMatch). lookupLocked finishes under the caller's latch;
+// lookupRegistered drops it first. The column positions are appended to
+// cols, a caller's buffer.
+func (db *Database) lookupCandidatesLocked(table string, columns []string, values []Value, cols []int) (*tableData, []int, []RowID, error) {
 	td, err := db.tableData(table)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, c := range columns {
+		idx, ok := td.def.ColumnIndex(c)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, c)
+		}
+		cols = append(cols, idx)
+	}
+	if ix := td.findIndex(cols); ix != nil {
+		return td, cols, ix.lookup(cols, values), nil
+	}
+	return td, cols, td.order, nil
+}
+
+// lookupLocked is the core for callers holding db.mu (either mode): the
+// Database's latest read and the write paths' key checks.
+func (db *Database) lookupLocked(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
+	var colBuf [4]int
+	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		idx, ok := td.def.ColumnIndex(c)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, c)
-		}
-		cols[i] = idx
-	}
-	matches := func(head *rowVersion) bool {
-		v := resolve(head)
-		if v == nil {
-			return false
-		}
-		vals := db.versionValues(td, v) // may fault; caller holds db.mu
-		for i, c := range cols {
-			if !vals[c].Equal(values[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if ix := td.findIndex(cols); ix != nil {
-		var out []RowID
-		for _, id := range ix.lookup(cols, values) {
-			if head, ok := td.rows[id]; ok && matches(head) {
-				out = append(out, id)
-			}
-		}
-		return out, nil
-	}
-	// Fallback scan.
-	var out []RowID
-	for _, id := range td.order {
-		if head, ok := td.rows[id]; ok && matches(head) {
-			out = append(out, id)
-		}
+	out := newMatches(len(ids))
+	for _, id := range ids {
+		out = db.appendMatch(out, td, resolve(td.rows[id]), cols, values)
 	}
 	return out, nil
+}
+
+// lookupRegistered is the core for a registered reader (Snapshot, Txn):
+// candidate heads are collected under the read latch, then resolved and
+// faulted after it is dropped.
+func (db *Database) lookupRegistered(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
+	var colBuf [4]int
+	var headBuf [8]*rowVersion // most buckets: no allocation
+	db.mu.RLock()
+	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0])
+	if err != nil {
+		db.mu.RUnlock()
+		return nil, err
+	}
+	heads := headBuf[:0]
+	if len(ids) > len(headBuf) {
+		heads = make([]*rowVersion, 0, len(ids))
+	}
+	for _, id := range ids {
+		if head := td.rows[id]; head != nil {
+			heads = append(heads, head)
+		}
+	}
+	db.mu.RUnlock()
+	out := newMatches(len(heads))
+	for _, head := range heads {
+		out = db.appendMatch(out, td, resolve(head), cols, values)
+	}
+	return out, nil
+}
+
+// newMatches sizes a lookup's result for its candidates: an index
+// bucket's are usually all matches, a scan's rarely.
+func newMatches(candidates int) []Row {
+	return make([]Row, 0, min(candidates, 16))
+}
+
+// appendMatch appends v's row when v is not nil and its values equal the
+// probe values on cols. The values are v's own slice (immutable), or a
+// fresh one faulted from its page.
+func (db *Database) appendMatch(out []Row, td *tableData, v *rowVersion, cols []int, values []Value) []Row {
+	if v == nil {
+		return out
+	}
+	vals := db.versionValues(td, v)
+	for i, c := range cols {
+		if !vals[c].Equal(values[i]) {
+			return out
+		}
+	}
+	return append(out, Row{ID: v.row.ID, Values: vals})
 }
 
 // HasIndexOn reports whether an index covers exactly the named columns.
@@ -907,11 +978,11 @@ func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) erro
 		if anyNull {
 			continue // SQL: NULL FK components opt out of the check
 		}
-		refIDs, err := db.lookupEqualVisLocked(fk.RefTable, fk.RefColumns, vals, t.resolve)
+		refs, err := db.lookupLocked(fk.RefTable, fk.RefColumns, vals, t.resolve)
 		if err != nil {
 			return err
 		}
-		if len(refIDs) == 0 {
+		if len(refs) == 0 {
 			return constraintErr(ErrForeignKey, td.def.Name, strings.Join(fk.Columns, ","),
 				fmt.Sprintf("no row in %s matches", fk.RefTable))
 		}
@@ -1027,20 +1098,20 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 		if skip {
 			continue
 		}
-		ids, err := db.lookupEqualVisLocked(ref.Table.Name, ref.FK.Columns, refVals, t.resolve)
+		refs, err := db.lookupLocked(ref.Table.Name, ref.FK.Columns, refVals, t.resolve)
 		if err != nil {
 			return deleted, err
 		}
-		if len(ids) == 0 {
+		if len(refs) == 0 {
 			continue
 		}
 		switch ref.FK.OnDelete {
 		case DeleteRestrict:
 			return deleted, constraintErr(ErrRestrict, table, "",
-				fmt.Sprintf("%d referencing rows in %s", len(ids), ref.Table.Name))
+				fmt.Sprintf("%d referencing rows in %s", len(refs), ref.Table.Name))
 		case DeleteCascade:
-			for _, rid := range ids {
-				n, err := db.deleteRowLocked(t, ref.Table.Name, rid)
+			for _, r := range refs {
+				n, err := db.deleteRowLocked(t, ref.Table.Name, r.ID)
 				deleted += n
 				if err != nil {
 					return deleted, err
@@ -1051,8 +1122,8 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 			for _, c := range ref.FK.Columns {
 				nulls[c] = Null()
 			}
-			for _, rid := range ids {
-				if err := db.updateRowLocked(t, ref.Table.Name, rid, nulls); err != nil {
+			for _, r := range refs {
+				if err := db.updateRowLocked(t, ref.Table.Name, r.ID, nulls); err != nil {
 					return deleted, err
 				}
 			}

@@ -12,7 +12,8 @@ import (
 // The pager glues the MVCC engine to the paged checkpoint store. The
 // page store holds the durable base image as slotted 4KiB heap pages;
 // the buffer pool bounds how much of that image is resident, as page
-// BYTES (CRC-verified once per load, never decoded as a whole).
+// BYTES (CRC-verified once per load, never decoded as a whole, read into
+// buffers that evicted frames hand back).
 // In-memory version chains are a write-back cache over it: a committed,
 // clean row may be DEMOTED to a value-less stub version (Values == nil)
 // that carries only its MVCC stamps and the heap slot of its page; each
@@ -47,6 +48,10 @@ import (
 //     latch: they pin oldestVisibleSeq, and a freed slot's quarantine
 //     batch is not released until every reader registered at or before
 //     the freeing apply has closed.
+//   - Page bytes are valid only while their pool frame is pinned: the
+//     pool reads the next miss into an evicted frame's buffer. faultRow
+//     decodes its row into a fresh slice before it unpins, so nothing a
+//     reader gets from the pager aliases a pool buffer.
 type pager struct {
 	store *pagestore.Store
 	pool  *pagestore.Pool
@@ -89,25 +94,23 @@ func (p *pager) faultRow(table string, slotPlus1 uint32, id RowID) []Value {
 		panic(fmt.Sprintf("relational: paged row %s/%d has no page slot", table, id))
 	}
 	slot := slotPlus1 - 1
-	pageTable, rows, release, err := p.pool.Get(slot)
+	pageTable, page, release, err := p.pool.Get(slot)
 	if err != nil {
 		panic(fmt.Sprintf("relational: fault page %d for row %s/%d: %v", slot, table, id, err))
 	}
-	defer release()
+	defer release() // after the decode: the page bytes are only ours while pinned
 	if pageTable != table {
 		panic(fmt.Sprintf("relational: page %d holds table %q, want %q (row %d)", slot, pageTable, table, id))
 	}
-	for i := range rows {
-		if RowID(rows[i].ID) != id {
-			continue
-		}
-		vals, err := decodeRowPayload(rows[i].Payload)
-		if err != nil {
-			panic(fmt.Sprintf("relational: page slot %d row %s/%d: %v", slot, table, id, err))
-		}
-		return vals
+	payload, ok := pagestore.FindRow(page, int64(id))
+	if !ok {
+		panic(fmt.Sprintf("relational: row %s/%d missing from page %d", table, id, slot))
 	}
-	panic(fmt.Sprintf("relational: row %s/%d missing from page %d", table, id, slot))
+	vals, err := decodeRowPayload(payload)
+	if err != nil {
+		panic(fmt.Sprintf("relational: page slot %d row %s/%d: %v", slot, table, id, err))
+	}
+	return vals
 }
 
 // versionValues resolves a version's values, faulting its page in when

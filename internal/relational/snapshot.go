@@ -181,60 +181,18 @@ func (s *Snapshot) ValuesByName(table string, id RowID) (map[string]Value, error
 // an index lookup complete for a pinned snapshot; each candidate's
 // resolved version is re-verified against the probe values.
 func (s *Snapshot) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
-	s.db.mu.RLock()
-	td, err := s.db.tableData(table)
-	if err != nil {
-		s.db.mu.RUnlock()
-		return nil, err
-	}
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		idx, ok := td.def.ColumnIndex(c)
-		if !ok {
-			s.db.mu.RUnlock()
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, c)
-		}
-		cols[i] = idx
-	}
-	var candidates []*rowVersion
-	if ix := td.findIndex(cols); ix != nil {
-		bucket := ix.lookup(cols, values)
-		candidates = make([]*rowVersion, 0, len(bucket))
-		for _, id := range bucket {
-			if head, ok := td.rows[id]; ok {
-				candidates = append(candidates, head)
-			}
-		}
-	} else {
-		candidates = make([]*rowVersion, 0, len(td.order))
-		for _, id := range td.order {
-			if head, ok := td.rows[id]; ok {
-				candidates = append(candidates, head)
-			}
-		}
-	}
-	s.db.mu.RUnlock()
-
-	var out []RowID
-	for _, head := range candidates {
-		v := head.visibleAt(s.seq)
-		if v == nil {
-			continue
-		}
-		vals := s.db.versionValues(td, v) // may fault; registration pins the slot
-		match := true
-		for i, c := range cols {
-			if !vals[c].Equal(values[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, v.row.ID)
-		}
-	}
-	return out, nil
+	return RowIDs(s.LookupRows(table, columns, values))
 }
+
+// LookupRows is LookupEqual returning each match with the values that
+// verified it (see Reader). Faults run after the latch is dropped: the
+// snapshot's registration keeps the slots it can see quarantined.
+func (s *Snapshot) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
+	return s.db.lookupRegistered(table, columns, values, s.resolve)
+}
+
+// resolve returns the version of a chain the snapshot sees, nil for none.
+func (s *Snapshot) resolve(head *rowVersion) *rowVersion { return head.visibleAt(s.seq) }
 
 // oldestVisibleSeq is the reclaim horizon: the minimum over every
 // pinned snapshot's sequence, every active transaction's read

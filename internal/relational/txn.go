@@ -558,10 +558,14 @@ func (t *Txn) ScanIDs(table string) []RowID {
 // versions other readers cannot see; each candidate's resolved version
 // is re-verified against the probe values.
 func (t *Txn) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
-	t.db.mu.RLock()
-	out, err := t.db.lookupEqualVisLocked(table, columns, values, t.resolve)
-	t.db.mu.RUnlock()
-	return out, err
+	return RowIDs(t.LookupRows(table, columns, values))
+}
+
+// LookupRows is LookupEqual returning each match with the values that
+// verified it (see Reader). Faults run after the latch is dropped: the
+// open transaction's read sequence keeps the slots it sees quarantined.
+func (t *Txn) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
+	return t.db.lookupRegistered(table, columns, values, t.resolve)
 }
 
 // ValuesByName returns a visible row's values keyed by column name, as

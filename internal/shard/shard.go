@@ -409,6 +409,10 @@ func (db *DB) Scan(table string, fn func(*relational.Row) bool) error {
 }
 
 func (db *DB) LookupEqual(table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
+	return relational.RowIDs(lookupMerged(db.rds, table, columns, values))
+}
+
+func (db *DB) LookupRows(table string, columns []string, values []relational.Value) ([]relational.Row, error) {
 	return lookupMerged(db.rds, table, columns, values)
 }
 
@@ -480,23 +484,23 @@ func scanMerged(rds []relational.Reader, table string, fn func(*relational.Row) 
 // deterministic order. Shards probe in parallel (each reader is a
 // distinct per-shard view, so the probes share nothing); the
 // lowest-index error wins.
-func lookupMerged(rds []relational.Reader, table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
+func lookupMerged(rds []relational.Reader, table string, columns []string, values []relational.Value) ([]relational.Row, error) {
 	if len(rds) == 1 {
-		return rds[0].LookupEqual(table, columns, values)
+		return rds[0].LookupRows(table, columns, values)
 	}
-	perShard := make([][]relational.RowID, len(rds))
+	perShard := make([][]relational.Row, len(rds))
 	errs := make([]error, len(rds))
 	fanOut(len(rds), func(i int) {
-		perShard[i], errs[i] = rds[i].LookupEqual(table, columns, values)
+		perShard[i], errs[i] = rds[i].LookupRows(table, columns, values)
 	})
-	var out []relational.RowID
+	var out []relational.Row
 	for i := range rds {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 		out = append(out, perShard[i]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
 

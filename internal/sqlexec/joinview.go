@@ -117,18 +117,14 @@ func (e *Executor) EvaluateJoinView(v *JoinViewDef) (*ResultSet, error) {
 			expand(depth+1, acc)
 			return
 		}
-		ids, err := e.DB.LookupEqual(lv.def.Name, []string{step.Column}, []relational.Value{pval})
-		if err != nil || len(ids) == 0 {
+		rows, err := e.DB.LookupRows(lv.def.Name, []string{step.Column}, []relational.Value{pval})
+		if err != nil || len(rows) == 0 {
 			acc = append(acc, nullRow(width[depth]))
 			expand(depth+1, acc)
 			return
 		}
-		for _, id := range ids {
-			r, err := e.DB.Get(lv.def.Name, id)
-			if err != nil {
-				continue
-			}
-			expand(depth+1, append(acc, r.Values))
+		for _, r := range rows {
+			expand(depth+1, append(acc, r.Values)) // copied into the view row
 		}
 	}
 

@@ -16,8 +16,9 @@ import (
 
 // Stmt is a prepared statement: an immutable statement template plus
 // the executor it was prepared against. SELECT templates carry their
-// compiled form — sources resolved, predicates normalized, join order
-// planned — so every execution skips straight to the join.
+// compiled join program (select.go) — steps in join order, predicates
+// and keys addressed by position, access paths chosen — so an execution
+// only binds its arguments and runs the steps.
 type Stmt struct {
 	e       *Executor
 	tmpl    Statement
@@ -30,8 +31,7 @@ type Stmt struct {
 // WHERE-clause operands; nparams is one more than the highest slot
 // referenced (unreferenced lower slots are allowed — a probe template
 // binds the full literal tuple of its update even when pruning dropped
-// some predicates). SELECT templates are name-resolved and join-planned
-// here, once.
+// some predicates). SELECT templates are compiled here, once.
 func (e *Executor) Prepare(s Statement) (*Stmt, error) {
 	where, err := whereOf(s)
 	if err != nil {
