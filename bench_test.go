@@ -265,8 +265,8 @@ func BenchmarkFig17FailedCases(b *testing.B) {
 // BenchmarkDecisionCache measures the schema-level Check on the
 // bookstore workload: "uncached" compiles a plan per call (parse,
 // resolve, Step 1, STAR and the plan's artifacts), "cached" is the
-// production steady state (text-tier hits), and "cached-templates"
-// rotates literal values so every hit comes from the template tier. The
+// production steady state (scan hits on resident templates), and
+// "cached-templates" rotates literal values so no two texts repeat. The
 // cache-hit rate is reported as hits/op.
 func BenchmarkDecisionCache(b *testing.B) {
 	corpus := func() []string {

@@ -383,8 +383,8 @@ func runBatch(f *repro.Filter, r io.Reader, workers int, data, stats, jsonOut bo
 		if jsonOut {
 			printJSON(map[string]any{"cache": st, "hit_rate": st.HitRate()})
 		} else {
-			fmt.Printf("cache: hits=%d misses=%d text-hits=%d hit-rate=%.1f%% templates=%d\n",
-				st.Hits, st.Misses, st.TextHits, 100*st.HitRate(), st.TemplateEntries)
+			fmt.Printf("cache: hits=%d misses=%d hit-rate=%.1f%% templates=%d\n",
+				st.Hits, st.Misses, 100*st.HitRate(), st.TemplateEntries)
 		}
 	}
 	return exit

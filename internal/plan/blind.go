@@ -46,7 +46,7 @@ func (e *Executor) BlindApply(updateText string) (*BlindResult, error) {
 	if p.Verdict.RejectedAt == StepValidation {
 		return nil, fmt.Errorf("plan: no blind translation of an invalid update: %s", p.Verdict.Reason)
 	}
-	_, b, err := p.derive(p.BindArgs(u), p.exemplar, u)
+	_, b, err := p.derive(p.BindArgs(u), p.exemplar)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package plan
 import (
 	"repro/internal/relational"
 	"repro/internal/sqlexec"
-	"repro/internal/xqparse"
 )
 
 // The snapshot-pinned check path: Steps 1+2 plus the read-only half of
@@ -40,11 +39,7 @@ func (e *Executor) CheckData(updateText string) (*Result, error) {
 // *relational.Snapshot, so several checks observe one point-in-time
 // state; passing the live database degrades to read-committed probes).
 func (e *Executor) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, error) {
-	u, err := xqparse.ParseUpdate(updateText)
-	if err != nil {
-		return nil, err
-	}
-	res, p, b, err := e.checkCached(u, "", nil)
+	res, p, b, err := e.checkText(updateText, nil)
 	if err != nil || !res.Accepted {
 		return res, err
 	}

@@ -55,12 +55,11 @@ const (
 // print, so the CLI, the ufilterd server and tests share one spelling
 // of each verdict.
 type Result struct {
-	Update     *xqparse.UpdateQuery `json:"-"`
-	Accepted   bool                 `json:"accepted"`
-	RejectedAt Step                 `json:"rejected_at"`
-	Outcome    Outcome              `json:"outcome"`
-	Conditions []Condition          `json:"conditions,omitempty"`
-	Reason     string               `json:"reason,omitempty"`
+	Accepted   bool        `json:"accepted"`
+	RejectedAt Step        `json:"rejected_at"`
+	Outcome    Outcome     `json:"outcome"`
+	Conditions []Condition `json:"conditions,omitempty"`
+	Reason     string      `json:"reason,omitempty"`
 	// Probes lists the SQL text of the probe queries issued by Step 3.
 	Probes []string `json:"probes,omitempty"`
 	// SQL lists the translated statements (generated; executed when
@@ -84,8 +83,8 @@ type Result struct {
 // immutable ASGs and marks plus the internally synchronized plan
 // cache; CheckData, CheckDataAt and CheckBatchData additionally run
 // Step 3's read-only probes against a pinned database snapshot — so
-// check latency is independent of apply load. Apply, ApplyParsed,
-// ApplyBatch, Execute, ExecuteBatch and BlindApply each open their OWN
+// check latency is independent of apply load. Apply, ApplyBatch,
+// Execute, ExecuteBatch and BlindApply each open their OWN
 // transaction against the MVCC engine: independent updates run their
 // probes, checks and translated statements fully concurrently, commits
 // share write-ahead-log flushes in the engine's writer stage, and two
@@ -219,53 +218,86 @@ func (e *Executor) CacheStats() CacheStats {
 // reported Accepted with their STAR outcome; Step 3 still applies when
 // the update is executed.
 //
-// The verdict is served from the plan cache when an identical or
-// structurally-equal update was checked before: a byte-identical
-// resubmission skips even parsing, and an update that differs only in
-// predicate literals or content values is answered off the template's
-// compiled UpdatePlan by binding its values (the value-dependent half
-// of Step 1 is re-derived per instance, never stored).
+// The verdict is served from the plan cache when a structurally-equal
+// update was checked before: an update that differs only in predicate
+// literals or content values is answered off the template's compiled
+// UpdatePlan by binding its values (the value-dependent half of Step 1
+// is re-derived per instance, never stored), and is not parsed.
 func (e *Executor) Check(updateText string) (*Result, error) {
 	return e.CheckContext(context.Background(), updateText)
 }
 
 // CheckContext is Check with a request context. When the context
-// carries an obs.Trace (see obs.WithTrace), the cache lookup, parse,
-// bind and compile stages record spans into it; otherwise the trace
-// plumbing is a nil no-op.
+// carries an obs.Trace (see obs.WithTrace), the cache lookup, bind and —
+// for a template met for the first time — parse and compile stages
+// record spans into it; otherwise the trace plumbing is a nil no-op.
 func (e *Executor) CheckContext(ctx context.Context, updateText string) (*Result, error) {
-	tr := obs.FromContext(ctx)
-	end := tr.StartSpan("cache_lookup")
-	res, ok := e.cache.lookupText(updateText)
-	end()
-	if ok {
-		return res, nil
-	}
-	endParse := tr.StartSpan("parse")
-	u, err := xqparse.ParseUpdate(updateText)
-	endParse()
-	if err != nil {
-		return nil, err
-	}
-	res, _, _, err = e.checkCached(u, updateText, tr)
+	res, _, _, err := e.checkText(updateText, obs.FromContext(ctx))
 	return res, err
 }
 
 // CheckParsed is Check over a pre-parsed update.
 func (e *Executor) CheckParsed(u *xqparse.UpdateQuery) (*Result, error) {
-	res, _, _, err := e.checkCached(u, "", nil)
+	res, _, _, err := e.checkCached(u, nil)
 	return res, err
 }
 
-// checkCached answers a parsed update off its template's resident plan,
-// compiling the template on its first sighting. Beside the verdict it
-// hands back the plan and, for an accepted update, the bound values, so
-// the apply and data-check paths execute with exactly what the verdict
-// was derived from. text, when non-empty, also feeds the parse-skipping
-// text tier.
-func (e *Executor) checkCached(u *xqparse.UpdateQuery, text string, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
+// scanState is a pooled xqparse.ScanUpdate buffer, plus the content
+// texts of a hit laid out in its plan's ContentSlots order.
+type scanState struct {
+	xqparse.Scanned
+	raw []string
+}
+
+var scanStates = sync.Pool{New: func() any { return new(scanState) }}
+
+// checkText answers an update text off its template's resident plan.
+// Beside the verdict it hands back the plan and, for an accepted update,
+// the bound values, so the apply and data-check paths execute with
+// exactly what the verdict was derived from; on an error only the error
+// counts. The text is scanned, not
+// parsed: the scan's key finds the plan and its literals and leaf texts
+// bind straight into it. Only a text the scanner declines, a template
+// not resident yet, or one whose instances cannot bind from a scan is
+// parsed (and, on a miss, compiled).
+func (e *Executor) checkText(text string, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
+	st := scanStates.Get().(*scanState)
+	defer scanStates.Put(st)
 	endLookup := tr.StartSpan("cache_lookup")
-	key := fingerprint(u)
+	var p *UpdatePlan
+	if xqparse.ScanUpdate(text, &st.Scanned) {
+		p = e.cache.plan(st.Key)
+	}
+	endLookup()
+	if p != nil && p.scanBindable {
+		endBind := tr.StartSpan("bind")
+		st.raw = st.raw[:0]
+		for _, s := range p.ContentSlots {
+			st.raw = append(st.raw, st.Texts[s.ordinal])
+		}
+		res, b, err := p.derive(st.Lits, st.raw)
+		endBind()
+		return res, p, b, err
+	}
+	endParse := tr.StartSpan("parse")
+	u, err := xqparse.ParseUpdate(text)
+	endParse()
+	if err != nil {
+		return nil, nil, bound{}, err
+	}
+	if p == nil {
+		return e.checkCached(u, tr)
+	}
+	return e.bindTraced(p, u, tr)
+}
+
+// checkCached answers a parsed update off its template's resident plan,
+// compiling the template on its first sighting; it returns what
+// checkText does.
+func (e *Executor) checkCached(u *xqparse.UpdateQuery, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
+	endLookup := tr.StartSpan("cache_lookup")
+	var buf [256]byte
+	key := u.AppendKey(buf[:0])
 	p := e.cache.plan(key)
 	endLookup()
 	if p == nil {
@@ -277,23 +309,22 @@ func (e *Executor) checkCached(u *xqparse.UpdateQuery, text string, tr *obs.Trac
 			return nil, nil, bound{}, err
 		}
 	}
+	return e.bindTraced(p, u, tr)
+}
+
+// bindTraced is bindParsed under a "bind" span.
+func (e *Executor) bindTraced(p *UpdatePlan, u *xqparse.UpdateQuery, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
 	endBind := tr.StartSpan("bind")
 	res, b, err := e.bindParsed(p, u)
 	endBind()
-	if err != nil {
-		return nil, nil, bound{}, err
-	}
-	if text != "" {
-		e.cache.admitText(text, u, res)
-	}
-	return res, p, b, nil
+	return res, p, b, err
 }
 
 // compileOnce compiles the plan of a template the cache does not hold
 // and stores it. First compiles are serialized, so concurrent first
 // sightings of one template compile it once and the rest find it
 // resident.
-func (e *Executor) compileOnce(key string, u *xqparse.UpdateQuery) (*UpdatePlan, error) {
+func (e *Executor) compileOnce(key []byte, u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 	c := e.cache
 	c.compileMu.Lock()
 	defer c.compileMu.Unlock()
@@ -383,39 +414,25 @@ func (e *Executor) Apply(updateText string) (*Result, error) {
 }
 
 // ApplyContext is Apply with a request context; an attached obs.Trace
-// receives per-stage spans (parse, cache lookup, bind, context checks,
-// translate, execute, conflict backoff, commit publish, WAL fsync).
+// receives per-stage spans (cache lookup, bind, parse and compile on a
+// template's first sighting, context checks, translate, execute,
+// conflict backoff, commit publish, WAL fsync).
+//
+// Applies run concurrently with each other (and with
+// Execute/ApplyBatch): each opens its own transaction, conflicting
+// writes resolve by first-updater-wins with automatic capped-backoff
+// retries, and commits share write-ahead-log flushes in the engine's
+// writer stage. Execution runs off the template's compiled UpdatePlan —
+// its resolution, prepared probe statements and insert/replace
+// artifacts — bound to this update's literals and content values.
 func (e *Executor) ApplyContext(ctx context.Context, updateText string) (*Result, error) {
 	tr := obs.FromContext(ctx)
-	endParse := tr.StartSpan("parse")
-	u, err := xqparse.ParseUpdate(updateText)
-	endParse()
-	if err != nil {
-		return nil, err
-	}
-	return e.applyParsedTraced(u, tr)
-}
-
-// ApplyParsed is Apply over a pre-parsed update. Applies run
-// concurrently with each other (and with Execute/ApplyBatch): each
-// opens its own transaction, conflicting writes resolve by
-// first-updater-wins with automatic capped-backoff retries, and
-// commits share write-ahead-log flushes in the engine's writer stage.
-//
-// Execution runs off the template's compiled UpdatePlan — its
-// resolution, prepared probe statements and insert/replace artifacts —
-// bound to this update's literals and content values.
-func (e *Executor) ApplyParsed(u *xqparse.UpdateQuery) (*Result, error) {
-	return e.applyParsedTraced(u, nil)
-}
-
-func (e *Executor) applyParsedTraced(u *xqparse.UpdateQuery, tr *obs.Trace) (*Result, error) {
-	res, p, b, err := e.checkCached(u, "", tr)
+	res, p, b, err := e.checkText(updateText, tr)
 	if err != nil || !res.Accepted {
 		return res, err
 	}
 	e.cache.planApplies.Add(1)
-	return e.applyPlan(p, b, res, tr)
+	return e.applyPlan(p, b.own(), res, tr)
 }
 
 // resultMark checkpoints the mutable fields of a Result so a

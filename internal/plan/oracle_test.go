@@ -16,6 +16,7 @@ import (
 	"repro/internal/tpch"
 	"repro/internal/viewengine"
 	"repro/internal/xmltree"
+	"repro/internal/xqparse"
 )
 
 // The verdict oracle checks U-Filter's verdicts against the view itself,
@@ -116,7 +117,11 @@ func (c *oracleCase) check(t testing.TB, text string) oracleFinding {
 	f := oracleFinding{res: res}
 	switch {
 	case res.Accepted:
-		r, err := Resolve(res.Update, e.View)
+		u, err := xqparse.ParseUpdate(text)
+		if err != nil {
+			t.Fatalf("an accepted update does not parse: %v", err)
+		}
+		r, err := Resolve(u, e.View)
 		if err != nil {
 			t.Fatalf("an accepted update does not resolve: %v", err)
 		}

@@ -9,7 +9,8 @@
 // list, the column each content slot feeds, and parameterized probe
 // statement templates prepared through internal/sqlexec. The Executor
 // then binds an instance's values — its predicate literals and the leaf
-// text of its inserted or replacing fragments — into a plan, derives
+// text of its inserted or replacing fragments, read off the update text
+// by xqparse.ScanUpdate without a parse — into a plan, derives
 // the value-dependent half of Step 1 from them, and runs the
 // data-driven checks and the translation against the database, so
 // structurally-repeated updates — the production traffic shape — pay
@@ -64,8 +65,8 @@ type PlannedOp struct {
 // plus the prepared statement templates the execution reuses. Plans
 // are safe for concurrent use; binding never mutates them.
 type UpdatePlan struct {
-	// Key is the value-stripped template fingerprint (see
-	// fingerprint.go) — the plan cache's template-tier key.
+	// Key is the template key ((*xqparse.UpdateQuery).AppendKey) — the
+	// plan cache's key.
 	Key string
 	// Template is the exemplar update the plan was compiled from.
 	Template *xqparse.UpdateQuery
@@ -96,6 +97,10 @@ type UpdatePlan struct {
 	// exemplar holds the Template's own content texts, in ContentSlots
 	// order: what Verdict/Execute bind beside a literal tuple.
 	exemplar []string
+	// scanBindable reports that an instance binds straight from
+	// xqparse.ScanUpdate: the template resolves and every content slot is
+	// a leaf element. Other templates' instances bind from a parse.
+	scanBindable bool
 }
 
 // bound is one instance of a template bound to its plan: the predicate
@@ -106,8 +111,20 @@ type bound struct {
 	content []relational.Value
 }
 
-func invalidResult(u *xqparse.UpdateQuery, reason string) *Result {
-	return &Result{Update: u, RejectedAt: StepValidation, Outcome: OutcomeInvalid, Reason: reason}
+// own copies the string content values off the update text a scan bound
+// them from, so a row an apply writes does not keep the whole request
+// alive.
+func (b bound) own() bound {
+	for i, v := range b.content {
+		if v.Kind == relational.KindString {
+			b.content[i].Str = strings.Clone(v.Str)
+		}
+	}
+	return b
+}
+
+func invalidResult(reason string) *Result {
+	return &Result{RejectedAt: StepValidation, Outcome: OutcomeInvalid, Reason: reason}
 }
 
 // Compile runs the schema-level pipeline once for an update over the
@@ -122,7 +139,7 @@ func invalidResult(u *xqparse.UpdateQuery, reason string) *Result {
 func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 	start := time.Now()
 	defer func() { e.Obs.Compile.RecordDuration(time.Since(start)) }()
-	p := &UpdatePlan{Key: fingerprint(u), Template: u}
+	p := &UpdatePlan{Key: string(u.AppendKey(nil)), Template: u}
 	r, litErr, err := resolve(u, e.View)
 	if err != nil {
 		if litErr != nil {
@@ -130,7 +147,7 @@ func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 		}
 		var re *resolveError
 		if errors.As(err, &re) {
-			p.Verdict = invalidResult(u, re.msg)
+			p.Verdict = invalidResult(re.msg)
 			return p, nil
 		}
 		return nil, err
@@ -145,7 +162,7 @@ func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 	// first untranslatable op rejects the template. The fold is
 	// value-independent, so it is computed once here and cloned into
 	// every instance's verdict.
-	star := &Result{Update: u, Outcome: OutcomeUnconditional}
+	star := &Result{Outcome: OutcomeUnconditional}
 	rejected := false
 	p.Ops = make([]PlannedOp, len(r.Ops))
 	for i := range r.Ops {
@@ -191,12 +208,13 @@ func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 		if !errors.As(err, &ve) {
 			return nil, err
 		}
-		p.opInvalid = invalidResult(u, ve.msg)
+		p.opInvalid = invalidResult(ve.msg)
 	}
 	p.exemplar = p.contentOf(u)
+	p.scanBindable = numberLeaves(u, p.ContentSlots)
 
 	// Exemplar verdict: the plan bound to its own values.
-	p.Verdict, _, err = p.derive(p.BindArgs(u), p.exemplar, u)
+	p.Verdict, _, err = p.derive(p.BindArgs(u), p.exemplar)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +312,7 @@ func (p *UpdatePlan) contentOf(u *xqparse.UpdateQuery) []string {
 	}
 	raw := make([]string, len(p.ContentSlots))
 	for i, s := range p.ContentSlots {
-		raw[i] = s.text(u.Ops[s.Op].Content)
+		raw[i] = s.element(u).TextContent()
 	}
 	return raw
 }
@@ -321,9 +339,8 @@ func (p *UpdatePlan) BindArgs(u *xqparse.UpdateQuery) []relational.Value {
 // annotations (Step 1), then the STAR fold (Step 2), with the
 // template-level halves paid once at compile time. The bound values come
 // back whenever the instance's own values pass, even when the template
-// is rejected (BlindApply translates regardless). u tags the returned
-// Result.
-func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.UpdateQuery) (*Result, bound, error) {
+// is rejected (BlindApply translates regardless).
+func (p *UpdatePlan) derive(args []relational.Value, raw []string) (*Result, bound, error) {
 	if len(args) != len(p.Slots) {
 		return nil, bound{}, fmt.Errorf("plan: template expects %d bind arguments, got %d", len(p.Slots), len(args))
 	}
@@ -331,11 +348,11 @@ func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.Up
 	for i, s := range p.Slots {
 		b.preds[i] = UserPred{Leaf: s.Leaf, Op: s.Op, Lit: args[i]}
 		if err := b.preds[i].coerce(); err != nil {
-			return invalidResult(u, err.Error()), bound{}, nil
+			return invalidResult(err.Error()), bound{}, nil
 		}
 	}
 	if err := validatePreds(b.preds); err != nil {
-		return invalidResult(u, err.Error()), bound{}, nil
+		return invalidResult(err.Error()), bound{}, nil
 	}
 	if len(raw) > 0 {
 		b.content = make([]relational.Value, len(raw))
@@ -343,7 +360,7 @@ func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.Up
 	for i, s := range p.ContentSlots {
 		v, err := leafValue(raw[i], s.Leaf)
 		if err != nil {
-			return invalidResult(u, err.Error()), bound{}, nil
+			return invalidResult(err.Error()), bound{}, nil
 		}
 		b.content[i] = v
 	}
@@ -351,7 +368,7 @@ func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.Up
 	if p.opInvalid != nil {
 		res = p.opInvalid
 	}
-	return res.cloneShallow(u), b, nil
+	return res.cloneShallow(), b, nil
 }
 
 // bindParsed derives the schema verdict of a parsed instance of p's
@@ -363,14 +380,14 @@ func (p *UpdatePlan) derive(args []relational.Value, raw []string, u *xqparse.Up
 // the structural one.
 func (e *Executor) bindParsed(p *UpdatePlan, u *xqparse.UpdateQuery) (*Result, bound, error) {
 	if p.Resolved != nil {
-		return p.derive(p.BindArgs(u), p.contentOf(u), u)
+		return p.derive(p.BindArgs(u), p.contentOf(u))
 	}
 	_, err := Resolve(u, e.View)
 	var re *resolveError
 	if !errors.As(err, &re) {
 		return nil, bound{}, fmt.Errorf("plan: instance of an unresolvable template resolved to %v", err)
 	}
-	return invalidResult(u, re.msg), bound{}, nil
+	return invalidResult(re.msg), bound{}, nil
 }
 
 // Verdict computes the schema-level verdict of the plan's template
@@ -386,9 +403,9 @@ func (e *Executor) Verdict(p *UpdatePlan, args []relational.Value) (*Result, err
 func (p *UpdatePlan) verdictArgs(args []relational.Value) (*Result, bound, error) {
 	if p.Resolved == nil {
 		// Unresolvable template: the exemplar's verdict is all there is.
-		return p.Verdict.cloneShallow(p.Template), bound{}, nil
+		return p.Verdict.cloneShallow(), bound{}, nil
 	}
-	return p.derive(args, p.exemplar, p.Template)
+	return p.derive(args, p.exemplar)
 }
 
 // Execute binds a literal tuple into a compiled plan and runs the full
@@ -570,12 +587,7 @@ func (e *Executor) ApplyBatch(updates []string) []BatchResult {
 	items := make([]*groupItem, len(updates))
 	for i, text := range updates {
 		out[i].Index = i
-		u, err := xqparse.ParseUpdate(text)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		res, p, b, err := e.checkCached(u, "", nil)
+		res, p, b, err := e.checkText(text, nil)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -587,7 +599,7 @@ func (e *Executor) ApplyBatch(updates []string) []BatchResult {
 			continue
 		}
 		e.cache.planApplies.Add(1)
-		it.p, it.b = p, b
+		it.p, it.b = p, b.own()
 	}
 	e.applyGroupWithRetry(items)
 	for i, it := range items {

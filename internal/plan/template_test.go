@@ -408,8 +408,7 @@ UPDATE $t { DELETE $t }`, order, line)
 }
 
 // TestCacheBoundedByTemplates: fresh content, fresh literals and fresh
-// texts leave the cache as large as the traffic has templates, and the
-// text tier no larger than the number of texts that came twice.
+// texts leave the cache as large as the traffic has templates.
 func TestCacheBoundedByTemplates(t *testing.T) {
 	ops := 50000
 	if testing.Short() {
@@ -417,7 +416,6 @@ func TestCacheBoundedByTemplates(t *testing.T) {
 	}
 	e := newTPCHExec(t)
 	orders := tpch.RowsForMB(1).Orders
-	repeated := 0
 	for i := 0; i < ops; i++ {
 		order, line := i%orders, 1000+i
 		var res *Result
@@ -431,7 +429,6 @@ func TestCacheBoundedByTemplates(t *testing.T) {
 			text := tpch.DeleteLineitemsOfOrder(int64(1<<20 + i))
 			res, err = e.Check(text)
 			if err == nil && i%300 == 2 {
-				repeated++
 				res, err = e.Check(text)
 			}
 		}
@@ -442,12 +439,6 @@ func TestCacheBoundedByTemplates(t *testing.T) {
 	st := e.CacheStats()
 	if st.Plans != 3 || st.TemplateEntries != 3 || st.Misses != 3 {
 		t.Errorf("three templates left %d plans in %d template entries after %d compiles", st.Plans, st.TemplateEntries, st.Misses)
-	}
-	if st.TextEntries > repeated {
-		t.Errorf("text tier holds %d entries, only %d texts were seen twice", st.TextEntries, repeated)
-	}
-	if st.TextEntries == 0 {
-		t.Error("text tier admitted none of the repeated texts")
 	}
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/asg"
@@ -41,12 +42,18 @@ type ContentSlot struct {
 	// path locates the slot's element inside the op's fragment, as
 	// element-child ordinals from the fragment root (empty: the root).
 	path []int
+	// ordinal numbers the slot's element among the leaf elements of the
+	// template's fragments in document order — the order
+	// xqparse.ScanUpdate reports their texts in; -1 when the element has
+	// element children.
+	ordinal int
 }
 
-// text reads the slot's value out of its operation's fragment in an
-// instance of the template. The fingerprint keeps the fragment's element
-// structure in the key, so the path exists in every instance.
-func (s ContentSlot) text(frag *xmltree.Node) string {
+// element finds the slot's element in an instance of the template. The
+// template key keeps the fragments' element structure, so the path
+// exists in every instance.
+func (s ContentSlot) element(u *xqparse.UpdateQuery) *xmltree.Node {
+	frag := u.Ops[s.Op].Content
 	for _, k := range s.path {
 		for _, c := range frag.Children {
 			if !c.IsElement() {
@@ -59,7 +66,34 @@ func (s ContentSlot) text(frag *xmltree.Node) string {
 			k--
 		}
 	}
-	return frag.TextContent()
+	return frag
+}
+
+// numberLeaves sets each slot's ordinal from the template u and reports
+// whether every slot's element is a leaf.
+func numberLeaves(u *xqparse.UpdateQuery, slots []ContentSlot) bool {
+	var leaves []*xmltree.Node
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		if kids := n.ElementChildren(); len(kids) > 0 {
+			for _, c := range kids {
+				walk(c)
+			}
+		} else {
+			leaves = append(leaves, n)
+		}
+	}
+	for _, op := range u.Ops {
+		if op.Content != nil {
+			walk(op.Content)
+		}
+	}
+	all := true
+	for i := range slots {
+		slots[i].ordinal = slices.Index(leaves, slots[i].element(u))
+		all = all && slots[i].ordinal >= 0
+	}
+	return all
 }
 
 // validatePreds is the overlap check (delete check (i), but applied to

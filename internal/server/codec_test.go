@@ -110,7 +110,7 @@ func TestHotHandlerAllocs(t *testing.T) {
 		{"check-batch", serve("/views/book/check-batch", map[string]any{
 			"updates": []string{bookdb.U12, bookdb.U2, bookdb.U9, bookdb.U13}}), 70},
 	} {
-		for i := 0; i < 3; i++ { // the third submission of a text is served from the text tier
+		for i := 0; i < 3; i++ { // warm the plan cache and the pools
 			tc.serve()
 		}
 		if n := testing.AllocsPerRun(200, tc.serve); n > tc.max {

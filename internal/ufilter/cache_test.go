@@ -29,29 +29,6 @@ WHERE $book/price > %s
 UPDATE $root { DELETE $book }`, price)
 }
 
-// TestCacheTextTier: the text tier admits a text on its second
-// sighting, after which a byte-identical resubmission is a text-tier
-// hit (no parse) with the same verdict.
-func TestCacheTextTier(t *testing.T) {
-	f := newFilter(t, StrategyHybrid)
-	var rs [3]*Result
-	for i := range rs {
-		var err error
-		if rs[i], err = f.Check(deleteReviewsByTitle("Data on the Web")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := f.CacheStats()
-	if st.TextHits != 1 || st.Hits != 2 || st.Misses != 1 || st.TextEntries != 1 {
-		t.Errorf("stats = %+v, want 1 miss, then a template hit that admits the text, then a text hit", st)
-	}
-	for _, r := range rs[1:] {
-		if r.Accepted != rs[0].Accepted || r.Outcome != rs[0].Outcome || r.Reason != rs[0].Reason {
-			t.Errorf("cached verdict differs: %+v vs %+v", r, rs[0])
-		}
-	}
-}
-
 // TestCacheTemplateTier: structurally-equal updates with different
 // string literals on a check-free leaf hit the template tier (one miss,
 // then hits), and a cached rejection replays identically.

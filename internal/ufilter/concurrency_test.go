@@ -17,8 +17,8 @@ import (
 func TestConcurrentCheckRace(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 
-	// The workload: the paper corpus (high text-tier hit rate), title
-	// templates with rotating literals (template-tier hits), and price
+	// The workload: the paper corpus (repeated texts), title
+	// templates with rotating literals (template hits), and price
 	// templates with rotating literals (literal-sensitive entries).
 	var texts []string
 	texts = append(texts, allBookUpdates()...)

@@ -120,7 +120,7 @@ func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error)
 // Filter is a compiled U-Filter instance for one view over one
 // database. It embeds the plan.Executor that holds the marked ASGs,
 // the SQL executor and the plan cache; the historical API (Check,
-// CheckParsed, CheckBatch, Apply, ApplyParsed, BlindApply, CacheStats)
+// CheckParsed, CheckBatch, Apply, BlindApply, CacheStats)
 // is the executor's, promoted — as are the snapshot-isolated data
 // checks (Snapshot, CheckData, CheckDataAt, CheckBatchData). The
 // concurrency contract is the executor's: checks fan out freely and

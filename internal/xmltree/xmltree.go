@@ -2,12 +2,15 @@
 // views and update fragments: a minimal ordered tree of element and text
 // nodes with serialization, parsing and path navigation. It intentionally
 // omits attributes, namespaces and processing instructions — the views
-// the paper handles (SilkRoute-style publishing) are element-only.
+// the paper handles (SilkRoute-style publishing) are element-only — and
+// Parse refuses the first two (ErrUnsupported) rather than drop them.
 package xmltree
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -246,19 +249,29 @@ func (n *Node) serialize(b *strings.Builder, depth int, indent bool) {
 	}
 }
 
+// ErrUnsupported reports XML outside the element-only model: an
+// attribute or a namespace prefix, which Parse would otherwise drop.
+var ErrUnsupported = errors.New("xmltree: attributes and namespace prefixes are not supported")
+
 // Parse builds a Node tree from serialized XML with a single root
-// element.
+// element. A malformed document fails with the decoder's own error.
 func Parse(s string) (*Node, error) {
 	dec := xml.NewDecoder(strings.NewReader(s))
 	var stack []*Node
 	var root *Node
 	for {
 		tok, err := dec.Token()
-		if err != nil {
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmltree: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if t.Name.Space != "" || len(t.Attr) > 0 {
+				return nil, fmt.Errorf("%w: element <%s>", ErrUnsupported, t.Name.Local)
+			}
 			n := Elem(t.Name.Local)
 			if len(stack) > 0 {
 				top := stack[len(stack)-1]
@@ -269,10 +282,7 @@ func Parse(s string) (*Node, error) {
 				return nil, fmt.Errorf("xmltree: multiple root elements")
 			}
 			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end tag %s", t.Name.Local)
-			}
+		case xml.EndElement: // the decoder has matched it to its start
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
 			if len(stack) > 0 {
@@ -286,10 +296,7 @@ func Parse(s string) (*Node, error) {
 	if root == nil {
 		return nil, fmt.Errorf("xmltree: no root element")
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed element %s", stack[len(stack)-1].Name)
-	}
-	return root, nil
+	return root, nil // the decoder fails an unclosed element at EOF
 }
 
 // RemoveChild deletes the first occurrence of the given child pointer

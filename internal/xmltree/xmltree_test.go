@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,6 +78,37 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
+	}
+}
+
+// TestParseReportsTheDecodersError: a malformed document fails with the
+// decoder's own complaint, not a generic "unclosed element", and the
+// attributes and prefixes the element-only model has no room for are
+// refused rather than dropped.
+func TestParseReportsTheDecodersError(t *testing.T) {
+	for _, tc := range []struct {
+		in, want    string
+		unsupported bool
+	}{
+		{in: "<a>x &bogus; y</a>", want: "entity"},
+		{in: "<a><b>1</c></a>", want: "closed by </c>"},
+		{in: "<a>1", want: "unexpected EOF"},
+		{in: `<p:a x="1">v</p:a>`, unsupported: true},
+		{in: `<a x="1">v</a>`, unsupported: true},
+		{in: "<a><p:b>v</p:b></a>", unsupported: true},
+	} {
+		_, err := Parse(tc.in)
+		switch {
+		case err == nil:
+			t.Errorf("Parse(%q) succeeded", tc.in)
+		case tc.unsupported != errors.Is(err, ErrUnsupported):
+			t.Errorf("Parse(%q) = %v, ErrUnsupported %v", tc.in, err, tc.unsupported)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("Parse(%q) = %v, want it to mention %q", tc.in, err, tc.want)
+		}
+	}
+	if n, err := Parse("<a>x &amp; y</a>"); err != nil || n.TextContent() != "x & y" {
+		t.Errorf("Parse of an entity reference = %v, %v", n, err)
 	}
 }
 

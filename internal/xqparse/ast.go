@@ -27,19 +27,10 @@ func (s Source) Table() string {
 	return s.Steps[0]
 }
 
-// String renders the source in XQuery syntax.
-func (s Source) String() string {
-	var b strings.Builder
-	if s.Doc != "" {
-		fmt.Fprintf(&b, "document(%q)", s.Doc)
-	} else {
-		b.WriteString("$" + s.Var)
-	}
-	for _, st := range s.Steps {
-		b.WriteString("/" + st)
-	}
-	return b.String()
-}
+// String renders the source in XQuery syntax. A source is a document
+// source when it has no root variable (the lexer rejects an empty one),
+// so document("") renders as itself.
+func (s Source) String() string { return string(s.appendTo(nil)) }
 
 // Binding is one FOR (or "=" let-style) clause: $Var IN Source.
 type Binding struct {

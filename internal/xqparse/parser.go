@@ -245,21 +245,8 @@ func (p *parser) parsePred() (Pred, error) {
 	if err != nil {
 		return Pred{}, err
 	}
-	var op relational.CompareOp
-	switch opTok.kind {
-	case tokEQ:
-		op = relational.OpEQ
-	case tokNE:
-		op = relational.OpNE
-	case tokLT:
-		op = relational.OpLT
-	case tokLE:
-		op = relational.OpLE
-	case tokGT:
-		op = relational.OpGT
-	case tokGE:
-		op = relational.OpGE
-	default:
+	op, ok := compareOp(opTok.kind)
+	if !ok {
 		return Pred{}, p.lx.errorf(opTok.pos, "expected comparison operator, found %q", opTok.text)
 	}
 	right, err := p.parseOperand()
@@ -320,9 +307,32 @@ func (p *parser) parseOperand() (PredOperand, error) {
 	}
 }
 
+// compareOp maps a comparison token to its operator.
+func compareOp(k tokenKind) (relational.CompareOp, bool) {
+	switch k {
+	case tokEQ:
+		return relational.OpEQ, true
+	case tokNE:
+		return relational.OpNE, true
+	case tokLT:
+		return relational.OpLT, true
+	case tokLE:
+		return relational.OpLE, true
+	case tokGT:
+		return relational.OpGT, true
+	case tokGE:
+		return relational.OpGE, true
+	}
+	return 0, false
+}
+
+// parseNumber maps a number token to an integer, or to a float when it
+// has a fraction or overflows int64.
 func parseNumber(s string) relational.Value {
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return relational.Int_(i)
+	if strings.IndexByte(s, '.') < 0 {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return relational.Int_(i)
+		}
 	}
 	f, _ := strconv.ParseFloat(s, 64)
 	return relational.Float_(f)
@@ -531,17 +541,22 @@ func (p *parser) parseFragment() (*xmltree.Node, error) {
 
 func stripQuotes(n *xmltree.Node) {
 	if !n.IsElement() {
-		s := strings.TrimSpace(n.Text)
-		for _, pair := range [][2]string{{`"`, `"`}, {`'`, `'`}, {"“", "”"}} {
-			if strings.HasPrefix(s, pair[0]) && strings.HasSuffix(s, pair[1]) && len(s) >= len(pair[0])+len(pair[1]) {
-				s = strings.TrimSpace(s[len(pair[0]) : len(s)-len(pair[1])])
-				break
-			}
-		}
-		n.Text = s
+		n.Text = unquote(n.Text)
 		return
 	}
 	for _, c := range n.Children {
 		stripQuotes(c)
 	}
+}
+
+// unquote trims a fragment text and strips one pair of the quotes the
+// paper's syntax places around leaf values.
+func unquote(s string) string {
+	s = strings.TrimSpace(s)
+	for _, pair := range [...][2]string{{`"`, `"`}, {`'`, `'`}, {"“", "”"}} {
+		if strings.HasPrefix(s, pair[0]) && strings.HasSuffix(s, pair[1]) && len(s) >= len(pair[0])+len(pair[1]) {
+			return strings.TrimSpace(s[len(pair[0]) : len(s)-len(pair[1])])
+		}
+	}
+	return s
 }

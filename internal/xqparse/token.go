@@ -12,16 +12,23 @@
 //     of Tatarinov et al. — FOR ... WHERE ... UPDATE $var {
 //     INSERT <frag/> | DELETE $v/path | REPLACE $v/path WITH <frag/> }.
 //     [ParseUpdate] returns an [UpdateQuery], the input to U-Filter's
-//     Step 1 (internal/ufilter.Resolve binds it against the view ASG).
+//     Step 1 (internal/plan.Resolve binds it against the view ASG).
 //
 // The grammar covers the paper's corpus, not full XQuery: conjunctive
 // WHERE clauses comparing paths to literals or paths to paths
 // (correlation predicates, Pred.IsCorrelation), document() roots,
 // child-axis paths with an optional trailing /text(), and literal
-// element fragments. The update AST is deliberately cheap to
-// re-traverse: internal/ufilter fingerprints it (operation kinds,
-// paths, predicate shapes with literals stripped) to key the
-// schema-level decision cache.
+// element fragments.
+//
+// Update traffic repeats a few templates, so updates have a second
+// reader. [UpdateQuery.AppendKey] writes an update's template key — its
+// operation kinds, paths and predicate shapes with literal values and
+// fragment text stripped — which keys internal/plan's cache of compiled
+// plans. [ScanUpdate] writes the same key straight from the text, in one
+// pass and without building an AST, beside the predicate literals and
+// the fragments' leaf texts, so a resident template's instances bind to
+// its plan unparsed; only a template's first sighting, or a text outside
+// the scanner's plain subset, is parsed.
 package xqparse
 
 import (
@@ -52,7 +59,6 @@ const (
 	tokGE
 	tokEQ
 	tokNE
-	tokAssign // bare = in binding context is also tokEQ; kept as EQ
 )
 
 func (k tokenKind) String() string {
