@@ -211,17 +211,23 @@ func runServer(cfg *server.Config, addr string, log *slog.Logger) error {
 			} else if v.ShardRecovery != nil {
 				recovered = v.ShardRecovery.Shards
 			}
-			var replayed int64
+			var replayed, truncated int64
 			var paged, rows int
+			var torn bool
 			for _, ri := range recovered {
 				replayed += ri.ReplayedTxns
 				paged += ri.CheckpointRows
+				torn = torn || ri.TornTail
+				// The shards share one log, so each reports the same
+				// truncated tail: count it once.
+				truncated = max(truncated, ri.TruncatedBytes)
 			}
 			for _, ss := range v.Filter.Exec.DB.ShardStats() {
 				rows += ss.Rows
 			}
 			log.Info("recovered, seed skipped", "view", v.Name, "shards", len(recovered), "rows", rows,
-				"replayed_txns", replayed, "checkpoint_rows", paged, "dir", cfg.DataDir)
+				"replayed_txns", replayed, "checkpoint_rows", paged,
+				"torn_tail", torn, "truncated_bytes", truncated, "dir", cfg.DataDir)
 		}
 		stopCheckpointers := srv.Registry.StartCheckpointers(5 * time.Second)
 		defer stopCheckpointers()

@@ -112,8 +112,9 @@
 // WALOptions.PageCacheBytes (ufilterd -page-cache-bytes) — so restart
 // latency tracks the directory, not the dataset, and committed cold
 // rows demote back to stubs, letting the data exceed RAM under a hard
-// memory budget. Retired segments are recycled as preallocated future
-// segments. internal/walcrash proves the contract with a kill -9
+// memory budget. Every active segment is pre-extended to its full size
+// when it opens, so a commit's fsync never journals a file growing, and
+// retired segments are removed. internal/walcrash proves the contract with a kill -9
 // fault-injection matrix over every registered failpoint, page-store
 // write/directory/fold faults included.
 //

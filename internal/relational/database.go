@@ -307,8 +307,8 @@ var (
 // field is read atomically (or under its own short mutex), so a snapshot
 // may be taken while other goroutines are mutating the database. The
 // log's own counters (segments, bytes, fsyncs, durable commit groups and
-// their transactions, checkpoint passes, recycled segments, pipeline
-// depth, the fsync and pause histograms) come from WAL.Stats: a member
+// their transactions, checkpoint passes, pipeline depth, the fsync and
+// pause histograms) come from WAL.Stats: a member
 // of a log shared with other databases reports zero for them.
 type DBStats struct {
 	StatementsExecuted int64 `json:"statements_executed" stat:"statements_executed_total,counter,sum" help:"DML statements executed."`
@@ -333,7 +333,6 @@ type DBStats struct {
 	Fsyncs                  int64 `json:"fsyncs_total" stat:"wal_fsyncs_total,counter,sum" help:"fsync calls issued by the view's durable WAL (commit batches, segment seals, checkpoint installs)."`
 	Checkpoints             int64 `json:"checkpoints_total" stat:"wal_checkpoints_total,counter,sum" help:"Checkpoint passes of the view's log."`
 	RecoveryReplayedTxns    int64 `json:"recovery_replayed_txns" stat:"wal_recovery_replayed_txns,gauge,sum" help:"Committed transactions replayed from the WAL at startup."`
-	WALRecycledSegments     int64 `json:"wal_recycled_segments" stat:"wal_recycled_segments_total,counter,sum" help:"Active-segment opens served from the preallocated recycle pool."`
 	WALPipelineDepth        int64 `json:"wal_pipeline_depth" stat:"wal_pipeline_depth,gauge,sum" help:"Commit groups queued or in flight in the WAL writer stage."`
 	CheckpointDeltaChainLen int64 `json:"checkpoint_delta_chain_len" stat:"checkpoint_delta_chain_len,gauge,max,shard" help:"Page-directory install records since the last base fold (worst shard)."`
 	// CheckpointLastPauseNs is the log's, reported by every member.

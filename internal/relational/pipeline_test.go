@@ -3,8 +3,11 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -416,59 +419,150 @@ func TestCheckpointIsODirtyPages(t *testing.T) {
 	}
 }
 
-// TestWALSegmentRecycling drives enough rotations and checkpoints that
-// retired segments enter the free list and later rotations reuse them:
-// the recycled counter climbs, at most walRecycleKeep recycle files sit
-// on disk, and recovery is untouched by their presence.
-func TestWALSegmentRecycling(t *testing.T) {
+// TestActiveSegmentPreallocated: the active segment is exactly
+// SegmentBytes after a fresh open, a size rotation, a checkpoint
+// rotation, a reopen that recovered records, a failed append and a failed
+// fsync, so no append ever grows it; and at each point a recovery from a
+// copy of the directory (what a kill -9 leaves) replays exactly the
+// acknowledged commits without reporting the slack as a torn tail.
+func TestActiveSegmentPreallocated(t *testing.T) {
+	const segBytes = 4096
+	opts := WALOptions{SegmentBytes: segBytes}
 	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{SegmentBytes: 256, CheckpointEverySegments: 2})
-	for i := int64(1); i <= 80; i++ {
-		mustInsertParent(t, db, i, Value{Kind: KindInt, Int: i}.String())
+	db, _ := openWALDB(t, dir, opts)
+	t.Cleanup(DisableAllFailpoints)
+	var acked []int64
+	next := int64(0)
+	insert := func() error {
+		next++
+		_, err := db.Insert("parent", map[string]Value{"id": Int_(next), "name": String_(fmt.Sprint("row ", next))})
+		if err == nil {
+			acked = append(acked, next)
+		}
+		return err
 	}
-	st := db.Stats()
-	if st.WALRecycledSegments == 0 {
-		t.Fatalf("no segments recycled: %+v", st)
+	insertN := func(n int) {
+		t.Helper()
+		for range n {
+			if err := insert(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if n := countFiles(t, dir, walRecycleSuffix); n > walRecycleKeep {
-		t.Fatalf("%d recycle files on disk, cap is %d", n, walRecycleKeep)
+	failOne := func(failpoint string) {
+		t.Helper()
+		if err := EnableFailpoint(failpoint, "error"); err != nil {
+			t.Fatal(err)
+		}
+		if err := insert(); !errors.Is(err, ErrWALFailed) {
+			t.Fatalf("insert under %s: %v, want ErrWALFailed", failpoint, err)
+		}
+		DisableAllFailpoints()
 	}
-	want := dumpDB(t, db)
+	check := func(point string) {
+		t.Helper()
+		fi, err := os.Stat(lastSegment(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != segBytes {
+			t.Fatalf("%s: active segment %s is %d bytes, want %d", point, fi.Name(), fi.Size(), segBytes)
+		}
+		copied := t.TempDir()
+		copyDir(t, dir, copied)
+		rec, info := openWALDB(t, copied, opts)
+		if info.TornTail {
+			t.Fatalf("%s: recovery reported a torn tail: %+v", point, info)
+		}
+		var got []int64
+		if err := rec.Scan("parent", func(r *Row) bool { got = append(got, r.Values[0].Int); return true }); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if !reflect.DeepEqual(got, acked) {
+			t.Fatalf("%s: recovered ids %v, want the acknowledged %v", point, got, acked)
+		}
+	}
+
+	check("fresh open")
+	first := lastSegment(t, dir)
+	for lastSegment(t, dir) == first {
+		if next > 1000 {
+			t.Fatal("1000 inserts never rotated a 4 KiB segment")
+		}
+		insertN(1)
+	}
+	check("size rotation")
+	insertN(3)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpoint rotation")
+	insertN(3)
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	db2, info := openWALDB(t, dir, WALOptions{SegmentBytes: 256})
-	if info.TornTail {
-		t.Fatalf("recycle files confused recovery: %+v", info)
+	var info *RecoveryInfo
+	db, info = openWALDB(t, dir, opts)
+	if info.ReplayedTxns != 3 || info.TornTail {
+		t.Fatalf("reopen: %+v, want 3 replayed txns and no torn tail", info)
 	}
-	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered state with recycle files present:\n got %v\nwant %v", got, want)
+	check("reopen")
+	insertN(2)
+	failOne(FpWALAppendPartial)
+	check("failed append")
+	insertN(2)
+	failOne(FpWALFsyncBefore)
+	check("failed fsync")
+	insertN(2)
+	check("appends after the failures")
+}
+
+// copyDir copies the files under src into dst.
+func copyDir(t testing.TB, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPreallocatedSegmentRecovery: with preallocation the active
-// segment carries zeroed slack after the live frames; recovery must
-// trim it silently — the same on-disk shape a recycled segment's reuse
-// produces — without reporting a torn tail.
-func TestPreallocatedSegmentRecovery(t *testing.T) {
+// TestLeftoverRecycleFileRemoved: a directory written when retired
+// segments were kept for reuse may still hold a recycle-*.rseg, here one
+// holding a copy of a live segment's records. Opening it removes the
+// file, and recovery neither reads it nor reports a torn tail.
+func TestLeftoverRecycleFileRemoved(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{SegmentBytes: 4096, PreallocateSegments: true})
-	for i := int64(1); i <= 5; i++ {
-		mustInsertParent(t, db, i, Value{Kind: KindInt, Int: i}.String())
-	}
+	db, _ := openWALDB(t, dir, WALOptions{})
+	mustInsertParent(t, db, 1, "one")
 	want := dumpDB(t, db)
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(lastSegment(t, dir)); err != nil || fi.Size() != 4096 {
-		t.Fatalf("expected preallocated 4096-byte segment, got %v (err %v)", fi, err)
+	_, data, _, _ := lastFrame(t, dir)
+	leftover := filepath.Join(dir, "recycle-0000000001.rseg")
+	if err := os.WriteFile(leftover, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	db2, info := openWALDB(t, dir, WALOptions{SegmentBytes: 4096, PreallocateSegments: true})
-	if info.TornTail {
-		t.Fatalf("zeroed preallocation slack reported as torn tail: %+v", info)
+	db2, info := openWALDB(t, dir, WALOptions{})
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("leftover recycle file still present (stat err %v)", err)
 	}
-	if info.ReplayedTxns != 5 {
-		t.Fatalf("replayed %d txns, want 5", info.ReplayedTxns)
+	if info.TornTail || info.ReplayedTxns != 1 {
+		t.Fatalf("recovery with a leftover recycle file: %+v, want 1 replayed txn, no torn tail", info)
 	}
 	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered state:\n got %v\nwant %v", got, want)

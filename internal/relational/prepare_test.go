@@ -3,7 +3,6 @@ package relational
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -110,13 +109,8 @@ func TestPrepareAppendsWithoutFlush(t *testing.T) {
 			t.Errorf("member %d reports the log's counters: %+v", i, st)
 		}
 	}
-	data, err := os.ReadFile(lastSegment(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last []byte
-	ScanFrames(data, func(payload []byte) bool { last = payload; return true })
-	subs, err := decodeRecord(last, nil)
+	_, data, start, end := lastFrame(t, dir)
+	subs, err := decodeRecord(data[start+walFrameHeaderSize:end], nil)
 	if err != nil || len(subs) != len(dbs) {
 		t.Fatalf("last record: %d sub-records (%v), want %d", len(subs), err, len(dbs))
 	}

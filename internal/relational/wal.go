@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,15 +44,19 @@ import (
 //	wal-0000000002.seg        active segment (append-only)
 //	pages.heap                slotted 4KiB pages: the checkpoint base image
 //	pagedir-0000000001.log    page-directory log (installs, frees, chain)
-//	recycle-0000000001.rseg   retired segment awaiting reuse as a future
-//	                          active segment (pre-sized, contents ignored)
+//
+// Every active segment is extended with zeros to SegmentBytes when it
+// opens (fresh, after recovery, at every rotation), so an append
+// overwrites slack instead of growing the file and a commit's fsync
+// has no file size to journal. A retired segment is removed.
 //
 // Every record is framed as [len uint32][crc32 uint32][payload]; the
 // CRC covers the payload. Recovery reads segments in index order and
 // stops at the first frame that is short, oversized or fails its CRC —
 // everything before it is the committed prefix, everything at and after
-// it never had a durable commit acknowledged (an all-zero tail left by
-// segment preallocation is trimmed without being reported as torn).
+// it never had a durable commit acknowledged (an all-zero tail, the
+// slack the records never reached, is trimmed without being reported
+// as torn).
 //
 // The checkpoint base image lives in internal/pagestore: a heap file of
 // slotted copy-on-write pages plus a directory log. A checkpoint pass
@@ -70,12 +75,7 @@ import (
 const (
 	walSegmentPrefix   = "wal-"
 	walSegmentSuffix   = ".seg"
-	walRecyclePrefix   = "recycle-"
-	walRecycleSuffix   = ".rseg"
 	walFrameHeaderSize = 8
-	// walRecycleKeep caps the recycled-segment free list; surplus sealed
-	// segments are deleted as before.
-	walRecycleKeep = 4
 	// walMaxRecordSize bounds a single record frame; anything larger in
 	// a file is treated as corruption (stops recovery at that point).
 	walMaxRecordSize = 1 << 28
@@ -98,8 +98,10 @@ const (
 // defaults; tests shrink SegmentBytes to force rotation and set
 // CheckpointEverySegments to exercise checkpoint truncation under load.
 type WALOptions struct {
-	// SegmentBytes rotates the active segment once it exceeds this many
-	// bytes (default 4 MiB). Records are never split across segments.
+	// SegmentBytes is the size each active segment is extended to when it
+	// opens, and the active segment rotates once its records reach it
+	// (default 4 MiB). Records are never split across segments, so the
+	// last record of a segment may grow the file past it.
 	SegmentBytes int64
 	// CheckpointEverySegments, when > 0, piggybacks a checkpoint on the
 	// first commit after that many segments have been sealed since the
@@ -117,12 +119,6 @@ type WALOptions struct {
 	// and fault back in through this pool, so the dataset may exceed RAM.
 	// Zero means the default (256 MiB).
 	PageCacheBytes int64
-	// PreallocateSegments extends each new active segment to
-	// SegmentBytes at creation, so appends never grow the file and the
-	// per-append metadata fsync cost disappears. Recovery treats a
-	// trailing run of zero bytes as preallocation slack, not a torn
-	// record.
-	PreallocateSegments bool
 }
 
 func (o WALOptions) withDefaults() WALOptions {
@@ -184,8 +180,8 @@ type sealedSegment struct {
 // WAL is the durable log attached to its member databases by OpenLog
 // (OpenWAL for one). Records are enqueued under the members' commit
 // latches and appended by the single writer goroutine; the small
-// internal mutex only guards the sealed-segment and free lists, which
-// checkpoints mutate outside those latches.
+// internal mutex only guards the sealed-segment list, which checkpoints
+// mutate outside those latches.
 type WAL struct {
 	dir     string
 	opts    WALOptions
@@ -199,7 +195,6 @@ type WAL struct {
 
 	mu     sync.Mutex
 	sealed []sealedSegment
-	free   []string // recycled segment files awaiting reuse (guarded by mu)
 
 	// pipe is the WAL writer stage's queue: records are enqueued under
 	// their members' commit latches (so each member's queue order IS its
@@ -218,7 +213,6 @@ type WAL struct {
 	groupedTxns  atomic.Int64 // transactions they published
 	acrossFsyncs atomic.Int64 // of those batches, ones carrying a multi-member record
 	sealedSinceC atomic.Int64 // sealed segments since the last checkpoint
-	recycled     atomic.Int64 // segments reused from the free list
 	checkpoints  atomic.Int64 // passes that installed every member's pages
 
 	// fsyncHist records each commit-path fsync's duration; lastFsyncNs
@@ -607,17 +601,6 @@ func ScanFrames(data []byte, visit func(payload []byte) bool) (valid int64) {
 
 // ---- append path ------------------------------------------------------
 
-// truncateActive drops the bytes a failed append wrote. Best-effort: if
-// the truncate itself fails the next recovery's CRC scan still stops at
-// the torn frame.
-func (w *WAL) truncateActive(wrote int) {
-	if wrote == 0 {
-		return
-	}
-	_ = w.f.Truncate(w.segBytes)
-	_, _ = w.f.Seek(w.segBytes, 0)
-}
-
 // rotate seals the active segment and opens the next. Called by the
 // writer stage, or by Checkpoint while the writer is parked at its
 // barrier.
@@ -643,114 +626,29 @@ func (w *WAL) rotate() error {
 	return evalFailpoint(FpWALRotateOpen)
 }
 
-// openSegment makes the segment file with the given index the active
-// one: reuse a recycled file when the free list has one, otherwise
-// create fresh (preallocated to SegmentBytes when the option is on) and
-// make the directory entry durable.
+// openSegment creates the segment file with the given index, extends
+// it to SegmentBytes and makes both the size and the directory entry
+// durable before it becomes the active segment.
 func (w *WAL) openSegment(index uint64) error {
-	path := segmentPath(w.dir, index)
-	if f, ok, err := w.takeRecycled(path); err != nil {
-		return err
-	} else if ok {
-		w.recycled.Add(1)
-		w.f = f
-		w.segIndex = index
-		w.segBytes = 0
-		return nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(segmentPath(w.dir, index), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	if w.opts.PreallocateSegments {
-		if err := f.Truncate(w.opts.SegmentBytes); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		w.fsyncs.Add(1)
+	err = f.Truncate(w.opts.SegmentBytes)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := SyncDir(w.dir); err != nil {
+	if err == nil {
+		err = SyncDir(w.dir)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
-	w.fsyncs.Add(1)
+	w.fsyncs.Add(2)
 	w.f = f
 	w.segIndex = index
 	w.segBytes = 0
-	return nil
-}
-
-// takeRecycled reuses a free-list file as the new active segment. The
-// old contents are truncated away and the truncate fsynced BEFORE the
-// rename, so a crash can never leave stale committed-looking frames
-// under a live segment name. Pre-rename failures fall back to a fresh
-// create (the reserved file is simply dropped from the list); failures
-// after the rename propagate, since the segment name now exists.
-func (w *WAL) takeRecycled(path string) (*os.File, bool, error) {
-	w.mu.Lock()
-	if len(w.free) == 0 {
-		w.mu.Unlock()
-		return nil, false, nil
-	}
-	rpath := w.free[0]
-	w.free = w.free[1:]
-	w.mu.Unlock()
-	f, err := os.OpenFile(rpath, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, false, nil
-	}
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, false, nil
-	}
-	if w.opts.PreallocateSegments {
-		if err := f.Truncate(w.opts.SegmentBytes); err != nil {
-			f.Close()
-			return nil, false, nil
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, false, nil
-	}
-	w.fsyncs.Add(1)
-	if err := os.Rename(rpath, path); err != nil {
-		f.Close()
-		return nil, false, err
-	}
-	if err := SyncDir(w.dir); err != nil {
-		f.Close()
-		return nil, false, err
-	}
-	w.fsyncs.Add(1)
-	return f, true, nil
-}
-
-// retireSegment disposes of a checkpoint-superseded sealed segment:
-// onto the bounded recycle free list when there is room (a rename, no
-// data fsync — takeRecycled scrubs it before reuse), deleted otherwise.
-func (w *WAL) retireSegment(s sealedSegment) error {
-	w.mu.Lock()
-	room := len(w.free) < walRecycleKeep
-	w.mu.Unlock()
-	if room {
-		rpath := filepath.Join(w.dir, fmt.Sprintf("%s%010d%s", walRecyclePrefix, s.index, walRecycleSuffix))
-		if err := os.Rename(s.path, rpath); err == nil {
-			w.mu.Lock()
-			w.free = append(w.free, rpath)
-			w.mu.Unlock()
-			return nil
-		} else if os.IsNotExist(err) {
-			return nil
-		}
-	}
-	if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
 	return nil
 }
 
@@ -809,14 +707,15 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 		if idx, ok := parseSegmentIndex(name); ok {
 			segs = append(segs, idx)
 		}
-		if strings.HasPrefix(name, walRecyclePrefix) && strings.HasSuffix(name, walRecycleSuffix) {
-			// Reusable as-is: takeRecycled scrubs a file before it
-			// re-enters service, and recovery never scans them.
-			w.free = append(w.free, filepath.Join(dir, name))
+		if strings.HasPrefix(name, "recycle-") && strings.HasSuffix(name, ".rseg") {
+			// A retired segment an older layout kept for reuse: it holds
+			// nothing recovery reads.
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+				return nil, nil, err
+			}
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Strings(w.free)
 
 	infos := make([]RecoveryInfo, len(members))
 	var fresh atomic.Bool
@@ -956,9 +855,9 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 				return err
 			}
 			if allZero(data[valid:]) {
-				// Preallocation slack: the segment was extended at creation
-				// and the zeros were never overwritten by records. Trim the
-				// slack quietly and keep scanning — nothing was torn.
+				// Slack: the segment was extended when it opened and the
+				// records never reached these zeros. Trim them quietly and
+				// keep scanning — nothing was torn.
 				trimmed = true
 				continue
 			}
@@ -1024,16 +923,22 @@ func parallel(n int, fn func(i int) error) error {
 	return nil
 }
 
-// allZero reports whether every byte is zero — the signature of
-// preallocated-segment slack past the last record.
+// allZero reports whether every byte is zero — the signature of a
+// segment's slack past its last record. Recovery runs it over up to
+// SegmentBytes per segment, so it compares a page at a time (bytes.Equal
+// is vectorised; a byte loop costs ten times as much on 4 MiB).
 func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }
+
+var zeroPage [4096]byte
 
 // resetStorage drops every row and index entry, leaving schema-shaped
 // empty tables for recovery to fill. Only called before the database
@@ -1243,9 +1148,8 @@ func (db *Database) installPages(p ckptPass) error {
 	return nil
 }
 
-// retire disposes of every sealed segment all of whose records every
-// member's durable checkpoint covers (to the recycle list, or deleted
-// past its cap).
+// retire removes every sealed segment all of whose records every
+// member's durable checkpoint covers.
 func (w *WAL) retire() error {
 	w.mu.Lock()
 	var done, kept []sealedSegment
@@ -1263,7 +1167,7 @@ func (w *WAL) retire() error {
 	w.sealed = kept
 	w.mu.Unlock()
 	for _, s := range done {
-		if err := w.retireSegment(s); err != nil {
+		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
@@ -1357,8 +1261,7 @@ func (w *WAL) Close() error {
 
 // Stats reports the log's own counters — segments, bytes, fsyncs, the
 // commit groups and transactions its writer stage published, checkpoint
-// passes, the recycle and pipeline gauges and the fsync and pause
-// histograms; every other field is zero. It is one more part of its
+// passes, the pipeline gauge and the fsync and pause histograms; every other field is zero. It is one more part of its
 // members' FoldStats.
 func (w *WAL) Stats() DBStats {
 	w.mu.Lock()
@@ -1374,7 +1277,6 @@ func (w *WAL) Stats() DBStats {
 		GroupCommits:        w.groupCommits.Load(),
 		GroupedTxns:         w.groupedTxns.Load(),
 		Checkpoints:         w.checkpoints.Load(),
-		WALRecycledSegments: w.recycled.Load(),
 		WALPipelineDepth:    w.pipeDepth.Load(),
 		FsyncHist:           w.fsyncHist.Snapshot(),
 		CheckpointPauseHist: w.ckptPauseHist.Snapshot(),

@@ -216,9 +216,11 @@ func lastSegment(t testing.TB, dir string) string {
 	return filepath.Join(dir, names[len(names)-1])
 }
 
-// segmentWithData returns the highest-indexed segment that has bytes in
-// it (the active segment is empty right after a rotation or open).
-func segmentWithData(t testing.TB, dir string) string {
+// lastFrame finds the newest record under dir: the highest-indexed
+// segment holding one (the active segment holds only zeros right after
+// a rotation or open), its contents, and where the record's frame starts
+// and ends. Past end lies the segment's zeroed slack.
+func lastFrame(t testing.TB, dir string) (seg string, data []byte, start, end int64) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -227,16 +229,31 @@ func segmentWithData(t testing.TB, dir string) string {
 	var names []string
 	for _, e := range entries {
 		if _, ok := parseSegmentIndex(e.Name()); ok {
-			if fi, err := e.Info(); err == nil && fi.Size() > 0 {
-				names = append(names, e.Name())
-			}
+			names = append(names, e.Name())
 		}
 	}
-	if len(names) == 0 {
-		t.Fatal("no non-empty segment files")
-	}
 	sort.Strings(names)
-	return filepath.Join(dir, names[len(names)-1])
+	for i := len(names) - 1; i >= 0; i-- {
+		seg = filepath.Join(dir, names[i])
+		if data, err = os.ReadFile(seg); err != nil {
+			t.Fatal(err)
+		}
+		// An all-zero header reads as an empty frame; recovery refuses it
+		// as a record, and so does this walk.
+		start, end = 0, 0
+		ScanFrames(data, func(payload []byte) bool {
+			if len(payload) == 0 {
+				return false
+			}
+			start, end = end, end+walFrameHeaderSize+int64(len(payload))
+			return true
+		})
+		if end > 0 {
+			return seg, data, start, end
+		}
+	}
+	t.Fatal("no segment holds a record")
+	return
 }
 
 func TestWALTornTailDiscarded(t *testing.T) {
@@ -251,13 +268,11 @@ func TestWALTornTailDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the last record: keep all but its final 3 bytes.
-	seg := segmentWithData(t, dir)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg, data[:len(data)-3], 0o644); err != nil {
+	// Tear the last record: its final 3 bytes never reached the file,
+	// which still holds its slack after them.
+	seg, data, _, end := lastFrame(t, dir)
+	clear(data[end-3 : end])
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -298,12 +313,8 @@ func TestWALCorruptCRCStopsReplay(t *testing.T) {
 	}
 
 	// Flip a byte inside the LAST record's payload so its CRC fails.
-	seg := segmentWithData(t, dir)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
+	seg, data, _, end := lastFrame(t, dir)
+	data[end-1] ^= 0xFF
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +343,7 @@ func TestWALCorruptionMidChainStopsThere(t *testing.T) {
 
 	// Corrupt the THIRD record: recovery must stop before it, keeping
 	// only the first two txns, and must not error or replay garbage.
-	seg := segmentWithData(t, dir)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg, data, _, _ := lastFrame(t, dir)
 	// Walk frames to find the third record's payload offset.
 	off := int64(0)
 	for i := 0; i < 2; i++ {

@@ -241,11 +241,11 @@ func (w *WAL) writeFrame(req *walReq) error {
 		n, werr := w.f.Write(rest[:len(rest)/2])
 		wrote += n
 		if err := fireFailpoint(FpWALAppendPartial); err != nil {
-			w.truncateActive(wrote)
+			w.truncateTo(w.segBytes)
 			return err
 		}
 		if werr != nil {
-			w.truncateActive(wrote)
+			w.truncateTo(w.segBytes)
 			return werr
 		}
 		rest = rest[len(rest)/2:]
@@ -253,7 +253,7 @@ func (w *WAL) writeFrame(req *walReq) error {
 	n, err := w.f.Write(rest)
 	wrote += n
 	if err != nil {
-		w.truncateActive(wrote)
+		w.truncateTo(w.segBytes)
 		return err
 	}
 	w.segBytes += int64(wrote)
@@ -286,11 +286,16 @@ func (w *WAL) syncActive() error {
 	return evalFailpoint(FpWALFsyncAfter)
 }
 
-// truncateTo cuts the active segment back to off (best-effort, like
-// truncateActive: a failed truncate still stops recovery's CRC scan at
-// the same point).
+// truncateTo cuts the active segment back to off, dropping what a
+// failed append or fsync left past it, and extends it back to
+// SegmentBytes, so the appends after it still overwrite zeros instead of
+// growing the file (recovery trims the zeros). Best-effort: after a
+// failed truncate, recovery's CRC scan still stops at the same point.
 func (w *WAL) truncateTo(off int64) {
 	_ = w.f.Truncate(off)
+	if off < w.opts.SegmentBytes {
+		_ = w.f.Truncate(w.opts.SegmentBytes)
+	}
 	_, _ = w.f.Seek(off, 0)
 	w.segBytes = off
 }

@@ -37,21 +37,30 @@ func activeSegment(t testing.TB, dir string) string {
 	return names[len(names)-1]
 }
 
-func fileSize(t testing.TB, path string) int64 {
+// logEnd returns where the last record of the segment at path ends:
+// the zeroed slack after it is not part of the log.
+func logEnd(t testing.TB, path string) int64 {
 	t.Helper()
-	st, err := os.Stat(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Size()
+	ends := frameEnds(data)
+	if len(ends) == 0 {
+		return 0
+	}
+	return ends[len(ends)-1]
 }
 
 // frameEnds returns the end offset of every [len][crc][payload] frame in
-// data.
+// data, stopping at the first empty one (an all-zero header: slack).
 func frameEnds(data []byte) []int64 {
 	var ends []int64
 	off := int64(0)
 	relational.ScanFrames(data, func(payload []byte) bool {
+		if len(payload) == 0 {
+			return false
+		}
 		off += 8 + int64(len(payload))
 		ends = append(ends, off)
 		return true
@@ -108,7 +117,7 @@ func TestPowerLossCutPoints(t *testing.T) {
 
 	// lens[k] is the log's length once commit k is acknowledged, want[k]
 	// the dump then.
-	lens, want := []int64{fileSize(t, seg)}, [][]string{dump(t, db)}
+	lens, want := []int64{logEnd(t, seg)}, [][]string{dump(t, db)}
 	rng := rand.New(rand.NewSource(20240607))
 	var pubs [2][]string // publishers this test inserted, by shard
 	for k := 1; k <= commits; k++ {
@@ -137,7 +146,7 @@ func TestPowerLossCutPoints(t *testing.T) {
 		if err := txn.Commit(); err != nil {
 			t.Fatalf("commit %d: %v", k, err)
 		}
-		lens, want = append(lens, fileSize(t, seg)), append(want, dump(t, db))
+		lens, want = append(lens, logEnd(t, seg)), append(want, dump(t, db))
 		if lens[k] <= lens[k-1] {
 			t.Fatalf("commit %d appended nothing to the log", k)
 		}
@@ -264,7 +273,7 @@ func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	logLen := fileSize(t, activeSegment(t, dir))
+	logLen := logEnd(t, activeSegment(t, dir))
 	if err := relational.EnableFailpoint(relational.FpWALFsyncBefore, "error"); err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +286,8 @@ func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
 		}
 	}
 	relational.DisableAllFailpoints()
-	if got := fileSize(t, activeSegment(t, dir)); got != logLen {
-		t.Fatalf("the failed commits left the log at %d bytes, want the %d the acknowledged ones did", got, logLen)
+	if got := logEnd(t, activeSegment(t, dir)); got != logLen {
+		t.Fatalf("the failed commits left the log's records ending at %d, want the %d the acknowledged ones did", got, logLen)
 	}
 	if _, err := db.Insert("publisher", map[string]relational.Value{
 		"pubid": relational.String_(pubOnShard(db, 1, "J")), "pubname": relational.String_("after the fault")}); err != nil {

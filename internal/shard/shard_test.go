@@ -347,7 +347,7 @@ func TestTwoPhaseRecovery(t *testing.T) {
 	db, _ := open()
 	p0, p1 := pubOnShard(db, 0, "R"), pubOnShard(db, 1, "R")
 	seg := activeSegment(t, dir)
-	before := fileSize(t, seg)
+	before := logEnd(t, seg)
 	txn := db.BeginTxn()
 	insertPub(t, txn, p0, "Recovered A")
 	insertPub(t, txn, p1, "Recovered B")
@@ -379,7 +379,7 @@ func TestTwoPhaseRecovery(t *testing.T) {
 	}
 	// A crash mid-append: the record's last byte never reached the disk.
 	// Recovery must discard both halves.
-	after := fileSize(t, seg)
+	after := logEnd(t, seg)
 	if err := os.Truncate(seg, after-1); err != nil {
 		t.Fatal(err)
 	}

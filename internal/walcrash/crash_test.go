@@ -80,15 +80,14 @@ func childMain() {
 		die(err)
 	}
 	// A short delta chain makes compaction fire several times inside the
-	// 150-txn workload; preallocated segments put zeroed slack after the
-	// live frames, which recovery must trim without declaring a torn
-	// tail. The parent reopens with plain options — recovery reads
-	// whatever base+delta+segment files are on disk regardless.
+	// 150-txn workload; every segment carries zeroed slack after its live
+	// frames, which recovery must trim without declaring a torn tail. The
+	// parent reopens with plain options — recovery reads whatever
+	// base+delta+segment files are on disk regardless.
 	db, err := openEngine(dir, shards, relational.WALOptions{
 		SegmentBytes:            segBytes,
 		CheckpointEverySegments: ckptSegs,
 		CheckpointDeltaLimit:    childDeltaLimit,
-		PreallocateSegments:     true,
 	})
 	if err != nil {
 		die(err)
@@ -409,7 +408,7 @@ func externalKill(t *testing.T, shards int) {
 // aggressive rotation+checkpointing, close, reopen, and require the
 // recovered state to equal the shadow model exactly.
 func TestRecoveryPropertyRandomSeeds(t *testing.T) {
-	seeds := []int64{1, 1337, 15204, 94810, 3044, 38755, 58334, 83287, 76191, 47452, 98759, 53640, 24445, time.Now().UnixNano() % 100000} // one varying seed keeps the space explored
+	seeds := []int64{1, 1337, 15204, 94810, 3044, 38755, 58334, 83287, 76191, 47452, 98759, 53640, 24445, 31054, time.Now().UnixNano() % 100000} // one varying seed keeps the space explored
 	if raceEnabled || testing.Short() {
 		seeds = seeds[:1]
 	}
@@ -425,7 +424,6 @@ func TestRecoveryPropertyRandomSeeds(t *testing.T) {
 				SegmentBytes:            childSegBytes,
 				CheckpointEverySegments: childCkptSegs,
 				CheckpointDeltaLimit:    childDeltaLimit,
-				PreallocateSegments:     true,
 			}); err != nil {
 				t.Fatal(err)
 			}
