@@ -2,124 +2,11 @@ package pagestore
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
-
-// legacyDirRecord frames a record the way binaries before the current
-// kinds wrote it: kind 'I' or 'B', and after every page its row list —
-// each row's id and index-key metadata strings ("k<id>" here).
-func legacyDirRecord(r dirRecord, rows map[uint32][]int64) []byte {
-	kind := byte(dirRecInstallLegacy)
-	if r.base {
-		kind = dirRecBaseLegacy
-	}
-	buf := append(make([]byte, pageFrameHeader), kind)
-	buf = binary.AppendUvarint(buf, r.id)
-	buf = binary.AppendUvarint(buf, r.seq)
-	buf = binary.AppendUvarint(buf, uint64(len(r.pages)))
-	for _, pi := range r.pages {
-		buf = binary.AppendUvarint(buf, uint64(pi.Slot))
-		buf = binary.AppendUvarint(buf, uint64(pi.Slots))
-		buf = binary.AppendUvarint(buf, pi.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(pi.Table)))
-		buf = append(buf, pi.Table...)
-		buf = binary.AppendUvarint(buf, uint64(len(rows[pi.Slot])))
-		for _, id := range rows[pi.Slot] {
-			meta := fmt.Sprintf("\x01k%d", id)
-			buf = binary.AppendUvarint(buf, uint64(id))
-			buf = binary.AppendUvarint(buf, 2)
-			buf = binary.AppendUvarint(buf, uint64(len(meta)))
-			buf = append(buf, meta...)
-			buf = binary.AppendUvarint(buf, 0) // a NULL-absent key
-		}
-	}
-	if !r.base {
-		buf = binary.AppendUvarint(buf, uint64(len(r.freed)))
-		for _, slot := range r.freed {
-			buf = binary.AppendUvarint(buf, uint64(slot))
-		}
-	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-pageFrameHeader))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[pageFrameHeader:], pageCRC))
-	return buf
-}
-
-// TestLegacyDirectoryOpens: a directory whose base and log records carry
-// per-row lists (what the previous binary wrote) maps to the same page
-// table as the current kinds, its row lists skipped; the pages still
-// name the rows, and the next install and fold write current kinds only.
-func TestLegacyDirectoryOpens(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
-	first, err := s.Install(1, []Install{{Table: "t", Rows: rowsOf(120, 0)}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Install(2, []Install{{Table: "u", Rows: rowsOf(40, 500)}}, []uint32{first[0].Slot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Rewrite the directory in the legacy kinds: the first install as the
-	// base, the second as a log record.
-	rows := map[uint32][]int64{}
-	for _, pi := range append(first, second...) {
-		rows[pi.Slot] = pi.Rows
-	}
-	logs, _ := filepath.Glob(filepath.Join(dir, dirLogPrefix+"*"))
-	for _, l := range logs {
-		os.Remove(l)
-	}
-	if err := os.WriteFile(filepath.Join(dir, dirBaseName), legacyDirRecord(dirRecord{base: true, id: 1, seq: 1, pages: first}, rows), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, dirLogName(1)),
-		legacyDirRecord(dirRecord{id: 2, seq: 2, pages: second, freed: []uint32{first[0].Slot}}, rows), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, rec := mustOpen(t, dir, Options{DirLogLimit: -1})
-	if rec.Seq != 2 || len(rec.Pages) != len(first)+len(second)-1 {
-		t.Fatalf("legacy directory mapped seq %d, %d pages; want 2, %d", rec.Seq, len(rec.Pages), len(first)+len(second)-1)
-	}
-	ids := pageIDs(t, s2, rec)
-	if len(ids) != 120-len(first[0].Rows)+40 {
-		t.Fatalf("legacy pages hold %d rows", len(ids))
-	}
-	// One more install folds the chain (limit -1) into a current-kind base.
-	if _, err := s2.Install(3, []Install{{Table: "u", Rows: rowsOf(1, 900)}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	files, _ := filepath.Glob(filepath.Join(dir, "pagedir*"))
-	for _, name := range files {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for len(data) > 0 {
-			payload, n, err := nextDirFrame(data)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if k := payload[0]; k != dirRecBase && k != dirRecInstall {
-				t.Fatalf("%s holds a record of kind %q after the fold", name, k)
-			}
-			data = data[n:]
-		}
-	}
-	s3, rec3 := mustOpen(t, dir, Options{})
-	defer s3.Close()
-	if got := pageIDs(t, s3, rec3); len(got) != len(ids)+1 {
-		t.Fatalf("after the fold: %d rows, want %d", len(got), len(ids)+1)
-	}
-}
 
 // TestDirFrameClaimedLength: a header claiming more bytes than the file
 // holds is caught before anything is allocated for it, and recovery
@@ -186,7 +73,7 @@ func FuzzDirRecordDecode(f *testing.F) {
 	f.Add(current)
 	f.Add(current[:len(current)-3])
 	f.Add(encodeDirRecord(dirRecord{base: true, id: 9, seq: 4, pages: pages}))
-	f.Add(legacyDirRecord(dirRecord{id: 7, seq: 3, pages: pages, freed: []uint32{1}}, map[uint32][]int64{0: {1, 2}, 4: {300}}))
+	f.Add(encodeDirRecord(dirRecord{id: 8, seq: 5, pages: []PageInfo{{Slot: 1 << 21, Slots: 3, Seq: 1 << 40, Table: "u"}}}))
 	huge := make([]byte, pageFrameHeader+4)
 	binary.LittleEndian.PutUint32(huge, 1<<30)
 	f.Add(huge)

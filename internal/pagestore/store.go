@@ -19,20 +19,18 @@ import (
 const (
 	heapFileName = "heap.pg"
 	dirBaseName  = "pagedir.base"
-	dirTmpName   = "pagedir.tmp"
+	dirTmpName   = dirBaseName + ".tmp"
 	dirLogPrefix = "pagedir-"
 	dirLogSuffix = ".log"
 
-	// Record kinds: a record maps pages, never rows. The legacy kinds add
-	// a row list (ids + index keys) per page, skipped on decode and never
-	// written; a binary that predates the current kinds refuses them.
-	dirRecInstall       = 'i'
-	dirRecBase          = 'b'
-	dirRecInstallLegacy = 'I'
-	dirRecBaseLegacy    = 'B'
+	// Record kinds: a record maps pages, never rows.
+	dirRecInstall = 'i'
+	dirRecBase    = 'b'
 
-	// maxDirRecord bounds one directory frame: ~25 bytes a page in the
-	// current kinds (a 2M-page heap), a legacy record's rows included.
+	// maxDirRecord bounds one directory frame. A page costs at most 32
+	// bytes of a record — slot and extent 5 each, sequence 10, table name
+	// 12 with its length byte — and a freed slot 5, so a base naming
+	// every page of a 2^21-page (8 GiB) heap fits in 2^21 × 32 = 2^26.
 	maxDirRecord = 1 << 26
 
 	defaultDirLogLimit = 8
@@ -355,20 +353,19 @@ type dirRecord struct {
 	freed []uint32
 }
 
-// decodeDirRecord parses one CRC-verified record payload, current or
-// legacy kind. It never panics, and what it allocates is bounded by the
-// payload's length (every page costs at least four bytes of it).
+// decodeDirRecord parses one CRC-verified record payload. It never
+// panics, and what it allocates is bounded by the payload's length
+// (every page costs at least four bytes of it).
 func decodeDirRecord(payload []byte) (dirRecord, error) {
 	var r dirRecord
 	if len(payload) == 0 {
 		return r, ErrCorruptDirectory
 	}
 	kind, rd := payload[0], payload[1:]
-	legacy := kind == dirRecInstallLegacy || kind == dirRecBaseLegacy
 	switch kind {
-	case dirRecBase, dirRecBaseLegacy:
+	case dirRecBase:
 		r.base = true
-	case dirRecInstall, dirRecInstallLegacy:
+	case dirRecInstall:
 	default:
 		return r, fmt.Errorf("%w: unknown record kind %q", ErrCorruptDirectory, kind)
 	}
@@ -381,14 +378,6 @@ func decodeDirRecord(payload []byte) (dirRecord, error) {
 		pi.Table = string(d.bytes())
 		if pi.Slots == 0 || uint64(pi.Slot)+uint64(pi.Slots) > math.MaxUint32 {
 			d.err = true
-		}
-		if legacy {
-			for range d.count(2) { // id, then that row's metadata strings
-				d.next(math.MaxUint64)
-				for range d.count(1) {
-					d.bytes()
-				}
-			}
 		}
 		if d.err {
 			return r, ErrCorruptDirectory
@@ -666,8 +655,8 @@ func (s *Store) appendDirRecord(frame []byte) error {
 	return s.logF.Sync()
 }
 
-// encodeDirRecord frames a record of the current kinds: id, sequence,
-// per page slot/extent/sequence/table, and an install's freed slots.
+// encodeDirRecord frames a record: id, sequence, per page
+// slot/extent/sequence/table, and an install's freed slots.
 func encodeDirRecord(r dirRecord) []byte {
 	kind := byte(dirRecInstall)
 	if r.base {
@@ -745,35 +734,7 @@ func (s *Store) compactBase(snap []PageInfo, watermark, seq uint64, maxSegIndex 
 	}
 	frame := encodeDirRecord(dirRecord{base: true, id: watermark, seq: seq, pages: snap})
 
-	tmpPath := filepath.Join(s.dir, dirTmpName)
-	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		fail(err)
-		return
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fail(err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-		return
-	}
-	if err := s.fp(fpRename); err != nil {
-		fail(err)
-		return
-	}
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, dirBaseName)); err != nil {
-		fail(err)
-		return
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := ReplaceFile(s.dir, dirBaseName, frame, func() error { return s.fp(fpRename) }); err != nil {
 		fail(err)
 		return
 	}
@@ -850,6 +811,35 @@ func (s *Store) readExtent(slot uint32, buf []byte) ([]byte, error) {
 		buf = big
 	}
 	return buf, nil
+}
+
+// ReplaceFile makes data the contents of dir/name durably: it writes and
+// fsyncs name+".tmp", runs beforeRename (an error aborts), renames the
+// tmp over name and fsyncs dir. A crash leaves the old file or the new
+// one, and perhaps the tmp.
+func ReplaceFile(dir, name string, data []byte, beforeRename func() error) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && beforeRename != nil {
+		err = beforeRename()
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	return err
 }
 
 func syncDir(dir string) error {

@@ -46,6 +46,11 @@ var (
 	// fixing the underlying I/O problem will fail again, so the plan
 	// layer surfaces it instead of retrying.
 	ErrWALFailed = errors.New("write-ahead log write failed")
+	// ErrDataDirFormat signals a data directory stamped with another
+	// on-disk format number than this binary's, or holding files and no
+	// stamp (a binary that predates the stamp wrote it). OpenLog refuses
+	// it without touching it; nothing migrates it: delete it and reseed.
+	ErrDataDirFormat = errors.New("data directory format mismatch")
 )
 
 // ConstraintError wraps one of the sentinel errors with table/column

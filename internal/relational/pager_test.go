@@ -3,12 +3,9 @@ package relational
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -481,74 +478,4 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	if got := dumpDB(t, db2); !reflect.DeepEqual(got, wantDump) {
 		t.Fatal("reopened table dump differs")
 	}
-}
-
-// legacyExpect is what the binary before the directory stopped recording
-// rows (PR 24's) read back from testdata/legacy-pagedir/data.
-type legacyExpect struct {
-	Dump    map[string]map[RowID]string `json:"dump"`
-	Lookups []struct {
-		Table   string   `json:"table"`
-		Columns []string `json:"columns"`
-		Values  []Value  `json:"values"`
-		IDs     []RowID  `json:"ids"`
-	} `json:"lookups"`
-}
-
-// TestLegacyPageDirectoryOpens: a data directory written by the previous
-// binary — a directory base and log whose records carry every row id
-// and index key, pages, a WAL tail — opens with this code, which skips
-// those row lists and rebuilds stubs and indexes from the pages, and
-// answers every table-dump and index lookup the previous binary did.
-// A checkpoint and a reopen later it still does.
-func TestLegacyPageDirectoryOpens(t *testing.T) {
-	var exp legacyExpect
-	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-pagedir", "expect.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	src := filepath.Join("testdata", "legacy-pagedir", "data")
-	files, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(src, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := WALOptions{CheckpointDeltaLimit: 2, SegmentBytes: 16 << 10, PageCacheBytes: 16 << 10}
-	check := func(db *Database, when string) {
-		t.Helper()
-		if got := dumpDB(t, db); !reflect.DeepEqual(got, exp.Dump) {
-			t.Fatalf("%s: table dump differs from the previous binary's", when)
-		}
-		for _, l := range exp.Lookups {
-			ids, err := db.LookupEqual(l.Table, l.Columns, l.Values)
-			if err != nil || !slices.Equal(ids, l.IDs) {
-				t.Fatalf("%s: lookup %s%v = %v (%v); the previous binary got %v", when, l.Table, l.Values, ids, err, l.IDs)
-			}
-		}
-	}
-	db, info := openWALDB(t, dir, opts)
-	if info.CheckpointRows == 0 || info.ReplayedTxns == 0 || info.CheckpointDeltas < 2 {
-		t.Fatalf("legacy directory: %+v; want page rows, a base plus log records, and a replayed tail", info)
-	}
-	check(db, "legacy open")
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	db2, _ := openWALDB(t, dir, opts)
-	check(db2, "after a checkpoint and a reopen")
 }

@@ -539,32 +539,3 @@ func copyDir(t testing.TB, src, dst string) {
 		t.Fatal(err)
 	}
 }
-
-// TestLeftoverRecycleFileRemoved: a directory written when retired
-// segments were kept for reuse may still hold a recycle-*.rseg, here one
-// holding a copy of a live segment's records. Opening it removes the
-// file, and recovery neither reads it nor reports a torn tail.
-func TestLeftoverRecycleFileRemoved(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{})
-	mustInsertParent(t, db, 1, "one")
-	want := dumpDB(t, db)
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	_, data, _, _ := lastFrame(t, dir)
-	leftover := filepath.Join(dir, "recycle-0000000001.rseg")
-	if err := os.WriteFile(leftover, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db2, info := openWALDB(t, dir, WALOptions{})
-	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-		t.Fatalf("leftover recycle file still present (stat err %v)", err)
-	}
-	if info.TornTail || info.ReplayedTxns != 1 {
-		t.Fatalf("recovery with a leftover recycle file: %+v, want 1 replayed txn, no torn tail", info)
-	}
-	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
-	}
-}

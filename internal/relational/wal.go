@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,7 +33,6 @@ import (
 // One log serves one or more MEMBER databases (OpenLog): the shards of
 // a view keep their own rows, page stores, commit sequences and commit
 // latches, and share the segment chain and its writer stage. A record
-// of a one-member log is a 'G' group payload; a record of a wider log
 // carries one (member, group payload) sub-record per database it
 // commits on, so a transaction across members is one record, one fsync,
 // atomic by its single CRC.
@@ -40,9 +40,11 @@ import (
 // On-disk layout of a WAL directory (a member's page store lives in its
 // own directory; a one-member log usually shares the log's):
 //
+//	FORMAT                    the layout's number, written first (see OpenLog)
 //	wal-0000000001.seg        sealed segment (immutable once rotated away)
 //	wal-0000000002.seg        active segment (append-only)
-//	pages.heap                slotted 4KiB pages: the checkpoint base image
+//	heap.pg                   slotted 4KiB pages: the checkpoint base image
+//	pagedir.base              page directory folded into one record
 //	pagedir-0000000001.log    page-directory log (installs, frees, chain)
 //
 // Every active segment is extended with zeros to SegmentBytes when it
@@ -79,12 +81,18 @@ const (
 	// walMaxRecordSize bounds a single record frame; anything larger in
 	// a file is treated as corruption (stops recovery at that point).
 	walMaxRecordSize = 1 << 28
+
+	// dataDirFormat numbers the on-disk layout of a log directory and its
+	// members' page stores; formatFileName holds it as decimal text. Any
+	// change to that layout bumps it: nothing migrates an older one.
+	dataDirFormat  = 1
+	formatFileName = "FORMAT"
 )
 
 // Record payload type tags.
 const (
-	walTagGroup  = 'G' // one commit group: N transactions' redo, member 0
-	walTagMember = 'S' // one (member, 'G' payload) sub-record per member
+	walTagMember = 'S' // a record: one (member, 'G' payload) sub-record per member
+	walTagGroup  = 'G' // one member's commit group: N transactions' redo
 )
 
 // Row-operation tags inside a group record.
@@ -260,6 +268,40 @@ func SyncDir(dir string) error {
 	return err
 }
 
+// stampFormat writes dataDirFormat into a fresh dir the way the page
+// directory writes its base (pagestore.ReplaceFile) and refuses, touching
+// nothing, a dir stamped with another number or holding files and no
+// stamp. The stamp's tmp file alone is a first open a crash cut short:
+// the dir is still fresh.
+func stampFormat(dir string) error {
+	want := strconv.Itoa(dataDirFormat)
+	data, err := os.ReadFile(filepath.Join(dir, formatFileName))
+	if err == nil {
+		if got := strings.TrimSpace(string(data)); got != want {
+			return formatMismatch(dir, got)
+		}
+		return nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.Name() != formatFileName+".tmp" {
+			return formatMismatch(dir, "none")
+		}
+	}
+	return pagestore.ReplaceFile(dir, formatFileName, []byte(want+"\n"), nil)
+}
+
+func formatMismatch(dir, found string) error {
+	return fmt.Errorf("relational: %w: %s holds format %s, this binary reads format %d; reseed: delete %s",
+		ErrDataDirFormat, dir, found, dataDirFormat, dir)
+}
+
 // ---- value / record encoding ----------------------------------------
 
 // Value wire kinds. Unlike EncodeKey this encoding is lossless and
@@ -413,30 +455,23 @@ func uvarintLen(v uint64) int {
 	return binary.PutUvarint(b[:], v)
 }
 
-// encodeRecord frames req's record into buf (which must be empty): a
-// 'G' payload on a one-member log, otherwise
+// encodeRecord frames req's record into buf (which must be empty),
 //
 //	'S', uvarint parts, parts × (uvarint member, uvarint len, 'G' payload)
 //
 // — reserved header, payload assembled in place, header backfilled.
-func (w *WAL) encodeRecord(buf []byte, req *walReq) []byte {
-	frame := beginFrame(buf)
-	if len(w.members) == 1 {
-		p := &req.parts[0]
-		frame = assembleGroupPayload(frame, p.live, p.bodies)
-	} else {
-		frame = append(frame, walTagMember)
-		frame = binary.AppendUvarint(frame, uint64(len(req.parts)))
-		for i := range req.parts {
-			p := &req.parts[i]
-			n := 1 + uvarintLen(uint64(len(p.live)))
-			for j, t := range p.live {
-				n += uvarintLen(t.seq) + len(p.bodies[j])
-			}
-			frame = binary.AppendUvarint(frame, uint64(p.db.member))
-			frame = binary.AppendUvarint(frame, uint64(n))
-			frame = assembleGroupPayload(frame, p.live, p.bodies)
+func encodeRecord(buf []byte, req *walReq) []byte {
+	frame := append(beginFrame(buf), walTagMember)
+	frame = binary.AppendUvarint(frame, uint64(len(req.parts)))
+	for i := range req.parts {
+		p := &req.parts[i]
+		n := 1 + uvarintLen(uint64(len(p.live)))
+		for j, t := range p.live {
+			n += uvarintLen(t.seq) + len(p.bodies[j])
 		}
+		frame = binary.AppendUvarint(frame, uint64(p.db.member))
+		frame = binary.AppendUvarint(frame, uint64(n))
+		frame = assembleGroupPayload(frame, p.live, p.bodies)
 	}
 	finishFrame(frame)
 	return frame
@@ -447,10 +482,6 @@ func (w *WAL) encodeRecord(buf []byte, req *walReq) []byte {
 // errWALCorrupt, never panics, and sizes nothing by a length the bytes
 // merely claim — the fuzzer holds it to that.
 func decodeRecord(b []byte, subs []walSub) ([]walSub, error) {
-	if len(b) > 0 && b[0] == walTagGroup {
-		txns, err := decodeGroupPayload(b)
-		return append(subs, walSub{txns: txns}), err
-	}
 	if len(b) == 0 || b[0] != walTagMember {
 		return subs, errWALCorrupt
 	}
@@ -679,6 +710,10 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 // row is marked dirty once for the ordinary incremental pass. (A large
 // dataset is better streamed in with Load afterwards; a zero
 // RecoveryInfo.CommitSeq says nothing was ever committed.)
+//
+// A fresh dir is stamped with the layout's number before any other file
+// is created in it; a dir stamped with another number, or holding files
+// and no stamp, is refused with ErrDataDirFormat and left as it was.
 func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string) (*WAL, []RecoveryInfo, error) {
 	for _, db := range members {
 		if db.wal != nil {
@@ -687,6 +722,9 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 	}
 	openStart := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	if err := stampFormat(dir); err != nil {
 		return nil, nil, err
 	}
 	w := &WAL{
@@ -703,16 +741,8 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 	}
 	var segs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if idx, ok := parseSegmentIndex(name); ok {
+		if idx, ok := parseSegmentIndex(e.Name()); ok {
 			segs = append(segs, idx)
-		}
-		if strings.HasPrefix(name, "recycle-") && strings.HasSuffix(name, ".rseg") {
-			// A retired segment an older layout kept for reuse: it holds
-			// nothing recovery reads.
-			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-				return nil, nil, err
-			}
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
@@ -951,21 +981,6 @@ func (db *Database) resetStorage() {
 	if db.pager != nil {
 		db.pager.rowSlot = make(map[string]map[RowID]uint32)
 	}
-}
-
-// ReplayGroup replays one 'G' group payload from a log this one
-// replaced — a shard group's one-time migration of its old per-shard
-// logs — as recovery replays its own records, counting into info. Only
-// before the database serves traffic.
-func (db *Database) ReplayGroup(payload []byte, info *RecoveryInfo) error {
-	txns, err := decodeGroupPayload(payload)
-	if err != nil {
-		return err
-	}
-	before := info.ReplayedTxns
-	err = db.replay(txns, info)
-	db.walRecoveredTxns.Add(info.ReplayedTxns - before)
-	return err
 }
 
 // replayTxn reapplies one committed transaction's row operations. The

@@ -3,6 +3,8 @@ package relational
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -141,6 +143,88 @@ func TestWALPersistAndRecover(t *testing.T) {
 	if st := db2.Stats(); st.RecoveryReplayedTxns != info2.ReplayedTxns {
 		t.Fatalf("stats recovery_replayed_txns = %d, want %d", st.RecoveryReplayedTxns, info2.ReplayedTxns)
 	}
+}
+
+// dirBytes maps every file under dir to its contents, by relative path.
+func dirBytes(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDataDirFormat: a fresh dir is stamped before the log or a page
+// store creates anything in it, and reopens; a dir stamped with another
+// number, or holding segments and no stamp, is refused with
+// ErrDataDirFormat and left byte for byte as it was.
+func TestDataDirFormat(t *testing.T) {
+	dir := t.TempDir()
+	// A page directory that cannot be created fails the first open after
+	// the stamp and before any segment or page-store file.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenLog(dir, WALOptions{}, []*Database{NewDatabase(walSchema(t))}, []string{filepath.Join(blocker, "pages")})
+	if err == nil {
+		t.Fatal("open with an uncreatable page directory succeeded")
+	}
+	want := map[string]string{formatFileName: fmt.Sprintf("%d\n", dataDirFormat)}
+	if got := dirBytes(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a failed first open the dir holds %q, want only the stamp", got)
+	}
+
+	db, _ := openWALDB(t, dir, WALOptions{})
+	mustInsertParent(t, db, 1, "one")
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db, info := openWALDB(t, dir, WALOptions{})
+	if err := db.CloseWAL(); err != nil || info.CommitSeq == 0 {
+		t.Fatalf("reopen: commit seq %d, close %v", info.CommitSeq, err)
+	}
+
+	refused := func(name string, damage func(stamped string) error, found string) {
+		t.Helper()
+		copied := t.TempDir()
+		copyDir(t, dir, copied)
+		if err := damage(filepath.Join(copied, formatFileName)); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, copied)
+		_, err := NewDatabase(walSchema(t)).OpenWAL(copied, WALOptions{})
+		if !errors.Is(err, ErrDataDirFormat) {
+			t.Fatalf("%s: open gave %v, want ErrDataDirFormat", name, err)
+		}
+		for _, part := range []string{copied, "format " + found, fmt.Sprintf("reads format %d", dataDirFormat), "reseed: delete " + copied} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%s: %q does not say %q", name, err, part)
+			}
+		}
+		if after := dirBytes(t, copied); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the refused open changed the dir", name)
+		}
+	}
+	refused("another number", func(p string) error { return os.WriteFile(p, []byte("2\n"), 0o644) }, "2")
+	refused("no stamp", os.Remove, "none")
+
+	// A stamp a crash cut short at its tmp file leaves the dir fresh.
+	fresh := t.TempDir()
+	if err := os.WriteFile(filepath.Join(fresh, formatFileName+".tmp"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openWALDB(t, fresh, WALOptions{})
 }
 
 func TestWALCheckpointTruncatesAndRecovers(t *testing.T) {
@@ -520,23 +604,24 @@ func TestWALGroupPayloadRoundTrip(t *testing.T) {
 // FuzzWALRecordDecode holds the record decoder to its contract: never
 // panic on arbitrary bytes, and when a payload does decode, re-encoding
 // the decoded form must reproduce an equivalent record (the corpus
-// seeds it with real encodings, one-member 'G' payloads and records of
-// several members' sub-records alike). Equivalence is byte equality of
-// the re-encodings: a NaN float decodes unequal to itself but keeps its
-// bits (testdata/fuzz/FuzzWALRecordDecode/nan-float-value), and a lone
-// member-0 sub-record re-encodes as the 'G' payload it is equivalent to.
+// seeds it with real encodings, one-part and several-part records
+// alike). Every record is an 'S' record, so a top-level 'G' payload is
+// an input that must fail to decode, and a lone member-0 part re-encodes
+// as itself. Equivalence is byte equality of the re-encodings: a NaN
+// float decodes unequal to itself but keeps its bits
+// (testdata/fuzz/FuzzWALRecordDecode/nan-float-value).
 func FuzzWALRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{walTagGroup})
 	f.Add([]byte{walTagMember})
-	f.Add(encodeGroupPayload(nil))
-	f.Add(encodeGroupPayload([]walTxn{{seq: 1, ops: []walOp{
+	f.Add(encodeGroupPayload([]walTxn{{seq: 3}}))
+	f.Add(encodeRecordPayload([]walSub{{member: 0, txns: []walTxn{{seq: 1, ops: []walOp{
 		{kind: walOpInsert, table: "parent", id: 1, values: []Value{Int_(1), String_("a")}},
 		{kind: walOpDelete, table: "parent", id: 1},
-	}}}))
-	f.Add(encodeGroupPayload([]walTxn{{seq: 1 << 40, ops: []walOp{
+	}}}}}))
+	f.Add(encodeRecordPayload([]walSub{{member: 0, txns: []walTxn{{seq: 1 << 40, ops: []walOp{
 		{kind: walOpUpdate, table: "x", id: 1 << 33, values: []Value{Float_(-1.5), Null()}},
-	}}}))
+	}}}}}))
 	f.Add(encodeRecordPayload([]walSub{{member: 1, txns: []walTxn{{seq: 5, ops: []walOp{
 		{kind: walOpInsert, table: "parent", id: 2, values: []Value{Int_(2), Null()}},
 	}}}}}))
@@ -544,6 +629,9 @@ func FuzzWALRecordDecode(f *testing.F) {
 		subs, err := decodeRecord(data, nil)
 		if err != nil {
 			return
+		}
+		if data[0] != walTagMember {
+			t.Fatalf("a payload tagged %q decoded", data[0])
 		}
 		re := encodeRecordPayload(subs)
 		again, err := decodeRecord(re, nil)

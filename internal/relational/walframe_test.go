@@ -40,23 +40,23 @@ func txnBodies(live []*Txn) [][]byte {
 	return bodies
 }
 
-// oneMemberRecord is the writer-stage request and log a one-member
-// database would encode the group under.
-func oneMemberRecord(live []*Txn) (*WAL, *walReq) {
+// oneMemberRecord is the writer-stage request a one-member database
+// would encode the group under.
+func oneMemberRecord(live []*Txn) *walReq {
 	req := &walReq{}
 	req.one[0] = walPart{db: live[0].db, live: live, bodies: txnBodies(live)}
 	req.parts = req.one[:]
-	return &WAL{members: []*Database{live[0].db}}, req
+	return req
 }
 
 // TestGroupFrameEncodeAllocs pins the commit path's framing cost: with
 // the pooled buffer warmed, framing a group record allocates nothing
 // per append — the payload is built in place over the reserved header.
 func TestGroupFrameEncodeAllocs(t *testing.T) {
-	w, req := oneMemberRecord(stampedGroup(t))
+	req := oneMemberRecord(stampedGroup(t))
 	encode := func() {
 		bufp := walFramePool.Get().(*[]byte)
-		b := w.encodeRecord((*bufp)[:0], req)
+		b := encodeRecord((*bufp)[:0], req)
 		*bufp = b[:0]
 		walFramePool.Put(bufp)
 	}
@@ -69,18 +69,16 @@ func TestGroupFrameEncodeAllocs(t *testing.T) {
 
 // TestGroupFrameMatchesReference proves the commit path's split
 // encoding is byte-identical to the reference encode+frame path the
-// recovery scanner was built against, for a one-member log's 'G' record
-// and for a wider log's record of sub-records.
+// recovery scanner was built against, for a one-member log's record (one
+// part) and for a wider log's record of two parts.
 func TestGroupFrameMatchesReference(t *testing.T) {
 	live := stampedGroup(t)
-	w, req := oneMemberRecord(live)
-	want := string(frameRecord(encodeGroupPayload(walTxnsOf(live))))
-	if got := string(w.encodeRecord(nil, req)); got != want {
+	want := string(frameRecord(encodeRecordPayload([]walSub{{member: 0, txns: walTxnsOf(live)}})))
+	if got := string(encodeRecord(nil, oneMemberRecord(live))); got != want {
 		t.Fatalf("one-member frame diverges from the reference:\n got %q\nwant %q", got, want)
 	}
 	bodies := txnBodies(live)
-	wide := &WAL{members: make([]*Database, 3)}
-	req = &walReq{parts: []walPart{
+	req := &walReq{parts: []walPart{
 		{db: live[0].db, live: live[:1], bodies: bodies[:1]},
 		{db: &Database{member: 2}, live: live[1:], bodies: bodies[1:]},
 	}}
@@ -88,7 +86,7 @@ func TestGroupFrameMatchesReference(t *testing.T) {
 		{member: 0, txns: walTxnsOf(live[:1])},
 		{member: 2, txns: walTxnsOf(live[1:])},
 	})))
-	if got := string(wide.encodeRecord(nil, req)); got != want {
+	if got := string(encodeRecord(nil, req)); got != want {
 		t.Fatalf("multi-member frame diverges from the reference:\n got %q\nwant %q", got, want)
 	}
 }

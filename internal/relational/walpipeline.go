@@ -225,7 +225,7 @@ func (w *WAL) writeFrame(req *walReq) error {
 		return err
 	}
 	bufp := walFramePool.Get().(*[]byte)
-	frame := w.encodeRecord((*bufp)[:0], req)
+	frame := encodeRecord((*bufp)[:0], req)
 	defer func() {
 		*bufp = frame[:0]
 		walFramePool.Put(bufp)

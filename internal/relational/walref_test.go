@@ -49,13 +49,9 @@ func encodeGroupPayload(txns []walTxn) []byte {
 	return appendGroupPayload(make([]byte, 0, 256), txns)
 }
 
-// encodeRecordPayload serializes a record of sub-records: a lone
-// member-0 sub-record as the 'G' payload a one-member log writes,
-// anything else as an 'S' record.
+// encodeRecordPayload serializes a record: an 'S' tag, then each
+// sub-record's member and length-prefixed 'G' payload.
 func encodeRecordPayload(subs []walSub) []byte {
-	if len(subs) == 1 && subs[0].member == 0 {
-		return encodeGroupPayload(subs[0].txns)
-	}
 	b := binary.AppendUvarint([]byte{walTagMember}, uint64(len(subs)))
 	for _, s := range subs {
 		g := encodeGroupPayload(s.txns)

@@ -654,7 +654,8 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 // seed is in progress: created (directory fsynced) before the first
 // batch, removed (fsynced again) after the final checkpoint. Present at
 // Add, the directory holds part of a seed and nothing else, and is
-// wiped; absent, a directory is never condemned, only recovered.
+// wiped; absent, a directory is never condemned: it is recovered, or
+// refused untouched when it holds another on-disk format.
 const seedMarker = "seed.inprogress"
 
 // openStorage builds the view's engine (a shard group when shards > 1;

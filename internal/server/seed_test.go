@@ -160,9 +160,8 @@ func TestInterruptedSeedIsRedone(t *testing.T) {
 }
 
 // TestMarkerlessDirectoryIsRecovered: a directory holding pages and WAL
-// segments but no marker of any kind — what a binary from before the
-// streamed seed wrote: the whole dataset materialised, then OpenWAL —
-// is recovered as it is, never wiped or reseeded.
+// segments but no seed marker — the whole dataset materialised, then
+// OpenWAL — is recovered as it is, never wiped or reseeded.
 func TestMarkerlessDirectoryIsRecovered(t *testing.T) {
 	dataDir := t.TempDir()
 	dir := filepath.Join(dataDir, "tpch")

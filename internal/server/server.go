@@ -233,8 +233,9 @@ func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := s.Registry.Add(vc)
 	if err != nil {
-		s.logger().Warn("view registration failed", "view", vc.Name, "err", err)
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		status := statusFor(err)
+		s.logger().Warn("view registration failed", "view", vc.Name, "status", status, "err", err)
+		writeError(w, status, "%v", err)
 		return
 	}
 	s.logger().Info("view registered", "view", v.Name, "dataset", v.Dataset,
@@ -360,7 +361,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 	}
 	v.OfferSlow(tr.Summary()) // nil trace → zero summary → ignored
 	if err != nil {
-		status := applyStatus(err)
+		status := statusFor(err)
 		s.logger().Warn("apply failed", "view", v.Name, "status", status, "err", err,
 			"latency_ms", float64(time.Since(reqStart))/float64(time.Millisecond))
 		if status == http.StatusServiceUnavailable {
@@ -373,16 +374,18 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 	writeWire(w, wb.b)
 }
 
-// applyStatus maps an apply's error to its HTTP status: a commit the
-// write-ahead log could not make durable is the server's trouble (503,
-// retry later: the update itself may be fine), a write-write conflict
-// that exhausted its retries is 409 (re-submit), and anything else is
-// the update's own fault (422).
-func applyStatus(err error) int {
+// statusFor maps an apply's or a view registration's error to its HTTP
+// status: a commit the write-ahead log could not make durable is the
+// server's trouble (503, retry later: the update itself may be fine), a
+// write-write conflict that exhausted its retries is 409 (re-submit), a
+// data dir in another on-disk format is 409 too (the server's state, not
+// the request: it holds until the dir is deleted), and anything else is
+// the request's own fault (422).
+func statusFor(err error) int {
 	switch {
 	case errors.Is(err, relational.ErrWALFailed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, relational.ErrWriteConflict):
+	case errors.Is(err, relational.ErrWriteConflict), errors.Is(err, relational.ErrDataDirFormat):
 		return http.StatusConflict
 	default:
 		return http.StatusUnprocessableEntity

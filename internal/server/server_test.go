@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -256,6 +260,60 @@ func TestCreateViewEndpoint(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/views", ViewConfig{Name: "a/b", Dataset: "book"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unroutable name: HTTP %d, want 422", resp.StatusCode)
+	}
+}
+
+// TestCreateViewRefusesOtherFormat: a view dir stamped with another
+// on-disk format number is refused — Add returns ErrDataDirFormat, POST
+// /views answers 409 — and is never wiped or reseeded: its names, sizes
+// and bytes stay as they were. An unknown dataset still answers 422.
+func TestCreateViewRefusesOtherFormat(t *testing.T) {
+	reg := NewRegistry()
+	reg.DataDir = t.TempDir()
+	if _, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.CloseWALs(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(reg.DataDir, "book")
+	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree := func() map[string]string {
+		out := make(map[string]string)
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			out[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := tree()
+
+	reg = NewRegistry()
+	reg.DataDir = filepath.Dir(dir)
+	if _, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"}); !errors.Is(err, relational.ErrDataDirFormat) {
+		t.Fatalf("Add gave %v, want ErrDataDirFormat", err)
+	}
+	ts := httptest.NewServer(New(reg).Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/views", ViewConfig{Name: "book", Dataset: "book"})
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "reseed: delete "+dir) {
+		t.Fatalf("view dir in another format: HTTP %d %s, want 409 naming the reseed", resp.StatusCode, body)
+	}
+	if after := tree(); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused view dir changed")
+	}
+	resp, _ = postJSON(t, ts.URL+"/views", ViewConfig{Name: "x", Dataset: "nope"})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("unknown dataset: HTTP %d, want 422", resp.StatusCode)
 	}
 }
 

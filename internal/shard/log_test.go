@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bookdb"
 	"repro/internal/relational"
 )
 
@@ -97,6 +98,30 @@ func pubRowID(t testing.TB, w relational.Reader, pubid string) relational.RowID 
 		t.Fatalf("publisher %s: ids=%v err=%v", pubid, ids, err)
 	}
 	return ids[0]
+}
+
+// TestWrongFormatRefused: a 2-shard group's dir stamped with another
+// format number is refused with the typed error and keeps its stamp.
+func TestWrongFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := newGroupDir(t, 2, dir)
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	stamp := filepath.Join(dir, "FORMAT")
+	if err := os.WriteFile(stamp, []byte("2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	schema, err := bookdb.Schema(relational.DeleteCascade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := New(schema, 2, Options{Dir: dir}); !errors.Is(err, relational.ErrDataDirFormat) {
+		t.Fatalf("open gave %v, want ErrDataDirFormat", err)
+	}
+	if data, err := os.ReadFile(stamp); err != nil || string(data) != "2\n" {
+		t.Fatalf("stamp after the refusal: %q %v", data, err)
+	}
 }
 
 // TestPowerLossCutPoints is the crash-atomicity proof for the one log. A

@@ -115,10 +115,10 @@ type tableRoute struct {
 // the group's log, recovering whatever it holds exactly like
 // relational.OpenWAL does for a single database (a group nothing was
 // ever committed to recovers with every shard's CommitSeq at zero;
-// stream its dataset in with Load) — and, once, the per-shard logs of a
-// directory in the earlier layout (legacy.go). n < 1 is clamped to 1; a
-// group of 1 delegates everything to its only shard and is byte-for-byte
-// equivalent to an unsharded database.
+// stream its dataset in with Load). A Dir in another on-disk format is
+// refused with relational.ErrDataDirFormat and left as it was. n < 1 is
+// clamped to 1; a group of 1 delegates everything to its only shard and
+// is byte-for-byte equivalent to an unsharded database.
 func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error) {
 	n = max(n, 1)
 	db := &DB{
@@ -146,10 +146,6 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 		// within one slice of the configured total.
 		walOpts.PageCacheBytes = (walOpts.PageCacheBytes + int64(n) - 1) / int64(n)
 	}
-	old, err := findLegacy(opts.Dir, n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("shard: %w", err)
-	}
 	// The shards' pages are read and their records replayed in parallel,
 	// so the group's recovery wall time is the slowest shard's.
 	log, infos, err := relational.OpenLog(opts.Dir, walOpts, db.shards, dirs)
@@ -158,12 +154,6 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 	}
 	db.log = log
 	copy(rec.Shards, infos)
-	if old != nil {
-		if err := old.migrate(db, rec); err != nil {
-			_ = log.Close()
-			return nil, nil, fmt.Errorf("shard: migrating per-shard logs: %w", err)
-		}
-	}
 	for i, s := range db.shards {
 		// Recovery replays whatever ids the log held; realign the
 		// allocator so fresh ids resume on this shard's stripe.
