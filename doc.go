@@ -106,13 +106,13 @@
 // are serialized, as fresh copy-on-write 4KiB slotted pages plus one
 // page-directory record (pause O(dirty-pages), not O(database)), with
 // the directory log folded into a fresh base past
-// WALOptions.CheckpointDeltaLimit; recovery maps the directory into
-// value-less row stubs and replays the WAL tail, then pages fault in
-// on first read through a buffer pool bounded by
-// WALOptions.PageCacheBytes (ufilterd -page-cache-bytes) — so restart
-// latency tracks the directory, not the dataset, and committed cold
-// rows demote back to stubs, letting the data exceed RAM under a hard
-// memory budget. Every active segment is pre-extended to its full size
+// WALOptions.CheckpointDeltaLimit; recovery maps the pages into row
+// slots and index entries, with no in-memory version per row, and
+// replays the WAL tail, then pages fault in on first read through a
+// buffer pool bounded by WALOptions.PageCacheBytes (ufilterd
+// -page-cache-bytes) — so restart latency tracks the directory, not the
+// dataset, and checkpointed cold rows drop their versions again,
+// letting the data exceed RAM under a hard memory budget. Every active segment is pre-extended to its full size
 // when it opens, so a commit's fsync never journals a file growing, and
 // retired segments are removed. internal/walcrash proves the contract with a kill -9
 // fault-injection matrix over every registered failpoint, page-store

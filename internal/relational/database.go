@@ -47,7 +47,9 @@ func markOwner(s uint64) uint64 { return s &^ txnBit }
 // rowVersion is one entry of a row's version chain, newest first. The
 // row content is immutable after creation; begin, end and prev are
 // atomics because writers stamp them (claims at write time, sequences
-// at publish) while readers traverse the chain lock-free.
+// at publish) while readers traverse the chain lock-free. Every version
+// holds its values; a row with no version is page-only (pager.go): its
+// one committed version is on its page and every reader sees it.
 //
 // Visibility: a snapshot pinned at commit sequence S sees the version
 // with begin <= S < end. A version created by an in-flight transaction
@@ -63,15 +65,6 @@ type rowVersion struct {
 	begin atomic.Uint64
 	end   atomic.Uint64
 	prev  atomic.Pointer[rowVersion]
-
-	// pageSlot is 1 + the heap slot of the page holding this version's
-	// checkpointed image, 0 when none. A version with row.Values == nil
-	// is a demoted STUB: only its stamps live in memory and its values
-	// fault in from the page store (see pager.go for the rules on who
-	// may fault where). Stubs are always single-version chains (prev ==
-	// nil, end == liveSeq); write paths materialize them before any
-	// mutation so undo logs never meet a value-less version.
-	pageSlot atomic.Uint32
 }
 
 // newVersion builds a live version with the given begin stamp.
@@ -105,8 +98,8 @@ func (v *rowVersion) visibleAt(seq uint64) *rowVersion {
 	return nil
 }
 
-// tableData is the storage for a single relation: row version chains
-// plus maintained hash indexes.
+// tableData is the storage for a single relation: row version chains,
+// the page slots of checkpointed rows, and maintained hash indexes.
 //
 // Index entries are inserted when a version is created and removed only
 // when the version is rolled back (uncommitted versions are invisible
@@ -119,6 +112,7 @@ func (v *rowVersion) visibleAt(seq uint64) *rowVersion {
 type tableData struct {
 	def     *TableDef
 	rows    map[RowID]*rowVersion // head = newest version
+	rowSlot map[RowID]uint32      // page slot of each checkpointed row; nil without a WAL (pager.go)
 	order   []RowID               // insertion order, for deterministic scans
 	indexes []*hashIndex
 	pkIndex *hashIndex // nil when the table has no primary key
@@ -521,31 +515,52 @@ func (db *Database) Get(table string, id RowID) (*Row, error) {
 		db.mu.RUnlock()
 		return nil, err
 	}
-	v := td.rows[id].visibleAt(db.commitSeq.Load())
-	if v != nil {
-		// Resolve values before dropping the latch: an unregistered
-		// reader's page fault must run under db.mu so it cannot race a
-		// quarantined slot release (pager.go contract).
-		r := v.row.clone()
-		if v.row.Values == nil {
-			r.Values = db.versionValues(td, v) // faulted: a fresh slice, ours
-		}
-		db.mu.RUnlock()
-		return r, nil
-	}
+	// Resolve values before dropping the latch: an unregistered reader's
+	// page fault must run under db.mu so it cannot race a quarantined
+	// slot release (pager.go contract).
+	seq := db.commitSeq.Load()
+	r, err := db.copyRow(table, td, td.ref(id), func(v *rowVersion) *rowVersion { return v.visibleAt(seq) })
 	db.mu.RUnlock()
-	return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
+	return r, err
 }
 
-// compactLocked drops reclaimed ids from the order slice. Called by the
-// reclaimer (a writer) only; readers filter invisible ids instead.
+// getRegistered is a registered reader's Get: the ref is read under the
+// latch, resolved and faulted after it drops (pager.go contract).
+func (db *Database) getRegistered(table string, id RowID, resolve func(*rowVersion) *rowVersion) (*Row, error) {
+	db.mu.RLock()
+	td, err := db.tableData(table)
+	if err != nil {
+		db.mu.RUnlock()
+		return nil, err
+	}
+	r := td.ref(id)
+	db.mu.RUnlock()
+	return db.copyRow(table, td, r, resolve)
+}
+
+// copyRow returns a copy of the row a reader sees through r: a stored
+// version's row is cloned, a faulted one is already the caller's.
+func (db *Database) copyRow(table string, td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) (*Row, error) {
+	row := db.see(td, r, resolve)
+	if row == nil {
+		return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, r.id)
+	}
+	if r.head != nil {
+		row = row.clone()
+	}
+	return row, nil
+}
+
+// compactLocked drops reclaimed ids — neither a version nor a page slot
+// — from the order slice. Called by the reclaimer (a writer) only;
+// readers filter invisible ids instead.
 func (td *tableData) compactLocked() {
 	if !td.dirty {
 		return
 	}
 	live := td.order[:0]
 	for _, id := range td.order {
-		if _, ok := td.rows[id]; ok {
+		if td.ref(id).found() {
 			live = append(live, id)
 		}
 	}
@@ -553,26 +568,58 @@ func (td *tableData) compactLocked() {
 	td.dirty = false
 }
 
-// collectHeads gathers the version-chain heads of a table in insertion
-// order under the read latch. Row content is immutable and the chain
-// links are atomics, so callers resolve visibility and run callbacks
-// after the latch is released — scans never hold a lock across user
-// code, which is what lets a reader interleave with writers without
-// nested-latch deadlocks.
-func (db *Database) collectHeads(table string) ([]*rowVersion, *tableData, error) {
+// collectRefs gathers the refs of a table's rows in insertion order
+// under the read latch, for a registered reader. Row content is
+// immutable and the chain links are atomics, so callers resolve
+// visibility, fault and run callbacks after the latch is released —
+// scans never hold a lock across user code, which is what lets a reader
+// interleave with writers without nested-latch deadlocks.
+func (db *Database) collectRefs(table string) ([]rowRef, *tableData, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	td, err := db.tableData(table)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]*rowVersion, 0, len(td.order))
+	out := make([]rowRef, 0, len(td.order))
 	for _, id := range td.order {
-		if v, ok := td.rows[id]; ok {
-			out = append(out, v)
+		if r := td.ref(id); r.found() {
+			out = append(out, r)
 		}
 	}
 	return out, td, nil
+}
+
+// scanRegistered is a registered reader's Scan: it visits the rows
+// resolve sees, in insertion order, faulting page-only rows after the
+// latch is dropped.
+func (db *Database) scanRegistered(table string, resolve func(*rowVersion) *rowVersion, fn func(*Row) bool) error {
+	refs, td, err := db.collectRefs(table)
+	if err != nil {
+		return err
+	}
+	for _, r := range refs {
+		if row := db.see(td, r, resolve); row != nil && !fn(row) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// idsRegistered is a registered reader's ScanIDs: the ids of the rows
+// resolve sees, in insertion order; nothing is faulted.
+func (db *Database) idsRegistered(table string, resolve func(*rowVersion) *rowVersion) []RowID {
+	refs, _, err := db.collectRefs(table)
+	if err != nil {
+		return nil
+	}
+	out := make([]RowID, 0, len(refs))
+	for _, r := range refs {
+		if r.sees(resolve) {
+			out = append(out, r.id)
+		}
+	}
+	return out
 }
 
 // collectVisible gathers, under the read latch, the rows of a table
@@ -580,7 +627,7 @@ func (db *Database) collectHeads(table string) ([]*rowVersion, *tableData, error
 // Resolving while the latch is held is what makes unregistered
 // committed-state reads safe against the reclaimer: Reclaim is an
 // exclusive-latch writer, so it cannot truncate a chain tail between
-// the head fetch and the visibility walk. Demoted stubs fault their
+// the head fetch and the visibility walk. Page-only rows fault their
 // values in here for the same reason — unregistered page faults must
 // not race a quarantined slot release. The returned rows are immutable,
 // so callers run callbacks after release.
@@ -592,14 +639,11 @@ func (db *Database) collectVisible(table string) ([]*Row, error) {
 		return nil, err
 	}
 	seq := db.commitSeq.Load()
+	resolve := func(v *rowVersion) *rowVersion { return v.visibleAt(seq) }
 	out := make([]*Row, 0, len(td.order))
 	for _, id := range td.order {
-		if v := td.rows[id].visibleAt(seq); v != nil {
-			if v.row.Values == nil {
-				out = append(out, &Row{ID: v.row.ID, Values: db.versionValues(td, v)})
-			} else {
-				out = append(out, &v.row)
-			}
+		if row := db.see(td, td.ref(id), resolve); row != nil {
+			out = append(out, row)
 		}
 	}
 	return out, nil
@@ -660,11 +704,11 @@ func RowIDs(rows []Row, err error) ([]RowID, error) {
 // database shares: it resolves the columns and returns the candidate
 // ids — the covering index's bucket, else every id in scan order — as
 // the store's own slice, readable only under db.mu (held by the caller
-// in either mode). Each candidate then resolves through the reader's
-// visibility function, and the resolved version's values, faulted in
-// once for a stub, are re-verified against the probe (buckets keep ids
-// of versions this reader may not see) and returned with the id
-// (appendMatch). lookupLocked finishes under the caller's latch;
+// in either mode). Each candidate then resolves to its ref and through
+// the reader's visibility function, and the values it sees, faulted in
+// once for a page-only row, are re-verified against the probe (buckets
+// keep ids of versions this reader may not see) and returned with the
+// id (appendMatch). lookupLocked finishes under the caller's latch;
 // lookupRegistered drops it first. The column positions are appended to
 // cols, a caller's buffer.
 func (db *Database) lookupCandidatesLocked(table string, columns []string, values []Value, cols []int) (*tableData, []int, []RowID, error) {
@@ -695,36 +739,34 @@ func (db *Database) lookupLocked(table string, columns []string, values []Value,
 	}
 	out := newMatches(len(ids))
 	for _, id := range ids {
-		out = db.appendMatch(out, td, resolve(td.rows[id]), cols, values)
+		out = db.appendMatch(out, td, td.ref(id), resolve, cols, values)
 	}
 	return out, nil
 }
 
 // lookupRegistered is the core for a registered reader (Snapshot, Txn):
-// candidate heads are collected under the read latch, then resolved and
+// candidate refs are collected under the read latch, then resolved and
 // faulted after it is dropped.
 func (db *Database) lookupRegistered(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
 	var colBuf [4]int
-	var headBuf [8]*rowVersion // most buckets: no allocation
+	var refBuf [8]rowRef // most buckets: no allocation
 	db.mu.RLock()
 	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0])
 	if err != nil {
 		db.mu.RUnlock()
 		return nil, err
 	}
-	heads := headBuf[:0]
-	if len(ids) > len(headBuf) {
-		heads = make([]*rowVersion, 0, len(ids))
+	refs := refBuf[:0]
+	if len(ids) > len(refBuf) {
+		refs = make([]rowRef, 0, len(ids))
 	}
 	for _, id := range ids {
-		if head := td.rows[id]; head != nil {
-			heads = append(heads, head)
-		}
+		refs = append(refs, td.ref(id))
 	}
 	db.mu.RUnlock()
-	out := newMatches(len(heads))
-	for _, head := range heads {
-		out = db.appendMatch(out, td, resolve(head), cols, values)
+	out := newMatches(len(refs))
+	for _, r := range refs {
+		out = db.appendMatch(out, td, r, resolve, cols, values)
 	}
 	return out, nil
 }
@@ -735,20 +777,20 @@ func newMatches(candidates int) []Row {
 	return make([]Row, 0, min(candidates, 16))
 }
 
-// appendMatch appends v's row when v is not nil and its values equal the
-// probe values on cols. The values are v's own slice (immutable), or a
-// fresh one faulted from its page.
-func (db *Database) appendMatch(out []Row, td *tableData, v *rowVersion, cols []int, values []Value) []Row {
-	if v == nil {
+// appendMatch appends the row the reader sees through r when its values
+// equal the probe values on cols. The values are a version's own slice
+// (immutable), or a fresh one faulted from its page.
+func (db *Database) appendMatch(out []Row, td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion, cols []int, values []Value) []Row {
+	row := db.see(td, r, resolve)
+	if row == nil {
 		return out
 	}
-	vals := db.versionValues(td, v)
 	for i, c := range cols {
-		if !vals[c].Equal(values[i]) {
+		if !row.Values[c].Equal(values[i]) {
 			return out
 		}
 	}
-	return append(out, Row{ID: v.row.ID, Values: vals})
+	return append(out, *row)
 }
 
 // HasIndexOn reports whether an index covers exactly the named columns.
@@ -899,8 +941,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			}
 			return constraintErr(kind, td.def.Name, strings.Join(names, ","), "duplicate key")
 		}
-		match := func(v *rowVersion) bool {
-			vals := db.versionValues(td, v) // may fault; write latch held
+		match := func(vals []Value) bool {
 			for _, c := range ix.columns {
 				if !vals[c].Equal(values[c]) {
 					return false
@@ -912,21 +953,28 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			if id == exclude {
 				continue
 			}
-			head := td.rows[id]
+			r := td.ref(id)
+			if r.slot != 0 {
+				// Page-only: committed before every reader, t included.
+				if match(db.see(td, r, nil).Values) { // faults; write latch held
+					return dupErr()
+				}
+				continue
+			}
 			// Walk from the head to the newest committed version: the
 			// in-flight layer decides conflicts, the committed layer
 			// decides duplicates, and older history is irrelevant.
-			for v := head; v != nil; v = v.prev.Load() {
+			for v := r.head; v != nil; v = v.prev.Load() {
 				b := v.begin.Load()
 				e := v.end.Load()
 				if isTxnMark(b) {
 					if markOwner(b) == t.id {
-						if e == liveSeq && match(v) {
+						if e == liveSeq && match(v.row.Values) {
 							return dupErr() // t's own uncommitted duplicate
 						}
 						continue // superseded/deleted own version
 					}
-					if match(v) {
+					if match(v.row.Values) {
 						return db.writeConflict(td.def.Name,
 							fmt.Sprintf("duplicate key inserted by an in-flight transaction (rowid %d)", id))
 					}
@@ -934,7 +982,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 				}
 				// Newest committed version: judge and stop walking.
 				if e == liveSeq {
-					if match(v) {
+					if match(v.row.Values) {
 						if b > t.readSeq {
 							// Stamped after t's snapshot — under the pipelined
 							// commit path possibly not even published yet (and
@@ -946,7 +994,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 						}
 						return dupErr()
 					}
-				} else if isTxnMark(e) && markOwner(e) != t.id && match(v) {
+				} else if isTxnMark(e) && markOwner(e) != t.id && match(v.row.Values) {
 					// Committed-live but claimed by another in-flight
 					// transaction (delete or key change): first-updater-wins.
 					return db.writeConflict(td.def.Name,
@@ -1068,10 +1116,9 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	// Materialize a demoted head before taking its pointer: the claim
-	// stamps and undo log must land on the version that stays installed.
-	db.materializeLocked(td, id)
-	v, err := db.writeTarget(t, table, id, td.rows[id])
+	// Materialize a page-only row before taking its head: the claim
+	// stamps and undo log must land on a version that stays installed.
+	v, err := db.writeTarget(t, table, id, db.materializeLocked(td, id))
 	if err != nil {
 		return 0, err
 	}
@@ -1175,8 +1222,7 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 		return err
 	}
 	db.statements.Add(1)
-	db.materializeLocked(td, id) // see deleteRowLocked
-	v, err := db.writeTarget(t, table, id, td.rows[id])
+	v, err := db.writeTarget(t, table, id, db.materializeLocked(td, id)) // see deleteRowLocked
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package relational_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/relational"
 	"repro/internal/tpch"
@@ -13,18 +15,20 @@ func (f inserterFunc) Insert(table string, values map[string]relational.Value) (
 	return f(table, values)
 }
 
-// TestLoadResidentRowsBounded streams tpch seeds into durable engines
-// behind a 256 KiB pool and counts, all the way through, how many row
-// heads hold their values in memory: never more than one checkpoint
-// window plus one batch, and no more at MB 300 (75,630 rows) than at
-// MB 100 (25,230) — what a load keeps resident is a window, not the
-// dataset. Counts only: no clock, no RSS.
-// residentRows counts the rows holding values in memory.
-func residentRows(db *relational.Database) int {
+// versionStats reads the version store's shape through a snapshot.
+func versionStats(db *relational.Database) relational.VersionStats {
 	snap := db.Snapshot()
 	defer snap.Close()
-	return snap.VersionStats().ResidentRows
+	return snap.VersionStats()
 }
+
+// TestLoadResidentRowsBounded streams tpch seeds into durable engines
+// behind a 256 KiB pool and counts, all the way through, how many rows
+// keep a version in memory: never more than one checkpoint window plus
+// one batch, and no more at MB 300 (75,630 rows) than at MB 100 (25,230)
+// — what a load keeps resident is a window, not the dataset. After the
+// final pass, with no reader open, no version is left at all. Counts
+// only: no clock, no RSS.
 
 func TestLoadResidentRowsBounded(t *testing.T) {
 	schema, err := tpch.Schema()
@@ -43,7 +47,7 @@ func TestLoadResidentRowsBounded(t *testing.T) {
 				// Every 1,000 rows, and on the last row before each batch
 				// commits (the high-water mark of a window).
 				if n%1000 == 0 || n%relational.LoadBatchRows == relational.LoadBatchRows-1 {
-					if r := residentRows(db); r > max {
+					if r := versionStats(db).ResidentRows; r > max {
 						max = r
 					}
 				}
@@ -57,8 +61,8 @@ func TestLoadResidentRowsBounded(t *testing.T) {
 		if stats.Rows != n || db.TotalRows() != n {
 			t.Fatalf("MB %d: generator emitted %d rows, load committed %d, database holds %d", mb, n, stats.Rows, db.TotalRows())
 		}
-		if r := residentRows(db); r != 0 {
-			t.Fatalf("MB %d: %d rows still resident after the final pass", mb, r)
+		if vs := versionStats(db); vs.ResidentRows != 0 || vs.Versions != 0 {
+			t.Fatalf("MB %d: %d rows still resident, %d versions, after the final pass", mb, vs.ResidentRows, vs.Versions)
 		}
 		return max
 	}
@@ -75,4 +79,44 @@ func TestLoadResidentRowsBounded(t *testing.T) {
 	if p300 > p100 {
 		t.Fatalf("resident rows grew with the dataset: %d at MB 100, %d at MB 300", p100, p300)
 	}
+}
+
+// BenchmarkColdRowFootprint measures what a paged database keeps in
+// memory per cold row: it Loads tpch.RowsForMB(300) (75,630 rows) into a
+// durable database behind a 256 KiB pool, runs the GC, and reports the
+// live heap the load added per row (heap_B/row) and the duration of one
+// Reclaim pass over the loaded store (reclaim_us), which runs under the
+// exclusive latch.
+func BenchmarkColdRowFootprint(b *testing.B) {
+	schema, err := tpch.Schema()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var heapPerRow, reclaimUs float64
+	for range b.N {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db := relational.NewDatabase(schema)
+		if _, err := db.OpenWAL(b.TempDir(), relational.WALOptions{PageCacheBytes: 256 << 10}); err != nil {
+			b.Fatal(err)
+		}
+		stats, err := db.Load(func(sink relational.Inserter) error {
+			return tpch.Generate(sink, tpch.RowsForMB(300))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heapPerRow = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(stats.Rows)
+		start := time.Now()
+		db.Reclaim()
+		reclaimUs = float64(time.Since(start).Microseconds())
+		if err := db.CloseWAL(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(heapPerRow, "heap_B/row")
+	b.ReportMetric(reclaimUs, "reclaim_us")
 }

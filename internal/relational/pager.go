@@ -14,18 +14,20 @@ import (
 // the buffer pool bounds how much of that image is resident, as page
 // BYTES (CRC-verified once per load, never decoded as a whole, read into
 // buffers that evicted frames hand back).
-// In-memory version chains are a write-back cache over it: a committed,
-// clean row may be DEMOTED to a value-less stub version (Values == nil)
-// that carries only its MVCC stamps and the heap slot of its page; each
-// read of a stub decodes that one row's payload out of the pooled page
-// (faultRow), so a fault costs the row it touches, not the page. That
-// is what lets the dataset exceed RAM under a hard PageCacheBytes budget.
+// In-memory version chains are a write-back cache over it. A row whose
+// one committed version is on its page and seen by every reader keeps
+// no version at all: it is PAGE-ONLY, named by its table's rowSlot and
+// absent from td.rows, and each read of it decodes that one row's
+// payload out of the pooled page (faultRow), so a fault costs the row
+// it touches, not the page, and a cold row costs memory only its slot,
+// its scan-order entry and its index entries. That is what lets the
+// dataset exceed RAM under a hard PageCacheBytes budget.
 //
 // There is one kind of checkpoint pass, the incremental one: it pages
-// the rows dirtied since the previous pass and demotes them on the spot.
-// A dataset therefore never has to exist in memory to reach the pages —
-// Load (load.go) streams it in as ordinary transactions with a pass per
-// window, leaving behind a first boot what a restart leaves: stubs,
+// the rows dirtied since the previous pass and drops their versions on
+// the spot. A dataset therefore never has to exist in memory to reach
+// the pages — Load (load.go) streams it in as ordinary transactions with
+// a pass per window, leaving behind a first boot what a restart leaves:
 // index entries, rowSlot, the store's directory and the pool. OpenWAL on
 // a populated database marks every row dirty once and runs that pass.
 //
@@ -37,10 +39,21 @@ import (
 // Concurrency contract (load-bearing — see faultRow):
 //
 //   - rowSlot is written only by checkpoint apply (db.mu write latch,
-//     passes serialized by ckptMu) and recovery (single-threaded).
-//     Checkpoint planning reads it without a latch: ckptMu serializes
-//     planners against appliers. Readers never touch it — a stub
-//     carries its own slot in the version's pageSlot stamp.
+//     passes serialized by ckptMu) and recovery (single-threaded). Every
+//     reader, and every writer, resolves a row id under db.mu, in either
+//     mode, through tableData.ref: td.rows first, then rowSlot.
+//     Checkpoint planning reads rowSlot without a latch: ckptMu
+//     serializes planners against appliers.
+//   - No version and a rowSlot entry mean committed and visible to every
+//     reader, which two rules keep true. The horizon rule: a version is
+//     dropped only when it began at or below the reclaim horizon
+//     (dropCleanLocked, called by checkpoint apply and the reclaimer).
+//     The tombstone rule: a deleted row's dead head stays while rowSlot
+//     maps it (reclaimLocked), and the pass that unmaps it drops the head
+//     once no reader sees it (applyPagePlacements). A write or replay
+//     that touches a page-only row first gives it a version stamped
+//     begin 0 (materializeLocked): the page's own sequence may be newer
+//     than a pinned reader, and 0 is older than every one.
 //   - Unregistered readers (Database.Get, Scan, index matching, write
 //     paths) may fault ONLY while holding db.mu (either mode), because
 //     quarantined slots are released only under the db.mu write latch.
@@ -56,10 +69,6 @@ type pager struct {
 	store *pagestore.Store
 	pool  *pagestore.Pool
 
-	// rowSlot maps table -> row id -> heap slot of the page holding the
-	// row's checkpointed image.
-	rowSlot map[string]map[RowID]uint32
-
 	// quar holds slots logically freed by a checkpoint install but not
 	// yet reusable: a reader registered before the freeing apply may
 	// still fault their old content. Appended and drained only under
@@ -73,22 +82,18 @@ type quarBatch struct {
 }
 
 func newPager(store *pagestore.Store, cacheBytes int64) *pager {
-	return &pager{
-		store:   store,
-		pool:    pagestore.NewPool(store, cacheBytes),
-		rowSlot: make(map[string]map[RowID]uint32),
-	}
+	return &pager{store: store, pool: pagestore.NewPool(store, cacheBytes)}
 }
 
 // faultRow returns one row's committed values from its page: the page
 // image comes through the buffer pool (CRC-verified bytes, cached as
 // read) and only the wanted row's payload is decoded, into a fresh
-// slice the caller owns. slotPlus1 is the version's pageSlot stamp
-// (slot+1; 0 means "no page", which is an invariant violation for a
-// stub). Panics on I/O error, corruption, or a missing row: the slot
-// came from the page directory and the quarantine keeps referenced
-// slots from being rewritten, so these are unrecoverable invariant
-// breaks, not ordinary errors.
+// slice the caller owns. slotPlus1 is the row's rowRef.slot (slot+1; 0
+// means "no page", an invariant violation for a page-only row). Panics
+// on I/O error, corruption, or a missing row: the slot came from the
+// page directory and the quarantine keeps referenced slots from being
+// rewritten, so these are unrecoverable invariant breaks, not ordinary
+// errors.
 func (p *pager) faultRow(table string, slotPlus1 uint32, id RowID) []Value {
 	if slotPlus1 == 0 {
 		panic(fmt.Sprintf("relational: paged row %s/%d has no page slot", table, id))
@@ -113,32 +118,63 @@ func (p *pager) faultRow(table string, slotPlus1 uint32, id RowID) []Value {
 	return vals
 }
 
-// versionValues resolves a version's values, faulting its page in when
-// the version is a demoted stub. The caller must satisfy the pager's
-// concurrency contract (hold db.mu, or be a registered reader). A
-// resident version's slice must not be mutated; a faulted one is the
-// caller's own.
-func (db *Database) versionValues(td *tableData, v *rowVersion) []Value {
-	if vals := v.row.Values; vals != nil {
-		return vals
-	}
-	return db.pager.faultRow(strings.ToLower(td.def.Name), v.pageSlot.Load(), v.row.ID)
+// rowRef is what resolving one row id under db.mu finds: the row's
+// version chain head, or for a page-only row the slot its one committed
+// version faults from. A ref with neither names no row.
+type rowRef struct {
+	head *rowVersion
+	id   RowID
+	slot uint32 // 1 + the page slot of a page-only row, else 0
 }
 
-// materializeLocked replaces a demoted stub head with a materialized
-// copy carrying the same stamps, so write paths and undo logs never
-// handle value-less versions. No-op when the head already has values.
-// Caller holds the db.mu write latch.
-func (db *Database) materializeLocked(td *tableData, id RowID) {
-	v := td.rows[id]
-	if v == nil || v.row.Values != nil {
-		return
+// ref resolves id: its chain head, else its rowSlot entry. Every read
+// of a row id goes through it. Caller holds db.mu in either mode.
+func (td *tableData) ref(id RowID) rowRef {
+	if v := td.rows[id]; v != nil {
+		return rowRef{head: v, id: id}
 	}
-	nv := &rowVersion{row: Row{ID: id, Values: db.versionValues(td, v)}}
-	nv.begin.Store(v.begin.Load())
-	nv.end.Store(v.end.Load())
-	nv.pageSlot.Store(v.pageSlot.Load())
-	td.rows[id] = nv
+	if s, ok := td.rowSlot[id]; ok {
+		return rowRef{id: id, slot: s + 1}
+	}
+	return rowRef{id: id}
+}
+
+// found reports whether r names a row, seen by some reader or not.
+func (r rowRef) found() bool { return r.head != nil || r.slot != 0 }
+
+// sees reports whether a reader sees r's row, resolve picking the
+// version of an in-memory chain. A page-only row is seen by everyone.
+func (r rowRef) sees(resolve func(*rowVersion) *rowVersion) bool {
+	return r.slot != 0 || resolve(r.head) != nil
+}
+
+// see returns the row a reader sees through r, nil when it sees none:
+// the visible version's own row (immutable: never mutated), or a
+// page-only row's image faulted into fresh values. The caller must
+// satisfy the pager's concurrency contract (hold db.mu, or be a
+// registered reader).
+func (db *Database) see(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) *Row {
+	if r.slot != 0 {
+		return &Row{ID: r.id, Values: db.pager.faultRow(strings.ToLower(td.def.Name), r.slot, r.id)}
+	}
+	if v := resolve(r.head); v != nil {
+		return &v.row
+	}
+	return nil
+}
+
+// materializeLocked returns the row's chain head for a write, first
+// giving a page-only row a version of its page image stamped begin 0,
+// so that write paths and undo logs only ever meet versions. Nil when
+// the id names no row. Caller holds the db.mu write latch.
+func (db *Database) materializeLocked(td *tableData, id RowID) *rowVersion {
+	r := td.ref(id)
+	if r.slot == 0 {
+		return r.head
+	}
+	v := newVersion(*db.see(td, r, nil), 0) // a page-only row needs no resolve
+	td.rows[id] = v
+	return v
 }
 
 // encodeRowPayload is the page-payload encoding of one row's values:
@@ -234,7 +270,7 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 		ids := make([]RowID, 0, len(set))
 		for id := range set {
 			ids = append(ids, id)
-			if s, ok := p.rowSlot[name][id]; ok {
+			if s, ok := td.rowSlot[id]; ok {
 				affectedTable[s] = name
 			}
 		}
@@ -283,13 +319,13 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 		}
 		for _, r := range rows {
 			id := RowID(r.ID)
-			if p.rowSlot[name][id] != slot {
+			if td.rowSlot[id] != slot {
 				continue // row since moved to a newer page
 			}
 			if _, isDirty := dirty[name][id]; isDirty {
 				continue
 			}
-			if snap.version(td, id) == nil {
+			if !snap.ref(td, id).sees(snap.resolve) {
 				// Unreachable in the protocol (a deletion marks the row
 				// dirty), but drop the mapping rather than resurrecting.
 				plan.gone[name] = append(plan.gone[name], id)
@@ -307,12 +343,14 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 }
 
 // applyPagePlacements publishes a durable install into the in-memory
-// state: row->slot mappings move to the fresh pages, freshly
-// checkpointed clean heads are stamped with their page slot and — when
-// their whole chain is a single committed version — demoted to stubs,
-// vanished rows drop their mapping, and the superseded slots enter
-// quarantine until no reader can still fault their old content.
-func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.PageInfo, plan *pagePlan) {
+// state: row->slot mappings move to the fresh pages, each placed row
+// whose one version every reader sees drops it (dropCleanLocked),
+// vanished rows drop their mapping and — once no reader sees them — their
+// dead heads, and the superseded slots enter quarantine until no reader
+// can still fault their old content. The pass's own snapshot is still
+// registered, so the horizon is at most its sequence: a version at or
+// below the horizon is the image just installed.
+func (db *Database) applyPagePlacements(placements []pagestore.PageInfo, plan *pagePlan) {
 	p := db.pager
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -327,41 +365,32 @@ func (db *Database) applyPagePlacements(snapSeq uint64, placements []pagestore.P
 	}
 	p.pool.Invalidate(inval)
 
+	horizon := db.oldestVisibleSeq()
 	for _, pl := range placements {
-		slots := p.rowSlot[pl.Table]
-		if slots == nil {
-			slots = make(map[RowID]uint32)
-			p.rowSlot[pl.Table] = slots
-		}
 		td := db.tables[pl.Table]
+		if td.rowSlot == nil {
+			td.rowSlot = make(map[RowID]uint32)
+		}
 		for _, id64 := range pl.Rows {
 			id := RowID(id64)
-			slots[id] = pl.Slot
-			if td == nil {
-				continue
-			}
-			v := td.rows[id]
-			if v == nil {
-				continue
-			}
-			begin := v.begin.Load()
-			if isTxnMark(begin) || begin > snapSeq || v.end.Load() != liveSeq {
-				continue // the installed image is not this head's value
-			}
-			v.pageSlot.Store(pl.Slot + 1)
-			if v.row.Values != nil && v.prev.Load() == nil {
-				stub := &rowVersion{row: Row{ID: id}}
-				stub.begin.Store(begin)
-				stub.end.Store(liveSeq)
-				stub.pageSlot.Store(pl.Slot + 1)
-				td.rows[id] = stub
+			td.rowSlot[id] = pl.Slot
+			if v := td.rows[id]; v != nil {
+				dropCleanLocked(td, id, v, horizon)
 			}
 		}
 	}
 	for name, ids := range plan.gone {
-		slots := p.rowSlot[name]
+		td := db.tables[name]
 		for _, id := range ids {
-			delete(slots, id)
+			delete(td.rowSlot, id)
+			if v := td.rows[id]; v != nil && v.end.Load() <= horizon {
+				db.versionsReclaimed.Add(int64(td.dropChainLocked(id, v)))
+			}
+		}
+	}
+	for _, td := range db.tables {
+		if len(td.rows) == 0 {
+			td.rows = make(map[RowID]*rowVersion) // a map never shrinks: let a drained window's go
 		}
 	}
 	if len(plan.freedSlots) > 0 {
@@ -397,41 +426,54 @@ func (db *Database) drainPageQuarantineLocked() {
 	p.quar = keep
 }
 
-// demoteCleanLocked drops the in-memory values of a cold head version
-// whose checkpointed page image is current: single committed version,
-// not deleted, page slot stamped by the checkpoint that wrote it. The
-// reclaimer calls it after truncating chains, which is what lets a
-// dataset larger than RAM converge to stubs + the bounded buffer pool.
-// Caller holds the db.mu write latch.
-func demoteCleanLocked(td *tableData, id RowID, v *rowVersion) bool {
-	if v.row.Values == nil || v.prev.Load() != nil || v.end.Load() != liveSeq {
-		return false
+// dropCleanLocked makes a row page-only by deleting its version, when
+// that version is the row's whole chain, committed, live and begun at or
+// below upTo, and rowSlot maps the row. Callers pass the lower of the
+// reclaim horizon (the horizon rule: every reader present and future
+// sees the version) and a checkpoint sequence whose pages hold every
+// version begun at or below it. Claim stamps compare greater than every
+// sequence, so a claimed begin never passes. Index entries stay: the
+// row's values are unchanged. Caller holds the db.mu write latch.
+func dropCleanLocked(td *tableData, id RowID, v *rowVersion, upTo uint64) {
+	if v.prev.Load() != nil || v.end.Load() != liveSeq || v.begin.Load() > upTo {
+		return
 	}
-	begin := v.begin.Load()
-	slot := v.pageSlot.Load()
-	if isTxnMark(begin) || slot == 0 {
-		return false
+	if _, ok := td.rowSlot[id]; ok {
+		delete(td.rows, id)
 	}
-	stub := &rowVersion{row: Row{ID: id}}
-	stub.begin.Store(begin)
-	stub.end.Store(liveSeq)
-	stub.pageSlot.Store(slot)
-	td.rows[id] = stub
-	return true
 }
 
-// restoreFromPages rebuilds rowSlot, value-less stubs and index entries
-// from the live pages the recovered directory maps: each page is read
-// once, in slot order, CRC-verified and outside the pool, decoding of
-// each row only the columns its table's indexes read. Scan order is
-// restored as ascending row id, which equals insertion order because ids
-// are allocated monotonically. Single-threaded, before serving traffic.
+// dropChainLocked removes a dead row: every version of its chain, with
+// their index entries. It returns the versions freed. Caller holds the
+// db.mu write latch.
+func (td *tableData) dropChainLocked(id RowID, head *rowVersion) int {
+	n := 0
+	for v := head; v != nil; {
+		next := v.prev.Load()
+		for _, ix := range td.indexes {
+			ix.remove(id, v.row.Values)
+		}
+		v.prev.Store(nil)
+		n++
+		v = next
+	}
+	delete(td.rows, id)
+	td.dirty = true
+	return n
+}
+
+// restoreFromPages rebuilds rowSlot and index entries from the live
+// pages the recovered directory maps: every restored row is page-only.
+// Each page is read once, in slot order, CRC-verified and outside the
+// pool, decoding of each row only the columns its table's indexes read.
+// Scan order is restored as ascending row id, which equals insertion
+// order because ids are allocated monotonically. Single-threaded, before
+// serving traffic.
 func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err error) {
 	p := db.pager
 	type restoring struct {
-		want  []bool  // the columns some index reads, up to the last one
-		vals  []Value // decode scratch, reused row to row
-		slots map[RowID]uint32
+		want []bool  // the columns some index reads, up to the last one
+		vals []Value // decode scratch, reused row to row
 	}
 	tables := make(map[string]*restoring)
 	pages := make(map[string]int)
@@ -455,9 +497,8 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			// Size the table's maps (empty since resetStorage) once — this
 			// page's rows times the table's pages — not row by row.
 			hint := len(prows) * pages[pi.Table]
-			st = &restoring{slots: make(map[RowID]uint32, hint)}
-			p.rowSlot[pi.Table] = st.slots
-			td.rows = make(map[RowID]*rowVersion, hint)
+			st = &restoring{}
+			td.rowSlot = make(map[RowID]uint32, hint)
 			for _, ix := range td.indexes {
 				if ix.unique {
 					ix.entries = make(map[string][]RowID, hint)
@@ -477,17 +518,12 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			if err := decodeColumns(r.Payload, st.vals, st.want); err != nil {
 				return 0, fmt.Errorf("page %d row %s/%d: %w", pi.Slot, pi.Table, id, err)
 			}
-			stub := &rowVersion{row: Row{ID: id}}
-			stub.begin.Store(pi.Seq)
-			stub.end.Store(liveSeq)
-			stub.pageSlot.Store(pi.Slot + 1)
-			n := len(td.rows)
-			if td.rows[id] = stub; len(td.rows) == n {
+			n := len(td.rowSlot)
+			if td.rowSlot[id] = pi.Slot; len(td.rowSlot) == n {
 				return 0, fmt.Errorf("page %d: row %s/%d appears on two live pages", pi.Slot, pi.Table, id)
 			}
 			td.order = append(td.order, id)
 			td.live++
-			st.slots[id] = pi.Slot
 			for _, ix := range td.indexes {
 				ix.insert(id, st.vals)
 			}

@@ -3,6 +3,7 @@ package relational
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -16,9 +17,9 @@ import (
 )
 
 // TestPagedDemotionAndFault is the paged-storage round trip: checkpoint
-// demotes committed cold rows to value-less stubs, reads fault their
-// pages back in through the buffer pool, and writes against demoted
-// rows materialize first and stay correct across recovery.
+// leaves committed cold rows page-only, reads fault their pages back in
+// through the buffer pool, and writes against page-only rows
+// materialize first and stay correct across recovery.
 func TestPagedDemotionAndFault(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{PageCacheBytes: 64 << 10})
@@ -34,7 +35,7 @@ func TestPagedDemotionAndFault(t *testing.T) {
 		t.Fatalf("no pages after checkpoint: %+v", st)
 	}
 	// Every insert was a lone committed version at the pin, so the
-	// checkpoint demoted it; the reads below must fault.
+	// checkpoint dropped it; the reads below must fault.
 	for i, id := range ids {
 		r, err := db.Get("parent", id)
 		if err != nil {
@@ -45,10 +46,10 @@ func TestPagedDemotionAndFault(t *testing.T) {
 		}
 	}
 	if st = db.Stats(); st.PagecacheMisses == 0 {
-		t.Fatalf("reads after demotion faulted no pages: %+v", st)
+		t.Fatalf("reads of page-only rows faulted no pages: %+v", st)
 	}
 
-	// Write paths against demoted rows: update materializes first.
+	// Write paths against page-only rows: update materializes first.
 	if err := db.UpdateRow("parent", ids[0], map[string]Value{"name": String_("updated")}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,8 @@ func TestDataBeyondPoolBudget(t *testing.T) {
 // TestPagedReadsVsCheckpointStress races faulting readers against
 // writers and checkpoints under a tiny pool, the -race proof of the
 // pager's latch/quarantine contract: snapshots fault after dropping the
-// latch while checkpoint apply demotes, invalidates and frees slots.
+// latch while checkpoint apply drops versions, invalidates and frees
+// slots.
 func TestPagedReadsVsCheckpointStress(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{PageCacheBytes: 4 << 10})
@@ -160,6 +162,11 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 					n := 0
 					if err := snap.Scan("parent", func(*Row) bool { n++; return n < 50 }); err != nil {
 						t.Error(err)
+						snap.Close()
+						return
+					}
+					if got, err := snap.LookupRows("parent", []string{"id"}, []Value{Int_(int64(i%rows + 1))}); err != nil || len(got) != 1 {
+						t.Errorf("snapshot lookup of key %d: %v, %v", i%rows+1, got, err)
 						snap.Close()
 						return
 					}
@@ -337,11 +344,11 @@ func FuzzRowPayloadDecode(f *testing.F) {
 
 // TestPagesAndMappingsAgree: the page directory records no rows, so the
 // pages are the only durable record of where each row lives, and rowSlot
-// plus each stub's pageSlot stamp are the in-memory mirror of them. A
-// seeded insert/update/delete mix runs over checkpoint passes (the
-// directory folding into a base along the way); after every pass each
-// live page holds exactly the rows rowSlot names it for, each of them a
-// stub stamped slot+1. Then the database goes down with an
+// is the in-memory mirror of them. A seeded insert/update/delete mix runs
+// over checkpoint passes (the directory folding into a base along the
+// way); after every pass each live page holds exactly the rows rowSlot
+// names it for, and with no reader open every row is page-only: no
+// table keeps a version. Then the database goes down with an
 // uncheckpointed tail — CloseWAL runs no pass and writes nothing a kill
 // -9 would not have left on disk — and after reopening every index
 // bucket, rebuilt from the pages and the replayed tail, equals its
@@ -417,8 +424,8 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 		p := db.pager
 		named := map[uint32]map[RowID]bool{}
 		tableOf := map[uint32]string{}
-		for table, m := range p.rowSlot {
-			for id, slot := range m {
+		for table, td := range db.tables {
+			for id, slot := range td.rowSlot {
 				if named[slot] == nil {
 					named[slot] = map[RowID]bool{}
 				}
@@ -435,16 +442,14 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 				t.Fatalf("pass %d: page %d holds %d rows of %q (%v); rowSlot names %d of %q", pass, slot, len(rows), table, err, len(ids), tableOf[slot])
 			}
 			for _, r := range rows {
-				id := RowID(r.ID)
-				v := db.tables[table].rows[id]
-				if !ids[id] || v == nil || v.row.Values != nil || v.pageSlot.Load() != slot+1 {
-					t.Fatalf("pass %d: page %d row %s/%d: named by rowSlot %v, head %+v", pass, slot, table, id, ids[id], v)
+				if id := RowID(r.ID); !ids[id] {
+					t.Fatalf("pass %d: page %d holds row %s/%d, which rowSlot does not name it for", pass, slot, table, id)
 				}
 			}
 		}
 		for name, td := range db.tables {
-			if len(td.rows) != len(p.rowSlot[name]) {
-				t.Fatalf("pass %d: %s holds %d rows, %d are paged", pass, name, len(td.rows), len(p.rowSlot[name]))
+			if len(td.rows) != 0 {
+				t.Fatalf("pass %d: %s keeps %d versions with no reader open", pass, name, len(td.rows))
 			}
 		}
 	}
@@ -477,5 +482,163 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	}
 	if got := dumpDB(t, db2); !reflect.DeepEqual(got, wantDump) {
 		t.Fatal("reopened table dump differs")
+	}
+}
+
+// TestPageOnlyRowHorizon: a snapshot opened before an insert commits is
+// held across the checkpoint that pages the row. The row must keep its
+// version — dropping it would make it page-only, which every reader
+// sees — until the snapshot closes and a reclaim runs.
+func TestPageOnlyRowHorizon(t *testing.T) {
+	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	snap := db.Snapshot()
+	id := mustInsertParent(t, db, 1, "late")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	td := db.tables["parent"]
+	if _, ok := td.rowSlot[id]; !ok {
+		t.Fatal("the checkpoint did not page the row")
+	}
+	blind := func(stage string) {
+		t.Helper()
+		if r, err := snap.Get("parent", id); !errors.Is(err, ErrNoSuchRow) {
+			t.Fatalf("%s: the older snapshot reads %v, %v", stage, r, err)
+		}
+		if ids := snap.ScanIDs("parent"); len(ids) != 0 {
+			t.Fatalf("%s: the older snapshot scans %v", stage, ids)
+		}
+		if ids, err := snap.LookupEqual("parent", []string{"name"}, []Value{String_("late")}); err != nil || len(ids) != 0 {
+			t.Fatalf("%s: the older snapshot looks up %v, %v", stage, ids, err)
+		}
+	}
+	blind("after the checkpoint")
+	db.Reclaim()
+	blind("after a reclaim")
+	if vs := snap.VersionStats(); vs.Versions != 1 {
+		t.Fatalf("with the older snapshot open: %d versions, want the row's 1", vs.Versions)
+	}
+	snap.Close()
+	db.Reclaim()
+	now := db.Snapshot()
+	defer now.Close()
+	if vs := now.VersionStats(); vs.Versions != 0 || vs.VisibleRows != 1 {
+		t.Fatalf("after close and reclaim: %+v, want no version and one visible row", vs)
+	}
+	if r, err := now.Get("parent", id); err != nil || r.Values[1].Str != "late" {
+		t.Fatalf("page-only row reads %v, %v", r, err)
+	}
+}
+
+// TestPageOnlyRowDeleteStaysGone: a page-only row is deleted and a
+// reclaim runs before the next checkpoint. Its page still holds it, so
+// the dead head must stay until the pass that unmaps it, and the row
+// must read as gone through every path — before that pass, after it and
+// after a reopen.
+func TestPageOnlyRowDeleteStaysGone(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openWALDB(t, dir, WALOptions{})
+	keep := mustInsertParent(t, db, 1, "keep")
+	gone := mustInsertParent(t, db, 2, "gone")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.tables["parent"].rows); n != 0 {
+		t.Fatalf("%d versions after the checkpoint, want both rows page-only", n)
+	}
+	if _, err := db.Delete("parent", gone); err != nil {
+		t.Fatal(err)
+	}
+	db.Reclaim()
+	assertGone := func(stage string, db *Database) {
+		t.Helper()
+		snap := db.Snapshot()
+		defer snap.Close()
+		for _, r := range []Reader{db, snap} {
+			if row, err := r.Get("parent", gone); !errors.Is(err, ErrNoSuchRow) {
+				t.Fatalf("%s: %T.Get reads %v, %v", stage, r, row, err)
+			}
+			var ids []RowID
+			if err := r.Scan("parent", func(row *Row) bool { ids = append(ids, row.ID); return true }); err != nil || !slices.Equal(ids, []RowID{keep}) {
+				t.Fatalf("%s: %T.Scan sees %v, %v; want [%d]", stage, r, ids, err, keep)
+			}
+			if ids, err := r.LookupEqual("parent", []string{"name"}, []Value{String_("gone")}); err != nil || len(ids) != 0 {
+				t.Fatalf("%s: %T unique lookup finds %v, %v", stage, r, ids, err)
+			}
+		}
+	}
+	assertGone("after the reclaim", db)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertGone("after the checkpoint", db)
+	if _, ok := db.tables["parent"].rowSlot[gone]; ok {
+		t.Fatal("the checkpoint kept the deleted row's page slot")
+	}
+	snap := db.Snapshot()
+	if vs := snap.VersionStats(); vs.Versions != 0 {
+		t.Fatalf("%d versions after the unmapping pass, want the dead head dropped", vs.Versions)
+	}
+	snap.Close()
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := openWALDB(t, dir, WALOptions{})
+	assertGone("after a reopen", db2)
+}
+
+// TestPageOnlyRowWriteMaterializes: a write to a page-only row gives it
+// a version first. A second writer then conflicts, and a snapshot opened
+// before the write — older than the page the row has moved to since —
+// still reads the old values, before and after the commit.
+func TestPageOnlyRowWriteMaterializes(t *testing.T) {
+	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	a := mustInsertParent(t, db, 1, "a")
+	c := mustInsertParent(t, db, 2, "c")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Snapshot()
+	defer snap.Close()
+	// c's update supersedes the page both rows share: a survives onto a
+	// fresh page stamped with a sequence newer than the snapshot.
+	if err := db.UpdateRow("parent", c, map[string]Value{"name": String_("c2")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	td := db.tables["parent"]
+	if td.rows[a] != nil {
+		t.Fatal("row a is not page-only")
+	}
+	t1 := db.Begin()
+	if err := t1.UpdateRow("parent", a, map[string]Value{"name": String_("a2")}); err != nil {
+		t.Fatal(err)
+	}
+	if td.rows[a] == nil {
+		t.Fatal("the write left row a page-only")
+	}
+	t2 := db.Begin()
+	if err := t2.UpdateRow("parent", a, map[string]Value{"name": String_("a3")}); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("second writer: %v, want ErrWriteConflict", err)
+	}
+	_ = t2.Rollback()
+	old := func(stage string) {
+		t.Helper()
+		if r, err := snap.Get("parent", a); err != nil || r.Values[1].Str != "a" {
+			t.Fatalf("%s: the older snapshot reads %v, %v; want the old values", stage, r, err)
+		}
+		if ids, err := snap.LookupEqual("parent", []string{"name"}, []Value{String_("a")}); err != nil || !slices.Equal(ids, []RowID{a}) {
+			t.Fatalf("%s: the older snapshot looks up %v, %v", stage, ids, err)
+		}
+	}
+	old("before the commit")
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	old("after the commit")
+	if r, err := db.Get("parent", a); err != nil || r.Values[1].Str != "a2" {
+		t.Fatalf("latest read %v, %v; want a2", r, err)
 	}
 }

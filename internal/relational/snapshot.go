@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,63 +55,33 @@ func (s *Snapshot) HasIndexOn(table string, columns []string) bool {
 	return s.db.HasIndexOn(table, columns)
 }
 
-// Get returns a copy of the row as of the snapshot.
+// Get returns a copy of the row as of the snapshot. A page-only row
+// faults after the latch drops: the snapshot's registration keeps its
+// slot quarantined.
 func (s *Snapshot) Get(table string, id RowID) (*Row, error) {
-	s.db.mu.RLock()
-	td, err := s.db.tableData(table)
-	if err != nil {
-		s.db.mu.RUnlock()
-		return nil, err
-	}
-	head := td.rows[id]
-	s.db.mu.RUnlock()
-	if v := head.visibleAt(s.seq); v != nil {
-		if v.row.Values == nil {
-			// Demoted stub: fault the row in (a fresh slice, no clone
-			// needed). Safe without the latch — the snapshot's
-			// registration keeps the slot quarantined.
-			return &Row{ID: v.row.ID, Values: s.db.versionValues(td, v)}, nil
-		}
-		return v.row.clone(), nil
-	}
-	return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
+	return s.db.getRegistered(table, id, s.resolve)
 }
 
-// version returns the version of the row the snapshot sees, nil when it
-// sees none; the head is read under db.mu.
-func (s *Snapshot) version(td *tableData, id RowID) *rowVersion {
+// ref reads a row's ref under db.mu.
+func (s *Snapshot) ref(td *tableData, id RowID) rowRef {
 	s.db.mu.RLock()
-	head := td.rows[id]
-	s.db.mu.RUnlock()
-	return head.visibleAt(s.seq)
+	defer s.db.mu.RUnlock()
+	return td.ref(id)
 }
 
 // values returns the visible row's values without copying them (faulted
-// in for a stub), for read-only callers such as checkpoint planning; ok
-// is false when the snapshot sees no such row.
+// in for a page-only row), for read-only callers such as checkpoint
+// planning; ok is false when the snapshot sees no such row.
 func (s *Snapshot) values(td *tableData, id RowID) (vals []Value, ok bool) {
-	v := s.version(td, id)
-	if v == nil {
-		return nil, false
+	if row := s.db.see(td, s.ref(td, id), s.resolve); row != nil {
+		return row.Values, true
 	}
-	return s.db.versionValues(td, v), true
+	return nil, false
 }
 
 // RowCount returns the number of rows visible at the snapshot. Unlike
-// the live Database's O(1) counter this walks the table's chains.
-func (s *Snapshot) RowCount(table string) int {
-	heads, _, err := s.db.collectHeads(table)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, head := range heads {
-		if head.visibleAt(s.seq) != nil {
-			n++
-		}
-	}
-	return n
-}
+// the live Database's O(1) counter this walks the table.
+func (s *Snapshot) RowCount(table string) int { return len(s.ScanIDs(table)) }
 
 // TotalRows returns the number of rows across all tables visible at the
 // snapshot.
@@ -129,41 +98,12 @@ func (s *Snapshot) TotalRows() int {
 // Returning false stops the scan. No latch is held while the callback
 // runs.
 func (s *Snapshot) Scan(table string, fn func(*Row) bool) error {
-	heads, td, err := s.db.collectHeads(table)
-	if err != nil {
-		return err
-	}
-	for _, head := range heads {
-		v := head.visibleAt(s.seq)
-		if v == nil {
-			continue
-		}
-		r := &v.row
-		if r.Values == nil {
-			r = &Row{ID: v.row.ID, Values: s.db.versionValues(td, v)}
-		}
-		if !fn(r) {
-			return nil
-		}
-	}
-	return nil
+	return s.db.scanRegistered(table, s.resolve, fn)
 }
 
 // ScanIDs returns the row ids visible at the snapshot in insertion
 // order.
-func (s *Snapshot) ScanIDs(table string) []RowID {
-	heads, _, err := s.db.collectHeads(table)
-	if err != nil {
-		return nil
-	}
-	out := make([]RowID, 0, len(heads))
-	for _, head := range heads {
-		if v := head.visibleAt(s.seq); v != nil {
-			out = append(out, v.row.ID)
-		}
-	}
-	return out
-}
+func (s *Snapshot) ScanIDs(table string) []RowID { return s.db.idsRegistered(table, s.resolve) }
 
 // ValuesByName returns a visible row's values keyed by column name, as
 // of the snapshot.
@@ -239,24 +179,16 @@ func (db *Database) Reclaim() int {
 
 func (db *Database) reclaimLocked() int {
 	minSeq := db.oldestVisibleSeq()
+	upTo := min(minSeq, db.checkpointSeq.Load())
 	freed := 0
-	pg := db.pager
 	for _, td := range db.tables {
-		removed := false
 		for id, head := range td.rows {
-			if head.end.Load() <= minSeq {
-				// Entire chain is invisible to every reader: drop the row.
-				for v := head; v != nil; {
-					next := v.prev.Load()
-					for _, ix := range td.indexes {
-						ix.remove(id, v.row.Values)
-					}
-					v.prev.Store(nil)
-					freed++
-					v = next
-				}
-				delete(td.rows, id)
-				removed = true
+			// An entire chain invisible to every reader is dropped — unless
+			// rowSlot still maps the row, whose page would then bring it
+			// back: its dead head stays until the pass that unmaps it (the
+			// tombstone rule, pager.go), and only its tail goes below.
+			if _, paged := td.rowSlot[id]; !paged && head.end.Load() <= minSeq {
+				freed += td.dropChainLocked(id, head)
 				continue
 			}
 			// Truncate the dead tail: versions with end <= minSeq are
@@ -277,19 +209,14 @@ func (db *Database) reclaimLocked() int {
 				}
 				break
 			}
-			// A cold head whose checkpointed page image is current can
-			// drop its in-memory values and fault back through the
+			// A cold row whose page holds its one version, which every
+			// reader sees, keeps no version and faults back through the
 			// buffer pool — the release valve that keeps resident state
 			// bounded when the dataset exceeds RAM.
-			if pg != nil {
-				demoteCleanLocked(td, id, head)
-			}
+			dropCleanLocked(td, id, head, upTo)
 		}
-		if removed {
-			td.dirty = true
-		}
-		// Compact also when rollbacks flagged the order slice (dirty is
-		// set by undoInsert too, not only by removals above).
+		// Compact when removals above or rollbacks (undoInsert) flagged
+		// the order slice.
 		td.compactLocked()
 	}
 	db.drainPageQuarantineLocked()
@@ -333,11 +260,13 @@ func (db *Database) StartReclaimer(interval time.Duration) (stop func()) {
 type VersionStats struct {
 	// LiveRows counts rows visible to a latest read; VisibleRows those
 	// visible at the snapshot's pinned sequence (uncommitted writer state
-	// excluded); ResidentRows those whose newest version holds its values
-	// in memory (all of them without a WAL; the rest are paged stubs).
+	// excluded); ResidentRows those with a version in memory (every row
+	// without a WAL; with one, the rest are page-only and keep none).
+	// Versions counts every stored version, so a paged database whose
+	// readers all see its checkpointed rows stores few or none.
 	LiveRows      int `json:"live_rows" stat:",gauge,sum"`
 	VisibleRows   int `json:"visible_rows" stat:",gauge,sum"`
-	Versions      int `json:"versions" stat:"row_versions,gauge,sum" help:"Row versions currently stored, including history."`
+	Versions      int `json:"versions" stat:"row_versions,gauge,sum" help:"Row versions currently stored, including history (page-only rows store none)."`
 	ResidentRows  int `json:"resident_rows" stat:",gauge,sum"`
 	MaxChainDepth int `json:"max_chain_depth" stat:"version_chain_depth_max,gauge,max" help:"Longest row version chain (1 = no history)."`
 }
@@ -361,8 +290,12 @@ func (db *Database) versionStatsAt(seq uint64) VersionStats {
 	heads := make([]*rowVersion, 0, 256)
 	for _, td := range db.tables {
 		vs.LiveRows += td.live
-		for _, head := range td.rows {
+		vs.VisibleRows += len(td.rowSlot) // page-only rows, less the mapped heads below
+		for id, head := range td.rows {
 			heads = append(heads, head)
+			if _, ok := td.rowSlot[id]; ok {
+				vs.VisibleRows--
+			}
 		}
 	}
 	db.mu.RUnlock()
@@ -375,12 +308,10 @@ func (db *Database) versionStatsAt(seq uint64) VersionStats {
 		if depth > vs.MaxChainDepth {
 			vs.MaxChainDepth = depth
 		}
-		if head.row.Values != nil {
-			vs.ResidentRows++
-		}
 		if head.visibleAt(seq) != nil {
 			vs.VisibleRows++
 		}
 	}
+	vs.ResidentRows = len(heads)
 	return vs
 }

@@ -492,66 +492,22 @@ func (t *Txn) HasIndexOn(table string, columns []string) bool {
 	return t.db.HasIndexOn(table, columns)
 }
 
-// Get returns a copy of the row as this transaction sees it.
+// Get returns a copy of the row as this transaction sees it. A
+// page-only row faults after the latch drops: the open transaction's
+// read sequence keeps its slot quarantined.
 func (t *Txn) Get(table string, id RowID) (*Row, error) {
-	t.db.mu.RLock()
-	td, err := t.db.tableData(table)
-	if err != nil {
-		t.db.mu.RUnlock()
-		return nil, err
-	}
-	head := td.rows[id]
-	t.db.mu.RUnlock()
-	if v := t.resolve(head); v != nil {
-		if v.row.Values == nil {
-			// Demoted stub: fault the row in (a fresh slice, no clone
-			// needed). Safe without the latch — the open transaction's
-			// readSeq keeps the slot quarantined.
-			return &Row{ID: v.row.ID, Values: t.db.versionValues(td, v)}, nil
-		}
-		return v.row.clone(), nil
-	}
-	return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
+	return t.db.getRegistered(table, id, t.resolve)
 }
 
 // Scan visits every row the transaction sees in insertion order. The
 // callback must not mutate the row; returning false stops the scan. No
 // latch is held while the callback runs.
 func (t *Txn) Scan(table string, fn func(*Row) bool) error {
-	heads, td, err := t.db.collectHeads(table)
-	if err != nil {
-		return err
-	}
-	for _, head := range heads {
-		v := t.resolve(head)
-		if v == nil {
-			continue
-		}
-		r := &v.row
-		if r.Values == nil {
-			r = &Row{ID: v.row.ID, Values: t.db.versionValues(td, v)}
-		}
-		if !fn(r) {
-			return nil
-		}
-	}
-	return nil
+	return t.db.scanRegistered(table, t.resolve, fn)
 }
 
 // ScanIDs returns the row ids the transaction sees in insertion order.
-func (t *Txn) ScanIDs(table string) []RowID {
-	heads, _, err := t.db.collectHeads(table)
-	if err != nil {
-		return nil
-	}
-	out := make([]RowID, 0, len(heads))
-	for _, head := range heads {
-		if v := t.resolve(head); v != nil {
-			out = append(out, v.row.ID)
-		}
-	}
-	return out
-}
+func (t *Txn) ScanIDs(table string) []RowID { return t.db.idsRegistered(table, t.resolve) }
 
 // LookupEqual returns the ids of rows the transaction sees whose named
 // columns equal the given values. Index buckets may hold entries for
@@ -579,20 +535,8 @@ func (t *Txn) ValuesByName(table string, id RowID) (map[string]Value, error) {
 }
 
 // RowCount returns the number of rows the transaction sees in the
-// table. Unlike the live Database's O(1) counter this walks chains.
-func (t *Txn) RowCount(table string) int {
-	heads, _, err := t.db.collectHeads(table)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, head := range heads {
-		if t.resolve(head) != nil {
-			n++
-		}
-	}
-	return n
-}
+// table. Unlike the live Database's O(1) counter this walks the table.
+func (t *Txn) RowCount(table string) int { return len(t.ScanIDs(table)) }
 
 // TotalRows returns the number of rows across all tables the
 // transaction sees.

@@ -148,9 +148,9 @@ type RecoveryInfo struct {
 	// CheckpointSeq is the commit sequence of the recovered page
 	// directory (zero when the directory had no checkpoint state).
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
-	// CheckpointRows counts rows restored from the live pages as
-	// value-less stubs: recovery reads each page once for its row ids and
-	// index keys, and the values fault in on first read.
+	// CheckpointRows counts rows restored from the live pages, each
+	// page-only: recovery reads each page once for its row ids and index
+	// keys, and the values fault in on first read.
 	CheckpointRows int `json:"checkpoint_rows"`
 	// CheckpointDeltas counts page-directory records applied to rebuild
 	// the checkpoint state.
@@ -702,8 +702,8 @@ func (db *Database) OpenWAL(dir string, opts WALOptions) (*RecoveryInfo, error) 
 // be called before the members serve traffic.
 //
 // A member with earlier state in its page directory or the log has its
-// in-memory contents REPLACED: its live pages are read into value-less
-// row stubs (members in parallel), the log is read once and each
+// in-memory contents REPLACED: its live pages are read into page-only
+// rows (members in parallel), the log is read once and each
 // record's sub-records replay on their members (in parallel again) past
 // each member's checkpoint, and a torn tail is discarded. A fresh
 // member's current contents become its initial durable image: every
@@ -978,9 +978,6 @@ func (db *Database) resetStorage() {
 	db.nextRowID = 1
 	db.commitSeq.Store(0)
 	db.stampSeq.Store(0)
-	if db.pager != nil {
-		db.pager.rowSlot = make(map[string]map[RowID]uint32)
-	}
 }
 
 // replayTxn reapplies one committed transaction's row operations. The
@@ -997,7 +994,7 @@ func (db *Database) replayTxn(t walTxn) error {
 		td.markDirtyRow(op.id)
 		switch op.kind {
 		case walOpInsert:
-			if _, exists := td.rows[op.id]; exists {
+			if td.ref(op.id).found() {
 				return fmt.Errorf("%w: duplicate insert of %s rowid %d", errWALCorrupt, op.table, op.id)
 			}
 			v := newVersion(Row{ID: op.id, Values: op.values}, t.seq)
@@ -1010,30 +1007,30 @@ func (db *Database) replayTxn(t walTxn) error {
 			if op.id >= db.nextRowID {
 				db.nextRowID = op.id + 1
 			}
-		case walOpUpdate:
-			if _, ok := td.rows[op.id]; !ok {
-				return fmt.Errorf("%w: update of missing %s rowid %d", errWALCorrupt, op.table, op.id)
+		default:
+			// A page-only row takes a version of its page image first: the
+			// old values' index entries are derived from it.
+			old := db.materializeLocked(td, op.id)
+			if old == nil || old.end.Load() != liveSeq {
+				return fmt.Errorf("%w: op %c on missing %s rowid %d", errWALCorrupt, op.kind, op.table, op.id)
 			}
-			// A checkpoint-restored stub must fault its values in before
-			// the old version's index entries can be re-derived.
-			db.materializeLocked(td, op.id)
-			old := td.rows[op.id]
-			nv := newVersion(Row{ID: op.id, Values: op.values}, t.seq)
-			removeVersionEntries(td, op.id, old, nv)
-			td.rows[op.id] = nv
-			for _, ix := range td.indexes {
-				ix.insert(op.id, op.values)
+			if op.kind == walOpUpdate {
+				nv := newVersion(Row{ID: op.id, Values: op.values}, t.seq)
+				removeVersionEntries(td, op.id, old, nv)
+				td.rows[op.id] = nv
+				for _, ix := range td.indexes {
+					ix.insert(op.id, op.values)
+				}
+				continue
 			}
-		case walOpDelete:
-			if _, ok := td.rows[op.id]; !ok {
-				return fmt.Errorf("%w: delete of missing %s rowid %d", errWALCorrupt, op.table, op.id)
+			td.live--
+			if _, paged := td.rowSlot[op.id]; paged {
+				old.end.Store(t.seq) // the tombstone rule (pager.go)
+				continue
 			}
-			db.materializeLocked(td, op.id) // see walOpUpdate
-			old := td.rows[op.id]
 			removeVersionEntries(td, op.id, old, nil)
 			delete(td.rows, op.id)
 			td.dirty = true
-			td.live--
 		}
 	}
 	return nil
@@ -1068,7 +1065,7 @@ type ckptPass struct {
 // dirtied since the previous pass (plus the clean survivors sharing
 // their superseded pages) go into fresh copy-on-write pages under one
 // directory record, so the pause is O(dirty-pages), and freshly paged
-// clean rows may be demoted to value-less stubs. Crash-safe at every
+// rows every reader sees drop their versions. Crash-safe at every
 // step: pages are fsynced before the directory record naming them, and
 // a sealed segment is retired only once every member's durable
 // checkpoint has passed the highest sequence it holds for that member.
@@ -1154,10 +1151,10 @@ func (db *Database) installPages(p ckptPass) error {
 		db.mergeDirtyRows(p.dirty)
 		return err
 	}
-	// Publish with the snapshot still open: its registration blocks the
-	// reclaimer from dropping rows deleted after the pin before their
-	// page mappings are cleared.
-	db.applyPagePlacements(p.seq, placements, plan)
+	// Publish with the snapshot still open: its registration keeps the
+	// reclaim horizon at or below the pinned sequence, so the apply drops
+	// only versions whose image this pass installed.
+	db.applyPagePlacements(placements, plan)
 	p.snap.Close()
 	db.checkpointSeq.Store(p.seq)
 	return nil

@@ -81,7 +81,8 @@ func TestBatchItemMatchesSingleResponse(t *testing.T) {
 // TestHotHandlerAllocs bounds the allocations of a plan-cached /check
 // and a four-update /check-batch served through Handler(), counting the
 // test's own request and recorder (12 allocations). Through
-// encoding/json the same requests took 38 and 94.
+// encoding/json the same requests took 38 and 94. The bounds hold
+// without the race detector, which drops pooled buffers at random.
 func TestHotHandlerAllocs(t *testing.T) {
 	reg := NewRegistry()
 	if _, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"}); err != nil {
@@ -113,7 +114,7 @@ func TestHotHandlerAllocs(t *testing.T) {
 		for i := 0; i < 3; i++ { // warm the plan cache and the pools
 			tc.serve()
 		}
-		if n := testing.AllocsPerRun(200, tc.serve); n > tc.max {
+		if n := testing.AllocsPerRun(200, tc.serve); n > tc.max && !raceEnabled {
 			t.Errorf("%s allocates %.0f times per request, want <= %.0f", tc.name, n, tc.max)
 		}
 	}

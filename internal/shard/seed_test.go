@@ -48,7 +48,7 @@ func digestOf(t *testing.T, rd relational.Reader) seedDigest {
 // same ids in the same scan order, unsharded; and at 4 shards the same
 // rows on the same shards under the same ids — in memory, streamed into
 // a durable directory (batched transactions, checkpoint passes, rows
-// demoted to stubs behind a small pool), and again after reopening that
+// left page-only behind a small pool), and again after reopening that
 // directory.
 func TestStreamedSeedMatchesParentFixture(t *testing.T) {
 	raw, err := os.ReadFile("testdata/tpch100_seed.json")

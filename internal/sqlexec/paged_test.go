@@ -8,7 +8,7 @@ import (
 )
 
 // TestProbeFaultsEachRowOnce: a snapshot probe over paged rows pays one
-// buffer-pool Get per stub row it reads — the lookup that verifies a
+// buffer-pool Get per page-only row it reads — the lookup that verifies a
 // row's key hands its values to the join, which does not fetch the row
 // again — with the index probes the plan always issued. A second pass,
 // its pages resident in a pool large enough to hold them, misses nothing.
@@ -33,7 +33,7 @@ func TestProbeFaultsEachRowOnce(t *testing.T) {
 		}
 	}
 	// Opening a log over a populated database checkpoints every row and
-	// demotes it to a stub: each read of a row below faults its page.
+	// drops its version: each read of a row below faults its page.
 	if _, err := db.OpenWAL(t.TempDir(), relational.WALOptions{PageCacheBytes: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestProbeFaultsEachRowOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// P1 has one publisher row, three books and six reviews: ten stub
+	// P1 has one publisher row, three books and six reviews: ten page-only
 	// rows read through five index probes (the publisher, its books, one
 	// per book for the reviews).
 	const rowsRead, indexProbes, reviews = 1 + 3 + 6, 1 + 1 + 3, 6
@@ -84,7 +84,7 @@ func TestProbeFaultsEachRowOnce(t *testing.T) {
 		return st1.PagecacheHits - st0.PagecacheHits + misses, misses
 	}
 	if gets, misses := pass(1); gets != rowsRead || misses == 0 {
-		t.Errorf("first pass: %d pool Gets (%d misses), want one per stub row read (%d), some missing", gets, misses, rowsRead)
+		t.Errorf("first pass: %d pool Gets (%d misses), want one per page-only row read (%d), some missing", gets, misses, rowsRead)
 	}
 	if gets, misses := pass(2); gets != rowsRead || misses != 0 {
 		t.Errorf("second pass: %d pool Gets, %d misses; want %d Gets, all hits", gets, misses, rowsRead)
