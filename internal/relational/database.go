@@ -101,14 +101,16 @@ func (v *rowVersion) visibleAt(seq uint64) *rowVersion {
 // tableData is the storage for a single relation: row version chains,
 // the page slots of checkpointed rows, and maintained hash indexes.
 //
-// Index entries are inserted when a version is created and removed only
-// when the version is rolled back (uncommitted versions are invisible
-// to everyone, so eager removal is safe) or reclaimed (no snapshot can
-// see them anymore). Between a delete/update and the reclaim, an index
-// bucket may therefore hold ids whose current values no longer match
-// the key; every index consumer re-verifies the resolved version's
-// values against the probe, which is also what makes index lookups
-// correct for snapshot readers.
+// An index maps the hash of a row's key to its id (see hashIndex).
+// Entries are inserted when a version is created and removed only when
+// the version is rolled back (uncommitted versions are invisible to
+// everyone, so eager removal is safe) or reclaimed (no snapshot can see
+// them anymore). A bucket is therefore a candidate set: it may hold ids
+// whose current values no longer match the key — between a
+// delete/update and the reclaim — and ids whose key only shares the
+// probe's hash. Every index consumer re-verifies the resolved version's
+// values against the probe, which makes index lookups exact for
+// snapshot readers and under collisions alike.
 type tableData struct {
 	def     *TableDef
 	rows    map[RowID]*rowVersion // head = newest version
@@ -116,6 +118,7 @@ type tableData struct {
 	order   []RowID               // insertion order, for deterministic scans
 	indexes []*hashIndex
 	pkIndex *hashIndex // nil when the table has no primary key
+	fkCols  [][]int    // column positions of each of def.ForeignKeys, in order
 	live    int        // heads a latest writer-side count sees (approximate under concurrency)
 	dirty   bool       // order slice needs compaction (rows were reclaimed)
 
@@ -437,6 +440,7 @@ func buildTableStorage(schema *Schema) map[string]*tableData {
 		}
 		for _, fk := range t.ForeignKeys {
 			cols := mustColumnIndexes(t, fk.Columns)
+			td.fkCols = append(td.fkCols, cols)
 			if !hasIndexOn(td, cols) {
 				td.indexes = append(td.indexes, newHashIndex(indexName(t.Name, fk.Columns), cols, false))
 			}
@@ -710,8 +714,9 @@ func RowIDs(rows []Row, err error) ([]RowID, error) {
 // keep ids of versions this reader may not see) and returned with the
 // id (appendMatch). lookupLocked finishes under the caller's latch;
 // lookupRegistered drops it first. The column positions are appended to
-// cols, a caller's buffer.
-func (db *Database) lookupCandidatesLocked(table string, columns []string, values []Value, cols []int) (*tableData, []int, []RowID, error) {
+// cols and a bucket's single id is returned in one: buffers the caller
+// owns.
+func (db *Database) lookupCandidatesLocked(table string, columns []string, values []Value, cols []int, one *[1]RowID) (*tableData, []int, []RowID, error) {
 	td, err := db.tableData(table)
 	if err != nil {
 		return nil, nil, nil, err
@@ -724,7 +729,7 @@ func (db *Database) lookupCandidatesLocked(table string, columns []string, value
 		cols = append(cols, idx)
 	}
 	if ix := td.findIndex(cols); ix != nil {
-		return td, cols, ix.lookup(cols, values), nil
+		return td, cols, ix.lookup(cols, values, one), nil
 	}
 	return td, cols, td.order, nil
 }
@@ -733,7 +738,8 @@ func (db *Database) lookupCandidatesLocked(table string, columns []string, value
 // Database's latest read and the write paths' key checks.
 func (db *Database) lookupLocked(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
 	var colBuf [4]int
-	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0])
+	var one [1]RowID
+	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0], &one)
 	if err != nil {
 		return nil, err
 	}
@@ -749,9 +755,10 @@ func (db *Database) lookupLocked(table string, columns []string, values []Value,
 // faulted after it is dropped.
 func (db *Database) lookupRegistered(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
 	var colBuf [4]int
+	var one [1]RowID
 	var refBuf [8]rowRef // most buckets: no allocation
 	db.mu.RLock()
-	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0])
+	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0], &one)
 	if err != nil {
 		db.mu.RUnlock()
 		return nil, err
@@ -949,7 +956,8 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			}
 			return true
 		}
-		for _, id := range ix.entries[key] {
+		var one [1]RowID
+		for _, id := range ix.bucket(key, &one) {
 			if id == exclude {
 				continue
 			}
@@ -1012,18 +1020,18 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 // isolation without FK locks, a concurrently committed delete of the
 // parent can produce write skew; ROADMAP records the deferral.)
 func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) error {
-	for _, fk := range td.def.ForeignKeys {
-		cols := mustColumnIndexes(td.def, fk.Columns)
-		vals := make([]Value, len(cols))
-		anyNull := false
-		for i, c := range cols {
-			vals[i] = values[c]
-			if vals[i].IsNull() {
-				anyNull = true
+	for i, fk := range td.def.ForeignKeys {
+		var valBuf [4]Value
+		vals := valBuf[:0]
+		for _, c := range td.fkCols[i] {
+			if values[c].IsNull() {
+				vals = nil // SQL: NULL FK components opt out of the check
+				break
 			}
+			vals = append(vals, values[c])
 		}
-		if anyNull {
-			continue // SQL: NULL FK components opt out of the check
+		if vals == nil {
+			continue
 		}
 		refs, err := db.lookupLocked(fk.RefTable, fk.RefColumns, vals, t.resolve)
 		if err != nil {

@@ -120,3 +120,34 @@ func BenchmarkColdRowFootprint(b *testing.B) {
 	b.ReportMetric(heapPerRow, "heap_B/row")
 	b.ReportMetric(reclaimUs, "reclaim_us")
 }
+
+// TestLineitemInsertAllocs pins what an autocommitted lineitem insert
+// allocates (tpch MB 1, in memory). The foreign key's column positions
+// are computed once per table and its probe values live on the stack,
+// so checking lineitem_orders_fk allocates only its lookup's result; an
+// index key is a hash, so it allocates no key string, and a unique
+// key's entry no bucket.
+func TestLineitemInsertAllocs(t *testing.T) {
+	db, err := tpch.NewDatabaseMB(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := map[string]relational.Value{
+		"l_orderkey":      relational.Int_(0),
+		"l_partkey":       relational.Int_(7),
+		"l_quantity":      relational.Float_(3),
+		"l_extendedprice": relational.Float_(12.5),
+		"l_comment":       relational.String_("pinned"),
+	}
+	line := int64(1000)
+	n := testing.AllocsPerRun(200, func() {
+		line++
+		row["l_linenumber"] = relational.Int_(line)
+		if _, err := db.Insert("lineitem", row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 7 {
+		t.Fatalf("a lineitem insert allocates %v times, want at most 7", n)
+	}
+}

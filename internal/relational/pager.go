@@ -501,7 +501,7 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			td.rowSlot = make(map[RowID]uint32, hint)
 			for _, ix := range td.indexes {
 				if ix.unique {
-					ix.entries = make(map[string][]RowID, hint)
+					ix.one = make(map[uint64]RowID, hint)
 				}
 				for _, c := range ix.columns {
 					if c >= len(st.want) {

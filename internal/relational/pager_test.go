@@ -455,11 +455,15 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	}
 	mix(40) // the tail recovery replays over the pages
 	db.Reclaim()
-	buckets := func(db *Database) map[string]map[string][]RowID {
-		out := map[string]map[string][]RowID{}
+	type entries struct {
+		One  map[uint64]RowID
+		Many map[uint64][]RowID
+	}
+	buckets := func(db *Database) map[string]entries {
+		out := map[string]entries{}
 		for _, td := range db.tables {
 			for _, ix := range td.indexes {
-				out[ix.name] = maps.Clone(ix.entries)
+				out[ix.name] = entries{maps.Clone(ix.one), maps.Clone(ix.many)}
 			}
 		}
 		return out
