@@ -1,9 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -144,4 +150,71 @@ func TestStatDeclarations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeclaredOnce holds the declare-once rule to its two readers: no
+// non-test Go outside metrics.go (and bench/, which reads the wire)
+// spells a ufilterd_ metric name, and metrics.go hands whole statistics
+// structs to relational.WriteStats instead of reading their fields — it
+// selects no field of DBStats or ShardStat, nothing through
+// Filter.Database, and nothing through .Versions.
+func TestDeclaredOnce(t *testing.T) {
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == ".git" || path == filepath.Join(root, "bench")):
+			return filepath.SkipDir
+		case d.IsDir() || filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") ||
+			path == filepath.Join(root, "internal", "server", "metrics.go"):
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if bytes.Contains(data, []byte("ufilterd_")) {
+			t.Errorf("%s spells a ufilterd_ metric name outside internal/server/metrics.go", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fields := map[string]bool{}
+	for _, typ := range []reflect.Type{reflect.TypeFor[relational.DBStats](), reflect.TypeFor[relational.ShardStat]()} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && !f.Anonymous {
+				fields[f.Name] = true
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("DBStats and ShardStat declare no fields")
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "metrics.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(e ast.Expr) string {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			return sel.Sel.Name
+		}
+		return ""
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		switch {
+		case fields[sel.Sel.Name]:
+			t.Errorf("%s: metrics.go reads the engine statistic field %s", fset.Position(sel.Pos()), sel.Sel.Name)
+		case name(sel.X) == "Versions":
+			t.Errorf("%s: metrics.go reads .Versions.%s", fset.Position(sel.Pos()), sel.Sel.Name)
+		case name(sel.X) == "Database" && name(sel.X.(*ast.SelectorExpr).X) == "Filter":
+			t.Errorf("%s: metrics.go reads Filter.Database.%s", fset.Position(sel.Pos()), sel.Sel.Name)
+		}
+		return true
+	})
 }

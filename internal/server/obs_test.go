@@ -93,7 +93,7 @@ func TestUntracedApplyShapeUnchanged(t *testing.T) {
 }
 
 // TestSlowEndpoint: after traffic, /views/{name}/slow serves the
-// slowest recent traces with stage spans, slowest first.
+// slowest recent traces, slowest first, the first with stage spans.
 func TestSlowEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	for i := 0; i < 5; i++ {
@@ -114,6 +114,9 @@ func TestSlowEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/views/book/slow", &out)
 	if out.View != "book" || out.Count == 0 || len(out.Slow) != out.Count {
 		t.Fatalf("slow ring empty after traffic: %+v", out)
+	}
+	if len(out.Slow[0].Spans) == 0 {
+		t.Fatalf("slowest trace carries no spans: %+v", out.Slow[0])
 	}
 	for i := 1; i < len(out.Slow); i++ {
 		if out.Slow[i].TotalNs > out.Slow[i-1].TotalNs {
