@@ -1,17 +1,16 @@
-package relational
+package obs
 
 import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
-
-	"repro/internal/obs"
 )
 
-// A statistic is declared once, by tags on its field of DBStats,
-// VersionStats or ShardStat:
+// A statistic is declared once, by tags on its field of a statistics
+// struct (relational.DBStats, the server's ViewStats, ...):
 //
 //	Fsyncs int64 `json:"fsyncs_total" stat:"wal_fsyncs_total,counter,sum" help:"…"`
 //
@@ -21,7 +20,8 @@ import (
 // histogram's sum merges its buckets) and, with "shard", that the family
 // is also exported per shard. Kind "label" ("shard,label") makes the
 // field a label of its series instead. A field whose json name ends in
-// _ns holds nanoseconds and exports as seconds.
+// _ns holds nanoseconds and exports as seconds. An untagged struct field
+// is descended into: its own tagged fields are the parent's too.
 type statField struct {
 	index        []int
 	family, kind string
@@ -40,6 +40,12 @@ func statFields(t reflect.Type) []statField {
 	var out []statField
 	for _, f := range reflect.VisibleFields(t) {
 		tag, ok := f.Tag.Lookup("stat")
+		if !ok && !f.Anonymous && f.IsExported() && f.Type.Kind() == reflect.Struct {
+			for _, sub := range statFields(f.Type) {
+				sub.index = append(slices.Clone(f.Index), sub.index...)
+				out = append(out, sub)
+			}
+		}
 		if !ok || f.Anonymous {
 			continue
 		}
@@ -56,9 +62,8 @@ func statFields(t reflect.Type) []statField {
 }
 
 // FoldStats folds parts field by field as their stat tags say. A shard
-// group's statistics are the fold of its shards' and its log's own
-// (WAL.Stats); a snapshot vector's version statistics are the fold of
-// its shards'.
+// group's statistics are the fold of its shards' and its log's own; a
+// snapshot vector's version statistics are the fold of its shards'.
 func FoldStats[T any](parts ...T) T {
 	var out T
 	dst := reflect.ValueOf(&out).Elem()
@@ -76,8 +81,12 @@ func FoldStats[T any](parts ...T) T {
 				d.SetUint(max(d.Uint(), s.Uint()))
 			case d.CanUint():
 				d.SetUint(d.Uint() + s.Uint())
+			case d.CanFloat() && f.max:
+				d.SetFloat(max(d.Float(), s.Float()))
+			case d.CanFloat():
+				d.SetFloat(d.Float() + s.Float())
 			default: // histograms of one shape: merging cannot fail
-				_ = d.Addr().Interface().(*obs.Snapshot).Merge(s.Interface().(obs.Snapshot))
+				_ = d.Addr().Interface().(*Snapshot).Merge(s.Interface().(Snapshot))
 			}
 		}
 	}
@@ -112,7 +121,7 @@ func WriteStats[T any](w io.Writer, prefix string, perShard bool, series []StatS
 		}
 		name := prefix + f.family
 		if f.kind == "histogram" {
-			obs.WritePromHeader(w, name, f.help)
+			WritePromHeader(w, name, f.help)
 		} else {
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.kind)
 		}
@@ -123,8 +132,10 @@ func WriteStats[T any](w io.Writer, prefix string, perShard bool, series []StatS
 				x = float64(v.Int())
 			case v.CanUint():
 				x = float64(v.Uint())
+			case v.CanFloat():
+				x = v.Float()
 			default:
-				obs.WriteProm(w, name, labels[i], v.Interface().(obs.Snapshot))
+				WriteProm(w, name, labels[i], v.Interface().(Snapshot))
 				continue
 			}
 			if f.seconds {

@@ -52,20 +52,20 @@ func NewCache() *Cache {
 type CacheStats struct {
 	// Hits counts checks and applies answered off a resident plan by
 	// binding the update's values against it.
-	Hits int64 `json:"hits"`
+	Hits int64 `json:"hits" stat:"cache_hits_total,counter,sum" help:"Checks and applies answered off a resident plan (stored text verdict or bind-time derivation)."`
 	// Misses counts template compilations and nothing else. Once the
 	// traffic's templates are resident the hit rate reads ~1 whatever
 	// the values are; Plans and the compile histogram's count are the
 	// numbers that show how many templates the traffic has.
-	Misses int64 `json:"misses"`
+	Misses int64 `json:"misses" stat:"cache_misses_total,counter,sum" help:"Template compilations (the plan cache's only kind of miss)."`
 	// TemplateEntries is the current cache size.
-	TemplateEntries int `json:"template_entries"`
+	TemplateEntries int `json:"template_entries" stat:",gauge,sum"`
 	// Plans counts the compiled UpdatePlans currently cached — one per
 	// template entry.
-	Plans int `json:"plans"`
+	Plans int `json:"plans" stat:"plan_cache_plans,gauge,sum" help:"Compiled update plans currently cached: one per update template."`
 	// PlanApplies counts text applies (Apply, ApplyBatch) executed off
 	// a cached compiled plan.
-	PlanApplies int64 `json:"plan_applies"`
+	PlanApplies int64 `json:"plan_applies" stat:"plan_applies_total,counter,sum" help:"Applies executed off a cached compiled plan."`
 }
 
 // HitRate returns Hits/(Hits+Misses), 0 when empty.

@@ -190,12 +190,12 @@ func conflictBackoff(n int) {
 type WriteStats struct {
 	// Retries counts apply attempts re-run after a write-write
 	// conflict.
-	Retries int64 `json:"retries"`
+	Retries int64 `json:"retries" stat:"txn_retries_total,counter,sum" help:"Apply attempts re-run after a write-write conflict."`
 	// ConflictedApplies counts applies that hit at least one conflict.
-	ConflictedApplies int64 `json:"conflicted_applies"`
+	ConflictedApplies int64 `json:"conflicted_applies" stat:",counter,sum"`
 	// Exhausted counts applies that ran out of retries and surfaced
 	// ErrWriteConflict to the caller (ufilterd answers 409).
-	Exhausted int64 `json:"exhausted"`
+	Exhausted int64 `json:"exhausted" stat:",counter,sum"`
 }
 
 // WriteStats snapshots the write-path counters; safe under traffic.

@@ -300,7 +300,7 @@ var (
 
 // DBStats is a point-in-time snapshot of the database's statistics.
 // Each field is declared once: its stat tag names its /metrics family,
-// kind and fold (see FoldStats) and its help tag describes it. Every
+// kind and fold (see obs.FoldStats) and its help tag describes it. Every
 // field is read atomically (or under its own short mutex), so a snapshot
 // may be taken while other goroutines are mutating the database. The
 // log's own counters (segments, bytes, fsyncs, durable commit groups and
@@ -373,7 +373,7 @@ func (db *Database) Stats() DBStats {
 	st.PagecacheHits, st.PagecacheMisses, st.PagecacheEvictions = int64(ps.Hits), int64(ps.Misses), int64(ps.Evictions)
 	st.PagesTotal, st.CompactionPagesWritten = int64(ss.PagesTotal), int64(ss.PagesWritten)
 	if len(w.members) == 1 {
-		return FoldStats(st, w.Stats())
+		return obs.FoldStats(st, w.Stats())
 	}
 	return st
 }

@@ -74,7 +74,7 @@ type Engine interface {
 	// stage share flushes; it remains for callers holding several
 	// finished transactions at once.
 	CommitShared(txns []WriteTxn) []error
-	// Stats folds every statistic (see FoldStats); ShardStats reports
+	// Stats folds every statistic (see obs.FoldStats); ShardStats reports
 	// one rollup per storage shard (one for a plain Database).
 	Stats() DBStats
 	ShardStats() []ShardStat

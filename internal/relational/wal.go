@@ -1274,7 +1274,7 @@ func (w *WAL) Close() error {
 // Stats reports the log's own counters — segments, bytes, fsyncs, the
 // commit groups and transactions its writer stage published, checkpoint
 // passes, the pipeline gauge and the fsync and pause histograms; every other field is zero. It is one more part of its
-// members' FoldStats.
+// members' obs.FoldStats.
 func (w *WAL) Stats() DBStats {
 	w.mu.Lock()
 	live := int64(len(w.sealed)) // sealed but not yet retired ...

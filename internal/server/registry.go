@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -164,9 +165,6 @@ type View struct {
 	// Tests substitute a blocking function to exercise backpressure
 	// deterministically.
 	applyFn func(context.Context, string) (*ufilter.Result, error)
-	// applyBatchFn runs the group-commit batch pipeline; defaults to
-	// Filter.ApplyBatch.
-	applyBatchFn func([]string) []ufilter.BatchResult
 }
 
 // SeedInfo describes one streamed dataset load and its wall time.
@@ -179,9 +177,6 @@ type SeedInfo struct {
 // requests allowed to be running-or-waiting before load shedding).
 func (v *View) QueueCapacity() int { return cap(v.queue) }
 
-// QueueLen returns the number of admission slots currently held.
-func (v *View) QueueLen() int { return len(v.queue) }
-
 // tryAcquire claims an apply admission slot without blocking.
 func (v *View) tryAcquire() bool {
 	select {
@@ -190,6 +185,19 @@ func (v *View) tryAcquire() bool {
 	default:
 		return false
 	}
+}
+
+// admit claims an admission slot for an apply, or counts the shed and
+// returns the *shedError the client is answered with.
+func (v *View) admit(ctx context.Context) error {
+	endAdmit := obs.FromContext(ctx).StartSpan("admission")
+	admitted := v.tryAcquire()
+	endAdmit()
+	if admitted {
+		return nil
+	}
+	v.appliesOverflow.Add(1)
+	return &shedError{view: v.Name, depth: cap(v.queue), retryAfter: int(v.retryAfter() / time.Second)}
 }
 
 func (v *View) release() { <-v.queue }
@@ -296,33 +304,22 @@ func (v *View) Check(ctx context.Context, update string) (*ufilter.Result, error
 	return res, err
 }
 
-// CheckBatch fans a batch across the filter's worker pool. The batch
-// runs under one "execute" span — the filter-level fan-out does not
-// thread per-item contexts, so the trace shows the batch as a unit.
-func (v *View) CheckBatch(ctx context.Context, updates []string, workers int) []ufilter.BatchResult {
-	v.checks.Add(int64(len(updates)))
-	endRun := obs.FromContext(ctx).StartSpan("execute")
-	start := time.Now()
-	out := v.Filter.CheckBatch(updates, workers)
-	endRun()
-	v.checkBatchHist.RecordDuration(time.Since(start))
-	for _, br := range out {
-		if br.Err != nil {
-			v.checkErrors.Add(1)
-		}
+// CheckBatch fans a batch across the filter's worker pool. With data it
+// pins one database snapshot for the whole batch and runs the
+// snapshot-isolated data check (Steps 1+2 plus read-only Step 3 probes)
+// on every update: the batch observes a single point-in-time state and
+// never waits behind an in-flight apply. The batch runs under one
+// "execute" span — the filter-level fan-out does not thread per-item
+// contexts, so the trace shows the batch as a unit.
+func (v *View) CheckBatch(ctx context.Context, updates []string, workers int, data bool) []ufilter.BatchResult {
+	check := v.Filter.CheckBatch
+	if data {
+		check = v.Filter.CheckBatchData
 	}
-	return out
-}
-
-// CheckBatchData pins one database snapshot for the whole batch and
-// runs the snapshot-isolated data check (Steps 1+2 plus read-only
-// Step 3 probes) on every update: the batch observes a single
-// point-in-time state and never waits behind an in-flight apply.
-func (v *View) CheckBatchData(ctx context.Context, updates []string, workers int) []ufilter.BatchResult {
 	v.checks.Add(int64(len(updates)))
 	endRun := obs.FromContext(ctx).StartSpan("execute")
 	start := time.Now()
-	out := v.Filter.CheckBatchData(updates, workers)
+	out := check(updates, workers)
 	endRun()
 	v.checkBatchHist.RecordDuration(time.Since(start))
 	for _, br := range out {
@@ -335,17 +332,12 @@ func (v *View) CheckBatchData(ctx context.Context, updates []string, workers int
 
 // Apply admits one full-pipeline update if a concurrency slot is
 // free; admitted applies execute in parallel, each in its own
-// transaction. ok is false when the limiter is saturated; the caller
-// should shed the request with the returned retry hint. An err
-// wrapping relational.ErrWriteConflict means the apply exhausted its
-// conflict retries (the handler answers 409).
-func (v *View) Apply(ctx context.Context, update string) (res *ufilter.Result, retry time.Duration, ok bool, err error) {
-	endAdmit := obs.FromContext(ctx).StartSpan("admission")
-	admitted := v.tryAcquire()
-	endAdmit()
-	if !admitted {
-		v.appliesOverflow.Add(1)
-		return nil, v.retryAfter(), false, nil
+// transaction. A saturated limiter sheds the request with a *shedError
+// carrying the retry hint. An err wrapping relational.ErrWriteConflict
+// means the apply exhausted its conflict retries.
+func (v *View) Apply(ctx context.Context, update string) (res *ufilter.Result, err error) {
+	if err := v.admit(ctx); err != nil {
+		return nil, err
 	}
 	defer v.release()
 	start := time.Now()
@@ -357,32 +349,28 @@ func (v *View) Apply(ctx context.Context, update string) (res *ufilter.Result, r
 		if errors.Is(err, relational.ErrWriteConflict) {
 			v.appliesConflict.Add(1)
 		}
+		err = fmt.Errorf("apply on view %q: %w", v.Name, err)
 	case res.Accepted:
 		v.appliesAccepted.Add(1)
 	default:
 		v.appliesRejected.Add(1)
 	}
-	return res, 0, true, err
+	return res, err
 }
 
 // ApplyBatch admits a whole batch under ONE concurrency slot — the
 // batch is one transaction-sized unit of work — and runs it through
 // the filter's group-commit path (one shared transaction, one log
 // flush for all accepted updates; conflicted items retry in follow-up
-// rounds). ok is false when the limiter is saturated. The per-update
-// wall time feeds the same drain-rate estimate single applies use.
-func (v *View) ApplyBatch(ctx context.Context, updates []string) (results []ufilter.BatchResult, retry time.Duration, ok bool) {
-	endAdmit := obs.FromContext(ctx).StartSpan("admission")
-	admitted := v.tryAcquire()
-	endAdmit()
-	if !admitted {
-		v.appliesOverflow.Add(1)
-		return nil, v.retryAfter(), false
+// rounds). A saturated limiter sheds the batch as Apply sheds.
+func (v *View) ApplyBatch(ctx context.Context, updates []string) ([]ufilter.BatchResult, error) {
+	if err := v.admit(ctx); err != nil {
+		return nil, err
 	}
 	defer v.release()
 	endRun := obs.FromContext(ctx).StartSpan("execute")
 	start := time.Now()
-	results = v.applyBatchFn(updates)
+	results := v.Filter.ApplyBatch(updates)
 	endRun()
 	v.applyBatchHist.RecordDuration(time.Since(start))
 	v.applies.Add(int64(len(updates)))
@@ -396,16 +384,18 @@ func (v *View) ApplyBatch(ctx context.Context, updates []string) (results []ufil
 			v.appliesRejected.Add(1)
 		}
 	}
-	return results, 0, true
+	return results, nil
 }
 
-// ViewStats is the wire form of GET /views/{name}/stats.
+// ViewStats is the wire form of GET /views/{name}/stats, and what
+// /metrics renders: a field's stat tag declares its family (see
+// obs.WriteStats), and the untagged structs under it declare theirs.
 type ViewStats struct {
 	View        string     `json:"view"`
 	Dataset     string     `json:"dataset"`
 	Strategy    string     `json:"strategy"`
-	Checks      int64      `json:"checks"`
-	CheckErrors int64      `json:"check_errors"`
+	Checks      int64      `json:"checks" stat:"checks_total,counter,sum" help:"Schema-level checks served."`
+	CheckErrors int64      `json:"check_errors" stat:"check_errors_total,counter,sum" help:"Checks that failed to parse or errored."`
 	Applies     ApplyStats `json:"applies"`
 	Queue       QueueStats `json:"queue"`
 	// QueueDepth is the number of apply requests currently
@@ -413,7 +403,7 @@ type ViewStats struct {
 	// from (the queue's capacity is Queue.Depth).
 	QueueDepth   int           `json:"queue_depth"`
 	Filter       ufilter.Stats `json:"filter"`
-	CacheHitRate float64       `json:"cache_hit_rate"`
+	CacheHitRate float64       `json:"cache_hit_rate" stat:"cache_hit_rate,gauge,max" help:"hits/(hits+misses); ~1 once the traffic's templates are resident, whatever the values."`
 	// TxnConflictsTotal / TxnRetriesTotal / TxnsActive surface the
 	// parallel write path at the top level: write-write conflicts the
 	// engine detected, apply attempts re-run after a conflict, and
@@ -423,15 +413,15 @@ type ViewStats struct {
 	TxnsActive        int64 `json:"txns_active"`
 	// CheckLatency / ApplyLatency summarize the per-endpoint end-to-end
 	// latency histograms (quantiles estimated from the log-scaled
-	// buckets; the full distributions are on /metrics).
+	// buckets; /metrics carries the full distributions, Requests).
 	CheckLatency LatencyStats `json:"check_latency"`
 	ApplyLatency LatencyStats `json:"apply_latency"`
 	// RowsTotal is the database size counted through a snapshot pinned
 	// for this stats request, so the number is a coherent point-in-time
 	// count even while an apply is mutating tables.
-	RowsTotal int `json:"rows_total"`
+	RowsTotal int `json:"rows_total" stat:"rows_total,gauge,sum" help:"Rows visible through a snapshot pinned for this scrape."`
 	// Shards is the view's storage shard count (1 = unsharded).
-	Shards int `json:"shards"`
+	Shards int `json:"shards" stat:"shards,gauge,max" help:"Storage shards backing the view (1 = unsharded)."`
 	// ShardStats carries the per-shard statistics rollups for sharded
 	// views (omitted when Shards is 1).
 	ShardStats []relational.ShardStat `json:"shard_stats,omitempty"`
@@ -439,26 +429,41 @@ type ViewStats struct {
 	// counts and chain depth (snapshot and reclaim counters are under
 	// filter.database).
 	Versions relational.VersionStats `json:"versions"`
+
+	// The histograms are /metrics only: the endpoints' latency
+	// (per-endpoint series), the single applies' again as the
+	// Retry-After source, and the plan layer's.
+	Requests    []EndpointLatency `json:"-"`
+	ApplyHist   obs.Snapshot      `json:"-" stat:"apply_latency_seconds,histogram,sum" help:"End-to-end single-apply latency (the Retry-After p90 source)."`
+	CompileHist obs.Snapshot      `json:"-" stat:"plan_compile_seconds,histogram,sum" help:"Full plan compilation time (one per template: resolve + STAR + artifacts)."`
+	RetriesHist obs.Snapshot      `json:"-" stat:"txn_retries_per_apply,histogram,sum" help:"Conflict-retry attempts per finished apply (bucket 0 = conflict-free)."`
+	CommitWait  obs.Snapshot      `json:"-" stat:"commit_wait_seconds,histogram,sum" help:"Wait inside an apply's Commit, from the call to the published acknowledgment, fsync included."`
+}
+
+// EndpointLatency is one endpoint's end-to-end latency distribution.
+type EndpointLatency struct {
+	Endpoint string       `json:"endpoint" stat:"endpoint,label"`
+	Latency  obs.Snapshot `json:"-" stat:"request_duration_seconds,histogram,sum" help:"End-to-end request latency per endpoint."`
 }
 
 // ApplyStats breaks down the full-pipeline traffic.
 type ApplyStats struct {
-	Total    int64 `json:"total"`
-	Accepted int64 `json:"accepted"`
-	Rejected int64 `json:"rejected"`
+	Total    int64 `json:"total" stat:"applies_total,counter,sum" help:"Full-pipeline applies executed."`
+	Accepted int64 `json:"accepted" stat:"applies_accepted_total,counter,sum" help:"Applies accepted and committed."`
+	Rejected int64 `json:"rejected" stat:"applies_rejected_total,counter,sum" help:"Applies rejected by the pipeline."`
 	// Batches counts group-commit apply-batch calls (each covering
 	// many updates under one transaction and one log flush).
-	Batches int64 `json:"batches"`
+	Batches int64 `json:"batches" stat:"apply_batches_total,counter,sum" help:"Group-commit apply-batch calls."`
 	// Conflicted counts applies answered 409 Conflict (write-write
 	// conflict retries exhausted).
-	Conflicted int64 `json:"conflicted"`
+	Conflicted int64 `json:"conflicted" stat:"apply_conflict_409_total,counter,sum" help:"Applies answered 409 after exhausting conflict retries."`
 }
 
 // QueueStats reports the admission queue's shape and shed count.
 type QueueStats struct {
-	Depth    int   `json:"depth"`
-	InFlight int   `json:"in_flight"`
-	Shed     int64 `json:"shed"`
+	Depth    int   `json:"depth" stat:"apply_queue_depth,gauge,sum" help:"Apply concurrency limiter capacity."`
+	InFlight int   `json:"in_flight" stat:"apply_queue_in_flight,gauge,sum" help:"Apply slots currently held."`
+	Shed     int64 `json:"shed" stat:"apply_queue_shed_total,counter,sum" help:"Applies shed with 429 by the concurrency limiter."`
 }
 
 // LatencyStats is the wire summary of one latency histogram.
@@ -492,6 +497,7 @@ func (v *View) Stats() ViewStats {
 	if shards == 1 {
 		shardStats = nil // an unsharded view omits the per-shard block
 	}
+	checks, applies := v.checkHist.Snapshot(), v.applyHist.Snapshot()
 	return ViewStats{
 		View:        v.Name,
 		Dataset:     v.Dataset,
@@ -516,12 +522,22 @@ func (v *View) Stats() ViewStats {
 		QueueDepth:   len(v.queue),
 		Filter:       fs,
 		CacheHitRate: fs.Cache.HitRate(),
-		CheckLatency: latencyStats(v.checkHist.Snapshot()),
-		ApplyLatency: latencyStats(v.applyHist.Snapshot()),
+		CheckLatency: latencyStats(checks),
+		ApplyLatency: latencyStats(applies),
 		RowsTotal:    versions.VisibleRows,
 		Shards:       shards,
 		ShardStats:   shardStats,
 		Versions:     versions,
+		Requests: []EndpointLatency{
+			{"check", checks},
+			{"check-batch", v.checkBatchHist.Snapshot()},
+			{"apply", applies},
+			{"apply-batch", v.applyBatchHist.Snapshot()},
+		},
+		ApplyHist:   applies,
+		CompileHist: v.Filter.Obs.Compile.Snapshot(),
+		RetriesHist: v.Filter.Obs.Retries.Snapshot(),
+		CommitWait:  v.Filter.Obs.CommitWait.Snapshot(),
 	}
 }
 
@@ -558,41 +574,46 @@ func NewRegistry() *Registry {
 	return &Registry{views: make(map[string]*View)}
 }
 
-// validViewName reports whether a name can round-trip through the
-// /views/{name}/... route patterns (one path segment, no escaping).
-func validViewName(name string) bool {
-	if name == "" || name == "." || name == ".." { // the name is also a directory under DataDir
-		return false
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
+// viewName is what a view name must match to round-trip through the
+// /views/{name}/... route patterns (one path segment, no escaping);
+// "." and ".." are refused too, the name being a directory under DataDir.
+var viewName = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 
 // Add compiles and registers a view from its configuration. The name
-// must be a single path segment ([A-Za-z0-9._-]+) and unused. The
-// dataset streams into a schema-only engine whose storage is already
-// attached (openStorage), so boot memory does not grow with it; a
-// DataDir directory holding committed state is recovered instead.
+// must be a single path segment ([A-Za-z0-9._-]+) and unused; it is
+// reserved before anything is built, so two Adds of one name never share
+// a data dir. A failure to open or seed the view's storage answers
+// storage_unavailable; any other failure is the configuration's fault.
 func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	name := strings.TrimSpace(vc.Name)
-	if !validViewName(name) {
+	if !viewName.MatchString(name) || name == "." || name == ".." {
 		return nil, fmt.Errorf("view name %q must be non-empty and contain only letters, digits, '.', '_' or '-'", name)
 	}
-	// Cheap pre-check before the expensive dataset build; the
-	// authoritative check re-runs under the write lock below.
-	r.mu.RLock()
-	_, exists := r.views[name]
-	r.mu.RUnlock()
-	if exists {
+	r.mu.Lock()
+	_, taken := r.views[name]
+	if !taken {
+		r.views[name] = nil // the reservation: Get and Views skip it
+	}
+	r.mu.Unlock()
+	if taken {
 		return nil, fmt.Errorf("view %q already exists", name)
 	}
+	v, err := r.build(name, vc)
+	r.mu.Lock()
+	if err != nil {
+		delete(r.views, name)
+	} else {
+		r.views[name] = v
+	}
+	r.mu.Unlock()
+	return v, err
+}
+
+// build compiles the view Add reserved. The dataset streams into a
+// schema-only engine whose storage is already attached (openStorage), so
+// boot memory does not grow with it; a DataDir directory holding
+// committed state is recovered instead.
+func (r *Registry) build(name string, vc ViewConfig) (*View, error) {
 	strategy, err := ufilter.ParseStrategy(vc.Strategy)
 	if err != nil {
 		return nil, err
@@ -626,7 +647,7 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	}
 	eng, err := r.openStorage(v, schema, fill, shards)
 	if err != nil {
-		return nil, fmt.Errorf("view %s: %w", name, err)
+		return nil, codeError{codeStorageUnavailable, fmt.Errorf("view %s: %w", name, err)}
 	}
 	query := vc.Query
 	if strings.TrimSpace(query) == "" {
@@ -634,19 +655,12 @@ func (r *Registry) Add(vc ViewConfig) (*View, error) {
 	}
 	f, err := ufilter.New(query, eng)
 	if err != nil {
+		_ = eng.CloseWAL()
 		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
 	f.Strategy = strategy
 	v.Filter = f
 	v.applyFn = f.ApplyContext
-	v.applyBatchFn = f.ApplyBatch
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, exists := r.views[name]; exists {
-		return nil, fmt.Errorf("view %q already exists", name)
-	}
-	r.views[name] = v
 	return v, nil
 }
 
@@ -739,20 +753,17 @@ func (r *Registry) openStorage(v *View, schema *relational.Schema, fill func(rel
 // Get fetches a view by name.
 func (r *Registry) Get(name string) (*View, bool) {
 	r.mu.RLock()
-	v, ok := r.views[name]
+	v := r.views[name]
 	r.mu.RUnlock()
-	return v, ok
+	return v, v != nil
 }
 
 // Names lists the registered view names, sorted.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.views))
-	for n := range r.views {
-		out = append(out, n)
+	var out []string
+	for _, v := range r.Views() {
+		out = append(out, v.Name)
 	}
-	r.mu.RUnlock()
-	sort.Strings(out)
 	return out
 }
 
@@ -807,7 +818,9 @@ func (r *Registry) Views() []*View {
 	r.mu.RLock()
 	out := make([]*View, 0, len(r.views))
 	for _, v := range r.views {
-		out = append(out, v)
+		if v != nil {
+			out = append(out, v)
+		}
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -41,17 +41,25 @@
 //	GET  /views/{name}/slow          slowest recent request traces
 //	GET  /metrics                    Prometheus-style text, all views
 //
+// Errors: a failed request is answered {"error", "code"}, the code one
+// of a closed set (bad_request, body_too_large, unknown_view,
+// unprocessable, overloaded, write_conflict, data_dir_format,
+// storage_unavailable). codeFor derives it from the error and
+// errorStatus maps it to the HTTP status; writeError is the one way a
+// failure is answered.
+//
 // Observability: every check/apply request runs under an obs.Trace
 // recording per-stage spans (admission, cache lookup, bind, context
 // checks, translate, execute, commit publish, WAL fsync); the slowest
 // land in the per-view ring behind /slow, and a request carrying
 // "X-UFilter-Trace: 1" gets its own stage breakdown back in the JSON
-// response. /metrics adds per-endpoint latency histogram families to
-// the counters; the engine's families are declared once, on the
-// relational statistics structs' fields, and rendered from them.
+// response. Every /metrics family is declared once, by a stat tag on
+// the ViewStats field it reads or on a statistics struct under it, and
+// obs.WriteStats renders them.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -64,7 +72,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/relational"
-	"repro/internal/ufilter"
 )
 
 // Server hosts the registry behind an http.Server with graceful
@@ -139,9 +146,89 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.httpSrv.Shutdown(ctx)
 }
 
+// Every failure is answered with one code of this closed set next to
+// its message, and the code alone picks the HTTP status (errorStatus).
+const (
+	codeBadRequest         = "bad_request"
+	codeBodyTooLarge       = "body_too_large"
+	codeUnknownView        = "unknown_view"
+	codeUnprocessable      = "unprocessable"
+	codeOverloaded         = "overloaded"
+	codeWriteConflict      = "write_conflict"
+	codeDataDirFormat      = "data_dir_format"
+	codeStorageUnavailable = "storage_unavailable"
+)
+
+// errorStatus is the status each code answers with; README.md's Errors
+// table holds the same rows (TestErrorTable).
+var errorStatus = map[string]int{
+	codeBadRequest:         http.StatusBadRequest,
+	codeBodyTooLarge:       http.StatusRequestEntityTooLarge,
+	codeUnknownView:        http.StatusNotFound,
+	codeUnprocessable:      http.StatusUnprocessableEntity,
+	codeOverloaded:         http.StatusTooManyRequests,
+	codeWriteConflict:      http.StatusConflict,
+	codeDataDirFormat:      http.StatusConflict,
+	codeStorageUnavailable: http.StatusServiceUnavailable,
+}
+
+// codeFor classifies an error. The engine's failures keep their code
+// however they are wrapped: a commit the log could not make durable is
+// the server's trouble (retry later: the update itself may be fine), a
+// conflict that exhausted its retries is worth re-submitting, and a data
+// dir in another on-disk format holds until it is deleted. Anything not
+// named otherwise is the request's own fault.
+func codeFor(err error) string {
+	var (
+		tooBig *http.MaxBytesError
+		shed   *shedError
+		coded  codeError
+	)
+	switch {
+	case errors.As(err, &tooBig):
+		return codeBodyTooLarge
+	case errors.As(err, &shed):
+		return codeOverloaded
+	case errors.Is(err, relational.ErrWALFailed):
+		return codeStorageUnavailable
+	case errors.Is(err, relational.ErrWriteConflict):
+		return codeWriteConflict
+	case errors.Is(err, relational.ErrDataDirFormat):
+		return codeDataDirFormat
+	case errors.As(err, &coded):
+		return coded.code
+	default:
+		return codeUnprocessable
+	}
+}
+
+// codeError gives an error the code codeFor cannot derive from it.
+type codeError struct {
+	code string
+	error
+}
+
+func (e codeError) Unwrap() error { return e.error }
+
+func badRequest(format string, args ...any) error {
+	return codeError{codeBadRequest, fmt.Errorf(format, args...)}
+}
+
+// shedError is an apply the concurrency limiter turned away; the client
+// is told to retry after retryAfter seconds.
+type shedError struct {
+	view              string
+	depth, retryAfter int
+}
+
+func (e *shedError) Error() string {
+	return fmt.Sprintf("apply queue for view %q is full (depth %d); retry after %ds", e.view, e.depth, e.retryAfter)
+}
+
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
+	Code  string `json:"code"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -152,8 +239,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// writeError answers a failed request: its code's status, a Retry-After
+// where the client should come back (a shed's estimate, one second for
+// unavailable storage), and the error envelope.
+func writeError(w http.ResponseWriter, err error) {
+	code := codeFor(err)
+	var shed *shedError
+	if errors.As(err, &shed) {
+		w.Header().Set("Retry-After", strconv.Itoa(shed.retryAfter))
+	} else if code == codeStorageUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, errorStatus[code], errorBody{Error: err.Error(), Code: code})
 }
 
 // logger returns the configured structured logger or the default one.
@@ -168,13 +265,18 @@ func (s *Server) logger() *slog.Logger {
 // request's stage breakdown in the JSON response.
 const traceHeader = "X-UFilter-Trace"
 
-// startTrace begins the request's span recorder for the batch
-// endpoints, which are always traced — a batch is a macroscopic
-// operation and the recorder's handful of spans is noise against it.
-// The breakdown is only returned to clients that opted in.
-func startTrace(r *http.Request, op string) (*obs.Trace, context.Context, bool) {
+// startTrace begins the request's span recorder when the request is
+// sampled or opted in, and reports whether the client opted in to
+// getting the breakdown back. The batch endpoints are always sampled — a
+// batch is a macroscopic operation and the recorder's handful of spans
+// is noise against it.
+func startTrace(r *http.Request, op string, sampled bool) (*obs.Trace, context.Context, bool) {
+	want := r.Header.Get(traceHeader) == "1"
+	if !want && !sampled {
+		return nil, r.Context(), false
+	}
 	tr := obs.StartTrace(op)
-	return tr, obs.WithTrace(r.Context(), tr), r.Header.Get(traceHeader) == "1"
+	return tr, obs.WithTrace(r.Context(), tr), want
 }
 
 // Single check and apply requests sample their span traces instead of
@@ -198,7 +300,7 @@ func (s *Server) withView(fn func(http.ResponseWriter, *http.Request, *View)) ht
 		name := r.PathValue("name")
 		v, ok := s.Registry.Get(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, "no such view %q", name)
+			writeError(w, codeError{codeUnknownView, fmt.Errorf("no such view %q", name)})
 			return
 		}
 		fn(w, r, v)
@@ -227,15 +329,16 @@ func (s *Server) handleListViews(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
+	wb := getWireBuf()
+	defer wb.release()
 	var vc ViewConfig
-	if !decodeBody(w, r, &vc) {
+	if !readRequest(w, r, wb, vc.decode) {
 		return
 	}
 	v, err := s.Registry.Add(vc)
 	if err != nil {
-		status := statusFor(err)
-		s.logger().Warn("view registration failed", "view", vc.Name, "status", status, "err", err)
-		writeError(w, status, "%v", err)
+		s.logger().Warn("view registration failed", "view", vc.Name, "code", codeFor(err), "err", err)
+		writeError(w, err)
 		return
 	}
 	s.logger().Info("view registered", "view", v.Name, "dataset", v.Dataset,
@@ -262,23 +365,12 @@ type batchRequest struct {
 // maxBodyBytes bounds a request body.
 const maxBodyBytes = 4 << 20
 
-// decodeBody decodes a POST /views body (a ViewConfig) into v and
-// reports whether it did; otherwise it has answered the request: 413 for
-// a body over maxBodyBytes, 400 for a malformed one. The hot endpoints
-// decode through readRequest instead (wire.go).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decode fills the config from a POST /views body, the one request
+// decoded with encoding/json.
+func (vc *ViewConfig) decode(body []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		return true
-	}
-	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-	} else {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	return false
+	return dec.Decode(vc)
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, v *View) {
@@ -288,19 +380,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, v *View) {
 	if !readRequest(w, r, wb, req.decode) {
 		return
 	}
-	wantTrace := r.Header.Get(traceHeader) == "1"
-	var tr *obs.Trace
-	ctx := r.Context()
-	if wantTrace || v.sampleTrace(&v.checkTraceSeq, checkTraceSampleEvery) {
-		tr = obs.StartTrace("check")
-		ctx = obs.WithTrace(ctx, tr)
-	}
+	tr, ctx, wantTrace := startTrace(r, "check", v.sampleTrace(&v.checkTraceSeq, checkTraceSampleEvery))
 	res, err := v.Check(ctx, req.Update)
 	tr.Finish()
 	v.OfferSlow(tr.Summary()) // nil trace → zero summary → ignored
 	if err != nil {
 		s.logger().Warn("check failed", "view", v.Name, "err", err)
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		writeError(w, err)
 		return
 	}
 	wb.b = appendVerdict(wb.b[:0], res, tr, wantTrace)
@@ -315,16 +401,11 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request, v *Vie
 		return
 	}
 	if len(req.Updates) == 0 {
-		writeError(w, http.StatusBadRequest, "updates must be non-empty")
+		writeError(w, badRequest("updates must be non-empty"))
 		return
 	}
-	tr, ctx, wantTrace := startTrace(r, "check-batch")
-	var results []ufilter.BatchResult
-	if req.Data {
-		results = v.CheckBatchData(ctx, req.Updates, req.Workers)
-	} else {
-		results = v.CheckBatch(ctx, req.Updates, req.Workers)
-	}
+	tr, ctx, wantTrace := startTrace(r, "check-batch", true)
+	results := v.CheckBatch(ctx, req.Updates, req.Workers, req.Data)
 	tr.Finish()
 	v.OfferSlow(tr.Summary())
 	wb.b = appendBatchTail(append(wb.b[:0], '{'), results, tr, wantTrace)
@@ -339,57 +420,18 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request, v *View) {
 		return
 	}
 	reqStart := time.Now()
-	wantTrace := r.Header.Get(traceHeader) == "1"
-	var tr *obs.Trace
-	ctx := r.Context()
-	if wantTrace || v.sampleTrace(&v.applyTraceSeq, applyTraceSampleEvery) {
-		tr = obs.StartTrace("apply")
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	res, retry, ok, err := v.Apply(ctx, req.Update)
+	tr, ctx, wantTrace := startTrace(r, "apply", v.sampleTrace(&v.applyTraceSeq, applyTraceSampleEvery))
+	res, err := v.Apply(ctx, req.Update)
 	tr.Finish()
-	if !ok {
-		secs := int(retry / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		s.logger().Warn("apply shed", "view", v.Name, "retry_after_s", secs, "queue_depth", v.QueueCapacity())
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests,
-			"apply queue for view %q is full (depth %d); retry after %ds", v.Name, v.QueueCapacity(), secs)
-		return
-	}
 	v.OfferSlow(tr.Summary()) // nil trace → zero summary → ignored
 	if err != nil {
-		status := statusFor(err)
-		s.logger().Warn("apply failed", "view", v.Name, "status", status, "err", err,
+		s.logger().Warn("apply failed", "view", v.Name, "code", codeFor(err), "err", err,
 			"latency_ms", float64(time.Since(reqStart))/float64(time.Millisecond))
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, status, "apply on view %q: %v", v.Name, err)
+		writeError(w, err)
 		return
 	}
 	wb.b = appendVerdict(wb.b[:0], res, tr, wantTrace)
 	writeWire(w, wb.b)
-}
-
-// statusFor maps an apply's or a view registration's error to its HTTP
-// status: a commit the write-ahead log could not make durable is the
-// server's trouble (503, retry later: the update itself may be fine), a
-// write-write conflict that exhausted its retries is 409 (re-submit), a
-// data dir in another on-disk format is 409 too (the server's state, not
-// the request: it holds until the dir is deleted), and anything else is
-// the request's own fault (422).
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, relational.ErrWALFailed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, relational.ErrWriteConflict), errors.Is(err, relational.ErrDataDirFormat):
-		return http.StatusConflict
-	default:
-		return http.StatusUnprocessableEntity
-	}
 }
 
 // handleApplyBatch runs a batch of updates through the group-commit
@@ -404,24 +446,18 @@ func (s *Server) handleApplyBatch(w http.ResponseWriter, r *http.Request, v *Vie
 		return
 	}
 	if len(req.Updates) == 0 {
-		writeError(w, http.StatusBadRequest, "updates must be non-empty")
+		writeError(w, badRequest("updates must be non-empty"))
 		return
 	}
-	tr, ctx, wantTrace := startTrace(r, "apply-batch")
-	results, retry, ok := v.ApplyBatch(ctx, req.Updates)
+	tr, ctx, wantTrace := startTrace(r, "apply-batch", true)
+	results, err := v.ApplyBatch(ctx, req.Updates)
 	tr.Finish()
-	if !ok {
-		secs := int(retry / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		s.logger().Warn("apply-batch shed", "view", v.Name, "retry_after_s", secs, "batch", len(req.Updates))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests,
-			"apply queue for view %q is full (depth %d); retry after %ds", v.Name, v.QueueCapacity(), secs)
+	v.OfferSlow(tr.Summary())
+	if err != nil {
+		s.logger().Warn("apply-batch failed", "view", v.Name, "code", codeFor(err), "err", err, "batch", len(req.Updates))
+		writeError(w, err)
 		return
 	}
-	v.OfferSlow(tr.Summary())
 	accepted := 0
 	for _, br := range results {
 		if br.Err == nil && br.Result != nil && br.Result.Accepted {

@@ -483,8 +483,8 @@ func TestShedReadsStatsOnlyWhenSampleDue(t *testing.T) {
 	defer v.release()
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
-		if _, _, ok, _ := v.Apply(context.Background(), bookdb.U12); ok {
-			t.Fatal("apply admitted past a full limiter")
+		if _, err := v.Apply(context.Background(), bookdb.U12); codeFor(err) != codeOverloaded {
+			t.Fatalf("apply past a full limiter: %v, want a shed", err)
 		}
 	}
 	windows := int64(time.Since(start)/conflictRateSampleMin) + 1

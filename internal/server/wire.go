@@ -55,13 +55,24 @@ func (wb *wireBuf) release() {
 	}
 }
 
-// readBody reads the whole request body into wb.b and reports whether
-// it did; otherwise it has answered the request: 413 for a body over
-// maxBodyBytes, whatever its content, and 400 for a failed read.
-func readBody(w http.ResponseWriter, r *http.Request, wb *wireBuf) bool {
+// readRequest reads the whole body into wb.b and decodes it with
+// decode, and reports whether it did; otherwise it has answered the
+// request. A body over maxBodyBytes is refused whatever its content.
+func readRequest(w http.ResponseWriter, r *http.Request, wb *wireBuf, decode func([]byte) error) bool {
+	err := readBody(w, r, wb)
+	if err == nil {
+		err = decode(wb.b)
+	}
+	if err != nil {
+		writeError(w, badRequest("bad request body: %w", err))
+	}
+	return err == nil
+}
+
+// readBody reads the whole request body into wb.b.
+func readBody(w http.ResponseWriter, r *http.Request, wb *wireBuf) error {
 	if r.ContentLength > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
-		return false
+		return &http.MaxBytesError{Limit: maxBodyBytes}
 	}
 	b := wb.b[:0]
 	if n := int(r.ContentLength); n > cap(b) {
@@ -76,30 +87,12 @@ func readBody(w http.ResponseWriter, r *http.Request, wb *wireBuf) bool {
 		b = b[:len(b)+n]
 		if err == io.EOF {
 			wb.b = b
-			return true
+			return nil
 		}
 		if err != nil {
-			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			} else {
-				writeError(w, http.StatusBadRequest, "reading request body: %v", err)
-			}
-			return false
+			return err
 		}
 	}
-}
-
-// readRequest reads the body into wb and decodes it with decode, and
-// reports whether it did; otherwise it has answered the request.
-func readRequest(w http.ResponseWriter, r *http.Request, wb *wireBuf, decode func([]byte) error) bool {
-	if !readBody(w, r, wb) {
-		return false
-	}
-	if err := decode(wb.b); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
 }
 
 // decode fills the request from a /check or /apply body.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/bookdb"
+	"repro/internal/obs"
 	"repro/internal/relational"
 )
 
@@ -517,7 +518,7 @@ func TestStatsFoldShardsAndLog(t *testing.T) {
 		parts = append(parts, ss.DBStats)
 	}
 	logPart := db.log.Stats()
-	want := relational.FoldStats(append(parts, logPart)...)
+	want := obs.FoldStats(append(parts, logPart)...)
 	got := db.Stats()
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {

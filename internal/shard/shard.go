@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/relational"
 )
 
@@ -587,7 +588,7 @@ func (db *DB) OpenSnapshot() relational.Snap {
 }
 
 // Stats folds the shards' statistics and, once, the log's own
-// (relational.FoldStats): a group of one is its only shard.
+// (obs.FoldStats): a group of one is its only shard.
 func (db *DB) Stats() relational.DBStats {
 	if db.n == 1 {
 		return db.shards[0].Stats()
@@ -599,7 +600,7 @@ func (db *DB) Stats() relational.DBStats {
 	if db.log != nil {
 		parts = append(parts, db.log.Stats())
 	}
-	return relational.FoldStats(parts...)
+	return obs.FoldStats(parts...)
 }
 
 // LastFsyncNanos is the group's one log's (every shard reports it).

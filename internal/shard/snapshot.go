@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"repro/internal/obs"
 	"repro/internal/relational"
 )
 
@@ -40,7 +41,7 @@ func (v *SnapVec) VersionStats() relational.VersionStats {
 	for i, s := range v.subs {
 		parts[i] = s.VersionStats()
 	}
-	return relational.FoldStats(parts...)
+	return obs.FoldStats(parts...)
 }
 
 // ---- Reader at the pinned vector. Point reads route by id residue;

@@ -70,9 +70,9 @@ func (e *Executor) IndexProbesTotal() int64 { return atomic.LoadInt64(&e.IndexPr
 // while other goroutines are executing queries.
 type ExecStats struct {
 	// RowsScanned counts rows visited during table scans.
-	RowsScanned int64 `json:"rows_scanned"`
+	RowsScanned int64 `json:"rows_scanned" stat:"rows_scanned_total,counter,sum" help:"Rows visited by table scans."`
 	// IndexProbes counts index lookups issued.
-	IndexProbes int64 `json:"index_probes"`
+	IndexProbes int64 `json:"index_probes" stat:"index_probes_total,counter,sum" help:"Index lookups issued."`
 }
 
 // Stats snapshots the statistics counters atomically.
