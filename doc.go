@@ -103,10 +103,11 @@
 // back exactly its group (every member gets relational.ErrWALFailed,
 // nothing half-durable). Checkpoints write through a paged store
 // (internal/pagestore): only rows dirtied since the last checkpoint
-// are serialized, as fresh copy-on-write 4KiB slotted pages plus one
-// page-directory record (pause O(dirty-pages), not O(database)), with
-// the directory log folded into a fresh base past
-// WALOptions.CheckpointDeltaLimit; recovery maps the pages into row
+// are serialized, as fresh copy-on-write 4KiB slotted pages (heap
+// writes O(dirty-pages), not O(database)), and the one page-directory
+// file, about 12 bytes a live page, is replaced whole (tmp, fsync,
+// rename), so a directory that fails its CRC is refused as corrupt,
+// never truncated as a torn tail; recovery maps the pages into row
 // slots and index entries, with no in-memory version per row, and
 // replays the WAL tail, then pages fault in on first read through a
 // buffer pool bounded by WALOptions.PageCacheBytes (ufilterd
@@ -116,7 +117,7 @@
 // when it opens, so a commit's fsync never journals a file growing, and
 // retired segments are removed. internal/walcrash proves the contract with a kill -9
 // fault-injection matrix over every registered failpoint, page-store
-// write/directory/fold faults included.
+// write/directory/rename faults included.
 //
 // The filter is also served over the wire: internal/server and
 // cmd/ufilterd host a registry of named views behind an HTTP/JSON

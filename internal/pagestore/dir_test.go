@@ -2,90 +2,149 @@ package pagestore
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
+// storeFiles reads every file under dir, by name.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
 // TestDirFrameClaimedLength: a header claiming more bytes than the file
-// holds is caught before anything is allocated for it, and recovery
-// treats it as the torn tail it is.
+// holds is caught before anything is allocated for it.
 func TestDirFrameClaimedLength(t *testing.T) {
 	huge := make([]byte, pageFrameHeader+16)
 	binary.LittleEndian.PutUint32(huge, maxDirRecord)
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := nextDirFrame(huge); err == nil {
+		if _, _, err := decodeDirectory(huge); err == nil {
 			t.Fatal("a 64 MiB claim over 16 bytes was accepted")
 		}
 	}); allocs != 0 {
 		t.Fatalf("rejecting a claimed length allocated %v times", allocs)
 	}
+}
 
-	dir := t.TempDir()
+// installedStore returns a store directory holding three installs, and
+// its directory file.
+func installedStore(t *testing.T) (dir string, directory []byte) {
+	t.Helper()
+	dir = t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})
-	if _, err := s.Install(1, []Install{{Table: "t", Rows: rowsOf(5, 0)}}, nil); err != nil {
-		t.Fatal(err)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if _, err := s.Install(seq, []Install{{Table: "t", Rows: rowsOf(50, int64(seq)*100)}}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.Close()
-	logPath := filepath.Join(dir, dirLogName(1))
-	good, _ := os.ReadFile(logPath)
-	if err := os.WriteFile(logPath, append(append([]byte(nil), good...), huge...), 0o644); err != nil {
+	directory, err := os.ReadFile(filepath.Join(dir, dirFileName))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2, rec := mustOpen(t, dir, Options{})
-	s2.Close()
-	if rec.Seq != 1 {
-		t.Fatalf("torn claim in the log: recovered seq %d, want 1", rec.Seq)
+	return dir, directory
+}
+
+// refusedUntouched copies the store under dir with damaged as its
+// directory file and requires Open to refuse the copy with
+// ErrCorruptDirectory, leaving every file byte for byte as it was.
+func refusedUntouched(t *testing.T, dir string, damaged []byte) {
+	t.Helper()
+	copied := t.TempDir()
+	for file, data := range storeFiles(t, dir) {
+		if file == dirFileName {
+			data = string(damaged)
+		}
+		if err := os.WriteFile(filepath.Join(copied, file), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if fi, _ := os.Stat(logPath); fi.Size() != int64(len(good)) {
-		t.Fatalf("torn claim not truncated: %d bytes, want %d", fi.Size(), len(good))
+	before := storeFiles(t, copied)
+	if s, _, err := Open(copied, Options{}); !errors.Is(err, ErrCorruptDirectory) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open gave %v, want ErrCorruptDirectory", err)
+	}
+	if after := storeFiles(t, copied); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused Open changed the store's files")
 	}
 }
 
-// checkDirRecord decodes one payload and, when it decodes, holds the
+// TestStoreTornDirectoryTail: the directory is only ever replaced whole,
+// so one cut mid-frame is not a torn tail to truncate away: Open refuses
+// it and the store keeps every byte.
+func TestStoreTornDirectoryTail(t *testing.T) {
+	dir, directory := installedStore(t)
+	refusedUntouched(t, dir, directory[:len(directory)-3])
+}
+
+// TestCorruptDirectoryRefused: a flipped byte, trailing bytes, a length
+// claim past the end of the file, an empty file and a page past the end
+// of the heap are each refused with ErrCorruptDirectory, touching
+// nothing.
+func TestCorruptDirectoryRefused(t *testing.T) {
+	dir, good := installedStore(t)
+	huge := make([]byte, pageFrameHeader+16)
+	binary.LittleEndian.PutUint32(huge, maxDirRecord)
+	for name, damaged := range map[string][]byte{
+		"flipped byte":   append(good[:len(good)-1:len(good)-1], good[len(good)-1]^0x40),
+		"trailing bytes": append(good[:len(good):len(good)], 0),
+		"huge claim":     huge,
+		"empty":          {},
+		"beyond heap":    encodeDirectory(3, []PageInfo{{Slot: 1 << 20, Slots: 1, Seq: 3, Table: "t"}}),
+	} {
+		t.Run(name, func(t *testing.T) { refusedUntouched(t, dir, damaged) })
+	}
+}
+
+// checkDirectory decodes one input and, when it decodes, holds the
 // decoder's contract: allocation bounded by the payload, and a re-encode
-// in the current kinds decodes to the same record.
-func checkDirRecord(t *testing.T, payload []byte) {
-	r, err := decodeDirRecord(payload)
+// decodes to the same page table.
+func checkDirectory(t *testing.T, data []byte) {
+	seq, pages, err := decodeDirectory(data)
 	if err != nil {
 		return
 	}
-	if cap(r.pages) > len(payload)/4 || cap(r.freed) > len(payload) {
-		t.Fatalf("%d-byte payload decoded into %d pages / %d freed slots of capacity", len(payload), cap(r.pages), cap(r.freed))
+	if cap(pages) > len(data)/4 {
+		t.Fatalf("%d-byte directory decoded into %d pages of capacity", len(data), cap(pages))
 	}
-	frame := encodeDirRecord(r)
-	again, err := decodeDirRecord(frame[pageFrameHeader:])
+	seq2, pages2, err := decodeDirectory(encodeDirectory(seq, pages))
 	if err != nil {
-		t.Fatalf("re-encoded record failed to decode: %v", err)
+		t.Fatalf("re-encoded directory failed to decode: %v", err)
 	}
-	if !reflect.DeepEqual(r, again) {
-		t.Fatalf("round-trip drift:\n%+v\n%+v", r, again)
+	if seq2 != seq || !reflect.DeepEqual(pages, pages2) {
+		t.Fatalf("round-trip drift:\n%d %+v\n%d %+v", seq, pages, seq2, pages2)
 	}
 }
 
-// FuzzDirRecordDecode: directory bytes are read back after a crash, so
-// decoding is total — any input, as a file of frames or as a bare
-// payload, returns an error or a record and never panics.
+// FuzzDirRecordDecode: the directory file is read back after a crash, so
+// decoding is total — any input returns an error or a page table and
+// never panics.
 func FuzzDirRecordDecode(f *testing.F) {
 	pages := []PageInfo{{Slot: 0, Slots: 1, Seq: 3, Table: "t"}, {Slot: 4, Slots: 2, Seq: 3, Table: "lineitem"}}
-	current := encodeDirRecord(dirRecord{id: 7, seq: 3, pages: pages, freed: []uint32{1, 2}})
+	current := encodeDirectory(3, pages)
 	f.Add(current)
 	f.Add(current[:len(current)-3])
-	f.Add(encodeDirRecord(dirRecord{base: true, id: 9, seq: 4, pages: pages}))
-	f.Add(encodeDirRecord(dirRecord{id: 8, seq: 5, pages: []PageInfo{{Slot: 1 << 21, Slots: 3, Seq: 1 << 40, Table: "u"}}}))
+	f.Add(encodeDirectory(0, nil))
+	f.Add(encodeDirectory(5, []PageInfo{{Slot: 1 << 21, Slots: 3, Seq: 1 << 40, Table: "u"}}))
 	huge := make([]byte, pageFrameHeader+4)
 	binary.LittleEndian.PutUint32(huge, 1<<30)
 	f.Add(huge)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for rest := data; len(rest) > 0; {
-			payload, n, err := nextDirFrame(rest)
-			if err != nil {
-				break
-			}
-			checkDirRecord(t, payload)
-			rest = rest[n:]
-		}
-		checkDirRecord(t, data)
-	})
+	f.Fuzz(checkDirectory)
 }

@@ -1,10 +1,10 @@
 // Package pagestore implements a copy-on-write slotted-page heap file
-// with a page directory kept as an append-only log, and a byte-budgeted
-// buffer pool.
+// with a page directory rewritten whole at every install, and a
+// byte-budgeted buffer pool.
 //
 // Pages are written once and never patched in place: a checkpoint packs
-// row images into fresh pages, installs them with a single directory
-// record, and logically frees the pages they supersede. Because the heap
+// row images into fresh pages, installs them by replacing the directory
+// file, and logically frees the pages they supersede. Because the heap
 // is write-once, compaction touches only the pages that contain dirty
 // rows, and a page published by the directory is the one record of
 // which rows it holds: the directory maps slots to pages (extent,
@@ -12,11 +12,14 @@
 // page.
 //
 // Durability contract (in order): page frames are written and fsynced to
-// the heap BEFORE the directory record that references them is appended
-// and fsynced. A torn directory tail therefore only ever orphans heap
-// slots, which recovery reclassifies as free. Physically reusing a freed
-// slot is the caller's responsibility to defer until no reader can still
-// hold a reference to the old content (see Store.Release).
+// the heap BEFORE the directory that references them replaces the old
+// one (tmp file fsynced, renamed, parent directory fsynced). A crash
+// therefore leaves the old directory or the new one whole, and at worst
+// orphans heap slots, which recovery reclassifies as free; a directory
+// that fails its CRC is corruption, never a torn tail. Physically
+// reusing a freed slot is the caller's responsibility to defer until no
+// reader can still hold a reference to the old content (see
+// Store.Release).
 package pagestore
 
 import (
@@ -43,7 +46,8 @@ const (
 var (
 	// ErrCorruptPage reports a CRC or structural failure decoding a page.
 	ErrCorruptPage = errors.New("pagestore: corrupt page")
-	// ErrCorruptDirectory reports a non-tail corruption in the directory.
+	// ErrCorruptDirectory reports a directory file that fails its CRC or
+	// does not decode, or maps pages the heap cannot hold.
 	ErrCorruptDirectory = errors.New("pagestore: corrupt directory")
 )
 

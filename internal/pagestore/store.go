@@ -5,52 +5,33 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 const (
 	heapFileName = "heap.pg"
-	dirBaseName  = "pagedir.base"
-	dirTmpName   = dirBaseName + ".tmp"
-	dirLogPrefix = "pagedir-"
-	dirLogSuffix = ".log"
+	dirFileName  = "pagedir"
 
-	// Record kinds: a record maps pages, never rows.
-	dirRecInstall = 'i'
-	dirRecBase    = 'b'
-
-	// maxDirRecord bounds one directory frame. A page costs at most 32
-	// bytes of a record — slot and extent 5 each, sequence 10, table name
-	// 12 with its length byte — and a freed slot 5, so a base naming
-	// every page of a 2^21-page (8 GiB) heap fits in 2^21 × 32 = 2^26.
+	// maxDirRecord bounds the directory frame. A page costs at most 32
+	// bytes of it — slot and extent 5 each, sequence 10, table name 12
+	// with its length byte — so a directory naming every page of a
+	// 2^21-page (8 GiB) heap fits in 2^21 × 32 = 2^26.
 	maxDirRecord = 1 << 26
-
-	defaultDirLogLimit = 8
 )
 
 // Failpoint names fired through Options.Failpoint.
 const (
-	fpWrite     = "pagestore.write"     // before each heap page write
-	fpDirectory = "pagestore.directory" // before each directory append
-	fpCompact   = "compact.page"        // in the async base-compaction goroutine
-	fpRename    = "checkpoint.rename"   // before renaming the compacted base
-	fpTrigger   = "checkpoint.compact"  // when base compaction is triggered
+	FpWrite     = "pagestore.write"     // before each heap page write
+	FpDirectory = "pagestore.directory" // before the directory is rewritten
+	FpRename    = "checkpoint.rename"   // before the rewritten directory is renamed into place
 )
 
 // Options configures a Store.
 type Options struct {
-	// DirLogLimit is the number of directory install records tolerated
-	// beyond the base before an asynchronous base compaction folds them.
-	// 0 means the default (8); negative means compact after every record.
-	DirLogLimit int
 	// Failpoint, if set, is consulted before each write-path step with a
 	// failpoint name; a non-nil error aborts the step. Used to wire the
 	// store into the crash-injection harness.
@@ -72,9 +53,6 @@ type PageInfo struct {
 type Recovered struct {
 	// Seq is the latest checkpoint sequence durably installed.
 	Seq uint64
-	// Records is the number of directory install records applied (base
-	// counts as one).
-	Records int
 	// Pages is the live page table, ascending by slot (Rows unset).
 	Pages []PageInfo
 }
@@ -99,9 +77,10 @@ type pageEntry struct {
 }
 
 // Store is the paged checkpoint storage: a write-once heap of 4KiB page
-// slots plus an append-only directory that maps the live page set.
-// Install (checkpoint) and Release are serialized by the caller;
-// ReadPage is safe concurrently with everything.
+// slots plus one directory file, rewritten whole by every Install, that
+// maps the live page set. Install (checkpoint) and Release are
+// serialized by the caller; ReadPage is safe concurrently with
+// everything.
 type Store struct {
 	dir  string
 	opts Options
@@ -112,16 +91,8 @@ type Store struct {
 	free      []uint32
 	pages     map[uint32]pageEntry
 	retired   map[uint32]uint32 // freed by Install, not yet Released: extent lengths
-	logF      *os.File
-	logIndex  uint64
-	recID     uint64
-	recsSince int // install records since the durable base
-	baseBusy  bool
+	pagesEver uint64            // cumulative pages written by Install
 	closed    bool
-
-	compactWG   sync.WaitGroup
-	pagesEver   atomic.Uint64 // cumulative pages written by Install
-	compactErrV atomic.Value  // last async compaction error (error)
 }
 
 // Stats is a point-in-time snapshot of store counters.
@@ -130,7 +101,6 @@ type Stats struct {
 	SlotsTotal   uint64 // heap slots ever allocated (heap size / PageSize)
 	FreeSlots    uint64 // slots available for reuse
 	PagesWritten uint64 // cumulative pages written by checkpoints
-	DirChainLen  uint64 // install records since the last durable base
 }
 
 func (s *Store) fp(name string) error {
@@ -140,35 +110,28 @@ func (s *Store) fp(name string) error {
 	return s.opts.Failpoint(name)
 }
 
-func dirLogName(index uint64) string {
-	return fmt.Sprintf("%s%010d%s", dirLogPrefix, index, dirLogSuffix)
-}
-
-func parseDirLogIndex(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, dirLogPrefix) || !strings.HasSuffix(name, dirLogSuffix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, dirLogPrefix), dirLogSuffix), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
 // Open maps the page directory under dir (creating an empty store on
 // first use) and returns the live page table. It reads no heap page: a
-// caller that needs the rows reads the pages (ReadPage).
+// caller that needs the rows reads the pages (ReadPage). A directory
+// file that fails its CRC or does not decode is ErrCorruptDirectory, and
+// the store's files are left as they were.
 func Open(dir string, opts Options) (*Store, Recovered, error) {
-	if opts.DirLogLimit == 0 {
-		opts.DirLogLimit = defaultDirLogLimit
-	}
 	s := &Store{dir: dir, opts: opts, pages: make(map[uint32]pageEntry), retired: make(map[uint32]uint32)}
+	var rec Recovered
+	data, err := os.ReadFile(filepath.Join(dir, dirFileName))
+	switch {
+	case err == nil:
+		if rec.Seq, rec.Pages, err = decodeDirectory(data); err != nil {
+			return nil, Recovered{}, fmt.Errorf("%w: %v in %s", ErrCorruptDirectory, err, filepath.Join(dir, dirFileName))
+		}
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, Recovered{}, err
+	}
 
 	heap, err := os.OpenFile(filepath.Join(dir, heapFileName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
-	s.heap = heap
 	hs, err := heap.Stat()
 	if err != nil {
 		heap.Close()
@@ -176,203 +139,68 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 	}
 	// Round up: a torn tail page occupies its slots; they are free
 	// (unreferenced) and will be rewritten whole.
-	s.heapSlots = uint32((hs.Size() + PageSize - 1) / PageSize)
-
-	rec, err := s.recover()
-	if err != nil {
-		heap.Close()
-		return nil, Recovered{}, err
-	}
-	return s, rec, nil
-}
-
-// recover reads the base + log segments, builds the page table and free
-// list, and opens the active log segment.
-func (s *Store) recover() (Recovered, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return Recovered{}, err
-	}
-	var logs []uint64
-	haveBase := false
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch {
-		case e.Name() == dirBaseName:
-			haveBase = true
-		case e.Name() == dirTmpName:
-			// Torn base compaction: discard.
-			os.Remove(filepath.Join(s.dir, dirTmpName))
-		default:
-			if idx, ok := parseDirLogIndex(e.Name()); ok {
-				logs = append(logs, idx)
-			}
-		}
-	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
-
-	var rec Recovered
-	watermark := uint64(0)
-	if haveBase {
-		w, err := s.applyDirFile(filepath.Join(s.dir, dirBaseName), 0, &rec, true)
-		if err != nil {
-			return Recovered{}, err
-		}
-		watermark = w
-		rec.Records++
-	}
-	for i, idx := range logs {
-		tail := i == len(logs)-1
-		if _, err := s.applyDirFile(filepath.Join(s.dir, dirLogName(idx)), watermark, &rec, tail); err != nil {
-			return Recovered{}, err
-		}
-	}
+	s.heap, s.heapSlots = heap, uint32((hs.Size()+PageSize-1)/PageSize)
 
 	// Free list: every slot below the allocation high-water mark that no
 	// live page references.
 	used := make([]bool, s.heapSlots)
-	for slot, pe := range s.pages {
-		if end := uint64(slot) + uint64(pe.slots); end > uint64(s.heapSlots) {
-			// Directory references beyond the heap: corrupt.
-			return Recovered{}, fmt.Errorf("%w: directory references slot %d beyond heap end %d",
+	for _, pi := range rec.Pages {
+		if end := uint64(pi.Slot) + uint64(pi.Slots); end > uint64(s.heapSlots) {
+			heap.Close()
+			return nil, Recovered{}, fmt.Errorf("%w: directory references slot %d beyond heap end %d",
 				ErrCorruptDirectory, end, s.heapSlots)
 		}
-		for i := slot; i < slot+pe.slots; i++ {
+		for i := pi.Slot; i < pi.Slot+pi.Slots; i++ {
+			if used[i] {
+				heap.Close()
+				return nil, Recovered{}, fmt.Errorf("%w: directory maps slot %d twice", ErrCorruptDirectory, i)
+			}
 			used[i] = true
 		}
+		s.pages[pi.Slot] = pageEntry{slots: pi.Slots, seq: pi.Seq, table: pi.Table}
 	}
 	for i := uint32(0); i < s.heapSlots; i++ {
 		if !used[i] {
 			s.free = append(s.free, i)
 		}
 	}
-
-	// Open the active log segment (a fresh one past the highest seen).
-	next := uint64(1)
-	if len(logs) > 0 {
-		next = logs[len(logs)-1] + 1
+	// A replace a crash cut short before its rename left its tmp file.
+	if err := os.Remove(filepath.Join(dir, dirFileName+".tmp")); err != nil && !errors.Is(err, os.ErrNotExist) {
+		heap.Close()
+		return nil, Recovered{}, err
 	}
-	if err := s.openLogSegment(next); err != nil {
-		return Recovered{}, err
-	}
-
-	rec.Pages = s.pageInfosLocked()
-	return rec, nil
-}
-
-func (s *Store) openLogSegment(index uint64) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, dirLogName(index)), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return err
-	}
-	if s.logF != nil {
-		s.logF.Close()
-	}
-	s.logF = f
-	s.logIndex = index
-	return nil
-}
-
-// applyDirFile scans one directory file (base or log segment), applying
-// records with recID > watermark. For the base it returns the folded
-// watermark. tolerateTail permits a torn final record, which is
-// truncated away. The file is read whole (records name pages, not rows:
-// it is small), so a claimed frame length is checked against real bytes.
-func (s *Store) applyDirFile(path string, watermark uint64, rec *Recovered, tolerateTail bool) (uint64, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, err
-	}
-	baseWatermark := uint64(0)
-	for off := 0; off < len(data); {
-		payload, n, err := nextDirFrame(data[off:])
-		if err != nil {
-			if !tolerateTail {
-				return 0, fmt.Errorf("%w: %v in %s", ErrCorruptDirectory, err, filepath.Base(path))
-			}
-			if err := f.Truncate(int64(off)); err != nil {
-				return 0, err
-			}
-			return baseWatermark, f.Sync()
-		}
-		// A CRC-valid record that fails to decode is corruption, not a
-		// torn tail: never tolerated.
-		r, err := decodeDirRecord(payload)
-		if err != nil {
-			return 0, fmt.Errorf("%w in %s", err, filepath.Base(path))
-		}
-		if w := s.applyDirRecord(r, watermark, rec); w > baseWatermark {
-			baseWatermark = w
-		}
-		off += n
-	}
-	return baseWatermark, nil
+	return s, rec, nil
 }
 
 var (
 	errDirTorn = errors.New("frame runs past the end of the file")
 	errDirCRC  = errors.New("crc mismatch")
+	errDirBody = errors.New("malformed page table")
 )
 
-// nextDirFrame splits the first [len][crc] frame off data and verifies
-// it, returning its payload (aliasing data) and the frame's length. It
-// allocates nothing, whatever length the header claims.
-func nextDirFrame(data []byte) (payload []byte, n int, err error) {
+// decodeDirectory verifies and parses a whole directory file: one
+// [len][crc] frame holding the checkpoint sequence and, ascending by
+// slot, each live page's slot, extent, sequence and table. Any byte
+// outside the frame is corruption, since the file is only ever replaced
+// whole. It never panics, allocates nothing whatever length the header
+// claims, and what the page table costs is bounded by the payload's
+// length (every page costs at least four bytes of it).
+func decodeDirectory(data []byte) (seq uint64, pages []PageInfo, err error) {
 	if len(data) < pageFrameHeader {
-		return nil, 0, errDirTorn
+		return 0, nil, errDirTorn
 	}
 	plen := binary.LittleEndian.Uint32(data[0:4])
-	if plen == 0 || plen > maxDirRecord || int64(plen) > int64(len(data)-pageFrameHeader) {
-		return nil, 0, errDirTorn
+	if plen > maxDirRecord || int64(plen) != int64(len(data)-pageFrameHeader) {
+		return 0, nil, errDirTorn
 	}
-	payload = data[pageFrameHeader : pageFrameHeader+int(plen)]
+	payload := data[pageFrameHeader:]
 	if crc32.Checksum(payload, pageCRC) != binary.LittleEndian.Uint32(data[4:8]) {
-		return nil, 0, errDirCRC
+		return 0, nil, errDirCRC
 	}
-	return payload, pageFrameHeader + int(plen), nil
-}
-
-// dirRecord is one decoded directory record: a base (the page table; id
-// = the install watermark it folds) or an install (pages added, freed).
-type dirRecord struct {
-	base  bool
-	id    uint64
-	seq   uint64
-	pages []PageInfo
-	freed []uint32
-}
-
-// decodeDirRecord parses one CRC-verified record payload. It never
-// panics, and what it allocates is bounded by the payload's length
-// (every page costs at least four bytes of it).
-func decodeDirRecord(payload []byte) (dirRecord, error) {
-	var r dirRecord
-	if len(payload) == 0 {
-		return r, ErrCorruptDirectory
-	}
-	kind, rd := payload[0], payload[1:]
-	switch kind {
-	case dirRecBase:
-		r.base = true
-	case dirRecInstall:
-	default:
-		return r, fmt.Errorf("%w: unknown record kind %q", ErrCorruptDirectory, kind)
-	}
-	d := dirDecoder{rd: rd}
-	r.id, r.seq = d.next(math.MaxUint64), d.next(math.MaxUint64)
+	d := dirDecoder{rd: payload}
+	seq = d.next(math.MaxUint64)
 	npages := d.count(4)
-	r.pages = make([]PageInfo, 0, npages)
+	pages = make([]PageInfo, 0, npages)
 	for range npages {
 		pi := PageInfo{Slot: uint32(d.next(math.MaxUint32)), Slots: uint32(d.next(math.MaxUint32)), Seq: d.next(math.MaxUint64)}
 		pi.Table = string(d.bytes())
@@ -380,21 +208,14 @@ func decodeDirRecord(payload []byte) (dirRecord, error) {
 			d.err = true
 		}
 		if d.err {
-			return r, ErrCorruptDirectory
+			return 0, nil, errDirBody
 		}
-		r.pages = append(r.pages, pi)
+		pages = append(pages, pi)
 	}
-	if !r.base {
-		nfreed := d.count(1)
-		r.freed = make([]uint32, 0, nfreed)
-		for range nfreed {
-			r.freed = append(r.freed, uint32(d.next(math.MaxUint32)))
-		}
+	if d.err || len(d.rd) != 0 {
+		return 0, nil, errDirBody
 	}
-	if d.err {
-		return r, ErrCorruptDirectory
-	}
-	return r, nil
+	return seq, pages, nil
 }
 
 // dirDecoder reads uvarint fields; the first malformed one sets err,
@@ -431,39 +252,23 @@ func (d *dirDecoder) bytes() []byte {
 	return b
 }
 
-// applyDirRecord applies one decoded record. For a base it returns the
-// folded watermark.
-func (s *Store) applyDirRecord(r dirRecord, watermark uint64, rec *Recovered) uint64 {
-	if !r.base && r.id <= watermark {
-		return 0 // folded into the base already
+// encodeDirectory frames a directory file: seq, then per page
+// slot/extent/sequence/table.
+func encodeDirectory(seq uint64, pages []PageInfo) []byte {
+	buf := make([]byte, pageFrameHeader, 32+32*len(pages))
+	buf = binary.AppendUvarint(buf, seq)
+	buf = binary.AppendUvarint(buf, uint64(len(pages)))
+	for _, pi := range pages {
+		buf = binary.AppendUvarint(buf, uint64(pi.Slot))
+		buf = binary.AppendUvarint(buf, uint64(pi.Slots))
+		buf = binary.AppendUvarint(buf, pi.Seq)
+		buf = binary.AppendUvarint(buf, uint64(len(pi.Table)))
+		buf = append(buf, pi.Table...)
 	}
-	for _, pi := range r.pages {
-		s.pages[pi.Slot] = pageEntry{slots: pi.Slots, seq: pi.Seq, table: pi.Table}
-	}
-	for _, slot := range r.freed {
-		delete(s.pages, slot)
-	}
-	if r.seq > rec.Seq {
-		rec.Seq = r.seq
-	}
-	if r.id > s.recID {
-		s.recID = r.id
-	}
-	if r.base {
-		return r.id
-	}
-	rec.Records++
-	s.recsSince++
-	return 0
-}
-
-func (s *Store) pageInfosLocked() []PageInfo {
-	infos := make([]PageInfo, 0, len(s.pages))
-	for slot, pe := range s.pages {
-		infos = append(infos, PageInfo{Slot: slot, Slots: pe.slots, Seq: pe.seq, Table: pe.table})
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Slot < infos[j].Slot })
-	return infos
+	payload := buf[pageFrameHeader:]
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, pageCRC))
+	return buf
 }
 
 // Stats returns store counters.
@@ -474,54 +279,36 @@ func (s *Store) Stats() Stats {
 		PagesTotal:   uint64(len(s.pages)),
 		SlotsTotal:   uint64(s.heapSlots),
 		FreeSlots:    uint64(len(s.free)),
-		PagesWritten: s.pagesEver.Load(),
-		DirChainLen:  uint64(s.recsSince),
+		PagesWritten: s.pagesEver,
 	}
 }
 
-// CompactionErr returns the last asynchronous base-compaction error, if
-// any (diagnostic only: a failed compaction leaves the previous base and
-// log segments intact).
-func (s *Store) CompactionErr() error {
-	if e, ok := s.compactErrV.Load().(error); ok {
-		return e
-	}
-	return nil
-}
-
-// Close waits for any in-flight base compaction and closes the files.
+// Close closes the heap file.
 func (s *Store) Close() error {
-	s.compactWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var first error
-	if s.logF != nil {
-		if err := s.logF.Close(); err != nil {
-			first = err
-		}
-	}
-	if err := s.heap.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return s.heap.Close()
 }
 
 // Install writes the given row sets to fresh copy-on-write pages, then
-// durably appends one directory record installing them and logically
-// freeing the superseded slots. On return the heap and directory are
-// fsynced. Freed slots are NOT immediately reusable — the caller calls
-// Release once no reader can hold a reference to their old content.
+// durably replaces the directory with the page table that installs them
+// and logically frees the superseded slots. On return the heap and
+// directory are fsynced. Freed slots are NOT immediately reusable — the
+// caller calls Release once no reader can hold a reference to their old
+// content.
 //
 // Each page is written as soon as it is packed, from one reused
-// slot-aligned buffer: a pass holds no more of the image than that.
+// slot-aligned buffer: a pass holds no more of the image than that. The
+// heap writes are O(dirty pages); the directory, about 12 bytes a live
+// page, is written whole.
 //
 // Durability order: heap writes + heap fsync happen strictly before the
-// directory append + fsync, so a crash between the two only orphans
-// fresh slots (recovered as free).
+// directory replace (tmp write + fsync, rename, dir fsync), so a crash
+// between the two only orphans fresh slots (recovered as free).
 func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,7 +339,7 @@ func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageI
 			ids[i] = rows[i].ID
 		}
 		infos = append(infos, PageInfo{Slot: slot, Slots: nslots, Seq: seq, Table: table, Rows: ids})
-		if err := s.fp(fpWrite); err != nil {
+		if err := s.fp(FpWrite); err != nil {
 			return err
 		}
 		_, err := s.heap.WriteAt(frame, int64(slot)*PageSize)
@@ -588,32 +375,42 @@ func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageI
 		}
 		return s.heap.Sync()
 	}
-	// A failed install leaks nothing logically: the directory never
-	// references the slots it allocated, and they return to the free list
-	// (single pages) or stay orphaned until next recovery (extents).
-	undoAlloc := func() {
+	// Phase 2: the durable directory — every live page this install
+	// leaves, the pages it wrote among them, replacing the old file whole.
+	writeDirectory := func() error {
+		if err := s.fp(FpDirectory); err != nil {
+			return err
+		}
+		gone := make(map[uint32]bool, len(freed))
+		for _, slot := range freed {
+			gone[slot] = true
+		}
+		table := make([]PageInfo, 0, len(s.pages)+len(infos))
+		for slot, pe := range s.pages {
+			if !gone[slot] {
+				table = append(table, PageInfo{Slot: slot, Slots: pe.slots, Seq: pe.seq, Table: pe.table})
+			}
+		}
+		for _, pi := range infos {
+			table = append(table, PageInfo{Slot: pi.Slot, Slots: pi.Slots, Seq: pi.Seq, Table: pi.Table})
+		}
+		sort.Slice(table, func(i, j int) bool { return table[i].Slot < table[j].Slot })
+		return ReplaceFile(s.dir, dirFileName, encodeDirectory(seq, table), func() error { return s.fp(FpRename) })
+	}
+	err := writeAll()
+	if err == nil {
+		err = writeDirectory()
+	}
+	if err != nil {
+		// A failed install leaks nothing logically: the directory never
+		// references the slots it allocated, and they return to the free
+		// list (single pages) or stay orphaned until next recovery
+		// (extents).
 		for _, pi := range infos {
 			if pi.Slots == 1 {
 				s.free = append(s.free, pi.Slot)
 			}
 		}
-	}
-	if err := writeAll(); err != nil {
-		undoAlloc()
-		return nil, err
-	}
-
-	// Phase 2: one durable directory record.
-	s.recID++
-	rec := encodeDirRecord(dirRecord{id: s.recID, seq: seq, pages: infos, freed: freed})
-	if err := s.fp(fpDirectory); err != nil {
-		undoAlloc()
-		s.recID--
-		return nil, err
-	}
-	if err := s.appendDirRecord(rec); err != nil {
-		undoAlloc()
-		s.recID--
 		return nil, err
 	}
 
@@ -625,9 +422,7 @@ func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageI
 		s.retired[slot] = s.pages[slot].slots
 		delete(s.pages, slot)
 	}
-	s.pagesEver.Add(uint64(len(infos)))
-	s.recsSince++
-	s.maybeCompactLocked()
+	s.pagesEver += uint64(len(infos))
 	return infos, nil
 }
 
@@ -644,117 +439,6 @@ func (s *Store) Release(slots []uint32) {
 		}
 		delete(s.retired, slot)
 	}
-}
-
-// appendDirRecord durably appends one framed record to the active log
-// segment.
-func (s *Store) appendDirRecord(frame []byte) error {
-	if _, err := s.logF.Write(frame); err != nil {
-		return err
-	}
-	return s.logF.Sync()
-}
-
-// encodeDirRecord frames a record: id, sequence, per page
-// slot/extent/sequence/table, and an install's freed slots.
-func encodeDirRecord(r dirRecord) []byte {
-	kind := byte(dirRecInstall)
-	if r.base {
-		kind = dirRecBase
-	}
-	buf := append(make([]byte, pageFrameHeader, 64+32*len(r.pages)+8*len(r.freed)), kind)
-	buf = binary.AppendUvarint(buf, r.id)
-	buf = binary.AppendUvarint(buf, r.seq)
-	buf = binary.AppendUvarint(buf, uint64(len(r.pages)))
-	for _, pi := range r.pages {
-		buf = binary.AppendUvarint(buf, uint64(pi.Slot))
-		buf = binary.AppendUvarint(buf, uint64(pi.Slots))
-		buf = binary.AppendUvarint(buf, pi.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(pi.Table)))
-		buf = append(buf, pi.Table...)
-	}
-	if !r.base {
-		buf = binary.AppendUvarint(buf, uint64(len(r.freed)))
-		for _, slot := range r.freed {
-			buf = binary.AppendUvarint(buf, uint64(slot))
-		}
-	}
-	payload := buf[pageFrameHeader:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, pageCRC))
-	return buf
-}
-
-// maybeCompactLocked kicks an asynchronous base compaction when the
-// install-record chain exceeds the limit. The checkpoint pause never
-// pays for it: the page-table snapshot is taken under the lock (cheap —
-// one entry a page) and all I/O happens in a background goroutine.
-// Requires s.mu held.
-func (s *Store) maybeCompactLocked() {
-	if s.baseBusy || s.recsSince == 0 || s.recsSince <= s.opts.DirLogLimit {
-		return
-	}
-	if err := s.fp(fpTrigger); err != nil {
-		return
-	}
-	snap := s.pageInfosLocked()
-	watermark := s.recID
-	seq := uint64(0)
-	for _, pi := range snap {
-		if pi.Seq > seq {
-			seq = pi.Seq
-		}
-	}
-	oldIndex := s.logIndex
-	if err := s.openLogSegment(s.logIndex + 1); err != nil {
-		s.compactErrV.Store(err)
-		return
-	}
-	s.baseBusy = true
-	s.recsSince = 0
-	s.compactWG.Add(1)
-	go s.compactBase(snap, watermark, seq, oldIndex)
-}
-
-// compactBase writes the full page table as a fresh base (tmp + fsync +
-// rename + dir fsync), then deletes the folded log segments. A crash at
-// any point leaves either the old base + all segments, or the new base
-// (+ possibly stale segments whose records the watermark skips).
-func (s *Store) compactBase(snap []PageInfo, watermark, seq uint64, maxSegIndex uint64) {
-	defer s.compactWG.Done()
-	fail := func(err error) {
-		s.compactErrV.Store(err)
-		s.mu.Lock()
-		s.baseBusy = false
-		s.mu.Unlock()
-	}
-	if err := s.fp(fpCompact); err != nil {
-		fail(err)
-		return
-	}
-	frame := encodeDirRecord(dirRecord{base: true, id: watermark, seq: seq, pages: snap})
-
-	if err := ReplaceFile(s.dir, dirBaseName, frame, func() error { return s.fp(fpRename) }); err != nil {
-		fail(err)
-		return
-	}
-	if entries, err := os.ReadDir(s.dir); err == nil {
-		for _, e := range entries {
-			if idx, ok := parseDirLogIndex(e.Name()); ok && idx <= maxSegIndex {
-				os.Remove(filepath.Join(s.dir, e.Name()))
-			}
-		}
-	}
-	syncDir(s.dir)
-	s.mu.Lock()
-	s.baseBusy = false
-	// Installs that arrived while this compaction ran may already have
-	// pushed the chain past the limit again; fold them too. The WG Add
-	// happens before this goroutine's Done, so Close's Wait stays sound.
-	if !s.closed {
-		s.maybeCompactLocked()
-	}
-	s.mu.Unlock()
 }
 
 // ReadPage reads the page at slot from the heap, verifies its CRC and

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -171,81 +172,68 @@ func TestStoreOversizedRowExtent(t *testing.T) {
 	}
 }
 
-func TestStoreTornDirectoryTail(t *testing.T) {
+// TestStoreDirectoryReplaceRoundTrip: every Install replaces the one
+// directory file, so after each the store holds the heap and that file
+// and nothing else, and a reopen maps exactly the page table the store
+// had. A replace a crash cut short before its rename leaves its tmp
+// file, which the next Open discards, recovering the directory it never
+// replaced.
+func TestStoreDirectoryReplaceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})
-	if _, err := s.Install(1, []Install{{Table: "t", Rows: rowsOf(5, 0)}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Install(2, []Install{{Table: "t", Rows: rowsOf(5, 100)}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Tear the final directory record mid-frame.
-	logPath := filepath.Join(dir, dirLogName(1))
-	fi, err := os.Stat(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(logPath, fi.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, rec := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	if rec.Seq != 1 {
-		t.Fatalf("torn tail not discarded: seq %d, want 1", rec.Seq)
-	}
-	ids := pageIDs(t, s2, rec)
-	if len(ids) != 5 || ids[0] != 1 || ids[100] != 0 {
-		t.Fatalf("recovered wrong row set: %v", ids)
-	}
-	// The torn record's heap slots must be free again.
-	if st := s2.Stats(); st.FreeSlots == 0 {
-		t.Fatalf("orphaned heap slots not reclaimed: %+v", st)
-	}
-}
-
-func TestStoreBaseCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{DirLogLimit: 2})
-	var last []PageInfo
+	live := map[int64]int{} // row id -> pages holding it, as installed
 	var freed []uint32
-	for i := 1; i <= 8; i++ {
-		var err error
-		last, err = s.Install(uint64(i), []Install{{Table: "t", Rows: rowsOf(5, 0)}}, freed)
+	for seq := uint64(1); seq <= 6; seq++ {
+		placed, err := s.Install(seq, []Install{{Table: "t", Rows: rowsOf(300, int64(seq)*1000)}}, freed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		freed = []uint32{last[0].Slot}
-	}
-	s.compactWG.Wait()
-	if err := s.CompactionErr(); err != nil {
-		t.Fatalf("compaction error: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, dirBaseName)); err != nil {
-		t.Fatalf("base not written: %v", err)
-	}
-	st := s.Stats()
-	if st.DirChainLen > 2 {
-		t.Fatalf("chain not folded: %+v", st)
+		s.Release(freed)
+		for _, pl := range placed {
+			for _, id := range pl.Rows {
+				live[id]++
+			}
+		}
+		// Supersede the first page of this install in the next.
+		freed = []uint32{placed[0].Slot}
+		if seq < 6 {
+			for _, id := range placed[0].Rows {
+				delete(live, id)
+			}
+		}
+		files := storeFiles(t, dir)
+		if _, ok := files[dirFileName]; !ok || len(files) != 2 {
+			t.Fatalf("after install %d the store holds %d files, want the heap and %s", seq, len(files), dirFileName)
+		}
 	}
 	s.Close()
 
-	s2, rec := mustOpen(t, dir, Options{DirLogLimit: 2})
-	defer s2.Close()
-	if rec.Seq != 8 {
-		t.Fatalf("recovered seq %d, want 8", rec.Seq)
+	s2, rec := mustOpen(t, dir, Options{})
+	if rec.Seq != 6 {
+		t.Fatalf("reopened seq %d, want 6", rec.Seq)
 	}
-	ids := pageIDs(t, s2, rec)
-	for id, n := range ids {
-		if n != 1 {
-			t.Fatalf("row %d appears %d times after compaction replay", id, n)
+	for i := 1; i < len(rec.Pages); i++ {
+		if rec.Pages[i-1].Slot >= rec.Pages[i].Slot {
+			t.Fatalf("recovered pages not ascending by slot: %+v", rec.Pages)
 		}
 	}
-	if len(ids) != 5 {
-		t.Fatalf("recovered %d rows, want 5", len(ids))
+	if ids := pageIDs(t, s2, rec); !reflect.DeepEqual(ids, live) {
+		t.Fatalf("recovered pages hold %d rows, installed %d live", len(ids), len(live))
+	}
+	s2.Close()
+
+	// A crash between the tmp write and its rename.
+	tmp := filepath.Join(dir, dirFileName+".tmp")
+	if err := os.WriteFile(tmp, []byte("half a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, rec3 := mustOpen(t, dir, Options{})
+	defer s3.Close()
+	if rec3.Seq != 6 || !reflect.DeepEqual(rec3.Pages, rec.Pages) {
+		t.Fatalf("a leftover tmp changed what was recovered: seq %d, %d pages", rec3.Seq, len(rec3.Pages))
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("the leftover tmp survived Open: %v", err)
 	}
 }
 
@@ -264,7 +252,7 @@ func TestStoreEmptyInstallAdvancesSeq(t *testing.T) {
 }
 
 func TestStoreFailpointError(t *testing.T) {
-	for _, fp := range []string{fpWrite, fpDirectory} {
+	for _, fp := range []string{FpWrite, FpDirectory, FpRename} {
 		t.Run(fp, func(t *testing.T) {
 			dir := t.TempDir()
 			fired := 0
@@ -312,7 +300,7 @@ func TestDirectoryVisiblePagesAreNeverRewritten(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		var fpMu sync.Mutex // the async fold consults the failpoint too
+		var fpMu sync.Mutex // guards failAt
 		failAt := ""
 		arm := func(name string) string {
 			fpMu.Lock()
@@ -321,7 +309,7 @@ func TestDirectoryVisiblePagesAreNeverRewritten(t *testing.T) {
 			failAt = name
 			return was
 		}
-		opts := Options{DirLogLimit: 3, Failpoint: func(name string) error {
+		opts := Options{Failpoint: func(name string) error {
 			fpMu.Lock()
 			defer fpMu.Unlock()
 			if name == failAt {
@@ -363,7 +351,7 @@ func TestDirectoryVisiblePagesAreNeverRewritten(t *testing.T) {
 					}
 				}
 				if rng.Intn(8) == 0 {
-					arm([]string{fpWrite, fpDirectory}[rng.Intn(2)])
+					arm([]string{FpWrite, FpDirectory}[rng.Intn(2)])
 				}
 				placed, err := s.Install(seq, []Install{{Table: "t", Rows: rows}}, freed)
 				if armed := arm(""); armed != "" {

@@ -323,22 +323,21 @@ type DBStats struct {
 	// fsynced (every commit that queued behind the previous fsync shares
 	// it); without one, one per CommitGroup call. GroupedTxns/GroupCommits
 	// is the mean commit-coalescing factor.
-	GroupCommits            int64 `json:"group_commits" stat:"group_commits_total,counter,sum" help:"Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on)."`
-	GroupedTxns             int64 `json:"grouped_txns" stat:"grouped_txns_total,counter,sum" help:"Transactions committed through commit groups (a cross-shard transaction counts once)."`
-	WALSegments             int64 `json:"wal_segments" stat:"wal_segments,gauge,sum" help:"Durable WAL segment files currently live (0 without -data-dir)."`
-	WALBytes                int64 `json:"wal_bytes" stat:"wal_bytes_total,counter,sum" help:"Bytes appended to the view's durable WAL segments."`
-	Fsyncs                  int64 `json:"fsyncs_total" stat:"wal_fsyncs_total,counter,sum" help:"fsync calls issued by the view's durable WAL (commit batches, segment seals, checkpoint installs)."`
-	Checkpoints             int64 `json:"checkpoints_total" stat:"wal_checkpoints_total,counter,sum" help:"Checkpoint passes of the view's log."`
-	RecoveryReplayedTxns    int64 `json:"recovery_replayed_txns" stat:"wal_recovery_replayed_txns,gauge,sum" help:"Committed transactions replayed from the WAL at startup."`
-	WALPipelineDepth        int64 `json:"wal_pipeline_depth" stat:"wal_pipeline_depth,gauge,sum" help:"Commit groups queued or in flight in the WAL writer stage."`
-	CheckpointDeltaChainLen int64 `json:"checkpoint_delta_chain_len" stat:"checkpoint_delta_chain_len,gauge,max,shard" help:"Page-directory install records since the last base fold (worst shard)."`
+	GroupCommits         int64 `json:"group_commits" stat:"group_commits_total,counter,sum" help:"Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on)."`
+	GroupedTxns          int64 `json:"grouped_txns" stat:"grouped_txns_total,counter,sum" help:"Transactions committed through commit groups (a cross-shard transaction counts once)."`
+	WALSegments          int64 `json:"wal_segments" stat:"wal_segments,gauge,sum" help:"Durable WAL segment files currently live (0 without -data-dir)."`
+	WALBytes             int64 `json:"wal_bytes" stat:"wal_bytes_total,counter,sum" help:"Bytes appended to the view's durable WAL segments."`
+	Fsyncs               int64 `json:"fsyncs_total" stat:"wal_fsyncs_total,counter,sum" help:"fsync calls issued by the view's durable WAL (commit batches, segment seals, checkpoint installs)."`
+	Checkpoints          int64 `json:"checkpoints_total" stat:"wal_checkpoints_total,counter,sum" help:"Checkpoint passes of the view's log."`
+	RecoveryReplayedTxns int64 `json:"recovery_replayed_txns" stat:"wal_recovery_replayed_txns,gauge,sum" help:"Committed transactions replayed from the WAL at startup."`
+	WALPipelineDepth     int64 `json:"wal_pipeline_depth" stat:"wal_pipeline_depth,gauge,sum" help:"Commit groups queued or in flight in the WAL writer stage."`
 	// CheckpointLastPauseNs is the log's, reported by every member.
 	CheckpointLastPauseNs  int64        `json:"checkpoint_last_pause_ns" stat:"checkpoint_last_pause_seconds,gauge,max,shard" help:"Duration of the most recent checkpoint pass (worst shard)."`
 	PagecacheHits          int64        `json:"pagecache_hits" stat:"pagecache_hits_total,counter,sum,shard" help:"Buffer-pool page reads served from memory."`
 	PagecacheMisses        int64        `json:"pagecache_misses" stat:"pagecache_misses_total,counter,sum,shard" help:"Buffer-pool page reads that faulted from disk."`
 	PagecacheEvictions     int64        `json:"pagecache_evictions" stat:"pagecache_evictions_total,counter,sum,shard" help:"Buffer-pool frames evicted to stay within the budget."`
 	PagesTotal             int64        `json:"pages_total" stat:"pages_total,gauge,sum,shard" help:"Live pages in the checkpoint page store."`
-	CompactionPagesWritten int64        `json:"compaction_pages_written" stat:"compaction_pages_written_total,counter,sum" help:"Pages written by checkpoint passes and directory folds."`
+	CompactionPagesWritten int64        `json:"compaction_pages_written" stat:"compaction_pages_written_total,counter,sum" help:"Pages written by checkpoint passes."`
 	FsyncHist              obs.Snapshot `json:"-" stat:"wal_fsync_seconds,histogram,sum" help:"Durable WAL fsync duration per commit group (empty without -data-dir)."`
 	CheckpointPauseHist    obs.Snapshot `json:"-" stat:"checkpoint_pause_seconds,histogram,sum" help:"Checkpoint pass duration — O(dirty) under incremental checkpoints (empty without -data-dir)."`
 }
@@ -368,7 +367,6 @@ func (db *Database) Stats() DBStats {
 	}
 	ps, ss := db.pager.pool.Stats(), db.pager.store.Stats()
 	st.RecoveryReplayedTxns = db.walRecoveredTxns.Load()
-	st.CheckpointDeltaChainLen = int64(ss.DirChainLen)
 	st.CheckpointLastPauseNs = w.lastCkptPauseNs.Load()
 	st.PagecacheHits, st.PagecacheMisses, st.PagecacheEvictions = int64(ps.Hits), int64(ps.Misses), int64(ps.Evictions)
 	st.PagesTotal, st.CompactionPagesWritten = int64(ss.PagesTotal), int64(ss.PagesWritten)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
+
+	"repro/internal/pagestore"
 )
 
 // Failpoints are named crash/error-injection points in the durability
@@ -53,12 +55,13 @@ const (
 	// durable: recovery must fall back to the previous page directory
 	// plus the full segment chain.
 	FpCheckpointWrite = "checkpoint.write"
-	// FpCheckpointRename fires in the page store's directory compaction
-	// after the replacement base is durable but before the atomic rename
-	// installs it: recovery must still see the old base + log chain.
-	FpCheckpointRename = "checkpoint.rename"
-	// FpCheckpointTruncate fires after the checkpoint's directory record
-	// is durable but before the sealed WAL segments it supersedes are
+	// FpCheckpointRename fires in a checkpoint's directory replace after
+	// the new directory is durable in its tmp file but before the rename
+	// installs it: recovery must still see the old directory, and the new
+	// pages are orphaned.
+	FpCheckpointRename = pagestore.FpRename
+	// FpCheckpointTruncate fires after the checkpoint's directory is
+	// durable but before the sealed WAL segments it supersedes are
 	// deleted: recovery must load the new page directory and skip the
 	// already-checkpointed records it will re-encounter in the old
 	// segments.
@@ -76,22 +79,15 @@ const (
 	// the writer must roll the group (and any later groups in its batch)
 	// back and truncate their records.
 	FpPipelinePublishBefore = "pipeline.publish.before"
-	// FpCheckpointCompact fires when the page store decides to fold its
-	// directory log chain into a new base, before the replacement base is
-	// written: recovery must still see the old base + log chain intact.
-	FpCheckpointCompact = "checkpoint.compact"
 	// FpPagestoreWrite fires before each checkpoint page is written to
 	// the heap file, before anything is durable: recovery must fall back
 	// to the previous page directory (fresh heap slots are orphaned and
 	// reclaimed as free).
-	FpPagestoreWrite = "pagestore.write"
+	FpPagestoreWrite = pagestore.FpWrite
 	// FpPagestoreDirectory fires after a checkpoint's pages are durable
-	// in the heap but before the directory record installing them is
-	// appended: recovery must not see the new pages at all.
-	FpPagestoreDirectory = "pagestore.directory"
-	// FpCompactPage fires at the start of the page store's asynchronous
-	// directory base compaction, before the temp base is written.
-	FpCompactPage = "compact.page"
+	// in the heap but before the directory installing them is written:
+	// recovery must not see the new pages at all.
+	FpPagestoreDirectory = pagestore.FpDirectory
 )
 
 // ErrInjectedFault is the error an error-mode failpoint returns. The
@@ -127,10 +123,8 @@ var failpoints = map[string]*failpointState{
 	FpCheckpointTruncate:    {},
 	FpPipelineStampAfter:    {},
 	FpPipelinePublishBefore: {},
-	FpCheckpointCompact:     {},
 	FpPagestoreWrite:        {},
 	FpPagestoreDirectory:    {},
-	FpCompactPage:           {},
 }
 
 // FailpointNames returns every registered failpoint name, sorted. The

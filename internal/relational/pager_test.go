@@ -345,8 +345,7 @@ func FuzzRowPayloadDecode(f *testing.F) {
 // TestPagesAndMappingsAgree: the page directory records no rows, so the
 // pages are the only durable record of where each row lives, and rowSlot
 // is the in-memory mirror of them. A seeded insert/update/delete mix runs
-// over checkpoint passes (the directory folding into a base along the
-// way); after every pass each live page holds exactly the rows rowSlot
+// over checkpoint passes; after every pass each live page holds exactly the rows rowSlot
 // names it for, and with no reader open every row is page-only: no
 // table keeps a version. Then the database goes down with an
 // uncheckpointed tail — CloseWAL runs no pass and writes nothing a kill
@@ -355,7 +354,7 @@ func FuzzRowPayloadDecode(f *testing.F) {
 // pre-crash contents.
 func TestPagesAndMappingsAgree(t *testing.T) {
 	dir := t.TempDir()
-	opts := WALOptions{CheckpointDeltaLimit: 2, PageCacheBytes: 16 << 10}
+	opts := WALOptions{PageCacheBytes: 16 << 10}
 	db, _ := openWALDB(t, dir, opts)
 	rng := rand.New(rand.NewSource(25))
 	parents := map[int64]bool{}

@@ -317,63 +317,40 @@ func TestPipelineFailpointsRollBackCleanly(t *testing.T) {
 	}
 }
 
-// countFiles returns how many directory entries carry the given suffix.
-func countFiles(t testing.TB, dir, suffix string) int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), suffix) {
-			n++
-		}
-	}
-	return n
-}
-
-// TestCheckpointDirectoryChainAndCompaction walks the page-directory
-// lifecycle: each checkpoint appends one install record and grows the
-// chain gauge; crossing CheckpointDeltaLimit folds the log into a fresh
-// base (asynchronously, resetting the gauge); and recovery through a
-// live chain reproduces the exact state.
-func TestCheckpointDirectoryChainAndCompaction(t *testing.T) {
+// TestCheckpointReplacesDirectory: a WAL directory holds its stamp, its
+// segments, the heap and the one page directory — every checkpoint
+// replaces that file and leaves no other behind — and recovery through
+// the directory plus the WAL tail reproduces the exact state, as does a
+// second recovery after a checkpoint of the first.
+func TestCheckpointReplacesDirectory(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{CheckpointDeltaLimit: 2})
+	db, _ := openWALDB(t, dir, WALOptions{})
 	for i := int64(1); i <= 10; i++ {
 		mustInsertParent(t, db, i, Value{Kind: KindInt, Int: i}.String())
 	}
-	// OpenWAL's initial checkpoint wrote record 1; the next pass is 2,
-	// and the one after crosses the limit and resets the gauge as the
-	// fold kicks off.
-	mustInsertParent(t, db, 101, "a")
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().CheckpointDeltaChainLen; got != 2 {
-		t.Fatalf("chain length after second install = %d, want 2", got)
-	}
-	mustInsertParent(t, db, 102, "b")
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().CheckpointDeltaChainLen; got != 0 {
-		t.Fatalf("chain length after fold trigger = %d, want 0", got)
+	for _, key := range []int64{101, 102} {
+		mustInsertParent(t, db, key, fmt.Sprint("after ", key))
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for name := range dirBytes(t, dir) {
+			if _, seg := parseSegmentIndex(name); !seg && name != formatFileName && name != "heap.pg" && name != "pagedir" {
+				t.Fatalf("after a checkpoint the dir holds %s", name)
+			}
+		}
 	}
 
-	// Recovery through the page directory + WAL tail.
 	mustInsertParent(t, db, 200, "tail")
 	want := dumpDB(t, db)
-	if err := db.CloseWAL(); err != nil { // waits out the async fold
+	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	db2, info := openWALDB(t, dir, WALOptions{CheckpointDeltaLimit: 2})
-	if info.CheckpointRows != 12 {
-		t.Fatalf("recovery restored %d checkpoint rows, want 12", info.CheckpointRows)
+	db2, info := openWALDB(t, dir, WALOptions{})
+	if info.CheckpointRows != 12 || info.ReplayedTxns != 1 {
+		t.Fatalf("recovery restored %d checkpoint rows and replayed %d txns, want 12 and 1", info.CheckpointRows, info.ReplayedTxns)
 	}
 	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered state through directory chain:\n got %v\nwant %v", got, want)
+		t.Fatalf("recovered state through the directory:\n got %v\nwant %v", got, want)
 	}
 
 	mustInsertParent(t, db2, 300, "post")
@@ -386,7 +363,7 @@ func TestCheckpointDirectoryChainAndCompaction(t *testing.T) {
 	}
 	db3, _ := openWALDB(t, dir, WALOptions{})
 	if got := dumpDB(t, db3); !reflect.DeepEqual(got, want2) {
-		t.Fatalf("recovered state after compaction:\n got %v\nwant %v", got, want2)
+		t.Fatalf("recovered state after a second checkpoint:\n got %v\nwant %v", got, want2)
 	}
 }
 
@@ -396,7 +373,7 @@ func TestCheckpointDirectoryChainAndCompaction(t *testing.T) {
 // scales with the dirty set, not database size.
 func TestCheckpointIsODirtyPages(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{CheckpointDeltaLimit: 8})
+	db, _ := openWALDB(t, dir, WALOptions{})
 	pad := strings.Repeat("x", 100) // spread 400 rows over many pages
 	for i := int64(1); i <= 400; i++ {
 		mustInsertParent(t, db, i, fmt.Sprintf("%s-%d", pad, i))

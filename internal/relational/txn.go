@@ -329,13 +329,11 @@ func (req *walReq) undo() {
 }
 
 // commitMaintenance runs the work commits piggyback after publishing,
-// outside every latch: version reclamation past the threshold and
-// segment-count-triggered checkpoints.
+// outside every latch: version reclamation past the threshold.
 func (db *Database) commitMaintenance() {
 	if db.versionsSinceReclaim.Load() >= reclaimThreshold {
 		db.Reclaim()
 	}
-	db.maybeCheckpoint()
 }
 
 // publish replaces every claim stamp the transaction placed with the

@@ -44,8 +44,7 @@ import (
 //	wal-0000000001.seg        sealed segment (immutable once rotated away)
 //	wal-0000000002.seg        active segment (append-only)
 //	heap.pg                   slotted 4KiB pages: the checkpoint base image
-//	pagedir.base              page directory folded into one record
-//	pagedir-0000000001.log    page-directory log (installs, frees, chain)
+//	pagedir                   page directory: the live page table, replaced whole
 //
 // Every active segment is extended with zeros to SegmentBytes when it
 // opens (fresh, after recovery, at every rotation), so an append
@@ -61,13 +60,13 @@ import (
 // as torn).
 //
 // The checkpoint base image lives in internal/pagestore: a heap file of
-// slotted copy-on-write pages plus a directory log. A checkpoint pass
+// slotted copy-on-write pages plus one directory file. A checkpoint pass
 // packs only the rows dirtied since the previous pass (plus the clean
-// survivors sharing their pages) into fresh pages and appends one
-// directory record, keeping the pause O(dirty-pages), not O(database);
-// the directory log folds into a compact base asynchronously inside the
-// store. A sealed segment is retired once every member's checkpoint has
-// passed the highest sequence it holds for that member, and recovery
+// survivors sharing their pages) into fresh pages, so its heap writes
+// are O(dirty-pages), not O(database), and then replaces the directory
+// (about 12 bytes a live page) with tmp + fsync + rename. A sealed
+// segment is retired once every member's checkpoint has passed the
+// highest sequence it holds for that member, and recovery
 // maps each member's pages (values fault in lazily through the buffer
 // pool on first read) and then replays only records with newer
 // sequences.
@@ -85,7 +84,7 @@ const (
 	// dataDirFormat numbers the on-disk layout of a log directory and its
 	// members' page stores; formatFileName holds it as decimal text. Any
 	// change to that layout bumps it: nothing migrates an older one.
-	dataDirFormat  = 1
+	dataDirFormat  = 2
 	formatFileName = "FORMAT"
 )
 
@@ -103,25 +102,13 @@ const (
 )
 
 // WALOptions tunes the write-ahead log. The zero value is production
-// defaults; tests shrink SegmentBytes to force rotation and set
-// CheckpointEverySegments to exercise checkpoint truncation under load.
+// defaults; tests shrink SegmentBytes to force rotation.
 type WALOptions struct {
 	// SegmentBytes is the size each active segment is extended to when it
 	// opens, and the active segment rotates once its records reach it
 	// (default 4 MiB). Records are never split across segments, so the
 	// last record of a segment may grow the file past it.
 	SegmentBytes int64
-	// CheckpointEverySegments, when > 0, piggybacks a checkpoint on the
-	// first commit after that many segments have been sealed since the
-	// last checkpoint. Zero leaves checkpointing to explicit Checkpoint
-	// calls and the StartCheckpointer ticker.
-	CheckpointEverySegments int
-	// CheckpointDeltaLimit bounds the page-directory log chain: each
-	// incremental checkpoint appends one directory record (dirty pages
-	// only) until this many accumulate, then the store folds the chain
-	// into a fresh compact base asynchronously. Zero means the default
-	// (8).
-	CheckpointDeltaLimit int
 	// PageCacheBytes caps each member's buffer pool holding decoded
 	// checkpoint pages: cold committed rows drop their in-memory values
 	// and fault back in through this pool, so the dataset may exceed RAM.
@@ -133,9 +120,6 @@ func (o WALOptions) withDefaults() WALOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.CheckpointDeltaLimit <= 0 {
-		o.CheckpointDeltaLimit = 8
-	}
 	if o.PageCacheBytes <= 0 {
 		o.PageCacheBytes = 256 << 20
 	}
@@ -146,15 +130,12 @@ func (o WALOptions) withDefaults() WALOptions {
 // member.
 type RecoveryInfo struct {
 	// CheckpointSeq is the commit sequence of the recovered page
-	// directory (zero when the directory had no checkpoint state).
+	// directory (zero when there was none).
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
 	// CheckpointRows counts rows restored from the live pages, each
 	// page-only: recovery reads each page once for its row ids and index
 	// keys, and the values fault in on first read.
 	CheckpointRows int `json:"checkpoint_rows"`
-	// CheckpointDeltas counts page-directory records applied to rebuild
-	// the checkpoint state.
-	CheckpointDeltas int `json:"checkpoint_deltas,omitempty"`
 	// ReplayedTxns counts committed transactions replayed from segment
 	// records with sequences past the checkpoint.
 	ReplayedTxns int64 `json:"replayed_txns"`
@@ -220,15 +201,13 @@ type WAL struct {
 	groupCommits atomic.Int64 // fsynced writer batches
 	groupedTxns  atomic.Int64 // transactions they published
 	acrossFsyncs atomic.Int64 // of those batches, ones carrying a multi-member record
-	sealedSinceC atomic.Int64 // sealed segments since the last checkpoint
 	checkpoints  atomic.Int64 // passes that installed every member's pages
 
 	// fsyncHist records each commit-path fsync's duration; lastFsyncNs
 	// holds the most recent one so a traced apply can split its commit
 	// wait into publish time vs fsync time. ckptPauseHist records each
-	// checkpoint pass's full duration — the stall the caller that
-	// triggered it (usually a commit piggybacking maybeCheckpoint)
-	// observes.
+	// checkpoint pass's full duration — the stall its caller (the
+	// checkpointer ticker, a seed, an explicit Checkpoint) observes.
 	fsyncHist       *obs.Histogram
 	lastFsyncNs     atomic.Int64
 	ckptPauseHist   *obs.Histogram
@@ -269,7 +248,7 @@ func SyncDir(dir string) error {
 }
 
 // stampFormat writes dataDirFormat into a fresh dir the way the page
-// directory writes its base (pagestore.ReplaceFile) and refuses, touching
+// store writes its directory (pagestore.ReplaceFile) and refuses, touching
 // nothing, a dir stamped with another number or holding files and no
 // stamp. The stamp's tmp file alone is a first open a crash cut short:
 // the dir is still fresh.
@@ -650,7 +629,6 @@ func (w *WAL) rotate() error {
 	w.sealed = append(w.sealed, sealedSegment{index: w.segIndex, path: segmentPath(w.dir, w.segIndex), maxSeq: w.activeMax})
 	w.mu.Unlock()
 	w.activeMax = make([]uint64, len(w.members))
-	w.sealedSinceC.Add(1)
 	if err := w.openSegment(w.segIndex + 1); err != nil {
 		return err
 	}
@@ -764,15 +742,12 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 		if err := os.MkdirAll(pageDirs[i], 0o755); err != nil {
 			return err
 		}
-		store, rec, err := pagestore.Open(pageDirs[i], pagestore.Options{
-			DirLogLimit: w.opts.CheckpointDeltaLimit,
-			Failpoint:   evalFailpoint,
-		})
+		store, rec, err := pagestore.Open(pageDirs[i], pagestore.Options{Failpoint: evalFailpoint})
 		if err != nil {
 			return fmt.Errorf("relational: page store: %w", err)
 		}
 		db.wal, db.member, db.pager = w, i, newPager(store, w.opts.PageCacheBytes)
-		if len(segs) == 0 && rec.Seq == 0 && rec.Records == 0 {
+		if len(segs) == 0 && rec.Seq == 0 && len(rec.Pages) == 0 {
 			// What the database holds was committed with no log to mark
 			// it dirty in: mark every row once for the initial pass.
 			fresh.Store(true)
@@ -784,16 +759,14 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 			return nil
 		}
 		db.resetStorage()
-		if rec.Seq > 0 || rec.Records > 0 {
-			rows, err := db.restoreFromPages(&rec)
-			if err != nil {
-				return fmt.Errorf("relational: checkpoint: %w", err)
-			}
-			infos[i].CheckpointSeq, infos[i].CheckpointRows, infos[i].CheckpointDeltas = rec.Seq, rows, rec.Records
-			db.checkpointSeq.Store(rec.Seq)
-			db.commitSeq.Store(rec.Seq)
-			db.stampSeq.Store(rec.Seq)
+		rows, err := db.restoreFromPages(&rec)
+		if err != nil {
+			return fmt.Errorf("relational: checkpoint: %w", err)
 		}
+		infos[i].CheckpointSeq, infos[i].CheckpointRows = rec.Seq, rows
+		db.checkpointSeq.Store(rec.Seq)
+		db.commitSeq.Store(rec.Seq)
+		db.stampSeq.Store(rec.Seq)
 		return nil
 	})
 	next := uint64(1)
@@ -900,7 +873,6 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 			return err
 		}
 	}
-	w.sealedSinceC.Store(int64(len(w.sealed)))
 	return parallel(n, func(i int) error {
 		db, info := w.members[i], &infos[i]
 		info.Segments, info.TornTail, info.TruncatedBytes = len(segs), stopped, torn
@@ -1063,10 +1035,10 @@ type ckptPass struct {
 // every pinned sequence. Then the latches drop and the members' page
 // installs run in parallel while traffic proceeds: only the rows
 // dirtied since the previous pass (plus the clean survivors sharing
-// their superseded pages) go into fresh copy-on-write pages under one
-// directory record, so the pause is O(dirty-pages), and freshly paged
-// rows every reader sees drop their versions. Crash-safe at every
-// step: pages are fsynced before the directory record naming them, and
+// their superseded pages) go into fresh copy-on-write pages named by one
+// replaced directory, so the heap writes are O(dirty-pages), and freshly
+// paged rows every reader sees drop their versions. Crash-safe at every
+// step: pages are fsynced before the directory naming them, and
 // a sealed segment is retired only once every member's durable
 // checkpoint has passed the highest sequence it holds for that member.
 func (w *WAL) Checkpoint() error {
@@ -1105,7 +1077,6 @@ func (w *WAL) Checkpoint() error {
 	}
 	err = parallel(len(w.members), func(i int) error { return w.members[i].installPages(passes[i]) })
 	if err == nil {
-		w.sealedSinceC.Store(0)
 		w.checkpoints.Add(1)
 	}
 	if ferr := evalFailpoint(FpCheckpointTruncate); ferr != nil {
@@ -1186,24 +1157,13 @@ func (w *WAL) retire() error {
 	return SyncDir(w.dir)
 }
 
-// maybeCheckpoint runs a checkpoint when enough segments have sealed
-// since the last one (commits piggyback it, like Reclaim).
-func (db *Database) maybeCheckpoint() {
-	w := db.wal
-	if w == nil || w.opts.CheckpointEverySegments <= 0 {
-		return
-	}
-	if w.sealedSinceC.Load() >= int64(w.opts.CheckpointEverySegments) {
-		_ = w.Checkpoint()
-	}
-}
-
 // StartCheckpointer checkpoints the database's log on the given interval
 // in a background goroutine until the returned stop function is called
-// (idempotent). Intervals with no appends skip the pass, so an idle log
-// costs nothing. Long-running hosts (the ufilterd daemon) use it to
-// bound recovery replay time; CheckpointEverySegments bounds it by
-// volume instead. One ticker serves every member of a log.
+// (idempotent). Intervals with no appends since the last pass that
+// succeeded skip it, so an idle log costs nothing, and a failed pass is
+// retried on the next tick. Long-running hosts (the ufilterd daemon) use
+// it to bound recovery replay time. One ticker serves every member of a
+// log.
 func (db *Database) StartCheckpointer(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = 30 * time.Second
@@ -1222,9 +1182,8 @@ func (db *Database) StartCheckpointer(interval time.Duration) (stop func()) {
 				if w == nil {
 					continue
 				}
-				if n := w.appends.Load(); n != lastAppends {
+				if n := w.appends.Load(); n != lastAppends && w.Checkpoint() == nil {
 					lastAppends = n
-					_ = w.Checkpoint()
 				}
 			}
 		}
@@ -1259,10 +1218,9 @@ func (w *WAL) Close() error {
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	// Closing a page store waits out any in-flight base compaction. Rows
-	// still materialized in memory stay readable; a read that would fault
-	// a page from a closed store panics, so callers stop traffic before
-	// shutdown (the server does).
+	// Rows still materialized in memory stay readable; a read that would
+	// fault a page from a closed store panics, so callers stop traffic
+	// before shutdown (the server does).
 	for _, db := range w.members {
 		if serr := db.pager.store.Close(); err == nil {
 			err = serr

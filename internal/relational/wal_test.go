@@ -8,9 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/pagestore"
 )
 
 // walSchema is a small parent/child pair exercising PK, UNIQUE, FK and
@@ -216,7 +220,7 @@ func TestDataDirFormat(t *testing.T) {
 			t.Fatalf("%s: the refused open changed the dir", name)
 		}
 	}
-	refused("another number", func(p string) error { return os.WriteFile(p, []byte("2\n"), 0o644) }, "2")
+	refused("the retired format", func(p string) error { return os.WriteFile(p, []byte("1\n"), 0o644) }, "1")
 	refused("no stamp", os.Remove, "none")
 
 	// A stamp a crash cut short at its tmp file leaves the dir fresh.
@@ -265,11 +269,19 @@ func TestWALCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
-func TestWALCheckpointEverySegments(t *testing.T) {
+// TestWALCheckpointCadence: with segments so small that commits
+// rotate them, checkpoints at a fixed commit cadence keep retiring the
+// sealed ones, so the chain stays short.
+func TestWALCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := openWALDB(t, dir, WALOptions{SegmentBytes: 128, CheckpointEverySegments: 2})
+	db, _ := openWALDB(t, dir, WALOptions{SegmentBytes: 128})
 	for i := int64(1); i <= 40; i++ {
 		mustInsertParent(t, db, i, Value{Kind: KindInt, Int: i}.String())
+		if i%8 == 0 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	st := db.Stats()
 	if st.Checkpoints < 2 {
@@ -277,6 +289,60 @@ func TestWALCheckpointEverySegments(t *testing.T) {
 	}
 	if st.WALSegments > 3 {
 		t.Fatalf("segment chain not being truncated: %d live segments", st.WALSegments)
+	}
+}
+
+// TestCheckpointerRetriesFailedPass: a checkpointer pass that fails is
+// retried on the next tick even when nothing was appended since, so the
+// dirty rows do not stay resident, nor the segments unretired, until the
+// next write.
+func TestCheckpointerRetriesFailedPass(t *testing.T) {
+	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	t.Cleanup(DisableAllFailpoints)
+	mustInsertParent(t, db, 1, "one")
+	if err := EnableFailpoint(FpCheckpointWrite, "error@1"); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().Checkpoints
+	stop := db.StartCheckpointer(10 * time.Millisecond)
+	defer stop()
+	for deadline := time.Now().Add(2 * time.Second); db.Stats().Checkpoints == before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint succeeded in 2s of 10ms ticks after a failed pass (%d failpoint evaluations)",
+				failpoints[FpCheckpointWrite].hits.Load())
+		}
+	}
+	if n := failpoints[FpCheckpointWrite].hits.Load(); n < 2 {
+		t.Fatalf("the pass that succeeded was not a retry: %d evaluations of %s", n, FpCheckpointWrite)
+	}
+}
+
+// TestPagestoreFailpointsRegistered: every failpoint name the page store
+// fires is registered here — an unregistered one would fault the first
+// lookup once any failpoint is armed.
+func TestPagestoreFailpointsRegistered(t *testing.T) {
+	fired := map[string]bool{}
+	store, _, err := pagestore.Open(t.TempDir(), pagestore.Options{Failpoint: func(name string) error {
+		fired[name] = true
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.Install(1, []pagestore.Install{{Table: "t", Rows: []pagestore.InstallRow{{ID: 1, Payload: []byte("row")}}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{pagestore.FpWrite, pagestore.FpDirectory, pagestore.FpRename} {
+		if !fired[name] {
+			t.Errorf("an install never fired %s", name)
+		}
+	}
+	registered := FailpointNames()
+	for name := range fired {
+		if !slices.Contains(registered, name) {
+			t.Errorf("the page store fires %s, which is not in FailpointNames()", name)
+		}
 	}
 }
 

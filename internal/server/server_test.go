@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/bookdb"
+	"repro/internal/pagestore"
 	"repro/internal/psd"
 	"repro/internal/relational"
 	"repro/internal/ufilter"
@@ -277,25 +278,10 @@ func TestCreateViewRefusesOtherFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(reg.DataDir, "book")
-	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tree := func() map[string]string {
-		out := make(map[string]string)
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			data, err := os.ReadFile(path)
-			out[path] = string(data)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	before := tree()
+	before := fileTree(t, dir)
 
 	reg = NewRegistry()
 	reg.DataDir = filepath.Dir(dir)
@@ -308,12 +294,74 @@ func TestCreateViewRefusesOtherFormat(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "reseed: delete "+dir) {
 		t.Fatalf("view dir in another format: HTTP %d %s, want 409 naming the reseed", resp.StatusCode, body)
 	}
-	if after := tree(); !reflect.DeepEqual(after, before) {
+	if after := fileTree(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatal("the refused view dir changed")
 	}
 	resp, _ = postJSON(t, ts.URL+"/views", ViewConfig{Name: "x", Dataset: "nope"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown dataset: HTTP %d, want 422", resp.StatusCode)
+	}
+}
+
+// fileTree reads every file under dir, by path.
+func fileTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCreateViewRefusesCorruptDirectory: a seeded view whose page
+// directory has one flipped byte is not an empty store to seed again.
+// Add fails with the page store's ErrCorruptDirectory, POST /views
+// answers 503 storage_unavailable, and the dir keeps every byte: nothing
+// is truncated, wiped or reseeded over the checkpointed rows.
+func TestCreateViewRefusesCorruptDirectory(t *testing.T) {
+	reg := NewRegistry()
+	reg.DataDir = t.TempDir()
+	if _, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.CloseWALs(); err != nil {
+		t.Fatal(err)
+	}
+	pagedir := filepath.Join(reg.DataDir, "book", "pagedir")
+	data, err := os.ReadFile(pagedir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40
+	if err := os.WriteFile(pagedir, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := fileTree(t, reg.DataDir)
+
+	reg = NewRegistry()
+	reg.DataDir = filepath.Dir(filepath.Dir(pagedir))
+	if _, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"}); !errors.Is(err, pagestore.ErrCorruptDirectory) {
+		t.Fatalf("Add gave %v, want ErrCorruptDirectory", err)
+	}
+	ts := httptest.NewServer(New(reg).Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/views", ViewConfig{Name: "book", Dataset: "book"})
+	if eb := decodeAnswer(t, resp.StatusCode, body); eb.Code != codeStorageUnavailable {
+		t.Fatalf("corrupt page directory: HTTP %d %s, want 503 storage_unavailable", resp.StatusCode, body)
+	}
+	if _, ok := reg.Get("book"); ok {
+		t.Fatal("a view over a corrupt page directory is registered")
+	}
+	if after := fileTree(t, reg.DataDir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused view dir changed")
 	}
 }
 

@@ -110,7 +110,7 @@ func TestWrongFormatRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	stamp := filepath.Join(dir, "FORMAT")
-	if err := os.WriteFile(stamp, []byte("2\n"), 0o644); err != nil {
+	if err := os.WriteFile(stamp, []byte("1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	schema, err := bookdb.Schema(relational.DeleteCascade)
@@ -120,7 +120,7 @@ func TestWrongFormatRefused(t *testing.T) {
 	if _, _, err := New(schema, 2, Options{Dir: dir}); !errors.Is(err, relational.ErrDataDirFormat) {
 		t.Fatalf("open gave %v, want ErrDataDirFormat", err)
 	}
-	if data, err := os.ReadFile(stamp); err != nil || string(data) != "2\n" {
+	if data, err := os.ReadFile(stamp); err != nil || string(data) != "1\n" {
 		t.Fatalf("stamp after the refusal: %q %v", data, err)
 	}
 }

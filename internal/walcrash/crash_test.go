@@ -32,9 +32,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// engine is the storage surface the harness drives, plus the checkpoint
+// pass a database and a shard group both run.
+type engine interface {
+	relational.Engine
+	Checkpoint() error
+}
+
 // openEngine opens the directory as a plain database, or as a shard
 // group when shards > 1 — recovering whatever it holds.
-func openEngine(dir string, shards int, opts relational.WALOptions) (relational.Engine, error) {
+func openEngine(dir string, shards int, opts relational.WALOptions) (engine, error) {
 	schema, err := Schema()
 	if err != nil {
 		return nil, err
@@ -52,7 +59,8 @@ func openEngine(dir string, shards int, opts relational.WALOptions) (relational.
 // when WALCRASH_SHARDS says so: most workload transactions then commit
 // across shards), arm failpoints
 // from the environment, run the deterministic workload, and acknowledge
-// every committed transaction on stdout ("ACK <k>"). A crash-mode
+// every committed transaction on stdout ("ACK <k>"), checkpointing every
+// childCkptEvery commits. A crash-mode
 // failpoint SIGKILLs the process somewhere in the middle; reaching the
 // end prints DONE and exits 0 (which the failpoint matrix treats as
 // "failpoint never fired" — a test failure).
@@ -71,7 +79,6 @@ func childMain() {
 		die(fmt.Errorf("bad WALCRASH_TXNS: %w", err))
 	}
 	segBytes, _ := strconv.ParseInt(os.Getenv("WALCRASH_SEGBYTES"), 10, 64)
-	ckptSegs, _ := strconv.Atoi(os.Getenv("WALCRASH_CKPT_SEGS"))
 	shards, _ := strconv.Atoi(os.Getenv("WALCRASH_SHARDS"))
 
 	// Arm before OpenWAL so the initial-checkpoint and rotation paths
@@ -79,16 +86,9 @@ func childMain() {
 	if err := relational.EnableFailpointsFromEnv(); err != nil {
 		die(err)
 	}
-	// A short delta chain makes compaction fire several times inside the
-	// 150-txn workload; every segment carries zeroed slack after its live
-	// frames, which recovery must trim without declaring a torn tail. The
-	// parent reopens with plain options — recovery reads whatever
-	// base+delta+segment files are on disk regardless.
-	db, err := openEngine(dir, shards, relational.WALOptions{
-		SegmentBytes:            segBytes,
-		CheckpointEverySegments: ckptSegs,
-		CheckpointDeltaLimit:    childDeltaLimit,
-	})
+	// Every segment carries zeroed slack after its live frames, which
+	// recovery must trim without declaring a torn tail.
+	db, err := openEngine(dir, shards, relational.WALOptions{SegmentBytes: segBytes})
 	if err != nil {
 		die(err)
 	}
@@ -102,6 +102,11 @@ func childMain() {
 		// One small write syscall per commit: everything acknowledged
 		// here was durable before Commit returned.
 		fmt.Fprintf(os.Stdout, "ACK %d\n", k)
+		if k%childCkptEvery == 0 {
+			if err := db.Checkpoint(); err != nil {
+				die(fmt.Errorf("checkpoint after txn %d: %w", k, err))
+			}
+		}
 	}
 	fmt.Fprintln(os.Stdout, "DONE")
 	if err := db.CloseWAL(); err != nil {
@@ -111,10 +116,12 @@ func childMain() {
 }
 
 const (
-	childTxns       = 150
-	childSegBytes   = 512
-	childCkptSegs   = 2
-	childDeltaLimit = 2
+	childTxns     = 150
+	childSegBytes = 512
+	// childCkptEvery commits a checkpoint pass runs: ten passes in the
+	// child's workload, the initial one at open included — enough for
+	// every checkpoint failpoint's highest hit count in failpointHits.
+	childCkptEvery = 16
 )
 
 // childCmd builds the crash child's command line: txns transactions of
@@ -127,7 +134,6 @@ func childCmd(dir string, seed int64, txns, shards int, failpoints string) *exec
 		"WALCRASH_SEED="+strconv.FormatInt(seed, 10),
 		"WALCRASH_TXNS="+strconv.Itoa(txns),
 		"WALCRASH_SEGBYTES="+strconv.Itoa(childSegBytes),
-		"WALCRASH_CKPT_SEGS="+strconv.Itoa(childCkptSegs),
 		"WALCRASH_SHARDS="+strconv.Itoa(shards),
 		"RELATIONAL_FAILPOINTS="+failpoints,
 	)
@@ -251,12 +257,8 @@ func verifyRecovery(t *testing.T, dir string, seed, lastAck int64, shards int) {
 func failpointHits(fp string, reduced bool) []int {
 	var hits []int
 	switch {
-	case fp == "checkpoint.compact" || fp == "compact.page":
-		// The base fold runs once per CheckpointDeltaLimit+1 checkpoints,
-		// so the workload only reaches it a couple of times.
-		hits = []int{1, 2}
 	case fp == "pagestore.directory":
-		// One directory append per checkpoint install.
+		// One directory replace per checkpoint install.
 		hits = []int{1, 5}
 	case strings.HasPrefix(fp, "checkpoint."):
 		hits = []int{1, 3}
@@ -405,7 +407,8 @@ func externalKill(t *testing.T, shards int) {
 
 // TestRecoveryPropertyRandomSeeds is the crash-free half of the
 // property suite: for several seeds, run the workload in-process with
-// aggressive rotation+checkpointing, close, reopen, and require the
+// aggressive rotation and a checkpoint every childCkptEvery commits,
+// close, reopen, and require the
 // recovered state to equal the shadow model exactly.
 func TestRecoveryPropertyRandomSeeds(t *testing.T) {
 	// The last seed varies run to run to keep the space explored; its
@@ -428,11 +431,7 @@ func TestRecoveryPropertyRandomSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			db := relational.NewDatabase(schema)
-			if _, err := db.OpenWAL(dir, relational.WALOptions{
-				SegmentBytes:            childSegBytes,
-				CheckpointEverySegments: childCkptSegs,
-				CheckpointDeltaLimit:    childDeltaLimit,
-			}); err != nil {
+			if _, err := db.OpenWAL(dir, relational.WALOptions{SegmentBytes: childSegBytes}); err != nil {
 				t.Fatal(err)
 			}
 			model := NewModel()
@@ -441,6 +440,11 @@ func TestRecoveryPropertyRandomSeeds(t *testing.T) {
 			for k := int64(1); k <= n; k++ {
 				if err := ApplyTxn(db, model.TxnOps(rng, k), k); err != nil {
 					t.Fatalf("txn %d: %v", k, err)
+				}
+				if k%childCkptEvery == 0 {
+					if err := db.Checkpoint(); err != nil {
+						t.Fatalf("checkpoint after txn %d: %v", k, err)
+					}
 				}
 			}
 			if err := db.CloseWAL(); err != nil {
