@@ -43,17 +43,20 @@
 // CheckBatch fans a slice of updates across a worker pool; Prepare/
 // Execute expose the compile-once/execute-many fast path; ApplyBatch
 // and ExecuteBatch group-commit N updates under one transaction and
-// one log flush:
+// one log flush, and Apply and Execute run the same path with a batch
+// of one:
 //
 // Write-concurrency contract. Applies run in parallel: every
-// Apply/Execute/ApplyBatch opens its own transaction against the MVCC
-// engine, independent updates commit concurrently with their
-// write-ahead-log flushes coalesced by the engine's WAL writer stage
-// (commits that queue behind one fsync share the next, and one group
-// stamps while the previous group's fsync is in flight), and
-// two updates that write the same rows resolve by first-updater-wins
-// — the loser retries automatically with capped backoff and surfaces
-// relational.ErrWriteConflict only when retries are exhausted (the
+// Apply/Execute/ApplyBatch is a group run through one retrying runner
+// in its own transaction against the MVCC engine (every SQL write
+// statement runs in that transaction), independent updates commit
+// concurrently with their write-ahead-log flushes coalesced by the
+// engine's WAL writer stage (commits that queue behind one fsync share
+// the next, and one group stamps while the previous group's fsync is in
+// flight), and two updates that write the same rows resolve by
+// first-updater-wins — the loser retries automatically with capped
+// backoff and surfaces relational.ErrWriteConflict only when retries
+// are exhausted ("plan: apply lost N write-conflict races"; the
 // ufilterd gateway maps that to 409 Conflict). Each update is atomic:
 // all of its translated statements commit together or none do.
 //

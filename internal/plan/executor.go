@@ -129,13 +129,14 @@ type Executor struct {
 }
 
 // applyCtx is the per-apply execution state threaded through the
-// mutating pipeline: the apply's own transaction (all probe reads and
-// translated statements go through it, so the update observes a stable
-// snapshot plus its own writes) and the update's bound values — its
-// predicates (consumed by the probes) and the content values the plan's
-// insert/replace artifacts index. One applyCtx never crosses goroutines;
-// making it explicit — instead of fields on the shared Executor — is
-// what lets applies run concurrently at all.
+// mutating pipeline: the transaction of the update's group (all probe
+// reads and translated statements go through it, so the update
+// observes a stable snapshot plus its group's writes) and the update's
+// bound values — its predicates (consumed by the probes) and the
+// content values the plan's insert/replace artifacts index. One
+// applyCtx never crosses goroutines; making it explicit — instead of
+// fields on the shared Executor — is what lets applies run concurrently
+// at all.
 type applyCtx struct {
 	txn relational.WriteTxn
 	bound
@@ -418,21 +419,33 @@ func (e *Executor) Apply(updateText string) (*Result, error) {
 // template's first sighting, context checks, translate, execute,
 // conflict backoff, commit publish, WAL fsync).
 //
-// Applies run concurrently with each other (and with
-// Execute/ApplyBatch): each opens its own transaction, conflicting
-// writes resolve by first-updater-wins with automatic capped-backoff
-// retries, and commits share write-ahead-log flushes in the engine's
-// writer stage. Execution runs off the template's compiled UpdatePlan —
-// its resolution, prepared probe statements and insert/replace
-// artifacts — bound to this update's literals and content values.
+// A single apply is a group of one: it runs through the same retrying
+// group runner as ApplyBatch (applyGroupWithRetry), in its own
+// transaction, concurrently with other applies and batches;
+// conflicting writes resolve by first-updater-wins with automatic
+// capped-backoff retries, and commits share write-ahead-log flushes in
+// the engine's writer stage. Execution runs off the template's compiled
+// UpdatePlan — its resolution, prepared probe statements and
+// insert/replace artifacts — bound to this update's literals and
+// content values.
 func (e *Executor) ApplyContext(ctx context.Context, updateText string) (*Result, error) {
 	tr := obs.FromContext(ctx)
-	res, p, b, err := e.checkText(updateText, tr)
+	res, p, b, err := e.admit(updateText, tr)
 	if err != nil || !res.Accepted {
 		return res, err
 	}
-	e.cache.planApplies.Add(1)
-	return e.applyPlan(p, b.own(), res, tr)
+	return e.applyOne(&groupItem{res: res, p: p, b: b}, tr)
+}
+
+// admit is checkText for an apply: an accepted update counts as a plan
+// apply, and its bound values are copied off the request text.
+func (e *Executor) admit(text string, tr *obs.Trace) (*Result, *UpdatePlan, bound, error) {
+	res, p, b, err := e.checkText(text, tr)
+	if err == nil && res.Accepted {
+		e.cache.planApplies.Add(1)
+		b = b.own()
+	}
+	return res, p, b, err
 }
 
 // resultMark checkpoints the mutable fields of a Result so a
@@ -471,69 +484,6 @@ func (m resultMark) restore(res *Result) {
 	res.SQL = res.SQL[:m.nSQL]
 	res.Warnings = res.Warnings[:m.nWarnings]
 	res.RowsAffected = m.rows
-}
-
-// applyPlan runs the data-driven pipeline for one update inside its
-// own transaction, retrying the whole attempt (fresh transaction,
-// fresh probes) with capped backoff when a write-write conflict is
-// detected — the paper's pipeline means most concurrent updates touch
-// disjoint rows, so retries are the rare case, not the common one.
-// The update runs off the plan's per-op artifacts (prepared probes,
-// insert plans); b holds its bound values.
-func (e *Executor) applyPlan(p *UpdatePlan, b bound, res *Result, tr *obs.Trace) (*Result, error) {
-	mark := markResult(res)
-	conflicted := false
-	for attempt := 0; ; attempt++ {
-		out, err := e.applyOnce(p, b, res, tr)
-		if err == nil || !errors.Is(err, relational.ErrWriteConflict) {
-			if conflicted {
-				e.conflictApplies.Add(1)
-			}
-			e.Obs.Retries.Record(int64(attempt))
-			return out, err
-		}
-		conflicted = true
-		if attempt+1 >= e.maxWriteRetries() {
-			e.conflictApplies.Add(1)
-			e.conflictErrors.Add(1)
-			e.Obs.Retries.Record(int64(attempt))
-			return nil, fmt.Errorf("plan: apply lost %d write-conflict races: %w", attempt+1, err)
-		}
-		e.txnRetries.Add(1)
-		mark.restore(res)
-		endBackoff := tr.StartSpan("conflict_backoff")
-		conflictBackoff(attempt)
-		endBackoff()
-	}
-}
-
-// applyOnce is one attempt: open a transaction, run the ops through
-// it, commit on success. A rejected update (or an error,
-// including a write conflict) rolls the transaction back and leaves
-// the database untouched.
-func (e *Executor) applyOnce(p *UpdatePlan, b bound, res *Result, tr *obs.Trace) (*Result, error) {
-	res.Accepted = false
-	ac := &applyCtx{txn: e.Exec.DB.BeginTxn(), bound: b, trace: tr}
-	committed := false
-	defer func() {
-		if !committed {
-			ac.txn.Rollback()
-		}
-	}()
-
-	rejected, err := e.runOps(ac, p, res)
-	if err != nil {
-		return nil, err
-	}
-	if rejected {
-		return res, nil
-	}
-	if err := e.commit(ac.txn, ac.trace); err != nil {
-		return nil, err
-	}
-	committed = true
-	res.Accepted = true
-	return res, nil
 }
 
 // commit commits the apply's transaction. Concurrent applies share WAL

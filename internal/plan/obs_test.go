@@ -33,6 +33,25 @@ func TestExecutorObsHistograms(t *testing.T) {
 	}
 }
 
+// TestBatchRecordsRetries: the retries histogram takes one sample per
+// finished apply, and a batch item is a finished apply too.
+func TestBatchRecordsRetries(t *testing.T) {
+	e := newBookExec(t)
+	before := e.Obs.Retries.Snapshot().Count
+	batch := make([]string, 4)
+	for i := range batch {
+		batch[i] = insertReviewDataOnTheWeb(20 + i)
+	}
+	for i, r := range e.ApplyBatch(batch) {
+		if r.Err != nil || !r.Result.Accepted {
+			t.Fatalf("update %d: %v %+v", i, r.Err, r.Result)
+		}
+	}
+	if got := e.Obs.Retries.Snapshot().Count - before; got != 4 {
+		t.Errorf("retries histogram grew by %d, want 4 (one per batch item)", got)
+	}
+}
+
 // TestApplyContextTrace: a traced ApplyContext records the pipeline
 // stages and every span fits inside the finished trace's total.
 func TestApplyContextTrace(t *testing.T) {

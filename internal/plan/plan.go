@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/asg"
+	"repro/internal/obs"
 	"repro/internal/relational"
 	"repro/internal/sqlexec"
 	"repro/internal/xqparse"
@@ -412,51 +413,48 @@ func (p *UpdatePlan) verdictArgs(args []relational.Value) (*Result, bound, error
 // pipeline against the database: the bound schema verdict, then Step
 // 3's probes (through the plan's prepared statements), the translation
 // of the exemplar's content and the statement execution under the
-// configured strategy, inside its own transaction (conflicts retry with
-// capped backoff, commits share flushes in the engine's writer stage).
-// This is the execute-many half of
+// configured strategy, as a group of one (its own transaction;
+// conflicts retry with capped backoff, commits share flushes in the
+// engine's writer stage). This is the execute-many half of
 // compile-once/execute-many: no parsing, no resolution, no STAR walk, no
 // probe construction.
 func (e *Executor) Execute(p *UpdatePlan, args []relational.Value) (*Result, error) {
 	res, b, err := p.verdictArgs(args)
-	if err != nil {
-		return nil, err
+	if err != nil || !res.Accepted {
+		return res, err
 	}
-	if !res.Accepted {
-		return res, nil
-	}
-	return e.applyPlan(p, b, res, nil)
+	return e.applyOne(&groupItem{res: res, p: p, b: b}, nil)
 }
 
-// groupItem is one update of a group-commit batch, carried through
-// applyGroup.
+// groupItem is one accepted update of a group, carried through
+// applyGroupWithRetry.
 type groupItem struct {
-	res     *Result
-	p       *UpdatePlan
-	b       bound
-	err     error
-	skip    bool // verdict already rejected; never enters the txn
-	mark    resultMark
-	clashed bool // hit >= 1 write conflict (counted once per item)
+	res  *Result
+	p    *UpdatePlan
+	b    bound
+	err  error
+	mark resultMark
+	idx  int // position in a batch's input
 }
 
-// applyGroup executes the runnable items inside ONE transaction with a
+// applyOne runs one accepted update as a group of one; tr, when
+// non-nil, receives its stage spans.
+func (e *Executor) applyOne(it *groupItem, tr *obs.Trace) (*Result, error) {
+	e.applyGroupWithRetry([]*groupItem{it}, tr)
+	if it.err != nil {
+		return nil, it.err
+	}
+	return it.res, nil
+}
+
+// applyGroup executes the items inside ONE transaction with a
 // savepoint per item: a rejected or failed item rolls back to its own
 // savepoint without disturbing its siblings, and the single
-// group-committed flush at the end covers the whole batch. An item
+// group-committed flush at the end covers the whole group. An item
 // that loses a write-conflict race records ErrWriteConflict and rolls
 // back to its savepoint; applyGroupWithRetry re-runs just those items
-// in fresh rounds.
-func (e *Executor) applyGroup(items []*groupItem) {
-	anyRunnable := false
-	for _, it := range items {
-		if it != nil && !it.skip && it.err == nil {
-			anyRunnable = true
-		}
-	}
-	if !anyRunnable {
-		return
-	}
+// in fresh rounds. tr, when non-nil, receives the stage spans.
+func (e *Executor) applyGroup(items []*groupItem, tr *obs.Trace) {
 	txn := e.Exec.DB.BeginTxn()
 	committed := false
 	defer func() {
@@ -469,12 +467,7 @@ func (e *Executor) applyGroup(items []*groupItem) {
 	// reported committed when the group aborts.
 	failAll := func(err error) {
 		for _, it := range items {
-			if it == nil || it.skip {
-				continue
-			}
-			if it.res != nil && it.res.Accepted {
-				it.res.Accepted = false
-			}
+			it.res.Accepted = false
 			if it.err == nil {
 				it.err = err
 			}
@@ -482,15 +475,10 @@ func (e *Executor) applyGroup(items []*groupItem) {
 	}
 	anyAccepted := false
 	for _, it := range items {
-		if it == nil || it.skip || it.err != nil {
-			continue
-		}
 		mark := txn.Savepoint()
 		it.res.Accepted = false
-		ac := &applyCtx{txn: txn, bound: it.b}
-		rejected, err := e.runOps(ac, it.p, it.res)
-		switch {
-		case err != nil:
+		rejected, err := e.runOps(&applyCtx{txn: txn, bound: it.b, trace: tr}, it.p, it.res)
+		if err != nil || rejected {
 			if rbErr := txn.RollbackTo(mark); rbErr != nil {
 				// The transaction is no longer trustworthy; abort the
 				// whole group and say so on every item.
@@ -498,15 +486,10 @@ func (e *Executor) applyGroup(items []*groupItem) {
 				return
 			}
 			it.err = err
-		case rejected:
-			if rbErr := txn.RollbackTo(mark); rbErr != nil {
-				failAll(rbErr)
-				return
-			}
-		default:
-			it.res.Accepted = true
-			anyAccepted = true
+			continue
 		}
+		it.res.Accepted = true
+		anyAccepted = true
 	}
 	if !anyAccepted {
 		// Every item rolled back to its savepoint: nothing to publish.
@@ -516,38 +499,38 @@ func (e *Executor) applyGroup(items []*groupItem) {
 		// transaction is free.
 		return
 	}
-	if err := e.commit(txn, nil); err != nil {
+	if err := e.commit(txn, tr); err != nil {
 		failAll(err)
 		return
 	}
 	committed = true
 }
 
-// applyGroupWithRetry drives applyGroup rounds: the first round runs
-// every runnable item under one shared transaction; items that lost a
-// write-conflict race (their savepoints rolled back, siblings
-// committed) are re-run together in fresh rounds with capped backoff,
-// preserving per-update atomicity throughout — an item is either
-// committed whole by exactly one round or reported failed.
-func (e *Executor) applyGroupWithRetry(items []*groupItem) {
-	pending := make([]*groupItem, 0, len(items))
+// applyGroupWithRetry is the one way this package writes an update.
+// It drives applyGroup rounds: the first round runs every item under
+// one shared transaction; items that lost a write-conflict race (their
+// savepoints rolled back, siblings committed) are re-run together in
+// fresh rounds with capped backoff, preserving per-update atomicity
+// throughout — an item is either committed whole by exactly one round
+// or reported failed. Each item records its retry count once, when it
+// leaves the loop.
+func (e *Executor) applyGroupWithRetry(items []*groupItem, tr *obs.Trace) {
 	for _, it := range items {
-		if it != nil && !it.skip && it.err == nil {
-			it.mark = markResult(it.res)
-			pending = append(pending, it)
-		}
+		it.mark = markResult(it.res)
 	}
+	pending := items
 	for attempt := 0; len(pending) > 0; attempt++ {
-		e.applyGroup(pending)
+		e.applyGroup(pending, tr)
 		var conflicted []*groupItem
 		for _, it := range pending {
-			if it.err != nil && errors.Is(it.err, relational.ErrWriteConflict) {
-				if !it.clashed {
-					it.clashed = true
-					e.conflictApplies.Add(1)
-				}
-				conflicted = append(conflicted, it)
+			if !errors.Is(it.err, relational.ErrWriteConflict) {
+				e.Obs.Retries.Record(int64(attempt))
+				continue
 			}
+			if attempt == 0 {
+				e.conflictApplies.Add(1)
+			}
+			conflicted = append(conflicted, it)
 		}
 		if len(conflicted) == 0 {
 			return
@@ -555,7 +538,8 @@ func (e *Executor) applyGroupWithRetry(items []*groupItem) {
 		if attempt+1 >= e.maxWriteRetries() {
 			for _, it := range conflicted {
 				e.conflictErrors.Add(1)
-				it.err = fmt.Errorf("plan: batch item lost %d write-conflict races: %w", attempt+1, it.err)
+				e.Obs.Retries.Record(int64(attempt))
+				it.err = fmt.Errorf("plan: apply lost %d write-conflict races: %w", attempt+1, it.err)
 			}
 			return
 		}
@@ -564,7 +548,9 @@ func (e *Executor) applyGroupWithRetry(items []*groupItem) {
 			it.err = nil
 			it.mark.restore(it.res)
 		}
+		endBackoff := tr.StartSpan("conflict_backoff")
 		conflictBackoff(attempt)
+		endBackoff()
 		pending = conflicted
 	}
 }
@@ -580,39 +566,9 @@ func (e *Executor) applyGroupWithRetry(items []*groupItem) {
 // loses a write-conflict race to a concurrent writer is retried in a
 // follow-up round without disturbing its committed siblings.
 func (e *Executor) ApplyBatch(updates []string) []BatchResult {
-	out := make([]BatchResult, len(updates))
-	if len(updates) == 0 {
-		return out
-	}
-	items := make([]*groupItem, len(updates))
-	for i, text := range updates {
-		out[i].Index = i
-		res, p, b, err := e.checkText(text, nil)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		it := &groupItem{res: res}
-		items[i] = it
-		if !res.Accepted {
-			it.skip = true
-			continue
-		}
-		e.cache.planApplies.Add(1)
-		it.p, it.b = p, b.own()
-	}
-	e.applyGroupWithRetry(items)
-	for i, it := range items {
-		if it == nil {
-			continue
-		}
-		if it.err != nil {
-			out[i].Err = it.err
-			continue
-		}
-		out[i].Result = it.res
-	}
-	return out
+	return e.runBatch(len(updates), func(i int) (*Result, *UpdatePlan, bound, error) {
+		return e.admit(updates[i], nil)
+	})
 }
 
 // ExecuteBatch is Execute over many literal tuples of one compiled
@@ -620,36 +576,35 @@ func (e *Executor) ApplyBatch(updates []string) []BatchResult {
 // flush, N bound executions, with conflicted tuples retried in
 // follow-up rounds. Results arrive in tuple order.
 func (e *Executor) ExecuteBatch(p *UpdatePlan, argsList [][]relational.Value) []BatchResult {
-	out := make([]BatchResult, len(argsList))
-	if len(argsList) == 0 {
-		return out
-	}
-	items := make([]*groupItem, len(argsList))
-	for i, args := range argsList {
+	return e.runBatch(len(argsList), func(i int) (*Result, *UpdatePlan, bound, error) {
+		res, b, err := p.verdictArgs(argsList[i])
+		return res, p, b, err
+	})
+}
+
+// runBatch takes the verdict of each of n updates, runs the accepted
+// ones as one untraced group and reports every update in input order:
+// its verdict, or the error that stopped it.
+func (e *Executor) runBatch(n int, verdict func(i int) (*Result, *UpdatePlan, bound, error)) []BatchResult {
+	out := make([]BatchResult, n)
+	items := make([]*groupItem, 0, n)
+	for i := range out {
 		out[i].Index = i
-		res, b, err := p.verdictArgs(args)
+		res, p, b, err := verdict(i)
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
-		it := &groupItem{res: res}
-		items[i] = it
-		if !res.Accepted {
-			it.skip = true
-			continue
+		out[i].Result = res
+		if res.Accepted {
+			items = append(items, &groupItem{res: res, p: p, b: b, idx: i})
 		}
-		it.p, it.b = p, b
 	}
-	e.applyGroupWithRetry(items)
-	for i, it := range items {
-		if it == nil {
-			continue
-		}
+	e.applyGroupWithRetry(items, nil)
+	for _, it := range items {
 		if it.err != nil {
-			out[i].Err = it.err
-			continue
+			out[it.idx] = BatchResult{Index: it.idx, Err: it.err}
 		}
-		out[i].Result = it.res
 	}
 	return out
 }

@@ -2,7 +2,13 @@ package plan
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/relational"
@@ -204,5 +210,52 @@ UPDATE $root { DELETE $book }`, price)
 	}
 	if st := e.CacheStats(); st.Plans == 0 {
 		t.Errorf("no compiled plans cached: %+v", st)
+	}
+}
+
+// TestOneApplyPath holds the package to one write path: only applyGroup
+// and BlindApply open a write transaction, and only applyGroup runs an
+// update's ops, so a second apply engine with its own transaction and
+// retry loop cannot grow back beside applyGroupWithRetry.
+func TestOneApplyPath(t *testing.T) {
+	allowed := map[string][]string{
+		"BeginTxn": {"applyGroup", "BlindApply"},
+		"runOps":   {"applyGroup"},
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, file := range pkgs["plan"].Files {
+		for _, decl := range file.Decls {
+			in := "" // a package-level declaration
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				in = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				callers, guarded := allowed[sel.Sel.Name]
+				switch {
+				case !guarded:
+				case slices.Contains(callers, in):
+					seen[in+"."+sel.Sel.Name] = true
+				default:
+					t.Errorf("%s: %s uses %s; only %v may", fset.Position(sel.Pos()), in, sel.Sel.Name, callers)
+				}
+				return true
+			})
+		}
+	}
+	for name, callers := range allowed {
+		for _, fn := range callers {
+			if !seen[fn+"."+name] {
+				t.Errorf("%s no longer uses %s: update this guard", fn, name)
+			}
+		}
 	}
 }

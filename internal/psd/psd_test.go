@@ -144,10 +144,14 @@ func TestPSDUpdates(t *testing.T) {
 // below the bound must be rejected by the context probe.
 func TestShortProteinNotInView(t *testing.T) {
 	f := newPSDFilter(t)
-	if _, err := f.Exec.DB.Insert("protein", map[string]relational.Value{
+	txn := f.Exec.DB.BeginTxn()
+	if _, err := txn.Insert("protein", map[string]relational.Value{
 		"pid": relational.String_("P99999"), "name": relational.String_("tiny peptide"),
 		"oid": relational.String_("O1"), "length": relational.Int_(12),
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.Apply(InsertCitation("P99999", "C1", "should fail"))

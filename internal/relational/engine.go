@@ -59,11 +59,7 @@ type ShardStat struct {
 // (BeginTxn, OpenSnapshot) returning the interface forms.
 type Engine interface {
 	Reader
-	// Autocommit DML (implicit single-statement transactions).
-	Insert(table string, values map[string]Value) (RowID, error)
-	Delete(table string, id RowID) (int, error)
-	UpdateRow(table string, id RowID, changes map[string]Value) error
-	// BeginTxn starts a write transaction.
+	// BeginTxn starts a write transaction: every write goes through one.
 	BeginTxn() WriteTxn
 	// OpenSnapshot pins a consistent point-in-time read view.
 	OpenSnapshot() Snap

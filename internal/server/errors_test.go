@@ -103,10 +103,34 @@ func TestCreateViewStorageFailure(t *testing.T) {
 		"unknown strategy": {Name: "x", Dataset: "book", Strategy: "nope"},
 		"bad query":        {Name: "x", Dataset: "book", Query: "not a query"},
 		"name taken":       {Name: "taken", Dataset: "book"},
+		"mb over limit":    {Name: "x", Dataset: "tpch", MB: maxClientMB + 1},
+		"proteins over":    {Name: "x", Dataset: "psd", Proteins: maxClientProteins + 1},
+		"shards over":      {Name: "x", Dataset: "book", Shards: maxClientShards + 1},
 	} {
 		resp, body := postJSON(t, ts.URL+"/views", vc)
 		if eb := decodeAnswer(t, resp.StatusCode, body); eb.Code != codeUnprocessable {
 			t.Errorf("%s: HTTP %d %s, want 422 unprocessable", what, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestNoRouteEnvelope: a path no route has answers 404 unknown_route,
+// and a route asked with a method it does not take answers 405
+// method_not_allowed with the methods it does take in Allow, both in
+// the error envelope.
+func TestNoRouteEnvelope(t *testing.T) {
+	h := New(NewRegistry()).Handler()
+	for _, c := range []struct{ method, path, code, allow string }{
+		{"GET", "/nope", codeUnknownRoute, ""},
+		{"POST", "/views/book/check/extra", codeUnknownRoute, ""},
+		{"GET", "/views/book/check", codeMethodNotAllowed, "POST"},
+		{"POST", "/healthz", codeMethodNotAllowed, "GET, HEAD"},
+		{"DELETE", "/views", codeMethodNotAllowed, "GET, HEAD, POST"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if eb := decodeAnswer(t, rec.Code, rec.Body.Bytes()); eb.Code != c.code || rec.Header().Get("Allow") != c.allow {
+			t.Errorf("%s %s: HTTP %d %s, Allow %q; want %s, Allow %q", c.method, c.path, rec.Code, rec.Body, rec.Header().Get("Allow"), c.code, c.allow)
 		}
 	}
 }
@@ -215,11 +239,14 @@ var fuzzEndpoints = []struct{ method, path string }{
 	{"GET", "/views/book/slow"},
 	{"GET", "/views"},
 	{"GET", "/metrics"},
+	{"GET", "/no/such/route"},
+	{"PUT", "/views/book/check"},
 }
 
 // FuzzServerAnswers: no client input gets a 5xx, and every answer that
 // is not a success is {error, code} with the code's own status. A new
-// view is registered on a registry of its own, and only when it is
+// view is registered on a registry of its own. A size over the client
+// limits must be refused; one inside them is built only when it is
 // small (tpch MB 1, 100 proteins, 4 shards at most).
 //
 //	go test -run '^$' -fuzz '^FuzzServerAnswers$' -fuzztime 15s ./internal/server
@@ -228,14 +255,19 @@ func FuzzServerAnswers(f *testing.F) {
 		data, _ := json.Marshal(checkRequest{Update: update})
 		return data
 	}
-	f.Add(uint8(1), check(bookdb.U9))                                       // 200
-	f.Add(uint8(0), []byte(`{"name":"b","dataset":"book"}`))                // 201
-	f.Add(uint8(1), []byte(`{"update":`))                                   // bad_request
-	f.Add(uint8(2), []byte(`{"updates":[]}`))                               // bad_request
-	f.Add(uint8(3), bytes.Repeat([]byte(" "), maxBodyBytes+1))              // body_too_large
-	f.Add(uint8(5), check(bookdb.U9))                                       // unknown_view
-	f.Add(uint8(1), check("not an update"))                                 // unprocessable
-	f.Add(uint8(0), []byte(`{"name":"b","dataset":"book","query":"nope"}`)) // unprocessable
+	f.Add(uint8(1), check(bookdb.U9))                                        // 200
+	f.Add(uint8(0), []byte(`{"name":"b","dataset":"book"}`))                 // 201
+	f.Add(uint8(1), []byte(`{"update":`))                                    // bad_request
+	f.Add(uint8(2), []byte(`{"updates":[]}`))                                // bad_request
+	f.Add(uint8(3), bytes.Repeat([]byte(" "), maxBodyBytes+1))               // body_too_large
+	f.Add(uint8(5), check(bookdb.U9))                                        // unknown_view
+	f.Add(uint8(1), check("not an update"))                                  // unprocessable
+	f.Add(uint8(0), []byte(`{"name":"b","dataset":"book","query":"nope"}`))  // unprocessable
+	f.Add(uint8(0), []byte(`{"name":"b","dataset":"tpch","mb":1000000000}`)) // unprocessable
+	f.Add(uint8(0), []byte(`{"name":"b","dataset":"psd","proteins":1001}`))  // unprocessable
+	f.Add(uint8(0), []byte(`{"name":"b","dataset":"book","shards":17}`))     // unprocessable
+	f.Add(uint8(10), []byte(nil))                                            // unknown_route
+	f.Add(uint8(11), check(bookdb.U9))                                       // method_not_allowed
 	srv := New(NewRegistry())
 	if _, err := srv.Registry.Add(ViewConfig{Name: "book", Dataset: "book"}); err != nil {
 		f.Fatal(err)
@@ -245,7 +277,7 @@ func FuzzServerAnswers(f *testing.F) {
 		route, h := fuzzEndpoints[int(ep)%len(fuzzEndpoints)], h
 		if route.path == "/views" && route.method == "POST" {
 			var vc ViewConfig
-			if vc.decode(body) == nil && (vc.MB > 1 || vc.Proteins > 100 || vc.Shards > 4) {
+			if vc.decode(body) == nil && checkClientSize(vc) == nil && (vc.MB > 1 || vc.Proteins > 100 || vc.Shards > 4) {
 				t.Skip("too large a dataset to build per input")
 			}
 			h = New(NewRegistry()).Handler()

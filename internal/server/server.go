@@ -43,10 +43,10 @@
 //
 // Errors: a failed request is answered {"error", "code"}, the code one
 // of a closed set (bad_request, body_too_large, unknown_view,
-// unprocessable, overloaded, write_conflict, data_dir_format,
-// storage_unavailable). codeFor derives it from the error and
-// errorStatus maps it to the HTTP status; writeError is the one way a
-// failure is answered.
+// unknown_route, method_not_allowed, unprocessable, overloaded,
+// write_conflict, data_dir_format, storage_unavailable). codeFor
+// derives it from the error and errorStatus maps it to the HTTP status;
+// writeError is the one way a failure is answered.
 //
 // Observability: every check/apply request runs under an obs.Trace
 // recording per-stage spans (admission, cache lookup, bind, context
@@ -68,6 +68,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -114,7 +115,29 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /views/{name}/stats", s.withView(s.handleStats))
 	mux.HandleFunc("GET /views/{name}/slow", s.withView(s.handleSlow))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("/", noRoute(mux))
 	return mux
+}
+
+// noRoute answers a request no other route of mux matches, in the error
+// envelope: 405 method_not_allowed, with the methods the path does take
+// in Allow, when some route has the path, else 404 unknown_route.
+func noRoute(mux *http.ServeMux) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost} {
+			if _, pattern := mux.Handler(&http.Request{Method: m, URL: r.URL, Host: r.Host}); pattern != "/" {
+				allow = append(allow, m)
+			}
+		}
+		if len(allow) == 0 {
+			writeError(w, codeError{codeUnknownRoute, fmt.Errorf("no route for %s", r.URL.Path)})
+			return
+		}
+		allowed := strings.Join(allow, ", ")
+		w.Header().Set("Allow", allowed)
+		writeError(w, codeError{codeMethodNotAllowed, fmt.Errorf("%s does not take %s (allowed: %s)", r.URL.Path, r.Method, allowed)})
+	}
 }
 
 // Listen binds the address (host:0 selects an ephemeral port) and
@@ -152,6 +175,8 @@ const (
 	codeBadRequest         = "bad_request"
 	codeBodyTooLarge       = "body_too_large"
 	codeUnknownView        = "unknown_view"
+	codeUnknownRoute       = "unknown_route"
+	codeMethodNotAllowed   = "method_not_allowed"
 	codeUnprocessable      = "unprocessable"
 	codeOverloaded         = "overloaded"
 	codeWriteConflict      = "write_conflict"
@@ -165,6 +190,8 @@ var errorStatus = map[string]int{
 	codeBadRequest:         http.StatusBadRequest,
 	codeBodyTooLarge:       http.StatusRequestEntityTooLarge,
 	codeUnknownView:        http.StatusNotFound,
+	codeUnknownRoute:       http.StatusNotFound,
+	codeMethodNotAllowed:   http.StatusMethodNotAllowed,
 	codeUnprocessable:      http.StatusUnprocessableEntity,
 	codeOverloaded:         http.StatusTooManyRequests,
 	codeWriteConflict:      http.StatusConflict,
@@ -335,7 +362,11 @@ func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 	if !readRequest(w, r, wb, vc.decode) {
 		return
 	}
-	v, err := s.Registry.Add(vc)
+	var v *View
+	err := checkClientSize(vc)
+	if err == nil {
+		v, err = s.Registry.Add(vc)
+	}
 	if err != nil {
 		s.logger().Warn("view registration failed", "view", vc.Name, "code", codeFor(err), "err", err)
 		writeError(w, err)
@@ -344,6 +375,29 @@ func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 	s.logger().Info("view registered", "view", v.Name, "dataset", v.Dataset,
 		"strategy", v.Strategy.String(), "queue_depth", v.QueueCapacity())
 	writeJSON(w, http.StatusCreated, viewInfo{Name: v.Name, Dataset: v.Dataset, Strategy: v.Strategy.String(), QueueDepth: v.QueueCapacity()})
+}
+
+// The largest dataset a client may ask POST /views to build: the
+// largest size any workload seeds. A boot config or -views is operator
+// input and is not bounded.
+const (
+	maxClientMB       = 300
+	maxClientProteins = 1000
+	maxClientShards   = 16
+)
+
+// checkClientSize refuses a view a client asks for that is larger than
+// the limits above (422 unprocessable).
+func checkClientSize(vc ViewConfig) error {
+	for _, f := range []struct {
+		name     string
+		got, max int
+	}{{"mb", vc.MB, maxClientMB}, {"proteins", vc.Proteins, maxClientProteins}, {"shards", vc.Shards, maxClientShards}} {
+		if f.got > f.max {
+			return fmt.Errorf("view %q: %s %d is over the limit of %d", vc.Name, f.name, f.got, f.max)
+		}
+	}
+	return nil
 }
 
 // checkRequest is the body of /check and /apply.

@@ -211,8 +211,7 @@ func TestPowerLossCutPoints(t *testing.T) {
 			t.Fatalf("%s: recovery is not the prefix:\n got %v\nwant %v", name, got, want[k])
 		}
 		// Life goes on: a single-shard commit, then a cross-shard one.
-		if _, err := db1.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_(pubOnShard(db1, cases%2, "Z1-")), "pubname": relational.String_("alone after the crash")}); err != nil {
+		if err := commitPub(db1, pubOnShard(db1, cases%2, "Z1-"), "alone after the crash"); err != nil {
 			t.Fatalf("%s: commit after recovery: %v", name, err)
 		}
 		txn := db1.BeginTxn()
@@ -305,8 +304,7 @@ func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
 	}
 	defer relational.DisableAllFailpoints()
 	for s := 0; s < 2; s++ {
-		_, err := db.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_(pubOnShard(db, s, "I")), "pubname": relational.String_(fmt.Sprintf("doomed %d", s))})
+		err := commitPub(db, pubOnShard(db, s, "I"), fmt.Sprintf("doomed %d", s))
 		if !errors.Is(err, relational.ErrWALFailed) {
 			t.Fatalf("single-shard commit under a failing fsync: %v, want ErrWALFailed", err)
 		}
@@ -315,8 +313,7 @@ func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
 	if got := logEnd(t, activeSegment(t, dir)); got != logLen {
 		t.Fatalf("the failed commits left the log's records ending at %d, want the %d the acknowledged ones did", got, logLen)
 	}
-	if _, err := db.Insert("publisher", map[string]relational.Value{
-		"pubid": relational.String_(pubOnShard(db, 1, "J")), "pubname": relational.String_("after the fault")}); err != nil {
+	if err := commitPub(db, pubOnShard(db, 1, "J"), "after the fault"); err != nil {
 		t.Fatalf("commit after the fault cleared: %v", err)
 	}
 	want := dump(t, db)

@@ -521,42 +521,7 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ---- Engine: autocommit DML, lifecycle, statistics and maintenance.
-
-func (db *DB) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
-	t := db.BeginTxn()
-	id, err := t.Insert(table, values)
-	if err != nil {
-		_ = t.Rollback()
-		return 0, err
-	}
-	if err := t.Commit(); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-func (db *DB) Delete(table string, id relational.RowID) (int, error) {
-	t := db.BeginTxn()
-	n, err := t.Delete(table, id)
-	if err != nil {
-		_ = t.Rollback()
-		return 0, err
-	}
-	if err := t.Commit(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func (db *DB) UpdateRow(table string, id relational.RowID, changes map[string]relational.Value) error {
-	t := db.BeginTxn()
-	if err := t.UpdateRow(table, id, changes); err != nil {
-		_ = t.Rollback()
-		return err
-	}
-	return t.Commit()
-}
+// ---- Engine: transactions, lifecycle, statistics and maintenance.
 
 // BeginTxn starts a cross-shard write transaction. Sub-transactions
 // are acquired lazily as shards are first touched (each under the

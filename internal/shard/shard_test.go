@@ -78,6 +78,19 @@ func insertPub(t *testing.T, w relational.WriteTxn, pubid, pubname string) {
 	}
 }
 
+// commitPub inserts one publisher in a transaction of its own,
+// returning the insert's or the commit's error.
+func commitPub(eng relational.Engine, pubid, pubname string) error {
+	txn := eng.BeginTxn()
+	if _, err := txn.Insert("publisher", map[string]relational.Value{
+		"pubid": relational.String_(pubid), "pubname": relational.String_(pubname),
+	}); err != nil {
+		txn.Rollback()
+		return err
+	}
+	return txn.Commit()
+}
+
 func insertBook(w relational.WriteTxn, bookid, pubid string) error {
 	_, err := w.Insert("book", map[string]relational.Value{
 		"bookid": relational.String_(bookid), "title": relational.String_("t-" + bookid),
@@ -99,9 +112,7 @@ func TestShardsOneParity(t *testing.T) {
 	group, _ := newGroup(t, 1, Options{})
 	run := func(eng relational.Engine) {
 		t.Helper()
-		if _, err := eng.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_("Z01"), "pubname": relational.String_("Parity Press"),
-		}); err != nil {
+		if err := commitPub(eng, "Z01", "Parity Press"); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 		txn := eng.BeginTxn()
@@ -115,13 +126,21 @@ func TestShardsOneParity(t *testing.T) {
 		if err != nil || len(ids) != 1 {
 			t.Fatalf("lookup: %v %v", ids, err)
 		}
-		if err := eng.UpdateRow("book", ids[0], map[string]relational.Value{
+		txn = eng.BeginTxn()
+		if err := txn.UpdateRow("book", ids[0], map[string]relational.Value{
 			"price": relational.Float_(39.99),
 		}); err != nil {
 			t.Fatalf("update: %v", err)
 		}
-		if _, err := eng.Delete("book", ids[0]); err != nil {
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("commit update: %v", err)
+		}
+		txn = eng.BeginTxn()
+		if _, err := txn.Delete("book", ids[0]); err != nil {
 			t.Fatalf("delete: %v", err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("commit delete: %v", err)
 		}
 	}
 	run(plain)
@@ -145,9 +164,7 @@ func TestRoutingCoLocatesAndStripes(t *testing.T) {
 	// Grow the dataset so every shard sees traffic.
 	for i := 0; i < 8; i++ {
 		pub := fmt.Sprintf("P%02d", i)
-		if _, err := db.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_(pub), "pubname": relational.String_("House " + pub),
-		}); err != nil {
+		if err := commitPub(db, pub, "House "+pub); err != nil {
 			t.Fatalf("publisher: %v", err)
 		}
 		txn := db.BeginTxn()
@@ -264,9 +281,13 @@ func TestCrossShardFKAndCascade(t *testing.T) {
 		t.Fatalf("find A01: %v %v", ids, err)
 	}
 	before := db.RowCount("book") + db.RowCount("review")
-	n, err := db.Delete("publisher", ids[0])
+	txn = db.BeginTxn()
+	n, err := txn.Delete("publisher", ids[0])
 	if err != nil {
 		t.Fatalf("cascade delete: %v", err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatalf("commit cascade: %v", err)
 	}
 	if n < 3 { // publisher + 2 books + 2 reviews under A01
 		t.Fatalf("cascade removed %d rows, want >= 3", n)
@@ -410,9 +431,7 @@ func TestCrashRestartParity(t *testing.T) {
 	db, _ := newGroupDir(t, 4, dir)
 	for i := 0; i < 6; i++ {
 		pub := fmt.Sprintf("C%02d", i)
-		if _, err := db.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_(pub), "pubname": relational.String_("Crash " + pub),
-		}); err != nil {
+		if err := commitPub(db, pub, "Crash "+pub); err != nil {
 			t.Fatalf("publisher: %v", err)
 		}
 	}
@@ -599,9 +618,7 @@ func TestParallelRecoveryAndPagedRollups(t *testing.T) {
 	opts := Options{Dir: dir, WAL: relational.WALOptions{PageCacheBytes: 256 << 10}}
 	db, _ := newGroup(t, 4, opts)
 	for i := 0; i < 40; i++ {
-		if _, err := db.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_(fmt.Sprintf("R%03d", i)), "pubname": relational.String_(fmt.Sprintf("Rollup %03d", i)),
-		}); err != nil {
+		if err := commitPub(db, fmt.Sprintf("R%03d", i), fmt.Sprintf("Rollup %03d", i)); err != nil {
 			t.Fatalf("publisher: %v", err)
 		}
 	}

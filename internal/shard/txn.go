@@ -10,10 +10,10 @@ import (
 // sub-transactions acquired lazily on first touch, so a transaction
 // confined to one shard (the common case once writers partition) costs
 // exactly one engine transaction — no begin/rollback churn on the
-// other N-1 shards' latches. Writes route exactly like autocommit DML
-// (parent-shard co-location for children, PK hash for roots, id
-// residue for point updates/deletes) and carry the cross-shard
-// uniqueness probes a single shard cannot perform.
+// other N-1 shards' latches. Writes route by parent-shard co-location
+// for children, PK hash for roots and id residue for point
+// updates/deletes, and carry the cross-shard uniqueness probes a single
+// shard cannot perform.
 //
 // Each sub-transaction reads a consistent snapshot of its shard, but
 // the vector is cut shard-by-shard as shards are first touched, under

@@ -31,10 +31,12 @@ type Reader = relational.Reader
 // Concurrency: the statistics counters are updated atomically and the
 // temporary-table namespace is internally locked, so read-only
 // ExecSelect calls may run concurrently. DML (ExecInsert/ExecDelete/
-// ExecUpdate) takes an explicit relational.WriteTxn handle: concurrent
-// callers each write through their own transaction, the engine detects
+// ExecUpdate, Stmt.Exec and the join-view writes) runs in the caller's
+// relational.WriteTxn: a multi-row or multi-table statement commits
+// with the rest of the caller's work or not at all, concurrent callers
+// each write through their own transaction, and the engine detects
 // write-write conflicts (relational.ErrWriteConflict,
-// first-updater-wins), and a nil handle autocommits the statement.
+// first-updater-wins).
 //
 // The executor is written against the relational.Engine seam, so the
 // same SQL machinery runs over a single *relational.Database or a
@@ -112,55 +114,27 @@ func (e *Executor) Temp(name string) (*ResultSet, bool) {
 	return rs, ok
 }
 
-// writeReader returns the Reader a DML statement's own row matching
-// reads through: the transaction's overlay when one is given (so the
-// statement sees the transaction's earlier writes), the latest
-// committed state otherwise.
-func (e *Executor) writeReader(t relational.WriteTxn) Reader {
-	if t != nil {
-		return t
-	}
-	return e.DB
-}
-
-// writer is the mutation surface shared by *relational.Txn and
-// *relational.Database (whose methods autocommit); writeDML picks the
-// target once so every DML entry point dispatches identically instead
-// of re-implementing the nil-txn branch.
-type writer interface {
-	Insert(table string, values map[string]relational.Value) (relational.RowID, error)
-	Delete(table string, id relational.RowID) (int, error)
-	UpdateRow(table string, id relational.RowID, changes map[string]relational.Value) error
-}
-
-func (e *Executor) writeDML(t relational.WriteTxn) writer {
-	if t != nil {
-		return t
-	}
-	return e.DB
-}
-
-// ExecInsert executes a single-table insert through transaction t (nil
-// autocommits), surfacing the engine's constraint errors (the hybrid
-// strategy's conflict signal) and relational.ErrWriteConflict when the
-// write loses a first-updater-wins race.
+// ExecInsert executes a single-table insert through transaction t,
+// surfacing the engine's constraint errors (the hybrid strategy's
+// conflict signal) and relational.ErrWriteConflict when the write loses
+// a first-updater-wins race.
 func (e *Executor) ExecInsert(t relational.WriteTxn, s *InsertStmt) (relational.RowID, error) {
-	return e.writeDML(t).Insert(s.Table, s.Values)
+	return t.Insert(s.Table, s.Values)
 }
 
-// ExecDelete executes a single-table delete through transaction t (nil
-// autocommits), returning the number of rows removed (0 is the
-// engine's "zero tuples deleted" warning, not an error — exactly the
-// hybrid-strategy signal for statement U3).
+// ExecDelete executes a single-table delete through transaction t,
+// returning the number of rows removed (0 is the engine's "zero tuples
+// deleted" warning, not an error — exactly the hybrid-strategy signal
+// for statement U3). The WHERE clause reads through t, so it sees the
+// transaction's earlier writes.
 func (e *Executor) ExecDelete(t relational.WriteTxn, s *DeleteStmt) (int, error) {
-	ids, err := e.matchRows(e.writeReader(t), s.Table, s.Where)
+	ids, err := e.matchRows(t, s.Table, s.Where)
 	if err != nil {
 		return 0, err
 	}
-	w := e.writeDML(t)
 	total := 0
 	for _, id := range ids {
-		n, err := w.Delete(s.Table, id)
+		n, err := t.Delete(s.Table, id)
 		total += n
 		if err != nil {
 			return total, err
@@ -169,16 +143,15 @@ func (e *Executor) ExecDelete(t relational.WriteTxn, s *DeleteStmt) (int, error)
 	return total, nil
 }
 
-// ExecUpdate executes a single-table update through transaction t (nil
-// autocommits), returning the number of rows modified.
+// ExecUpdate executes a single-table update through transaction t,
+// returning the number of rows modified.
 func (e *Executor) ExecUpdate(t relational.WriteTxn, s *UpdateStmt) (int, error) {
-	ids, err := e.matchRows(e.writeReader(t), s.Table, s.Where)
+	ids, err := e.matchRows(t, s.Table, s.Where)
 	if err != nil {
 		return 0, err
 	}
-	w := e.writeDML(t)
 	for _, id := range ids {
-		if err := w.UpdateRow(s.Table, id, s.Set); err != nil {
+		if err := t.UpdateRow(s.Table, id, s.Set); err != nil {
 			return 0, err
 		}
 	}

@@ -255,13 +255,17 @@ func TestMaterializeAndInTemp(t *testing.T) {
 	e.Materialize("TAB_book", rs)
 
 	// The paper's U3: DELETE FROM review WHERE bookid IN (SELECT bookid FROM TAB_book).
-	n, err := e.ExecDelete(nil, &DeleteStmt{
+	txn := e.DB.BeginTxn()
+	n, err := e.ExecDelete(txn, &DeleteStmt{
 		Table: "review",
 		Where: []Predicate{{
 			Left: ColOperand("review", "bookid"), InTemp: "TAB_book", InTempColumn: "bookid",
 		}},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -274,7 +278,9 @@ func TestMaterializeAndInTemp(t *testing.T) {
 
 func TestDeleteZeroTuplesWarning(t *testing.T) {
 	e := newExec(t)
-	n, err := e.ExecDelete(nil, &DeleteStmt{
+	txn := e.DB.BeginTxn()
+	defer txn.Rollback()
+	n, err := e.ExecDelete(txn, &DeleteStmt{
 		Table: "review",
 		Where: []Predicate{Eq("review", "bookid", relational.String_("98002"))},
 	})
@@ -286,7 +292,9 @@ func TestDeleteZeroTuplesWarning(t *testing.T) {
 func TestInsertConstraintErrorSurfaces(t *testing.T) {
 	e := newExec(t)
 	// The paper's U2: duplicate key insert rejected by the engine.
-	_, err := e.ExecInsert(nil, &InsertStmt{Table: "book", Values: map[string]relational.Value{
+	txn := e.DB.BeginTxn()
+	defer txn.Rollback()
+	_, err := e.ExecInsert(txn, &InsertStmt{Table: "book", Values: map[string]relational.Value{
 		"bookid": relational.String_("98001"), "title": relational.String_("Operating Systems"),
 		"pubid": relational.String_("A01"), "price": relational.Float_(20), "year": relational.Int_(1994),
 	}})
@@ -300,7 +308,9 @@ func TestInsertConstraintErrorSurfaces(t *testing.T) {
 
 func TestExecUpdate(t *testing.T) {
 	e := newExec(t)
-	n, err := e.ExecUpdate(nil, &UpdateStmt{
+	txn := e.DB.BeginTxn()
+	defer txn.Rollback()
+	n, err := e.ExecUpdate(txn, &UpdateStmt{
 		Table: "book",
 		Set:   map[string]relational.Value{"price": relational.Float_(39.99)},
 		Where: []Predicate{Eq("book", "bookid", relational.String_("98001"))},
@@ -384,7 +394,8 @@ func TestJoinViewInsertDecomposition(t *testing.T) {
 		},
 	}
 	// The paper's UV: full tuple for an insert of review 001 on 98003.
-	n, err := e.InsertIntoJoinView(nil, view, map[string]relational.Value{
+	txn := e.DB.BeginTxn()
+	n, err := e.InsertIntoJoinView(txn, view, map[string]relational.Value{
 		"publisher.pubid":   relational.String_("A01"),
 		"publisher.pubname": relational.String_("McGraw-Hill Inc."),
 		"book.bookid":       relational.String_("98003"),
@@ -401,6 +412,9 @@ func TestJoinViewInsertDecomposition(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("inserted %d base rows, want 1 (only the review is new)", n)
 	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	ids, _ := e.DB.LookupEqual("review", []string{"bookid"}, []relational.Value{relational.String_("98003")})
 	if len(ids) != 1 {
 		t.Fatalf("review not inserted")
@@ -413,7 +427,9 @@ func TestJoinViewInsertInconsistentRejected(t *testing.T) {
 		Name: "V", Root: "publisher",
 		Steps: []JoinStep{{Table: "book", ParentTable: "publisher", ParentColumn: "pubid", Column: "pubid"}},
 	}
-	_, err := e.InsertIntoJoinView(nil, view, map[string]relational.Value{
+	txn := e.DB.BeginTxn()
+	defer txn.Rollback()
+	_, err := e.InsertIntoJoinView(txn, view, map[string]relational.Value{
 		"publisher.pubid":   relational.String_("A01"),
 		"publisher.pubname": relational.String_("Wrong Name"),
 		"book.bookid":       relational.String_("98009"),
@@ -426,6 +442,44 @@ func TestJoinViewInsertInconsistentRejected(t *testing.T) {
 	}
 }
 
+// TestJoinViewInsertAtomic: a view insert that writes a new publisher
+// and then fails on a clashing book is one statement of the caller's
+// transaction: its publisher is not committed on its own, and a
+// rollback leaves publisher as it was.
+func TestJoinViewInsertAtomic(t *testing.T) {
+	e := newExec(t)
+	view := &JoinViewDef{
+		Name: "V", Root: "publisher",
+		Steps: []JoinStep{{Table: "book", ParentTable: "publisher", ParentColumn: "pubid", Column: "pubid"}},
+	}
+	before := e.DB.RowCount("publisher")
+	txn := e.DB.BeginTxn()
+	_, err := e.InsertIntoJoinView(txn, view, map[string]relational.Value{
+		"publisher.pubid":   relational.String_("Z09"),
+		"publisher.pubname": relational.String_("Zed Press"),
+		"book.bookid":       relational.String_("98001"), // taken, with another title
+		"book.title":        relational.String_("Clash"),
+		"book.pubid":        relational.String_("Z09"),
+		"book.price":        relational.Float_(5),
+	})
+	if err == nil {
+		t.Fatal("a view insert whose book key clashes should fail")
+	}
+	z09 := func() int {
+		ids, _ := e.DB.LookupEqual("publisher", []string{"pubid"}, []relational.Value{relational.String_("Z09")})
+		return len(ids)
+	}
+	if n := z09(); n != 0 {
+		t.Errorf("publisher Z09 committed by a failed statement (%d rows)", n)
+	}
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := e.DB.RowCount("publisher"), z09(); got != before || n != 0 {
+		t.Errorf("after rollback: %d publisher rows (want %d), Z09 in %d", got, before, n)
+	}
+}
+
 func TestJoinViewDelete(t *testing.T) {
 	e := newExec(t)
 	view := &JoinViewDef{
@@ -435,7 +489,9 @@ func TestJoinViewDelete(t *testing.T) {
 			{Table: "review", ParentTable: "book", ParentColumn: "bookid", Column: "bookid"},
 		},
 	}
-	n, err := e.DeleteFromJoinView(nil, view, map[string]relational.Value{
+	txn := e.DB.BeginTxn()
+	defer txn.Rollback()
+	n, err := e.DeleteFromJoinView(txn, view, map[string]relational.Value{
 		"review.bookid":   relational.String_("98001"),
 		"review.reviewid": relational.String_("001"),
 	})

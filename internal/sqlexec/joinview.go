@@ -139,9 +139,8 @@ func (e *Executor) EvaluateJoinView(v *JoinViewDef) (*ResultSet, error) {
 }
 
 // InsertIntoJoinView inserts a complete view tuple through transaction
-// t (nil autocommits), decomposing it per base table in join order:
-// for each table whose key part is present, the engine probes for an
-// existing row; when found, the tuple's values for that table must
+// t, decomposing it per base table in join order: for each table whose
+// key part is present, the engine probes for an existing row; when found, the tuple's values for that table must
 // agree with the stored row (else the insert is rejected,
 // Oracle-style); when missing, a new base row is inserted. The return
 // value counts base rows actually inserted.
@@ -150,7 +149,6 @@ func (e *Executor) EvaluateJoinView(v *JoinViewDef) (*ResultSet, error) {
 // the caller must supply values for every attribute of every relation in
 // the view, which forces the wide upstream probe query.
 func (e *Executor) InsertIntoJoinView(t relational.WriteTxn, v *JoinViewDef, values map[string]relational.Value) (int, error) {
-	rd := e.writeReader(t)
 	schema := e.DB.Schema()
 	inserted := 0
 	for _, tname := range v.Tables() {
@@ -181,12 +179,12 @@ func (e *Executor) InsertIntoJoinView(t relational.WriteTxn, v *JoinViewDef, val
 			pkVals = append(pkVals, val)
 		}
 		if pkComplete {
-			ids, err := rd.LookupEqual(tname, def.PrimaryKey, pkVals)
+			ids, err := t.LookupEqual(tname, def.PrimaryKey, pkVals)
 			if err != nil {
 				return inserted, err
 			}
 			if len(ids) > 0 {
-				existing, err := rd.ValuesByName(tname, ids[0])
+				existing, err := t.ValuesByName(tname, ids[0])
 				if err != nil {
 					return inserted, err
 				}
@@ -199,7 +197,7 @@ func (e *Executor) InsertIntoJoinView(t relational.WriteTxn, v *JoinViewDef, val
 				continue // consistent duplicate: nothing to insert at this level
 			}
 		}
-		if _, err := e.writeDML(t).Insert(tname, part); err != nil {
+		if _, err := t.Insert(tname, part); err != nil {
 			return inserted, err
 		}
 		inserted++
@@ -207,12 +205,11 @@ func (e *Executor) InsertIntoJoinView(t relational.WriteTxn, v *JoinViewDef, val
 	return inserted, nil
 }
 
-// DeleteFromJoinView deletes, through transaction t (nil autocommits),
-// the base rows of the deepest table whose key columns are bound in
-// the predicate map, the standard decomposition for deletes through a
-// left-join view. It returns rows deleted.
+// DeleteFromJoinView deletes, through transaction t, the base rows of
+// the deepest table whose key columns are bound in the predicate map,
+// the standard decomposition for deletes through a left-join view. It
+// returns rows deleted.
 func (e *Executor) DeleteFromJoinView(t relational.WriteTxn, v *JoinViewDef, keyValues map[string]relational.Value) (int, error) {
-	rd := e.writeReader(t)
 	tables := v.Tables()
 	for i := len(tables) - 1; i >= 0; i-- {
 		def, ok := e.DB.Schema().Table(tables[i])
@@ -234,14 +231,13 @@ func (e *Executor) DeleteFromJoinView(t relational.WriteTxn, v *JoinViewDef, key
 		if !complete {
 			continue
 		}
-		ids, err := rd.LookupEqual(tables[i], cols, vals)
+		ids, err := t.LookupEqual(tables[i], cols, vals)
 		if err != nil {
 			return 0, err
 		}
-		w := e.writeDML(t)
 		total := 0
 		for _, id := range ids {
-			n, err := w.Delete(tables[i], id)
+			n, err := t.Delete(tables[i], id)
 			total += n
 			if err != nil {
 				return total, err

@@ -165,8 +165,7 @@ func (s *Stmt) ExecSelectOn(rd Reader, args ...relational.Value) (*ResultSet, er
 }
 
 // Exec binds the arguments and executes a DML template through
-// transaction t (nil autocommits), returning the number of rows
-// affected.
+// transaction t, returning the number of rows affected.
 func (s *Stmt) Exec(t relational.WriteTxn, args ...relational.Value) (int, error) {
 	bound, err := s.Bind(args...)
 	if err != nil {

@@ -115,7 +115,8 @@ func TestPreparedDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := upd.Exec(nil, relational.Int_(3))
+	txn := e.DB.BeginTxn()
+	n, err := upd.Exec(txn, relational.Int_(3))
 	if err != nil || n != 1 {
 		t.Fatalf("update exec: n=%d err=%v", n, err)
 	}
@@ -126,9 +127,12 @@ func TestPreparedDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err = del.Exec(nil, relational.Int_(1))
+	n, err = del.Exec(txn, relational.Int_(1))
 	if err != nil || n != 1 {
 		t.Fatalf("delete exec: n=%d err=%v", n, err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	if got := e.DB.RowCount("item"); got != 2 {
 		t.Errorf("rows = %d, want 2", got)

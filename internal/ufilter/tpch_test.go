@@ -273,10 +273,14 @@ func TestFail2Shape(t *testing.T) {
 		f.Strategy = strat
 		// Strip order 10's lineitems first.
 		ids, _ := f.Exec.DB.LookupEqual("lineitem", []string{"l_orderkey"}, []relational.Value{relational.Int_(10)})
+		txn := f.Exec.DB.BeginTxn()
 		for _, id := range ids {
-			if _, err := f.Exec.DB.Delete("lineitem", id); err != nil {
+			if _, err := txn.Delete("lineitem", id); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
 		}
 		res, err := f.Apply(tpch.DeleteLineitemsOfOrder(10))
 		if err != nil {

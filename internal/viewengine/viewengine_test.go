@@ -118,10 +118,14 @@ func TestMaterializeNullProjection(t *testing.T) {
 	e := newEngine(t)
 	// Insert a book with a NULL price via a NULL-allowed path: price is
 	// nullable in the schema (only CHECK'd when present).
-	if _, err := e.Exec.DB.Insert("book", map[string]relational.Value{
+	txn := e.Exec.DB.BeginTxn()
+	if _, err := txn.Insert("book", map[string]relational.Value{
 		"bookid": relational.String_("99999"), "title": relational.String_("No Price"),
 		"pubid": relational.String_("A01"), "year": relational.Int_(2000),
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	view, err := e.MaterializeQuery(`

@@ -237,15 +237,22 @@ func verifyRecovery(t *testing.T, dir string, seed, lastAck int64, shards int) {
 	// Constraint machinery survived recovery: duplicates still rejected,
 	// fresh commits still accepted.
 	if n > 0 {
-		if _, err := db.Insert("ledger", map[string]relational.Value{
+		txn := db.BeginTxn()
+		_, err := txn.Insert("ledger", map[string]relational.Value{
 			"txn": relational.Int_(1),
-		}); !errors.Is(err, relational.ErrPrimaryKey) {
+		})
+		txn.Rollback()
+		if !errors.Is(err, relational.ErrPrimaryKey) {
 			t.Fatalf("duplicate ledger txn after recovery: %v", err)
 		}
 	}
-	if _, err := db.Insert("ledger", map[string]relational.Value{
+	txn := db.BeginTxn()
+	if _, err := txn.Insert("ledger", map[string]relational.Value{
 		"txn": relational.Int_(1 << 40),
 	}); err != nil {
+		t.Fatalf("post-recovery insert failed: %v", err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatalf("post-recovery commit failed: %v", err)
 	}
 }
