@@ -2,7 +2,7 @@ package relational
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,7 +99,11 @@ func (v *rowVersion) visibleAt(seq uint64) *rowVersion {
 }
 
 // tableData is the storage for a single relation: row version chains,
-// the page slots of checkpointed rows, and maintained hash indexes.
+// an id column naming every row, resident or page-only, with a slot
+// column beside it (pager.go), and maintained hash indexes. The id
+// column is strictly ascending and is the scan order: ids are allocated
+// ascending under the write latch, so an insert appends (add), and
+// reclaimed or rolled-back ids stay until compactLocked drops them.
 //
 // An index maps the hash of a row's key to its id (see hashIndex).
 // Entries are inserted when a version is created and removed only when
@@ -114,13 +118,13 @@ func (v *rowVersion) visibleAt(seq uint64) *rowVersion {
 type tableData struct {
 	def     *TableDef
 	rows    map[RowID]*rowVersion // head = newest version
-	rowSlot map[RowID]uint32      // page slot of each checkpointed row; nil without a WAL (pager.go)
-	order   []RowID               // insertion order, for deterministic scans
+	ids     []RowID               // every row's id, ascending: the scan order
+	slots   []uint32              // parallel to ids: 1 + page slot, 0 = none; nil without a pager (pager.go)
 	indexes []*hashIndex
 	pkIndex *hashIndex // nil when the table has no primary key
 	fkCols  [][]int    // column positions of each of def.ForeignKeys, in order
 	live    int        // heads a latest writer-side count sees (approximate under concurrency)
-	dirty   bool       // order slice needs compaction (rows were reclaimed)
+	dirty   bool       // the id column needs compaction (rows were reclaimed)
 
 	// dirtyRows accumulates the ids of rows written since the last
 	// checkpoint — the working set an incremental checkpoint serializes.
@@ -156,7 +160,7 @@ func (td *tableData) markDirtyRow(id RowID) {
 // write-ahead-log flush happens off the latch, in the WAL writer stage,
 // which amortizes one fsync over every commit that queued meanwhile.
 //
-// The structural latch (mu) protects the row maps, order slices and
+// The structural latch (mu) protects the row maps, id columns and
 // index buckets. Writers hold it for one row operation; readers hold
 // it while collecting structure references and never across callbacks,
 // so reader and writer critical sections are both short and nested
@@ -183,7 +187,7 @@ type Database struct {
 	// (see SetRowIDAlloc).
 	rowIDStride RowID
 
-	// mu is the structural latch protecting the row maps, order slices
+	// mu is the structural latch protecting the row maps, id columns
 	// and index buckets. Held per row operation, never across a
 	// statement or transaction.
 	mu sync.RWMutex
@@ -270,7 +274,8 @@ type Reader interface {
 	Schema() *Schema
 	// Get returns a copy of the row with the given id.
 	Get(table string, id RowID) (*Row, error)
-	// Scan visits every visible row of a table in insertion order. The
+	// Scan visits every visible row of a table in insertion order (which
+	// is ascending row id, before and after a restart). The
 	// callback must not mutate the row; returning false stops the scan.
 	Scan(table string, fn func(*Row) bool) error
 	// LookupEqual returns the ids of visible rows whose named columns
@@ -304,8 +309,8 @@ var (
 // field is read atomically (or under its own short mutex), so a snapshot
 // may be taken while other goroutines are mutating the database. The
 // log's own counters (segments, bytes, fsyncs, durable commit groups and
-// their transactions, checkpoint passes, pipeline depth, the fsync and
-// pause histograms) come from WAL.Stats: a member
+// their transactions, checkpoint passes, pipeline depth, the fsync,
+// pause and stall histograms) come from WAL.Stats: a member
 // of a log shared with other databases reports zero for them.
 type DBStats struct {
 	StatementsExecuted int64 `json:"statements_executed" stat:"statements_executed_total,counter,sum" help:"DML statements executed."`
@@ -340,6 +345,7 @@ type DBStats struct {
 	CompactionPagesWritten int64        `json:"compaction_pages_written" stat:"compaction_pages_written_total,counter,sum" help:"Pages written by checkpoint passes."`
 	FsyncHist              obs.Snapshot `json:"-" stat:"wal_fsync_seconds,histogram,sum" help:"Durable WAL fsync duration per commit group (empty without -data-dir)."`
 	CheckpointPauseHist    obs.Snapshot `json:"-" stat:"checkpoint_pause_seconds,histogram,sum" help:"Checkpoint pass duration — O(dirty) under incremental checkpoints (empty without -data-dir)."`
+	CheckpointStallHist    obs.Snapshot `json:"-" stat:"checkpoint_stall_seconds,histogram,sum" help:"Time a checkpoint pass holds every commit latch of its log (barrier, pins, segment rotation): what commits wait for (empty without -data-dir)."`
 }
 
 // Stats snapshots the statistics counters atomically; a database that
@@ -439,22 +445,13 @@ func buildTableStorage(schema *Schema) map[string]*tableData {
 		for _, fk := range t.ForeignKeys {
 			cols := mustColumnIndexes(t, fk.Columns)
 			td.fkCols = append(td.fkCols, cols)
-			if !hasIndexOn(td, cols) {
+			if td.findIndex(cols) == nil {
 				td.indexes = append(td.indexes, newHashIndex(indexName(t.Name, fk.Columns), cols, false))
 			}
 		}
 		tables[strings.ToLower(t.Name)] = td
 	}
 	return tables
-}
-
-func hasIndexOn(td *tableData, cols []int) bool {
-	for _, ix := range td.indexes {
-		if ix.matchesColumns(cols) {
-			return true
-		}
-	}
-	return false
 }
 
 func mustColumnIndexes(t *TableDef, names []string) []int {
@@ -554,19 +551,26 @@ func (db *Database) copyRow(table string, td *tableData, r rowRef, resolve func(
 }
 
 // compactLocked drops reclaimed ids — neither a version nor a page slot
-// — from the order slice. Called by the reclaimer (a writer) only;
-// readers filter invisible ids instead.
+// — from the id column, walking it by position. Called by the reclaimer
+// (a writer) only; readers filter invisible ids instead.
 func (td *tableData) compactLocked() {
 	if !td.dirty {
 		return
 	}
-	live := td.order[:0]
-	for _, id := range td.order {
-		if td.ref(id).found() {
-			live = append(live, id)
+	n := 0
+	for i, id := range td.ids {
+		if td.refAt(i).found() {
+			td.ids[n] = id
+			if td.slots != nil {
+				td.slots[n] = td.slots[i]
+			}
+			n++
 		}
 	}
-	td.order = live
+	td.ids = td.ids[:n]
+	if td.slots != nil {
+		td.slots = td.slots[:n]
+	}
 	td.dirty = false
 }
 
@@ -583,9 +587,9 @@ func (db *Database) collectRefs(table string) ([]rowRef, *tableData, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]rowRef, 0, len(td.order))
-	for _, id := range td.order {
-		if r := td.ref(id); r.found() {
+	out := make([]rowRef, 0, len(td.ids))
+	for i := range td.ids {
+		if r := td.refAt(i); r.found() {
 			out = append(out, r)
 		}
 	}
@@ -642,9 +646,9 @@ func (db *Database) collectVisible(table string) ([]*Row, error) {
 	}
 	seq := db.commitSeq.Load()
 	resolve := func(v *rowVersion) *rowVersion { return v.visibleAt(seq) }
-	out := make([]*Row, 0, len(td.order))
-	for _, id := range td.order {
-		if row := db.see(td, td.ref(id), resolve); row != nil {
+	out := make([]*Row, 0, len(td.ids))
+	for i := range td.ids {
+		if row := db.see(td, td.refAt(i), resolve); row != nil {
 			out = append(out, row)
 		}
 	}
@@ -684,9 +688,9 @@ func (db *Database) LookupRows(table string, columns []string, values []Value) (
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	seq := db.commitSeq.Load() // under the latch: reclaim cannot outrun it
-	return db.lookupLocked(table, columns, values, func(head *rowVersion) *rowVersion {
+	return db.lookup(table, columns, values, func(head *rowVersion) *rowVersion {
 		return head.visibleAt(seq)
-	})
+	}, true)
 }
 
 // RowIDs keeps the ids of a lookup's rows: LookupEqual's answer from
@@ -702,19 +706,42 @@ func RowIDs(rows []Row, err error) ([]RowID, error) {
 	return ids, nil
 }
 
-// lookupCandidatesLocked begins the lookup core every reader of the
-// database shares: it resolves the columns and returns the candidate
-// ids — the covering index's bucket, else every id in scan order — as
-// the store's own slice, readable only under db.mu (held by the caller
-// in either mode). Each candidate then resolves to its ref and through
-// the reader's visibility function, and the values it sees, faulted in
-// once for a page-only row, are re-verified against the probe (buckets
-// keep ids of versions this reader may not see) and returned with the
-// id (appendMatch). lookupLocked finishes under the caller's latch;
-// lookupRegistered drops it first. The column positions are appended to
-// cols and a bucket's single id is returned in one: buffers the caller
-// owns.
-func (db *Database) lookupCandidatesLocked(table string, columns []string, values []Value, cols []int, one *[1]RowID) (*tableData, []int, []RowID, error) {
+// lookup is the lookup core every reader of the database shares. Under
+// db.mu it collects the candidates' refs (lookupRefsLocked); each then
+// resolves through the reader's visibility function, and the values it
+// sees, faulted in once for a page-only row, are re-verified against the
+// probe (buckets keep ids of versions this reader may not see) and
+// returned with the id (appendMatch). A caller holding db.mu in either
+// mode — the Database's latest read, the write paths' key checks —
+// passes held and resolves under its latch; a registered reader
+// (Snapshot, Txn) takes the read latch to collect and faults after it.
+func (db *Database) lookup(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion, held bool) ([]Row, error) {
+	var colBuf [4]int
+	var one [1]RowID
+	var refBuf [8]rowRef // most buckets: no allocation
+	if !held {
+		db.mu.RLock()
+	}
+	td, cols, refs, err := db.lookupRefsLocked(table, columns, values, colBuf[:0], &one, refBuf[:0])
+	if !held {
+		db.mu.RUnlock()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := newMatches(len(refs))
+	for _, r := range refs {
+		out = db.appendMatch(out, td, r, resolve, cols, values)
+	}
+	return out, nil
+}
+
+// lookupRefsLocked resolves the columns, appending their positions to
+// cols, and appends to refs the candidates' refs: the covering index's
+// bucket (a single id comes back in one), each id resolved, else the
+// whole id column, walked by position. The buffers are the caller's.
+// Caller holds db.mu in either mode.
+func (db *Database) lookupRefsLocked(table string, columns []string, values []Value, cols []int, one *[1]RowID, refs []rowRef) (*tableData, []int, []rowRef, error) {
 	td, err := db.tableData(table)
 	if err != nil {
 		return nil, nil, nil, err
@@ -726,54 +753,20 @@ func (db *Database) lookupCandidatesLocked(table string, columns []string, value
 		}
 		cols = append(cols, idx)
 	}
-	if ix := td.findIndex(cols); ix != nil {
-		return td, cols, ix.lookup(cols, values, one), nil
+	ix := td.findIndex(cols)
+	if ix == nil {
+		refs = slices.Grow(refs, len(td.ids))
+		for i := range td.ids {
+			refs = append(refs, td.refAt(i))
+		}
+		return td, cols, refs, nil
 	}
-	return td, cols, td.order, nil
-}
-
-// lookupLocked is the core for callers holding db.mu (either mode): the
-// Database's latest read and the write paths' key checks.
-func (db *Database) lookupLocked(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
-	var colBuf [4]int
-	var one [1]RowID
-	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0], &one)
-	if err != nil {
-		return nil, err
-	}
-	out := newMatches(len(ids))
-	for _, id := range ids {
-		out = db.appendMatch(out, td, td.ref(id), resolve, cols, values)
-	}
-	return out, nil
-}
-
-// lookupRegistered is the core for a registered reader (Snapshot, Txn):
-// candidate refs are collected under the read latch, then resolved and
-// faulted after it is dropped.
-func (db *Database) lookupRegistered(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion) ([]Row, error) {
-	var colBuf [4]int
-	var one [1]RowID
-	var refBuf [8]rowRef // most buckets: no allocation
-	db.mu.RLock()
-	td, cols, ids, err := db.lookupCandidatesLocked(table, columns, values, colBuf[:0], &one)
-	if err != nil {
-		db.mu.RUnlock()
-		return nil, err
-	}
-	refs := refBuf[:0]
-	if len(ids) > len(refBuf) {
-		refs = make([]rowRef, 0, len(ids))
-	}
+	ids := ix.lookup(cols, values, one)
+	refs = slices.Grow(refs, len(ids))
 	for _, id := range ids {
 		refs = append(refs, td.ref(id))
 	}
-	db.mu.RUnlock()
-	out := newMatches(len(refs))
-	for _, r := range refs {
-		out = db.appendMatch(out, td, r, resolve, cols, values)
-	}
-	return out, nil
+	return td, cols, refs, nil
 }
 
 // newMatches sizes a lookup's result for its candidates: an index
@@ -1031,7 +1024,7 @@ func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) erro
 		if vals == nil {
 			continue
 		}
-		refs, err := db.lookupLocked(fk.RefTable, fk.RefColumns, vals, t.resolve)
+		refs, err := db.lookup(fk.RefTable, fk.RefColumns, vals, t.resolve, true)
 		if err != nil {
 			return err
 		}
@@ -1081,13 +1074,13 @@ func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (Ro
 	db.nextRowID += db.rowIDStride
 	v := newVersion(Row{ID: id, Values: row}, txnMark(t.id))
 	td.rows[id] = v
-	td.order = append(td.order, id)
+	td.add(id)
 	td.live++
 	db.versionsSinceReclaim.Add(1)
 	for _, ix := range td.indexes {
 		ix.insert(id, row)
 	}
-	t.recordInsert(table, id, v)
+	t.log = append(t.log, undoEntry{kind: undoInsert, table: table, id: id, v: v})
 	return id, nil
 }
 
@@ -1150,7 +1143,7 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 		if skip {
 			continue
 		}
-		refs, err := db.lookupLocked(ref.Table.Name, ref.FK.Columns, refVals, t.resolve)
+		refs, err := db.lookup(ref.Table.Name, ref.FK.Columns, refVals, t.resolve, true)
 		if err != nil {
 			return deleted, err
 		}
@@ -1197,7 +1190,7 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 	td.live--
 	db.versionsSinceReclaim.Add(1)
 	deleted++
-	t.recordDelete(table, id, v)
+	t.log = append(t.log, undoEntry{kind: undoDelete, table: table, id: id, v: v})
 	return deleted, nil
 }
 
@@ -1265,7 +1258,7 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 	for _, ix := range td.indexes {
 		ix.insert(id, newVals) // buckets are id-sets: unchanged keys dedupe
 	}
-	t.recordUpdate(table, id, nv)
+	t.log = append(t.log, undoEntry{kind: undoUpdate, table: table, id: id, v: nv})
 	return nil
 }
 
@@ -1324,6 +1317,6 @@ func (db *Database) SortedTableNames() []string {
 	for _, td := range db.tables {
 		names = append(names, td.def.Name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }

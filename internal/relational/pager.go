@@ -1,9 +1,11 @@
 package relational
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/pagestore"
@@ -16,20 +18,21 @@ import (
 // buffers that evicted frames hand back).
 // In-memory version chains are a write-back cache over it. A row whose
 // one committed version is on its page and seen by every reader keeps
-// no version at all: it is PAGE-ONLY, named by its table's rowSlot and
-// absent from td.rows, and each read of it decodes that one row's
-// payload out of the pooled page (faultRow), so a fault costs the row
-// it touches, not the page, and a cold row costs memory only its slot,
-// its scan-order entry and its index entries. That is what lets the
-// dataset exceed RAM under a hard PageCacheBytes budget.
+// no version at all: it is PAGE-ONLY, absent from td.rows and named by
+// its table's id column with its slot beside it, and each read of it
+// decodes that one row's payload out of the pooled page (faultRow), so a
+// fault costs the row it touches, not the page, and a cold row costs
+// memory only its 8 B id, its 4 B slot and its index entries. That is
+// what lets the dataset exceed RAM under a hard PageCacheBytes budget.
 //
 // There is one kind of checkpoint pass, the incremental one: it pages
 // the rows dirtied since the previous pass and drops their versions on
 // the spot. A dataset therefore never has to exist in memory to reach
 // the pages — Load (load.go) streams it in as ordinary transactions with
 // a pass per window, leaving behind a first boot what a restart leaves:
-// index entries, rowSlot, the store's directory and the pool. OpenWAL on
-// a populated database marks every row dirty once and runs that pass.
+// index entries, the id and slot columns, the store's directory and the
+// pool. OpenWAL on a populated database marks every row dirty once and
+// runs that pass.
 //
 // A published page is the only durable record of which rows it holds
 // (the directory maps slots to pages). A pass reads the pages it
@@ -38,22 +41,23 @@ import (
 //
 // Concurrency contract (load-bearing — see faultRow):
 //
-//   - rowSlot is written only by checkpoint apply (db.mu write latch,
-//     passes serialized by ckptMu) and recovery (single-threaded). Every
-//     reader, and every writer, resolves a row id under db.mu, in either
-//     mode, through tableData.ref: td.rows first, then rowSlot.
-//     Checkpoint planning reads rowSlot without a latch: ckptMu
-//     serializes planners against appliers.
-//   - No version and a rowSlot entry mean committed and visible to every
-//     reader, which two rules keep true. The horizon rule: a version is
-//     dropped only when it began at or below the reclaim horizon
+//   - The id and slot columns are read and written under db.mu. Slots
+//     change only in checkpoint apply (write latch, passes serialized by
+//     ckptMu) and recovery (single-threaded), but the id column grows on
+//     every insert, so checkpoint planning holds the read latch for its
+//     slot reads (never across its page I/O). A row id resolves through
+//     tableData.ref (td.rows, then a binary search of the column); a walk
+//     of the column resolves by position (refAt).
+//   - No version and a slot mean committed and visible to every reader,
+//     which two rules keep true. The horizon rule: a version is dropped
+//     only when it began at or below the reclaim horizon
 //     (dropCleanLocked, called by checkpoint apply and the reclaimer).
-//     The tombstone rule: a deleted row's dead head stays while rowSlot
-//     maps it (reclaimLocked), and the pass that unmaps it drops the head
-//     once no reader sees it (applyPagePlacements). A write or replay
-//     that touches a page-only row first gives it a version stamped
-//     begin 0 (materializeLocked): the page's own sequence may be newer
-//     than a pinned reader, and 0 is older than every one.
+//     The tombstone rule: a deleted row's dead head stays while its slot
+//     is set (reclaimLocked), and the pass that clears the slot drops
+//     the head once no reader sees it (applyPagePlacements). A write or
+//     replay that touches a page-only row first gives it a version
+//     stamped begin 0 (materializeLocked): the page's own sequence may
+//     be newer than a pinned reader, and 0 is older than every one.
 //   - Unregistered readers (Database.Get, Scan, index matching, write
 //     paths) may fault ONLY while holding db.mu (either mode), because
 //     quarantined slots are released only under the db.mu write latch.
@@ -127,16 +131,60 @@ type rowRef struct {
 	slot uint32 // 1 + the page slot of a page-only row, else 0
 }
 
-// ref resolves id: its chain head, else its rowSlot entry. Every read
-// of a row id goes through it. Caller holds db.mu in either mode.
+// ref resolves id: its chain head, else its page slot, found by a
+// binary search of the id column. Every read of a row id goes through it
+// (a walk of the column uses refAt). Caller holds db.mu in either mode.
 func (td *tableData) ref(id RowID) rowRef {
 	if v := td.rows[id]; v != nil {
 		return rowRef{head: v, id: id}
 	}
-	if s, ok := td.rowSlot[id]; ok {
-		return rowRef{id: id, slot: s + 1}
+	return rowRef{id: id, slot: td.slotOf(id)}
+}
+
+// refAt resolves the row at position i of the id column, unsearched.
+// Caller holds db.mu in either mode.
+func (td *tableData) refAt(i int) rowRef {
+	r := rowRef{head: td.rows[td.ids[i]], id: td.ids[i]}
+	if r.head == nil && td.slots != nil {
+		r.slot = td.slots[i]
 	}
-	return rowRef{id: id}
+	return r
+}
+
+// slotOf returns 1 + the page slot of id, 0 when it has none. Caller
+// holds db.mu in either mode.
+func (td *tableData) slotOf(id RowID) uint32 {
+	if td.slots == nil {
+		return 0
+	}
+	if i, ok := slices.BinarySearch(td.ids, id); ok {
+		return td.slots[i]
+	}
+	return 0
+}
+
+// setSlot sets id's slot (1 + page slot, 0 to clear). Caller holds the
+// db.mu write latch, or is recovery.
+func (td *tableData) setSlot(id RowID, slotPlus1 uint32) {
+	i, ok := slices.BinarySearch(td.ids, id)
+	if !ok {
+		panic(fmt.Sprintf("relational: row %s/%d is not in its table's id column", td.def.Name, id))
+	}
+	td.slots[i] = slotPlus1
+}
+
+// add enters a new id into the column at its sorted place, with no
+// slot: an insert's id is the largest yet and appends, a replayed one
+// may land earlier. Caller holds the db.mu write latch, or is recovery.
+func (td *tableData) add(id RowID) {
+	i := len(td.ids)
+	if i > 0 && td.ids[i-1] > id {
+		i, _ = slices.BinarySearch(td.ids, id)
+	}
+	td.ids = slices.Insert(td.ids, i, id)
+	if td.slots != nil {
+		td.slots = slices.Insert(td.slots, i, 0)
+	}
 }
 
 // found reports whether r names a row, seen by some reader or not.
@@ -244,46 +292,34 @@ type pagePlan struct {
 // committed image at the snapshot is packed into fresh copy-on-write
 // pages, clean SURVIVOR rows sharing the superseded pages ride along so
 // those slots can be freed whole, and rows deleted at the snapshot
-// are dropped from rowSlot. Runs outside the latches: the snapshot pins
-// visibility, ckptMu serializes rowSlot access, and the swapped-out
-// dirty sets belong to this pass alone. Dirty images are encoded straight
-// from the versions' own value slices (Snapshot.values), never from a
-// copy; survivors are never decoded at all.
+// lose their slots. Runs outside the latches but for its ref and slot
+// reads, which hold the read latch (never across page I/O): the snapshot
+// pins visibility, ckptMu keeps any other pass from moving slots
+// meanwhile, and the swapped-out dirty sets belong to this pass alone.
+// Dirty images are resolved after the latch drops, as the registered
+// snapshot may, and encoded straight from the versions' own value
+// slices, never from a copy; survivors are never decoded at all.
 func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID]struct{}) (*pagePlan, error) {
-	p := db.pager
-
-	names := make([]string, 0, len(dirty))
-	for name := range dirty {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	// Resolve images at the snapshot and collect the superseded slots.
+	names := slices.Sorted(maps.Keys(dirty)) // db.tables' own keys
 	plan := &pagePlan{gone: make(map[string][]RowID)}
 	affectedTable := make(map[uint32]string)
 	for _, name := range names {
-		td, err := db.tableData(name)
-		if err != nil {
-			return nil, err
-		}
-		set := dirty[name]
-		ids := make([]RowID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-			if s, ok := td.rowSlot[id]; ok {
-				affectedTable[s] = name
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
+		td, ids := db.tables[name], slices.Sorted(maps.Keys(dirty[name]))
 		rows := make([]pagestore.InstallRow, 0, len(ids))
 		for _, id := range ids {
-			vals, ok := snap.values(td, id)
-			if !ok {
+			db.mu.RLock()
+			r, s := td.ref(id), td.slotOf(id)
+			db.mu.RUnlock()
+			if s != 0 {
+				affectedTable[s-1] = name
+			}
+			row := db.see(td, r, snap.resolve)
+			if row == nil {
 				plan.gone[name] = append(plan.gone[name], id)
 				continue
 			}
-			rows = append(rows, pagestore.InstallRow{ID: int64(id), Payload: encodeRowPayload(nil, vals)})
+			rows = append(rows, pagestore.InstallRow{ID: int64(id), Payload: encodeRowPayload(nil, row.Values)})
 		}
 		if len(rows) > 0 {
 			plan.installs = append(plan.installs, pagestore.Install{Table: name, Rows: rows})
@@ -296,36 +332,28 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 	// them dirty), so those bytes are what the snapshot resolves; each
 	// page is read once, CRC-verified, straight from the store — not
 	// through the pool, whose frames belong to the read path.
-	affected := make([]uint32, 0, len(affectedTable))
-	for s := range affectedTable {
-		affected = append(affected, s)
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-
-	plan.freedSlots = affected
+	plan.freedSlots = slices.Sorted(maps.Keys(affectedTable))
 	surv := make(map[string][]pagestore.InstallRow)
-	for _, slot := range affected {
+	for _, slot := range plan.freedSlots {
 		name := affectedTable[slot]
-		td, err := db.tableData(name)
-		if err != nil {
-			return nil, err
-		}
-		table, _, rows, err := p.store.ReadPage(slot)
+		td := db.tables[name]
+		table, _, rows, err := db.pager.store.ReadPage(slot)
 		if err == nil && table != name {
 			err = fmt.Errorf("holds table %q, want %q", table, name)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("relational: checkpoint: page %d: %w", slot, err)
 		}
+		db.mu.RLock()
 		for _, r := range rows {
 			id := RowID(r.ID)
-			if td.rowSlot[id] != slot {
+			if td.slotOf(id) != slot+1 {
 				continue // row since moved to a newer page
 			}
 			if _, isDirty := dirty[name][id]; isDirty {
 				continue
 			}
-			if !snap.ref(td, id).sees(snap.resolve) {
+			if !td.ref(id).sees(snap.resolve) {
 				// Unreachable in the protocol (a deletion marks the row
 				// dirty), but drop the mapping rather than resurrecting.
 				plan.gone[name] = append(plan.gone[name], id)
@@ -333,6 +361,7 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 			}
 			surv[name] = append(surv[name], pagestore.InstallRow(r))
 		}
+		db.mu.RUnlock()
 	}
 	for _, name := range names { // a page holds one table's rows, so survivors belong to dirty tables
 		if rows := surv[name]; len(rows) > 0 {
@@ -343,9 +372,9 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 }
 
 // applyPagePlacements publishes a durable install into the in-memory
-// state: row->slot mappings move to the fresh pages, each placed row
+// state: placed rows' slots move to the fresh pages, each placed row
 // whose one version every reader sees drops it (dropCleanLocked),
-// vanished rows drop their mapping and — once no reader sees them — their
+// vanished rows lose their slot and — once no reader sees them — their
 // dead heads, and the superseded slots enter quarantine until no reader
 // can still fault their old content. The pass's own snapshot is still
 // registered, so the horizon is at most its sequence: a version at or
@@ -368,12 +397,9 @@ func (db *Database) applyPagePlacements(placements []pagestore.PageInfo, plan *p
 	horizon := db.oldestVisibleSeq()
 	for _, pl := range placements {
 		td := db.tables[pl.Table]
-		if td.rowSlot == nil {
-			td.rowSlot = make(map[RowID]uint32)
-		}
 		for _, id64 := range pl.Rows {
 			id := RowID(id64)
-			td.rowSlot[id] = pl.Slot
+			td.setSlot(id, pl.Slot+1)
 			if v := td.rows[id]; v != nil {
 				dropCleanLocked(td, id, v, horizon)
 			}
@@ -382,7 +408,10 @@ func (db *Database) applyPagePlacements(placements []pagestore.PageInfo, plan *p
 	for name, ids := range plan.gone {
 		td := db.tables[name]
 		for _, id := range ids {
-			delete(td.rowSlot, id)
+			if td.slotOf(id) != 0 {
+				td.setSlot(id, 0)
+				td.dirty = true // compaction drops the id once its head goes too
+			}
 			if v := td.rows[id]; v != nil && v.end.Load() <= horizon {
 				db.versionsReclaimed.Add(int64(td.dropChainLocked(id, v)))
 			}
@@ -428,17 +457,15 @@ func (db *Database) drainPageQuarantineLocked() {
 
 // dropCleanLocked makes a row page-only by deleting its version, when
 // that version is the row's whole chain, committed, live and begun at or
-// below upTo, and rowSlot maps the row. Callers pass the lower of the
-// reclaim horizon (the horizon rule: every reader present and future
-// sees the version) and a checkpoint sequence whose pages hold every
-// version begun at or below it. Claim stamps compare greater than every
-// sequence, so a claimed begin never passes. Index entries stay: the
-// row's values are unchanged. Caller holds the db.mu write latch.
+// below upTo. The caller has seen that the row has a page slot, and
+// passes the lower of the reclaim horizon (the horizon rule: every
+// reader present and future sees the version) and a checkpoint sequence
+// whose pages hold every version begun at or below it. Claim stamps
+// compare greater than every sequence, so a claimed begin never passes.
+// Index entries stay: the row's values are unchanged. Caller holds the
+// db.mu write latch.
 func dropCleanLocked(td *tableData, id RowID, v *rowVersion, upTo uint64) {
-	if v.prev.Load() != nil || v.end.Load() != liveSeq || v.begin.Load() > upTo {
-		return
-	}
-	if _, ok := td.rowSlot[id]; ok {
+	if v.prev.Load() == nil && v.end.Load() == liveSeq && v.begin.Load() <= upTo {
 		delete(td.rows, id)
 	}
 }
@@ -462,18 +489,23 @@ func (td *tableData) dropChainLocked(id RowID, head *rowVersion) int {
 	return n
 }
 
-// restoreFromPages rebuilds rowSlot and index entries from the live
-// pages the recovered directory maps: every restored row is page-only.
-// Each page is read once, in slot order, CRC-verified and outside the
-// pool, decoding of each row only the columns its table's indexes read.
-// Scan order is restored as ascending row id, which equals insertion
-// order because ids are allocated monotonically. Single-threaded, before
-// serving traffic.
+// restoreFromPages rebuilds the id columns and index entries from the
+// live pages the recovered directory maps: every restored row is
+// page-only. Each page is read once, in slot order, CRC-verified and
+// outside the pool, decoding of each row only the columns its table's
+// indexes read. Each table's (id, slot) pairs are sorted once into
+// exactly sized columns; every table, paged rows or none, leaves with a
+// slot column. Single-threaded, before serving traffic.
 func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err error) {
 	p := db.pager
+	type placed struct {
+		id   RowID
+		slot uint32
+	}
 	type restoring struct {
-		want []bool  // the columns some index reads, up to the last one
-		vals []Value // decode scratch, reused row to row
+		want  []bool  // the columns some index reads, up to the last one
+		vals  []Value // decode scratch, reused row to row
+		pairs []placed
 	}
 	tables := make(map[string]*restoring)
 	pages := make(map[string]int)
@@ -494,11 +526,11 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 		}
 		st := tables[pi.Table]
 		if st == nil {
-			// Size the table's maps (empty since resetStorage) once — this
-			// page's rows times the table's pages — not row by row.
+			// Size the table's pairs and unique maps (empty since
+			// resetStorage) once — this page's rows times the table's
+			// pages — not row by row.
 			hint := len(prows) * pages[pi.Table]
-			st = &restoring{}
-			td.rowSlot = make(map[RowID]uint32, hint)
+			st = &restoring{pairs: make([]placed, 0, hint)}
 			for _, ix := range td.indexes {
 				if ix.unique {
 					ix.one = make(map[uint64]RowID, hint)
@@ -518,11 +550,7 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			if err := decodeColumns(r.Payload, st.vals, st.want); err != nil {
 				return 0, fmt.Errorf("page %d row %s/%d: %w", pi.Slot, pi.Table, id, err)
 			}
-			n := len(td.rowSlot)
-			if td.rowSlot[id] = pi.Slot; len(td.rowSlot) == n {
-				return 0, fmt.Errorf("page %d: row %s/%d appears on two live pages", pi.Slot, pi.Table, id)
-			}
-			td.order = append(td.order, id)
+			st.pairs = append(st.pairs, placed{id, pi.Slot + 1})
 			td.live++
 			for _, ix := range td.indexes {
 				ix.insert(id, st.vals)
@@ -533,8 +561,19 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			rows++
 		}
 	}
-	for _, td := range db.tables {
-		sort.Slice(td.order, func(i, j int) bool { return td.order[i] < td.order[j] })
+	for name, td := range db.tables {
+		var pairs []placed
+		if st := tables[name]; st != nil {
+			pairs = st.pairs
+		}
+		slices.SortFunc(pairs, func(a, b placed) int { return cmp.Compare(a.id, b.id) })
+		td.ids, td.slots = make([]RowID, len(pairs)), make([]uint32, len(pairs))
+		for i, pr := range pairs {
+			if i > 0 && pairs[i-1].id == pr.id {
+				return 0, fmt.Errorf("page %d: row %s/%d appears on two live pages", pr.slot-1, name, pr.id)
+			}
+			td.ids[i], td.slots[i] = pr.id, pr.slot
+		}
 	}
 	return rows, nil
 }

@@ -127,7 +127,8 @@ func TestDataBeyondPoolBudget(t *testing.T) {
 // writers and checkpoints under a tiny pool, the -race proof of the
 // pager's latch/quarantine contract: snapshots fault after dropping the
 // latch while checkpoint apply drops versions, invalidates and frees
-// slots.
+// slots, and an inserter grows the id column while passes plan, whose
+// slot reads hold the read latch.
 func TestPagedReadsVsCheckpointStress(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{PageCacheBytes: 4 << 10})
@@ -142,6 +143,21 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := int64(rows + 1); ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := db.Insert("parent", map[string]Value{"id": Int_(k), "name": String_(fmt.Sprintf("fresh-%d", k))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -191,6 +207,19 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// slotOf reads a row's slot from its table's id column under the read
+// latch: 1 + its page slot, 0 for none.
+func slotOf(t *testing.T, db *Database, table string, id RowID) uint32 {
+	t.Helper()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	td, err := db.tableData(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return td.slotOf(id)
 }
 
 // pagerOverOnePage installs n two-column rows of table "t" (ids 1..n)
@@ -343,11 +372,15 @@ func FuzzRowPayloadDecode(f *testing.F) {
 }
 
 // TestPagesAndMappingsAgree: the page directory records no rows, so the
-// pages are the only durable record of where each row lives, and rowSlot
-// is the in-memory mirror of them. A seeded insert/update/delete mix runs
-// over checkpoint passes; after every pass each live page holds exactly the rows rowSlot
-// names it for, and with no reader open every row is page-only: no
-// table keeps a version. Then the database goes down with an
+// pages are the only durable record of where each row lives, and the id
+// column's slots are the in-memory mirror of them. A seeded
+// insert/update/delete mix runs over checkpoint passes, with two
+// transactions committed out of id order and a rolled-back insert in
+// each round; after every pass the id column is strictly ascending, its
+// slot column runs parallel to it, every row version's id is in it, each
+// live page holds exactly the rows whose slot names it, and with no
+// reader open every row is page-only: no table keeps a version. Then the
+// database goes down with an
 // uncheckpointed tail — CloseWAL runs no pass and writes nothing a kill
 // -9 would not have left on disk — and after reopening every index
 // bucket, rebuilt from the pages and the replayed tail, equals its
@@ -413,6 +446,22 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 				}
 			}
 		}
+		// Two transactions commit against their id order (replay must
+		// put the first id before the second), and an insert rolls back
+		// (its id waits in the column for compaction).
+		txs := []*Txn{db.Begin(), db.Begin(), db.Begin()}
+		for _, tx := range txs {
+			next++
+			if _, err := tx.Insert("parent", map[string]Value{"id": Int_(next), "name": String_(fmt.Sprintf("p-%d", next))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parents[next-2], parents[next-1] = true, true
+		for _, err := range []error{txs[2].Rollback(), txs[1].Commit(), txs[0].Commit()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for pass := 0; pass < 10; pass++ {
 		mix(80)
@@ -424,25 +473,40 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 		named := map[uint32]map[RowID]bool{}
 		tableOf := map[uint32]string{}
 		for table, td := range db.tables {
-			for id, slot := range td.rowSlot {
-				if named[slot] == nil {
-					named[slot] = map[RowID]bool{}
+			if len(td.slots) != len(td.ids) {
+				t.Fatalf("pass %d: %s has %d ids and %d slots", pass, table, len(td.ids), len(td.slots))
+			}
+			for i, id := range td.ids {
+				if i > 0 && td.ids[i-1] >= id {
+					t.Fatalf("pass %d: %s's id column is not strictly ascending at %d: %d then %d", pass, table, i, td.ids[i-1], id)
 				}
-				named[slot][id] = true
-				tableOf[slot] = table
+				slot := slotOf(t, db, table, id)
+				if slot == 0 {
+					continue
+				}
+				if named[slot-1] == nil {
+					named[slot-1] = map[RowID]bool{}
+				}
+				named[slot-1][id] = true
+				tableOf[slot-1] = table
+			}
+			for id := range td.rows {
+				if _, ok := slices.BinarySearch(td.ids, id); !ok {
+					t.Fatalf("pass %d: %s keeps a version of row %d, which its id column lacks", pass, table, id)
+				}
 			}
 		}
 		if got := db.Stats().PagesTotal; got != int64(len(named)) {
-			t.Fatalf("pass %d: the directory maps %d pages, rowSlot names %d", pass, got, len(named))
+			t.Fatalf("pass %d: the directory maps %d pages, the slots name %d", pass, got, len(named))
 		}
 		for slot, ids := range named {
 			table, _, rows, err := p.store.ReadPage(slot)
 			if err != nil || table != tableOf[slot] || len(rows) != len(ids) {
-				t.Fatalf("pass %d: page %d holds %d rows of %q (%v); rowSlot names %d of %q", pass, slot, len(rows), table, err, len(ids), tableOf[slot])
+				t.Fatalf("pass %d: page %d holds %d rows of %q (%v); the slots name %d of %q", pass, slot, len(rows), table, err, len(ids), tableOf[slot])
 			}
 			for _, r := range rows {
 				if id := RowID(r.ID); !ids[id] {
-					t.Fatalf("pass %d: page %d holds row %s/%d, which rowSlot does not name it for", pass, slot, table, id)
+					t.Fatalf("pass %d: page %d holds row %s/%d, whose slot does not name it", pass, slot, table, id)
 				}
 			}
 		}
@@ -499,8 +563,7 @@ func TestPageOnlyRowHorizon(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	td := db.tables["parent"]
-	if _, ok := td.rowSlot[id]; !ok {
+	if slotOf(t, db, "parent", id) == 0 {
 		t.Fatal("the checkpoint did not page the row")
 	}
 	blind := func(stage string) {
@@ -575,7 +638,7 @@ func TestPageOnlyRowDeleteStaysGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGone("after the checkpoint", db)
-	if _, ok := db.tables["parent"].rowSlot[gone]; ok {
+	if slotOf(t, db, "parent", gone) != 0 {
 		t.Fatal("the checkpoint kept the deleted row's page slot")
 	}
 	snap := db.Snapshot()

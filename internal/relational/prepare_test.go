@@ -119,7 +119,7 @@ func TestPrepareAppendsWithoutFlush(t *testing.T) {
 			t.Fatalf("sub-record %d: member %d, %d txns, want member %d at sequence %d", i, s.member, len(s.txns), i, seqs[i]+1)
 		}
 	}
-	want := make([]map[string]map[RowID]string, len(dbs))
+	want := make([]map[string][]string, len(dbs))
 	for i, db := range dbs {
 		want[i] = dumpDB(t, db)
 	}
@@ -191,7 +191,7 @@ func TestPrepareSharesBatchFate(t *testing.T) {
 	if got := w.Stats().Fsyncs - before.Fsyncs; got != 0 {
 		t.Fatalf("fsyncs advanced by %d under a failing fsync", got)
 	}
-	want := make([]map[string]map[RowID]string, len(dbs))
+	want := make([]map[string][]string, len(dbs))
 	for i, db := range dbs {
 		if st := db.Stats(); st.TxnsActive != 0 {
 			t.Fatalf("member %d: txns_active = %d after the failed batch", i, st.TxnsActive)

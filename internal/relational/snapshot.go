@@ -62,23 +62,6 @@ func (s *Snapshot) Get(table string, id RowID) (*Row, error) {
 	return s.db.getRegistered(table, id, s.resolve)
 }
 
-// ref reads a row's ref under db.mu.
-func (s *Snapshot) ref(td *tableData, id RowID) rowRef {
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	return td.ref(id)
-}
-
-// values returns the visible row's values without copying them (faulted
-// in for a page-only row), for read-only callers such as checkpoint
-// planning; ok is false when the snapshot sees no such row.
-func (s *Snapshot) values(td *tableData, id RowID) (vals []Value, ok bool) {
-	if row := s.db.see(td, s.ref(td, id), s.resolve); row != nil {
-		return row.Values, true
-	}
-	return nil, false
-}
-
 // RowCount returns the number of rows visible at the snapshot. Unlike
 // the live Database's O(1) counter this walks the table.
 func (s *Snapshot) RowCount(table string) int { return len(s.ScanIDs(table)) }
@@ -128,7 +111,7 @@ func (s *Snapshot) LookupEqual(table string, columns []string, values []Value) (
 // verified it (see Reader). Faults run after the latch is dropped: the
 // snapshot's registration keeps the slots it can see quarantined.
 func (s *Snapshot) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
-	return s.db.lookupRegistered(table, columns, values, s.resolve)
+	return s.db.lookup(table, columns, values, s.resolve, false)
 }
 
 // resolve returns the version of a chain the snapshot sees, nil for none.
@@ -166,7 +149,7 @@ const reclaimThreshold = 4096
 
 // Reclaim frees row versions that no pinned snapshot (and no future
 // reader) can see: dead version-chain tails are truncated, fully-dead
-// rows leave the row map, the order slice and their index buckets. It
+// rows leave the row map, the id column and their index buckets. It
 // returns the number of versions freed. Reclaim is a writer and must
 // be serialized with mutations like any other write; it runs
 // automatically on commits (every reclaimThreshold versions) and from
@@ -184,10 +167,11 @@ func (db *Database) reclaimLocked() int {
 	for _, td := range db.tables {
 		for id, head := range td.rows {
 			// An entire chain invisible to every reader is dropped — unless
-			// rowSlot still maps the row, whose page would then bring it
-			// back: its dead head stays until the pass that unmaps it (the
-			// tombstone rule, pager.go), and only its tail goes below.
-			if _, paged := td.rowSlot[id]; !paged && head.end.Load() <= minSeq {
+			// the row still has a page slot, whose page would then bring it
+			// back: its dead head stays until the pass that clears the slot
+			// (the tombstone rule, pager.go), and only its tail goes below.
+			paged := td.slotOf(id) != 0
+			if !paged && head.end.Load() <= minSeq {
 				freed += td.dropChainLocked(id, head)
 				continue
 			}
@@ -213,10 +197,12 @@ func (db *Database) reclaimLocked() int {
 			// reader sees, keeps no version and faults back through the
 			// buffer pool — the release valve that keeps resident state
 			// bounded when the dataset exceeds RAM.
-			dropCleanLocked(td, id, head, upTo)
+			if paged {
+				dropCleanLocked(td, id, head, upTo)
+			}
 		}
 		// Compact when removals above or rollbacks (undoInsert) flagged
-		// the order slice.
+		// the id column.
 		td.compactLocked()
 	}
 	db.drainPageQuarantineLocked()
@@ -290,10 +276,14 @@ func (db *Database) versionStatsAt(seq uint64) VersionStats {
 	heads := make([]*rowVersion, 0, 256)
 	for _, td := range db.tables {
 		vs.LiveRows += td.live
-		vs.VisibleRows += len(td.rowSlot) // page-only rows, less the mapped heads below
+		for _, slot := range td.slots {
+			if slot != 0 {
+				vs.VisibleRows++ // page-only rows, less the paged heads below
+			}
+		}
 		for id, head := range td.rows {
 			heads = append(heads, head)
-			if _, ok := td.rowSlot[id]; ok {
+			if td.slotOf(id) != 0 {
 				vs.VisibleRows--
 			}
 		}

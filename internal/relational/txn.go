@@ -82,18 +82,6 @@ func (db *Database) forget(t *Txn) {
 // ReadSeq returns the commit sequence the transaction reads at.
 func (t *Txn) ReadSeq() uint64 { return t.readSeq }
 
-func (t *Txn) recordInsert(table string, id RowID, v *rowVersion) {
-	t.log = append(t.log, undoEntry{kind: undoInsert, table: table, id: id, v: v})
-}
-
-func (t *Txn) recordDelete(table string, id RowID, v *rowVersion) {
-	t.log = append(t.log, undoEntry{kind: undoDelete, table: table, id: id, v: v})
-}
-
-func (t *Txn) recordUpdate(table string, id RowID, v *rowVersion) {
-	t.log = append(t.log, undoEntry{kind: undoUpdate, table: table, id: id, v: v})
-}
-
 // OpCount returns the number of logged operations (touched tuples).
 func (t *Txn) OpCount() int { return len(t.log) }
 
@@ -519,7 +507,7 @@ func (t *Txn) LookupEqual(table string, columns []string, values []Value) ([]Row
 // verified it (see Reader). Faults run after the latch is dropped: the
 // open transaction's read sequence keeps the slots it sees quarantined.
 func (t *Txn) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
-	return t.db.lookupRegistered(table, columns, values, t.resolve)
+	return t.db.lookup(table, columns, values, t.resolve, false)
 }
 
 // ValuesByName returns a visible row's values keyed by column name, as

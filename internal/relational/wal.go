@@ -9,7 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -207,10 +207,13 @@ type WAL struct {
 	// holds the most recent one so a traced apply can split its commit
 	// wait into publish time vs fsync time. ckptPauseHist records each
 	// checkpoint pass's full duration — the stall its caller (the
-	// checkpointer ticker, a seed, an explicit Checkpoint) observes.
+	// checkpointer ticker, a seed, an explicit Checkpoint) observes —
+	// and ckptStallHist only the part under every member's commit latch,
+	// which is what commits wait for.
 	fsyncHist       *obs.Histogram
 	lastFsyncNs     atomic.Int64
 	ckptPauseHist   *obs.Histogram
+	ckptStallHist   *obs.Histogram
 	lastCkptPauseNs atomic.Int64
 }
 
@@ -712,6 +715,7 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 		activeMax:     make([]uint64, len(members)),
 		fsyncHist:     obs.NewDurationHistogram(),
 		ckptPauseHist: obs.NewDurationHistogram(),
+		ckptStallHist: obs.NewDurationHistogram(),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -723,7 +727,7 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 			segs = append(segs, idx)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 
 	infos := make([]RecoveryInfo, len(members))
 	var fresh atomic.Bool
@@ -752,6 +756,7 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 			// it dirty in: mark every row once for the initial pass.
 			fresh.Store(true)
 			for _, td := range db.tables {
+				td.slots = make([]uint32, len(td.ids))
 				for id := range td.rows {
 					td.markDirtyRow(id)
 				}
@@ -966,12 +971,12 @@ func (db *Database) replayTxn(t walTxn) error {
 		td.markDirtyRow(op.id)
 		switch op.kind {
 		case walOpInsert:
-			if td.ref(op.id).found() {
+			if _, dup := slices.BinarySearch(td.ids, op.id); dup {
 				return fmt.Errorf("%w: duplicate insert of %s rowid %d", errWALCorrupt, op.table, op.id)
 			}
 			v := newVersion(Row{ID: op.id, Values: op.values}, t.seq)
 			td.rows[op.id] = v
-			td.order = append(td.order, op.id)
+			td.add(op.id) // commit order may differ from id order
 			td.live++
 			for _, ix := range td.indexes {
 				ix.insert(op.id, op.values)
@@ -996,7 +1001,7 @@ func (db *Database) replayTxn(t walTxn) error {
 				continue
 			}
 			td.live--
-			if _, paged := td.rowSlot[op.id]; paged {
+			if td.slotOf(op.id) != 0 {
 				old.end.Store(t.seq) // the tombstone rule (pager.go)
 				continue
 			}
@@ -1053,6 +1058,7 @@ func (w *WAL) Checkpoint() error {
 	}()
 
 	unlock := w.lockMembers()
+	latched := time.Now()
 	if w.closed {
 		unlock()
 		return ErrWALClosed
@@ -1067,6 +1073,7 @@ func (w *WAL) Checkpoint() error {
 	err := w.rotate() // sealed segments now all precede every pinned seq
 	close(b.resume)
 	unlock()
+	w.ckptStallHist.Record(time.Since(latched).Nanoseconds())
 
 	if err != nil {
 		for i, db := range w.members {
@@ -1231,8 +1238,9 @@ func (w *WAL) Close() error {
 
 // Stats reports the log's own counters — segments, bytes, fsyncs, the
 // commit groups and transactions its writer stage published, checkpoint
-// passes, the pipeline gauge and the fsync and pause histograms; every other field is zero. It is one more part of its
-// members' obs.FoldStats.
+// passes, the pipeline gauge and the fsync, pause and stall histograms;
+// every other field is zero. It is one more part of its members'
+// obs.FoldStats.
 func (w *WAL) Stats() DBStats {
 	w.mu.Lock()
 	live := int64(len(w.sealed)) // sealed but not yet retired ...
@@ -1250,6 +1258,7 @@ func (w *WAL) Stats() DBStats {
 		WALPipelineDepth:    w.pipeDepth.Load(),
 		FsyncHist:           w.fsyncHist.Snapshot(),
 		CheckpointPauseHist: w.ckptPauseHist.Snapshot(),
+		CheckpointStallHist: w.ckptStallHist.Snapshot(),
 	}
 }
 
