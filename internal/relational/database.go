@@ -1268,21 +1268,18 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 // uncommitted version (invisible to everyone, so eager removal is
 // safe) and by the reclaimer.
 func removeVersionEntries(td *tableData, id RowID, dropped *rowVersion, kept *rowVersion) {
+next:
 	for _, ix := range td.indexes {
 		key, ok := ix.keyFor(dropped.row.Values)
 		if !ok {
 			continue
 		}
-		shared := false
 		for k := kept; k != nil; k = k.prev.Load() {
-			if kk, ok2 := ix.keyFor(k.row.Values); ok2 && kk == key {
-				shared = true
-				break
+			if kk, ok := ix.keyFor(k.row.Values); ok && kk == key {
+				continue next
 			}
 		}
-		if !shared {
-			ix.removeKey(key, id)
-		}
+		ix.removeKey(key, id)
 	}
 }
 

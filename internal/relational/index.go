@@ -1,7 +1,9 @@
 package relational
 
 import (
+	"cmp"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -30,11 +32,15 @@ func hashKey(b []byte) uint64 {
 
 // hashIndex is an equality index over one or more columns. A key is the
 // 64-bit hash of the composite encoding of the indexed column values,
-// and the entries are two maps: one holds each key with exactly one id
-// (every entry of a unique index, pointer-free, no heap object per
-// key), many each key with two or more ids, ascending. insert promotes a
-// key from one to many on its second id; removeKey demotes it when one
-// id is left.
+// and an entry is a (hash, id) pair in one of two tiers. The run holds
+// what the last checkpoint merge or restore folded in: two parallel,
+// exactly sized columns sorted by (hash, id), 16 B an entry and nothing
+// per key, so a bucket's share is a subslice of ids; a removed run
+// entry is marked dead in place until the next merge drops it. The delta
+// holds the entries inserted since, in two maps: one for keys with one
+// delta id (pointer-free), many for keys with two or more, ascending. A
+// pair sits in at most one tier. A database without a pager never
+// merges: every entry stays in the delta.
 //
 // A bucket is the candidate set of one hash, not of one value: distinct
 // values may collide. That is safe because every consumer re-checks the
@@ -44,28 +50,44 @@ func hashKey(b []byte) uint64 {
 // keeps an id when a remaining version has the same hash, which is
 // exact: that version's entry is the same (hash, id) pair.
 //
-// Contract: buckets are read and written only under db.mu. A many
-// bucket is handed out as the stored slice itself, so a caller iterates
-// it before dropping the latch and never retains it; a one entry comes
-// back through a one-element array the caller owns. Removal copies, so a
-// caller holding the write latch may remove while it ranges over a
-// bucket.
+// Contract: buckets are read and written only under db.mu. A bucket may
+// be handed out as stored memory (a many slice, a run subslice), so a
+// caller iterates it before dropping the latch, never retains it, and
+// copies it before removing from it; a one entry comes back through a
+// one-element array the caller owns.
 type hashIndex struct {
 	name    string
 	columns []int // positional column indexes
-	one     map[uint64]RowID
-	many    map[uint64][]RowID
 	unique  bool
+
+	hashes []uint64 // the run, ascending; parallel to ids
+	ids    []RowID  // ascending within a hash; deadBit marks a removed entry
+	dead   int      // entries of the run marked dead
+	top    RowID    // no run entry has a higher id
+
+	one  map[uint64]RowID // the delta
+	many map[uint64][]RowID
+}
+
+// deadBit marks a run entry removed since the last merge. Row ids are
+// positive, so a marked id is negative and orders by its low bits.
+const deadBit = RowID(-1 << 63)
+
+// indexEntry is one (hash, id) pair on its way into a run.
+type indexEntry struct {
+	hash uint64
+	id   RowID
+}
+
+// compare orders entries as a run holds them: by hash, then by id.
+func (e indexEntry) compare(o indexEntry) int {
+	return cmp.Or(cmp.Compare(e.hash, o.hash), cmp.Compare(e.id, o.id))
 }
 
 func newHashIndex(name string, columns []int, unique bool) *hashIndex {
-	return &hashIndex{
-		name:    name,
-		columns: columns,
-		one:     make(map[uint64]RowID),
-		many:    make(map[uint64][]RowID),
-		unique:  unique,
-	}
+	ix := &hashIndex{name: name, columns: columns, unique: unique}
+	ix.one, ix.many = make(map[uint64]RowID), make(map[uint64][]RowID)
+	return ix
 }
 
 // keyFor extracts the index key for a row's values. The boolean is false
@@ -84,12 +106,17 @@ func (ix *hashIndex) keyFor(values []Value) (uint64, bool) {
 }
 
 // insert adds the row's id under its key, unless an indexed column is
-// NULL or the id is already there. Ids are allocated monotonically, so
-// the append is the common case; recovery walks pages in slot order, not
-// ids, and takes the sorted insert.
+// NULL or the pair is already there (a dead run entry revives). A fresh
+// id is above the run's, so it skips the run and takes the delta's append.
 func (ix *hashIndex) insert(id RowID, values []Value) {
 	key, ok := ix.keyFor(values)
 	if !ok {
+		return
+	}
+	if i, found := ix.runFind(key, id); found {
+		if isDead(ix.ids[i]) {
+			ix.ids[i], ix.dead = id, ix.dead-1
+		}
 		return
 	}
 	if old, ok := ix.one[key]; ok {
@@ -120,10 +147,16 @@ func (ix *hashIndex) remove(id RowID, values []Value) {
 	}
 }
 
-// removeKey drops one id from a bucket addressed by its key; the MVCC
-// reclaimer uses it to clear entries of versions whose values it has
-// already hashed. The shrunk bucket is a fresh slice, or the one id left.
+// removeKey drops one (key, id) pair, for the reclaimer, which has
+// hashed the values already. A run entry is marked dead in place; a
+// shrunk delta bucket is a fresh slice, or the one id left.
 func (ix *hashIndex) removeKey(key uint64, id RowID) {
+	if i, found := ix.runFind(key, id); found {
+		if !isDead(ix.ids[i]) {
+			ix.ids[i], ix.dead = ix.ids[i]|deadBit, ix.dead+1
+		}
+		return
+	}
 	b := ix.many[key]
 	i, found := slices.BinarySearch(b, id)
 	switch {
@@ -140,15 +173,123 @@ func (ix *hashIndex) removeKey(key uint64, id RowID) {
 	}
 }
 
-// bucket returns the ascending candidate ids stored under key. A one
-// entry is returned in buf, so a probe allocates nothing. Read it under
-// db.mu only (see the type's contract).
+// runBucket returns the run's positions [lo, hi) under key; the end is
+// walked to, as a bucket is short and its consumer walks it anyway.
+func (ix *hashIndex) runBucket(key uint64) (lo, hi int) {
+	lo, _ = slices.BinarySearch(ix.hashes, key)
+	for hi = lo; hi < len(ix.hashes) && ix.hashes[hi] == key; hi++ {
+	}
+	return lo, hi
+}
+
+// runFind returns the run position of the pair (key, id), dead or live.
+func (ix *hashIndex) runFind(key uint64, id RowID) (int, bool) {
+	if id > ix.top {
+		return 0, false
+	}
+	lo, hi := ix.runBucket(key)
+	i, found := slices.BinarySearchFunc(ix.ids[lo:hi], id, func(e, t RowID) int { return cmp.Compare(e&^deadBit, t) })
+	return lo + i, found
+}
+
+// bucket returns the ascending live ids under key across both tiers.
+// One tier's share comes back as stored (a one entry in buf), so a probe
+// allocates nothing; a share of both, or with dead entries, is a fresh
+// slice. Read it under db.mu only (see the type's contract).
 func (ix *hashIndex) bucket(key uint64, buf *[1]RowID) []RowID {
+	d := ix.many[key]
 	if id, ok := ix.one[key]; ok {
 		buf[0] = id
-		return buf[:]
+		d = buf[:]
 	}
-	return ix.many[key]
+	lo, hi := ix.runBucket(key)
+	r := ix.ids[lo:hi]
+	if len(r) == 0 {
+		return d
+	}
+	if len(d) == 0 && (ix.dead == 0 || !slices.ContainsFunc(r, isDead)) {
+		return r
+	}
+	out := slices.DeleteFunc(slices.Concat(r, d), isDead)
+	slices.Sort(out)
+	return out
+}
+
+func isDead(id RowID) bool { return id < 0 }
+
+// merge folds the delta into a new run and drops the dead entries, under
+// the db.mu write latch of a checkpoint pass. The maps are replaced, not
+// cleared: a cleared map would keep a window's buckets for good.
+func (ix *hashIndex) merge() {
+	if len(ix.one)+len(ix.many) == 0 && ix.dead == 0 {
+		return
+	}
+	delta := make([]indexEntry, 0, len(ix.one)+2*len(ix.many))
+	for h, id := range ix.one {
+		delta = append(delta, indexEntry{h, id})
+	}
+	for h, b := range ix.many {
+		for _, id := range b {
+			delta = append(delta, indexEntry{h, id})
+		}
+	}
+	ix.fold(delta)
+	ix.one, ix.many = make(map[uint64]RowID), make(map[uint64][]RowID)
+}
+
+// fold replaces the run with its live entries and the given ones, which
+// are not in it, in new, exactly sized columns. Restore calls it once per
+// index, on an empty run, with every entry of the page image.
+func (ix *hashIndex) fold(add []indexEntry) {
+	sortEntries(add)
+	n := len(ix.ids) - ix.dead + len(add)
+	hashes, ids := make([]uint64, 0, n), make([]RowID, 0, n)
+	push := func(e indexEntry) { hashes, ids = append(hashes, e.hash), append(ids, e.id) }
+	for _, e := range add {
+		ix.top = max(ix.top, e.id)
+	}
+	j := 0
+	for i, id := range ix.ids {
+		if isDead(id) {
+			continue
+		}
+		e := indexEntry{ix.hashes[i], id}
+		for ; j < len(add) && (add[j].hash < e.hash || add[j].hash == e.hash && add[j].id < id); j++ {
+			push(add[j])
+		}
+		push(e)
+	}
+	for _, e := range add[j:] {
+		push(e)
+	}
+	ix.hashes, ix.ids, ix.dead = hashes, ids, 0
+}
+
+// sortEntries puts es in run order, in place. Hashes are uniform, so one
+// pass of swaps files each entry under its top bits, about four entries
+// to a bucket, and a comparison sort finishes each bucket.
+func sortEntries(es []indexEntry) {
+	shift := 66 - bits.Len(uint(len(es)))
+	next := make([]int32, 1<<max(64-shift, 0)+1) // next[b]: bucket b's first unfiled slot
+	for _, e := range es {
+		next[e.hash>>shift+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	end := slices.Clone(next[1:])
+	for b := range end {
+		for i := next[b]; i < end[b]; i = next[b] {
+			t := es[i].hash >> shift
+			es[i], es[next[t]] = es[next[t]], es[i]
+			next[t]++
+		}
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		slices.SortFunc(es[lo:hi], indexEntry.compare)
+		lo = hi
+	}
 }
 
 // lookup returns the bucket of the rows whose column cols[i] may hold

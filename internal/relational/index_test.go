@@ -1,9 +1,11 @@
 package relational
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,12 +15,13 @@ import (
 // TestHashIndexAgainstSetModel drives one index with a seeded mix of the
 // operations its callers issue — fresh ids in allocation order,
 // duplicate and out-of-order inserts (an update that leaves the key
-// unchanged re-inserts the id; recovery walks pages, not ids),
-// removes of absent ids and of a bucket's last id — against a map of
-// id-sets keyed by hash, and checks after every step that lookup is
-// ascending, duplicate-free and equal to the model, and that a key is
-// in the one map iff it holds exactly one id. It runs again with every
-// key on one hash: a bucket then merges all keys' ids.
+// unchanged re-inserts the id; replay commits out of id order), removes
+// of absent ids and of a bucket's last id, checkpoint merges, and
+// removes, re-inserts and remove-then-re-inserts of pairs the run holds
+// — against a map of id-sets keyed by hash (see driveIndexAgainstSetModel
+// for what is checked after every step). It runs again with every key on
+// one hash: a bucket then merges all keys' ids, and the whole run is one
+// hash range.
 func TestHashIndexAgainstSetModel(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
@@ -26,64 +29,153 @@ func TestHashIndexAgainstSetModel(t *testing.T) {
 				collideAllKeys(t)
 			}
 			for seed := int64(1); seed <= 5; seed++ {
-				checkIndexAgainstSetModel(t, seed)
+				ops := make([]byte, 3*4000)
+				rand.New(rand.NewSource(seed)).Read(ops)
+				driveIndexAgainstSetModel(t, ops)
 			}
 		})
 	}
 }
 
-func checkIndexAgainstSetModel(t *testing.T, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+// FuzzIndexAgainstSetModel runs the set-model driver on arbitrary op
+// strings, with and without every key on one hash.
+func FuzzIndexAgainstSetModel(f *testing.F) {
+	f.Add(false, []byte{0, 1, 0, 0, 1, 0, 11, 0, 0, 13, 1, 0, 12, 1, 0, 14, 1, 1, 5, 1, 1, 15, 0, 0})
+	f.Add(true, []byte{0, 0, 0, 0, 2, 0, 0, 4, 0, 11, 0, 0, 7, 1, 1, 13, 3, 2, 0, 5, 0, 12, 3, 2, 10, 0, 0})
+	f.Fuzz(func(t *testing.T, collide bool, ops []byte) {
+		if collide {
+			collideAllKeys(t)
+		}
+		driveIndexAgainstSetModel(t, ops[:min(len(ops), 3*2000)])
+	})
+}
+
+// driveIndexAgainstSetModel applies ops, three bytes a step (operation,
+// key, id pick), to a fresh index and a model of id-sets keyed by hash.
+// After every step each key's lookup must equal its model set, ascending
+// and duplicate-free across run and delta; the tiers must hold the model
+// exactly (indexEntries), and a merge must leave an empty delta and an
+// exactly sized run with no dead entry.
+func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
+	t.Helper()
+	const keys = 6 // few keys: buckets grow to hundreds of ids
 	ix := newHashIndex("ix", []int{1}, false)
 	model := map[uint64]map[RowID]struct{}{}
 	next := RowID(1)
 	row := func(k int) []Value { return []Value{Null(), Int_(int64(k))} }
+	remove := func(key uint64, id RowID) {
+		if delete(model[key], id); len(model[key]) == 0 {
+			delete(model, key)
+		}
+	}
+	// runPair picks an entry, live or dead, of the run's range for key.
+	runPair := func(key uint64, pick byte) (RowID, bool) {
+		lo, hi := ix.runBucket(key)
+		if lo == hi {
+			return 0, false
+		}
+		return ix.ids[lo+int(pick)%(hi-lo)] &^ deadBit, true
+	}
 	var buf [1]RowID
-	for step := 0; step < 4000; step++ {
-		k := rng.Intn(6) // few keys: buckets grow to hundreds of ids
+	for step := 0; step+3 <= len(ops); step += 3 {
+		k, pick := int(ops[step+1])%keys, ops[step+2]
 		key, _ := ix.keyFor(row(k))
-		known := RowID(1 + rng.Int63n(int64(next))) // usually allocated, sometimes not
-		switch op := rng.Intn(10); {
-		case op < 4: // fresh id, monotonic: the append path
+		known := 1 + RowID(pick)%next // usually allocated, sometimes not
+		switch op := ops[step] % 16; {
+		case op < 5: // fresh id, monotonic: the append path
 			ix.insert(next, row(k))
 			modelAdd(model, key, next)
 			next++
-		case op < 6: // duplicate (or first) insert of an older id, any order
+		case op < 7: // duplicate (or first) insert of an older id, any order
 			ix.insert(known, row(k))
 			modelAdd(model, key, known)
-		case op < 9: // remove: present, absent, or the bucket's last id
+		case op < 10: // remove: present, absent, or the bucket's last id
 			ix.remove(known, row(k))
-			if delete(model[key], known); len(model[key]) == 0 {
-				delete(model, key)
-			}
-		default: // drain one bucket to empty, then past empty
+			remove(key, known)
+		case op == 10: // drain one bucket to empty, then past empty
 			for _, id := range slices.Clone(ix.bucket(key, &buf)) {
 				ix.removeKey(key, id)
 				ix.removeKey(key, id)
 			}
 			delete(model, key)
-		}
-		if n := len(ix.one) + len(ix.many); n != len(model) {
-			t.Fatalf("seed %d step %d: %d buckets, model has %d (an emptied bucket must leave the maps)", seed, step, n, len(model))
-		}
-		for key, b := range ix.many {
-			if _, ok := ix.one[key]; ok || len(b) < 2 {
-				t.Fatalf("seed %d step %d: many bucket of %d ids, also in one: %v", seed, step, len(b), ok)
+		case op == 11 || op == 15: // a checkpoint pass
+			ix.merge()
+			if len(ix.one)+len(ix.many) != 0 || ix.dead != 0 || len(ix.ids) != cap(ix.ids) || len(ix.hashes) != len(ix.ids) {
+				t.Fatalf("step %d: after a merge %d+%d delta keys, %d dead, run len %d cap %d",
+					step, len(ix.one), len(ix.many), ix.dead, len(ix.ids), cap(ix.ids))
+			}
+		case op == 12: // re-insert a run pair: a no-op when live, a revival when dead
+			if id, ok := runPair(key, pick); ok {
+				ix.insert(id, row(k))
+				modelAdd(model, key, id)
+			}
+		case op == 13: // remove a run pair, live or already dead
+			if id, ok := runPair(key, pick); ok {
+				ix.remove(id, row(k))
+				remove(key, id)
+			}
+		default: // remove a run pair and insert it again at once
+			if id, ok := runPair(key, pick); ok {
+				ix.remove(id, row(k))
+				ix.insert(id, row(k))
+				modelAdd(model, key, id)
 			}
 		}
-		for k := 0; k < 6; k++ {
-			got := ix.lookup([]int{1}, row(k)[1:], &buf)
+		got := indexEntries(t, ix)
+		if len(got) != len(model) {
+			t.Fatalf("step %d: %d buckets, model has %d (an emptied bucket must leave the index)", step, len(got), len(model))
+		}
+		for k := 0; k < keys; k++ {
 			key, _ := ix.keyFor(row(k))
-			want := make([]RowID, 0, len(model[key]))
-			for id := range model[key] {
-				want = append(want, id)
-			}
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d key %d: lookup %v, model %v", seed, step, k, got, want)
+			want := slices.Sorted(maps.Keys(model[key]))
+			if b := ix.lookup([]int{1}, row(k)[1:], &buf); !slices.Equal(b, want) || !slices.Equal(got[key], want) {
+				t.Fatalf("step %d key %d: lookup %v, entries %v, model %v", step, k, b, got[key], want)
 			}
 		}
 	}
+}
+
+// indexEntries lists an index's live entries, bucket by bucket, merging
+// run and delta, and fails on a broken tier: a run out of (hash, id)
+// order or with a miscounted dead mark or an id above top, a many bucket
+// under two ids or not ascending, a key in both maps, or a pair in both
+// tiers.
+func indexEntries(t *testing.T, ix *hashIndex) map[uint64][]RowID {
+	t.Helper()
+	out := map[uint64][]RowID{}
+	dead := 0
+	for i, id := range ix.ids {
+		if i > 0 && cmp.Or(cmp.Compare(ix.hashes[i-1], ix.hashes[i]), cmp.Compare(ix.ids[i-1]&^deadBit, id&^deadBit)) >= 0 {
+			t.Fatalf("run out of order at %d: (%#x, %d) then (%#x, %d)", i, ix.hashes[i-1], ix.ids[i-1], ix.hashes[i], id)
+		}
+		if id&^deadBit > ix.top {
+			t.Fatalf("run id %d above top %d", id&^deadBit, ix.top)
+		}
+		if id < 0 {
+			dead++
+			continue
+		}
+		out[ix.hashes[i]] = append(out[ix.hashes[i]], id)
+	}
+	if dead != ix.dead {
+		t.Fatalf("run holds %d dead entries, counts %d", dead, ix.dead)
+	}
+	for key, id := range ix.one {
+		out[key] = append(out[key], id)
+	}
+	for key, b := range ix.many {
+		if _, ok := ix.one[key]; ok || len(b) < 2 || !slices.IsSorted(b) {
+			t.Fatalf("many bucket %v: in one too %v, or under two ids or not ascending", b, ok)
+		}
+		out[key] = append(out[key], b...)
+	}
+	for key, b := range out {
+		slices.Sort(b)
+		if len(slices.Compact(slices.Clone(b))) != len(b) {
+			t.Fatalf("bucket %#x holds a pair twice across the tiers: %v", key, b)
+		}
+	}
+	return out
 }
 
 func modelAdd(model map[uint64]map[RowID]struct{}, key uint64, id RowID) {
@@ -105,7 +197,9 @@ func collideAllKeys(t *testing.T) {
 // columns in. Keys live only in memory — recovery hashes the page
 // payloads again with keyFor — so the form may change, as long as keyFor
 // and lookup change together. A probe allocates nothing, and neither
-// does a fresh id under a fresh key of a pre-sized unique index.
+// does a fresh id under a fresh key of a pre-sized unique index; after a
+// merge the run is exactly sized, and probing a key it holds (a cold
+// row's) allocates nothing either.
 func TestIndexKeyEncodingIsStable(t *testing.T) {
 	ix := newHashIndex("ix", []int{2, 0}, true)
 	vals := []Value{String_("a\x01b"), Null(), Float_(3)}
@@ -139,7 +233,7 @@ func TestIndexKeyEncodingIsStable(t *testing.T) {
 
 	const runs = 1000
 	ux := newHashIndex("ux", []int{0}, true)
-	ux.one = make(map[uint64]RowID, runs+1) // as restoreFromPages sizes it
+	ux.one = make(map[uint64]RowID, runs+1) // pre-sized: map growth is not the point here
 	rows := make([][]Value, runs+1)
 	for i := range rows {
 		rows[i] = []Value{Int_(int64(i))}
@@ -150,6 +244,13 @@ func TestIndexKeyEncodingIsStable(t *testing.T) {
 	}
 	if len(ux.one) != runs+1 || len(ux.many) != 0 {
 		t.Fatalf("%d unique keys in one, %d in many; want %d and 0", len(ux.one), len(ux.many), runs+1)
+	}
+	ux.merge()
+	if len(ux.one) != 0 || len(ux.ids) != runs+1 || cap(ux.ids) != runs+1 {
+		t.Fatalf("after a merge: %d delta keys, a run of %d (cap %d); want 0 and %d exactly", len(ux.one), len(ux.ids), cap(ux.ids), runs+1)
+	}
+	if n := testing.AllocsPerRun(100, func() { ux.lookup([]int{0}, rows[7], &buf) }); n != 0 {
+		t.Fatalf("a probe of a run key allocates %v, want 0", n)
 	}
 }
 
@@ -268,8 +369,8 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 			c2 := mustInsertChild(t, db, 11, 1, "y")
 			mustInsertChild(t, db, 12, 2, "z")
 			toPages()
-			if ix := db.tables["parent"].pkIndex; len(ix.one) != 0 || len(ix.many) != 1 {
-				t.Fatalf("parent PK index has %d one and %d many keys; every id should share one bucket", len(ix.one), len(ix.many))
+			if got := indexEntries(t, db.tables["parent"].pkIndex); len(got) != 1 || !slices.Equal(got[0], []RowID{p1, p2, p3}) {
+				t.Fatalf("parent PK index holds %v across run and delta; every id should sit in the one hash range", got)
 			}
 			lookup := func(stage, table, col string, v Value, want ...RowID) {
 				t.Helper()
@@ -306,10 +407,14 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.Reclaim()
-			toPages()
-			lookup("delete+reclaim", "parent", "id", Int_(3))
-			lookup("delete+reclaim", "parent", "id", Int_(1), p1)
-			lookup("delete+reclaim", "parent", "name", String_("b"), p2)
+			for _, stage := range []string{"delete+reclaim", "delete+reclaim+pass"} {
+				if stage == "delete+reclaim+pass" {
+					toPages()
+				}
+				lookup(stage, "parent", "id", Int_(3))
+				lookup(stage, "parent", "id", Int_(1), p1)
+				lookup(stage, "parent", "name", String_("b"), p2)
+			}
 
 			txn := db.Begin()
 			if err := txn.UpdateRow("parent", p1, map[string]Value{"name": String_("a2")}); err != nil {
@@ -330,10 +435,14 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.Reclaim()
-			toPages()
-			lookup("update+reclaim", "parent", "name", String_("b"))
-			lookup("update+reclaim", "parent", "name", String_("b2"), p2)
-			lookup("update+reclaim", "parent", "name", String_("a"), p1)
+			for _, stage := range []string{"update+reclaim", "update+reclaim+pass"} {
+				if stage == "update+reclaim+pass" {
+					toPages()
+				}
+				lookup(stage, "parent", "name", String_("b"))
+				lookup(stage, "parent", "name", String_("b2"), p2)
+				lookup(stage, "parent", "name", String_("a"), p1)
+			}
 			if _, err := db.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("b")}); err != nil {
 				t.Fatalf("a released key and a freed PK must insert again: %v", err)
 			}

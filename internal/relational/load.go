@@ -3,9 +3,9 @@ package relational
 // Bulk loading turns a generator's row stream into ordinary, bounded
 // traffic: multi-row transactions through every check, WAL record and
 // fsync any write takes, and a checkpoint pass per window, so a durable
-// engine pages the rows already loaded, and drops their versions, while
-// the stream continues: a load holds index entries, a page slot per row
-// and one window of versions in memory.
+// engine pages the rows already loaded, drops their versions and folds
+// their index entries into sorted runs while the stream continues: a
+// load holds the runs, an id and a slot per row, and one window.
 const (
 	// LoadBatchRows is how many rows Load inserts per transaction.
 	LoadBatchRows = 4000

@@ -22,15 +22,16 @@ import (
 // its table's id column with its slot beside it, and each read of it
 // decodes that one row's payload out of the pooled page (faultRow), so a
 // fault costs the row it touches, not the page, and a cold row costs
-// memory only its 8 B id, its 4 B slot and its index entries. That is
-// what lets the dataset exceed RAM under a hard PageCacheBytes budget.
+// memory only its 8 B id, its 4 B slot and its index entries, 16 B each
+// once a pass folds them into sorted runs. That is what lets the dataset
+// exceed RAM under a hard PageCacheBytes budget.
 //
 // There is one kind of checkpoint pass, the incremental one: it pages
 // the rows dirtied since the previous pass and drops their versions on
 // the spot. A dataset therefore never has to exist in memory to reach
 // the pages — Load (load.go) streams it in as ordinary transactions with
 // a pass per window, leaving behind a first boot what a restart leaves:
-// index entries, the id and slot columns, the store's directory and the
+// index runs, the id and slot columns, the store's directory and the
 // pool. OpenWAL on a populated database marks every row dirty once and
 // runs that pass.
 //
@@ -376,7 +377,8 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 // whose one version every reader sees drops it (dropCleanLocked),
 // vanished rows lose their slot and — once no reader sees them — their
 // dead heads, and the superseded slots enter quarantine until no reader
-// can still fault their old content. The pass's own snapshot is still
+// can still fault their old content; every index folds its delta into
+// a new run (hashIndex.merge). The pass's own snapshot is still
 // registered, so the horizon is at most its sequence: a version at or
 // below the horizon is the image just installed.
 func (db *Database) applyPagePlacements(placements []pagestore.PageInfo, plan *pagePlan) {
@@ -420,6 +422,9 @@ func (db *Database) applyPagePlacements(placements []pagestore.PageInfo, plan *p
 	for _, td := range db.tables {
 		if len(td.rows) == 0 {
 			td.rows = make(map[RowID]*rowVersion) // a map never shrinks: let a drained window's go
+		}
+		for _, ix := range td.indexes {
+			ix.merge()
 		}
 	}
 	if len(plan.freedSlots) > 0 {
@@ -494,8 +499,10 @@ func (td *tableData) dropChainLocked(id RowID, head *rowVersion) int {
 // page-only. Each page is read once, in slot order, CRC-verified and
 // outside the pool, decoding of each row only the columns its table's
 // indexes read. Each table's (id, slot) pairs are sorted once into
-// exactly sized columns; every table, paged rows or none, leaves with a
-// slot column. Single-threaded, before serving traffic.
+// exactly sized columns, and each index's (hash, id) entries once into
+// its run, so a restart makes no map insert; every table, paged rows or
+// none, leaves with a slot column. A row id on two live pages refuses
+// the restore, naming both. Single-threaded, before serving traffic.
 func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err error) {
 	p := db.pager
 	type placed struct {
@@ -503,9 +510,10 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 		slot uint32
 	}
 	type restoring struct {
-		want  []bool  // the columns some index reads, up to the last one
-		vals  []Value // decode scratch, reused row to row
-		pairs []placed
+		want    []bool  // the columns some index reads, up to the last one
+		vals    []Value // decode scratch, reused row to row
+		pairs   []placed
+		entries [][]indexEntry // per index of the table
 	}
 	tables := make(map[string]*restoring)
 	pages := make(map[string]int)
@@ -526,15 +534,12 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 		}
 		st := tables[pi.Table]
 		if st == nil {
-			// Size the table's pairs and unique maps (empty since
-			// resetStorage) once — this page's rows times the table's
-			// pages — not row by row.
+			// Size the table's pairs and index entries once — this
+			// page's rows times the table's pages — not row by row.
 			hint := len(prows) * pages[pi.Table]
-			st = &restoring{pairs: make([]placed, 0, hint)}
-			for _, ix := range td.indexes {
-				if ix.unique {
-					ix.one = make(map[uint64]RowID, hint)
-				}
+			st = &restoring{pairs: make([]placed, 0, hint), entries: make([][]indexEntry, len(td.indexes))}
+			for k, ix := range td.indexes {
+				st.entries[k] = make([]indexEntry, 0, hint)
 				for _, c := range ix.columns {
 					if c >= len(st.want) {
 						st.want = append(st.want, make([]bool, c+1-len(st.want))...)
@@ -552,8 +557,10 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			}
 			st.pairs = append(st.pairs, placed{id, pi.Slot + 1})
 			td.live++
-			for _, ix := range td.indexes {
-				ix.insert(id, st.vals)
+			for k, ix := range td.indexes {
+				if key, ok := ix.keyFor(st.vals); ok {
+					st.entries[k] = append(st.entries[k], indexEntry{key, id})
+				}
 			}
 			if id >= db.nextRowID {
 				db.nextRowID = id + 1
@@ -565,12 +572,16 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 		var pairs []placed
 		if st := tables[name]; st != nil {
 			pairs = st.pairs
+			for k, ix := range td.indexes {
+				ix.fold(st.entries[k])
+				st.entries[k] = nil // the run replaces them: let the GC have them
+			}
 		}
-		slices.SortFunc(pairs, func(a, b placed) int { return cmp.Compare(a.id, b.id) })
+		slices.SortFunc(pairs, func(a, b placed) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.slot, b.slot)) })
 		td.ids, td.slots = make([]RowID, len(pairs)), make([]uint32, len(pairs))
 		for i, pr := range pairs {
 			if i > 0 && pairs[i-1].id == pr.id {
-				return 0, fmt.Errorf("page %d: row %s/%d appears on two live pages", pr.slot-1, name, pr.id)
+				return 0, fmt.Errorf("row %s/%d appears on two live pages, %d and %d", name, pr.id, pairs[i-1].slot-1, pr.slot-1)
 			}
 			td.ids[i], td.slots[i] = pr.id, pr.slot
 		}

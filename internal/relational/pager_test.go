@@ -128,15 +128,24 @@ func TestDataBeyondPoolBudget(t *testing.T) {
 // pager's latch/quarantine contract: snapshots fault after dropping the
 // latch while checkpoint apply drops versions, invalidates and frees
 // slots, and an inserter grows the id column while passes plan, whose
-// slot reads hold the read latch.
+// slot reads hold the read latch. A prober runs snapshot primary and
+// foreign key lookups while every pass merges the index deltas into new
+// runs and the reclaimer marks run entries dead (a child moves from
+// parent to parent).
 func TestPagedReadsVsCheckpointStress(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{PageCacheBytes: 4 << 10})
-	const rows = 200
+	const rows, parents = 200, 50 // parents 1..50 keep two children each
 	ids := make([]RowID, 0, rows)
 	for i := int64(1); i <= rows; i++ {
 		ids = append(ids, mustInsertParent(t, db, i, fmt.Sprintf("stress-%d", i)))
 	}
+	children := map[int64][]RowID{}
+	for c := int64(1); c <= 2*parents; c++ {
+		p := 1 + c%parents
+		children[p] = append(children[p], mustInsertChild(t, db, c, p, "stays"))
+	}
+	mover := mustInsertChild(t, db, 1000, 1, "moves")
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +164,39 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 			if _, err := db.Insert("parent", map[string]Value{"id": Int_(k), "name": String_(fmt.Sprintf("fresh-%d", k))}); err != nil {
 				t.Error(err)
 				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := 1 + i%parents
+			snap := db.Snapshot()
+			pk, err := snap.LookupRows("parent", []string{"id"}, []Value{Int_(k)})
+			fk, err2 := snap.LookupRows("child", []string{"parent_id"}, []Value{Int_(k)})
+			snap.Close()
+			got, _ := RowIDs(fk, nil)
+			if err != nil || err2 != nil || len(pk) != 1 || pk[0].Values[0].Int != k {
+				t.Errorf("snapshot PK lookup of %d: %v, %v, %v", k, pk, err, err2)
+				return
+			}
+			for _, id := range children[k] {
+				if _, ok := slices.BinarySearch(got, id); !ok || !slices.IsSorted(got) {
+					t.Errorf("snapshot FK lookup of %d: %v, want ascending and holding %v", k, got, children[k])
+					return
+				}
+			}
+			for _, r := range fk {
+				if r.Values[1].Int != k {
+					t.Errorf("snapshot FK lookup of %d returned row %d with parent %v", k, r.ID, r.Values[1])
+					return
+				}
 			}
 		}
 	}()
@@ -199,6 +241,11 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 			}); err != nil {
 				t.Error(err)
 			}
+		}
+		// The mover's new FK entry goes to the delta; the reclaim below
+		// marks its old one dead in the run until the next pass merges.
+		if err := db.UpdateRow("child", mover, map[string]Value{"parent_id": Int_(int64(1 + round%parents))}); err != nil {
+			t.Error(err)
 		}
 		if err := db.Checkpoint(); err != nil {
 			t.Error(err)
@@ -383,8 +430,8 @@ func FuzzRowPayloadDecode(f *testing.F) {
 // database goes down with an
 // uncheckpointed tail — CloseWAL runs no pass and writes nothing a kill
 // -9 would not have left on disk — and after reopening every index
-// bucket, rebuilt from the pages and the replayed tail, equals its
-// pre-crash contents.
+// bucket, rebuilt from the pages (the run) and the replayed tail (the
+// delta), equals its pre-crash contents across both tiers.
 func TestPagesAndMappingsAgree(t *testing.T) {
 	dir := t.TempDir()
 	opts := WALOptions{PageCacheBytes: 16 << 10}
@@ -518,15 +565,11 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	}
 	mix(40) // the tail recovery replays over the pages
 	db.Reclaim()
-	type entries struct {
-		One  map[uint64]RowID
-		Many map[uint64][]RowID
-	}
-	buckets := func(db *Database) map[string]entries {
-		out := map[string]entries{}
+	buckets := func(db *Database) map[string]map[uint64][]RowID {
+		out := map[string]map[uint64][]RowID{}
 		for _, td := range db.tables {
 			for _, ix := range td.indexes {
-				out[ix.name] = entries{maps.Clone(ix.one), maps.Clone(ix.many)}
+				out[ix.name] = indexEntries(t, ix)
 			}
 		}
 		return out
@@ -549,6 +592,134 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	}
 	if got := dumpDB(t, db2); !reflect.DeepEqual(got, wantDump) {
 		t.Fatal("reopened table dump differs")
+	}
+}
+
+// TestRestoreBuildsIndexRuns: a restart restores index entries straight
+// into runs. After reopening a fully checkpointed dir every index's
+// delta is empty and its run is exactly sized, and every row's primary
+// and foreign key lookups return what they did before the restart. A
+// tail of writes replayed from the log lands in the delta (inserts, a
+// child moved to another parent, a cascading delete) and the lookups
+// still agree with what they returned before that restart.
+func TestRestoreBuildsIndexRuns(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openWALDB(t, dir, WALOptions{})
+	for p := int64(1); p <= 40; p++ {
+		mustInsertParent(t, db, p, fmt.Sprintf("p%d", p))
+	}
+	for c := int64(1); c <= 120; c++ {
+		mustInsertChild(t, db, c, 1+c%40, fmt.Sprintf("c%d", c))
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// lookups answers every parent key's PK and FK probe and every child
+	// key's PK probe, through a snapshot.
+	lookups := func(db *Database) map[string][]RowID {
+		t.Helper()
+		snap := db.Snapshot()
+		defer snap.Close()
+		out := map[string][]RowID{}
+		for k := int64(1); k <= 130; k++ {
+			for _, probe := range []struct{ table, col string }{{"parent", "id"}, {"child", "parent_id"}, {"child", "id"}} {
+				ids, err := RowIDs(snap.LookupRows(probe.table, []string{probe.col}, []Value{Int_(k)}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%s.%s=%d", probe.table, probe.col, k)] = ids
+			}
+		}
+		return out
+	}
+	reopen := func(db *Database, replay bool) *Database {
+		t.Helper()
+		if err := db.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		db2, info := openWALDB(t, dir, WALOptions{})
+		if (info.ReplayedTxns > 0) != replay {
+			t.Fatalf("reopen replayed %d txns; want a replay: %v", info.ReplayedTxns, replay)
+		}
+		return db2
+	}
+	want := lookups(db)
+	db = reopen(db, false)
+	for name, td := range db.tables {
+		for _, ix := range td.indexes {
+			if len(ix.one)+len(ix.many) != 0 || len(ix.ids) == 0 || len(ix.ids) != cap(ix.ids) || len(ix.hashes) != cap(ix.hashes) {
+				t.Fatalf("%s index %s after a restore: %d+%d delta keys, run len %d cap %d; want an empty delta and an exactly sized run",
+					name, ix.name, len(ix.one), len(ix.many), len(ix.ids), cap(ix.ids))
+			}
+		}
+	}
+	if got := lookups(db); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookups after a restore differ:\n got %v\nwant %v", got, want)
+	}
+
+	for c := int64(121); c <= 125; c++ {
+		mustInsertChild(t, db, c, 3, "tail")
+	}
+	if err := db.UpdateRow("child", rowIDOf(t, db, "child", 1), map[string]Value{"parent_id": Int_(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Delete("parent", rowIDOf(t, db, "parent", 5)); err != nil {
+		t.Fatal(err)
+	}
+	want = lookups(db)
+	db = reopen(db, true)
+	delta := 0
+	for _, ix := range db.tables["child"].indexes {
+		delta += len(ix.one) + len(ix.many)
+	}
+	if delta == 0 {
+		t.Fatal("the replayed tail left no entry in the child table's deltas")
+	}
+	if got := lookups(db); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookups after a replay differ:\n got %v\nwant %v", got, want)
+	}
+}
+
+// rowIDOf returns the id of the row whose "id" column holds key.
+func rowIDOf(t *testing.T, db *Database, table string, key int64) RowID {
+	t.Helper()
+	ids, err := db.LookupEqual(table, []string{"id"}, []Value{Int_(key)})
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("%s id=%d: %v, %v", table, key, ids, err)
+	}
+	return ids[0]
+}
+
+// TestRestoreRefusesRepeatedRowID: a directory whose live pages hold one
+// row id twice fails OpenWAL, and the error names both pages' slots.
+func TestRestoreRefusesRepeatedRowID(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openWALDB(t, dir, WALOptions{})
+	id := mustInsertParent(t, db, 1, "twice")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	store, rec, err := pagestore.Open(dir, pagestore.Options{})
+	if err != nil || len(rec.Pages) != 1 {
+		t.Fatalf("page store: %v, %d live pages; want the row's one", err, len(rec.Pages))
+	}
+	row := pagestore.InstallRow{ID: int64(id), Payload: encodeRowPayload(nil, []Value{Int_(1), String_("twice")})}
+	placed, err := store.Install(rec.Seq, []pagestore.Install{{Table: "parent", Rows: []pagestore.InstallRow{row}}}, nil)
+	if err != nil || len(placed) != 1 {
+		t.Fatalf("install: %v, %d pages", err, len(placed))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewDatabase(walSchema(t)).OpenWAL(dir, WALOptions{})
+	if err == nil {
+		t.Fatal("OpenWAL restored a row id held by two live pages")
+	}
+	if both := fmt.Sprintf("pages, %d and %d", rec.Pages[0].Slot, placed[0].Slot); !strings.Contains(err.Error(), both) {
+		t.Fatalf("OpenWAL: %v; want it to name both slots (%q)", err, both)
 	}
 }
 
