@@ -10,18 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Row is one stored tuple. Values are positional, aligned with the
-// table's column order.
+// Row is one stored tuple as a reader receives it. Values are
+// positional, aligned with the table's column order, and decoded fresh
+// for each read: the caller owns them.
 type Row struct {
 	ID     RowID
 	Values []Value
-}
-
-// clone returns a deep copy of the row (values are value types already).
-func (r *Row) clone() *Row {
-	vals := make([]Value, len(r.Values))
-	copy(vals, r.Values)
-	return &Row{ID: r.ID, Values: vals}
 }
 
 // liveSeq is the end stamp of a version that has not been superseded or
@@ -44,12 +38,14 @@ func txnMark(id uint64) uint64  { return id | txnBit }
 func isTxnMark(s uint64) bool   { return s != liveSeq && s&txnBit != 0 }
 func markOwner(s uint64) uint64 { return s &^ txnBit }
 
-// rowVersion is one entry of a row's version chain, newest first. The
-// row content is immutable after creation; begin, end and prev are
-// atomics because writers stamp them (claims at write time, sequences
-// at publish) while readers traverse the chain lock-free. Every version
-// holds its values; a row with no version is page-only (pager.go): its
-// one committed version is on its page and every reader sees it.
+// rowVersion is one entry of a row's version chain, newest first. Its
+// row is its payload (encodeRowPayload), the bytes its WAL after-image
+// and its page hold too; readers decode it (see). The payload is
+// immutable after creation; begin, end and prev are atomics because
+// writers stamp them (claims at write time, sequences at publish) while
+// readers traverse the chain lock-free. A row with no version is
+// page-only (pager.go): its one committed version is on its page and
+// every reader sees it.
 //
 // Visibility: a snapshot pinned at commit sequence S sees the version
 // with begin <= S < end. A version created by an in-flight transaction
@@ -61,18 +57,29 @@ func markOwner(s uint64) uint64 { return s &^ txnBit }
 // with the next commit sequence and then advancing the database's
 // commit sequence.
 type rowVersion struct {
-	row   Row // immutable after creation
-	begin atomic.Uint64
-	end   atomic.Uint64
-	prev  atomic.Pointer[rowVersion]
+	payload []byte // immutable after creation
+	begin   atomic.Uint64
+	end     atomic.Uint64
+	prev    atomic.Pointer[rowVersion]
 }
 
-// newVersion builds a live version with the given begin stamp.
-func newVersion(row Row, begin uint64) *rowVersion {
-	v := &rowVersion{row: row}
+// newVersion builds a live version of the payload with the given begin
+// stamp; the version owns the payload from then on.
+func newVersion(payload []byte, begin uint64) *rowVersion {
+	v := &rowVersion{payload: payload}
 	v.begin.Store(begin)
 	v.end.Store(liveSeq)
 	return v
+}
+
+// values decodes the version's row, appending to dst[:0] (nil: a fresh
+// slice). The payload is the engine's own: a decode error panics.
+func (v *rowVersion) values(dst []Value) []Value {
+	vals, err := decodeRowPayload(dst, v.payload)
+	if err != nil {
+		panic(fmt.Sprintf("relational: version payload: %v", err))
+	}
+	return vals
 }
 
 // visibleAt walks the chain from v and returns the version a
@@ -121,6 +128,7 @@ type tableData struct {
 	ids     []RowID               // every row's id, ascending: the scan order
 	slots   []uint32              // parallel to ids: 1 + page slot, 0 = none; nil without a pager (pager.go)
 	indexes []*hashIndex
+	want    []bool     // the columns some index reads, up to the last one (decodeColumns)
 	pkIndex *hashIndex // nil when the table has no primary key
 	fkCols  [][]int    // column positions of each of def.ForeignKeys, in order
 	live    int        // heads a latest writer-side count sees (approximate under concurrency)
@@ -275,17 +283,16 @@ type Reader interface {
 	// Get returns a copy of the row with the given id.
 	Get(table string, id RowID) (*Row, error)
 	// Scan visits every visible row of a table in insertion order (which
-	// is ascending row id, before and after a restart). The
-	// callback must not mutate the row; returning false stops the scan.
+	// is ascending row id, before and after a restart), each decoded for
+	// the callback; returning false stops the scan.
 	Scan(table string, fn func(*Row) bool) error
 	// LookupEqual returns the ids of visible rows whose named columns
 	// equal the given values.
 	LookupEqual(table string, columns []string, values []Value) ([]RowID, error)
 	// LookupRows is LookupEqual returning each match with the values the
-	// lookup resolved (faulting a paged row in once) to verify its key.
-	// The values are immutable and must not be mutated by the caller: a
-	// resident version's slice is aliased (writers copy on write), a
-	// faulted row's slice is fresh.
+	// lookup decoded (from a version's payload, or faulted from a page)
+	// to verify its key. Every returned slice is fresh: the caller owns
+	// it.
 	LookupRows(table string, columns []string, values []Value) ([]Row, error)
 	// ValuesByName returns a visible row's values keyed by column name.
 	ValuesByName(table string, id RowID) (map[string]Value, error)
@@ -449,6 +456,9 @@ func buildTableStorage(schema *Schema) map[string]*tableData {
 				td.indexes = append(td.indexes, newHashIndex(indexName(t.Name, fk.Columns), cols, false))
 			}
 		}
+		for _, ix := range td.indexes {
+			td.want = markColumns(td.want, ix.columns)
+		}
 		tables[strings.ToLower(t.Name)] = td
 	}
 	return tables
@@ -502,52 +512,37 @@ func (db *Database) TotalRows() int {
 	return n
 }
 
-// Get returns a copy of the row with the given id, as of the latest
-// committed state. Visibility is resolved under the read latch: an
-// unregistered committed-state reader must not race the reclaimer
-// (an exclusive-latch writer), which may otherwise truncate the very
-// chain tail the resolution is about to walk.
+// Get returns the row with the given id as of the latest committed
+// state. It resolves and faults under the read latch: an unregistered
+// reader must not race the reclaimer, which may truncate the chain tail
+// the resolution walks, or a quarantined slot's release (pager.go).
 func (db *Database) Get(table string, id RowID) (*Row, error) {
 	db.mu.RLock()
-	td, err := db.tableData(table)
-	if err != nil {
-		db.mu.RUnlock()
-		return nil, err
-	}
-	// Resolve values before dropping the latch: an unregistered reader's
-	// page fault must run under db.mu so it cannot race a quarantined
-	// slot release (pager.go contract).
+	defer db.mu.RUnlock()
 	seq := db.commitSeq.Load()
-	r, err := db.copyRow(table, td, td.ref(id), func(v *rowVersion) *rowVersion { return v.visibleAt(seq) })
-	db.mu.RUnlock()
-	return r, err
+	return db.get(table, id, func(v *rowVersion) *rowVersion { return v.visibleAt(seq) }, true)
 }
 
-// getRegistered is a registered reader's Get: the ref is read under the
-// latch, resolved and faulted after it drops (pager.go contract).
-func (db *Database) getRegistered(table string, id RowID, resolve func(*rowVersion) *rowVersion) (*Row, error) {
-	db.mu.RLock()
-	td, err := db.tableData(table)
+// get is the Get every reader shares, decoding the row resolve sees.
+// held is lookup's: a registered reader reads the ref under the latch
+// and resolves and faults after it drops.
+func (db *Database) get(table string, id RowID, resolve func(*rowVersion) *rowVersion, held bool) (*Row, error) {
+	td, err := db.tableData(table) // the table map is fixed: no latch
 	if err != nil {
-		db.mu.RUnlock()
 		return nil, err
+	}
+	if !held {
+		db.mu.RLock()
 	}
 	r := td.ref(id)
-	db.mu.RUnlock()
-	return db.copyRow(table, td, r, resolve)
-}
-
-// copyRow returns a copy of the row a reader sees through r: a stored
-// version's row is cloned, a faulted one is already the caller's.
-func (db *Database) copyRow(table string, td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) (*Row, error) {
-	row := db.see(td, r, resolve)
-	if row == nil {
-		return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, r.id)
+	if !held {
+		db.mu.RUnlock()
 	}
-	if r.head != nil {
-		row = row.clone()
+	row, ok := db.see(td, r, resolve)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
 	}
-	return row, nil
+	return &row, nil
 }
 
 // compactLocked drops reclaimed ids — neither a version nor a page slot
@@ -596,80 +591,14 @@ func (db *Database) collectRefs(table string) ([]rowRef, *tableData, error) {
 	return out, td, nil
 }
 
-// scanRegistered is a registered reader's Scan: it visits the rows
-// resolve sees, in insertion order, faulting page-only rows after the
-// latch is dropped.
-func (db *Database) scanRegistered(table string, resolve func(*rowVersion) *rowVersion, fn func(*Row) bool) error {
-	refs, td, err := db.collectRefs(table)
-	if err != nil {
-		return err
-	}
-	for _, r := range refs {
-		if row := db.see(td, r, resolve); row != nil && !fn(row) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// idsRegistered is a registered reader's ScanIDs: the ids of the rows
-// resolve sees, in insertion order; nothing is faulted.
-func (db *Database) idsRegistered(table string, resolve func(*rowVersion) *rowVersion) []RowID {
-	refs, _, err := db.collectRefs(table)
-	if err != nil {
-		return nil
-	}
-	out := make([]RowID, 0, len(refs))
-	for _, r := range refs {
-		if r.sees(resolve) {
-			out = append(out, r.id)
-		}
-	}
-	return out
-}
-
-// collectVisible gathers, under the read latch, the rows of a table
-// visible at the current commit sequence, in insertion order.
-// Resolving while the latch is held is what makes unregistered
-// committed-state reads safe against the reclaimer: Reclaim is an
-// exclusive-latch writer, so it cannot truncate a chain tail between
-// the head fetch and the visibility walk. Page-only rows fault their
-// values in here for the same reason — unregistered page faults must
-// not race a quarantined slot release. The returned rows are immutable,
-// so callers run callbacks after release.
-func (db *Database) collectVisible(table string) ([]*Row, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	td, err := db.tableData(table)
-	if err != nil {
-		return nil, err
-	}
-	seq := db.commitSeq.Load()
-	resolve := func(v *rowVersion) *rowVersion { return v.visibleAt(seq) }
-	out := make([]*Row, 0, len(td.ids))
-	for i := range td.ids {
-		if row := db.see(td, td.refAt(i), resolve); row != nil {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
 // Scan visits every committed-visible row of a table in insertion
-// order. The callback receives the stored row; it must not mutate it.
-// Returning false stops the scan. The latch is not held while the
-// callback runs.
+// order, through a snapshot pinned for the scan, each row decoded for
+// the callback. Returning false stops the scan. The latch is not held
+// while the callback runs.
 func (db *Database) Scan(table string, fn func(*Row) bool) error {
-	vs, err := db.collectVisible(table)
-	if err != nil {
-		return err
-	}
-	for _, r := range vs {
-		if !fn(r) {
-			return nil
-		}
-	}
-	return nil
+	s := db.Snapshot()
+	defer s.Close()
+	return s.Scan(table, fn)
 }
 
 // LookupEqual returns the ids of committed-visible rows whose named
@@ -677,7 +606,10 @@ func (db *Database) Scan(table string, fn func(*Row) bool) error {
 // the columns and falling back to a scan otherwise. The returned ids
 // are deterministic.
 func (db *Database) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
-	return RowIDs(db.LookupRows(table, columns, values))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	seq := db.commitSeq.Load()
+	return db.lookupIDs(nil, table, columns, values, func(head *rowVersion) *rowVersion { return head.visibleAt(seq) }, true)
 }
 
 // LookupRows is LookupEqual returning each match with the values that
@@ -693,26 +625,13 @@ func (db *Database) LookupRows(table string, columns []string, values []Value) (
 	}, true)
 }
 
-// RowIDs keeps the ids of a lookup's rows: LookupEqual's answer from
-// LookupRows'.
-func RowIDs(rows []Row, err error) ([]RowID, error) {
-	if err != nil || len(rows) == 0 {
-		return nil, err
-	}
-	ids := make([]RowID, len(rows))
-	for i := range rows {
-		ids[i] = rows[i].ID
-	}
-	return ids, nil
-}
-
 // lookup is the lookup core every reader of the database shares. Under
 // db.mu it collects the candidates' refs (lookupRefsLocked); each then
 // resolves through the reader's visibility function, and the values it
 // sees, faulted in once for a page-only row, are re-verified against the
 // probe (buckets keep ids of versions this reader may not see) and
 // returned with the id (appendMatch). A caller holding db.mu in either
-// mode — the Database's latest read, the write paths' key checks —
+// mode (the Database's latest reads, the write paths' key checks)
 // passes held and resolves under its latch; a registered reader
 // (Snapshot, Txn) takes the read latch to collect and faults after it.
 func (db *Database) lookup(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion, held bool) ([]Row, error) {
@@ -729,11 +648,48 @@ func (db *Database) lookup(table string, columns []string, values []Value, resol
 	if err != nil {
 		return nil, err
 	}
-	out := newMatches(len(refs))
+	out := make([]Row, 0, min(len(refs), 16)) // a bucket's candidates mostly match, a scan's rarely
 	for _, r := range refs {
 		out = db.appendMatch(out, td, r, resolve, cols, values)
 	}
 	return out, nil
+}
+
+// lookupIDs is lookup (held alike) for a caller that needs ids, not
+// rows — every LookupEqual, the write paths' key checks — appending
+// them to dst: a candidate decodes only the probed columns to verify.
+func (db *Database) lookupIDs(dst []RowID, table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion, held bool) ([]RowID, error) {
+	var colBuf [4]int
+	var one [1]RowID
+	var refBuf [8]rowRef
+	if !held {
+		db.mu.RLock()
+	}
+	td, cols, refs, err := db.lookupRefsLocked(table, columns, values, colBuf[:0], &one, refBuf[:0])
+	if !held {
+		db.mu.RUnlock()
+	}
+	if err != nil {
+		return dst, err
+	}
+	var wb [scratchCols]bool
+	var vb [scratchCols]Value
+	want := markColumns(wb[:0], cols)
+next:
+	for _, r := range refs {
+		payload := db.payloadOf(td, r, resolve)
+		if payload == nil {
+			continue
+		}
+		vals := decodeWanted(payload, want, vb[:])
+		for i, c := range cols {
+			if !vals[c].Equal(values[i]) {
+				continue next
+			}
+		}
+		dst = append(dst, r.id)
+	}
+	return dst, nil
 }
 
 // lookupRefsLocked resolves the columns, appending their positions to
@@ -769,18 +725,12 @@ func (db *Database) lookupRefsLocked(table string, columns []string, values []Va
 	return td, cols, refs, nil
 }
 
-// newMatches sizes a lookup's result for its candidates: an index
-// bucket's are usually all matches, a scan's rarely.
-func newMatches(candidates int) []Row {
-	return make([]Row, 0, min(candidates, 16))
-}
-
 // appendMatch appends the row the reader sees through r when its values
-// equal the probe values on cols. The values are a version's own slice
-// (immutable), or a fresh one faulted from its page.
+// equal the probe values on cols. The values are decoded fresh, from a
+// version's payload or faulted from its page.
 func (db *Database) appendMatch(out []Row, td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion, cols []int, values []Value) []Row {
-	row := db.see(td, r, resolve)
-	if row == nil {
+	row, ok := db.see(td, r, resolve)
+	if !ok {
 		return out
 	}
 	for i, c := range cols {
@@ -788,7 +738,7 @@ func (db *Database) appendMatch(out []Row, td *tableData, r rowRef, resolve func
 			return out
 		}
 	}
-	return append(out, *row)
+	return append(out, row)
 }
 
 // HasIndexOn reports whether an index covers exactly the named columns.
@@ -821,13 +771,12 @@ func (td *tableData) findIndex(cols []int) *hashIndex {
 	return nil
 }
 
-// coerceRow converts a named-value map to positional values, applying
-// type coercion and defaulting missing columns to NULL.
-func (td *tableData) coerceRow(values map[string]Value) ([]Value, error) {
-	out := make([]Value, len(td.def.Columns))
-	for i := range out {
-		out[i] = Null()
-	}
+// coerceRow converts a named-value map to positional values in out's
+// backing array (grown past it when the table is wider), applying type
+// coercion and defaulting missing columns to NULL.
+func (td *tableData) coerceRow(values map[string]Value, out []Value) ([]Value, error) {
+	out = slices.Grow(out[:0], len(td.def.Columns))[:len(td.def.Columns)]
+	clear(out)
 	for name, v := range values {
 		idx, ok := td.def.ColumnIndex(name)
 		if !ok {
@@ -947,6 +896,8 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			}
 			return true
 		}
+		var kb [scratchCols]Value
+		matchV := func(v *rowVersion) bool { return match(decodeWanted(v.payload, ix.want, kb[:])) }
 		var one [1]RowID
 		for _, id := range ix.bucket(key, &one) {
 			if id == exclude {
@@ -955,7 +906,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			r := td.ref(id)
 			if r.slot != 0 {
 				// Page-only: committed before every reader, t included.
-				if match(db.see(td, r, nil).Values) { // faults; write latch held
+				if match(decodeWanted(db.payloadOf(td, r, nil), ix.want, kb[:])) { // faults; write latch held
 					return dupErr()
 				}
 				continue
@@ -968,12 +919,12 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 				e := v.end.Load()
 				if isTxnMark(b) {
 					if markOwner(b) == t.id {
-						if e == liveSeq && match(v.row.Values) {
+						if e == liveSeq && matchV(v) {
 							return dupErr() // t's own uncommitted duplicate
 						}
 						continue // superseded/deleted own version
 					}
-					if match(v.row.Values) {
+					if matchV(v) {
 						return db.writeConflict(td.def.Name,
 							fmt.Sprintf("duplicate key inserted by an in-flight transaction (rowid %d)", id))
 					}
@@ -981,7 +932,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 				}
 				// Newest committed version: judge and stop walking.
 				if e == liveSeq {
-					if match(v.row.Values) {
+					if matchV(v) {
 						if b > t.readSeq {
 							// Stamped after t's snapshot — under the pipelined
 							// commit path possibly not even published yet (and
@@ -993,7 +944,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 						}
 						return dupErr()
 					}
-				} else if isTxnMark(e) && markOwner(e) != t.id && match(v.row.Values) {
+				} else if isTxnMark(e) && markOwner(e) != t.id && matchV(v) {
 					// Committed-live but claimed by another in-flight
 					// transaction (delete or key change): first-updater-wins.
 					return db.writeConflict(td.def.Name,
@@ -1024,7 +975,8 @@ func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) erro
 		if vals == nil {
 			continue
 		}
-		refs, err := db.lookup(fk.RefTable, fk.RefColumns, vals, t.resolve, true)
+		var idBuf [4]RowID
+		refs, err := db.lookupIDs(idBuf[:0], fk.RefTable, fk.RefColumns, vals, t.resolve, true)
 		if err != nil {
 			return err
 		}
@@ -1057,7 +1009,8 @@ func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (Ro
 		return 0, err
 	}
 	db.statements.Add(1)
-	row, err := td.coerceRow(values)
+	var buf [scratchCols]Value
+	row, err := td.coerceRow(values, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -1072,7 +1025,7 @@ func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (Ro
 	}
 	id := db.nextRowID
 	db.nextRowID += db.rowIDStride
-	v := newVersion(Row{ID: id, Values: row}, txnMark(t.id))
+	v := newVersion(newPayload(row), txnMark(t.id))
 	td.rows[id] = v
 	td.add(id)
 	td.live++
@@ -1127,7 +1080,11 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 	deleted := 0
 	// Resolve referential actions before removing the row so RESTRICT
 	// can reject atomically within this statement.
+	var vals []Value // decoded once, by the first referencing key
 	for _, ref := range db.schema.ReferencingKeys(table) {
+		if vals == nil {
+			vals = v.values(nil)
+		}
 		refVals := make([]Value, len(ref.FK.RefColumns))
 		skip := false
 		for i, rc := range ref.FK.RefColumns {
@@ -1135,7 +1092,7 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 			if !ok {
 				return deleted, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, rc)
 			}
-			refVals[i] = v.row.Values[ci]
+			refVals[i] = vals[ci]
 			if refVals[i].IsNull() {
 				skip = true
 			}
@@ -1143,7 +1100,7 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 		if skip {
 			continue
 		}
-		refs, err := db.lookup(ref.Table.Name, ref.FK.Columns, refVals, t.resolve, true)
+		refs, err := db.lookupIDs(nil, ref.Table.Name, ref.FK.Columns, refVals, t.resolve, true)
 		if err != nil {
 			return deleted, err
 		}
@@ -1155,8 +1112,8 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 			return deleted, constraintErr(ErrRestrict, table, "",
 				fmt.Sprintf("%d referencing rows in %s", len(refs), ref.Table.Name))
 		case DeleteCascade:
-			for _, r := range refs {
-				n, err := db.deleteRowLocked(t, ref.Table.Name, r.ID)
+			for _, rid := range refs {
+				n, err := db.deleteRowLocked(t, ref.Table.Name, rid)
 				deleted += n
 				if err != nil {
 					return deleted, err
@@ -1167,8 +1124,8 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 			for _, c := range ref.FK.Columns {
 				nulls[c] = Null()
 			}
-			for _, r := range refs {
-				if err := db.updateRowLocked(t, ref.Table.Name, r.ID, nulls); err != nil {
+			for _, rid := range refs {
+				if err := db.updateRowLocked(t, ref.Table.Name, rid, nulls); err != nil {
 					return deleted, err
 				}
 			}
@@ -1228,8 +1185,8 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 	if v == nil {
 		return fmt.Errorf("%w: %s rowid %d", ErrNoSuchRow, table, id)
 	}
-	newVals := make([]Value, len(v.row.Values))
-	copy(newVals, v.row.Values)
+	var buf [scratchCols]Value
+	newVals := v.values(buf[:0])
 	for name, val := range changes {
 		idx, ok := td.def.ColumnIndex(name)
 		if !ok {
@@ -1250,7 +1207,7 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 	if err := db.checkForeignKeys(t, td, newVals); err != nil {
 		return err
 	}
-	nv := newVersion(Row{ID: id, Values: newVals}, txnMark(t.id))
+	nv := newVersion(newPayload(newVals), txnMark(t.id))
 	nv.prev.Store(v)
 	v.end.Store(txnMark(t.id))
 	td.rows[id] = nv
@@ -1270,12 +1227,12 @@ func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[
 func removeVersionEntries(td *tableData, id RowID, dropped *rowVersion, kept *rowVersion) {
 next:
 	for _, ix := range td.indexes {
-		key, ok := ix.keyFor(dropped.row.Values)
+		key, ok := ix.payloadKey(dropped.payload)
 		if !ok {
 			continue
 		}
 		for k := kept; k != nil; k = k.prev.Load() {
-			if kk, ok := ix.keyFor(k.row.Values); ok && kk == key {
+			if kk, ok := ix.payloadKey(k.payload); ok && kk == key {
 				continue next
 			}
 		}

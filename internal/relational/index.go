@@ -57,7 +57,8 @@ func hashKey(b []byte) uint64 {
 // one-element array the caller owns.
 type hashIndex struct {
 	name    string
-	columns []int // positional column indexes
+	columns []int  // positional column indexes
+	want    []bool // the columns keyFor reads, up to the last (decodeColumns)
 	unique  bool
 
 	hashes []uint64 // the run, ascending; parallel to ids
@@ -85,9 +86,27 @@ func (e indexEntry) compare(o indexEntry) int {
 }
 
 func newHashIndex(name string, columns []int, unique bool) *hashIndex {
-	ix := &hashIndex{name: name, columns: columns, unique: unique}
+	ix := &hashIndex{name: name, columns: columns, want: markColumns(nil, columns), unique: unique}
 	ix.one, ix.many = make(map[uint64]RowID), make(map[uint64][]RowID)
 	return ix
+}
+
+// markColumns marks cols in want, growing it to the last one.
+func markColumns(want []bool, cols []int) []bool {
+	for _, c := range cols {
+		if c >= len(want) {
+			want = append(want, make([]bool, c+1-len(want))...)
+		}
+		want[c] = true
+	}
+	return want
+}
+
+// payloadKey is keyFor of a row payload, decoding only the key's
+// columns.
+func (ix *hashIndex) payloadKey(payload []byte) (uint64, bool) {
+	var buf [scratchCols]Value
+	return ix.keyFor(decodeWanted(payload, ix.want, buf[:]))
 }
 
 // keyFor extracts the index key for a row's values. The boolean is false
@@ -141,15 +160,8 @@ func (ix *hashIndex) insert(id RowID, values []Value) {
 	ix.many[key] = slices.Insert(b, i, id)
 }
 
-func (ix *hashIndex) remove(id RowID, values []Value) {
-	if key, ok := ix.keyFor(values); ok {
-		ix.removeKey(key, id)
-	}
-}
-
-// removeKey drops one (key, id) pair, for the reclaimer, which has
-// hashed the values already. A run entry is marked dead in place; a
-// shrunk delta bucket is a fresh slice, or the one id left.
+// removeKey drops one (key, id) pair. A run entry is marked dead in
+// place; a shrunk delta bucket is a fresh slice, or the one id left.
 func (ix *hashIndex) removeKey(key uint64, id RowID) {
 	if i, found := ix.runFind(key, id); found {
 		if !isDead(ix.ids[i]) {

@@ -90,7 +90,7 @@ func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
 			ix.insert(known, row(k))
 			modelAdd(model, key, known)
 		case op < 10: // remove: present, absent, or the bucket's last id
-			ix.remove(known, row(k))
+			ix.removeKey(key, known)
 			remove(key, known)
 		case op == 10: // drain one bucket to empty, then past empty
 			for _, id := range slices.Clone(ix.bucket(key, &buf)) {
@@ -111,12 +111,12 @@ func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
 			}
 		case op == 13: // remove a run pair, live or already dead
 			if id, ok := runPair(key, pick); ok {
-				ix.remove(id, row(k))
+				ix.removeKey(key, id)
 				remove(key, id)
 			}
 		default: // remove a run pair and insert it again at once
 			if id, ok := runPair(key, pick); ok {
-				ix.remove(id, row(k))
+				ix.removeKey(key, id)
 				ix.insert(id, row(k))
 				modelAdd(model, key, id)
 			}
@@ -378,9 +378,12 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 				defer snap.Close()
 				for _, r := range []Reader{db, snap} {
 					rows, err := r.LookupRows(table, []string{col}, []Value{v})
-					ids, _ := RowIDs(rows, err)
+					ids := rowIDs(rows)
 					if err != nil || !slices.Equal(ids, want) {
 						t.Fatalf("%s: %T lookup %s.%s = %v: %v, %v; want %v", stage, r, table, col, v, ids, err, want)
+					}
+					if eq, err := r.LookupEqual(table, []string{col}, []Value{v}); err != nil || !slices.Equal(eq, want) {
+						t.Fatalf("%s: %T LookupEqual %s.%s = %v: %v, %v; want %v", stage, r, table, col, v, eq, err, want)
 					}
 				}
 			}
@@ -448,4 +451,13 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rowIDs keeps the ids of a lookup's rows.
+func rowIDs(rows []Row) []RowID {
+	ids := make([]RowID, len(rows))
+	for i := range rows {
+		ids[i] = rows[i].ID
+	}
+	return ids
 }

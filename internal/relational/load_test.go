@@ -129,6 +129,41 @@ func BenchmarkColdRowFootprint(b *testing.B) {
 	}
 }
 
+// BenchmarkHotRowFootprint measures what an in-memory database keeps
+// per row, every row hot: it Loads tpch.RowsForMB(300) (75,630 rows)
+// with no WAL, runs Reclaim and the GC, and reports the live heap the
+// load added per row (heap_B/row). It fails above 250 B of heap per
+// row: a version holding a []Value of 40 B values kept ≈ 407 B; a
+// version holding its row's payload bytes ≈ 190.
+func BenchmarkHotRowFootprint(b *testing.B) {
+	schema, err := tpch.Schema()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var heapPerRow float64
+	for range b.N {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db := relational.NewDatabase(schema)
+		stats, err := db.Load(func(sink relational.Inserter) error {
+			return tpch.Generate(sink, tpch.RowsForMB(300))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		db.Reclaim()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heapPerRow = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(stats.Rows)
+		runtime.KeepAlive(db)
+	}
+	b.ReportMetric(heapPerRow, "heap_B/row")
+	if heapPerRow > 250 {
+		b.Fatalf("heap_B/row %.1f > 250", heapPerRow)
+	}
+}
+
 // TestLineitemInsertAllocs pins what an autocommitted lineitem insert
 // allocates (tpch MB 1, in memory). The foreign key's column positions
 // are computed once per table and its probe values live on the stack,

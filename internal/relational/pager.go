@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -16,15 +17,22 @@ import (
 // the buffer pool bounds how much of that image is resident, as page
 // BYTES (CRC-verified once per load, never decoded as a whole, read into
 // buffers that evicted frames hand back).
-// In-memory version chains are a write-back cache over it. A row whose
-// one committed version is on its page and seen by every reader keeps
-// no version at all: it is PAGE-ONLY, absent from td.rows and named by
-// its table's id column with its slot beside it, and each read of it
-// decodes that one row's payload out of the pooled page (faultRow), so a
-// fault costs the row it touches, not the page, and a cold row costs
-// memory only its 8 B id, its 4 B slot and its index entries, 16 B each
-// once a pass folds them into sorted runs. That is what lets the dataset
-// exceed RAM under a hard PageCacheBytes budget.
+//
+// A row is one encoding everywhere: its payload (encodeRowPayload), a
+// column count and each value in the WAL value encoding. A version holds
+// it, a WAL record's after-image is it, and a page slot stores it, so a
+// commit and a checkpoint copy bytes, a write or replay that takes a
+// version of a page-only row copies them out of the page, and only
+// readers decode (see). In-memory version chains are a write-back cache
+// over the pages. A row whose one committed version is on its page and
+// seen by every reader keeps no version at all: it is PAGE-ONLY, absent
+// from td.rows and named by its table's id column with its slot beside
+// it, and each read of it decodes that one row's payload out of the
+// pooled page (faultRow), so a fault costs the row it touches, not the
+// page, and a cold row costs memory only its 8 B id, its 4 B slot and
+// its index entries, 16 B each once a pass folds them into sorted runs.
+// That is what lets the dataset exceed RAM under a hard PageCacheBytes
+// budget.
 //
 // There is one kind of checkpoint pass, the incremental one: it pages
 // the rows dirtied since the previous pass and drops their versions on
@@ -59,8 +67,8 @@ import (
 //     replay that touches a page-only row first gives it a version
 //     stamped begin 0 (materializeLocked): the page's own sequence may
 //     be newer than a pinned reader, and 0 is older than every one.
-//   - Unregistered readers (Database.Get, Scan, index matching, write
-//     paths) may fault ONLY while holding db.mu (either mode), because
+//   - Unregistered readers (Database.Get and lookups, write paths) may
+//     fault ONLY while holding db.mu (either mode), because
 //     quarantined slots are released only under the db.mu write latch.
 //   - Registered readers (Snapshot, Txn) may fault after dropping the
 //     latch: they pin oldestVisibleSeq, and a freed slot's quarantine
@@ -68,8 +76,8 @@ import (
 //     the freeing apply has closed.
 //   - Page bytes are valid only while their pool frame is pinned: the
 //     pool reads the next miss into an evicted frame's buffer. faultRow
-//     decodes its row into a fresh slice before it unpins, so nothing a
-//     reader gets from the pager aliases a pool buffer.
+//     and payloadOf copy a row's bytes out before they unpin, so nothing
+//     the pager hands out aliases a pool buffer.
 type pager struct {
 	store *pagestore.Store
 	pool  *pagestore.Pool
@@ -100,6 +108,19 @@ func newPager(store *pagestore.Store, cacheBytes int64) *pager {
 // rewritten, so these are unrecoverable invariant breaks, not ordinary
 // errors.
 func (p *pager) faultRow(table string, slotPlus1 uint32, id RowID) []Value {
+	payload, release := p.pinRow(table, slotPlus1, id)
+	defer release() // after the decode: the page bytes are only ours while pinned
+	vals, err := decodeRowPayload(nil, payload)
+	if err != nil {
+		panic(fmt.Sprintf("relational: page slot %d row %s/%d: %v", slotPlus1-1, table, id, err))
+	}
+	return vals
+}
+
+// pinRow pins the page holding one row and returns the row's payload in
+// the pooled frame with the release that unpins it: the bytes are only
+// the caller's until then. Panics as faultRow does.
+func (p *pager) pinRow(table string, slotPlus1 uint32, id RowID) ([]byte, func()) {
 	if slotPlus1 == 0 {
 		panic(fmt.Sprintf("relational: paged row %s/%d has no page slot", table, id))
 	}
@@ -108,19 +129,12 @@ func (p *pager) faultRow(table string, slotPlus1 uint32, id RowID) []Value {
 	if err != nil {
 		panic(fmt.Sprintf("relational: fault page %d for row %s/%d: %v", slot, table, id, err))
 	}
-	defer release() // after the decode: the page bytes are only ours while pinned
-	if pageTable != table {
-		panic(fmt.Sprintf("relational: page %d holds table %q, want %q (row %d)", slot, pageTable, table, id))
-	}
 	payload, ok := pagestore.FindRow(page, int64(id))
-	if !ok {
-		panic(fmt.Sprintf("relational: row %s/%d missing from page %d", table, id, slot))
+	if pageTable != table || !ok {
+		release()
+		panic(fmt.Sprintf("relational: row %s/%d is not on page %d (of table %q)", table, id, slot, pageTable))
 	}
-	vals, err := decodeRowPayload(payload)
-	if err != nil {
-		panic(fmt.Sprintf("relational: page slot %d row %s/%d: %v", slot, table, id, err))
-	}
-	return vals
+	return payload, release
 }
 
 // rowRef is what resolving one row id under db.mu finds: the row's
@@ -197,31 +211,62 @@ func (r rowRef) sees(resolve func(*rowVersion) *rowVersion) bool {
 	return r.slot != 0 || resolve(r.head) != nil
 }
 
-// see returns the row a reader sees through r, nil when it sees none:
-// the visible version's own row (immutable: never mutated), or a
-// page-only row's image faulted into fresh values. The caller must
-// satisfy the pager's concurrency contract (hold db.mu, or be a
-// registered reader).
-func (db *Database) see(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) *Row {
+// see returns the row a reader sees through r, ok false when it sees
+// none, decoded into fresh values the caller owns (strings copied out):
+// the visible version's payload, or a page-only row's faulted from its
+// page. The caller must satisfy the pager's concurrency contract (hold
+// db.mu, or be a registered reader).
+func (db *Database) see(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) (Row, bool) {
 	if r.slot != 0 {
-		return &Row{ID: r.id, Values: db.pager.faultRow(strings.ToLower(td.def.Name), r.slot, r.id)}
+		return Row{ID: r.id, Values: db.pager.faultRow(strings.ToLower(td.def.Name), r.slot, r.id)}, true
 	}
 	if v := resolve(r.head); v != nil {
-		return &v.row
+		return Row{ID: r.id, Values: v.values(nil)}, true
+	}
+	return Row{}, false
+}
+
+// payloadOf returns the payload of the row a reader sees through r, nil
+// when it sees none: the visible version's own bytes (immutable), or a
+// copy of a page-only row's out of its page. Nothing is decoded. Same
+// contract as see.
+func (db *Database) payloadOf(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) []byte {
+	if r.slot != 0 {
+		payload, release := db.pager.pinRow(strings.ToLower(td.def.Name), r.slot, r.id)
+		defer release()
+		return bytes.Clone(payload)
+	}
+	if v := resolve(r.head); v != nil {
+		return v.payload
 	}
 	return nil
 }
 
+// decodeWanted decodes the columns want marks out of a payload the
+// engine wrote (a version's, a page's) into buf, or a fresh slice when
+// buf is too short, and returns it. A decode error is an invariant
+// break, and panics.
+func decodeWanted(payload []byte, want []bool, buf []Value) []Value {
+	if len(buf) < len(want) {
+		buf = make([]Value, len(want))
+	}
+	if err := decodeColumns(payload, buf, want); err != nil {
+		panic(fmt.Sprintf("relational: row payload: %v", err))
+	}
+	return buf
+}
+
 // materializeLocked returns the row's chain head for a write, first
-// giving a page-only row a version of its page image stamped begin 0,
-// so that write paths and undo logs only ever meet versions. Nil when
-// the id names no row. Caller holds the db.mu write latch.
+// giving a page-only row a version of its page payload stamped begin 0
+// (the bytes copied, not decoded), so that write paths and undo logs
+// only ever meet versions. Nil when the id names no row. Caller holds
+// the db.mu write latch.
 func (db *Database) materializeLocked(td *tableData, id RowID) *rowVersion {
 	r := td.ref(id)
 	if r.slot == 0 {
 		return r.head
 	}
-	v := newVersion(*db.see(td, r, nil), 0) // a page-only row needs no resolve
+	v := newVersion(db.payloadOf(td, r, nil), 0) // a page-only row needs no resolve
 	td.rows[id] = v
 	return v
 }
@@ -236,13 +281,29 @@ func encodeRowPayload(b []byte, vals []Value) []byte {
 	return b
 }
 
-func decodeRowPayload(b []byte) ([]Value, error) {
+// scratchCols sizes the stack buffers a row or a key decodes into; a
+// wider table's grows into a slice of its own.
+const scratchCols = 16
+
+// newPayload encodes vals into a payload of its own, exactly sized: the
+// one allocation a written version's row costs.
+func newPayload(vals []Value) []byte {
+	var buf [512]byte
+	return bytes.Clone(encodeRowPayload(buf[:0], vals))
+}
+
+// decodeRowPayload appends a payload's values to dst[:0]; a nil dst
+// decodes into a fresh, exactly sized slice.
+func decodeRowPayload(dst []Value, b []byte) ([]Value, error) {
 	ncols, sz := binary.Uvarint(b)
 	if sz <= 0 || ncols > uint64(len(b)) {
 		return nil, errWALCorrupt
 	}
 	b = b[sz:]
-	vals := make([]Value, 0, ncols)
+	vals := dst[:0]
+	if cap(vals) < int(ncols) {
+		vals = make([]Value, 0, ncols)
+	}
 	for range ncols {
 		var v Value
 		var err error
@@ -260,7 +321,8 @@ func decodeRowPayload(b []byte) ([]Value, error) {
 
 // decodeColumns decodes into vals the payload columns want marks and
 // walks past the others (skipWALValue); columns after the last marked
-// one are not read. Recovery uses it to derive index keys.
+// one are not read. Index keys come from it (restore, replay, a
+// version's removal) and so do the uniqueness checks' comparisons.
 func decodeColumns(b []byte, vals []Value, want []bool) error {
 	ncols, sz := binary.Uvarint(b)
 	if sz <= 0 || ncols < uint64(len(want)) {
@@ -298,8 +360,8 @@ type pagePlan struct {
 // pins visibility, ckptMu keeps any other pass from moving slots
 // meanwhile, and the swapped-out dirty sets belong to this pass alone.
 // Dirty images are resolved after the latch drops, as the registered
-// snapshot may, and encoded straight from the versions' own value
-// slices, never from a copy; survivors are never decoded at all.
+// snapshot may, and installed as the versions' own payload bytes;
+// nothing is encoded or decoded, survivors included.
 func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID]struct{}) (*pagePlan, error) {
 	// Resolve images at the snapshot and collect the superseded slots.
 	names := slices.Sorted(maps.Keys(dirty)) // db.tables' own keys
@@ -315,12 +377,12 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 			if s != 0 {
 				affectedTable[s-1] = name
 			}
-			row := db.see(td, r, snap.resolve)
-			if row == nil {
+			payload := db.payloadOf(td, r, snap.resolve)
+			if payload == nil {
 				plan.gone[name] = append(plan.gone[name], id)
 				continue
 			}
-			rows = append(rows, pagestore.InstallRow{ID: int64(id), Payload: encodeRowPayload(nil, row.Values)})
+			rows = append(rows, pagestore.InstallRow{ID: int64(id), Payload: payload})
 		}
 		if len(rows) > 0 {
 			plan.installs = append(plan.installs, pagestore.Install{Table: name, Rows: rows})
@@ -483,7 +545,9 @@ func (td *tableData) dropChainLocked(id RowID, head *rowVersion) int {
 	for v := head; v != nil; {
 		next := v.prev.Load()
 		for _, ix := range td.indexes {
-			ix.remove(id, v.row.Values)
+			if key, ok := ix.payloadKey(v.payload); ok {
+				ix.removeKey(key, id)
+			}
 		}
 		v.prev.Store(nil)
 		n++
@@ -510,7 +574,6 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 		slot uint32
 	}
 	type restoring struct {
-		want    []bool  // the columns some index reads, up to the last one
 		vals    []Value // decode scratch, reused row to row
 		pairs   []placed
 		entries [][]indexEntry // per index of the table
@@ -537,22 +600,15 @@ func (db *Database) restoreFromPages(rec *pagestore.Recovered) (rows int, err er
 			// Size the table's pairs and index entries once — this
 			// page's rows times the table's pages — not row by row.
 			hint := len(prows) * pages[pi.Table]
-			st = &restoring{pairs: make([]placed, 0, hint), entries: make([][]indexEntry, len(td.indexes))}
-			for k, ix := range td.indexes {
+			st = &restoring{vals: make([]Value, len(td.want)), pairs: make([]placed, 0, hint), entries: make([][]indexEntry, len(td.indexes))}
+			for k := range td.indexes {
 				st.entries[k] = make([]indexEntry, 0, hint)
-				for _, c := range ix.columns {
-					if c >= len(st.want) {
-						st.want = append(st.want, make([]bool, c+1-len(st.want))...)
-					}
-					st.want[c] = true
-				}
 			}
-			st.vals = make([]Value, len(st.want))
 			tables[pi.Table] = st
 		}
 		for _, r := range prows {
 			id := RowID(r.ID)
-			if err := decodeColumns(r.Payload, st.vals, st.want); err != nil {
+			if err := decodeColumns(r.Payload, st.vals, td.want); err != nil {
 				return 0, fmt.Errorf("page %d row %s/%d: %w", pi.Slot, pi.Table, id, err)
 			}
 			st.pairs = append(st.pairs, placed{id, pi.Slot + 1})

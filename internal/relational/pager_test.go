@@ -181,7 +181,7 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 			pk, err := snap.LookupRows("parent", []string{"id"}, []Value{Int_(k)})
 			fk, err2 := snap.LookupRows("child", []string{"parent_id"}, []Value{Int_(k)})
 			snap.Close()
-			got, _ := RowIDs(fk, nil)
+			got := rowIDs(fk)
 			if err != nil || err2 != nil || len(pk) != 1 || pk[0].Values[0].Int != k {
 				t.Errorf("snapshot PK lookup of %d: %v, %v, %v", k, pk, err, err2)
 				return
@@ -357,18 +357,23 @@ func TestFaultRowCorruptPayloadPanics(t *testing.T) {
 	t.Fatal("corrupt payload did not panic")
 }
 
-// FuzzRowPayloadDecode: a page row payload is arbitrary bytes behind a
-// valid page CRC. Decoding never panics; the skip walk recovery uses to
-// reach indexed columns agrees with the full decode on where every
-// column starts and on which value is malformed; and what decodes
-// re-encodes to a canonical form that decodes to the same bytes again.
+// FuzzRowPayloadDecode: a row payload is arbitrary bytes behind a valid
+// page CRC or WAL frame CRC, and every read of a row decodes one, so the
+// two decoders must agree. Decoding never panics; the skip walk agrees
+// with the full decode on where every column starts and on which value
+// is malformed; whenever decodeRowPayload accepts the bytes,
+// decodeColumns under the fuzzed want mask (bit c marks column c, up to
+// the mask's highest set bit within the row) returns the same value in
+// every marked column; and encodeRowPayload of the decoded values
+// decodes back to the same values.
 func FuzzRowPayloadDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x05, walValInt})
-	f.Add(encodeRowPayload(nil, nil))
-	f.Add(encodeRowPayload(nil, []Value{Int_(-7), String_("a\x00b"), Null(), Float_(2.5)}))
-	f.Add(encodeRowPayload(nil, []Value{String_("x"), Int_(1 << 40)})[:5])
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{0x05, walValInt}, uint64(1))
+	f.Add(encodeRowPayload(nil, nil), uint64(0))
+	f.Add(encodeRowPayload(nil, []Value{Int_(-7), String_("a\x00b"), Null(), Float_(2.5)}), uint64(0b1010))
+	f.Add(encodeRowPayload(nil, []Value{Int_(-7), String_("a\x00b"), Null(), Float_(2.5)}), uint64(0b1111))
+	f.Add(encodeRowPayload(nil, []Value{String_("x"), Int_(1 << 40)})[:5], uint64(2))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint64) {
 		if ncols, sz := binary.Uvarint(data); sz > 0 {
 			full, skip := data[sz:], data[sz:]
 			for c := uint64(0); c < ncols; c++ {
@@ -386,34 +391,46 @@ func FuzzRowPayloadDecode(f *testing.F) {
 				full, skip = fullNext, skipNext
 			}
 		}
-		vals, err := decodeRowPayload(data)
+		vals, err := decodeRowPayload(nil, data)
 		if err != nil {
 			return
 		}
-		// Every column wanted but the first: decodeColumns lands the same
-		// values where the full decode put them.
-		if len(vals) > 0 {
-			want := make([]bool, len(vals))
-			for i := 1; i < len(want); i++ {
-				want[i] = true
+		var want []bool
+		for c := range min(len(vals), 64) {
+			if mask&(1<<c) != 0 {
+				want = markColumns(want, []int{c})
 			}
-			got := make([]Value, len(vals))
-			if err := decodeColumns(data, got, want); err != nil {
-				t.Fatalf("decodeColumns failed where decodeRowPayload did not: %v", err)
-			}
-			for i := 1; i < len(vals); i++ {
-				if !bytes.Equal(appendWALValue(nil, got[i]), appendWALValue(nil, vals[i])) {
-					t.Fatalf("column %d: decodeColumns %v, decodeRowPayload %v", i, got[i], vals[i])
+		}
+		got := make([]Value, len(want))
+		for i := range got {
+			got[i] = String_("unmarked") // a column decodeColumns must not touch
+		}
+		if err := decodeColumns(data, got, want); err != nil {
+			t.Fatalf("decodeColumns (want %v) failed where decodeRowPayload did not: %v", want, err)
+		}
+		for c, w := range want {
+			if !w {
+				if got[c] != String_("unmarked") {
+					t.Fatalf("column %d: not marked, but decodeColumns wrote %v", c, got[c])
 				}
+				continue
+			}
+			if !bytes.Equal(appendWALValue(nil, got[c]), appendWALValue(nil, vals[c])) {
+				t.Fatalf("column %d: decodeColumns %v, decodeRowPayload %v", c, got[c], vals[c])
 			}
 		}
 		re := encodeRowPayload(nil, vals)
-		again, err := decodeRowPayload(re)
+		again, err := decodeRowPayload(nil, re)
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
 		}
 		if len(again) != len(vals) || !bytes.Equal(encodeRowPayload(nil, again), re) {
 			t.Fatalf("round-trip drift: %v then %v", vals, again)
+		}
+		for c := range vals {
+			if !bytes.Equal(appendWALValue(nil, again[c]), appendWALValue(nil, vals[c])) {
+				t.Fatalf("column %d: %v re-decodes as %v", c, vals[c], again[c])
+			}
 		}
 	})
 }
@@ -623,11 +640,11 @@ func TestRestoreBuildsIndexRuns(t *testing.T) {
 		out := map[string][]RowID{}
 		for k := int64(1); k <= 130; k++ {
 			for _, probe := range []struct{ table, col string }{{"parent", "id"}, {"child", "parent_id"}, {"child", "id"}} {
-				ids, err := RowIDs(snap.LookupRows(probe.table, []string{probe.col}, []Value{Int_(k)}))
+				rows, err := snap.LookupRows(probe.table, []string{probe.col}, []Value{Int_(k)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				out[fmt.Sprintf("%s.%s=%d", probe.table, probe.col, k)] = ids
+				out[fmt.Sprintf("%s.%s=%d", probe.table, probe.col, k)] = rowIDs(rows)
 			}
 		}
 		return out

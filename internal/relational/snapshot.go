@@ -20,7 +20,7 @@ import (
 // multiple goroutines and never block behind a writer's transaction —
 // only behind individual row-operation latches.
 type Snapshot struct {
-	db     *Database
+	reader
 	seq    uint64
 	closed atomic.Bool
 }
@@ -28,7 +28,8 @@ type Snapshot struct {
 // Snapshot pins the current committed state and returns its handle.
 func (db *Database) Snapshot() *Snapshot {
 	db.snapMu.Lock()
-	s := &Snapshot{db: db, seq: db.commitSeq.Load()}
+	s := &Snapshot{seq: db.commitSeq.Load()}
+	s.reader = reader{db, s}
 	db.snaps[s] = struct{}{}
 	db.snapMu.Unlock()
 	db.snapshotsOpened.Add(1)
@@ -47,71 +48,97 @@ func (s *Snapshot) Close() {
 // Seq returns the commit sequence the snapshot is pinned at.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
+// reader carries the Reader methods a registered reader (a Snapshot, a
+// Txn) gets by embedding it. Each read resolves chains through at.resolve,
+// and since the registration keeps the versions and the quarantined
+// slots the reader can see, it collects refs under the read latch and
+// resolves, faults and decodes after the latch drops (pager.go). Every
+// row it hands out is decoded for the caller.
+type reader struct {
+	db *Database
+	at interface{ resolve(*rowVersion) *rowVersion } // the Snapshot or Txn itself
+}
+
 // Schema returns the database schema (schemas are immutable).
-func (s *Snapshot) Schema() *Schema { return s.db.schema }
+func (r reader) Schema() *Schema { return r.db.schema }
 
 // HasIndexOn reports whether an index covers exactly the named columns.
-func (s *Snapshot) HasIndexOn(table string, columns []string) bool {
-	return s.db.HasIndexOn(table, columns)
+func (r reader) HasIndexOn(table string, columns []string) bool {
+	return r.db.HasIndexOn(table, columns)
 }
 
-// Get returns a copy of the row as of the snapshot. A page-only row
-// faults after the latch drops: the snapshot's registration keeps its
-// slot quarantined.
-func (s *Snapshot) Get(table string, id RowID) (*Row, error) {
-	return s.db.getRegistered(table, id, s.resolve)
+// Get returns the row with the given id as the reader sees it.
+func (r reader) Get(table string, id RowID) (*Row, error) {
+	return r.db.get(table, id, r.at.resolve, false)
 }
 
-// RowCount returns the number of rows visible at the snapshot. Unlike
-// the live Database's O(1) counter this walks the table.
-func (s *Snapshot) RowCount(table string) int { return len(s.ScanIDs(table)) }
-
-// TotalRows returns the number of rows across all tables visible at the
-// snapshot.
-func (s *Snapshot) TotalRows() int {
-	n := 0
-	for _, t := range s.db.SortedTableNames() {
-		n += s.RowCount(t)
-	}
-	return n
-}
-
-// Scan visits every row visible at the snapshot in insertion order. The
-// callback receives the stored version; it must not mutate it.
-// Returning false stops the scan. No latch is held while the callback
-// runs.
-func (s *Snapshot) Scan(table string, fn func(*Row) bool) error {
-	return s.db.scanRegistered(table, s.resolve, fn)
-}
-
-// ScanIDs returns the row ids visible at the snapshot in insertion
-// order.
-func (s *Snapshot) ScanIDs(table string) []RowID { return s.db.idsRegistered(table, s.resolve) }
-
-// ValuesByName returns a visible row's values keyed by column name, as
-// of the snapshot.
-func (s *Snapshot) ValuesByName(table string, id RowID) (map[string]Value, error) {
-	r, err := s.Get(table, id)
+// Scan visits every row the reader sees in insertion order; returning
+// false stops the scan. No latch is held while the callback runs.
+func (r reader) Scan(table string, fn func(*Row) bool) error {
+	refs, td, err := r.db.collectRefs(table)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return s.db.rowValues(table, r)
+	for _, ref := range refs {
+		if row, ok := r.db.see(td, ref, r.at.resolve); ok && !fn(&row) {
+			return nil
+		}
+	}
+	return nil
 }
 
-// LookupEqual returns the ids of rows visible at the snapshot whose
-// named columns equal the given values. Index buckets retain entries
-// for superseded versions until reclaim, which is exactly what makes
-// an index lookup complete for a pinned snapshot; each candidate's
-// resolved version is re-verified against the probe values.
-func (s *Snapshot) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
-	return RowIDs(s.LookupRows(table, columns, values))
+// ScanIDs returns the ids of the rows the reader sees, in insertion
+// order; nothing is faulted.
+func (r reader) ScanIDs(table string) []RowID {
+	refs, _, err := r.db.collectRefs(table)
+	if err != nil {
+		return nil
+	}
+	out := make([]RowID, 0, len(refs))
+	for _, ref := range refs {
+		if ref.sees(r.at.resolve) {
+			out = append(out, ref.id)
+		}
+	}
+	return out
+}
+
+// LookupEqual returns the ids of the rows the reader sees whose named
+// columns equal the given values. Index buckets keep entries for
+// superseded versions until reclaim, which is what makes a lookup
+// complete for a pinned reader; each candidate is re-verified on the
+// probed columns it decodes (lookupIDs).
+func (r reader) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
+	return r.db.lookupIDs(nil, table, columns, values, r.at.resolve, false)
 }
 
 // LookupRows is LookupEqual returning each match with the values that
-// verified it (see Reader). Faults run after the latch is dropped: the
-// snapshot's registration keeps the slots it can see quarantined.
-func (s *Snapshot) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
-	return s.db.lookup(table, columns, values, s.resolve, false)
+// verified it (see Reader).
+func (r reader) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
+	return r.db.lookup(table, columns, values, r.at.resolve, false)
+}
+
+// ValuesByName returns a visible row's values keyed by column name.
+func (r reader) ValuesByName(table string, id RowID) (map[string]Value, error) {
+	row, err := r.Get(table, id)
+	if err != nil {
+		return nil, err
+	}
+	return r.db.rowValues(table, row)
+}
+
+// RowCount returns the number of rows the reader sees in the table.
+// Unlike the live Database's O(1) counter this walks the table.
+func (r reader) RowCount(table string) int { return len(r.ScanIDs(table)) }
+
+// TotalRows returns the number of rows the reader sees across all
+// tables.
+func (r reader) TotalRows() int {
+	n := 0
+	for _, name := range r.db.SortedTableNames() {
+		n += r.RowCount(name)
+	}
+	return n
 }
 
 // resolve returns the version of a chain the snapshot sees, nil for none.

@@ -50,7 +50,7 @@ type undoEntry struct {
 // off their chains). Flush sharing is the WAL writer stage's job (see
 // walpipeline.go): committers just call Commit.
 type Txn struct {
-	db      *Database
+	reader
 	id      uint64 // stamps claims; txnMark(id) in begin/end fields
 	readSeq uint64 // commit sequence pinned at Begin
 	seq     uint64 // commit sequence assigned by CommitGroup, pre-publish
@@ -60,7 +60,8 @@ type Txn struct {
 
 // Begin starts a transaction pinned at the current commit sequence.
 func (db *Database) Begin() *Txn {
-	t := &Txn{db: db, id: db.nextTxnID.Add(1)}
+	t := &Txn{id: db.nextTxnID.Add(1)}
+	t.reader = reader{db, t}
 	db.txnMu.Lock()
 	t.readSeq = db.commitSeq.Load()
 	db.txns[t] = struct{}{}
@@ -469,67 +470,3 @@ func (t *Txn) resolve(v *rowVersion) *rowVersion {
 // The Reader implementation: a transaction's reads see its own writes
 // overlaid on the snapshot pinned at Begin.
 var _ Reader = (*Txn)(nil)
-
-// Schema returns the database schema.
-func (t *Txn) Schema() *Schema { return t.db.schema }
-
-// HasIndexOn reports whether an index covers exactly the named columns.
-func (t *Txn) HasIndexOn(table string, columns []string) bool {
-	return t.db.HasIndexOn(table, columns)
-}
-
-// Get returns a copy of the row as this transaction sees it. A
-// page-only row faults after the latch drops: the open transaction's
-// read sequence keeps its slot quarantined.
-func (t *Txn) Get(table string, id RowID) (*Row, error) {
-	return t.db.getRegistered(table, id, t.resolve)
-}
-
-// Scan visits every row the transaction sees in insertion order. The
-// callback must not mutate the row; returning false stops the scan. No
-// latch is held while the callback runs.
-func (t *Txn) Scan(table string, fn func(*Row) bool) error {
-	return t.db.scanRegistered(table, t.resolve, fn)
-}
-
-// ScanIDs returns the row ids the transaction sees in insertion order.
-func (t *Txn) ScanIDs(table string) []RowID { return t.db.idsRegistered(table, t.resolve) }
-
-// LookupEqual returns the ids of rows the transaction sees whose named
-// columns equal the given values. Index buckets may hold entries for
-// versions other readers cannot see; each candidate's resolved version
-// is re-verified against the probe values.
-func (t *Txn) LookupEqual(table string, columns []string, values []Value) ([]RowID, error) {
-	return RowIDs(t.LookupRows(table, columns, values))
-}
-
-// LookupRows is LookupEqual returning each match with the values that
-// verified it (see Reader). Faults run after the latch is dropped: the
-// open transaction's read sequence keeps the slots it sees quarantined.
-func (t *Txn) LookupRows(table string, columns []string, values []Value) ([]Row, error) {
-	return t.db.lookup(table, columns, values, t.resolve, false)
-}
-
-// ValuesByName returns a visible row's values keyed by column name, as
-// the transaction sees them.
-func (t *Txn) ValuesByName(table string, id RowID) (map[string]Value, error) {
-	r, err := t.Get(table, id)
-	if err != nil {
-		return nil, err
-	}
-	return t.db.rowValues(table, r)
-}
-
-// RowCount returns the number of rows the transaction sees in the
-// table. Unlike the live Database's O(1) counter this walks the table.
-func (t *Txn) RowCount(table string) int { return len(t.ScanIDs(table)) }
-
-// TotalRows returns the number of rows across all tables the
-// transaction sees.
-func (t *Txn) TotalRows() int {
-	n := 0
-	for _, name := range t.db.SortedTableNames() {
-		n += t.RowCount(name)
-	}
-	return n
-}

@@ -52,12 +52,13 @@ import (
 // has no file size to journal. A retired segment is removed.
 //
 // Every record is framed as [len uint32][crc32 uint32][payload]; the
-// CRC covers the payload. Recovery reads segments in index order and
-// stops at the first frame that is short, oversized or fails its CRC —
-// everything before it is the committed prefix, everything at and after
-// it never had a durable commit acknowledged (an all-zero tail, the
-// slack the records never reached, is trimmed without being reported
-// as torn).
+// CRC covers the payload. An insert's or update's after-image in it is
+// the row's payload (pager.go), the bytes its version and its page
+// hold. Recovery reads segments in index order and stops at the first
+// frame that is short, oversized or fails its CRC — everything before
+// it is the committed prefix, everything at and after it never had a
+// durable commit acknowledged (an all-zero tail, the slack the records
+// never reached, is trimmed without being reported as torn).
 //
 // The checkpoint base image lives in internal/pagestore: a heap file of
 // slotted copy-on-write pages plus one directory file. A checkpoint pass
@@ -364,10 +365,10 @@ func skipWALValue(b []byte) ([]byte, error) {
 
 // walOp is one decoded row operation of a replayed transaction.
 type walOp struct {
-	kind   byte
-	table  string
-	id     RowID
-	values []Value // nil for deletes
+	kind    byte
+	table   string
+	id      RowID
+	payload []byte // the after-image, within the record's bytes; nil for deletes
 }
 
 // walTxn is one decoded committed transaction.
@@ -385,8 +386,10 @@ type walSub struct {
 // appendTxnOpsBody encodes one transaction's operations — everything in
 // the per-txn wire format EXCEPT the leading commit sequence, which is
 // not assigned yet. The undo log doubles as the write set: a created
-// version (insert/update) carries the after-image, a delete needs only
-// the row address, and execution order is kept so replay reproduces
+// version (insert/update) carries the after-image, the version's
+// payload copied as it is (a column count, then each value in the WAL
+// value encoding: the row's page payload too), a delete needs only the
+// row address, and execution order is kept so replay reproduces
 // intra-transaction sequencing (insert→update→delete of the same row)
 // exactly. Commits call this BEFORE taking the commit latch so the
 // latch covers only validation and stamping; assembleGroupPayload
@@ -409,10 +412,7 @@ func appendTxnOpsBody(b []byte, t *Txn) []byte {
 		if en.kind == undoDelete {
 			continue
 		}
-		b = binary.AppendUvarint(b, uint64(len(en.v.row.Values)))
-		for _, v := range en.v.row.Values {
-			b = appendWALValue(b, v)
-		}
+		b = append(b, en.v.payload...)
 	}
 	return b
 }
@@ -548,17 +548,15 @@ func decodeGroupPayload(b []byte) ([]walTxn, error) {
 				if sz <= 0 || ncols > uint64(len(b)) {
 					return nil, errWALCorrupt
 				}
-				b = b[sz:]
-				op.values = make([]Value, 0, ncols)
+				rest := b[sz:]
 				for range ncols {
-					var v Value
 					var err error
-					v, b, err = decodeWALValue(b)
-					if err != nil {
+					if rest, err = skipWALValue(rest); err != nil {
 						return nil, err
 					}
-					op.values = append(op.values, v)
 				}
+				op.payload = b[:len(b)-len(rest)]
+				b = rest
 			}
 			t.ops = append(t.ops, op)
 		}
@@ -959,12 +957,24 @@ func (db *Database) resetStorage() {
 
 // replayTxn reapplies one committed transaction's row operations. The
 // data was fully constraint-checked when it first committed, so replay
-// maintains storage and indexes directly without re-validation.
+// maintains storage and indexes directly without re-validation. A
+// created version keeps a copy of the record's after-image, which is
+// its payload, and its index keys decode out of it (decodeColumns).
 func (db *Database) replayTxn(t walTxn) error {
+	var buf [scratchCols]Value
 	for _, op := range t.ops {
 		td, err := db.tableData(op.table)
 		if err != nil {
 			return err
+		}
+		var keys []Value // the after-image's indexed columns
+		if op.kind != walOpDelete {
+			if keys = buf[:]; len(td.want) > len(buf) {
+				keys = make([]Value, len(td.want))
+			}
+			if err := decodeColumns(op.payload, keys, td.want); err != nil {
+				return fmt.Errorf("%w: after-image of %s rowid %d", err, op.table, op.id)
+			}
 		}
 		// Replayed rows are newer than the loaded checkpoint state, so
 		// they are dirty relative to it: the next delta must cover them.
@@ -974,12 +984,12 @@ func (db *Database) replayTxn(t walTxn) error {
 			if _, dup := slices.BinarySearch(td.ids, op.id); dup {
 				return fmt.Errorf("%w: duplicate insert of %s rowid %d", errWALCorrupt, op.table, op.id)
 			}
-			v := newVersion(Row{ID: op.id, Values: op.values}, t.seq)
+			v := newVersion(bytes.Clone(op.payload), t.seq)
 			td.rows[op.id] = v
 			td.add(op.id) // commit order may differ from id order
 			td.live++
 			for _, ix := range td.indexes {
-				ix.insert(op.id, op.values)
+				ix.insert(op.id, keys)
 			}
 			if op.id >= db.nextRowID {
 				db.nextRowID = op.id + 1
@@ -992,11 +1002,11 @@ func (db *Database) replayTxn(t walTxn) error {
 				return fmt.Errorf("%w: op %c on missing %s rowid %d", errWALCorrupt, op.kind, op.table, op.id)
 			}
 			if op.kind == walOpUpdate {
-				nv := newVersion(Row{ID: op.id, Values: op.values}, t.seq)
+				nv := newVersion(bytes.Clone(op.payload), t.seq)
 				removeVersionEntries(td, op.id, old, nv)
 				td.rows[op.id] = nv
 				for _, ix := range td.indexes {
-					ix.insert(op.id, op.values)
+					ix.insert(op.id, keys)
 				}
 				continue
 			}

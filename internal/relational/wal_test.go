@@ -688,12 +688,12 @@ func TestWALStatsSurface(t *testing.T) {
 func TestWALGroupPayloadRoundTrip(t *testing.T) {
 	txns := []walTxn{
 		{seq: 7, ops: []walOp{
-			{kind: walOpInsert, table: "parent", id: 3, values: []Value{Int_(3), String_("x")}},
-			{kind: walOpUpdate, table: "parent", id: 3, values: []Value{Int_(3), Null()}},
+			{kind: walOpInsert, table: "parent", id: 3, payload: encodeRowPayload(nil, []Value{Int_(3), String_("x")})},
+			{kind: walOpUpdate, table: "parent", id: 3, payload: encodeRowPayload(nil, []Value{Int_(3), Null()})},
 			{kind: walOpDelete, table: "child", id: 9},
 		}},
 		{seq: 8, ops: []walOp{
-			{kind: walOpInsert, table: "t", id: 1, values: []Value{Float_(2.5), String_("")}},
+			{kind: walOpInsert, table: "t", id: 1, payload: encodeRowPayload(nil, []Value{Float_(2.5), String_("")})},
 		}},
 		{seq: 9, ops: nil},
 	}
@@ -710,13 +710,8 @@ func TestWALGroupPayloadRoundTrip(t *testing.T) {
 		}
 		for j := range txns[i].ops {
 			w, g := txns[i].ops[j], got[i].ops[j]
-			if g.kind != w.kind || g.table != w.table || g.id != w.id || len(g.values) != len(w.values) {
+			if g.kind != w.kind || g.table != w.table || g.id != w.id || !bytes.Equal(g.payload, w.payload) {
 				t.Fatalf("op %d/%d mismatch: %+v vs %+v", i, j, g, w)
-			}
-			for k := range w.values {
-				if g.values[k] != w.values[k] {
-					t.Fatalf("value %d/%d/%d mismatch: %v vs %v", i, j, k, g.values[k], w.values[k])
-				}
 			}
 		}
 	}
@@ -737,14 +732,14 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add([]byte{walTagMember})
 	f.Add(encodeGroupPayload([]walTxn{{seq: 3}}))
 	f.Add(encodeRecordPayload([]walSub{{member: 0, txns: []walTxn{{seq: 1, ops: []walOp{
-		{kind: walOpInsert, table: "parent", id: 1, values: []Value{Int_(1), String_("a")}},
+		{kind: walOpInsert, table: "parent", id: 1, payload: encodeRowPayload(nil, []Value{Int_(1), String_("a")})},
 		{kind: walOpDelete, table: "parent", id: 1},
 	}}}}}))
 	f.Add(encodeRecordPayload([]walSub{{member: 0, txns: []walTxn{{seq: 1 << 40, ops: []walOp{
-		{kind: walOpUpdate, table: "x", id: 1 << 33, values: []Value{Float_(-1.5), Null()}},
+		{kind: walOpUpdate, table: "x", id: 1 << 33, payload: encodeRowPayload(nil, []Value{Float_(-1.5), Null()})},
 	}}}}}))
 	f.Add(encodeRecordPayload([]walSub{{member: 1, txns: []walTxn{{seq: 5, ops: []walOp{
-		{kind: walOpInsert, table: "parent", id: 2, values: []Value{Int_(2), Null()}},
+		{kind: walOpInsert, table: "parent", id: 2, payload: encodeRowPayload(nil, []Value{Int_(2), Null()})},
 	}}}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		subs, err := decodeRecord(data, nil)

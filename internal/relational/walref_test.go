@@ -17,8 +17,9 @@ import (
 // set: the created version (insert/update) carries the after-image, a
 // delete needs only the row address — in execution order, so replay
 // reproduces intra-transaction sequencing (insert→update→delete of the
-// same row) exactly. The value slices alias the versions' rows (no
-// copies); encoding happens before anything can mutate them.
+// same row) exactly. Each after-image is re-encoded here from the
+// version's decoded values, value by value, where the commit path
+// copies the version's payload bytes.
 func walTxnsOf(live []*Txn) []walTxn {
 	out := make([]walTxn, 0, len(live))
 	for _, t := range live {
@@ -35,7 +36,7 @@ func walTxnsOf(live []*Txn) []walTxn {
 				op.kind = walOpDelete
 			}
 			if en.kind != undoDelete {
-				op.values = en.v.row.Values
+				op.payload = encodeRowPayload(nil, en.v.values(nil))
 			}
 			wt.ops = append(wt.ops, op)
 		}
@@ -77,10 +78,7 @@ func appendGroupPayload(b []byte, txns []walTxn) []byte {
 			if op.kind == walOpDelete {
 				continue
 			}
-			b = binary.AppendUvarint(b, uint64(len(op.values)))
-			for _, v := range op.values {
-				b = appendWALValue(b, v)
-			}
+			b = append(b, op.payload...)
 		}
 	}
 	return b

@@ -45,7 +45,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -400,7 +400,7 @@ func (db *DB) Scan(table string, fn func(*relational.Row) bool) error {
 }
 
 func (db *DB) LookupEqual(table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
-	return relational.RowIDs(lookupMerged(db.rds, table, columns, values))
+	return idsMerged(db.rds, table, columns, values)
 }
 
 func (db *DB) LookupRows(table string, columns []string, values []relational.Value) ([]relational.Row, error) {
@@ -415,11 +415,9 @@ func (db *DB) RowCount(table string) int {
 	if db.n == 1 {
 		return db.shards[0].RowCount(table)
 	}
-	counts := make([]int, db.n)
-	fanOut(db.n, func(i int) { counts[i] = db.shards[i].RowCount(table) })
 	n := 0
-	for _, c := range counts {
-		n += c
+	for _, s := range db.shards {
+		n += s.RowCount(table)
 	}
 	return n
 }
@@ -434,8 +432,8 @@ func (db *DB) TotalRows() int {
 
 // scanMerged visits every shard's rows merged in ascending row-id
 // order (each shard scans in insertion order, which is ascending id).
-// Retaining the *Row pointers across the sub-scans is safe: version
-// payloads are immutable once published.
+// Retaining the *Row pointers across the sub-scans is safe: every row
+// a scan hands out is decoded for it.
 func scanMerged(rds []relational.Reader, table string, fn func(*relational.Row) bool) error {
 	if len(rds) == 1 {
 		return rds[0].Scan(table, fn)
@@ -472,53 +470,40 @@ func scanMerged(rds []relational.Reader, table string, fn func(*relational.Row) 
 }
 
 // lookupMerged concatenates per-shard index lookups, sorted by id for a
-// deterministic order. Shards probe in parallel (each reader is a
-// distinct per-shard view, so the probes share nothing); the
+// deterministic order. Each per-shard probe is a sub-µs index lookup,
+// so the shards are probed in turn on the caller's goroutine; the
 // lowest-index error wins.
 func lookupMerged(rds []relational.Reader, table string, columns []string, values []relational.Value) ([]relational.Row, error) {
 	if len(rds) == 1 {
 		return rds[0].LookupRows(table, columns, values)
 	}
-	perShard := make([][]relational.Row, len(rds))
-	errs := make([]error, len(rds))
-	fanOut(len(rds), func(i int) {
-		perShard[i], errs[i] = rds[i].LookupRows(table, columns, values)
-	})
 	var out []relational.Row
-	for i := range rds {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, rd := range rds {
+		rows, err := rd.LookupRows(table, columns, values)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, perShard[i]...)
+		out = append(out, rows...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
 
-// fanOut runs fn(i) for i in [0, n) on up to GOMAXPROCS goroutines and
-// waits for all of them. Each index is handed to exactly one goroutine,
-// so fn may write to index-i slots of shared slices without locking.
-func fanOut(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// idsMerged is lookupMerged for LookupEqual: the shards' ids, ascending.
+func idsMerged(rds []relational.Reader, table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
+	if len(rds) == 1 {
+		return rds[0].LookupEqual(table, columns, values)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	var out []relational.RowID
+	for _, rd := range rds {
+		ids, err := rd.LookupEqual(table, columns, values)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ids...)
 	}
-	wg.Wait()
+	slices.Sort(out)
+	return out, nil
 }
 
 // ---- Engine: transactions, lifecycle, statistics and maintenance.

@@ -69,7 +69,7 @@ func (v *SnapVec) Scan(table string, fn func(*relational.Row) bool) error {
 }
 
 func (v *SnapVec) LookupEqual(table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
-	return relational.RowIDs(lookupMerged(v.rds, table, columns, values))
+	return idsMerged(v.rds, table, columns, values)
 }
 
 func (v *SnapVec) LookupRows(table string, columns []string, values []relational.Value) ([]relational.Row, error) {

@@ -85,7 +85,7 @@ func (t *Txn) Scan(table string, fn func(*relational.Row) bool) error {
 }
 
 func (t *Txn) LookupEqual(table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
-	return relational.RowIDs(lookupMerged(t.readers(), table, columns, values))
+	return idsMerged(t.readers(), table, columns, values)
 }
 
 func (t *Txn) LookupRows(table string, columns []string, values []relational.Value) ([]relational.Row, error) {
