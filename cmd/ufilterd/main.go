@@ -65,6 +65,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/pagestore"
 	"repro/internal/relational"
 	"repro/internal/server"
 )
@@ -102,11 +103,16 @@ func main() {
 			}
 		}()
 	}
-	// Fault drills: RELATIONAL_FAILPOINTS='wal.fsync.before=crash@3'
-	// arms engine failpoints for crash-recovery rehearsals (no-op when
-	// the variable is unset).
-	if err := relational.EnableFailpointsFromEnv(); err != nil {
-		fail(err)
+	// Fault drills: RELATIONAL_FAULTS='sync:segment=crash-after@3' opens
+	// every data dir through a pagestore.FaultFS armed with that spec (its
+	// grammar is FaultFS.Arm's), for crash-recovery rehearsals. Unset, the
+	// engine uses the bare os file system.
+	if spec := os.Getenv("RELATIONAL_FAULTS"); spec != "" {
+		faults := &pagestore.FaultFS{}
+		if err := faults.Arm(spec); err != nil {
+			fail(err)
+		}
+		relational.FileSystem = faults
 	}
 	if err := runServer(cfg, *addr, log); err != nil {
 		fail(err)

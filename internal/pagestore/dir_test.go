@@ -46,7 +46,7 @@ func TestDirFrameClaimedLength(t *testing.T) {
 func installedStore(t *testing.T) (dir string, directory []byte) {
 	t.Helper()
 	dir = t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
+	s, _ := mustOpen(t, dir, OS)
 	for seq := uint64(1); seq <= 3; seq++ {
 		if _, err := s.Install(seq, []Install{{Table: "t", Rows: rowsOf(50, int64(seq)*100)}}, nil); err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func refusedUntouched(t *testing.T, dir string, damaged []byte) {
 		}
 	}
 	before := storeFiles(t, copied)
-	if s, _, err := Open(copied, Options{}); !errors.Is(err, ErrCorruptDirectory) {
+	if s, _, err := Open(OS, copied); !errors.Is(err, ErrCorruptDirectory) {
 		if err == nil {
 			s.Close()
 		}

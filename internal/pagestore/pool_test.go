@@ -334,7 +334,7 @@ func TestPoolEvictionStress(t *testing.T) {
 // (−race included); a fresh 4 KiB buffer plus a 32-byte row header per
 // row cost 6 allocations and about 5.7 KiB.
 func TestPoolMissReusesBuffer(t *testing.T) {
-	s, _ := mustOpen(t, t.TempDir(), Options{})
+	s, _ := mustOpen(t, t.TempDir(), OS)
 	defer s.Close()
 	const pages = 24
 	installs := make([]Install, pages)

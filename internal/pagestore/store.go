@@ -23,21 +23,6 @@ const (
 	maxDirRecord = 1 << 26
 )
 
-// Failpoint names fired through Options.Failpoint.
-const (
-	FpWrite     = "pagestore.write"     // before each heap page write
-	FpDirectory = "pagestore.directory" // before the directory is rewritten
-	FpRename    = "checkpoint.rename"   // before the rewritten directory is renamed into place
-)
-
-// Options configures a Store.
-type Options struct {
-	// Failpoint, if set, is consulted before each write-path step with a
-	// failpoint name; a non-nil error aborts the step. Used to wire the
-	// store into the crash-injection harness.
-	Failpoint func(name string) error
-}
-
 // PageInfo describes one live page. Rows — the ids packed onto it, in
 // page order — is set only on what Install returns and is not kept: the
 // page itself is the record of its rows.
@@ -82,11 +67,11 @@ type pageEntry struct {
 // serialized by the caller; ReadPage is safe concurrently with
 // everything.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
+	fs  FS
 
 	mu        sync.Mutex
-	heap      *os.File
+	heap      File
 	heapSlots uint32
 	free      []uint32
 	pages     map[uint32]pageEntry
@@ -103,22 +88,16 @@ type Stats struct {
 	PagesWritten uint64 // cumulative pages written by checkpoints
 }
 
-func (s *Store) fp(name string) error {
-	if s.opts.Failpoint == nil {
-		return nil
-	}
-	return s.opts.Failpoint(name)
-}
-
 // Open maps the page directory under dir (creating an empty store on
-// first use) and returns the live page table. It reads no heap page: a
-// caller that needs the rows reads the pages (ReadPage). A directory
-// file that fails its CRC or does not decode is ErrCorruptDirectory, and
-// the store's files are left as they were.
-func Open(dir string, opts Options) (*Store, Recovered, error) {
-	s := &Store{dir: dir, opts: opts, pages: make(map[uint32]pageEntry), retired: make(map[uint32]uint32)}
+// first use) and returns the live page table; the store does all its
+// file operations through fs. It reads no heap page: a caller that needs
+// the rows reads the pages (ReadPage). A directory file that fails its
+// CRC or does not decode is ErrCorruptDirectory, and the store's files
+// are left as they were.
+func Open(fs FS, dir string) (*Store, Recovered, error) {
+	s := &Store{dir: dir, fs: fs, pages: make(map[uint32]pageEntry), retired: make(map[uint32]uint32)}
 	var rec Recovered
-	data, err := os.ReadFile(filepath.Join(dir, dirFileName))
+	data, err := fs.ReadFile(filepath.Join(dir, dirFileName))
 	switch {
 	case err == nil:
 		if rec.Seq, rec.Pages, err = decodeDirectory(data); err != nil {
@@ -128,7 +107,7 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 		return nil, Recovered{}, err
 	}
 
-	heap, err := os.OpenFile(filepath.Join(dir, heapFileName), os.O_RDWR|os.O_CREATE, 0o644)
+	heap, err := fs.OpenFile(filepath.Join(dir, heapFileName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
@@ -165,7 +144,7 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 		}
 	}
 	// A replace a crash cut short before its rename left its tmp file.
-	if err := os.Remove(filepath.Join(dir, dirFileName+".tmp")); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := fs.Remove(filepath.Join(dir, dirFileName+".tmp")); err != nil && !errors.Is(err, os.ErrNotExist) {
 		heap.Close()
 		return nil, Recovered{}, err
 	}
@@ -339,9 +318,6 @@ func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageI
 			ids[i] = rows[i].ID
 		}
 		infos = append(infos, PageInfo{Slot: slot, Slots: nslots, Seq: seq, Table: table, Rows: ids})
-		if err := s.fp(FpWrite); err != nil {
-			return err
-		}
 		_, err := s.heap.WriteAt(frame, int64(slot)*PageSize)
 		return err
 	}
@@ -378,9 +354,6 @@ func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageI
 	// Phase 2: the durable directory — every live page this install
 	// leaves, the pages it wrote among them, replacing the old file whole.
 	writeDirectory := func() error {
-		if err := s.fp(FpDirectory); err != nil {
-			return err
-		}
 		gone := make(map[uint32]bool, len(freed))
 		for _, slot := range freed {
 			gone[slot] = true
@@ -395,7 +368,7 @@ func (s *Store) Install(seq uint64, installs []Install, freed []uint32) ([]PageI
 			table = append(table, PageInfo{Slot: pi.Slot, Slots: pi.Slots, Seq: pi.Seq, Table: pi.Table})
 		}
 		sort.Slice(table, func(i, j int) bool { return table[i].Slot < table[j].Slot })
-		return ReplaceFile(s.dir, dirFileName, encodeDirectory(seq, table), func() error { return s.fp(FpRename) })
+		return ReplaceFile(s.fs, s.dir, dirFileName, encodeDirectory(seq, table))
 	}
 	err := writeAll()
 	if err == nil {
@@ -495,42 +468,4 @@ func (s *Store) readExtent(slot uint32, buf []byte) ([]byte, error) {
 		buf = big
 	}
 	return buf, nil
-}
-
-// ReplaceFile makes data the contents of dir/name durably: it writes and
-// fsyncs name+".tmp", runs beforeRename (an error aborts), renames the
-// tmp over name and fsyncs dir. A crash leaves the old file or the new
-// one, and perhaps the tmp.
-func ReplaceFile(dir, name string, data []byte, beforeRename func() error) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && beforeRename != nil {
-		err = beforeRename()
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, name))
-	}
-	if err == nil {
-		err = syncDir(dir)
-	}
-	return err
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -2,18 +2,18 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) (*Store, Recovered) {
+func mustOpen(t *testing.T, dir string, fs FS) (*Store, Recovered) {
 	t.Helper()
-	s, rec, err := Open(dir, opts)
+	s, rec, err := Open(fs, dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -53,7 +53,7 @@ func pageIDs(t *testing.T, s *Store, rec Recovered) map[int64]int {
 
 func TestStoreInstallReadRecover(t *testing.T) {
 	dir := t.TempDir()
-	s, rec := mustOpen(t, dir, Options{})
+	s, rec := mustOpen(t, dir, OS)
 	if rec.Seq != 0 || len(rec.Pages) != 0 {
 		t.Fatalf("fresh store not empty: %+v", rec)
 	}
@@ -94,7 +94,7 @@ func TestStoreInstallReadRecover(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, rec2 := mustOpen(t, dir, Options{})
+	s2, rec2 := mustOpen(t, dir, OS)
 	defer s2.Close()
 	if rec2.Seq != 5 {
 		t.Fatalf("recovered seq %d, want 5", rec2.Seq)
@@ -111,7 +111,7 @@ func TestStoreInstallReadRecover(t *testing.T) {
 
 func TestStoreFreeAndReuse(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
+	s, _ := mustOpen(t, dir, OS)
 	defer s.Close()
 	pl, err := s.Install(1, []Install{{Table: "t", Rows: rowsOf(10, 0)}}, nil)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestStoreFreeAndReuse(t *testing.T) {
 
 func TestStoreOversizedRowExtent(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
+	s, _ := mustOpen(t, dir, OS)
 	big := make([]byte, 3*PageSize)
 	for i := range big {
 		big[i] = byte(i)
@@ -165,7 +165,7 @@ func TestStoreOversizedRowExtent(t *testing.T) {
 		t.Fatalf("extent payload mismatch")
 	}
 	s.Close()
-	s2, rec := mustOpen(t, dir, Options{})
+	s2, rec := mustOpen(t, dir, OS)
 	defer s2.Close()
 	if len(rec.Pages) != 1 || rec.Pages[0].Slots < 3 {
 		t.Fatalf("extent not recovered: %+v", rec.Pages)
@@ -180,7 +180,7 @@ func TestStoreOversizedRowExtent(t *testing.T) {
 // replaced.
 func TestStoreDirectoryReplaceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
+	s, _ := mustOpen(t, dir, OS)
 	live := map[int64]int{} // row id -> pages holding it, as installed
 	var freed []uint32
 	for seq := uint64(1); seq <= 6; seq++ {
@@ -208,7 +208,7 @@ func TestStoreDirectoryReplaceRoundTrip(t *testing.T) {
 	}
 	s.Close()
 
-	s2, rec := mustOpen(t, dir, Options{})
+	s2, rec := mustOpen(t, dir, OS)
 	if rec.Seq != 6 {
 		t.Fatalf("reopened seq %d, want 6", rec.Seq)
 	}
@@ -227,7 +227,7 @@ func TestStoreDirectoryReplaceRoundTrip(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s3, rec3 := mustOpen(t, dir, Options{})
+	s3, rec3 := mustOpen(t, dir, OS)
 	defer s3.Close()
 	if rec3.Seq != 6 || !reflect.DeepEqual(rec3.Pages, rec.Pages) {
 		t.Fatalf("a leftover tmp changed what was recovered: seq %d, %d pages", rec3.Seq, len(rec3.Pages))
@@ -239,42 +239,43 @@ func TestStoreDirectoryReplaceRoundTrip(t *testing.T) {
 
 func TestStoreEmptyInstallAdvancesSeq(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
+	s, _ := mustOpen(t, dir, OS)
 	if _, err := s.Install(7, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	s2, rec := mustOpen(t, dir, Options{})
+	s2, rec := mustOpen(t, dir, OS)
 	defer s2.Close()
 	if rec.Seq != 7 {
 		t.Fatalf("empty install did not advance seq: %d", rec.Seq)
 	}
 }
 
+// TestStoreFailpointError fails one step of an install: a heap page
+// write, the directory's tmp create, its rename. Each subtest is named
+// for the failpoint its fault replaced.
 func TestStoreFailpointError(t *testing.T) {
-	for _, fp := range []string{FpWrite, FpDirectory, FpRename} {
-		t.Run(fp, func(t *testing.T) {
+	for _, c := range []struct{ name, fault string }{
+		{"pagestore.write", "write:heap=error@1"},
+		{"pagestore.directory", "open:pagedir=error@1"},
+		{"checkpoint.rename", "rename:pagedir=error@1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			fired := 0
-			s, _ := mustOpen(t, dir, Options{Failpoint: func(name string) error {
-				if name == fp && fired == 0 {
-					fired++
-					return fmt.Errorf("boom at %s", name)
-				}
-				return nil
-			}})
-			if _, err := s.Install(1, []Install{{Table: "t", Rows: rowsOf(3, 0)}}, nil); err == nil {
-				t.Fatalf("install should fail at %s", fp)
+			faults := &FaultFS{}
+			s, _ := mustOpen(t, dir, faults)
+			if err := faults.Arm(c.fault); err != nil {
+				t.Fatal(err)
 			}
-			if fired == 0 {
-				t.Fatalf("failpoint %s never fired", fp)
+			if _, err := s.Install(1, []Install{{Table: "t", Rows: rowsOf(3, 0)}}, nil); !errors.Is(err, ErrInjectedFault) {
+				t.Fatalf("install under %s: %v, want the injected fault", c.fault, err)
 			}
 			// The store must remain usable and the failed install invisible.
 			if _, err := s.Install(2, []Install{{Table: "t", Rows: rowsOf(3, 0)}}, nil); err != nil {
 				t.Fatalf("install after failed install: %v", err)
 			}
 			s.Close()
-			s2, rec := mustOpen(t, dir, Options{})
+			s2, rec := mustOpen(t, dir, OS)
 			defer s2.Close()
 			if rec.Seq != 2 {
 				t.Fatalf("recovered seq %d, want 2", rec.Seq)
@@ -300,25 +301,8 @@ func TestDirectoryVisiblePagesAreNeverRewritten(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		var fpMu sync.Mutex // guards failAt
-		failAt := ""
-		arm := func(name string) string {
-			fpMu.Lock()
-			defer fpMu.Unlock()
-			was := failAt
-			failAt = name
-			return was
-		}
-		opts := Options{Failpoint: func(name string) error {
-			fpMu.Lock()
-			defer fpMu.Unlock()
-			if name == failAt {
-				failAt = ""
-				return fmt.Errorf("injected at %s", name)
-			}
-			return nil
-		}}
-		s, _ := mustOpen(t, dir, opts)
+		faults := &FaultFS{}
+		s, _ := mustOpen(t, dir, faults)
 		live := map[uint32]page{} // what the directory maps
 		held := map[uint32]page{} // freed, not yet released
 		var quar [][]uint32       // freed batches, oldest first
@@ -350,12 +334,16 @@ func TestDirectoryVisiblePagesAreNeverRewritten(t *testing.T) {
 						freed = append(freed, slot)
 					}
 				}
+				armed := ""
 				if rng.Intn(8) == 0 {
-					arm([]string{FpWrite, FpDirectory}[rng.Intn(2)])
+					armed = []string{"write:heap=error@1", "open:pagedir=error@1"}[rng.Intn(2)]
+				}
+				if err := faults.Arm(armed); err != nil {
+					t.Fatal(err)
 				}
 				placed, err := s.Install(seq, []Install{{Table: "t", Rows: rows}}, freed)
-				if armed := arm(""); armed != "" {
-					t.Fatalf("seed %d step %d: failpoint %s never fired", seed, step, armed)
+				if armed != "" && !errors.Is(err, ErrInjectedFault) {
+					t.Fatalf("seed %d step %d: fault %s never fired (install: %v)", seed, step, armed, err)
 				}
 				if err != nil {
 					continue // the failed install is invisible; the checks below prove it wrote over nothing
@@ -389,7 +377,7 @@ func TestDirectoryVisiblePagesAreNeverRewritten(t *testing.T) {
 			default: // restart: nothing survives to read a freed slot
 				s.Close()
 				var rec Recovered
-				s, rec = mustOpen(t, dir, opts)
+				s, rec = mustOpen(t, dir, faults)
 				if len(rec.Pages) != len(live) {
 					t.Fatalf("seed %d step %d: reopened %d pages, model has %d", seed, step, len(rec.Pages), len(live))
 				}

@@ -274,7 +274,7 @@ func slotOf(t *testing.T, db *Database, table string, id RowID) uint32 {
 // stamp (slot+1). Payloads may be overridden per row id.
 func pagerOverOnePage(t *testing.T, n int, override map[RowID][]byte) (*pager, uint32) {
 	t.Helper()
-	store, _, err := pagestore.Open(t.TempDir(), pagestore.Options{})
+	store, _, err := pagestore.Open(pagestore.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +719,7 @@ func TestRestoreRefusesRepeatedRowID(t *testing.T) {
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	store, rec, err := pagestore.Open(dir, pagestore.Options{})
+	store, rec, err := pagestore.Open(pagestore.OS, dir)
 	if err != nil || len(rec.Pages) != 1 {
 		t.Fatalf("page store: %v, %d live pages; want the row's one", err, len(rec.Pages))
 	}

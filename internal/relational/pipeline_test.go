@@ -230,12 +230,10 @@ func TestWriterStageCoalescesAcrossMembers(t *testing.T) {
 // disappears.
 func TestPipelineFsyncErrorUnderConcurrency(t *testing.T) {
 	const writers, perWriter = 4, 25
+	faults := injectFaults(t)
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{})
-	if err := EnableFailpoint(FpWALFsyncBefore, "error@10"); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableAllFailpoints()
+	arm(t, faults, "sync:segment=error@10")
 
 	var mu sync.Mutex
 	committed := make(map[int64]bool)
@@ -264,9 +262,9 @@ func TestPipelineFsyncErrorUnderConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	DisableAllFailpoints()
+	arm(t, faults, "")
 	if failures == 0 {
-		t.Fatal("fsync failpoint never failed a commit")
+		t.Fatal("the fsync fault never failed a commit")
 	}
 	if n := db.RowCount("parent"); n != len(committed) {
 		t.Fatalf("visible rows = %d, want %d committed", n, len(committed))
@@ -281,26 +279,22 @@ func TestPipelineFsyncErrorUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestPipelineFailpointsRollBackCleanly covers the two pipeline-boundary
-// failpoints in error mode: stamp.after fails the group before its
-// record is handed to the writer stage, publish.before fails it after
-// the record is durable — which must also remove the record from disk,
-// or recovery would replay a commit whose caller saw ErrWALFailed.
+// TestPipelineFailpointsRollBackCleanly covers the pipeline's named
+// fault point in error mode: stamp.after fails the group before its
+// record is handed to the writer stage, so nothing of it reaches disk.
 func TestPipelineFailpointsRollBackCleanly(t *testing.T) {
-	for _, fp := range []string{FpPipelineStampAfter, FpPipelinePublishBefore} {
+	for _, fp := range []string{"pipeline.stamp.after"} {
 		t.Run(fp, func(t *testing.T) {
+			faults := injectFaults(t)
 			dir := t.TempDir()
 			db, _ := openWALDB(t, dir, WALOptions{})
 			mustInsertParent(t, db, 1, "base")
-			if err := EnableFailpoint(fp, "error"); err != nil {
-				t.Fatal(err)
-			}
-			defer DisableAllFailpoints()
+			arm(t, faults, fp+"=error")
 			_, err := db.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("doomed")})
 			if !errors.Is(err, ErrWALFailed) {
 				t.Fatalf("insert error = %v, want ErrWALFailed", err)
 			}
-			DisableAllFailpoints()
+			arm(t, faults, "")
 			if n := db.RowCount("parent"); n != 1 {
 				t.Fatalf("rows after failed commit = %d, want 1", n)
 			}
@@ -405,9 +399,9 @@ func TestCheckpointIsODirtyPages(t *testing.T) {
 func TestActiveSegmentPreallocated(t *testing.T) {
 	const segBytes = 4096
 	opts := WALOptions{SegmentBytes: segBytes}
+	faults := injectFaults(t)
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, opts)
-	t.Cleanup(DisableAllFailpoints)
 	var acked []int64
 	next := int64(0)
 	insert := func() error {
@@ -426,15 +420,13 @@ func TestActiveSegmentPreallocated(t *testing.T) {
 			}
 		}
 	}
-	failOne := func(failpoint string) {
+	failOne := func(fault string) {
 		t.Helper()
-		if err := EnableFailpoint(failpoint, "error"); err != nil {
-			t.Fatal(err)
-		}
+		arm(t, faults, fault)
 		if err := insert(); !errors.Is(err, ErrWALFailed) {
-			t.Fatalf("insert under %s: %v, want ErrWALFailed", failpoint, err)
+			t.Fatalf("insert under %s: %v, want ErrWALFailed", fault, err)
 		}
-		DisableAllFailpoints()
+		arm(t, faults, "")
 	}
 	check := func(point string) {
 		t.Helper()
@@ -486,10 +478,10 @@ func TestActiveSegmentPreallocated(t *testing.T) {
 	}
 	check("reopen")
 	insertN(2)
-	failOne(FpWALAppendPartial)
+	failOne("write:segment=error")
 	check("failed append")
 	insertN(2)
-	failOne(FpWALFsyncBefore)
+	failOne("sync:segment=error")
 	check("failed fsync")
 	insertN(2)
 	check("appends after the failures")

@@ -143,6 +143,7 @@ func TestPrepareAppendsWithoutFlush(t *testing.T) {
 // three fail together — every part undone on every member, the latches
 // free — and nothing of them survives a restart.
 func TestPrepareSharesBatchFate(t *testing.T) {
+	faults := injectFaults(t)
 	dir := t.TempDir()
 	dbs, w, _ := openLogDBs(t, dir, 2)
 	var vec sync.Mutex
@@ -177,17 +178,14 @@ func TestPrepareSharesBatchFate(t *testing.T) {
 		t.Errorf("group_commits +%d grouped_txns +%d, want +1 and +3", g, x)
 	}
 
-	if err := EnableFailpoint(FpWALFsyncBefore, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableAllFailpoints()
+	arm(t, faults, "sync:segment=error")
 	before = w.Stats()
 	for _, err := range round(200) {
 		if !errors.Is(err, ErrWALFailed) {
 			t.Fatalf("a record sharing the failed fsync: %v, want ErrWALFailed", err)
 		}
 	}
-	DisableAllFailpoints()
+	arm(t, faults, "")
 	if got := w.Stats().Fsyncs - before.Fsyncs; got != 0 {
 		t.Fatalf("fsyncs advanced by %d under a failing fsync", got)
 	}

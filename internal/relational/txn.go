@@ -256,7 +256,10 @@ func (req *walReq) commit() error {
 		req.finish()
 		return nil
 	}
-	err := evalFailpoint(FpPipelineStampAfter)
+	var err error
+	if w.faults != nil {
+		err = w.faults.Point("pipeline.stamp.after")
+	}
 	if err == nil && w.closed {
 		err = ErrWALClosed
 	}

@@ -17,10 +17,11 @@
 // failure), the whole commit group rolls back unpublished and every
 // member returns an error wrapping ErrWALFailed. Checkpoints bound log
 // size and recovery time; recovery truncates torn tails and stops at
-// the first corrupt frame. The failpoint seam (failpoint.go) and the
-// internal/walcrash harness prove the contract by SIGKILLing a child
-// process at every fault site and diffing recovered state against a
-// shadow model.
+// the first corrupt frame. Every file operation goes through one seam
+// (FileSystem, a pagestore.FS). The internal/walcrash harness proves the
+// contract through it: it SIGKILLs a child process at each kind of file
+// operation, and it reopens every state a power cut could leave behind a
+// recorded run; both diff the recovered state against a shadow model.
 //
 // The engine substitutes for the Oracle 10g instance used in the paper's
 // evaluation.

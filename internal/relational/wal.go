@@ -177,11 +177,16 @@ type WAL struct {
 	opts    WALOptions
 	members []*Database // member i's sub-records carry index i
 
-	f         *os.File // active segment; owned by the writer stage
-	segIndex  uint64   // active segment's index
-	segBytes  int64    // bytes appended to the active segment
-	activeMax []uint64 // per member: highest sequence in the active segment
-	closed    bool     // set by Close under every member's commitMu
+	fs pagestore.FS // FileSystem when the log opened
+	// faults is fs when it is a FaultFS: the one named fault point,
+	// pipeline.stamp.after, fires through it.
+	faults *pagestore.FaultFS
+
+	f         pagestore.File // active segment; owned by the writer stage
+	segIndex  uint64         // active segment's index
+	segBytes  int64          // bytes appended to the active segment
+	activeMax []uint64       // per member: highest sequence in the active segment
+	closed    bool           // set by Close under every member's commitMu
 
 	mu     sync.Mutex
 	sealed []sealedSegment
@@ -237,28 +242,21 @@ func parseSegmentIndex(name string) (uint64, bool) {
 	return idx, len(mid) > 0
 }
 
-// SyncDir fsyncs a directory so entry creations/renames/removals are
-// durable, the half of crash safety rename alone does not give.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// FileSystem is the file system every log and page store opens
+// through, and keeps for its life: pagestore.OS in production. A test
+// puts a pagestore.FaultFS, or a file system that records crash states,
+// here before it opens a data dir, and puts OS back; such a test does not
+// run in parallel.
+var FileSystem = pagestore.OS
 
 // stampFormat writes dataDirFormat into a fresh dir the way the page
 // store writes its directory (pagestore.ReplaceFile) and refuses, touching
 // nothing, a dir stamped with another number or holding files and no
 // stamp. The stamp's tmp file alone is a first open a crash cut short:
 // the dir is still fresh.
-func stampFormat(dir string) error {
+func stampFormat(fs pagestore.FS, dir string) error {
 	want := strconv.Itoa(dataDirFormat)
-	data, err := os.ReadFile(filepath.Join(dir, formatFileName))
+	data, err := fs.ReadFile(filepath.Join(dir, formatFileName))
 	if err == nil {
 		if got := strings.TrimSpace(string(data)); got != want {
 			return formatMismatch(dir, got)
@@ -268,7 +266,7 @@ func stampFormat(dir string) error {
 	if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return err
 	}
@@ -277,7 +275,7 @@ func stampFormat(dir string) error {
 			return formatMismatch(dir, "none")
 		}
 	}
-	return pagestore.ReplaceFile(dir, formatFileName, []byte(want+"\n"), nil)
+	return pagestore.ReplaceFile(fs, dir, formatFileName, []byte(want+"\n"))
 }
 
 func formatMismatch(dir, found string) error {
@@ -616,9 +614,6 @@ func ScanFrames(data []byte, visit func(payload []byte) bool) (valid int64) {
 // writer stage, or by Checkpoint while the writer is parked at its
 // barrier.
 func (w *WAL) rotate() error {
-	if err := evalFailpoint(FpWALRotateSeal); err != nil {
-		return err
-	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -630,17 +625,14 @@ func (w *WAL) rotate() error {
 	w.sealed = append(w.sealed, sealedSegment{index: w.segIndex, path: segmentPath(w.dir, w.segIndex), maxSeq: w.activeMax})
 	w.mu.Unlock()
 	w.activeMax = make([]uint64, len(w.members))
-	if err := w.openSegment(w.segIndex + 1); err != nil {
-		return err
-	}
-	return evalFailpoint(FpWALRotateOpen)
+	return w.openSegment(w.segIndex + 1)
 }
 
 // openSegment creates the segment file with the given index, extends
 // it to SegmentBytes and makes both the size and the directory entry
 // durable before it becomes the active segment.
 func (w *WAL) openSegment(index uint64) error {
-	f, err := os.OpenFile(segmentPath(w.dir, index), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := w.fs.OpenFile(segmentPath(w.dir, index), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
@@ -649,7 +641,7 @@ func (w *WAL) openSegment(index uint64) error {
 		err = f.Sync()
 	}
 	if err == nil {
-		err = SyncDir(w.dir)
+		err = w.fs.SyncDir(w.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -700,14 +692,18 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 		}
 	}
 	openStart := time.Now()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fs := FileSystem
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	if err := stampFormat(dir); err != nil {
+	if err := stampFormat(fs, dir); err != nil {
 		return nil, nil, err
 	}
+	faults, _ := fs.(*pagestore.FaultFS)
 	w := &WAL{
 		dir:           dir,
+		fs:            fs,
+		faults:        faults,
 		opts:          opts.withDefaults(),
 		members:       members,
 		activeMax:     make([]uint64, len(members)),
@@ -715,7 +711,7 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 		ckptPauseHist: obs.NewDurationHistogram(),
 		ckptStallHist: obs.NewDurationHistogram(),
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -741,10 +737,10 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 	// yields an empty Recovered); the live pages are read in parallel.
 	err = parallel(len(members), func(i int) error {
 		db := members[i]
-		if err := os.MkdirAll(pageDirs[i], 0o755); err != nil {
+		if err := fs.MkdirAll(pageDirs[i], 0o755); err != nil {
 			return err
 		}
-		store, rec, err := pagestore.Open(pageDirs[i], pagestore.Options{Failpoint: evalFailpoint})
+		store, rec, err := pagestore.Open(fs, pageDirs[i])
 		if err != nil {
 			return fmt.Errorf("relational: page store: %w", err)
 		}
@@ -822,12 +818,12 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 			// Past the first bad record nothing was ever acknowledged;
 			// remove later segments so a future recovery cannot replay
 			// beyond the same stopping point.
-			if err := os.Remove(path); err != nil {
+			if err := w.fs.Remove(path); err != nil {
 				return err
 			}
 			continue
 		}
-		data, err := os.ReadFile(path)
+		data, err := w.fs.ReadFile(path)
 		if err != nil {
 			return err
 		}
@@ -857,7 +853,7 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 		// them; register them for that retirement.
 		w.sealed = append(w.sealed, sealedSegment{index: idx, path: path, maxSeq: maxSeq})
 		if valid < int64(len(data)) {
-			if err := os.Truncate(path, valid); err != nil {
+			if err := w.cutSegment(path, valid); err != nil {
 				return err
 			}
 			if allZero(data[valid:]) {
@@ -872,7 +868,7 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 		}
 	}
 	if stopped || trimmed {
-		if err := SyncDir(w.dir); err != nil {
+		if err := w.fs.SyncDir(w.dir); err != nil {
 			return err
 		}
 	}
@@ -884,6 +880,28 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 		}
 		return nil
 	})
+}
+
+// cutSegment cuts the segment at path to size and makes the cut durable
+// before recovery goes on: a cut the next crash could undo would bring
+// the torn bytes back under records a later segment acknowledges, and
+// the recovery after it would stop at them.
+func (w *WAL) cutSegment(path string, size int64) error {
+	f, err := w.fs.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		w.fsyncs.Add(1)
+	}
+	return err
 }
 
 // replay reapplies, in order, the transactions past the database's
@@ -1096,9 +1114,6 @@ func (w *WAL) Checkpoint() error {
 	if err == nil {
 		w.checkpoints.Add(1)
 	}
-	if ferr := evalFailpoint(FpCheckpointTruncate); ferr != nil {
-		return ferr
-	}
 	// Even when an install failed, the others may have freed segments.
 	if rerr := w.retire(); err == nil {
 		err = rerr
@@ -1124,9 +1139,6 @@ func (w *WAL) lockMembers() (unlock func()) {
 // pinned sequence. On failure the dirty set goes back to the tables.
 func (db *Database) installPages(p ckptPass) error {
 	plan, err := db.buildPageInstalls(p.snap, p.dirty)
-	if err == nil {
-		err = evalFailpoint(FpCheckpointWrite)
-	}
 	var placements []pagestore.PageInfo
 	if err == nil {
 		// Install even when the plan is empty: the directory record
@@ -1167,11 +1179,11 @@ func (w *WAL) retire() error {
 	w.sealed = kept
 	w.mu.Unlock()
 	for _, s := range done {
-		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
+		if err := w.fs.Remove(s.path); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
-	return SyncDir(w.dir)
+	return w.fs.SyncDir(w.dir)
 }
 
 // StartCheckpointer checkpoints the database's log on the given interval

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +56,24 @@ func openWALDB(t testing.TB, dir string, opts WALOptions) (*Database, *RecoveryI
 	}
 	t.Cleanup(func() { _ = db.CloseWAL() })
 	return db, info
+}
+
+// injectFaults routes every data dir the test opens from here on through
+// a FaultFS the test arms with fault specs, and puts OS back when the
+// test ends.
+func injectFaults(t testing.TB) *pagestore.FaultFS {
+	t.Helper()
+	faults := &pagestore.FaultFS{}
+	FileSystem = faults
+	t.Cleanup(func() { FileSystem = pagestore.OS })
+	return faults
+}
+
+func arm(t testing.TB, faults *pagestore.FaultFS, spec string) {
+	t.Helper()
+	if err := faults.Arm(spec); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // dumpDB flattens the committed state into table -> each row as
@@ -344,51 +363,24 @@ func TestWALCheckpointCadence(t *testing.T) {
 // dirty rows do not stay resident, nor the segments unretired, until the
 // next write.
 func TestCheckpointerRetriesFailedPass(t *testing.T) {
+	faults := injectFaults(t)
 	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
-	t.Cleanup(DisableAllFailpoints)
 	mustInsertParent(t, db, 1, "one")
-	if err := EnableFailpoint(FpCheckpointWrite, "error@1"); err != nil {
-		t.Fatal(err)
-	}
-	before := db.Stats().Checkpoints
+	arm(t, faults, "write:heap=error@1")
+	before := db.Stats()
 	stop := db.StartCheckpointer(10 * time.Millisecond)
 	defer stop()
-	for deadline := time.Now().Add(2 * time.Second); db.Stats().Checkpoints == before; time.Sleep(5 * time.Millisecond) {
+	// Every pass, failed or not, records its pause as it returns: wait for
+	// a success and for more passes than successes.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := db.Stats()
+		ok := st.Checkpoints - before.Checkpoints
+		passes := int64(st.CheckpointPauseHist.Count - before.CheckpointPauseHist.Count)
+		if ok > 0 && passes > ok {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint succeeded in 2s of 10ms ticks after a failed pass (%d failpoint evaluations)",
-				failpoints[FpCheckpointWrite].hits.Load())
-		}
-	}
-	if n := failpoints[FpCheckpointWrite].hits.Load(); n < 2 {
-		t.Fatalf("the pass that succeeded was not a retry: %d evaluations of %s", n, FpCheckpointWrite)
-	}
-}
-
-// TestPagestoreFailpointsRegistered: every failpoint name the page store
-// fires is registered here — an unregistered one would fault the first
-// lookup once any failpoint is armed.
-func TestPagestoreFailpointsRegistered(t *testing.T) {
-	fired := map[string]bool{}
-	store, _, err := pagestore.Open(t.TempDir(), pagestore.Options{Failpoint: func(name string) error {
-		fired[name] = true
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := store.Install(1, []pagestore.Install{{Table: "t", Rows: []pagestore.InstallRow{{ID: 1, Payload: []byte("row")}}}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{pagestore.FpWrite, pagestore.FpDirectory, pagestore.FpRename} {
-		if !fired[name] {
-			t.Errorf("an install never fired %s", name)
-		}
-	}
-	registered := FailpointNames()
-	for name := range fired {
-		if !slices.Contains(registered, name) {
-			t.Errorf("the page store fires %s, which is not in FailpointNames()", name)
+			t.Fatalf("after 2s of 10ms ticks, %d passes and %d succeeded: want a pass that succeeded after one that failed", passes, ok)
 		}
 	}
 }
@@ -562,14 +554,12 @@ func TestWALCorruptionMidChainStopsThere(t *testing.T) {
 }
 
 func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
+	faults := injectFaults(t)
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{})
 	mustInsertParent(t, db, 1, "base")
 
-	if err := EnableFailpoint(FpWALFsyncBefore, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableAllFailpoints()
+	arm(t, faults, "sync:segment=error")
 
 	// Two transactions committed as one group: the fsync failure must
 	// fail BOTH (the regression this guards: a flush with no error to
@@ -595,7 +585,7 @@ func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
 	}
 	// After the fault clears, the database is fully usable and the ids
 	// never became durable.
-	DisableAllFailpoints()
+	arm(t, faults, "")
 	mustInsertParent(t, db, 4, "after")
 	want := dumpDB(t, db)
 	if err := db.CloseWAL(); err != nil {
@@ -607,25 +597,32 @@ func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
 	}
 }
 
+// TestWALErrorFailpointsRollBackCleanly fails a commit's write or fsync:
+// the commit fails with ErrWALFailed, state is unchanged, the log stays
+// valid for both further commits and recovery. Each subtest is named for
+// the failpoint its fault replaced; the torn write is a short one, which
+// leaves half the frame in the segment and fails.
 func TestWALErrorFailpointsRollBackCleanly(t *testing.T) {
-	// Every commit-path failpoint in error mode: commit fails with
-	// ErrWALFailed, state is unchanged, the log stays valid for both
-	// further commits and recovery.
-	points := []string{FpWALAppendBefore, FpWALAppendPartial, FpWALFsyncBefore, FpWALFsyncAfter}
-	for _, fp := range points {
-		t.Run(fp, func(t *testing.T) {
+	for _, c := range []struct{ name, fault string }{
+		{"wal.append.before", "write:segment=error"},
+		{"wal.append.partial", ""},
+		{"wal.fsync.before", "sync:segment=error"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			faults := injectFaults(t)
+			short := &shortWriteFS{FS: pagestore.OS}
+			faults.FS = short
 			dir := t.TempDir()
 			db, _ := openWALDB(t, dir, WALOptions{})
 			mustInsertParent(t, db, 1, "base")
-			if err := EnableFailpoint(fp, "error"); err != nil {
-				t.Fatal(err)
-			}
-			defer DisableAllFailpoints()
+			arm(t, faults, c.fault)
+			short.on.Store(c.fault == "")
 			_, err := db.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("doomed")})
 			if !errors.Is(err, ErrWALFailed) {
 				t.Fatalf("insert error = %v, want ErrWALFailed", err)
 			}
-			DisableAllFailpoints()
+			arm(t, faults, "")
+			short.on.Store(false)
 			mustInsertParent(t, db, 3, "survivor")
 			want := dumpDB(t, db)
 			if err := db.CloseWAL(); err != nil {
@@ -635,11 +632,39 @@ func TestWALErrorFailpointsRollBackCleanly(t *testing.T) {
 			if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
 				t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
 			}
-			if info.TornTail && fp != FpWALAppendPartial {
-				t.Fatalf("unexpected torn tail for %s: %+v", fp, info)
+			if info.TornTail {
+				t.Fatalf("unexpected torn tail for %s: %+v", c.name, info)
 			}
 		})
 	}
+}
+
+// shortWriteFS, while on, writes the first half of a write's bytes and
+// fails it, as a device that fills up mid-write does.
+type shortWriteFS struct {
+	pagestore.FS
+	on atomic.Bool
+}
+
+func (s *shortWriteFS) OpenFile(name string, flag int, perm os.FileMode) (pagestore.File, error) {
+	f, err := pagestore.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return shortWriteFile{f, &s.on}, nil
+}
+
+type shortWriteFile struct {
+	pagestore.File
+	on *atomic.Bool
+}
+
+func (f shortWriteFile) WriteAt(p []byte, off int64) (int, error) {
+	if !f.on.Load() {
+		return f.File.WriteAt(p, off)
+	}
+	n, _ := f.File.WriteAt(p[:len(p)/2], off)
+	return n, errors.New("short write")
 }
 
 func TestWALCloseRejectsFurtherCommits(t *testing.T) {

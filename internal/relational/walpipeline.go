@@ -2,7 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 )
@@ -43,11 +42,6 @@ type walReq struct {
 	one   [1]walPart  // parts' backing store for a single-member record
 	vec   sync.Locker // held across a multi-part publish; may be nil
 	err   error       // set by the write phase; routes to rollback
-
-	// Where the record landed, for truncating failed batch tails.
-	segIndex uint64
-	off      int64
-	wrote    int64
 
 	barrier *walBarrier
 	stop    bool
@@ -144,7 +138,7 @@ func (w *WAL) runBatch(batch []*walReq) (stopped bool) {
 	flush()
 
 	// Phase B: resolve each request strictly in sequence order.
-	for i, req := range batch {
+	for _, req := range batch {
 		switch {
 		case req.stop:
 			req.done <- nil
@@ -155,15 +149,6 @@ func (w *WAL) runBatch(batch []*walReq) (stopped bool) {
 		case req.err != nil:
 			w.failRecord(req)
 		default:
-			if err := evalFailpoint(FpPipelinePublishBefore); err != nil {
-				// The record IS durable; failing it means it must not
-				// survive on disk either, or recovery would replay a
-				// rolled-back commit. Truncate this record and everything
-				// after it (all of which is failing too).
-				w.truncateBatchTail(batch, i, err)
-				w.failRecord(req)
-				continue
-			}
 			w.publishRecord(req)
 		}
 	}
@@ -196,10 +181,9 @@ func (w *WAL) publishRecord(req *walReq) {
 }
 
 // failRecord rolls back every part of a stamped record whose bytes never
-// became (or were not allowed to remain) durable. Its stamps never
-// published — no commitSeq reached them — so popping the versions under
-// each member's db.mu is invisible to every reader, exactly like a
-// rollback.
+// became durable. Its stamps never published — no commitSeq reached
+// them — so popping the versions under each member's db.mu is invisible
+// to every reader, exactly like a rollback.
 func (w *WAL) failRecord(req *walReq) {
 	req.undo()
 	w.pipeDepth.Add(-1)
@@ -221,60 +205,30 @@ func (w *WAL) stopWriter() {
 // syncing. On error the partial bytes are truncated away and segBytes
 // stays put, so the failure cannot corrupt later records.
 func (w *WAL) writeFrame(req *walReq) error {
-	if err := evalFailpoint(FpWALAppendBefore); err != nil {
-		return err
-	}
 	bufp := walFramePool.Get().(*[]byte)
 	frame := encodeRecord((*bufp)[:0], req)
 	defer func() {
 		*bufp = frame[:0]
 		walFramePool.Put(bufp)
 	}()
-	req.segIndex = w.segIndex
-	req.off = w.segBytes
-	rest := frame
-	wrote := 0
-	if failpointFires(FpWALAppendPartial) {
-		// A torn write: half the frame reaches the file, then the fault
-		// fires (crash mode dies here, leaving the torn tail on disk for
-		// recovery to discard; error mode falls through to the truncate).
-		n, werr := w.f.Write(rest[:len(rest)/2])
-		wrote += n
-		if err := fireFailpoint(FpWALAppendPartial); err != nil {
-			w.truncateTo(w.segBytes)
-			return err
-		}
-		if werr != nil {
-			w.truncateTo(w.segBytes)
-			return werr
-		}
-		rest = rest[len(rest)/2:]
-	}
-	n, err := w.f.Write(rest)
-	wrote += n
-	if err != nil {
+	if _, err := w.f.WriteAt(frame, w.segBytes); err != nil {
 		w.truncateTo(w.segBytes)
 		return err
 	}
-	w.segBytes += int64(wrote)
-	req.wrote = int64(wrote)
+	w.segBytes += int64(len(frame))
 	for i := range req.parts {
 		p := &req.parts[i]
 		w.activeMax[p.db.member] = max(w.activeMax[p.db.member], p.seq)
 	}
 	w.appends.Add(1)
-	w.bytes.Add(int64(wrote))
+	w.bytes.Add(int64(len(frame)))
 	return nil
 }
 
 // syncActive fsyncs the active segment, recording the fsync duration.
-// An error (including the injected post-fsync fault, which fails the
-// commit even though the bytes are durable) tells the caller to
-// truncate back to the durable length and fail the unsynced records.
+// An error tells the caller to truncate back to the durable length and
+// fail the unsynced records.
 func (w *WAL) syncActive() error {
-	if err := evalFailpoint(FpWALFsyncBefore); err != nil {
-		return err
-	}
 	syncStart := time.Now()
 	if err := w.f.Sync(); err != nil {
 		return err
@@ -283,7 +237,7 @@ func (w *WAL) syncActive() error {
 	w.fsyncHist.Record(fsyncNs)
 	w.lastFsyncNs.Store(fsyncNs)
 	w.fsyncs.Add(1)
-	return evalFailpoint(FpWALFsyncAfter)
+	return nil
 }
 
 // truncateTo cuts the active segment back to off, dropping what a
@@ -296,35 +250,5 @@ func (w *WAL) truncateTo(off int64) {
 	if off < w.opts.SegmentBytes {
 		_ = w.f.Truncate(w.opts.SegmentBytes)
 	}
-	_, _ = w.f.Seek(off, 0)
 	w.segBytes = off
-}
-
-// truncateBatchTail fails every request from index from onward and
-// removes their already-durable records from disk, so a recovery cannot
-// replay records whose commits were rolled back. Requests may span a
-// rotation: sealed segments are truncated by path, the active one
-// through the writer's handle.
-func (w *WAL) truncateBatchTail(batch []*walReq, from int, cause error) {
-	mins := make(map[uint64]int64)
-	for _, r := range batch[from:] {
-		if r.barrier != nil || r.stop {
-			continue
-		}
-		if r.err == nil {
-			r.err = cause
-		}
-		if r.wrote > 0 {
-			if off, ok := mins[r.segIndex]; !ok || r.off < off {
-				mins[r.segIndex] = r.off
-			}
-		}
-	}
-	for seg, off := range mins {
-		if seg == w.segIndex {
-			w.truncateTo(off)
-		} else {
-			_ = os.Truncate(segmentPath(w.dir, seg), off)
-		}
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pagestore"
 	"repro/internal/relational"
 )
 
@@ -179,6 +180,9 @@ func TestConcurrentConflictingAppliesNo5xx(t *testing.T) {
 // is answered 503 with a Retry-After, never 422, and leaves nothing
 // behind; once the log recovers the same apply commits.
 func TestApplyWALFailureAnswers503(t *testing.T) {
+	faults := &pagestore.FaultFS{}
+	relational.FileSystem = faults
+	defer func() { relational.FileSystem = pagestore.OS }()
 	reg := NewRegistry()
 	reg.DataDir = t.TempDir()
 	v, err := reg.Add(ViewConfig{Name: "book", Dataset: "book"})
@@ -191,10 +195,9 @@ func TestApplyWALFailureAnswers503(t *testing.T) {
 	const insertReview = `{"update":"FOR $book IN document(\"BookView.xml\")/book WHERE $book/title/text() = \"Data on the Web\" UPDATE $book { INSERT <review><reviewid>991</reviewid><comment> durable </comment></review> }"}`
 	rows := v.Stats().RowsTotal
 
-	if err := relational.EnableFailpoint(relational.FpWALFsyncBefore, "error"); err != nil {
+	if err := faults.Arm("sync:segment=error"); err != nil {
 		t.Fatal(err)
 	}
-	defer relational.DisableAllFailpoints()
 	resp, err := http.Post(srv.URL+"/views/book/apply", "application/json", strings.NewReader(insertReview))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +206,9 @@ func TestApplyWALFailureAnswers503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("apply under a failing fsync: status %d, Retry-After %q; want 503 with one", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	relational.DisableFailpoint(relational.FpWALFsyncBefore)
+	if err := faults.Arm(""); err != nil {
+		t.Fatal(err)
+	}
 	if got := v.Stats().RowsTotal; got != rows {
 		t.Fatalf("rows_total %d after the failed apply, want %d", got, rows)
 	}

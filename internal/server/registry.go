@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bookdb"
 	"repro/internal/obs"
+	"repro/internal/pagestore"
 	"repro/internal/psd"
 	"repro/internal/relational"
 	"repro/internal/shard"
@@ -728,9 +729,14 @@ func (r *Registry) openStorage(v *View, schema *relational.Schema, fill func(rel
 	}
 	start := time.Now()
 	var err error
+	fs := relational.FileSystem
 	if dir != "" {
-		if err = os.WriteFile(marker, nil, 0o644); err == nil {
-			err = relational.SyncDir(dir)
+		var f pagestore.File
+		if f, err = fs.OpenFile(marker, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err == nil {
+			err = f.Close()
+		}
+		if err == nil {
+			err = fs.SyncDir(dir)
 		}
 	}
 	var stats relational.LoadStats
@@ -738,8 +744,8 @@ func (r *Registry) openStorage(v *View, schema *relational.Schema, fill func(rel
 		stats, err = load(fill)
 	}
 	if err == nil && dir != "" {
-		if err = os.Remove(marker); err == nil {
-			err = relational.SyncDir(dir)
+		if err = fs.Remove(marker); err == nil {
+			err = fs.SyncDir(dir)
 		}
 	}
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/pagestore"
 	"repro/internal/relational"
 	"repro/internal/tpch"
 )
@@ -120,25 +121,33 @@ func TestRestartNeverReseeds(t *testing.T) {
 // fails after two batches, and a checkpoint failing inside the first
 // seed pass — and requires the next Add over the same directory to
 // recognise the half-seeded directory and reseed it to the clean dump.
+// Each subtest is named for the failpoint its fault replaced.
 func TestInterruptedSeedIsRedone(t *testing.T) {
-	// Evaluations to let pass, per shard, before the fault: two batches'
-	// records; the empty initial image each shard checkpoints at open.
-	faults := map[string]int{
-		relational.FpWALAppendBefore: 2,
-		relational.FpCheckpointWrite: 1,
-	}
-	for name, perShard := range faults {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// fault is the spec for that many shards. Record writes let two
+		// batches per shard pass; heap writes start with the seed's first
+		// pass, since the image each shard checkpoints at open is empty.
+		fault func(shards int) string
+	}{
+		{"wal.append.before", func(shards int) string { return fmt.Sprintf("write:segment=error@%d", 2*shards+1) }},
+		{"checkpoint.write", func(int) string { return "write:heap=error@1" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			forShardCounts(t, func(t *testing.T, shards int) {
-				defer relational.DisableAllFailpoints()
+				faults := &pagestore.FaultFS{}
+				relational.FileSystem = faults
+				defer func() { relational.FileSystem = pagestore.OS }()
 				dataDir := t.TempDir()
-				if err := relational.EnableFailpoint(name, fmt.Sprintf("error@%d", perShard*shards+1)); err != nil {
+				if err := faults.Arm(c.fault(shards)); err != nil {
 					t.Fatal(err)
 				}
 				if _, _, err := addDurable(t, dataDir, shards); err == nil {
 					t.Fatal("seed survived the injected fault")
 				}
-				relational.DisableAllFailpoints()
+				if err := faults.Arm(""); err != nil {
+					t.Fatal(err)
+				}
 				if _, err := os.Stat(filepath.Join(dataDir, "tpch", seedMarker)); err != nil {
 					t.Fatalf("aborted seed left no marker: %v", err)
 				}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bookdb"
 	"repro/internal/obs"
+	"repro/internal/pagestore"
 	"repro/internal/relational"
 )
 
@@ -27,6 +28,24 @@ func segments(t testing.TB, dir string) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// injectFaults routes every data dir the test opens from here on through
+// a FaultFS the test arms with fault specs, and puts OS back when the
+// test ends.
+func injectFaults(t testing.TB) *pagestore.FaultFS {
+	t.Helper()
+	faults := &pagestore.FaultFS{}
+	relational.FileSystem = faults
+	t.Cleanup(func() { relational.FileSystem = pagestore.OS })
+	return faults
+}
+
+func arm(t testing.TB, faults *pagestore.FaultFS, spec string) {
+	t.Helper()
+	if err := faults.Arm(spec); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // activeSegment returns the log's highest-indexed segment under dir.
@@ -235,27 +254,25 @@ func TestPowerLossCutPoints(t *testing.T) {
 }
 
 // TestCoordinatorFlushFailureAborts fails the one fsync a cross-shard
-// commit waits for, before and after the bytes are durable: every part
-// aborts on every shard, nothing of the transaction is visible or
-// recoverable (a failure reported after the fsync cuts the record back
-// off), the latches are free and the next commit succeeds.
+// commit waits for: every part aborts on every shard, nothing of the
+// transaction is visible or recoverable, the latches are free and the
+// next commit succeeds. The subtest is named for the failpoint its fault
+// replaced.
 func TestCoordinatorFlushFailureAborts(t *testing.T) {
-	for _, fp := range []string{relational.FpWALFsyncBefore, relational.FpWALFsyncAfter} {
+	for _, fp := range []string{"wal.fsync.before"} {
 		t.Run(fp, func(t *testing.T) {
+			faults := injectFaults(t)
 			dir := t.TempDir()
 			db, _ := newGroupDir(t, 2, dir)
 			want := dump(t, db)
-			if err := relational.EnableFailpoint(fp, "error"); err != nil {
-				t.Fatal(err)
-			}
-			defer relational.DisableAllFailpoints()
+			arm(t, faults, "sync:segment=error")
 			txn := db.BeginTxn()
 			insertPub(t, txn, pubOnShard(db, 0, "F"), "doomed 0")
 			insertPub(t, txn, pubOnShard(db, 1, "F"), "doomed 1")
 			if err := txn.Commit(); !errors.Is(err, relational.ErrWALFailed) {
 				t.Fatalf("commit under a failing fsync: %v, want ErrWALFailed", err)
 			}
-			relational.DisableAllFailpoints()
+			arm(t, faults, "")
 			if got := dump(t, db); !reflect.DeepEqual(got, want) {
 				t.Fatalf("aborted transaction left a trace:\n got %v\nwant %v", got, want)
 			}
@@ -290,6 +307,7 @@ func TestCoordinatorFlushFailureAborts(t *testing.T) {
 // The next commit succeeds, and the restart finds exactly the
 // acknowledged state.
 func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
+	faults := injectFaults(t)
 	dir := t.TempDir()
 	db, _ := newGroupDir(t, 2, dir)
 	txn := db.BeginTxn()
@@ -299,17 +317,14 @@ func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	logLen := logEnd(t, activeSegment(t, dir))
-	if err := relational.EnableFailpoint(relational.FpWALFsyncBefore, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer relational.DisableAllFailpoints()
+	arm(t, faults, "sync:segment=error")
 	for s := 0; s < 2; s++ {
 		err := commitPub(db, pubOnShard(db, s, "I"), fmt.Sprintf("doomed %d", s))
 		if !errors.Is(err, relational.ErrWALFailed) {
 			t.Fatalf("single-shard commit under a failing fsync: %v, want ErrWALFailed", err)
 		}
 	}
-	relational.DisableAllFailpoints()
+	arm(t, faults, "")
 	if got := logEnd(t, activeSegment(t, dir)); got != logLen {
 		t.Fatalf("the failed commits left the log's records ending at %d, want the %d the acknowledged ones did", got, logLen)
 	}
@@ -336,6 +351,7 @@ func TestFsyncFailureKeepsUnflushedPrepare(t *testing.T) {
 // keep shard 0's segments and retire shard 1's. The next good checkpoint
 // retires the rest, and recovery reproduces the exact dump throughout.
 func TestCoordinatorLogSealsAndRetires(t *testing.T) {
+	faults := injectFaults(t)
 	dir := t.TempDir()
 	opts := Options{Dir: dir, WAL: relational.WALOptions{SegmentBytes: 2 << 10}}
 	db, _ := newGroup(t, 2, opts)
@@ -369,14 +385,11 @@ func TestCoordinatorLogSealsAndRetires(t *testing.T) {
 		t.Fatal(err)
 	}
 	shard0, shard1 := fill(0, false), fill(1, true)
-	if err := relational.EnableFailpoint(relational.FpPagestoreWrite, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer relational.DisableAllFailpoints()
+	arm(t, faults, "write:heap=error")
 	if err := db.Checkpoint(); err == nil {
 		t.Fatal("the checkpoint survived shard 0's failing page writes")
 	}
-	relational.DisableAllFailpoints()
+	arm(t, faults, "")
 	if a, b := db.shards[0].CheckpointSeq(), db.shards[1].CheckpointSeq(); a >= db.shards[0].Stats().CommitSeq || b != db.shards[1].Stats().CommitSeq {
 		t.Fatalf("checkpoints at %d and %d: want shard 0 behind, shard 1 caught up", a, b)
 	}

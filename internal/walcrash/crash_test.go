@@ -15,13 +15,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pagestore"
 	"repro/internal/relational"
 	"repro/internal/shard"
 )
 
 // TestMain re-execs the test binary as the crash child when
-// WALCRASH_CHILD is set: the child runs the seeded workload with crash
-// failpoints armed and dies by SIGKILL mid-durability-path; the parent
+// WALCRASH_CHILD is set: the child runs the seeded workload with a crash
+// fault armed and dies by SIGKILL mid-durability-path; the parent
 // (the normal test run) reaps it, reopens the WAL directory and
 // verifies the committed prefix.
 func TestMain(m *testing.M) {
@@ -57,13 +58,12 @@ func openEngine(dir string, shards int, opts relational.WALOptions) (engine, err
 
 // childMain is the crash child: open the WAL directory (a shard group
 // when WALCRASH_SHARDS says so: most workload transactions then commit
-// across shards), arm failpoints
-// from the environment, run the deterministic workload, and acknowledge
-// every committed transaction on stdout ("ACK <k>"), checkpointing every
-// childCkptEvery commits. A crash-mode
-// failpoint SIGKILLs the process somewhere in the middle; reaching the
-// end prints DONE and exits 0 (which the failpoint matrix treats as
-// "failpoint never fired" — a test failure).
+// across shards) through a FaultFS armed from RELATIONAL_FAULTS, run the
+// deterministic workload, and acknowledge every committed transaction
+// on stdout ("ACK <k>"), checkpointing every childCkptEvery commits. A
+// crash fault SIGKILLs the process somewhere in the middle; reaching the
+// end prints DONE and exits 0 (which the crash matrix treats as "the
+// fault never fired" — a test failure).
 func childMain() {
 	die := func(err error) {
 		fmt.Fprintf(os.Stderr, "walcrash child: %v\n", err)
@@ -83,9 +83,11 @@ func childMain() {
 
 	// Arm before OpenWAL so the initial-checkpoint and rotation paths
 	// are crashable too, not just steady-state commits.
-	if err := relational.EnableFailpointsFromEnv(); err != nil {
+	faults := &pagestore.FaultFS{}
+	if err := faults.Arm(os.Getenv("RELATIONAL_FAULTS")); err != nil {
 		die(err)
 	}
+	relational.FileSystem = faults
 	// Every segment carries zeroed slack after its live frames, which
 	// recovery must trim without declaring a torn tail.
 	db, err := openEngine(dir, shards, relational.WALOptions{SegmentBytes: segBytes})
@@ -120,13 +122,14 @@ const (
 	childSegBytes = 512
 	// childCkptEvery commits a checkpoint pass runs: ten passes in the
 	// child's workload, the initial one at open included — enough for
-	// every checkpoint failpoint's highest hit count in failpointHits.
+	// every checkpoint fault's highest hit count in the crash matrix.
 	childCkptEvery = 16
 )
 
 // childCmd builds the crash child's command line: txns transactions of
-// the seeded workload against dir, opened with that many shards.
-func childCmd(dir string, seed int64, txns, shards int, failpoints string) *exec.Cmd {
+// the seeded workload against dir, opened with that many shards, under
+// the fault spec faults.
+func childCmd(dir string, seed int64, txns, shards int, faults string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
 		"WALCRASH_CHILD=1",
@@ -135,17 +138,17 @@ func childCmd(dir string, seed int64, txns, shards int, failpoints string) *exec
 		"WALCRASH_TXNS="+strconv.Itoa(txns),
 		"WALCRASH_SEGBYTES="+strconv.Itoa(childSegBytes),
 		"WALCRASH_SHARDS="+strconv.Itoa(shards),
-		"RELATIONAL_FAILPOINTS="+failpoints,
+		"RELATIONAL_FAULTS="+faults,
 	)
 	return cmd
 }
 
-// runCrashChild launches the child against dir with the given failpoint
+// runCrashChild launches the child against dir with the given fault
 // spec and returns the last transaction it acknowledged plus how it
 // exited.
-func runCrashChild(t *testing.T, dir string, seed int64, shards int, failpoints string) (lastAck int64, exitedClean bool) {
+func runCrashChild(t *testing.T, dir string, seed int64, shards int, faults string) (lastAck int64, exitedClean bool) {
 	t.Helper()
-	cmd := childCmd(dir, seed, childTxns, shards, failpoints)
+	cmd := childCmd(dir, seed, childTxns, shards, faults)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
@@ -257,88 +260,131 @@ func verifyRecovery(t *testing.T, dir string, seed, lastAck int64, shards int) {
 	}
 }
 
-// failpointHits picks the @N hit counts exercised per failpoint: early
-// and mid-workload for the per-commit points, scaled down for the
-// rarer rotation/checkpoint paths. Under -race (or -short) only the
-// first hit runs — the reduced CI matrix.
-func failpointHits(fp string, reduced bool) []int {
-	var hits []int
-	switch {
-	case fp == "pagestore.directory":
-		// One directory replace per checkpoint install.
-		hits = []int{1, 5}
-	case strings.HasPrefix(fp, "checkpoint."):
-		hits = []int{1, 3}
-	case strings.HasPrefix(fp, "wal.rotate."):
-		hits = []int{1, 4}
-	default:
-		hits = []int{1, 20}
-	}
-	if reduced {
-		return hits[:1]
-	}
-	return hits
+// crashCase is one child of the crash matrix: a fault spec and the name
+// of its subtest. Rows named for a retired failpoint run the spec that
+// replaced it (CHANGES.md keeps the ledger); the others are named by
+// their spec. A segment's fsyncs include the extend fsync of every
+// segment opened and the seal fsync of every rotation: opening a fresh
+// dir issues three, so the first commit's fsync is the fourth. A kill -9
+// keeps the page cache, so dying right after a record's write leaves
+// what dying right after its fsync does; the wal.fsync.after rows count
+// writes, so their hit is always a commit's.
+type crashCase struct{ name, fault string }
+
+// crashMatrix is every op kind × file class the workload issues, each
+// in crash mode at an early and a later hit; under -race (or -short)
+// only the "@1" rows run — the reduced CI matrix.
+var crashMatrix = []crashCase{
+	{"wal.append.before@1", "write:segment=crash@1"},
+	{"wal.append.before@20", "write:segment=crash@20"},
+	{"wal.append.partial@1", "write:segment=tear@1"},
+	{"wal.append.partial@20", "write:segment=tear@20"},
+	{"wal.fsync.before@1", "sync:segment=crash@4"},
+	{"wal.fsync.before@20", "sync:segment=crash@20"},
+	{"wal.fsync.after@1", "write:segment=crash-after@1"},
+	{"wal.fsync.after@20", "write:segment=crash-after@20"},
+	{"pipeline.publish.before@1", "sync:segment=crash-after@4"},
+	{"pipeline.publish.before@20", "sync:segment=crash-after@20"},
+	{"pipeline.stamp.after@1", "pipeline.stamp.after=crash@1"},
+	{"pipeline.stamp.after@20", "pipeline.stamp.after=crash@20"},
+	{"wal.rotate.seal@1", "open:segment=crash@2"},
+	{"wal.rotate.seal@4", "open:segment=crash@5"},
+	{"wal.rotate.open@1", "open:segment=crash-after@2"},
+	{"wal.rotate.open@4", "open:segment=crash-after@5"},
+	{"checkpoint.write@1", "write:heap=crash@1"},
+	{"checkpoint.write@3", "write:heap=crash@3"},
+	{"pagestore.write@1", "write:heap=crash@2"},
+	{"pagestore.write@20", "write:heap=crash@20"},
+	{"pagestore.directory@1", "open:pagedir=crash@1"},
+	{"pagestore.directory@5", "open:pagedir=crash@5"},
+	{"checkpoint.rename@1", "rename:pagedir=crash@1"},
+	{"checkpoint.rename@3", "rename:pagedir=crash@3"},
+	{"checkpoint.truncate@1", "remove:segment=crash@1"},
+	{"checkpoint.truncate@3", "remove:segment=crash@3"},
+	{"truncate:segment=crash@1", "truncate:segment=crash@1"},
+	{"truncate:segment=crash@4", "truncate:segment=crash@4"},
+	{"sync:heap=crash@1", "sync:heap=crash@1"},
+	{"sync:heap=crash@3", "sync:heap=crash@3"},
+	{"write:pagedir=crash@1", "write:pagedir=crash@1"},
+	{"write:pagedir=crash@5", "write:pagedir=crash@5"},
+	{"sync:pagedir=crash@1", "sync:pagedir=crash@1"},
+	{"sync:pagedir=crash@5", "sync:pagedir=crash@5"},
+	{"syncdir:dir=crash@1", "syncdir:dir=crash@1"},
+	{"syncdir:dir=crash@20", "syncdir:dir=crash@20"},
+	{"mkdir:dir=crash@1", "mkdir:dir=crash@1"},
+	{"open:heap=crash@1", "open:heap=crash@1"},
+	{"remove:pagedir=crash@1", "remove:pagedir=crash@1"},
+	{"open:format=crash@1", "open:format=crash@1"},
+	{"write:format=crash@1", "write:format=crash@1"},
+	{"sync:format=crash@1", "sync:format=crash@1"},
+	{"rename:format=crash@1", "rename:format=crash@1"},
 }
 
-// TestCrashAtEveryFailpoint is the acceptance harness: for every
-// registered failpoint, run the workload in a child process that
-// SIGKILLs itself at that point, reopen, and assert exactly the
+// runMatrix runs each case in its own child on a group of that many
+// shards, reopens what the kill left and checks it against the shadow
+// model; check, if set, runs after that with the last acknowledged
+// transaction.
+func runMatrix(t *testing.T, cases []crashCase, shards int, seedBase int64, check func(t *testing.T, c crashCase, seed, lastAck int64)) {
+	reduced := raceEnabled || testing.Short()
+	var points []string // the distinct names before "@", in order
+	for _, c := range cases {
+		point, at, _ := strings.Cut(c.name, "@")
+		if len(points) == 0 || points[len(points)-1] != point {
+			points = append(points, point)
+		}
+		if reduced && at != "1" {
+			continue
+		}
+		hit, _ := strconv.Atoi(at)
+		seed := seedBase*int64(len(points)) + int64(hit)
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			lastAck, clean := runCrashChild(t, dir, seed, shards, c.fault)
+			if clean {
+				t.Fatalf("fault %s never fired: child finished all %d txns", c.fault, childTxns)
+			}
+			verifyRecovery(t, dir, seed, lastAck, shards)
+			if check != nil {
+				check(t, c, seed, lastAck)
+			}
+		})
+	}
+}
+
+// TestCrashAtEveryFailpoint is the acceptance harness: for every op kind
+// × file class in crashMatrix, run the workload in a child process that
+// SIGKILLs itself at that operation, reopen, and assert exactly the
 // committed prefix is visible.
 func TestCrashAtEveryFailpoint(t *testing.T) {
-	reduced := raceEnabled || testing.Short()
-	for i, fp := range relational.FailpointNames() {
-		for _, hit := range failpointHits(fp, reduced) {
-			name := fmt.Sprintf("%s@%d", fp, hit)
-			seed := int64(7919*int64(i+1) + int64(hit))
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				dir := t.TempDir()
-				lastAck, clean := runCrashChild(t, dir, seed, 1,
-					fmt.Sprintf("%s=crash@%d", fp, hit))
-				if clean {
-					t.Fatalf("failpoint %s never fired: child finished all %d txns", name, childTxns)
-				}
-				verifyRecovery(t, dir, seed, lastAck, 1)
-			})
-		}
-	}
+	runMatrix(t, crashMatrix, 1, 7919, nil)
 }
 
 // TestCrashCrossShard is the same harness over a 2-shard group, where
 // most workload transactions commit across shards — each as ONE record
 // of the group's one log. The child dies with such a record half written
-// (wal.append.partial) and written and fsynced but published on no shard
-// (wal.fsync.after) — for those two the test checks that the commit in
-// flight was a cross-shard one — and at the log's other commit, rotation
-// and checkpoint failpoints. The parent asserts the committed prefix
-// against the shadow model, which no torn cross-shard transaction can
-// satisfy.
+// (write:segment=tear) and written but published on no shard
+// (write:segment=crash-after) — for those two the test checks that the
+// commit in flight was a cross-shard one — and at the log's other
+// commit, rotation and checkpoint operations. The parent asserts the
+// committed prefix against the shadow model, which no torn cross-shard
+// transaction can satisfy.
 func TestCrashCrossShard(t *testing.T) {
-	reduced := raceEnabled || testing.Short()
-	fps := []string{
-		relational.FpWALAppendBefore, relational.FpWALAppendPartial,
-		relational.FpWALFsyncBefore, relational.FpWALFsyncAfter, relational.FpPipelinePublishBefore,
-		relational.FpWALRotateSeal, relational.FpCheckpointTruncate,
-	}
-	for i, fp := range fps {
-		for _, hit := range failpointHits(fp, reduced) {
-			name := fmt.Sprintf("%s@%d", fp, hit)
-			seed := int64(104729*int64(i+1) + int64(hit))
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				dir := t.TempDir()
-				lastAck, clean := runCrashChild(t, dir, seed, 2,
-					fmt.Sprintf("%s=crash@%d", fp, hit))
-				if clean {
-					t.Fatalf("failpoint %s never fired: child finished all %d txns", name, childTxns)
-				}
-				verifyRecovery(t, dir, seed, lastAck, 2)
-				if (fp == relational.FpWALAppendPartial || fp == relational.FpWALFsyncAfter) && !crossShardTxn(t, seed, lastAck+1, 2) {
-					t.Fatalf("%s struck transaction %d, which commits on one shard", name, lastAck+1)
-				}
-			})
+	var cases []crashCase
+	for _, c := range crashMatrix {
+		switch point, _, _ := strings.Cut(c.name, "@"); point {
+		case "wal.append.before", "wal.append.partial", "wal.fsync.before", "wal.fsync.after",
+			"pipeline.publish.before", "wal.rotate.seal", "checkpoint.truncate":
+			cases = append(cases, c)
 		}
 	}
+	runMatrix(t, cases, 2, 104729, func(t *testing.T, c crashCase, seed, lastAck int64) {
+		if strings.HasPrefix(c.name, "wal.append.partial") || strings.HasPrefix(c.name, "wal.fsync.after") {
+			if !crossShardTxn(t, seed, lastAck+1, 2) {
+				t.Fatalf("%s struck transaction %d, which commits on one shard", c.fault, lastAck+1)
+			}
+		}
+	})
 }
 
 // crossShardTxn reports whether transaction k of the seeded workload
@@ -371,7 +417,7 @@ func crossShardTxn(t *testing.T, seed, k int64, shards int) bool {
 }
 
 // TestCrashExternalKill covers the ungraceful-operator case: no
-// failpoint, the PARENT kills the child -9 at an arbitrary moment under
+// fault, the PARENT kills the child -9 at an arbitrary moment under
 // load.
 func TestCrashExternalKill(t *testing.T) {
 	for _, shards := range []int{1, 2} {
