@@ -103,10 +103,11 @@ func main() {
 			}
 		}()
 	}
-	// Fault drills: RELATIONAL_FAULTS='sync:segment=crash-after@3' opens
-	// every data dir through a pagestore.FaultFS armed with that spec (its
-	// grammar is FaultFS.Arm's), for crash-recovery rehearsals. Unset, the
-	// engine uses the bare os file system.
+	// Fault drills: RELATIONAL_FAULTS='sync:segment=error@3' opens every
+	// data dir through a pagestore.FaultFS armed with that spec (its
+	// grammar is FaultFS.Arm's: error mode only), which fails the log's
+	// third fsync, to rehearse the error path; a crash is rehearsed with
+	// kill -9. Unset, the engine uses the bare os file system.
 	if spec := os.Getenv("RELATIONAL_FAULTS"); spec != "" {
 		faults := &pagestore.FaultFS{}
 		if err := faults.Arm(spec); err != nil {

@@ -117,12 +117,13 @@
 // -page-cache-bytes) — so restart latency tracks the directory, not the
 // dataset, and checkpointed cold rows drop their versions again,
 // letting the data exceed RAM under a hard memory budget. Every active segment is pre-extended to its full size
-// when it opens, so a commit's fsync never journals a file growing, and
+// when it opens and no record crosses its end (one that would starts the
+// next segment), so a commit's fsync never journals a file growing, and
 // retired segments are removed. Every file operation goes through one
-// seam, pagestore.FS. internal/walcrash proves the contract with a
-// kill -9 matrix that crashes a child at every kind of file operation on
-// every class of file, and with an enumerator that reopens every state a
-// power cut could leave behind a recorded run.
+// seam, pagestore.FS. internal/walcrash proves the contract with one
+// crash oracle, an enumerator that reopens every state a power cut could
+// leave behind a recorded run, from the creation of its data dir on; a
+// kill -9 keeps the page cache, so its states are among them.
 //
 // The filter is also served over the wire: internal/server and
 // cmd/ufilterd host a registry of named views behind an HTTP/JSON

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 )
 
 // FS is the one seam every file operation of the durable stack goes
@@ -22,7 +21,8 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	MkdirAll(path string, perm os.FileMode) error
+	// Mkdir creates one directory; its parent must exist.
+	Mkdir(path string, perm os.FileMode) error
 	// SyncDir makes the creates, renames and removes in dir durable.
 	SyncDir(dir string) error
 }
@@ -51,11 +51,11 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
-func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
-func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                     { return os.Remove(name) }
-func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) Mkdir(path string, perm os.FileMode) error  { return os.Mkdir(path, perm) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -130,27 +130,23 @@ type FaultFS struct {
 }
 
 type faultRule struct {
-	kind, class, mode string
-	at, hits          int // at 0 fires on every hit
+	kind, class string
+	at, hits    int // at 0 fires on every hit
 }
 
 var (
 	faultKinds = map[string]bool{"open": true, "read": true, "readdir": true, "write": true, "sync": true,
 		"truncate": true, "rename": true, "remove": true, "mkdir": true, "syncdir": true}
 	faultClasses = map[string]bool{"": true, "dir": true, "segment": true, "heap": true, "pagedir": true, "format": true, "other": true}
-	faultModes   = map[string]bool{"error": true, "crash": true, "crash-after": true, "tear": true}
 )
 
 // Arm replaces the armed faults with spec ("" disarms): rules separated
-// by ";", each kind[:class]=mode[@N]. kind is a file operation (open,
-// read, readdir, write, sync, truncate, rename, remove, mkdir, syncdir)
-// or the dotted name of a point the engine fires (Point); class narrows
-// a file operation to one class of file (ClassOf). The rule fires at its
-// Nth matching operation after Arm, or at every one without "@N". The
-// modes: error fails the operation, which has no effect; crash SIGKILLs
-// the process before it, crash-after after it; tear writes the first
-// half of a write's bytes, then SIGKILLs. "sync:segment=crash-after@3"
-// dies right after the third fsync of a log segment.
+// by ";", each kind[:class]=error[@N]. kind is a file operation (open,
+// read, readdir, write, sync, truncate, rename, remove, mkdir, syncdir);
+// class narrows it to one class of file (ClassOf). The rule fails its
+// Nth matching operation after Arm, or every one without "@N", with
+// ErrInjectedFault, and the failed operation has no effect:
+// "sync:segment=error@3" fails the third fsync of a log segment.
 func (f *FaultFS) Arm(spec string) error {
 	var rules []faultRule
 	for _, s := range strings.Split(spec, ";") {
@@ -159,18 +155,16 @@ func (f *FaultFS) Arm(spec string) error {
 		}
 		op, mode, ok := strings.Cut(s, "=")
 		kind, class, _ := strings.Cut(op, ":")
-		r := faultRule{kind: kind, class: class, mode: mode}
+		r := faultRule{kind: kind, class: class}
 		if m, at, found := strings.Cut(mode, "@"); found {
 			n, err := strconv.Atoi(at)
 			if err != nil || n < 1 {
 				return fmt.Errorf("pagestore: fault %q: bad hit count", s)
 			}
-			r.mode, r.at = m, n
+			mode, r.at = m, n
 		}
-		point := strings.Contains(kind, ".")
-		if !ok || !(faultKinds[kind] || point && class == "") || !faultClasses[class] || !faultModes[r.mode] ||
-			r.mode == "tear" && kind != "write" {
-			return fmt.Errorf("pagestore: fault %q is not kind[:class]=mode[@N]", s)
+		if !ok || !faultKinds[kind] || !faultClasses[class] || mode != "error" {
+			return fmt.Errorf("pagestore: fault %q is not kind[:class]=error[@N]", s)
 		}
 		rules = append(rules, r)
 	}
@@ -180,52 +174,25 @@ func (f *FaultFS) Arm(spec string) error {
 	return nil
 }
 
-// fire counts one operation against every matching rule and returns the
-// mode of the first that fires, or "".
-func (f *FaultFS) fire(kind, class string) string {
+// run counts one operation against every matching rule and fails it if
+// one fires; otherwise it performs op.
+func (f *FaultFS) run(kind, path string, op func() error) error {
+	class := ClassOf(kind, path)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	fired := ""
+	fired := false
 	for i := range f.rules {
 		r := &f.rules[i]
 		if r.kind != kind || r.class != "" && r.class != class {
 			continue
 		}
-		if r.hits++; (r.at == 0 || r.hits == r.at) && fired == "" {
-			fired = r.mode
-		}
+		r.hits++
+		fired = fired || r.at == 0 || r.hits == r.at
 	}
-	return fired
-}
-
-// run performs op (torn, if the fault says so) under whatever fault
-// fires for it.
-func (f *FaultFS) run(kind, path string, op func(tear bool) error) error {
-	mode := f.fire(kind, ClassOf(kind, path))
-	switch mode {
-	case "error":
+	f.mu.Unlock()
+	if fired {
 		return fmt.Errorf("%w: %s %s", ErrInjectedFault, kind, path)
-	case "crash":
-		crash()
 	}
-	err := op(mode == "tear")
-	if mode != "" {
-		crash()
-	}
-	return err
-}
-
-// crash dies like an external kill -9: no deferred function, flush or
-// exit handler runs.
-func crash() {
-	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	select {}
-}
-
-// Point fires the point name: ErrInjectedFault in error mode, no return
-// in a crash mode.
-func (f *FaultFS) Point(name string) error {
-	return f.run(name, "", func(bool) error { return nil })
+	return op()
 }
 
 func (f *FaultFS) inner() FS {
@@ -237,7 +204,7 @@ func (f *FaultFS) inner() FS {
 
 func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	var file File
-	err := f.run("open", name, func(bool) (err error) {
+	err := f.run("open", name, func() (err error) {
 		file, err = f.inner().OpenFile(name, flag, perm)
 		return err
 	})
@@ -248,29 +215,29 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 }
 
 func (f *FaultFS) ReadFile(name string) (data []byte, err error) {
-	err = f.run("read", name, func(bool) error { data, err = f.inner().ReadFile(name); return err })
+	err = f.run("read", name, func() error { data, err = f.inner().ReadFile(name); return err })
 	return data, err
 }
 
 func (f *FaultFS) ReadDir(name string) (ents []os.DirEntry, err error) {
-	err = f.run("readdir", name, func(bool) error { ents, err = f.inner().ReadDir(name); return err })
+	err = f.run("readdir", name, func() error { ents, err = f.inner().ReadDir(name); return err })
 	return ents, err
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	return f.run("rename", newpath, func(bool) error { return f.inner().Rename(oldpath, newpath) })
+	return f.run("rename", newpath, func() error { return f.inner().Rename(oldpath, newpath) })
 }
 
 func (f *FaultFS) Remove(name string) error {
-	return f.run("remove", name, func(bool) error { return f.inner().Remove(name) })
+	return f.run("remove", name, func() error { return f.inner().Remove(name) })
 }
 
-func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
-	return f.run("mkdir", path, func(bool) error { return f.inner().MkdirAll(path, perm) })
+func (f *FaultFS) Mkdir(path string, perm os.FileMode) error {
+	return f.run("mkdir", path, func() error { return f.inner().Mkdir(path, perm) })
 }
 
 func (f *FaultFS) SyncDir(dir string) error {
-	return f.run("syncdir", dir, func(bool) error { return f.inner().SyncDir(dir) })
+	return f.run("syncdir", dir, func() error { return f.inner().SyncDir(dir) })
 }
 
 type faultFile struct {
@@ -280,25 +247,19 @@ type faultFile struct {
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (n int, err error) {
-	err = f.fs.run("read", f.name, func(bool) error { n, err = f.File.ReadAt(p, off); return err })
+	err = f.fs.run("read", f.name, func() error { n, err = f.File.ReadAt(p, off); return err })
 	return n, err
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (n int, err error) {
-	err = f.fs.run("write", f.name, func(tear bool) error {
-		if tear {
-			p = p[:len(p)/2]
-		}
-		n, err = f.File.WriteAt(p, off)
-		return err
-	})
+	err = f.fs.run("write", f.name, func() error { n, err = f.File.WriteAt(p, off); return err })
 	return n, err
 }
 
 func (f *faultFile) Truncate(size int64) error {
-	return f.fs.run("truncate", f.name, func(bool) error { return f.File.Truncate(size) })
+	return f.fs.run("truncate", f.name, func() error { return f.File.Truncate(size) })
 }
 
 func (f *faultFile) Sync() error {
-	return f.fs.run("sync", f.name, func(bool) error { return f.File.Sync() })
+	return f.fs.run("sync", f.name, func() error { return f.File.Sync() })
 }

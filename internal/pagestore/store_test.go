@@ -284,6 +284,22 @@ func TestStoreFailpointError(t *testing.T) {
 	}
 }
 
+// TestArmTakesErrorModeOnly: a fault spec is kind[:class]=error[@N];
+// any other mode, kind, class or hit count is refused.
+func TestArmTakesErrorModeOnly(t *testing.T) {
+	faults := &FaultFS{}
+	for _, spec := range []string{"sync:segment=error@3", "write=error", "mkdir:dir=error; rename:pagedir=error@2", ""} {
+		if err := faults.Arm(spec); err != nil {
+			t.Errorf("Arm(%q): %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"write:segment=crash@1", "sync=kill", "pipeline.stamp.after=error", "sync:log=error", "sync=error@0", "sync"} {
+		if err := faults.Arm(spec); err == nil {
+			t.Errorf("Arm(%q) accepted", spec)
+		}
+	}
+}
+
 // TestDirectoryVisiblePagesAreNeverRewritten checks the write-once rule
 // the rest of the system leans on (readers fault a slot the directory
 // named, recovery reads the pages the directory maps): over random

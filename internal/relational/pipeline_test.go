@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pagestore"
 )
 
 // TestPipelinePublishOrderInvariant hammers the commit pipeline with
@@ -279,36 +281,58 @@ func TestPipelineFsyncErrorUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestPipelineFailpointsRollBackCleanly covers the pipeline's named
-// fault point in error mode: stamp.after fails the group before its
-// record is handed to the writer stage, so nothing of it reaches disk.
-func TestPipelineFailpointsRollBackCleanly(t *testing.T) {
-	for _, fp := range []string{"pipeline.stamp.after"} {
-		t.Run(fp, func(t *testing.T) {
-			faults := injectFaults(t)
-			dir := t.TempDir()
-			db, _ := openWALDB(t, dir, WALOptions{})
-			mustInsertParent(t, db, 1, "base")
-			arm(t, faults, fp+"=error")
-			_, err := db.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("doomed")})
-			if !errors.Is(err, ErrWALFailed) {
-				t.Fatalf("insert error = %v, want ErrWALFailed", err)
-			}
-			arm(t, faults, "")
-			if n := db.RowCount("parent"); n != 1 {
-				t.Fatalf("rows after failed commit = %d, want 1", n)
-			}
-			mustInsertParent(t, db, 3, "survivor")
-			want := dumpDB(t, db)
-			if err := db.CloseWAL(); err != nil {
-				t.Fatal(err)
-			}
-			db2, _ := openWALDB(t, dir, WALOptions{})
-			if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
-				t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
-			}
-		})
+// TestCommitInvisibleUntilDurable holds the writer stage to its order:
+// while a record's fsync runs, no snapshot sees its transaction — the
+// commit sequence advances only once the fsync has returned.
+func TestCommitInvisibleUntilDurable(t *testing.T) {
+	var watched *Database // set while the one commit runs
+	syncs := 0
+	FileSystem = &syncHookFS{FS: pagestore.OS, hook: func() {
+		if watched == nil {
+			return
+		}
+		syncs++
+		snap := watched.Snapshot()
+		defer snap.Close()
+		if n := snap.RowCount("parent"); n != 0 {
+			t.Errorf("a snapshot taken during the commit's fsync sees %d rows", n)
+		}
+	}}
+	t.Cleanup(func() { FileSystem = pagestore.OS })
+	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	watched = db
+	mustInsertParent(t, db, 1, "one")
+	watched = nil
+	if syncs == 0 {
+		t.Fatal("the commit issued no segment fsync")
 	}
+	if n := db.RowCount("parent"); n != 1 {
+		t.Fatalf("rows after the commit = %d, want 1", n)
+	}
+}
+
+// syncHookFS runs hook before every fsync of a log segment.
+type syncHookFS struct {
+	pagestore.FS
+	hook func()
+}
+
+func (s *syncHookFS) OpenFile(name string, flag int, perm os.FileMode) (pagestore.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || pagestore.ClassOf("open", name) != "segment" {
+		return f, err
+	}
+	return syncHookFile{f, s.hook}, nil
+}
+
+type syncHookFile struct {
+	pagestore.File
+	hook func()
+}
+
+func (f syncHookFile) Sync() error {
+	f.hook()
+	return f.File.Sync()
 }
 
 // TestCheckpointReplacesDirectory: a WAL directory holds its stamp, its

@@ -256,19 +256,12 @@ func (req *walReq) commit() error {
 		req.finish()
 		return nil
 	}
-	var err error
-	if w.faults != nil {
-		err = w.faults.Point("pipeline.stamp.after")
-	}
-	if err == nil && w.closed {
-		err = ErrWALClosed
-	}
-	if err != nil {
+	if w.closed {
 		// The stamps never published, so the undo is invisible to every
 		// reader; the consumed sequences are simply never reissued.
 		req.undo()
 		unlock()
-		return fmt.Errorf("%w: %v", ErrWALFailed, err)
+		return fmt.Errorf("%w: %w", ErrWALFailed, ErrWALClosed)
 	}
 	req.done = make(chan error, 1)
 	w.pipeDepth.Add(1)

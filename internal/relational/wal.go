@@ -106,9 +106,9 @@ const (
 // defaults; tests shrink SegmentBytes to force rotation.
 type WALOptions struct {
 	// SegmentBytes is the size each active segment is extended to when it
-	// opens, and the active segment rotates once its records reach it
-	// (default 4 MiB). Records are never split across segments, so the
-	// last record of a segment may grow the file past it.
+	// opens (default 4 MiB). A record that would cross it starts the next
+	// segment; one larger than it is its segment's only record, extended
+	// to hold it before it is written.
 	SegmentBytes int64
 	// PageCacheBytes caps each member's buffer pool holding decoded
 	// checkpoint pages: cold committed rows drop their in-memory values
@@ -178,9 +178,6 @@ type WAL struct {
 	members []*Database // member i's sub-records carry index i
 
 	fs pagestore.FS // FileSystem when the log opened
-	// faults is fs when it is a FaultFS: the one named fault point,
-	// pipeline.stamp.after, fires through it.
-	faults *pagestore.FaultFS
 
 	f         pagestore.File // active segment; owned by the writer stage
 	segIndex  uint64         // active segment's index
@@ -244,9 +241,9 @@ func parseSegmentIndex(name string) (uint64, bool) {
 
 // FileSystem is the file system every log and page store opens
 // through, and keeps for its life: pagestore.OS in production. A test
-// puts a pagestore.FaultFS, or a file system that records crash states,
-// here before it opens a data dir, and puts OS back; such a test does not
-// run in parallel.
+// puts a file system that fails operations, or one that records crash
+// states, here before it opens a data dir, and puts OS back; such a test
+// does not run in parallel.
 var FileSystem = pagestore.OS
 
 // stampFormat writes dataDirFormat into a fresh dir the way the page
@@ -276,6 +273,25 @@ func stampFormat(fs pagestore.FS, dir string) error {
 		}
 	}
 	return pagestore.ReplaceFile(fs, dir, formatFileName, []byte(want+"\n"))
+}
+
+// makeDir creates dir and its missing parents one level at a time, and
+// syncs the parent of each it creates: a power cut cannot take back a
+// directory an open went on to write files into.
+func makeDir(fs pagestore.FS, dir string) error {
+	err := fs.Mkdir(dir, 0o755)
+	if errors.Is(err, os.ErrNotExist) {
+		if err = makeDir(fs, filepath.Dir(dir)); err == nil {
+			err = fs.Mkdir(dir, 0o755)
+		}
+	}
+	if err == nil {
+		return fs.SyncDir(filepath.Dir(dir))
+	}
+	if errors.Is(err, os.ErrExist) {
+		return nil
+	}
+	return err
 }
 
 func formatMismatch(dir, found string) error {
@@ -693,17 +709,15 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 	}
 	openStart := time.Now()
 	fs := FileSystem
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	if err := makeDir(fs, dir); err != nil {
 		return nil, nil, err
 	}
 	if err := stampFormat(fs, dir); err != nil {
 		return nil, nil, err
 	}
-	faults, _ := fs.(*pagestore.FaultFS)
 	w := &WAL{
 		dir:           dir,
 		fs:            fs,
-		faults:        faults,
 		opts:          opts.withDefaults(),
 		members:       members,
 		activeMax:     make([]uint64, len(members)),
@@ -737,7 +751,7 @@ func OpenLog(dir string, opts WALOptions, members []*Database, pageDirs []string
 	// yields an empty Recovered); the live pages are read in parallel.
 	err = parallel(len(members), func(i int) error {
 		db := members[i]
-		if err := fs.MkdirAll(pageDirs[i], 0o755); err != nil {
+		if err := makeDir(fs, pageDirs[i]); err != nil {
 			return err
 		}
 		store, rec, err := pagestore.Open(fs, pageDirs[i])

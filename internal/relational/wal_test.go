@@ -2,6 +2,7 @@ package relational
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -551,6 +552,52 @@ func TestWALCorruptionMidChainStopsThere(t *testing.T) {
 	if n := db2.RowCount("parent"); n != 2 {
 		t.Fatalf("parent rows = %d, want 2", n)
 	}
+
+	// A bad record in a sealed segment ends the log there too: recovery
+	// removes every later segment, so once it has cut the bad segment
+	// back — the chain now reads whole — nothing past the bad record
+	// comes back, and a commit after it is the next in the log.
+	dir = t.TempDir()
+	opts := WALOptions{SegmentBytes: 256}
+	db, _ = openWALDB(t, dir, opts)
+	for i := int64(1); i <= 20; i++ {
+		mustInsertParent(t, db, i, Value{Kind: KindInt, Int: i}.String())
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("segments %v (%v), want at least 3", segs, err)
+	}
+	sort.Strings(segs)
+	data, err = os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := int64(binary.LittleEndian.Uint32(data)) + walFrameHeaderSize
+	data[first+walFrameHeaderSize] ^= 0xFF // the second record's payload
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, info = openWALDB(t, dir, opts)
+	if n := db2.RowCount("parent"); n != 1 || !info.TornTail {
+		t.Fatalf("recovered %d rows (torn tail %v), want the 1 before the bad record", n, info.TornTail)
+	}
+	for _, seg := range segs[1:] {
+		if _, err := os.Stat(seg); !os.IsNotExist(err) {
+			t.Fatalf("%s, past the bad record, survived recovery (%v)", seg, err)
+		}
+	}
+	mustInsertParent(t, db2, 100, "after")
+	want := dumpDB(t, db2)
+	if err := db2.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db3, _ := openWALDB(t, dir, opts)
+	if got := dumpDB(t, db3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second recovery:\n got %v\nwant %v", got, want)
+	}
 }
 
 func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
@@ -667,10 +714,15 @@ func (f shortWriteFile) WriteAt(p []byte, off int64) (int, error) {
 	return n, errors.New("short write")
 }
 
+// TestWALCloseRejectsFurtherCommits: a commit on a closed log is
+// stamped, then refused before it reaches the writer stage, and undone:
+// nothing of it is visible, nothing stays open, and a reopen recovers
+// exactly the closed state.
 func TestWALCloseRejectsFurtherCommits(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{})
 	mustInsertParent(t, db, 1, "one")
+	want := dumpDB(t, db)
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -681,9 +733,19 @@ func TestWALCloseRejectsFurtherCommits(t *testing.T) {
 	if !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("insert after close = %v, want ErrWALFailed", err)
 	}
-	// Reads still serve.
+	// Reads still serve, and the refused commit left no trace.
 	if n := db.RowCount("parent"); n != 1 {
 		t.Fatalf("rows after close = %d, want 1", n)
+	}
+	if got := dumpDB(t, db); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state after the refused commit:\n got %v\nwant %v", got, want)
+	}
+	if st := db.Stats(); st.TxnsActive != 0 {
+		t.Fatalf("txns_active = %d after the refused commit", st.TxnsActive)
+	}
+	db2, _ := openWALDB(t, dir, WALOptions{})
+	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state:\n got %v\nwant %v", got, want)
 	}
 }
 

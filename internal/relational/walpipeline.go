@@ -121,19 +121,24 @@ func (w *WAL) runBatch(batch []*walReq) (stopped bool) {
 		if req.barrier != nil || req.stop {
 			continue // barrier/stop are enqueued under every latch, hence last
 		}
-		if w.segBytes >= w.opts.SegmentBytes {
+		bufp := walFramePool.Get().(*[]byte)
+		frame := encodeRecord((*bufp)[:0], req)
+		// A record never crosses its segment's preallocated end: one that
+		// would starts the next segment, unless this one holds none yet.
+		if w.segBytes > 0 && w.segBytes+int64(len(frame)) > w.opts.SegmentBytes {
 			flush()
-			if err := w.rotate(); err != nil {
-				req.err = err
-				continue
+			if req.err = w.rotate(); req.err == nil {
+				durable = 0
 			}
-			durable = 0
 		}
-		if err := w.writeFrame(req); err != nil {
-			req.err = err
-			continue
+		if req.err == nil {
+			req.err = w.writeFrame(req, frame)
 		}
-		unsynced = append(unsynced, req)
+		*bufp = frame[:0]
+		walFramePool.Put(bufp)
+		if req.err == nil {
+			unsynced = append(unsynced, req)
+		}
 	}
 	flush()
 
@@ -201,16 +206,24 @@ func (w *WAL) stopWriter() {
 	<-w.writerDone
 }
 
-// writeFrame appends one record's frame to the active segment without
-// syncing. On error the partial bytes are truncated away and segBytes
-// stays put, so the failure cannot corrupt later records.
-func (w *WAL) writeFrame(req *walReq) error {
-	bufp := walFramePool.Get().(*[]byte)
-	frame := encodeRecord((*bufp)[:0], req)
-	defer func() {
-		*bufp = frame[:0]
-		walFramePool.Put(bufp)
-	}()
+// writeFrame appends req's frame to the active segment without syncing.
+// A frame larger than SegmentBytes, the first of its segment, extends
+// the segment to hold it first, durably, so a commit's fsync never
+// journals a file growing. On error the partial bytes are truncated
+// away and segBytes stays put, so the failure cannot corrupt later
+// records.
+func (w *WAL) writeFrame(req *walReq, frame []byte) error {
+	if end := int64(len(frame)); w.segBytes == 0 && end > w.opts.SegmentBytes {
+		err := w.f.Truncate(end)
+		if err == nil {
+			err = w.f.Sync()
+		}
+		if err != nil {
+			w.truncateTo(0)
+			return err
+		}
+		w.fsyncs.Add(1)
+	}
 	if _, err := w.f.WriteAt(frame, w.segBytes); err != nil {
 		w.truncateTo(w.segBytes)
 		return err

@@ -3,8 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -89,27 +87,6 @@ func frameEnds(data []byte) []int64 {
 	return ends
 }
 
-func copyTree(t testing.TB, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // pubRowID resolves a publisher's row id through w.
 func pubRowID(t testing.TB, w relational.Reader, pubid string) relational.RowID {
 	t.Helper()
@@ -142,115 +119,6 @@ func TestWrongFormatRefused(t *testing.T) {
 	if data, err := os.ReadFile(stamp); err != nil || string(data) != "1\n" {
 		t.Fatalf("stamp after the refusal: %q %v", data, err)
 	}
-}
-
-// TestPowerLossCutPoints is the crash-atomicity proof for the one log. A
-// seeded mix of single- and cross-shard commits runs on 2 shards while
-// the test records, after every commit, how long the log is. Then the
-// log is cut at every frame boundary and once inside every frame — every
-// state a power loss can leave, before, inside and after each commit,
-// whatever it struck — and recovery must yield exactly the transactions
-// whose records the cut keeps whole: the acknowledged prefix plus at
-// most the commit in flight, a cross-shard transaction on all its shards
-// or none. Two consecutive recoveries must agree, and commits made after
-// the first must survive the second.
-func TestPowerLossCutPoints(t *testing.T) {
-	const commits = 12
-	base := t.TempDir()
-	db, _ := newGroupDir(t, 2, base)
-	seg := activeSegment(t, base)
-
-	// lens[k] is the log's length once commit k is acknowledged, want[k]
-	// the dump then.
-	lens, want := []int64{logEnd(t, seg)}, [][]string{dump(t, db)}
-	rng := rand.New(rand.NewSource(20240607))
-	var pubs [2][]string // publishers this test inserted, by shard
-	for k := 1; k <= commits; k++ {
-		cross := rng.Intn(10) < 6
-		single := rng.Intn(2)
-		txn := db.BeginTxn()
-		for s := 0; s < 2; s++ {
-			if !cross && s != single {
-				continue
-			}
-			if len(pubs[s]) > 0 && rng.Intn(3) == 0 {
-				// Rewrite an earlier row, so a replayed record must apply
-				// on top of exactly the state that preceded it.
-				pub := pubs[s][rng.Intn(len(pubs[s]))]
-				err := txn.UpdateRow("publisher", pubRowID(t, txn, pub), map[string]relational.Value{
-					"pubname": relational.String_(fmt.Sprintf("%s renamed by %d", pub, k))})
-				if err != nil {
-					t.Fatalf("commit %d: update %s: %v", k, pub, err)
-				}
-				continue
-			}
-			pub := pubOnShard(db, s, fmt.Sprintf("K%02d-", k))
-			insertPub(t, txn, pub, fmt.Sprintf("commit %d on %d", k, s))
-			pubs[s] = append(pubs[s], pub)
-		}
-		if err := txn.Commit(); err != nil {
-			t.Fatalf("commit %d: %v", k, err)
-		}
-		lens, want = append(lens, logEnd(t, seg)), append(want, dump(t, db))
-		if lens[k] <= lens[k-1] {
-			t.Fatalf("commit %d appended nothing to the log", k)
-		}
-	}
-	if db.CrossCommits() < 3 || db.CrossCommits() == commits {
-		t.Fatalf("workload has %d cross-shard commits of %d: not a mix", db.CrossCommits(), commits)
-	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cuts []int64
-	for _, e := range frameEnds(data) {
-		cuts = append(cuts, e-1, e) // inside the frame, and right after it
-	}
-
-	cases := 0
-	for _, cut := range cuts {
-		k := sort.Search(len(lens), func(i int) bool { return lens[i] > cut }) - 1
-		if k < 0 {
-			continue // inside the seed's records: not this test's subject
-		}
-		cases++
-		name := fmt.Sprintf("log cut at %d (commit %d whole)", cut, k)
-		dir := t.TempDir()
-		copyTree(t, base, dir)
-		if err := os.Truncate(activeSegment(t, dir), cut); err != nil {
-			t.Fatal(err)
-		}
-		db1, _ := newGroupDir(t, 2, dir)
-		if got := dump(t, db1); !reflect.DeepEqual(got, want[k]) {
-			db1.CloseWAL()
-			t.Fatalf("%s: recovery is not the prefix:\n got %v\nwant %v", name, got, want[k])
-		}
-		// Life goes on: a single-shard commit, then a cross-shard one.
-		if err := commitPub(db1, pubOnShard(db1, cases%2, "Z1-"), "alone after the crash"); err != nil {
-			t.Fatalf("%s: commit after recovery: %v", name, err)
-		}
-		txn := db1.BeginTxn()
-		insertPub(t, txn, pubOnShard(db1, 0, "Z2-"), "after the crash 0")
-		insertPub(t, txn, pubOnShard(db1, 1, "Z2-"), "after the crash 1")
-		if err := txn.Commit(); err != nil {
-			t.Fatalf("%s: cross-shard commit after recovery: %v", name, err)
-		}
-		after := dump(t, db1)
-		if err := db1.CloseWAL(); err != nil {
-			t.Fatal(err)
-		}
-		db2, _ := newGroupDir(t, 2, dir)
-		if got := dump(t, db2); !reflect.DeepEqual(got, after) {
-			db2.CloseWAL()
-			t.Fatalf("%s: second recovery differs from the first plus its commits:\n got %v\nwant %v", name, got, after)
-		}
-		db2.CloseWAL()
-	}
-	t.Logf("%d crash states recovered twice each", cases)
 }
 
 // TestCoordinatorFlushFailureAborts fails the one fsync a cross-shard

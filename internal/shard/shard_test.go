@@ -358,8 +358,8 @@ func TestSnapshotVectorConsistency(t *testing.T) {
 // commit, its one record: a record that reached the log recovers on
 // every shard; one cut short (as a crash mid-append leaves it) is
 // discarded on every shard — never a torn prefix — and the group goes on
-// committing across shards. (TestPowerLossCutPoints enumerates every
-// cut.)
+// committing across shards. (internal/walcrash's TestCrashStates
+// reopens every state a power cut can leave of such a log.)
 func TestTwoPhaseRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*DB, *Recovery) {

@@ -66,14 +66,18 @@ func (s *stateRecorder) progress(acked, begun int64) {
 	s.fs.mu.Unlock()
 }
 
+// viewDir is the data dir, under the recorded root, that a recorded run
+// creates: its creation is one of the operations a power cut can undo.
+const viewDir = "view"
+
 // recordStates runs txns transactions of the seeded workload on a fresh
 // dir (a group of that many shards), through a recFS, checkpointing
 // every statesCkptEvery commits, and returns every state a power cut at
 // any operation could leave.
 func recordStates(t *testing.T, seed int64, shards int, txns int64) []*crashState {
 	t.Helper()
-	dir := t.TempDir()
-	fs, err := newRecFS(dir)
+	root := t.TempDir()
+	fs, err := newRecFS(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func recordStates(t *testing.T, seed int64, shards int, txns int64) []*crashStat
 	fs.before = s.cut
 	relational.FileSystem = fs
 	defer func() { relational.FileSystem = pagestore.OS }()
-	db, err := openEngine(dir, shards, relational.WALOptions{SegmentBytes: statesSegBytes})
+	db, err := openEngine(filepath.Join(root, viewDir), shards, relational.WALOptions{SegmentBytes: statesSegBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +108,20 @@ func recordStates(t *testing.T, seed int64, shards int, txns int64) []*crashStat
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	s.cut("end")
-	// A segment is extended and fsynced before it takes records, so a
-	// commit's fsync has only the record's bytes to make durable (the
-	// last record of a segment may still run past its end).
+	// A segment is extended and fsynced before it takes records, and no
+	// record crosses its end, so a commit's fsync has only the record's
+	// bytes to make durable.
 	if len(fs.grew) > 0 {
 		t.Fatalf("%d records were written past their segment's durable size, first %s", len(fs.grew), fs.grew[0])
 	}
 	return s.order
 }
 
-// recoverPrefix opens dir and returns how many workload transactions
-// it holds, after checking that they are a prefix, within [lo, hi], and
-// exactly what the shadow model holds after them.
-func recoverPrefix(dir string, seed int64, shards int, lo, hi int64) (engine, int64, error) {
-	db, err := openEngine(dir, shards, relational.WALOptions{SegmentBytes: statesSegBytes})
+// recoverPrefix opens the view dir under root and returns how many
+// workload transactions it holds, after checking that they are a prefix,
+// within [lo, hi], and exactly what the shadow model holds after them.
+func recoverPrefix(root string, seed int64, shards int, lo, hi int64) (engine, int64, error) {
+	db, err := openEngine(filepath.Join(root, viewDir), shards, relational.WALOptions{SegmentBytes: statesSegBytes})
 	if err != nil {
 		return nil, 0, fmt.Errorf("reopen: %w", err)
 	}
@@ -190,14 +194,15 @@ func checkState(st *crashState, base string, seed int64, shards int) error {
 	return db.CloseWAL()
 }
 
-// TestCrashStates is the crash-state enumerator. A kill -9 keeps the
-// page cache, so the crash matrix cannot see a missing fsync or
-// directory sync; this test can. It records a small workload — one
-// database, then a 2-shard group — through a recFS, takes at every
-// file operation each state a power cut there could leave (durable
-// bytes and names, plus bounded subsets of what was not yet synced),
-// and reopens every distinct one: it must hold the acknowledged prefix,
-// plus at most the commit in flight, and commit and recover once more.
+// TestCrashStates is the crash oracle, the crash-state enumerator. It
+// records a small workload — one database, then a 2-shard group, each
+// from the creation of its data dir on — through a recFS, takes at
+// every file operation each state a power cut there could leave
+// (durable bytes and names, plus bounded subsets of what was not yet
+// synced, torn writes included), and reopens every distinct one: it
+// must hold the acknowledged prefix, plus at most the commit in flight,
+// and commit and recover once more. A kill -9 keeps the page cache, so
+// every state it can leave is among these.
 func TestCrashStates(t *testing.T) {
 	txns := int64(statesTxns)
 	if raceEnabled || testing.Short() {
@@ -218,6 +223,40 @@ func TestCrashStates(t *testing.T) {
 	}
 }
 
+// TestOversizedRecordOwnsItsSegment: a record larger than SegmentBytes
+// is the only record of its segment, which is extended to hold it before
+// the write, so its fsync journals no file growing either; and it
+// recovers.
+func TestOversizedRecordOwnsItsSegment(t *testing.T) {
+	root := t.TempDir()
+	fs, err := newRecFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relational.FileSystem = fs
+	defer func() { relational.FileSystem = pagestore.OS }()
+	db, err := openEngine(filepath.Join(root, viewDir), 1, relational.WALOptions{SegmentBytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, rng := NewModel(), rand.New(rand.NewSource(1))
+	for k := int64(1); k <= 3; k++ {
+		if err := ApplyTxn(db, model.TxnOps(rng, k), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.grew) > 0 {
+		t.Fatalf("%d records were written past their segment's durable size, first %s", len(fs.grew), fs.grew[0])
+	}
+	if db, _, err = recoverPrefix(root, 1, 1, 3, 3); err != nil {
+		t.Fatal(err)
+	}
+	db.CloseWAL()
+}
+
 // names lists the image's files and their sizes, for failure messages.
 func (im crashImage) names() string {
 	var parts []string
@@ -233,14 +272,14 @@ func (im crashImage) names() string {
 // and the page directory become durable, as kind, file class and size.
 // Rewrite it with -update-goldens, and only on purpose.
 func TestDurableOrderGolden(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := newRecFS(dir)
+	root := t.TempDir()
+	fs, err := newRecFS(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	relational.FileSystem = fs
 	defer func() { relational.FileSystem = pagestore.OS }()
-	db, err := openEngine(dir, 1, relational.WALOptions{SegmentBytes: 100})
+	db, err := openEngine(filepath.Join(root, viewDir), 1, relational.WALOptions{SegmentBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,6 @@
 
 package walcrash
 
-// raceEnabled gates the crash matrix down to its reduced form when the
-// race detector is on.
+// raceEnabled shortens the crash-state workload and the recovery
+// property's seed list when the race detector is on.
 const raceEnabled = false

@@ -2,6 +2,7 @@
 
 package walcrash
 
-// raceEnabled gates the crash matrix down to its reduced form when the
-// race detector is on (child re-execs are ~10x slower under -race).
+// raceEnabled shortens the crash-state workload and the recovery
+// property's seed list when the race detector is on (it makes every
+// file operation several times slower).
 const raceEnabled = true

@@ -18,8 +18,10 @@ import (
 // power cut would leave of it: per file, the bytes its last fsync made
 // durable and the writes and truncates since; per directory, the names
 // its last directory sync made durable and the creates, renames, removes
-// and mkdirs since. Every operation runs on the real directory too, so
-// the process above it behaves as it does on the os file system.
+// and mkdirs since. Every other operation runs on the real directory
+// too, so the process above it behaves as it does on the os file system;
+// an fsync or a directory sync changes nothing the process can see, so
+// it is only recorded.
 type recFS struct {
 	mu      sync.Mutex
 	root    string
@@ -31,8 +33,8 @@ type recFS struct {
 	inodes  []*inode          // every file, in creation order
 
 	trace []string // one line per operation: kind, file class, size
-	// grew lists the segment writes that started past the segment's
-	// durable size: their fsync had to make the extend durable too.
+	// grew lists the segment writes that ended past the segment's
+	// durable size: their fsync had to make the file's growth durable too.
 	grew []string
 	// before, if set, runs under mu before every operation, with the
 	// operation's trace line.
@@ -197,21 +199,15 @@ func (r *recFS) Remove(name string) error {
 	return nil
 }
 
-func (r *recFS) MkdirAll(path string, perm os.FileMode) error {
+func (r *recFS) Mkdir(path string, perm os.FileMode) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.do("mkdir", path, 0)
-	var missing []string
-	for p := path; !r.dirs[p]; p = filepath.Dir(p) {
-		missing = append([]string{p}, missing...)
-	}
-	if err := os.MkdirAll(path, perm); err != nil {
+	if err := os.Mkdir(path, perm); err != nil {
 		return err
 	}
-	for _, p := range missing {
-		r.dirs[p] = true
-		r.pending = append(r.pending, dirOp{kind: "mkdir", path: p})
-	}
+	r.dirs[path] = true
+	r.pending = append(r.pending, dirOp{kind: "mkdir", path: path})
 	return nil
 }
 
@@ -219,9 +215,6 @@ func (r *recFS) SyncDir(dir string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.do("syncdir", dir, 0)
-	if err := pagestore.OS.SyncDir(dir); err != nil {
-		return err
-	}
 	kept := r.pending[:0]
 	for _, op := range r.pending {
 		if op.dir() == dir {
@@ -259,8 +252,8 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 	f.r.mu.Lock()
 	defer f.r.mu.Unlock()
 	f.r.do("write", f.path, len(p))
-	if pagestore.ClassOf("write", f.path) == "segment" && off >= int64(len(f.ino.durable)) {
-		f.r.grew = append(f.r.grew, fmt.Sprintf("%s at %d, durable size %d", filepath.Base(f.path), off, len(f.ino.durable)))
+	if end := off + int64(len(p)); pagestore.ClassOf("write", f.path) == "segment" && end > int64(len(f.ino.durable)) {
+		f.r.grew = append(f.r.grew, fmt.Sprintf("%s ending at %d, durable size %d", filepath.Base(f.path), end, len(f.ino.durable)))
 	}
 	n, err := f.File.WriteAt(p, off)
 	if n > 0 {
@@ -284,9 +277,6 @@ func (f *recFile) Sync() error {
 	f.r.mu.Lock()
 	defer f.r.mu.Unlock()
 	f.r.do("sync", f.path, 0)
-	if err := f.File.Sync(); err != nil {
-		return err
-	}
 	f.ino.durable, f.ino.ops = f.ino.content(len(f.ino.ops), false), nil
 	return nil
 }

@@ -1,15 +1,14 @@
 // Package walcrash is the crash-recovery proving ground for the
-// relational engine's write-ahead log. Its tests run a child process (a
-// re-exec of the test binary) through a deterministic randomized
-// workload with a crash fault armed on the file-system seam, let the
-// child die mid-commit, mid-fsync, mid-rotation or mid-checkpoint with
-// SIGKILL, then reopen the WAL directory in the parent and assert that
-// EXACTLY the committed prefix of the workload is visible: every
-// acknowledged transaction survived, no partially-applied transaction
-// leaked, and all integrity invariants (primary keys, unique columns,
-// foreign keys) hold against an independently computed shadow model.
-// Its crash-state tests reopen, against the same model, every state a
-// power cut could leave behind a recorded run of the workload.
+// relational engine's write-ahead log. Its crash oracle records a
+// deterministic randomized workload through a file system that keeps
+// what a power cut would leave, reopens every state a cut at any file
+// operation could leave, and asserts that EXACTLY the committed prefix
+// of the workload is visible: every acknowledged transaction survived,
+// no partially-applied transaction leaked, and all integrity invariants
+// (primary keys, unique columns, foreign keys) hold against an
+// independently computed shadow model. One more test runs the workload
+// in a child process (a re-exec of the test binary) on the os file
+// system, kills it -9 under load, and checks the same.
 //
 // The workload is a pure function of its seed, so the parent can
 // reconstruct what the child's first N transactions did without any
