@@ -60,16 +60,18 @@ func NewDatabase(policy relational.DeletePolicy) (*relational.Database, error) {
 	return db, err
 }
 
-// Populate emits the Fig. 1 sample rows into the sink, parents first.
+// Populate emits the Fig. 1 sample rows into the sink, parents first,
+// each in declared column order.
 func Populate(sink relational.Inserter) error {
+	str := relational.String_
+	var buf [5]relational.Value // the widest relation's columns
 	for _, p := range [][2]string{
 		{"A01", "McGraw-Hill Inc."},
 		{"B01", "Prentice-Hall Inc."},
 		{"A02", "Simon & Schuster Inc."},
 	} {
-		if _, err := sink.Insert("publisher", map[string]relational.Value{
-			"pubid": relational.String_(p[0]), "pubname": relational.String_(p[1]),
-		}); err != nil {
+		// pubid, pubname
+		if _, err := sink.InsertRow("publisher", append(buf[:0], str(p[0]), str(p[1]))); err != nil {
 			return fmt.Errorf("bookdb: load publisher: %w", err)
 		}
 	}
@@ -83,11 +85,9 @@ func Populate(sink relational.Inserter) error {
 		{"98003", "Data on the Web", "A01", 48.00, 2004},
 	}
 	for _, b := range books {
-		if _, err := sink.Insert("book", map[string]relational.Value{
-			"bookid": relational.String_(b.id), "title": relational.String_(b.title),
-			"pubid": relational.String_(b.pub), "price": relational.Float_(b.price),
-			"year": relational.Int_(b.year),
-		}); err != nil {
+		// bookid, title, pubid, price, year
+		row := append(buf[:0], str(b.id), str(b.title), str(b.pub), relational.Float_(b.price), relational.Int_(b.year))
+		if _, err := sink.InsertRow("book", row); err != nil {
 			return fmt.Errorf("bookdb: load book: %w", err)
 		}
 	}
@@ -95,10 +95,8 @@ func Populate(sink relational.Inserter) error {
 		{"98001", "001", "A good book on network.", "William"},
 		{"98001", "002", "Useful for advanced user.", "John"},
 	} {
-		if _, err := sink.Insert("review", map[string]relational.Value{
-			"bookid": relational.String_(r[0]), "reviewid": relational.String_(r[1]),
-			"comment": relational.String_(r[2]), "reviewer": relational.String_(r[3]),
-		}); err != nil {
+		// bookid, reviewid, comment, reviewer
+		if _, err := sink.InsertRow("review", append(buf[:0], str(r[0]), str(r[1]), str(r[2]), str(r[3]))); err != nil {
 			return fmt.Errorf("bookdb: load review: %w", err)
 		}
 	}

@@ -23,10 +23,12 @@
 package pagestore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 const (
@@ -153,27 +155,55 @@ func decodePage(payload []byte) (table string, seq uint64, rows []PageRow, err e
 	return string(name), seq, rows, nil
 }
 
-// FindRow walks a page payload — the CRC-verified bytes Pool.Get
-// returns — to the row with the given id and returns that row's payload,
-// aliasing page (so valid only as long as page is). No other row is
-// decoded. ok is false when the page holds no such row or is malformed
-// before reaching it; FindRow never panics on arbitrary input.
-func FindRow(page []byte, id int64) (payload []byte, ok bool) {
+// rowOffsets lists where each row of a page payload (the CRC-verified
+// bytes a pool frame holds) starts, ordered by row id for findRow's
+// binary search, into dst's backing array: page order when the page is
+// in id order, as a checkpoint writes it, else a stable sort, so the
+// first row carrying a repeated id leads. It walks the page once and
+// decodes no payload; it never panics on arbitrary input.
+func rowOffsets(dst []uint32, page []byte) ([]uint32, error) {
 	_, _, nrows, rd, err := pageHeader(page)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
+	offs := slices.Grow(dst[:0], int(nrows))
+	sorted := true
+	var last uint64
 	for ; nrows > 0; nrows-- {
-		rid, pl, rest, err := nextRow(rd)
+		id, _, rest, err := nextRow(rd)
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
-		if int64(rid) == id {
-			return pl, true
-		}
+		sorted = sorted && (len(offs) == 0 || id >= last)
+		last = id
+		offs = append(offs, uint32(len(page)-len(rd)))
 		rd = rest
 	}
-	return nil, false
+	if !sorted {
+		slices.SortStableFunc(offs, func(a, b uint32) int { return cmp.Compare(rowIDAt(page, a), rowIDAt(page, b)) })
+	}
+	return offs, nil
+}
+
+// rowIDAt is the id of the row whose entry starts at off, an offset
+// rowOffsets vetted.
+func rowIDAt(page []byte, off uint32) uint64 {
+	id, _ := binary.Uvarint(page[off:])
+	return id
+}
+
+// findRow returns the payload of the first row of page carrying id,
+// aliasing page, by a binary search of the page's rowOffsets. No other
+// row is decoded.
+func findRow(page []byte, offs []uint32, id int64) (payload []byte, ok bool) {
+	i, found := slices.BinarySearchFunc(offs, uint64(id), func(off uint32, id uint64) int {
+		return cmp.Compare(rowIDAt(page, off), id)
+	})
+	if !found {
+		return nil, false
+	}
+	_, payload, _, _ = nextRow(page[offs[i]:])
+	return payload, true
 }
 
 // verifyFrame checks the frame header + CRC of buf (which must start at

@@ -75,10 +75,11 @@ func FuzzPageDecode(f *testing.F) {
 		// Arbitrary bytes must never panic, through either the decoder or
 		// the row walk (as a frame payload, and past a frame header).
 		table, seq, rows, err := decodePageFrame(data)
-		for _, id := range []int64{0, 1, int64(len(data))} {
-			FindRow(data, id)
-			if len(data) > pageFrameHeader {
-				FindRow(data[pageFrameHeader:], id)
+		for _, page := range [][]byte{data, data[min(len(data), pageFrameHeader):]} {
+			if offs, err := rowOffsets(nil, page); err == nil {
+				for _, id := range []int64{0, 1, int64(len(data))} {
+					findRow(page, offs, id)
+				}
 			}
 		}
 		if err != nil {
@@ -91,6 +92,10 @@ func FuzzPageDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame fails verification: %v", err)
 		}
+		offs, err := rowOffsets(nil, payload)
+		if err != nil {
+			t.Fatalf("decoded frame's rows do not list: %v", err)
+		}
 		first := map[int64][]byte{}
 		for _, r := range rows {
 			if _, dup := first[r.ID]; !dup {
@@ -98,12 +103,12 @@ func FuzzPageDecode(f *testing.F) {
 			}
 		}
 		for id, want := range first {
-			if got, ok := FindRow(payload, id); !ok || !bytes.Equal(got, want) {
+			if got, ok := findRow(payload, offs, id); !ok || !bytes.Equal(got, want) {
 				t.Fatalf("row %d: walk found %q (ok=%v), decode %q", id, got, ok, want)
 			}
 			for _, miss := range []int64{id + 1, id - 1, -id - 1} {
 				if _, held := first[miss]; !held {
-					if _, ok := FindRow(payload, miss); ok {
+					if _, ok := findRow(payload, offs, miss); ok {
 						t.Fatalf("walk found row %d, which the page does not hold", miss)
 					}
 				}

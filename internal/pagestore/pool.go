@@ -7,9 +7,11 @@ import (
 
 // Pool is a byte-budgeted buffer pool of pages keyed by heap slot, with
 // CLOCK (second-chance) eviction and pin/unpin refcounts. A frame is a
-// page's CRC-verified bytes plus its table name; nothing is decoded
-// here — the caller walks to the row it wants (FindRow) on each access.
-// A frame is charged for what it retains: its whole slots and the name.
+// page's CRC-verified bytes plus its table name; no row is decoded
+// here. Row finds one row's bytes by a binary search of the page's row
+// offsets, which the frame lists on the first Row it serves (one walk
+// of the page). A frame is charged for its whole slots and the name;
+// the offsets (4 B a row), like the frame's other bookkeeping, are not.
 //
 // A frame's bytes are valid only while it is pinned. When a frame is
 // evicted, or an invalidated frame loses its last pin, its one-slot
@@ -25,12 +27,19 @@ type Pool struct {
 	frames map[uint32]*poolFrame
 	ring   []uint32 // CLOCK ring of resident slots
 	hand   int
-	size   int64    // bytes charged to resident frames
-	free   [][]byte // one-slot buffers of evicted frames, for the next miss
+	size   int64     // bytes charged to resident frames
+	free   []freeBuf // one-slot buffers of evicted frames, for the next miss
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
+}
+
+// freeBuf is what an evicted one-slot frame hands the next miss: its
+// page buffer and its row offsets' backing array.
+type freeBuf struct {
+	page []byte
+	rows []uint32
 }
 
 type poolFrame struct {
@@ -45,6 +54,10 @@ type poolFrame struct {
 	gone    bool // invalidated: no longer in the map, recycled at its last unpin
 	err     error
 	ready   chan struct{}
+
+	rowsOnce sync.Once
+	rows     []uint32 // rowOffsets of page, listed by the first Row (a recycled array until then)
+	rowsErr  error
 }
 
 // NewPool builds a pool over store's pages with the given byte budget.
@@ -83,14 +96,36 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Get returns the table name and CRC-verified payload of the page at
-// slot, reading it from the store on a miss (into a free buffer when
-// there is one). Concurrent misses on the same slot are coalesced: one
-// caller loads, the rest wait. The page bytes are valid only until the
-// returned release func unpins the frame; it must be called exactly once
-// — a second call panics, since the buffer may already serve another
-// page.
-func (p *Pool) Get(slot uint32) (table string, page []byte, release func(), err error) {
+// Row pins the page at slot, reading it from the store on a miss (into
+// a free buffer when there is one; concurrent misses on the same slot
+// are coalesced: one caller loads, the rest wait), and returns its table
+// and the payload of the row with the given id, found by a binary search
+// of the frame's row offsets. The payload aliases the frame: it is valid
+// only until release unpins it, which must be called exactly once — a
+// second call panics, since the buffer may already serve another page. A
+// page holding no such row returns a nil payload and a nil release, the
+// frame already unpinned.
+func (p *Pool) Row(slot uint32, id int64) (table string, payload []byte, release func(), err error) {
+	f, err := p.pin(slot)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	f.rowsOnce.Do(func() { f.rows, f.rowsErr = rowOffsets(f.rows, f.page) })
+	if f.rowsErr != nil {
+		f.release()
+		return "", nil, nil, f.rowsErr
+	}
+	payload, ok := findRow(f.page, f.rows, id)
+	if !ok {
+		f.release()
+		return f.table, nil, nil, nil
+	}
+	return f.table, payload, f.release, nil
+}
+
+// pin returns the loaded frame of slot, pinned once for the caller:
+// released by its release func.
+func (p *Pool) pin(slot uint32) (*poolFrame, error) {
 	for {
 		p.mu.Lock()
 		f := p.frames[slot]
@@ -100,7 +135,8 @@ func (p *Pool) Get(slot uint32) (table string, page []byte, release func(), err 
 			p.frames[slot] = f
 			var buf []byte
 			if n := len(p.free); n > 0 {
-				buf, p.free[n-1] = p.free[n-1], nil
+				buf, f.rows = p.free[n-1].page, p.free[n-1].rows
+				p.free[n-1] = freeBuf{}
 				p.free = p.free[:n-1]
 			}
 			p.mu.Unlock()
@@ -115,7 +151,7 @@ func (p *Pool) Get(slot uint32) (table string, page []byte, release func(), err 
 				}
 				close(f.ready)
 				p.mu.Unlock()
-				return "", nil, nil, err
+				return nil, err
 			}
 			f.table, f.page, f.extent, f.loaded = table, page, extent, true
 			f.size = int64(frameSlots(len(extent)))*PageSize + int64(len(table))
@@ -128,7 +164,7 @@ func (p *Pool) Get(slot uint32) (table string, page []byte, release func(), err 
 			close(f.ready)
 			p.evictLocked()
 			p.mu.Unlock()
-			return table, page, f.release, nil
+			return f, nil
 		}
 		if !f.loaded && f.err == nil {
 			ready := f.ready
@@ -144,7 +180,7 @@ func (p *Pool) Get(slot uint32) (table string, page []byte, release func(), err 
 		f.ref = true
 		p.hits.Add(1)
 		p.mu.Unlock()
-		return f.table, f.page, f.release, nil
+		return f, nil
 	}
 }
 
@@ -190,13 +226,14 @@ func (p *Pool) Invalidate(slots []uint32) {
 	p.mu.Unlock()
 }
 
-// recycleLocked moves an unpinned frame's buffer to the free list when it
-// is one slot; the frame keeps no reference to it. Requires p.mu held.
+// recycleLocked moves an unpinned frame's buffer, with its row offsets'
+// array, to the free list when it is one slot; the frame keeps no
+// reference to either. Requires p.mu held.
 func (p *Pool) recycleLocked(f *poolFrame) {
-	buf := f.extent
-	f.page, f.extent = nil, nil
+	buf, rows := f.extent, f.rows[:0]
+	f.page, f.extent, f.rows = nil, nil, nil
 	if len(buf) == PageSize {
-		p.free = append(p.free, buf)
+		p.free = append(p.free, freeBuf{buf, rows})
 	}
 }
 
@@ -238,7 +275,7 @@ func (p *Pool) evictLocked() {
 		p.ring = p.ring[:len(p.ring)-1]
 	}
 	for n := len(p.free); n > 0 && p.size+p.freeBytesLocked() > p.budget+PageSize; n-- {
-		p.free[n-1] = nil
+		p.free[n-1] = freeBuf{}
 		p.free = p.free[:n-1]
 	}
 }

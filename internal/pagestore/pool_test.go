@@ -32,6 +32,16 @@ func fakePool(budget int64, load func(slot uint32) (table string, slots int, err
 
 func slotByte(slot uint32) byte { return byte(slot*7 + 1) }
 
+// get pins the page at slot and returns its table name and bytes, valid
+// until release: the frame as Row serves it, whatever the bytes hold.
+func (p *Pool) get(slot uint32) (table string, page []byte, release func(), err error) {
+	f, err := p.pin(slot)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	return f.table, f.page, f.release, nil
+}
+
 // frameSize is what a fake frame is charged: its slots plus its name.
 func frameSize(table string, slots int) int64 { return int64(slots)*PageSize + int64(len(table)) }
 
@@ -41,12 +51,12 @@ func TestPoolHitMissEvict(t *testing.T) {
 		loads++
 		return fmt.Sprintf("page-%d", slot), 1, nil
 	})
-	v, _, rel, err := p.Get(1)
+	v, _, rel, err := p.get(1)
 	if err != nil || v != "page-1" {
 		t.Fatalf("get: %v %v", v, err)
 	}
 	rel()
-	if _, _, rel, _ := p.Get(1); true {
+	if _, _, rel, _ := p.get(1); true {
 		rel()
 	}
 	if loads != 1 {
@@ -59,7 +69,7 @@ func TestPoolHitMissEvict(t *testing.T) {
 	// Fill past budget: slot 1's ref bit gives it a second chance, so two
 	// more distinct pages force an eviction.
 	for slot := uint32(2); slot <= 4; slot++ {
-		_, _, rel, err := p.Get(slot)
+		_, _, rel, err := p.get(slot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,19 +86,19 @@ func TestPoolPinBlocksEviction(t *testing.T) {
 		loads[slot]++
 		return fmt.Sprintf("page-%d", slot), 1, nil
 	})
-	_, page1, rel1, err := p.Get(1)
+	_, page1, rel1, err := p.get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Load a second frame while the first is pinned: pool goes over
 	// budget but must not evict the pinned frame, nor hand its buffer to
 	// the second load.
-	_, _, rel2, err := p.Get(2)
+	_, _, rel2, err := p.get(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel2()
-	got, _, rel, err := p.Get(1)
+	got, _, rel, err := p.get(1)
 	if err != nil || got != "page-1" || loads[1] != 1 {
 		t.Fatalf("pinned frame lost: %v %v loads=%v", got, err, loads)
 	}
@@ -102,13 +112,13 @@ func TestPoolPinBlocksEviction(t *testing.T) {
 func TestPoolInvalidate(t *testing.T) {
 	loads := 0
 	p := fakePool(1<<20, func(uint32) (string, int, error) { loads++; return "x", 1, nil })
-	_, _, rel, _ := p.Get(5)
+	_, _, rel, _ := p.get(5)
 	rel()
 	p.Invalidate([]uint32{5})
 	if st := p.Stats(); st.Resident != 0 || st.Free != PageSize {
 		t.Fatalf("an unpinned invalidated frame did not hand its buffer to the free list: %+v", st)
 	}
-	_, _, rel, _ = p.Get(5)
+	_, _, rel, _ = p.get(5)
 	rel()
 	if loads != 2 {
 		t.Fatalf("invalidate did not drop frame: loads=%d", loads)
@@ -123,10 +133,10 @@ func TestPoolInvalidate(t *testing.T) {
 // the last pin drops.
 func TestPoolInvalidatedFrameRecycledAtLastUnpin(t *testing.T) {
 	p := fakePool(1<<20, func(uint32) (string, int, error) { return "x", 1, nil })
-	_, page, rel1, _ := p.Get(3)
-	_, _, rel2, _ := p.Get(3)
+	_, page, rel1, _ := p.get(3)
+	_, _, rel2, _ := p.get(3)
 	p.Invalidate([]uint32{3})
-	_, _, rel, _ := p.Get(4) // a miss: must not read into slot 3's buffer
+	_, _, rel, _ := p.get(4) // a miss: must not read into slot 3's buffer
 	rel()
 	if page[0] != slotByte(3) {
 		t.Fatal("a pinned invalidated frame's buffer served another miss")
@@ -143,7 +153,7 @@ func TestPoolInvalidatedFrameRecycledAtLastUnpin(t *testing.T) {
 
 func TestPoolDoubleReleasePanics(t *testing.T) {
 	p := fakePool(1<<20, func(uint32) (string, int, error) { return "x", 1, nil })
-	_, _, rel, _ := p.Get(1)
+	_, _, rel, _ := p.get(1)
 	rel()
 	defer func() {
 		if recover() == nil {
@@ -166,7 +176,7 @@ func TestPoolSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, _, rel, err := p.Get(9)
+			v, _, rel, err := p.get(9)
 			if err != nil || v != "val" {
 				t.Errorf("get: %v %v", v, err)
 				return
@@ -189,10 +199,10 @@ func TestPoolLoadErrorNotCached(t *testing.T) {
 		}
 		return "ok", 1, nil
 	})
-	if _, _, _, err := p.Get(3); err == nil {
+	if _, _, _, err := p.get(3); err == nil {
 		t.Fatal("expected error")
 	}
-	v, _, rel, err := p.Get(3)
+	v, _, rel, err := p.get(3)
 	if err != nil || v != "ok" {
 		t.Fatalf("retry after error: %v %v", v, err)
 	}
@@ -236,7 +246,7 @@ func TestPoolResidentWithinBudgetPlusOneFrame(t *testing.T) {
 		case x%11 == 0:
 			p.Invalidate([]uint32{slot, (slot + 1) % slots})
 		default:
-			_, _, rel, err := p.Get(slot)
+			_, _, rel, err := p.get(slot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +294,7 @@ func TestPoolEvictionStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				x = x*1664525 + 1013904223
 				slot := x % slots
-				v, page, rel, err := p.Get(slot)
+				v, page, rel, err := p.get(slot)
 				if err != nil {
 					t.Errorf("get: %v", err)
 					return
@@ -330,8 +340,8 @@ func TestPoolEvictionStress(t *testing.T) {
 // pool is full, a miss reads into the buffer the evicted frame handed
 // back, so it allocates the frame's bookkeeping (frame, release func,
 // ready channel, table name) and no page buffer. Measured on a real
-// store with 40-row pages: 4 allocations and 266–280 bytes per miss
-// (−race included); a fresh 4 KiB buffer plus a 32-byte row header per
+// store with 40-row pages: 4 allocations and 314 bytes per miss (266
+// before the frame carried its row offsets; −race included); a fresh 4 KiB buffer plus a 32-byte row header per
 // row cost 6 allocations and about 5.7 KiB.
 func TestPoolMissReusesBuffer(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir(), OS)
@@ -354,11 +364,11 @@ func TestPoolMissReusesBuffer(t *testing.T) {
 	miss := func() {
 		pi := placed[next%pages]
 		next++
-		_, page, rel, err := p.Get(pi.Slot)
+		_, payload, rel, err := p.Row(pi.Slot, pi.Rows[len(pi.Rows)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := FindRow(page, pi.Rows[len(pi.Rows)-1]); !ok {
+		if payload == nil {
 			t.Fatalf("slot %d: last row missing", pi.Slot)
 		}
 		rel()

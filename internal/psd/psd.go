@@ -69,37 +69,41 @@ func NewDatabase(proteins int) (*relational.Database, error) {
 }
 
 // Populate emits the dataset deterministically into the sink: the
-// organisms, then each protein followed by its citations.
+// organisms, then each protein followed by its citations, each row in
+// declared column order.
 func Populate(sink relational.Inserter, proteins int) error {
 	rng := rand.New(rand.NewSource(int64(proteins) + 17))
+	str := relational.String_
+	var buf [4]relational.Value // the widest relation's columns
 	organisms := []struct{ oid, species string }{
 		{"O1", "Homo sapiens"}, {"O2", "Mus musculus"}, {"O3", "Caenorhabditis elegans"},
 		{"O4", "Saccharomyces cerevisiae"}, {"O5", "Drosophila melanogaster"},
 	}
 	for _, o := range organisms {
-		if _, err := sink.Insert("organism", map[string]relational.Value{
-			"oid": relational.String_(o.oid), "species": relational.String_(o.species),
-			"lineage": relational.String_("Eukaryota"),
-		}); err != nil {
+		// oid, species, lineage
+		if _, err := sink.InsertRow("organism", append(buf[:0], str(o.oid), str(o.species), str("Eukaryota"))); err != nil {
 			return fmt.Errorf("psd: organism: %w", err)
 		}
 	}
 	for i := 0; i < proteins; i++ {
 		pid := fmt.Sprintf("P%05d", i)
-		if _, err := sink.Insert("protein", map[string]relational.Value{
-			"pid":    relational.String_(pid),
-			"name":   relational.String_(fmt.Sprintf("protein kinase %d", i)),
-			"oid":    relational.String_(organisms[i%len(organisms)].oid),
-			"length": relational.Int_(int64(50 + rng.Intn(2000))),
-		}); err != nil {
+		// pid, name, oid, length
+		row := append(buf[:0],
+			str(pid),
+			str(fmt.Sprintf("protein kinase %d", i)),
+			str(organisms[i%len(organisms)].oid),
+			relational.Int_(int64(50+rng.Intn(2000))))
+		if _, err := sink.InsertRow("protein", row); err != nil {
 			return fmt.Errorf("psd: protein: %w", err)
 		}
 		for c := 0; c < 1+i%3; c++ {
-			if _, err := sink.Insert("citation", map[string]relational.Value{
-				"pid": relational.String_(pid), "cid": relational.String_(fmt.Sprintf("C%d", c)),
-				"title":   relational.String_(fmt.Sprintf("Characterization of protein %d, part %d", i, c)),
-				"journal": relational.String_("J. Mol. Biol."),
-			}); err != nil {
+			// pid, cid, title, journal
+			row := append(buf[:0],
+				str(pid),
+				str(fmt.Sprintf("C%d", c)),
+				str(fmt.Sprintf("Characterization of protein %d, part %d", i, c)),
+				str("J. Mol. Biol."))
+			if _, err := sink.InsertRow("citation", row); err != nil {
 				return fmt.Errorf("psd: citation: %w", err)
 			}
 		}

@@ -124,6 +124,7 @@ func (v *rowVersion) visibleAt(seq uint64) *rowVersion {
 // snapshot readers and under collisions alike.
 type tableData struct {
 	def     *TableDef
+	key     string                // def.Name lower-cased: the db.tables key, a page's table name
 	rows    map[RowID]*rowVersion // head = newest version
 	ids     []RowID               // every row's id, ascending: the scan order
 	slots   []uint32              // parallel to ids: 1 + page slot, 0 = none; nil without a pager (pager.go)
@@ -131,6 +132,7 @@ type tableData struct {
 	want    []bool     // the columns some index reads, up to the last one (decodeColumns)
 	pkIndex *hashIndex // nil when the table has no primary key
 	fkCols  [][]int    // column positions of each of def.ForeignKeys, in order
+	fkRefs  []fkRef    // what each of def.ForeignKeys references, in order
 	live    int        // heads a latest writer-side count sees (approximate under concurrency)
 	dirty   bool       // the id column needs compaction (rows were reclaimed)
 
@@ -139,17 +141,33 @@ type tableData struct {
 	// Marked at commit-stamp time and swapped out by Checkpoint, both
 	// under commitMu (NOT the structural latch), so marking never races
 	// the swap and open transactions at swap time mark into the fresh
-	// set when they eventually commit.
-	dirtyRows map[RowID]struct{}
+	// set when they eventually commit. The set is a list in marking
+	// order; a pass sorts it and drops repeats (sortedIDs).
+	dirtyRows []RowID
+}
+
+// fkRef is the table a foreign key references and its referenced
+// columns' positions there.
+type fkRef struct {
+	td   *tableData
+	cols []int
 }
 
 // markDirtyRow records one row id into the dirty set (commitMu held,
-// or single-goroutine recovery).
+// or single-goroutine recovery). A list about to grow past a few
+// hundred ids drops its repeats first, so rows written over and over
+// between passes keep it within about twice the distinct rows written.
 func (td *tableData) markDirtyRow(id RowID) {
-	if td.dirtyRows == nil {
-		td.dirtyRows = make(map[RowID]struct{})
+	if n := len(td.dirtyRows); n >= 256 && n == cap(td.dirtyRows) {
+		td.dirtyRows = sortedIDs(td.dirtyRows)
 	}
-	td.dirtyRows[id] = struct{}{}
+	td.dirtyRows = append(td.dirtyRows, id)
+}
+
+// sortedIDs sorts ids in place, ascending, and drops repeats.
+func sortedIDs(ids []RowID) []RowID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Database is an in-memory relational database instance: a schema plus
@@ -437,7 +455,7 @@ func (db *Database) SetRowIDAlloc(first, stride RowID) {
 func buildTableStorage(schema *Schema) map[string]*tableData {
 	tables := make(map[string]*tableData, len(schema.Tables()))
 	for _, t := range schema.Tables() {
-		td := &tableData{def: t, rows: make(map[RowID]*rowVersion)}
+		td := &tableData{def: t, key: strings.ToLower(t.Name), rows: make(map[RowID]*rowVersion)}
 		if len(t.PrimaryKey) > 0 {
 			cols := mustColumnIndexes(t, t.PrimaryKey)
 			td.pkIndex = newHashIndex(indexName(t.Name, t.PrimaryKey), cols, true)
@@ -459,7 +477,13 @@ func buildTableStorage(schema *Schema) map[string]*tableData {
 		for _, ix := range td.indexes {
 			td.want = markColumns(td.want, ix.columns)
 		}
-		tables[strings.ToLower(t.Name)] = td
+		tables[td.key] = td
+	}
+	for _, td := range tables {
+		for _, fk := range td.def.ForeignKeys {
+			ref := tables[strings.ToLower(fk.RefTable)]
+			td.fkRefs = append(td.fkRefs, fkRef{td: ref, cols: mustColumnIndexes(ref.def, fk.RefColumns)})
+		}
 	}
 	return tables
 }
@@ -480,7 +504,10 @@ func mustColumnIndexes(t *TableDef, names []string) []int {
 func (db *Database) Schema() *Schema { return db.schema }
 
 func (db *Database) tableData(name string) (*tableData, error) {
-	td, ok := db.tables[strings.ToLower(name)]
+	td, ok := db.tables[name] // most names arrive lower-cased
+	if !ok {
+		td, ok = db.tables[strings.ToLower(name)]
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
@@ -626,7 +653,7 @@ func (db *Database) LookupRows(table string, columns []string, values []Value) (
 }
 
 // lookup is the lookup core every reader of the database shares. Under
-// db.mu it collects the candidates' refs (lookupRefsLocked); each then
+// db.mu it collects the candidates' refs (refsLocked); each then
 // resolves through the reader's visibility function, and the values it
 // sees, faulted in once for a page-only row, are re-verified against the
 // probe (buckets keep ids of versions this reader may not see) and
@@ -636,17 +663,18 @@ func (db *Database) LookupRows(table string, columns []string, values []Value) (
 // (Snapshot, Txn) takes the read latch to collect and faults after it.
 func (db *Database) lookup(table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion, held bool) ([]Row, error) {
 	var colBuf [4]int
+	td, cols, err := db.columnsOf(table, columns, colBuf[:0])
+	if err != nil {
+		return nil, err
+	}
 	var one [1]RowID
 	var refBuf [8]rowRef // most buckets: no allocation
 	if !held {
 		db.mu.RLock()
 	}
-	td, cols, refs, err := db.lookupRefsLocked(table, columns, values, colBuf[:0], &one, refBuf[:0])
+	refs := td.refsLocked(cols, values, &one, refBuf[:0])
 	if !held {
 		db.mu.RUnlock()
-	}
-	if err != nil {
-		return nil, err
 	}
 	out := make([]Row, 0, min(len(refs), 16)) // a bucket's candidates mostly match, a scan's rarely
 	for _, r := range refs {
@@ -660,28 +688,34 @@ func (db *Database) lookup(table string, columns []string, values []Value, resol
 // them to dst: a candidate decodes only the probed columns to verify.
 func (db *Database) lookupIDs(dst []RowID, table string, columns []string, values []Value, resolve func(*rowVersion) *rowVersion, held bool) ([]RowID, error) {
 	var colBuf [4]int
+	td, cols, err := db.columnsOf(table, columns, colBuf[:0])
+	if err != nil {
+		return dst, err
+	}
+	return db.lookupIDsIn(dst, td, cols, values, resolve, held), nil
+}
+
+// lookupIDsIn is lookupIDs with the table and the columns' positions
+// resolved.
+func (db *Database) lookupIDsIn(dst []RowID, td *tableData, cols []int, values []Value, resolve func(*rowVersion) *rowVersion, held bool) []RowID {
 	var one [1]RowID
 	var refBuf [8]rowRef
 	if !held {
 		db.mu.RLock()
 	}
-	td, cols, refs, err := db.lookupRefsLocked(table, columns, values, colBuf[:0], &one, refBuf[:0])
+	refs := td.refsLocked(cols, values, &one, refBuf[:0])
 	if !held {
 		db.mu.RUnlock()
-	}
-	if err != nil {
-		return dst, err
 	}
 	var wb [scratchCols]bool
 	var vb [scratchCols]Value
 	want := markColumns(wb[:0], cols)
 next:
 	for _, r := range refs {
-		payload := db.payloadOf(td, r, resolve)
-		if payload == nil {
+		vals, ok := db.wantedOf(td, r, resolve, want, vb[:])
+		if !ok {
 			continue
 		}
-		vals := decodeWanted(payload, want, vb[:])
 		for i, c := range cols {
 			if !vals[c].Equal(values[i]) {
 				continue next
@@ -689,40 +723,45 @@ next:
 		}
 		dst = append(dst, r.id)
 	}
-	return dst, nil
+	return dst
 }
 
-// lookupRefsLocked resolves the columns, appending their positions to
-// cols, and appends to refs the candidates' refs: the covering index's
-// bucket (a single id comes back in one), each id resolved, else the
-// whole id column, walked by position. The buffers are the caller's.
-// Caller holds db.mu in either mode.
-func (db *Database) lookupRefsLocked(table string, columns []string, values []Value, cols []int, one *[1]RowID, refs []rowRef) (*tableData, []int, []rowRef, error) {
+// columnsOf resolves a table and its named columns, appending their
+// positions to cols. The table map and the schema are fixed: no latch.
+func (db *Database) columnsOf(table string, columns []string, cols []int) (*tableData, []int, error) {
 	td, err := db.tableData(table)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for _, c := range columns {
 		idx, ok := td.def.ColumnIndex(c)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, c)
+			return nil, nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, c)
 		}
 		cols = append(cols, idx)
 	}
+	return td, cols, nil
+}
+
+// refsLocked appends to refs the refs of the candidates for values on
+// cols: the covering index's bucket (a single id comes back in one),
+// each id resolved, else the whole id column, walked by position. The
+// buffers are the caller's. Caller holds db.mu in either mode.
+func (td *tableData) refsLocked(cols []int, values []Value, one *[1]RowID, refs []rowRef) []rowRef {
 	ix := td.findIndex(cols)
 	if ix == nil {
 		refs = slices.Grow(refs, len(td.ids))
 		for i := range td.ids {
 			refs = append(refs, td.refAt(i))
 		}
-		return td, cols, refs, nil
+		return refs
 	}
 	ids := ix.lookup(cols, values, one)
 	refs = slices.Grow(refs, len(ids))
 	for _, id := range ids {
 		refs = append(refs, td.ref(id))
 	}
-	return td, cols, refs, nil
+	return refs
 }
 
 // appendMatch appends the row the reader sees through r when its values
@@ -771,22 +810,24 @@ func (td *tableData) findIndex(cols []int) *hashIndex {
 	return nil
 }
 
-// coerceRow converts a named-value map to positional values in out's
-// backing array (grown past it when the table is wider), applying type
-// coercion and defaulting missing columns to NULL.
-func (td *tableData) coerceRow(values map[string]Value, out []Value) ([]Value, error) {
-	out = slices.Grow(out[:0], len(td.def.Columns))[:len(td.def.Columns)]
-	clear(out)
-	for name, v := range values {
-		idx, ok := td.def.ColumnIndex(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, td.def.Name, name)
+// coerceRow converts a row given in declared column order to the
+// columns' types in out's backing array (grown past it when the table
+// is wider). A row of another width is an error.
+func (td *tableData) coerceRow(row []Value, out []Value) ([]Value, error) {
+	cols := td.def.Columns
+	if len(row) != len(cols) {
+		return nil, fmt.Errorf("relational: table %s: a row of %d values, want %d", td.def.Name, len(row), len(cols))
+	}
+	out = slices.Grow(out[:0], len(cols))[:len(cols)]
+	for i := range row {
+		if out[i] = row[i]; row[i].fits(cols[i].Type) {
+			continue
 		}
-		coerced, err := v.CoerceTo(td.def.Columns[idx].Type)
+		coerced, err := row[i].CoerceTo(cols[i].Type)
 		if err != nil {
-			return nil, constraintErr(ErrTypeMismatch, td.def.Name, td.def.Columns[idx].Name, err.Error())
+			return nil, constraintErr(ErrTypeMismatch, td.def.Name, cols[i].Name, err.Error())
 		}
-		out[idx] = coerced
+		out[i] = coerced
 	}
 	return out, nil
 }
@@ -795,7 +836,7 @@ func (td *tableData) coerceRow(values map[string]Value, out []Value) ([]Value, e
 func (td *tableData) checkLocalConstraints(values []Value) error {
 	for i, c := range td.def.Columns {
 		v := values[i]
-		if v.IsNull() && td.def.IsNotNullColumn(c.Name) {
+		if v.IsNull() && td.def.notNull[i] {
 			return constraintErr(ErrNotNull, td.def.Name, c.Name, "")
 		}
 		if c.NotNull && !v.IsNull() && v.Kind == KindString && strings.TrimSpace(v.Str) == "" {
@@ -906,7 +947,7 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			r := td.ref(id)
 			if r.slot != 0 {
 				// Page-only: committed before every reader, t included.
-				if match(decodeWanted(db.payloadOf(td, r, nil), ix.want, kb[:])) { // faults; write latch held
+				if vals, _ := db.wantedOf(td, r, nil, ix.want, kb[:]); match(vals) { // faults; write latch held
 					return dupErr()
 				}
 				continue
@@ -976,11 +1017,8 @@ func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) erro
 			continue
 		}
 		var idBuf [4]RowID
-		refs, err := db.lookupIDs(idBuf[:0], fk.RefTable, fk.RefColumns, vals, t.resolve, true)
-		if err != nil {
-			return err
-		}
-		if len(refs) == 0 {
+		ref := td.fkRefs[i]
+		if refs := db.lookupIDsIn(idBuf[:0], ref.td, ref.cols, vals, t.resolve, true); len(refs) == 0 {
 			return constraintErr(ErrForeignKey, td.def.Name, strings.Join(fk.Columns, ","),
 				fmt.Sprintf("no row in %s matches", fk.RefTable))
 		}
@@ -992,7 +1030,7 @@ func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) erro
 // (autocommit). See Txn.Insert for the transactional form.
 func (db *Database) Insert(table string, values map[string]Value) (RowID, error) {
 	t := db.Begin()
-	id, err := db.txnInsert(t, table, values)
+	id, err := db.txnInsertMap(t, table, values)
 	if err != nil {
 		_ = t.Rollback()
 		return 0, err
@@ -1000,8 +1038,24 @@ func (db *Database) Insert(table string, values map[string]Value) (RowID, error)
 	return id, t.Commit()
 }
 
-// txnInsert is the insert core, writing through transaction t.
-func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (RowID, error) {
+// txnInsertMap is the name-keyed insert: the values placed in column
+// order (TableDef.AppendRow), then the positional core.
+func (db *Database) txnInsertMap(t *Txn, table string, values map[string]Value) (RowID, error) {
+	td, err := db.tableData(table) // the table map is fixed: no latch
+	if err != nil {
+		return 0, err
+	}
+	var buf [scratchCols]Value
+	row, err := td.def.AppendRow(buf[:0], values)
+	if err != nil {
+		return 0, err
+	}
+	return db.txnInsert(t, table, row)
+}
+
+// txnInsert is the insert core, writing through transaction t one row
+// given in declared column order.
+func (db *Database) txnInsert(t *Txn, table string, row []Value) (RowID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	td, err := db.tableData(table)
@@ -1010,7 +1064,7 @@ func (db *Database) txnInsert(t *Txn, table string, values map[string]Value) (Ro
 	}
 	db.statements.Add(1)
 	var buf [scratchCols]Value
-	row, err := td.coerceRow(values, buf[:])
+	row, err = td.coerceRow(row, buf[:])
 	if err != nil {
 		return 0, err
 	}

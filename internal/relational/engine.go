@@ -8,7 +8,10 @@ import "time"
 // sub-transactions so the same apply code commits across shards.
 type WriteTxn interface {
 	Reader
-	// Insert adds a row through the transaction.
+	// InsertRow adds a row, its values in declared column order,
+	// through the transaction; Insert is the same with the values
+	// named (a column left out is NULL).
+	InsertRow(table string, row []Value) (RowID, error)
 	Insert(table string, values map[string]Value) (RowID, error)
 	// Delete removes a row (with referential actions) through the
 	// transaction, returning the number of rows deleted.

@@ -188,10 +188,40 @@ func (ix *hashIndex) removeKey(key uint64, id RowID) {
 // runBucket returns the run's positions [lo, hi) under key; the end is
 // walked to, as a bucket is short and its consumer walks it anyway.
 func (ix *hashIndex) runBucket(key uint64) (lo, hi int) {
-	lo, _ = slices.BinarySearch(ix.hashes, key)
+	lo = searchHashes(ix.hashes, key)
 	for hi = lo; hi < len(ix.hashes) && ix.hashes[hi] == key; hi++ {
 	}
 	return lo, hi
+}
+
+// searchHashes returns the position of the first of the ascending hashes
+// h not below key, as slices.BinarySearch does. Hashes are uniform, so
+// it starts where key's share of the hash space puts it and gallops out
+// until it brackets the answer, then binary-searches the bracket: its
+// probes stay near one spot of a long run instead of leaping across it.
+func searchHashes(h []uint64, key uint64) int {
+	n := len(h)
+	if n == 0 {
+		return 0
+	}
+	g, _ := bits.Mul64(key, uint64(n)) // ⌊key·n / 2⁶⁴⌋, below n
+	// The answer lies in (lo, hi]: h[lo] < key unless lo is -1, and
+	// key <= h[hi] unless hi is n.
+	lo, hi := int(g)-1, int(g)
+	if h[hi] < key {
+		for step := 1; ; step *= 2 {
+			lo, hi = hi, min(hi+step, n)
+			if hi == n || h[hi] >= key {
+				break
+			}
+		}
+	} else {
+		for step := 1; lo >= 0 && h[lo] >= key; step *= 2 {
+			lo, hi = max(lo-step, -1), lo
+		}
+	}
+	i, _ := slices.BinarySearch(h[lo+1:hi], key)
+	return lo + 1 + i
 }
 
 // runFind returns the run position of the pair (key, id), dead or live.

@@ -461,3 +461,36 @@ func rowIDs(rows []Row) []RowID {
 	}
 	return ids
 }
+
+// TestSearchHashesMatchesBinarySearch: the galloping search of a run's
+// hashes finds what slices.BinarySearch finds, on uniform runs, runs
+// crowded into a corner of the hash space, runs of one repeated hash,
+// and keys below, between, on and above their entries.
+func TestSearchHashesMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 300 {
+		n := rng.Intn(200)
+		h := make([]uint64, n)
+		for i := range h {
+			switch trial % 3 {
+			case 0:
+				h[i] = rng.Uint64()
+			case 1:
+				h[i] = rng.Uint64() >> 50 // all near zero
+			default:
+				h[i] = 1 << 63 // one hash
+			}
+		}
+		slices.Sort(h)
+		keys := []uint64{0, 1, 1 << 63, ^uint64(0), rng.Uint64(), rng.Uint64() >> 50}
+		for _, x := range h {
+			keys = append(keys, x, x-1, x+1)
+		}
+		for _, k := range keys {
+			want, _ := slices.BinarySearch(h, k)
+			if got := searchHashes(h, k); got != want {
+				t.Fatalf("trial %d, %d hashes, key %#x: got %d, want %d", trial, n, k, got, want)
+			}
+		}
+	}
+}

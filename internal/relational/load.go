@@ -14,10 +14,13 @@ const (
 	LoadCheckpointRows = 8000
 )
 
-// Inserter is what a dataset generator emits rows into: a *Database, an
-// Engine, a WriteTxn, or the batching sink Load hands its fill function.
+// Inserter is what a dataset generator emits rows into, each row's
+// values in its table's declared column order: a WriteTxn (*Txn, a
+// shard group's transaction), or the batching sink Load hands its fill
+// function. The sink encodes what it is given before it returns, so a
+// generator may reuse one row buffer.
 type Inserter interface {
-	Insert(table string, values map[string]Value) (RowID, error)
+	InsertRow(table string, row []Value) (RowID, error)
 }
 
 // LoadStats reports what one Load did: rows committed, and checkpoint
@@ -63,11 +66,11 @@ type loadSink struct {
 	stats           LoadStats
 }
 
-func (l *loadSink) Insert(table string, values map[string]Value) (RowID, error) {
+func (l *loadSink) InsertRow(table string, row []Value) (RowID, error) {
 	if l.txn == nil {
 		l.txn = l.begin()
 	}
-	id, err := l.txn.Insert(table, values)
+	id, err := l.txn.InsertRow(table, row)
 	if err != nil {
 		return 0, err
 	}

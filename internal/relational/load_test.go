@@ -9,10 +9,10 @@ import (
 	"repro/internal/tpch"
 )
 
-type inserterFunc func(table string, values map[string]relational.Value) (relational.RowID, error)
+type inserterFunc func(table string, row []relational.Value) (relational.RowID, error)
 
-func (f inserterFunc) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
-	return f(table, values)
+func (f inserterFunc) InsertRow(table string, row []relational.Value) (relational.RowID, error) {
+	return f(table, row)
 }
 
 // versionStats reads the version store's shape through a snapshot.
@@ -43,7 +43,7 @@ func TestLoadResidentRowsBounded(t *testing.T) {
 		defer db.CloseWAL()
 		max, n := 0, 0
 		stats, err := db.Load(func(sink relational.Inserter) error {
-			return tpch.Generate(inserterFunc(func(table string, values map[string]relational.Value) (relational.RowID, error) {
+			return tpch.Generate(inserterFunc(func(table string, row []relational.Value) (relational.RowID, error) {
 				// Every 1,000 rows, and on the last row before each batch
 				// commits (the high-water mark of a window).
 				if n%1000 == 0 || n%relational.LoadBatchRows == relational.LoadBatchRows-1 {
@@ -52,7 +52,7 @@ func TestLoadResidentRowsBounded(t *testing.T) {
 					}
 				}
 				n++
-				return sink.Insert(table, values)
+				return sink.InsertRow(table, row)
 			}), tpch.RowsForMB(mb))
 		})
 		if err != nil {
@@ -84,22 +84,27 @@ func TestLoadResidentRowsBounded(t *testing.T) {
 // BenchmarkColdRowFootprint measures what a paged database keeps in
 // memory per cold row: it Loads tpch.RowsForMB(300) (75,630 rows) into a
 // durable database behind a 256 KiB pool, runs the GC, and reports the
-// live heap the load added per row (heap_B/row) and the duration of one
-// Reclaim pass over the loaded store (reclaim_us), which runs under the
-// exclusive latch. It fails above 60 B of heap per row: string index
-// keys and slice buckets kept ≈ 176–182 B, hashed keys in a one-id map
-// and a many-id map ≈ 101 B, a sorted id column with a slot column
-// beside it, in place of a row→slot map and an order slice, ≈ 80 B, and
-// index entries folded out of those maps into sorted runs by each
-// checkpoint pass ≈ 50–54 B.
+// live heap the load added per row (heap_B/row), the bytes the load
+// allocated per row (alloc_B/row) and the duration of one Reclaim pass
+// over the loaded store (reclaim_us), which runs under the exclusive
+// latch. It fails above 60 B of heap per row: string index keys and
+// slice buckets kept ≈ 176–182 B, hashed keys in a one-id map and a
+// many-id map ≈ 101 B, a sorted id column with a slot column beside it,
+// in place of a row→slot map and an order slice, ≈ 80 B, and index
+// entries folded out of those maps into sorted runs by each checkpoint
+// pass ≈ 50–54 B. It fails above 990 B allocated per row (the reading
+// below plus 15 %): a generator building a map per row, a WAL body
+// regrown by doubling and a parent row copied out of its page for every
+// key check allocated ≈ 1,760 B; positional rows, exactly sized bodies
+// and checks decoding in place ≈ 860.
 func BenchmarkColdRowFootprint(b *testing.B) {
 	schema, err := tpch.Schema()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var heapPerRow, reclaimUs float64
+	var heapPerRow, allocPerRow, reclaimUs float64
 	for range b.N {
-		var before, after runtime.MemStats
+		var before, loaded, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		db := relational.NewDatabase(schema)
@@ -112,9 +117,11 @@ func BenchmarkColdRowFootprint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&loaded)
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		heapPerRow = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(stats.Rows)
+		allocPerRow = float64(loaded.TotalAlloc-before.TotalAlloc) / float64(stats.Rows)
 		start := time.Now()
 		db.Reclaim()
 		reclaimUs = float64(time.Since(start).Microseconds())
@@ -123,9 +130,13 @@ func BenchmarkColdRowFootprint(b *testing.B) {
 		}
 	}
 	b.ReportMetric(heapPerRow, "heap_B/row")
+	b.ReportMetric(allocPerRow, "alloc_B/row")
 	b.ReportMetric(reclaimUs, "reclaim_us")
 	if heapPerRow > 60 {
 		b.Fatalf("heap_B/row %.1f > 60", heapPerRow)
+	}
+	if allocPerRow > 990 {
+		b.Fatalf("alloc_B/row %.0f > 990", allocPerRow)
 	}
 }
 
@@ -192,5 +203,37 @@ func TestLineitemInsertAllocs(t *testing.T) {
 	})
 	if n > 7 {
 		t.Fatalf("a lineitem insert allocates %v times, want at most 7", n)
+	}
+}
+
+// TestLineitemInsertRowAllocs is TestLineitemInsertAllocs for a row
+// given in column order, as a generator emits it, through an explicit
+// transaction: five allocations, each the write's own — the transaction,
+// its undo log, the version and its payload, and the commit request (a
+// one-transaction group's member list and WAL body list live in it). The
+// foreign key probe and the uniqueness check allocate nothing.
+func TestLineitemInsertRowAllocs(t *testing.T) {
+	db, err := tpch.NewDatabaseMB(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []relational.Value{
+		relational.Int_(0), relational.Null(), relational.Int_(7),
+		relational.Float_(3), relational.Float_(12.5), relational.String_("pinned"),
+	}
+	line := int64(1000)
+	n := testing.AllocsPerRun(200, func() {
+		line++
+		row[1] = relational.Int_(line)
+		txn := db.Begin()
+		if _, err := txn.InsertRow("lineitem", row); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 5 && !relational.RaceEnabled {
+		t.Fatalf("a positional lineitem insert allocates %v times, want at most 5", n)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 
 	"repro/internal/pagestore"
 )
@@ -76,8 +75,8 @@ import (
 //     the freeing apply has closed.
 //   - Page bytes are valid only while their pool frame is pinned: the
 //     pool reads the next miss into an evicted frame's buffer. faultRow
-//     and payloadOf copy a row's bytes out before they unpin, so nothing
-//     the pager hands out aliases a pool buffer.
+//     and wantedOf decode a row, and payloadOf copies its bytes, before
+//     they unpin, so nothing the pager hands out aliases a pool buffer.
 type pager struct {
 	store *pagestore.Store
 	pool  *pagestore.Pool
@@ -125,13 +124,14 @@ func (p *pager) pinRow(table string, slotPlus1 uint32, id RowID) ([]byte, func()
 		panic(fmt.Sprintf("relational: paged row %s/%d has no page slot", table, id))
 	}
 	slot := slotPlus1 - 1
-	pageTable, page, release, err := p.pool.Get(slot)
+	pageTable, payload, release, err := p.pool.Row(slot, int64(id))
 	if err != nil {
 		panic(fmt.Sprintf("relational: fault page %d for row %s/%d: %v", slot, table, id, err))
 	}
-	payload, ok := pagestore.FindRow(page, int64(id))
-	if pageTable != table || !ok {
-		release()
+	if pageTable != table || payload == nil {
+		if release != nil {
+			release()
+		}
 		panic(fmt.Sprintf("relational: row %s/%d is not on page %d (of table %q)", table, id, slot, pageTable))
 	}
 	return payload, release
@@ -172,16 +172,32 @@ func (td *tableData) slotOf(id RowID) uint32 {
 	if td.slots == nil {
 		return 0
 	}
-	if i, ok := slices.BinarySearch(td.ids, id); ok {
+	if i, ok := td.search(id); ok {
 		return td.slots[i]
 	}
 	return 0
 }
 
+// search finds id's position in the id column, or where it would go. It
+// tries the position a straight line through the column's ends puts id
+// at before it searches: the rows of a table loaded in one stream hold
+// ids at a fixed stride, so the guess lands. Caller holds db.mu in
+// either mode.
+func (td *tableData) search(id RowID) (int, bool) {
+	ids := td.ids
+	if n := len(ids); n > 1 && ids[0] <= id && id <= ids[n-1] {
+		g := int(float64(id-ids[0]) / float64(ids[n-1]-ids[0]) * float64(n-1))
+		if g < n && ids[g] == id {
+			return g, true
+		}
+	}
+	return slices.BinarySearch(ids, id)
+}
+
 // setSlot sets id's slot (1 + page slot, 0 to clear). Caller holds the
 // db.mu write latch, or is recovery.
 func (td *tableData) setSlot(id RowID, slotPlus1 uint32) {
-	i, ok := slices.BinarySearch(td.ids, id)
+	i, ok := td.search(id)
 	if !ok {
 		panic(fmt.Sprintf("relational: row %s/%d is not in its table's id column", td.def.Name, id))
 	}
@@ -218,7 +234,7 @@ func (r rowRef) sees(resolve func(*rowVersion) *rowVersion) bool {
 // db.mu, or be a registered reader).
 func (db *Database) see(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) (Row, bool) {
 	if r.slot != 0 {
-		return Row{ID: r.id, Values: db.pager.faultRow(strings.ToLower(td.def.Name), r.slot, r.id)}, true
+		return Row{ID: r.id, Values: db.pager.faultRow(td.key, r.slot, r.id)}, true
 	}
 	if v := resolve(r.head); v != nil {
 		return Row{ID: r.id, Values: v.values(nil)}, true
@@ -232,7 +248,7 @@ func (db *Database) see(td *tableData, r rowRef, resolve func(*rowVersion) *rowV
 // contract as see.
 func (db *Database) payloadOf(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion) []byte {
 	if r.slot != 0 {
-		payload, release := db.pager.pinRow(strings.ToLower(td.def.Name), r.slot, r.id)
+		payload, release := db.pager.pinRow(td.key, r.slot, r.id)
 		defer release()
 		return bytes.Clone(payload)
 	}
@@ -240,6 +256,23 @@ func (db *Database) payloadOf(td *tableData, r rowRef, resolve func(*rowVersion)
 		return v.payload
 	}
 	return nil
+}
+
+// wantedOf decodes into buf the columns want marks of the row a reader
+// sees through r (decodeWanted), ok false when it sees none: from the
+// visible version's payload, or from a page-only row's bytes in its
+// pinned frame, unpinned once decoded (a string value is copied out), so
+// a key check copies no page row. Same contract as see.
+func (db *Database) wantedOf(td *tableData, r rowRef, resolve func(*rowVersion) *rowVersion, want []bool, buf []Value) ([]Value, bool) {
+	if r.slot != 0 {
+		payload, release := db.pager.pinRow(td.key, r.slot, r.id)
+		defer release()
+		return decodeWanted(payload, want, buf), true
+	}
+	if v := resolve(r.head); v != nil {
+		return decodeWanted(v.payload, want, buf), true
+	}
+	return nil, false
 }
 
 // decodeWanted decodes the columns want marks out of a payload the
@@ -362,13 +395,14 @@ type pagePlan struct {
 // Dirty images are resolved after the latch drops, as the registered
 // snapshot may, and installed as the versions' own payload bytes;
 // nothing is encoded or decoded, survivors included.
-func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID]struct{}) (*pagePlan, error) {
+func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string][]RowID) (*pagePlan, error) {
 	// Resolve images at the snapshot and collect the superseded slots.
 	names := slices.Sorted(maps.Keys(dirty)) // db.tables' own keys
 	plan := &pagePlan{gone: make(map[string][]RowID)}
 	affectedTable := make(map[uint32]string)
 	for _, name := range names {
-		td, ids := db.tables[name], slices.Sorted(maps.Keys(dirty[name]))
+		td, ids := db.tables[name], sortedIDs(dirty[name])
+		dirty[name] = ids // sorted, for the survivors' membership test
 		rows := make([]pagestore.InstallRow, 0, len(ids))
 		for _, id := range ids {
 			db.mu.RLock()
@@ -413,7 +447,7 @@ func (db *Database) buildPageInstalls(snap *Snapshot, dirty map[string]map[RowID
 			if td.slotOf(id) != slot+1 {
 				continue // row since moved to a newer page
 			}
-			if _, isDirty := dirty[name][id]; isDirty {
+			if _, isDirty := slices.BinarySearch(dirty[name], id); isDirty {
 				continue
 			}
 			if !td.ref(id).sees(snap.resolve) {

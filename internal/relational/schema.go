@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -79,7 +80,8 @@ type TableDef struct {
 	PrimaryKey  []string
 	ForeignKeys []ForeignKey
 
-	colIndex map[string]int
+	colIndex map[string]int // lower-cased name → position
+	notNull  []bool         // per column: NOT NULL, declared or by the primary key
 }
 
 // NewTableDef constructs a TableDef and freezes its column lookup table.
@@ -90,6 +92,7 @@ func NewTableDef(name string, columns []Column, primaryKey []string, fks []Forei
 		PrimaryKey:  primaryKey,
 		ForeignKeys: fks,
 		colIndex:    make(map[string]int, len(columns)),
+		notNull:     make([]bool, len(columns)),
 	}
 	for i, c := range columns {
 		lower := strings.ToLower(c.Name)
@@ -97,11 +100,14 @@ func NewTableDef(name string, columns []Column, primaryKey []string, fks []Forei
 			return nil, fmt.Errorf("relational: table %s: duplicate column %s", name, c.Name)
 		}
 		t.colIndex[lower] = i
+		t.notNull[i] = c.NotNull
 	}
 	for _, pk := range primaryKey {
-		if _, ok := t.colIndex[strings.ToLower(pk)]; !ok {
+		i, ok := t.colIndex[strings.ToLower(pk)]
+		if !ok {
 			return nil, fmt.Errorf("relational: table %s: primary key column %s not found", name, pk)
 		}
+		t.notNull[i] = true
 	}
 	for _, fk := range fks {
 		for _, c := range fk.Columns {
@@ -117,10 +123,33 @@ func NewTableDef(name string, columns []Column, primaryKey []string, fks []Forei
 }
 
 // ColumnIndex returns the positional index of a column (case-insensitive)
-// and whether it exists.
+// and whether it exists. A name already in lower case, as most are, is
+// found without folding it.
 func (t *TableDef) ColumnIndex(name string) (int, bool) {
+	if i, ok := t.colIndex[name]; ok {
+		return i, true
+	}
 	i, ok := t.colIndex[strings.ToLower(name)]
 	return i, ok
+}
+
+// AppendRow places named values at their column positions, appending
+// one row in declared column order to dst[:0] (grown past it when the
+// table is wider); a column values does not name is NULL, and a name no
+// column has fails with ErrNoSuchColumn. It is the adapter a
+// name-keyed insert (Txn.Insert, an SQL INSERT) takes into the
+// positional core; the values are coerced there.
+func (t *TableDef) AppendRow(dst []Value, values map[string]Value) ([]Value, error) {
+	row := slices.Grow(dst[:0], len(t.Columns))[:len(t.Columns)]
+	clear(row)
+	for name, v := range values {
+		i, ok := t.ColumnIndex(name)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, name)
+		}
+		row[i] = v
+	}
+	return row, nil
 }
 
 // ColumnNamed returns the column definition for a name.
@@ -154,19 +183,8 @@ func (t *TableDef) IsKeyColumn(name string) bool {
 // IsNotNullColumn reports whether the column is NOT NULL, either
 // explicitly or by being part of the primary key.
 func (t *TableDef) IsNotNullColumn(name string) bool {
-	c, ok := t.ColumnNamed(name)
-	if !ok {
-		return false
-	}
-	if c.NotNull {
-		return true
-	}
-	for _, pk := range t.PrimaryKey {
-		if strings.EqualFold(pk, name) {
-			return true
-		}
-	}
-	return false
+	i, ok := t.ColumnIndex(name)
+	return ok && t.notNull[i]
 }
 
 // Schema is the set of relations of a database plus their constraints.
@@ -227,6 +245,9 @@ func (t *TableDef) isKeyColumns(cols []string) bool {
 
 // Table returns the table definition by name (case-insensitive).
 func (s *Schema) Table(name string) (*TableDef, bool) {
+	if t, ok := s.byName[name]; ok {
+		return t, true
+	}
 	t, ok := s.byName[strings.ToLower(name)]
 	return t, ok
 }

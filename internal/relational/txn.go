@@ -86,16 +86,26 @@ func (t *Txn) ReadSeq() uint64 { return t.readSeq }
 // OpCount returns the number of logged operations (touched tuples).
 func (t *Txn) OpCount() int { return len(t.log) }
 
-// Insert adds a row through the transaction. It enforces, in order:
-// type coercion, NOT NULL, CHECK, primary key / UNIQUE, and foreign key
-// existence. A duplicate key held by another in-flight transaction
-// surfaces as ErrWriteConflict rather than a constraint violation: the
-// retry resolves against the winner's outcome.
+// InsertRow adds a row, its values in declared column order, through
+// the transaction. It enforces, in order: type coercion, NOT NULL,
+// CHECK, primary key / UNIQUE, and foreign key existence. A duplicate
+// key held by another in-flight transaction surfaces as
+// ErrWriteConflict rather than a constraint violation: the retry
+// resolves against the winner's outcome.
+func (t *Txn) InsertRow(table string, row []Value) (RowID, error) {
+	if t.done {
+		return 0, errTxnFinished()
+	}
+	return t.db.txnInsert(t, table, row)
+}
+
+// Insert is InsertRow with the values named: a column the map does not
+// name is NULL, a name no column has fails with ErrNoSuchColumn.
 func (t *Txn) Insert(table string, values map[string]Value) (RowID, error) {
 	if t.done {
 		return 0, errTxnFinished()
 	}
-	return t.db.txnInsert(t, table, values)
+	return t.db.txnInsertMap(t, table, values)
 }
 
 // Delete removes the row with the given id through the transaction,
@@ -155,7 +165,11 @@ func (t *Txn) Commit() error {
 // inline under the latch.
 func (db *Database) CommitGroup(txns ...*Txn) error {
 	var firstErr error
-	live := make([]*Txn, 0, len(txns))
+	req := &walReq{}
+	live := req.txn[:0]
+	if len(txns) > 1 {
+		live = make([]*Txn, 0, len(txns))
+	}
 	for _, t := range txns {
 		if t == nil {
 			continue
@@ -173,7 +187,6 @@ func (db *Database) CommitGroup(txns ...*Txn) error {
 	if len(live) == 0 {
 		return firstErr
 	}
-	req := &walReq{}
 	req.one[0] = walPart{db: db, live: live}
 	req.parts = req.one[:]
 	if err := req.commit(); err != nil {
@@ -224,7 +237,10 @@ func (req *walReq) commit() error {
 	if w != nil {
 		for i := range req.parts {
 			p := &req.parts[i]
-			p.bodies = make([][]byte, len(p.live))
+			p.bodies = req.body[:]
+			if len(req.parts) > 1 || len(p.live) > 1 {
+				p.bodies = make([][]byte, len(p.live))
+			}
 			for j, t := range p.live {
 				p.bodies[j] = appendTxnOpsBody(nil, t)
 			}

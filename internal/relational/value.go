@@ -315,19 +315,14 @@ func (op CompareOp) Apply(a, b Value) bool {
 // implicit casts a relational engine performs when binding literals from
 // an XML update (where everything arrives as text).
 func (v Value) CoerceTo(t Type) (Value, error) {
-	if v.IsNull() {
+	if v.fits(t) {
 		return v, nil
 	}
 	switch t {
 	case TypeString:
-		if v.Kind == KindString {
-			return v, nil
-		}
 		return String_(v.String()), nil
 	case TypeInt, TypeDate:
 		switch v.Kind {
-		case KindInt:
-			return v, nil
 		case KindFloat:
 			if v.Float == float64(int64(v.Float)) {
 				return Int_(int64(v.Float)), nil
@@ -343,8 +338,6 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 		}
 	case TypeFloat:
 		switch v.Kind {
-		case KindFloat:
-			return v, nil
 		case KindInt:
 			return Float_(float64(v.Int)), nil
 		case KindString:
@@ -357,6 +350,22 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 		}
 	}
 	return Value{}, fmt.Errorf("relational: cannot coerce %s to %s", v, t)
+}
+
+// fits reports whether v needs no conversion to type t: it is NULL, or
+// already of t's kind.
+func (v Value) fits(t Type) bool {
+	switch v.Kind {
+	case KindNull:
+		return true
+	case KindString:
+		return t == TypeString
+	case KindInt:
+		return t == TypeInt || t == TypeDate
+	case KindFloat:
+		return t == TypeFloat
+	}
+	return false
 }
 
 // ParseLiteral converts raw text (e.g. XML text content) into a Value,

@@ -34,14 +34,14 @@ func (db *Database) markDirtyGroupLocked(live []*Txn) {
 // swapDirtyRowsLocked detaches every table's dirty set, leaving empty
 // sets behind. Caller holds commitMu — the latch all marking happens
 // under — so no mark can race the swap or land in the detached sets.
-func (db *Database) swapDirtyRowsLocked() map[string]map[RowID]struct{} {
-	var out map[string]map[RowID]struct{}
+func (db *Database) swapDirtyRowsLocked() map[string][]RowID {
+	var out map[string][]RowID
 	for name, td := range db.tables {
 		if len(td.dirtyRows) == 0 {
 			continue
 		}
 		if out == nil {
-			out = make(map[string]map[RowID]struct{}, len(db.tables))
+			out = make(map[string][]RowID, len(db.tables))
 		}
 		out[name] = td.dirtyRows
 		td.dirtyRows = nil
@@ -51,7 +51,7 @@ func (db *Database) swapDirtyRowsLocked() map[string]map[RowID]struct{} {
 
 // mergeDirtyRows folds a swapped-out dirty set back into the tables
 // after a failed checkpoint, so the rows stay covered by the next pass.
-func (db *Database) mergeDirtyRows(dirty map[string]map[RowID]struct{}) {
+func (db *Database) mergeDirtyRows(dirty map[string][]RowID) {
 	if len(dirty) == 0 {
 		return
 	}
@@ -62,7 +62,7 @@ func (db *Database) mergeDirtyRows(dirty map[string]map[RowID]struct{}) {
 		if !ok {
 			continue
 		}
-		for id := range ids {
+		for _, id := range ids {
 			td.markDirtyRow(id)
 		}
 	}

@@ -1,6 +1,9 @@
 package relational
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // stampedGroup builds a two-transaction group over the WAL test schema
 // — an insert, an update, a cascading delete — and assigns sequences
@@ -88,5 +91,29 @@ func TestGroupFrameMatchesReference(t *testing.T) {
 	})))
 	if got := string(encodeRecord(nil, req)); got != want {
 		t.Fatalf("multi-member frame diverges from the reference:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestTxnOpsBodyIsExactlySized: a transaction's body is encoded into one
+// allocation sized by its length, for the stamped group's insert,
+// update and cascading delete and for a 300-row batch whose body, grown
+// by doubling, would take a dozen allocations.
+func TestTxnOpsBodyIsExactlySized(t *testing.T) {
+	live := stampedGroup(t)
+	db := NewDatabase(walSchema(t))
+	batch := db.Begin()
+	defer batch.Rollback()
+	for i := range 300 {
+		if _, err := batch.InsertRow("parent", []Value{Int_(int64(100 + i)), String_(fmt.Sprintf("row name %04d of some length", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, txn := range append(live, batch) {
+		var body []byte
+		allocs := testing.AllocsPerRun(20, func() { body = appendTxnOpsBody(nil, txn) })
+		if len(body) != txnOpsBodyLen(txn) || allocs != 1 && !RaceEnabled {
+			t.Fatalf("%d ops: body of %d bytes in %v allocations, want %d bytes in 1",
+				len(txn.log), len(body), allocs, txnOpsBodyLen(txn))
+		}
 	}
 }

@@ -40,6 +40,8 @@ type walPart struct {
 type walReq struct {
 	parts []walPart
 	one   [1]walPart  // parts' backing store for a single-member record
+	txn   [1]*Txn     // one[0].live's backing store for a one-transaction group
+	body  [1][]byte   // and one[0].bodies'
 	vec   sync.Locker // held across a multi-part publish; may be nil
 	err   error       // set by the write phase; routes to rollback
 

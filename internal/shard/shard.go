@@ -102,14 +102,22 @@ type Recovery struct {
 // tableRoute is the per-table routing metadata derived from the schema.
 type tableRoute struct {
 	td *relational.TableDef
-	pk []string
+	pk keySet
 	// fk is the co-location edge: the table's first foreign key, nil
-	// for root tables.
-	fk *relational.ForeignKey
+	// for root tables; fkCols are its columns' positions.
+	fk     *relational.ForeignKey
+	fkCols []int
 	// uniques are the column sets whose uniqueness spans shards and so
 	// must be scatter-probed: the primary key (when present, always
 	// first) and each UNIQUE column.
-	uniques [][]string
+	uniques []keySet
+}
+
+// keySet is a set of key columns by name, as probes take them, and by
+// position, as rows hold them.
+type keySet struct {
+	names []string
+	cols  []int
 }
 
 // New builds an empty shard group over the schema and, with a Dir, opens
@@ -194,8 +202,8 @@ func (db *DB) Checkpoint() error { return db.shards[0].Checkpoint() }
 // never recovered, so the batch need not be atomic across shards.
 type seedTxn struct{ *Txn }
 
-func (t seedTxn) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
-	return t.sub(t.db.routeInsert(t.readers, table, values)).Insert(table, values)
+func (t seedTxn) InsertRow(table string, row []relational.Value) (relational.RowID, error) {
+	return t.sub(t.db.routeInsert(t.readers, table, row)).InsertRow(table, row)
 }
 
 func (t seedTxn) Commit() error {
@@ -216,21 +224,31 @@ func (t seedTxn) Commit() error {
 func buildRoutes(schema *relational.Schema) map[string]*tableRoute {
 	routes := make(map[string]*tableRoute)
 	for _, td := range schema.Tables() {
-		rt := &tableRoute{td: td, pk: td.PrimaryKey}
+		rt := &tableRoute{td: td, pk: keySetOf(td, td.PrimaryKey)}
 		if len(td.ForeignKeys) > 0 {
 			rt.fk = &td.ForeignKeys[0]
+			rt.fkCols = keySetOf(td, rt.fk.Columns).cols
 		}
 		if len(td.PrimaryKey) > 0 {
-			rt.uniques = append(rt.uniques, td.PrimaryKey)
+			rt.uniques = append(rt.uniques, rt.pk)
 		}
 		for _, c := range td.Columns {
 			if c.Unique {
-				rt.uniques = append(rt.uniques, []string{c.Name})
+				rt.uniques = append(rt.uniques, keySetOf(td, []string{c.Name}))
 			}
 		}
 		routes[td.Name] = rt
 	}
 	return routes
+}
+
+// keySetOf resolves key column names the schema validated.
+func keySetOf(td *relational.TableDef, names []string) keySet {
+	ks := keySet{names: names, cols: make([]int, len(names))}
+	for i, n := range names {
+		ks.cols[i], _ = td.ColumnIndex(n)
+	}
+	return ks
 }
 
 // shardOf routes a point operation: ids are striped id ≡ shard+1 (mod
@@ -245,20 +263,21 @@ func (db *DB) shardOf(id relational.RowID) int {
 // routeInsert picks the home shard for a new row: the referenced
 // parent's shard for child tables (probed through rds, which are the
 // inserting transaction's sub-views so in-transaction parents are
-// seen), the primary-key hash otherwise. Unroutable rows (unknown
-// table, NULL or missing key components, missing parent) fall back
+// seen), the primary-key hash otherwise. row holds the values in
+// declared column order. Unroutable rows (unknown table, a row of
+// another width, NULL key components, missing parent) fall back
 // deterministically — the target shard's own constraint checks then
 // produce the canonical error.
-func (db *DB) routeInsert(rds func() []relational.Reader, table string, values map[string]relational.Value) int {
+func (db *DB) routeInsert(rds func() []relational.Reader, table string, row []relational.Value) int {
 	if db.n == 1 {
 		return 0
 	}
 	rt := db.routes[table]
-	if rt == nil {
+	if rt == nil || len(row) != len(rt.td.Columns) {
 		return 0
 	}
 	if rt.fk != nil {
-		if vals, ok := keyVals(rt.td, rt.fk.Columns, values); ok {
+		if vals, ok := keyVals(rt.td, rt.fkCols, row); ok {
 			for j, rd := range rds() {
 				if ids, err := rd.LookupEqual(rt.fk.RefTable, rt.fk.RefColumns, vals); err == nil && len(ids) > 0 {
 					return j
@@ -266,29 +285,27 @@ func (db *DB) routeInsert(rds func() []relational.Reader, table string, values m
 			}
 		}
 	}
-	if len(rt.pk) > 0 {
-		if vals, ok := keyVals(rt.td, rt.pk, values); ok {
+	if len(rt.pk.cols) > 0 {
+		if vals, ok := keyVals(rt.td, rt.pk.cols, row); ok {
 			return int(hashVals(vals) % uint64(db.n))
 		}
 	}
 	return 0
 }
 
-// keyVals extracts and type-coerces the named columns from a value map.
-// ok is false when any component is missing or NULL — such keys do not
-// participate in routing or cross-shard probes (NULLs never collide,
-// and missing components fail locally anyway).
-func keyVals(td *relational.TableDef, cols []string, values map[string]relational.Value) ([]relational.Value, bool) {
+// keyVals extracts and type-coerces the columns at positions cols of a
+// row in declared column order. ok is false when any component is NULL
+// — such keys do not participate in routing or cross-shard probes
+// (NULLs never collide, and a NULL key component fails locally anyway).
+func keyVals(td *relational.TableDef, cols []int, row []relational.Value) ([]relational.Value, bool) {
 	out := make([]relational.Value, len(cols))
 	for i, c := range cols {
-		v, ok := values[c]
-		if !ok || v.IsNull() {
+		v := row[c]
+		if v.IsNull() {
 			return nil, false
 		}
-		if ci, ok := td.ColumnIndex(c); ok {
-			if cv, err := v.CoerceTo(td.Columns[ci].Type); err == nil {
-				v = cv
-			}
+		if cv, err := v.CoerceTo(td.Columns[c].Type); err == nil {
+			v = cv
 		}
 		out[i] = v
 	}
@@ -309,31 +326,32 @@ func hashVals(vals []relational.Value) uint64 {
 // home shard's own checks only see its rows, so every unique column set
 // is probed on the other shards through rds (the transaction's
 // sub-views, so uncommitted duplicates in the same transaction are
-// caught too). exclude skips the row being updated; changed, when
-// non-nil, restricts probing to sets an update actually touched. The
+// caught too). row holds the values in declared column order. exclude
+// skips the row being updated; changed, when non-nil, flags by position
+// the columns an update touched and restricts probing to their sets. The
 // primary key of a root table is skipped while the hash co-location
 // invariant holds (see DB.pkMoved). Two transactions concurrently
 // inserting the same key onto different shards can both pass the probe
 // — the same write-skew window the engine's snapshot-isolation FK
 // checks already document — and is accepted as this layer's isolation
 // level.
-func (db *DB) checkCrossUnique(rds func() []relational.Reader, home int, table string, values map[string]relational.Value, exclude relational.RowID, changed map[string]bool) error {
+func (db *DB) checkCrossUnique(rds func() []relational.Reader, home int, table string, row []relational.Value, exclude relational.RowID, changed []bool) error {
 	if db.n == 1 {
 		return nil
 	}
 	rt := db.routes[table]
-	if rt == nil {
+	if rt == nil || len(row) != len(rt.td.Columns) {
 		return nil
 	}
 	for si, set := range rt.uniques {
-		if changed != nil && !intersects(set, changed) {
+		if changed != nil && !intersects(set.cols, changed) {
 			continue
 		}
-		isPK := si == 0 && len(rt.pk) > 0 // PK is always uniques[0] when present
+		isPK := si == 0 && len(rt.pk.cols) > 0 // PK is always uniques[0] when present
 		if isPK && rt.fk == nil && !db.pkMoved.Load() {
 			continue // hash routing already co-locates duplicates
 		}
-		vals, ok := keyVals(rt.td, set, values)
+		vals, ok := keyVals(rt.td, set.cols, row)
 		if !ok {
 			continue
 		}
@@ -341,7 +359,7 @@ func (db *DB) checkCrossUnique(rds func() []relational.Reader, home int, table s
 			if j == home {
 				continue
 			}
-			ids, err := rd.LookupEqual(table, set, vals)
+			ids, err := rd.LookupEqual(table, set.names, vals)
 			if err != nil {
 				continue
 			}
@@ -354,14 +372,14 @@ func (db *DB) checkCrossUnique(rds func() []relational.Reader, home int, table s
 					kind = relational.ErrPrimaryKey
 				}
 				return fmt.Errorf("%w: %s(%s) duplicates row %d on shard %d",
-					kind, table, joinCols(set), id, j)
+					kind, table, joinCols(set.names), id, j)
 			}
 		}
 	}
 	return nil
 }
 
-func intersects(cols []string, changed map[string]bool) bool {
+func intersects(cols []int, changed []bool) bool {
 	for _, c := range cols {
 		if changed[c] {
 			return true

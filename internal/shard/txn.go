@@ -116,16 +116,30 @@ func (t *Txn) TotalRows() int {
 
 // ---- Writes.
 
-// Insert routes the row to its home shard, scatter-probes uniqueness on
-// the others, then inserts through the home sub-transaction (whose
-// local checks cover co-located constraints: same-shard keys, FK
-// existence, NOT NULL, CHECK).
-func (t *Txn) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
-	s := t.db.routeInsert(t.readers, table, values)
-	if err := t.db.checkCrossUnique(t.readers, s, table, values, 0, nil); err != nil {
+// InsertRow routes the row, its values in declared column order, to
+// its home shard, scatter-probes uniqueness on the others, then inserts
+// through the home sub-transaction (whose local checks cover co-located
+// constraints: same-shard keys, FK existence, NOT NULL, CHECK).
+func (t *Txn) InsertRow(table string, row []relational.Value) (relational.RowID, error) {
+	s := t.db.routeInsert(t.readers, table, row)
+	if err := t.db.checkCrossUnique(t.readers, s, table, row, 0, nil); err != nil {
 		return 0, err
 	}
-	return t.sub(s).Insert(table, values)
+	return t.sub(s).InsertRow(table, row)
+}
+
+// Insert is InsertRow with the values named (relational.TableDef's
+// AppendRow places them).
+func (t *Txn) Insert(table string, values map[string]relational.Value) (relational.RowID, error) {
+	td, ok := t.db.schema.Table(table)
+	if !ok {
+		return t.sub(0).Insert(table, values) // the engine's unknown-table error
+	}
+	row, err := td.AppendRow(nil, values)
+	if err != nil {
+		return 0, err
+	}
+	return t.InsertRow(table, row)
 }
 
 // Delete routes by id residue; referential actions (CASCADE, SET NULL)
@@ -142,14 +156,16 @@ func (t *Txn) UpdateRow(table string, id relational.RowID, changes map[string]re
 	s := t.db.shardOf(id)
 	if t.db.n > 1 {
 		if rt := t.db.routes[table]; rt != nil {
-			if old, err := t.sub(s).ValuesByName(table, id); err == nil {
-				changed := make(map[string]bool, len(changes))
-				eff := old
+			if old, err := t.sub(s).Get(table, id); err == nil {
+				eff := old.Values
+				changed := make([]bool, len(eff))
 				for c, v := range changes {
-					changed[c] = true
-					eff[c] = v
+					if ci, ok := rt.td.ColumnIndex(c); ok {
+						changed[ci] = true
+						eff[ci] = v
+					}
 				}
-				if rt.fk == nil && intersects(rt.pk, changed) {
+				if rt.fk == nil && intersects(rt.pk.cols, changed) {
 					t.db.pkMoved.Store(true)
 				}
 				if err := t.db.checkCrossUnique(t.readers, s, table, eff, id, changed); err != nil {

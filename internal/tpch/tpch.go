@@ -119,52 +119,55 @@ func RowsForMB(mb int) Rows {
 
 // Generate emits the dataset deterministically (seeded by the nominal
 // size) into the sink, relation by relation in FK order, so every row's
-// parent precedes it and every FK is valid by construction.
+// parent precedes it and every FK is valid by construction. Each row is
+// built in declared column order in one reused buffer.
 func Generate(sink relational.Inserter, rows Rows) error {
 	rng := rand.New(rand.NewSource(int64(rows.Customers)*31 + 7))
+	var buf [6]relational.Value // the widest relation's columns
 	regionNames := []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 	for i := 0; i < rows.Regions; i++ {
 		name := fmt.Sprintf("REGION-%d", i)
 		if i < len(regionNames) {
 			name = regionNames[i]
 		}
-		if _, err := sink.Insert("region", map[string]relational.Value{
-			"r_regionkey": relational.Int_(int64(i)),
-			"r_name":      relational.String_(name),
-			"r_comment":   relational.String_(comment(rng)),
-		}); err != nil {
+		// r_regionkey, r_name, r_comment
+		row := append(buf[:0], relational.Int_(int64(i)), relational.String_(name), relational.String_(comment(rng)))
+		if _, err := sink.InsertRow("region", row); err != nil {
 			return fmt.Errorf("tpch: region %d: %w", i, err)
 		}
 	}
 	for i := 0; i < rows.Nations; i++ {
-		if _, err := sink.Insert("nation", map[string]relational.Value{
-			"n_nationkey": relational.Int_(int64(i)),
-			"n_name":      relational.String_(fmt.Sprintf("NATION-%02d", i)),
-			"n_regionkey": relational.Int_(int64(i % rows.Regions)),
-			"n_comment":   relational.String_(comment(rng)),
-		}); err != nil {
+		// n_nationkey, n_name, n_regionkey, n_comment
+		row := append(buf[:0],
+			relational.Int_(int64(i)),
+			relational.String_(fmt.Sprintf("NATION-%02d", i)),
+			relational.Int_(int64(i%rows.Regions)),
+			relational.String_(comment(rng)))
+		if _, err := sink.InsertRow("nation", row); err != nil {
 			return fmt.Errorf("tpch: nation %d: %w", i, err)
 		}
 	}
 	for i := 0; i < rows.Customers; i++ {
-		if _, err := sink.Insert("customer", map[string]relational.Value{
-			"c_custkey":   relational.Int_(int64(i)),
-			"c_name":      relational.String_(fmt.Sprintf("Customer#%09d", i)),
-			"c_nationkey": relational.Int_(int64(i % rows.Nations)),
-			"c_acctbal":   relational.Float_(float64(rng.Intn(1000000)) / 100),
-			"c_comment":   relational.String_(comment(rng)),
-		}); err != nil {
+		// c_custkey, c_name, c_nationkey, c_acctbal, c_comment
+		row := append(buf[:0],
+			relational.Int_(int64(i)),
+			relational.String_(fmt.Sprintf("Customer#%09d", i)),
+			relational.Int_(int64(i%rows.Nations)),
+			relational.Float_(float64(rng.Intn(1000000))/100),
+			relational.String_(comment(rng)))
+		if _, err := sink.InsertRow("customer", row); err != nil {
 			return fmt.Errorf("tpch: customer %d: %w", i, err)
 		}
 	}
 	for i := 0; i < rows.Orders; i++ {
-		if _, err := sink.Insert("orders", map[string]relational.Value{
-			"o_orderkey":   relational.Int_(int64(i)),
-			"o_custkey":    relational.Int_(int64(i % rows.Customers)),
-			"o_totalprice": relational.Float_(float64(1+rng.Intn(5000000)) / 100),
-			"o_orderdate":  relational.Int_(int64(19920101 + rng.Intn(60000))),
-			"o_comment":    relational.String_(comment(rng)),
-		}); err != nil {
+		// o_orderkey, o_custkey, o_totalprice, o_orderdate, o_comment
+		row := append(buf[:0],
+			relational.Int_(int64(i)),
+			relational.Int_(int64(i%rows.Customers)),
+			relational.Float_(float64(1+rng.Intn(5000000))/100),
+			relational.Int_(int64(19920101+rng.Intn(60000))),
+			relational.String_(comment(rng)))
+		if _, err := sink.InsertRow("orders", row); err != nil {
 			return fmt.Errorf("tpch: order %d: %w", i, err)
 		}
 	}
@@ -174,14 +177,16 @@ func Generate(sink relational.Inserter, rows Rows) error {
 	}
 	for o := 0; o < rows.Orders; o++ {
 		for l := 0; l < perOrder; l++ {
-			if _, err := sink.Insert("lineitem", map[string]relational.Value{
-				"l_orderkey":      relational.Int_(int64(o)),
-				"l_linenumber":    relational.Int_(int64(l + 1)),
-				"l_partkey":       relational.Int_(int64(rng.Intn(200000))),
-				"l_quantity":      relational.Float_(float64(1 + rng.Intn(50))),
-				"l_extendedprice": relational.Float_(float64(1+rng.Intn(10000000)) / 100),
-				"l_comment":       relational.String_(comment(rng)),
-			}); err != nil {
+			// l_orderkey, l_linenumber, l_partkey, l_quantity,
+			// l_extendedprice, l_comment
+			row := append(buf[:0],
+				relational.Int_(int64(o)),
+				relational.Int_(int64(l+1)),
+				relational.Int_(int64(rng.Intn(200000))),
+				relational.Float_(float64(1+rng.Intn(50))),
+				relational.Float_(float64(1+rng.Intn(10000000))/100),
+				relational.String_(comment(rng)))
+			if _, err := sink.InsertRow("lineitem", row); err != nil {
 				return fmt.Errorf("tpch: lineitem %d/%d: %w", o, l, err)
 			}
 		}
@@ -206,10 +211,22 @@ var commentWords = []string{
 	"requests", "haggle", "furiously", "ironic", "accounts", "pending",
 }
 
+// comments holds every two-word comment, the first word's index major,
+// so a row's comment is two draws and no allocation.
+var comments = func() []string {
+	out := make([]string, 0, len(commentWords)*len(commentWords))
+	for _, a := range commentWords {
+		for _, b := range commentWords {
+			out = append(out, a+" "+b)
+		}
+	}
+	return out
+}()
+
 func comment(rng *rand.Rand) string {
-	a := commentWords[rng.Intn(len(commentWords))]
-	b := commentWords[rng.Intn(len(commentWords))]
-	return a + " " + b
+	a := rng.Intn(len(commentWords))
+	b := rng.Intn(len(commentWords))
+	return comments[a*len(commentWords)+b]
 }
 
 // VsuccessQuery is the Section 7.2 view where the five relations are

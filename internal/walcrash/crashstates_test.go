@@ -1,6 +1,7 @@
 package walcrash
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -73,8 +74,11 @@ const viewDir = "view"
 // recordStates runs txns transactions of the seeded workload on a fresh
 // dir (a group of that many shards), through a recFS, checkpointing
 // every statesCkptEvery commits, and returns every state a power cut at
-// any operation could leave.
-func recordStates(t *testing.T, seed int64, shards int, txns int64) []*crashState {
+// any operation could leave. A failAt past zero makes the log's write of
+// that transaction's record a short one: the commit must fail, and after
+// a checkpoint pass, which seals the segment the cut-back record was
+// left in, the transaction is committed again.
+func recordStates(t *testing.T, seed int64, shards int, txns, failAt int64) []*crashState {
 	t.Helper()
 	root := t.TempDir()
 	fs, err := newRecFS(root)
@@ -92,7 +96,19 @@ func recordStates(t *testing.T, seed int64, shards int, txns int64) []*crashStat
 	model, rng := NewModel(), rand.New(rand.NewSource(seed))
 	for k := int64(1); k <= txns; k++ {
 		s.progress(k-1, k)
-		if err := ApplyTxn(db, model.TxnOps(rng, k), k); err != nil {
+		ops := model.TxnOps(rng, k)
+		if k == failAt {
+			fs.mu.Lock()
+			fs.shortWrite = true
+			fs.mu.Unlock()
+			if err := ApplyTxn(db, ops, k); !errors.Is(err, relational.ErrWALFailed) {
+				t.Fatalf("txn %d over a short segment write: %v, want ErrWALFailed", k, err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after the failed txn %d: %v", k, err)
+			}
+		}
+		if err := ApplyTxn(db, ops, k); err != nil {
 			t.Fatalf("txn %d: %v", k, err)
 		}
 		s.progress(k, k)
@@ -211,7 +227,7 @@ func TestCrashStates(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			seed := int64(2024 + shards)
-			states := recordStates(t, seed, shards, txns)
+			states := recordStates(t, seed, shards, txns, 0)
 			base := t.TempDir()
 			for _, st := range states {
 				if err := checkState(st, base, seed, shards); err != nil {
@@ -219,6 +235,32 @@ func TestCrashStates(t *testing.T) {
 				}
 			}
 			t.Logf("%d txns: reopened %d distinct crash states, each given a second life", txns, len(states))
+		})
+	}
+}
+
+// TestCrashStatesAfterFailedAppend is TestCrashStates over a run in
+// which one append fails short: the log cuts the half-written record
+// back, the commit fails, a checkpoint pass rotates the segment and
+// retires it, and the transaction commits again into the next segment.
+// Neither the cut nor the retirement is synced on its own: the seal's
+// fsync makes the cut durable, and a power cut that undoes the
+// retirement brings the sealed segment back, which must end at its last
+// good record — a torn one there would end the log and lose the
+// transactions acknowledged after it.
+func TestCrashStatesAfterFailedAppend(t *testing.T) {
+	txns, failAt := int64(statesCkptEvery+4), int64(statesCkptEvery+2)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			seed := int64(2024 + shards)
+			states := recordStates(t, seed, shards, txns, failAt)
+			base := t.TempDir()
+			for _, st := range states {
+				if err := checkState(st, base, seed, shards); err != nil {
+					t.Fatalf("crash state before %s (files %v):\n%v", st.at, st.names(), err)
+				}
+			}
+			t.Logf("%d txns, txn %d's append failed short: reopened %d distinct crash states", txns, failAt, len(states))
 		})
 	}
 }

@@ -3,6 +3,7 @@ package walcrash
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,6 +40,9 @@ type recFS struct {
 	// before, if set, runs under mu before every operation, with the
 	// operation's trace line.
 	before func(op string)
+	// shortWrite, when set, makes the next segment write a short one: it
+	// writes the first half of its bytes and fails, and clears the flag.
+	shortWrite bool
 }
 
 // inode is one file: its durable bytes and the changes since.
@@ -255,9 +259,16 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 	if end := off + int64(len(p)); pagestore.ClassOf("write", f.path) == "segment" && end > int64(len(f.ino.durable)) {
 		f.r.grew = append(f.r.grew, fmt.Sprintf("%s ending at %d, durable size %d", filepath.Base(f.path), end, len(f.ino.durable)))
 	}
+	full := p
+	if f.r.shortWrite && pagestore.ClassOf("write", f.path) == "segment" {
+		f.r.shortWrite, p = false, p[:len(p)/2]
+	}
 	n, err := f.File.WriteAt(p, off)
 	if n > 0 {
 		f.ino.ops = append(f.ino.ops, fileOp{off: off, data: slices.Clone(p[:n])})
+	}
+	if err == nil && n < len(full) {
+		err = io.ErrShortWrite
 	}
 	return n, err
 }
