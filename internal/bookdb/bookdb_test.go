@@ -44,9 +44,15 @@ func TestSampleData(t *testing.T) {
 			db.RowCount("publisher"), db.RowCount("book"), db.RowCount("review"))
 	}
 	ids, _ := db.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_("98002")})
-	vals, _ := db.ValuesByName("book", ids[0])
-	if vals["year"].Int != 1985 || vals["price"].Float != 45.00 {
-		t.Errorf("book 98002 = %v", vals)
+	row, err := db.Get("book", ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := db.Schema().Table("book")
+	year, _ := def.ColumnIndex("year")
+	price, _ := def.ColumnIndex("price")
+	if row.Values[year].Int != 1985 || row.Values[price].Float != 45.00 {
+		t.Errorf("book 98002 = %v", row.Values)
 	}
 }
 

@@ -392,26 +392,38 @@ func fig17Run(mb int, strat ufilter.Strategy, iters int) (fail1, fail2 time.Dura
 	// k owns orders {k, k+customers, k+2*customers, ...}.
 	fail1Cust := make([]int64, iters)
 	fail2Cust := make([]int64, iters)
+	tx := db.Begin()
+	deleteWhere := func(table, col string, key int) error {
+		ids, err := tx.LookupEqual(table, []string{col}, []relational.Value{relational.Int_(int64(key))})
+		if err != nil {
+			return err
+		}
+		for _, id := range ids {
+			if _, err := tx.Delete(table, id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := 0; i < iters; i++ {
 		c1 := int64(i)
 		c2 := int64(iters + i)
 		fail1Cust[i], fail2Cust[i] = c1, c2
 		for o := int(c1); o < rows.Orders; o += rows.Customers {
-			ids, _ := db.LookupEqual("orders", []string{"o_orderkey"}, []relational.Value{relational.Int_(int64(o))})
-			for _, id := range ids {
-				if _, err := db.Delete("orders", id); err != nil {
-					return 0, 0, 0, err
-				}
+			if err := deleteWhere("orders", "o_orderkey", o); err != nil {
+				_ = tx.Rollback()
+				return 0, 0, 0, err
 			}
 		}
 		for o := int(c2); o < rows.Orders; o += rows.Customers {
-			ids, _ := db.LookupEqual("lineitem", []string{"l_orderkey"}, []relational.Value{relational.Int_(int64(o))})
-			for _, id := range ids {
-				if _, err := db.Delete("lineitem", id); err != nil {
-					return 0, 0, 0, err
-				}
+			if err := deleteWhere("lineitem", "l_orderkey", o); err != nil {
+				_ = tx.Rollback()
+				return 0, 0, 0, err
 			}
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		return 0, 0, 0, err
 	}
 	f, err := ufilter.New(tpch.VlinearQuery, db)
 	if err != nil {

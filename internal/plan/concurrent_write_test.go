@@ -158,9 +158,14 @@ func bookValues(t *testing.T, e *Executor, bookid string) map[string]relational.
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("lookup book %s: %v, %v", bookid, ids, err)
 	}
-	vals, err := e.Exec.DB.ValuesByName("book", ids[0])
+	row, err := e.Exec.DB.Get("book", ids[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	def, _ := e.Exec.DB.Schema().Table("book")
+	vals := make(map[string]relational.Value, len(row.Values))
+	for i, c := range def.Columns {
+		vals[c.Name] = row.Values[i]
 	}
 	return vals
 }

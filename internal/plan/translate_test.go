@@ -109,10 +109,8 @@ UPDATE $book {
 	if !res.Accepted {
 		t.Fatalf("rejected: %s", res.Reason)
 	}
-	ids, _ := e.Exec.DB.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_("98001")})
-	vals, _ := e.Exec.DB.ValuesByName("book", ids[0])
-	if vals["price"].Float != 19.99 {
-		t.Errorf("price = %v after multi-op replace", vals["price"])
+	if price := bookValues(t, e, "98001")["price"]; price.Float != 19.99 {
+		t.Errorf("price = %v after multi-op replace", price)
 	}
 	if got := e.Exec.DB.RowCount("review"); got != 0 {
 		t.Errorf("review rows = %d, want 0", got)

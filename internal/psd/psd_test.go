@@ -42,16 +42,24 @@ func TestSetNullPolicy(t *testing.T) {
 	}
 	before := db.RowCount("protein")
 	ids, _ := db.LookupEqual("organism", []string{"oid"}, []relational.Value{relational.String_("O1")})
-	if _, err := db.Delete("organism", ids[0]); err != nil {
+	txn := db.Begin()
+	if _, err := txn.Delete("organism", ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if db.RowCount("protein") != before {
 		t.Error("proteins must survive organism deletion under SET NULL")
 	}
 	pids, _ := db.LookupEqual("protein", []string{"pid"}, []relational.Value{relational.String_("P00000")})
-	vals, _ := db.ValuesByName("protein", pids[0])
-	if !vals["oid"].IsNull() {
-		t.Errorf("protein.oid = %v, want NULL", vals["oid"])
+	row, err := db.Get("protein", pids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := db.Schema().Table("protein")
+	if oid, _ := def.ColumnIndex("oid"); !row.Values[oid].IsNull() {
+		t.Errorf("protein.oid = %v, want NULL", row.Values[oid])
 	}
 }
 

@@ -32,10 +32,9 @@ func TestWriteWriteConflictFirstUpdaterWins(t *testing.T) {
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	v0, _ := db.ValuesByName("acct", ids[0])
-	v1, _ := db.ValuesByName("acct", ids[1])
-	if v0["val"].Int != 1 || v1["val"].Int != 2 {
-		t.Fatalf("vals = %v/%v, want 1/2", v0["val"], v1["val"])
+	v0, v1 := colValue(t, db, "acct", ids[0], "val"), colValue(t, db, "acct", ids[1], "val")
+	if v0.Int != 1 || v1.Int != 2 {
+		t.Fatalf("vals = %v/%v, want 1/2", v0, v1)
 	}
 	if got := db.Stats().Conflicts; got < 1 {
 		t.Fatalf("Stats().Conflicts = %d, want >= 1", got)
@@ -50,9 +49,9 @@ func TestConflictAgainstCommittedNewerVersion(t *testing.T) {
 	db, ids := newAcctDB(t, 1)
 
 	stale := db.Begin()
-	if err := db.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(5)}); err != nil {
-		t.Fatal(err) // autocommit: commits immediately
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(5)})
+	})
 	if err := stale.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(6)}); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("stale writer err = %v, want ErrWriteConflict", err)
 	}
@@ -95,9 +94,8 @@ func TestRollbackReleasesClaim(t *testing.T) {
 	if err := loser.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.ValuesByName("acct", ids[0])
-	if v["val"].Int != 2 {
-		t.Fatalf("val = %v, want 2", v["val"])
+	if v := colValue(t, db, "acct", ids[0], "val"); v.Int != 2 {
+		t.Fatalf("val = %v, want 2", v)
 	}
 }
 
@@ -127,9 +125,11 @@ func TestInsertDuplicateKeyAcrossTxns(t *testing.T) {
 	}
 	t3.Rollback()
 	// Committed-state duplicate against the pre-existing row too.
-	if _, err := db.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(9)}); !errors.Is(err, ErrPrimaryKey) {
-		t.Fatalf("autocommit duplicate err = %v, want ErrPrimaryKey", err)
+	t4 := db.Begin()
+	if _, err := t4.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(9)}); !errors.Is(err, ErrPrimaryKey) {
+		t.Fatalf("pre-existing duplicate err = %v, want ErrPrimaryKey", err)
 	}
+	t4.Rollback()
 }
 
 // TestConcurrentDisjointTxnsCommitInParallel runs many goroutines,
@@ -150,16 +150,16 @@ func TestConcurrentDisjointTxnsCommitInParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < txnsPerWriter; i++ {
 				txn := db.Begin()
-				av, err := txn.ValuesByName("acct", a)
+				av, err := txn.Get("acct", a)
 				if err == nil {
-					err = txn.UpdateRow("acct", a, map[string]Value{"val": Int_(av["val"].Int - 1)})
+					err = txn.UpdateRow("acct", a, map[string]Value{"val": Int_(av.Values[1].Int - 1)})
 				}
-				var bv map[string]Value
+				var bv *Row
 				if err == nil {
-					bv, err = txn.ValuesByName("acct", b)
+					bv, err = txn.Get("acct", b)
 				}
 				if err == nil {
-					err = txn.UpdateRow("acct", b, map[string]Value{"val": Int_(bv["val"].Int + 1)})
+					err = txn.UpdateRow("acct", b, map[string]Value{"val": Int_(bv.Values[1].Int + 1)})
 				}
 				if err == nil {
 					err = txn.Commit()
@@ -214,16 +214,16 @@ func TestConcurrentContendedTxnsPreserveInvariant(t *testing.T) {
 				txn := db.Begin()
 				ready.Done()
 				<-barrier
-				av, err := txn.ValuesByName("acct", a)
+				av, err := txn.Get("acct", a)
 				if err == nil {
-					err = txn.UpdateRow("acct", a, map[string]Value{"val": Int_(av["val"].Int - 1)})
+					err = txn.UpdateRow("acct", a, map[string]Value{"val": Int_(av.Values[1].Int - 1)})
 				}
-				var bv map[string]Value
+				var bv *Row
 				if err == nil {
-					bv, err = txn.ValuesByName("acct", b)
+					bv, err = txn.Get("acct", b)
 				}
 				if err == nil {
-					err = txn.UpdateRow("acct", b, map[string]Value{"val": Int_(bv["val"].Int + 1)})
+					err = txn.UpdateRow("acct", b, map[string]Value{"val": Int_(bv.Values[1].Int + 1)})
 				}
 				if err == nil {
 					if err = txn.Commit(); err != nil {

@@ -312,8 +312,6 @@ type Reader interface {
 	// to verify its key. Every returned slice is fresh: the caller owns
 	// it.
 	LookupRows(table string, columns []string, values []Value) ([]Row, error)
-	// ValuesByName returns a visible row's values keyed by column name.
-	ValuesByName(table string, id RowID) (map[string]Value, error)
 	// HasIndexOn reports whether an index covers exactly the named
 	// columns.
 	HasIndexOn(table string, columns []string) bool
@@ -347,7 +345,7 @@ type DBStats struct {
 	// clock SnapVec.Seq reports.
 	CommitSeq   uint64 `json:"commit_seq" stat:"commit_seq,gauge,sum,shard" help:"Last committed MVCC sequence number."`
 	TxnsActive  int64  `json:"txns_active" stat:"txns_active,gauge,sum" help:"Transactions currently open."`
-	TxnsStarted int64  `json:"txns_started" stat:"txns_started_total,counter,sum" help:"Transactions ever begun (including autocommit statements)."`
+	TxnsStarted int64  `json:"txns_started" stat:"txns_started_total,counter,sum" help:"Transactions ever begun."`
 	Conflicts   int64  `json:"conflicts" stat:"txn_conflicts_total,counter,sum,shard" help:"Write-write conflicts detected by the engine (first-updater-wins losers)."`
 	// GroupCommits: with a WAL, one per writer-stage batch that was
 	// fsynced (every commit that queued behind the previous fsync shares
@@ -1026,33 +1024,6 @@ func (db *Database) checkForeignKeys(t *Txn, td *tableData, values []Value) erro
 	return nil
 }
 
-// Insert adds a row in an implicit single-statement transaction
-// (autocommit). See Txn.Insert for the transactional form.
-func (db *Database) Insert(table string, values map[string]Value) (RowID, error) {
-	t := db.Begin()
-	id, err := db.txnInsertMap(t, table, values)
-	if err != nil {
-		_ = t.Rollback()
-		return 0, err
-	}
-	return id, t.Commit()
-}
-
-// txnInsertMap is the name-keyed insert: the values placed in column
-// order (TableDef.AppendRow), then the positional core.
-func (db *Database) txnInsertMap(t *Txn, table string, values map[string]Value) (RowID, error) {
-	td, err := db.tableData(table) // the table map is fixed: no latch
-	if err != nil {
-		return 0, err
-	}
-	var buf [scratchCols]Value
-	row, err := td.def.AppendRow(buf[:0], values)
-	if err != nil {
-		return 0, err
-	}
-	return db.txnInsert(t, table, row)
-}
-
 // txnInsert is the insert core, writing through transaction t one row
 // given in declared column order.
 func (db *Database) txnInsert(t *Txn, table string, row []Value) (RowID, error) {
@@ -1089,32 +1060,6 @@ func (db *Database) txnInsert(t *Txn, table string, row []Value) (RowID, error) 
 	}
 	t.log = append(t.log, undoEntry{kind: undoInsert, table: table, id: id, v: v})
 	return id, nil
-}
-
-// Delete removes the row with the given id in an implicit
-// single-statement transaction (autocommit), applying the delete policy
-// of every foreign key referencing this table: CASCADE deletes the
-// referencing rows transitively, SET NULL nulls the referencing columns
-// (rejecting if they are NOT NULL), RESTRICT rejects the delete. The
-// statement is atomic: a rejected cascade leaves nothing deleted. It
-// returns the number of rows deleted (including cascades). See
-// Txn.Delete for the transactional form.
-func (db *Database) Delete(table string, id RowID) (int, error) {
-	t := db.Begin()
-	n, err := db.txnDelete(t, table, id)
-	if err != nil {
-		_ = t.Rollback()
-		return 0, err
-	}
-	return n, t.Commit()
-}
-
-// txnDelete is the delete core, writing through transaction t.
-func (db *Database) txnDelete(t *Txn, table string, id RowID) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.statements.Add(1)
-	return db.deleteRowLocked(t, table, id)
 }
 
 func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error) {
@@ -1205,27 +1150,6 @@ func (db *Database) deleteRowLocked(t *Txn, table string, id RowID) (int, error)
 	return deleted, nil
 }
 
-// UpdateRow modifies the named columns of a row in an implicit
-// single-statement transaction (autocommit), re-checking NOT NULL,
-// CHECK, uniqueness and foreign keys for the new values. The previous
-// values survive as an older version in the row's chain until no
-// reader can see them. See Txn.UpdateRow for the transactional form.
-func (db *Database) UpdateRow(table string, id RowID, changes map[string]Value) error {
-	t := db.Begin()
-	if err := db.txnUpdate(t, table, id, changes); err != nil {
-		_ = t.Rollback()
-		return err
-	}
-	return t.Commit()
-}
-
-// txnUpdate is the update core, writing through transaction t.
-func (db *Database) txnUpdate(t *Txn, table string, id RowID, changes map[string]Value) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.updateRowLocked(t, table, id, changes)
-}
-
 func (db *Database) updateRowLocked(t *Txn, table string, id RowID, changes map[string]Value) error {
 	td, err := db.tableData(table)
 	if err != nil {
@@ -1292,30 +1216,6 @@ next:
 		}
 		ix.removeKey(key, id)
 	}
-}
-
-// rowValues keys a fetched row's values by the table's column names;
-// the shared tail of every reader's ValuesByName.
-func (db *Database) rowValues(table string, r *Row) (map[string]Value, error) {
-	td, err := db.tableData(table)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Value, len(r.Values))
-	for i, c := range td.def.Columns {
-		out[c.Name] = r.Values[i]
-	}
-	return out, nil
-}
-
-// ValuesByName returns a committed-visible row's values keyed by column
-// name.
-func (db *Database) ValuesByName(table string, id RowID) (map[string]Value, error) {
-	r, err := db.Get(table, id)
-	if err != nil {
-		return nil, err
-	}
-	return db.rowValues(table, r)
 }
 
 // SortedTableNames returns the table names sorted alphabetically (used

@@ -26,8 +26,6 @@ type WriteTxn interface {
 	// Rollback undoes everything; Commit publishes atomically.
 	Rollback() error
 	Commit() error
-	// OpCount returns the number of logged row operations.
-	OpCount() int
 }
 
 // Snap is a pinned point-in-time read view. *Snapshot implements it for

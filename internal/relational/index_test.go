@@ -304,14 +304,22 @@ func TestSnapshotLookupEqualVsBucketWriters(t *testing.T) {
 		go func(w int64) {
 			defer writersWG.Done()
 			for i := int64(0); i < rounds; i++ {
-				rid, err := db.Insert("child", map[string]Value{
+				tx := db.Begin()
+				rid, err := tx.Insert("child", map[string]Value{
 					"id": Int_(1000 + w*rounds + i), "parent_id": Int_(1), "val": String_(fmt.Sprint(w)),
 				})
-				if err != nil {
-					t.Error(err)
-					return
+				if err == nil {
+					err = tx.Commit()
 				}
-				if _, err := db.Delete("child", rid); err != nil {
+				if err == nil {
+					tx = db.Begin()
+					_, err = tx.Delete("child", rid)
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					tx.Rollback()
 					t.Error(err)
 					return
 				}
@@ -401,14 +409,17 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 				{"parent", map[string]Value{"id": Int_(8), "name": String_("a")}, ErrUnique},
 				{"child", map[string]Value{"id": Int_(13), "parent_id": Int_(7)}, ErrForeignKey},
 			} {
-				if _, err := db.Insert(c.table, c.vals); !errors.Is(err, c.want) {
+				tx := db.Begin()
+				if _, err := tx.Insert(c.table, c.vals); !errors.Is(err, c.want) {
 					t.Fatalf("insert %v into %s: %v, want %v", c.vals, c.table, err, c.want)
 				}
+				tx.Rollback()
 			}
 
-			if _, err := db.Delete("parent", p3); err != nil {
-				t.Fatal(err)
-			}
+			write(t, db, func(tx *Txn) error {
+				_, err := tx.Delete("parent", p3)
+				return err
+			})
 			db.Reclaim()
 			for _, stage := range []string{"delete+reclaim", "delete+reclaim+pass"} {
 				if stage == "delete+reclaim+pass" {
@@ -434,9 +445,9 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 			lookup("rollback", "parent", "name", String_("b"), p2)
 			lookup("rollback", "child", "parent_id", Int_(1), c1, c2)
 
-			if err := db.UpdateRow("parent", p2, map[string]Value{"name": String_("b2")}); err != nil {
-				t.Fatal(err)
-			}
+			write(t, db, func(tx *Txn) error {
+				return tx.UpdateRow("parent", p2, map[string]Value{"name": String_("b2")})
+			})
 			db.Reclaim()
 			for _, stage := range []string{"update+reclaim", "update+reclaim+pass"} {
 				if stage == "update+reclaim+pass" {
@@ -446,8 +457,12 @@ func TestIndexCollisionsStayExact(t *testing.T) {
 				lookup(stage, "parent", "name", String_("b2"), p2)
 				lookup(stage, "parent", "name", String_("a"), p1)
 			}
-			if _, err := db.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("b")}); err != nil {
+			tx := db.Begin()
+			if _, err := tx.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("b")}); err != nil {
 				t.Fatalf("a released key and a freed PK must insert again: %v", err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

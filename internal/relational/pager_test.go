@@ -50,12 +50,13 @@ func TestPagedDemotionAndFault(t *testing.T) {
 	}
 
 	// Write paths against page-only rows: update materializes first.
-	if err := db.UpdateRow("parent", ids[0], map[string]Value{"name": String_("updated")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Delete("parent", ids[1]); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("parent", ids[0], map[string]Value{"name": String_("updated")})
+	})
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("parent", ids[1])
+		return err
+	})
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,13 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := db.Insert("parent", map[string]Value{"id": Int_(k), "name": String_(fmt.Sprintf("fresh-%d", k))}); err != nil {
+			tx := db.Begin()
+			_, err := tx.Insert("parent", map[string]Value{"id": Int_(k), "name": String_(fmt.Sprintf("fresh-%d", k))})
+			if err == nil {
+				err = tx.Commit()
+			}
+			if err != nil {
+				tx.Rollback()
 				t.Error(err)
 				return
 			}
@@ -236,17 +243,17 @@ func TestPagedReadsVsCheckpointStress(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		for j := 0; j < 10; j++ {
 			id := ids[(round*10+j)%rows]
-			if err := db.UpdateRow("parent", id, map[string]Value{
-				"name": String_(fmt.Sprintf("stress-%d-%d", round, j)),
-			}); err != nil {
-				t.Error(err)
-			}
+			write(t, db, func(tx *Txn) error {
+				return tx.UpdateRow("parent", id, map[string]Value{
+					"name": String_(fmt.Sprintf("stress-%d-%d", round, j)),
+				})
+			})
 		}
 		// The mover's new FK entry goes to the delta; the reclaim below
 		// marks its old one dead in the run until the next pass merges.
-		if err := db.UpdateRow("child", mover, map[string]Value{"parent_id": Int_(int64(1 + round%parents))}); err != nil {
-			t.Error(err)
-		}
+		write(t, db, func(tx *Txn) error {
+			return tx.UpdateRow("child", mover, map[string]Value{"parent_id": Int_(int64(1 + round%parents))})
+		})
 		if err := db.Checkpoint(); err != nil {
 			t.Error(err)
 		}
@@ -482,26 +489,29 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 					children[next] = pick(parents)
 					vals["parent_id"] = Int_(children[next])
 				}
-				if _, err := db.Insert("child", vals); err != nil {
-					t.Fatal(err)
-				}
+				write(t, db, func(tx *Txn) error {
+					_, err := tx.Insert("child", vals)
+					return err
+				})
 			case op < 8:
 				k := pick(parents)
-				if err := db.UpdateRow("parent", rowID("parent", k), map[string]Value{"name": String_(fmt.Sprintf("p-%d-%d", k, next))}); err != nil {
-					t.Fatal(err)
-				}
+				write(t, db, func(tx *Txn) error {
+					return tx.UpdateRow("parent", rowID("parent", k), map[string]Value{"name": String_(fmt.Sprintf("p-%d-%d", k, next))})
+				})
 			case op < 9 && len(children) > 0:
 				keys := slices.Sorted(maps.Keys(children))
 				k := keys[rng.Intn(len(keys))]
-				if _, err := db.Delete("child", rowID("child", k)); err != nil {
-					t.Fatal(err)
-				}
+				write(t, db, func(tx *Txn) error {
+					_, err := tx.Delete("child", rowID("child", k))
+					return err
+				})
 				delete(children, k)
 			default: // cascades to the parent's children
 				k := pick(parents)
-				if _, err := db.Delete("parent", rowID("parent", k)); err != nil {
-					t.Fatal(err)
-				}
+				write(t, db, func(tx *Txn) error {
+					_, err := tx.Delete("parent", rowID("parent", k))
+					return err
+				})
 				delete(parents, k)
 				for c, p := range children {
 					if p == k {
@@ -677,12 +687,13 @@ func TestRestoreBuildsIndexRuns(t *testing.T) {
 	for c := int64(121); c <= 125; c++ {
 		mustInsertChild(t, db, c, 3, "tail")
 	}
-	if err := db.UpdateRow("child", rowIDOf(t, db, "child", 1), map[string]Value{"parent_id": Int_(4)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Delete("parent", rowIDOf(t, db, "parent", 5)); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("child", rowIDOf(t, db, "child", 1), map[string]Value{"parent_id": Int_(4)})
+	})
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("parent", rowIDOf(t, db, "parent", 5))
+		return err
+	})
 	want = lookups(db)
 	db = reopen(db, true)
 	delta := 0
@@ -800,9 +811,10 @@ func TestPageOnlyRowDeleteStaysGone(t *testing.T) {
 	if n := len(db.tables["parent"].rows); n != 0 {
 		t.Fatalf("%d versions after the checkpoint, want both rows page-only", n)
 	}
-	if _, err := db.Delete("parent", gone); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("parent", gone)
+		return err
+	})
 	db.Reclaim()
 	assertGone := func(stage string, db *Database) {
 		t.Helper()
@@ -856,9 +868,9 @@ func TestPageOnlyRowWriteMaterializes(t *testing.T) {
 	defer snap.Close()
 	// c's update supersedes the page both rows share: a survives onto a
 	// fresh page stamped with a sequence newer than the snapshot.
-	if err := db.UpdateRow("parent", c, map[string]Value{"name": String_("c2")}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("parent", c, map[string]Value{"name": String_("c2")})
+	})
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

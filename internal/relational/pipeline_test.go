@@ -198,8 +198,13 @@ func TestWriterStageCoalescesAcrossMembers(t *testing.T) {
 	for i, db := range dbs {
 		for k := range perMember {
 			go func() {
-				_, err := db.Insert("parent", map[string]Value{"id": Int_(int64(k)), "name": String_(fmt.Sprintf("member %d row %d", i, k))})
-				errs <- err
+				tx := db.Begin()
+				if _, err := tx.Insert("parent", map[string]Value{"id": Int_(int64(k)), "name": String_(fmt.Sprintf("member %d row %d", i, k))}); err != nil {
+					tx.Rollback()
+					errs <- err
+					return
+				}
+				errs <- tx.Commit()
 			}()
 		}
 	}
@@ -247,9 +252,15 @@ func TestPipelineFsyncErrorUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for k := int64(1); k <= perWriter; k++ {
 				id := int64(w)*1000 + k
-				_, err := db.Insert("parent", map[string]Value{
+				tx := db.Begin()
+				_, err := tx.Insert("parent", map[string]Value{
 					"id": Int_(id), "name": String_(fmt.Sprintf("w%d-%d", w, k)),
 				})
+				if err == nil {
+					err = tx.Commit()
+				} else {
+					tx.Rollback()
+				}
 				mu.Lock()
 				switch {
 				case err == nil:
@@ -430,7 +441,7 @@ func TestActiveSegmentPreallocated(t *testing.T) {
 	next := int64(0)
 	insert := func() error {
 		next++
-		_, err := db.Insert("parent", map[string]Value{"id": Int_(next), "name": String_(fmt.Sprint("row ", next))})
+		err := parentTxn(t, db, next, fmt.Sprint("row ", next)).Commit()
 		if err == nil {
 			acked = append(acked, next)
 		}

@@ -151,10 +151,8 @@ func TestPrepareSharesBatchFate(t *testing.T) {
 		resume := parkWriter(t, w)
 		errs := make(chan error, 3)
 		for i, db := range dbs {
-			go func() {
-				_, err := db.Insert("parent", map[string]Value{"id": Int_(k + int64(i)), "name": String_(fmt.Sprint("single ", k+int64(i)))})
-				errs <- err
-			}()
+			txn := parentTxn(t, db, k+int64(i), fmt.Sprint("single ", k+int64(i)))
+			go func() { errs <- txn.Commit() }()
 		}
 		awaitQueued(t, w, 2)
 		parts := []*Txn{parentTxn(t, dbs[0], k+10, fmt.Sprint("across ", k)), parentTxn(t, dbs[1], k+10, fmt.Sprint("across ", k))}

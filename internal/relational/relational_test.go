@@ -2,6 +2,7 @@ package relational
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -51,13 +52,44 @@ func bookSchema(t testing.TB, bookPolicy, reviewPolicy DeletePolicy) *Schema {
 	return s
 }
 
+// write runs fn in a transaction of its own and commits it; an error
+// from either fails the test.
+func write(t testing.TB, db *Database, fn func(*Txn) error) {
+	t.Helper()
+	tx := db.Begin()
+	if err := fn(tx); err != nil {
+		tx.Rollback()
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// colValue reads one column of a row r sees: Get, then the column's
+// position from ColumnIndex.
+func colValue(t testing.TB, r Reader, table string, id RowID, column string) Value {
+	t.Helper()
+	row, err := r.Get(table, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, _ := r.Schema().Table(table)
+	i, ok := td.ColumnIndex(column)
+	if !ok {
+		t.Fatalf("%v: %s.%s", ErrNoSuchColumn, table, column)
+	}
+	return row.Values[i]
+}
+
 func loadBookData(t testing.TB, db *Database) {
 	t.Helper()
 	pubs := [][2]string{{"A01", "McGraw-Hill Inc."}, {"B01", "Prentice-Hall Inc."}, {"A02", "Simon & Schuster Inc."}}
 	for _, p := range pubs {
-		if _, err := db.Insert("publisher", map[string]Value{"pubid": String_(p[0]), "pubname": String_(p[1])}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, db, func(tx *Txn) error {
+			_, err := tx.Insert("publisher", map[string]Value{"pubid": String_(p[0]), "pubname": String_(p[1])})
+			return err
+		})
 	}
 	books := []struct {
 		id, title, pub string
@@ -69,23 +101,25 @@ func loadBookData(t testing.TB, db *Database) {
 		{"98003", "Data on the Web", "A01", 48.00, 2004},
 	}
 	for _, b := range books {
-		if _, err := db.Insert("book", map[string]Value{
-			"bookid": String_(b.id), "title": String_(b.title), "pubid": String_(b.pub),
-			"price": Float_(b.price), "year": Int_(b.year),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, db, func(tx *Txn) error {
+			_, err := tx.Insert("book", map[string]Value{
+				"bookid": String_(b.id), "title": String_(b.title), "pubid": String_(b.pub),
+				"price": Float_(b.price), "year": Int_(b.year),
+			})
+			return err
+		})
 	}
 	reviews := [][4]string{
 		{"98001", "001", "A good book on network.", "William"},
 		{"98001", "002", "Useful for advanced user.", "John"},
 	}
 	for _, r := range reviews {
-		if _, err := db.Insert("review", map[string]Value{
-			"bookid": String_(r[0]), "reviewid": String_(r[1]), "comment": String_(r[2]), "reviewer": String_(r[3]),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, db, func(tx *Txn) error {
+			_, err := tx.Insert("review", map[string]Value{
+				"bookid": String_(r[0]), "reviewid": String_(r[1]), "comment": String_(r[2]), "reviewer": String_(r[3]),
+			})
+			return err
+		})
 	}
 }
 
@@ -107,21 +141,19 @@ func TestInsertAndLookup(t *testing.T) {
 	if len(ids) != 1 {
 		t.Fatalf("lookup 98001: got %d rows, want 1", len(ids))
 	}
-	vals, err := db.ValuesByName("book", ids[0])
-	if err != nil {
-		t.Fatal(err)
+	if title := colValue(t, db, "book", ids[0], "title"); title.Str != "TCP/IP Illustrated" {
+		t.Errorf("title = %q", title.Str)
 	}
-	if vals["title"].Str != "TCP/IP Illustrated" {
-		t.Errorf("title = %q", vals["title"].Str)
-	}
-	if vals["price"].Float != 37.00 {
-		t.Errorf("price = %v", vals["price"])
+	if price := colValue(t, db, "book", ids[0], "price"); price.Float != 37.00 {
+		t.Errorf("price = %v", price)
 	}
 }
 
 func TestNotNullViolation(t *testing.T) {
 	db := newBookDB(t)
-	_, err := db.Insert("book", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.Insert("book", map[string]Value{
 		"bookid": String_("98009"), "pubid": String_("A01"), "price": Float_(10),
 	})
 	if !errors.Is(err, ErrNotNull) {
@@ -132,7 +164,9 @@ func TestNotNullViolation(t *testing.T) {
 func TestEmptyStringTreatedAsNull(t *testing.T) {
 	// Paper Example 1 / update u1: empty <title/> violates NOT NULL.
 	db := newBookDB(t)
-	_, err := db.Insert("book", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.Insert("book", map[string]Value{
 		"bookid": String_("98004"), "title": String_(" "), "pubid": String_("A01"), "price": Float_(10),
 	})
 	if !errors.Is(err, ErrNotNull) {
@@ -143,7 +177,9 @@ func TestEmptyStringTreatedAsNull(t *testing.T) {
 func TestCheckViolation(t *testing.T) {
 	// Paper Example 1 / update u1: price 0.00 violates CHECK(price > 0).
 	db := newBookDB(t)
-	_, err := db.Insert("book", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.Insert("book", map[string]Value{
 		"bookid": String_("98004"), "title": String_("X"), "pubid": String_("A01"), "price": Float_(0),
 	})
 	if !errors.Is(err, ErrCheck) {
@@ -154,7 +190,9 @@ func TestCheckViolation(t *testing.T) {
 func TestPrimaryKeyViolation(t *testing.T) {
 	// Paper update u4: inserting bookid 98001 again conflicts with the key.
 	db := newBookDB(t)
-	_, err := db.Insert("book", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.Insert("book", map[string]Value{
 		"bookid": String_("98001"), "title": String_("Operating Systems"), "pubid": String_("A01"), "price": Float_(20),
 	})
 	if !errors.Is(err, ErrPrimaryKey) {
@@ -164,12 +202,14 @@ func TestPrimaryKeyViolation(t *testing.T) {
 
 func TestCompositePrimaryKey(t *testing.T) {
 	db := newBookDB(t)
-	if _, err := db.Insert("review", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	if _, err := tx.Insert("review", map[string]Value{
 		"bookid": String_("98002"), "reviewid": String_("001"), "comment": String_("ok"),
 	}); err != nil {
 		t.Fatalf("distinct composite key rejected: %v", err)
 	}
-	_, err := db.Insert("review", map[string]Value{
+	_, err := tx.Insert("review", map[string]Value{
 		"bookid": String_("98001"), "reviewid": String_("001"), "comment": String_("dup"),
 	})
 	if !errors.Is(err, ErrPrimaryKey) {
@@ -179,7 +219,9 @@ func TestCompositePrimaryKey(t *testing.T) {
 
 func TestUniqueViolation(t *testing.T) {
 	db := newBookDB(t)
-	_, err := db.Insert("publisher", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.Insert("publisher", map[string]Value{
 		"pubid": String_("C01"), "pubname": String_("McGraw-Hill Inc."),
 	})
 	if !errors.Is(err, ErrUnique) {
@@ -189,7 +231,9 @@ func TestUniqueViolation(t *testing.T) {
 
 func TestForeignKeyViolation(t *testing.T) {
 	db := newBookDB(t)
-	_, err := db.Insert("book", map[string]Value{
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.Insert("book", map[string]Value{
 		"bookid": String_("98005"), "title": String_("Ghost"), "pubid": String_("ZZZ"), "price": Float_(5),
 	})
 	if !errors.Is(err, ErrForeignKey) {
@@ -199,10 +243,14 @@ func TestForeignKeyViolation(t *testing.T) {
 
 func TestNullForeignKeyAllowed(t *testing.T) {
 	db := newBookDB(t)
-	if _, err := db.Insert("book", map[string]Value{
+	tx := db.Begin()
+	if _, err := tx.Insert("book", map[string]Value{
 		"bookid": String_("98005"), "title": String_("Orphan"), "price": Float_(5),
 	}); err != nil {
 		t.Fatalf("NULL FK should be allowed: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -211,10 +259,11 @@ func TestDeleteCascade(t *testing.T) {
 	// both reviews of 98001: 1 + 2 + 2 = 5 rows.
 	db := newBookDB(t)
 	ids, _ := db.LookupEqual("publisher", []string{"pubid"}, []Value{String_("A01")})
-	n, err := db.Delete("publisher", ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	var n int
+	write(t, db, func(tx *Txn) (err error) {
+		n, err = tx.Delete("publisher", ids[0])
+		return err
+	})
 	if n != 5 {
 		t.Fatalf("cascade deleted %d rows, want 5", n)
 	}
@@ -230,7 +279,9 @@ func TestDeleteRestrict(t *testing.T) {
 	db := NewDatabase(bookSchema(t, DeleteRestrict, DeleteRestrict))
 	loadBookData(t, db)
 	ids, _ := db.LookupEqual("publisher", []string{"pubid"}, []Value{String_("A01")})
-	_, err := db.Delete("publisher", ids[0])
+	tx := db.Begin()
+	_, err := tx.Delete("publisher", ids[0])
+	tx.Rollback()
 	if !errors.Is(err, ErrRestrict) {
 		t.Fatalf("err = %v, want ErrRestrict", err)
 	}
@@ -244,23 +295,25 @@ func TestDeleteSetNull(t *testing.T) {
 	db := NewDatabase(bookSchema(t, DeleteSetNull, DeleteCascade))
 	loadBookData(t, db)
 	ids, _ := db.LookupEqual("publisher", []string{"pubid"}, []Value{String_("A01")})
-	n, err := db.Delete("publisher", ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	var n int
+	write(t, db, func(tx *Txn) (err error) {
+		n, err = tx.Delete("publisher", ids[0])
+		return err
+	})
 	if n != 1 {
 		t.Fatalf("deleted %d rows, want 1 (books survive with NULL pubid)", n)
 	}
 	bids, _ := db.LookupEqual("book", []string{"bookid"}, []Value{String_("98001")})
-	vals, _ := db.ValuesByName("book", bids[0])
-	if !vals["pubid"].IsNull() {
-		t.Errorf("book.pubid = %v, want NULL", vals["pubid"])
+	if pubid := colValue(t, db, "book", bids[0], "pubid"); !pubid.IsNull() {
+		t.Errorf("book.pubid = %v, want NULL", pubid)
 	}
 }
 
 func TestDeleteMissingRowIsNoOp(t *testing.T) {
 	db := newBookDB(t)
-	n, err := db.Delete("book", 99999)
+	tx := db.Begin()
+	defer tx.Rollback()
+	n, err := tx.Delete("book", 99999)
 	if err != nil || n != 0 {
 		t.Fatalf("delete missing: n=%d err=%v, want 0,nil", n, err)
 	}
@@ -269,17 +322,16 @@ func TestDeleteMissingRowIsNoOp(t *testing.T) {
 func TestUpdateRow(t *testing.T) {
 	db := newBookDB(t)
 	ids, _ := db.LookupEqual("book", []string{"bookid"}, []Value{String_("98001")})
-	if err := db.UpdateRow("book", ids[0], map[string]Value{"price": Float_(39.99)}); err != nil {
-		t.Fatal(err)
-	}
-	vals, _ := db.ValuesByName("book", ids[0])
-	if vals["price"].Float != 39.99 {
-		t.Errorf("price = %v", vals["price"])
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("book", ids[0], map[string]Value{"price": Float_(39.99)})
+	})
+	if price := colValue(t, db, "book", ids[0], "price"); price.Float != 39.99 {
+		t.Errorf("price = %v", price)
 	}
 	// Index must follow the update.
-	if err := db.UpdateRow("book", ids[0], map[string]Value{"bookid": String_("98001X")}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("book", ids[0], map[string]Value{"bookid": String_("98001X")})
+	})
 	if got, _ := db.LookupEqual("book", []string{"bookid"}, []Value{String_("98001")}); len(got) != 0 {
 		t.Errorf("old key still indexed")
 	}
@@ -291,7 +343,9 @@ func TestUpdateRow(t *testing.T) {
 func TestUpdateRowConstraintRollback(t *testing.T) {
 	db := newBookDB(t)
 	ids, _ := db.LookupEqual("book", []string{"bookid"}, []Value{String_("98001")})
-	err := db.UpdateRow("book", ids[0], map[string]Value{"bookid": String_("98002")})
+	tx := db.Begin()
+	err := tx.UpdateRow("book", ids[0], map[string]Value{"bookid": String_("98002")})
+	tx.Rollback()
 	if !errors.Is(err, ErrPrimaryKey) {
 		t.Fatalf("err = %v, want ErrPrimaryKey", err)
 	}
@@ -328,9 +382,8 @@ func TestTransactionRollbackRestoresEverything(t *testing.T) {
 		t.Errorf("reviews of 98001 = %d, want 2", len(rids))
 	}
 	bids, _ = db.LookupEqual("book", []string{"bookid"}, []Value{String_("98002")})
-	vals, _ := db.ValuesByName("book", bids[0])
-	if vals["price"].Float != 45.00 {
-		t.Errorf("price = %v, want 45 restored", vals["price"])
+	if price := colValue(t, db, "book", bids[0], "price"); price.Float != 45.00 {
+		t.Errorf("price = %v, want 45 restored", price)
 	}
 }
 
@@ -348,6 +401,64 @@ func TestTransactionCommit(t *testing.T) {
 	}
 	if err := txn.Commit(); err == nil {
 		t.Error("double commit should fail")
+	}
+}
+
+// TestFinishedTxnRefusesWrites: after Commit, and after Rollback, every
+// write through the transaction fails and changes nothing — neither
+// the row count nor what a fresh snapshot reads.
+func TestFinishedTxnRefusesWrites(t *testing.T) {
+	for _, finish := range []struct {
+		name string
+		fn   func(*Txn) error
+	}{{"commit", (*Txn).Commit}, {"rollback", (*Txn).Rollback}} {
+		t.Run(finish.name, func(t *testing.T) {
+			db := newBookDB(t)
+			ids, _ := db.LookupEqual("book", []string{"bookid"}, []Value{String_("98001")})
+			txn := db.Begin()
+			if _, err := txn.Insert("publisher", map[string]Value{"pubid": String_("D01"), "pubname": String_("New Pub")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := finish.fn(txn); err != nil {
+				t.Fatal(err)
+			}
+			snapshotRows := func() map[string][]string {
+				snap := db.Snapshot()
+				defer snap.Close()
+				return dumpDB(t, snap)
+			}
+			rows, want := db.TotalRows(), snapshotRows()
+			for _, w := range []struct {
+				name string
+				fn   func() error
+			}{
+				{"InsertRow", func() error {
+					_, err := txn.InsertRow("publisher", []Value{String_("E01"), String_("Row Pub")})
+					return err
+				}},
+				{"Insert", func() error {
+					_, err := txn.Insert("publisher", map[string]Value{"pubid": String_("E02"), "pubname": String_("Map Pub")})
+					return err
+				}},
+				{"Delete", func() error {
+					_, err := txn.Delete("book", ids[0])
+					return err
+				}},
+				{"UpdateRow", func() error {
+					return txn.UpdateRow("book", ids[0], map[string]Value{"price": Float_(1)})
+				}},
+			} {
+				if err := w.fn(); err == nil {
+					t.Errorf("%s after %s: no error", w.name, finish.name)
+				}
+				if got := db.TotalRows(); got != rows {
+					t.Errorf("%s after %s: TotalRows = %d, want %d", w.name, finish.name, got, rows)
+				}
+				if got := snapshotRows(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s after %s: a fresh snapshot reads\n%v\nwant\n%v", w.name, finish.name, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -466,14 +577,20 @@ func TestQuickInsertDeleteRoundTrip(t *testing.T) {
 		}
 		id := "Q" + Int_(int64(suffix)).String()
 		before := db.RowCount("book")
-		rid, err := db.Insert("book", map[string]Value{
+		tx := db.Begin()
+		rid, err := tx.Insert("book", map[string]Value{
 			"bookid": String_(id), "title": String_("quick"), "pubid": String_("A01"), "price": Float_(price),
 		})
 		if err != nil {
+			tx.Rollback()
 			// Duplicate suffix collisions are fine; anything else is not.
 			return errors.Is(err, ErrPrimaryKey)
 		}
-		if _, err := db.Delete("book", rid); err != nil {
+		if tx.Commit() != nil {
+			return false
+		}
+		tx = db.Begin()
+		if _, err := tx.Delete("book", rid); err != nil || tx.Commit() != nil {
 			return false
 		}
 		got, _ := db.LookupEqual("book", []string{"bookid"}, []Value{String_(id)})

@@ -18,9 +18,10 @@ func savepointTestDB(t *testing.T) *Database {
 	}
 	db := NewDatabase(schema)
 	for i, n := range []string{"ant", "bee", "cat"} {
-		if _, err := db.Insert("item", map[string]Value{"id": Int_(int64(i + 1)), "name": String_(n)}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, db, func(tx *Txn) error {
+			_, err := tx.Insert("item", map[string]Value{"id": Int_(int64(i + 1)), "name": String_(n)})
+			return err
+		})
 	}
 	return db
 }
@@ -51,9 +52,8 @@ func TestSavepointRollbackTo(t *testing.T) {
 	if got, _ := txn.LookupEqual("item", []string{"id"}, []Value{Int_(11)}); len(got) != 0 {
 		t.Error("row 11 survived RollbackTo")
 	}
-	vals, _ := txn.ValuesByName("item", ids[0])
-	if vals["name"].Str != "ant" {
-		t.Errorf("update survived RollbackTo: %v", vals["name"])
+	if name := colValue(t, txn, "item", ids[0], "name"); name.Str != "ant" {
+		t.Errorf("update survived RollbackTo: %v", name)
 	}
 	if got, _ := txn.LookupEqual("item", []string{"id"}, []Value{Int_(10)}); len(got) != 1 {
 		t.Error("pre-savepoint insert lost")

@@ -118,15 +118,6 @@ func (r reader) LookupRows(table string, columns []string, values []Value) ([]Ro
 	return r.db.lookup(table, columns, values, r.at.resolve, false)
 }
 
-// ValuesByName returns a visible row's values keyed by column name.
-func (r reader) ValuesByName(table string, id RowID) (map[string]Value, error) {
-	row, err := r.Get(table, id)
-	if err != nil {
-		return nil, err
-	}
-	return r.db.rowValues(table, row)
-}
-
 // RowCount returns the number of rows the reader sees in the table.
 // Unlike the live Database's O(1) counter this walks the table.
 func (r reader) RowCount(table string) int { return len(r.ScanIDs(table)) }

@@ -32,11 +32,10 @@ func newAcctDB(t testing.TB, rows int) (*Database, []RowID) {
 	db := NewDatabase(acctSchema(t))
 	ids := make([]RowID, rows)
 	for i := 0; i < rows; i++ {
-		id, err := db.Insert("acct", map[string]Value{"id": Int_(int64(i)), "val": Int_(10)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
+		write(t, db, func(tx *Txn) (err error) {
+			ids[i], err = tx.Insert("acct", map[string]Value{"id": Int_(int64(i)), "val": Int_(10)})
+			return err
+		})
 	}
 	return db, ids
 }
@@ -59,15 +58,17 @@ func TestSnapshotSeesPointInTimeState(t *testing.T) {
 	defer snap.Close()
 
 	// Mutate after pinning: update, delete, insert.
-	if err := db.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(99)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Delete("acct", ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert("acct", map[string]Value{"id": Int_(7), "val": Int_(70)}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(99)})
+	})
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("acct", ids[1])
+		return err
+	})
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Insert("acct", map[string]Value{"id": Int_(7), "val": Int_(70)})
+		return err
+	})
 
 	// The live view reflects everything.
 	if got := db.RowCount("acct"); got != 3 {
@@ -189,26 +190,32 @@ func TestRollbackRestoresVersionsAndIndexes(t *testing.T) {
 		t.Fatalf("LookupEqual(id=100) after rollback = %v, %v; want empty", got, err)
 	}
 	// Re-inserting the rolled-back insert's key must not collide.
-	if _, err := db.Insert("acct", map[string]Value{"id": Int_(5), "val": Int_(1)}); err != nil {
+	tx := db.Begin()
+	defer tx.Rollback()
+	if _, err := tx.Insert("acct", map[string]Value{"id": Int_(5), "val": Int_(1)}); err != nil {
 		t.Fatalf("insert of rolled-back key: %v", err)
 	}
 	// And the restored PK still enforces uniqueness.
-	if _, err := db.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(1)}); !errors.Is(err, ErrPrimaryKey) {
+	if _, err := tx.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(1)}); !errors.Is(err, ErrPrimaryKey) {
 		t.Fatalf("duplicate PK after rollback: err = %v, want ErrPrimaryKey", err)
 	}
 }
 
 func TestUniquenessIgnoresDeadVersions(t *testing.T) {
 	db, ids := newAcctDB(t, 1)
-	if _, err := db.Delete("acct", ids[0]); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("acct", ids[0])
+		return err
+	})
 	// The dead version (id=0) still sits in the PK index awaiting
 	// reclaim; a fresh insert of the same key must succeed.
-	if _, err := db.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(1)}); err != nil {
-		t.Fatalf("re-insert of deleted key: %v", err)
-	}
-	if _, err := db.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(2)}); !errors.Is(err, ErrPrimaryKey) {
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(1)})
+		return err
+	})
+	tx := db.Begin()
+	defer tx.Rollback()
+	if _, err := tx.Insert("acct", map[string]Value{"id": Int_(0), "val": Int_(2)}); !errors.Is(err, ErrPrimaryKey) {
 		t.Fatalf("duplicate PK: err = %v, want ErrPrimaryKey", err)
 	}
 }
@@ -222,9 +229,9 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 	snap := db.Snapshot()
 
 	for i := 0; i < 10; i++ {
-		if err := db.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, db, func(tx *Txn) error {
+			return tx.UpdateRow("acct", ids[0], map[string]Value{"val": Int_(int64(i))})
+		})
 	}
 	vs := versionStats(db)
 	if vs.MaxChainDepth != 11 {
@@ -256,9 +263,10 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 	}
 
 	// A fully deleted row disappears from the store once unpinned.
-	if _, err := db.Delete("acct", ids[0]); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("acct", ids[0])
+		return err
+	})
 	db.Reclaim()
 	vs = versionStats(db)
 	if vs.Versions != 0 || vs.LiveRows != 0 {
@@ -271,9 +279,8 @@ func TestReclaimHonorsOldestSnapshot(t *testing.T) {
 
 // TestFailedCascadeIsStatementAtomic: a Delete whose referential
 // actions partially ran before failing (SET NULL applied on one child,
-// then rejected by another child's NOT NULL) must leave no trace: the
-// autocommit statement runs in an implicit transaction that rolls the
-// partial cascade back, so latest reads and fresh snapshots agree on
+// then rejected by another child's NOT NULL) must leave no trace once
+// its transaction rolls back: latest reads and fresh snapshots agree on
 // the pre-statement state.
 func TestFailedCascadeIsStatementAtomic(t *testing.T) {
 	parent, err := NewTableDef("parent", []Column{
@@ -307,16 +314,17 @@ func TestFailedCascadeIsStatementAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := NewDatabase(schema)
-	if _, err := db.Insert("parent", map[string]Value{"id": Int_(1)}); err != nil {
-		t.Fatal(err)
-	}
-	caID, err := db.Insert("childa", map[string]Value{"id": Int_(10), "pid": Int_(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert("childb", map[string]Value{"id": Int_(20), "pid": Int_(1)}); err != nil {
-		t.Fatal(err)
-	}
+	var caID RowID
+	write(t, db, func(tx *Txn) (err error) {
+		if _, err = tx.Insert("parent", map[string]Value{"id": Int_(1)}); err != nil {
+			return err
+		}
+		if caID, err = tx.Insert("childa", map[string]Value{"id": Int_(10), "pid": Int_(1)}); err != nil {
+			return err
+		}
+		_, err = tx.Insert("childb", map[string]Value{"id": Int_(20), "pid": Int_(1)})
+		return err
+	})
 	pid, err := db.LookupEqual("parent", []string{"id"}, []Value{Int_(1)})
 	if err != nil || len(pid) != 1 {
 		t.Fatalf("lookup parent: %v %v", pid, err)
@@ -324,25 +332,22 @@ func TestFailedCascadeIsStatementAtomic(t *testing.T) {
 	// childa's FK nulls first (SET NULL succeeds), childb's NOT NULL
 	// then rejects the statement mid-cascade. (Referential actions
 	// resolve in schema order, childa before childb.)
-	if _, err := db.Delete("parent", pid[0]); !errors.Is(err, ErrNotNull) {
+	tx := db.Begin()
+	if _, err := tx.Delete("parent", pid[0]); !errors.Is(err, ErrNotNull) {
 		t.Fatalf("delete err = %v, want ErrNotNull", err)
 	}
-	live, err := db.ValuesByName("childa", caID)
-	if err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if live["pid"].IsNull() {
+	live := colValue(t, db, "childa", caID, "pid")
+	if live.IsNull() {
 		t.Fatal("partial SET NULL survived a rejected delete statement")
 	}
 	snap := db.Snapshot()
 	defer snap.Close()
-	pinned, err := snap.ValuesByName("childa", caID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live["pid"].IsNull() != pinned["pid"].IsNull() {
+	if pinned := colValue(t, snap, "childa", caID, "pid"); live.IsNull() != pinned.IsNull() {
 		t.Fatalf("latest sees pid=%v but a fresh snapshot sees pid=%v — partial cascade left uncommitted live-visible versions",
-			live["pid"], pinned["pid"])
+			live, pinned)
 	}
 	if got := db.RowCount("parent"); got != 1 {
 		t.Fatalf("parent rows after rejected delete = %d, want 1", got)
@@ -380,16 +385,16 @@ func TestReclaimerVsReaderStress(t *testing.T) {
 				continue
 			}
 			txn := db.Begin()
-			fv, err := txn.ValuesByName("acct", from)
+			fv, err := txn.Get("acct", from)
 			if err == nil {
-				err = txn.UpdateRow("acct", from, map[string]Value{"val": Int_(fv["val"].Int - 1)})
+				err = txn.UpdateRow("acct", from, map[string]Value{"val": Int_(fv.Values[1].Int - 1)})
 			}
-			var tv map[string]Value
+			var tv *Row
 			if err == nil {
-				tv, err = txn.ValuesByName("acct", to)
+				tv, err = txn.Get("acct", to)
 			}
 			if err == nil {
-				err = txn.UpdateRow("acct", to, map[string]Value{"val": Int_(tv["val"].Int + 1)})
+				err = txn.UpdateRow("acct", to, map[string]Value{"val": Int_(tv.Values[1].Int + 1)})
 			}
 			if err != nil {
 				txn.Rollback()

@@ -80,9 +80,6 @@ func (db *Database) forget(t *Txn) {
 	db.txnsActive.Add(-1)
 }
 
-// ReadSeq returns the commit sequence the transaction reads at.
-func (t *Txn) ReadSeq() uint64 { return t.readSeq }
-
 // OpCount returns the number of logged operations (touched tuples).
 func (t *Txn) OpCount() int { return len(t.log) }
 
@@ -100,35 +97,54 @@ func (t *Txn) InsertRow(table string, row []Value) (RowID, error) {
 }
 
 // Insert is InsertRow with the values named: a column the map does not
-// name is NULL, a name no column has fails with ErrNoSuchColumn.
+// name is NULL, a name no column has fails with ErrNoSuchColumn. The
+// values are placed in column order (TableDef.AppendRow), then written
+// through the positional core.
 func (t *Txn) Insert(table string, values map[string]Value) (RowID, error) {
-	if t.done {
-		return 0, errTxnFinished()
+	td, err := t.db.tableData(table) // the table map is fixed: no latch
+	if err != nil {
+		return 0, err
 	}
-	return t.db.txnInsertMap(t, table, values)
+	var buf [scratchCols]Value
+	row, err := td.def.AppendRow(buf[:0], values)
+	if err != nil {
+		return 0, err
+	}
+	return t.InsertRow(table, row)
 }
 
 // Delete removes the row with the given id through the transaction,
-// applying referential delete policies (CASCADE/SET NULL/RESTRICT)
-// transitively. Deleting a row claimed by another in-flight
+// applying the delete policy of every foreign key referencing its
+// table, transitively: CASCADE deletes the referencing rows, SET NULL
+// nulls the referencing columns (rejecting if they are NOT NULL),
+// RESTRICT rejects the delete. It returns the number of rows deleted,
+// cascades included; deleting a missing row deletes nothing. A failed
+// statement may leave part of a cascade applied: the caller rolls back
+// (or back to a savepoint). Deleting a row claimed by another in-flight
 // transaction, or modified by a transaction that committed after this
 // one's read sequence, fails with ErrWriteConflict.
 func (t *Txn) Delete(table string, id RowID) (int, error) {
 	if t.done {
 		return 0, errTxnFinished()
 	}
-	return t.db.txnDelete(t, table, id)
+	t.db.mu.Lock()
+	defer t.db.mu.Unlock()
+	t.db.statements.Add(1)
+	return t.db.deleteRowLocked(t, table, id)
 }
 
 // UpdateRow modifies the named columns of a row through the
 // transaction, re-checking NOT NULL, CHECK, uniqueness and foreign
-// keys for the new values. Like Delete, a contended row fails with
-// ErrWriteConflict.
+// keys for the new values. The previous values survive as an older
+// version in the row's chain until no reader can see them. Like
+// Delete, a contended row fails with ErrWriteConflict.
 func (t *Txn) UpdateRow(table string, id RowID, changes map[string]Value) error {
 	if t.done {
 		return errTxnFinished()
 	}
-	return t.db.txnUpdate(t, table, id, changes)
+	t.db.mu.Lock()
+	defer t.db.mu.Unlock()
+	return t.db.updateRowLocked(t, table, id, changes)
 }
 
 func errTxnFinished() error {

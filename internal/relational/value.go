@@ -19,9 +19,11 @@
 // size and recovery time; recovery truncates torn tails and stops at
 // the first corrupt frame. Every file operation goes through one seam
 // (FileSystem, a pagestore.FS). The internal/walcrash harness proves the
-// contract through it: it SIGKILLs a child process at each kind of file
-// operation, and it reopens every state a power cut could leave behind a
-// recorded run; both diff the recovered state against a shadow model.
+// contract through it: it reopens every state a power cut could leave
+// at any file operation of a recorded run (TestCrashStates) and diffs
+// the recovered state against a shadow model; one test kills a real
+// child process with SIGKILL and reopens its directory
+// (TestCrashExternalKill).
 //
 // The engine substitutes for the Oracle 10g instance used in the paper's
 // evaluation.

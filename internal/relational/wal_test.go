@@ -80,12 +80,12 @@ func arm(t testing.TB, faults *pagestore.FaultFS, spec string) {
 // dumpDB flattens the committed state into table -> each row as
 // "id=rendered values", in scan order: recovery comparisons check the
 // rows and the order a scan visits them in.
-func dumpDB(t testing.TB, db *Database) map[string][]string {
+func dumpDB(t testing.TB, r Reader) map[string][]string {
 	t.Helper()
 	out := make(map[string][]string)
-	for _, name := range db.SortedTableNames() {
+	for _, name := range r.Schema().TableNames() {
 		var rows []string
-		if err := db.Scan(name, func(r *Row) bool {
+		if err := r.Scan(name, func(r *Row) bool {
 			parts := make([]string, len(r.Values))
 			for i, v := range r.Values {
 				parts[i] = v.EncodeKey()
@@ -100,21 +100,21 @@ func dumpDB(t testing.TB, db *Database) map[string][]string {
 	return out
 }
 
-func mustInsertParent(t testing.TB, db *Database, id int64, name string) RowID {
+func mustInsertParent(t testing.TB, db *Database, id int64, name string) (rid RowID) {
 	t.Helper()
-	rid, err := db.Insert("parent", map[string]Value{"id": Int_(id), "name": String_(name)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) (err error) {
+		rid, err = tx.Insert("parent", map[string]Value{"id": Int_(id), "name": String_(name)})
+		return err
+	})
 	return rid
 }
 
-func mustInsertChild(t testing.TB, db *Database, id, pid int64, val string) RowID {
+func mustInsertChild(t testing.TB, db *Database, id, pid int64, val string) (rid RowID) {
 	t.Helper()
-	rid, err := db.Insert("child", map[string]Value{"id": Int_(id), "parent_id": Int_(pid), "val": String_(val)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) (err error) {
+		rid, err = tx.Insert("child", map[string]Value{"id": Int_(id), "parent_id": Int_(pid), "val": String_(val)})
+		return err
+	})
 	return rid
 }
 
@@ -177,13 +177,14 @@ func TestWALPersistAndRecover(t *testing.T) {
 	mustInsertParent(t, db, 2, "beta")
 	c1 := mustInsertChild(t, db, 10, 1, "x")
 	mustInsertChild(t, db, 11, 2, "y")
-	if err := db.UpdateRow("child", c1, map[string]Value{"val": String_("x2")}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		return tx.UpdateRow("child", c1, map[string]Value{"val": String_("x2")})
+	})
 	// CASCADE delete of parent 1 removes child 10 in the same txn.
-	if _, err := db.Delete("parent", p1); err != nil {
-		t.Fatal(err)
-	}
+	write(t, db, func(tx *Txn) error {
+		_, err := tx.Delete("parent", p1)
+		return err
+	})
 	want := dumpDB(t, db)
 	wantSeq := db.commitSeq.Load()
 	if err := db.CloseWAL(); err != nil {
@@ -204,12 +205,14 @@ func TestWALPersistAndRecover(t *testing.T) {
 		t.Fatalf("commitSeq after recovery = %d, want %d", got, wantSeq)
 	}
 	// The engine keeps working after recovery: constraints, new commits.
-	if _, err := db2.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("dup-id")}); !errors.Is(err, ErrPrimaryKey) {
+	tx := db2.Begin()
+	if _, err := tx.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("dup-id")}); !errors.Is(err, ErrPrimaryKey) {
 		t.Fatalf("duplicate PK after recovery: %v", err)
 	}
-	if _, err := db2.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("beta")}); !errors.Is(err, ErrUnique) {
+	if _, err := tx.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("beta")}); !errors.Is(err, ErrUnique) {
 		t.Fatalf("duplicate UNIQUE after recovery: %v", err)
 	}
+	tx.Rollback()
 	mustInsertParent(t, db2, 3, "gamma")
 	if st := db2.Stats(); st.RecoveryReplayedTxns != info2.ReplayedTxns {
 		t.Fatalf("stats recovery_replayed_txns = %d, want %d", st.RecoveryReplayedTxns, info2.ReplayedTxns)
@@ -664,8 +667,7 @@ func TestWALErrorFailpointsRollBackCleanly(t *testing.T) {
 			mustInsertParent(t, db, 1, "base")
 			arm(t, faults, c.fault)
 			short.on.Store(c.fault == "")
-			_, err := db.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("doomed")})
-			if !errors.Is(err, ErrWALFailed) {
+			if err := parentTxn(t, db, 2, "doomed").Commit(); !errors.Is(err, ErrWALFailed) {
 				t.Fatalf("insert error = %v, want ErrWALFailed", err)
 			}
 			arm(t, faults, "")
@@ -729,8 +731,7 @@ func TestWALCloseRejectsFurtherCommits(t *testing.T) {
 	if err := db.CloseWAL(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	_, err := db.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("late")})
-	if !errors.Is(err, ErrWALFailed) {
+	if err := parentTxn(t, db, 2, "late").Commit(); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("insert after close = %v, want ErrWALFailed", err)
 	}
 	// Reads still serve, and the refused commit left no trace.

@@ -12,9 +12,7 @@ func stampedGroup(t testing.TB) []*Txn {
 	t.Helper()
 	db := NewDatabase(walSchema(t))
 	mustInsertParent(t, db, 1, "base")
-	if _, err := db.Insert("child", map[string]Value{"id": Int_(9), "parent_id": Int_(1), "val": String_("c")}); err != nil {
-		t.Fatal(err)
-	}
+	mustInsertChild(t, db, 9, 1, "c")
 	a, b := db.Begin(), db.Begin()
 	id, err := a.Insert("parent", map[string]Value{"id": Int_(7), "name": String_("alloc-check")})
 	if err != nil {

@@ -181,9 +181,13 @@ func TestMarkerlessDirectoryIsRecovered(t *testing.T) {
 	if _, err := old.OpenWAL(dir, relational.WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.Insert("region", map[string]relational.Value{
+	txn := old.Begin()
+	if _, err := txn.Insert("region", map[string]relational.Value{
 		"r_regionkey": relational.Int_(77), "r_name": relational.String_("ATLANTIS"),
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	want := sortedDump(t, old)

@@ -409,10 +409,6 @@ func (db *DB) Get(table string, id relational.RowID) (*relational.Row, error) {
 	return db.shards[db.shardOf(id)].Get(table, id)
 }
 
-func (db *DB) ValuesByName(table string, id relational.RowID) (map[string]relational.Value, error) {
-	return db.shards[db.shardOf(id)].ValuesByName(table, id)
-}
-
 func (db *DB) Scan(table string, fn func(*relational.Row) bool) error {
 	return scanMerged(db.rds, table, fn)
 }

@@ -194,18 +194,20 @@ func TestRoutingCoLocatesAndStripes(t *testing.T) {
 		}
 	}
 	// Children co-locate with parents.
+	bookDef, _ := db.Schema().Table("book")
+	pubCol, _ := bookDef.ColumnIndex("pubid")
 	db.Scan("book", func(r *relational.Row) bool {
-		vals, _ := db.ValuesByName("book", r.ID)
-		if pub := vals["pubid"]; !pub.IsNull() {
+		if pub := r.Values[pubCol]; !pub.IsNull() {
 			if ps := shardOfKey("publisher", "pubid", pub.Str); ps != db.shardOf(r.ID) {
 				t.Errorf("book %d on shard %d, its publisher on shard %d", r.ID, db.shardOf(r.ID), ps)
 			}
 		}
 		return true
 	})
+	reviewDef, _ := db.Schema().Table("review")
+	bookCol, _ := reviewDef.ColumnIndex("bookid")
 	db.Scan("review", func(r *relational.Row) bool {
-		vals, _ := db.ValuesByName("review", r.ID)
-		if bs := shardOfKey("book", "bookid", vals["bookid"].Str); bs != db.shardOf(r.ID) {
+		if bs := shardOfKey("book", "bookid", r.Values[bookCol].Str); bs != db.shardOf(r.ID) {
 			t.Errorf("review %d on shard %d, its book on shard %d", r.ID, db.shardOf(r.ID), bs)
 		}
 		return true

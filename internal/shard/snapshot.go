@@ -60,10 +60,6 @@ func (v *SnapVec) Get(table string, id relational.RowID) (*relational.Row, error
 	return v.subs[v.shardOf(id)].Get(table, id)
 }
 
-func (v *SnapVec) ValuesByName(table string, id relational.RowID) (map[string]relational.Value, error) {
-	return v.subs[v.shardOf(id)].ValuesByName(table, id)
-}
-
 func (v *SnapVec) Scan(table string, fn func(*relational.Row) bool) error {
 	return scanMerged(v.rds, table, fn)
 }

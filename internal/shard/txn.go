@@ -76,10 +76,6 @@ func (t *Txn) Get(table string, id relational.RowID) (*relational.Row, error) {
 	return t.sub(t.db.shardOf(id)).Get(table, id)
 }
 
-func (t *Txn) ValuesByName(table string, id relational.RowID) (map[string]relational.Value, error) {
-	return t.sub(t.db.shardOf(id)).ValuesByName(table, id)
-}
-
 func (t *Txn) Scan(table string, fn func(*relational.Row) bool) error {
 	return scanMerged(t.readers(), table, fn)
 }
@@ -230,17 +226,6 @@ func (t *Txn) Rollback() error {
 // across the dirty shards, chosen by which shards are dirty.
 func (t *Txn) Commit() error {
 	return t.db.commitOne(t)
-}
-
-// OpCount sums the acquired sub-transactions' logged operations.
-func (t *Txn) OpCount() int {
-	n := 0
-	for _, s := range t.subs {
-		if s != nil {
-			n += s.OpCount()
-		}
-	}
-	return n
 }
 
 // finishExcept rolls back every acquired sub-transaction a commit did not

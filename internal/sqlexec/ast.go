@@ -31,11 +31,6 @@ func (c ColRef) String() string {
 	return c.Table + "." + c.Column
 }
 
-// equalFold compares two references case-insensitively.
-func (c ColRef) equalFold(o ColRef) bool {
-	return strings.EqualFold(c.Table, o.Table) && strings.EqualFold(c.Column, o.Column)
-}
-
 // Operand is one side of a predicate: a column reference, a literal
 // value, or a parameter placeholder to be bound by a prepared
 // statement (see prepared.go).

@@ -14,21 +14,15 @@ import (
 // its pages resident in a pool large enough to hold them, misses nothing.
 func TestProbeFaultsEachRowOnce(t *testing.T) {
 	db := relational.NewDatabase(bookSchema(t))
-	insert := func(table string, vals map[string]relational.Value) {
-		t.Helper()
-		if _, err := db.Insert(table, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
 	str := relational.String_
 	for p := range 3 {
 		pub := fmt.Sprintf("P%d", p)
-		insert("publisher", map[string]relational.Value{"pubid": str(pub), "pubname": str("name " + pub)})
+		insert(t, db, "publisher", map[string]relational.Value{"pubid": str(pub), "pubname": str("name " + pub)})
 		for b := range 2 + p%2 {
 			book := fmt.Sprintf("%s-B%d", pub, b)
-			insert("book", map[string]relational.Value{"bookid": str(book), "title": str("t"), "pubid": str(pub)})
+			insert(t, db, "book", map[string]relational.Value{"bookid": str(book), "title": str("t"), "pubid": str(pub)})
 			for r := range 2 {
-				insert("review", map[string]relational.Value{"bookid": str(book), "reviewid": str(fmt.Sprint(r))})
+				insert(t, db, "review", map[string]relational.Value{"bookid": str(book), "reviewid": str(fmt.Sprint(r))})
 			}
 		}
 	}

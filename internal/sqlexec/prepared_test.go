@@ -24,11 +24,9 @@ func preparedTestExec(t *testing.T) *Executor {
 	}
 	db := relational.NewDatabase(schema)
 	for i, n := range []string{"ant", "bee", "cat"} {
-		if _, err := db.Insert("item", map[string]relational.Value{
+		insert(t, db, "item", map[string]relational.Value{
 			"id": relational.Int_(int64(i + 1)), "name": relational.String_(n),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	return NewExecutor(db)
 }

@@ -95,36 +95,35 @@ func refSchema(t testing.TB, n int) *relational.Schema {
 	return s
 }
 
-// refWriter is the write surface the generator drives: the database
-// (autocommit) or an open transaction.
-type refWriter interface {
-	Insert(table string, values map[string]relational.Value) (relational.RowID, error)
-	Delete(table string, id relational.RowID) (int, error)
-	UpdateRow(table string, id relational.RowID, changes map[string]relational.Value) error
-}
-
 // refWrites applies up to max fuzz-chosen inserts, updates and deletes
-// through w. Constraint failures are part of the input space: a write
-// that fails is simply not there.
-func refWrites(r *refBytes, schema *relational.Schema, w refWriter, ids map[string][]relational.RowID, max int) {
+// through the open transaction txn. Constraint failures are part of the
+// input space: a write that fails is rolled back to the savepoint taken
+// before it, so it is simply not there.
+func refWrites(r *refBytes, schema *relational.Schema, txn *relational.Txn, ids map[string][]relational.RowID, max int) {
 	tables := schema.Tables()
 	for range r.pick(max + 1) {
 		def := tables[r.pick(len(tables))]
 		name := def.Name
+		mark := txn.Savepoint()
+		var err error
 		switch op := r.pick(4); {
 		case op <= 1 || len(ids[name]) == 0:
 			vals := make(map[string]relational.Value, len(def.Columns))
 			for _, c := range def.Columns {
 				vals[c.Name] = r.value()
 			}
-			if id, err := w.Insert(name, vals); err == nil {
+			var id relational.RowID
+			if id, err = txn.Insert(name, vals); err == nil {
 				ids[name] = append(ids[name], id)
 			}
 		case op == 2:
 			c := def.Columns[r.pick(len(def.Columns))]
-			_ = w.UpdateRow(name, ids[name][r.pick(len(ids[name]))], map[string]relational.Value{c.Name: r.value()})
+			err = txn.UpdateRow(name, ids[name][r.pick(len(ids[name]))], map[string]relational.Value{c.Name: r.value()})
 		default:
-			_, _ = w.Delete(name, ids[name][r.pick(len(ids[name]))])
+			_, err = txn.Delete(name, ids[name][r.pick(len(ids[name]))])
+		}
+		if err != nil {
+			_ = txn.RollbackTo(mark)
 		}
 	}
 }
@@ -321,21 +320,28 @@ func FuzzSelectMatchesReference(f *testing.F) {
 		schema := refSchema(t, 2+d.pick(3))
 		db := relational.NewDatabase(schema)
 		ids := map[string][]relational.RowID{}
-		for _, def := range schema.Tables() {
-			for range 1 + d.pick(6) {
-				vals := make(map[string]relational.Value, len(def.Columns))
-				for _, c := range def.Columns {
-					vals[c.Name] = d.value()
-				}
-				if id, err := db.Insert(def.Name, vals); err == nil {
-					ids[def.Name] = append(ids[def.Name], id)
+		write(t, db, func(txn *relational.Txn) error {
+			for _, def := range schema.Tables() {
+				for range 1 + d.pick(6) {
+					vals := make(map[string]relational.Value, len(def.Columns))
+					for _, c := range def.Columns {
+						vals[c.Name] = d.value()
+					}
+					if id, err := txn.Insert(def.Name, vals); err == nil {
+						ids[def.Name] = append(ids[def.Name], id)
+					}
 				}
 			}
+			return nil
+		})
+		writes := func(txn *relational.Txn) error {
+			refWrites(d, schema, txn, ids, 4)
+			return nil
 		}
-		refWrites(d, schema, db, ids, 4)
+		write(t, db, writes)
 		snap := db.Snapshot()
 		defer snap.Close()
-		refWrites(d, schema, db, ids, 4)
+		write(t, db, writes)
 		txn := db.Begin()
 		defer txn.Rollback()
 		refWrites(d, schema, txn, ids, 4)

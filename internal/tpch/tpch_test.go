@@ -57,11 +57,19 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := a.LookupEqual("customer", []string{"c_custkey"}, []relational.Value{relational.Int_(3)})
-	va, _ := a.ValuesByName("customer", ids[0])
-	ids, _ = b.LookupEqual("customer", []string{"c_custkey"}, []relational.Value{relational.Int_(3)})
-	vb, _ := b.ValuesByName("customer", ids[0])
-	if va["c_acctbal"] != vb["c_acctbal"] || va["c_comment"] != vb["c_comment"] {
+	customer := func(db *relational.Database) *relational.Row {
+		ids, _ := db.LookupEqual("customer", []string{"c_custkey"}, []relational.Value{relational.Int_(3)})
+		row, err := db.Get("customer", ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	va, vb := customer(a), customer(b)
+	def, _ := a.Schema().Table("customer")
+	acctbal, _ := def.ColumnIndex("c_acctbal")
+	comment, _ := def.ColumnIndex("c_comment")
+	if va.Values[acctbal] != vb.Values[acctbal] || va.Values[comment] != vb.Values[comment] {
 		t.Error("generator is not deterministic")
 	}
 }
@@ -73,8 +81,12 @@ func TestCascadeChain(t *testing.T) {
 	}
 	before := db.TotalRows()
 	ids, _ := db.LookupEqual("region", []string{"r_regionkey"}, []relational.Value{relational.Int_(0)})
-	n, err := db.Delete("region", ids[0])
+	txn := db.Begin()
+	n, err := txn.Delete("region", ids[0])
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if n < before/10 {

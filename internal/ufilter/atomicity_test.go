@@ -29,9 +29,8 @@ UPDATE $book {
 	if len(ids) != 1 {
 		t.Fatalf("reviews after replace-style update = %d, want 1", len(ids))
 	}
-	vals, _ := f.Exec.DB.ValuesByName("review", ids[0])
-	if vals["reviewid"].Str != "010" {
-		t.Errorf("surviving review = %v", vals)
+	if rid := colValue(t, f.Exec.DB, "review", ids[0], "reviewid"); rid.Str != "010" {
+		t.Errorf("surviving review id = %v", rid)
 	}
 }
 

@@ -22,6 +22,22 @@ func newFilter(t testing.TB, strategy Strategy) *Filter {
 	return f
 }
 
+// colValue reads one column of a row r sees: Get, then the column's
+// position from ColumnIndex.
+func colValue(t testing.TB, r relational.Reader, table string, id relational.RowID, column string) relational.Value {
+	t.Helper()
+	row, err := r.Get(table, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := r.Schema().Table(table)
+	i, ok := def.ColumnIndex(column)
+	if !ok {
+		t.Fatalf("%v: %s.%s", relational.ErrNoSuchColumn, table, column)
+	}
+	return row.Values[i]
+}
+
 // TestSTARMarks verifies the (UPoint|UContext) pairs of Fig. 8.
 func TestSTARMarks(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
@@ -298,9 +314,9 @@ func TestApplyU13InsertsReview(t *testing.T) {
 		if len(ids) != 1 {
 			t.Fatalf("%s: review not inserted", strat)
 		}
-		vals, _ := f.Exec.DB.ValuesByName("review", ids[0])
-		if vals["reviewid"].Str != "001" || !strings.Contains(vals["comment"].Str, "Easy read") {
-			t.Errorf("%s: inserted review = %v", strat, vals)
+		rid, comment := colValue(t, f.Exec.DB, "review", ids[0], "reviewid"), colValue(t, f.Exec.DB, "review", ids[0], "comment")
+		if rid.Str != "001" || !strings.Contains(comment.Str, "Easy read") {
+			t.Errorf("%s: inserted review = %v, %v", strat, rid, comment)
 		}
 	}
 }
@@ -379,8 +395,7 @@ UPDATE $book { REPLACE $book/` + leaf.name + ` WITH ` + leaf.text + ` }`)
 			t.Fatalf("blind %s replace: sideEffect=%v rolledBack=%v rows=%d", leaf.name, res.SideEffect, res.RolledBack, res.RowsTouched)
 		}
 		ids, _ := f.Exec.DB.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_("98001")})
-		vals, _ := f.Exec.DB.ValuesByName("book", ids[0])
-		if got := vals[leaf.col].String(); got != leaf.want {
+		if got := colValue(t, f.Exec.DB, "book", ids[0], leaf.col).String(); got != leaf.want {
 			t.Errorf("%s = %q after the blind replace, want %q", leaf.col, got, leaf.want)
 		}
 	}
@@ -400,9 +415,8 @@ UPDATE $book { REPLACE $book/title WITH <title>TCP/IP Illustrated, 2nd ed.</titl
 		t.Fatalf("replace: accepted=%v rows=%d reason=%q", res.Accepted, res.RowsAffected, res.Reason)
 	}
 	ids, _ := f.Exec.DB.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_("98001")})
-	vals, _ := f.Exec.DB.ValuesByName("book", ids[0])
-	if vals["title"].Str != "TCP/IP Illustrated, 2nd ed." {
-		t.Errorf("title = %q", vals["title"].Str)
+	if title := colValue(t, f.Exec.DB, "book", ids[0], "title"); title.Str != "TCP/IP Illustrated, 2nd ed." {
+		t.Errorf("title = %q", title.Str)
 	}
 }
 
@@ -440,9 +454,8 @@ UPDATE $review { DELETE $review/comment/text() }`)
 		t.Fatalf("rejected: %q", res.Reason)
 	}
 	ids, _ := f.Exec.DB.LookupEqual("review", []string{"reviewid"}, []relational.Value{relational.String_("001")})
-	vals, _ := f.Exec.DB.ValuesByName("review", ids[0])
-	if !vals["comment"].IsNull() {
-		t.Errorf("comment = %v, want NULL", vals["comment"])
+	if comment := colValue(t, f.Exec.DB, "review", ids[0], "comment"); !comment.IsNull() {
+		t.Errorf("comment = %v, want NULL", comment)
 	}
 
 	res, err = f.Apply(`

@@ -203,16 +203,6 @@ type UpdateQuery struct {
 	Ops       []UpdateOp
 }
 
-// BindingFor returns the binding for a variable name.
-func (u *UpdateQuery) BindingFor(v string) (Binding, bool) {
-	for _, b := range u.Bindings {
-		if b.Var == v {
-			return b, true
-		}
-	}
-	return Binding{}, false
-}
-
 // String renders a summary of the update for error messages.
 func (u *UpdateQuery) String() string {
 	var b strings.Builder
