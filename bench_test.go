@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,7 @@ func BenchmarkFig13TranslatableUpdate(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					apply := func() (*ufilter.Result, error) { return f.Apply(upd) }
+					apply := func() (*ufilter.Result, error) { return f.Apply(context.Background(), upd) }
 					if !withSTAR {
 						u, err := xqparse.ParseUpdate(upd)
 						if err != nil {
@@ -109,7 +110,7 @@ func BenchmarkFig14UntranslatableUpdate(b *testing.B) {
 		})
 		b.Run(rel+"/star", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p, err := f.CompileText(upd)
+				p, err := f.Prepare(upd)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -192,7 +193,7 @@ func BenchmarkFig15InternalVsExternal(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				line++
-				res, err := f.Apply(tpch.InsertLineitemUpdate(int64(i%(orders-2)+1), line))
+				res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(int64(i%(orders-2)+1), line))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -226,14 +227,14 @@ func BenchmarkFig16HybridVsOutside(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				okey++
 				cust := int64(i%custs + 1)
-				res, err := f.Apply(tpch.InsertOrderlineUpdateBush(cust, okey, 1))
+				res, err := f.Apply(context.Background(), tpch.InsertOrderlineUpdateBush(cust, okey, 1))
 				if err != nil {
 					b.Fatal(err)
 				}
 				if !res.Accepted {
 					b.Fatalf("insert rejected: %s", res.Reason)
 				}
-				res, err = f.Apply(fmt.Sprintf(`
+				res, err = f.Apply(context.Background(), fmt.Sprintf(`
 FOR $c IN document("view.xml")/customer
 WHERE $c/c_custkey/text() = "%d"
 UPDATE $c { DELETE $c/orderline }`, cust))
@@ -295,9 +296,9 @@ UPDATE $book { DELETE $book/review }`, i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		check := func(text string) error { _, err := f.Check(text); return err }
+		check := func(text string) error { _, err := f.Check(context.Background(), text); return err }
 		if uncached {
-			check = func(text string) error { _, err := f.CompileText(text); return err }
+			check = func(text string) error { _, err := f.Prepare(text); return err }
 		}
 		// Warm the cache so the timed loop measures the steady state.
 		for _, text := range texts {
@@ -387,10 +388,10 @@ func BenchmarkCacheRowsScanned(b *testing.B) {
 		b.ReportMetric(float64(f.Exec.IndexProbesTotal()-probes)/float64(b.N), "index-probes/op")
 	}
 	b.Run("check-cached", func(b *testing.B) {
-		report(b, func() error { _, err := f.Check(upd); return err })
+		report(b, func() error { _, err := f.Check(context.Background(), upd); return err })
 	})
 	b.Run("apply", func(b *testing.B) {
-		report(b, func() error { _, err := f.Apply(upd); return err })
+		report(b, func() error { _, err := f.Apply(context.Background(), upd); return err })
 	})
 }
 
@@ -442,7 +443,7 @@ func BenchmarkAblationProbePruning(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			line++
-			res, err := f.Apply(tpch.InsertLineitemUpdate(int64(i%(orders-2)+1), line))
+			res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(int64(i%(orders-2)+1), line))
 			if err != nil || !res.Accepted {
 				b.Fatal(err, res)
 			}
@@ -456,7 +457,7 @@ func BenchmarkAblationProbePruning(b *testing.B) {
 		f.Strategy = ufilter.StrategyInternal
 		for i := 0; i < b.N; i++ {
 			line++
-			res, err := f.Apply(tpch.InsertLineitemUpdate(int64(i%(orders-2)+1), line))
+			res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(int64(i%(orders-2)+1), line))
 			if err != nil || !res.Accepted {
 				b.Fatal(err, res)
 			}
@@ -474,7 +475,7 @@ func BenchmarkAblationSemiJoin(b *testing.B) {
 		b.Fatal(err)
 	}
 	exec := sqlexec.NewExecutor(db)
-	temp, err := exec.ExecSelect(&sqlexec.SelectStmt{
+	temp, err := exec.ExecSelectOn(db, &sqlexec.SelectStmt{
 		Project: []sqlexec.ColRef{{Table: "orders", Column: "o_orderkey"}},
 		From:    []string{"orders"},
 		Where:   []sqlexec.Predicate{sqlexec.Eq("orders", "o_orderkey", relational.Int_(7))},
@@ -501,7 +502,7 @@ func BenchmarkAblationSemiJoin(b *testing.B) {
 	}{{"semijoin", false}, {"scan", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs, err := exec.ExecSelect(query(mode.noIndex))
+				rs, err := exec.ExecSelectOn(db, query(mode.noIndex))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -538,9 +539,9 @@ func BenchmarkViewMaterialization(b *testing.B) {
 // benchmark: one bound-literal update template (a leaf replace keyed by
 // two predicates), executed as (a) N× Prepare+Execute, compiling a plan
 // per call, (b) N× Filter.Apply through the plan cache, (c)
-// plan.Compile once + N× Executor.Execute with bound literal tuples,
-// and (d) the group-commit ExecuteBatch path. The prepared paths must
-// beat (a) by ≥2x.
+// Filter.Prepare once + N× Filter.Execute with bound literal tuples,
+// and (d) the group-commit ApplyBatch path over 64 instances of the
+// template. The prepared paths must beat (a) by ≥2x.
 func BenchmarkPlanExecuteMany(b *testing.B) {
 	texts := [2]string{
 		planBenchUpdate("98001", "TCP/IP Illustrated"),
@@ -586,7 +587,7 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 		f := newBookFilter(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := f.Apply(texts[i%2])
+			res, err := f.Apply(context.Background(), texts[i%2])
 			requireAccepted(b, res, err)
 		}
 	})
@@ -604,17 +605,13 @@ func BenchmarkPlanExecuteMany(b *testing.B) {
 	})
 	b.Run("plan-execute-batch", func(b *testing.B) {
 		f := newBookFilter(b)
-		p, err := f.Prepare(texts[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		batch := make([][]relational.Value, 64)
+		batch := make([]string, 64)
 		for i := range batch {
-			batch[i] = args[i%2]
+			batch[i] = texts[i%2]
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, br := range f.ExecuteBatch(p, batch) {
+			for _, br := range f.ApplyBatch(batch) {
 				requireAccepted(b, br.Result, br.Err)
 			}
 		}
@@ -681,7 +678,7 @@ UPDATE $book { INSERT <review><reviewid>%d</reviewid><comment> bench </comment><
 	}()
 	b.Run("check", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := f.Check(checkText)
+			res, err := f.Check(context.Background(), checkText)
 			if err != nil || !res.Accepted {
 				b.Fatalf("check = %+v, %v", res, err)
 			}
@@ -689,7 +686,9 @@ UPDATE $book { INSERT <review><reviewid>%d</reviewid><comment> bench </comment><
 	})
 	b.Run("data-check", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := f.CheckData(checkText)
+			snap := f.Snapshot()
+			res, err := f.CheckDataAt(snap, checkText)
+			snap.Close()
 			if err != nil || !res.Accepted {
 				b.Fatalf("data check = %+v, %v", res, err)
 			}
@@ -719,7 +718,7 @@ func BenchmarkApplyConcurrent(b *testing.B) {
 			var seq atomic.Int64
 			applyOne := func() error {
 				i := seq.Add(1)
-				res, err := f.Apply(fmt.Sprintf(`
+				res, err := f.Apply(context.Background(), fmt.Sprintf(`
 FOR $book IN document("BookView.xml")/book
 WHERE $book/title/text() = "Data on the Web"
 UPDATE $book { INSERT <review><reviewid>bac-%d</reviewid><comment>bench</comment></review> }`, i))

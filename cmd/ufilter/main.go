@@ -130,6 +130,7 @@ func main() {
 
 	var res *repro.Result
 	var tr *obs.Trace
+	ctx := context.Background()
 	if *timing {
 		// Thread a trace through the pipeline so every stage records a
 		// span; untimed runs pass a bare context and pay nothing.
@@ -138,18 +139,14 @@ func main() {
 			op = "apply"
 		}
 		tr = obs.StartTrace(op)
-		ctx := obs.WithTrace(context.Background(), tr)
-		if *apply {
-			res, err = f.ApplyContext(ctx, update)
-		} else {
-			res, err = f.CheckContext(ctx, update)
-		}
-		tr.Finish()
-	} else if *apply {
-		res, err = f.Apply(update)
-	} else {
-		res, err = f.Check(update)
+		ctx = obs.WithTrace(ctx, tr)
 	}
+	if *apply {
+		res, err = f.Apply(ctx, update)
+	} else {
+		res, err = f.Check(ctx, update)
+	}
+	tr.Finish()
 	if err != nil {
 		fail(err)
 	}
@@ -351,12 +348,16 @@ func runBatch(f *repro.Filter, r io.Reader, workers int, data, stats, jsonOut bo
 	if len(updates) == 0 {
 		fail(fmt.Errorf("batch mode: no updates on stdin (separate updates with a line containing only %q)", ";"))
 	}
-	check := f.CheckBatch
+	var out []repro.BatchResult
 	if data {
-		check = f.CheckBatchData
+		snap := f.Snapshot()
+		out = f.CheckBatchDataAt(snap, updates, workers)
+		snap.Close()
+	} else {
+		out = f.CheckBatch(updates, workers)
 	}
 	exit := 0
-	for _, br := range check(updates, workers) {
+	for _, br := range out {
 		if jsonOut {
 			printJSON(br)
 		}

@@ -16,7 +16,8 @@
 //   - internal/xqparse    — view-query and update-language parsers
 //   - internal/viewengine — XML view materialization
 //   - internal/asg        — Annotated Schema Graphs and closures
-//   - internal/ufilter    — the U-Filter pipeline (the paper's core)
+//   - internal/ufilter    — the U-Filter pipeline (the paper's core):
+//     validation, STAR, data checks, translation and the plan cache
 //   - internal/tpch, internal/bookdb, internal/psd,
 //     internal/w3cusecases — datasets and workloads
 //   - internal/shard      — intra-view sharding: hash-partitioned row
@@ -27,13 +28,14 @@
 //
 // Quick start:
 //
+//	ctx := context.Background()
 //	db, _ := bookdb.NewDatabase(relational.DeleteCascade)
 //	f, _ := repro.NewFilter(bookdb.ViewQuery, db)
-//	res, _ := f.Check(bookdb.U9)   // schema-level steps 1+2
-//	res, _ = f.Apply(bookdb.U13)   // full pipeline + execution
+//	res, _ := f.Check(ctx, bookdb.U9)   // schema-level steps 1+2
+//	res, _ = f.Apply(ctx, bookdb.U13)   // full pipeline + execution
 //
 // A Filter is safe for concurrent Check calls and routes everything
-// through an internal plan cache (internal/plan): each update template
+// through an internal plan cache: each update template
 // (the update with its predicate literals and content values stripped)
 // is compiled once into an immutable UpdatePlan — resolution, Steps
 // 1+2, parameterized probe SQL — and every structurally-equal update
@@ -42,9 +44,8 @@
 // values, never on base data).
 // CheckBatch fans a slice of updates across a worker pool; Prepare/
 // Execute expose the compile-once/execute-many fast path; ApplyBatch
-// and ExecuteBatch group-commit N updates under one transaction and
-// one log flush, and Apply and Execute run the same path with a batch
-// of one:
+// group-commits N updates under one transaction and one log flush, and
+// Apply and Execute run the same path with a batch of one:
 //
 // Write-concurrency contract. Applies run in parallel: every
 // Apply/Execute/ApplyBatch is a group run through one retrying runner
@@ -63,18 +64,21 @@
 // Read-consistency contract. Checking never waits on executing: the
 // relational engine is multi-versioned (internal/relational) and
 // every check runs lock-free.
-// Check/CheckBatch are schema-only. CheckData and CheckBatchData add
-// Step 3's read-only probes (update-context existence, shared-part
-// consistency) evaluated against a database snapshot pinned for the
-// call — CheckBatchData pins ONE snapshot for the whole batch — so a
-// check sees a single point-in-time view: all of a concurrent apply's
-// effects or none of them, never a torn intermediate state. Snapshots
-// are O(1) to take (f.Snapshot(), close when done); old row versions
+// Check/CheckBatch are schema-only. CheckDataAt and CheckBatchDataAt
+// add Step 3's read-only probes (update-context existence, shared-part
+// consistency) evaluated against a snapshot the caller pins — one
+// snapshot serves a whole batch — so a check sees a single
+// point-in-time view: all of a concurrent apply's effects or none of
+// them, never a torn intermediate state. Snapshots are O(1) to take
+// (f.Snapshot(), close when done); old row versions
 // are retained until the oldest live snapshot releases them and are
 // then freed by the reclaimer (inline on commits, or in the background
 // via relational.Database.StartReclaimer).
 //
 //	results := f.CheckBatch(updates, runtime.GOMAXPROCS(0))
+//	pin := f.Snapshot()                 // pin once, check many
+//	checked := f.CheckBatchDataAt(pin, updates, 0)
+//	pin.Close()
 //	p, _ := f.Prepare(updateText)       // compile once
 //	res, _ := f.Execute(p, args)        // bind + run, no parsing
 //	batch := f.ApplyBatch(updateTexts)  // group commit
@@ -135,9 +139,9 @@
 //
 // Observability contract. Instrumentation (internal/obs) costs nothing
 // when absent: stage spans record only when a trace rides the
-// context.Context — CheckContext/ApplyContext with a context carrying
-// obs.WithTrace — and a nil trace is never consulted, so the plain
-// Check/Apply paths skip even the clock reads. The daemon records
+// context.Context handed to Check or Apply (obs.WithTrace), and a nil
+// trace is never consulted, so an untraced call skips even the clock
+// reads. The daemon records
 // latency histograms for every request but samples span traces
 // (1-in-64 checks, 1-in-8 applies; batches and the X-UFilter-Trace
 // header always); the benchmark in bench/ reports what tracing costs
@@ -208,10 +212,10 @@ type StarVerdict = ufilter.StarVerdict
 // database counters; see Filter.Stats.
 type Stats = ufilter.Stats
 
-// UpdatePlan is the compile-once artifact of the internal/plan layer:
-// an update template's resolved operations, STAR verdicts, shared-check
-// list and parameterized probe statements. Obtain one with
-// Filter.Prepare and execute it with Filter.Execute/ExecuteBatch.
+// UpdatePlan is the compile-once artifact of the pipeline: an update
+// template's resolved operations, STAR verdicts, shared-check list and
+// parameterized probe statements. Obtain one with Filter.Prepare and
+// execute it with Filter.Execute.
 type UpdatePlan = ufilter.UpdatePlan
 
 // ParseStrategy maps a strategy name ("hybrid", "outside", "internal")

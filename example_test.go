@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func ExampleFilter_Check() {
 		log.Fatal(err)
 	}
 
-	res, err := f.Check(bookdb.U9)
+	res, err := f.Check(context.Background(), bookdb.U9)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func ExampleFilter_Check() {
 		fmt.Printf("u9: condition: %s\n", c)
 	}
 
-	res, err = f.Check(bookdb.U2)
+	res, err = f.Check(context.Background(), bookdb.U2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func ExampleFilter_Apply() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := f.Apply(bookdb.U13)
+	res, err := f.Apply(context.Background(), bookdb.U13)
 	if err != nil {
 		log.Fatal(err)
 	}

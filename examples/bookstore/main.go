@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("U-Filter classification of the paper's updates u1-u13")
 	fmt.Println(strings.Repeat("-", 100))
 	fmt.Printf("%-5s %-9s %-6s %-28s %s\n", "upd", "accepted", "step", "outcome", "detail")
@@ -30,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := f.Apply(u.Text)
+		res, err := f.Apply(ctx, u.Text)
 		if err != nil {
 			log.Fatalf("%s: %v", u.Name, err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db, err := psd.NewDatabase(8)
 	if err != nil {
 		log.Fatal(err)
@@ -35,13 +37,13 @@ func main() {
 	fmt.Println(f.Marks.MarkString())
 
 	// Curators add and prune citations freely.
-	res, err := f.Apply(psd.InsertCitation("P00001", "C7", "Crystal structure at 2.1 A"))
+	res, err := f.Apply(ctx, psd.InsertCitation("P00001", "C7", "Crystal structure at 2.1 A"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("insert citation:        accepted=%v rows=%d\n", res.Accepted, res.RowsAffected)
 
-	res, err = f.Apply(psd.DeleteCitations("P00002"))
+	res, err = f.Apply(ctx, psd.DeleteCitations("P00002"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 
 	// Deleting a protein element is minimized: the shared organism
 	// stays, matching the SET NULL curation policy.
-	res, err = f.Apply(psd.DeleteProtein("P00003"))
+	res, err = f.Apply(ctx, psd.DeleteProtein("P00003"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func main() {
 
 	// Deleting the organism nested inside a protein would make every
 	// other protein of that organism change — untranslatable.
-	res, err = f.Check(psd.DeleteOrganismInProtein("P00004"))
+	res, err = f.Check(ctx, psd.DeleteOrganismInProtein("P00004"))
 	if err != nil {
 		log.Fatal(err)
 	}

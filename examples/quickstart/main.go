@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The Fig. 1 relational database: publisher / book / review with
 	// keys, NOT NULL, CHECK and foreign-key constraints.
 	db, err := bookdb.NewDatabase(relational.DeleteCascade)
@@ -40,7 +42,7 @@ func main() {
 	fmt.Println(f.Marks.MarkString())
 
 	// Step 1 rejection: u1 inserts an empty title and price 0.00.
-	res, err := f.Check(bookdb.U1)
+	res, err := f.Check(ctx, bookdb.U1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 		res.Accepted, res.RejectedAt, res.Outcome, res.Reason)
 
 	// Step 2 rejection: u2 deletes the publisher inside a book.
-	res, err = f.Check(bookdb.U2)
+	res, err = f.Check(ctx, bookdb.U2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 
 	// Full pipeline: u13 inserts a review into "Data on the Web"; the
 	// probe query's bookid feeds the translated INSERT.
-	res, err = f.Apply(bookdb.U13)
+	res, err = f.Apply(ctx, bookdb.U13)
 	if err != nil {
 		log.Fatal(err)
 	}

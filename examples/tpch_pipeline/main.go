@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const mb = 5
 	fmt.Printf("Building TPC-H-like database (~%d MB nominal)...\n", mb)
 	rows := tpch.RowsForMB(mb)
@@ -33,7 +35,7 @@ func main() {
 	fmt.Println(f.Marks.MarkString())
 
 	for _, rel := range tpch.Relations {
-		res, err := f.Check(tpch.DeleteElementUpdate(rel, 1))
+		res, err := f.Check(ctx, tpch.DeleteElementUpdate(rel, 1))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ffail.Check(tpch.DeleteElementUpdate("region", 1))
+	res, err := ffail.Check(ctx, tpch.DeleteElementUpdate("region", 1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 		}
 		sf.Strategy = strat
 		start := time.Now()
-		res, err := sf.Apply(tpch.InsertLineitemUpdate(10, 99))
+		res, err := sf.Apply(ctx, tpch.InsertLineitemUpdate(10, 99))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err = cf.Apply(tpch.InsertLineitemUpdate(10, 1))
+	res, err = cf.Apply(ctx, tpch.InsertLineitemUpdate(10, 1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -254,19 +254,14 @@ type Node struct {
 	EdgeCard  Cardinality
 	EdgeConds []JoinCond
 
-	// Provenance for translation: the FLWR constructing this node (for
-	// '*' edges) and, for tag nodes, the projected variable's relation.
-	FLWR *xqparse.FLWR
-
 	// ScopePreds are all view-query predicates of the FLWRs enclosing
 	// this node, compiled to relational attributes. The probe queries of
 	// Section 6.1 are composed from these plus the user's predicates.
 	ScopePreds []CompiledPred
 
 	// STAR marks (Section 5.1), filled by the marking procedure.
-	Marked bool
-	UCtx   UContext
-	Clean  bool
+	UCtx  UContext
+	Clean bool
 	// DeleteAnchor is the witness relation R from Rule 2 — the smallest
 	// clean-extended-source search anchor used by the translator.
 	DeleteAnchor string
@@ -330,20 +325,6 @@ func (g *ViewASG) Leaves() []*Node {
 	for _, n := range g.Nodes {
 		if n.Kind == KindLeaf {
 			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Relations returns rel(DEF_V): every relation bound by a FOR clause.
-func (g *ViewASG) Relations() RelSet {
-	out := RelSet{}
-	for _, n := range g.Nodes {
-		for r := range n.UCBinding {
-			out[r] = true
-		}
-		for r := range n.UPBinding {
-			out[r] = true
 		}
 	}
 	return out
@@ -460,7 +441,6 @@ func (g *ViewASG) buildItems(items []xqparse.BodyItem, sc scope, parent *Node, f
 			node.ScopePreds = append([]CompiledPred(nil), sc.compiled...)
 			if flwr != nil {
 				node.EdgeCard = CardStar
-				node.FLWR = flwr
 				conds, err := g.joinConds(flwr, sc)
 				if err != nil {
 					return err
@@ -544,7 +524,6 @@ func (g *ViewASG) buildProjection(pr *xqparse.Projection, sc scope, parent *Node
 	if flwr != nil {
 		// A projection directly in a FLWR's RETURN repeats per binding.
 		tag.EdgeCard = CardStar
-		tag.FLWR = flwr
 	} else {
 		tag.EdgeCard = CardOne
 	}

@@ -1,6 +1,7 @@
 package asg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -394,4 +395,19 @@ func TestSquareUnionDedup(t *testing.T) {
 	if !u2.Equal(inner) {
 		t.Errorf("⊔ of equals = %s", u2)
 	}
+}
+
+// NewClosure builds a closure from leaf names.
+func NewClosure(leaves ...string) *Closure {
+	c := &Closure{Leaves: map[string]bool{}}
+	for _, l := range leaves {
+		c.Leaves[strings.ToLower(l)] = true
+	}
+	return c
+}
+
+// AddGroup appends a starred subgroup and returns c.
+func (c *Closure) AddGroup(cond string, sub *Closure) *Closure {
+	c.Groups = append(c.Groups, &ClosureGroup{Cond: cond, Sub: sub})
+	return c
 }

@@ -11,7 +11,6 @@ import (
 // attributes the view actually touches plus the foreign-key edges to the
 // relations that reference it.
 type BaseRel struct {
-	Name   string   // lowercase relation name
 	Leaves []string // qualified attribute names ("book.bookid"), sorted
 	// Referencing lists relations with a foreign key pointing at this
 	// one (edge (n_this, n_child) in the paper's DAG), each with the
@@ -30,8 +29,7 @@ type BaseRef struct {
 
 // BaseASG is the constraint DAG of Section 3.2 (Fig. 9).
 type BaseASG struct {
-	Rels   map[string]*BaseRel
-	Schema *relational.Schema
+	Rels map[string]*BaseRel // by lowercase relation name
 }
 
 // BuildBaseASG derives G_D from the view ASG's leaf attributes and the
@@ -39,7 +37,7 @@ type BaseASG struct {
 // with view-visible attributes, one edge per foreign key between two
 // such relations.
 func BuildBaseASG(view *ViewASG, schema *relational.Schema) *BaseASG {
-	g := &BaseASG{Rels: map[string]*BaseRel{}, Schema: schema}
+	g := &BaseASG{Rels: map[string]*BaseRel{}}
 	leafSet := map[string]map[string]bool{} // rel -> attr set
 	for _, l := range view.Leaves() {
 		if l.RelName == "" {
@@ -51,7 +49,7 @@ func BuildBaseASG(view *ViewASG, schema *relational.Schema) *BaseASG {
 		leafSet[l.RelName][l.RelAttr()] = true
 	}
 	for rel, attrs := range leafSet {
-		br := &BaseRel{Name: rel}
+		br := &BaseRel{}
 		for a := range attrs {
 			br.Leaves = append(br.Leaves, a)
 		}

@@ -21,21 +21,6 @@ type ClosureGroup struct {
 	Sub  *Closure
 }
 
-// NewClosure builds a closure from leaf names.
-func NewClosure(leaves ...string) *Closure {
-	c := &Closure{Leaves: map[string]bool{}}
-	for _, l := range leaves {
-		c.Leaves[strings.ToLower(l)] = true
-	}
-	return c
-}
-
-// AddGroup appends a starred subgroup and returns c.
-func (c *Closure) AddGroup(cond string, sub *Closure) *Closure {
-	c.Groups = append(c.Groups, &ClosureGroup{Cond: cond, Sub: sub})
-	return c
-}
-
 // AllLeaves returns every leaf attribute in the closure tree, sorted.
 func (c *Closure) AllLeaves() []string {
 	set := map[string]bool{}

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -80,7 +81,7 @@ func Fig13(mb, reps int) ([]Fig13Row, error) {
 				return nil, err
 			}
 			start = time.Now()
-			res2, err := f2.Apply(upd)
+			res2, err := f2.Apply(context.Background(), upd)
 			if err != nil {
 				return nil, fmt.Errorf("fig13 %s (star): %w", rel, err)
 			}
@@ -155,7 +156,7 @@ func Fig14(mb, reps int) ([]Fig14Row, error) {
 			// Compile, not Check: the plan cache would turn every rep
 			// after the first into a map lookup and hide the STAR cost.
 			start = time.Now()
-			p, err := f.CompileText(upd)
+			p, err := f.Prepare(upd)
 			if err != nil {
 				return nil, err
 			}
@@ -245,16 +246,16 @@ func Fig15(sizes []int, itersPerSize int) ([]Fig15Row, error) {
 		orders := tpch.RowsForMB(mb).Orders
 		key := func(i int) int64 { return int64(i%(orders-2) + 1) }
 		// Warm both paths once so one-time costs do not skew the series.
-		if _, err := internal.Apply(tpch.InsertLineitemUpdate(key(0), 500)); err != nil {
+		if _, err := internal.Apply(context.Background(), tpch.InsertLineitemUpdate(key(0), 500)); err != nil {
 			return nil, err
 		}
-		if _, err := external.Apply(tpch.InsertLineitemUpdate(key(0), 501)); err != nil {
+		if _, err := external.Apply(context.Background(), tpch.InsertLineitemUpdate(key(0), 501)); err != nil {
 			return nil, err
 		}
 		probes := internal.Exec.IndexProbesTotal()
 		start := time.Now()
 		for i := 0; i < itersPerSize; i++ {
-			res, err := internal.Apply(tpch.InsertLineitemUpdate(key(i), int64(1000+i)))
+			res, err := internal.Apply(context.Background(), tpch.InsertLineitemUpdate(key(i), int64(1000+i)))
 			if err != nil {
 				return nil, fmt.Errorf("fig15 internal mb=%d: %w", mb, err)
 			}
@@ -267,7 +268,7 @@ func Fig15(sizes []int, itersPerSize int) ([]Fig15Row, error) {
 		probes = external.Exec.IndexProbesTotal()
 		start = time.Now()
 		for i := 0; i < itersPerSize; i++ {
-			res, err := external.Apply(tpch.InsertLineitemUpdate(key(i), int64(5000+i)))
+			res, err := external.Apply(context.Background(), tpch.InsertLineitemUpdate(key(i), int64(5000+i)))
 			if err != nil {
 				return nil, fmt.Errorf("fig15 external mb=%d: %w", mb, err)
 			}
@@ -311,14 +312,14 @@ func Fig16(sizes []int, itersPerSize int) ([]Fig16Row, error) {
 			start := time.Now()
 			for i := 0; i < itersPerSize; i++ {
 				cust := int64(i + 1)
-				res, err := f.Apply(tpch.InsertOrderlineUpdateBush(cust, int64(9000000+i), 1))
+				res, err := f.Apply(context.Background(), tpch.InsertOrderlineUpdateBush(cust, int64(9000000+i), 1))
 				if err != nil {
 					return nil, fmt.Errorf("fig16 %s mb=%d: %w", strat, mb, err)
 				}
 				if !res.Accepted {
 					return nil, fmt.Errorf("fig16 %s mb=%d: rejected: %s", strat, mb, res.Reason)
 				}
-				res, err = f.Apply(fmt.Sprintf(`
+				res, err = f.Apply(context.Background(), fmt.Sprintf(`
 FOR $c IN document("view.xml")/customer
 WHERE $c/c_custkey/text() = "%d"
 UPDATE $c { DELETE $c/orderline }`, cust))
@@ -432,7 +433,7 @@ func fig17Run(mb int, strat ufilter.Strategy, iters int) (fail1, fail2 time.Dura
 	f.Strategy = strat
 
 	deleteSubtree := func(cust int64) (*ufilter.Result, error) {
-		return f.Apply(fmt.Sprintf(`
+		return f.Apply(context.Background(), fmt.Sprintf(`
 FOR $c IN document("view.xml")/region/nation/customer
 WHERE $c/c_custkey/text() = "%d"
 UPDATE $c { DELETE $c/order/lineitem, DELETE $c/order }`, cust))

@@ -76,23 +76,14 @@ type PoolStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Resident  int64 // bytes charged to cached frames
-	Frames    int   // pages currently cached
-	Free      int64 // bytes held by free buffers awaiting the next miss
 }
 
 // Stats returns the pool counters.
 func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	resident, frames, free := p.size, len(p.frames), p.freeBytesLocked()
-	p.mu.Unlock()
 	return PoolStats{
 		Hits:      p.hits.Load(),
 		Misses:    p.misses.Load(),
 		Evictions: p.evictions.Load(),
-		Resident:  resident,
-		Frames:    frames,
-		Free:      free,
 	}
 }
 

@@ -62,7 +62,7 @@ func TestPoolHitMissEvict(t *testing.T) {
 	if loads != 1 {
 		t.Fatalf("second Get should hit, loads=%d", loads)
 	}
-	st := p.Stats()
+	st := p.state()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -75,7 +75,7 @@ func TestPoolHitMissEvict(t *testing.T) {
 		}
 		rel()
 	}
-	if st := p.Stats(); st.Evictions == 0 || st.Resident > 2*frameSize("page-0", 1)+50 {
+	if st := p.state(); st.Evictions == 0 || st.Resident > 2*frameSize("page-0", 1)+50 {
 		t.Fatalf("no eviction under pressure: %+v", st)
 	}
 }
@@ -115,7 +115,7 @@ func TestPoolInvalidate(t *testing.T) {
 	_, _, rel, _ := p.get(5)
 	rel()
 	p.Invalidate([]uint32{5})
-	if st := p.Stats(); st.Resident != 0 || st.Free != PageSize {
+	if st := p.state(); st.Resident != 0 || st.Free != PageSize {
 		t.Fatalf("an unpinned invalidated frame did not hand its buffer to the free list: %+v", st)
 	}
 	_, _, rel, _ = p.get(5)
@@ -123,7 +123,7 @@ func TestPoolInvalidate(t *testing.T) {
 	if loads != 2 {
 		t.Fatalf("invalidate did not drop frame: loads=%d", loads)
 	}
-	if st := p.Stats(); st.Resident != frameSize("x", 1) || st.Frames != 1 || st.Free != 0 {
+	if st := p.state(); st.Resident != frameSize("x", 1) || st.Frames != 1 || st.Free != 0 {
 		t.Fatalf("size accounting broken after invalidate: %+v", st)
 	}
 }
@@ -142,11 +142,11 @@ func TestPoolInvalidatedFrameRecycledAtLastUnpin(t *testing.T) {
 		t.Fatal("a pinned invalidated frame's buffer served another miss")
 	}
 	rel1()
-	if st := p.Stats(); st.Free != 0 {
+	if st := p.state(); st.Free != 0 {
 		t.Fatalf("recycled with a pin outstanding: %+v", st)
 	}
 	rel2()
-	if st := p.Stats(); st.Free != PageSize {
+	if st := p.state(); st.Free != PageSize {
 		t.Fatalf("not recycled at the last unpin: %+v", st)
 	}
 }
@@ -226,7 +226,7 @@ func TestPoolResidentWithinBudgetPlusOneFrame(t *testing.T) {
 	largest := frameSize(strings.Repeat("t", 60), 3)
 	check := func(step int) {
 		t.Helper()
-		st := p.Stats()
+		st := p.state()
 		var sum int64
 		for slot := range p.frames {
 			sum += size(slot)
@@ -259,7 +259,7 @@ func TestPoolResidentWithinBudgetPlusOneFrame(t *testing.T) {
 		}
 		check(step)
 	}
-	if st := p.Stats(); st.Evictions == 0 || st.Free == 0 {
+	if st := p.state(); st.Evictions == 0 || st.Free == 0 {
 		t.Fatalf("the churn never recycled a buffer: %+v", st)
 	}
 }
@@ -305,7 +305,7 @@ func TestPoolEvictionStress(t *testing.T) {
 				}
 				// Hold the pin across a yield on some iterations.
 				if i%7 == 0 {
-					_ = p.Stats()
+					_ = p.state()
 					runtime.Gosched()
 					if !intact(page, slot) {
 						t.Errorf("slot %d: bytes changed under a pin", slot)
@@ -327,7 +327,7 @@ func TestPoolEvictionStress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	st := p.Stats()
+	st := p.state()
 	if st.Hits+st.Misses == 0 {
 		t.Fatalf("stress did nothing: %+v", st)
 	}
@@ -376,7 +376,7 @@ func TestPoolMissReusesBuffer(t *testing.T) {
 	for range 2 * pages {
 		miss() // fill the pool and the free list
 	}
-	before := p.Stats()
+	before := p.state()
 	const runs = 200
 	allocs := testing.AllocsPerRun(runs, miss)
 	var m0, m1 runtime.MemStats
@@ -385,7 +385,7 @@ func TestPoolMissReusesBuffer(t *testing.T) {
 		miss()
 	}
 	runtime.ReadMemStats(&m1)
-	after := p.Stats()
+	after := p.state()
 	if got := after.Misses - before.Misses; got != 2*runs+1 || after.Hits != before.Hits {
 		t.Fatalf("the cyclic scan did not miss every time: %d misses, %d hits", got, after.Hits-before.Hits)
 	}
@@ -396,4 +396,20 @@ func TestPoolMissReusesBuffer(t *testing.T) {
 			allocs, bytesPerMiss, maxAllocs, maxBytes, PageSize)
 	}
 	t.Logf("steady-state miss: %v allocs, %d bytes", allocs, bytesPerMiss)
+}
+
+// poolState is the pool's counters plus its byte accounting.
+type poolState struct {
+	PoolStats
+	Resident int64 // bytes charged to cached frames
+	Frames   int   // pages currently cached
+	Free     int64 // bytes held by free buffers awaiting the next miss
+}
+
+func (p *Pool) state() poolState {
+	st := poolState{PoolStats: p.Stats()}
+	p.mu.Lock()
+	st.Resident, st.Frames, st.Free = p.size, len(p.frames), p.freeBytesLocked()
+	p.mu.Unlock()
+	return st
 }

@@ -83,8 +83,6 @@ type Store struct {
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
 	PagesTotal   uint64 // live pages in the directory
-	SlotsTotal   uint64 // heap slots ever allocated (heap size / PageSize)
-	FreeSlots    uint64 // slots available for reuse
 	PagesWritten uint64 // cumulative pages written by checkpoints
 }
 
@@ -256,8 +254,6 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		PagesTotal:   uint64(len(s.pages)),
-		SlotsTotal:   uint64(s.heapSlots),
-		FreeSlots:    uint64(len(s.free)),
 		PagesWritten: s.pagesEver,
 	}
 }

@@ -1,6 +1,7 @@
 package psd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/relational"
@@ -102,7 +103,7 @@ func TestNonWellNestedViewAccepted(t *testing.T) {
 // organism is not.
 func TestPSDUpdates(t *testing.T) {
 	f := newPSDFilter(t)
-	res, err := f.Apply(InsertCitation("P00001", "C9", "New structural study"))
+	res, err := f.Apply(context.Background(), InsertCitation("P00001", "C9", "New structural study"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestPSDUpdates(t *testing.T) {
 		t.Error("citation not inserted")
 	}
 
-	res, err = f.Apply(DeleteCitations("P00001"))
+	res, err = f.Apply(context.Background(), DeleteCitations("P00001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestPSDUpdates(t *testing.T) {
 		t.Fatalf("delete citations: accepted=%v rows=%d (%s)", res.Accepted, res.RowsAffected, res.Reason)
 	}
 
-	res, err = f.Check(DeleteOrganismInProtein("P00002"))
+	res, err = f.Check(context.Background(), DeleteOrganismInProtein("P00002"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestPSDUpdates(t *testing.T) {
 		t.Error("deleting the nested organism should be untranslatable")
 	}
 
-	res, err = f.Apply(DeleteProtein("P00003"))
+	res, err = f.Apply(context.Background(), DeleteProtein("P00003"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestShortProteinNotInView(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Apply(InsertCitation("P99999", "C1", "should fail"))
+	res, err := f.Apply(context.Background(), InsertCitation("P99999", "C1", "should fail"))
 	if err != nil {
 		t.Fatal(err)
 	}

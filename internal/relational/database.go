@@ -456,20 +456,20 @@ func buildTableStorage(schema *Schema) map[string]*tableData {
 		td := &tableData{def: t, key: strings.ToLower(t.Name), rows: make(map[RowID]*rowVersion)}
 		if len(t.PrimaryKey) > 0 {
 			cols := mustColumnIndexes(t, t.PrimaryKey)
-			td.pkIndex = newHashIndex(indexName(t.Name, t.PrimaryKey), cols, true)
+			td.pkIndex = newHashIndex(cols, true)
 			td.indexes = append(td.indexes, td.pkIndex)
 		}
 		for _, c := range t.Columns {
 			if c.Unique {
 				cols := mustColumnIndexes(t, []string{c.Name})
-				td.indexes = append(td.indexes, newHashIndex(indexName(t.Name, []string{c.Name}), cols, true))
+				td.indexes = append(td.indexes, newHashIndex(cols, true))
 			}
 		}
 		for _, fk := range t.ForeignKeys {
 			cols := mustColumnIndexes(t, fk.Columns)
 			td.fkCols = append(td.fkCols, cols)
 			if td.findIndex(cols) == nil {
-				td.indexes = append(td.indexes, newHashIndex(indexName(t.Name, fk.Columns), cols, false))
+				td.indexes = append(td.indexes, newHashIndex(cols, false))
 			}
 		}
 		for _, ix := range td.indexes {

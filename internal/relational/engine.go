@@ -35,9 +35,6 @@ type Snap interface {
 	Reader
 	// Close releases the snapshot's pin on old row versions.
 	Close()
-	// Seq identifies the pinned commit sequence (for a sharded snapshot,
-	// the sum of the per-shard sequences — a monotone logical clock).
-	Seq() uint64
 	// VersionStats reports version-chain statistics at the snapshot.
 	VersionStats() VersionStats
 }

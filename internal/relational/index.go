@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"slices"
-	"strings"
 )
 
 // RowID identifies a stored row, mirroring Oracle's ROWID pseudo-column
@@ -56,7 +55,6 @@ func hashKey(b []byte) uint64 {
 // copies it before removing from it; a one entry comes back through a
 // one-element array the caller owns.
 type hashIndex struct {
-	name    string
 	columns []int  // positional column indexes
 	want    []bool // the columns keyFor reads, up to the last (decodeColumns)
 	unique  bool
@@ -85,8 +83,8 @@ func (e indexEntry) compare(o indexEntry) int {
 	return cmp.Or(cmp.Compare(e.hash, o.hash), cmp.Compare(e.id, o.id))
 }
 
-func newHashIndex(name string, columns []int, unique bool) *hashIndex {
-	ix := &hashIndex{name: name, columns: columns, want: markColumns(nil, columns), unique: unique}
+func newHashIndex(columns []int, unique bool) *hashIndex {
+	ix := &hashIndex{columns: columns, want: markColumns(nil, columns), unique: unique}
 	ix.one, ix.many = make(map[uint64]RowID), make(map[uint64][]RowID)
 	return ix
 }
@@ -362,8 +360,4 @@ func (ix *hashIndex) matchesColumns(cols []int) bool {
 		}
 	}
 	return true
-}
-
-func indexName(table string, cols []string) string {
-	return "ix_" + strings.ToLower(table) + "_" + strings.ToLower(strings.Join(cols, "_"))
 }

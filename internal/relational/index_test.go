@@ -59,7 +59,7 @@ func FuzzIndexAgainstSetModel(f *testing.F) {
 func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
 	t.Helper()
 	const keys = 6 // few keys: buckets grow to hundreds of ids
-	ix := newHashIndex("ix", []int{1}, false)
+	ix := newHashIndex([]int{1}, false)
 	model := map[uint64]map[RowID]struct{}{}
 	next := RowID(1)
 	row := func(k int) []Value { return []Value{Null(), Int_(int64(k))} }
@@ -201,7 +201,7 @@ func collideAllKeys(t *testing.T) {
 // merge the run is exactly sized, and probing a key it holds (a cold
 // row's) allocates nothing either.
 func TestIndexKeyEncodingIsStable(t *testing.T) {
-	ix := newHashIndex("ix", []int{2, 0}, true)
+	ix := newHashIndex([]int{2, 0}, true)
 	vals := []Value{String_("a\x01b"), Null(), Float_(3)}
 	key, ok := ix.keyFor(vals)
 	enc := vals[2].EncodeKey() + "\x01" + vals[0].EncodeKey() + "\x01"
@@ -232,7 +232,7 @@ func TestIndexKeyEncodingIsStable(t *testing.T) {
 	}
 
 	const runs = 1000
-	ux := newHashIndex("ux", []int{0}, true)
+	ux := newHashIndex([]int{0}, true)
 	ux.one = make(map[uint64]RowID, runs+1) // pre-sized: map growth is not the point here
 	rows := make([][]Value, runs+1)
 	for i := range rows {

@@ -594,9 +594,9 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	db.Reclaim()
 	buckets := func(db *Database) map[string]map[uint64][]RowID {
 		out := map[string]map[uint64][]RowID{}
-		for _, td := range db.tables {
-			for _, ix := range td.indexes {
-				out[ix.name] = indexEntries(t, ix)
+		for name, td := range db.tables {
+			for i, ix := range td.indexes {
+				out[fmt.Sprintf("%s#%d", name, i)] = indexEntries(t, ix)
 			}
 		}
 		return out
@@ -673,10 +673,10 @@ func TestRestoreBuildsIndexRuns(t *testing.T) {
 	want := lookups(db)
 	db = reopen(db, false)
 	for name, td := range db.tables {
-		for _, ix := range td.indexes {
+		for i, ix := range td.indexes {
 			if len(ix.one)+len(ix.many) != 0 || len(ix.ids) == 0 || len(ix.ids) != cap(ix.ids) || len(ix.hashes) != cap(ix.hashes) {
-				t.Fatalf("%s index %s after a restore: %d+%d delta keys, run len %d cap %d; want an empty delta and an exactly sized run",
-					name, ix.name, len(ix.one), len(ix.many), len(ix.ids), cap(ix.ids))
+				t.Fatalf("%s index %d after a restore: %d+%d delta keys, run len %d cap %d; want an empty delta and an exactly sized run",
+					name, i, len(ix.one), len(ix.many), len(ix.ids), cap(ix.ids))
 			}
 		}
 	}

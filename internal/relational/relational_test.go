@@ -492,18 +492,6 @@ func TestValueCompareAndCoerce(t *testing.T) {
 	}
 }
 
-func TestParseLiteral(t *testing.T) {
-	if v := ParseLiteral("37.00"); v.Kind != KindFloat || v.Float != 37 {
-		t.Errorf("37.00 -> %v", v)
-	}
-	if v := ParseLiteral("1997"); v.Kind != KindInt || v.Int != 1997 {
-		t.Errorf("1997 -> %v", v)
-	}
-	if v := ParseLiteral("hello"); v.Kind != KindString {
-		t.Errorf("hello -> %v", v)
-	}
-}
-
 func TestCompareOpAlgebra(t *testing.T) {
 	ops := []CompareOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE}
 	for _, op := range ops {
@@ -620,5 +608,25 @@ func TestQuickRollbackRestoresCardinality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Negate returns the complementary operator (e.g. < becomes >=).
+func (op CompareOp) Negate() CompareOp {
+	switch op {
+	case OpEQ:
+		return OpNE
+	case OpNE:
+		return OpEQ
+	case OpLT:
+		return OpGE
+	case OpLE:
+		return OpGT
+	case OpGT:
+		return OpLE
+	case OpGE:
+		return OpLT
+	default:
+		return op
 	}
 }

@@ -255,15 +255,6 @@ func (s *Schema) Table(name string) (*TableDef, bool) {
 // Tables returns the table definitions in declaration order.
 func (s *Schema) Tables() []*TableDef { return s.tables }
 
-// TableNames returns the declared table names in order.
-func (s *Schema) TableNames() []string {
-	out := make([]string, len(s.tables))
-	for i, t := range s.tables {
-		out[i] = t.Name
-	}
-	return out
-}
-
 // ReferencingKeys returns every foreign key in the schema that references
 // the given table.
 func (s *Schema) ReferencingKeys(table string) []struct {

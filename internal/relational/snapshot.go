@@ -45,9 +45,6 @@ func (s *Snapshot) Close() {
 	}
 }
 
-// Seq returns the commit sequence the snapshot is pinned at.
-func (s *Snapshot) Seq() uint64 { return s.seq }
-
 // reader carries the Reader methods a registered reader (a Snapshot, a
 // Txn) gets by embedding it. Each read resolves chains through at.resolve,
 // and since the registration keeps the versions and the quarantined

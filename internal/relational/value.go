@@ -247,26 +247,6 @@ func (op CompareOp) String() string {
 	}
 }
 
-// Negate returns the complementary operator (e.g. < becomes >=).
-func (op CompareOp) Negate() CompareOp {
-	switch op {
-	case OpEQ:
-		return OpNE
-	case OpNE:
-		return OpEQ
-	case OpLT:
-		return OpGE
-	case OpLE:
-		return OpGT
-	case OpGT:
-		return OpLE
-	case OpGE:
-		return OpLT
-	default:
-		return op
-	}
-}
-
 // Flip returns the operator with its operands swapped (a < b == b > a).
 func (op CompareOp) Flip() CompareOp {
 	switch op {
@@ -368,20 +348,4 @@ func (v Value) fits(t Type) bool {
 		return t == TypeFloat
 	}
 	return false
-}
-
-// ParseLiteral converts raw text (e.g. XML text content) into a Value,
-// preferring the numeric interpretation when the text parses as a number.
-func ParseLiteral(s string) Value {
-	trimmed := strings.TrimSpace(s)
-	if trimmed == "" {
-		return String_(s)
-	}
-	if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
-		return Int_(i)
-	}
-	if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
-		return Float_(f)
-	}
-	return String_(s)
 }

@@ -162,7 +162,6 @@ var ErrWALClosed = errors.New("relational: write-ahead log is closed")
 
 // sealedSegment is a rotated-away segment awaiting checkpoint retirement.
 type sealedSegment struct {
-	index  uint64
 	path   string
 	maxSeq []uint64 // per member: the highest sequence the segment holds
 }
@@ -657,7 +656,7 @@ func (w *WAL) rotate() error {
 		return err
 	}
 	w.mu.Lock()
-	w.sealed = append(w.sealed, sealedSegment{index: w.segIndex, path: segmentPath(w.dir, w.segIndex), maxSeq: w.activeMax})
+	w.sealed = append(w.sealed, sealedSegment{path: segmentPath(w.dir, w.segIndex), maxSeq: w.activeMax})
 	w.mu.Unlock()
 	w.activeMax = make([]uint64, len(w.members))
 	return w.openSegment(w.segIndex + 1)
@@ -884,7 +883,7 @@ func (w *WAL) recover(segs []uint64, infos []RecoveryInfo) error {
 		}
 		// Recovered segments stay on disk until a checkpoint supersedes
 		// them; register them for that retirement.
-		w.sealed = append(w.sealed, sealedSegment{index: idx, path: path, maxSeq: maxSeq})
+		w.sealed = append(w.sealed, sealedSegment{path: path, maxSeq: maxSeq})
 		if valid < int64(len(data)) {
 			if err := w.cutSegment(path, valid); err != nil {
 				return err

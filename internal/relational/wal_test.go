@@ -83,7 +83,8 @@ func arm(t testing.TB, faults *pagestore.FaultFS, spec string) {
 func dumpDB(t testing.TB, r Reader) map[string][]string {
 	t.Helper()
 	out := make(map[string][]string)
-	for _, name := range r.Schema().TableNames() {
+	for _, def := range r.Schema().Tables() {
+		name := def.Name
 		var rows []string
 		if err := r.Scan(name, func(r *Row) bool {
 			parts := make([]string, len(r.Values))

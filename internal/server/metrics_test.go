@@ -17,9 +17,9 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/relational"
 	"repro/internal/sqlexec"
+	"repro/internal/ufilter"
 )
 
 // family is one /metrics family a stat tag declares.
@@ -37,8 +37,8 @@ var taggedStats = []reflect.Type{
 	reflect.TypeFor[ApplyStats](),
 	reflect.TypeFor[QueueStats](),
 	reflect.TypeFor[EndpointLatency](),
-	reflect.TypeFor[plan.CacheStats](),
-	reflect.TypeFor[plan.WriteStats](),
+	reflect.TypeFor[ufilter.CacheStats](),
+	reflect.TypeFor[ufilter.WriteStats](),
 	reflect.TypeFor[sqlexec.ExecStats](),
 	reflect.TypeFor[relational.DBStats](),
 	reflect.TypeFor[relational.VersionStats](),

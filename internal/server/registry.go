@@ -161,7 +161,7 @@ type View struct {
 	confLast int64
 	confRate float64
 
-	// applyFn runs the full pipeline; defaults to Filter.ApplyContext
+	// applyFn runs the full pipeline; defaults to Filter.Apply
 	// (the context carries the request's trace, when one is attached).
 	// Tests substitute a blocking function to exercise backpressure
 	// deterministically.
@@ -297,7 +297,7 @@ func (v *View) SlowTraces() []obs.TraceSummary { return v.slow.Snapshot() }
 func (v *View) Check(ctx context.Context, update string) (*ufilter.Result, error) {
 	v.checks.Add(1)
 	start := time.Now()
-	res, err := v.Filter.CheckContext(ctx, update)
+	res, err := v.Filter.Check(ctx, update)
 	v.checkHist.RecordDuration(time.Since(start))
 	if err != nil {
 		v.checkErrors.Add(1)
@@ -313,14 +313,17 @@ func (v *View) Check(ctx context.Context, update string) (*ufilter.Result, error
 // "execute" span — the filter-level fan-out does not thread per-item
 // contexts, so the trace shows the batch as a unit.
 func (v *View) CheckBatch(ctx context.Context, updates []string, workers int, data bool) []ufilter.BatchResult {
-	check := v.Filter.CheckBatch
-	if data {
-		check = v.Filter.CheckBatchData
-	}
 	v.checks.Add(int64(len(updates)))
 	endRun := obs.FromContext(ctx).StartSpan("execute")
 	start := time.Now()
-	out := check(updates, workers)
+	var out []ufilter.BatchResult
+	if data {
+		snap := v.Filter.Snapshot()
+		out = v.Filter.CheckBatchDataAt(snap, updates, workers)
+		snap.Close()
+	} else {
+		out = v.Filter.CheckBatch(updates, workers)
+	}
 	endRun()
 	v.checkBatchHist.RecordDuration(time.Since(start))
 	for _, br := range out {
@@ -661,7 +664,7 @@ func (r *Registry) build(name string, vc ViewConfig) (*View, error) {
 	}
 	f.Strategy = strategy
 	v.Filter = f
-	v.applyFn = f.ApplyContext
+	v.applyFn = f.Apply
 	return v, nil
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,7 +23,8 @@ var seedConfig = ViewConfig{Name: "tpch", Dataset: "tpch", MB: 100}
 func sortedDump(t *testing.T, rd relational.Reader) []string {
 	t.Helper()
 	var out []string
-	for _, name := range rd.Schema().TableNames() {
+	for _, def := range rd.Schema().Tables() {
+		name := def.Name
 		err := rd.Scan(name, func(r *relational.Row) bool {
 			line := fmt.Sprintf("%s|%d|", name, r.ID)
 			for _, v := range r.Values {
@@ -91,7 +93,7 @@ func TestRestartNeverReseeds(t *testing.T) {
 		if got, want := sortedDump(t, eng), cleanSeedDump(t, shards); !reflect.DeepEqual(got, want) {
 			t.Fatalf("streamed durable seed differs from the in-memory seed (%d vs %d rows)", len(got), len(want))
 		}
-		if res, err := v.Filter.Apply(tpch.InsertLineitemUpdate(7, 99)); err != nil || !res.Accepted {
+		if res, err := v.Filter.Apply(context.Background(), tpch.InsertLineitemUpdate(7, 99)); err != nil || !res.Accepted {
 			t.Fatalf("apply: %+v %v", res, err)
 		}
 		want := sortedDump(t, eng)

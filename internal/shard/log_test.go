@@ -465,3 +465,6 @@ func TestCommitCrossAllocs(t *testing.T) {
 		t.Fatalf("only %d cross-shard commits ran", db.CrossCommits())
 	}
 }
+
+// CrossAborts counts cross-shard commits that failed, every part undone.
+func (db *DB) CrossAborts() int64 { return db.crossAborts.Load() }

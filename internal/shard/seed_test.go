@@ -24,7 +24,8 @@ func digestOf(t *testing.T, rd relational.Reader) seedDigest {
 	t.Helper()
 	h := sha256.New()
 	n := 0
-	for _, name := range rd.Schema().TableNames() {
+	for _, def := range rd.Schema().Tables() {
+		name := def.Name
 		err := rd.Scan(name, func(r *relational.Row) bool {
 			fmt.Fprintf(h, "%s|%d|", name, r.ID)
 			for _, v := range r.Values {

@@ -71,7 +71,6 @@ type DB struct {
 	shards []*relational.Database
 	rds    []relational.Reader // shards, pre-typed for the merge helpers
 	n      int
-	dir    string
 	routes map[string]*tableRoute
 
 	// pkMoved flips (permanently) when an UpdateRow changes a root
@@ -135,7 +134,6 @@ func New(schema *relational.Schema, n int, opts Options) (*DB, *Recovery, error)
 		shards: make([]*relational.Database, n),
 		rds:    make([]relational.Reader, n),
 		n:      n,
-		dir:    opts.Dir,
 		routes: buildRoutes(schema),
 	}
 	dirs := make([]string, n)
@@ -601,9 +599,6 @@ func (db *DB) ShardStats() []relational.ShardStat {
 
 // CrossCommits counts published cross-shard transactions.
 func (db *DB) CrossCommits() int64 { return db.crossCommits.Load() }
-
-// CrossAborts counts cross-shard commits that failed, every part undone.
-func (db *DB) CrossAborts() int64 { return db.crossAborts.Load() }
 
 // XlogFsyncs counts the log's commit-path fsyncs that made a
 // cross-shard record durable.

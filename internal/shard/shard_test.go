@@ -42,7 +42,8 @@ func newGroup(t *testing.T, n int, opts Options) (*DB, *Recovery) {
 func dump(t *testing.T, rd relational.Reader) []string {
 	t.Helper()
 	var out []string
-	for _, name := range rd.Schema().TableNames() {
+	for _, def := range rd.Schema().Tables() {
+		name := def.Name
 		err := rd.Scan(name, func(r *relational.Row) bool {
 			line := fmt.Sprintf("%s|%d|", name, r.ID)
 			for _, v := range r.Values {
@@ -184,7 +185,8 @@ func TestRoutingCoLocatesAndStripes(t *testing.T) {
 	}
 	// Each shard must own its rows id-residue-wise.
 	for i, s := range db.shards {
-		for _, table := range db.schema.TableNames() {
+		for _, def := range db.schema.Tables() {
+			table := def.Name
 			s.Scan(table, func(r *relational.Row) bool {
 				if db.shardOf(r.ID) != i {
 					t.Errorf("%s row %d stored on shard %d but residue says %d", table, r.ID, i, db.shardOf(r.ID))

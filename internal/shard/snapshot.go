@@ -7,8 +7,8 @@ import (
 
 // SnapVec is a consistent snapshot vector: one pinned snapshot per
 // shard, all taken under the group's vector latch so any cross-shard
-// transaction is visible on every shard it touched or on none. The
-// plan layer's CheckData/CheckBatchData therefore keep their
+// transaction is visible on every shard it touched or on none.
+// ufilter's CheckDataAt/CheckBatchDataAt therefore keep their
 // snapshot-isolation contract over a shard group.
 type SnapVec struct {
 	subs []*relational.Snapshot
@@ -20,18 +20,6 @@ func (v *SnapVec) Close() {
 	for _, s := range v.subs {
 		s.Close()
 	}
-}
-
-// Seq is the sum of the per-shard pinned sequences: not a global
-// ordering of individual commits, but a monotone logical clock (every
-// commit raises exactly one shard's sequence, cross-shard commits are
-// atomic under the vector latch), which is all callers use it for.
-func (v *SnapVec) Seq() uint64 {
-	var n uint64
-	for _, s := range v.subs {
-		n += s.Seq()
-	}
-	return n
 }
 
 // VersionStats folds the per-shard version-store shapes at the pinned

@@ -127,11 +127,6 @@ func Eq(table, column string, v relational.Value) Predicate {
 	return Predicate{Left: ColOperand(table, column), Op: relational.OpEQ, Right: LitOperand(v)}
 }
 
-// JoinOn builds an equi-join predicate between two columns.
-func JoinOn(lt, lc, rt, rc string) Predicate {
-	return Predicate{Left: ColOperand(lt, lc), Op: relational.OpEQ, Right: ColOperand(rt, rc)}
-}
-
 // Cmp builds a comparison predicate between a column and a literal.
 func Cmp(table, column string, op relational.CompareOp, v relational.Value) Predicate {
 	return Predicate{Left: ColOperand(table, column), Op: op, Right: LitOperand(v)}

@@ -30,8 +30,8 @@ type Reader = relational.Reader
 //
 // Concurrency: the statistics counters are updated atomically and the
 // temporary-table namespace is internally locked, so read-only
-// ExecSelect calls may run concurrently. DML (ExecInsert/ExecDelete/
-// ExecUpdate, Stmt.Exec and the join-view writes) runs in the caller's
+// ExecSelectOn calls may run concurrently. DML (ExecInsert/ExecDelete/
+// ExecUpdate and the join-view writes) runs in the caller's
 // relational.WriteTxn: a multi-row or multi-table statement commits
 // with the rest of the caller's work or not at all, concurrent callers
 // each write through their own transaction, and the engine detects

@@ -371,14 +371,7 @@ func TestStatementStrings(t *testing.T) {
 
 func TestJoinViewInsertDecomposition(t *testing.T) {
 	e := newExec(t)
-	view := &JoinViewDef{
-		Name: "RelationalBookView",
-		Root: "publisher",
-		Steps: []JoinStep{
-			{Table: "book", ParentTable: "publisher", ParentColumn: "pubid", Column: "pubid"},
-			{Table: "review", ParentTable: "book", ParentColumn: "bookid", Column: "bookid"},
-		},
-	}
+	view := &JoinViewDef{Name: "RelationalBookView", Tables: []string{"publisher", "book", "review"}}
 	// The paper's UV: full tuple for an insert of review 001 on 98003.
 	txn := e.DB.BeginTxn()
 	n, err := e.InsertIntoJoinView(txn, view, map[string]relational.Value{
@@ -409,10 +402,7 @@ func TestJoinViewInsertDecomposition(t *testing.T) {
 
 func TestJoinViewInsertInconsistentRejected(t *testing.T) {
 	e := newExec(t)
-	view := &JoinViewDef{
-		Name: "V", Root: "publisher",
-		Steps: []JoinStep{{Table: "book", ParentTable: "publisher", ParentColumn: "pubid", Column: "pubid"}},
-	}
+	view := &JoinViewDef{Name: "V", Tables: []string{"publisher", "book"}}
 	txn := e.DB.BeginTxn()
 	defer txn.Rollback()
 	_, err := e.InsertIntoJoinView(txn, view, map[string]relational.Value{
@@ -434,10 +424,7 @@ func TestJoinViewInsertInconsistentRejected(t *testing.T) {
 // rollback leaves publisher as it was.
 func TestJoinViewInsertAtomic(t *testing.T) {
 	e := newExec(t)
-	view := &JoinViewDef{
-		Name: "V", Root: "publisher",
-		Steps: []JoinStep{{Table: "book", ParentTable: "publisher", ParentColumn: "pubid", Column: "pubid"}},
-	}
+	view := &JoinViewDef{Name: "V", Tables: []string{"publisher", "book"}}
 	before := e.DB.RowCount("publisher")
 	txn := e.DB.BeginTxn()
 	_, err := e.InsertIntoJoinView(txn, view, map[string]relational.Value{
@@ -487,4 +474,16 @@ func TestDuplicateFromRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicate FROM should be rejected")
 	}
+}
+
+// ExecSelect compiles and evaluates a select in one shot against the
+// live database. Statements containing parameter placeholders must go
+// through Prepare/Bind.
+func (e *Executor) ExecSelect(s *SelectStmt) (*ResultSet, error) {
+	return e.ExecSelectOn(e.DB, s)
+}
+
+// JoinOn builds an equi-join predicate between two columns.
+func JoinOn(lt, lc, rt, rc string) Predicate {
+	return Predicate{Left: ColOperand(lt, lc), Op: relational.OpEQ, Right: ColOperand(rt, rc)}
 }

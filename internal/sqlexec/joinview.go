@@ -7,15 +7,6 @@ import (
 	"repro/internal/relational"
 )
 
-// JoinStep is one LEFT JOIN in a relational view definition: Table is
-// joined to ParentTable ON ParentTable.ParentColumn = Table.Column.
-type JoinStep struct {
-	Table        string
-	ParentTable  string
-	ParentColumn string
-	Column       string
-}
-
 // JoinViewDef defines an updatable left-join relational view — the
 // mapping relational view of Section 6.2.1 (Fig. 11), e.g.
 //
@@ -26,18 +17,8 @@ type JoinStep struct {
 // update over this view, which the engine decomposes into base-table
 // operations.
 type JoinViewDef struct {
-	Name  string
-	Root  string
-	Steps []JoinStep
-}
-
-// Tables returns the base tables in join order, root first.
-func (v *JoinViewDef) Tables() []string {
-	out := []string{v.Root}
-	for _, s := range v.Steps {
-		out = append(out, s.Table)
-	}
-	return out
+	Name   string
+	Tables []string // the base tables in join order, root first
 }
 
 // InsertIntoJoinView inserts a complete view tuple through transaction
@@ -53,7 +34,7 @@ func (v *JoinViewDef) Tables() []string {
 func (e *Executor) InsertIntoJoinView(t relational.WriteTxn, v *JoinViewDef, values map[string]relational.Value) (int, error) {
 	schema := e.DB.Schema()
 	inserted := 0
-	for _, tname := range v.Tables() {
+	for _, tname := range v.Tables {
 		def, ok := schema.Table(tname)
 		if !ok {
 			return inserted, fmt.Errorf("%w: %s", relational.ErrNoSuchTable, tname)

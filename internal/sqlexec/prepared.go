@@ -78,9 +78,6 @@ func whereOf(s Statement) ([]Predicate, error) {
 	}
 }
 
-// NumParams reports how many bind arguments the statement expects.
-func (s *Stmt) NumParams() int { return s.nparams }
-
 // String renders the template with ?N placeholders.
 func (s *Stmt) String() string { return s.tmpl.String() }
 
@@ -143,45 +140,18 @@ func (s *Stmt) Bind(args ...relational.Value) (Statement, error) {
 	}
 }
 
-// ExecSelect binds the arguments and evaluates the statement against
-// the live database. The statement must be a SELECT template; it runs
-// off its compiled form — no per-call name resolution or join planning.
-func (s *Stmt) ExecSelect(args ...relational.Value) (*ResultSet, error) {
-	return s.ExecSelectOn(s.e.DB, args...)
-}
-
-// ExecSelectOn is ExecSelect with row access routed through rd — the
-// live database or a pinned snapshot. One prepared statement may be
+// ExecSelectOn binds the arguments and evaluates the statement with row
+// access routed through rd — the live database or a pinned snapshot.
+// The statement must be a SELECT template; it runs off its compiled
+// form — no per-call name resolution or join planning. One prepared statement may be
 // bound and executed concurrently against many readers; nothing in the
 // template or its compiled form is mutated.
 func (s *Stmt) ExecSelectOn(rd Reader, args ...relational.Value) (*ResultSet, error) {
 	if s.sel == nil {
-		return nil, fmt.Errorf("sqlexec: ExecSelect on a %T statement", s.tmpl)
+		return nil, fmt.Errorf("sqlexec: ExecSelectOn on a %T statement", s.tmpl)
 	}
 	if len(args) < s.nparams {
 		return nil, fmt.Errorf("sqlexec: statement needs %d bind arguments, got %d", s.nparams, len(args))
 	}
 	return s.e.runSelect(s.sel, rd, args)
-}
-
-// Exec binds the arguments and executes a DML template through
-// transaction t, returning the number of rows affected.
-func (s *Stmt) Exec(t relational.WriteTxn, args ...relational.Value) (int, error) {
-	bound, err := s.Bind(args...)
-	if err != nil {
-		return 0, err
-	}
-	switch st := bound.(type) {
-	case *InsertStmt:
-		if _, err := s.e.ExecInsert(t, st); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	case *DeleteStmt:
-		return s.e.ExecDelete(t, st)
-	case *UpdateStmt:
-		return s.e.ExecUpdate(t, st)
-	default:
-		return 0, fmt.Errorf("sqlexec: Exec on a %T statement (use ExecSelect)", s.tmpl)
-	}
 }

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -134,5 +135,37 @@ func TestPreparedDML(t *testing.T) {
 	}
 	if got := e.DB.RowCount("item"); got != 2 {
 		t.Errorf("rows = %d, want 2", got)
+	}
+}
+
+// NumParams reports how many bind arguments the statement expects.
+func (s *Stmt) NumParams() int { return s.nparams }
+
+// ExecSelect binds the arguments and evaluates the statement against
+// the live database. The statement must be a SELECT template; it runs
+// off its compiled form — no per-call name resolution or join planning.
+func (s *Stmt) ExecSelect(args ...relational.Value) (*ResultSet, error) {
+	return s.ExecSelectOn(s.e.DB, args...)
+}
+
+// Exec binds the arguments and executes a DML template through
+// transaction t, returning the number of rows affected.
+func (s *Stmt) Exec(t relational.WriteTxn, args ...relational.Value) (int, error) {
+	bound, err := s.Bind(args...)
+	if err != nil {
+		return 0, err
+	}
+	switch st := bound.(type) {
+	case *InsertStmt:
+		if _, err := s.e.ExecInsert(t, st); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	case *DeleteStmt:
+		return s.e.ExecDelete(t, st)
+	case *UpdateStmt:
+		return s.e.ExecUpdate(t, st)
+	default:
+		return 0, fmt.Errorf("sqlexec: Exec on a %T statement (use ExecSelectOn)", s.tmpl)
 	}
 }

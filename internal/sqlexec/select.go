@@ -192,7 +192,7 @@ type joinStep struct {
 
 // compiledSelect is a select statement compiled into its join program.
 // Prepared statements compile once and run many times; a one-shot
-// ExecSelect compiles and runs immediately. Parameters are bound per
+// ExecSelectOn compiles and runs immediately. Parameters are bound per
 // run.
 type compiledSelect struct {
 	steps   []joinStep
@@ -421,13 +421,6 @@ func planJoinOrder(e *Executor, srcs []*source, preds []normPred) []int {
 		bound[best] = true
 	}
 	return result
-}
-
-// ExecSelect compiles and evaluates a select in one shot against the
-// live database. Statements containing parameter placeholders must go
-// through Prepare/Bind.
-func (e *Executor) ExecSelect(s *SelectStmt) (*ResultSet, error) {
-	return e.ExecSelectOn(e.DB, s)
 }
 
 // ExecSelectOn compiles and evaluates a select in one shot against the

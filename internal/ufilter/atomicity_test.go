@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // land, in order.
 func TestMultiOpUpdate(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(`
+	res, err := f.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book {
@@ -40,7 +41,7 @@ UPDATE $book {
 func TestMultiOpAtomicity(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	before := f.Exec.DB.RowCount("review")
-	res, err := f.Apply(`
+	res, err := f.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book {
@@ -62,7 +63,7 @@ UPDATE $book {
 	// Now a conflict only detectable at the data level: inserting a
 	// review whose key duplicates an existing one, after a delete of a
 	// DIFFERENT book's reviews in the same block.
-	res, err = f.Apply(`
+	res, err = f.Apply(context.Background(), `
 FOR $root IN document("BookView.xml"),
     $book IN $root/book
 WHERE $book/bookid/text() = "98003"
@@ -88,7 +89,7 @@ func TestCheckDoesNotTouchData(t *testing.T) {
 	scanned, probes := f.Exec.RowsScanned, f.Exec.IndexProbes
 	stmts := f.Exec.DB.Stats().StatementsExecuted
 	for _, u := range bookdb.AllUpdates() {
-		if _, err := f.Check(u.Text); err != nil {
+		if _, err := f.Check(context.Background(), u.Text); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +139,7 @@ func TestResolveErrors(t *testing.T) {
 		{"unbound target", `FOR $b IN document("v.xml")/book UPDATE $ghost { DELETE $b/review }`, "not bound"},
 	}
 	for _, c := range cases {
-		res, err := f.Check(c.text)
+		res, err := f.Check(context.Background(), c.text)
 		if err != nil {
 			t.Errorf("%s: hard error %v", c.name, err)
 			continue
@@ -157,12 +158,12 @@ func TestResolveErrors(t *testing.T) {
 func TestFilterReuse(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	for i := 0; i < 3; i++ {
-		res, err := f.Apply(bookdb.U12)
+		res, err := f.Apply(context.Background(), bookdb.U12)
 		if err != nil || !res.Accepted {
 			t.Fatalf("iteration %d: %v %+v", i, err, res)
 		}
 	}
-	res, err := f.Apply(bookdb.U13)
+	res, err := f.Apply(context.Background(), bookdb.U13)
 	if err != nil || !res.Accepted {
 		t.Fatalf("u13 after reuse: %v %+v", err, res)
 	}
@@ -180,7 +181,7 @@ func TestRestrictPolicyDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deleting book 98001 is restricted by its reviews.
-	res, err := f.Apply(`
+	res, err := f.Apply(context.Background(), `
 FOR $root IN document("BookView.xml"),
     $book = $root/book
 WHERE $book/bookid/text() = "98001"

@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"fmt"
@@ -18,7 +18,6 @@ type BlindResult struct {
 	SideEffect  bool
 	RowsTouched int
 	RolledBack  bool
-	ViewNodes   int // size of the materialized view (comparison cost)
 }
 
 // BlindApply is the paper's strawman: translate the update directly
@@ -34,7 +33,7 @@ type BlindResult struct {
 // transaction's uncommitted writes); unlike Apply it does NOT retry on
 // write-write conflicts — the baseline measures one blind attempt. An
 // update Step 1 rejects has no translation and returns an error.
-func (e *Executor) BlindApply(updateText string) (*BlindResult, error) {
+func (e *Filter) BlindApply(updateText string) (*BlindResult, error) {
 	u, err := xqparse.ParseUpdate(updateText)
 	if err != nil {
 		return nil, err
@@ -73,7 +72,7 @@ func (e *Executor) BlindApply(updateText string) (*BlindResult, error) {
 		txn.Rollback()
 		return nil, err
 	}
-	res := &BlindResult{ViewNodes: before.Count()}
+	res := &BlindResult{}
 
 	ac := &applyCtx{txn: txn, bound: b}
 	args := probeArgs(b.preds)
@@ -112,7 +111,7 @@ func (e *Executor) BlindApply(updateText string) (*BlindResult, error) {
 		txn.Rollback()
 		return nil, err
 	}
-	res.SideEffect = !sameView(ExpectedView(before, p.Resolved), after)
+	res.SideEffect = !sameView(expectedView(before, p.Resolved), after)
 	if res.SideEffect {
 		if err := txn.Rollback(); err != nil {
 			return nil, err
@@ -147,7 +146,7 @@ func naiveAnchor(t *asg.Node) string {
 	return t.UPBinding.Names()[0]
 }
 
-// ExpectedView returns the view an update asks for — Definition 1's
+// expectedView returns the view an update asks for — Definition 1's
 // u(DEF_V(D)): before with exactly the update's own edits applied. The
 // update's FOR and WHERE clauses are evaluated over before; for every
 // binding that satisfies them, a delete removes the targeted instances
@@ -157,7 +156,7 @@ func naiveAnchor(t *asg.Node) string {
 // under the context. r is the update's own resolution, its literals
 // coerced. BlindApply's side-effect check and the verdict oracle both
 // diff the re-derived view against this.
-func ExpectedView(before *xmltree.Node, r *ResolvedUpdate) *xmltree.Node {
+func expectedView(before *xmltree.Node, r *ResolvedUpdate) *xmltree.Node {
 	doc := before.Clone()
 	parent := map[*xmltree.Node]*xmltree.Node{}
 	var index func(*xmltree.Node)

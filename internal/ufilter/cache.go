@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"sync"
@@ -22,7 +22,7 @@ import (
 // One tier, keyed by the template key xqparse writes
 // ((*UpdateQuery).AppendKey, and ScanUpdate straight from the text), so
 // a resident template's instances are never parsed (see
-// Executor.checkText).
+// Filter.checkText).
 
 // maxPlans bounds the cache. A full cache is reset wholesale: real
 // workloads are template-skewed, so a full cache means adversarial or
@@ -34,7 +34,7 @@ type Cache struct {
 	mu    sync.RWMutex
 	plans map[string]*UpdatePlan
 
-	// compileMu serializes first compiles (see Executor.compileOnce).
+	// compileMu serializes first compiles (see Filter.compileOnce).
 	compileMu sync.Mutex
 
 	hits        atomic.Int64

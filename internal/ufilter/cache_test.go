@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -37,7 +38,7 @@ func TestCacheTemplateTier(t *testing.T) {
 	titles := []string{"Data on the Web", "Programming in Unix", "TCP/IP Illustrated"}
 	var first *Result
 	for i, title := range titles {
-		res, err := f.Check(deleteReviewsByTitle(title))
+		res, err := f.Check(context.Background(), deleteReviewsByTitle(title))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,15 +63,15 @@ func TestCacheTemplateTier(t *testing.T) {
 // literal.
 func TestCacheLiteralDerived(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	ok1, err := f.Check(deleteBooksOverPrice("40.00"))
+	ok1, err := f.Check(context.Background(), deleteBooksOverPrice("40.00"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := f.Check(deleteBooksOverPrice("50.00"))
+	bad, err := f.Check(context.Background(), deleteBooksOverPrice("50.00"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok2, err := f.Check(deleteBooksOverPrice("40.00"))
+	ok2, err := f.Check(context.Background(), deleteBooksOverPrice("40.00"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestCacheMatchesUncached(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for i, text := range corpus {
 			want, err1 := compiledVerdict(plain, text)
-			got, err2 := cached.Check(text)
+			got, err2 := cached.Check(context.Background(), text)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("pass %d update %d: err %v vs %v", pass, i, err1, err2)
 			}
@@ -144,7 +145,7 @@ func compiledVerdict(f *Filter, text string) (*Result, error) {
 func TestCachedResultIsolated(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	text := deleteBooksOverPrice("41.00")
-	r1, err := f.Check(text)
+	r1, err := f.Check(context.Background(), text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestCachedResultIsolated(t *testing.T) {
 	r1.Reason = "mutated by caller"
 	r1.Conditions = append(r1.Conditions, CondDupConsistency)
 	r1.Probes = append(r1.Probes, "SELECT 1")
-	r2, err := f.Check(text)
+	r2, err := f.Check(context.Background(), text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestCheckBatch(t *testing.T) {
 		if br.Index != i {
 			t.Errorf("result %d has Index %d", i, br.Index)
 		}
-		want, wantErr := seq.Check(updates[i])
+		want, wantErr := seq.Check(context.Background(), updates[i])
 		if (br.Err == nil) != (wantErr == nil) {
 			t.Errorf("update %d: batch err %v, sequential err %v", i, br.Err, wantErr)
 			continue

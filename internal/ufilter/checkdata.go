@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"repro/internal/relational"
@@ -23,22 +23,15 @@ import (
 // Over a shard group the snapshot is a consistent vector: every shard
 // is pinned under a latch that excludes cross-shard commits, so a
 // cross-shard transaction is visible on all its shards or none.
-func (e *Executor) Snapshot() relational.Snap {
+func (e *Filter) Snapshot() relational.Snap {
 	return e.Exec.DB.OpenSnapshot()
 }
 
-// CheckData runs Steps 1+2 and the read-only data probes of Step 3
-// against a freshly pinned snapshot. It never blocks behind an apply.
-func (e *Executor) CheckData(updateText string) (*Result, error) {
-	snap := e.Snapshot()
-	defer snap.Close()
-	return e.CheckDataAt(snap, updateText)
-}
-
-// CheckDataAt is CheckData against a caller-pinned Reader (typically a
-// *relational.Snapshot, so several checks observe one point-in-time
-// state; passing the live database degrades to read-committed probes).
-func (e *Executor) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, error) {
+// CheckDataAt runs Steps 1+2 and the read-only data probes of Step 3
+// against a caller-pinned Reader: typically a Snapshot, so several
+// checks observe one point-in-time state and none blocks behind an
+// apply (passing the live database degrades to read-committed probes).
+func (e *Filter) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, error) {
 	res, p, b, err := e.checkText(updateText, nil)
 	if err != nil || !res.Accepted {
 		return res, err
@@ -50,7 +43,7 @@ func (e *Executor) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, e
 // plan: each op's context probe, then an insert's shared-part checks.
 // res is the caller's copy: probe SQL is appended to Probes and a failed
 // probe downgrades Accepted with RejectedAt = StepData.
-func (e *Executor) probeData(rd sqlexec.Reader, p *UpdatePlan, b bound, res *Result) (*Result, error) {
+func (e *Filter) probeData(rd sqlexec.Reader, p *UpdatePlan, b bound, res *Result) (*Result, error) {
 	args := probeArgs(b.preds)
 	for i := range p.Resolved.Ops {
 		ro, po := &p.Resolved.Ops[i], &p.Ops[i]
@@ -77,18 +70,11 @@ func (e *Executor) probeData(rd sqlexec.Reader, p *UpdatePlan, b bound, res *Res
 	return res, nil
 }
 
-// CheckBatchData pins ONE snapshot for the whole batch and fans the
-// updates across a worker pool running the snapshot-pinned data check:
+// CheckBatchDataAt fans the updates across a worker pool running
+// CheckDataAt against one caller-pinned Reader: pinned to one snapshot,
 // every verdict in the batch is evaluated against the same
 // point-in-time state, even while applies land concurrently. workers
 // <= 0 selects GOMAXPROCS.
-func (e *Executor) CheckBatchData(updates []string, workers int) []BatchResult {
-	snap := e.Snapshot()
-	defer snap.Close()
-	return e.CheckBatchDataAt(snap, updates, workers)
-}
-
-// CheckBatchDataAt is CheckBatchData against a caller-pinned Reader.
-func (e *Executor) CheckBatchDataAt(rd sqlexec.Reader, updates []string, workers int) []BatchResult {
+func (e *Filter) CheckBatchDataAt(rd sqlexec.Reader, updates []string, workers int) []BatchResult {
 	return checkPool(updates, workers, func(text string) (*Result, error) { return e.CheckDataAt(rd, text) })
 }

@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func TestConcurrentCheckRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				text := texts[(g*7+i)%len(texts)]
-				res, err := f.Check(text)
+				res, err := f.Check(context.Background(), text)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %v", g, err)
 					return
@@ -130,7 +131,7 @@ func TestConcurrentCheckWithApply(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := f.Check(deleteBooksOverPrice(fmt.Sprintf("%d.00", 41+(g+i)%8))); err != nil {
+				if _, err := f.Check(context.Background(), deleteBooksOverPrice(fmt.Sprintf("%d.00", 41+(g+i)%8))); err != nil {
 					t.Errorf("check: %v", err)
 					return
 				}
@@ -155,11 +156,11 @@ UPDATE $book {
       <comment> concurrent </comment>
     </review>
 }`, w, i)
-				if _, err := f.Apply(ins); err != nil {
+				if _, err := f.Apply(context.Background(), ins); err != nil {
 					t.Errorf("apply insert: %v", err)
 					return
 				}
-				if _, err := f.Apply(bookdb.U12); err != nil {
+				if _, err := f.Apply(context.Background(), bookdb.U12); err != nil {
 					t.Errorf("apply delete: %v", err)
 					return
 				}
@@ -192,7 +193,7 @@ func TestStatsDuringApplyRace(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := f.Check(deleteReviewsByTitle(fmt.Sprintf("Stats %d", (g+i)%6))); err != nil {
+				if _, err := f.Check(context.Background(), deleteReviewsByTitle(fmt.Sprintf("Stats %d", (g+i)%6))); err != nil {
 					t.Errorf("check: %v", err)
 					return
 				}
@@ -219,11 +220,11 @@ UPDATE $book {
       <comment> stats race </comment>
     </review>
 }`, i)
-			if _, err := f.Apply(ins); err != nil {
+			if _, err := f.Apply(context.Background(), ins); err != nil {
 				t.Errorf("apply insert: %v", err)
 				return
 			}
-			if _, err := f.Apply(bookdb.U12); err != nil {
+			if _, err := f.Apply(context.Background(), bookdb.U12); err != nil {
 				t.Errorf("apply delete: %v", err)
 				return
 			}

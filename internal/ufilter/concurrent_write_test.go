@@ -1,6 +1,7 @@
-package plan
+package ufilter
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,7 +35,7 @@ UPDATE $book { INSERT <review><reviewid>%s</reviewid><comment>cw</comment></revi
 // claimBookRow opens a raw transaction that claims the probed book's
 // row (an uncommitted price update), returning the transaction so the
 // test controls when the claim is released.
-func claimBookRow(t *testing.T, e *Executor, bookid string) relational.WriteTxn {
+func claimBookRow(t *testing.T, e *Filter, bookid string) relational.WriteTxn {
 	t.Helper()
 	db := e.Exec.DB
 	txn := db.BeginTxn()
@@ -65,7 +66,7 @@ func TestConcurrentDisjointAppliesAllCommit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				res, err := e.Apply(insertReviewUnder("Data on the Web", fmt.Sprintf("cw-%d-%d", w, i)))
+				res, err := e.Apply(context.Background(), insertReviewUnder("Data on the Web", fmt.Sprintf("cw-%d-%d", w, i)))
 				if err != nil {
 					firstErr.Store(err)
 					return
@@ -116,7 +117,7 @@ func TestConflictRetryThenSucceed(t *testing.T) {
 	}
 	done := make(chan applyOut, 1)
 	go func() {
-		res, err := e.Apply(replacePriceDataOnTheWeb(41))
+		res, err := e.Apply(context.Background(), replacePriceDataOnTheWeb(41))
 		done <- applyOut{res, err}
 	}()
 
@@ -152,7 +153,7 @@ func TestConflictRetryThenSucceed(t *testing.T) {
 	}
 }
 
-func bookValues(t *testing.T, e *Executor, bookid string) map[string]relational.Value {
+func bookValues(t *testing.T, e *Filter, bookid string) map[string]relational.Value {
 	t.Helper()
 	ids, err := e.Exec.DB.LookupEqual("book", []string{"bookid"}, []relational.Value{relational.String_(bookid)})
 	if err != nil || len(ids) != 1 {
@@ -180,7 +181,7 @@ func TestConflictRetriesExhausted(t *testing.T) {
 	claim := claimBookRow(t, e, "98003")
 	defer claim.Rollback()
 
-	_, err := e.Apply(replacePriceDataOnTheWeb(42))
+	_, err := e.Apply(context.Background(), replacePriceDataOnTheWeb(42))
 	if !errors.Is(err, relational.ErrWriteConflict) {
 		t.Fatalf("err = %v, want ErrWriteConflict", err)
 	}
@@ -211,7 +212,7 @@ func TestContendedAppliesCommitOrConflict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				res, err := e.Apply(replacePriceDataOnTheWeb(10 + (w*perWriter+i)%39))
+				res, err := e.Apply(context.Background(), replacePriceDataOnTheWeb(10+(w*perWriter+i)%39))
 				switch {
 				case errors.Is(err, relational.ErrWriteConflict):
 					conflicted.Add(1)
@@ -300,7 +301,7 @@ func TestConflictingBatchAtomicity(t *testing.T) {
 func TestNoPartialTranslationVisible(t *testing.T) {
 	e := newBookExec(t)
 	// Normalize book 98003 (one review after this apply).
-	res, err := e.Apply(`
+	res, err := e.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98003"
 UPDATE $book {
@@ -323,7 +324,7 @@ UPDATE $book {
 				return
 			default:
 			}
-			res, err := e.Apply(fmt.Sprintf(`
+			res, err := e.Apply(context.Background(), fmt.Sprintf(`
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98003"
 UPDATE $book {

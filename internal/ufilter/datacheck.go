@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"fmt"
@@ -19,7 +19,7 @@ import (
 // counterpart in most engines' join-view support (the paper's first
 // shortcoming: "limited on supporting updates over Join-views"), so
 // they fall back to the hybrid path with a warning.
-func (e *Executor) executeInternal(ac *applyCtx, ro *ResolvedOp, stmts []sqlexec.Statement, res *Result) (string, error) {
+func (e *Filter) executeInternal(ac *applyCtx, ro *ResolvedOp, stmts []sqlexec.Statement, res *Result) (string, error) {
 	if ro.Op.Kind != xqparse.OpInsert {
 		res.Warnings = append(res.Warnings,
 			"internal strategy: relational join-views do not support this operation; falling back to hybrid")
@@ -117,7 +117,7 @@ func (e *Executor) executeInternal(ac *applyCtx, ro *ResolvedOp, stmts []sqlexec
 
 // joinViewFor derives the left-join relational view (Fig. 11) covering
 // the relations from the root down to the target node.
-func (e *Executor) joinViewFor(target *asg.Node) (*sqlexec.JoinViewDef, error) {
+func (e *Filter) joinViewFor(target *asg.Node) (*sqlexec.JoinViewDef, error) {
 	// Relations in nesting order, with the edge conditions seen on the
 	// way down.
 	var chainNodes []*asg.Node
@@ -140,39 +140,31 @@ func (e *Executor) joinViewFor(target *asg.Node) (*sqlexec.JoinViewDef, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("ufilter: node %s maps to no relations", target.Label())
 	}
-	jv := &sqlexec.JoinViewDef{Name: "Relational" + e.View.Root.Name, Root: rels[0]}
 	placed := asg.NewRelSet(rels[0])
 	for _, r := range rels[1:] {
-		step, ok := findJoinStep(r, placed, conds, e.View.Schema)
-		if !ok {
+		if !joinLinked(r, placed, conds, e.View.Schema) {
 			return nil, fmt.Errorf("ufilter: no join condition links %s into the relational view", r)
 		}
-		jv.Steps = append(jv.Steps, step)
 		placed.Add(r)
 	}
-	return jv, nil
+	return &sqlexec.JoinViewDef{Name: "Relational" + e.View.Root.Name, Tables: rels}, nil
 }
 
-// findJoinStep locates a join condition (or foreign key) linking a
-// relation to an already-placed one.
-func findJoinStep(rel string, placed asg.RelSet, conds []asg.JoinCond, schema *relational.Schema) (sqlexec.JoinStep, bool) {
+// joinLinked reports whether a join condition (or a one-column foreign
+// key) links a relation to an already-placed one.
+func joinLinked(rel string, placed asg.RelSet, conds []asg.JoinCond, schema *relational.Schema) bool {
 	for _, jc := range conds {
-		switch {
-		case strings.EqualFold(jc.LeftRel, rel) && placed.Has(jc.RightRel):
-			return sqlexec.JoinStep{Table: rel, ParentTable: jc.RightRel, ParentColumn: jc.RightCol, Column: jc.LeftCol}, true
-		case strings.EqualFold(jc.RightRel, rel) && placed.Has(jc.LeftRel):
-			return sqlexec.JoinStep{Table: rel, ParentTable: jc.LeftRel, ParentColumn: jc.LeftCol, Column: jc.RightCol}, true
+		if strings.EqualFold(jc.LeftRel, rel) && placed.Has(jc.RightRel) ||
+			strings.EqualFold(jc.RightRel, rel) && placed.Has(jc.LeftRel) {
+			return true
 		}
 	}
 	if def, ok := schema.Table(rel); ok {
 		for _, fk := range def.ForeignKeys {
 			if placed.Has(fk.RefTable) && len(fk.Columns) == 1 {
-				return sqlexec.JoinStep{
-					Table: rel, ParentTable: strings.ToLower(fk.RefTable),
-					ParentColumn: strings.ToLower(fk.RefColumns[0]), Column: strings.ToLower(fk.Columns[0]),
-				}, true
+				return true
 			}
 		}
 	}
-	return sqlexec.JoinStep{}, false
+	return false
 }

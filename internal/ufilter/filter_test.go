@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestPaperClassifications(t *testing.T) {
 		{"u13 insert review unconditional", bookdb.U13, true, StepNone, OutcomeUnconditional, ""},
 	}
 	for _, c := range cases {
-		res, err := f.Check(c.text)
+		res, err := f.Check(context.Background(), c.text)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -127,7 +128,7 @@ func TestPaperClassifications(t *testing.T) {
 // translation minimization (Observation 1).
 func TestU9Conditions(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Check(bookdb.U9)
+	res, err := f.Check(context.Background(), bookdb.U9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestU9Conditions(t *testing.T) {
 // publisher to pre-exist plus duplication consistency.
 func TestU4Conditions(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Check(bookdb.U4)
+	res, err := f.Check(context.Background(), bookdb.U4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestU4Conditions(t *testing.T) {
 // view, so the data-driven context check rejects.
 func TestApplyU3RejectedByContextProbe(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(bookdb.U3)
+	res, err := f.Apply(context.Background(), bookdb.U3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestApplyU3RejectedByContextProbe(t *testing.T) {
 func TestApplyU4DataConflict(t *testing.T) {
 	for _, strat := range []Strategy{StrategyHybrid, StrategyOutside, StrategyInternal} {
 		f := newFilter(t, strat)
-		res, err := f.Apply(bookdb.U4)
+		res, err := f.Apply(context.Background(), bookdb.U4)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -208,7 +209,7 @@ func TestApplyU4DataConflict(t *testing.T) {
 // the two reviews of the sub-$40 book.
 func TestApplyU8DeletesReviews(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(bookdb.U8)
+	res, err := f.Apply(context.Background(), bookdb.U8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestApplyU8DeletesReviews(t *testing.T) {
 // publisher.t1 is still referenced by the first book).
 func TestApplyU9Minimized(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(bookdb.U9)
+	res, err := f.Apply(context.Background(), bookdb.U9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestApplyU9Minimized(t *testing.T) {
 // not in the view (year 1985).
 func TestApplyU11RejectedByContextProbe(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(bookdb.U11)
+	res, err := f.Apply(context.Background(), bookdb.U11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestApplyU11RejectedByContextProbe(t *testing.T) {
 func TestApplyU12ZeroTuples(t *testing.T) {
 	for _, strat := range []Strategy{StrategyHybrid, StrategyOutside} {
 		f := newFilter(t, strat)
-		res, err := f.Apply(bookdb.U12)
+		res, err := f.Apply(context.Background(), bookdb.U12)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -303,7 +304,7 @@ func TestApplyU12ZeroTuples(t *testing.T) {
 func TestApplyU13InsertsReview(t *testing.T) {
 	for _, strat := range []Strategy{StrategyHybrid, StrategyOutside, StrategyInternal} {
 		f := newFilter(t, strat)
-		res, err := f.Apply(bookdb.U13)
+		res, err := f.Apply(context.Background(), bookdb.U13)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -327,14 +328,14 @@ func TestApplyRejectionLeavesDatabaseUntouched(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
 	before := f.Exec.DB.TotalRows()
 	for _, u := range bookdb.AllUpdates() {
-		res, err := f.Check(u.Text)
+		res, err := f.Check(context.Background(), u.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
 		if !res.Accepted {
 			continue
 		}
-		res, err = f.Apply(u.Text)
+		res, err = f.Apply(context.Background(), u.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
@@ -404,7 +405,7 @@ UPDATE $book { REPLACE $book/` + leaf.name + ` WITH ` + leaf.text + ` }`)
 // TestReplaceTitle: a leaf replace translates to an UPDATE.
 func TestReplaceTitle(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(`
+	res, err := f.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book { REPLACE $book/title WITH <title>TCP/IP Illustrated, 2nd ed.</title> }`)
@@ -424,7 +425,7 @@ UPDATE $book { REPLACE $book/title WITH <title>TCP/IP Illustrated, 2nd ed.</titl
 // outside the view's check range is invalid at Step 1.
 func TestReplaceViolatingCheckRejected(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Check(`
+	res, err := f.Check(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book { REPLACE $book/price WITH <price>99.00</price> }`)
@@ -443,7 +444,7 @@ UPDATE $book { REPLACE $book/price WITH <price>99.00</price> }`)
 // of the view, so Step 1 rejects it.
 func TestDeleteNullableLeaf(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Apply(`
+	res, err := f.Apply(context.Background(), `
 FOR $review IN document("BookView.xml")/book/review
 WHERE $review/reviewid/text() = "001"
 UPDATE $review { DELETE $review/comment/text() }`)
@@ -458,7 +459,7 @@ UPDATE $review { DELETE $review/comment/text() }`)
 		t.Errorf("comment = %v, want NULL", comment)
 	}
 
-	res, err = f.Apply(`
+	res, err = f.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book { DELETE $book/price/text() }`)
@@ -474,7 +475,7 @@ UPDATE $book { DELETE $book/price/text() }`)
 // does not know is invalid.
 func TestUnknownElementRejected(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Check(`
+	res, err := f.Check(context.Background(), `
 FOR $root IN document("BookView.xml")
 UPDATE $root { INSERT <magazine><title>Wired</title></magazine> }`)
 	if err != nil {
@@ -518,6 +519,9 @@ func TestSatisfiability(t *testing.T) {
 		{[]relational.CheckPredicate{eq(10), gt(5), lt(15)}, true},   // pinned in range
 		{[]relational.CheckPredicate{ne(10)}, true},                  // open
 		{[]relational.CheckPredicate{gt(50), le(50)}, false},         // strict crossing
+		{[]relational.CheckPredicate{eq(5), gt(5)}, false},           // pinned on a strict lower bound
+		{[]relational.CheckPredicate{eq(5), lt(5)}, false},           // pinned on a strict upper bound
+		{[]relational.CheckPredicate{eq(5), ne(5)}, false},           // pinned value excluded
 	}
 	for i, c := range cases {
 		if got := checkConjunctionSatisfiable(c.preds); got != c.want {

@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -86,7 +87,7 @@ func TestParseStrategy(t *testing.T) {
 // and enum spellings, and the parse tree stays off the wire.
 func TestResultJSON(t *testing.T) {
 	f := newFilter(t, StrategyHybrid)
-	res, err := f.Check(bookdb.U2)
+	res, err := f.Check(context.Background(), bookdb.U2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-package plan
+package ufilter
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -26,6 +27,13 @@ func insertReviewDataOnTheWeb(i int) string {
 FOR $book IN document("BookView.xml")/book
 WHERE $book/title/text() = "Data on the Web"
 UPDATE $book { INSERT <review><reviewid>%d</reviewid><comment>mvcc</comment></review> }`, 100000+i)
+}
+
+// checkData is a data check against a freshly pinned snapshot.
+func checkData(e *Filter, text string) (*Result, error) {
+	snap := e.Snapshot()
+	defer snap.Close()
+	return e.CheckDataAt(snap, text)
 }
 
 // TestChecksDuringLongApplyBatchRace floods the executor with
@@ -84,11 +92,11 @@ func TestChecksDuringLongApplyBatchRace(t *testing.T) {
 				var err error
 				var res *Result
 				if i%2 == 0 {
-					res, err = e.Check(delReviewsDataOnTheWeb)
+					res, err = e.Check(context.Background(), delReviewsDataOnTheWeb)
 				} else {
 					// Snapshot-pinned data check: the probed context (the
 					// book) exists in every committed state.
-					res, err = e.CheckData(delReviewsDataOnTheWeb)
+					res, err = checkData(e, delReviewsDataOnTheWeb)
 				}
 				if err != nil {
 					checkErrs <- err
@@ -131,7 +139,7 @@ UPDATE $book { REPLACE $book/title WITH <title>Data off the Web</title> }`
 
 	// The apply retitles the book, so the update context of
 	// delReviewsDataOnTheWeb ceases to exist in the latest state.
-	res, err := e.Apply(renameAway)
+	res, err := e.Apply(context.Background(), renameAway)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +160,7 @@ UPDATE $book { REPLACE $book/title WITH <title>Data off the Web</title> }`
 	}
 
 	// A fresh data check sees the rename.
-	fresh, err := e.CheckData(delReviewsDataOnTheWeb)
+	fresh, err := checkData(e, delReviewsDataOnTheWeb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +172,7 @@ UPDATE $book { REPLACE $book/title WITH <title>Data off the Web</title> }`
 	}
 
 	// The schema-level verdict is data-independent and stays accepted.
-	schema, err := e.Check(delReviewsDataOnTheWeb)
+	schema, err := e.Check(context.Background(), delReviewsDataOnTheWeb)
 	if err != nil || !schema.Accepted {
 		t.Fatalf("schema check = %+v, %v; want accepted", schema, err)
 	}
@@ -173,7 +181,7 @@ UPDATE $book { REPLACE $book/title WITH <title>Data off the Web</title> }`
 // TestCheckDataCacheParity: the snapshot data check must reach the
 // same verdict off the cached plan as off a throwaway plan compiled from
 // the update — in particular the shared-part probes of an insert
-// (CondSharedPartsExist) must run, or CheckData would accept inserts
+// (CondSharedPartsExist) must run, or a data check would accept inserts
 // Apply then rejects.
 func TestCheckDataCacheParity(t *testing.T) {
 	// A u4-shaped insert whose <publisher> shared part does NOT exist
@@ -200,7 +208,7 @@ UPDATE $root {
 		{"insert-missing-shared-part", missingShared, false},
 	} {
 		cached := newBookExec(t)
-		a, errA := cached.CheckData(tc.text)
+		a, errA := checkData(cached, tc.text)
 		b, errB := runReference(newBookExec(t), tc.text, referenceCheckData)
 		if errA != nil || errB != nil {
 			t.Fatalf("%s: errors cached=%v uncached=%v", tc.name, errA, errB)
@@ -219,7 +227,7 @@ UPDATE $root {
 }
 
 // TestCheckDataMidTransactionInvisibility pins nothing but relies on
-// CheckData's own snapshot: an uncommitted transaction's deletes must
+// the data check's own snapshot: an uncommitted transaction's deletes must
 // be invisible to a concurrent data check.
 func TestCheckDataMidTransactionInvisibility(t *testing.T) {
 	e := newBookExec(t)
@@ -240,7 +248,7 @@ func TestCheckDataMidTransactionInvisibility(t *testing.T) {
 	}
 	// ...but a data check still accepts: the uncommitted delete is
 	// invisible to its snapshot.
-	res, err := e.CheckData(delReviewsDataOnTheWeb)
+	res, err := checkData(e, delReviewsDataOnTheWeb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +259,7 @@ func TestCheckDataMidTransactionInvisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After rollback the latest state accepts too.
-	res, err = e.CheckData(delReviewsDataOnTheWeb)
+	res, err = checkData(e, delReviewsDataOnTheWeb)
 	if err != nil || !res.Accepted {
 		t.Fatalf("post-rollback data check = %+v, %v; want accepted", res, err)
 	}

@@ -1,10 +1,10 @@
-package plan
+package ufilter
 
 import (
 	"repro/internal/obs"
 )
 
-// ObsHists bundles the engine-internal distributions every Executor
+// ObsHists bundles the engine-internal distributions every Filter
 // records: plan compile latency, conflict retries per apply and commit
 // wait. The per-request end-to-end latency histograms live one layer
 // up, in the server, which owns the request boundary.

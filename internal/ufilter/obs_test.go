@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"context"
@@ -7,18 +7,18 @@ import (
 	"repro/internal/obs"
 )
 
-// TestExecutorObsHistograms: an executor built by NewExecutor records
+// TestExecutorObsHistograms: an executor built by newFilter records
 // compile time on cache misses, retry counts per apply and commit-wait
 // samples per commit.
 func TestExecutorObsHistograms(t *testing.T) {
 	e := newBookExec(t)
-	if _, err := e.Check(delReviewsDataOnTheWeb); err != nil {
+	if _, err := e.Check(context.Background(), delReviewsDataOnTheWeb); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Obs.Compile.Snapshot().Count; got == 0 {
 		t.Error("compile histogram empty after a cache-miss Check")
 	}
-	res, err := e.Apply(insertReviewDataOnTheWeb(1))
+	res, err := e.Apply(context.Background(), insertReviewDataOnTheWeb(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestApplyContextTrace(t *testing.T) {
 	e := newBookExec(t)
 	tr := obs.StartTrace("apply")
 	ctx := obs.WithTrace(context.Background(), tr)
-	res, err := e.ApplyContext(ctx, insertReviewDataOnTheWeb(3))
+	res, err := e.Apply(ctx, insertReviewDataOnTheWeb(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestApplyContextTrace(t *testing.T) {
 // behaves exactly like Check.
 func TestCheckContextUntracedIsNoop(t *testing.T) {
 	e := newBookExec(t)
-	res, err := e.CheckContext(context.Background(), delReviewsDataOnTheWeb)
+	res, err := e.Check(context.Background(), delReviewsDataOnTheWeb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-package plan
+package ufilter
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"sort"
@@ -22,7 +23,7 @@ import (
 // The verdict oracle checks U-Filter's verdicts against the view itself,
 // by brute force. For each generated update it builds a fresh database,
 // materializes the view, runs the update through Apply, re-derives the
-// view and compares it with ExpectedView — the view the update asks for
+// view and compares it with expectedView — the view the update asks for
 // — ignoring the order of sibling elements. Two outcomes matter:
 //
 //   - unsound: an accepted update whose view differs from the expected
@@ -63,7 +64,7 @@ func oracleViews() []oracleView {
 }
 
 // exec builds a fresh database and an executor for the view over it.
-func (v oracleView) exec(t testing.TB) *Executor {
+func (v oracleView) exec(t testing.TB) *Filter {
 	t.Helper()
 	db, err := v.newDB()
 	if err != nil {
@@ -72,7 +73,7 @@ func (v oracleView) exec(t testing.TB) *Executor {
 	return newExec(t, db, v.query)
 }
 
-func materialize(t testing.TB, e *Executor) *xmltree.Node {
+func materialize(t testing.TB, e *Filter) *xmltree.Node {
 	t.Helper()
 	doc, err := (&viewengine.Engine{Exec: e.Exec}).Materialize(e.View.Query)
 	if err != nil {
@@ -110,7 +111,7 @@ type oracleFinding struct {
 func (c *oracleCase) check(t testing.TB, text string) oracleFinding {
 	t.Helper()
 	e := c.view.exec(t)
-	res, err := e.Apply(text)
+	res, err := e.Apply(context.Background(), text)
 	if err != nil {
 		return oracleFinding{unsound: "apply failed: " + err.Error()}
 	}
@@ -121,11 +122,11 @@ func (c *oracleCase) check(t testing.TB, text string) oracleFinding {
 		if err != nil {
 			t.Fatalf("an accepted update does not parse: %v", err)
 		}
-		r, err := Resolve(u, e.View)
-		if err != nil {
-			t.Fatalf("an accepted update does not resolve: %v", err)
+		r, litErr, err := resolve(u, e.View)
+		if litErr != nil || err != nil {
+			t.Fatalf("an accepted update does not resolve: %v %v", litErr, err)
 		}
-		if want, got := ExpectedView(c.before, r), materialize(t, e); !sameView(want, got) {
+		if want, got := expectedView(c.before, r), materialize(t, e); !sameView(want, got) {
 			f.unsound = viewDiff(want, got)
 		}
 	case res.RejectedAt == StepSTAR || res.RejectedAt == StepData:
@@ -221,9 +222,9 @@ func generateUpdates(view *asg.ViewASG, doc *xmltree.Node) []string {
 				add(ctx, "DELETE $x/%s", n.Name)
 				add(ctx, "DELETE $x/%s/text()", n.Name)
 				for _, v := range values {
-					add(ctx, "REPLACE $x/%s WITH %s", n.Name, xmltree.ElemText(n.Name, v).StringCompact())
+					add(ctx, "REPLACE $x/%s WITH %s", n.Name, xmltree.Elem(n.Name, xmltree.Text(v)).String())
 				}
-				add(ctx, "INSERT %s", xmltree.ElemText(n.Name, values[0]).StringCompact())
+				add(ctx, "INSERT %s", xmltree.Elem(n.Name, xmltree.Text(values[0])).String())
 			}
 		}
 	}
@@ -290,7 +291,7 @@ func leafTexts(g *asg.Node, insts []*xmltree.Node) ([]string, map[string]int) {
 	var vals []string
 	counts := map[string]int{}
 	for _, inst := range insts {
-		if v := inst.ChildText(g.Name); v != "" {
+		if v := leafText(inst, g.Name); v != "" {
 			if counts[v]++; counts[v] == 1 {
 				vals = append(vals, v)
 			}
@@ -341,13 +342,13 @@ func fragments(view *asg.ViewASG, n *asg.Node, doc *xmltree.Node) []string {
 			switch {
 			case c.Kind == asg.KindTag && inKeyOffEdge(view, n, c.LeafUnder()):
 				vals, _ := leafTexts(c, insts)
-				out.Append(xmltree.ElemText(c.Name, fresh(c, vals)))
+				out.Append(xmltree.Elem(c.Name, xmltree.Text(fresh(c, vals))))
 			case c.Kind == asg.KindTag || !c.EdgeCard.Repeating():
 				out.Append(part.Clone())
 			}
 		}
 	}
-	return []string{inst.StringCompact(), out.StringCompact()}
+	return []string{inst.String(), out.String()}
 }
 
 // inKeyOffEdge reports whether leaf's column belongs to its relation's
@@ -474,7 +475,7 @@ func TestShardedStreamsAgree(t *testing.T) {
 		{"vsuccess", tpch.VsuccessQuery, tpch.Schema, func(sink relational.Inserter) error { return tpch.Generate(sink, tpch.RowsForMB(1)) }},
 	}
 	for _, s := range streams {
-		open := func(n int) *Executor {
+		open := func(n int) *Filter {
 			schema, err := s.schema()
 			if err != nil {
 				t.Fatal(err)
@@ -510,7 +511,7 @@ func TestShardedStreamsAgree(t *testing.T) {
 			if testing.Short() && i%3 != 0 {
 				continue
 			}
-			if v1, v4 := verdict(one.Apply(text)), verdict(four.Apply(text)); v1 != v4 {
+			if v1, v4 := verdict(one.Apply(context.Background(), text)), verdict(four.Apply(context.Background(), text)); v1 != v4 {
 				t.Fatalf("%s update %d: 1 shard %s, 4 shards %s\n%s", s.name, i, v1, v4, text)
 			}
 			if d1, d4 := dumpTables(t, one), dumpTables(t, four); d1 != d4 {

@@ -1,26 +1,4 @@
-// Package plan is the compile-once/execute-many layer of the U-Filter
-// pipeline. It separates what WangRM06's three-step framework decides
-// from schema alone — resolution against the view ASG, Step 1
-// validation, Step 2 STAR reasoning, and the structure of the probe
-// queries and translated SQL — from what must see base data. An
-// UpdatePlan captures the schema-level work for one update *template*
-// (the update with its predicate literals and content values stripped):
-// resolved operations, per-op STAR verdicts, the shared-part check
-// list, the column each content slot feeds, and parameterized probe
-// statement templates prepared through internal/sqlexec. The Executor
-// then binds an instance's values — its predicate literals and the leaf
-// text of its inserted or replacing fragments, read off the update text
-// by xqparse.ScanUpdate without a parse — into a plan, derives
-// the value-dependent half of Step 1 from them, and runs the
-// data-driven checks and the translation against the database, so
-// structurally-repeated updates — the production traffic shape — pay
-// resolution, STAR classification and probe preparation once per
-// template instead of once per request.
-//
-// Layering: xqparse → asg/viewengine → plan → sqlexec → relational.
-// Package ufilter remains the public facade: its Filter embeds an
-// Executor and routes Check/Apply/CheckBatch through the plan cache.
-package plan
+package ufilter
 
 import (
 	"errors"
@@ -69,8 +47,6 @@ type UpdatePlan struct {
 	// Key is the template key ((*xqparse.UpdateQuery).AppendKey) — the
 	// plan cache's key.
 	Key string
-	// Template is the exemplar update the plan was compiled from.
-	Template *xqparse.UpdateQuery
 	// Resolved is the template's resolution against the view ASG; nil
 	// when the template names something outside the view schema (the
 	// plan then only records that no instance resolves).
@@ -95,7 +71,7 @@ type UpdatePlan struct {
 	// content slots collected before it, so an instance is rejected by
 	// the first of those it violates, else by opInvalid.
 	opInvalid *Result
-	// exemplar holds the Template's own content texts, in ContentSlots
+	// exemplar holds the compiled update's own content texts, in ContentSlots
 	// order: what Verdict/Execute bind beside a literal tuple.
 	exemplar []string
 	// scanBindable reports that an instance binds straight from
@@ -137,10 +113,10 @@ func invalidResult(reason string) *Result {
 // "the pipeline broke"; only internal errors return a non-nil error.
 // The execution artifacts are built for every template that passes
 // the template-level half of Step 1 and STAR.
-func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
+func (e *Filter) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 	start := time.Now()
 	defer func() { e.Obs.Compile.RecordDuration(time.Since(start)) }()
-	p := &UpdatePlan{Key: string(u.AppendKey(nil)), Template: u}
+	p := &UpdatePlan{Key: string(u.AppendKey(nil))}
 	r, litErr, err := resolve(u, e.View)
 	if err != nil {
 		if litErr != nil {
@@ -227,8 +203,13 @@ func (e *Executor) Compile(u *xqparse.UpdateQuery) (*UpdatePlan, error) {
 	return p, nil
 }
 
-// CompileText parses an update and compiles it.
-func (e *Executor) CompileText(updateText string) (*UpdatePlan, error) {
+// Prepare parses an update and compiles its template into an immutable
+// UpdatePlan: resolution, Step 1 validation and Step 2 STAR verdicts
+// run once, and the plan carries parameterized probe statements plus
+// precompiled translation artifacts. Pair it with Verdict/Execute for
+// the compile-once/execute-many fast path; Check and Apply reach the
+// same machinery through the plan cache.
+func (e *Filter) Prepare(updateText string) (*UpdatePlan, error) {
 	u, err := xqparse.ParseUpdate(updateText)
 	if err != nil {
 		return nil, err
@@ -241,7 +222,7 @@ func (e *Executor) CompileText(updateText string) (*UpdatePlan, error) {
 // insert/replace translations. A probe that cannot be prepared names a
 // table or column the database does not have, which no execution could
 // get past either.
-func (e *Executor) compileArtifacts(p *UpdatePlan) error {
+func (e *Filter) compileArtifacts(p *UpdatePlan) error {
 	r := p.Resolved
 	next := 0 // first content slot of the op
 	for i := range r.Ops {
@@ -379,11 +360,14 @@ func (p *UpdatePlan) derive(args []relational.Value, raw []string) (*Result, bou
 // re-resolved, which is cheap (resolution stops at the first failure)
 // and reports the failure a literal of this instance may cause before
 // the structural one.
-func (e *Executor) bindParsed(p *UpdatePlan, u *xqparse.UpdateQuery) (*Result, bound, error) {
+func (e *Filter) bindParsed(p *UpdatePlan, u *xqparse.UpdateQuery) (*Result, bound, error) {
 	if p.Resolved != nil {
 		return p.derive(p.BindArgs(u), p.contentOf(u))
 	}
-	_, err := Resolve(u, e.View)
+	_, litErr, err := resolve(u, e.View)
+	if litErr != nil {
+		err = litErr
+	}
 	var re *resolveError
 	if !errors.As(err, &re) {
 		return nil, bound{}, fmt.Errorf("plan: instance of an unresolvable template resolved to %v", err)
@@ -394,7 +378,7 @@ func (e *Executor) bindParsed(p *UpdatePlan, u *xqparse.UpdateQuery) (*Result, b
 // Verdict computes the schema-level verdict of the plan's template
 // bound to a literal tuple (and the exemplar's content), without
 // touching base data — the compiled-plan equivalent of Check.
-func (e *Executor) Verdict(p *UpdatePlan, args []relational.Value) (*Result, error) {
+func (e *Filter) Verdict(p *UpdatePlan, args []relational.Value) (*Result, error) {
 	res, _, err := p.verdictArgs(args)
 	return res, err
 }
@@ -418,7 +402,7 @@ func (p *UpdatePlan) verdictArgs(args []relational.Value) (*Result, bound, error
 // engine's writer stage). This is the execute-many half of
 // compile-once/execute-many: no parsing, no resolution, no STAR walk, no
 // probe construction.
-func (e *Executor) Execute(p *UpdatePlan, args []relational.Value) (*Result, error) {
+func (e *Filter) Execute(p *UpdatePlan, args []relational.Value) (*Result, error) {
 	res, b, err := p.verdictArgs(args)
 	if err != nil || !res.Accepted {
 		return res, err
@@ -439,7 +423,7 @@ type groupItem struct {
 
 // applyOne runs one accepted update as a group of one; tr, when
 // non-nil, receives its stage spans.
-func (e *Executor) applyOne(it *groupItem, tr *obs.Trace) (*Result, error) {
+func (e *Filter) applyOne(it *groupItem, tr *obs.Trace) (*Result, error) {
 	e.applyGroupWithRetry([]*groupItem{it}, tr)
 	if it.err != nil {
 		return nil, it.err
@@ -454,7 +438,7 @@ func (e *Executor) applyOne(it *groupItem, tr *obs.Trace) (*Result, error) {
 // that loses a write-conflict race records ErrWriteConflict and rolls
 // back to its savepoint; applyGroupWithRetry re-runs just those items
 // in fresh rounds. tr, when non-nil, receives the stage spans.
-func (e *Executor) applyGroup(items []*groupItem, tr *obs.Trace) {
+func (e *Filter) applyGroup(items []*groupItem, tr *obs.Trace) {
 	txn := e.Exec.DB.BeginTxn()
 	committed := false
 	defer func() {
@@ -514,7 +498,7 @@ func (e *Executor) applyGroup(items []*groupItem, tr *obs.Trace) {
 // throughout — an item is either committed whole by exactly one round
 // or reported failed. Each item records its retry count once, when it
 // leaves the loop.
-func (e *Executor) applyGroupWithRetry(items []*groupItem, tr *obs.Trace) {
+func (e *Filter) applyGroupWithRetry(items []*groupItem, tr *obs.Trace) {
 	for _, it := range items {
 		it.mark = markResult(it.res)
 	}
@@ -565,32 +549,12 @@ func (e *Executor) applyGroupWithRetry(items []*groupItem, tr *obs.Trace) {
 // concurrently with other batches and single applies: an update that
 // loses a write-conflict race to a concurrent writer is retried in a
 // follow-up round without disturbing its committed siblings.
-func (e *Executor) ApplyBatch(updates []string) []BatchResult {
-	return e.runBatch(len(updates), func(i int) (*Result, *UpdatePlan, bound, error) {
-		return e.admit(updates[i], nil)
-	})
-}
-
-// ExecuteBatch is Execute over many literal tuples of one compiled
-// plan, under group commit: one transaction, one write-ahead-log
-// flush, N bound executions, with conflicted tuples retried in
-// follow-up rounds. Results arrive in tuple order.
-func (e *Executor) ExecuteBatch(p *UpdatePlan, argsList [][]relational.Value) []BatchResult {
-	return e.runBatch(len(argsList), func(i int) (*Result, *UpdatePlan, bound, error) {
-		res, b, err := p.verdictArgs(argsList[i])
-		return res, p, b, err
-	})
-}
-
-// runBatch takes the verdict of each of n updates, runs the accepted
-// ones as one untraced group and reports every update in input order:
-// its verdict, or the error that stopped it.
-func (e *Executor) runBatch(n int, verdict func(i int) (*Result, *UpdatePlan, bound, error)) []BatchResult {
-	out := make([]BatchResult, n)
-	items := make([]*groupItem, 0, n)
-	for i := range out {
+func (e *Filter) ApplyBatch(updates []string) []BatchResult {
+	out := make([]BatchResult, len(updates))
+	items := make([]*groupItem, 0, len(updates))
+	for i, text := range updates {
 		out[i].Index = i
-		res, p, b, err := verdict(i)
+		res, p, b, err := e.admit(text, nil)
 		if err != nil {
 			out[i].Err = err
 			continue

@@ -1,6 +1,7 @@
-package plan
+package ufilter
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -44,7 +45,7 @@ UPDATE $book { INSERT <review><reviewid>700</reviewid><comment>fine</comment></r
 	}
 	for i, text := range corpus {
 		viaApply := newBookExec(t)
-		want, err := viaApply.Apply(text)
+		want, err := viaApply.Apply(context.Background(), text)
 		if err != nil {
 			t.Fatalf("update %d: apply: %v", i, err)
 		}
@@ -103,6 +104,8 @@ func TestApplyBatchGroupCommit(t *testing.T) {
 		`FOR $book IN document("BookView.xml")/book
 WHERE $book/title/text() = "Data on the Web"
 UPDATE $book { REPLACE $book/title WITH <title> </title> }`,
+		// Data-rejected at the context probe: no such book.
+		insertReviewUnder("No Such Title", "803"),
 	}
 	out := e.ApplyBatch(batch)
 	if len(out) != len(batch) {
@@ -123,6 +126,9 @@ UPDATE $book { REPLACE $book/title WITH <title> </title> }`,
 	if out[4].Err != nil || out[4].Result.Accepted || out[4].Result.RejectedAt != StepValidation {
 		t.Errorf("update 4 should be schema-rejected: %+v %v", out[4].Result, out[4].Err)
 	}
+	if out[5].Err != nil || out[5].Result.Accepted || out[5].Result.RejectedAt != StepData {
+		t.Errorf("update 5 should miss the context: %+v %v", out[5].Result, out[5].Err)
+	}
 	if got := e.Exec.DB.RowCount("review"); got != reviewsBefore+2 {
 		t.Errorf("review rows = %d, want %d (two accepted inserts)", got, reviewsBefore+2)
 	}
@@ -133,46 +139,6 @@ UPDATE $book { REPLACE $book/title WITH <title> </title> }`,
 	ids, _ := e.Exec.DB.LookupEqual("review", []string{"reviewid"}, []relational.Value{relational.String_("801")})
 	if len(ids) != 1 {
 		t.Errorf("reviewid 801 occurs %d times, want 1", len(ids))
-	}
-}
-
-// TestExecuteBatchGroupCommit: the prepared-plan batch path shares the
-// group-commit semantics — one flush for N bound tuples.
-func TestExecuteBatchGroupCommit(t *testing.T) {
-	e := newBookExec(t)
-	u, err := xqparse.ParseUpdate(insertReview(900))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := e.Compile(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groupsBefore := e.Exec.DB.Stats().GroupCommits
-	reviewsBefore := e.Exec.DB.RowCount("review")
-	// The insert template has one literal slot (the title predicate);
-	// the fragment is part of the template, so every tuple inserts the
-	// same review id — the first succeeds, repeats are data conflicts.
-	args := [][]relational.Value{
-		{relational.String_("Data on the Web")},
-		{relational.String_("Data on the Web")},
-		{relational.String_("No Such Title")},
-	}
-	out := e.ExecuteBatch(p, args)
-	if out[0].Err != nil || !out[0].Result.Accepted {
-		t.Errorf("tuple 0: %+v %v", out[0].Result, out[0].Err)
-	}
-	if out[1].Err != nil || out[1].Result.Accepted || out[1].Result.RejectedAt != StepData {
-		t.Errorf("tuple 1 should be a data conflict: %+v", out[1].Result)
-	}
-	if out[2].Err != nil || out[2].Result.Accepted || out[2].Result.RejectedAt != StepData {
-		t.Errorf("tuple 2 should miss the context: %+v", out[2].Result)
-	}
-	if got := e.Exec.DB.RowCount("review"); got != reviewsBefore+1 {
-		t.Errorf("review rows = %d, want %d", got, reviewsBefore+1)
-	}
-	if groups := e.Exec.DB.Stats().GroupCommits - groupsBefore; groups != 1 {
-		t.Errorf("commit groups = %d, want 1", groups)
 	}
 }
 
@@ -191,12 +157,12 @@ UPDATE $root { DELETE $book }`, price)
 	}
 	// Prime the plan with one literal, then check others through the
 	// bound-verdict path.
-	if _, err := e.Check(tmpl("40.00")); err != nil {
+	if _, err := e.Check(context.Background(), tmpl("40.00")); err != nil {
 		t.Fatal(err)
 	}
 	plain := newBookExec(t)
 	for _, price := range []string{"45.00", "55.00", "10.00"} {
-		got, err := e.Check(tmpl(price))
+		got, err := e.Check(context.Background(), tmpl(price))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +194,7 @@ func TestOneApplyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, file := range pkgs["plan"].Files {
+	for _, file := range pkgs["ufilter"].Files {
 		for _, decl := range file.Decls {
 			in := "" // a package-level declaration
 			if fn, ok := decl.(*ast.FuncDecl); ok {

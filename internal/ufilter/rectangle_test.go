@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bookdb"
@@ -20,9 +21,9 @@ func applyUpdateToXML(t *testing.T, f *Filter, updateText string, doc *xmltree.N
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Resolve(u, f.View)
-	if err != nil {
-		t.Fatal(err)
+	r, litErr, err := resolve(u, f.View)
+	if litErr != nil || err != nil {
+		t.Fatal(litErr, err)
 	}
 	return expectedView(doc, r)
 }
@@ -51,7 +52,7 @@ func TestRectangleRuleBookDeletes(t *testing.T) {
 		}
 		expected := applyUpdateToXML(t, f, upd.text, before)
 
-		res, err := f.Apply(upd.text)
+		res, err := f.Apply(context.Background(), upd.text)
 		if err != nil {
 			t.Fatalf("%s: %v", upd.name, err)
 		}
@@ -62,7 +63,7 @@ func TestRectangleRuleBookDeletes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !expected.Equal(after) {
+		if expected.String() != after.String() {
 			t.Errorf("%s: rectangle rule violated\nexpected:\n%s\nactual:\n%s",
 				upd.name, expected, after)
 		}
@@ -85,7 +86,7 @@ func TestRectangleRuleReviewInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Apply(bookdb.U13)
+	res, err := f.Apply(context.Background(), bookdb.U13)
 	if err != nil || !res.Accepted {
 		t.Fatalf("u13: %v %+v", err, res)
 	}
@@ -96,7 +97,7 @@ func TestRectangleRuleReviewInsert(t *testing.T) {
 	// The target book gains exactly one review; everything else equal.
 	var target *xmltree.Node
 	for _, b := range after.ChildrenNamed("book") {
-		if b.ChildText("title") == "Data on the Web" {
+		if leafText(b, "title") == "Data on the Web" {
 			target = b
 		}
 	}
@@ -104,12 +105,12 @@ func TestRectangleRuleReviewInsert(t *testing.T) {
 		t.Fatal("target book missing after update")
 	}
 	reviews := target.ChildrenNamed("review")
-	if len(reviews) != 1 || reviews[0].ChildText("comment") != "Easy read and useful." {
+	if len(reviews) != 1 || leafText(reviews[0], "comment") != "Easy read and useful." {
 		t.Fatalf("reviews = %+v", reviews)
 	}
 	// Remove the inserted review and the views must match.
 	target.RemoveChild(reviews[0])
-	if !before.Equal(after) {
+	if before.String() != after.String() {
 		t.Errorf("side effects beyond the inserted review:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
@@ -133,7 +134,7 @@ func TestRectangleRuleTPCH(t *testing.T) {
 	upd := tpch.DeleteElementUpdate("customer", 3)
 	expected := applyUpdateToXML(t, f, upd, before)
 
-	res, err := f.Apply(upd)
+	res, err := f.Apply(context.Background(), upd)
 	if err != nil || !res.Accepted {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -141,7 +142,7 @@ func TestRectangleRuleTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !expected.Equal(after) {
+	if expected.String() != after.String() {
 		t.Error("rectangle rule violated for Vsuccess customer delete")
 	}
 }
@@ -165,7 +166,7 @@ func TestRectangleRulePSD(t *testing.T) {
 	upd := psd.DeleteProtein("P00005")
 	expected := applyUpdateToXML(t, f, upd, before)
 
-	res, err := f.Apply(upd)
+	res, err := f.Apply(context.Background(), upd)
 	if err != nil || !res.Accepted {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -173,7 +174,7 @@ func TestRectangleRulePSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !expected.Equal(after) {
+	if expected.String() != after.String() {
 		t.Error("rectangle rule violated for PSD protein delete")
 	}
 	if got := len(after.ChildrenNamed("organism")); got != 5 {
@@ -194,11 +195,20 @@ func TestNoOpUpdateLeavesBaseUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.TotalRows()
-	res, err := f.Apply(bookdb.U12)
+	res, err := f.Apply(context.Background(), bookdb.U12)
 	if err != nil || !res.Accepted {
 		t.Fatalf("%v %+v", err, res)
 	}
 	if db.TotalRows() != before {
 		t.Error("no-op view update modified the base database")
 	}
+}
+
+// leafText is the text of the first element the path reaches from n, ""
+// when it reaches none.
+func leafText(n *xmltree.Node, path ...string) string {
+	if m := n.FindAll(path...); len(m) > 0 {
+		return m[0].TextContent()
+	}
+	return ""
 }

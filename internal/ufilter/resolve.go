@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"fmt"
@@ -57,17 +57,8 @@ func resolveErrf(format string, args ...interface{}) error {
 	return &resolveError{msg: fmt.Sprintf(format, args...)}
 }
 
-// Resolve binds an update query's variables, predicates and operations
-// to nodes of the view ASG.
-func Resolve(u *xqparse.UpdateQuery, view *asg.ViewASG) (*ResolvedUpdate, error) {
-	r, litErr, err := resolve(u, view)
-	if litErr != nil {
-		return nil, litErr
-	}
-	return r, err
-}
-
-// resolve is Resolve with the two kinds of failure told apart. err is
+// resolve binds an update query's variables, predicates and operations
+// to nodes of the view ASG, telling two kinds of failure apart. err is
 // structural: the template names something outside the view schema, so
 // no instance of it resolves. litErr is the first predicate literal that
 // does not fit its leaf's domain, met before any structural failure: it

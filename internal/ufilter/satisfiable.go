@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"repro/internal/relational"
@@ -118,12 +118,4 @@ func checkConjunctionSatisfiable(preds []relational.CheckPredicate) bool {
 		}
 	}
 	return true
-}
-
-// ConjunctionSatisfiable reports whether a conjunction of
-// single-attribute comparison predicates can hold for some value; see
-// checkConjunctionSatisfiable. Exported for the facade's tests and for
-// tooling that inspects Step 1's overlap reasoning.
-func ConjunctionSatisfiable(preds []relational.CheckPredicate) bool {
-	return checkConjunctionSatisfiable(preds)
 }

@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"context"
@@ -57,7 +57,7 @@ func TestScanCoversGenerators(t *testing.T) {
 func TestScanHitAllocs(t *testing.T) {
 	e := newTPCHExec(t)
 	text := tpch.InsertLineitemUpdate(5, 900)
-	if _, err := e.Check(text); err != nil {
+	if _, err := e.Check(context.Background(), text); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
@@ -67,7 +67,7 @@ func TestScanHitAllocs(t *testing.T) {
 		run  func() (*Result, error)
 		max  float64
 	}{
-		{"Check", func() (*Result, error) { return e.Check(text) }, 4},
+		{"Check", func() (*Result, error) { return e.Check(context.Background(), text) }, 4},
 		{"CheckDataAt", func() (*Result, error) { return e.CheckDataAt(snap, text) }, 16},
 	} {
 		n := testing.AllocsPerRun(100, func() {
@@ -90,7 +90,7 @@ func TestScanHitTrace(t *testing.T) {
 	e := newTPCHExec(t)
 	stages := func(text string) map[string]bool {
 		tr := obs.StartTrace("check")
-		if _, err := e.CheckContext(obs.WithTrace(context.Background(), tr), text); err != nil {
+		if _, err := e.Check(obs.WithTrace(context.Background(), tr), text); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()

@@ -1,7 +1,7 @@
 // STAR — schema-driven translatability reasoning (Section 5): the
 // marking procedure run once per view at compile time, and the per-op
 // checking procedure plans consult.
-package plan
+package ufilter
 
 import (
 	"fmt"
@@ -36,7 +36,6 @@ const (
 // plus bookkeeping the checker and translator need.
 type Marks struct {
 	View *asg.ViewASG
-	Base *asg.BaseASG
 
 	DeleteCause map[*asg.Node]UnsafeCause
 	InsertCause map[*asg.Node]UnsafeCause
@@ -60,14 +59,13 @@ type HiddenValue struct {
 	Value    relational.Value
 }
 
-// MarkViewASG runs the STAR marking procedure (Algorithm 1): Rules 1–3
+// markViewASG runs the STAR marking procedure (Algorithm 1): Rules 1–3
 // set the update context type of every internal node, remaining nodes
 // are safe, and the update point type is computed from the closure /
 // mapping-closure equivalence.
-func MarkViewASG(view *asg.ViewASG, base *asg.BaseASG) *Marks {
+func markViewASG(view *asg.ViewASG, base *asg.BaseASG) *Marks {
 	m := &Marks{
 		View:        view,
-		Base:        base,
 		DeleteCause: map[*asg.Node]UnsafeCause{},
 		InsertCause: map[*asg.Node]UnsafeCause{},
 		SharedRels:  map[*asg.Node]asg.RelSet{},
@@ -155,7 +153,6 @@ func MarkViewASG(view *asg.ViewASG, base *asg.BaseASG) *Marks {
 	// Fold causes into the (UPoint|UContext) node marks and compute the
 	// update point type.
 	for _, vc := range internals {
-		vc.Marked = true
 		vc.UCtx = asg.UContext{
 			SafeDelete: m.DeleteCause[vc] == CauseNone,
 			SafeInsert: m.InsertCause[vc] == CauseNone,

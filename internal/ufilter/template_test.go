@@ -1,6 +1,7 @@
-package plan
+package ufilter
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/asg"
 	"repro/internal/bookdb"
 	"repro/internal/psd"
 	"repro/internal/relational"
@@ -20,21 +20,16 @@ import (
 // instance of a template, and whatever depends on an instance's values
 // is derived when the instance is bound.
 
-func newExec(t testing.TB, db relational.Engine, viewQuery string) *Executor {
+func newExec(t testing.TB, db relational.Engine, viewQuery string) *Filter {
 	t.Helper()
-	q, err := xqparse.ParseViewQuery(viewQuery)
+	e, err := New(viewQuery, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := asg.BuildViewASG(q, db.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := asg.BuildBaseASG(view, db.Schema())
-	return NewExecutor(view, base, MarkViewASG(view, base), db)
+	return e
 }
 
-func newTPCHExec(t testing.TB) *Executor {
+func newTPCHExec(t testing.TB) *Filter {
 	t.Helper()
 	db, err := tpch.NewDatabaseMB(1)
 	if err != nil {
@@ -47,7 +42,7 @@ func newTPCHExec(t testing.TB) *Executor {
 // inserted book cannot supply the key of the shared publisher relation.
 var keylessBookView = strings.Replace(bookdb.ViewQuery, "$publisher/pubid, $publisher/pubname", "$publisher/pubname", 2)
 
-func newKeylessBookExec(t testing.TB) *Executor {
+func newKeylessBookExec(t testing.TB) *Filter {
 	t.Helper()
 	db, err := bookdb.NewDatabase(relational.DeleteCascade)
 	if err != nil {
@@ -56,7 +51,7 @@ func newKeylessBookExec(t testing.TB) *Executor {
 	return newExec(t, db, keylessBookView)
 }
 
-func newPSDExec(t testing.TB) *Executor {
+func newPSDExec(t testing.TB) *Filter {
 	t.Helper()
 	db, err := psd.NewDatabase(40)
 	if err != nil {
@@ -70,7 +65,7 @@ func newPSDExec(t testing.TB) *Executor {
 // ways the comments beside them say.
 type diffTemplate struct {
 	name      string
-	newExec   func(testing.TB) *Executor
+	newExec   func(testing.TB) *Filter
 	instances []string
 }
 
@@ -263,10 +258,11 @@ func comparable(res *Result, err error) string {
 }
 
 // dumpTables renders every table's rows, sorted.
-func dumpTables(t testing.TB, e *Executor) string {
+func dumpTables(t testing.TB, e *Filter) string {
 	t.Helper()
 	var b strings.Builder
-	for _, table := range e.View.Schema.TableNames() {
+	for _, def := range e.View.Schema.Tables() {
+		table := def.Name
 		var rows []string
 		if err := e.Exec.DB.Scan(table, func(r *relational.Row) bool {
 			rows = append(rows, fmt.Sprint(r.Values))
@@ -283,13 +279,13 @@ func dumpTables(t testing.TB, e *Executor) string {
 // referenceOp runs one update through a throwaway plan compiled from the
 // update itself, outside the executor's plan cache: what every cached
 // path must match.
-type referenceOp func(e *Executor, p *UpdatePlan, args []relational.Value) (*Result, error)
+type referenceOp func(e *Filter, p *UpdatePlan, args []relational.Value) (*Result, error)
 
-func referenceVerdict(_ *Executor, p *UpdatePlan, args []relational.Value) (*Result, error) {
+func referenceVerdict(_ *Filter, p *UpdatePlan, args []relational.Value) (*Result, error) {
 	return p.Verdict, nil
 }
 
-func referenceCheckData(e *Executor, p *UpdatePlan, args []relational.Value) (*Result, error) {
+func referenceCheckData(e *Filter, p *UpdatePlan, args []relational.Value) (*Result, error) {
 	res, b, err := p.verdictArgs(args)
 	if err != nil || !res.Accepted {
 		return res, err
@@ -300,12 +296,16 @@ func referenceCheckData(e *Executor, p *UpdatePlan, args []relational.Value) (*R
 }
 
 // runReference compiles text into its own plan and runs ref over it.
-func runReference(e *Executor, text string, ref referenceOp) (*Result, error) {
-	p, err := e.CompileText(text)
+func runReference(e *Filter, text string, ref referenceOp) (*Result, error) {
+	u, err := xqparse.ParseUpdate(text)
 	if err != nil {
 		return nil, err
 	}
-	return ref(e, p, p.BindArgs(p.Template))
+	p, err := e.Compile(u)
+	if err != nil {
+		return nil, err
+	}
+	return ref(e, p, p.BindArgs(u))
 }
 
 // TestTemplateDifferential: the cached executor — one plan per template,
@@ -317,11 +317,11 @@ func runReference(e *Executor, text string, ref referenceOp) (*Result, error) {
 func TestTemplateDifferential(t *testing.T) {
 	type op struct {
 		name string
-		run  func(e *Executor, texts []string) []string
+		run  func(e *Filter, texts []string) []string
 		ref  referenceOp
 	}
-	each := func(f func(e *Executor, text string) (*Result, error)) func(*Executor, []string) []string {
-		return func(e *Executor, texts []string) []string {
+	each := func(f func(e *Filter, text string) (*Result, error)) func(*Filter, []string) []string {
+		return func(e *Filter, texts []string) []string {
 			out := make([]string, len(texts))
 			for i, text := range texts {
 				out[i] = comparable(f(e, text))
@@ -330,23 +330,20 @@ func TestTemplateDifferential(t *testing.T) {
 		}
 	}
 	ops := []op{
-		{"Check", each((*Executor).Check), referenceVerdict},
-		{"CheckDataAt", each(func(e *Executor, text string) (*Result, error) {
-			snap := e.Snapshot()
-			defer snap.Close()
-			return e.CheckDataAt(snap, text)
-		}), referenceCheckData},
-		{"Apply", each((*Executor).Apply), (*Executor).Execute},
-		{"ApplyBatch", func(e *Executor, texts []string) []string {
+		{"Check", each(func(e *Filter, text string) (*Result, error) {
+			return e.Check(context.Background(), text)
+		}), referenceVerdict},
+		{"CheckDataAt", each(checkData), referenceCheckData},
+		{"Apply", each(func(e *Filter, text string) (*Result, error) {
+			return e.Apply(context.Background(), text)
+		}), (*Filter).Execute},
+		{"ApplyBatch", func(e *Filter, texts []string) []string {
 			out := make([]string, len(texts))
 			for i, br := range e.ApplyBatch(texts) {
 				out[i] = comparable(br.Result, br.Err)
 			}
 			return out
-		}, func(e *Executor, p *UpdatePlan, args []relational.Value) (*Result, error) {
-			br := e.ExecuteBatch(p, [][]relational.Value{args})[0]
-			return br.Result, br.Err
-		}},
+		}, (*Filter).Execute},
 	}
 	for _, tpl := range diffTemplates() {
 		for _, o := range ops {
@@ -422,14 +419,14 @@ func TestCacheBoundedByTemplates(t *testing.T) {
 		var err error
 		switch i % 3 {
 		case 0:
-			res, err = e.Apply(tpch.InsertLineitemUpdate(int64(order), int64(line)))
+			res, err = e.Apply(context.Background(), tpch.InsertLineitemUpdate(int64(order), int64(line)))
 		case 1:
-			res, err = e.Apply(deleteLineitemText((i-1)%orders, line-1))
+			res, err = e.Apply(context.Background(), deleteLineitemText((i-1)%orders, line-1))
 		default:
 			text := tpch.DeleteLineitemsOfOrder(int64(1<<20 + i))
-			res, err = e.Check(text)
+			res, err = e.Check(context.Background(), text)
 			if err == nil && i%300 == 2 {
-				res, err = e.Check(text)
+				res, err = e.Check(context.Background(), text)
 			}
 		}
 		if err != nil || !res.Accepted {
@@ -455,7 +452,7 @@ func TestCachedApplyAllocs(t *testing.T) {
 	}
 	next := 0
 	apply := func() {
-		res, err := e.Apply(texts[next])
+		res, err := e.Apply(context.Background(), texts[next])
 		if err != nil || !res.Accepted {
 			t.Fatalf("apply %d: %v %+v", next, err, res)
 		}
@@ -485,12 +482,12 @@ func TestConcurrentFirstCompile(t *testing.T) {
 			<-start
 			for i := 0; i < each; i++ {
 				line := int64(2000 + w*each + i)
-				res, err := e.Apply(tpch.InsertLineitemUpdate(int64(w), line))
+				res, err := e.Apply(context.Background(), tpch.InsertLineitemUpdate(int64(w), line))
 				if err != nil || !res.Accepted {
 					t.Errorf("worker %d insert %d: %v %+v", w, i, err, res)
 					return
 				}
-				if res, err = e.Check(invalidQuantityInsert(int64(w), line)); err != nil || res.Accepted {
+				if res, err = e.Check(context.Background(), invalidQuantityInsert(int64(w), line)); err != nil || res.Accepted {
 					t.Errorf("worker %d: quantity 0 passed Step 1: %v %+v", w, err, res)
 					return
 				}

@@ -1,6 +1,7 @@
 package ufilter
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestVsuccessAllUnconditional(t *testing.T) {
 		}
 	}
 	for _, rel := range tpch.Relations {
-		res, err := f.Check(tpch.DeleteElementUpdate(rel, 0))
+		res, err := f.Check(context.Background(), tpch.DeleteElementUpdate(rel, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", rel, err)
 		}
@@ -56,7 +57,7 @@ func TestVsuccessAllUnconditional(t *testing.T) {
 func TestVfailRepublishedRelationUntranslatable(t *testing.T) {
 	for _, rel := range tpch.Relations {
 		f := tpchFilter(t, tpch.VfailQuery(rel), 1)
-		res, err := f.Check(tpch.DeleteElementUpdate(rel, 0))
+		res, err := f.Check(context.Background(), tpch.DeleteElementUpdate(rel, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", rel, err)
 		}
@@ -71,7 +72,7 @@ func TestVfailRepublishedRelationUntranslatable(t *testing.T) {
 // nation is still fine — only the republished relation is poisoned.
 func TestVfailOtherRelationsStillSafe(t *testing.T) {
 	f := tpchFilter(t, tpch.VfailQuery("region"), 1)
-	res, err := f.Check(tpch.DeleteElementUpdate("nation", 3))
+	res, err := f.Check(context.Background(), tpch.DeleteElementUpdate("nation", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestApplyDeleteCascades(t *testing.T) {
 	f := tpchFilter(t, tpch.VsuccessQuery, 1)
 	db := f.Exec.DB
 	ordersBefore := db.RowCount("orders")
-	res, err := f.Apply(tpch.DeleteElementUpdate("customer", 2))
+	res, err := f.Apply(context.Background(), tpch.DeleteElementUpdate("customer", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestApplyInsertLineitem(t *testing.T) {
 		f := tpchFilter(t, tpch.VlinearQuery, 1)
 		f.Strategy = strat
 		before := f.Exec.DB.RowCount("lineitem")
-		res, err := f.Apply(tpch.InsertLineitemUpdate(10, 99))
+		res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(10, 99))
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -136,7 +137,7 @@ func TestInsertLineitemDuplicateRejected(t *testing.T) {
 	for _, strat := range []Strategy{StrategyHybrid, StrategyOutside, StrategyInternal} {
 		f := tpchFilter(t, tpch.VlinearQuery, 1)
 		f.Strategy = strat
-		res, err := f.Apply(tpch.InsertLineitemUpdate(10, 1))
+		res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(10, 1))
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -150,7 +151,7 @@ func TestInsertLineitemDuplicateRejected(t *testing.T) {
 // order that does not exist.
 func TestInsertIntoMissingOrderRejected(t *testing.T) {
 	f := tpchFilter(t, tpch.VlinearQuery, 1)
-	res, err := f.Apply(tpch.InsertLineitemUpdate(99999999, 1))
+	res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(99999999, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestInsertIntoMissingOrderRejected(t *testing.T) {
 // internal strategy's wide probe joins all four ancestors.
 func TestProbePruning(t *testing.T) {
 	f := tpchFilter(t, tpch.VlinearQuery, 1)
-	res, err := f.Apply(tpch.InsertLineitemUpdate(11, 99))
+	res, err := f.Apply(context.Background(), tpch.InsertLineitemUpdate(11, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestProbePruning(t *testing.T) {
 
 	fi := tpchFilter(t, tpch.VlinearQuery, 1)
 	fi.Strategy = StrategyInternal
-	res, err = fi.Apply(tpch.InsertLineitemUpdate(11, 99))
+	res, err = fi.Apply(context.Background(), tpch.InsertLineitemUpdate(11, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestVbushInsertAndDelete(t *testing.T) {
 	f := tpchFilter(t, tpch.VbushQuery, 1)
 	db := f.Exec.DB
 	ordersBefore := db.RowCount("orders")
-	res, err := f.Apply(tpch.InsertOrderlineUpdateBush(1, 9999991, 1))
+	res, err := f.Apply(context.Background(), tpch.InsertOrderlineUpdateBush(1, 9999991, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestVbushInsertAndDelete(t *testing.T) {
 
 	// Delete the orderlines of customer 1 (anchor = lineitem).
 	liBefore := db.RowCount("lineitem")
-	res, err = f.Apply(`
+	res, err = f.Apply(context.Background(), `
 FOR $c IN document("view.xml")/customer
 WHERE $c/c_custkey/text() = "1"
 UPDATE $c { DELETE $c/orderline }`)
@@ -282,7 +283,7 @@ func TestFail2Shape(t *testing.T) {
 		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Apply(tpch.DeleteLineitemsOfOrder(10))
+		res, err := f.Apply(context.Background(), tpch.DeleteLineitemsOfOrder(10))
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}

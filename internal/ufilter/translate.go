@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ type probePred struct {
 // buildContextProbe composes the probe query of Section 6.1 for an
 // operation anchored at context node C, with the user's predicate
 // literals inlined.
-func (e *Executor) buildContextProbe(c *asg.Node, userPreds []UserPred, mustKeep asg.RelSet) *sqlexec.SelectStmt {
+func (e *Filter) buildContextProbe(c *asg.Node, userPreds []UserPred, mustKeep asg.RelSet) *sqlexec.SelectStmt {
 	preds := make([]probePred, len(userPreds))
 	for i, up := range userPreds {
 		preds[i] = probePred{leaf: up.Leaf, op: up.Op, rhs: sqlexec.LitOperand(up.Lit)}
@@ -36,7 +36,7 @@ func (e *Executor) buildContextProbe(c *asg.Node, userPreds []UserPred, mustKeep
 // placeholders in place of the predicate literals: slot i's literal
 // binds parameter ?i+1. The result is the parameterized SQL statement
 // an UpdatePlan prepares once and executes many times.
-func (e *Executor) buildContextProbeTemplate(c *asg.Node, slots []Slot, mustKeep asg.RelSet) *sqlexec.SelectStmt {
+func (e *Filter) buildContextProbeTemplate(c *asg.Node, slots []Slot, mustKeep asg.RelSet) *sqlexec.SelectStmt {
 	preds := make([]probePred, len(slots))
 	for i, s := range slots {
 		preds[i] = probePred{leaf: s.Leaf, op: s.Op, rhs: sqlexec.ParamOperand(i)}
@@ -56,7 +56,7 @@ func (e *Executor) buildContextProbeTemplate(c *asg.Node, slots []Slot, mustKeep
 // "only the L_ORDERKEY" in the paper's Fig. 15 discussion). Relations
 // reachable only through nullable joins stay, which keeps the paper's
 // PQ1/PQ2 shape for BookView.
-func (e *Executor) buildProbe(c *asg.Node, userPreds []probePred, mustKeep asg.RelSet) *sqlexec.SelectStmt {
+func (e *Filter) buildProbe(c *asg.Node, userPreds []probePred, mustKeep asg.RelSet) *sqlexec.SelectStmt {
 	if c.Kind == asg.KindRoot || len(c.UCBinding) == 0 {
 		return nil
 	}
@@ -168,7 +168,7 @@ func (e *Executor) buildProbe(c *asg.Node, userPreds []probePred, mustKeep asg.R
 // joinGuaranteedByFK reports whether the equality from.Rel.from.Col =
 // to.Rel.to.Col is implied for every from-row by a NOT NULL foreign key
 // from from.Rel onto a key of to.Rel.
-func (e *Executor) joinGuaranteedByFK(from, to asg.Ref) bool {
+func (e *Filter) joinGuaranteedByFK(from, to asg.Ref) bool {
 	def, ok := e.View.Schema.Table(from.Rel)
 	if !ok {
 		return false
@@ -280,7 +280,7 @@ type SharedCheck struct {
 // anchored at context C, given the materialized probe (nil when C is
 // the root). Auxiliary probes read through the apply's transaction;
 // res records any probe issued.
-func (e *Executor) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, tempName string, res *Result) (*opTranslation, error) {
+func (e *Filter) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, tempName string, res *Result) (*opTranslation, error) {
 	t := ro.Target
 	switch t.Kind {
 	case asg.KindLeaf, asg.KindTag:
@@ -383,7 +383,7 @@ type insertPlan struct {
 // insert of a fragment as a new instance of node n. slots are the
 // fragment's content slots, base the index of the first one in the
 // content tuple the plan will be bound to.
-func (e *Executor) compileInsert(n *asg.Node, slots []ContentSlot, base int) *insertPlan {
+func (e *Filter) compileInsert(n *asg.Node, slots []ContentSlot, base int) *insertPlan {
 	relCols := map[string]map[string]int{}
 	set := func(rel, col string, slot int) {
 		if relCols[rel] == nil {
@@ -520,7 +520,7 @@ func (ip *insertPlan) translate(content []relational.Value, probe *sqlexec.Resul
 // translateOp generates the statements of one op from its plan's
 // artifacts, bound to the apply's values; probe and tempName are its
 // context check's result.
-func (e *Executor) translateOp(ac *applyCtx, ro *ResolvedOp, po *PlannedOp, probe *sqlexec.ResultSet, tempName string, res *Result) (*opTranslation, error) {
+func (e *Filter) translateOp(ac *applyCtx, ro *ResolvedOp, po *PlannedOp, probe *sqlexec.ResultSet, tempName string, res *Result) (*opTranslation, error) {
 	switch ro.Op.Kind {
 	case xqparse.OpDelete:
 		return e.translateDelete(ac, ro, probe, tempName, res)
@@ -534,7 +534,7 @@ func (e *Executor) translateOp(ac *applyCtx, ro *ResolvedOp, po *PlannedOp, prob
 // single-column UPDATE; internal targets decompose into delete+insert.
 // po carries the compiled plan's artifacts for the op, bound to the
 // apply's content values.
-func (e *Executor) translateReplace(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, po *PlannedOp, res *Result) (*opTranslation, error) {
+func (e *Filter) translateReplace(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.ResultSet, po *PlannedOp, res *Result) (*opTranslation, error) {
 	if po.insert == nil {
 		return translateLeafUpdate(replaceLeafOf(ro.Target), ac.content[po.replace], probe)
 	}
@@ -577,7 +577,7 @@ func translateLeafUpdate(leaf *asg.Node, v relational.Value, probe *sqlexec.Resu
 }
 
 // fkOrder sorts relations so referenced tables precede referencing ones.
-func (e *Executor) fkOrder(rels []string) []string {
+func (e *Filter) fkOrder(rels []string) []string {
 	sorted := append([]string(nil), rels...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return e.fkDepth(sorted[i]) < e.fkDepth(sorted[j])
@@ -586,7 +586,7 @@ func (e *Executor) fkOrder(rels []string) []string {
 }
 
 // fkDepth counts the longest FK chain from the relation to a root table.
-func (e *Executor) fkDepth(rel string) int {
+func (e *Filter) fkDepth(rel string) int {
 	seen := map[string]bool{}
 	var walk func(r string) int
 	walk = func(r string) int {

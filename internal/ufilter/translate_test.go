@@ -1,6 +1,7 @@
-package plan
+package ufilter
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // newBookExec compiles the BookView executor the way ufilter.New does,
 // without importing the facade (which would cycle).
-func newBookExec(t testing.TB) *Executor {
+func newBookExec(t testing.TB) *Filter {
 	t.Helper()
 	db, err := bookdb.NewDatabase(relational.DeleteCascade)
 	if err != nil {
@@ -28,7 +29,7 @@ func newBookExec(t testing.TB) *Executor {
 // silently deleted nothing and duplicated the element.
 func TestReplaceInternalNode(t *testing.T) {
 	e := newBookExec(t)
-	res, err := e.Apply(`
+	res, err := e.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book { REPLACE $book/review WITH <review><reviewid>900</reviewid><comment>new</comment></review> }`)
@@ -61,14 +62,14 @@ func TestReplaceLiteralCoercion(t *testing.T) {
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book { REPLACE $book/price WITH <price>witty</price> }`
-	res, err := e.Check(upd)
+	res, err := e.Check(context.Background(), upd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Accepted || res.RejectedAt != StepValidation || res.Outcome != OutcomeInvalid {
 		t.Fatalf("check: accepted=%v at=%v outcome=%v", res.Accepted, res.RejectedAt, res.Outcome)
 	}
-	res2, err := e.Apply(upd)
+	res2, err := e.Apply(context.Background(), upd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ UPDATE $book { REPLACE $book/price WITH <price>witty</price> }`
 // applies both operations atomically.
 func TestMultiOpReplace(t *testing.T) {
 	e := newBookExec(t)
-	res, err := e.Apply(`
+	res, err := e.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book {
@@ -127,7 +128,7 @@ FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "nope"
 UPDATE $book { REPLACE $book/price WITH <price>19.99</price> }`
 	before := e.Exec.DB.TotalRows()
-	res, err := e.Apply(upd)
+	res, err := e.Apply(context.Background(), upd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestInternalStrategyFallbacks(t *testing.T) {
 	e := newBookExec(t)
 	e.Strategy = StrategyInternal
 
-	res, err := e.Apply(`
+	res, err := e.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98001"
 UPDATE $book { DELETE $book/review }`)
@@ -183,7 +184,7 @@ UPDATE $book { DELETE $book/review }`)
 		t.Errorf("internal delete did not warn about the hybrid fallback: %v", res.Warnings)
 	}
 
-	res, err = e.Apply(`
+	res, err = e.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/bookid/text() = "98003"
 UPDATE $book { REPLACE $book/price WITH <price>20.00</price> }`)
@@ -203,7 +204,7 @@ UPDATE $book { REPLACE $book/price WITH <price>20.00</price> }`)
 		t.Errorf("internal replace did not warn: %v", res.Warnings)
 	}
 
-	res, err = e.Apply(`
+	res, err = e.Apply(context.Background(), `
 FOR $book IN document("BookView.xml")/book
 WHERE $book/title/text() = "No Such Book"
 UPDATE $book { INSERT <review><reviewid>901</reviewid><comment>x</comment></review> }`)

@@ -1,4 +1,4 @@
-package plan
+package ufilter
 
 import (
 	"bytes"

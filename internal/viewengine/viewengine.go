@@ -52,29 +52,6 @@ func (e *Engine) reader() sqlexec.Reader {
 	return e.Exec.DB
 }
 
-// DefaultView produces the one-to-one relational-to-XML mapping of
-// Fig. 2: <DB> wrapping one element per table, one <row> per tuple, one
-// element per column. NULL columns are omitted.
-func (e *Engine) DefaultView() *xmltree.Node {
-	root := xmltree.Elem("DB")
-	for _, def := range e.Exec.DB.Schema().Tables() {
-		tElem := xmltree.Elem(def.Name)
-		e.reader().Scan(def.Name, func(r *relational.Row) bool {
-			row := xmltree.Elem("row")
-			for i, c := range def.Columns {
-				if r.Values[i].IsNull() {
-					continue
-				}
-				row.Append(xmltree.ElemText(c.Name, r.Values[i].String()))
-			}
-			tElem.Append(row)
-			return true
-		})
-		root.Append(tElem)
-	}
-	return root
-}
-
 // varBinding is one variable's current tuple during FLWR evaluation.
 type varBinding struct {
 	table string

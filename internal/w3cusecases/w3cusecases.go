@@ -39,7 +39,6 @@ var unsupported = map[Feature]bool{
 type UseCase struct {
 	Group    string // XMP, TREE or R
 	Name     string // Q1 ... Q18
-	Summary  string
 	Features []Feature
 }
 
@@ -64,67 +63,68 @@ func (u UseCase) Supported() (bool, []Feature) {
 func Catalogue() []UseCase {
 	return []UseCase{
 		// XMP: experiences and exemplars over the bib.xml bibliography.
-		{Group: "XMP", Name: "Q1", Summary: "books published by Addison-Wesley after 1991"},
-		{Group: "XMP", Name: "Q2", Summary: "flat list of title-author pairs"},
-		{Group: "XMP", Name: "Q3", Summary: "titles with their authors, grouped"},
-		{Group: "XMP", Name: "Q4", Summary: "authors with the titles of their books",
+		{Group: "XMP", Name: "Q1"}, // books published by Addison-Wesley after 1991
+		{Group: "XMP", Name: "Q2"}, // flat list of title-author pairs
+		{Group: "XMP", Name: "Q3"}, // titles with their authors, grouped
+		{Group: "XMP", Name: "Q4", // authors with the titles of their books
 			Features: []Feature{FeatDistinct}},
-		{Group: "XMP", Name: "Q5", Summary: "join books with reviews on title"},
-		{Group: "XMP", Name: "Q6", Summary: "books with more than one author",
+		{Group: "XMP", Name: "Q5"}, // join books with reviews on title
+		{Group: "XMP", Name: "Q6", // books with more than one author
 			Features: []Feature{FeatCount}},
-		{Group: "XMP", Name: "Q7", Summary: "Addison-Wesley books sorted by title"}, // The paper's Fig. 12 includes Q7 (the sort affects
-		// presentation, not the published schema).
-
-		{Group: "XMP", Name: "Q8", Summary: "books mentioning Suciu in author or editor"},
-		{Group: "XMP", Name: "Q9", Summary: "titles containing the word 'XML'"},
-		{Group: "XMP", Name: "Q10", Summary: "prices of each book from two sources",
+		// Addison-Wesley books sorted by title. The paper's Fig. 12
+		// includes Q7: the sort affects presentation, not the published
+		// schema.
+		{Group: "XMP", Name: "Q7"},
+		{Group: "XMP", Name: "Q8"}, // books mentioning Suciu in author or editor
+		{Group: "XMP", Name: "Q9"}, // titles containing the word 'XML'
+		{Group: "XMP", Name: "Q10", // prices of each book from two sources
 			Features: []Feature{FeatDistinct}},
-		{Group: "XMP", Name: "Q11", Summary: "books with editors and their affiliations"},
-		{Group: "XMP", Name: "Q12", Summary: "pairs of books with the same authors"},
+		{Group: "XMP", Name: "Q11"}, // books with editors and their affiliations
+		{Group: "XMP", Name: "Q12"}, // pairs of books with the same authors
 
 		// TREE: queries over a recursive book/section structure.
-		{Group: "TREE", Name: "Q1", Summary: "table of contents: nested section titles"},
-		{Group: "TREE", Name: "Q2", Summary: "sections with figures, preserving hierarchy"},
-		{Group: "TREE", Name: "Q3", Summary: "count sections and figures per chapter",
+		{Group: "TREE", Name: "Q1"}, // table of contents: nested section titles
+		{Group: "TREE", Name: "Q2"}, // sections with figures, preserving hierarchy
+		{Group: "TREE", Name: "Q3", // count sections and figures per chapter
 			Features: []Feature{FeatCount}},
-		{Group: "TREE", Name: "Q4", Summary: "count figures in the 'Data Model' section",
+		{Group: "TREE", Name: "Q4", // count figures in the 'Data Model' section
 			Features: []Feature{FeatCount}},
-		{Group: "TREE", Name: "Q5", Summary: "count top-level and all sections",
+		{Group: "TREE", Name: "Q5", // count top-level and all sections
 			Features: []Feature{FeatCount}},
-		{Group: "TREE", Name: "Q6", Summary: "top-level sections with figure counts",
+		{Group: "TREE", Name: "Q6", // top-level sections with figure counts
 			Features: []Feature{FeatCount}},
 
 		// R: access to relational data (users, items, bids auction DB).
-		{Group: "R", Name: "Q1", Summary: "items offered for sale in March"},
-		{Group: "R", Name: "Q2", Summary: "bid count per item",
+		{Group: "R", Name: "Q1"}, // items offered for sale in March
+		{Group: "R", Name: "Q2", // bid count per item
 			Features: []Feature{FeatCount}},
-		{Group: "R", Name: "Q3", Summary: "items with reserve price and current bids"},
-		{Group: "R", Name: "Q4", Summary: "users with 'Bicycle' items on offer"},
-		{Group: "R", Name: "Q5", Summary: "items with the highest bid amounts",
+		{Group: "R", Name: "Q3"}, // items with reserve price and current bids
+		{Group: "R", Name: "Q4"}, // users with 'Bicycle' items on offer
+		{Group: "R", Name: "Q5", // items with the highest bid amounts
 			Features: []Feature{FeatMax}},
-		{Group: "R", Name: "Q6", Summary: "users and the count of items they bid on",
+		{Group: "R", Name: "Q6", // users and the count of items they bid on
 			Features: []Feature{FeatCount}},
-		{Group: "R", Name: "Q7", Summary: "highest bid per item",
+		{Group: "R", Name: "Q7", // highest bid per item
 			Features: []Feature{FeatMax}},
-		{Group: "R", Name: "Q8", Summary: "users with no current bids",
+		{Group: "R", Name: "Q8", // users with no current bids
 			Features: []Feature{FeatCount}},
-		{Group: "R", Name: "Q9", Summary: "items with bids above the average",
+		{Group: "R", Name: "Q9", // items with bids above the average
 			Features: []Feature{FeatAvg}},
-		{Group: "R", Name: "Q10", Summary: "bid increases over time",
+		{Group: "R", Name: "Q10", // bid increases over time
 			Features: []Feature{FeatMax}},
-		{Group: "R", Name: "Q11", Summary: "users bidding on their own items",
+		{Group: "R", Name: "Q11", // users bidding on their own items
 			Features: []Feature{FeatCount}},
-		{Group: "R", Name: "Q12", Summary: "bidders with multiple high bids",
+		{Group: "R", Name: "Q12", // bidders with multiple high bids
 			Features: []Feature{FeatMax, FeatCount}},
-		{Group: "R", Name: "Q13", Summary: "highest-priced item per seller",
+		{Group: "R", Name: "Q13", // highest-priced item per seller
 			Features: []Feature{FeatMax}},
-		{Group: "R", Name: "Q14", Summary: "average item price per month",
+		{Group: "R", Name: "Q14", // average item price per month
 			Features: []Feature{FeatAvg}},
-		{Group: "R", Name: "Q15", Summary: "total bid volume per user",
+		{Group: "R", Name: "Q15", // total bid volume per user
 			Features: []Feature{FeatSum, FeatCount}},
-		{Group: "R", Name: "Q16", Summary: "items and bids joined on itemno"},
-		{Group: "R", Name: "Q17", Summary: "users and their bids, nested"},
-		{Group: "R", Name: "Q18", Summary: "distinct sellers of bid-on items",
+		{Group: "R", Name: "Q16"}, // items and bids joined on itemno
+		{Group: "R", Name: "Q17"}, // users and their bids, nested
+		{Group: "R", Name: "Q18", // distinct sellers of bid-on items
 			Features: []Feature{FeatDistinct}},
 	}
 }
@@ -156,22 +156,6 @@ func CoverageTable() []Row {
 			}
 		}
 		out = append(out, Row{ID: u.ID(), Included: ok, Reason: reason})
-	}
-	return out
-}
-
-// Counts summarizes the coverage per group.
-func Counts() map[string][2]int {
-	out := map[string][2]int{}
-	for _, u := range Catalogue() {
-		ok, _ := u.Supported()
-		c := out[u.Group]
-		if ok {
-			c[0]++
-		} else {
-			c[1]++
-		}
-		out[u.Group] = c
 	}
 	return out
 }

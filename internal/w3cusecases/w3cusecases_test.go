@@ -73,3 +73,19 @@ func TestCounts(t *testing.T) {
 		t.Errorf("R = %v, want 5/13", c["R"])
 	}
 }
+
+// Counts summarizes the coverage per group.
+func Counts() map[string][2]int {
+	out := map[string][2]int{}
+	for _, u := range Catalogue() {
+		ok, _ := u.Supported()
+		c := out[u.Group]
+		if ok {
+			c[0]++
+		} else {
+			c[1]++
+		}
+		out[u.Group] = c
+	}
+	return out
+}

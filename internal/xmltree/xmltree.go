@@ -30,11 +30,6 @@ func Elem(name string, children ...*Node) *Node {
 // Text constructs a text node.
 func Text(s string) *Node { return &Node{Text: s} }
 
-// ElemText constructs the common leaf shape <name>text</name>.
-func ElemText(name, text string) *Node {
-	return Elem(name, Text(text))
-}
-
 // IsElement reports whether the node is an element.
 func (n *Node) IsElement() bool { return n.Name != "" }
 
@@ -42,16 +37,6 @@ func (n *Node) IsElement() bool { return n.Name != "" }
 func (n *Node) Append(children ...*Node) *Node {
 	n.Children = append(n.Children, children...)
 	return n
-}
-
-// Child returns the first child element with the given name.
-func (n *Node) Child(name string) *Node {
-	for _, c := range n.Children {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
 }
 
 // ChildrenNamed returns all child elements with the given name.
@@ -96,28 +81,6 @@ func (n *Node) TextContent() string {
 	return strings.TrimSpace(b.String())
 }
 
-// ChildText returns the text content of the first child element with the
-// given name, or "" when absent.
-func (n *Node) ChildText(name string) string {
-	c := n.Child(name)
-	if c == nil {
-		return ""
-	}
-	return c.TextContent()
-}
-
-// Find walks a path of element names from n and returns the first match.
-func (n *Node) Find(path ...string) *Node {
-	cur := n
-	for _, p := range path {
-		cur = cur.Child(p)
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur
-}
-
 // FindAll returns every node reachable by the path (cartesian over
 // repeated elements).
 func (n *Node) FindAll(path ...string) []*Node {
@@ -132,16 +95,6 @@ func (n *Node) FindAll(path ...string) []*Node {
 	return frontier
 }
 
-// Count returns the total number of nodes in the subtree (elements and
-// text nodes, including n).
-func (n *Node) Count() int {
-	total := 1
-	for _, c := range n.Children {
-		total += c.Count()
-	}
-	return total
-}
-
 // Clone deep-copies the subtree.
 func (n *Node) Clone() *Node {
 	out := &Node{Name: n.Name, Text: n.Text}
@@ -151,49 +104,10 @@ func (n *Node) Clone() *Node {
 	return out
 }
 
-// Equal reports deep structural equality, ignoring whitespace-only text
-// node differences.
-func (n *Node) Equal(o *Node) bool {
-	if n.Name != o.Name {
-		return false
-	}
-	if !n.IsElement() && !o.IsElement() {
-		return strings.TrimSpace(n.Text) == strings.TrimSpace(o.Text)
-	}
-	nc, oc := significantChildren(n), significantChildren(o)
-	if len(nc) != len(oc) {
-		return false
-	}
-	for i := range nc {
-		if !nc[i].Equal(oc[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func significantChildren(n *Node) []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		if !c.IsElement() && strings.TrimSpace(c.Text) == "" {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // String serializes the subtree with two-space indentation.
 func (n *Node) String() string {
 	var b strings.Builder
 	n.serialize(&b, 0, true)
-	return b.String()
-}
-
-// StringCompact serializes without indentation or newlines.
-func (n *Node) StringCompact() string {
-	var b strings.Builder
-	n.serialize(&b, 0, false)
 	return b.String()
 }
 

@@ -194,3 +194,89 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Child returns the first child element with the given name.
+func (n *Node) Child(name string) *Node {
+	for _, c := range n.Children {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// ChildText returns the text content of the first child element with the
+// given name, or "" when absent.
+func (n *Node) ChildText(name string) string {
+	c := n.Child(name)
+	if c == nil {
+		return ""
+	}
+	return c.TextContent()
+}
+
+// Find walks a path of element names from n and returns the first match.
+func (n *Node) Find(path ...string) *Node {
+	cur := n
+	for _, p := range path {
+		cur = cur.Child(p)
+		if cur == nil {
+			return nil
+		}
+	}
+	return cur
+}
+
+// Equal reports deep structural equality, ignoring whitespace-only text
+// node differences.
+func (n *Node) Equal(o *Node) bool {
+	if n.Name != o.Name {
+		return false
+	}
+	if !n.IsElement() && !o.IsElement() {
+		return strings.TrimSpace(n.Text) == strings.TrimSpace(o.Text)
+	}
+	nc, oc := significantChildren(n), significantChildren(o)
+	if len(nc) != len(oc) {
+		return false
+	}
+	for i := range nc {
+		if !nc[i].Equal(oc[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// StringCompact serializes without indentation or newlines.
+func (n *Node) StringCompact() string {
+	var b strings.Builder
+	n.serialize(&b, 0, false)
+	return b.String()
+}
+
+func significantChildren(n *Node) []*Node {
+	var out []*Node
+	for _, c := range n.Children {
+		if !c.IsElement() && strings.TrimSpace(c.Text) == "" {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// ElemText constructs the common leaf shape <name>text</name>.
+func ElemText(name, text string) *Node {
+	return Elem(name, Text(text))
+}
+
+// Count returns the total number of nodes in the subtree (elements and
+// text nodes, including n).
+func (n *Node) Count() int {
+	total := 1
+	for _, c := range n.Children {
+		total += c.Count()
+	}
+	return total
+}

@@ -128,33 +128,6 @@ type ViewQuery struct {
 	Items   []BodyItem
 }
 
-// Relations lists the distinct relation names referenced by the view's
-// FOR bindings — the paper's rel(DEF_V).
-func (v *ViewQuery) Relations() []string {
-	seen := map[string]bool{}
-	var out []string
-	var walkItems func(items []BodyItem)
-	walkItems = func(items []BodyItem) {
-		for _, it := range items {
-			switch n := it.(type) {
-			case *FLWR:
-				for _, b := range n.Bindings {
-					t := strings.ToLower(b.Source.Table())
-					if t != "" && !seen[t] {
-						seen[t] = true
-						out = append(out, b.Source.Table())
-					}
-				}
-				walkItems(n.Return)
-			case *Constructor:
-				walkItems(n.Items)
-			}
-		}
-	}
-	walkItems(v.Items)
-	return out
-}
-
 // UpdateOpKind enumerates the update operation types of the update
 // grammar (replace is treated as delete-then-insert downstream, per the
 // paper's footnote 4).

@@ -1,6 +1,7 @@
 package xqparse
 
 import (
+	"repro/internal/xmltree"
 	"strings"
 	"testing"
 
@@ -129,13 +130,13 @@ UPDATE $root {
 	if frag.Name != "book" {
 		t.Errorf("fragment root = %s", frag.Name)
 	}
-	if got := frag.ChildText("bookid"); got != "98004" {
+	if got := leafText(frag, "bookid"); got != "98004" {
 		t.Errorf("bookid = %q (quotes should be stripped)", got)
 	}
-	if got := frag.ChildText("price"); got != "0.00" {
+	if got := leafText(frag, "price"); got != "0.00" {
 		t.Errorf("price = %q", got)
 	}
-	if frag.Find("publisher", "pubname") == nil {
+	if len(frag.FindAll("publisher", "pubname")) == 0 {
 		t.Error("nested publisher missing")
 	}
 }
@@ -320,4 +321,40 @@ func TestParseUpdateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, parse); n > 6 {
 		t.Errorf("ParseUpdate(u12) allocates %.0f times, want <= 6", n)
 	}
+}
+
+// leafText is the text of the first element the path reaches from n, ""
+// when it reaches none.
+func leafText(n *xmltree.Node, path ...string) string {
+	if m := n.FindAll(path...); len(m) > 0 {
+		return m[0].TextContent()
+	}
+	return ""
+}
+
+// Relations lists the distinct relation names referenced by the view's
+// FOR bindings — the paper's rel(DEF_V).
+func (v *ViewQuery) Relations() []string {
+	seen := map[string]bool{}
+	var out []string
+	var walkItems func(items []BodyItem)
+	walkItems = func(items []BodyItem) {
+		for _, it := range items {
+			switch n := it.(type) {
+			case *FLWR:
+				for _, b := range n.Bindings {
+					t := strings.ToLower(b.Source.Table())
+					if t != "" && !seen[t] {
+						seen[t] = true
+						out = append(out, b.Source.Table())
+					}
+				}
+				walkItems(n.Return)
+			case *Constructor:
+				walkItems(n.Items)
+			}
+		}
+	}
+	walkItems(v.Items)
+	return out
 }

@@ -12,7 +12,7 @@
 //     of Tatarinov et al. — FOR ... WHERE ... UPDATE $var {
 //     INSERT <frag/> | DELETE $v/path | REPLACE $v/path WITH <frag/> }.
 //     [ParseUpdate] returns an [UpdateQuery], the input to U-Filter's
-//     Step 1 (internal/plan.Resolve binds it against the view ASG).
+//     Step 1 (internal/ufilter resolves it against the view ASG).
 //
 // The grammar covers the paper's corpus, not full XQuery: conjunctive
 // WHERE clauses comparing paths to literals or paths to paths
@@ -23,7 +23,7 @@
 // Update traffic repeats a few templates, so updates have a second
 // reader. [UpdateQuery.AppendKey] writes an update's template key — its
 // operation kinds, paths and predicate shapes with literal values and
-// fragment text stripped — which keys internal/plan's cache of compiled
+// fragment text stripped — which keys internal/ufilter's cache of compiled
 // plans. [ScanUpdate] writes the same key straight from the text, in one
 // pass and without building an AST, beside the predicate literals and
 // the fragments' leaf texts, so a resident template's instances bind to
