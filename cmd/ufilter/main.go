@@ -150,6 +150,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	res.RenderProbes()
 	if *jsonOut {
 		printJSON(res)
 	} else {
@@ -359,6 +360,9 @@ func runBatch(f *repro.Filter, r io.Reader, workers int, data, stats, jsonOut bo
 	exit := 0
 	for _, br := range out {
 		if jsonOut {
+			if br.Result != nil {
+				br.Result.RenderProbes()
+			}
 			printJSON(br)
 		}
 		switch {

@@ -64,6 +64,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("u13: accepted=%v rows=%d\n", res.Accepted, res.RowsAffected)
+	res.RenderProbes()
 	for _, p := range res.Probes {
 		fmt.Println("  probe:", p)
 	}

@@ -82,6 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		res.RenderProbes()
 		fmt.Printf("  %-9s accepted=%v rows=%d probes=%d in %v\n",
 			strat, res.Accepted, res.RowsAffected, len(res.Probes), time.Since(start))
 		if len(res.Probes) > 0 {

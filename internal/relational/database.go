@@ -454,22 +454,26 @@ func buildTableStorage(schema *Schema) map[string]*tableData {
 	tables := make(map[string]*tableData, len(schema.Tables()))
 	for _, t := range schema.Tables() {
 		td := &tableData{def: t, key: strings.ToLower(t.Name), rows: make(map[RowID]*rowVersion)}
+		newIndex := func(cols []int, unique bool) *hashIndex {
+			typ := t.Columns[cols[0]].Type
+			return newHashIndex(cols, unique, len(cols) == 1 && (typ == TypeInt || typ == TypeDate))
+		}
 		if len(t.PrimaryKey) > 0 {
 			cols := mustColumnIndexes(t, t.PrimaryKey)
-			td.pkIndex = newHashIndex(cols, true)
+			td.pkIndex = newIndex(cols, true)
 			td.indexes = append(td.indexes, td.pkIndex)
 		}
 		for _, c := range t.Columns {
 			if c.Unique {
 				cols := mustColumnIndexes(t, []string{c.Name})
-				td.indexes = append(td.indexes, newHashIndex(cols, true))
+				td.indexes = append(td.indexes, newIndex(cols, true))
 			}
 		}
 		for _, fk := range t.ForeignKeys {
 			cols := mustColumnIndexes(t, fk.Columns)
 			td.fkCols = append(td.fkCols, cols)
 			if td.findIndex(cols) == nil {
-				td.indexes = append(td.indexes, newHashIndex(cols, false))
+				td.indexes = append(td.indexes, newIndex(cols, false))
 			}
 		}
 		for _, ix := range td.indexes {
@@ -670,7 +674,7 @@ func (db *Database) lookup(table string, columns []string, values []Value, resol
 	if !held {
 		db.mu.RLock()
 	}
-	refs := td.refsLocked(cols, values, &one, refBuf[:0])
+	refs, _ := td.refsLocked(cols, values, &one, refBuf[:0])
 	if !held {
 		db.mu.RUnlock()
 	}
@@ -694,14 +698,15 @@ func (db *Database) lookupIDs(dst []RowID, table string, columns []string, value
 }
 
 // lookupIDsIn is lookupIDs with the table and the columns' positions
-// resolved.
+// resolved. A page-only candidate of an exact index is a match as it
+// stands (hashIndex): no page is pinned for it.
 func (db *Database) lookupIDsIn(dst []RowID, td *tableData, cols []int, values []Value, resolve func(*rowVersion) *rowVersion, held bool) []RowID {
 	var one [1]RowID
 	var refBuf [8]rowRef
 	if !held {
 		db.mu.RLock()
 	}
-	refs := td.refsLocked(cols, values, &one, refBuf[:0])
+	refs, verified := td.refsLocked(cols, values, &one, refBuf[:0])
 	if !held {
 		db.mu.RUnlock()
 	}
@@ -710,6 +715,10 @@ func (db *Database) lookupIDsIn(dst []RowID, td *tableData, cols []int, values [
 	want := markColumns(wb[:0], cols)
 next:
 	for _, r := range refs {
+		if verified && r.slot != 0 {
+			dst = append(dst, r.id)
+			continue
+		}
 		vals, ok := db.wantedOf(td, r, resolve, want, vb[:])
 		if !ok {
 			continue
@@ -744,22 +753,24 @@ func (db *Database) columnsOf(table string, columns []string, cols []int) (*tabl
 // refsLocked appends to refs the refs of the candidates for values on
 // cols: the covering index's bucket (a single id comes back in one),
 // each id resolved, else the whole id column, walked by position. The
-// buffers are the caller's. Caller holds db.mu in either mode.
-func (td *tableData) refsLocked(cols []int, values []Value, one *[1]RowID, refs []rowRef) []rowRef {
+// buffers are the caller's. verified reports that a page-only candidate
+// matches as it stands (hashIndex.verified). Caller holds db.mu in
+// either mode.
+func (td *tableData) refsLocked(cols []int, values []Value, one *[1]RowID, refs []rowRef) (_ []rowRef, verified bool) {
 	ix := td.findIndex(cols)
 	if ix == nil {
 		refs = slices.Grow(refs, len(td.ids))
 		for i := range td.ids {
 			refs = append(refs, td.refAt(i))
 		}
-		return refs
+		return refs, false
 	}
 	ids := ix.lookup(cols, values, one)
 	refs = slices.Grow(refs, len(ids))
 	for _, id := range ids {
 		refs = append(refs, td.ref(id))
 	}
-	return refs
+	return refs, ix.verified()
 }
 
 // appendMatch appends the row the reader sees through r when its values
@@ -944,7 +955,11 @@ func (db *Database) checkUniqueness(t *Txn, td *tableData, values []Value, exclu
 			}
 			r := td.ref(id)
 			if r.slot != 0 {
-				// Page-only: committed before every reader, t included.
+				// Page-only: committed before every reader, t included;
+				// an exact index's candidate matches as it stands.
+				if ix.verified() {
+					return dupErr()
+				}
 				if vals, _ := db.wantedOf(td, r, nil, ix.want, kb[:]); match(vals) { // faults; write latch held
 					return dupErr()
 				}

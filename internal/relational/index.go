@@ -18,7 +18,8 @@ type RowID int64
 var keySeed = maphash.MakeSeed()
 
 // collideKeys, set only by tests, puts every key of every index on one
-// hash, so the value re-checks that make collisions safe are exercised.
+// hash, so the value re-checks that make collisions safe are exercised:
+// under it no index is exact.
 var collideKeys bool
 
 // hashKey hashes a composite key encoding.
@@ -27,6 +28,21 @@ func hashKey(b []byte) uint64 {
 		return 0
 	}
 	return maphash.Bytes(keySeed, b)
+}
+
+// exactKey is an exact index's key of v: an integer (an integral Float
+// alike) times an odd constant, a bijection of the 64-bit integers whose
+// keys of consecutive values spread evenly over the hash space, as
+// searchHashes wants. Any other value has no key.
+func exactKey(v Value) (uint64, bool) {
+	i, ok := v.Int, v.Kind == KindInt
+	if v.Kind == KindFloat {
+		i, ok = v.integral()
+	}
+	if !ok || collideKeys {
+		return 0, ok
+	}
+	return uint64(i) * 0x9E3779B97F4A7C15, true
 }
 
 // hashIndex is an equality index over one or more columns. A key is the
@@ -49,6 +65,12 @@ func hashKey(b []byte) uint64 {
 // keeps an id when a remaining version has the same hash, which is
 // exact: that version's entry is the same (hash, id) pair.
 //
+// An index over one INTEGER or DATE column is exact: its key is
+// exactKey of the value, so equal keys mean equal values and a bucket is
+// the candidate set of one value. A page-only row's entries are exactly
+// its page payload's keys (pager.go), so a consumer takes a page-only
+// candidate of an exact index without reading its page (verified).
+//
 // Contract: buckets are read and written only under db.mu. A bucket may
 // be handed out as stored memory (a many slice, a run subslice), so a
 // caller iterates it before dropping the latch, never retains it, and
@@ -58,6 +80,7 @@ type hashIndex struct {
 	columns []int  // positional column indexes
 	want    []bool // the columns keyFor reads, up to the last (decodeColumns)
 	unique  bool
+	exact   bool // one INTEGER or DATE column, keyed by exactKey
 
 	hashes []uint64 // the run, ascending; parallel to ids
 	ids    []RowID  // ascending within a hash; deadBit marks a removed entry
@@ -83,8 +106,8 @@ func (e indexEntry) compare(o indexEntry) int {
 	return cmp.Or(cmp.Compare(e.hash, o.hash), cmp.Compare(e.id, o.id))
 }
 
-func newHashIndex(columns []int, unique bool) *hashIndex {
-	ix := &hashIndex{columns: columns, want: markColumns(nil, columns), unique: unique}
+func newHashIndex(columns []int, unique, exact bool) *hashIndex {
+	ix := &hashIndex{columns: columns, want: markColumns(nil, columns), unique: unique, exact: exact}
 	ix.one, ix.many = make(map[uint64]RowID), make(map[uint64][]RowID)
 	return ix
 }
@@ -111,6 +134,9 @@ func (ix *hashIndex) payloadKey(payload []byte) (uint64, bool) {
 // when any indexed column is NULL (NULLs are not indexed, matching SQL
 // unique-constraint semantics).
 func (ix *hashIndex) keyFor(values []Value) (uint64, bool) {
+	if ix.exact {
+		return exactKey(values[ix.columns[0]])
+	}
 	var buf [64]byte
 	b := buf[:0]
 	for _, c := range ix.columns {
@@ -336,6 +362,13 @@ func sortEntries(es []indexEntry) {
 // values[i]; cols is any order the index matchesColumns. The caller
 // re-checks the values (the bucket is a hash's candidate set).
 func (ix *hashIndex) lookup(cols []int, values []Value, buf *[1]RowID) []RowID {
+	if ix.exact {
+		key, ok := exactKey(values[slices.Index(cols, ix.columns[0])])
+		if !ok {
+			return nil
+		}
+		return ix.bucket(key, buf)
+	}
 	var kb [64]byte
 	b := kb[:0]
 	for _, c := range ix.columns {
@@ -347,6 +380,11 @@ func (ix *hashIndex) lookup(cols []int, values []Value, buf *[1]RowID) []RowID {
 	}
 	return ix.bucket(hashKey(b), buf)
 }
+
+// verified reports whether a page-only candidate of this index is a
+// match without reading its page: the index is exact and no test has
+// put its keys on one hash.
+func (ix *hashIndex) verified() bool { return ix.exact && !collideKeys }
 
 // matchesColumns reports whether the index covers exactly the given
 // positional columns (order-insensitive).

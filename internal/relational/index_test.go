@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -19,50 +20,65 @@ import (
 // of absent ids and of a bucket's last id, checkpoint merges, and
 // removes, re-inserts and remove-then-re-inserts of pairs the run holds
 // — against a map of id-sets keyed by hash (see driveIndexAgainstSetModel
-// for what is checked after every step). It runs again with every key on
-// one hash: a bucket then merges all keys' ids, and the whole run is one
-// hash range.
+// for what is checked after every step), over a hashed and an exact
+// index alike. It runs again with every key on one hash: a bucket then
+// merges all keys' ids, and the whole run is one hash range.
 func TestHashIndexAgainstSetModel(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
 			if collide {
 				collideAllKeys(t)
 			}
-			for seed := int64(1); seed <= 5; seed++ {
-				ops := make([]byte, 3*4000)
-				rand.New(rand.NewSource(seed)).Read(ops)
-				driveIndexAgainstSetModel(t, ops)
+			for _, exact := range []bool{false, true} {
+				t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
+					for seed := int64(1); seed <= 5; seed++ {
+						ops := make([]byte, 3*4000)
+						rand.New(rand.NewSource(seed)).Read(ops)
+						driveIndexAgainstSetModel(t, ops, exact)
+					}
+				})
 			}
 		})
 	}
 }
 
 // FuzzIndexAgainstSetModel runs the set-model driver on arbitrary op
-// strings, with and without every key on one hash.
+// strings, over a hashed and an exact index, with and without every key
+// on one hash.
 func FuzzIndexAgainstSetModel(f *testing.F) {
-	f.Add(false, []byte{0, 1, 0, 0, 1, 0, 11, 0, 0, 13, 1, 0, 12, 1, 0, 14, 1, 1, 5, 1, 1, 15, 0, 0})
-	f.Add(true, []byte{0, 0, 0, 0, 2, 0, 0, 4, 0, 11, 0, 0, 7, 1, 1, 13, 3, 2, 0, 5, 0, 12, 3, 2, 10, 0, 0})
-	f.Fuzz(func(t *testing.T, collide bool, ops []byte) {
+	f.Add(false, false, []byte{0, 1, 0, 0, 1, 0, 11, 0, 0, 13, 1, 0, 12, 1, 0, 14, 1, 1, 5, 1, 1, 15, 0, 0})
+	f.Add(true, false, []byte{0, 0, 0, 0, 2, 0, 0, 4, 0, 11, 0, 0, 7, 1, 1, 13, 3, 2, 0, 5, 0, 12, 3, 2, 10, 0, 0})
+	f.Add(false, true, []byte{0, 4, 0, 0, 5, 0, 0, 2, 0, 11, 0, 0, 0, 3, 1, 13, 4, 0, 14, 5, 1, 7, 2, 0})
+	f.Add(true, true, []byte{0, 0, 0, 0, 1, 0, 0, 4, 0, 0, 5, 0, 11, 0, 0, 13, 0, 1, 10, 1, 0})
+	f.Fuzz(func(t *testing.T, collide, exact bool, ops []byte) {
 		if collide {
 			collideAllKeys(t)
 		}
-		driveIndexAgainstSetModel(t, ops[:min(len(ops), 3*2000)])
+		driveIndexAgainstSetModel(t, ops[:min(len(ops), 3*2000)], exact)
 	})
 }
+
+// modelKeys are the values the set-model driver indexes: negative and
+// extreme integers, and two a float64 cannot tell apart (2^53 and
+// 2^53+1), which an exact index must.
+var modelKeys = [...]int64{-1, 0, math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1}
 
 // driveIndexAgainstSetModel applies ops, three bytes a step (operation,
 // key, id pick), to a fresh index and a model of id-sets keyed by hash.
 // After every step each key's lookup must equal its model set, ascending
 // and duplicate-free across run and delta; the tiers must hold the model
 // exactly (indexEntries), and a merge must leave an empty delta and an
-// exactly sized run with no dead entry.
-func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
+// exactly sized run with no dead entry. Every key is probed as an Int and
+// as the Float nearest it, which must find the Int it equals, if any; a
+// fractional Float and a string find nothing. With every key on one hash,
+// only an exact index can tell the probes apart, and only by kind.
+func driveIndexAgainstSetModel(t *testing.T, ops []byte, exact bool) {
 	t.Helper()
-	const keys = 6 // few keys: buckets grow to hundreds of ids
-	ix := newHashIndex([]int{1}, false)
+	const keys = len(modelKeys) // few keys: buckets grow to hundreds of ids
+	ix := newHashIndex([]int{1}, false, exact)
 	model := map[uint64]map[RowID]struct{}{}
 	next := RowID(1)
-	row := func(k int) []Value { return []Value{Null(), Int_(int64(k))} }
+	row := func(k int) []Value { return []Value{Null(), Int_(modelKeys[k])} }
 	remove := func(key uint64, id RowID) {
 		if delete(model[key], id); len(model[key]) == 0 {
 			delete(model, key)
@@ -75,6 +91,20 @@ func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
 			return 0, false
 		}
 		return ix.ids[lo+int(pick)%(hi-lo)] &^ deadBit, true
+	}
+	// floatWant is the model set a Float probe of key k must find: the
+	// one of an indexed Int it equals exactly.
+	floatWant := func(k int) []RowID {
+		f := float64(modelKeys[k])
+		if f >= 1<<63 {
+			return nil
+		}
+		j := slices.Index(modelKeys[:], int64(f))
+		if j < 0 {
+			return nil
+		}
+		key, _ := ix.keyFor(row(j))
+		return slices.Sorted(maps.Keys(model[key]))
 	}
 	var buf [1]RowID
 	for step := 0; step+3 <= len(ops); step += 3 {
@@ -130,6 +160,17 @@ func driveIndexAgainstSetModel(t *testing.T, ops []byte) {
 			want := slices.Sorted(maps.Keys(model[key]))
 			if b := ix.lookup([]int{1}, row(k)[1:], &buf); !slices.Equal(b, want) || !slices.Equal(got[key], want) {
 				t.Fatalf("step %d key %d: lookup %v, entries %v, model %v", step, k, b, got[key], want)
+			}
+			if collideKeys {
+				continue // one bucket holds every key's ids
+			}
+			if b, want := ix.lookup([]int{1}, []Value{Float_(float64(modelKeys[k]))}, &buf), floatWant(k); !slices.Equal(b, want) {
+				t.Fatalf("step %d key %d: Float probe %v, want %v", step, k, b, want)
+			}
+		}
+		for _, v := range []Value{Float_(0.5), Float_(-1e300), String_("0")} {
+			if b := ix.lookup([]int{1}, []Value{v}, &buf); (exact || !collideKeys) && len(b) != 0 {
+				t.Fatalf("step %d: found %v for %v", step, b, v)
 			}
 		}
 	}
@@ -192,27 +233,53 @@ func collideAllKeys(t *testing.T) {
 }
 
 // TestIndexKeyEncodingIsStable pins the composite key form: the hash of
-// each component's EncodeKey followed by 0x01, NULL makes the row
-// unindexed, and a probe finds the key whatever order it names the
-// columns in. Keys live only in memory — recovery hashes the page
-// payloads again with keyFor — so the form may change, as long as keyFor
-// and lookup change together. A probe allocates nothing, and neither
-// does a fresh id under a fresh key of a pre-sized unique index; after a
-// merge the run is exactly sized, and probing a key it holds (a cold
-// row's) allocates nothing either.
+// each component's appendKey followed by 0x01 — a tag byte, then an
+// integer (an integral Float alike) as 8 bytes big-endian, any other
+// float as its bits, a string verbatim — NULL makes the row unindexed,
+// and a probe finds the key whatever order it names the columns in. An
+// exact index keys an integer by exactKey, the value times an odd
+// constant; a fractional Float or a string has no key there. Keys live
+// only in memory — recovery hashes the page payloads again with keyFor —
+// so the form may change, as long as keyFor and lookup change together.
+// A probe allocates nothing, and neither does a fresh id under a fresh
+// key of a pre-sized unique index; after a merge the run is exactly
+// sized, and probing a key it holds (a cold row's) allocates nothing
+// either.
 func TestIndexKeyEncodingIsStable(t *testing.T) {
-	ix := newHashIndex([]int{2, 0}, true)
+	ix := newHashIndex([]int{2, 0}, true, false)
 	vals := []Value{String_("a\x01b"), Null(), Float_(3)}
 	key, ok := ix.keyFor(vals)
-	enc := vals[2].EncodeKey() + "\x01" + vals[0].EncodeKey() + "\x01"
-	if enc != "\x00#3\x01\x00Sa\x01b\x01" {
-		t.Fatalf("EncodeKey composition %q", enc)
+	enc := string(vals[0].appendKey(append(vals[2].appendKey(nil), 0x01))) + "\x01"
+	if enc != "#\x00\x00\x00\x00\x00\x00\x00\x03\x01Sa\x01b\x01" {
+		t.Fatalf("key composition %q", enc)
+	}
+	if string(Float_(-0.5).appendKey(nil)) != ".\xbf\xe0\x00\x00\x00\x00\x00\x00" || string(Int_(-2).appendKey(nil)) != "#\xff\xff\xff\xff\xff\xff\xff\xfe" {
+		t.Fatalf("float and negative components %q, %q", Float_(-0.5).appendKey(nil), Int_(-2).appendKey(nil))
 	}
 	if want := maphash.String(keySeed, enc); !ok || key != want {
-		t.Fatalf("keyFor = %#x, %v; want the hash of the EncodeKey composition, %#x", key, ok, want)
+		t.Fatalf("keyFor = %#x, %v; want the hash of the key composition, %#x", key, ok, want)
 	}
 	if _, ok := ix.keyFor([]Value{Null(), Null(), Int_(3)}); ok {
 		t.Fatal("a NULL component must leave the row unindexed")
+	}
+	ex := newHashIndex([]int{1}, true, true)
+	mix := uint64(0x9E3779B97F4A7C15)
+	for _, c := range []struct {
+		v    Value
+		key  uint64
+		keys bool
+	}{
+		{Int_(5), 5 * mix, true},
+		{Float_(5), 5 * mix, true},
+		{Int_(-1), -mix, true},
+		{Float_(5.5), 0, false},
+		{Float_(1 << 63), 0, false},
+		{String_("5"), 0, false},
+		{Null(), 0, false},
+	} {
+		if key, ok := ex.keyFor([]Value{Null(), c.v}); key != c.key || ok != c.keys {
+			t.Errorf("exact keyFor(%v) = %#x, %v; want %#x, %v", c.v, key, ok, c.key, c.keys)
+		}
 	}
 	ix.insert(9, vals)
 	var buf [1]RowID
@@ -232,7 +299,7 @@ func TestIndexKeyEncodingIsStable(t *testing.T) {
 	}
 
 	const runs = 1000
-	ux := newHashIndex([]int{0}, true)
+	ux := newHashIndex([]int{0}, true, false)
 	ux.one = make(map[uint64]RowID, runs+1) // pre-sized: map growth is not the point here
 	rows := make([][]Value, runs+1)
 	for i := range rows {

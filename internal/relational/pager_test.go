@@ -540,9 +540,13 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	for pass := 0; pass < 10; pass++ {
 		mix(80)
 		db.Reclaim()
+		if pass > 0 { // the first pass has paged nothing yet
+			checkPageOnlyEntries(t, db, fmt.Sprintf("pass %d, reclaimed", pass))
+		}
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		checkPageOnlyEntries(t, db, fmt.Sprintf("pass %d, checkpointed", pass))
 		p := db.pager
 		named := map[uint32]map[RowID]bool{}
 		tableOf := map[uint32]string{}
@@ -620,6 +624,48 @@ func TestPagesAndMappingsAgree(t *testing.T) {
 	if got := dumpDB(t, db2); !reflect.DeepEqual(got, wantDump) {
 		t.Fatal("reopened table dump differs")
 	}
+	checkPageOnlyEntries(t, db2, "restored and replayed")
+}
+
+// checkPageOnlyEntries holds the rule an index-only probe rests on
+// (hashIndex): every page-only row's entries are exactly its page
+// payload's keys, in every index, and it has some.
+func checkPageOnlyEntries(t *testing.T, db *Database, when string) {
+	t.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	pageOnly := 0
+	for name, td := range db.tables {
+		keysOf := make([]map[RowID][]uint64, len(td.indexes))
+		for i, ix := range td.indexes {
+			keysOf[i] = map[RowID][]uint64{}
+			for key, ids := range indexEntries(t, ix) {
+				for _, id := range ids {
+					keysOf[i][id] = append(keysOf[i][id], key)
+				}
+			}
+		}
+		for _, id := range td.ids {
+			r := td.ref(id)
+			if r.slot == 0 {
+				continue
+			}
+			pageOnly++
+			payload := db.payloadOf(td, r, nil)
+			for i, ix := range td.indexes {
+				var want []uint64
+				if key, ok := ix.payloadKey(payload); ok {
+					want = []uint64{key}
+				}
+				if got := keysOf[i][id]; !slices.Equal(got, want) {
+					t.Fatalf("%s: page-only row %s/%d has entries %#x in index %d (exact %v), its page keys %#x", when, name, id, got, i, ix.exact, want)
+				}
+			}
+		}
+	}
+	if pageOnly == 0 {
+		t.Fatalf("%s: no page-only row to check", when)
+	}
 }
 
 // TestRestoreBuildsIndexRuns: a restart restores index entries straight
@@ -672,6 +718,7 @@ func TestRestoreBuildsIndexRuns(t *testing.T) {
 	}
 	want := lookups(db)
 	db = reopen(db, false)
+	checkPageOnlyEntries(t, db, "restored")
 	for name, td := range db.tables {
 		for i, ix := range td.indexes {
 			if len(ix.one)+len(ix.many) != 0 || len(ix.ids) == 0 || len(ix.ids) != cap(ix.ids) || len(ix.hashes) != cap(ix.hashes) {
@@ -703,6 +750,7 @@ func TestRestoreBuildsIndexRuns(t *testing.T) {
 	if delta == 0 {
 		t.Fatal("the replayed tail left no entry in the child table's deltas")
 	}
+	checkPageOnlyEntries(t, db, "replayed")
 	if got := lookups(db); !reflect.DeepEqual(got, want) {
 		t.Fatalf("lookups after a replay differ:\n got %v\nwant %v", got, want)
 	}

@@ -2,7 +2,10 @@ package relational
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -540,6 +543,67 @@ func TestQuickCompareProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNumbersCompareExactly: integers compare as int64 and an integer
+// against a float without rounding, so two integers a float64 cannot
+// tell apart (past 2^53) stay apart under Equal, Compare and OpEQ, and
+// the scan path and an exact index agree on them.
+func TestNumbersCompareExactly(t *testing.T) {
+	const big = 1 << 53
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{Int_(big), Int_(big + 1), -1},
+		{Int_(math.MaxInt64), Int_(math.MaxInt64 - 1), 1},
+		{Int_(big + 1), Float_(big), 1},
+		{Float_(big), Int_(big + 1), -1},
+		{Int_(big), Float_(big), 0},
+		{Int_(math.MaxInt64), Float_(1 << 63), -1},
+		{Int_(math.MinInt64), Float_(-(1 << 63)), 0},
+		{Int_(math.MinInt64), Float_(-1e300), 1},
+		{Int_(2), Float_(2.5), -1},
+		{Int_(-2), Float_(-2.5), 1},
+		{Int_(3), Float_(3), 0},
+		{Float_(0.5), Float_(0.25), 1},
+	} {
+		got, err := c.a.Compare(c.b)
+		if err != nil || got != c.want {
+			t.Errorf("%v.Compare(%v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
+		}
+		if eq := c.a.Equal(c.b); eq != (c.want == 0) || OpEQ.Apply(c.a, c.b) != eq || OpNE.Apply(c.a, c.b) == eq {
+			t.Errorf("%v = %v: Equal %v, want %v", c.a, c.b, eq, c.want == 0)
+		}
+	}
+	if nan := Float_(math.NaN()); Int_(0).Equal(nan) || nan.Equal(Int_(0)) || nan.Equal(nan) {
+		t.Error("NaN equals something")
+	}
+
+	db := NewDatabase(walSchema(t))
+	for id, v := range []int64{big, big + 1} {
+		mustInsertParent(t, db, v, fmt.Sprint(id))
+	}
+	for _, probe := range []Value{Int_(big + 1), Float_(big)} {
+		want := Int_(big)
+		if probe.Kind == KindInt {
+			want = probe
+		}
+		ids, err := db.LookupEqual("parent", []string{"id"}, []Value{probe})
+		var scanned []RowID
+		db.Scan("parent", func(r *Row) bool {
+			if OpEQ.Apply(r.Values[0], probe) {
+				scanned = append(scanned, r.ID)
+			}
+			return true
+		})
+		if err != nil || len(ids) != 1 || !slices.Equal(ids, scanned) {
+			t.Fatalf("probe %v: index %v (%v), scan %v; want one row, the same", probe, ids, err, scanned)
+		}
+		if row, _ := db.Get("parent", ids[0]); !row.Values[0].Equal(want) {
+			t.Fatalf("probe %v found %v", probe, row.Values[0])
+		}
 	}
 }
 

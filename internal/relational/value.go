@@ -30,7 +30,10 @@
 package relational
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -122,58 +125,118 @@ func (v Value) String() string {
 	}
 }
 
-// EncodeKey renders the value into a form suitable for composite hash
-// index keys. Unlike String, it is injective across kinds: numeric 1 and
-// string "1" encode differently. Integral floats encode like ints so that
-// cross-kind numeric equality (1 == 1.0) holds for index probes.
+// EncodeKey renders the value into a form suitable for composite keys
+// outside the engine (shard routing, row dumps). Unlike String, it is
+// injective across kinds: numeric 1 and string "1" encode differently.
+// Integral floats encode like ints so that cross-kind numeric equality
+// (1 == 1.0) holds.
 func (v Value) EncodeKey() string {
 	var buf [32]byte
-	return string(v.appendKey(buf[:0]))
+	b := buf[:0]
+	switch v.Kind {
+	case KindNull:
+		b = append(b, "\x00N"...)
+	case KindString:
+		b = append(append(b, "\x00S"...), v.Str...)
+	case KindInt:
+		b = strconv.AppendInt(append(b, "\x00#"...), v.Int, 10)
+	case KindFloat:
+		if i, ok := v.integral(); ok {
+			b = strconv.AppendInt(append(b, "\x00#"...), i, 10)
+		} else {
+			b = strconv.AppendFloat(append(b, "\x00#"...), v.Float, 'g', -1, 64)
+		}
+	default:
+		b = append(b, "\x00?"...)
+	}
+	return string(b)
 }
 
-// appendKey appends v's EncodeKey form to b. A composite index key is
-// each component's form followed by a 0x01 terminator.
+// appendKey appends v's component of a composite index key: a tag byte
+// and the value, an integer (an integral Float alike) as its 8 bytes
+// big-endian, any other float as its IEEE bits. A composite index key is
+// each component followed by a 0x01 terminator. The form lives only in
+// memory: index entries are rebuilt from the rows at restore.
 func (v Value) appendKey(b []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return append(b, "\x00N"...)
+		return append(b, 'N')
 	case KindString:
-		return append(append(b, "\x00S"...), v.Str...)
+		return append(append(b, 'S'), v.Str...)
 	case KindInt:
-		return strconv.AppendInt(append(b, "\x00#"...), v.Int, 10)
+		return binary.BigEndian.AppendUint64(append(b, '#'), uint64(v.Int))
 	case KindFloat:
-		if v.Float == float64(int64(v.Float)) {
-			return strconv.AppendInt(append(b, "\x00#"...), int64(v.Float), 10)
+		if i, ok := v.integral(); ok {
+			return binary.BigEndian.AppendUint64(append(b, '#'), uint64(i))
 		}
-		return strconv.AppendFloat(append(b, "\x00#"...), v.Float, 'g', -1, 64)
+		return binary.BigEndian.AppendUint64(append(b, '.'), math.Float64bits(v.Float))
 	default:
-		return append(b, "\x00?"...)
+		return append(b, '?')
 	}
 }
 
-// numeric returns the value as float64 when it is numeric.
-func (v Value) numeric() (float64, bool) {
-	switch v.Kind {
-	case KindInt:
-		return float64(v.Int), true
-	case KindFloat:
-		return v.Float, true
-	default:
+// integral returns a Float's value as an int64 when it is one exactly.
+func (v Value) integral() (int64, bool) {
+	f := v.Float
+	if v.Kind != KindFloat || f != math.Trunc(f) || f < -(1<<63) || f >= 1<<63 {
 		return 0, false
 	}
+	return int64(f), true
+}
+
+// compareNumeric orders two numeric values exactly: two Ints as int64,
+// an Int against a Float without rounding the Int (float64 holds no
+// integer past 2^53 exactly). ok is false when either side is not
+// numeric; a NaN compares equal to nothing (c is 0 and eq false).
+func compareNumeric(a, b Value) (c int, eq, ok bool) {
+	switch {
+	case a.Kind == KindInt && b.Kind == KindInt:
+		c = cmp.Compare(a.Int, b.Int)
+		return c, c == 0, true
+	case a.Kind == KindFloat && b.Kind == KindFloat:
+		switch {
+		case a.Float < b.Float:
+			c = -1
+		case a.Float > b.Float:
+			c = 1
+		}
+		return c, a.Float == b.Float, true
+	case a.Kind == KindInt && b.Kind == KindFloat:
+		c = cmpIntFloat(a.Int, b.Float)
+		return c, c == 0 && !math.IsNaN(b.Float), true
+	case a.Kind == KindFloat && b.Kind == KindInt:
+		c = -cmpIntFloat(b.Int, a.Float)
+		return c, c == 0 && !math.IsNaN(a.Float), true
+	}
+	return 0, false, false
+}
+
+// cmpIntFloat orders i against f exactly; a NaN f orders as equal.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f) // in int64 range, so the conversion is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(0, f-t) // the fraction decides: i < f when f-t > 0
 }
 
 // Equal reports SQL equality between two values. NULL is not equal to
 // anything, including NULL (three-valued logic collapses to false here).
+// Numbers compare exactly (compareNumeric).
 func (v Value) Equal(o Value) bool {
 	if v.IsNull() || o.IsNull() {
 		return false
 	}
-	if a, ok := v.numeric(); ok {
-		if b, ok2 := o.numeric(); ok2 {
-			return a == b
-		}
-		return false
+	if _, eq, ok := compareNumeric(v, o); ok {
+		return eq
 	}
 	if v.Kind == KindString && o.Kind == KindString {
 		return v.Str == o.Str
@@ -188,19 +251,8 @@ func (v Value) Compare(o Value) (int, error) {
 	if v.IsNull() || o.IsNull() {
 		return 0, fmt.Errorf("relational: cannot compare NULL values")
 	}
-	if a, aok := v.numeric(); aok {
-		b, bok := o.numeric()
-		if !bok {
-			return 0, fmt.Errorf("relational: cannot compare %s with %s", v, o)
-		}
-		switch {
-		case a < b:
-			return -1, nil
-		case a > b:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+	if c, _, ok := compareNumeric(v, o); ok {
+		return c, nil
 	}
 	if v.Kind == KindString && o.Kind == KindString {
 		return strings.Compare(v.Str, o.Str), nil
@@ -306,8 +358,8 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 	case TypeInt, TypeDate:
 		switch v.Kind {
 		case KindFloat:
-			if v.Float == float64(int64(v.Float)) {
-				return Int_(int64(v.Float)), nil
+			if i, ok := v.integral(); ok {
+				return Int_(i), nil
 			}
 			return Value{}, fmt.Errorf("relational: %s is not an integer", v)
 		case KindString:

@@ -16,7 +16,8 @@ import (
 
 // TestTracedApply: an apply carrying X-UFilter-Trace: 1 gets back a
 // stage breakdown whose spans all fit inside (and sum to no more than)
-// the measured end-to-end latency — the acceptance criterion.
+// the measured end-to-end latency — the acceptance criterion — and its
+// Step 3 probes' SQL.
 func TestTracedApply(t *testing.T) {
 	_, ts := newTestServer(t)
 	data, _ := json.Marshal(map[string]string{"update": bookdb.U12})
@@ -37,7 +38,8 @@ func TestTracedApply(t *testing.T) {
 	}
 	var out struct {
 		Result struct {
-			Accepted bool `json:"accepted"`
+			Accepted bool     `json:"accepted"`
+			Probes   []string `json:"probes"`
 		} `json:"result"`
 		Trace obs.TraceSummary `json:"trace"`
 	}
@@ -46,6 +48,9 @@ func TestTracedApply(t *testing.T) {
 	}
 	if !out.Result.Accepted {
 		t.Fatalf("apply rejected: %s", body)
+	}
+	if len(out.Result.Probes) != 1 || !strings.HasPrefix(out.Result.Probes[0], "SELECT book.bookid FROM") {
+		t.Errorf("traced apply lists probes %q, want its one context probe", out.Result.Probes)
 	}
 	if out.Trace.TotalNs <= 0 {
 		t.Fatal("trace has no end-to-end total")
@@ -73,7 +78,8 @@ func TestTracedApply(t *testing.T) {
 }
 
 // TestUntracedApplyShapeUnchanged: without the header the apply
-// response is the bare Result, exactly as before this layer existed.
+// response is the bare Result, exactly as before this layer existed,
+// less the probes' SQL, which only a traced answer renders.
 func TestUntracedApplyShapeUnchanged(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, body := postJSON(t, ts.URL+"/views/book/apply", map[string]string{"update": bookdb.U12})
@@ -89,6 +95,9 @@ func TestUntracedApplyShapeUnchanged(t *testing.T) {
 	}
 	if _, hasAccepted := raw["accepted"]; !hasAccepted {
 		t.Fatalf("untraced response is not a bare Result: %s", body)
+	}
+	if _, hasProbes := raw["probes"]; hasProbes {
+		t.Fatalf("untraced response rendered its probes: %s", body)
 	}
 }
 

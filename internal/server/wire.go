@@ -450,23 +450,28 @@ func writeWire(w http.ResponseWriter, body []byte) {
 }
 
 // appendVerdict appends a /check or /apply response: the bare Result,
-// or {"result","trace"} for a client that asked for the trace.
+// or {"result","trace"} for a client that asked for the trace, whose
+// result also lists its probes' SQL.
 func appendVerdict(dst []byte, res *ufilter.Result, tr *obs.Trace, wantTrace bool) []byte {
 	if !wantTrace {
 		return append(res.AppendJSON(dst), '\n')
 	}
+	res.RenderProbes()
 	dst = res.AppendJSON(append(dst, `{"result":`...))
 	return append(appendTrace(dst, tr), "}\n"...)
 }
 
 // appendBatchTail closes a batch response after its leading members:
 // the per-update verdicts in input order, then the trace when the
-// client asked for it.
+// client asked for it (and with it each verdict's probe SQL).
 func appendBatchTail(dst []byte, results []ufilter.BatchResult, tr *obs.Trace, wantTrace bool) []byte {
 	dst = append(dst, `"results":[`...)
 	for i, br := range results {
 		if i > 0 {
 			dst = append(dst, ',')
+		}
+		if wantTrace && br.Result != nil {
+			br.Result.RenderProbes()
 		}
 		dst = br.AppendJSON(dst)
 	}

@@ -85,7 +85,6 @@ func (db *DB) commitCross(t *Txn) error {
 	err := relational.CommitAcross(&db.xmu, subs)
 	t.finishExcept(ids)
 	if err != nil {
-		db.crossAborts.Add(1)
 		return err
 	}
 	db.crossCommits.Add(1)

@@ -89,7 +89,6 @@ type DB struct {
 
 	log          *relational.WAL // nil in memory
 	crossCommits atomic.Int64
-	crossAborts  atomic.Int64
 }
 
 // Recovery aggregates what opening the group's log found.

@@ -169,3 +169,86 @@ func (s *Stmt) Exec(t relational.WriteTxn, args ...relational.Value) (int, error
 		return 0, fmt.Errorf("sqlexec: Exec on a %T statement (use ExecSelectOn)", s.tmpl)
 	}
 }
+
+// countingReader counts a Reader's two index lookups.
+type countingReader struct {
+	relational.Reader
+	equal, rows int
+}
+
+func (c *countingReader) LookupEqual(table string, columns []string, values []relational.Value) ([]relational.RowID, error) {
+	c.equal++
+	return c.Reader.LookupEqual(table, columns, values)
+}
+
+func (c *countingReader) LookupRows(table string, columns []string, values []relational.Value) ([]relational.Row, error) {
+	c.rows++
+	return c.Reader.LookupRows(table, columns, values)
+}
+
+// TestKeyOnlyStepsLookUpIDs: a join step that reads nothing of its row
+// but its key columns and rowid looks up ids only, and binds the probe
+// values, coerced to the columns' types, as the row; a step that reads
+// more looks up rows. An integral Float finds the INTEGER key it equals
+// and projects as an Int; a string finds nothing.
+func TestKeyOnlyStepsLookUpIDs(t *testing.T) {
+	schema := refSchema(t, 3)
+	db := relational.NewDatabase(schema)
+	var t1 []relational.RowID
+	write(t, db, func(txn *relational.Txn) error {
+		if _, err := txn.Insert("t0", map[string]relational.Value{"x": relational.Int_(1), "y": relational.Int_(1)}); err != nil {
+			return err
+		}
+		for id := int64(1); id <= 3; id++ {
+			rid, err := txn.Insert("t1", map[string]relational.Value{"id": relational.Int_(id), "x": relational.Int_(1), "y": relational.Int_(1)})
+			if err != nil {
+				return err
+			}
+			t1 = append(t1, rid)
+			for c := range id {
+				if _, err := txn.Insert("t2", map[string]relational.Value{"id": relational.Int_(10*id + c), "r": relational.Int_(id)}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	e := NewExecutor(db)
+	st, err := e.Prepare(&SelectStmt{
+		Project: []ColRef{{Table: "t1", Column: "id"}, {Table: "t1", Column: "rowid"}, {Table: "t2", Column: "id"}},
+		From:    []string{"t2", "t1"},
+		Where: []Predicate{
+			{Left: ColOperand("t1", "id"), Op: relational.OpEQ, Right: ParamOperand(0)},
+			JoinOn("t2", "r", "t1", "id"),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		arg  relational.Value
+		want string
+	}{
+		{relational.Int_(2), fmt.Sprintf("[[2 %d 20] [2 %[1]d 21]]", t1[1])},
+		{relational.Float_(3), fmt.Sprintf("[[3 %d 30] [3 %[1]d 31] [3 %[1]d 32]]", t1[2])},
+		{relational.Float_(2.5), "[]"},
+		{relational.String_("2"), "[]"},
+	} {
+		rd := &countingReader{Reader: db}
+		rs, err := st.ExecSelectOn(rd, c.arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rs.Rows); got != c.want {
+			t.Errorf("t1.id = %v: %s, want %s", c.arg, got, c.want)
+		}
+		for _, row := range rs.Rows {
+			if row[0].Kind != relational.KindInt {
+				t.Errorf("t1.id = %v projects %v of kind %v, want an Int", c.arg, row[0], row[0].Kind)
+			}
+		}
+		if wantRows := min(len(rs.Rows), 1); rd.equal != 1 || rd.rows != wantRows {
+			t.Errorf("t1.id = %v: %d id lookups, %d row lookups; want 1 and %d", c.arg, rd.equal, rd.rows, wantRows)
+		}
+	}
+}

@@ -23,9 +23,10 @@ import (
 // source is a FROM relation: a base table, or a materialized temporary
 // table resolved at compile time.
 type source struct {
-	name string     // the base table's name, or the temp's as FROM lists it
-	cols []string   // column names, positional
-	temp *ResultSet // nil for a base table
+	name string               // the base table's name, or the temp's as FROM lists it
+	cols []string             // column names, positional
+	def  *relational.TableDef // nil for a temp
+	temp *ResultSet           // nil for a base table
 }
 
 func (e *Executor) resolveSource(name string) (*source, error) {
@@ -37,7 +38,7 @@ func (e *Executor) resolveSource(name string) (*source, error) {
 		return &source{name: name, cols: cols, temp: rs}, nil
 	}
 	if def, ok := e.DB.Schema().Table(name); ok {
-		return &source{name: def.Name, cols: def.ColumnNames()}, nil
+		return &source{name: def.Name, cols: def.ColumnNames(), def: def}, nil
 	}
 	return nil, fmt.Errorf("%w: %s", relational.ErrNoSuchTable, name)
 }
@@ -185,6 +186,11 @@ type joinStep struct {
 	keyCols []string
 	keyVals []valueSrc
 	keyOff  int
+	// keyTypes is set when the step reads nothing of its row but the
+	// key columns and rowid: it looks up ids only (LookupEqual) and binds
+	// the key values, coerced to keyTypes, as its row, which every
+	// reference to the step addresses by key position.
+	keyTypes []relational.Type
 	// semiJoin: candidates in WHERE order; the first whose temp resolves
 	// drives the lookups, and with none the step scans.
 	semi []semiKey
@@ -337,6 +343,10 @@ func (e *Executor) compileSelect(s *SelectStmt) (*compiledSelect, error) {
 		}
 	}
 
+	if len(cs.steps) > maxSteps {
+		return nil, fmt.Errorf("sqlexec: SELECT joins %d relations, at most %d", len(cs.steps), maxSteps)
+	}
+
 	project := s.Project
 	if len(project) == 0 {
 		for _, src := range srcs {
@@ -355,7 +365,65 @@ func (e *Executor) compileSelect(s *SelectStmt) (*compiledSelect, error) {
 		cs.columns[i] = ColRef{Table: srcs[c.src].name, Column: c.name}
 		cs.slots[i] = at(c)
 	}
+	cs.keyOnly()
 	return cs, nil
+}
+
+// cols calls fn on every column reference of the program: predicate
+// operands, key and rowid values, the projection.
+func (cs *compiledSelect) cols(fn func(*colPos)) {
+	val := func(v *valueSrc) {
+		if v.kind == fromCol {
+			fn(&v.col)
+		}
+	}
+	for i := range cs.steps {
+		st := &cs.steps[i]
+		for j := range st.preds {
+			fn(&st.preds[j].left)
+			if st.preds[j].inTemp < 0 {
+				val(&st.preds[j].right)
+			}
+		}
+		for j := range st.keyVals {
+			val(&st.keyVals[j])
+		}
+		for j := range st.rowids {
+			val(&st.rowids[j])
+		}
+	}
+	for i := range cs.slots {
+		fn(&cs.slots[i])
+	}
+}
+
+// keyOnly marks each index step on a base table that no reference reads
+// past its key columns and rowid (and that has no rowid path, which
+// binds a whole row): its references then address the key positions.
+func (cs *compiledSelect) keyOnly() {
+	keyPos := func(st *joinStep, col int) int {
+		return slices.IndexFunc(st.keyCols, func(c string) bool { return c == st.src.cols[col] })
+	}
+	for i := range cs.steps {
+		st := &cs.steps[i]
+		if st.access != indexLookup || st.src.temp != nil || len(st.rowids) > 0 {
+			continue
+		}
+		only := true
+		cs.cols(func(p *colPos) { only = only && (p.step != i || p.col == rowidCol || keyPos(st, p.col) >= 0) })
+		if !only {
+			continue
+		}
+		cs.cols(func(p *colPos) {
+			if p.step == i && p.col != rowidCol {
+				p.col = keyPos(st, p.col)
+			}
+		})
+		st.keyTypes = make([]relational.Type, len(st.keyCols))
+		for j, c := range st.keyCols {
+			st.keyTypes[j] = st.src.def.Columns[slices.Index(st.src.cols, c)].Type
+		}
+	}
 }
 
 // InTempColumnOr defaults the IN-subquery column to the left column name.
@@ -436,27 +504,29 @@ func (e *Executor) ExecSelectOn(rd Reader, s *SelectStmt) (*ResultSet, error) {
 	return e.runSelect(cs, rd, nil)
 }
 
+// maxSteps bounds the relations a SELECT joins, so a run binds its
+// rows into arrays of its own.
+const maxSteps = 8
+
 // run is one evaluation of a compiled select: the row each step has
 // bound, by step position, the key buffer of the index steps, the IN-temp
 // tables as this run resolved them, and the counters it adds to the
-// executor's when it ends. Runs of up to four steps and four keys bind
-// into the run's own arrays.
+// executor's when it ends. Nothing in a run points into it, so a run
+// lives on its caller's stack; a scan, whose callback must reach the run,
+// runs on a heap copy (scan).
 type run struct {
 	e       *Executor
 	cs      *compiledSelect
 	rd      Reader
 	args    []relational.Value
-	ids     []relational.RowID
-	rows    [][]relational.Value
-	keys    []relational.Value
+	keys    []relational.Value // handed to the Reader, so never the run's own
 	temps   []tempCol
 	out     [][]relational.Value
 	scanned int64
 	probes  int64
 
-	idBuf  [4]relational.RowID
-	rowBuf [4][]relational.Value
-	keyBuf [4]relational.Value
+	ids  [maxSteps]relational.RowID
+	rows [maxSteps][]relational.Value
 }
 
 // tempCol is an IN-temp table as a run resolved it on first use.
@@ -474,10 +544,10 @@ func (e *Executor) runSelect(cs *compiledSelect, rd Reader, args []relational.Va
 	if len(args) < cs.nparams {
 		return nil, fmt.Errorf("sqlexec: select needs %d bind arguments, got %d (Bind the prepared statement first)", cs.nparams, len(args))
 	}
-	r := &run{e: e, cs: cs, rd: rd, args: args}
-	r.ids = slices.Grow(r.idBuf[:0], len(cs.steps))[:len(cs.steps)]
-	r.rows = slices.Grow(r.rowBuf[:0], len(cs.steps))[:len(cs.steps)]
-	r.keys = slices.Grow(r.keyBuf[:0], cs.nkeys)[:cs.nkeys]
+	r := run{e: e, cs: cs, rd: rd, args: args}
+	if cs.nkeys > 0 {
+		r.keys = make([]relational.Value, cs.nkeys)
+	}
 	err := r.bind(0)
 	if r.scanned > 0 {
 		e.addRowsScanned(r.scanned)
@@ -521,6 +591,9 @@ func (r *run) bind(depth int) error {
 		for i := range st.keyVals {
 			keys[i] = r.value(&st.keyVals[i])
 		}
+		if st.keyTypes != nil {
+			return r.lookupKeys(depth, keys)
+		}
 		return r.lookup(depth, st.keyCols, keys)
 	case semiJoin:
 		// An IN-temp predicate on an indexed column drives lookups from
@@ -549,15 +622,52 @@ func (r *run) bind(depth int) error {
 		}
 		return nil
 	}
+	return r.scan(depth)
+}
+
+// scan binds the rows of step depth by scanning its table. The scan's
+// callback outlives nothing, but the compiler cannot know that, so it
+// reaches a heap copy of the run, copied back when the scan ends.
+func (r *run) scan(depth int) error {
+	h := new(run)
+	*h = *r
 	var err error
-	if serr := r.rd.Scan(st.src.name, func(row *relational.Row) bool {
-		r.scanned++
-		err = r.try(depth, row.ID, row.Values)
+	serr := h.rd.Scan(h.cs.steps[depth].src.name, func(row *relational.Row) bool {
+		h.scanned++
+		err = h.try(depth, row.ID, row.Values)
 		return err == nil
-	}); serr != nil {
+	})
+	*r = *h
+	if serr != nil {
 		return serr
 	}
 	return err
+}
+
+// lookupKeys binds the ids of step depth whose key columns equal keys, a
+// key-only step's: the keys, coerced to their columns' types, are what
+// each row holds there.
+func (r *run) lookupKeys(depth int, keys []relational.Value) error {
+	st := &r.cs.steps[depth]
+	ids, err := r.rd.LookupEqual(st.src.name, st.keyCols, keys)
+	if err != nil {
+		return err
+	}
+	r.probes++
+	if len(ids) == 0 {
+		return nil
+	}
+	for i, t := range st.keyTypes {
+		if keys[i], err = keys[i].CoerceTo(t); err != nil {
+			return err
+		}
+	}
+	for _, id := range ids {
+		if err := r.try(depth, id, keys); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // lookup binds the rows of step depth whose cols equal vals, each

@@ -41,8 +41,8 @@ func (e *Filter) CheckDataAt(rd sqlexec.Reader, updateText string) (*Result, err
 
 // probeData runs an accepted instance's read-only Step 3 probes off its
 // plan: each op's context probe, then an insert's shared-part checks.
-// res is the caller's copy: probe SQL is appended to Probes and a failed
-// probe downgrades Accepted with RejectedAt = StepData.
+// res is the caller's copy: each probe is recorded in it (RenderProbes)
+// and a failed probe downgrades Accepted with RejectedAt = StepData.
 func (e *Filter) probeData(rd sqlexec.Reader, p *UpdatePlan, b bound, res *Result) (*Result, error) {
 	args := probeArgs(b.preds)
 	for i := range p.Resolved.Ops {

@@ -59,7 +59,7 @@ func (e *Filter) executeInternal(ac *applyCtx, ro *ResolvedOp, stmts []sqlexec.S
 		if err != nil {
 			return "", err
 		}
-		res.Probes = append(res.Probes, sel.String())
+		res.issued = append(res.issued, issuedProbe{sel: sel})
 		if rs.Empty() {
 			return "update context does not exist in the view (internal strategy probe)", nil
 		}

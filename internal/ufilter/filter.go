@@ -86,7 +86,9 @@ type Result struct {
 	Outcome    Outcome     `json:"outcome"`
 	Conditions []Condition `json:"conditions,omitempty"`
 	Reason     string      `json:"reason,omitempty"`
-	// Probes lists the SQL text of the probe queries issued by Step 3.
+	// Probes lists the SQL text of the probe queries issued by Step 3,
+	// once RenderProbes has rendered it: a check or apply records each
+	// probe as it ran (issued) and renders none of them.
 	Probes []string `json:"probes,omitempty"`
 	// SQL lists the translated statements (generated; executed when
 	// Apply was used).
@@ -96,6 +98,37 @@ type Result struct {
 	// Warnings carries non-fatal signals such as the engine's "zero
 	// tuples deleted" response.
 	Warnings []string `json:"warnings,omitempty"`
+
+	issued []issuedProbe // Step 3's probes, in the order they ran
+}
+
+// issuedProbe is one probe as Step 3 ran it: a prepared statement with
+// its bound arguments, or a one-shot select.
+type issuedProbe struct {
+	stmt *sqlexec.Stmt
+	args []relational.Value
+	sel  *sqlexec.SelectStmt
+}
+
+// sql renders the probe's text, arguments inline.
+func (p issuedProbe) sql() string {
+	if p.sel != nil {
+		return p.sel.String()
+	}
+	return p.stmt.SQL(p.args...)
+}
+
+// RenderProbes sets Probes to the SQL text of the probes Step 3 issued,
+// for a client that asked to see them (a trace, the CLI). A Result that
+// issued none, such as one decoded from JSON, keeps its Probes.
+func (r *Result) RenderProbes() {
+	if len(r.issued) == 0 {
+		return
+	}
+	r.Probes = make([]string, len(r.issued))
+	for i, p := range r.issued {
+		r.Probes[i] = p.sql()
+	}
 }
 
 // Filter is the compiled runtime for one view over one database: the
@@ -522,7 +555,7 @@ func markResult(res *Result) resultMark {
 		rejectedAt: res.RejectedAt,
 		outcome:    res.Outcome,
 		reason:     res.Reason,
-		nProbes:    len(res.Probes),
+		nProbes:    len(res.issued),
 		nSQL:       len(res.SQL),
 		nWarnings:  len(res.Warnings),
 		rows:       res.RowsAffected,
@@ -534,7 +567,7 @@ func (m resultMark) restore(res *Result) {
 	res.RejectedAt = m.rejectedAt
 	res.Outcome = m.outcome
 	res.Reason = m.reason
-	res.Probes = res.Probes[:m.nProbes]
+	res.issued = res.issued[:m.nProbes]
 	res.SQL = res.SQL[:m.nSQL]
 	res.Warnings = res.Warnings[:m.nWarnings]
 	res.RowsAffected = m.rows
@@ -675,11 +708,10 @@ func (e *Filter) probeContext(rd sqlexec.Reader, ro *ResolvedOp, po *PlannedOp, 
 	if err != nil {
 		return nil, "", err
 	}
-	probeSQL := po.Probe.SQL(args...)
-	res.Probes = append(res.Probes, probeSQL)
+	res.issued = append(res.issued, issuedProbe{stmt: po.Probe, args: args})
 	if rs.Empty() {
 		return nil, fmt.Sprintf("update context <%s> does not exist in the view (probe %q returned no rows)",
-			ro.Context.Name, probeSQL), nil
+			ro.Context.Name, po.Probe.SQL(args...)), nil
 	}
 	return rs, "", nil
 }
@@ -704,7 +736,7 @@ func (e *Filter) runSharedChecksOn(rd sqlexec.Reader, checks []SharedCheck, cont
 		if err != nil {
 			return "", err
 		}
-		res.Probes = append(res.Probes, sel.String())
+		res.issued = append(res.issued, issuedProbe{sel: sel})
 		if rs.Empty() {
 			return fmt.Sprintf("inserting would create a new %s row, causing another view element to appear (shared part %v missing)",
 				chk.Rel, keyVals), nil
@@ -801,7 +833,7 @@ func (e *Filter) executeOutside(ac *applyCtx, stmts []sqlexec.Statement, res *Re
 			if err != nil {
 				return "", err
 			}
-			res.Probes = append(res.Probes, probe.String())
+			res.issued = append(res.issued, issuedProbe{sel: probe})
 			_, insert := st.(*sqlexec.InsertStmt)
 			switch {
 			case insert && !rs.Empty():

@@ -176,7 +176,10 @@ func TestApplyU3RejectedByContextProbe(t *testing.T) {
 	if res.Accepted || res.RejectedAt != StepData {
 		t.Fatalf("u3: accepted=%v at=%d reason=%q", res.Accepted, res.RejectedAt, res.Reason)
 	}
-	if len(res.Probes) == 0 || !strings.Contains(res.Probes[0], "book.title = 'DB2 Universal Database'") {
+	if len(res.Probes) != 0 {
+		t.Errorf("probe SQL rendered before it was asked for: %v", res.Probes)
+	}
+	if res.RenderProbes(); len(res.Probes) == 0 || !strings.Contains(res.Probes[0], "book.title = 'DB2 Universal Database'") {
 		t.Errorf("probes = %v", res.Probes)
 	}
 	if got := f.Exec.DB.RowCount("review"); got != 2 {
@@ -523,6 +526,20 @@ func TestSatisfiability(t *testing.T) {
 		{[]relational.CheckPredicate{eq(5), lt(5)}, false},           // pinned on a strict upper bound
 		{[]relational.CheckPredicate{eq(5), ne(5)}, false},           // pinned value excluded
 	}
+	// Integers past 2^53 that a float64 cannot tell apart.
+	pin := func(op relational.CompareOp, v int64) relational.CheckPredicate {
+		return relational.CheckPredicate{Op: op, Operand: relational.Int_(v)}
+	}
+	const big = 1 << 53
+	cases = append(cases, []struct {
+		preds []relational.CheckPredicate
+		want  bool
+	}{
+		{[]relational.CheckPredicate{pin(relational.OpEQ, big+1), pin(relational.OpNE, big)}, true},  // x = 9007199254740993 ∧ x != 9007199254740992
+		{[]relational.CheckPredicate{pin(relational.OpEQ, big+1), pin(relational.OpGT, big)}, true},  // pinned just above a strict bound
+		{[]relational.CheckPredicate{pin(relational.OpEQ, big+1), pin(relational.OpEQ, big)}, false}, // conflicting eq
+		{[]relational.CheckPredicate{pin(relational.OpEQ, big), pin(relational.OpLT, big+1)}, true},  // pinned just below a strict bound
+	}...)
 	for i, c := range cases {
 		if got := checkConjunctionSatisfiable(c.preds); got != c.want {
 			t.Errorf("case %d: got %v, want %v", i, got, c.want)

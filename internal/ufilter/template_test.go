@@ -253,6 +253,7 @@ func comparable(res *Result, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
+	res.RenderProbes()
 	return fmt.Sprintf("accepted=%v at=%s outcome=%s conditions=%v reason=%q rows=%d\nsql=%q\nprobes=%q\nwarnings=%q",
 		res.Accepted, res.RejectedAt, res.Outcome, res.Conditions, res.Reason, res.RowsAffected, res.SQL, res.Probes, res.Warnings)
 }

@@ -2,6 +2,7 @@ package ufilter
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestProbePruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Accepted || len(res.Probes) == 0 {
+	if res.RenderProbes(); !res.Accepted || len(res.Probes) == 0 {
 		t.Fatalf("accepted=%v probes=%v", res.Accepted, res.Probes)
 	}
 	probe := res.Probes[0]
@@ -192,6 +193,7 @@ func TestProbePruning(t *testing.T) {
 	if !res.Accepted {
 		t.Fatalf("internal rejected: %s", res.Reason)
 	}
+	res.RenderProbes()
 	wide := ""
 	for _, p := range res.Probes {
 		if strings.Contains(p, "customer") {
@@ -300,4 +302,61 @@ func TestFail2Shape(t *testing.T) {
 			t.Errorf("hybrid: DML should be issued")
 		}
 	}
+}
+
+// TestColdOrderProbesLoadNoPage: with every row page-only behind a
+// small pool, a wipe's data check (its context probe reads orders by
+// key) and a lineitem insert's foreign-key check on that order load no
+// page, since orders' key index is exact and a page-only candidate of
+// it matches as it stands; a lineitem delete's probe, on the composite
+// (hashed) key, still loads one to verify.
+func TestColdOrderProbesLoadNoPage(t *testing.T) {
+	db, err := tpch.NewDatabaseMB(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.OpenWAL(t.TempDir(), relational.WALOptions{PageCacheBytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
+	f, err := New(tpch.VlinearQuery, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets := func() int64 {
+		st := db.Stats()
+		return st.PagecacheHits + st.PagecacheMisses
+	}
+	snap := db.Snapshot()
+	defer snap.Close()
+	const order = 7
+	check := func(text string, wantGets int64) {
+		t.Helper()
+		g := gets()
+		res, err := f.CheckDataAt(snap, text)
+		if err != nil || !res.Accepted {
+			t.Fatalf("%s: %+v, %v", text, res, err)
+		}
+		if got := gets() - g; got != wantGets {
+			t.Errorf("%s: %d pool gets, want %d", text, got, wantGets)
+		}
+	}
+	check(tpch.DeleteLineitemsOfOrder(order), 0)
+
+	g := gets()
+	tx := db.Begin()
+	if _, err := tx.Insert("lineitem", map[string]relational.Value{
+		"l_orderkey": relational.Int_(order), "l_linenumber": relational.Int_(99), "l_quantity": relational.Float_(1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Rollback()
+	if got := gets() - g; got != 0 {
+		t.Errorf("a lineitem insert's checks on a cold order: %d pool gets, want 0", got)
+	}
+
+	check(fmt.Sprintf(`
+FOR $t IN document("view.xml")/region/nation/customer/order/lineitem
+WHERE $t/l_orderkey/text() = "%d" AND $t/l_linenumber/text() = "1"
+UPDATE $t { DELETE $t }`, order), 1)
 }

@@ -316,7 +316,7 @@ func (e *Filter) translateDelete(ac *applyCtx, ro *ResolvedOp, probe *sqlexec.Re
 		if err != nil {
 			return nil, err
 		}
-		res.Probes = append(res.Probes, sel.String())
+		res.issued = append(res.issued, issuedProbe{sel: sel})
 		return deleteRows(rs, anchor)
 	}
 	return nil, fmt.Errorf("ufilter: cannot delete node kind %s", t.Kind)

@@ -67,8 +67,8 @@ func tagShadow() func(*Result) reflect.Value {
 	var from []int
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
-		if f.Tag.Get("json") == "-" {
-			continue
+		if f.Tag.Get("json") == "-" || !f.IsExported() {
+			continue // encoding/json writes neither
 		}
 		switch {
 		case f.Type.Implements(textType):

@@ -31,9 +31,17 @@ func keyVar(dst []byte, prefix, v string) []byte {
 	return append(append(append(dst, prefix...), '$'), v...)
 }
 
-// keyDoc appends a document source root.
+// keyDoc appends a document source root, its name quoted as
+// strconv.Quote does; a name of printable ASCII without a quote or a
+// backslash, which that leaves as it is, is copied.
 func keyDoc(dst []byte, doc string) []byte {
-	return append(strconv.AppendQuote(append(dst, "document("...), doc), ')')
+	dst = append(dst, "document("...)
+	for i := 0; i < len(doc); i++ {
+		if c := doc[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return append(strconv.AppendQuote(dst, doc), ')')
+		}
+	}
+	return append(append(append(append(dst, '"'), doc...), '"'), ')')
 }
 
 // keyStep, keyText, keyLit, keyOp, keyOpen and keyClose append a path

@@ -553,6 +553,9 @@ func stripQuotes(n *xmltree.Node) {
 // paper's syntax places around leaf values.
 func unquote(s string) string {
 	s = strings.TrimSpace(s)
+	if s == "" || s[0] != '"' && s[0] != '\'' && s[0] != "“"[0] {
+		return s // no opening quote
+	}
 	for _, pair := range [...][2]string{{`"`, `"`}, {`'`, `'`}, {"“", "”"}} {
 		if strings.HasPrefix(s, pair[0]) && strings.HasSuffix(s, pair[1]) && len(s) >= len(pair[0])+len(pair[1]) {
 			return strings.TrimSpace(s[len(pair[0]) : len(s)-len(pair[1])])

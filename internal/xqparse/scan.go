@@ -35,6 +35,9 @@ type Scanned struct {
 // with the same key, literals and leaf texts.
 func ScanUpdate(text string, s *Scanned) bool {
 	s.Key, s.Lits, s.Texts = s.Key[:0], s.Lits[:0], s.Texts[:0]
+	if !plain(text) { // every byte is a token's, a fragment's or space
+		return false
+	}
 	sc := scanner{lx: lexer{input: text}, s: s}
 	sc.advance()
 	return sc.update() && !sc.bad
@@ -55,21 +58,37 @@ type scanner struct {
 	open [maxDepth]string // names of the fragment's open elements
 }
 
-// advance moves to the next token. A lexing error or a byte outside the
-// plain subset ends the scan: the token becomes end of input and the
-// text is declined.
+// advance moves to the next token. A lexing error ends the scan: the
+// token becomes end of input and the text is declined.
 func (sc *scanner) advance() {
-	t, err := sc.lx.scan()
-	if err != nil || !plain(sc.lx.input[t.pos:sc.lx.pos]) {
+	if err := sc.lx.scan(&sc.tok); err != nil {
 		sc.bad = true
-		t = token{kind: tokEOF, pos: sc.lx.pos}
+		sc.tok = token{kind: tokEOF, pos: sc.lx.pos}
 	}
-	sc.tok = t
 }
 
 // plain reports whether s holds only printable ASCII, tabs and line
-// breaks.
+// breaks. It reads eight bytes at a time and looks at the bytes of a
+// word one by one only when one of them is below ' ' or above '~'.
 func plain(s string) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := s[i : i+8]
+		x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+			uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+		if (x-ones*' ')&^x&highs == 0 && ((x+ones)|x)&highs == 0 {
+			continue // every byte in ' '..'~'
+		}
+		if !plainBytes(w) {
+			return false
+		}
+	}
+	return plainBytes(s[i:])
+}
+
+// plainBytes is plain a byte at a time.
+func plainBytes(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c >= 0x7f || c < ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return false
@@ -80,10 +99,25 @@ func plain(s string) bool {
 
 // keyword consumes the keyword kw, reporting whether it was there.
 func (sc *scanner) keyword(kw string) bool {
-	if sc.tok.kind != tokIdent || !strings.EqualFold(sc.tok.text, kw) {
+	if sc.tok.kind != tokIdent || !foldsTo(sc.tok.text, kw) {
 		return false
 	}
 	sc.advance()
+	return true
+}
+
+// foldsTo reports whether the plain text s equals the ASCII word kw
+// under case folding: strings.EqualFold's verdict, as only non-ASCII
+// letters fold otherwise.
+func foldsTo(s, kw string) bool {
+	if len(s) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c, k := s[i], kw[i]; c != k && (c|0x20 != k|0x20 || c|0x20 < 'a' || c|0x20 > 'z') {
+			return false
+		}
+	}
 	return true
 }
 
@@ -228,7 +262,7 @@ func (sc *scanner) path() (textOnly, ok bool) {
 		switch {
 		case step == "":
 			return false, false
-		case strings.EqualFold(step, "text"):
+		case foldsTo(step, "text"):
 			return true, sc.take(tokLParen) && sc.take(tokRParen)
 		}
 		sc.s.Key = keyStep(sc.s.Key, step)
@@ -326,19 +360,23 @@ func (sc *scanner) fragment() bool {
 		}
 		escaped = false
 		for text = i; i < len(in) && in[i] != '<'; i++ {
-			switch c := in[i]; {
-			case c == '&':
+			switch in[i] {
+			case '&':
 				n := entityLen(in[i:])
 				if n == 0 {
 					return false
 				}
 				i += n - 1
 				escaped = true
-			case c == '\r' || !plain(in[i:i+1]):
+			case '\r':
 				return false
+			case ']':
+				if strings.HasPrefix(in[i:], "]]>") {
+					return false
+				}
 			}
 		}
-		if i == len(in) || strings.Contains(in[text:i], "]]>") {
+		if i == len(in) {
 			return false
 		}
 	}
@@ -365,8 +403,11 @@ func entityLen(s string) int {
 // nameEnd returns the end of the ASCII XML name starting at s[i] — an
 // identifier, as the lexer reads one — or i when none starts there.
 func nameEnd(s string, i int) int {
-	j := i
-	for j < len(s) && s[j] < 0x80 && (isIdentStart(rune(s[j])) || j > i && isIdentPart(rune(s[j]))) {
+	if i >= len(s) || s[i] >= 0x80 || identClass[s[i]]&identStart == 0 {
+		return i
+	}
+	j := i + 1
+	for j < len(s) && s[j] < 0x80 && identClass[s[j]]&identPart != 0 {
 		j++
 	}
 	return j

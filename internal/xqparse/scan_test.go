@@ -156,3 +156,41 @@ func TestScanUpdateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPlainReadsWords: plain, eight bytes at a time, gives plainBytes'
+// verdict with any byte at any position of a word or of the tail.
+func TestPlainReadsWords(t *testing.T) {
+	base := []byte("FOR $b IN x/y { a }") // two words and a tail
+	for pos := range base {
+		for c := 0; c < 256; c++ {
+			s := append([]byte(nil), base...)
+			s[pos] = byte(c)
+			if got, want := plain(string(s)), plainBytes(string(s)); got != want {
+				t.Fatalf("plain(%q) = %v, want %v", s, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkScanUpdate measures ScanUpdate's throughput (MB/s) on the
+// BookView template a cached check scans and on the tpch lineitem
+// insert, the shape of the paged benchmark's updates.
+func BenchmarkScanUpdate(b *testing.B) {
+	for _, bc := range []struct{ name, text string }{
+		{"bookview", `
+FOR $book IN document("BookView.xml")/book
+WHERE $book/title/text() = "Title 17"
+UPDATE $book { DELETE $book/review }`},
+		{"tpch-insert", tpch.InsertLineitemUpdate(123456, 7)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var s Scanned
+			b.SetBytes(int64(len(bc.text)))
+			for i := 0; i < b.N; i++ {
+				if !ScanUpdate(bc.text, &s) {
+					b.Fatalf("declined %q", bc.text)
+				}
+			}
+		})
+	}
+}

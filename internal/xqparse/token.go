@@ -140,27 +140,23 @@ func (lx *lexer) errorf(pos int, format string, args ...interface{}) error {
 }
 
 func (lx *lexer) skipSpace() {
-	for lx.pos < len(lx.input) {
-		r := lx.input[lx.pos]
-		if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
-			lx.pos++
-			continue
-		}
-		break
+	const space = 1<<' ' | 1<<'\t' | 1<<'\n' | 1<<'\r'
+	i := lx.pos
+	for i < len(lx.input) && lx.input[i] <= ' ' && space&(1<<lx.input[i]) != 0 {
+		i++
 	}
+	lx.pos = i
 }
 
 // peek returns the next token without consuming it.
 func (lx *lexer) peek() (token, error) {
-	if lx.hasPeek {
-		return lx.peeked, nil
+	if !lx.hasPeek {
+		if err := lx.scan(&lx.peeked); err != nil {
+			return token{}, err
+		}
+		lx.hasPeek = true
 	}
-	t, err := lx.scan()
-	if err != nil {
-		return token{}, err
-	}
-	lx.peeked, lx.hasPeek = t, true
-	return t, nil
+	return lx.peeked, nil
 }
 
 // next consumes and returns the next token.
@@ -169,7 +165,9 @@ func (lx *lexer) next() (token, error) {
 		lx.hasPeek = false
 		return lx.peeked, nil
 	}
-	return lx.scan()
+	var t token
+	err := lx.scan(&t)
+	return t, err
 }
 
 // expect consumes the next token and fails unless it has the given kind.
@@ -213,137 +211,151 @@ func (lx *lexer) resetTo(pos int) {
 	lx.hasPeek = false
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
-}
+// Byte classes of identifiers. The lexer reads one byte at a time, and a
+// byte above 0x7f counts as the Latin-1 character of its value, so the
+// table holds unicode's verdict on every byte: an identifier starts with
+// a letter or '_' and goes on with letters, digits, '_', '-' and '.'.
+const (
+	identStart uint8 = 1 << iota
+	identPart
+)
 
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
-}
-
-// scan produces the next token from the input.
-func (lx *lexer) scan() (token, error) {
-	lx.skipSpace()
-	if lx.pos >= len(lx.input) {
-		return token{kind: tokEOF, pos: lx.pos}, nil
+var identClass = func() (t [256]uint8) {
+	for b := range t {
+		r := rune(b)
+		if unicode.IsLetter(r) || r == '_' {
+			t[b] |= identStart
+		}
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.' {
+			t[b] |= identPart
+		}
 	}
+	return t
+}()
+
+// identEnd returns the end of the identifier whose first byte is s[i].
+func identEnd(s string, i int) int {
+	for i++; i < len(s) && identClass[s[i]]&identPart != 0; i++ {
+	}
+	return i
+}
+
+// scan reads the next token from the input into t.
+func (lx *lexer) scan(t *token) error {
+	lx.skipSpace()
 	start := lx.pos
-	c := lx.input[lx.pos]
-	switch {
-	case c == '(':
-		lx.pos++
-		return token{tokLParen, "(", start}, nil
-	case c == ')':
-		lx.pos++
-		return token{tokRParen, ")", start}, nil
-	case c == '{':
-		lx.pos++
-		return token{tokLBrace, "{", start}, nil
-	case c == '}':
-		lx.pos++
-		return token{tokRBrace, "}", start}, nil
-	case c == ',':
-		lx.pos++
-		return token{tokComma, ",", start}, nil
-	case c == '/':
-		lx.pos++
-		return token{tokSlash, "/", start}, nil
-	case c == '=':
-		lx.pos++
-		return token{tokEQ, "=", start}, nil
-	case c == '!':
-		if lx.pos+1 < len(lx.input) && lx.input[lx.pos+1] == '=' {
-			lx.pos += 2
-			return token{tokNE, "!=", start}, nil
+	if start >= len(lx.input) {
+		*t = token{kind: tokEOF, pos: start}
+		return nil
+	}
+	c := lx.input[start]
+	// An identifier, the common token, first; a byte above 0x7f that
+	// starts one may instead start a curly quote.
+	if identClass[c]&identStart != 0 && (c < 0x80 || !strings.HasPrefix(lx.input[start:], "“")) {
+		lx.pos = identEnd(lx.input, start)
+		*t = token{tokIdent, lx.input[start:lx.pos], start}
+		return nil
+	}
+	kind, n := tokEOF, 1 // a one- or two-byte punctuator, unless kind stays EOF
+	next := byte(0)
+	if start+1 < len(lx.input) {
+		next = lx.input[start+1]
+	}
+	switch c {
+	case '(':
+		kind = tokLParen
+	case ')':
+		kind = tokRParen
+	case '{':
+		kind = tokLBrace
+	case '}':
+		kind = tokRBrace
+	case ',':
+		kind = tokComma
+	case '/':
+		kind = tokSlash
+	case '=':
+		kind = tokEQ
+	case '!':
+		if next != '=' {
+			return lx.errorf(start, "unexpected '!'")
 		}
-		return token{}, lx.errorf(start, "unexpected '!'")
-	case c == '<':
-		if lx.pos+1 < len(lx.input) {
-			switch lx.input[lx.pos+1] {
-			case '/':
-				lx.pos += 2
-				return token{tokLTSlash, "</", start}, nil
-			case '=':
-				lx.pos += 2
-				return token{tokLE, "<=", start}, nil
-			case '>':
-				lx.pos += 2
-				return token{tokNE, "<>", start}, nil
-			}
+		kind, n = tokNE, 2
+	case '<':
+		switch next {
+		case '/':
+			kind, n = tokLTSlash, 2
+		case '=':
+			kind, n = tokLE, 2
+		case '>':
+			kind, n = tokNE, 2
+		default:
+			kind = tokLT
 		}
-		lx.pos++
-		return token{tokLT, "<", start}, nil
-	case c == '>':
-		if lx.pos+1 < len(lx.input) && lx.input[lx.pos+1] == '=' {
-			lx.pos += 2
-			return token{tokGE, ">=", start}, nil
+	case '>':
+		if kind = tokGT; next == '=' {
+			kind, n = tokGE, 2
 		}
-		lx.pos++
-		return token{tokGT, ">", start}, nil
-	case c == '$':
-		lx.pos++
-		j := lx.pos
-		for j < len(lx.input) && isIdentPart(rune(lx.input[j])) {
+	case '$':
+		j := start + 1
+		for j < len(lx.input) && identClass[lx.input[j]]&identPart != 0 {
 			j++
 		}
-		if j == lx.pos {
-			return token{}, lx.errorf(start, "empty variable name after '$'")
+		if j == start+1 {
+			return lx.errorf(start, "empty variable name after '$'")
 		}
-		name := lx.input[lx.pos:j]
 		lx.pos = j
-		return token{tokVariable, name, start}, nil
-	case c == '"' || c == '\'':
-		quote := c
-		j := lx.pos + 1
-		for j < len(lx.input) && lx.input[j] != quote {
-			j++
-		}
-		if j >= len(lx.input) {
-			return token{}, lx.errorf(start, "unterminated string literal")
-		}
-		text := lx.input[lx.pos+1 : j]
-		lx.pos = j + 1
-		return token{tokString, text, start}, nil
-	case strings.HasPrefix(lx.input[lx.pos:], "“"): // left curly quote
-		j := lx.pos + len("“")
-		end := strings.Index(lx.input[j:], "”")
+		*t = token{tokVariable, lx.input[start+1 : j], start}
+		return nil
+	case '"', '\'':
+		end := strings.IndexByte(lx.input[start+1:], c)
 		if end < 0 {
-			return token{}, lx.errorf(start, "unterminated curly-quoted string")
+			return lx.errorf(start, "unterminated string literal")
 		}
-		text := lx.input[j : j+end]
-		lx.pos = j + end + len("”")
-		return token{tokString, text, start}, nil
-	case c >= '0' && c <= '9' || (c == '-' && lx.pos+1 < len(lx.input) && lx.input[lx.pos+1] >= '0' && lx.input[lx.pos+1] <= '9'):
-		j := lx.pos + 1
+		lx.pos = start + 1 + end + 1
+		*t = token{tokString, lx.input[start+1 : start+1+end], start}
+		return nil
+	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
+		if c == '-' && !isDigit(next) {
+			return lx.errorf(start, "unexpected character %q", string(rune(c)))
+		}
+		j := start + 1
 		seenDot := false
 		for j < len(lx.input) {
 			d := lx.input[j]
-			if d >= '0' && d <= '9' {
+			if isDigit(d) {
 				j++
 				continue
 			}
-			if d == '.' && !seenDot && j+1 < len(lx.input) && lx.input[j+1] >= '0' && lx.input[j+1] <= '9' {
+			if d == '.' && !seenDot && j+1 < len(lx.input) && isDigit(lx.input[j+1]) {
 				seenDot = true
 				j++
 				continue
 			}
 			break
 		}
-		text := lx.input[lx.pos:j]
 		lx.pos = j
-		return token{tokNumber, text, start}, nil
-	case isIdentStart(rune(c)):
-		j := lx.pos + 1
-		for j < len(lx.input) && isIdentPart(rune(lx.input[j])) {
-			j++
-		}
-		text := lx.input[lx.pos:j]
-		lx.pos = j
-		return token{tokIdent, text, start}, nil
+		*t = token{tokNumber, lx.input[start:j], start}
+		return nil
 	default:
-		return token{}, lx.errorf(start, "unexpected character %q", string(rune(c)))
+		if !strings.HasPrefix(lx.input[start:], "“") { // left curly quote
+			return lx.errorf(start, "unexpected character %q", string(rune(c)))
+		}
+		j := start + len("“")
+		end := strings.Index(lx.input[j:], "”")
+		if end < 0 {
+			return lx.errorf(start, "unterminated curly-quoted string")
+		}
+		lx.pos = j + end + len("”")
+		*t = token{tokString, lx.input[j : j+end], start}
+		return nil
 	}
+	lx.pos = start + n
+	*t = token{kind, lx.input[start : start+n], start}
+	return nil
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // rawXMLFragment extracts one balanced XML element starting at the next
 // non-space position (which must be '<'). It returns the raw fragment
