@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ufilterd -addr :8080 -views book,tpch
-//	ufilterd -addr 127.0.0.1:0 -views book,tpch:vbush,psd -queue 8
+//	ufilterd -addr 127.0.0.1:0 -views book,tpch:vbush,psd
 //	ufilterd -addr :8080 -views book -data-dir /var/lib/ufilterd
 //	ufilterd -config ufilterd.json
 //
@@ -75,7 +75,6 @@ func main() {
 	configPath := flag.String("config", "", "JSON config file (server.Config); replaces -views")
 	views := flag.String("views", "book,tpch", "comma-separated dataset specs to host: book, psd, tpch, tpch:<variant>")
 	var flags server.Config
-	flag.IntVar(&flags.ApplyQueueDepth, "queue", server.DefaultApplyQueueDepth, "default per-view apply admission queue depth")
 	flag.StringVar(&flags.DataDir, "data-dir", "", "directory for per-view write-ahead logs (empty runs in-memory)")
 	flag.IntVar(&flags.Shards, "shards", 0, "default per-view storage shard count (<=1 keeps the single-database path)")
 	flag.Int64Var(&flags.PageCacheBytes, "page-cache-bytes", 0, "per-view checkpoint-page buffer pool budget in bytes, split across shards (0 uses the engine default; needs -data-dir)")
@@ -130,11 +129,11 @@ func newLogger(jsonOut bool) *slog.Logger {
 }
 
 // loadConfig builds the server configuration from -config, or from the
-// -views spec list and -queue when no file is given, then lays the
+// -views spec list when no file is given, then lays the
 // storage flags over it. Both paths end here, so a page-cache budget
 // with no data dir to page is refused here, whichever set it.
 func loadConfig(path, viewSpecs string, flags server.Config) (*server.Config, error) {
-	cfg := &server.Config{ApplyQueueDepth: flags.ApplyQueueDepth}
+	cfg := &server.Config{}
 	if path != "" {
 		var err error
 		if cfg, err = server.LoadConfig(path); err != nil {
@@ -176,7 +175,6 @@ func loadConfig(path, viewSpecs string, flags server.Config) (*server.Config, er
 // serves it until SIGINT/SIGTERM, then drains gracefully.
 func runServer(cfg *server.Config, addr string, log *slog.Logger) error {
 	reg := server.NewRegistry()
-	reg.DefaultQueueDepth = cfg.ApplyQueueDepth
 	reg.DataDir = cfg.DataDir
 	reg.DefaultShards = cfg.Shards
 	reg.WALOptions.PageCacheBytes = cfg.PageCacheBytes

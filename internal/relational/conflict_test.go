@@ -295,39 +295,107 @@ func TestConcurrentContendedTxnsPreserveInvariant(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSharedFlush: CommitGroup publishes each transaction
-// atomically — a snapshot pinned mid-group sees none of it, one pinned
-// after sees all of it — and the group pays one flush.
+// TestGroupCommitSharedFlush: commits queued behind the WAL writer
+// stage share one fsync and count as one group; each publishes
+// atomically — a snapshot pinned while they wait sees none of them, and
+// every snapshot pinned while they publish sees each transaction whole
+// or not at all — and a double commit fails.
 func TestGroupCommitSharedFlush(t *testing.T) {
-	db, ids := newAcctDB(t, 3)
-
+	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	parents := func(rd Reader) (n int) {
+		rd.Scan("parent", func(*Row) bool { n++; return true })
+		return n
+	}
 	txns := make([]*Txn, 3)
 	for i := range txns {
-		txns[i] = db.Begin()
-		if err := txns[i].UpdateRow("acct", ids[i], map[string]Value{"val": Int_(int64(100 + i))}); err != nil {
+		txns[i] = parentTxn(t, db, int64(2*i), fmt.Sprint("first ", i))
+		if _, err := txns[i].Insert("parent", map[string]Value{"id": Int_(int64(2*i + 1)), "name": String_(fmt.Sprint("second ", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pre := db.Snapshot()
-	defer pre.Close()
+	var torn atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			snap := db.Snapshot()
+			if parents(snap)%2 != 0 {
+				torn.Add(1)
+			}
+			snap.Close()
+		}
+	}()
 	before := db.Stats()
-	if err := db.CommitGroup(txns...); err != nil {
-		t.Fatal(err)
+	errs := commitQueued(t, db.wal, func() {
+		mid := db.Snapshot()
+		defer mid.Close()
+		if n := parents(mid); n != 0 {
+			t.Errorf("a snapshot pinned while the commits wait sees %d rows, want 0", n)
+		}
+	}, txns...)
+	close(done)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("queued commit: %v", err)
+		}
 	}
 	st := db.Stats()
 	if groups, n := st.GroupCommits-before.GroupCommits, st.GroupedTxns-before.GroupedTxns; groups != 1 || n != 3 {
-		t.Fatalf("group of 3 counted as %d commit groups / %d txns, want 1 / 3", groups, n)
+		t.Fatalf("3 queued commits counted as %d commit groups / %d txns, want 1 / 3", groups, n)
 	}
-	if got := sumVals(t, pre); got != 30 {
-		t.Fatalf("pre-group snapshot sum = %d, want 30", got)
+	if got := st.Fsyncs - before.Fsyncs; got != 1 {
+		t.Fatalf("3 queued commits took %d fsyncs, want 1", got)
+	}
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d snapshots saw a transaction half published", n)
 	}
 	post := db.Snapshot()
 	defer post.Close()
-	if got := sumVals(t, post); got != 100+101+102 {
-		t.Fatalf("post-group snapshot sum = %d, want 303", got)
+	if n := parents(post); n != 6 {
+		t.Fatalf("post-commit snapshot sees %d rows, want 6", n)
 	}
-	// Double commit of a grouped transaction errors without side effects.
+	// Double commit of a published transaction errors without side effects.
 	if err := txns[0].Commit(); err == nil {
-		t.Fatal("double commit through a group should fail")
+		t.Fatal("double commit should fail")
+	}
+}
+
+// foreignTxn is a WriteTxn no Database began.
+type foreignTxn struct{ WriteTxn }
+
+// TestCommitSharedRefusesForeignMembers: CommitShared commits each
+// member through its own Commit, skips a nil slot, and refuses with an
+// error — without touching it — a WriteTxn of another type and a
+// transaction begun on another database, while its neighbours commit.
+func TestCommitSharedRefusesForeignMembers(t *testing.T) {
+	db, other := NewDatabase(walSchema(t)), NewDatabase(walSchema(t))
+	mine := parentTxn(t, db, 1, "mine")
+	theirs := parentTxn(t, other, 2, "theirs")
+	finished := parentTxn(t, db, 3, "finished")
+	if err := finished.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	errs := db.CommitShared([]WriteTxn{mine, foreignTxn{}, nil, theirs, finished})
+	for i, want := range []bool{false, true, false, true, true} {
+		if got := errs[i] != nil; got != want {
+			t.Errorf("member %d: error %v, want an error: %v", i, errs[i], want)
+		}
+	}
+	if n, seq := db.RowCount("parent"), db.Stats().CommitSeq; n != 2 || seq != 2 {
+		t.Errorf("database holds %d rows at commit_seq %d, want 2 and 2", n, seq)
+	}
+	if st := other.Stats(); st.TxnsActive != 1 || st.CommitSeq != 0 {
+		t.Fatalf("the other database's transaction was touched: %d open, commit_seq %d", st.TxnsActive, st.CommitSeq)
+	}
+	if err := theirs.Commit(); err != nil || other.RowCount("parent") != 1 {
+		t.Fatalf("the refused transaction commits on its own database: %v, %d rows", err, other.RowCount("parent"))
 	}
 }

@@ -219,7 +219,7 @@ type Database struct {
 	mu sync.RWMutex
 
 	// commitMu serializes the stamping phase of commits: assigning commit
-	// sequences, replacing claim stamps and enqueueing the group's record
+	// sequences, replacing claim stamps and enqueueing the commit's record
 	// to the WAL writer stage (so queue order is sequence order). It is
 	// never held during a transaction's reads, probes or row operations,
 	// nor across a commit's fsync. A commit across the members of one log
@@ -233,13 +233,13 @@ type Database struct {
 	commitSeq atomic.Uint64
 
 	// stampSeq is the last commit sequence ASSIGNED, always >= commitSeq.
-	// A group's sequences are assigned and its claim stamps replaced
-	// under commitMu (advancing stampSeq),
-	// while commitSeq — the visibility gate — advances only after the
-	// group's WAL record is fsynced, in strict group order. Between the
-	// two, the group's versions exist but are invisible (their begins
-	// exceed every reader's pinned sequence). Sequences of groups that
-	// fail after stamping are never reissued in-process: a harmless gap.
+	// A commit's sequence is assigned and its claim stamps replaced under
+	// commitMu (advancing stampSeq), while commitSeq — the visibility
+	// gate — advances only after the commit's WAL record is fsynced, in
+	// strict queue order. Between the two, the commit's versions exist
+	// but are invisible (their begins exceed every reader's pinned
+	// sequence). Sequences of commits that fail after stamping are never
+	// reissued in-process: a harmless gap.
 	stampSeq atomic.Uint64
 
 	// nextTxnID allocates transaction ids (claims embed them).
@@ -263,8 +263,7 @@ type Database struct {
 	txnsActive        atomic.Int64
 	txnsStarted       atomic.Int64
 	conflicts         atomic.Int64
-	groupCommits      atomic.Int64
-	groupedTxns       atomic.Int64
+	groupCommits      atomic.Int64 // in-memory commits: each a group of one
 
 	// versionsSinceReclaim counts versions created or killed since the
 	// last reclaim; commits piggyback a reclaim pass when it overflows.
@@ -277,9 +276,9 @@ type Database struct {
 	// wal is the durable write-ahead log, attached by OpenWAL or OpenLog
 	// (possibly shared with other members, this one's sub-records tagged
 	// member); nil keeps the engine fully in-memory (commits then publish
-	// inline under the commit latch). When set, every commit group's
-	// record is written and fsynced by the WAL writer stage before the
-	// group publishes, pager holds the database's own page store, and
+	// inline under the commit latch). When set, every commit's record
+	// is written and fsynced by the WAL writer stage before the commit
+	// publishes, pager holds the database's own page store, and
 	// walRecoveredTxns remembers how many committed transactions the
 	// attach-time recovery replayed.
 	wal              *WAL
@@ -349,9 +348,9 @@ type DBStats struct {
 	Conflicts   int64  `json:"conflicts" stat:"txn_conflicts_total,counter,sum,shard" help:"Write-write conflicts detected by the engine (first-updater-wins losers)."`
 	// GroupCommits: with a WAL, one per writer-stage batch that was
 	// fsynced (every commit that queued behind the previous fsync shares
-	// it); without one, one per CommitGroup call. GroupedTxns/GroupCommits
-	// is the mean commit-coalescing factor.
-	GroupCommits         int64 `json:"group_commits" stat:"group_commits_total,counter,sum" help:"Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on)."`
+	// it); in memory, one per commit, a group of one transaction.
+	// GroupedTxns/GroupCommits is the mean commit-coalescing factor.
+	GroupCommits         int64 `json:"group_commits" stat:"group_commits_total,counter,sum" help:"Commit groups published, one flush each (with a WAL: one per fsynced writer-stage batch, whichever shards its records commit on; in memory: one per commit)."`
 	GroupedTxns          int64 `json:"grouped_txns" stat:"grouped_txns_total,counter,sum" help:"Transactions committed through commit groups (a cross-shard transaction counts once)."`
 	WALSegments          int64 `json:"wal_segments" stat:"wal_segments,gauge,sum" help:"Durable WAL segment files currently live (0 without -data-dir)."`
 	WALBytes             int64 `json:"wal_bytes" stat:"wal_bytes_total,counter,sum" help:"Bytes appended to the view's durable WAL segments."`
@@ -388,7 +387,7 @@ func (db *Database) Stats() DBStats {
 		TxnsStarted:        db.txnsStarted.Load(),
 		Conflicts:          db.conflicts.Load(),
 		GroupCommits:       db.groupCommits.Load(),
-		GroupedTxns:        db.groupedTxns.Load(),
+		GroupedTxns:        db.groupCommits.Load(),
 	}
 	w := db.wal
 	if w == nil {

@@ -1,6 +1,10 @@
 package relational
 
-import "time"
+import (
+	"errors"
+	"fmt"
+	"time"
+)
 
 // WriteTxn is the transactional write surface the upper layers (sqlexec
 // DML, the plan layer's apply pipeline) drive. *Txn implements it for a
@@ -61,12 +65,12 @@ type Engine interface {
 	BeginTxn() WriteTxn
 	// OpenSnapshot pins a consistent point-in-time read view.
 	OpenSnapshot() Snap
-	// CommitShared commits a batch of transactions, returning one error
-	// slot per member (nil = committed); members may succeed and fail
-	// independently when they land on different shards. The apply path
-	// does not use it — it calls WriteTxn.Commit and lets the WAL writer
-	// stage share flushes; it remains for callers holding several
-	// finished transactions at once.
+	// CommitShared commits each of a batch of transactions through its
+	// own Commit, returning one error slot per member (nil = committed):
+	// members succeed and fail independently. It shares no more than
+	// separate Commit calls do — flushes are shared by the WAL writer
+	// stage — and remains for callers holding several transactions at
+	// once.
 	CommitShared(txns []WriteTxn) []error
 	// Stats folds every statistic (see obs.FoldStats); ShardStats reports
 	// one rollup per storage shard (one for a plain Database).
@@ -88,22 +92,26 @@ func (db *Database) BeginTxn() WriteTxn { return db.Begin() }
 // OpenSnapshot pins a snapshot, typed as the Snap interface.
 func (db *Database) OpenSnapshot() Snap { return db.Snapshot() }
 
-// CommitShared publishes the batch as one commit group (CommitGroup);
-// every member shares the group's fate, so the single error is
-// broadcast to all slots.
+// CommitShared commits each member through its own Commit, in order,
+// and returns one error slot per member: members succeed and fail
+// independently, a nil member is skipped, and a transaction this
+// database did not begin is refused without touching it.
 func (db *Database) CommitShared(txns []WriteTxn) []error {
-	live := make([]*Txn, len(txns))
-	for i, t := range txns {
-		if t != nil {
-			live[i] = t.(*Txn)
+	errs := make([]error, len(txns))
+	for i, wt := range txns {
+		switch t := wt.(type) {
+		case nil:
+		case *Txn:
+			if t.db != db {
+				errs[i] = errors.New("relational: CommitShared: transaction of another database")
+				continue
+			}
+			errs[i] = t.Commit()
+		default:
+			errs[i] = fmt.Errorf("relational: CommitShared: foreign transaction type %T", wt)
 		}
 	}
-	err := db.CommitGroup(live...)
-	out := make([]error, len(txns))
-	for i := range out {
-		out[i] = err
-	}
-	return out
+	return errs
 }
 
 // ShardStats reports the database as shard 0 of 1.

@@ -38,13 +38,13 @@ var (
 	// losing transaction should roll back and retry; the plan layer
 	// does so with capped backoff.
 	ErrWriteConflict = errors.New("write-write conflict")
-	// ErrWALFailed signals that a commit group's write-ahead log append
-	// or fsync failed: none of the group's transactions committed (they
-	// are rolled back wholesale, so no acknowledged-but-not-durable state
-	// can exist), and EVERY member of the group — leader and followers
-	// alike — receives this error. It is not a conflict: retrying without
-	// fixing the underlying I/O problem will fail again, so the plan
-	// layer surfaces it instead of retrying.
+	// ErrWALFailed signals that a commit's write-ahead log append or
+	// fsync failed: the transaction did not commit, and neither did any
+	// other whose record shared the failed flush (each is rolled back,
+	// so no acknowledged-but-not-durable state can exist, and each
+	// committer receives this error). It is not a conflict: retrying
+	// without fixing the underlying I/O problem will fail again, so the
+	// plan layer surfaces it instead of retrying.
 	ErrWALFailed = errors.New("write-ahead log write failed")
 	// ErrDataDirFormat signals a data directory stamped with another
 	// on-disk format number than this binary's, or holding files and no

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/pagestore"
 )
@@ -132,41 +131,13 @@ func TestPipelinePublishOrderInvariant(t *testing.T) {
 func TestWriterStageCoalescesQueuedCommits(t *testing.T) {
 	const commits = 8
 	db, _ := openWALDB(t, t.TempDir(), WALOptions{})
-	b := &walBarrier{ready: make(chan struct{}), resume: make(chan struct{})}
-	var release sync.Once
-	resume := func() { release.Do(func() { close(b.resume) }) }
-	defer resume() // a parked writer would hang the CloseWAL cleanup
-	db.commitMu.Lock()
-	db.wal.pipe <- &walReq{barrier: b}
-	db.commitMu.Unlock()
-	<-b.ready
+	txns := make([]*Txn, commits)
+	for i := range txns {
+		txns[i] = parentTxn(t, db, int64(i+1), fmt.Sprintf("queued-%d", i+1))
+	}
 	before := db.Stats()
-
-	errs := make(chan error, commits)
-	for i := int64(1); i <= commits; i++ {
-		go func(id int64) {
-			txn := db.Begin()
-			_, err := txn.Insert("parent", map[string]Value{"id": Int_(id), "name": String_(fmt.Sprintf("queued-%d", id))})
-			if err == nil {
-				err = txn.Commit()
-			}
-			errs <- err
-		}(i)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for db.Stats().WALPipelineDepth != commits {
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline depth = %d, want %d queued commits", db.Stats().WALPipelineDepth, commits)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Depth is bumped just before the send, both under commitMu: taking
-	// the latch once more means the last request is in the queue.
-	db.commitMu.Lock()
-	db.commitMu.Unlock()
-	resume()
-	for i := 0; i < commits; i++ {
-		if err := <-errs; err != nil {
+	for _, err := range commitQueued(t, db.wal, nil, txns...) {
+		if err != nil {
 			t.Fatalf("queued commit: %v", err)
 		}
 	}

@@ -69,6 +69,31 @@ func awaitQueued(t testing.TB, w *WAL, depth int64) {
 	w.lockMembers()()
 }
 
+// commitQueued commits each transaction from its own goroutine behind a
+// parked writer, runs queued (when not nil) once every commit waits in
+// the queue, then lets the writer go, so the commits share its next
+// batch and fsync. It returns each Commit's error, in txns order.
+func commitQueued(t testing.TB, w *WAL, queued func(), txns ...*Txn) []error {
+	t.Helper()
+	resume := parkWriter(t, w)
+	errs := make([]error, len(txns))
+	var wg sync.WaitGroup
+	for i, txn := range txns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = txn.Commit()
+		}()
+	}
+	awaitQueued(t, w, int64(len(txns)))
+	if queued != nil {
+		queued()
+	}
+	resume()
+	wg.Wait()
+	return errs
+}
+
 // TestPrepareAppendsWithoutFlush pins what a commit across members
 // costs on one log: a 4-member transaction appends ONE record — its four
 // sub-records, member by member — and issues ONE fsync, counts as one

@@ -73,9 +73,10 @@ func TestSavepointRollbackTo(t *testing.T) {
 	}
 }
 
-// TestOneGroupPerCommit: without a WAL every CommitGroup call is one
-// commit group, so one transaction covering N statements counts once —
-// the group-commit accounting Stats exposes.
+// TestOneGroupPerCommit: without a WAL every commit is one commit group,
+// so one transaction covering N statements counts once; with one, the
+// commits queued behind one fsync count once together — the
+// group-commit accounting Stats exposes.
 func TestOneGroupPerCommit(t *testing.T) {
 	db := savepointTestDB(t)
 	groups := func() int64 { return db.Stats().GroupCommits }
@@ -106,18 +107,16 @@ func TestOneGroupPerCommit(t *testing.T) {
 	if got := groups() - base; got != 6 {
 		t.Errorf("groups = %d, want 6", got)
 	}
-	// A commit group publishing N transactions still counts once.
-	t1, t2, t3 := db.Begin(), db.Begin(), db.Begin()
-	for i, tx := range []*Txn{t1, t2, t3} {
-		if _, err := tx.Insert("item", map[string]Value{"id": Int_(int64(40 + i)), "name": String_("g")}); err != nil {
+	// Three commits queued behind one fsync of a log count once.
+	wdb, _ := openWALDB(t, t.TempDir(), WALOptions{})
+	wbase := wdb.Stats().GroupCommits
+	for _, err := range commitQueued(t, wdb.wal, nil, parentTxn(t, wdb, 40, "g0"), parentTxn(t, wdb, 41, "g1"), parentTxn(t, wdb, 42, "g2")) {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.CommitGroup(t1, t2, t3); err != nil {
-		t.Fatal(err)
-	}
-	if got := groups() - base; got != 7 {
-		t.Errorf("groups after a 3-txn commit group = %d, want 7", got)
+	if got := wdb.Stats().GroupCommits - wbase; got != 1 {
+		t.Errorf("groups after 3 queued commits = %d, want 1", got)
 	}
 	// Rollback publishes nothing.
 	txn = db.Begin()
@@ -127,7 +126,7 @@ func TestOneGroupPerCommit(t *testing.T) {
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if got := groups() - base; got != 7 {
-		t.Errorf("rollback counted a group: %d, want 7", got)
+	if got := groups() - base; got != 6 {
+		t.Errorf("rollback counted a group: %d, want 6", got)
 	}
 }

@@ -159,7 +159,7 @@ func (db *Database) oldestVisibleSeq() uint64 {
 }
 
 // reclaimThreshold is how many versions may accumulate before a commit
-// piggybacks an inline reclaim pass (see CommitGroup).
+// piggybacks an inline reclaim pass (see commitMaintenance).
 const reclaimThreshold = 4096
 
 // Reclaim frees row versions that no pinned snapshot (and no future

@@ -53,7 +53,7 @@ type Txn struct {
 	reader
 	id      uint64 // stamps claims; txnMark(id) in begin/end fields
 	readSeq uint64 // commit sequence pinned at Begin
-	seq     uint64 // commit sequence assigned by CommitGroup, pre-publish
+	seq     uint64 // commit sequence assigned at stamp time, pre-publish
 	log     []undoEntry
 	done    bool
 }
@@ -154,62 +154,33 @@ func errTxnFinished() error {
 // Commit finishes the transaction: the undo log becomes the publish
 // list, the commit record becomes durable, and the commit sequence
 // advances, making every version the transaction created visible to
-// subsequent snapshots atomically. Equivalent to db.CommitGroup(t).
-// Concurrent committers share fsyncs without cooperating: the WAL writer
-// stage flushes whatever queued behind the previous fsync as one batch.
-func (t *Txn) Commit() error {
-	return t.db.CommitGroup(t)
-}
-
-// CommitGroup publishes any number of transactions under one commit
-// latch acquisition and one log record. Each transaction's effects
-// still become visible atomically (the commit sequence advances once,
-// after all stamps of the group are placed), and each transaction is
-// all-or-nothing. A transaction that already finished contributes an
-// error without disturbing its group siblings.
+// subsequent snapshots atomically.
 //
 // With a durable WAL attached the commit latch covers only sequence
 // assignment and stamping: the encoded record is handed to the WAL
-// writer stage and the latch releases, so the next group validates and
-// stamps while this group's fsync is in flight. Nothing becomes visible
-// (let alone acknowledged) until it would survive a crash — the writer
-// advances commitSeq strictly in group order, only after each group's
-// record is durable. If the append or fsync fails, the entire group
-// rolls back and every member receives an error wrapping ErrWALFailed.
-//
-// Without a WAL there is nothing to wait for: the group publishes
-// inline under the latch.
-func (db *Database) CommitGroup(txns ...*Txn) error {
-	var firstErr error
+// writer stage and the latch releases, so the next commit stamps while
+// this one's fsync is in flight. Concurrent committers share fsyncs
+// without cooperating: the stage flushes whatever queued behind the
+// previous fsync as one batch. Nothing becomes visible (let alone
+// acknowledged) until it would survive a crash — the writer advances
+// commitSeq strictly in queue order, only after each record is durable.
+// If the append or fsync fails, the transaction rolls back and the
+// error wraps ErrWALFailed. Without a WAL there is nothing to wait for:
+// the transaction publishes inline under the latch.
+func (t *Txn) Commit() error {
+	if t.done {
+		// Only the owning goroutine finishes a Txn, so this check needs
+		// no latch.
+		return errTxnFinished()
+	}
 	req := &walReq{}
-	live := req.txn[:0]
-	if len(txns) > 1 {
-		live = make([]*Txn, 0, len(txns))
-	}
-	for _, t := range txns {
-		if t == nil {
-			continue
-		}
-		if t.done {
-			// Only the owning goroutine finishes a Txn, so this check
-			// needs no latch (the same reason Commit/Rollback don't).
-			if firstErr == nil {
-				firstErr = errTxnFinished()
-			}
-			continue
-		}
-		live = append(live, t)
-	}
-	if len(live) == 0 {
-		return firstErr
-	}
-	req.one[0] = walPart{db: db, live: live}
+	req.one[0] = walPart{txn: t}
 	req.parts = req.one[:]
 	if err := req.commit(); err != nil {
 		return err
 	}
-	db.commitMaintenance()
-	return firstErr
+	t.db.commitMaintenance()
+	return nil
 }
 
 // CommitAcross commits ONE transaction made of parts on distinct
@@ -231,7 +202,7 @@ func CommitAcross(vec sync.Locker, parts []*Txn) error {
 	}
 	req := &walReq{parts: make([]walPart, len(parts)), vec: vec}
 	for i, t := range parts {
-		req.parts[i] = walPart{db: t.db, live: parts[i : i+1]}
+		req.parts[i] = walPart{txn: t}
 	}
 	if err := req.commit(); err != nil {
 		return err
@@ -249,27 +220,20 @@ func CommitAcross(vec sync.Locker, parts []*Txn) error {
 // latches, only the sequences spliced in by the writer. On error the
 // record has been undone and the error wraps ErrWALFailed.
 func (req *walReq) commit() error {
-	w := req.parts[0].db.wal
+	w := req.parts[0].txn.db.wal
 	if w != nil {
 		for i := range req.parts {
-			p := &req.parts[i]
-			p.bodies = req.body[:]
-			if len(req.parts) > 1 || len(p.live) > 1 {
-				p.bodies = make([][]byte, len(p.live))
-			}
-			for j, t := range p.live {
-				p.bodies[j] = appendTxnOpsBody(nil, t)
-			}
+			req.parts[i].body = appendTxnOpsBody(nil, req.parts[i].txn)
 		}
 	}
 	for i := range req.parts {
-		p := &req.parts[i]
-		p.db.commitMu.Lock()
-		p.seq = p.db.stampLocked(p.live)
+		t := req.parts[i].txn
+		t.db.commitMu.Lock()
+		t.db.stampLocked(t)
 	}
 	unlock := func() {
 		for i := range req.parts {
-			req.parts[i].db.commitMu.Unlock()
+			req.parts[i].txn.db.commitMu.Unlock()
 		}
 	}
 	if w == nil {
@@ -279,11 +243,9 @@ func (req *walReq) commit() error {
 		// (their begins exceed its sequence), one pinned after sees every
 		// committed transaction whole.
 		req.publish()
-		for i := range req.parts {
-			p := &req.parts[i]
-			p.db.groupCommits.Add(1)
-			p.db.groupedTxns.Add(int64(len(p.live)))
-		}
+		// One group per commit, counted on its first member, so a shard
+		// group's rollup counts a transaction across members once.
+		req.parts[0].txn.db.groupCommits.Add(1)
 		unlock()
 		req.finish()
 		return nil
@@ -302,31 +264,22 @@ func (req *walReq) commit() error {
 	return <-req.done
 }
 
-// stampLocked assigns the group's commit sequences, replaces every
-// claim stamp and marks the written rows dirty, returning the last
-// sequence. The stamps stay invisible until commitSeq advances past
-// them. Caller holds commitMu.
-func (db *Database) stampLocked(live []*Txn) uint64 {
-	seq := db.stampSeq.Load()
-	for _, t := range live {
-		t.done = true
-		seq++
-		t.seq = seq
-		t.publish(seq)
-	}
-	db.stampSeq.Store(seq)
-	db.markDirtyGroupLocked(live)
-	return seq
+// stampLocked assigns t the next commit sequence, replaces every claim
+// stamp it placed and marks the rows it wrote dirty. The stamps stay
+// invisible until commitSeq advances past them. Caller holds commitMu.
+func (db *Database) stampLocked(t *Txn) {
+	t.done = true
+	t.seq = db.stampSeq.Add(1)
+	t.publish(t.seq)
+	db.markDirtyLocked(t)
 }
 
-// finish releases every published part's transactions.
+// finish releases every published part's transaction.
 func (req *walReq) finish() {
 	for i := range req.parts {
-		p := &req.parts[i]
-		for _, t := range p.live {
-			t.log = nil
-			p.db.forget(t)
-		}
+		t := req.parts[i].txn
+		t.log = nil
+		t.db.forget(t)
 	}
 }
 
@@ -335,12 +288,10 @@ func (req *walReq) finish() {
 // the opposite order) and releases the transactions.
 func (req *walReq) undo() {
 	for i := range req.parts {
-		p := &req.parts[i]
-		p.db.mu.Lock()
-		for _, t := range p.live {
-			_ = t.undoFromLocked(0)
-		}
-		p.db.mu.Unlock()
+		t := req.parts[i].txn
+		t.db.mu.Lock()
+		_ = t.undoFromLocked(0)
+		t.db.mu.Unlock()
 	}
 	req.finish()
 }

@@ -8,16 +8,16 @@
 //
 // The engine runs in-memory by default. OpenWAL attaches a durable
 // write-ahead log, and with it the engine makes this durability
-// contract: a transaction whose Commit (or CommitGroup) returns nil has
-// been appended to the log and fsynced BEFORE it became visible to any
-// snapshot reader, so after a crash at any instant — process kill
-// included — reopening the directory restores exactly the committed
-// transactions: every acknowledged one, no torn one, all constraints
-// intact. When the log cannot be made durable (append or fsync
-// failure), the whole commit group rolls back unpublished and every
-// member returns an error wrapping ErrWALFailed. Checkpoints bound log
-// size and recovery time; recovery truncates torn tails and stops at
-// the first corrupt frame. Every file operation goes through one seam
+// contract: a transaction whose Commit returns nil has been appended to
+// the log and fsynced BEFORE it became visible to any snapshot reader,
+// so after a crash at any instant — process kill included — reopening
+// the directory restores exactly the committed transactions: every
+// acknowledged one, no torn one, all constraints intact. When the log
+// cannot be made durable (append or fsync failure), every commit that
+// shared the failed flush rolls back unpublished and returns an error
+// wrapping ErrWALFailed. Checkpoints bound log size and recovery time;
+// recovery truncates torn tails and stops at the first corrupt frame.
+// Every file operation goes through one seam
 // (FileSystem, a pagestore.FS). The internal/walcrash harness proves the
 // contract through it: it reopens every state a power cut could leave
 // at any file operation of a recorded run (TestCrashStates) and diffs

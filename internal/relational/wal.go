@@ -20,8 +20,8 @@ import (
 	"repro/internal/pagestore"
 )
 
-// The write-ahead log makes commits durable: commit groups are encoded
-// into length+CRC32-framed records, appended to an append-only segment
+// The write-ahead log makes commits durable: each commit is encoded into
+// one length+CRC32-framed record, appended to an append-only segment
 // file by the writer stage (walpipeline.go) and fsynced ONCE per drained
 // batch — the one place commits share a flush — before any of the
 // batch's version stamps become visible. A process that dies at any
@@ -92,7 +92,7 @@ const (
 // Record payload type tags.
 const (
 	walTagMember = 'S' // a record: one (member, 'G' payload) sub-record per member
-	walTagGroup  = 'G' // one member's commit group: N transactions' redo
+	walTagGroup  = 'G' // one member's redo: a transaction count, then the transactions
 )
 
 // Row-operation tags inside a group record.
@@ -405,8 +405,8 @@ type walSub struct {
 // row address, and execution order is kept so replay reproduces
 // intra-transaction sequencing (insert→update→delete of the same row)
 // exactly. Commits call this BEFORE taking the commit latch so the
-// latch covers only validation and stamping; assembleGroupPayload
-// splices the sequences in afterwards. b grows once, by the body's
+// latch covers only validation and stamping; encodeRecord splices the
+// sequence in afterwards. b grows once, by the body's
 // exact size (txnOpsBodyLen): a load batch's body is ≈ 0.5 MB.
 func appendTxnOpsBody(b []byte, t *Txn) []byte {
 	b = slices.Grow(b, txnOpsBodyLen(t))
@@ -445,20 +445,6 @@ func txnOpsBodyLen(t *Txn) int {
 	return n
 }
 
-// assembleGroupPayload appends a 'G' group payload built from
-// pre-encoded per-txn bodies plus the sequences stamped under the latch.
-// The output is byte-identical to the tests' reference encoder on the
-// same group.
-func assembleGroupPayload(out []byte, live []*Txn, bodies [][]byte) []byte {
-	out = append(out, walTagGroup)
-	out = binary.AppendUvarint(out, uint64(len(live)))
-	for i, t := range live {
-		out = binary.AppendUvarint(out, t.seq)
-		out = append(out, bodies[i]...)
-	}
-	return out
-}
-
 // uvarintLen is the encoded length of v.
 func uvarintLen(v uint64) int {
 	var b [binary.MaxVarintLen64]byte
@@ -470,18 +456,19 @@ func uvarintLen(v uint64) int {
 //	'S', uvarint parts, parts × (uvarint member, uvarint len, 'G' payload)
 //
 // — reserved header, payload assembled in place, header backfilled.
+// Each part's 'G' payload holds its one transaction: a count of 1, the
+// sequence stamped under the latch, then the body encoded before it.
+// The output is byte-identical to the tests' reference encoder.
 func encodeRecord(buf []byte, req *walReq) []byte {
 	frame := append(beginFrame(buf), walTagMember)
 	frame = binary.AppendUvarint(frame, uint64(len(req.parts)))
 	for i := range req.parts {
 		p := &req.parts[i]
-		n := 1 + uvarintLen(uint64(len(p.live)))
-		for j, t := range p.live {
-			n += uvarintLen(t.seq) + len(p.bodies[j])
-		}
-		frame = binary.AppendUvarint(frame, uint64(p.db.member))
-		frame = binary.AppendUvarint(frame, uint64(n))
-		frame = assembleGroupPayload(frame, p.live, p.bodies)
+		frame = binary.AppendUvarint(frame, uint64(p.txn.db.member))
+		frame = binary.AppendUvarint(frame, uint64(2+uvarintLen(p.txn.seq)+len(p.body)))
+		frame = append(frame, walTagGroup, 1)
+		frame = binary.AppendUvarint(frame, p.txn.seq)
+		frame = append(frame, p.body...)
 	}
 	finishFrame(frame)
 	return frame
@@ -525,7 +512,8 @@ func decodeRecord(b []byte, subs []walSub) ([]walSub, error) {
 }
 
 // decodeGroupPayload parses one 'G' group payload. It is total, like
-// decodeRecord.
+// decodeRecord. The commit path writes one transaction per payload, but
+// a log written before it may hold several; they replay in order.
 func decodeGroupPayload(b []byte) ([]walTxn, error) {
 	if len(b) < 1 || b[0] != walTagGroup {
 		return nil, errWALCorrupt

@@ -525,6 +525,70 @@ func TestWALCorruptCRCStopsReplay(t *testing.T) {
 	}
 }
 
+// TestWALReplaysMultiTxnGroup: the commit path writes one transaction
+// per 'G' payload, but a format-2 log written before it may hold a
+// payload of several. Such a record — two transactions the reference
+// encoder packs into one member's payload, appended after the log's
+// last record — replays both, in order, as committing them one by one
+// leaves the rows, and the log goes on past it across another reopen.
+func TestWALReplaysMultiTxnGroup(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openWALDB(t, dir, WALOptions{})
+	ref := NewDatabase(walSchema(t)) // commits the same transactions in memory
+	for _, d := range []*Database{db, ref} {
+		mustInsertParent(t, d, 1, "base")
+	}
+	seq := db.commitSeq.Load()
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	t1, t2 := parentTxn(t, ref, 2, "g1"), parentTxn(t, ref, 3, "g2")
+	if err := t2.UpdateRow("parent", 1, map[string]Value{"name": String_("base-2")}); err != nil {
+		t.Fatal(err)
+	}
+	t1.seq, t2.seq = seq+1, seq+2
+	frame := frameRecord(encodeRecordPayload([]walSub{{member: 0, txns: walTxnsOf(t1, t2)}}))
+	for _, txn := range []*Txn{t1, t2} {
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, _, _, end := lastFrame(t, dir)
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt(frame, end)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db2, info := openWALDB(t, dir, WALOptions{})
+	if info.ReplayedTxns != 3 || info.TornTail {
+		t.Fatalf("replayed %d transactions (torn tail %v), want the base insert and the record's two", info.ReplayedTxns, info.TornTail)
+	}
+	if got := db2.commitSeq.Load(); got != seq+2 {
+		t.Fatalf("commit_seq = %d after replay, want %d", got, seq+2)
+	}
+	want := dumpDB(t, ref)
+	if got := dumpDB(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed state:\n got %v\nwant %v", got, want)
+	}
+	mustInsertParent(t, db2, 4, "after")
+	want = dumpDB(t, db2)
+	if err := db2.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db3, _ := openWALDB(t, dir, WALOptions{})
+	if got := dumpDB(t, db3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second recovery:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestWALCorruptionMidChainStopsThere(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openWALDB(t, dir, WALOptions{})
@@ -604,6 +668,11 @@ func TestWALCorruptionMidChainStopsThere(t *testing.T) {
 	}
 }
 
+// TestWALFsyncErrorFailsWholeGroup: two commits queued behind a parked
+// writer share one fsync; when it fails, it fails BOTH (the regression
+// this guards: a flush with no error to surface, so a member could be
+// acknowledged without durability), neither becomes visible, and
+// recovery matches what survived.
 func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
 	faults := injectFaults(t)
 	dir := t.TempDir()
@@ -611,21 +680,11 @@ func TestWALFsyncErrorFailsWholeGroup(t *testing.T) {
 	mustInsertParent(t, db, 1, "base")
 
 	arm(t, faults, "sync:segment=error")
-
-	// Two transactions committed as one group: the fsync failure must
-	// fail BOTH (the regression this guards: a flush with no error to
-	// surface, so a member could be acknowledged without durability).
-	t1 := db.Begin()
-	if _, err := t1.Insert("parent", map[string]Value{"id": Int_(2), "name": String_("g1")}); err != nil {
-		t.Fatal(err)
-	}
-	t2 := db.Begin()
-	if _, err := t2.Insert("parent", map[string]Value{"id": Int_(3), "name": String_("g2")}); err != nil {
-		t.Fatal(err)
-	}
-	err := db.CommitGroup(t1, t2)
-	if !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("CommitGroup error = %v, want ErrWALFailed", err)
+	t1, t2 := parentTxn(t, db, 2, "g1"), parentTxn(t, db, 3, "g2")
+	for _, err := range commitQueued(t, db.wal, nil, t1, t2) {
+		if !errors.Is(err, ErrWALFailed) {
+			t.Fatalf("commit sharing the failed fsync: %v, want ErrWALFailed", err)
+		}
 	}
 	// Neither transaction's effects are visible, both are finished.
 	if n := db.RowCount("parent"); n != 1 {
@@ -830,6 +889,15 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(encodeRecordPayload([]walSub{{member: 1, txns: []walTxn{{seq: 5, ops: []walOp{
 		{kind: walOpInsert, table: "parent", id: 2, payload: encodeRowPayload(nil, []Value{Int_(2), Null()})},
 	}}}}}))
+	// No commit writes a payload of several transactions any more; a log
+	// written before may hold one, so the decoder keeps reading them.
+	f.Add(encodeRecordPayload([]walSub{{member: 0, txns: []walTxn{
+		{seq: 2, ops: []walOp{{kind: walOpInsert, table: "parent", id: 2, payload: encodeRowPayload(nil, []Value{Int_(2), String_("g1")})}}},
+		{seq: 3, ops: []walOp{
+			{kind: walOpUpdate, table: "parent", id: 2, payload: encodeRowPayload(nil, []Value{Int_(2), String_("g2")})},
+			{kind: walOpDelete, table: "parent", id: 1},
+		}},
+	}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		subs, err := decodeRecord(data, nil)
 		if err != nil {

@@ -9,24 +9,21 @@ package relational
 // Recovery maps the page directory, then replays the WAL tail as
 // before.
 
-// markDirtyGroupLocked records every row the group's transactions wrote
-// into their tables' dirty sets. Called under commitMu at stamp time —
-// after this group's sequences are assigned, before any checkpoint can
-// swap the sets — so a row written by ANY transaction that commits
-// after checkpoint C is guaranteed to be in the set checkpoint C+1
-// swaps out. Marks from a group that subsequently rolls back are
-// harmless: the checkpoint packs the committed image (or tombstone) the
-// snapshot resolves, not the undone write.
-func (db *Database) markDirtyGroupLocked(live []*Txn) {
+// markDirtyLocked records every row t wrote into its table's dirty set.
+// Called under commitMu at stamp time — after t's sequence is assigned,
+// before any checkpoint can swap the sets — so a row written by ANY
+// transaction that commits after checkpoint C is guaranteed to be in the
+// set checkpoint C+1 swaps out. Marks from a commit that subsequently
+// rolls back are harmless: the checkpoint packs the committed image (or
+// tombstone) the snapshot resolves, not the undone write.
+func (db *Database) markDirtyLocked(t *Txn) {
 	if db.wal == nil {
 		return
 	}
-	for _, t := range live {
-		for i := range t.log {
-			en := &t.log[i]
-			if td, err := db.tableData(en.table); err == nil {
-				td.markDirtyRow(en.id)
-			}
+	for i := range t.log {
+		en := &t.log[i]
+		if td, err := db.tableData(en.table); err == nil {
+			td.markDirtyRow(en.id)
 		}
 	}
 }

@@ -5,15 +5,20 @@ import (
 	"testing"
 )
 
-// stampedGroup builds a two-transaction group over the WAL test schema
-// — an insert, an update, a cascading delete — and assigns sequences
-// the way stampGroup would, without committing anything.
-func stampedGroup(t testing.TB) []*Txn {
+// stampedTxns builds two transactions over the WAL test schema — an
+// insert and an update on member 0, a cascading delete on member 2 —
+// and assigns sequences the way a commit's stamp would, without
+// committing anything.
+func stampedTxns(t testing.TB) []*Txn {
 	t.Helper()
-	db := NewDatabase(walSchema(t))
-	mustInsertParent(t, db, 1, "base")
-	mustInsertChild(t, db, 9, 1, "c")
-	a, b := db.Begin(), db.Begin()
+	var dbs [2]*Database
+	for i := range dbs {
+		dbs[i] = NewDatabase(walSchema(t))
+		mustInsertParent(t, dbs[i], 1, "base")
+		mustInsertChild(t, dbs[i], 9, 1, "c")
+	}
+	dbs[1].member = 2
+	a, b := dbs[0].Begin(), dbs[1].Begin()
 	id, err := a.Insert("parent", map[string]Value{"id": Int_(7), "name": String_("alloc-check")})
 	if err != nil {
 		t.Fatal(err)
@@ -33,28 +38,20 @@ func stampedGroup(t testing.TB) []*Txn {
 	return []*Txn{a, b}
 }
 
-func txnBodies(live []*Txn) [][]byte {
-	bodies := make([][]byte, len(live))
-	for i, t := range live {
-		bodies[i] = appendTxnOpsBody(nil, t)
+// record is the writer-stage request committing txns, one part each.
+func record(txns ...*Txn) *walReq {
+	req := &walReq{parts: make([]walPart, len(txns))}
+	for i, t := range txns {
+		req.parts[i] = walPart{txn: t, body: appendTxnOpsBody(nil, t)}
 	}
-	return bodies
-}
-
-// oneMemberRecord is the writer-stage request a one-member database
-// would encode the group under.
-func oneMemberRecord(live []*Txn) *walReq {
-	req := &walReq{}
-	req.one[0] = walPart{db: live[0].db, live: live, bodies: txnBodies(live)}
-	req.parts = req.one[:]
 	return req
 }
 
 // TestGroupFrameEncodeAllocs pins the commit path's framing cost: with
-// the pooled buffer warmed, framing a group record allocates nothing
-// per append — the payload is built in place over the reserved header.
+// the pooled buffer warmed, framing a record allocates nothing per
+// append — the payload is built in place over the reserved header.
 func TestGroupFrameEncodeAllocs(t *testing.T) {
-	req := oneMemberRecord(stampedGroup(t))
+	req := record(stampedTxns(t)[0])
 	encode := func() {
 		bufp := walFramePool.Get().(*[]byte)
 		b := encodeRecord((*bufp)[:0], req)
@@ -64,40 +61,38 @@ func TestGroupFrameEncodeAllocs(t *testing.T) {
 	encode() // warm the pooled buffer past its initial growth
 	// Allow a fraction for a GC emptying the pool mid-run.
 	if avg := testing.AllocsPerRun(200, encode); avg > 0.5 {
-		t.Fatalf("framed group encode allocates %.2f times per append, want ~0", avg)
+		t.Fatalf("framed record encode allocates %.2f times per append, want ~0", avg)
 	}
 }
 
 // TestGroupFrameMatchesReference proves the commit path's split
 // encoding is byte-identical to the reference encode+frame path the
 // recovery scanner was built against, for a one-member log's record (one
-// part) and for a wider log's record of two parts.
+// part) and for a wider log's record of two parts: each part a 'G'
+// payload of one transaction.
 func TestGroupFrameMatchesReference(t *testing.T) {
-	live := stampedGroup(t)
-	want := string(frameRecord(encodeRecordPayload([]walSub{{member: 0, txns: walTxnsOf(live)}})))
-	if got := string(encodeRecord(nil, oneMemberRecord(live))); got != want {
-		t.Fatalf("one-member frame diverges from the reference:\n got %q\nwant %q", got, want)
+	live := stampedTxns(t)
+	for _, txn := range live {
+		want := string(frameRecord(encodeRecordPayload([]walSub{{member: txn.db.member, txns: walTxnsOf(txn)}})))
+		if got := string(encodeRecord(nil, record(txn))); got != want {
+			t.Fatalf("member %d frame diverges from the reference:\n got %q\nwant %q", txn.db.member, got, want)
+		}
 	}
-	bodies := txnBodies(live)
-	req := &walReq{parts: []walPart{
-		{db: live[0].db, live: live[:1], bodies: bodies[:1]},
-		{db: &Database{member: 2}, live: live[1:], bodies: bodies[1:]},
-	}}
-	want = string(frameRecord(encodeRecordPayload([]walSub{
-		{member: 0, txns: walTxnsOf(live[:1])},
-		{member: 2, txns: walTxnsOf(live[1:])},
+	want := string(frameRecord(encodeRecordPayload([]walSub{
+		{member: 0, txns: walTxnsOf(live[0])},
+		{member: 2, txns: walTxnsOf(live[1])},
 	})))
-	if got := string(encodeRecord(nil, req)); got != want {
+	if got := string(encodeRecord(nil, record(live...))); got != want {
 		t.Fatalf("multi-member frame diverges from the reference:\n got %q\nwant %q", got, want)
 	}
 }
 
 // TestTxnOpsBodyIsExactlySized: a transaction's body is encoded into one
-// allocation sized by its length, for the stamped group's insert,
+// allocation sized by its length, for the stamped insert,
 // update and cascading delete and for a 300-row batch whose body, grown
 // by doubling, would take a dozen allocations.
 func TestTxnOpsBodyIsExactlySized(t *testing.T) {
-	live := stampedGroup(t)
+	live := stampedTxns(t)
 	db := NewDatabase(walSchema(t))
 	batch := db.Begin()
 	defer batch.Rollback()

@@ -8,30 +8,29 @@ import (
 
 // The WAL writer stage is the one place commits are batched, and it
 // decouples commit durability from the commit latches. There is no
-// scheduler above it: every committer calls Commit, and whatever queued
-// while the previous fsync ran is the next batch — single-member groups
-// of any members and transactions across members alike. The committing
+// scheduler above it: every committer calls Commit, each record carries
+// one transaction (a part per member it commits on), and whatever queued
+// while the previous fsync ran is the next batch — commits on any
+// member and transactions across members alike. The committing
 // goroutine encodes its record's bodies off-latch, then under its
-// members' commit latches only validates, assigns sequences and
-// replaces claim stamps before handing the record to this stage and
-// releasing the latches — so group N+1 validates and stamps while group
-// N's fsync is in flight. The stage is a single goroutine draining a
-// channel whose enqueue order IS each member's sequence order (a record
-// is enqueued under the latches of every member it commits on), which
-// makes it a sequence barrier for free: it writes and fsyncs each
-// drained batch with ONE fsync, then publishes the batch's records
-// strictly in order — advancing each member's commitSeq only after the
-// record is durable — so no snapshot can ever observe group N+1 without
-// group N, and an fsync failure rolls back exactly the affected records
-// on every member they touch, with every waiter notified.
+// members' commit latches only assigns sequences and replaces claim
+// stamps before handing the record to this stage and releasing the
+// latches — so record N+1 is stamped while record N's fsync is in
+// flight. The stage is a single goroutine draining a channel whose
+// enqueue order IS each member's sequence order (a record is enqueued
+// under the latches of every member it commits on), which makes it a
+// sequence barrier for free: it writes and fsyncs each drained batch
+// with ONE fsync, then publishes the batch's records strictly in order
+// — advancing each member's commitSeq only after the record is durable
+// — so no snapshot can ever observe record N+1 without record N, and an
+// fsync failure rolls back exactly the affected records on every member
+// they touch, with every waiter notified.
 
-// walPart is one member's share of a record: its stamped transactions,
-// their pre-encoded op bodies and the last sequence stamped.
+// walPart is one member's share of a record: its stamped transaction
+// and the transaction's pre-encoded op body.
 type walPart struct {
-	db     *Database
-	live   []*Txn
-	bodies [][]byte // parallel to live
-	seq    uint64
+	txn  *Txn
+	body []byte
 }
 
 // walReq is one unit of work for the writer stage: a record to make
@@ -40,8 +39,6 @@ type walPart struct {
 type walReq struct {
 	parts []walPart
 	one   [1]walPart  // parts' backing store for a single-member record
-	txn   [1]*Txn     // one[0].live's backing store for a one-transaction group
-	body  [1][]byte   // and one[0].bodies'
 	vec   sync.Locker // held across a multi-part publish; may be nil
 	err   error       // set by the write phase; routes to rollback
 
@@ -170,18 +167,15 @@ func (req *walReq) publish() {
 		defer req.vec.Unlock()
 	}
 	for i := range req.parts {
-		req.parts[i].db.commitSeq.Store(req.parts[i].seq)
+		t := req.parts[i].txn
+		t.db.commitSeq.Store(t.seq)
 	}
 }
 
 // publishRecord makes a durable record visible and acknowledges it.
 func (w *WAL) publishRecord(req *walReq) {
 	req.publish()
-	txns := int64(1) // a record across members is one transaction
-	if len(req.parts) == 1 {
-		txns = int64(len(req.parts[0].live))
-	}
-	w.groupedTxns.Add(txns)
+	w.groupedTxns.Add(1) // a record is one transaction, however many members
 	req.finish()
 	w.pipeDepth.Add(-1)
 	req.done <- nil
@@ -232,8 +226,8 @@ func (w *WAL) writeFrame(req *walReq, frame []byte) error {
 	}
 	w.segBytes += int64(len(frame))
 	for i := range req.parts {
-		p := &req.parts[i]
-		w.activeMax[p.db.member] = max(w.activeMax[p.db.member], p.seq)
+		t := req.parts[i].txn
+		w.activeMax[t.db.member] = max(w.activeMax[t.db.member], t.seq)
 	}
 	w.appends.Add(1)
 	w.bytes.Add(int64(len(frame)))

@@ -12,15 +12,15 @@ import (
 // buffer); the frame tests and FuzzWALRecordDecode hold it to this one
 // byte for byte.
 
-// walTxnsOf views a commit group's live transactions as walTxns. Each
-// transaction contributes its undo log — which doubles as its write
+// walTxnsOf views stamped transactions as walTxns. Each transaction
+// contributes its undo log — which doubles as its write
 // set: the created version (insert/update) carries the after-image, a
 // delete needs only the row address — in execution order, so replay
 // reproduces intra-transaction sequencing (insert→update→delete of the
 // same row) exactly. Each after-image is re-encoded here from the
 // version's decoded values, value by value, where the commit path
 // copies the version's payload bytes.
-func walTxnsOf(live []*Txn) []walTxn {
+func walTxnsOf(live ...*Txn) []walTxn {
 	out := make([]walTxn, 0, len(live))
 	for _, t := range live {
 		wt := walTxn{seq: t.seq, ops: make([]walOp, 0, len(t.log))}
@@ -45,7 +45,9 @@ func walTxnsOf(live []*Txn) []walTxn {
 	return out
 }
 
-// encodeGroupPayload serializes one 'G' commit group payload.
+// encodeGroupPayload serializes one 'G' payload of any number of
+// transactions: the commit path writes one, a log written before it may
+// hold several.
 func encodeGroupPayload(txns []walTxn) []byte {
 	return appendGroupPayload(make([]byte, 0, 256), txns)
 }

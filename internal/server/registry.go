@@ -41,9 +41,6 @@ const slowRingDepth = 32
 type Config struct {
 	// Views seeds the registry at startup.
 	Views []ViewConfig `json:"views"`
-	// ApplyQueueDepth is the default per-view apply queue bound;
-	// DefaultApplyQueueDepth when zero.
-	ApplyQueueDepth int `json:"apply_queue_depth,omitempty"`
 	// DataDir, when non-empty, makes every view durable: each gets a
 	// write-ahead log under DataDir/<view-name>, recovered at startup.
 	// Empty keeps the daemon fully in-memory (the default).
@@ -79,7 +76,7 @@ type ViewConfig struct {
 	// Strategy names the data-driven strategy: hybrid (default),
 	// outside or internal.
 	Strategy string `json:"strategy,omitempty"`
-	// QueueDepth overrides the server-wide apply queue bound.
+	// QueueDepth overrides the apply queue bound, DefaultApplyQueueDepth.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// Shards overrides the server-wide shard count for this view.
 	Shards int `json:"shards,omitempty"`
@@ -547,11 +544,6 @@ func (v *View) Stats() ViewStats {
 
 // Registry is the concurrency-safe set of hosted views.
 type Registry struct {
-	// DefaultQueueDepth is the apply admission bound for views whose
-	// config does not set one; DefaultApplyQueueDepth when zero. Set it
-	// before serving traffic (it is read without synchronization).
-	DefaultQueueDepth int
-
 	// DataDir, when non-empty, gives every added view a durable
 	// write-ahead log under DataDir/<view-name>: Add recovers whatever a
 	// previous process left there (streaming the dataset in only on
@@ -631,9 +623,6 @@ func (r *Registry) build(name string, vc ViewConfig) (*View, error) {
 		shards = r.DefaultShards
 	}
 	depth := vc.QueueDepth
-	if depth <= 0 {
-		depth = r.DefaultQueueDepth
-	}
 	if depth <= 0 {
 		depth = DefaultApplyQueueDepth
 	}

@@ -365,11 +365,10 @@ func TestCreateViewRefusesCorruptDirectory(t *testing.T) {
 	}
 }
 
-// TestCreateViewInheritsDefaultQueueDepth: runtime-registered views
-// honor the registry's configured default apply queue bound.
+// TestCreateViewInheritsDefaultQueueDepth: a runtime-registered view
+// that sets no queue_depth gets DefaultApplyQueueDepth.
 func TestCreateViewInheritsDefaultQueueDepth(t *testing.T) {
 	reg := NewRegistry()
-	reg.DefaultQueueDepth = 2
 	ts := httptest.NewServer(New(reg).Handler())
 	defer ts.Close()
 	resp, body := postJSON(t, ts.URL+"/views", ViewConfig{Name: "book", Dataset: "book"})
@@ -377,8 +376,8 @@ func TestCreateViewInheritsDefaultQueueDepth(t *testing.T) {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
 	v, _ := reg.Get("book")
-	if v.QueueCapacity() != 2 {
-		t.Fatalf("queue depth = %d, want the registry default 2", v.QueueCapacity())
+	if v.QueueCapacity() != DefaultApplyQueueDepth {
+		t.Fatalf("queue depth = %d, want the default %d", v.QueueCapacity(), DefaultApplyQueueDepth)
 	}
 }
 
@@ -613,7 +612,6 @@ func TestLoadConfig(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/ufilterd.json"
 	cfg := Config{
-		ApplyQueueDepth: 4,
 		Views: []ViewConfig{
 			{Name: "book", Dataset: "book", Strategy: "outside"},
 			{Name: "proteins", Dataset: "psd", Proteins: 25, QueueDepth: 2},
@@ -628,14 +626,13 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.DefaultQueueDepth = got.ApplyQueueDepth
 	for _, vc := range got.Views {
 		if _, err := reg.Add(vc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b, _ := reg.Get("book")
-	if b.Strategy != ufilter.StrategyOutside || b.QueueCapacity() != 4 {
+	if b.Strategy != ufilter.StrategyOutside || b.QueueCapacity() != DefaultApplyQueueDepth {
 		t.Errorf("book: strategy %v depth %d", b.Strategy, b.QueueCapacity())
 	}
 	p, _ := reg.Get("proteins")

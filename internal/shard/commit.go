@@ -55,7 +55,7 @@ func (db *DB) commitOne(t *Txn) error {
 			return nil
 		}
 	}
-	err := db.shards[dirty].CommitGroup(t.subs[dirty])
+	err := t.subs[dirty].Commit()
 	t.finishExcept([]int{dirty})
 	return err
 }

@@ -540,8 +540,8 @@ func TestConcurrentCrossShardCommits(t *testing.T) {
 // TestCommitSharedMixedBatch: CommitShared commits each member on its
 // own — single-shard, cross-shard, read-only — skips a nil slot, refuses
 // a transaction the group did not begin and reports an already-finished
-// one, all without disturbing the neighbours, and leaves no
-// sub-transaction open behind it.
+// one, all without disturbing the neighbours, counts one commit group
+// per commit, and leaves no sub-transaction open behind it.
 func TestCommitSharedMixedBatch(t *testing.T) {
 	db, _ := newGroup(t, 4, Options{})
 	pubs := func(rd relational.Reader, id string) int {
@@ -579,7 +579,7 @@ func TestCommitSharedMixedBatch(t *testing.T) {
 	foreign := other.BeginTxn()
 	defer foreign.Rollback()
 
-	crossBefore := db.CrossCommits()
+	crossBefore, before := db.CrossCommits(), db.Stats()
 	errs := db.CommitShared([]relational.WriteTxn{single, nil, cross, foreign, readOnly, finished})
 	if len(errs) != 6 {
 		t.Fatalf("got %d error slots, want 6", len(errs))
@@ -602,6 +602,11 @@ func TestCommitSharedMixedBatch(t *testing.T) {
 	}
 	if got := db.CrossCommits() - crossBefore; got != 1 {
 		t.Errorf("cross-shard commits = %d, want 1", got)
+	}
+	// In memory each commit is one group, the cross-shard one included.
+	if st := db.Stats(); st.GroupCommits-before.GroupCommits != 3 || st.GroupedTxns-before.GroupedTxns != 3 {
+		t.Errorf("group_commits +%d grouped_txns +%d for three commits, want +3 each",
+			st.GroupCommits-before.GroupCommits, st.GroupedTxns-before.GroupedTxns)
 	}
 	if open := db.Stats().TxnsActive; open != 0 {
 		t.Errorf("%d sub-transactions left open", open)
